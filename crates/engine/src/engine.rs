@@ -719,12 +719,7 @@ impl Engine {
                         compute_update(upd, snap.table(&name)?, params)?
                     };
                     let n = changes.len() as u64;
-                    self.with_txn(session, |db, txn| {
-                        for (rid, row) in changes {
-                            db.update(txn, &name, rid, row)?;
-                        }
-                        Ok(())
-                    })?;
+                    self.with_txn(session, |db, txn| Ok(db.update_many(txn, &name, changes)?))?;
                     Ok(ExecResult {
                         outcome: ExecOutcome::RowsAffected(n),
                         messages: Vec::new(),
@@ -751,12 +746,7 @@ impl Engine {
                         compute_delete(del, snap.table(&name)?, params)?
                     };
                     let n = ids.len() as u64;
-                    self.with_txn(session, |db, txn| {
-                        for rid in ids {
-                            db.delete(txn, &name, rid)?;
-                        }
-                        Ok(())
-                    })?;
+                    self.with_txn(session, |db, txn| Ok(db.delete_many(txn, &name, &ids)?))?;
                     Ok(ExecResult {
                         outcome: ExecOutcome::RowsAffected(n),
                         messages: Vec::new(),
@@ -1155,9 +1145,12 @@ impl Engine {
     }
 }
 
-/// Look up a table definition through the view (cloned out so the view's
+/// Look up a table definition through the view (shared out so the view's
 /// borrow can end before mutation starts).
-fn view_def(view: &CatalogView<'_>, name: &ObjectName) -> Result<phoenix_storage::types::TableDef> {
+fn view_def(
+    view: &CatalogView<'_>,
+    name: &ObjectName,
+) -> Result<Arc<phoenix_storage::types::TableDef>> {
     use crate::plan::Catalog as _;
     Ok(view.table(name)?.def.clone())
 }

@@ -20,14 +20,15 @@
 //! BY therefore returns rows in the order they were inserted. Phoenix's
 //! result-set materialization relies on this documented property.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::ops::Bound;
 
 use phoenix_sql::ast::{
     BinaryOp, Expr, InsertSource, ObjectName, SelectItem, SelectStmt, Statement,
 };
 use phoenix_sql::display::render_expr;
-use phoenix_storage::store::TableData;
+use phoenix_storage::pmap::PSet;
+use phoenix_storage::store::{SecIndex, TableData};
 use phoenix_storage::types::{Column, DataType, Row, RowId, Schema, Value};
 
 #[cfg(test)]
@@ -643,11 +644,7 @@ fn eval_probe(
 }
 
 /// Sum the bucket sizes of the index entries inside the bounds.
-fn range_count(
-    map: &BTreeMap<Value, BTreeSet<RowId>>,
-    lo: Option<&(Value, bool)>,
-    hi: Option<&(Value, bool)>,
-) -> usize {
+fn range_count(map: &SecIndex, lo: Option<&(Value, bool)>, hi: Option<&(Value, bool)>) -> usize {
     let lo_b = match lo {
         Some((v, true)) => Bound::Included(v.clone()),
         Some((v, false)) => Bound::Excluded(v.clone()),
@@ -658,25 +655,7 @@ fn range_count(
         Some((v, false)) => Bound::Excluded(v.clone()),
         None => Bound::Unbounded,
     };
-    if range_is_empty(&lo_b, &hi_b) {
-        return 0;
-    }
     map.range((lo_b, hi_b)).map(|(_, ids)| ids.len()).sum()
-}
-
-/// Would `BTreeMap::range` see an inverted (panicking) or empty range?
-fn range_is_empty(lo: &Bound<Value>, hi: &Bound<Value>) -> bool {
-    let (lv, li) = match lo {
-        Bound::Included(v) => (v, true),
-        Bound::Excluded(v) => (v, false),
-        Bound::Unbounded => return false,
-    };
-    let (hv, hinc) = match hi {
-        Bound::Included(v) => (v, true),
-        Bound::Excluded(v) => (v, false),
-        Bound::Unbounded => return false,
-    };
-    lv > hv || (lv == hv && !(li && hinc))
 }
 
 /// If `e` is a bare column reference belonging to FROM table `t`, return its
@@ -1027,11 +1006,8 @@ fn access_rows(
                 Some((v, false)) => Bound::Excluded(v.clone()),
                 None => Bound::Unbounded,
             };
-            if range_is_empty(&lo_b, &hi_b) {
-                return Ok(Vec::new());
-            }
             let map = table.sec_index(*pos);
-            let buckets: Box<dyn Iterator<Item = (&Value, &BTreeSet<RowId>)>> = if *desc {
+            let buckets: Box<dyn Iterator<Item = (&Value, &PSet<RowId>)>> = if *desc {
                 Box::new(map.range((lo_b, hi_b)).rev())
             } else {
                 Box::new(map.range((lo_b, hi_b)))
@@ -1049,7 +1025,7 @@ fn access_rows(
         }
         Access::SecOrder { pos, desc } => {
             let map = table.sec_index(*pos);
-            let buckets: Box<dyn Iterator<Item = (&Value, &BTreeSet<RowId>)>> = if *desc {
+            let buckets: Box<dyn Iterator<Item = (&Value, &PSet<RowId>)>> = if *desc {
                 Box::new(map.iter().rev())
             } else {
                 Box::new(map.iter())

@@ -1,10 +1,12 @@
 //! [`Durable`]: the transactional binding of a [`Store`] to a write-ahead log.
 //!
 //! Every mutation follows write-ahead discipline — the log record is appended
-//! *before* the in-memory store is changed — and commit forces the log. An
-//! aborted transaction is rolled back in memory from a per-transaction undo
-//! list (the log keeps the records; recovery ignores them because no commit
-//! record follows).
+//! *before* the change becomes visible in the working store — and commit
+//! forces the log. A DML statement is first validated against a scratch copy
+//! of its table (an O(1) clone), so a statement the store would refuse never
+//! reaches the log. An aborted transaction is rolled back in memory from a
+//! per-transaction undo list (the log keeps the records; recovery ignores
+//! them because no commit record follows).
 //!
 //! [`Durable::open`] is crash recovery: load the latest snapshot (manifest +
 //! per-table segments), scan the log for the committed-transaction set, then
@@ -28,12 +30,15 @@
 //! * writers serialize on the `working` store mutex and hold it across
 //!   their append+apply pair, so write-ahead ordering is atomic with
 //!   respect to other threads;
-//! * after every successful mutation the writer *publishes* an immutable
-//!   [`StoreSnapshot`] (a shallow, per-table-`Arc` clone of the working
-//!   store) with a cheap pointer swap; [`Durable::snapshot`] hands that
-//!   image out in O(1), and readers execute against it with **no lock
-//!   held** — a long scan never blocks a writer, and a queued writer never
-//!   blocks new readers;
+//! * after every successful statement — once, however many rows it wrote —
+//!   the writer *publishes* an immutable [`StoreSnapshot`] (a shallow,
+//!   per-table-`Arc` clone of the working store) with a cheap pointer swap;
+//!   [`Durable::snapshot`] hands that image out in O(1), and readers
+//!   execute against it with **no lock held** — a long scan never blocks a
+//!   writer, a queued writer never blocks new readers, and no reader sees
+//!   half of a multi-row statement. Keeping the published image alive costs
+//!   the next writer only the tree nodes on the path to the rows it
+//!   touches (see [`crate::pmap`]), never a copy of the table;
 //! * commits coalesce through a *group commit*: each committer appends its
 //!   commit record, then one committer (the leader) issues a single
 //!   `sync_data` covering every record appended so far while the rest wait
@@ -85,7 +90,7 @@
 //! post-rotation log — so `txn > mark` records are exactly the ones the
 //! snapshot does not contain.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -1140,38 +1145,138 @@ impl Durable {
         }
     }
 
-    // -- mutations (log first, then apply; the owning partition's
-    //    working-store mutex makes the pair atomic with respect to other
-    //    sessions, and every successful mutation publishes that partition's
-    //    fresh epoch before releasing it) ----------------------------------
+    // -- row mutations: one write routine, one publish per statement -----
 
-    /// Insert a row (logged, undoable), returning its stable id.
-    pub fn insert(&self, txn: TxnId, table: &str, row: Row) -> Result<RowId, DbError> {
+    /// The one DML write path: apply a statement's records to one table.
+    ///
+    /// Under the owning partition's working lock, `build` turns the table
+    /// as it stands into the statement's log records. They are then
+    /// *validated by applying them to a scratch copy* of the table — an
+    /// O(1) clone that shares every tree node, so the copy costs what the
+    /// write itself would — and only when the whole batch applies (table
+    /// exists, arity, key uniqueness against the table and within the
+    /// batch, every row id present) are the records appended, the copy
+    /// installed as the working table, and the partition published, once.
+    /// A refused statement therefore writes zero log bytes and leaves the
+    /// working image untouched; a logged one is in memory exactly as
+    /// recovery will replay it.
+    fn write_rows(
+        &self,
+        txn: TxnId,
+        table: &str,
+        build: impl FnOnce(&TableData) -> Vec<LogRecord>,
+    ) -> Result<(), DbError> {
         self.check_active(txn)?;
         let k = self.part_of(table);
         let mut store = self.parts[k].working.lock();
-        // Determine the id the insert *will* get so the log matches the apply.
-        let row_id = store.table(table)?.next_row_id;
-        self.log_to(
-            k,
-            &LogRecord::Insert {
+        let current = store.table(table)?;
+        // Encode once, up front. The 8-byte GSN prefix rides in the same
+        // frame, so the cap accounts for it; an `InsertMany` over the cap
+        // is halved until each piece fits (ids stay consecutive because the
+        // front half is taken first), anything else over it is refused
+        // here, before a byte is logged.
+        let mut pending: VecDeque<LogRecord> = build(current).into();
+        let (mut recs, mut encoded) = (Vec::new(), Vec::new());
+        while let Some(rec) = pending.pop_front() {
+            let bytes = rec.encode();
+            if bytes.len() <= MAX_FRAME as usize - 8 {
+                recs.push(rec);
+                encoded.push(bytes);
+                continue;
+            }
+            match rec {
+                LogRecord::InsertMany {
+                    txn,
+                    table,
+                    first_row_id,
+                    mut rows,
+                } if rows.len() > 1 => {
+                    let tail = rows.split_off(rows.len() / 2);
+                    pending.push_front(LogRecord::InsertMany {
+                        txn,
+                        table: table.clone(),
+                        first_row_id: first_row_id + rows.len() as RowId,
+                        rows: tail,
+                    });
+                    pending.push_front(LogRecord::InsertMany {
+                        txn,
+                        table,
+                        first_row_id,
+                        rows,
+                    });
+                }
+                _ => {
+                    return Err(DbError::Io(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!(
+                            "log record of {} bytes exceeds the {MAX_FRAME}-byte WAL frame cap",
+                            bytes.len()
+                        ),
+                    )))
+                }
+            }
+        }
+        if recs.is_empty() {
+            return Ok(());
+        }
+        let apply = |recs: Vec<LogRecord>| -> Result<(TableData, Vec<UndoOp>), StoreError> {
+            let mut scratch = current.clone();
+            let undo = apply_with_undo(&mut scratch, recs)?;
+            Ok((scratch, undo))
+        };
+        let mut applied = apply(recs)?;
+
+        let mut failure = None;
+        let mut appended = 0;
+        {
+            let mut wal = self.parts[k].wal.lock();
+            for e in &encoded {
+                match self.append_locked(k, &mut wal, e) {
+                    Ok(_gsn) => appended += 1,
+                    Err(e) => {
+                        failure = Some(e);
+                        break;
+                    }
+                }
+            }
+        }
+        match failure {
+            Some(e) if appended == 0 => return Err(e),
+            Some(_) => {
+                // The log took a prefix of the statement before failing:
+                // memory must hold exactly what the log holds, so the
+                // transaction's fate (commit or abort) means the same thing
+                // in both.
+                let prefix = encoded[..appended]
+                    .iter()
+                    .map(|e| LogRecord::decode(e))
+                    .collect::<Result<Vec<_>, _>>()?;
+                applied = apply(prefix)?;
+            }
+            None => {}
+        }
+        let (scratch, undo) = applied;
+        store.install_table(scratch);
+        self.publish(k, &store);
+        if let Some(state) = self.active.lock().get_mut(&txn) {
+            state.touched.insert(k);
+            state.undo.extend(undo);
+        }
+        failure.map_or(Ok(()), Err)
+    }
+
+    /// Insert a row (logged, undoable), returning its stable id.
+    pub fn insert(&self, txn: TxnId, table: &str, row: Row) -> Result<RowId, DbError> {
+        let mut row_id = 0;
+        self.write_rows(txn, table, |t| {
+            row_id = t.next_row_id;
+            vec![LogRecord::Insert {
                 txn,
                 table: table.to_string(),
                 row_id,
-                row: row.clone(),
-            },
-        )?;
-        let assigned = store.table_mut(table)?.insert(row)?;
-        debug_assert_eq!(assigned, row_id);
-        self.publish(k, &store);
-        self.push_undo(
-            txn,
-            k,
-            UndoOp::RemoveRow {
-                table: table.to_string(),
-                row_id,
-            },
-        );
+                row,
+            }]
+        })?;
         Ok(row_id)
     }
 
@@ -1189,124 +1294,72 @@ impl Durable {
         table: &str,
         rows: Vec<Row>,
     ) -> Result<Vec<RowId>, DbError> {
-        self.check_active(txn)?;
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        let k = self.part_of(table);
-        let mut store = self.parts[k].working.lock();
-        let mut assigned = Vec::with_capacity(rows.len());
-        let mut pending = std::collections::VecDeque::new();
-        pending.push_back(rows);
-        let result = (|| {
-            while let Some(chunk) = pending.pop_front() {
-                let first_row_id = store.table(table)?.next_row_id;
-                let rec = LogRecord::InsertMany {
+        let mut ids = 0..0;
+        self.write_rows(txn, table, |t| {
+            ids = t.next_row_id..t.next_row_id + rows.len() as RowId;
+            if rows.is_empty() {
+                return Vec::new();
+            }
+            vec![LogRecord::InsertMany {
+                txn,
+                table: table.to_string(),
+                first_row_id: ids.start,
+                rows,
+            }]
+        })?;
+        Ok(ids.collect())
+    }
+
+    /// Delete a row by id (logged, undoable).
+    pub fn delete(&self, txn: TxnId, table: &str, row_id: RowId) -> Result<(), DbError> {
+        self.delete_many(txn, table, &[row_id])
+    }
+
+    /// Delete a statement's rows by id: one `Delete` record per row (the
+    /// log format recovery already replays), one publish for the lot.
+    pub fn delete_many(&self, txn: TxnId, table: &str, row_ids: &[RowId]) -> Result<(), DbError> {
+        self.write_rows(txn, table, |_| {
+            row_ids
+                .iter()
+                .map(|&row_id| LogRecord::Delete {
                     txn,
                     table: table.to_string(),
-                    first_row_id,
-                    rows: chunk,
-                };
-                let encoded = rec.encode();
-                let LogRecord::InsertMany {
-                    rows: mut chunk, ..
-                } = rec
-                else {
-                    unreachable!()
-                };
-                // The 8-byte GSN prefix rides in the same frame, so the
-                // split threshold accounts for it.
-                if encoded.len() > MAX_FRAME as usize - 8 && chunk.len() > 1 {
-                    // Halve until each piece fits; ids stay consecutive
-                    // because the front piece is re-popped and logged first.
-                    let tail = chunk.split_off(chunk.len() / 2);
-                    pending.push_front(tail);
-                    pending.push_front(chunk);
-                    continue;
-                }
-                // A lone row too big for a frame reaches the append, which
-                // refuses it with `InvalidInput` before anything is applied.
-                self.append_locked(k, &mut self.parts[k].wal.lock(), &encoded)?;
-                let t = store.table_mut(table)?;
-                for row in chunk.drain(..) {
-                    assigned.push(t.insert(row)?);
-                }
-            }
-            Ok(())
-        })();
-        // Rows applied before an error are undoable (and the statement's
-        // transaction aborts on error), so record undo for what landed even
-        // on the failure path — matching the per-row insert loop this
-        // replaces.
-        if !assigned.is_empty() {
-            self.publish(k, &store);
-            if let Some(state) = self.active.lock().get_mut(&txn) {
-                state.touched.insert(k);
-                state
-                    .undo
-                    .extend(assigned.iter().map(|&row_id| UndoOp::RemoveRow {
-                        table: table.to_string(),
-                        row_id,
-                    }));
-            }
-        }
-        result.map(|()| assigned)
+                    row_id,
+                })
+                .collect()
+        })
     }
 
-    /// Delete a row by id (logged, undoable), returning its image.
-    pub fn delete(&self, txn: TxnId, table: &str, row_id: RowId) -> Result<Row, DbError> {
-        self.check_active(txn)?;
-        let k = self.part_of(table);
-        let mut store = self.parts[k].working.lock();
-        self.log_to(
-            k,
-            &LogRecord::Delete {
-                txn,
-                table: table.to_string(),
-                row_id,
-            },
-        )?;
-        let row = store.table_mut(table)?.delete(row_id)?;
-        self.publish(k, &store);
-        self.push_undo(
-            txn,
-            k,
-            UndoOp::ReinsertRow {
-                table: table.to_string(),
-                row_id,
-                row: row.clone(),
-            },
-        );
-        Ok(row)
+    /// Replace a row in place (logged, undoable).
+    pub fn update(&self, txn: TxnId, table: &str, row_id: RowId, row: Row) -> Result<(), DbError> {
+        self.update_many(txn, table, vec![(row_id, row)])
     }
 
-    /// Replace a row in place (logged, undoable), returning the old image.
-    pub fn update(&self, txn: TxnId, table: &str, row_id: RowId, row: Row) -> Result<Row, DbError> {
-        self.check_active(txn)?;
-        let k = self.part_of(table);
-        let mut store = self.parts[k].working.lock();
-        self.log_to(
-            k,
-            &LogRecord::Update {
-                txn,
-                table: table.to_string(),
-                row_id,
-                row: row.clone(),
-            },
-        )?;
-        let old = store.table_mut(table)?.update(row_id, row)?;
-        self.publish(k, &store);
-        self.push_undo(
-            txn,
-            k,
-            UndoOp::RestoreRow {
-                table: table.to_string(),
-                row_id,
-                row: old.clone(),
-            },
-        );
-        Ok(old)
+    /// Replace a statement's rows in place: one `Update` record per row,
+    /// applied in order, one publish for the lot.
+    pub fn update_many(
+        &self,
+        txn: TxnId,
+        table: &str,
+        changes: Vec<(RowId, Row)>,
+    ) -> Result<(), DbError> {
+        self.write_rows(txn, table, |_| {
+            changes
+                .into_iter()
+                .map(|(row_id, row)| LogRecord::Update {
+                    txn,
+                    table: table.to_string(),
+                    row_id,
+                    row,
+                })
+                .collect()
+        })
     }
+
+    // -- catalog mutations (log first, then apply; the owning partition's
+    //    working-store mutex makes the pair atomic with respect to other
+    //    sessions, and every successful mutation publishes that partition's
+    //    fresh epoch before releasing it) ----------------------------------
 
     /// Create a table (logged, undoable).
     pub fn create_table(&self, txn: TxnId, def: TableDef) -> Result<(), DbError> {
@@ -1801,6 +1854,48 @@ impl Durable {
         drop(t);
         self.tap.acked_cv.notify_all();
     }
+}
+
+/// Apply one statement's DML records to `t` in order, returning the inverse
+/// operations in the same order (rollback runs them reversed).
+fn apply_with_undo(t: &mut TableData, recs: Vec<LogRecord>) -> Result<Vec<UndoOp>, StoreError> {
+    let mut undo = Vec::new();
+    for rec in recs {
+        match rec {
+            LogRecord::Insert {
+                table, row_id, row, ..
+            } => {
+                t.insert_with_id(row_id, row)?;
+                undo.push(UndoOp::RemoveRow { table, row_id });
+            }
+            LogRecord::InsertMany {
+                table,
+                first_row_id,
+                rows,
+                ..
+            } => {
+                for (row_id, row) in (first_row_id..).zip(rows) {
+                    t.insert_with_id(row_id, row)?;
+                    undo.push(UndoOp::RemoveRow {
+                        table: table.clone(),
+                        row_id,
+                    });
+                }
+            }
+            LogRecord::Delete { table, row_id, .. } => {
+                let row = t.delete(row_id)?;
+                undo.push(UndoOp::ReinsertRow { table, row_id, row });
+            }
+            LogRecord::Update {
+                table, row_id, row, ..
+            } => {
+                let row = t.update(row_id, row)?;
+                undo.push(UndoOp::RestoreRow { table, row_id, row });
+            }
+            other => unreachable!("write_rows builds only row records, not {other:?}"),
+        }
+    }
+    Ok(undo)
 }
 
 /// One unit of the partitioned replay: a catalog record that must apply

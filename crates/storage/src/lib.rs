@@ -18,6 +18,9 @@
 //!   explicit fsync discipline.
 //! * [`record`] — the logical log record set (`Begin`/`Commit`/`Abort` plus
 //!   one record per engine mutation).
+//! * [`pmap`] — the persistent (path-copying) ordered map every table
+//!   image is built from, so a snapshot costs a pointer and a write costs
+//!   the rows it touches.
 //! * [`store`] — the in-memory materialized image of the durable state
 //!   (tables, rows, stored procedures).
 //! * [`snapshot`] — checkpointing: atomically written full-state snapshots
@@ -38,6 +41,7 @@ pub mod codec;
 pub mod crc;
 pub mod db;
 pub mod metrics;
+pub mod pmap;
 pub mod record;
 pub mod repl;
 pub mod snapshot;
@@ -46,6 +50,7 @@ pub mod types;
 pub mod wal;
 
 pub use db::{Durability, Durable};
+pub use pmap::{PMap, PSet};
 pub use repl::{warm_load, ShipFrame, WarmImage, WarmLoad};
 pub use store::{Store, StoreSnapshot, TableData};
 pub use types::{Column, DataType, Row, RowId, Schema, TableDef, TxnId, Value};

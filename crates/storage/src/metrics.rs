@@ -50,6 +50,11 @@ pub struct StorageMetrics {
     /// every publish saves N−1 captures the pre-partitioned design paid
     /// (`phoenix_snapshot_publishes_coalesced`).
     pub snapshot_publishes_coalesced: Arc<Counter>,
+    /// Map entries cloned by path copying: each time a writer touches a
+    /// tree node a published snapshot still shares, the node's entries are
+    /// copied once (`phoenix_cow_entries_copied_total`). Proportional to
+    /// the rows a statement touches, never to the table.
+    pub cow_entries_copied: Arc<Counter>,
 }
 
 /// The storage metric set, registered on first use.
@@ -97,6 +102,10 @@ pub fn storage_metrics() -> &'static StorageMetrics {
             snapshot_publishes_coalesced: r.counter(
                 "phoenix_snapshot_publishes_coalesced",
                 "whole-store captures avoided by per-partition epoch publishing",
+            ),
+            cow_entries_copied: r.counter(
+                "phoenix_cow_entries_copied_total",
+                "table-image map entries cloned by path copying",
             ),
         }
     })

@@ -158,18 +158,24 @@ pub fn load_segment(path: &Path) -> io::Result<TableData> {
         }
         let next_row_id = buf.get_u64_le();
         let nrows = buf.get_u64_le();
-        let mut data = TableData::new(def);
+        // Every row costs at least its 8-byte id, which bounds the count
+        // before anything is allocated for it.
+        if nrows > (buf.remaining() / 8) as u64 {
+            return Err(DecodeError("segment row count exceeds its size".into()));
+        }
+        let mut rows = Vec::with_capacity(nrows as usize);
         for _ in 0..nrows {
             if buf.remaining() < 8 {
                 return Err(DecodeError("truncated row id".into()));
             }
             let row_id = buf.get_u64_le();
-            let row = codec::get_row(&mut buf)?;
-            data.insert_with_id(row_id, row)
-                .map_err(|e| DecodeError(format!("segment row rejected: {e}")))?;
+            if rows.last().is_some_and(|(last, _)| *last >= row_id) {
+                return Err(DecodeError("segment row ids not ascending".into()));
+            }
+            rows.push((row_id, codec::get_row(&mut buf)?));
         }
-        data.next_row_id = next_row_id;
-        Ok(data)
+        TableData::from_rows(def, next_row_id, rows)
+            .map_err(|e| DecodeError(format!("segment rows rejected: {e}")))
     };
     inner().map_err(decode_err)
 }

@@ -8,16 +8,21 @@
 //! (session temp tables), which is exactly the state that must die in a
 //! crash.
 //!
-//! Tables are held behind per-table [`Arc`]s, making the store
-//! *copy-on-write*: cloning a `Store` is cheap (it shares every table), and
-//! [`Store::table_mut`] clones a table's data only when some clone of the
-//! store still references it. [`StoreSnapshot`] packages that property as an
-//! immutable published image readers execute against with no lock held.
+//! Tables are held behind per-table [`Arc`]s and built from persistent maps
+//! ([`crate::pmap`]), making the store *copy-on-write at tree-node
+//! granularity*: cloning a `Store` shares every table, cloning a table
+//! shares every node, and a write through [`Store::table_mut`] copies only
+//! the nodes on the path to the rows it touches that a clone still shares.
+//! The per-table `Arc` remains the unit of *change detection* (a table
+//! nobody wrote keeps its pointer). [`StoreSnapshot`] packages the property
+//! as an immutable published image readers execute against with no lock
+//! held.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
+use crate::pmap::{PMap, PSet};
 use crate::record::LogRecord;
 use crate::types::{IndexDef, Row, RowId, TableDef, Value};
 
@@ -89,6 +94,11 @@ impl std::error::Error for StoreError {}
 /// declared) a key → row-id index kept in key order so keyset cursors can
 /// walk it, and one ordered secondary index per entry in `def.indexes`.
 ///
+/// Every map is a persistent [`PMap`] and the definition sits behind an
+/// [`Arc`], so `clone` is O(1) and a write copies only the tree nodes on the
+/// path to the rows it touches — including inside an index bucket, which
+/// for a low-cardinality column holds a large share of the table's row ids.
+///
 /// Secondary indexes are *derived* state: every mutation path funnels
 /// through [`TableData::insert_with_id`], [`TableData::delete`] or
 /// [`TableData::update`], which keep `sec` in lock-step with `rows`. That
@@ -97,29 +107,99 @@ impl std::error::Error for StoreError {}
 #[derive(Debug, Clone)]
 pub struct TableData {
     /// The table definition.
-    pub def: TableDef,
+    pub def: Arc<TableDef>,
     /// Rows by stable id; iteration order is insertion order.
-    pub rows: BTreeMap<RowId, Row>,
+    pub rows: PMap<RowId, Row>,
     /// Primary-key index; empty map when no key is declared.
-    pub pk_index: BTreeMap<Vec<Value>, RowId>,
+    pub pk_index: PMap<Vec<Value>, RowId>,
     /// Secondary indexes, parallel to `def.indexes`: indexed-column value →
     /// ids of the rows holding it. Non-unique, so the payload is a set.
-    pub sec: Vec<BTreeMap<Value, BTreeSet<RowId>>>,
+    pub sec: Vec<SecIndex>,
     /// Next row id to assign (never reused).
     pub next_row_id: RowId,
+}
+
+/// One secondary index: indexed-column value → the ids of the rows holding
+/// it.
+pub type SecIndex = PMap<Value, PSet<RowId>>;
+
+/// Add `row_id` to index `ix` under `value`.
+fn index_add(ix: &mut SecIndex, value: &Value, row_id: RowId) {
+    match ix.get_mut(value) {
+        Some(ids) => {
+            ids.insert(row_id);
+        }
+        None => {
+            ix.insert(value.clone(), PSet::from_sorted([row_id]));
+        }
+    }
+}
+
+/// Remove `row_id` from index `ix` under `value`, pruning an empty bucket.
+fn index_remove(ix: &mut SecIndex, value: &Value, row_id: RowId) {
+    if let Some(ids) = ix.get_mut(value) {
+        ids.remove(&row_id);
+        if ids.is_empty() {
+            ix.remove(value);
+        }
+    }
+}
+
+/// Build one index over `rows` (ascending by id) in a single pass: sort the
+/// `(value, id)` pairs once, then fill buckets and index bottom-up.
+fn build_index<'a>(rows: impl Iterator<Item = (RowId, &'a Row)>, column: usize) -> SecIndex {
+    let mut pairs: Vec<(&Value, RowId)> = rows.map(|(id, row)| (&row[column], id)).collect();
+    // Stable, so ids stay ascending inside each bucket.
+    pairs.sort_by(|a, b| a.0.cmp(b.0));
+    PMap::from_sorted(pairs.chunk_by(|a, b| a.0 == b.0).map(|bucket| {
+        let ids = PSet::from_sorted(bucket.iter().map(|&(_, id)| id));
+        (bucket[0].0.clone(), ids)
+    }))
 }
 
 impl TableData {
     /// An empty table with the given definition.
     pub fn new(def: TableDef) -> TableData {
-        let sec = vec![BTreeMap::new(); def.indexes.len()];
+        let sec = vec![PMap::new(); def.indexes.len()];
         TableData {
-            def,
-            rows: BTreeMap::new(),
-            pk_index: BTreeMap::new(),
+            def: Arc::new(def),
+            rows: PMap::new(),
+            pk_index: PMap::new(),
             sec,
             next_row_id: 1,
         }
+    }
+
+    /// A table holding `rows`, which must be in strictly ascending id order
+    /// (how a snapshot segment stores them): every map is bulk-built, so a
+    /// load costs one sort per index instead of a tree descent per row.
+    /// `next_row_id` is raised past the largest id if it is not already.
+    pub(crate) fn from_rows(
+        def: TableDef,
+        next_row_id: RowId,
+        rows: Vec<(RowId, Row)>,
+    ) -> Result<TableData, StoreError> {
+        let mut data = TableData::new(def);
+        for (_, row) in &rows {
+            data.check_arity(row)?;
+        }
+        if data.def.has_primary_key() {
+            let mut keys: Vec<(Vec<Value>, RowId)> = rows
+                .iter()
+                .map(|(id, row)| (data.def.key_of(row), *id))
+                .collect();
+            keys.sort();
+            if keys.windows(2).any(|w| w[0].0 == w[1].0) {
+                return Err(StoreError::DuplicateKey(data.def.name.clone()));
+            }
+            data.pk_index = PMap::from_sorted(keys);
+        }
+        for (k, ix) in data.def.indexes.iter().enumerate() {
+            data.sec[k] = build_index(rows.iter().map(|(id, row)| (*id, row)), ix.column);
+        }
+        data.next_row_id = next_row_id.max(rows.last().map_or(1, |(id, _)| id + 1));
+        data.rows = PMap::from_sorted(rows);
+        Ok(data)
     }
 
     /// Number of rows.
@@ -149,25 +229,10 @@ impl TableData {
         Ok(())
     }
 
-    /// Add `row_id` to every secondary index under the row's column values.
-    fn index_row(&mut self, row_id: RowId, row: &Row) {
-        for (k, ix) in self.def.indexes.iter().enumerate() {
-            self.sec[k]
-                .entry(row[ix.column].clone())
-                .or_default()
-                .insert(row_id);
-        }
-    }
-
-    /// Remove `row_id` from every secondary index, pruning empty buckets.
-    fn unindex_row(&mut self, row_id: RowId, row: &Row) {
-        for (k, ix) in self.def.indexes.iter().enumerate() {
-            if let Some(ids) = self.sec[k].get_mut(&row[ix.column]) {
-                ids.remove(&row_id);
-                if ids.is_empty() {
-                    self.sec[k].remove(&row[ix.column]);
-                }
-            }
+    fn no_such_row(&self, row_id: RowId) -> StoreError {
+        StoreError::NoSuchRow {
+            table: self.def.name.clone(),
+            row_id,
         }
     }
 
@@ -181,7 +246,9 @@ impl TableData {
             }
             self.pk_index.insert(key, row_id);
         }
-        self.index_row(row_id, &row);
+        for (ix, def) in self.sec.iter_mut().zip(&self.def.indexes) {
+            index_add(ix, &row[def.column], row_id);
+        }
         self.rows.insert(row_id, row);
         if row_id >= self.next_row_id {
             self.next_row_id = row_id + 1;
@@ -201,14 +268,13 @@ impl TableData {
         let row = self
             .rows
             .remove(&row_id)
-            .ok_or_else(|| StoreError::NoSuchRow {
-                table: self.def.name.clone(),
-                row_id,
-            })?;
+            .ok_or_else(|| self.no_such_row(row_id))?;
         if self.def.has_primary_key() {
             self.pk_index.remove(&self.def.key_of(&row));
         }
-        self.unindex_row(row_id, &row);
+        for (ix, def) in self.sec.iter_mut().zip(&self.def.indexes) {
+            index_remove(ix, &row[def.column], row_id);
+        }
         Ok(row)
     }
 
@@ -232,19 +298,16 @@ impl TableData {
         }
     }
 
-    /// Replace a row in place, returning the previous image.
+    /// Replace a row in place, returning the previous image. Only the
+    /// indexes whose column actually changed are touched.
     pub fn update(&mut self, row_id: RowId, new_row: Row) -> Result<Row, StoreError> {
         self.check_arity(&new_row)?;
         let old = self
             .rows
             .get(&row_id)
-            .cloned()
-            .ok_or_else(|| StoreError::NoSuchRow {
-                table: self.def.name.clone(),
-                row_id,
-            })?;
+            .ok_or_else(|| self.no_such_row(row_id))?;
         if self.def.has_primary_key() {
-            let old_key = self.def.key_of(&old);
+            let old_key = self.def.key_of(old);
             let new_key = self.def.key_of(&new_row);
             if old_key != new_key {
                 if self.pk_index.contains_key(&new_key) {
@@ -254,10 +317,17 @@ impl TableData {
                 self.pk_index.insert(new_key, row_id);
             }
         }
-        self.unindex_row(row_id, &old);
-        self.index_row(row_id, &new_row);
-        self.rows.insert(row_id, new_row);
-        Ok(old)
+        for (ix, def) in self.sec.iter_mut().zip(&self.def.indexes) {
+            let (was, is) = (&old[def.column], &new_row[def.column]);
+            if was != is {
+                index_remove(ix, was, row_id);
+                index_add(ix, is, row_id);
+            }
+        }
+        Ok(self
+            .rows
+            .insert(row_id, new_row)
+            .expect("row looked up above"))
     }
 
     /// Create a secondary index over one column, backfilling it from the
@@ -266,15 +336,14 @@ impl TableData {
         if self.def.index_pos(name).is_some() {
             return Err(StoreError::IndexExists(name.to_string()));
         }
-        let mut map: BTreeMap<Value, BTreeSet<RowId>> = BTreeMap::new();
-        for (&row_id, row) in &self.rows {
-            map.entry(row[column].clone()).or_default().insert(row_id);
-        }
-        self.def.indexes.push(IndexDef {
+        self.sec.push(build_index(
+            self.rows.iter().map(|(id, row)| (*id, row)),
+            column,
+        ));
+        Arc::make_mut(&mut self.def).indexes.push(IndexDef {
             name: name.to_string(),
             column,
         });
-        self.sec.push(map);
         Ok(())
     }
 
@@ -286,27 +355,31 @@ impl TableData {
             .index_pos(name)
             .ok_or_else(|| StoreError::NoSuchIndex(name.to_string()))?;
         self.sec.remove(pos);
-        Ok(self.def.indexes.remove(pos))
+        Ok(Arc::make_mut(&mut self.def).indexes.remove(pos))
     }
 
     /// The secondary-index map for `def.indexes[pos]`.
-    pub fn sec_index(&self, pos: usize) -> &BTreeMap<Value, BTreeSet<RowId>> {
+    pub fn sec_index(&self, pos: usize) -> &SecIndex {
         &self.sec[pos]
     }
 
     /// Cross-check every secondary index against the row image: each row
     /// must appear under exactly its column value, and every indexed id
-    /// must reference a live row. Used by chaos sweeps after recovery.
+    /// must reference a live row. Used by chaos sweeps after recovery. The
+    /// expectation is built in `std` collections, so it shares no code with
+    /// the maps it audits.
     pub fn verify_indexes(&self) -> Result<(), String> {
         for (k, ix) in self.def.indexes.iter().enumerate() {
-            let mut expect: BTreeMap<Value, BTreeSet<RowId>> = BTreeMap::new();
+            let mut expect: BTreeMap<&Value, BTreeSet<RowId>> = BTreeMap::new();
             for (&row_id, row) in &self.rows {
-                expect
-                    .entry(row[ix.column].clone())
-                    .or_default()
-                    .insert(row_id);
+                expect.entry(&row[ix.column]).or_default().insert(row_id);
             }
-            if self.sec[k] != expect {
+            let same = self.sec[k].len() == expect.len()
+                && self.sec[k]
+                    .iter()
+                    .zip(&expect)
+                    .all(|((v, ids), (ev, eids))| v == *ev && ids.iter().eq(eids));
+            if !same {
                 return Err(format!(
                     "index '{}' on '{}' diverges from table rows",
                     ix.name, self.def.name
@@ -322,7 +395,7 @@ impl TableData {
 ///
 /// Each table sits behind its own [`Arc`], so `Clone` is shallow — clones
 /// share all row data until one of them mutates a table, at which point
-/// only the touched table is copied ([`Arc::make_mut`]).
+/// only the touched tree nodes of that table are copied.
 #[derive(Debug, Clone, Default)]
 pub struct Store {
     tables: HashMap<String, Arc<TableData>>,
@@ -382,8 +455,8 @@ impl Store {
             .insert(normalize_name(&data.def.name), Arc::new(data));
     }
 
-    /// Remove a table, returning its data (cloned only if a snapshot still
-    /// shares it).
+    /// Remove a table, returning its data (an O(1) clone if a snapshot
+    /// still shares it).
     pub fn drop_table(&mut self, name: &str) -> Result<TableData, StoreError> {
         self.tables
             .remove(&normalize_name(name))
@@ -399,8 +472,9 @@ impl Store {
             .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))
     }
 
-    /// Mutable table lookup. Copy-on-write: the table's data is cloned here
-    /// if (and only if) a snapshot of this store still shares it.
+    /// Mutable table lookup. Copy-on-write: if a snapshot of this store
+    /// still shares the table it gets a fresh `Arc` here (an O(1) clone;
+    /// the tree nodes stay shared until written).
     pub fn table_mut(&mut self, name: &str) -> Result<&mut TableData, StoreError> {
         self.tables
             .get_mut(&normalize_name(name))
@@ -915,22 +989,17 @@ mod tests {
         let c = t
             .insert(vec![Value::Int(3), Value::Text("y".into())])
             .unwrap();
-        let ix = t.sec_index(0);
-        assert_eq!(
-            ix[&Value::Text("x".into())],
-            BTreeSet::from([a, b]),
-            "non-unique bucket holds both rows"
-        );
+        let bucket = |t: &TableData, v: &str| -> Vec<RowId> {
+            t.sec_index(0)[&Value::Text(v.into())]
+                .iter()
+                .copied()
+                .collect()
+        };
+        assert_eq!(bucket(&t, "x"), [a, b], "non-unique bucket holds both rows");
         t.update(b, vec![Value::Int(2), Value::Text("y".into())])
             .unwrap();
-        assert_eq!(
-            t.sec_index(0)[&Value::Text("x".into())],
-            BTreeSet::from([a])
-        );
-        assert_eq!(
-            t.sec_index(0)[&Value::Text("y".into())],
-            BTreeSet::from([b, c])
-        );
+        assert_eq!(bucket(&t, "x"), [a]);
+        assert_eq!(bucket(&t, "y"), [b, c]);
         t.delete(a).unwrap();
         assert!(
             !t.sec_index(0).contains_key(&Value::Text("x".into())),

@@ -56,8 +56,14 @@ fn ids(db: &Durable) -> Vec<i64> {
     ids
 }
 
+/// Fault schedules are process-global, and both tests also write outside
+/// their armed sections: run one at a time, or one test's schedule fires in
+/// the other's unguarded appends.
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn crash_mid_append_then_append_keeps_both_sides() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("torn");
 
     // A committed transaction the crash must not touch.
@@ -106,6 +112,7 @@ fn crash_mid_append_then_append_keeps_both_sides() {
 
 #[test]
 fn torn_frame_bytes_are_really_on_disk_and_trimmed() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("trim");
     let wal_path;
 

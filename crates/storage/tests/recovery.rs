@@ -24,6 +24,15 @@ fn temp_dir(tag: &str) -> PathBuf {
     d
 }
 
+/// Fault schedules are process-global and every test here also writes
+/// outside its armed section, so the tests of this file run one at a time:
+/// otherwise one test's schedule fires in another's unguarded appends (the
+/// intermittent failures ROADMAP item 0 records).
+fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn def(name: &str) -> TableDef {
     TableDef::new(
         name,
@@ -70,6 +79,7 @@ fn commit_rows(db: &Durable, table: &str, rows: &[(i64, &str)]) {
 /// error (the snapshot lacked a mark and replay was unfiltered).
 #[test]
 fn checkpoint_crash_before_truncate_does_not_double_apply() {
+    let _serial = one_at_a_time();
     let dir = temp_dir("truncate-window");
 
     {
@@ -120,6 +130,7 @@ fn checkpoint_crash_before_truncate_does_not_double_apply() {
 /// live log) against the *previous* image.
 #[test]
 fn checkpoint_crash_at_write_keeps_old_image() {
+    let _serial = one_at_a_time();
     let dir = temp_dir("write-crash");
 
     {
@@ -149,6 +160,7 @@ fn checkpoint_crash_at_write_keeps_old_image() {
 /// applies governs both files on the read path.
 #[test]
 fn torn_live_tail_with_rotated_log_recovers() {
+    let _serial = one_at_a_time();
     let dir = temp_dir("torn-with-old");
 
     {
@@ -198,6 +210,7 @@ fn torn_live_tail_with_rotated_log_recovers() {
 /// (a table created mid-log).
 #[test]
 fn parallel_replay_matches_sequential() {
+    let _serial = one_at_a_time();
     let dir = temp_dir("parallel");
 
     {
@@ -275,6 +288,7 @@ fn parallel_replay_matches_sequential() {
 /// tables serializes exactly that table and reuses the other segments.
 #[test]
 fn incremental_checkpoint_rewrites_only_touched_tables() {
+    let _serial = one_at_a_time();
     let dir = temp_dir("incremental");
     let db = Durable::open(&dir, Durability::Fsync).unwrap();
 
@@ -316,6 +330,7 @@ fn incremental_checkpoint_rewrites_only_touched_tables() {
 /// of clobbering it.
 #[test]
 fn failed_checkpoint_then_retry_merges_rotated_log() {
+    let _serial = one_at_a_time();
     let dir = temp_dir("retry-merge");
     let db = Durable::open(&dir, Durability::Fsync).unwrap();
 
@@ -350,6 +365,7 @@ fn failed_checkpoint_then_retry_merges_rotated_log() {
 /// the N streams reconstructs exactly the single-stream append order.
 #[test]
 fn gsn_merge_recovery_matches_single_stream() {
+    let _serial = one_at_a_time();
     // Tables chosen to spread over several partitions at n=4.
     let tables = ["dbo.a", "dbo.b", "dbo.c", "dbo.late"];
 
@@ -424,6 +440,7 @@ fn gsn_merge_recovery_matches_single_stream() {
 /// must roll the whole transaction back.
 #[test]
 fn torn_cross_partition_commit_rolls_back_everywhere() {
+    let _serial = one_at_a_time();
     let dir = temp_dir("torn-multi-commit");
     let opts = RecoveryOptions {
         partitions: Some(2),
@@ -478,6 +495,7 @@ fn torn_cross_partition_commit_rolls_back_everywhere() {
 /// may not collide with the aborted one, and its effects stay invisible.
 #[test]
 fn abort_advances_checkpoint_mark() {
+    let _serial = one_at_a_time();
     let dir = temp_dir("abort-mark");
 
     {
@@ -505,5 +523,51 @@ fn abort_advances_checkpoint_mark() {
         assert_eq!(ids(&db, "dbo.t"), vec![1, 2]);
     }
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A statement the store refuses must write zero log bytes: its transaction
+/// may still commit, and recovery replays whatever that transaction logged.
+/// Before the write path validated under the working lock *before* its
+/// first append, each of these left a record in the WAL that the next
+/// `open` choked on (`duplicate primary key in 'dbo.t'`, `no row 9 …`) —
+/// a failed statement bricked the database.
+#[test]
+fn refused_statement_logs_nothing_and_recovery_survives_its_commit() {
+    let _serial = one_at_a_time();
+    let dir = temp_dir("refused");
+    let wal = dir.join("phoenix.wal");
+    {
+        let db = Durable::open(&dir, Durability::Buffered).unwrap();
+        let t = db.begin().unwrap();
+        db.create_table(t, def("dbo.t")).unwrap();
+        db.insert(t, "dbo.t", row(1, "one")).unwrap();
+        db.commit(t).unwrap();
+
+        let t = db.begin().unwrap();
+        let before = std::fs::metadata(&wal).unwrap().len();
+        // Key already in the table; key repeated within one batch; a row
+        // id nobody holds (deleted by another session since the statement
+        // computed its target set); the wrong number of columns.
+        db.insert(t, "dbo.t", row(1, "dup")).unwrap_err();
+        db.insert_many(t, "dbo.t", vec![row(5, "a"), row(5, "b")])
+            .unwrap_err();
+        db.delete_many(t, "dbo.t", &[1, 9]).unwrap_err();
+        db.update_many(t, "dbo.t", vec![(1, row(1, "x")), (9, row(9, "y"))])
+            .unwrap_err();
+        db.update(t, "dbo.t", 1, vec![Value::Int(1)]).unwrap_err();
+        assert_eq!(
+            std::fs::metadata(&wal).unwrap().len(),
+            before,
+            "a refused statement appended to the log"
+        );
+        // Nothing of a refused batch was applied either — not even the
+        // rows ahead of the one that failed.
+        assert_eq!(ids(&db, "dbo.t"), vec![1]);
+        db.insert(t, "dbo.t", row(2, "two")).unwrap();
+        db.commit(t).unwrap();
+    }
+    let db = Durable::open(&dir, Durability::Buffered).unwrap();
+    assert_eq!(ids(&db, "dbo.t"), vec![1, 2]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
