@@ -1,7 +1,7 @@
 //! Recovery-at-scale runner: load N tables × M records of WAL, crash, and
-//! measure what recovery costs — WAL replay time (sequential vs
-//! partitioned), time-to-first-reply through a full server restart, and
-//! the checkpoint writer-lock pause (full vs incremental).
+//! measure what recovery costs — WAL replay time, time-to-first-reply
+//! through a full server restart, and the checkpoint writer-lock pause
+//! (full vs incremental).
 //!
 //! Emits `BENCH_recovery.json`:
 //!
@@ -12,8 +12,8 @@
 //! ```
 //!
 //! `--check` additionally asserts the recovered images are correct (row
-//! counts, and partitioned replay bit-identical to sequential), which is
-//! what the CI job runs.
+//! counts, and a cold open bit-identical to an applier fed the same log
+//! frame by frame, the way a standby is), which is what the CI job runs.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,8 +22,11 @@ use std::time::{Duration, Instant};
 use phoenix_driver::Environment;
 use phoenix_engine::EngineConfig;
 use phoenix_server::ServerHarness;
+use phoenix_storage::applier::{frame_payload, Applier};
 use phoenix_storage::db::{Durability, Durable, RecoveryOptions};
+use phoenix_storage::record::LogRecord;
 use phoenix_storage::types::{Column, DataType, Row, Schema, TableDef, Value};
+use phoenix_storage::wal::Wal;
 
 /// One log size to storm: `tables` session tables, `records` total rows.
 struct SizeSpec {
@@ -68,9 +71,7 @@ struct SizeResult {
     tables: usize,
     records: u64,
     wal_frames: usize,
-    threads_parallel: usize,
-    replay_serial_us: u64,
-    replay_parallel_us: u64,
+    replay_us: u64,
     ttfr_us: u64,
     ckpt_full_pause_us: u64,
     ckpt_full_total_us: u64,
@@ -165,30 +166,43 @@ fn clone_dir(src: &Path, tag: &str) -> PathBuf {
     dst
 }
 
-fn open_with(dir: &Path, threads: usize) -> Durable {
-    Durable::open_opts(
-        dir,
-        Durability::Fsync,
-        &RecoveryOptions {
-            replay_threads: Some(threads),
-            ..RecoveryOptions::default()
-        },
-    )
-    .unwrap()
+fn open(dir: &Path) -> Durable {
+    Durable::open(dir, Durability::Fsync).unwrap()
 }
 
-/// Best-of-`reps` replay time at a given thread count. Recovery never
-/// mutates the log, so reopening the same directory is repeatable.
-fn measure_replay(dir: &Path, threads: usize, reps: usize) -> (u64, usize) {
+/// Best-of-`reps` replay time. Recovery never mutates the log, so
+/// reopening the same directory is repeatable.
+fn measure_replay(dir: &Path, reps: usize) -> (u64, usize) {
     let mut best = u64::MAX;
     let mut frames = 0;
     for _ in 0..reps {
-        let db = open_with(dir, threads);
+        let db = open(dir);
         let rep = db.recovery_report();
         best = best.min(rep.replay_us);
         frames = rep.wal_frames;
     }
     (best, frames)
+}
+
+/// The standby's schedule of the applier: loaded from an empty directory,
+/// then fed `src`'s log one frame at a time, each appended to the
+/// directory's own log first; promoted at the end. (The storm is loaded
+/// through one partition, so there is one log to append to.)
+fn open_fed_frame_by_frame(src: &Durable) -> (Durable, PathBuf) {
+    let dir = temp_dir("fed");
+    let mut applier = Applier::load(&dir).unwrap();
+    let mut wal = Wal::open(Durable::wal_path(&dir, 0)).unwrap();
+    for (stream, gsn, record) in src.repl_attach(0).unwrap() {
+        wal.append(&frame_payload(gsn, &record)).unwrap();
+        applier
+            .feed(stream as u32, gsn, LogRecord::decode(&record).unwrap())
+            .unwrap();
+    }
+    src.repl_detach();
+    drop(wal);
+    let opts = RecoveryOptions::default();
+    let db = Durable::open_warm(&dir, Durability::Fsync, &opts, applier).unwrap();
+    (db, dir)
 }
 
 /// Full server restart on the crashed directory: process start → engine
@@ -234,25 +248,26 @@ fn run_size(spec: &SizeSpec, reps: usize, check: bool) -> SizeResult {
     );
     load(&dir, spec);
 
-    let parallel = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .max(2);
-    let (replay_serial_us, wal_frames) = measure_replay(&dir, 1, reps);
-    let (replay_parallel_us, _) = measure_replay(&dir, parallel, reps);
+    let (replay_us, wal_frames) = measure_replay(&dir, reps);
     eprintln!(
-        "recovery_storm[{}]: replay {} frames — serial {} us, {} threads {} us",
-        spec.name, wal_frames, replay_serial_us, parallel, replay_parallel_us
+        "recovery_storm[{}]: replay {} frames in {} us",
+        spec.name, wal_frames, replay_us
     );
 
     if check {
-        let seq = snapshot_rows(&open_with(&dir, 1), spec.tables);
-        let par = snapshot_rows(&open_with(&dir, parallel), spec.tables);
-        assert_eq!(seq, par, "partitioned replay diverged from sequential");
-        let total: usize = seq.iter().map(|(_, rows)| rows.len()).sum();
+        let cold_db = open(&dir);
+        let cold = snapshot_rows(&cold_db, spec.tables);
+        let (fed_db, fed_dir) = open_fed_frame_by_frame(&cold_db);
+        let fed = snapshot_rows(&fed_db, spec.tables);
+        let _ = std::fs::remove_dir_all(&fed_dir);
+        assert_eq!(
+            cold, fed,
+            "frame-by-frame-fed applier diverged from cold open"
+        );
+        let total: usize = cold.iter().map(|(_, rows)| rows.len()).sum();
         assert_eq!(total as u64, spec.records, "row count after recovery");
         eprintln!(
-            "recovery_storm[{}]: check ok ({} rows, serial == parallel)",
+            "recovery_storm[{}]: check ok ({} rows, cold open == fed applier)",
             spec.name, total
         );
     }
@@ -270,7 +285,7 @@ fn run_size(spec: &SizeSpec, reps: usize, check: bool) -> SizeResult {
     // Checkpoint pause, full vs incremental: the first checkpoint
     // serializes every table; after touching one table, the second
     // serializes exactly that one. `pause_us` is the writer-lock hold.
-    let db = open_with(&dir, parallel);
+    let db = open(&dir);
     db.checkpoint().unwrap();
     let full = db.checkpoint_stats();
     let t = db.begin().unwrap();
@@ -301,9 +316,7 @@ fn run_size(spec: &SizeSpec, reps: usize, check: bool) -> SizeResult {
         tables: spec.tables,
         records: spec.records,
         wal_frames,
-        threads_parallel: parallel,
-        replay_serial_us,
-        replay_parallel_us,
+        replay_us,
         ttfr_us,
         ckpt_full_pause_us: full.pause_us,
         ckpt_full_total_us: full.total_us,
@@ -339,17 +352,13 @@ fn main() {
     let body = results
         .iter()
         .map(|r| {
-            let speedup = r.replay_serial_us as f64 / r.replay_parallel_us.max(1) as f64;
             format!(
-                "    {{\n      \"size\": \"{}\",\n      \"tables\": {},\n      \"records\": {},\n      \"wal_frames\": {},\n      \"replay_serial_us\": {},\n      \"replay_parallel_us\": {},\n      \"replay_threads\": {},\n      \"replay_speedup\": {:.2},\n      \"time_to_first_reply_us\": {},\n      \"checkpoint\": {{\n        \"full_pause_us\": {},\n        \"full_total_us\": {},\n        \"full_segments_written\": {},\n        \"incremental_pause_us\": {},\n        \"incremental_total_us\": {},\n        \"incremental_segments_written\": {}\n      }}\n    }}",
+                "    {{\n      \"size\": \"{}\",\n      \"tables\": {},\n      \"records\": {},\n      \"wal_frames\": {},\n      \"replay_us\": {},\n      \"time_to_first_reply_us\": {},\n      \"checkpoint\": {{\n        \"full_pause_us\": {},\n        \"full_total_us\": {},\n        \"full_segments_written\": {},\n        \"incremental_pause_us\": {},\n        \"incremental_total_us\": {},\n        \"incremental_segments_written\": {}\n      }}\n    }}",
                 r.name,
                 r.tables,
                 r.records,
                 r.wal_frames,
-                r.replay_serial_us,
-                r.replay_parallel_us,
-                r.threads_parallel,
-                speedup,
+                r.replay_us,
                 r.ttfr_us,
                 r.ckpt_full_pause_us,
                 r.ckpt_full_total_us,
@@ -361,9 +370,6 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    // Speedups below 1.0 are expected when `replay_threads` exceeds this:
-    // the parallel path is still exercised (and checked for equivalence),
-    // but a single hardware thread can't run the workers concurrently.
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

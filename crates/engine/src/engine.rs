@@ -79,10 +79,6 @@ pub struct EngineConfig {
     /// Take a checkpoint automatically once this many log records have
     /// accumulated and the engine is quiescent. `None` disables.
     pub checkpoint_every: Option<u64>,
-    /// Worker threads for partitioned WAL replay during recovery.
-    /// `None` uses the machine's available parallelism; `Some(1)` forces
-    /// the sequential path.
-    pub replay_threads: Option<usize>,
     /// Write-path partitions (per-partition store shard + WAL stream +
     /// group committer). `None` picks `min(8, available cores)`; `Some(1)`
     /// forces the single-stream layout.
@@ -109,7 +105,6 @@ impl Default for EngineConfig {
         EngineConfig {
             durability: Durability::Fsync,
             checkpoint_every: Some(100_000),
-            replay_threads: None,
             partitions: None,
             group_commit_window_us: 0,
             max_sessions: None,
@@ -251,25 +246,24 @@ pub fn write_epoch(dir: impl AsRef<std::path::Path>, epoch: u64) -> std::io::Res
 impl Engine {
     /// Open (and recover) the database in `dir`.
     pub fn open(dir: impl AsRef<std::path::Path>, config: EngineConfig) -> Result<Engine> {
-        Self::open_with_image(dir, config, None)
+        Self::open_with(dir, config, None)
     }
 
-    /// Open the database in `dir` from an already-materialized warm image —
-    /// the standby promotion path. The image (built by continuously applying
-    /// shipped frames) replaces the snapshot-load + full-replay phase of
-    /// recovery; only the log tail at or past the image's watermark replays.
+    /// Open the database in `dir` from the applier a standby loaded from it
+    /// and has fed every shipped frame since — the promotion path. Only
+    /// frames the applier has not seen are read back from the log.
     pub fn open_warm(
         dir: impl AsRef<std::path::Path>,
         config: EngineConfig,
-        image: phoenix_storage::WarmImage,
+        applier: phoenix_storage::Applier,
     ) -> Result<Engine> {
-        Self::open_with_image(dir, config, Some(image))
+        Self::open_with(dir, config, Some(applier))
     }
 
-    fn open_with_image(
+    fn open_with(
         dir: impl AsRef<std::path::Path>,
         config: EngineConfig,
-        image: Option<phoenix_storage::WarmImage>,
+        applier: Option<phoenix_storage::Applier>,
     ) -> Result<Engine> {
         let dir = dir.as_ref();
         let partitions = config.partitions.unwrap_or_else(|| {
@@ -278,13 +272,12 @@ impl Engine {
                 .unwrap_or(1)
         });
         let opts = RecoveryOptions {
-            replay_threads: config.replay_threads,
             partitions: Some(partitions),
             group_commit_window_us: config.group_commit_window_us,
         };
-        let durable = match image {
+        let durable = match applier {
             None => Durable::open_opts(dir, config.durability, &opts)?,
-            Some(image) => Durable::open_warm(dir, config.durability, &opts, image)?,
+            Some(applier) => Durable::open_warm(dir, config.durability, &opts, applier)?,
         };
         let epoch = read_epoch(dir);
         if dir.join(FENCED_FILE).exists() {

@@ -207,7 +207,6 @@ mod auto_checkpoint {
             let config = EngineConfig {
                 durability: Durability::Fsync,
                 checkpoint_every: Some(every),
-                replay_threads: None,
             };
             {
                 let mut e = Engine::open(&dir, config.clone()).unwrap();
@@ -245,7 +244,6 @@ mod auto_checkpoint {
         let config = EngineConfig {
             durability: Durability::Fsync,
             checkpoint_every: Some(2),
-            replay_threads: None,
         };
         {
             let mut e = Engine::open(&dir, config.clone()).unwrap();

@@ -13,11 +13,10 @@
 //!   (`ReplHello`/`ReplFrames`/`ReplAck`).
 //! * [`standby`] — [`standby::Standby`]: a warm receiver that appends the
 //!   shipped frames to its own per-partition logs (so its data directory is
-//!   a valid primary directory at every instant) and continuously applies
-//!   every *decided* record through the same GSN-merge replay semantics as
-//!   crash recovery. [`standby::Standby::promote`] fences further frames,
-//!   bumps the durable replication epoch, replays the undecided tail, and
-//!   starts a full [`phoenix_server::RunningServer`] on the same port — at
+//!   a valid primary directory at every instant) and feeds them to the
+//!   `phoenix_storage::Applier` crash recovery uses.
+//!   [`standby::Standby::promote`] fences further frames, bumps the durable
+//!   replication epoch, hands the applier to the engine, and starts a full [`phoenix_server::RunningServer`] on the same port — at
 //!   which point the driver's multi-address reconnect loop re-installs
 //!   sessions against it and the status-table replay machinery makes the
 //!   handoff exactly-once.

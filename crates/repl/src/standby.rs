@@ -1,25 +1,24 @@
-//! The warm standby: receiver, incremental applier, and promotion.
+//! The warm standby: receiver and promotion.
 //!
 //! A [`Standby`] owns a data directory and a TCP port. Until promoted it
 //! speaks only the replication subset of the protocol: `ReplHello` (report
 //! the highest GSN it holds), `ReplFrames` (append to its own per-partition
-//! logs, fsync, apply every newly *decided* record, ack), `Promote`, and
-//! `Ping`. Login attempts are answered with the retryable `Fenced` error so
-//! a failover-aware driver rotates on to the next address — or retries here
+//! logs, feed the applier, fsync, ack), `Promote`, and `Ping`. Login
+//! attempts are answered with the retryable `Fenced` error so a
+//! failover-aware driver rotates on to the next address — or retries here
 //! until promotion completes.
 //!
 //! # The warm image
 //!
-//! The applier maintains exactly the state `phoenix_storage::warm_load`
-//! recovers: a store with every record below a watermark materialized, plus
-//! the *undecided tail* — records whose transaction fate the next frames
-//! will decide. Frames are appended to disk **before** they are ingested in
-//! memory, and ingested only if the append succeeded, so the directory and
-//! the image never disagree: at any instant, killing the standby and
-//! running ordinary recovery (or `warm_load`) on its directory reproduces
-//! the image. Promotion hands the image to `Engine::open_warm`, which
-//! replays only the on-disk tail at or past the watermark — typically a few
-//! frames — making promotion time independent of database size.
+//! The standby turns log records into table state with the same
+//! [`Applier`] crash recovery uses, loaded from its directory at start.
+//! Frames are appended to disk **before** they are fed, and fed only if the
+//! append succeeded, so the directory and the image never disagree: at any
+//! instant, killing the standby and running ordinary recovery on its
+//! directory reproduces the image. Promotion hands the applier to
+//! `Engine::open_warm`, which reads back only frames the applier has not
+//! seen — typically none — making promotion time independent of database
+//! size.
 //!
 //! # Fencing
 //!
@@ -28,7 +27,7 @@
 //! from `Promote` (the supervisor's kill switch) or from this standby's
 //! hello-ack, and its own engine then refuses every login and WAL append.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -42,12 +41,10 @@ use parking_lot::Mutex;
 use phoenix_engine::{read_epoch, write_epoch, Engine, EngineConfig, ErrorCode};
 use phoenix_server::server::SharedEngine;
 use phoenix_server::RunningServer;
+use phoenix_storage::applier::{frame_payload, Applier};
 use phoenix_storage::db::{Durable, MAX_PARTITIONS};
 use phoenix_storage::record::LogRecord;
-use phoenix_storage::store::Store;
-use phoenix_storage::types::TxnId;
 use phoenix_storage::wal::{Wal, WalPoints};
-use phoenix_storage::{warm_load, WarmImage};
 use phoenix_wire::frame::{read_frame, write_frame};
 use phoenix_wire::{Request, Response};
 
@@ -78,114 +75,10 @@ pub struct StandbyConfig {
     pub auto_promote_after: Option<Duration>,
 }
 
-/// The incremental warm applier: `warm_load`'s state, kept current as
-/// frames arrive.
-struct WarmApplier {
-    store: Store,
-    mark: TxnId,
-    applied_below_gsn: u64,
-    /// GSN-ordered records whose transaction fate is not yet decided (or
-    /// which sit behind one that isn't).
-    pending: VecDeque<(u64, u32, LogRecord)>,
-    committed: HashSet<TxnId>,
-    aborted: HashSet<TxnId>,
-    /// Partially-logged `CommitMulti` fates: participants vs streams seen.
-    multi: HashMap<TxnId, (Vec<u32>, HashSet<u32>)>,
-    /// Highest GSN held (on disk and in this image).
-    max_gsn: u64,
-}
-
-impl WarmApplier {
-    fn from_dir(dir: &Path) -> io::Result<WarmApplier> {
-        let w = warm_load(dir).map_err(|e| io::Error::other(e.to_string()))?;
-        let mut a = WarmApplier {
-            store: w.store,
-            mark: w.mark,
-            applied_below_gsn: w.applied_below_gsn,
-            pending: VecDeque::new(),
-            committed: w.committed,
-            aborted: w.aborted,
-            multi: HashMap::new(),
-            max_gsn: w.max_gsn,
-        };
-        // Re-derive the partial CommitMulti ledger from the tail: every
-        // record of an undecided transaction is in `pending` by
-        // construction, so the tail alone reconstructs it.
-        for (_, stream, rec) in &w.pending {
-            a.note_fate(*stream, rec);
-        }
-        a.pending = w.pending.into();
-        Ok(a)
-    }
-
-    /// Learn what `rec` says about transaction fates.
-    fn note_fate(&mut self, stream: u32, rec: &LogRecord) {
-        match rec {
-            LogRecord::Commit { txn } => {
-                self.committed.insert(*txn);
-            }
-            LogRecord::Abort { txn } => {
-                self.aborted.insert(*txn);
-            }
-            LogRecord::CommitMulti { txn, participants } => {
-                let entry = self
-                    .multi
-                    .entry(*txn)
-                    .or_insert_with(|| (participants.clone(), HashSet::new()));
-                entry.1.insert(stream);
-                if entry.0.iter().all(|p| entry.1.contains(p)) {
-                    // Present in every participant stream: committed, by the
-                    // same rule recovery uses.
-                    self.committed.insert(*txn);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn decided(&self, txn: TxnId) -> bool {
-        txn <= self.mark || self.committed.contains(&txn) || self.aborted.contains(&txn)
-    }
-
-    /// Ingest one frame that has already been durably appended to this
-    /// standby's log, then apply whatever prefix became decided.
-    fn ingest(&mut self, stream: u32, gsn: u64, rec: LogRecord) -> io::Result<u64> {
-        debug_assert!(gsn > self.max_gsn, "tap frames arrive in strict GSN order");
-        self.max_gsn = gsn;
-        self.note_fate(stream, &rec);
-        self.pending.push_back((gsn, stream, rec));
-        self.drain()
-    }
-
-    /// Apply the longest decided prefix of `pending`. Returns how many
-    /// records were materialized.
-    fn drain(&mut self) -> io::Result<u64> {
-        let mut applied = 0u64;
-        while let Some((gsn, _, rec)) = self.pending.front() {
-            if !self.decided(rec.txn()) {
-                self.applied_below_gsn = *gsn;
-                return Ok(applied);
-            }
-            let (_, _, rec) = self.pending.pop_front().expect("front exists");
-            // Same eligibility rule as recovery replay: committed and not
-            // already inside the snapshot image. Record order is GSN order,
-            // so this is bit-identical to the sequential replay path.
-            if rec.txn() > self.mark && self.committed.contains(&rec.txn()) {
-                self.store
-                    .apply(&rec)
-                    .map_err(|e| io::Error::other(format!("standby apply diverged: {e}")))?;
-                applied += 1;
-            }
-        }
-        self.applied_below_gsn = self.max_gsn + 1;
-        Ok(applied)
-    }
-}
-
 /// State the receiver connections and the promoter contend over.
 struct ReplState {
     /// `Some` until promotion consumes it.
-    applier: Option<WarmApplier>,
+    applier: Option<Applier>,
     /// Lazily-opened per-partition logs for shipped frames.
     wals: HashMap<usize, Wal>,
 }
@@ -223,8 +116,8 @@ impl Standby {
     pub fn start(dir: impl AsRef<Path>, config: StandbyConfig) -> io::Result<Standby> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let applier = WarmApplier::from_dir(&dir)?;
-        repl_metrics().applied_gsn.set(applier.max_gsn as i64);
+        let applier = Applier::load(&dir).map_err(|e| io::Error::other(e.to_string()))?;
+        repl_metrics().applied_gsn.set(applier.max_gsn() as i64);
 
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         listener.set_nonblocking(true)?;
@@ -302,7 +195,7 @@ impl Standby {
     /// high-water; post-promotion: the serving engine's log).
     pub fn applied_gsn(&self) -> u64 {
         if let Some(a) = self.shared.state.lock().applier.as_ref() {
-            return a.max_gsn;
+            return a.max_gsn();
         }
         self.with_engine(Engine::last_gsn).unwrap_or(0)
     }
@@ -314,13 +207,13 @@ impl Standby {
             .lock()
             .applier
             .as_ref()
-            .map(|a| a.pending.len())
+            .map(Applier::pending_len)
             .unwrap_or(0)
     }
 
     /// Operator promotion: fence further frames, bump the durable epoch to
-    /// outrank `epoch` (and everything seen so far), replay the tail, and
-    /// start serving. Returns the new epoch.
+    /// outrank `epoch` (and everything seen so far), and start serving.
+    /// Returns the new epoch.
     pub fn promote(&self, epoch: u64) -> io::Result<u64> {
         do_promote(&self.shared, epoch)
     }
@@ -474,7 +367,7 @@ fn handle_request(shared: &Shared, request: Request) -> (Response, bool) {
                 .store(phoenix_obs::now_us(), Ordering::SeqCst);
             shared.primary_epoch.fetch_max(epoch, Ordering::SeqCst);
             let state = shared.state.lock();
-            let last_gsn = state.applier.as_ref().map(|a| a.max_gsn).unwrap_or(0);
+            let last_gsn = state.applier.as_ref().map(Applier::max_gsn).unwrap_or(0);
             // The ack's epoch is the best epoch this standby knows of: a
             // deposed primary helloing a standby that has seen a newer one
             // learns here that it must fence itself.
@@ -535,15 +428,15 @@ fn fenced_reply(why: &str) -> Response {
     }
 }
 
-/// Append a batch to the standby's logs, fsync, and apply what decided.
+/// Append a batch to the standby's logs, feed it to the applier, and fsync.
 /// Returns the new high-water GSN to ack.
 ///
-/// A frame is ingested into the warm image **iff** its append returned Ok,
-/// so disk and image never disagree; a mid-batch failure acks nothing (the
-/// shipper re-ships from the hello high-water after reconnecting, and the
+/// A frame is fed to the applier **iff** its append returned Ok, so disk
+/// and image never disagree; a mid-batch failure acks nothing (the shipper
+/// re-ships from the hello high-water after reconnecting, and the
 /// already-appended prefix is skipped by the `gsn > max_gsn` guard — on
-/// this incarnation via the image, after a standby restart via
-/// `warm_load`'s merge, which tolerates the prefix being on disk).
+/// this incarnation via the applier, after a standby restart via its
+/// reload of the directory, which holds the prefix).
 fn apply_batch(shared: &Shared, frames: &[phoenix_wire::ReplFrame]) -> io::Result<u64> {
     let mut state = shared.state.lock();
     if shared.promoted.load(Ordering::SeqCst) {
@@ -570,13 +463,13 @@ fn apply_batch(shared: &Shared, frames: &[phoenix_wire::ReplFrame]) -> io::Resul
         .as_mut()
         .ok_or_else(|| io::Error::other("applier gone (promotion raced)"))?;
     let mut touched: HashSet<usize> = HashSet::new();
-    let mut applied_total = 0u64;
+    let mut fed = 0u64;
     for frame in &frames[..cut] {
         let k = frame.partition as usize;
         if k >= MAX_PARTITIONS {
             return Err(io::Error::other(format!("bad partition {k}")));
         }
-        if frame.gsn <= applier.max_gsn {
+        if frame.gsn <= applier.max_gsn() {
             // Re-shipped after a reconnect: already held, skip.
             continue;
         }
@@ -588,29 +481,28 @@ fn apply_batch(shared: &Shared, frames: &[phoenix_wire::ReplFrame]) -> io::Resul
                 STANDBY_POINTS,
             )?),
         };
-        let mut payload = Vec::with_capacity(8 + frame.record.len());
-        payload.extend_from_slice(&frame.gsn.to_le_bytes());
-        payload.extend_from_slice(&frame.record);
-        wal.append(&payload)?;
+        wal.append(&frame_payload(frame.gsn, &frame.record))?;
         touched.insert(k);
-        applied_total += applier.ingest(frame.partition as u32, frame.gsn, rec)?;
+        applier
+            .feed(frame.partition as u32, frame.gsn, rec)
+            .map_err(|e| io::Error::other(format!("standby apply diverged: {e}")))?;
+        fed += 1;
     }
     // Receive-ack means *durable* receive: semi-sync primaries count on it.
     for k in &touched {
         state.wals.get_mut(k).expect("touched wal open").sync()?;
     }
     let m = repl_metrics();
-    m.frames_applied.add(cut as u64);
-    m.applied_gsn.set(applier.max_gsn as i64);
-    let _ = applied_total;
+    m.frames_applied.add(fed);
+    m.applied_gsn.set(applier.max_gsn() as i64);
     if torn {
         return Err(phoenix_chaos::injected_error("repl.apply"));
     }
-    Ok(applier.max_gsn)
+    Ok(applier.max_gsn())
 }
 
 /// Promote: fence frames, release the port, bump the durable epoch, build
-/// the engine from the warm image (tail replay only), start serving.
+/// the engine from the applier, start serving.
 fn do_promote(shared: &Shared, requested_epoch: u64) -> io::Result<u64> {
     match phoenix_chaos::fault("repl.promote") {
         phoenix_chaos::FaultAction::Continue => {}
@@ -650,12 +542,7 @@ fn do_promote(shared: &Shared, requested_epoch: u64) -> io::Result<u64> {
         .applier
         .take()
         .ok_or_else(|| io::Error::other("warm image already consumed"))?;
-    let image = WarmImage {
-        store: applier.store,
-        applied_below_gsn: applier.applied_below_gsn,
-        mark: applier.mark,
-    };
-    let engine = Engine::open_warm(&shared.dir, shared.config.engine_config.clone(), image)
+    let engine = Engine::open_warm(&shared.dir, shared.config.engine_config.clone(), applier)
         .map_err(|e| io::Error::other(format!("open_warm failed: {e}")))?;
     let server = RunningServer::start(engine, shared.port)?;
     *shared.server.lock() = Some(server);

@@ -114,6 +114,12 @@ fn semi_sync_ack_means_standby_holds_the_commit() {
     let env = Environment::new();
     let mut c = env.connect(&h.addr(), "app", "test").unwrap();
     c.execute("CREATE TABLE s (v INT)").unwrap();
+    // Semi-sync engages once a shipper is attached; the thread started
+    // above attaches on its own schedule.
+    wait_until("shipper attach + catch-up", || {
+        h.with_engine(|e| e.repl_acked_gsn() >= e.last_gsn())
+            .unwrap()
+    });
     for i in 0..10 {
         c.execute(&format!("INSERT INTO s VALUES ({i})")).unwrap();
         // The INSERT's commit is this session's highest allocated GSN, and
@@ -368,17 +374,46 @@ fn shipper_reattaches_and_reships_only_the_missing_suffix() {
         c.execute(&format!("INSERT INTO g VALUES ({i})")).unwrap();
     }
 
-    // A new standby incarnation re-opens the same directory (warm_load
-    // over its own logs) on a fresh port; repoint a fresh shipper at it.
+    // A new standby incarnation re-opens the same directory (reloading
+    // its own logs) on a fresh port; repoint a fresh shipper at it.
     shipper.stop();
     let standby2 = Standby::start(&sdir, StandbyConfig::default()).unwrap();
+    let held = standby2.applied_gsn();
     assert!(
-        standby2.applied_gsn() >= gsn_before,
+        held >= gsn_before,
         "standby restart lost its own durable log"
     );
+    let frames_applied = || phoenix_repl::repl_metrics().frames_applied.get();
+    let applied_before = frames_applied();
     let _shipper2 = Shipper::start(h.shared_engine().unwrap(), standby2.addr());
     let target = h.with_engine(|e| e.last_gsn()).unwrap();
     wait_until("suffix catch-up", || standby2.applied_gsn() >= target);
+
+    // `phoenix_repl_frames_applied_total` counts frames appended and fed,
+    // not frames received: re-ship what the standby already holds, far more
+    // of it than every test of this file applies (they share the process-
+    // wide counter), and the counter must move by the suffix, not by that.
+    const RESHIPPED: u64 = 20_000;
+    let frames = (0..RESHIPPED)
+        .map(|i| phoenix_wire::ReplFrame {
+            partition: 0,
+            gsn: 1 + i % target,
+            record: Vec::new(),
+        })
+        .collect();
+    let epoch = h.with_engine(|e| e.epoch()).unwrap();
+    let mut ship = std::net::TcpStream::connect(standby2.addr()).unwrap();
+    write_frame(&mut ship, &Request::ReplFrames { epoch, frames }.encode()).unwrap();
+    match Response::decode(&read_frame(&mut ship).unwrap()).unwrap() {
+        Response::ReplAck { last_gsn } => assert_eq!(last_gsn, target),
+        other => panic!("re-shipped batch refused: {other:?}"),
+    }
+    let applied = frames_applied() - applied_before;
+    assert!(
+        (target - held..target - held + RESHIPPED).contains(&applied),
+        "{applied} frames counted for a suffix of {}",
+        target - held
+    );
 
     // And the replayed standby actually holds all 20 rows.
     standby2.promote(0).unwrap();

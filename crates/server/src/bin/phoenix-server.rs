@@ -88,7 +88,6 @@ fn main() {
     let config = EngineConfig {
         durability,
         checkpoint_every: Some(100_000),
-        replay_threads: None,
         partitions,
         group_commit_window_us,
         max_sessions,

@@ -8,19 +8,16 @@
 //! per-transaction undo list (the log keeps the records; recovery ignores
 //! them because no commit record follows).
 //!
-//! [`Durable::open`] is crash recovery: load the latest snapshot (manifest +
-//! per-table segments), scan the log for the committed-transaction set, then
-//! replay committed records with `txn >` the snapshot's *high-water mark* —
+//! [`Durable::open`] is crash recovery, and all of it is the
+//! [`crate::applier::Applier`]: load the latest snapshot (manifest +
+//! per-table segments), merge the log streams by GSN, and apply the records
+//! of committed transactions with `txn >` the snapshot's *high-water mark* —
 //! records at or below the mark belong to transactions whose effects the
 //! snapshot already materializes, and replaying them would apply mutations
-//! twice. The replay itself is partitioned: DML records group by table and
-//! apply across a scoped thread pool (tables are independent and every
-//! record carries explicit row ids, so the result is bit-identical to the
-//! sequential replay); catalog records are sequential barriers. A process
-//! crash at *any* point — including mid-append, which leaves a torn tail the
-//! WAL reader discards, and mid-checkpoint, which leaves a rotated
-//! `phoenix.wal.old` the next open replays first — recovers to a state
-//! containing exactly the committed transactions.
+//! twice. A process crash at *any* point — including mid-append, which
+//! leaves a torn tail the WAL reader discards, and mid-checkpoint, which
+//! leaves a rotated `phoenix.wal.old` the next open replays first —
+//! recovers to a state containing exactly the committed transactions.
 //!
 //! # Concurrency
 //!
@@ -54,7 +51,7 @@
 //! partitions append, fsync and apply fully concurrently. Every WAL frame
 //! payload is prefixed with a *global sequence number* (GSN) drawn from one
 //! process-wide atomic; recovery merges the N streams by GSN back into the
-//! single total order the replay machinery expects. A transaction that
+//! single total order they were appended in. A transaction that
 //! wrote to several partitions commits with a [`LogRecord::CommitMulti`]
 //! record — one copy appended to *every* touched stream, carrying the full
 //! participant set — and recovery treats it as committed iff the record is
@@ -101,9 +98,10 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use phoenix_obs::Histogram;
 
+use crate::applier::{for_each_frame, frame_payload, Applier, Recovered, SegmentBase};
 use crate::metrics::{partition_batch_histogram, storage_metrics};
 use crate::record::LogRecord;
-use crate::repl::{FrameState, ReplTap, ShipFrame, TapFrame, WarmImage, TAP_CAP};
+use crate::repl::{FrameState, ReplTap, ShipFrame, TapFrame, TAP_CAP};
 use crate::store::{normalize_name, partition_of, Store, StoreError, StoreSnapshot, TableData};
 use crate::types::{Row, RowId, TableDef, TxnId};
 use crate::wal::{Wal, WalPoints, MAX_FRAME};
@@ -285,13 +283,9 @@ struct GroupCommit {
     flushed_cv: Condvar,
 }
 
-/// Recovery + layout tuning for [`Durable::open_opts`].
+/// Layout tuning for [`Durable::open_opts`].
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryOptions {
-    /// Worker threads for the partitioned replay pass. `None` picks the
-    /// available parallelism; `Some(1)` forces sequential replay (the
-    /// baseline the recovery bench compares against).
-    pub replay_threads: Option<usize>,
     /// Write-path partitions (clamped to `1..=MAX_PARTITIONS`). `None`
     /// means 1 — the single-stream layout. The count is a property of the
     /// *handle*, not the directory: recovery always merges the streams of
@@ -314,11 +308,8 @@ pub struct RecoveryReport {
     pub records_applied: u64,
     /// Records skipped: uncommitted, or `txn ≤` the snapshot mark.
     pub records_skipped: u64,
-    /// Distinct tables touched by the replay.
-    pub tables_replayed: usize,
-    /// Worker threads the partitioned pass was allowed to use.
-    pub replay_threads: usize,
-    /// Wall time of decode + commit scan + apply, in microseconds.
+    /// Wall time of reading the log, decoding and applying it, in
+    /// microseconds.
     pub replay_us: u64,
 }
 
@@ -341,9 +332,8 @@ pub struct CheckpointStats {
 struct CheckpointState {
     /// Generation of the last durable manifest (0 = none yet).
     gen: u64,
-    /// Normalized table key → (segment file, table image as serialized).
-    /// `Arc::ptr_eq` against the live store detects unchanged tables.
-    base: HashMap<String, (String, Arc<TableData>)>,
+    /// The segments of the last durable manifest, by table.
+    base: SegmentBase,
     /// Stats of the most recent completed checkpoint.
     stats: CheckpointStats,
 }
@@ -459,158 +449,59 @@ impl Durable {
         Self::open_opts(dir, durability, &RecoveryOptions::default())
     }
 
-    /// Open the database in `dir`, performing crash recovery.
-    ///
-    /// Recovery loads the snapshot manifest and its table segments, reads
-    /// the rotated log (if a checkpoint was interrupted) followed by the
-    /// live log, scans once for the committed-transaction set, and then
-    /// replays committed records **newer than the snapshot mark** — grouped
-    /// by table and applied in parallel where the log's structure allows.
+    /// Open the database in `dir`, performing crash recovery: the snapshot
+    /// plus every committed log record newer than its mark (see
+    /// [`crate::applier`]).
     pub fn open_opts(
         dir: impl AsRef<Path>,
         durability: Durability,
         opts: &RecoveryOptions,
     ) -> Result<Durable, DbError> {
-        Self::open_inner(dir, durability, opts, None)
+        std::fs::create_dir_all(&dir)?;
+        let recovered = Applier::load(dir.as_ref())?.finish()?;
+        Self::from_recovered(dir.as_ref(), durability, opts, recovered)
     }
 
-    /// Open a directory whose prefix is already materialized in a warm
-    /// standby image (see [`crate::repl`]): skip the snapshot load, seed the
-    /// store from the image, and replay only the records at or past the
-    /// image's GSN watermark. This is promotion's fast path — the replay
-    /// tail is bounded by the standby's lag, not the log size — and the
-    /// result is bit-identical to a cold `open_opts` of the same directory.
+    /// Open a directory whose log a warm standby has been applying as it
+    /// arrived: `applier` was loaded from `dir` and fed every frame since.
+    /// This is promotion's fast path — only frames the applier has not
+    /// seen are read back, so the cost is bounded by the standby's lag, not
+    /// the log size — and the result is bit-identical to a cold `open_opts`
+    /// of the same directory.
     pub fn open_warm(
         dir: impl AsRef<Path>,
         durability: Durability,
         opts: &RecoveryOptions,
-        warm: WarmImage,
+        mut applier: Applier,
     ) -> Result<Durable, DbError> {
-        Self::open_inner(dir, durability, opts, Some(warm))
+        applier.catch_up(dir.as_ref())?;
+        let recovered = applier.finish()?;
+        Self::from_recovered(dir.as_ref(), durability, opts, recovered)
     }
 
-    fn open_inner(
-        dir: impl AsRef<Path>,
+    fn from_recovered(
+        dir: &Path,
         durability: Durability,
         opts: &RecoveryOptions,
-        warm: Option<WarmImage>,
+        recovered: Recovered,
     ) -> Result<Durable, DbError> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-
-        let (mut store, mark, gen, seg_files, warm_cut) = match warm {
-            Some(w) => {
-                // The warm store's table `Arc`s have diverged from the
-                // on-disk segments (the applier mutated them), so the next
-                // checkpoint rewrites everything: no base identity map. The
-                // manifest is still read for its generation — segment file
-                // names must not collide with the seed snapshot's.
-                let gen = snapshot::load_manifest(&Self::snapshot_path(&dir))?
-                    .map(|m| m.gen)
-                    .unwrap_or(0);
-                (w.store, w.mark, gen, HashMap::new(), w.applied_below_gsn)
-            }
-            None => match snapshot::load(&dir, &Self::snapshot_path(&dir))? {
-                Some(s) => (s.store, s.mark, s.gen, s.segments, 0),
-                None => (Store::new(), 0, 0, HashMap::new(), 0),
-            },
-        };
-
-        // The previous checkpoint's identity map, captured *before* replay:
-        // tables the replay leaves untouched keep their `Arc` (the base map
-        // holds a second reference, so replay's `Arc::make_mut` clones
-        // exactly the touched ones) and the next checkpoint reuses their
-        // segments.
-        let base: HashMap<String, (String, Arc<TableData>)> = seg_files
-            .into_iter()
-            .filter_map(|(key, file)| store.table_arc(&key).map(|arc| (key, (file, arc))))
-            .collect();
-
+        let Recovered {
+            store,
+            last_txn,
+            max_gsn,
+            min_gsn,
+            frames,
+            applied,
+            replay,
+            gen,
+            base,
+        } = recovered;
         let n = opts.partitions.unwrap_or(1).clamp(1, MAX_PARTITIONS);
-        let replay_start = Instant::now();
-
-        // Read every possible stream — not just the `n` this handle will
-        // write — so a directory written with a different partition count
-        // recovers completely. Per stream: rotated log first (frames older
-        // than everything in that stream's live log), then the live log.
-        // Both reads tolerate a torn tail.
-        let mut streams: Vec<(u32, Vec<Vec<u8>>)> = Vec::new();
-        let mut total_frames = 0usize;
-        for k in 0..MAX_PARTITIONS {
-            let mut frames = Wal::read_all(Self::wal_old_path(&dir, k))?;
-            frames.extend(Wal::read_all(Self::wal_path(&dir, k))?);
-            total_frames += frames.len();
-            if !frames.is_empty() {
-                streams.push((k as u32, frames));
-            }
-        }
-
-        let threads = opts
-            .replay_threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .max(1);
-
-        // Pass 1: decode each stream (in parallel — it is pure CPU and
-        // usually the bulk of replay time), merge into one total order by
-        // GSN, and find committed transactions. A cross-partition commit
-        // counts iff its `CommitMulti` record is present in *every*
-        // participant stream — a crash between the per-stream appends left
-        // a partial set, and the transaction must roll back.
-        let records = decode_streams(&streams, threads)?;
-        let mut committed: HashSet<TxnId> = HashSet::new();
-        let mut multi: HashMap<TxnId, (Vec<u32>, HashSet<u32>)> = HashMap::new();
-        let mut last_txn = mark;
-        let mut max_gsn = 0u64;
-        for (gsn, stream, rec) in &records {
-            max_gsn = max_gsn.max(*gsn);
-            last_txn = last_txn.max(rec.txn());
-            match rec {
-                LogRecord::Commit { txn } => {
-                    committed.insert(*txn);
-                }
-                LogRecord::CommitMulti { txn, participants } => {
-                    let entry = multi
-                        .entry(*txn)
-                        .or_insert_with(|| (participants.clone(), HashSet::new()));
-                    entry.1.insert(*stream);
-                }
-                _ => {}
-            }
-        }
-        for (txn, (participants, logged)) in &multi {
-            if participants.iter().all(|p| logged.contains(p)) {
-                committed.insert(*txn);
-            }
-        }
-        let total_records = records.len() as u64;
-        let min_gsn = records.first().map(|r| r.0);
-
-        // Pass 2: partitioned replay of committed records past the mark,
-        // in merged GSN order (bit-identical to a single-stream replay of
-        // the same workload — the GSN *is* the single-stream append order).
-        // A warm open additionally drops records below the image's GSN
-        // watermark: the standby applier already materialized them (the
-        // commit scan above still covered the full log, so the tail's
-        // transaction fates are decided with complete knowledge).
-        let merged: Vec<LogRecord> = records
-            .into_iter()
-            .filter(|(gsn, _, _)| *gsn >= warm_cut)
-            .map(|(_, _, rec)| rec)
-            .collect();
-        let (applied, tables_replayed) =
-            replay_records(&mut store, merged, &committed, mark, threads)?;
-
         let report = RecoveryReport {
-            wal_frames: total_frames,
+            wal_frames: frames as usize,
             records_applied: applied,
-            records_skipped: total_records - applied,
-            tables_replayed,
-            replay_threads: threads,
-            replay_us: replay_start.elapsed().as_micros() as u64,
+            records_skipped: frames - applied,
+            replay_us: replay.as_micros() as u64,
         };
         storage_metrics()
             .recovery_replay_us
@@ -625,7 +516,7 @@ impl Durable {
                     published: RwLock::new(Arc::new(shard.clone())),
                     working: Mutex::new(shard),
                     wal: Mutex::new(Wal::open_with_points(
-                        Self::wal_path(&dir, k),
+                        Self::wal_path(dir, k),
                         WAL_POINTS[k],
                     )?),
                     group: GroupCommit {
@@ -645,12 +536,12 @@ impl Durable {
 
         Ok(Durable {
             parts,
-            dir,
+            dir: dir.to_path_buf(),
             durability,
             next_txn: AtomicU64::new(last_txn + 1),
             next_gsn: AtomicU64::new(max_gsn + 1),
             active: Mutex::new(HashMap::new()),
-            records_since_checkpoint: AtomicU64::new(total_records),
+            records_since_checkpoint: AtomicU64::new(frames),
             checkpoint_state: Mutex::new(CheckpointState {
                 gen,
                 base,
@@ -803,10 +694,7 @@ impl Durable {
         } else {
             self.next_gsn.fetch_add(1, Ordering::Relaxed)
         };
-        let mut payload = Vec::with_capacity(8 + encoded.len());
-        payload.extend_from_slice(&gsn.to_le_bytes());
-        payload.extend_from_slice(encoded);
-        let appended = wal.append(&payload);
+        let appended = wal.append(&frame_payload(gsn, encoded));
         if self.tap.enabled.load(Ordering::Acquire) {
             self.tap_mark(gsn, appended.is_ok());
         }
@@ -1756,22 +1644,12 @@ impl Durable {
         *self.tap.acked.lock() = standby_last_gsn;
         self.tap.enabled.store(true, Ordering::SeqCst);
         let mut backlog: Vec<ShipFrame> = Vec::new();
-        for k in 0..MAX_PARTITIONS {
-            for path in [
-                Self::wal_old_path(&self.dir, k),
-                Self::wal_path(&self.dir, k),
-            ] {
-                for frame in Wal::read_all(path)? {
-                    if frame.len() < 8 {
-                        continue;
-                    }
-                    let gsn = u64::from_le_bytes(frame[..8].try_into().expect("8-byte slice"));
-                    if gsn > standby_last_gsn {
-                        backlog.push((k as u8, gsn, frame[8..].to_vec()));
-                    }
-                }
+        for_each_frame(&self.dir, |stream, gsn, record| {
+            if gsn > standby_last_gsn {
+                backlog.push((stream as u8, gsn, record.to_vec()));
             }
-        }
+            Ok(())
+        })?;
         backlog.sort_unstable_by_key(|&(_, gsn, _)| gsn);
         Ok(backlog)
     }
@@ -1896,220 +1774,6 @@ fn apply_with_undo(t: &mut TableData, recs: Vec<LogRecord>) -> Result<Vec<UndoOp
         }
     }
     Ok(undo)
-}
-
-/// One unit of the partitioned replay: a catalog record that must apply
-/// alone (a barrier — it changes the table set every later record resolves
-/// against), or a run of per-table DML groups that apply concurrently.
-enum ReplayEpoch {
-    Catalog(LogRecord),
-    Dml(Vec<(String, Vec<LogRecord>)>),
-}
-
-type TableWork = (String, Arc<TableData>, Vec<LogRecord>);
-type WorkerResult = Result<Vec<(String, Arc<TableData>)>, StoreError>;
-
-/// Decode one GSN-prefixed WAL frame: `gsn:u64 LE | LogRecord`.
-fn decode_gsn_frame(frame: &[u8]) -> Result<(u64, LogRecord), DecodeError> {
-    if frame.len() < 8 {
-        return Err(DecodeError(format!(
-            "WAL frame of {} bytes is shorter than its GSN prefix",
-            frame.len()
-        )));
-    }
-    let gsn = u64::from_le_bytes(frame[..8].try_into().expect("8-byte slice"));
-    Ok((gsn, LogRecord::decode(&frame[8..])?))
-}
-
-/// Decode the per-partition WAL streams into `(gsn, stream, record)`
-/// triples **merged by GSN** — the single total order the replay machinery
-/// consumes, bit-identical to what a single-stream run of the same workload
-/// would have logged. Decoding fans contiguous chunks out over up to
-/// `threads` scoped workers (pure CPU, usually the bulk of replay time);
-/// small logs stay sequential, the spawn cost would exceed the decode cost.
-pub(crate) fn decode_streams(
-    streams: &[(u32, Vec<Vec<u8>>)],
-    threads: usize,
-) -> Result<Vec<(u64, u32, LogRecord)>, DbError> {
-    let flat: Vec<(u32, &Vec<u8>)> = streams
-        .iter()
-        .flat_map(|(k, frames)| frames.iter().map(move |f| (*k, f)))
-        .collect();
-    let mut out: Vec<(u64, u32, LogRecord)> = if threads <= 1 || flat.len() < 1024 {
-        flat.iter()
-            .map(|(k, f)| decode_gsn_frame(f).map(|(gsn, rec)| (gsn, *k, rec)))
-            .collect::<Result<Vec<_>, _>>()?
-    } else {
-        let chunk = flat.len().div_ceil(threads);
-        let decoded = std::thread::scope(|s| {
-            let handles: Vec<_> = flat
-                .chunks(chunk)
-                .map(|c| {
-                    s.spawn(move || {
-                        c.iter()
-                            .map(|(k, f)| decode_gsn_frame(f).map(|(gsn, rec)| (gsn, *k, rec)))
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("decode worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        let mut all = Vec::with_capacity(flat.len());
-        for r in decoded {
-            all.extend(r?);
-        }
-        all
-    };
-    // GSNs are globally unique and allocated in append order within each
-    // stream, so the sort *is* the k-way merge.
-    out.sort_unstable_by_key(|(gsn, _, _)| *gsn);
-    Ok(out)
-}
-
-/// Replay `records` onto `store`: committed transactions only, past the
-/// snapshot `mark`, grouped by table between catalog barriers and applied
-/// across up to `threads` scoped workers. Returns `(records in the replay
-/// set, distinct tables touched)`.
-///
-/// Determinism: every DML record carries explicit row ids and per-table
-/// log order is preserved inside each group, so the partitioned apply is
-/// bit-identical to the sequential one regardless of worker scheduling.
-pub(crate) fn replay_records(
-    store: &mut Store,
-    records: Vec<LogRecord>,
-    committed: &HashSet<TxnId>,
-    mark: TxnId,
-    threads: usize,
-) -> Result<(u64, usize), DbError> {
-    let mut epochs: Vec<ReplayEpoch> = Vec::new();
-    let mut current: Vec<(String, Vec<LogRecord>)> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut touched: HashSet<String> = HashSet::new();
-    let mut eligible = 0u64;
-    for rec in records {
-        if rec.txn() <= mark || !committed.contains(&rec.txn()) {
-            continue;
-        }
-        eligible += 1;
-        match &rec {
-            // Transaction markers carry no state.
-            LogRecord::Begin { .. }
-            | LogRecord::Commit { .. }
-            | LogRecord::CommitMulti { .. }
-            | LogRecord::Abort { .. } => {}
-            LogRecord::CreateTable { .. }
-            | LogRecord::DropTable { .. }
-            | LogRecord::CreateProc { .. }
-            | LogRecord::DropProc { .. }
-            | LogRecord::CreateIndex { .. }
-            | LogRecord::DropIndex { .. } => {
-                if !current.is_empty() {
-                    epochs.push(ReplayEpoch::Dml(std::mem::take(&mut current)));
-                    index.clear();
-                }
-                epochs.push(ReplayEpoch::Catalog(rec));
-            }
-            LogRecord::Insert { table, .. }
-            | LogRecord::InsertMany { table, .. }
-            | LogRecord::Delete { table, .. }
-            | LogRecord::Update { table, .. } => {
-                let key = normalize_name(table);
-                touched.insert(key.clone());
-                match index.get(&key) {
-                    Some(&i) => current[i].1.push(rec),
-                    None => {
-                        index.insert(key.clone(), current.len());
-                        current.push((key, vec![rec]));
-                    }
-                }
-            }
-        }
-    }
-    if !current.is_empty() {
-        epochs.push(ReplayEpoch::Dml(current));
-    }
-
-    for epoch in epochs {
-        match epoch {
-            ReplayEpoch::Catalog(rec) => store.apply(&rec)?,
-            ReplayEpoch::Dml(groups) => apply_dml_groups(store, groups, threads)?,
-        }
-    }
-    Ok((eligible, touched.len()))
-}
-
-/// Apply one epoch's per-table DML groups, in parallel when it pays.
-fn apply_dml_groups(
-    store: &mut Store,
-    groups: Vec<(String, Vec<LogRecord>)>,
-    threads: usize,
-) -> Result<(), DbError> {
-    if threads <= 1 || groups.len() <= 1 {
-        for (_, recs) in groups {
-            for rec in recs {
-                store.apply(&rec)?;
-            }
-        }
-        return Ok(());
-    }
-    // Hand each table's `Arc` to a worker. Ownership transfer keeps the
-    // copy-on-write semantics: a table also referenced by the snapshot's
-    // base image is cloned by `Arc::make_mut` exactly once, unreferenced
-    // ones mutate in place.
-    let mut work: Vec<TableWork> = Vec::with_capacity(groups.len());
-    for (key, recs) in groups {
-        let arc = store
-            .take_table(&key)
-            .ok_or_else(|| StoreError::NoSuchTable(key.clone()))?;
-        work.push((key, arc, recs));
-    }
-    let workers = threads.min(work.len());
-    let mut buckets: Vec<Vec<TableWork>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, item) in work.into_iter().enumerate() {
-        buckets[i % workers].push(item);
-    }
-    let results: Vec<WorkerResult> = std::thread::scope(|s| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                s.spawn(move || {
-                    let mut out = Vec::with_capacity(bucket.len());
-                    for (key, mut arc, recs) in bucket {
-                        let t = Arc::make_mut(&mut arc);
-                        for rec in &recs {
-                            t.apply_dml(rec)?;
-                        }
-                        out.push((key, arc));
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("replay worker panicked"))
-            .collect()
-    });
-    let mut first_err: Option<StoreError> = None;
-    for res in results {
-        match res {
-            Ok(tables) => {
-                for (key, arc) in tables {
-                    store.put_table(key, arc);
-                }
-            }
-            // A failed worker's tables stay out of the store; the whole
-            // open fails with the error, so the partial store is discarded.
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    match first_err {
-        Some(e) => Err(e.into()),
-        None => Ok(()),
-    }
 }
 
 #[cfg(test)]

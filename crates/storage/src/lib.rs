@@ -25,6 +25,9 @@
 //!   (tables, rows, stored procedures).
 //! * [`snapshot`] — checkpointing: atomically written full-state snapshots
 //!   that allow the log to be truncated.
+//! * [`applier`] — [`applier::Applier`], the one routine that turns log
+//!   records into table state: crash recovery, the warm standby and
+//!   promotion all go through it.
 //! * [`db`] — [`db::Durable`], the transactional binding of a [`store::Store`]
 //!   to a WAL: every mutation is logged before it is applied, commits force
 //!   the log, aborts roll back in memory, and [`db::Durable::open`] performs
@@ -37,6 +40,7 @@
 //! survive a crash; everything session-scoped does not* — is exactly the
 //! contract this crate implements for the engine above it.
 
+pub mod applier;
 pub mod codec;
 pub mod crc;
 pub mod db;
@@ -49,8 +53,9 @@ pub mod store;
 pub mod types;
 pub mod wal;
 
+pub use applier::Applier;
 pub use db::{Durability, Durable};
 pub use pmap::{PMap, PSet};
-pub use repl::{warm_load, ShipFrame, WarmImage, WarmLoad};
+pub use repl::ShipFrame;
 pub use store::{Store, StoreSnapshot, TableData};
 pub use types::{Column, DataType, Row, RowId, Schema, TableDef, TxnId, Value};

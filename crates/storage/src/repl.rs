@@ -9,30 +9,22 @@
 //! storage (under `Durability::Fsync`) — the tap is, by construction, a tap
 //! of the group committer's post-fsync stream.
 //!
-//! The standby side builds the inverse: [`warm_load`] recovers a standby
-//! data directory into a *warm image* — the store with every **decided**
-//! prefix record applied, plus the undecided tail — which the `phoenix-repl`
-//! applier keeps extending as frames arrive. Promotion turns the warm image
-//! into a full [`crate::db::Durable`] via `Durable::open_warm`, replaying
-//! only the records the applier had not yet materialized.
+//! The standby side is the [`crate::applier::Applier`] crash recovery uses:
+//! loaded once from the standby's directory, fed each shipped frame after it
+//! is on the standby's own log, and handed to `Durable::open_warm` at
+//! promotion.
 //!
 //! Everything here is bit-compatible with crash recovery: the shipped
 //! frames are exactly the `[gsn u64 LE][record]` payloads of the WAL
 //! streams, and the standby appends them to its own per-partition logs, so
 //! a standby directory *is* a valid primary directory at every instant.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::path::Path;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::db::{DbError, Durable, MAX_PARTITIONS};
-use crate::record::LogRecord;
-use crate::snapshot;
-use crate::store::Store;
-use crate::types::TxnId;
-use crate::wal::Wal;
+use crate::db::MAX_PARTITIONS;
 
 /// One frame handed to the shipper: `(partition, gsn, encoded record)`.
 /// The record bytes are the `LogRecord` encoding *without* the GSN prefix;
@@ -112,129 +104,15 @@ impl ReplTap {
     }
 }
 
-/// The image a warm standby hands to `Durable::open_warm` at promotion:
-/// the store with everything below the watermark already applied.
-pub struct WarmImage {
-    /// The warm store: snapshot + every decided record with
-    /// `gsn < applied_below_gsn` applied.
-    pub store: Store,
-    /// All log records with `gsn` below this are materialized in `store`
-    /// (applied if committed past the mark, correctly skipped otherwise).
-    pub applied_below_gsn: u64,
-    /// The snapshot high-water mark the store was seeded from: records with
-    /// `txn ≤ mark` are already inside the snapshot image.
-    pub mark: TxnId,
-}
-
-/// What [`warm_load`] recovered from a standby data directory: the warm
-/// store plus the *undecided tail* the applier keeps extending as shipped
-/// frames arrive.
-pub struct WarmLoad {
-    /// Snapshot + decided prefix, applied.
-    pub store: Store,
-    /// Snapshot high-water mark.
-    pub mark: TxnId,
-    /// Every record with `gsn` below this is materialized in `store`.
-    pub applied_below_gsn: u64,
-    /// Records at or past the watermark, in GSN order:
-    /// `(gsn, stream, record)`. The first one's transaction fate was
-    /// undecided at load time; later arrivals decide it.
-    pub pending: Vec<(u64, u32, LogRecord)>,
-    /// Transactions known committed anywhere in the scanned log.
-    pub committed: HashSet<TxnId>,
-    /// Transactions known aborted anywhere in the scanned log.
-    pub aborted: HashSet<TxnId>,
-    /// Highest GSN present on disk (0 = none): what the standby reports to
-    /// the primary at `ReplHello` time.
-    pub max_gsn: u64,
-}
-
-/// Recover a standby data directory into a warm image: load the snapshot,
-/// merge all partition streams by GSN, apply the longest prefix whose
-/// transaction fates are all decided, and return the undecided tail.
-///
-/// Unlike full recovery this never discards undecided records — a standby's
-/// log legitimately ends mid-transaction (the primary's next frames decide
-/// it), where a crashed primary's log ends in transactions that must roll
-/// back.
-pub fn warm_load(dir: &Path) -> Result<WarmLoad, DbError> {
-    let (mut store, mark) = match snapshot::load(dir, &Durable::snapshot_path(dir))? {
-        Some(s) => (s.store, s.mark),
-        None => (Store::new(), 0),
-    };
-
-    let mut streams: Vec<(u32, Vec<Vec<u8>>)> = Vec::new();
-    for k in 0..MAX_PARTITIONS {
-        let mut frames = Wal::read_all(Durable::wal_old_path(dir, k))?;
-        frames.extend(Wal::read_all(Durable::wal_path(dir, k))?);
-        if !frames.is_empty() {
-            streams.push((k as u32, frames));
-        }
-    }
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut records = crate::db::decode_streams(&streams, threads)?;
-
-    let mut committed: HashSet<TxnId> = HashSet::new();
-    let mut aborted: HashSet<TxnId> = HashSet::new();
-    let mut multi: HashMap<TxnId, (Vec<u32>, HashSet<u32>)> = HashMap::new();
-    let mut max_gsn = 0u64;
-    for (gsn, stream, rec) in &records {
-        max_gsn = max_gsn.max(*gsn);
-        match rec {
-            LogRecord::Commit { txn } => {
-                committed.insert(*txn);
-            }
-            LogRecord::Abort { txn } => {
-                aborted.insert(*txn);
-            }
-            LogRecord::CommitMulti { txn, participants } => {
-                let entry = multi
-                    .entry(*txn)
-                    .or_insert_with(|| (participants.clone(), HashSet::new()));
-                entry.1.insert(*stream);
-            }
-            _ => {}
-        }
-    }
-    for (txn, (participants, logged)) in &multi {
-        if participants.iter().all(|p| logged.contains(p)) {
-            committed.insert(*txn);
-        }
-    }
-
-    // The watermark: the first record whose transaction fate is not yet
-    // decided. Everything before it applies (or is skipped) exactly as full
-    // recovery would; everything from it on waits for more frames.
-    let decided = |txn: TxnId| txn <= mark || committed.contains(&txn) || aborted.contains(&txn);
-    let cut = records
-        .iter()
-        .position(|(_, _, rec)| !decided(rec.txn()))
-        .unwrap_or(records.len());
-    let applied_below_gsn = records.get(cut).map(|r| r.0).unwrap_or(max_gsn + 1);
-    let pending = records.split_off(cut);
-    let prefix: Vec<LogRecord> = records.into_iter().map(|(_, _, rec)| rec).collect();
-    crate::db::replay_records(&mut store, prefix, &committed, mark, threads)?;
-
-    Ok(WarmLoad {
-        store,
-        mark,
-        applied_below_gsn,
-        pending,
-        committed,
-        aborted,
-        max_gsn,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use std::path::PathBuf;
     use std::time::Duration;
 
     use super::*;
-    use crate::db::{Durability, RecoveryOptions};
+    use crate::applier::Applier;
+    use crate::db::{Durability, Durable, RecoveryOptions};
+    use crate::record::LogRecord;
     use crate::types::{Column, DataType, Row, Schema, TableDef, Value};
 
     fn temp_dir() -> PathBuf {
@@ -358,7 +236,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_load_plus_tail_replay_matches_cold_recovery() {
+    fn loaded_applier_promotes_to_what_cold_recovery_builds() {
         let dir = temp_dir();
         {
             let db = Durable::open_opts(&dir, Durability::Fsync, &opts(2)).unwrap();
@@ -375,22 +253,11 @@ mod tests {
             db.insert(t, "a", row(100, "uncommitted")).unwrap();
             // Crash (drop without commit/abort).
         }
-        let w = warm_load(&dir).unwrap();
-        // The undecided insert stalls the watermark right at its GSN.
-        assert_eq!(w.pending.len(), 1);
-        assert_eq!(w.applied_below_gsn, w.pending[0].0);
-        // Promote the warm image; the tail replays under full knowledge.
-        let db = Durable::open_warm(
-            &dir,
-            Durability::Fsync,
-            &opts(2),
-            WarmImage {
-                store: w.store,
-                applied_below_gsn: w.applied_below_gsn,
-                mark: w.mark,
-            },
-        )
-        .unwrap();
+        let applier = Applier::load(&dir).unwrap();
+        // The undecided insert is the only record left waiting.
+        assert_eq!(applier.pending_len(), 1);
+        // Promotion ends the log, and with it the tail's chances.
+        let db = Durable::open_warm(&dir, Durability::Fsync, &opts(2), applier).unwrap();
         let snap = db.snapshot();
         let table = snap.table("a").unwrap();
         assert_eq!(table.len(), 10, "uncommitted tail row must not apply");

@@ -278,9 +278,9 @@ impl TableData {
         Ok(row)
     }
 
-    /// Apply one committed DML log record addressed to this table — the
-    /// per-table half of recovery's partitioned replay. Catalog records
-    /// (create/drop) never reach here; transaction markers are no-ops.
+    /// Apply one committed DML log record addressed to this table. Catalog
+    /// records (create/drop) never reach here; transaction markers are
+    /// no-ops.
     pub(crate) fn apply_dml(&mut self, rec: &LogRecord) -> Result<(), StoreError> {
         match rec {
             LogRecord::Insert { row_id, row, .. } => self.insert_with_id(*row_id, row.clone()),
@@ -488,18 +488,6 @@ impl Store {
     /// is how incremental checkpoints decide which tables to re-serialize.
     pub fn table_arc(&self, name: &str) -> Option<Arc<TableData>> {
         self.tables.get(&normalize_name(name)).cloned()
-    }
-
-    /// Remove a table's `Arc` by *normalized* key, for ownership handoff to
-    /// a replay worker (which mutates via `Arc::make_mut` and hands it
-    /// back through [`Store::put_table`]).
-    pub(crate) fn take_table(&mut self, key: &str) -> Option<Arc<TableData>> {
-        self.tables.remove(key)
-    }
-
-    /// Reinstall a table `Arc` under its *normalized* key (replay handoff).
-    pub(crate) fn put_table(&mut self, key: String, data: Arc<TableData>) {
-        self.tables.insert(key, data);
     }
 
     /// Does a table with this name exist?

@@ -205,85 +205,6 @@ fn torn_live_tail_with_rotated_log_recovers() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Partitioned replay must be bit-identical to the sequential path — same
-/// tables, same rows, same row ids — including across catalog barriers
-/// (a table created mid-log).
-#[test]
-fn parallel_replay_matches_sequential() {
-    let _serial = one_at_a_time();
-    let dir = temp_dir("parallel");
-
-    {
-        let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        for name in ["dbo.a", "dbo.b", "dbo.c"] {
-            db.create_table(t, def(name)).unwrap();
-        }
-        db.commit(t).unwrap();
-        for i in 0..40i64 {
-            let t = db.begin().unwrap();
-            db.insert(t, "dbo.a", row(i, "a")).unwrap();
-            db.insert(t, "dbo.b", row(i * 2, "b")).unwrap();
-            if i % 3 == 0 {
-                db.insert(t, "dbo.c", row(i, "c")).unwrap();
-            }
-            db.commit(t).unwrap();
-        }
-        // Catalog barrier mid-log, then more DML on both sides of it.
-        let t = db.begin().unwrap();
-        db.create_table(t, def("dbo.late")).unwrap();
-        db.insert(t, "dbo.late", row(1, "l")).unwrap();
-        db.insert(t, "dbo.a", row(1000, "post")).unwrap();
-        db.commit(t).unwrap();
-        // Crash: drop without checkpoint.
-    }
-
-    let dump = |db: &Durable| {
-        let snap = db.snapshot();
-        ["dbo.a", "dbo.b", "dbo.c", "dbo.late"]
-            .iter()
-            .map(|name| {
-                let t = snap.table(name).unwrap();
-                let mut rows: Vec<_> = t.rows.iter().map(|(id, r)| (*id, r.clone())).collect();
-                rows.sort_by_key(|(id, _)| *id);
-                (t.next_row_id, rows)
-            })
-            .collect::<Vec<_>>()
-    };
-
-    let seq = {
-        let db = Durable::open_opts(
-            &dir,
-            Durability::Fsync,
-            &RecoveryOptions {
-                replay_threads: Some(1),
-                ..RecoveryOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(db.recovery_report().replay_threads, 1);
-        dump(&db)
-    };
-    let par = {
-        let db = Durable::open_opts(
-            &dir,
-            Durability::Fsync,
-            &RecoveryOptions {
-                replay_threads: Some(4),
-                ..RecoveryOptions::default()
-            },
-        )
-        .unwrap();
-        let rep = db.recovery_report();
-        assert_eq!(rep.replay_threads, 4);
-        assert_eq!(rep.tables_replayed, 4);
-        dump(&db)
-    };
-    assert_eq!(seq, par, "partitioned replay must match sequential replay");
-
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
 /// Incremental checkpoints: a second checkpoint after touching one of four
 /// tables serializes exactly that table and reuses the other segments.
 #[test]
