@@ -23,7 +23,7 @@ use phoenix_driver::Environment;
 use phoenix_engine::EngineConfig;
 use phoenix_server::ServerHarness;
 use phoenix_storage::applier::{frame_payload, Applier};
-use phoenix_storage::db::{Durability, Durable, RecoveryOptions};
+use phoenix_storage::db::{Durability, Durable, RecoveryOptions, RecoveryReport};
 use phoenix_storage::record::LogRecord;
 use phoenix_storage::types::{Column, DataType, Row, Schema, TableDef, Value};
 use phoenix_storage::wal::Wal;
@@ -170,18 +170,19 @@ fn open(dir: &Path) -> Durable {
     Durable::open(dir, Durability::Fsync).unwrap()
 }
 
-/// Best-of-`reps` replay time. Recovery never mutates the log, so
-/// reopening the same directory is repeatable.
-fn measure_replay(dir: &Path, reps: usize) -> (u64, usize) {
-    let mut best = u64::MAX;
-    let mut frames = 0;
-    for _ in 0..reps {
-        let db = open(dir);
-        let rep = db.recovery_report();
-        best = best.min(rep.replay_us);
-        frames = rep.wal_frames;
-    }
-    (best, frames)
+/// The open with the best replay time of `reps`. Recovery never mutates the
+/// log, so reopening the same directory is repeatable.
+fn measure_replay(dir: &Path, reps: usize) -> RecoveryReport {
+    (0..reps)
+        .map(|_| open(dir).recovery_report().clone())
+        .min_by_key(|rep| rep.replay_us)
+        .expect("at least one rep")
+}
+
+/// The share of `open_us` the report's four stages account for.
+fn stage_coverage(rep: &RecoveryReport) -> f64 {
+    let stages = rep.manifest_us + rep.segment_load_us + rep.wal_read_us + rep.apply_us;
+    stages as f64 / rep.open_us.max(1) as f64
 }
 
 /// The standby's schedule of the applier: loaded from an empty directory,
@@ -248,10 +249,16 @@ fn run_size(spec: &SizeSpec, reps: usize, check: bool) -> SizeResult {
     );
     load(&dir, spec);
 
-    let (replay_us, wal_frames) = measure_replay(&dir, reps);
+    let replayed = measure_replay(&dir, reps);
+    let (replay_us, wal_frames) = (replayed.replay_us, replayed.wal_frames);
     eprintln!(
         "recovery_storm[{}]: replay {} frames in {} us",
         spec.name, wal_frames, replay_us
+    );
+    eprintln!(
+        "recovery_storm[{}]: recovered: {replayed} (stages cover {:.2} of the open)",
+        spec.name,
+        stage_coverage(&replayed)
     );
 
     if check {
@@ -298,15 +305,47 @@ fn run_size(spec: &SizeSpec, reps: usize, check: bool) -> SizeResult {
     db.commit(t).unwrap();
     db.checkpoint().unwrap();
     let incr = db.checkpoint_stats();
+    // Leave one table's worth of log tail past the checkpoint, and restart:
+    // that table is read during the open, the rest after it.
+    let t = db.begin().unwrap();
+    db.insert(
+        t,
+        &table_name(0),
+        vec![Value::Int(-2), Value::Int(-2), Value::Text("tail".into())],
+    )
+    .unwrap();
+    db.commit(t).unwrap();
+    drop(db);
+    let db = open(&dir);
+    let (reopened, drained) = (db.recovery_report().clone(), db.drain_report());
     drop(db);
     eprintln!(
         "recovery_storm[{}]: checkpoint pause full {} us ({} segs) vs incremental {} us ({} segs)",
         spec.name, full.pause_us, full.segments_written, incr.pause_us, incr.segments_written
     );
+    eprintln!(
+        "recovery_storm[{}]: after the checkpoint: recovered: {reopened}",
+        spec.name
+    );
+    eprintln!(
+        "recovery_storm[{}]: after the checkpoint: drained: {drained}",
+        spec.name
+    );
     if check {
         assert_eq!(
             incr.segments_written, 1,
             "incremental checkpoint rewrote {incr:?}"
+        );
+        assert_eq!(
+            (reopened.segments_loaded_at_open, reopened.segments_total),
+            (1, spec.tables),
+            "a restart reads the segments its log tail writes to: {reopened}"
+        );
+        assert_eq!(drained.tables, spec.tables - 1, "{drained}");
+        assert!(drained.unreadable.is_empty(), "{drained}");
+        assert!(
+            stage_coverage(&replayed) >= 0.9,
+            "the stages must account for the open: {replayed}"
         );
     }
 

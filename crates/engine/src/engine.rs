@@ -37,7 +37,9 @@ use parking_lot::{Mutex, RwLock};
 use phoenix_sql::ast::{ExecStmt, ObjectName, SelectStmt, Statement};
 use phoenix_sql::display::render_statement;
 use phoenix_sql::parser::{parse_statement, parse_statements};
-use phoenix_storage::db::{CheckpointStats, Durability, Durable, RecoveryOptions, RecoveryReport};
+use phoenix_storage::db::{
+    CheckpointStats, DrainReport, Durability, Durable, RecoveryOptions, RecoveryReport,
+};
 use phoenix_storage::store::StoreSnapshot;
 use phoenix_storage::types::{Row, Schema, TxnId, Value};
 
@@ -395,6 +397,12 @@ impl Engine {
     /// What recovery did when this engine opened (bench/tooling probe).
     pub fn recovery_report(&self) -> &RecoveryReport {
         self.durable.recovery_report()
+    }
+
+    /// Wait for the background load of the checkpointed tables recovery did
+    /// not need, and say what it did (see `Durable::drain_report`).
+    pub fn drain_report(&self) -> DrainReport {
+        self.durable.drain_report()
     }
 
     /// Stats from the most recent checkpoint (bench/tooling probe).

@@ -144,6 +144,7 @@ impl From<StoreError> for EngineError {
             | StoreError::NoSuchIndex(_)
             | StoreError::NoSuchRow { .. } => ErrorCode::NotFound,
             StoreError::DuplicateKey(_) | StoreError::ArityMismatch { .. } => ErrorCode::Constraint,
+            StoreError::Segment { .. } => ErrorCode::Storage,
         };
         EngineError::new(code, e.to_string())
     }

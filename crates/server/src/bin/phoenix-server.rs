@@ -4,13 +4,14 @@
 //! phoenix-server [--data <dir>] [--port <port>] [--buffered] [--stats-port <port>]
 //! ```
 //!
-//! Opens (and crash-recovers) the database in the data directory, listens on
-//! the given port, and serves until SIGINT/EOF on stdin. A checkpoint is
-//! taken on orderly shutdown. With `--stats-port`, a second listener serves
+//! Takes the given port, announces it, opens (and crash-recovers) the
+//! database in the data directory, then serves until SIGINT/EOF on stdin:
+//! clients that connect while recovery runs wait in the listen backlog
+//! instead of being refused. A checkpoint is taken on orderly shutdown. With `--stats-port`, a second listener serves
 //! Prometheus-style metrics text over HTTP on that port (`curl
 //! localhost:<port>` to scrape).
 
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 
 use phoenix_engine::{CommitMode, Engine, EngineConfig};
 use phoenix_server::{RunningServer, StatsListener};
@@ -93,6 +94,17 @@ fn main() {
         max_sessions,
         commit_mode,
     };
+    // The port first: a client reconnecting after a crash then queues in the
+    // listen backlog while the log is read, and is served the moment
+    // recovery ends, instead of polling a refused port.
+    let bound = RunningServer::bind(port).unwrap_or_else(|e| {
+        eprintln!("cannot listen on port {port}: {e}");
+        std::process::exit(1);
+    });
+    // One write: standard error is unbuffered, and whoever starts this
+    // process reads the port off this line — never half of it.
+    let announce = format!("phoenix-server: listening on 127.0.0.1:{}\n", bound.port);
+    let _ = std::io::stderr().write_all(announce.as_bytes());
     eprintln!(
         "phoenix-server: opening {} (recovery may replay the log)…",
         data_dir.display()
@@ -101,12 +113,20 @@ fn main() {
         eprintln!("cannot open database: {e}");
         std::process::exit(1);
     });
-
-    let server = RunningServer::start(engine, port).unwrap_or_else(|e| {
-        eprintln!("cannot listen on port {port}: {e}");
+    let r = engine.recovery_report().clone();
+    let server = bound.serve(engine).unwrap_or_else(|e| {
+        eprintln!("cannot start serving: {e}");
         std::process::exit(1);
     });
-    eprintln!("phoenix-server: listening on 127.0.0.1:{}", server.port);
+    eprintln!("phoenix-server: recovered: {r}");
+    // The tables recovery did not need are loading in the background: say so
+    // once they are in, and which of them could not be read.
+    let engine = server.engine.read().clone();
+    if let Some(engine) = engine.filter(|_| r.segments_loaded_at_open < r.segments_total) {
+        std::thread::spawn(move || {
+            eprintln!("phoenix-server: drained: {}", engine.drain_report());
+        });
+    }
     let _stats = stats_port.map(|p| {
         let listener = StatsListener::start(p).unwrap_or_else(|e| {
             eprintln!("cannot listen on stats port {p}: {e}");

@@ -28,5 +28,7 @@ pub mod server;
 pub mod stats_http;
 
 pub use harness::ServerHarness;
-pub use server::{dispatch, login_v2, prune_dead, serve_connection, ConnRegistry, RunningServer};
+pub use server::{
+    dispatch, login_v2, prune_dead, serve_connection, BoundServer, ConnRegistry, RunningServer,
+};
 pub use stats_http::StatsListener;

@@ -124,14 +124,23 @@ pub struct RunningServer {
     conns: ConnRegistry,
 }
 
-impl RunningServer {
-    /// Start listening on 127.0.0.1:`port` (0 = ephemeral). The engine is
-    /// supplied by the caller (the harness owns open/recover).
-    pub fn start(engine: Engine, port: u16) -> io::Result<RunningServer> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        listener.set_nonblocking(true)?;
-        let port = listener.local_addr()?.port();
+/// A listening socket with nobody accepting yet: what [`RunningServer::bind`]
+/// returns and [`BoundServer::serve`] consumes.
+///
+/// The port is taken — and can be announced — *before* the engine is opened.
+/// A client that connects in between completes its handshake in the kernel's
+/// backlog and is served the moment recovery ends, where a client of a server
+/// that binds last can only poll a refused port.
+pub struct BoundServer {
+    listener: TcpListener,
+    /// The TCP port being listened on.
+    pub port: u16,
+}
 
+impl BoundServer {
+    /// Start accepting, every connection dispatching to `engine`.
+    pub fn serve(self, engine: Engine) -> io::Result<RunningServer> {
+        let BoundServer { listener, port } = self;
         let engine: SharedEngine = Arc::new(RwLock::new(Some(Arc::new(engine))));
         let shutdown = Arc::new(AtomicBool::new(false));
         let conns: ConnRegistry = Arc::new(Mutex::new(HashMap::new()));
@@ -152,6 +161,21 @@ impl RunningServer {
             accept_thread: Some(accept_thread),
             conns,
         })
+    }
+}
+
+impl RunningServer {
+    /// Take 127.0.0.1:`port` (0 = ephemeral) without serving it yet.
+    pub fn bind(port: u16) -> io::Result<BoundServer> {
+        let listener = TcpListener::bind(("127.0.0.1", port))?;
+        let port = listener.local_addr()?.port();
+        Ok(BoundServer { listener, port })
+    }
+
+    /// [`RunningServer::bind`] then [`BoundServer::serve`], for a caller
+    /// whose engine is already open (the harness owns open/recover).
+    pub fn start(engine: Engine, port: u16) -> io::Result<RunningServer> {
+        Self::bind(port)?.serve(engine)
     }
 
     /// Number of live client connections currently registered.
@@ -181,21 +205,30 @@ impl RunningServer {
     /// Stop accepting, sever connections, and return the engine (if it has
     /// not already been crashed away).
     pub fn stop(mut self) -> Option<Arc<Engine>> {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.stop_accepting();
         self.sever_connections();
         self.engine.write().take()
+    }
+
+    /// Raise the flag, then get the accept thread to look at it: it is
+    /// blocked in `accept()`, which only a connection ends, so make one.
+    fn stop_accepting(&mut self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(t) = self.accept_thread.take() {
+            // Under descriptor exhaustion the wake-up connect can itself
+            // fail; the thread is then in its error backoff and sees the
+            // flag on its own, or a later attempt gets through.
+            while !t.is_finished() && TcpStream::connect(("127.0.0.1", self.port)).is_err() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let _ = t.join();
+        }
     }
 }
 
 impl Drop for RunningServer {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.stop_accepting();
         self.sever_connections();
     }
 }
@@ -207,8 +240,8 @@ fn accept_loop(
     conns: ConnRegistry,
 ) {
     let mut next_conn: u64 = 1;
-    // Backoff for *non*-WouldBlock accept failures (EMFILE/ENFILE/ENOBUFS,
-    // aborted handshakes). These are transient resource conditions, not
+    // Backoff for accept failures (EMFILE/ENFILE/ENOBUFS, aborted
+    // handshakes). These are transient resource conditions, not
     // reasons to stop listening: breaking out of the loop here would turn a
     // momentary fd-exhaustion spike into a permanently deaf server. Sleep
     // with bounded exponential backoff instead — long enough for the kernel
@@ -218,7 +251,11 @@ fn accept_loop(
     const BACKOFF_CEIL: Duration = Duration::from_millis(100);
     let mut backoff = BACKOFF_FLOOR;
     while !shutdown.load(Ordering::SeqCst) {
+        // Blocks until a client arrives: a login waits for nothing but the
+        // kernel. `stop_accepting` ends the wait with a connection of its
+        // own, which the flag check below turns away.
         match listener.accept() {
+            Ok(_) if shutdown.load(Ordering::SeqCst) => break,
             Ok((stream, _)) => {
                 backoff = BACKOFF_FLOOR;
                 let _ = stream.set_nodelay(true);
@@ -243,9 +280,6 @@ fn accept_loop(
                         m.connections_pruned.inc();
                         m.connections_active.dec();
                     });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
             }
             Err(_) => {
                 server_metrics().accept_errors.inc();

@@ -367,3 +367,49 @@ fn relogin_closes_previous_session() {
     drop(s);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The listener exists before the engine does: a client that connects (and
+/// sends its login) between `bind` and `serve` is not refused — it waits in
+/// the listen backlog and is answered the moment serving starts. And a
+/// server whose accept thread is blocked in `accept()` with nobody
+/// connecting still stops at once.
+#[test]
+fn login_sent_between_bind_and_serve_is_answered_and_stop_is_prompt() {
+    use phoenix_engine::Engine;
+    use phoenix_server::RunningServer;
+
+    let dir = temp_dir("bind-serve");
+    let bound = RunningServer::bind(0).unwrap();
+    let mut early = TcpStream::connect(("127.0.0.1", bound.port)).unwrap();
+    let hello = Request::Login {
+        user: "early".into(),
+        database: "d".into(),
+        options: vec![],
+    };
+    write_frame(&mut early, &hello.encode()).unwrap();
+
+    // "Recovery" happens here, with the client already queued.
+    let engine = Engine::open(&dir, EngineConfig::default()).unwrap();
+    let server = bound.serve(engine).unwrap();
+    early
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let reply = Response::decode(&read_frame(&mut early).unwrap()).unwrap();
+    assert!(matches!(reply, Response::LoginAck { .. }), "{reply:?}");
+    exec_ok(&mut early, "CREATE TABLE t (x INT)");
+    drop(early);
+
+    // Nobody is connecting now: the accept thread is parked in accept().
+    std::thread::sleep(Duration::from_millis(50));
+    let t0 = Instant::now();
+    let port = server.port;
+    assert!(server.stop().is_some());
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
+        "stop() waited {:?} on a blocked accept",
+        t0.elapsed()
+    );
+    // And the port is free again at once.
+    drop(RunningServer::bind(port).unwrap());
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -34,21 +34,15 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::codec::DecodeError;
 use crate::db::{DbError, Durable, MAX_PARTITIONS};
 use crate::record::LogRecord;
-use crate::snapshot;
-use crate::store::{Store, TableData};
+use crate::snapshot::{self, SegmentBase};
+use crate::store::{Slot, Store};
 use crate::types::TxnId;
 use crate::wal::Wal;
-
-/// Normalized table key → (segment file, table image as serialized): the
-/// last checkpoint's identity map. `Arc::ptr_eq` against the live store
-/// tells the next checkpoint which tables are unchanged.
-pub(crate) type SegmentBase = HashMap<String, (String, Arc<TableData>)>;
 
 /// What the log has said so far about one transaction past the mark.
 enum Fate {
@@ -71,7 +65,7 @@ pub struct Applier {
     /// Generation of the snapshot manifest `store` was seeded from.
     gen: u64,
     /// Captured *before* any record applies: tables replay leaves untouched
-    /// keep their `Arc`, and the next checkpoint reuses their segments.
+    /// keep their slot, and the next checkpoint reuses their segments.
     base: SegmentBase,
     fates: HashMap<TxnId, Fate>,
     /// GSN-ordered records fed but not yet applied or dropped: the first
@@ -82,9 +76,29 @@ pub struct Applier {
     last_txn: TxnId,
     fed: u64,
     applied: u64,
-    /// Time spent in `catch_up` and `finish`: reading the log off disk and
-    /// replaying it, as opposed to loading the snapshot or being fed.
-    replay: Duration,
+    /// Valid-prefix length of each possible partition's live log, as of the
+    /// last `catch_up`.
+    live_valid: [u64; MAX_PARTITIONS],
+    /// Time so far. Until `finish` takes them out, `apply` includes the
+    /// segment reads replay forced.
+    stages: Stages,
+}
+
+/// Where a recovery's time went (see [`crate::db::RecoveryReport`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Stages {
+    /// Manifest read, decode, and one `stat` per segment.
+    pub manifest: Duration,
+    /// Tables in the snapshot.
+    pub segments_total: usize,
+    /// Of those, how many replay had to read because the log writes to them.
+    pub segments_loaded: usize,
+    /// Reading, checksumming and decoding those, and building their indexes.
+    pub segment_load: Duration,
+    /// Reading the logs off disk, decoding and merging them.
+    pub wal_read: Duration,
+    /// Deciding fates and applying the winners, segment loads excluded.
+    pub apply: Duration,
 }
 
 /// What [`Applier::finish`] hands back.
@@ -101,11 +115,13 @@ pub struct Recovered {
     pub frames: u64,
     /// Log records applied to the store.
     pub applied: u64,
-    /// Wall time spent reading the log off disk, decoding and applying it
-    /// (the snapshot load and a standby's frame-by-frame feeding excluded).
-    pub replay: Duration,
+    /// Where the time went. `wal_read + apply` is the replay time: reading
+    /// the log off disk, decoding and applying it (the snapshot's manifest
+    /// and segments, and a standby's frame-by-frame feeding, excluded).
+    pub stages: Stages,
     pub(crate) gen: u64,
     pub(crate) base: SegmentBase,
+    pub(crate) live_valid: [u64; MAX_PARTITIONS],
 }
 
 /// The WAL payload of one record: `gsn:u64 LE | encoded record`.
@@ -120,41 +136,50 @@ pub fn frame_payload(gsn: u64, record: &[u8]) -> Vec<u8> {
 /// encoded record)`: each possible partition's stream in turn — not just
 /// those the current handle writes, so a directory written with another
 /// partition count is read completely — rotated log first, then the live
-/// log. Both reads tolerate a torn tail.
+/// log. Both reads tolerate a torn tail. Returns the valid-prefix length of
+/// each stream's live log, which is where [`Wal::open_at`] resumes it.
 pub(crate) fn for_each_frame(
     dir: &Path,
     mut visit: impl FnMut(u32, u64, &[u8]) -> Result<(), DbError>,
-) -> Result<(), DbError> {
-    for k in 0..MAX_PARTITIONS {
-        for path in [Durable::wal_old_path(dir, k), Durable::wal_path(dir, k)] {
-            for frame in Wal::read_all(path)? {
-                let Some((gsn, record)) = frame.split_first_chunk::<8>() else {
-                    return Err(DecodeError(format!(
-                        "WAL frame of {} bytes is shorter than its GSN prefix",
-                        frame.len()
-                    ))
-                    .into());
-                };
-                visit(k as u32, u64::from_le_bytes(*gsn), record)?;
+) -> Result<[u64; MAX_PARTITIONS], DbError> {
+    let mut live_valid = [0; MAX_PARTITIONS];
+    for (k, live_valid) in live_valid.iter_mut().enumerate() {
+        for (path, live) in [
+            (Durable::wal_old_path(dir, k), false),
+            (Durable::wal_path(dir, k), true),
+        ] {
+            // The first frame that fails stops the visiting, not the scan.
+            let mut outcome = Ok(());
+            let valid = Wal::scan(path, |frame| {
+                if outcome.is_ok() {
+                    outcome = match frame.split_first_chunk::<8>() {
+                        Some((gsn, record)) => visit(k as u32, u64::from_le_bytes(*gsn), record),
+                        None => Err(DecodeError(format!(
+                            "WAL frame of {} bytes is shorter than its GSN prefix",
+                            frame.len()
+                        ))
+                        .into()),
+                    };
+                }
+            })?;
+            outcome?;
+            if live {
+                *live_valid = valid;
             }
         }
     }
-    Ok(())
+    Ok(live_valid)
 }
 
 impl Applier {
     /// The snapshot in `dir` plus every frame in its logs, merged by GSN
     /// and fed.
     pub fn load(dir: &Path) -> Result<Applier, DbError> {
-        let (store, mark, gen, segments) = match snapshot::load(dir, &Durable::snapshot_path(dir))?
-        {
-            Some(s) => (s.store, s.mark, s.gen, s.segments),
-            None => (Store::new(), 0, 0, HashMap::new()),
+        let start = Instant::now();
+        let (store, mark, gen, base) = match snapshot::load(dir, &Durable::snapshot_path(dir))? {
+            Some(s) => (s.store, s.mark, s.gen, s.base),
+            None => (Store::new(), 0, 0, SegmentBase::new()),
         };
-        let base = segments
-            .into_iter()
-            .filter_map(|(key, file)| store.table_arc(&key).map(|arc| (key, (file, arc))))
-            .collect();
         let mut applier = Applier {
             store,
             mark,
@@ -167,7 +192,11 @@ impl Applier {
             last_txn: mark,
             fed: 0,
             applied: 0,
-            replay: Duration::ZERO,
+            live_valid: [0; MAX_PARTITIONS],
+            stages: Stages {
+                manifest: start.elapsed(),
+                ..Stages::default()
+            },
         };
         applier.catch_up(dir)?;
         Ok(applier)
@@ -177,7 +206,7 @@ impl Applier {
     pub fn catch_up(&mut self, dir: &Path) -> Result<(), DbError> {
         let start = Instant::now();
         let mut unseen = Vec::new();
-        for_each_frame(dir, |stream, gsn, record| {
+        self.live_valid = for_each_frame(dir, |stream, gsn, record| {
             if gsn > self.max_gsn {
                 unseen.push((gsn, stream, LogRecord::decode(record)?));
             }
@@ -186,10 +215,12 @@ impl Applier {
         // GSNs are globally unique and ascending within each stream, so
         // the sort *is* the k-way merge.
         unseen.sort_unstable_by_key(|&(gsn, _, _)| gsn);
+        let read = start.elapsed();
+        self.stages.wal_read += read;
         for (gsn, stream, rec) in unseen {
             self.feed(stream, gsn, rec)?;
         }
-        self.replay += start.elapsed();
+        self.stages.apply += start.elapsed() - read;
         Ok(())
     }
 
@@ -240,6 +271,20 @@ impl Applier {
     pub fn finish(mut self) -> Result<Recovered, DbError> {
         let start = Instant::now();
         self.drain(true)?;
+        // Each segment times its own load (whoever triggers it), so the
+        // applier needs no clock around every record to tell replay from
+        // the segment reads replay forced.
+        let loads = self.base.values().filter_map(|(_, slot)| match slot {
+            Slot::OnDisk(seg) => seg.loaded().map(|(took, _)| took),
+            Slot::Loaded(_) => None,
+        });
+        let mut stages = self.stages;
+        stages.segments_total = self.base.len();
+        for took in loads {
+            stages.segments_loaded += 1;
+            stages.segment_load += took;
+        }
+        stages.apply = (stages.apply + start.elapsed()).saturating_sub(stages.segment_load);
         Ok(Recovered {
             store: self.store,
             last_txn: self.last_txn,
@@ -247,9 +292,10 @@ impl Applier {
             min_gsn: self.min_gsn,
             frames: self.fed,
             applied: self.applied,
-            replay: self.replay + start.elapsed(),
+            stages,
             gen: self.gen,
             base: self.base,
+            live_valid: self.live_valid,
         })
     }
 

@@ -9,8 +9,9 @@
 //! them because no commit record follows).
 //!
 //! [`Durable::open`] is crash recovery, and all of it is the
-//! [`crate::applier::Applier`]: load the latest snapshot (manifest +
-//! per-table segments), merge the log streams by GSN, and apply the records
+//! [`crate::applier::Applier`]: load the latest snapshot's manifest (each
+//! table stays in its segment file until something touches it), merge the
+//! log streams by GSN, and apply the records
 //! of committed transactions with `txn >` the snapshot's *high-water mark* —
 //! records at or below the mark belong to transactions whose effects the
 //! snapshot already materializes, and replaying them would apply mutations
@@ -98,14 +99,17 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use phoenix_obs::Histogram;
 
-use crate::applier::{for_each_frame, frame_payload, Applier, Recovered, SegmentBase};
+use crate::applier::{for_each_frame, frame_payload, Applier, Recovered};
+use crate::codec::DecodeError;
 use crate::metrics::{partition_batch_histogram, storage_metrics};
 use crate::record::LogRecord;
 use crate::repl::{FrameState, ReplTap, ShipFrame, TapFrame, TAP_CAP};
-use crate::store::{normalize_name, partition_of, Store, StoreError, StoreSnapshot, TableData};
+use crate::snapshot::{self, SegmentBase};
+use crate::store::{
+    normalize_name, partition_of, Segment, Slot, Store, StoreError, StoreSnapshot, TableData,
+};
 use crate::types::{Row, RowId, TableDef, TxnId};
 use crate::wal::{Wal, WalPoints, MAX_FRAME};
-use crate::{codec::DecodeError, snapshot};
 
 /// Upper bound on the partition count. Recovery always scans the streams of
 /// all `MAX_PARTITIONS` possible partitions so a database can be re-opened
@@ -309,8 +313,85 @@ pub struct RecoveryReport {
     /// Records skipped: uncommitted, or `txn ≤` the snapshot mark.
     pub records_skipped: u64,
     /// Wall time of reading the log, decoding and applying it, in
-    /// microseconds.
+    /// microseconds: `wal_read_us + apply_us`.
     pub replay_us: u64,
+    /// Reading the manifest and finding every segment it names.
+    pub manifest_us: u64,
+    /// Tables in the snapshot.
+    pub segments_total: usize,
+    /// Of those, the ones read before the handle opened, because the log
+    /// tail writes to them. The rest load on first touch or in the
+    /// background (see [`Durable::drain_report`]).
+    pub segments_loaded_at_open: usize,
+    /// Reading, checksumming and decoding those segments and building their
+    /// indexes. Not part of `replay_us`.
+    pub segment_load_us: u64,
+    /// Reading the logs off disk, decoding and merging them.
+    pub wal_read_us: u64,
+    /// Deciding fates and applying the winners.
+    pub apply_us: u64,
+    /// The whole open, start to usable handle. The four stages above account
+    /// for it; the remainder is opening the logs for append.
+    pub open_us: u64,
+}
+
+/// One `key=value` line, stages first: what `phoenix-server` logs as
+/// `recovered:` and `recovery_storm` prints.
+impl fmt::Display for RecoveryReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "open_us={} manifest_us={} segments_total={} segments_loaded_at_open={} \
+             segment_load_us={} wal_read_us={} apply_us={} replay_us={} wal_frames={} \
+             records_applied={} records_skipped={}",
+            self.open_us,
+            self.manifest_us,
+            self.segments_total,
+            self.segments_loaded_at_open,
+            self.segment_load_us,
+            self.wal_read_us,
+            self.apply_us,
+            self.replay_us,
+            self.wal_frames,
+            self.records_applied,
+            self.records_skipped,
+        )
+    }
+}
+
+/// What the background load of the tables nothing had touched yet did (see
+/// [`Durable::drain_report`]).
+#[derive(Debug, Clone, Default)]
+pub struct DrainReport {
+    /// Segments the drain read (those a statement got to first not counted).
+    pub tables: usize,
+    /// Their size on disk.
+    pub bytes: u64,
+    /// Wall time of the pass, in microseconds.
+    pub us: u64,
+    /// One line per table whose segment does not read back, whoever found
+    /// out. Statements on those tables fail with the same message.
+    pub unreadable: Vec<String>,
+}
+
+impl fmt::Display for DrainReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "tables={} bytes={} ms={:.1} unreadable={:?}",
+            self.tables,
+            self.bytes,
+            self.us as f64 / 1e3,
+            self.unreadable,
+        )
+    }
+}
+
+/// The background segment load: its thread until somebody asks for the
+/// report, the report from then on.
+struct Drain {
+    running: Option<std::thread::JoinHandle<DrainReport>>,
+    report: DrainReport,
 }
 
 /// Timing/shape of the most recent checkpoint (bench + test probe).
@@ -412,6 +493,9 @@ pub struct Durable {
     /// watermark to cover its commit record before degrading to async.
     /// `None` (the default) is fully asynchronous replication.
     commit_wait: Mutex<Option<Duration>>,
+    /// Loads the snapshot tables recovery did not need, so that steady state
+    /// is reached without a client paying for it.
+    drain: Mutex<Drain>,
 }
 
 impl Durable {
@@ -457,9 +541,10 @@ impl Durable {
         durability: Durability,
         opts: &RecoveryOptions,
     ) -> Result<Durable, DbError> {
+        let start = Instant::now();
         std::fs::create_dir_all(&dir)?;
         let recovered = Applier::load(dir.as_ref())?.finish()?;
-        Self::from_recovered(dir.as_ref(), durability, opts, recovered)
+        Self::from_recovered(dir.as_ref(), durability, opts, recovered, start)
     }
 
     /// Open a directory whose log a warm standby has been applying as it
@@ -474,9 +559,10 @@ impl Durable {
         opts: &RecoveryOptions,
         mut applier: Applier,
     ) -> Result<Durable, DbError> {
+        let start = Instant::now();
         applier.catch_up(dir.as_ref())?;
         let recovered = applier.finish()?;
-        Self::from_recovered(dir.as_ref(), durability, opts, recovered)
+        Self::from_recovered(dir.as_ref(), durability, opts, recovered, start)
     }
 
     fn from_recovered(
@@ -484,6 +570,7 @@ impl Durable {
         durability: Durability,
         opts: &RecoveryOptions,
         recovered: Recovered,
+        start: Instant,
     ) -> Result<Durable, DbError> {
         let Recovered {
             store,
@@ -492,20 +579,12 @@ impl Durable {
             min_gsn,
             frames,
             applied,
-            replay,
+            stages,
             gen,
             base,
+            live_valid,
         } = recovered;
         let n = opts.partitions.unwrap_or(1).clamp(1, MAX_PARTITIONS);
-        let report = RecoveryReport {
-            wal_frames: frames as usize,
-            records_applied: applied,
-            records_skipped: frames - applied,
-            replay_us: replay.as_micros() as u64,
-        };
-        storage_metrics()
-            .recovery_replay_us
-            .record(report.replay_us);
 
         let parts = store
             .into_parts(n)
@@ -515,9 +594,12 @@ impl Durable {
                 Ok(Partition {
                     published: RwLock::new(Arc::new(shard.clone())),
                     working: Mutex::new(shard),
-                    wal: Mutex::new(Wal::open_with_points(
+                    // The applier has just scanned this log: resume it at
+                    // the valid prefix it found instead of scanning again.
+                    wal: Mutex::new(Wal::open_at(
                         Self::wal_path(dir, k),
                         WAL_POINTS[k],
+                        live_valid[k],
                     )?),
                     group: GroupCommit {
                         state: Mutex::new(GroupState {
@@ -533,6 +615,25 @@ impl Durable {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
+
+        let us = |d: Duration| d.as_micros() as u64;
+        let report = RecoveryReport {
+            wal_frames: frames as usize,
+            records_applied: applied,
+            records_skipped: frames - applied,
+            replay_us: us(stages.wal_read) + us(stages.apply),
+            manifest_us: us(stages.manifest),
+            segments_total: stages.segments_total,
+            segments_loaded_at_open: stages.segments_loaded,
+            segment_load_us: us(stages.segment_load),
+            wal_read_us: us(stages.wal_read),
+            apply_us: us(stages.apply),
+            open_us: us(start.elapsed()),
+        };
+        storage_metrics()
+            .recovery_replay_us
+            .record(report.replay_us);
+        let drain = Mutex::new(start_drain(&base)?);
 
         Ok(Durable {
             parts,
@@ -561,7 +662,22 @@ impl Durable {
                 1
             }),
             commit_wait: Mutex::new(None),
+            drain,
         })
+    }
+
+    /// Wait for the background load of the snapshot tables recovery did not
+    /// need, and say what it did. Nothing depends on the wait — a statement
+    /// that touches a table first simply loads it itself — so this is for
+    /// whoever wants the report: the server's log line, benches, tests.
+    pub fn drain_report(&self) -> DrainReport {
+        let mut drain = self.drain.lock();
+        if let Some(thread) = drain.running.take() {
+            // The thread only reads files into cells; a panic in it is a
+            // bug, and reporting an empty drain would hide it.
+            drain.report = thread.join().expect("segment drain panicked");
+        }
+        drain.report.clone()
     }
 
     /// The number of write-path partitions this handle was opened with.
@@ -1273,6 +1389,9 @@ impl Durable {
         self.check_active(txn)?;
         let k = self.part_of(name);
         let mut store = self.parts[k].working.lock();
+        // Touch the table before anything is logged: undo needs the rows,
+        // so a table whose segment does not read back cannot be dropped.
+        store.table(name)?;
         self.log_to(
             k,
             &LogRecord::DropTable {
@@ -1348,6 +1467,9 @@ impl Durable {
         self.check_active(txn)?;
         let k = self.part_of(table);
         let mut store = self.parts[k].working.lock();
+        // Touch the table before anything is logged: if its segment does
+        // not read back, the statement is refused with an empty log.
+        store.table(table)?;
         self.log_to(
             k,
             &LogRecord::CreateIndex {
@@ -1375,6 +1497,7 @@ impl Durable {
         self.check_active(txn)?;
         let k = self.part_of(table);
         let mut store = self.parts[k].working.lock();
+        store.table(table)?;
         self.log_to(
             k,
             &LogRecord::DropIndex {
@@ -1497,27 +1620,29 @@ impl Durable {
         phoenix_chaos::check_durable("checkpoint.write")?;
         let gen = cp.gen + 1;
         let mut tables = Vec::new();
-        let mut base: HashMap<String, (String, Arc<TableData>)> = HashMap::new();
+        let mut base = SegmentBase::new();
         let mut written = 0usize;
         let mut reused = 0usize;
         for (idx, name) in image.table_names().iter().enumerate() {
             let key = normalize_name(name);
-            let arc = image.table_arc(&key).expect("table listed but missing");
+            let slot = image.slot(&key)?;
             let file = match cp.base.get(&key) {
-                // Same data pointer as the segment on disk: reuse it.
-                Some((file, old)) if Arc::ptr_eq(old, &arc) => {
+                // The very image the segment on disk holds: reuse it. For a
+                // table nothing has touched since recovery this compares
+                // two pointers to its `Segment` and reads no file.
+                Some((file, old)) if old.same(slot) => {
                     reused += 1;
                     file.clone()
                 }
                 _ => {
                     let file = snapshot::segment_file_name(gen, idx);
-                    snapshot::write_segment(&self.dir.join(&file), &arc)?;
+                    snapshot::write_segment(&self.dir.join(&file), image.table(&key)?)?;
                     written += 1;
                     file
                 }
             };
             tables.push((name.clone(), file.clone()));
-            base.insert(key, (file, arc));
+            base.insert(key, (file, slot.clone()));
         }
         let procs = image
             .proc_names()
@@ -1732,6 +1857,53 @@ impl Durable {
         drop(t);
         self.tap.acked_cv.notify_all();
     }
+}
+
+/// Start the one background pass over the snapshot tables recovery left on
+/// disk, in manifest (name) order. The thread owns nothing but `Arc`s to the
+/// segments: it fills their cells, which every store image shares, and takes
+/// no lock a statement could wait on.
+fn start_drain(base: &SegmentBase) -> io::Result<Drain> {
+    let mut segments: Vec<Arc<Segment>> = base
+        .values()
+        .filter_map(|(_, slot)| match slot {
+            Slot::OnDisk(seg) => Some(Arc::clone(seg)),
+            Slot::Loaded(_) => None,
+        })
+        .collect();
+    if segments.iter().all(|seg| seg.loaded().is_some()) {
+        // Replay read them all (and would have failed on a bad one).
+        return Ok(Drain {
+            running: None,
+            report: DrainReport::default(),
+        });
+    }
+    segments.sort_by(|a, b| a.name.cmp(&b.name));
+    let thread = std::thread::Builder::new()
+        .name("phx-drain".into())
+        .spawn(move || {
+            let start = Instant::now();
+            let mut report = DrainReport::default();
+            for seg in &segments {
+                if seg.loaded().is_none() {
+                    let _ = seg.load();
+                    report.tables += 1;
+                    report.bytes += seg.bytes;
+                }
+            }
+            report.us = start.elapsed().as_micros() as u64;
+            // Whoever found out: a statement may have got there first.
+            report.unreadable = segments
+                .iter()
+                .filter_map(|seg| seg.loaded()?.1)
+                .map(|e| e.to_string())
+                .collect();
+            report
+        })?;
+    Ok(Drain {
+        running: Some(thread),
+        report: DrainReport::default(),
+    })
 }
 
 /// Apply one statement's DML records to `t` in order, returning the inverse

@@ -26,16 +26,22 @@
 //! checkpoint that touches the table writes a *new* segment under its own
 //! generation number and the old one becomes garbage, collected only after
 //! the new manifest is durable.
+//!
+//! [`load`] reads the manifest and checks that every segment it names
+//! exists; the segments themselves are read — checksum, decode, index build,
+//! all in [`load_segment`] — when the table is first touched (see
+//! [`crate::store`]).
 
 use bytes::{Buf, BufMut, BytesMut};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::codec::{self, DecodeError};
 use crate::crc::crc32;
-use crate::store::{Store, TableData};
+use crate::store::{normalize_name, Segment, Slot, Store, TableData};
 use crate::types::TxnId;
 
 /// Magic header identifying a phoenix snapshot manifest (format version 2 —
@@ -84,9 +90,11 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 fn read_file(path: &Path) -> io::Result<Option<Vec<u8>>> {
-    let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
+            // Sized up front: a segment is megabytes, and growing the buffer
+            // by doubling copies it several times over.
+            let mut bytes = Vec::with_capacity(f.metadata()?.len() as usize + 1);
             f.read_to_end(&mut bytes)?;
             Ok(Some(bytes))
         }
@@ -134,7 +142,8 @@ pub fn write_segment(path: &Path, table: &TableData) -> io::Result<()> {
     write_atomically(path, &seal(buf.to_vec()))
 }
 
-/// Load one table segment.
+/// Load one table segment: the one place a segment file becomes a
+/// [`TableData`].
 pub fn load_segment(path: &Path) -> io::Result<TableData> {
     let bytes = read_file(path)?.ok_or_else(|| {
         io::Error::new(
@@ -255,32 +264,53 @@ pub fn load_manifest(path: &Path) -> io::Result<Option<Manifest>> {
     inner().map(Some).map_err(decode_err)
 }
 
-/// A fully loaded snapshot: the materialized store plus the metadata the
-/// durability layer needs to filter replay and to diff the next checkpoint.
+/// Normalized table key → (segment file, the table image that file holds):
+/// a checkpoint's identity map. [`Slot::same`] against the live store tells
+/// the next checkpoint which tables are unchanged.
+pub(crate) type SegmentBase = HashMap<String, (String, Slot)>;
+
+/// A snapshot as [`load`] leaves it: the catalog in memory, every table
+/// still in its segment, plus the metadata the durability layer needs to
+/// filter replay and to diff the next checkpoint.
 #[derive(Debug)]
 pub struct LoadedSnapshot {
-    /// The store rebuilt from the manifest's segments.
+    /// Every table and procedure of the manifest; the tables load from
+    /// their segments on first touch.
     pub store: Store,
     /// Replay high-water mark (skip log records with `txn ≤ mark`).
     pub mark: TxnId,
     /// Generation of the manifest (the next checkpoint uses `gen + 1`).
     pub gen: u64,
-    /// Normalized table key → segment file holding its image.
-    pub segments: HashMap<String, String>,
+    pub(crate) base: SegmentBase,
 }
 
 /// Load the snapshot anchored at manifest `path`, with segments resolved
 /// relative to `dir`. Returns `Ok(None)` when no manifest exists.
+///
+/// What is checked here is the manifest (checksum, decode) and that each
+/// segment it names is a file; what is deferred to a table's first touch is
+/// that segment's data and checksum.
 pub fn load(dir: &Path, path: &Path) -> io::Result<Option<LoadedSnapshot>> {
     let Some(manifest) = load_manifest(path)? else {
         return Ok(None);
     };
     let mut store = Store::new();
-    let mut segments = HashMap::with_capacity(manifest.tables.len());
-    for (name, file) in &manifest.tables {
-        let data = load_segment(&dir.join(file))?;
-        segments.insert(crate::store::normalize_name(name), file.clone());
-        store.install_table(data);
+    let mut base = SegmentBase::with_capacity(manifest.tables.len());
+    for (name, file) in manifest.tables {
+        let seg_path = dir.join(&file);
+        let meta = fs::metadata(&seg_path).map_err(|e| {
+            io::Error::new(
+                e.kind(),
+                format!(
+                    "snapshot segment {} of table '{name}': {e}",
+                    seg_path.display()
+                ),
+            )
+        })?;
+        let key = normalize_name(&name);
+        let seg = Arc::new(Segment::new(name, seg_path, meta.len()));
+        base.insert(key, (file, Slot::OnDisk(Arc::clone(&seg))));
+        store.install_segment(seg);
     }
     for (name, sql) in &manifest.procs {
         store
@@ -291,7 +321,7 @@ pub fn load(dir: &Path, path: &Path) -> io::Result<Option<LoadedSnapshot>> {
         store,
         mark: manifest.mark,
         gen: manifest.gen,
-        segments,
+        base,
     }))
 }
 
@@ -322,6 +352,7 @@ pub fn remove_orphan_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::StoreError;
     use crate::types::{Column, DataType, Schema, TableDef, Value};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -395,7 +426,31 @@ mod tests {
         assert_eq!(t.row_id_by_key(&[Value::Int(2)]), Some(2));
         assert_eq!(t.next_row_id, 3);
         assert_eq!(loaded.store.proc("phoenix.p"), Some("SELECT * FROM dbo.t"));
-        assert_eq!(loaded.segments.len(), 1);
+        assert_eq!(loaded.base.len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `load` reads the manifest only: the segment is read by the first
+    /// lookup, once, and every clone of the store shares that one read.
+    #[test]
+    fn segments_load_on_first_touch_and_only_once() {
+        let dir = temp_dir();
+        write_full(&dir, &sample_store(), 1, 1);
+        let loaded = load(&dir, &dir.join("phoenix.snapshot")).unwrap().unwrap();
+        let (_, Slot::OnDisk(seg)) = &loaded.base["dbo.t"] else {
+            panic!("a table fresh from the manifest is on disk");
+        };
+        assert!(seg.loaded().is_none(), "load() read a segment");
+        assert_eq!(loaded.store.table_names(), ["dbo.t"]);
+        assert!(loaded.store.has_table("DBO.T"));
+        assert!(seg.loaded().is_none(), "the catalog needs no segment");
+
+        let clone = loaded.store.clone();
+        let first = clone.table("dbo.t").unwrap();
+        assert!(seg.loaded().is_some());
+        // With the file gone a second read would fail: there is none.
+        fs::remove_file(dir.join(segment_file_name(1, 0))).unwrap();
+        assert!(std::ptr::eq(first, loaded.store.table("dbo.t").unwrap()));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -419,17 +474,56 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A segment that does not read back — bit-flipped, then truncated —
+    /// is an error at the first touch of *that* table, naming the file;
+    /// `load` succeeds, the other table serves, nothing panics.
     #[test]
-    fn corrupt_segment_is_an_error() {
-        let dir = temp_dir();
-        write_full(&dir, &sample_store(), 1, 1);
-        let seg = dir.join(segment_file_name(1, 0));
-        let mut bytes = fs::read(&seg).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        fs::write(&seg, &bytes).unwrap();
-        assert!(load(&dir, &dir.join("phoenix.snapshot")).is_err());
-        fs::remove_dir_all(&dir).unwrap();
+    fn corrupt_segment_is_an_error_at_first_touch_of_its_table() {
+        for damage in [
+            |bytes: &mut Vec<u8>| {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0xFF
+            },
+            |bytes: &mut Vec<u8>| bytes.truncate(bytes.len() / 2),
+            |bytes: &mut Vec<u8>| bytes.clear(),
+        ] {
+            let dir = temp_dir();
+            let mut store = sample_store();
+            store
+                .create_table(TableDef::new(
+                    "dbo.u",
+                    Schema::new(vec![Column::new("v", DataType::Int)]),
+                ))
+                .unwrap();
+            write_full(&dir, &store, 1, 1);
+            let seg = dir.join(segment_file_name(1, 0));
+            let mut bytes = fs::read(&seg).unwrap();
+            damage(&mut bytes);
+            fs::write(&seg, &bytes).unwrap();
+
+            let mut loaded = load(&dir, &dir.join("phoenix.snapshot"))
+                .unwrap()
+                .unwrap()
+                .store;
+            assert!(loaded.table("dbo.u").unwrap().is_empty());
+            for _ in 0..2 {
+                let e = loaded.table("dbo.t").unwrap_err();
+                assert!(
+                    matches!(&e, StoreError::Segment { table, file, .. }
+                        if table == "dbo.t" && file.ends_with(".seg")),
+                    "{e}"
+                );
+            }
+            assert!(matches!(
+                loaded.table_mut("dbo.t"),
+                Err(StoreError::Segment { .. })
+            ));
+            assert!(loaded.drop_table("dbo.t").is_err());
+            assert!(loaded.has_table("dbo.t"), "a failed drop removes nothing");
+            assert!(loaded.verify_indexes().is_err());
+            assert_eq!(loaded.tables().count(), 1, "tables() skips the bad one");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -437,7 +531,28 @@ mod tests {
         let dir = temp_dir();
         write_full(&dir, &sample_store(), 1, 1);
         fs::remove_file(dir.join(segment_file_name(1, 0))).unwrap();
-        assert!(load(&dir, &dir.join("phoenix.snapshot")).is_err());
+        let e = load(&dir, &dir.join("phoenix.snapshot")).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::NotFound);
+        assert!(e.to_string().contains("dbo.t"), "{e}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// No format change: the seal on every file is the byte-at-a-time CRC
+    /// every earlier build wrote and checks, so directories move between
+    /// builds in both directions.
+    #[test]
+    fn files_are_sealed_with_the_reference_crc() {
+        use crate::crc::tests::crc32_bytewise;
+        let dir = temp_dir();
+        write_full(&dir, &sample_store(), 7, 1);
+        for name in ["phoenix.snapshot".to_string(), segment_file_name(1, 0)] {
+            let bytes = fs::read(dir.join(&name)).unwrap();
+            let (body, seal) = bytes.split_at(bytes.len() - 4);
+            assert_eq!(seal, crc32_bytewise(body).to_le_bytes(), "{name}");
+        }
+        let loaded = load(&dir, &dir.join("phoenix.snapshot")).unwrap().unwrap();
+        assert_eq!(loaded.mark, 7);
+        assert_eq!(loaded.store.table("dbo.t").unwrap().len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -17,10 +17,18 @@
 //! nobody wrote keeps its pointer). [`StoreSnapshot`] packages the property
 //! as an immutable published image readers execute against with no lock
 //! held.
+//!
+//! A table recovered from a checkpoint starts *on disk*: its slot names the
+//! snapshot segment holding it, and the first [`Store::table`] /
+//! [`Store::table_mut`] that touches it reads the file. Every clone of the
+//! slot shares one once-cell, so a segment is read at most once however many
+//! store images hold it.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::path::PathBuf;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use crate::pmap::{PMap, PSet};
 use crate::record::LogRecord;
@@ -59,6 +67,16 @@ pub enum StoreError {
     IndexExists(String),
     /// Reference to an index that does not exist.
     NoSuchIndex(String),
+    /// The table exists, but the snapshot segment holding its rows could not
+    /// be read back (missing, truncated, checksum or decode failure).
+    Segment {
+        /// The table.
+        table: String,
+        /// The segment file.
+        file: String,
+        /// What was wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -84,6 +102,14 @@ impl fmt::Display for StoreError {
             }
             StoreError::IndexExists(n) => write!(f, "index '{n}' already exists"),
             StoreError::NoSuchIndex(n) => write!(f, "no such index '{n}'"),
+            StoreError::Segment {
+                table,
+                file,
+                reason,
+            } => write!(
+                f,
+                "table '{table}' is unreadable: snapshot segment {file}: {reason}"
+            ),
         }
     }
 }
@@ -390,6 +416,98 @@ impl TableData {
     }
 }
 
+/// A checkpointed table whose rows are still in its snapshot segment.
+///
+/// One `Segment` is shared (behind an [`Arc`]) by every store image that
+/// holds the table — the working store, the published snapshots, readers'
+/// captures, the checkpoint's identity map — and its once-cell is the
+/// *load-once invariant*: whichever of them touches the table first reads,
+/// checksums and decodes the file, every other sees that result, and a
+/// failure is as sticky as a success.
+#[derive(Debug)]
+pub(crate) struct Segment {
+    /// Canonical table name, from the manifest.
+    pub(crate) name: String,
+    path: PathBuf,
+    /// Size of the file when the manifest was loaded.
+    pub(crate) bytes: u64,
+    cell: OnceLock<(Result<Arc<TableData>, String>, Duration)>,
+}
+
+impl Segment {
+    pub(crate) fn new(name: String, path: PathBuf, bytes: u64) -> Segment {
+        Segment {
+            name,
+            path,
+            bytes,
+            cell: OnceLock::new(),
+        }
+    }
+
+    /// The table, reading the segment file if nobody has yet; the outcome
+    /// stays in the cell for whoever touches the table next.
+    pub(crate) fn load(&self) -> Result<&Arc<TableData>, StoreError> {
+        let (loaded, _) = self.cell.get_or_init(|| {
+            let start = Instant::now();
+            let loaded = crate::snapshot::load_segment(&self.path)
+                .map(Arc::new)
+                .map_err(|e| e.to_string());
+            (loaded, start.elapsed())
+        });
+        loaded.as_ref().map_err(|reason| StoreError::Segment {
+            table: self.name.clone(),
+            file: self.path.display().to_string(),
+            reason: reason.clone(),
+        })
+    }
+
+    /// `Some` once the file has been read: how long that took, and the
+    /// error if it failed.
+    pub(crate) fn loaded(&self) -> Option<(Duration, Option<StoreError>)> {
+        self.cell.get().map(|(_, took)| (*took, self.load().err()))
+    }
+}
+
+/// One table's place in a [`Store`].
+#[derive(Debug, Clone)]
+pub(crate) enum Slot {
+    /// In memory. The `Arc` pointer is the change detector.
+    Loaded(Arc<TableData>),
+    /// In the snapshot segment a checkpoint wrote, unchanged since.
+    /// [`Store::table_mut`] turns the slot into `Loaded` before handing out
+    /// a mutable reference, so an `OnDisk` slot is by construction
+    /// bit-identical to its file.
+    OnDisk(Arc<Segment>),
+}
+
+impl Slot {
+    fn load(&self) -> Result<&Arc<TableData>, StoreError> {
+        match self {
+            Slot::Loaded(data) => Ok(data),
+            Slot::OnDisk(seg) => seg.load(),
+        }
+    }
+
+    /// Canonical table name, without loading anything.
+    fn name(&self) -> &str {
+        match self {
+            Slot::Loaded(data) => &data.def.name,
+            Slot::OnDisk(seg) => &seg.name,
+        }
+    }
+
+    /// Do both slots hold the very same table image? Pointer identity, so
+    /// O(1) and never a file read: this is how an incremental checkpoint
+    /// decides which tables to re-serialize.
+    pub(crate) fn same(&self, other: &Slot) -> bool {
+        match (self, other) {
+            (Slot::Loaded(a), Slot::Loaded(b)) => Arc::ptr_eq(a, b),
+            (Slot::OnDisk(a), Slot::OnDisk(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
 /// A collection of tables and stored procedures. Lookup is case-insensitive
 /// on the fully qualified name (names are normalized to lowercase keys).
 ///
@@ -398,7 +516,7 @@ impl TableData {
 /// only the touched tree nodes of that table are copied.
 #[derive(Debug, Clone, Default)]
 pub struct Store {
-    tables: HashMap<String, Arc<TableData>>,
+    tables: HashMap<String, Slot>,
     procs: HashMap<String, String>,
 }
 
@@ -445,49 +563,64 @@ impl Store {
         if self.tables.contains_key(&key) {
             return Err(StoreError::TableExists(def.name));
         }
-        self.tables.insert(key, Arc::new(TableData::new(def)));
+        self.tables
+            .insert(key, Slot::Loaded(Arc::new(TableData::new(def))));
         Ok(())
     }
 
-    /// Install a fully populated table (snapshot load).
+    /// Install a fully populated table, replacing any table of that name.
     pub fn install_table(&mut self, data: TableData) {
         self.tables
-            .insert(normalize_name(&data.def.name), Arc::new(data));
+            .insert(normalize_name(&data.def.name), Slot::Loaded(Arc::new(data)));
+    }
+
+    /// Install a checkpointed table that stays in its segment file until
+    /// something touches it (snapshot load).
+    pub(crate) fn install_segment(&mut self, seg: Arc<Segment>) {
+        self.tables
+            .insert(normalize_name(&seg.name), Slot::OnDisk(seg));
     }
 
     /// Remove a table, returning its data (an O(1) clone if a snapshot
-    /// still shares it).
+    /// still shares it). A table still on disk is loaded first — the caller
+    /// gets what it would need to put the table back — and stays in the
+    /// store if that fails.
     pub fn drop_table(&mut self, name: &str) -> Result<TableData, StoreError> {
+        let key = normalize_name(name);
+        let data = Arc::clone(self.slot(name)?.load()?);
+        self.tables.remove(&key);
+        Ok(Arc::try_unwrap(data).unwrap_or_else(|shared| (*shared).clone()))
+    }
+
+    /// The slot behind a table: what [`Slot::same`] compares.
+    pub(crate) fn slot(&self, name: &str) -> Result<&Slot, StoreError> {
         self.tables
-            .remove(&normalize_name(name))
-            .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()))
+            .get(&normalize_name(name))
             .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))
     }
 
-    /// Look a table up by (case-insensitive) name.
+    /// Look a table up by (case-insensitive) name. The first lookup of a
+    /// table still in its snapshot segment reads the file; a segment that
+    /// does not read back is [`StoreError::Segment`], for this table only.
     pub fn table(&self, name: &str) -> Result<&TableData, StoreError> {
-        self.tables
-            .get(&normalize_name(name))
-            .map(Arc::as_ref)
-            .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))
+        self.slot(name)?.load().map(Arc::as_ref)
     }
 
     /// Mutable table lookup. Copy-on-write: if a snapshot of this store
     /// still shares the table it gets a fresh `Arc` here (an O(1) clone;
     /// the tree nodes stay shared until written).
     pub fn table_mut(&mut self, name: &str) -> Result<&mut TableData, StoreError> {
-        self.tables
+        let slot = self
+            .tables
             .get_mut(&normalize_name(name))
-            .map(Arc::make_mut)
-            .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))
-    }
-
-    /// The shared `Arc` behind a table, by (case-insensitive) name. Pointer
-    /// identity is the copy-on-write change detector: two stores whose
-    /// `table_arc`s are [`Arc::ptr_eq`] hold bit-identical table data, which
-    /// is how incremental checkpoints decide which tables to re-serialize.
-    pub fn table_arc(&self, name: &str) -> Option<Arc<TableData>> {
-        self.tables.get(&normalize_name(name)).cloned()
+            .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))?;
+        if let Slot::OnDisk(seg) = slot {
+            *slot = Slot::Loaded(Arc::clone(seg.load()?));
+        }
+        match slot {
+            Slot::Loaded(data) => Ok(Arc::make_mut(data)),
+            Slot::OnDisk(_) => unreachable!("loaded above"),
+        }
     }
 
     /// Does a table with this name exist?
@@ -495,14 +628,19 @@ impl Store {
         self.tables.contains_key(&normalize_name(name))
     }
 
-    /// Iterate over all tables in an unspecified order.
+    /// Iterate over all tables in an unspecified order, loading those still
+    /// on disk. A table whose segment does not read back is left out; ask
+    /// for it by name to get the error.
     pub fn tables(&self) -> impl Iterator<Item = &TableData> {
-        self.tables.values().map(Arc::as_ref)
+        self.tables
+            .values()
+            .filter_map(|slot| slot.load().ok().map(Arc::as_ref))
     }
 
     /// Names of all tables, sorted (deterministic for snapshots and tests).
+    /// Loads nothing.
     pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.values().map(|t| t.def.name.clone()).collect();
+        let mut names: Vec<String> = self.tables.values().map(|t| t.name().to_string()).collect();
         names.sort();
         names
     }
@@ -551,8 +689,8 @@ impl Store {
     /// image out of disjoint shards. Keys never collide because each table
     /// lives in exactly one partition.
     pub(crate) fn merge_from(&mut self, other: &Store) {
-        for (key, arc) in &other.tables {
-            self.tables.insert(key.clone(), Arc::clone(arc));
+        for (key, slot) in &other.tables {
+            self.tables.insert(key.clone(), slot.clone());
         }
         for (key, sql) in &other.procs {
             self.procs.insert(key.clone(), sql.clone());
@@ -564,9 +702,9 @@ impl Store {
     /// the end of recovery to seed the per-partition working stores.
     pub(crate) fn into_parts(self, n: usize) -> Vec<Store> {
         let mut parts: Vec<Store> = (0..n.max(1)).map(|_| Store::new()).collect();
-        for (key, arc) in self.tables {
+        for (key, slot) in self.tables {
             let k = partition_of(&key, n);
-            parts[k].tables.insert(key, arc);
+            parts[k].tables.insert(key, slot);
         }
         for (key, sql) in self.procs {
             let k = partition_of(&key, n);
@@ -592,7 +730,13 @@ impl Store {
             | LogRecord::Delete { table, .. }
             | LogRecord::Update { table, .. } => self.table_mut(table)?.apply_dml(rec),
             LogRecord::CreateTable { def, .. } => self.create_table(def.clone()),
-            LogRecord::DropTable { name, .. } => self.drop_table(name).map(|_| ()),
+            // Not `drop_table`: replay has no use for the rows, so a table
+            // still on disk goes without its segment being read.
+            LogRecord::DropTable { name, .. } => self
+                .tables
+                .remove(&normalize_name(name))
+                .map(|_| ())
+                .ok_or_else(|| StoreError::NoSuchTable(name.clone())),
             LogRecord::CreateProc { name, sql, .. } => self.create_proc(name, sql),
             LogRecord::DropProc { name, .. } => self.drop_proc(name).map(|_| ()),
             LogRecord::CreateIndex {
@@ -607,10 +751,11 @@ impl Store {
         }
     }
 
-    /// Verify every secondary index in every table against its row image.
+    /// Verify every secondary index in every table against its row image
+    /// (which loads every table; one that does not load is an error too).
     pub fn verify_indexes(&self) -> Result<(), String> {
-        for t in self.tables() {
-            t.verify_indexes()?;
+        for slot in self.tables.values() {
+            slot.load().map_err(|e| e.to_string())?.verify_indexes()?;
         }
         Ok(())
     }
@@ -672,11 +817,6 @@ impl StoreSnapshot {
         self.shard(name).table(name)
     }
 
-    /// The shared `Arc` behind a table, by (case-insensitive) name.
-    pub fn table_arc(&self, name: &str) -> Option<Arc<TableData>> {
-        self.shard(name).table_arc(name)
-    }
-
     /// Does a table with this name exist?
     pub fn has_table(&self, name: &str) -> bool {
         self.shard(name).has_table(name)
@@ -684,11 +824,7 @@ impl StoreSnapshot {
 
     /// Names of all tables across every shard, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .parts
-            .iter()
-            .flat_map(|p| p.tables().map(|t| t.def.name.clone()))
-            .collect();
+        let mut names: Vec<String> = self.parts.iter().flat_map(|p| p.table_names()).collect();
         names.sort();
         names
     }

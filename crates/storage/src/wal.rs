@@ -84,13 +84,24 @@ impl Wal {
     /// [`Wal::open`] with explicit chaos fault-point names (per-partition
     /// streams use suffixed names like `wal.append.p1`).
     pub fn open_with_points(path: impl AsRef<Path>, points: WalPoints) -> io::Result<Wal> {
+        let valid = Self::scan(&path, |_| {})?;
+        Self::open_at(path, points, valid)
+    }
+
+    /// [`Wal::open_with_points`] for a caller that has just scanned the log
+    /// itself: `valid` is the valid-prefix length its [`Wal::scan`] returned,
+    /// so the file is not read a second time.
+    pub(crate) fn open_at(
+        path: impl AsRef<Path>,
+        points: WalPoints,
+        valid: u64,
+    ) -> io::Result<Wal> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
             .create(true)
             .read(true)
             .append(true)
             .open(&path)?;
-        let valid = valid_prefix_len(&mut file)?;
         if valid < file.metadata()?.len() {
             file.set_len(valid)?;
             file.sync_data()?;
@@ -242,20 +253,25 @@ impl Wal {
         &self.path
     }
 
-    /// Read every valid frame currently in the log, stopping silently at a
-    /// torn or corrupt tail — the **same** tail-validation [`Wal::open`]
-    /// uses to heal the file, so recovery (which reads the log *before*
-    /// reopening it for appends) can never error on a tail that open()
-    /// would simply have truncated away.
+    /// Hand every valid frame payload currently in the log at `path` to
+    /// `sink`, stopping silently at a torn or corrupt tail — the **same**
+    /// tail-validation [`Wal::open`] uses to heal the file, so recovery
+    /// (which reads the log *before* reopening it for appends) can never
+    /// error on a tail that open() would simply have truncated away.
+    /// Returns the byte length of the valid prefix; a missing file is an
+    /// empty log.
+    pub fn scan(path: impl AsRef<Path>, sink: impl FnMut(&[u8])) -> io::Result<u64> {
+        match File::open(path) {
+            Ok(file) => scan_valid_frames(BufReader::with_capacity(1 << 16, file), sink),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Every valid frame currently in the log (see [`Wal::scan`]).
     pub fn read_all(path: impl AsRef<Path>) -> io::Result<Vec<Vec<u8>>> {
-        let path = path.as_ref();
-        let file = match File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
         let mut frames = Vec::new();
-        scan_valid_frames(BufReader::new(file), |payload| frames.push(payload))?;
+        Self::scan(path, |payload| frames.push(payload.to_vec()))?;
         Ok(frames)
     }
 }
@@ -265,8 +281,9 @@ impl Wal {
 /// payload, over-long length, or CRC mismatch — the signatures of a crash
 /// mid-append — handing each valid payload to `sink`. Returns the byte
 /// length of the valid prefix.
-fn scan_valid_frames(mut reader: impl Read, mut sink: impl FnMut(Vec<u8>)) -> io::Result<u64> {
+fn scan_valid_frames(mut reader: impl Read, mut sink: impl FnMut(&[u8])) -> io::Result<u64> {
     let mut valid: u64 = 0;
+    let mut payload = Vec::new();
     loop {
         let mut header = [0u8; 8];
         match read_exact_or_eof(&mut reader, &mut header)? {
@@ -278,7 +295,7 @@ fn scan_valid_frames(mut reader: impl Read, mut sink: impl FnMut(Vec<u8>)) -> io
         if len > MAX_FRAME {
             break; // corrupt length — treat as tail
         }
-        let mut payload = vec![0u8; len as usize];
+        payload.resize(len as usize, 0);
         match read_exact_or_eof(&mut reader, &mut payload)? {
             ReadOutcome::Full => {}
             _ => break, // torn payload
@@ -287,7 +304,7 @@ fn scan_valid_frames(mut reader: impl Read, mut sink: impl FnMut(Vec<u8>)) -> io
             break; // corrupt payload — treat as tail
         }
         valid += 8 + len as u64;
-        sink(payload);
+        sink(&payload);
     }
     Ok(valid)
 }
@@ -353,6 +370,27 @@ mod tests {
         drop(wal);
         let frames = Wal::read_all(&path).unwrap();
         assert_eq!(frames, vec![b"one".to_vec(), b"two".to_vec(), Vec::new()]);
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// No format change: a frame checksummed with the byte-at-a-time CRC
+    /// every earlier build used is valid, and a frame this build appends
+    /// carries that same checksum.
+    #[test]
+    fn frames_carry_the_reference_crc() {
+        use crate::crc::tests::crc32_bytewise;
+        let path = temp_path("refcrc");
+        let payload = b"a frame an earlier build appended";
+        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&crc32_bytewise(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        fs::write(&path, &bytes).unwrap();
+        let mut wal = Wal::open(&path).unwrap();
+        assert_eq!(wal.len().unwrap(), bytes.len() as u64, "nothing trimmed");
+        wal.append(payload).unwrap();
+        drop(wal);
+        assert_eq!(Wal::read_all(&path).unwrap(), [payload, payload]);
+        assert_eq!(fs::read(&path).unwrap(), [&bytes[..], &bytes[..]].concat());
         fs::remove_file(&path).unwrap();
     }
 

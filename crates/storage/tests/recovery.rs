@@ -492,3 +492,120 @@ fn refused_statement_logs_nothing_and_recovery_survives_its_commit() {
     assert_eq!(ids(&db, "dbo.t"), vec![1, 2]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Four checkpointed tables, then a log tail that writes to one of them.
+fn checkpointed_with_tail(tag: &str) -> PathBuf {
+    let dir = temp_dir(tag);
+    let db = Durable::open(&dir, Durability::Fsync).unwrap();
+    let t = db.begin().unwrap();
+    for name in ["dbo.a", "dbo.b", "dbo.c", "dbo.d"] {
+        db.create_table(t, def(name)).unwrap();
+    }
+    db.commit(t).unwrap();
+    for name in ["dbo.a", "dbo.b", "dbo.c", "dbo.d"] {
+        commit_rows(&db, name, &[(1, "x"), (2, "y")]);
+    }
+    db.checkpoint().unwrap();
+    commit_rows(&db, "dbo.c", &[(3, "z")]);
+    dir
+}
+
+/// The segment file the manifest names for the `idx`-th table (by name) of
+/// the one checkpoint `checkpointed_with_tail` took.
+fn segment_of(dir: &std::path::Path, idx: usize) -> PathBuf {
+    dir.join(phoenix_storage::snapshot::segment_file_name(1, idx))
+}
+
+/// A restart reads the segments the log tail writes to and no others, and
+/// the next checkpoint carries the rest over without reading them either:
+/// one of them is unreadable here, and neither the open nor the checkpoint
+/// notices.
+#[test]
+fn reopen_and_checkpoint_read_only_the_tables_the_tail_writes() {
+    let _serial = one_at_a_time();
+    let dir = checkpointed_with_tail("lazy");
+    let bad = segment_of(&dir, 1);
+    let mut bytes = std::fs::read(&bad).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&bad, &bytes).unwrap();
+
+    let db = Durable::open(&dir, Durability::Fsync).unwrap();
+    let report = db.recovery_report().clone();
+    assert_eq!(report.segments_total, 4);
+    assert_eq!(report.segments_loaded_at_open, 1, "dbo.c alone: {report:?}");
+    assert_eq!(
+        report.records_applied, 2,
+        "the tail: one insert, one commit"
+    );
+    assert_eq!(report.replay_us, report.wal_read_us + report.apply_us);
+
+    db.checkpoint().unwrap();
+    let stats = db.checkpoint_stats();
+    assert_eq!(stats.segments_written, 1, "only dbo.c: {stats:?}");
+    assert_eq!(stats.segments_reused, 3);
+    assert!(bad.exists(), "a reused segment stays where it is");
+
+    // The background pass is what finally reads them, and says which one
+    // it could not.
+    let drained = db.drain_report();
+    assert_eq!(drained.unreadable.len(), 1, "{drained:?}");
+    assert!(drained.unreadable[0].contains("dbo.b"), "{drained:?}");
+    assert!(drained.tables <= 3 && drained.bytes > 0, "{drained:?}");
+    assert_eq!(ids(&db, "dbo.a"), vec![1, 2]);
+    assert_eq!(ids(&db, "dbo.c"), vec![1, 2, 3]);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A segment that does not read back fails the statements that touch its
+/// table — reads, writes (before a byte is logged) and the drop — with an
+/// error naming the file; every other table serves, and the directory still
+/// reopens. A segment that is *missing* fails the open, as it always did.
+#[test]
+fn unreadable_segment_fails_its_table_only_and_a_missing_one_fails_open() {
+    let _serial = one_at_a_time();
+    let dir = checkpointed_with_tail("badseg");
+    let bad = segment_of(&dir, 0);
+    let len = std::fs::metadata(&bad).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&bad)
+        .unwrap()
+        .set_len(len - 5)
+        .unwrap();
+
+    let db = Durable::open(&dir, Durability::Fsync).unwrap();
+    let snap = db.snapshot();
+    let e = snap.table("dbo.a").map(|_| ()).unwrap_err().to_string();
+    assert!(e.contains("dbo.a") && e.contains(".seg"), "{e}");
+    assert!(snap.has_table("dbo.a"), "the catalog still lists it");
+    assert_eq!(ids(&db, "dbo.b"), vec![1, 2]);
+
+    let appended = db.log_records_since_checkpoint();
+    let t = db.begin().unwrap();
+    assert!(db.insert(t, "dbo.a", row(9, "n")).is_err());
+    assert!(db.drop_table(t, "dbo.a").is_err());
+    assert!(db.create_index(t, "dbo.a", "a_v", 1).is_err());
+    db.insert(t, "dbo.b", row(3, "z")).unwrap();
+    db.commit(t).unwrap();
+    assert_eq!(
+        db.log_records_since_checkpoint(),
+        appended + 2,
+        "the refused statements logged nothing"
+    );
+    assert_eq!(db.drain_report().unreadable.len(), 1);
+    drop(snap);
+    drop(db);
+    let db = Durable::open(&dir, Durability::Fsync).unwrap();
+    assert_eq!(ids(&db, "dbo.b"), vec![1, 2, 3]);
+    drop(db);
+
+    std::fs::remove_file(segment_of(&dir, 3)).unwrap();
+    let e = Durable::open(&dir, Durability::Fsync)
+        .map(|_| ())
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("dbo.d"), "{e}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -9,7 +9,7 @@
 //! dies mid-frame produces `UnexpectedEof`, which the driver classifies as a
 //! communication failure (the trigger for Phoenix's recovery machinery).
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Maximum frame payload (64 MiB) — guards against garbage length fields.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
@@ -74,8 +74,28 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError>
             )));
         }
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    // Header and payload leave in one write. On a TCP_NODELAY socket two
+    // writes are two segments, and the 4-byte header alone wakes the peer:
+    // it runs (preempting this thread if they share a CPU), reads the
+    // length and blocks again until the payload follows — a thread switch
+    // per message that comes and goes with the scheduler's placement.
+    let header = (payload.len() as u32).to_le_bytes();
+    let sent = loop {
+        match w.write_vectored(&[IoSlice::new(&header), IoSlice::new(payload)]) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => break n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    };
+    // What the one write did not take: a full socket buffer, or a writer
+    // without vectored writes, which takes the header alone.
+    if sent < header.len() {
+        w.write_all(&header[sent..])?;
+        w.write_all(payload)?;
+    } else {
+        w.write_all(&payload[sent - header.len()..])?;
+    }
     w.flush()?;
     Ok(())
 }
@@ -157,6 +177,80 @@ mod tests {
         match read_frame(&mut r) {
             Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// A sink that takes at most `cap` bytes per call and counts the calls;
+    /// `vectored` says whether it gathers or, like `Write`'s default, takes
+    /// the first buffer only.
+    struct Sink {
+        bytes: Vec<u8>,
+        calls: usize,
+        cap: usize,
+        vectored: bool,
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(self.cap);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            if !self.vectored {
+                let first = bufs.iter().find(|b| !b.is_empty());
+                return self.write(first.map_or(&[][..], |b| b));
+            }
+            self.calls += 1;
+            let mut left = self.cap;
+            for b in bufs {
+                let n = b.len().min(left);
+                self.bytes.extend_from_slice(&b[..n]);
+                left -= n;
+            }
+            Ok(self.cap - left)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut sink = Sink {
+            bytes: Vec::new(),
+            calls: 0,
+            cap: usize::MAX,
+            vectored: true,
+        };
+        write_frame(&mut sink, b"SELECT 1").unwrap();
+        assert_eq!(sink.calls, 1, "length and payload must leave together");
+        assert_eq!(
+            read_frame(&mut Cursor::new(sink.bytes)).unwrap(),
+            b"SELECT 1"
+        );
+    }
+
+    #[test]
+    fn short_writes_still_deliver_the_whole_frame() {
+        let payload: Vec<u8> = (0..=40u8).collect();
+        for vectored in [true, false] {
+            for cap in 1..=50 {
+                let mut sink = Sink {
+                    bytes: Vec::new(),
+                    calls: 0,
+                    cap,
+                    vectored,
+                };
+                write_frame(&mut sink, &payload).unwrap();
+                write_frame(&mut sink, b"").unwrap();
+                let mut r = Cursor::new(sink.bytes);
+                assert_eq!(read_frame(&mut r).unwrap(), payload, "cap {cap}");
+                assert_eq!(read_frame(&mut r).unwrap(), b"", "cap {cap}");
+            }
         }
     }
 
