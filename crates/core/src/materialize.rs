@@ -15,12 +15,20 @@
 //!    statement. Alternative strategies exist for the ablation benches.
 //! 4. Delivery (the `SELECT * FROM t` and position tracking) is handled by
 //!    [`crate::statement::PhoenixStatement`].
+//!
+//! Steps 2 and 3 travel as **one** `ExecBatch` frame on the private
+//! connection, `[BEGIN; CREATE TABLE …; CREATE PROCEDURE …; EXEC …; COMMIT]`:
+//! one request and one log flush instead of three of each. The engine undoes
+//! DDL with the transaction, so a crash anywhere in the batch leaves the
+//! table either committed with its rows or absent, and
+//! [`crate::PhoenixConnection`] retries with fresh names.
 
-use phoenix_driver::Connection;
+use phoenix_driver::{BatchItem, Connection, DriverError};
 use phoenix_sql::ast::{ColumnDef, CreateTableStmt, ObjectName, SelectStmt, Statement};
 use phoenix_sql::display::{render_expr, render_statement};
 use phoenix_sql::rewrite;
 use phoenix_storage::types::{format_date, Row, Schema, Value};
+use phoenix_wire::message::Outcome;
 
 use crate::config::CaptureStrategy;
 use crate::Result;
@@ -133,27 +141,34 @@ pub fn materialize(
     // the same path the application's query would).
     let schema = probe_metadata(mapped, select)?;
 
-    // Step 2 — create the persistent result table.
-    worker.execute(&create_table_sql(&table, &schema))?;
-
-    // Step 3 — capture.
+    // Steps 2 and 3 — create the persistent result table and capture.
+    let create = create_table_sql(&table, &schema);
     let mut capture_proc = None;
     let rows = match strategy {
         CaptureStrategy::ServerProc => {
             let proc =
                 rewrite::capture_proc(capture_proc_name.clone(), table.clone(), select.clone());
-            worker.execute(&render_statement(&Statement::CreateProc(proc)))?;
-            capture_proc = Some(capture_proc_name.clone());
-            let r = worker.execute(&format!("EXEC {capture_proc_name}"))?;
-            r.affected()
+            let rows = capture_in_one_request(
+                worker,
+                vec![
+                    create,
+                    render_statement(&Statement::CreateProc(proc)),
+                    format!("EXEC {capture_proc_name}"),
+                ],
+            )?;
+            capture_proc = Some(capture_proc_name);
+            rows
         }
         CaptureStrategy::ServerInsert => {
             let ins = rewrite::capture_into(table.clone(), select.clone());
-            let r = worker.execute(&render_statement(&Statement::Insert(ins)))?;
-            r.affected()
+            capture_in_one_request(
+                worker,
+                vec![create, render_statement(&Statement::Insert(ins))],
+            )?
         }
         CaptureStrategy::ClientRoundTrip => {
             // Ablation baseline: ship every row to the client and back.
+            worker.execute(&create)?;
             let sql = render_statement(&Statement::Select(select.clone()));
             let result = mapped.execute(&sql)?;
             let rows = result.rows().to_vec();
@@ -168,6 +183,38 @@ pub fn materialize(
         capture_proc,
         rows,
     })
+}
+
+/// Run `stmts` as one transaction in one `ExecBatch` frame — `[BEGIN;
+/// stmts…; COMMIT]` — and return the rows the last one affected. An error
+/// item rolls the transaction back and surfaces; a communication failure
+/// leaves it to die with the session (or the server).
+fn capture_in_one_request(worker: &mut Connection, stmts: Vec<String>) -> Result<u64> {
+    let mut batch = Vec::with_capacity(stmts.len() + 2);
+    batch.push("BEGIN".to_string());
+    batch.extend(stmts);
+    batch.push("COMMIT".to_string());
+    let items = worker.execute_batch(&batch)?;
+    for item in &items {
+        if let BatchItem::Err { code, message } = item {
+            let _ = worker.execute("ROLLBACK");
+            return Err(DriverError::Sql {
+                code: *code,
+                message: message.clone(),
+            });
+        }
+    }
+    match items.get(batch.len() - 2) {
+        Some(BatchItem::Ok {
+            outcome: Outcome::RowsAffected(n),
+            ..
+        }) if items.len() == batch.len() => Ok(*n),
+        _ => Err(DriverError::Protocol(format!(
+            "capture batch of {} statements returned {} item(s)",
+            batch.len(),
+            items.len()
+        ))),
+    }
 }
 
 /// Push client-held rows back to the server in batched INSERT statements.

@@ -20,7 +20,7 @@ use phoenix_sql::ast::{Expr, ObjectName, SelectItem, SelectStmt};
 use phoenix_storage::types::{Row, Schema, Value};
 
 use crate::error::{EngineError, ErrorCode, Result};
-use crate::eval::{eval, truth, BoundColumn, Env};
+use crate::eval::{Scalar, Scope};
 use crate::plan::{execute_select, Catalog};
 
 /// Cursor identifier, unique within a server incarnation.
@@ -80,8 +80,8 @@ enum State {
     },
     Dynamic {
         table: ObjectName,
-        predicate: Option<Expr>,
-        columns: Vec<BoundColumn>,
+        /// The WHERE clause, bound once at open.
+        predicate: Option<Scalar>,
         projection: Vec<usize>,
         /// Key of the last row delivered; `None` before the first fetch.
         last_key: Option<Vec<Value>>,
@@ -111,11 +111,11 @@ impl Cursor {
             CursorKind::ForwardOnly => Self::open_materialized(id, select, catalog),
             CursorKind::Keyset | CursorKind::Dynamic => {
                 match keyed_single_table(select, catalog, requested == CursorKind::Keyset)? {
-                    Some((table, projection, columns, key_idx)) => {
+                    Some((table, projection, scope, key_idx)) => {
                         if requested == CursorKind::Keyset {
                             Self::open_keyset(id, select, catalog, table, projection, key_idx)
                         } else {
-                            Self::open_dynamic(id, select, catalog, table, projection, columns)
+                            Self::open_dynamic(id, select, catalog, table, projection, &scope)
                         }
                     }
                     // Downgrade: no key or unsupported shape.
@@ -181,10 +181,15 @@ impl Cursor {
         catalog: &dyn Catalog,
         table: ObjectName,
         projection: Vec<usize>,
-        columns: Vec<BoundColumn>,
+        scope: &Scope,
     ) -> Result<Cursor> {
         let data = catalog.table(&table)?;
         let schema = projected_schema(data, &projection);
+        let predicate = select
+            .where_clause
+            .as_ref()
+            .map(|p| scope.bind(p, None))
+            .transpose()?;
         Ok(Cursor {
             id,
             schema,
@@ -192,8 +197,7 @@ impl Cursor {
             select_sql: render_select(select),
             state: State::Dynamic {
                 table,
-                predicate: select.where_clause.clone(),
-                columns,
+                predicate,
                 projection,
                 last_key: None,
             },
@@ -298,7 +302,6 @@ impl Cursor {
             State::Dynamic {
                 table,
                 predicate,
-                columns,
                 projection,
                 last_key,
             } => {
@@ -312,7 +315,7 @@ impl Cursor {
                         };
                         for (key, rid) in data.pk_index.range((lower, Bound::Unbounded)) {
                             let row = &data.rows[rid];
-                            if row_passes(predicate.as_ref(), columns, row)? {
+                            if row_passes(predicate.as_ref(), row)? {
                                 out.push(projection.iter().map(|&i| row[i].clone()).collect());
                                 *last_key = Some(key.clone());
                                 if out.len() == n {
@@ -337,7 +340,7 @@ impl Cursor {
                         };
                         for (key, rid) in data.pk_index.range((Bound::Unbounded, upper)).rev() {
                             let row = &data.rows[rid];
-                            if row_passes(predicate.as_ref(), columns, row)? {
+                            if row_passes(predicate.as_ref(), row)? {
                                 out.push(projection.iter().map(|&i| row[i].clone()).collect());
                                 *last_key = Some(key.clone());
                                 if out.len() == n {
@@ -561,14 +564,8 @@ fn render_select(select: &SelectStmt) -> String {
     phoenix_sql::display::render_statement(&phoenix_sql::ast::Statement::Select(select.clone()))
 }
 
-fn row_passes(pred: Option<&Expr>, columns: &[BoundColumn], row: &Row) -> Result<bool> {
-    match pred {
-        None => Ok(true),
-        Some(p) => {
-            let env = Env::new(columns, row);
-            Ok(truth(&eval(p, &env)?)? == Some(true))
-        }
-    }
+fn row_passes(pred: Option<&Scalar>, row: &Row) -> Result<bool> {
+    pred.map_or(Ok(true), |p| p.holds(&[row.as_slice()]))
 }
 
 fn projected_schema(data: &phoenix_storage::store::TableData, projection: &[usize]) -> Schema {
@@ -583,7 +580,7 @@ fn projected_schema(data: &phoenix_storage::store::TableData, projection: &[usiz
 /// Check whether `select` has the shape keyset/dynamic cursors support:
 /// single table with a primary key, plain column projection (or `*`), no
 /// grouping/aggregation/limit. Returns the table, output projection
-/// (column indices), bound columns, and the key column indices.
+/// (column indices), the binding scope, and the key column indices.
 ///
 /// ORDER BY is allowed only when `allow_order` is set (keyset requests):
 /// the keyset captures qualifying keys in the query's own order — with a
@@ -596,7 +593,7 @@ fn keyed_single_table(
     select: &SelectStmt,
     catalog: &dyn Catalog,
     allow_order: bool,
-) -> Result<Option<(ObjectName, Vec<usize>, Vec<BoundColumn>, Vec<usize>)>> {
+) -> Result<Option<(ObjectName, Vec<usize>, Scope, Vec<usize>)>> {
     if select.from.len() != 1
         || select.distinct
         || !select.group_by.is_empty()
@@ -616,45 +613,25 @@ fn keyed_single_table(
     if !data.def.has_primary_key() {
         return Ok(None);
     }
-    let qualifier = item
-        .alias
-        .clone()
-        .unwrap_or_else(|| item.table.name.clone());
-    let columns: Vec<BoundColumn> = data
-        .def
-        .schema
-        .columns
-        .iter()
-        .map(|c| BoundColumn {
-            qualifier: Some(qualifier.clone()),
-            name: c.name.clone(),
-            dtype: c.dtype,
-            nullable: c.nullable,
-        })
-        .collect();
+    let qualifier = item.alias.as_deref().unwrap_or(&item.table.name);
+    let scope = Scope::single(qualifier, &data.def.schema);
 
     let mut projection = Vec::new();
     for p in &select.projections {
         match p {
             SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
-                projection.extend(0..columns.len());
+                projection.extend(0..data.def.schema.len());
             }
             SelectItem::Expr {
                 expr: Expr::Column { table, name },
                 ..
-            } => {
-                let env = Env::new(&columns, &[]);
-                match env.resolve(table.as_deref(), name) {
-                    Ok(i) => projection.push(i),
-                    Err(e) => return Err(e),
-                }
-            }
+            } => projection.push(scope.resolve(table.as_deref(), name)?.1),
             // Computed projections force a downgrade.
             _ => return Ok(None),
         }
     }
     let key_idx = data.def.primary_key.clone();
-    Ok(Some((item.table.clone(), projection, columns, key_idx)))
+    Ok(Some((item.table.clone(), projection, scope, key_idx)))
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ use phoenix_storage::types::{Row, Schema, TxnId, Value};
 
 use crate::cursor::{Cursor, CursorId, CursorKind, FetchDir, Fetched};
 use crate::error::{EngineError, ErrorCode, Result};
-use crate::eval::{eval, Env};
+use crate::eval::eval_const;
 use crate::exec::{
     build_table_def, compute_delete, compute_insert_rows, compute_update, CatalogView,
 };
@@ -632,29 +632,13 @@ impl Engine {
                 Ok(ExecResult::done())
             }
             Statement::Set { name, value } => {
-                let env = Env {
-                    columns: &[],
-                    row: &[],
-                    params,
-                    precomputed: None,
-                };
-                let v = eval(value, &env)?;
-                session.set_option(name, v);
+                session.set_option(name, eval_const(value, params)?);
                 Ok(ExecResult::done())
             }
-            Statement::Print(e) => {
-                let env = Env {
-                    columns: &[],
-                    row: &[],
-                    params,
-                    precomputed: None,
-                };
-                let v = eval(e, &env)?;
-                Ok(ExecResult {
-                    outcome: ExecOutcome::Done,
-                    messages: vec![v.to_string()],
-                })
-            }
+            Statement::Print(e) => Ok(ExecResult {
+                outcome: ExecOutcome::Done,
+                messages: vec![eval_const(e, params)?.to_string()],
+            }),
             Statement::Select(sel) => {
                 let snap = self.durable.snapshot();
                 let view = CatalogView {
@@ -976,13 +960,7 @@ impl Engine {
         // Bind arguments (evaluated in the caller's parameter scope).
         let mut params = HashMap::with_capacity(proc.params.len());
         for (p, arg) in proc.params.iter().zip(&call.args) {
-            let env = Env {
-                columns: &[],
-                row: &[],
-                params: outer_params,
-                precomputed: None,
-            };
-            params.insert(p.name.clone(), eval(arg, &env)?);
+            params.insert(p.name.clone(), eval_const(arg, outer_params)?);
         }
 
         let mut messages = Vec::new();
@@ -1420,6 +1398,53 @@ mod tests {
         assert_eq!(r.affected(), 2);
         let r = e.execute(sid, "SELECT * FROM phoenix.rs_1").unwrap();
         assert_eq!(r.rows().len(), 2);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A grouped query over empty input reads a column outside the group
+    /// key as NULL; it used to index the group's missing first row and
+    /// panic the connection thread.
+    #[test]
+    fn grouped_query_over_empty_input_reads_null() {
+        let (e, dir) = engine();
+        let sid = e.create_session("app");
+        e.execute(sid, "CREATE TABLE t (a INT, b INT)").unwrap();
+        let rows = |sql: &str| e.execute(sid, sql).unwrap().rows().to_vec();
+        assert_eq!(
+            rows("SELECT a, COUNT(*) FROM t"),
+            vec![vec![Value::Null, Value::Int(0)]]
+        );
+        assert!(rows("SELECT COUNT(*) FROM t HAVING a > 1").is_empty());
+        assert_eq!(
+            rows("SELECT SUM(b) FROM t ORDER BY a"),
+            vec![vec![Value::Null]]
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// SUM over INT is exact (it used to sum through f64, so 2^53 + 1 came
+    /// back as 2^53); a sum outside INT's range is a type error, not a
+    /// wrapped or rounded value. AVG keeps its float semantics.
+    #[test]
+    fn int_sum_is_exact_and_overflow_is_an_error() {
+        let (e, dir) = engine();
+        let sid = e.create_session("app");
+        e.execute(sid, "CREATE TABLE s (v INT)").unwrap();
+        e.execute(sid, "INSERT INTO s VALUES (9007199254740993), (0)")
+            .unwrap();
+        let rows = |sql: &str| e.execute(sid, sql).unwrap().rows().to_vec();
+        assert_eq!(
+            rows("SELECT SUM(v) FROM s"),
+            vec![vec![Value::Int(9_007_199_254_740_993)]]
+        );
+        assert_eq!(
+            rows("SELECT AVG(v) FROM s"),
+            vec![vec![Value::Float(9_007_199_254_740_992.0 / 2.0)]]
+        );
+        e.execute(sid, "INSERT INTO s VALUES (9223372036854775807)")
+            .unwrap();
+        let err = e.execute(sid, "SELECT SUM(v) FROM s").unwrap_err();
+        assert_eq!(err.code, ErrorCode::Type, "{err}");
         std::fs::remove_dir_all(dir).unwrap();
     }
 

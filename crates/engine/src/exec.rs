@@ -16,7 +16,7 @@ use phoenix_storage::store::{Store, StoreSnapshot, TableData};
 use phoenix_storage::types::{Column, DataType, Row, RowId, Schema, TableDef, Value};
 
 use crate::error::{EngineError, ErrorCode, Result};
-use crate::eval::{eval, truth, BoundColumn, Env};
+use crate::eval::{eval_const, Scope};
 use crate::plan::{execute_select, Catalog};
 
 /// Immutable view over a durable-store snapshot plus one session's temp
@@ -150,13 +150,7 @@ pub fn compute_insert_rows(
             for tuple in tuples {
                 let mut values = Vec::with_capacity(tuple.len());
                 for e in tuple {
-                    let env = Env {
-                        columns: &[],
-                        row: &[],
-                        params,
-                        precomputed: None,
-                    };
-                    values.push(eval(e, &env)?);
+                    values.push(eval_const(e, params)?);
                 }
                 rows.push(coerce_row(expand(values)?, schema, &target.name)?);
             }
@@ -171,27 +165,13 @@ pub fn compute_insert_rows(
     Ok(rows)
 }
 
-fn bind_table(data: &TableData, name: &ObjectName) -> Vec<BoundColumn> {
-    data.def
-        .schema
-        .columns
-        .iter()
-        .map(|c| BoundColumn {
-            qualifier: Some(name.name.clone()),
-            name: c.name.clone(),
-            dtype: c.dtype,
-            nullable: c.nullable,
-        })
-        .collect()
-}
-
 /// Compute `(row_id, new_row)` pairs for an UPDATE.
 pub fn compute_update(
     update: &UpdateStmt,
     data: &TableData,
     params: Option<&HashMap<String, Value>>,
 ) -> Result<Vec<(RowId, Row)>> {
-    let columns = bind_table(data, &update.table);
+    let scope = Scope::single(&update.table.name, &data.def.schema);
     // Resolve assignment targets once.
     let mut targets = Vec::with_capacity(update.assignments.len());
     for (name, expr) in &update.assignments {
@@ -201,27 +181,25 @@ pub fn compute_update(
                 update.table
             ))
         })?;
-        targets.push((idx, expr));
+        targets.push((idx, scope.bind(expr, params)?));
     }
+    let pred = update
+        .where_clause
+        .as_ref()
+        .map(|p| scope.bind(p, params))
+        .transpose()?;
 
     let mut out = Vec::new();
     for (&rid, row) in &data.rows {
-        let env = Env {
-            columns: &columns,
-            row,
-            params,
-            precomputed: None,
-        };
-        let keep = match &update.where_clause {
-            None => true,
-            Some(p) => truth(&eval(p, &env)?)? == Some(true),
-        };
-        if !keep {
-            continue;
+        let tuple = [row.as_slice()];
+        if let Some(p) = &pred {
+            if !p.holds(&tuple)? {
+                continue;
+            }
         }
         let mut new_row = row.clone();
         for (idx, expr) in &targets {
-            let v = eval(expr, &env)?;
+            let v = expr.eval(&tuple)?;
             let col = &data.def.schema.columns[*idx];
             let coerced = v.coerce_to(col.dtype).ok_or_else(|| {
                 EngineError::type_err(format!(
@@ -248,18 +226,17 @@ pub fn compute_delete(
     data: &TableData,
     params: Option<&HashMap<String, Value>>,
 ) -> Result<Vec<RowId>> {
-    let columns = bind_table(data, &delete.table);
+    let scope = Scope::single(&delete.table.name, &data.def.schema);
+    let pred = delete
+        .where_clause
+        .as_ref()
+        .map(|p| scope.bind(p, params))
+        .transpose()?;
     let mut out = Vec::new();
     for (&rid, row) in &data.rows {
-        let env = Env {
-            columns: &columns,
-            row,
-            params,
-            precomputed: None,
-        };
-        let hit = match &delete.where_clause {
+        let hit = match &pred {
             None => true,
-            Some(p) => truth(&eval(p, &env)?)? == Some(true),
+            Some(p) => p.holds(&[row.as_slice()])?,
         };
         if hit {
             out.push(rid);

@@ -9,12 +9,15 @@
 //!
 //! * [`error`] — the engine error model (SQLSTATE-like codes that travel the
 //!   wire to the driver).
-//! * [`eval`] — scalar expression evaluation with SQL three-valued logic,
-//!   `LIKE` matching, scalar functions, and static type inference (which is
-//!   what answers Phoenix's `WHERE 0=1` metadata probe with zero rows).
-//! * [`plan`] — SELECT execution: conjunct-driven hash-join planning over
-//!   multi-table FROM lists, grouped aggregation, HAVING, ORDER BY,
-//!   LIMIT/OFFSET.
+//! * `eval` (crate-internal) — the binder and the evaluator: each statement binds its
+//!   expressions once to column slots, constants and compiled `LIKE`
+//!   patterns, then evaluates them over tuples of rows borrowed from the
+//!   snapshot, with SQL three-valued logic; streaming aggregates; static
+//!   type inference (which is what answers Phoenix's `WHERE 0=1` metadata
+//!   probe with zero rows).
+//! * [`plan`] — SELECT planning and execution: conjunct-driven access paths
+//!   and join order over multi-table FROM lists, grouped aggregation,
+//!   HAVING, ORDER BY, LIMIT/OFFSET, EXPLAIN.
 //! * [`exec`] — DML and DDL execution against durable and session-temporary
 //!   state.
 //! * [`cursor`] — server cursors: materialized forward-only, *keyset* (key
@@ -37,7 +40,7 @@
 pub mod cursor;
 pub mod engine;
 pub mod error;
-pub mod eval;
+pub(crate) mod eval;
 pub mod exec;
 pub mod metrics;
 pub mod plan;

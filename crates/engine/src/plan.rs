@@ -12,19 +12,30 @@
 //! instead of sorting. `EXPLAIN` renders the same `Plan` that execution
 //! follows, so the displayed access paths are the executed ones.
 //!
+//! Execution binds the statement's expressions once (see `eval.rs`)
+//! and passes *tuples* between the plan's steps: one row reference per FROM
+//! table, borrowed from the snapshot, laid out in FROM order whatever the
+//! join order. Scans, index probes, hash, index-nested-loop and cross joins
+//! and residual filters move references, never rows; `GROUP BY` hashes
+//! borrowed key values and folds every aggregate as the tuples stream past.
+//! Values are copied only into output rows.
+//!
 //! Constant conjuncts are evaluated once before any scan — so Phoenix's
 //! `WHERE 0=1` metadata probe touches no data at all, matching the paper's
 //! "only query compilation is performed on the server".
 //!
-//! Scan order is row-id (insertion) order; a `SELECT * FROM t` with no ORDER
-//! BY therefore returns rows in the order they were inserted. Phoenix's
-//! result-set materialization relies on this documented property.
+//! Scan order is row-id (insertion) order, joins emit rows in probe-side
+//! order, and groups come out in order of first occurrence; a `SELECT *
+//! FROM t` with no ORDER BY therefore returns rows in the order they were
+//! inserted. Phoenix's result-set materialization relies on this documented
+//! property.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 
 use phoenix_sql::ast::{
-    BinaryOp, Expr, InsertSource, ObjectName, SelectItem, SelectStmt, Statement,
+    BinaryOp, Expr, InsertSource, Literal, ObjectName, SelectItem, SelectStmt, Statement,
 };
 use phoenix_sql::display::render_expr;
 use phoenix_storage::pmap::PSet;
@@ -34,7 +45,10 @@ use phoenix_storage::types::{Column, DataType, Row, RowId, Schema, Value};
 #[cfg(test)]
 use crate::error::ErrorCode;
 use crate::error::{EngineError, Result};
-use crate::eval::{compare, eval, infer_type, is_aggregate, output_name, truth, BoundColumn, Env};
+use crate::eval::{
+    eval_const, infer_type, is_aggregate, output_name, Acc, Aggregate, BoundColumn, Params, Scalar,
+    Scope, GROUP_ROWS,
+};
 
 /// Read access to tables by (possibly qualified, possibly temp) name.
 /// Implemented by the engine over its durable + session-temporary stores.
@@ -58,43 +72,41 @@ pub fn execute_select(
     catalog: &dyn Catalog,
     params: Option<&HashMap<String, Value>>,
 ) -> Result<ResultSet> {
-    let bound = bind_from(select, catalog)?;
-    let schema = output_schema_from_binding(select, &bound)?;
+    let from = bind_from(select, catalog)?;
+    let projections = expand_projections(select, &from)?;
+    let schema = output_schema(&projections, &from)?;
 
-    // Split WHERE into conjuncts and classify by referenced tables.
+    // Split WHERE into conjuncts, classify each by the tables it references
+    // and bind it.
     let conjuncts = split_conjuncts(select.where_clause.as_ref());
     let mut classified = Vec::with_capacity(conjuncts.len());
+    let mut filters = Vec::with_capacity(conjuncts.len());
     for c in &conjuncts {
-        classified.push(tables_of_expr(c, &bound)?);
+        classified.push(tables_of_expr(c, &from)?);
+        filters.push(from.scope.bind(c, params)?);
     }
+    let output = Output::bind(select, &from, &projections, params)?;
 
     // Constant conjuncts: evaluate once; a false/NULL constant conjunct
     // empties the result without scanning.
-    let empty_row: Row = Vec::new();
-    for (c, tables) in conjuncts.iter().zip(&classified) {
-        if tables.is_empty() {
-            let env = Env {
-                columns: &[],
-                row: &empty_row,
-                params,
-                precomputed: None,
-            };
-            if truth(&eval(c, &env)?)? != Some(true) {
-                return finish_select(select, &bound, Vec::new(), params, schema, false);
-            }
+    for (f, tables) in filters.iter().zip(&classified) {
+        if tables.is_empty() && !f.holds(&[])? {
+            let rows = output.rows(&Tuples::new(from.width()), &from, false)?;
+            return Ok(ResultSet { schema, rows });
         }
     }
 
-    let plan = build_plan(select, &bound, &conjuncts, &classified, params)?;
-    let rows = run_plan(&plan, &bound, &conjuncts, &classified, params)?;
-    finish_select(select, &bound, rows, params, schema, plan.presorted)
+    let plan = build_plan(select, &from, &conjuncts, &classified, params)?;
+    let tuples = join(&plan, &from, &filters, &classified, params)?;
+    let rows = output.rows(&tuples, &from, plan.presorted)?;
+    Ok(ResultSet { schema, rows })
 }
 
 /// Compute the output schema of a SELECT without executing it — the engine's
 /// answer to the metadata probe.
 pub fn select_schema(select: &SelectStmt, catalog: &dyn Catalog) -> Result<Schema> {
     let bound = bind_from(select, catalog)?;
-    output_schema_from_binding(select, &bound)
+    output_schema(&expand_projections(select, &bound)?, &bound)
 }
 
 // ---------------------------------------------------------------------------
@@ -114,8 +126,9 @@ const NL_MARGIN: f64 = 4.0;
 enum Access {
     /// Full scan in row-id (insertion) order.
     Scan,
-    /// Primary-key point lookup: every pk column pinned to a constant.
-    PkPoint,
+    /// Primary-key point lookup: every pk column pinned to a constant
+    /// (`key`, in primary-key column order).
+    PkPoint { key: Vec<Expr> },
     /// Secondary-index equality probe on one or more constant values.
     SecEq { pos: usize, values: Vec<Expr> },
     /// Secondary-index range walk. Bounds are (expr, inclusive); a missing
@@ -171,13 +184,13 @@ struct Step {
 /// An executable (and explainable) SELECT plan.
 struct Plan {
     steps: Vec<Step>,
-    /// Rows already emerge in ORDER BY order; `finish_select` skips its sort.
+    /// Rows already emerge in ORDER BY order; the output skips its sort.
     presorted: bool,
 }
 
 /// The bound columns of one FROM table.
 fn table_cols<'b>(bound: &'b BoundFrom, t: usize) -> &'b [BoundColumn] {
-    &bound.columns[bound.offsets[t]..bound.offsets[t + 1]]
+    bound.scope.table_columns(t)
 }
 
 /// Build the plan shared by execution and EXPLAIN.
@@ -186,7 +199,7 @@ fn build_plan(
     bound: &BoundFrom,
     conjuncts: &[Expr],
     classified: &[Vec<usize>],
-    params: Option<&HashMap<String, Value>>,
+    params: Params<'_>,
 ) -> Result<Plan> {
     let n = bound.tables.len();
     if n == 0 {
@@ -392,12 +405,14 @@ fn choose_access(
     table: &TableData,
     cols: &[BoundColumn],
     filters: &[&Expr],
-    params: Option<&HashMap<String, Value>>,
+    params: Params<'_>,
 ) -> (Access, f64) {
     let nrows = table.len() as f64;
 
-    if table.def.has_primary_key() && pk_pinned(table, cols, filters) {
-        return (Access::PkPoint, 1.0);
+    if table.def.has_primary_key() {
+        if let Some(key) = pk_key(table, cols, filters) {
+            return (Access::PkPoint { key }, 1.0);
+        }
     }
 
     // Best secondary-index probe by exact bucket counts.
@@ -420,16 +435,33 @@ fn choose_access(
     (Access::Scan, nrows * FILTER_SEL.powi(filters.len() as i32))
 }
 
-/// Do the filters pin every primary-key column to a constant?
-fn pk_pinned(table: &TableData, cols: &[BoundColumn], filters: &[&Expr]) -> bool {
-    table.def.primary_key.iter().all(|&pk_idx| {
-        let pk_name = &table.def.schema.columns[pk_idx].name;
-        filters.iter().any(|f| {
-            matches!(f, Expr::Binary { left, op: BinaryOp::Eq, right }
-                if (is_column_named(left, pk_name, cols) && is_constant(right))
-                    || (is_column_named(right, pk_name, cols) && is_constant(left)))
+/// The constant each primary-key column is pinned to by a `pk = constant`
+/// filter (the first such filter per column), if every column is pinned.
+fn pk_key(table: &TableData, cols: &[BoundColumn], filters: &[&Expr]) -> Option<Vec<Expr>> {
+    table
+        .def
+        .primary_key
+        .iter()
+        .map(|&pk_idx| {
+            let pk_name = &table.def.schema.columns[pk_idx].name;
+            filters.iter().find_map(|f| match f {
+                Expr::Binary {
+                    left,
+                    op: BinaryOp::Eq,
+                    right,
+                } => {
+                    if is_column_named(left, pk_name, cols) && is_constant(right) {
+                        Some(right.as_ref().clone())
+                    } else if is_column_named(right, pk_name, cols) && is_constant(left) {
+                        Some(left.as_ref().clone())
+                    } else {
+                        None
+                    }
+                }
+                _ => None,
+            })
         })
-    })
+        .collect()
 }
 
 /// Find the best equality or range probe for one secondary index. Returns
@@ -443,7 +475,7 @@ fn index_probe(
     col_name: &str,
     dtype: DataType,
     filters: &[&Expr],
-    params: Option<&HashMap<String, Value>>,
+    params: Params<'_>,
 ) -> Option<(Access, f64, usize)> {
     let map = table.sec_index(pos);
     let nrows = table.len() as f64;
@@ -599,52 +631,36 @@ fn tighten_hi(cur: &mut Option<(Expr, bool, Option<Value>)>, e: Expr, inc: bool,
     }
 }
 
-/// Evaluate a constant probe expression at plan time and coerce it to the
-/// indexed column's type. `None` when it cannot be evaluated (parameters
-/// absent during EXPLAIN) or evaluates to NULL.
-fn probe_value(
-    e: &Expr,
-    dtype: DataType,
-    params: Option<&HashMap<String, Value>>,
-) -> Option<Value> {
-    let empty: Row = Vec::new();
-    let env = Env {
-        columns: &[],
-        row: &empty,
-        params,
-        precomputed: None,
-    };
-    let v = eval(e, &env).ok()?;
-    if v.is_null() {
-        return None;
-    }
-    Some(v.coerce_to(dtype).unwrap_or(v))
-}
-
-/// Execution-time probe evaluation: errors propagate (a missing parameter
-/// is an error, exactly as a scan would report it); NULL means "matches
-/// nothing" and comes back as `None`.
-fn eval_probe(
-    e: &Expr,
-    dtype: DataType,
-    params: Option<&HashMap<String, Value>>,
-) -> Result<Option<Value>> {
-    let empty: Row = Vec::new();
-    let env = Env {
-        columns: &[],
-        row: &empty,
-        params,
-        precomputed: None,
-    };
-    let v = eval(e, &env)?;
+/// Evaluate an index-probe constant and coerce it to the indexed column's
+/// type. `None` means NULL, which matches nothing; errors (a missing
+/// parameter) propagate exactly as a scan would report them.
+fn probe_const(e: &Expr, dtype: DataType, params: Params<'_>) -> Result<Option<Value>> {
+    let v = eval_const(e, params)?;
     if v.is_null() {
         return Ok(None);
     }
     Ok(Some(v.coerce_to(dtype).unwrap_or(v)))
 }
 
+/// [`probe_const`] at plan time: `None` also when the constant cannot be
+/// evaluated yet (parameters absent during EXPLAIN).
+fn probe_value(e: &Expr, dtype: DataType, params: Params<'_>) -> Option<Value> {
+    probe_const(e, dtype, params).ok().flatten()
+}
+
 /// Sum the bucket sizes of the index entries inside the bounds.
 fn range_count(map: &SecIndex, lo: Option<&(Value, bool)>, hi: Option<&(Value, bool)>) -> usize {
+    map.range(key_bounds(lo, hi))
+        .map(|(_, ids)| ids.len())
+        .sum()
+}
+
+/// Index-walk bounds; no low bound still skips NULL keys, since no
+/// comparison predicate matches NULL.
+fn key_bounds(
+    lo: Option<&(Value, bool)>,
+    hi: Option<&(Value, bool)>,
+) -> (Bound<Value>, Bound<Value>) {
     let lo_b = match lo {
         Some((v, true)) => Bound::Included(v.clone()),
         Some((v, false)) => Bound::Excluded(v.clone()),
@@ -655,22 +671,17 @@ fn range_count(map: &SecIndex, lo: Option<&(Value, bool)>, hi: Option<&(Value, b
         Some((v, false)) => Bound::Excluded(v.clone()),
         None => Bound::Unbounded,
     };
-    map.range((lo_b, hi_b)).map(|(_, ids)| ids.len()).sum()
+    (lo_b, hi_b)
 }
 
 /// If `e` is a bare column reference belonging to FROM table `t`, return its
 /// column index within that table.
 fn bare_column_of(e: &Expr, bound: &BoundFrom, t: usize) -> Option<usize> {
     match e {
-        Expr::Column { table, name } => {
-            let env = Env::new(&bound.columns, &[]);
-            let idx = env.resolve(table.as_deref(), name).ok()?;
-            if idx >= bound.offsets[t] && idx < bound.offsets[t + 1] {
-                Some(idx - bound.offsets[t])
-            } else {
-                None
-            }
-        }
+        Expr::Column { table, name } => match bound.scope.resolve(table.as_deref(), name) {
+            Ok((owner, c)) if owner == t => Some(c),
+            _ => None,
+        },
         Expr::Nested(inner) => bare_column_of(inner, bound, t),
         _ => None,
     }
@@ -683,12 +694,12 @@ fn apply_order(
     select: &SelectStmt,
     bound: &BoundFrom,
     access: &mut Access,
-    params: Option<&HashMap<String, Value>>,
+    params: Params<'_>,
 ) -> bool {
     if select.order_by.is_empty() {
         return false;
     }
-    if matches!(access, Access::PkPoint) {
+    if matches!(access, Access::PkPoint { .. }) {
         // At most one output row: any requested order trivially holds.
         return true;
     }
@@ -703,7 +714,7 @@ fn apply_order(
         Some(c) => c,
         None => return false,
     };
-    // `finish_select` sorts on a projection's value when an alias or exact
+    // The output sorts on a projection's value when an alias or exact
     // rendering matches; that is only our column's order when the matched
     // projection is the same column.
     let projections = match expand_projections(select, bound) {
@@ -772,64 +783,115 @@ fn apply_order(
 // Plan execution
 // ---------------------------------------------------------------------------
 
-/// Execute the plan's steps, returning joined rows laid out in FROM order.
-fn run_plan(
-    plan: &Plan,
-    bound: &BoundFrom,
-    conjuncts: &[Expr],
-    classified: &[Vec<usize>],
-    params: Option<&HashMap<String, Value>>,
-) -> Result<Vec<Row>> {
-    let mut applied: Vec<bool> = classified.iter().map(|tabs| tabs.is_empty()).collect();
+/// Joined tuples: `width` row references each, one slot per FROM table in
+/// FROM order. The slot of a table not joined yet holds [`NO_ROW`].
+struct Tuples<'a> {
+    width: usize,
+    refs: Vec<&'a [Value]>,
+}
 
-    if bound.tables.is_empty() {
-        // SELECT without FROM: one empty row.
-        debug_assert!(applied.iter().all(|a| *a));
-        return Ok(vec![Vec::new()]);
+/// The row in the slot of a table a tuple has not joined yet.
+const NO_ROW: &[Value] = &[];
+
+impl<'a> Tuples<'a> {
+    fn new(width: usize) -> Tuples<'a> {
+        Tuples {
+            width,
+            refs: Vec::new(),
+        }
     }
 
-    let mut rows: Vec<Row> = Vec::new();
-    let mut exec_cols: Vec<BoundColumn> = Vec::new();
-    let mut exec_tables: Vec<usize> = Vec::new();
+    fn len(&self) -> usize {
+        self.refs.len() / self.width
+    }
+
+    fn get(&self, i: usize) -> &[&'a [Value]] {
+        &self.refs[i * self.width..(i + 1) * self.width]
+    }
+
+    fn iter(&self) -> std::slice::ChunksExact<'_, &'a [Value]> {
+        self.refs.chunks_exact(self.width)
+    }
+
+    /// Append `base` with slot `t` set to `row`, kept only if every filter
+    /// holds on the result.
+    fn push(
+        &mut self,
+        base: &[&'a [Value]],
+        t: usize,
+        row: &'a [Value],
+        filters: &[&Scalar],
+    ) -> Result<()> {
+        let start = self.refs.len();
+        self.refs.extend_from_slice(base);
+        self.refs[start + t] = row;
+        for f in filters {
+            if !f.holds(&self.refs[start..])? {
+                self.refs.truncate(start);
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Keep the tuples `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&[&'a [Value]]) -> Result<bool>) -> Result<()> {
+        let w = self.width;
+        let mut kept = 0;
+        for i in 0..self.len() {
+            if keep(&self.refs[i * w..(i + 1) * w])? {
+                self.refs.copy_within(i * w..(i + 1) * w, kept * w);
+                kept += 1;
+            }
+        }
+        self.refs.truncate(kept * w);
+        Ok(())
+    }
+}
+
+/// Execute the plan's steps, returning the joined tuples in the order the
+/// last step produced them.
+fn join<'a>(
+    plan: &Plan,
+    from: &BoundFrom<'a>,
+    filters: &[Scalar],
+    classified: &[Vec<usize>],
+    params: Params<'_>,
+) -> Result<Tuples<'a>> {
+    let width = from.width();
+    if from.tables.is_empty() {
+        // SELECT without FROM: one empty tuple.
+        return Ok(Tuples {
+            width,
+            refs: vec![NO_ROW],
+        });
+    }
+    let mut applied: Vec<bool> = classified.iter().map(|tabs| tabs.is_empty()).collect();
+    let mut joined: Vec<usize> = Vec::with_capacity(plan.steps.len());
+    let mut tuples = Tuples::new(width);
 
     for step in &plan.steps {
         let t = step.t;
-        let cols = table_cols(bound, t);
-        let mut filters: Vec<&Expr> = Vec::new();
-        for (i, tabs) in classified.iter().enumerate() {
-            if !applied[i] && tabs.len() == 1 && tabs[0] == t {
-                filters.push(&conjuncts[i]);
+        let own: Vec<&Scalar> = (0..filters.len())
+            .filter(|&i| !applied[i] && classified[i] == [t])
+            .map(|i| &filters[i])
+            .collect();
+        let table = from.tables[t];
+        tuples = match &step.join {
+            JoinKind::IndexNested { outer, target } => {
+                let key = from.scope.bind(outer, params)?;
+                index_join(&tuples, &key, table, t, *target, &own)?
             }
-        }
-
-        rows = match &step.join {
-            JoinKind::IndexNested { outer, target } => index_nl_join(
-                std::mem::take(&mut rows),
-                &exec_cols,
-                bound.tables[t],
-                cols,
-                outer,
-                *target,
-                &filters,
-                params,
-            )?,
-            other => {
-                let scan = access_rows(bound.tables[t], cols, &step.access, &filters, params)?;
-                match other {
-                    JoinKind::First => scan,
-                    JoinKind::Cross => cross_join(std::mem::take(&mut rows), scan),
+            kind => {
+                let rows = access(table, t, width, &step.access, &own, params)?;
+                match kind {
+                    JoinKind::First => rows,
+                    JoinKind::Cross => cross_join(&tuples, &rows, t)?,
                     JoinKind::Hash { outer, inner } => {
-                        let ok: Vec<&Expr> = outer.iter().collect();
-                        let ik: Vec<&Expr> = inner.iter().collect();
-                        hash_join(
-                            std::mem::take(&mut rows),
-                            &exec_cols,
-                            scan,
-                            cols,
-                            &ok,
-                            &ik,
-                            params,
-                        )?
+                        let bind = |keys: &[Expr]| -> Result<Vec<Scalar>> {
+                            keys.iter().map(|k| from.scope.bind(k, params)).collect()
+                        };
+                        hash_join(&tuples, &rows, t, &bind(outer)?, &bind(inner)?)?
                     }
                     JoinKind::IndexNested { .. } => unreachable!(),
                 }
@@ -844,33 +906,21 @@ fn run_plan(
         for &i in &step.join_conjuncts {
             applied[i] = true;
         }
-        exec_cols.extend_from_slice(cols);
-        exec_tables.push(t);
+        joined.push(t);
 
         // Residual conjuncts that became fully evaluable with this step.
-        let mut residual: Vec<usize> = Vec::new();
-        for (i, tabs) in classified.iter().enumerate() {
-            if !applied[i] && tabs.iter().all(|x| exec_tables.contains(x)) {
-                residual.push(i);
-            }
-        }
+        let residual: Vec<usize> = (0..filters.len())
+            .filter(|&i| !applied[i] && classified[i].iter().all(|x| joined.contains(x)))
+            .collect();
         if !residual.is_empty() {
-            let mut kept = Vec::with_capacity(rows.len());
-            'rows: for row in rows {
+            tuples.retain(|tuple| {
                 for &i in &residual {
-                    let env = Env {
-                        columns: &exec_cols,
-                        row: &row,
-                        params,
-                        precomputed: None,
-                    };
-                    if truth(&eval(&conjuncts[i], &env)?)? != Some(true) {
-                        continue 'rows;
+                    if !filters[i].holds(tuple)? {
+                        return Ok(false);
                     }
                 }
-                kept.push(row);
-            }
-            rows = kept;
+                Ok(true)
+            })?;
             for &i in &residual {
                 applied[i] = true;
             }
@@ -878,252 +928,211 @@ fn run_plan(
     }
 
     debug_assert!(applied.iter().all(|a| *a), "unapplied conjunct after join");
-
-    // Rows accumulated in execution order; permute segments to FROM order.
-    if exec_tables.windows(2).any(|w| w[0] > w[1]) {
-        let n = bound.tables.len();
-        let mut seg = vec![(0usize, 0usize); n];
-        let mut off = 0;
-        for &t in &exec_tables {
-            let w = bound.offsets[t + 1] - bound.offsets[t];
-            seg[t] = (off, off + w);
-            off += w;
-        }
-        rows = rows
-            .into_iter()
-            .map(|r| {
-                let mut out = Vec::with_capacity(r.len());
-                for s in &seg {
-                    out.extend_from_slice(&r[s.0..s.1]);
-                }
-                out
-            })
-            .collect();
-    }
-    Ok(rows)
+    Ok(tuples)
 }
 
-/// Produce one table's rows via the planned access path, applying every
-/// single-table filter to each candidate. Scans emit row-id order; index
-/// paths emit index-key order.
-fn access_rows(
-    table: &TableData,
-    cols: &[BoundColumn],
+/// One table's rows through the planned access path, as single-table
+/// tuples, each tested against the table's own filters. Scans emit row-id
+/// order; index paths emit index-key order.
+fn access<'a>(
+    table: &'a TableData,
+    t: usize,
+    width: usize,
     access: &Access,
-    filters: &[&Expr],
-    params: Option<&HashMap<String, Value>>,
-) -> Result<Vec<Row>> {
-    let keep = |row: &Row| -> Result<bool> {
-        for f in filters {
-            let env = Env {
-                columns: cols,
-                row,
-                params,
-                precomputed: None,
-            };
-            if truth(&eval(f, &env)?)? != Some(true) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    };
-
-    match access {
-        Access::Scan => {
-            let mut out = Vec::new();
-            for row in table.rows.values() {
-                if keep(row)? {
-                    out.push(row.clone());
+    filters: &[&Scalar],
+    params: Params<'_>,
+) -> Result<Tuples<'a>> {
+    let base = vec![NO_ROW; width];
+    let mut out = Tuples::new(width);
+    {
+        let mut visit = |row: &'a Row| out.push(&base, t, row, filters);
+        match access {
+            Access::Scan => {
+                for row in table.rows.values() {
+                    visit(row)?;
                 }
             }
-            Ok(out)
-        }
-        Access::PkPoint => {
-            let candidates = match try_point_lookup(table, cols, filters, params)? {
-                Some(c) => c,
-                // The plan promised a pinned key; fall back to a scan if the
-                // constants stop qualifying at execution time.
-                None => table.rows.values().cloned().collect(),
-            };
-            let mut out = Vec::new();
-            for row in candidates {
-                if keep(&row)? {
-                    out.push(row);
+            Access::PkPoint { key } => {
+                let mut k = Vec::with_capacity(key.len());
+                for (e, &col) in key.iter().zip(&table.def.primary_key) {
+                    // Coerced to the key column's type so the index
+                    // comparison is exact (e.g. `k = 5` against a FLOAT key).
+                    let v = eval_const(e, params)?;
+                    let dtype = table.def.schema.columns[col].dtype;
+                    k.push(v.coerce_to(dtype).unwrap_or(v));
+                }
+                if let Some(id) = table.row_id_by_key(&k) {
+                    visit(&table.rows[&id])?;
                 }
             }
-            Ok(out)
-        }
-        Access::SecEq { pos, values } => {
-            let dtype = table.def.schema.columns[table.def.indexes[*pos].column].dtype;
-            let map = table.sec_index(*pos);
-            let mut seen: Vec<Value> = Vec::new();
-            let mut out = Vec::new();
-            for vexpr in values {
-                let v = match eval_probe(vexpr, dtype, params)? {
-                    Some(v) => v,
-                    None => continue, // `col = NULL` matches nothing
-                };
-                if seen.contains(&v) {
-                    continue;
-                }
-                if let Some(ids) = map.get(&v) {
-                    for id in ids {
-                        let row = &table.rows[id];
-                        if keep(row)? {
-                            out.push(row.clone());
+            Access::SecEq { pos, values } => {
+                let dtype = table.def.schema.columns[table.def.indexes[*pos].column].dtype;
+                let map = table.sec_index(*pos);
+                let mut seen: Vec<Value> = Vec::new();
+                for vexpr in values {
+                    let v = match probe_const(vexpr, dtype, params)? {
+                        Some(v) => v,
+                        None => continue, // `col = NULL` matches nothing
+                    };
+                    if seen.contains(&v) {
+                        continue;
+                    }
+                    if let Some(ids) = map.get(&v) {
+                        for id in ids {
+                            visit(&table.rows[id])?;
                         }
                     }
+                    seen.push(v);
                 }
-                seen.push(v);
             }
-            Ok(out)
-        }
-        Access::SecRange { pos, lo, hi, desc } => {
-            let dtype = table.def.schema.columns[table.def.indexes[*pos].column].dtype;
-            let lo_v = match lo {
-                Some((e, inc)) => match eval_probe(e, dtype, params)? {
-                    Some(v) => Some((v, *inc)),
-                    None => return Ok(Vec::new()), // NULL bound: empty range
-                },
-                None => None,
-            };
-            let hi_v = match hi {
-                Some((e, inc)) => match eval_probe(e, dtype, params)? {
-                    Some(v) => Some((v, *inc)),
-                    None => return Ok(Vec::new()),
-                },
-                None => None,
-            };
-            let lo_b = match &lo_v {
-                Some((v, true)) => Bound::Included(v.clone()),
-                Some((v, false)) => Bound::Excluded(v.clone()),
-                // No low bound still skips NULL keys: no comparison
-                // predicate matches NULL.
-                None => Bound::Excluded(Value::Null),
-            };
-            let hi_b = match &hi_v {
-                Some((v, true)) => Bound::Included(v.clone()),
-                Some((v, false)) => Bound::Excluded(v.clone()),
-                None => Bound::Unbounded,
-            };
-            let map = table.sec_index(*pos);
-            let buckets: Box<dyn Iterator<Item = (&Value, &PSet<RowId>)>> = if *desc {
-                Box::new(map.range((lo_b, hi_b)).rev())
-            } else {
-                Box::new(map.range((lo_b, hi_b)))
-            };
-            let mut out = Vec::new();
-            for (_, ids) in buckets {
-                for id in ids {
-                    let row = &table.rows[id];
-                    if keep(row)? {
-                        out.push(row.clone());
+            Access::SecRange { pos, lo, hi, desc } => {
+                let dtype = table.def.schema.columns[table.def.indexes[*pos].column].dtype;
+                let bound = |b: &Option<(Expr, bool)>| -> Result<Option<Option<(Value, bool)>>> {
+                    Ok(match b {
+                        // A NULL bound empties the range.
+                        Some((e, inc)) => probe_const(e, dtype, params)?.map(|v| Some((v, *inc))),
+                        None => Some(None),
+                    })
+                };
+                let (Some(lo_v), Some(hi_v)) = (bound(lo)?, bound(hi)?) else {
+                    return Ok(Tuples::new(width));
+                };
+                let range = table
+                    .sec_index(*pos)
+                    .range(key_bounds(lo_v.as_ref(), hi_v.as_ref()));
+                let buckets: Box<dyn Iterator<Item = (&Value, &PSet<RowId>)>> = if *desc {
+                    Box::new(range.rev())
+                } else {
+                    Box::new(range)
+                };
+                for (_, ids) in buckets {
+                    for id in ids {
+                        visit(&table.rows[id])?;
                     }
                 }
             }
-            Ok(out)
-        }
-        Access::SecOrder { pos, desc } => {
-            let map = table.sec_index(*pos);
-            let buckets: Box<dyn Iterator<Item = (&Value, &PSet<RowId>)>> = if *desc {
-                Box::new(map.iter().rev())
-            } else {
-                Box::new(map.iter())
-            };
-            let mut out = Vec::new();
-            for (_, ids) in buckets {
-                for id in ids {
-                    let row = &table.rows[id];
-                    if keep(row)? {
-                        out.push(row.clone());
+            Access::SecOrder { pos, desc } => {
+                let map = table.sec_index(*pos);
+                let buckets: Box<dyn Iterator<Item = (&Value, &PSet<RowId>)>> = if *desc {
+                    Box::new(map.iter().rev())
+                } else {
+                    Box::new(map.iter())
+                };
+                for (_, ids) in buckets {
+                    for id in ids {
+                        visit(&table.rows[id])?;
                     }
                 }
             }
-            Ok(out)
-        }
-        Access::PkOrder { desc } => {
-            let entries: Box<dyn Iterator<Item = (&Vec<Value>, &RowId)>> = if *desc {
-                Box::new(table.pk_index.iter().rev())
-            } else {
-                Box::new(table.pk_index.iter())
-            };
-            let mut out = Vec::new();
-            for (_, id) in entries {
-                let row = &table.rows[id];
-                if keep(row)? {
-                    out.push(row.clone());
+            Access::PkOrder { desc } => {
+                let entries: Box<dyn Iterator<Item = (&Vec<Value>, &RowId)>> = if *desc {
+                    Box::new(table.pk_index.iter().rev())
+                } else {
+                    Box::new(table.pk_index.iter())
+                };
+                for (_, id) in entries {
+                    visit(&table.rows[id])?;
                 }
             }
-            Ok(out)
         }
     }
+    Ok(out)
 }
 
-/// Index nested-loop join: for each outer row, evaluate the outer key and
+/// Index nested-loop join: for each outer tuple, evaluate the outer key and
 /// probe the inner table's index directly. Inner-table filters apply to
 /// each probed candidate; NULL outer keys never match.
-#[allow(clippy::too_many_arguments)]
-fn index_nl_join(
-    outer_rows: Vec<Row>,
-    outer_cols: &[BoundColumn],
-    inner: &TableData,
-    inner_cols: &[BoundColumn],
-    outer_key: &Expr,
+fn index_join<'a>(
+    outer: &Tuples<'a>,
+    key: &Scalar,
+    inner: &'a TableData,
+    t: usize,
     target: ProbeTarget,
-    filters: &[&Expr],
-    params: Option<&HashMap<String, Value>>,
-) -> Result<Vec<Row>> {
+    filters: &[&Scalar],
+) -> Result<Tuples<'a>> {
     let key_col = match target {
         ProbeTarget::Pk => inner.def.primary_key[0],
         ProbeTarget::Sec(pos) => inner.def.indexes[pos].column,
     };
     let dtype = inner.def.schema.columns[key_col].dtype;
-    let mut out = Vec::new();
-    for orow in outer_rows {
-        let env = Env {
-            columns: outer_cols,
-            row: &orow,
-            params,
-            precomputed: None,
-        };
-        let v = eval(outer_key, &env)?;
+    let mut out = Tuples::new(outer.width);
+    for o in outer.iter() {
+        let v = key.eval(o)?;
         if v.is_null() {
             continue;
         }
-        let v = v.coerce_to(dtype).unwrap_or(v);
-        let mut push = |row: &Row| -> Result<()> {
-            for f in filters {
-                let env = Env {
-                    columns: inner_cols,
-                    row,
-                    params,
-                    precomputed: None,
-                };
-                if truth(&eval(f, &env)?)? != Some(true) {
-                    return Ok(());
-                }
-            }
-            let mut joined = orow.clone();
-            joined.extend(row.iter().cloned());
-            out.push(joined);
-            Ok(())
+        let v = if v.data_type() == Some(dtype) {
+            v
+        } else {
+            v.coerce_to(dtype).map_or(v, Cow::Owned)
         };
         match target {
             ProbeTarget::Pk => {
-                if let Some(id) = inner.row_id_by_key(std::slice::from_ref(&v)) {
-                    push(&inner.rows[&id])?;
+                if let Some(id) = inner.row_id_by_key(std::slice::from_ref(&*v)) {
+                    out.push(o, t, &inner.rows[&id], filters)?;
                 }
             }
             ProbeTarget::Sec(pos) => {
-                if let Some(ids) = inner.sec_index(pos).get(&v) {
+                if let Some(ids) = inner.sec_index(pos).get(&*v) {
                     for id in ids {
-                        push(&inner.rows[id])?;
+                        out.push(o, t, &inner.rows[id], filters)?;
                     }
                 }
             }
         }
     }
     Ok(out)
+}
+
+/// Cartesian product, outer-major.
+fn cross_join<'a>(outer: &Tuples<'a>, inner: &Tuples<'a>, t: usize) -> Result<Tuples<'a>> {
+    let mut out = Tuples::new(outer.width);
+    for o in outer.iter() {
+        for i in inner.iter() {
+            out.push(o, t, i[t], &[])?;
+        }
+    }
+    Ok(out)
+}
+
+/// Hash join: build on the (already-filtered) inner tuples, probe with the
+/// outer ones, emitting in probe order. NULL keys on either side never
+/// match; keys match by value identity (same type, same bits), not by `=`.
+fn hash_join<'a>(
+    outer: &Tuples<'a>,
+    inner: &Tuples<'a>,
+    t: usize,
+    outer_keys: &[Scalar],
+    inner_keys: &[Scalar],
+) -> Result<Tuples<'a>> {
+    let mut table: HashMap<Vec<Cow<Value>>, Vec<&'a [Value]>> = HashMap::with_capacity(inner.len());
+    for i in inner.iter() {
+        if let Some(key) = join_key(inner_keys, i)? {
+            table.entry(key).or_default().push(i[t]);
+        }
+    }
+    let mut out = Tuples::new(outer.width);
+    for o in outer.iter() {
+        if let Some(matches) = join_key(outer_keys, o)?.and_then(|k| table.get(&k)) {
+            for &row in matches {
+                out.push(o, t, row, &[])?;
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Evaluate a join key over `tuple`; `None` when any part is NULL.
+fn join_key<'k>(keys: &'k [Scalar], tuple: &[&'k [Value]]) -> Result<Option<Vec<Cow<'k, Value>>>> {
+    let mut out = Vec::with_capacity(keys.len());
+    for k in keys {
+        let v = k.eval(tuple)?;
+        if v.is_null() {
+            return Ok(None);
+        }
+        out.push(v);
+    }
+    Ok(Some(out))
 }
 
 // ---------------------------------------------------------------------------
@@ -1219,7 +1228,7 @@ fn explain_select(
 ) -> Result<ResultSet> {
     let bound = bind_from(select, catalog)?;
     // Surface the same binding errors the query itself would.
-    output_schema_from_binding(select, &bound)?;
+    output_schema(&expand_projections(select, &bound)?, &bound)?;
     let conjuncts = split_conjuncts(select.where_clause.as_ref());
     let mut classified = Vec::with_capacity(conjuncts.len());
     for c in &conjuncts {
@@ -1247,7 +1256,7 @@ fn explain_select(
         } else {
             match &step.access {
                 Access::Scan => ("scan".to_string(), None),
-                Access::PkPoint => ("pk-point".to_string(), Some("pk".to_string())),
+                Access::PkPoint { .. } => ("pk-point".to_string(), Some("pk".to_string())),
                 Access::SecEq { pos, .. } => {
                     ("index-eq".to_string(), Some(def.indexes[*pos].name.clone()))
                 }
@@ -1316,78 +1325,60 @@ fn explain_select(
 struct BoundFrom<'a> {
     /// Borrowed table data, in FROM order — scans never copy table storage.
     tables: Vec<&'a TableData>,
-    /// Flattened bound columns across tables, in FROM order.
-    columns: Vec<BoundColumn>,
-    /// `offsets[i]` = first column index of table `i`; one extra entry holds
-    /// the total width.
-    offsets: Vec<usize>,
+    /// The tables' columns; table `t` is slot `t` of every tuple.
+    scope: Scope,
+}
+
+impl BoundFrom<'_> {
+    /// Tuple width: one slot per table (one empty slot without FROM).
+    fn width(&self) -> usize {
+        self.tables.len().max(1)
+    }
 }
 
 fn bind_from<'a>(select: &SelectStmt, catalog: &'a dyn Catalog) -> Result<BoundFrom<'a>> {
     let mut tables = Vec::with_capacity(select.from.len());
-    let mut columns = Vec::new();
-    let mut offsets = vec![0usize];
+    let mut scope = Scope::default();
     for item in &select.from {
         let data = catalog.table(&item.table)?;
-        let qualifier = item
-            .alias
-            .clone()
-            .unwrap_or_else(|| item.table.name.clone());
-        for col in &data.def.schema.columns {
-            columns.push(BoundColumn {
-                qualifier: Some(qualifier.clone()),
-                name: col.name.clone(),
-                dtype: col.dtype,
-                nullable: col.nullable,
-            });
-        }
-        offsets.push(columns.len());
+        let qualifier = item.alias.as_deref().unwrap_or(&item.table.name);
+        scope.push_table(qualifier, &data.def.schema);
         tables.push(data);
     }
-    Ok(BoundFrom {
-        tables,
-        columns,
-        offsets,
-    })
+    Ok(BoundFrom { tables, scope })
 }
 
 /// Expand the projection list into concrete expressions with output names.
 fn expand_projections(select: &SelectStmt, bound: &BoundFrom) -> Result<Vec<(Expr, String)>> {
+    let column = |c: &BoundColumn| {
+        (
+            Expr::Column {
+                table: Some(c.qualifier.clone()),
+                name: c.name.clone(),
+            },
+            c.name.clone(),
+        )
+    };
     let mut out = Vec::new();
     for item in &select.projections {
         match item {
             SelectItem::Wildcard => {
-                if bound.columns.is_empty() {
+                if bound.tables.is_empty() {
                     return Err(EngineError::column("SELECT * with no FROM clause"));
                 }
-                for c in &bound.columns {
-                    out.push((
-                        Expr::Column {
-                            table: c.qualifier.clone(),
-                            name: c.name.clone(),
-                        },
-                        c.name.clone(),
-                    ));
-                }
+                out.extend(bound.scope.columns().iter().map(column));
             }
             SelectItem::QualifiedWildcard(q) => {
-                let mut any = false;
-                for c in &bound.columns {
-                    if c.qualifier
-                        .as_deref()
-                        .is_some_and(|cq| cq.eq_ignore_ascii_case(q))
-                    {
-                        out.push((
-                            Expr::Column {
-                                table: c.qualifier.clone(),
-                                name: c.name.clone(),
-                            },
-                            c.name.clone(),
-                        ));
-                        any = true;
-                    }
-                }
-                if !any {
+                let before = out.len();
+                out.extend(
+                    bound
+                        .scope
+                        .columns()
+                        .iter()
+                        .filter(|c| c.qualifier.eq_ignore_ascii_case(q))
+                        .map(column),
+                );
+                if out.len() == before {
                     return Err(EngineError::column(format!("unknown table alias '{q}'")));
                 }
             }
@@ -1400,11 +1391,10 @@ fn expand_projections(select: &SelectStmt, bound: &BoundFrom) -> Result<Vec<(Exp
     Ok(out)
 }
 
-fn output_schema_from_binding(select: &SelectStmt, bound: &BoundFrom) -> Result<Schema> {
-    let projections = expand_projections(select, bound)?;
+fn output_schema(projections: &[(Expr, String)], bound: &BoundFrom) -> Result<Schema> {
     let mut cols = Vec::with_capacity(projections.len());
-    for (expr, name) in &projections {
-        let (dtype, nullable) = infer_type(expr, &bound.columns)?;
+    for (expr, name) in projections {
+        let (dtype, nullable) = infer_type(expr, &bound.scope)?;
         cols.push(Column {
             name: name.clone(),
             dtype,
@@ -1414,80 +1404,12 @@ fn output_schema_from_binding(select: &SelectStmt, bound: &BoundFrom) -> Result<
     Ok(Schema::new(cols))
 }
 
-// ---------------------------------------------------------------------------
-// Scanning and joining
-// ---------------------------------------------------------------------------
-
-/// If the filter conjuncts contain `pk_col = <constant>` for every primary-
-/// key column, resolve the key through the index and return the candidate
-/// rows (zero or one). `None` means the fast path does not apply.
-fn try_point_lookup(
-    table: &TableData,
-    cols: &[BoundColumn],
-    filters: &[&Expr],
-    params: Option<&HashMap<String, Value>>,
-) -> Result<Option<Vec<Row>>> {
-    if !table.def.has_primary_key() {
-        return Ok(None);
-    }
-    let empty_row: Row = Vec::new();
-    let mut key = Vec::with_capacity(table.def.primary_key.len());
-    for &pk_idx in &table.def.primary_key {
-        let pk_name = &table.def.schema.columns[pk_idx].name;
-        let mut found = None;
-        for f in filters {
-            if let Expr::Binary {
-                left,
-                op: phoenix_sql::ast::BinaryOp::Eq,
-                right,
-            } = f
-            {
-                let (col_side, const_side) =
-                    if is_column_named(left, pk_name, cols) && is_constant(right) {
-                        (left, right)
-                    } else if is_column_named(right, pk_name, cols) && is_constant(left) {
-                        (right, left)
-                    } else {
-                        continue;
-                    };
-                let _ = col_side;
-                let env = Env {
-                    columns: &[],
-                    row: &empty_row,
-                    params,
-                    precomputed: None,
-                };
-                let v = eval(const_side, &env)?;
-                // Coerce to the key column's type so index comparison is
-                // exact (e.g. `k = 5` against a FLOAT key).
-                let coerced = v
-                    .coerce_to(table.def.schema.columns[pk_idx].dtype)
-                    .unwrap_or(v);
-                found = Some(coerced);
-                break;
-            }
-        }
-        match found {
-            Some(v) => key.push(v),
-            None => return Ok(None),
-        }
-    }
-    Ok(Some(match table.row_id_by_key(&key) {
-        Some(rid) => vec![table.rows[&rid].clone()],
-        None => Vec::new(),
-    }))
-}
-
 /// Is `e` a bare reference to the column `name` of this table?
 fn is_column_named(e: &Expr, name: &str, cols: &[BoundColumn]) -> bool {
     match e {
         Expr::Column { table, name: n } if n.eq_ignore_ascii_case(name) => match table {
             None => true,
-            Some(q) => cols.iter().any(|c| {
-                c.qualifier
-                    .as_deref()
-                    .is_some_and(|cq| cq.eq_ignore_ascii_case(q))
-            }),
+            Some(q) => cols.iter().any(|c| c.qualifier.eq_ignore_ascii_case(q)),
         },
         Expr::Nested(inner) => is_column_named(inner, name, cols),
         _ => false,
@@ -1503,85 +1425,6 @@ fn is_constant(e: &Expr) -> bool {
         Expr::Binary { left, right, .. } => is_constant(left) && is_constant(right),
         _ => false,
     }
-}
-
-fn cross_join(left: Vec<Row>, right: Vec<Row>) -> Vec<Row> {
-    let mut out = Vec::with_capacity(left.len().saturating_mul(right.len()));
-    for l in &left {
-        for r in &right {
-            let mut row = l.clone();
-            row.extend(r.iter().cloned());
-            out.push(row);
-        }
-    }
-    out
-}
-
-/// Hash join: build on the (already-filtered) inner input, probe with the
-/// joined prefix. NULL keys on either side never match.
-#[allow(clippy::too_many_arguments)]
-fn hash_join(
-    left: Vec<Row>,
-    left_cols: &[BoundColumn],
-    right: Vec<Row>,
-    right_cols: &[BoundColumn],
-    left_keys: &[&Expr],
-    right_keys: &[&Expr],
-    params: Option<&HashMap<String, Value>>,
-) -> Result<Vec<Row>> {
-    let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::with_capacity(right.len());
-    for r in &right {
-        let env = Env {
-            columns: right_cols,
-            row: r,
-            params,
-            precomputed: None,
-        };
-        let mut key = Vec::with_capacity(right_keys.len());
-        let mut null = false;
-        for k in right_keys {
-            let v = eval(k, &env)?;
-            if v.is_null() {
-                null = true;
-                break;
-            }
-            key.push(v);
-        }
-        if !null {
-            table.entry(key).or_default().push(r);
-        }
-    }
-
-    let mut out = Vec::new();
-    for l in &left {
-        let env = Env {
-            columns: left_cols,
-            row: l,
-            params,
-            precomputed: None,
-        };
-        let mut key = Vec::with_capacity(left_keys.len());
-        let mut null = false;
-        for k in left_keys {
-            let v = eval(k, &env)?;
-            if v.is_null() {
-                null = true;
-                break;
-            }
-            key.push(v);
-        }
-        if null {
-            continue;
-        }
-        if let Some(matches) = table.get(&key) {
-            for r in matches {
-                let mut row = l.clone();
-                row.extend(r.iter().cloned());
-                out.push(row);
-            }
-        }
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1623,15 +1466,7 @@ fn tables_of_expr(expr: &Expr, bound: &BoundFrom) -> Result<Vec<usize>> {
 fn collect_tables(expr: &Expr, bound: &BoundFrom, out: &mut Vec<usize>) -> Result<()> {
     match expr {
         Expr::Column { table, name } => {
-            let env = Env::new(&bound.columns, &[]);
-            let idx = env.resolve(table.as_deref(), name)?;
-            // Map the flat column index back to its table.
-            let t = bound
-                .offsets
-                .windows(2)
-                .position(|w| idx >= w[0] && idx < w[1])
-                .ok_or_else(|| EngineError::internal("column offset out of range"))?;
-            out.push(t);
+            out.push(bound.scope.resolve(table.as_deref(), name)?.0);
             Ok(())
         }
         Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Nested(expr) => {
@@ -1753,300 +1588,301 @@ fn collect_aggregates(select: &SelectStmt) -> Vec<Expr> {
     seen
 }
 
-fn finish_select(
-    select: &SelectStmt,
-    bound: &BoundFrom,
-    rows: Vec<Row>,
-    params: Option<&HashMap<String, Value>>,
-    schema: Schema,
-    presorted: bool,
-) -> Result<ResultSet> {
-    let projections = expand_projections(select, bound)?;
-    let aggregates = collect_aggregates(select);
-    let grouped = !select.group_by.is_empty() || !aggregates.is_empty();
-
-    // (output row, sort-env precomputed map, input row) triples for ORDER BY.
-    type SortableRow = (Row, Option<HashMap<String, Value>>, Option<Row>);
-    let mut output: Vec<SortableRow> = Vec::new();
-
-    if grouped {
-        // Group rows by group-key values.
-        let mut groups: Vec<(Vec<Value>, Vec<Row>)> = Vec::new();
-        let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-        for row in rows {
-            let env = Env {
-                columns: &bound.columns,
-                row: &row,
-                params,
-                precomputed: None,
-            };
-            let mut key = Vec::with_capacity(select.group_by.len());
-            for g in &select.group_by {
-                key.push(eval(g, &env)?);
-            }
-            let mut kb = bytes::BytesMut::new();
-            phoenix_storage::codec::put_row(&mut kb, &key);
-            let kb = kb.to_vec();
-            match index.get(&kb) {
-                Some(&i) => groups[i].1.push(row),
-                None => {
-                    index.insert(kb, groups.len());
-                    groups.push((key, vec![row]));
-                }
-            }
-        }
-        // A global aggregate over zero rows still yields one group.
-        if groups.is_empty() && select.group_by.is_empty() {
-            groups.push((Vec::new(), Vec::new()));
-        }
-
-        for (key, grows) in &groups {
-            let mut pre: HashMap<String, Value> = HashMap::new();
-            for (g, k) in select.group_by.iter().zip(key.iter()) {
-                pre.insert(render_expr(g), k.clone());
-            }
-            for agg in &aggregates {
-                let v = compute_aggregate(agg, grows, bound, params)?;
-                pre.insert(render_expr(agg), v);
-            }
-            // Representative row for column refs not captured by the group
-            // key (lenient, MySQL-style; strict SQL would reject them).
-            let rep = grows.first().cloned().unwrap_or_default();
-            let env = Env {
-                columns: &bound.columns,
-                row: &rep,
-                params,
-                precomputed: Some(&pre),
-            };
-            if let Some(h) = &select.having {
-                if truth(&eval(h, &env)?)? != Some(true) {
-                    continue;
-                }
-            }
-            let mut out_row = Vec::with_capacity(projections.len());
-            for (expr, _) in &projections {
-                out_row.push(eval(expr, &env)?);
-            }
-            output.push((out_row, Some(pre), Some(rep)));
-        }
-    } else {
-        for row in rows {
-            let env = Env {
-                columns: &bound.columns,
-                row: &row,
-                params,
-                precomputed: None,
-            };
-            let mut out_row = Vec::with_capacity(projections.len());
-            for (expr, _) in &projections {
-                out_row.push(eval(expr, &env)?);
-            }
-            output.push((out_row, None, Some(row)));
-        }
-    }
-
-    // SELECT DISTINCT: deduplicate output rows (before ordering, as SQL
-    // defines — DISTINCT is a property of the result set).
-    if select.distinct {
-        let mut seen: std::collections::HashSet<Vec<u8>> = std::collections::HashSet::new();
-        output.retain(|(row, _, _)| {
-            let mut kb = bytes::BytesMut::new();
-            phoenix_storage::codec::put_row(&mut kb, row);
-            seen.insert(kb.to_vec())
-        });
-    }
-
-    // ORDER BY — skipped when the access path already delivered the rows in
-    // the requested order.
-    if !select.order_by.is_empty() && !presorted {
-        // Precompute sort keys.
-        let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(output.len());
-        for (out_row, pre, in_row) in &output {
-            let mut keys = Vec::with_capacity(select.order_by.len());
-            for item in &select.order_by {
-                let v = sort_key_value(
-                    &item.expr,
-                    select,
-                    &projections,
-                    out_row,
-                    pre.as_ref(),
-                    in_row.as_deref(),
-                    bound,
-                    params,
-                )?;
-                keys.push(v);
-            }
-            keyed.push((keys, out_row.clone()));
-        }
-        keyed.sort_by(|a, b| {
-            for (i, item) in select.order_by.iter().enumerate() {
-                let ord = a.0[i].cmp(&b.0[i]);
-                let ord = if item.desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        output = keyed.into_iter().map(|(_, r)| (r, None, None)).collect();
-    }
-
-    // OFFSET / LIMIT.
-    let mut rows: Vec<Row> = output.into_iter().map(|(r, _, _)| r).collect();
-    if let Some(off) = select.offset {
-        rows = rows.into_iter().skip(off as usize).collect();
-    }
-    if let Some(lim) = select.limit {
-        rows.truncate(lim as usize);
-    }
-
-    Ok(ResultSet { schema, rows })
+/// The output side of a SELECT, bound once: projections, grouping, HAVING,
+/// ORDER BY, DISTINCT and OFFSET/LIMIT.
+struct Output {
+    projections: Vec<Scalar>,
+    grouping: Option<Grouping>,
+    /// ORDER BY keys, each with its "descending" flag.
+    order: Vec<(SortKey, bool)>,
+    distinct: bool,
+    offset: Option<u64>,
+    limit: Option<u64>,
 }
 
-/// Evaluate one ORDER BY expression for a single output row.
-#[allow(clippy::too_many_arguments)]
-fn sort_key_value(
+/// GROUP BY keys and aggregates, bound against the FROM scope. The
+/// projections, HAVING and ORDER BY bind against the group tuples these
+/// produce (see [`crate::eval::GROUP_KEYS`]).
+struct Grouping {
+    keys: Vec<Scalar>,
+    aggs: Vec<Aggregate>,
+    having: Option<Scalar>,
+}
+
+/// One ORDER BY key.
+enum SortKey {
+    /// An output column: an ordinal, an alias, or the projection's own text.
+    Output(usize),
+    /// Anything else, evaluated over the output row's tuple or group.
+    Eval(Scalar),
+}
+
+/// One group after aggregation.
+struct GroupRow {
+    keys: Vec<Value>,
+    aggs: Vec<Value>,
+    /// Index of the group's first tuple; `None` for the one group a global
+    /// aggregate forms over empty input.
+    first: Option<usize>,
+}
+
+impl Output {
+    fn bind(
+        select: &SelectStmt,
+        from: &BoundFrom,
+        projections: &[(Expr, String)],
+        params: Params<'_>,
+    ) -> Result<Output> {
+        let aggregates = collect_aggregates(select);
+        let grouped = !select.group_by.is_empty() || !aggregates.is_empty();
+        let key_texts: Vec<String> = select.group_by.iter().map(render_expr).collect();
+        let agg_texts: Vec<String> = aggregates.iter().map(render_expr).collect();
+        let bind = |e: &Expr| {
+            if grouped {
+                from.scope.bind_grouped(e, params, &key_texts, &agg_texts)
+            } else {
+                from.scope.bind(e, params)
+            }
+        };
+        let grouping = if grouped {
+            Some(Grouping {
+                keys: select
+                    .group_by
+                    .iter()
+                    .map(|g| from.scope.bind(g, params))
+                    .collect::<Result<_>>()?,
+                aggs: aggregates
+                    .iter()
+                    .map(|a| Aggregate::bind(a, &from.scope, params))
+                    .collect::<Result<_>>()?,
+                having: select.having.as_ref().map(bind).transpose()?,
+            })
+        } else {
+            None
+        };
+        let mut order = Vec::with_capacity(select.order_by.len());
+        for item in &select.order_by {
+            order.push((sort_key(&item.expr, projections, bind)?, item.desc));
+        }
+        Ok(Output {
+            projections: projections
+                .iter()
+                .map(|(e, _)| bind(e))
+                .collect::<Result<_>>()?,
+            grouping,
+            order,
+            distinct: select.distinct,
+            offset: select.offset,
+            limit: select.limit,
+        })
+    }
+
+    /// The output rows for the joined `tuples`, in delivery order.
+    fn rows(&self, tuples: &Tuples<'_>, from: &BoundFrom, presorted: bool) -> Result<Vec<Row>> {
+        let project = |tuple: &[&[Value]]| -> Result<Row> {
+            self.projections
+                .iter()
+                .map(|p| Ok(p.eval(tuple)?.into_owned()))
+                .collect()
+        };
+        // Each output row beside the tuple (or group) it came from, for
+        // ORDER BY keys that are not output columns.
+        let mut out: Vec<(Row, usize)> = Vec::new();
+        let mut groups = Vec::new();
+        let mut nulls = Vec::new();
+        match &self.grouping {
+            None => {
+                out.reserve(tuples.len());
+                for (i, tuple) in tuples.iter().enumerate() {
+                    out.push((project(tuple)?, i));
+                }
+            }
+            Some(g) => {
+                groups = g.aggregate(tuples)?;
+                if groups.iter().any(|gr| gr.first.is_none()) {
+                    nulls = from
+                        .tables
+                        .iter()
+                        .map(|t| vec![Value::Null; t.def.schema.len()])
+                        .collect();
+                }
+                for (i, gr) in groups.iter().enumerate() {
+                    let tuple = group_tuple(gr, tuples, &nulls, from.tables.len());
+                    if let Some(h) = &g.having {
+                        if !h.holds(&tuple)? {
+                            continue;
+                        }
+                    }
+                    out.push((project(&tuple)?, i));
+                }
+            }
+        }
+
+        // SELECT DISTINCT: deduplicate output rows, first occurrence wins
+        // (before ordering, as SQL defines — DISTINCT is a property of the
+        // result set).
+        if self.distinct {
+            let mut seen = HashSet::new();
+            let keep: Vec<bool> = out.iter().map(|(row, _)| seen.insert(row)).collect();
+            let mut keep = keep.into_iter();
+            out.retain(|_| keep.next().unwrap_or(false));
+        }
+
+        // ORDER BY — skipped when the access path already delivered the rows
+        // in the requested order.
+        let mut rows: Vec<Row> = if !self.order.is_empty() && !presorted {
+            let mut keyed = Vec::with_capacity(out.len());
+            for (row, src) in out {
+                let mut keys = Vec::with_capacity(self.order.len());
+                for (key, _) in &self.order {
+                    keys.push(match key {
+                        SortKey::Output(i) => row[*i].clone(),
+                        SortKey::Eval(e) => match self.grouping {
+                            None => e.eval(tuples.get(src))?.into_owned(),
+                            Some(_) => {
+                                let tuple =
+                                    group_tuple(&groups[src], tuples, &nulls, from.tables.len());
+                                e.eval(&tuple)?.into_owned()
+                            }
+                        },
+                    });
+                }
+                keyed.push((keys, row));
+            }
+            keyed.sort_by(|a, b| {
+                for (i, (_, desc)) in self.order.iter().enumerate() {
+                    let ord = a.0[i].cmp(&b.0[i]);
+                    let ord = if *desc { ord.reverse() } else { ord };
+                    if ord != std::cmp::Ordering::Equal {
+                        return ord;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+            keyed.into_iter().map(|(_, r)| r).collect()
+        } else {
+            out.into_iter().map(|(r, _)| r).collect()
+        };
+
+        if let Some(off) = self.offset {
+            rows.drain(..rows.len().min(off as usize));
+        }
+        if let Some(lim) = self.limit {
+            rows.truncate(lim as usize);
+        }
+        Ok(rows)
+    }
+}
+
+impl Grouping {
+    /// Stream the tuples into groups, in order of first occurrence, folding
+    /// every aggregate as each tuple passes. Group identity is value
+    /// identity (same type, same bits) over the borrowed key values.
+    fn aggregate(&self, tuples: &Tuples<'_>) -> Result<Vec<GroupRow>> {
+        struct Group<'a> {
+            keys: Vec<Cow<'a, Value>>,
+            accs: Vec<Acc<'a>>,
+            first: usize,
+        }
+        let mut groups: Vec<Group> = Vec::new();
+        let mut index: HashMap<Vec<Cow<Value>>, usize> = HashMap::new();
+        let mut key = Vec::with_capacity(self.keys.len());
+        for (i, tuple) in tuples.iter().enumerate() {
+            key.clear();
+            for k in &self.keys {
+                key.push(k.eval(tuple)?);
+            }
+            let g = match index.get(key.as_slice()) {
+                Some(&g) => g,
+                None => {
+                    index.insert(key.clone(), groups.len());
+                    groups.push(Group {
+                        keys: key.clone(),
+                        accs: self.aggs.iter().map(Aggregate::start).collect(),
+                        first: i,
+                    });
+                    groups.len() - 1
+                }
+            };
+            for (acc, agg) in groups[g].accs.iter_mut().zip(&self.aggs) {
+                acc.add(agg, tuple)?;
+            }
+        }
+
+        let mut out = Vec::with_capacity(groups.len().max(1));
+        // A global aggregate over zero rows still yields one group.
+        if groups.is_empty() && self.keys.is_empty() {
+            out.push(GroupRow {
+                keys: Vec::new(),
+                aggs: self
+                    .aggs
+                    .iter()
+                    .map(|a| a.start().finish(a))
+                    .collect::<Result<_>>()?,
+                first: None,
+            });
+        }
+        for g in groups {
+            out.push(GroupRow {
+                keys: g.keys.into_iter().map(Cow::into_owned).collect(),
+                aggs: g
+                    .accs
+                    .into_iter()
+                    .zip(&self.aggs)
+                    .map(|(acc, agg)| acc.finish(agg))
+                    .collect::<Result<_>>()?,
+                first: Some(g.first),
+            });
+        }
+        Ok(out)
+    }
+}
+
+/// A group's tuple: its keys, its aggregates, then its first row of each
+/// FROM table — or a row of NULLs for the group of an empty input, so a
+/// column outside the group key reads NULL there.
+fn group_tuple<'g>(
+    g: &'g GroupRow,
+    tuples: &'g Tuples<'g>,
+    nulls: &'g [Row],
+    ntables: usize,
+) -> Vec<&'g [Value]> {
+    let mut t: Vec<&[Value]> = Vec::with_capacity(GROUP_ROWS + ntables);
+    t.push(&g.keys);
+    t.push(&g.aggs);
+    match g.first {
+        Some(i) => t.extend_from_slice(&tuples.get(i)[..ntables]),
+        None => t.extend(nulls.iter().map(Vec::as_slice)),
+    }
+    t
+}
+
+/// Bind one ORDER BY item: an ordinal, an alias or an exact projection
+/// match names an output column; anything else is evaluated.
+fn sort_key(
     expr: &Expr,
-    _select: &SelectStmt,
     projections: &[(Expr, String)],
-    out_row: &Row,
-    pre: Option<&HashMap<String, Value>>,
-    in_row: Option<&[Value]>,
-    bound: &BoundFrom,
-    params: Option<&HashMap<String, Value>>,
-) -> Result<Value> {
+    bind: impl Fn(&Expr) -> Result<Scalar>,
+) -> Result<SortKey> {
     // Ordinal reference: ORDER BY 2.
-    if let Expr::Literal(phoenix_sql::ast::Literal::Int(n)) = expr {
+    if let Expr::Literal(Literal::Int(n)) = expr {
         let i = *n as usize;
-        if i >= 1 && i <= out_row.len() {
-            return Ok(out_row[i - 1].clone());
+        if i >= 1 && i <= projections.len() {
+            return Ok(SortKey::Output(i - 1));
         }
         return Err(EngineError::column(format!(
             "ORDER BY position {n} out of range"
         )));
     }
-    // Alias or exact-projection match → output column.
     let key = render_expr(expr);
     for (i, (pexpr, pname)) in projections.iter().enumerate() {
         let alias_match =
             matches!(expr, Expr::Column { table: None, name } if name.eq_ignore_ascii_case(pname));
         if alias_match || render_expr(pexpr) == key {
-            return Ok(out_row[i].clone());
+            return Ok(SortKey::Output(i));
         }
     }
-    // Fall back to evaluating against the input/group environment.
-    let in_row = in_row.ok_or_else(|| {
-        EngineError::column(format!("cannot order by '{key}': not in projection"))
-    })?;
-    let env = Env {
-        columns: &bound.columns,
-        row: in_row,
-        params,
-        precomputed: pre,
-    };
-    eval(expr, &env)
-}
-
-/// Compute one aggregate over the rows of a group.
-fn compute_aggregate(
-    agg: &Expr,
-    rows: &[Row],
-    bound: &BoundFrom,
-    params: Option<&HashMap<String, Value>>,
-) -> Result<Value> {
-    let (name, args, distinct) = match agg {
-        Expr::Function {
-            name,
-            args,
-            distinct,
-        } => (name.to_ascii_uppercase(), args, *distinct),
-        other => {
-            return Err(EngineError::internal(format!(
-                "not an aggregate: {other:?}"
-            )))
-        }
-    };
-
-    // COUNT(*) counts rows.
-    if name == "COUNT" && matches!(args.first(), Some(Expr::Wildcard) | None) {
-        return Ok(Value::Int(rows.len() as i64));
-    }
-    let arg = args
-        .first()
-        .ok_or_else(|| EngineError::type_err(format!("{name}() needs an argument")))?;
-
-    let mut values: Vec<Value> = Vec::new();
-    for row in rows {
-        let env = Env {
-            columns: &bound.columns,
-            row,
-            params,
-            precomputed: None,
-        };
-        let v = eval(arg, &env)?;
-        if !v.is_null() {
-            values.push(v);
-        }
-    }
-    if distinct {
-        let mut seen: Vec<Value> = Vec::new();
-        values.retain(|v| {
-            if seen.contains(v) {
-                false
-            } else {
-                seen.push(v.clone());
-                true
-            }
-        });
-    }
-
-    Ok(match name.as_str() {
-        "COUNT" => Value::Int(values.len() as i64),
-        "SUM" | "AVG" => {
-            if values.is_empty() {
-                return Ok(Value::Null);
-            }
-            let all_int = values.iter().all(|v| matches!(v, Value::Int(_)));
-            let sum: f64 = values
-                .iter()
-                .map(|v| {
-                    v.as_f64().ok_or_else(|| {
-                        EngineError::type_err(format!("{name}() over non-numeric value"))
-                    })
-                })
-                .sum::<Result<f64>>()?;
-            if name == "AVG" {
-                Value::Float(sum / values.len() as f64)
-            } else if all_int {
-                Value::Int(sum as i64)
-            } else {
-                Value::Float(sum)
-            }
-        }
-        "MIN" | "MAX" => {
-            let mut best: Option<Value> = None;
-            for v in values {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let ord = compare(&v, &b)?;
-                        let take = if name == "MIN" {
-                            ord == std::cmp::Ordering::Less
-                        } else {
-                            ord == std::cmp::Ordering::Greater
-                        };
-                        if take {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best.unwrap_or(Value::Null)
-        }
-        other => return Err(EngineError::unsupported(format!("aggregate {other}()"))),
-    })
+    bind(expr).map(SortKey::Eval)
 }
 
 #[cfg(test)]

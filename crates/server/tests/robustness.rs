@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use phoenix_engine::EngineConfig;
 use phoenix_server::metrics::server_metrics;
 use phoenix_server::ServerHarness;
+use phoenix_storage::types::Value;
 use phoenix_wire::frame::{read_frame, write_frame};
 use phoenix_wire::message::{Outcome, Request, Response};
 
@@ -98,6 +99,55 @@ fn garbage_payload_gets_error_and_connection_survives() {
             ..
         } => {}
         other => panic!("temp table lost after garbage: {other:?}"),
+    }
+
+    h.shutdown();
+}
+
+/// A grouped query over an empty input that names a column outside the
+/// group key once panicked the connection thread (its first row did not
+/// exist). Now the column reads NULL, and the session goes on serving.
+#[test]
+fn grouped_query_over_empty_input_keeps_the_connection() {
+    let dir = temp_dir("empty-group");
+    let mut h = ServerHarness::start(&dir, EngineConfig::default()).unwrap();
+    let mut s = TcpStream::connect(h.addr()).unwrap();
+    s.set_nodelay(true).unwrap();
+    let login = Request::Login {
+        user: "t".into(),
+        database: "d".into(),
+        options: vec![],
+    };
+    assert!(matches!(call(&mut s, login), Response::LoginAck { .. }));
+    let mut exec = |sql: &str| call(&mut s, Request::Exec { sql: sql.into() });
+    assert!(matches!(
+        exec("CREATE TABLE #t (a INT, b INT)"),
+        Response::Result { .. }
+    ));
+
+    for (sql, want) in [
+        (
+            "SELECT a, COUNT(*) FROM #t",
+            vec![vec![Value::Null, Value::Int(0)]],
+        ),
+        ("SELECT COUNT(*) FROM #t HAVING a > 1", vec![]),
+        ("SELECT SUM(b) FROM #t ORDER BY a", vec![vec![Value::Null]]),
+    ] {
+        match exec(sql) {
+            Response::Result {
+                outcome: Outcome::ResultSet { rows, .. },
+                ..
+            } => assert_eq!(rows, want, "{sql}"),
+            other => panic!("{sql}: {other:?}"),
+        }
+    }
+    // Same connection, same session: the temp table is still there.
+    match exec("INSERT INTO #t VALUES (1, 2)") {
+        Response::Result {
+            outcome: Outcome::RowsAffected(1),
+            ..
+        } => {}
+        other => panic!("session lost after the empty-group queries: {other:?}"),
     }
 
     h.shutdown();
