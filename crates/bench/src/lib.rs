@@ -66,15 +66,8 @@ impl BenchEnv {
 
     /// An empty database (for synthetic experiments like Figure 2).
     pub fn empty() -> BenchEnv {
-        Self::empty_with(EngineConfig::default())
-    }
-
-    /// An empty database under an explicit engine config (e.g. a pinned
-    /// partition count, so the partitioned commit path is exercised even on
-    /// hosts whose core count would resolve the default to 1).
-    pub fn empty_with(config: EngineConfig) -> BenchEnv {
         let dir = temp_dir("empty");
-        let harness = ServerHarness::start(&dir, config).unwrap();
+        let harness = ServerHarness::start(&dir, EngineConfig::default()).unwrap();
         BenchEnv {
             harness,
             dir,

@@ -192,7 +192,7 @@ pub struct ChurnHooks<'a> {
     /// connect produces no recorded replies, so retrying keeps the
     /// workload's observable output crash-independent).
     pub connect: &'a dyn Fn() -> PhoenixConnection,
-    /// Force the sessiond lifecycle pass: spill every idle session to the
+    /// Force the engine's spill pass: spill every idle session to the
     /// durable table. Failures are swallowed — under an injected crash
     /// there is nothing left to spill, and the clients rebuild instead of
     /// restore.
@@ -213,7 +213,7 @@ pub fn seed_workload(pc: &mut PhoenixConnection) -> phoenix_core::Result<()> {
 
 /// Run the canonical workload: wrapped DML, an application transaction, a
 /// materialized SELECT, a pipelined DML window, a session-churn phase with
-/// a forced sessiond spill, a keyset-cursor scan, and a final full-table
+/// a forced session spill, a keyset-cursor scan, and a final full-table
 /// read.
 pub fn canonical_workload(
     pc: &mut PhoenixConnection,

@@ -428,9 +428,6 @@ impl PhoenixConnection {
     /// statement's wrapper and surfaces after the window drains; statements
     /// already submitted behind it fail their own `BEGIN` against the
     /// dangling transaction, so nothing beyond the failed statement applies.
-    ///
-    /// On a v1 connection the pipeline degrades to synchronous execution
-    /// with identical semantics.
     pub fn execute_pipelined(&mut self, stmts: &[String]) -> Result<Vec<QueryResult>> {
         if self.config.passthrough {
             let mut out = Vec::with_capacity(stmts.len());

@@ -1,9 +1,9 @@
 //! The connection handle: one TCP connection, one server session.
 //!
-//! A connection speaks protocol v2 (tagged frames, pipelining, batches) when
-//! both ends support it, negotiated at open; against an old server it falls
-//! back to v1 transparently. [`Connection::protocol`] reports what was
-//! granted.
+//! A connection opens with one untagged `LoginV2` / `LoginAckV2` exchange
+//! and speaks tagged frames from then on: every request carries a tag, up
+//! to the granted window of them may be in flight ([`Pipeline`]), and the
+//! server replies in tag order.
 
 use std::collections::VecDeque;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -11,7 +11,8 @@ use std::time::Duration;
 
 use phoenix_storage::types::{Row, Schema, Value};
 use phoenix_wire::frame::{read_frame, read_tagged_frame, write_frame, write_tagged_frame};
-use phoenix_wire::message::{BatchItem, Outcome, Request, Response, PROTOCOL_V1, PROTOCOL_V2};
+use phoenix_wire::message::{BatchItem, Outcome, Request, Response, DEFAULT_WINDOW, PROTOCOL_V2};
+use phoenix_wire::FrameError;
 
 use crate::cursor::Cursor;
 use crate::environment::Environment;
@@ -69,15 +70,12 @@ pub struct Connection {
     database: String,
     env: Environment,
     poisoned: bool,
-    /// Negotiated protocol version (v1 against an old server).
-    protocol: u32,
-    /// Granted pipeline window (1 on v1).
+    /// Granted pipeline window (≥ 1).
     window: u32,
-    /// Next client-assigned request tag (v2). Tags are issued in submission
+    /// Next client-assigned request tag. Tags are issued in submission
     /// order, which is also the order the server replies in.
     next_tag: u64,
-    /// Replies received while waiting for a different tag, and results
-    /// buffered by v1 pipeline emulation.
+    /// Replies received while waiting for a different tag.
     pub(crate) pending: VecDeque<(u64, Response)>,
 }
 
@@ -94,89 +92,49 @@ impl Connection {
             .map_err(DriverError::from)?
             .next()
             .ok_or_else(|| DriverError::Protocol(format!("cannot resolve '{addr}'")))?;
-        let stream = TcpStream::connect_timeout(&sock_addr, env.connect_timeout)?;
+        let mut stream = TcpStream::connect_timeout(&sock_addr, env.connect_timeout)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(env.read_timeout)?;
 
-        let mut conn = Connection {
+        // The handshake is the connection's one untagged exchange; tagged
+        // framing starts with the ack.
+        let login = Request::LoginV2 {
+            user: user.to_string(),
+            database: database.to_string(),
+            options,
+            protocol: PROTOCOL_V2,
+            window: DEFAULT_WINDOW,
+        };
+        write_frame(&mut stream, &login.encode())?;
+        let payload = read_frame(&mut stream).map_err(read_failure)?;
+        let (session, window) = match Response::decode(&payload).map_err(|e| undecodable(&e))? {
+            Response::LoginAckV2 {
+                session, window, ..
+            } => (session, window),
+            Response::Err { code, message } => return Err(DriverError::Sql { code, message }),
+            other => {
+                return Err(DriverError::Protocol(format!(
+                    "unexpected login response: {other:?}"
+                )))
+            }
+        };
+        driver_metrics().connects.inc();
+        Ok(Connection {
             stream,
-            session: 0,
+            session,
             addr: addr.to_string(),
             user: user.to_string(),
             database: database.to_string(),
             env: env.clone(),
             poisoned: false,
-            protocol: PROTOCOL_V1,
-            window: 1,
+            window: window.max(1),
             next_tag: 1,
             pending: VecDeque::new(),
-        };
-
-        // The handshake itself is v1-framed in both directions; tagged
-        // framing starts only after a successful v2 ack.
-        if env.protocol >= PROTOCOL_V2 {
-            match conn.call(Request::LoginV2 {
-                user: user.to_string(),
-                database: database.to_string(),
-                options: options.clone(),
-                protocol: PROTOCOL_V2,
-                window: env.window,
-            })? {
-                Response::LoginAckV2 {
-                    session,
-                    protocol,
-                    window,
-                } => {
-                    conn.session = session;
-                    conn.protocol = protocol;
-                    conn.window = window.max(1);
-                    driver_metrics().connects.inc();
-                    return Ok(conn);
-                }
-                // A Busy reply is a real (retryable) refusal — the server
-                // speaks v2 but is at capacity; falling through to v1 would
-                // just be refused again.
-                Response::Err { code, message } if code == crate::error::codes::BUSY => {
-                    return Err(DriverError::Sql { code, message })
-                }
-                // Any other error reply means "no v2 here": an old server
-                // answers the unknown LoginV2 tag with a Parse error and
-                // keeps the connection alive, so the same socket can fall
-                // through to the v1 handshake below.
-                Response::Err { .. } => {}
-                other => {
-                    return Err(DriverError::Protocol(format!(
-                        "unexpected login response: {other:?}"
-                    )))
-                }
-            }
-        }
-
-        match conn.call(Request::Login {
-            user: user.to_string(),
-            database: database.to_string(),
-            options,
-        })? {
-            Response::LoginAck { session } => {
-                conn.session = session;
-                driver_metrics().connects.inc();
-                Ok(conn)
-            }
-            Response::Err { code, message } => Err(DriverError::Sql { code, message }),
-            other => Err(DriverError::Protocol(format!(
-                "unexpected login response: {other:?}"
-            ))),
-        }
+        })
     }
 
-    /// The negotiated protocol version: `PROTOCOL_V2` when both ends speak
-    /// v2, `PROTOCOL_V1` after a fallback to an old server.
-    pub fn protocol(&self) -> u32 {
-        self.protocol
-    }
-
-    /// The pipeline window the server granted (1 on a v1 connection: one
-    /// request in flight, i.e. no pipelining).
+    /// The pipeline window the server granted: how many requests a
+    /// [`Pipeline`] keeps in flight at most.
     pub fn window(&self) -> u32 {
         self.window
     }
@@ -225,70 +183,28 @@ impl Connection {
         Ok(())
     }
 
-    /// One request/response round trip. Any transport failure poisons the
-    /// connection. On a v2 connection this is submit-then-await-own-tag, so
-    /// it interleaves correctly with an outstanding [`Pipeline`]'s replies.
+    /// One request/response round trip: submit, then await this request's
+    /// own tag, so it interleaves correctly with an outstanding
+    /// [`Pipeline`]'s replies. Any transport failure poisons the
+    /// connection.
     pub(crate) fn call(&mut self, request: Request) -> Result<Response> {
-        if self.protocol >= PROTOCOL_V2 {
-            let tag = self.submit_tagged(&request)?;
-            return self.wait_tagged(tag);
-        }
-        if self.poisoned {
-            return Err(DriverError::Comm(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "connection previously failed",
-            )));
-        }
-        let mut send = || -> Result<Response> {
-            write_frame(&mut self.stream, &request.encode())?;
-            // Failures on the *response* path are communication failures,
-            // not protocol bugs: a server that dies mid-send leaves a
-            // half-written frame behind, and once framing is lost the byte
-            // stream is unusable — header bytes read as lengths, payload
-            // bytes read as headers. An undecodable or oversized response
-            // therefore poisons the connection and triggers Phoenix's
-            // reconnect loop instead of surfacing a terminal Protocol error
-            // (or worse, a decode panic).
-            let payload = read_frame(&mut self.stream).map_err(|e| match e {
-                phoenix_wire::frame::FrameError::Io(io) => DriverError::Comm(io),
-                phoenix_wire::frame::FrameError::TooLarge(n) => {
-                    DriverError::Comm(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!(
-                            "response frame of {n} bytes exceeds limit — stream desynchronized"
-                        ),
-                    ))
-                }
-            })?;
-            Response::decode(&payload).map_err(|e| {
-                DriverError::Comm(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("undecodable response frame ({e}) — stream desynchronized"),
-                ))
-            })
-        };
-        match send() {
-            Ok(r) => Ok(r),
-            Err(e) => {
-                if e.is_comm() {
-                    self.poisoned = true;
-                }
-                Err(e)
-            }
-        }
+        let tag = self.submit_tagged(&request)?;
+        self.wait_tagged(tag)
     }
 
-    /// Submit a tagged request without waiting for its reply (v2 only).
-    /// Returns the client-assigned tag. A transport failure poisons the
-    /// connection.
+    fn poisoned_error() -> DriverError {
+        DriverError::Comm(std::io::Error::new(
+            std::io::ErrorKind::NotConnected,
+            "connection previously failed",
+        ))
+    }
+
+    /// Submit a tagged request without waiting for its reply. Returns the
+    /// client-assigned tag. A transport failure poisons the connection.
     pub(crate) fn submit_tagged(&mut self, request: &Request) -> Result<u64> {
         if self.poisoned {
-            return Err(DriverError::Comm(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "connection previously failed",
-            )));
+            return Err(Self::poisoned_error());
         }
-        debug_assert!(self.protocol >= PROTOCOL_V2);
         let tag = self.next_tag;
         self.next_tag += 1;
         if let Err(e) = write_tagged_frame(&mut self.stream, tag, &request.encode()) {
@@ -298,38 +214,25 @@ impl Connection {
         Ok(tag)
     }
 
-    /// Allocate a tag without any I/O — used by v1 pipeline emulation to
-    /// key synchronously-obtained results.
-    pub(crate) fn fresh_tag(&mut self) -> u64 {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        tag
-    }
-
-    /// Receive one tagged reply (v2 only). Frames that fail to decode are
-    /// communication failures: once a reply is garbled the stream cannot be
-    /// trusted to stay in sync.
+    /// Receive one tagged reply. Every failure here is a communication
+    /// failure that poisons the connection: a server that dies mid-send
+    /// leaves a half-written frame behind, and once framing is lost the
+    /// byte stream is unusable — header bytes read as lengths, payload
+    /// bytes read as headers. An oversized or undecodable reply therefore
+    /// triggers Phoenix's reconnect loop instead of surfacing a terminal
+    /// `Protocol` error (or worse, a decode panic).
     pub(crate) fn read_tagged_reply(&mut self) -> Result<(u64, Response)> {
         if self.poisoned {
-            return Err(DriverError::Comm(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "connection previously failed",
-            )));
+            return Err(Self::poisoned_error());
         }
-        let result = (|stream: &mut TcpStream| -> Result<(u64, Response)> {
-            let (tag, payload) = read_tagged_frame(stream).map_err(DriverError::from)?;
-            let rsp = Response::decode(&payload).map_err(|e| {
-                DriverError::Comm(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("undecodable response frame ({e}) — stream desynchronized"),
-                ))
-            })?;
-            Ok((tag, rsp))
-        })(&mut self.stream);
-        if let Err(e) = &result {
-            if e.is_comm() {
-                self.poisoned = true;
-            }
+        let result = read_tagged_frame(&mut self.stream)
+            .map_err(read_failure)
+            .and_then(|(tag, payload)| {
+                let rsp = Response::decode(&payload).map_err(|e| undecodable(&e))?;
+                Ok((tag, rsp))
+            });
+        if result.is_err() {
+            self.poisoned = true;
         }
         result
     }
@@ -350,8 +253,7 @@ impl Connection {
     }
 
     /// Begin a pipelined submission scope: submit up to [`Self::window`]
-    /// requests before awaiting their replies. On a v1 connection the same
-    /// API works with a window of 1 (each submit completes synchronously).
+    /// requests before awaiting their replies.
     pub fn pipeline(&mut self) -> Pipeline<'_> {
         Pipeline::new(self)
     }
@@ -359,41 +261,15 @@ impl Connection {
     /// Execute several statements in one round trip, returning per-statement
     /// outcomes. Execution stops at the first failing statement — its error
     /// is the last item, and the item count tells how far the batch got.
-    ///
-    /// On a v1 connection the batch degrades to sequential round trips with
-    /// identical semantics.
     pub fn execute_batch(&mut self, stmts: &[String]) -> Result<Vec<BatchItem>> {
-        if self.protocol >= PROTOCOL_V2 {
-            match self.call(Request::ExecBatch {
-                stmts: stmts.to_vec(),
-            })? {
-                Response::BatchResult { items } => Ok(items),
-                Response::Err { code, message } => Err(DriverError::Sql { code, message }),
-                other => Err(DriverError::Protocol(format!(
-                    "unexpected response {other:?}"
-                ))),
-            }
-        } else {
-            let mut items = Vec::with_capacity(stmts.len());
-            for sql in stmts {
-                match self.call(Request::Exec {
-                    sql: sql.to_string(),
-                })? {
-                    Response::Result { outcome, messages } => {
-                        items.push(BatchItem::Ok { outcome, messages })
-                    }
-                    Response::Err { code, message } => {
-                        items.push(BatchItem::Err { code, message });
-                        break;
-                    }
-                    other => {
-                        return Err(DriverError::Protocol(format!(
-                            "unexpected response {other:?}"
-                        )))
-                    }
-                }
-            }
-            Ok(items)
+        match self.call(Request::ExecBatch {
+            stmts: stmts.to_vec(),
+        })? {
+            Response::BatchResult { items } => Ok(items),
+            Response::Err { code, message } => Err(DriverError::Sql { code, message }),
+            other => Err(DriverError::Protocol(format!(
+                "unexpected response {other:?}"
+            ))),
         }
     }
 
@@ -562,4 +438,25 @@ impl Connection {
             format!("session {} close: {outcome}", self.session),
         );
     }
+}
+
+/// A failed reply read. A length past `MAX_FRAME` is a desynchronised
+/// stream, not an oversized request of ours, so it is `Comm` like any other
+/// read failure. (A *write*-side `TooLarge` — a request over the limit, of
+/// which nothing was sent — stays a `Protocol` error via `From`.)
+fn read_failure(e: FrameError) -> DriverError {
+    match e {
+        FrameError::Io(io) => DriverError::Comm(io),
+        FrameError::TooLarge(n) => DriverError::Comm(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("response frame of {n} bytes exceeds limit — stream desynchronized"),
+        )),
+    }
+}
+
+fn undecodable(e: &phoenix_storage::codec::DecodeError) -> DriverError {
+    DriverError::Comm(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("undecodable response frame ({e}) — stream desynchronized"),
+    ))
 }

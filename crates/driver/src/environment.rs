@@ -19,12 +19,6 @@ pub struct Environment {
     pub read_timeout: Option<Duration>,
     /// Rows fetched per block on cursor statements.
     pub fetch_block: usize,
-    /// Highest protocol version the driver will attempt. Defaults to v2;
-    /// set to [`phoenix_wire::message::PROTOCOL_V1`] to force the legacy
-    /// handshake (e.g. to talk to — or test against — old servers).
-    pub protocol: u32,
-    /// Pipeline window to request at v2 login. The server may grant less.
-    pub window: u32,
 }
 
 impl Default for Environment {
@@ -33,8 +27,6 @@ impl Default for Environment {
             connect_timeout: Duration::from_secs(5),
             read_timeout: Some(Duration::from_secs(10)),
             fetch_block: 64,
-            protocol: phoenix_wire::message::PROTOCOL_V2,
-            window: phoenix_wire::message::DEFAULT_WINDOW,
         }
     }
 }
@@ -60,19 +52,6 @@ impl Environment {
     /// Builder: rows per block on cursor fetches (min 1).
     pub fn with_fetch_block(mut self, n: usize) -> Environment {
         self.fetch_block = n.max(1);
-        self
-    }
-
-    /// Builder: highest protocol version to attempt at login.
-    pub fn with_protocol(mut self, v: u32) -> Environment {
-        self.protocol = v;
-        self
-    }
-
-    /// Builder: pipeline window to request at v2 login (min 1; the server
-    /// caps the grant at its own maximum).
-    pub fn with_window(mut self, w: u32) -> Environment {
-        self.window = w.max(1);
         self
     }
 

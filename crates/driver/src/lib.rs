@@ -5,22 +5,21 @@
 //! The native client driver — the stand-in for a vendor ODBC driver. Its
 //! surface mirrors the CLI handle model the paper wraps:
 //!
-//! * [`Environment`] — driver defaults (timeouts, fetch block size,
-//!   protocol/window preferences); allocates connections.
+//! * [`Environment`] — driver defaults (timeouts, fetch block size);
+//!   allocates connections.
 //! * [`Connection`] — one TCP connection = one server session. Executes
 //!   statements (default result sets arrive complete, as ODBC default
 //!   result sets do), batches ([`Connection::execute_batch`]), and pings.
-//! * [`Pipeline`] — protocol v2 request pipelining: submit up to the
-//!   negotiated window of requests, await replies by tag. Degrades to
-//!   synchronous execution on a v1 connection, so callers write one path.
+//! * [`Pipeline`] — request pipelining: submit up to the granted window of
+//!   requests, await replies by tag.
 //! * [`Cursor`] — RAII server cursor, closed on drop.
 //! * [`Statement`] — per-statement cursor options (forward-only / keyset /
 //!   dynamic) and block fetching with `next` / `prior` / `absolute`
 //!   orientations.
 //!
-//! The driver negotiates protocol v2 (tagged frames, pipelining, batch
-//! execution) at login and falls back to v1 against old servers — see
-//! `phoenix_wire` for the wire-level story.
+//! The driver speaks the one wire protocol (a `LoginV2` handshake, then
+//! tagged frames, pipelining and batch execution) — see `phoenix_wire` for
+//! the wire-level story.
 //!
 //! The error model is the part Phoenix cares most about: [`Error::Comm`]
 //! (socket death, timeout — the session may be gone; the only

@@ -1,4 +1,4 @@
-//! Pipelined request submission (protocol v2).
+//! Pipelined request submission.
 //!
 //! A [`Pipeline`] borrows its [`Connection`] and lets the caller keep up to
 //! the negotiated window of requests in flight: [`Pipeline::submit`] returns
@@ -7,15 +7,10 @@
 //! executes and replies strictly in submission order, so one socket read
 //! always completes the *oldest* in-flight request — the bookkeeping here
 //! leans on that invariant.
-//!
-//! On a v1 connection the same API works unchanged with an effective window
-//! of 1: each submit completes synchronously and the reply is buffered until
-//! waited for. Callers write one code path and get pipelining when the
-//! server grants it.
 
 use std::collections::VecDeque;
 
-use phoenix_wire::message::{BatchItem, Request, Response, PROTOCOL_V2};
+use phoenix_wire::message::{BatchItem, Request, Response};
 
 use crate::connection::{Connection, QueryResult};
 use crate::error::{DriverError, Result};
@@ -40,14 +35,9 @@ impl<'c> Pipeline<'c> {
         }
     }
 
-    /// The effective window: how many requests may be in flight at once
-    /// (1 on a v1 connection).
+    /// The window: how many requests may be in flight at once.
     pub fn window(&self) -> u32 {
-        if self.conn.protocol() >= PROTOCOL_V2 {
-            self.conn.window()
-        } else {
-            1
-        }
+        self.conn.window()
     }
 
     /// Number of requests currently in flight.
@@ -74,21 +64,12 @@ impl<'c> Pipeline<'c> {
     }
 
     fn submit_req(&mut self, req: Request) -> Result<u64> {
-        if self.conn.protocol() >= PROTOCOL_V2 {
-            while self.inflight.len() >= self.conn.window() as usize {
-                self.recv_oldest()?;
-            }
-            let tag = self.conn.submit_tagged(&req)?;
-            self.inflight.push_back(tag);
-            Ok(tag)
-        } else {
-            // v1 degradation: execute synchronously, buffer the reply under
-            // a fabricated tag so wait()/wait_batch() work identically.
-            let rsp = self.conn.call(req)?;
-            let tag = self.conn.fresh_tag();
-            self.conn.pending.push_back((tag, rsp));
-            Ok(tag)
+        while self.inflight.len() >= self.conn.window() as usize {
+            self.recv_oldest()?;
         }
+        let tag = self.conn.submit_tagged(&req)?;
+        self.inflight.push_back(tag);
+        Ok(tag)
     }
 
     /// Receive one reply — by the in-order guarantee, the oldest in-flight

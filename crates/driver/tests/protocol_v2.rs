@@ -1,5 +1,5 @@
-//! Protocol v2 end-to-end tests: version negotiation, pipelining, batch
-//! execution, v1 fallback, and cross-version compatibility.
+//! Protocol end-to-end tests: the login handshake and its window grant,
+//! pipelining, batch execution, cursors and EXPLAIN over the wire.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,7 +9,7 @@ use phoenix_engine::EngineConfig;
 use phoenix_server::ServerHarness;
 use phoenix_storage::types::Value;
 use phoenix_wire::frame::{read_frame, write_frame};
-use phoenix_wire::message::{Request, Response, DEFAULT_WINDOW, PROTOCOL_V1, PROTOCOL_V2};
+use phoenix_wire::message::{Request, Response, DEFAULT_WINDOW, PROTOCOL_V2};
 
 fn temp_dir() -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -25,128 +25,97 @@ fn start() -> (ServerHarness, PathBuf) {
     (h, dir)
 }
 
+/// The window a raw `LoginV2` asking for `ask` is granted.
+fn granted_window(addr: &str, ask: u32) -> u32 {
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    let login = Request::LoginV2 {
+        user: "raw".into(),
+        database: "test".into(),
+        options: vec![],
+        protocol: PROTOCOL_V2,
+        window: ask,
+    };
+    write_frame(&mut s, &login.encode()).unwrap();
+    match Response::decode(&read_frame(&mut s).unwrap()).unwrap() {
+        Response::LoginAckV2 {
+            protocol, window, ..
+        } => {
+            assert_eq!(protocol, PROTOCOL_V2);
+            window
+        }
+        other => panic!("login failed: {other:?}"),
+    }
+}
+
 #[test]
-fn v2_negotiated_by_default_and_window_capped() {
+fn server_grants_the_asked_window_within_its_bounds() {
     let (h, dir) = start();
-    let env = Environment::new().with_window(1_000_000);
-    let conn = env.connect(&h.addr(), "app", "test").unwrap();
-    assert_eq!(conn.protocol(), PROTOCOL_V2);
     assert_eq!(
-        conn.window(),
+        granted_window(&h.addr(), 1_000_000),
         DEFAULT_WINDOW,
         "server must cap an absurd window ask at its maximum"
     );
-    conn.close();
-    drop(h);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn forced_v1_still_works() {
-    let (h, dir) = start();
-    let env = Environment::new().with_protocol(PROTOCOL_V1);
-    let mut conn = env.connect(&h.addr(), "app", "test").unwrap();
-    assert_eq!(conn.protocol(), PROTOCOL_V1);
-    assert_eq!(conn.window(), 1);
-    conn.execute("CREATE TABLE t (id INT PRIMARY KEY)").unwrap();
+    assert_eq!(granted_window(&h.addr(), 8), 8);
     assert_eq!(
-        conn.execute("INSERT INTO t VALUES (1)").unwrap().affected(),
-        1
+        granted_window(&h.addr(), 0),
+        1,
+        "a zero window makes no progress"
     );
+    // The driver asks for the maximum.
+    let conn = Environment::new()
+        .connect(&h.addr(), "app", "test")
+        .unwrap();
+    assert_eq!(conn.window(), DEFAULT_WINDOW);
     conn.close();
     drop(h);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn v2_client_falls_back_against_v1_only_server() {
-    // A scripted v1-only server: answers the unknown LoginV2 tag with an
-    // error (exactly what the old server build does for any unknown tag) and
-    // then accepts the v1 Login on the same socket.
+fn pipeline_keeps_to_a_smaller_grant() {
+    // A scripted server that grants a window of 8.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let server = std::thread::spawn(move || {
         let (mut s, _) = listener.accept().unwrap();
-        s.set_nodelay(true).unwrap();
-        // First frame: the v2 probe. An old server doesn't know tag 10.
         let p = read_frame(&mut s).unwrap();
-        assert!(matches!(Request::decode(&p), Ok(Request::LoginV2 { .. })));
-        write_frame(
-            &mut s,
-            &Response::Err {
-                code: codes::PARSE,
-                message: "malformed request: unknown request tag 10".into(),
-            }
-            .encode(),
-        )
-        .unwrap();
-        // Second frame: the v1 fallback login.
-        let p = read_frame(&mut s).unwrap();
-        assert!(matches!(Request::decode(&p), Ok(Request::Login { .. })));
-        write_frame(&mut s, &Response::LoginAck { session: 42 }.encode()).unwrap();
-        // One v1 round trip to prove the fallen-back connection works.
-        let p = read_frame(&mut s).unwrap();
-        assert!(matches!(Request::decode(&p), Ok(Request::Ping)));
-        write_frame(&mut s, &Response::Pong.encode()).unwrap();
+        assert!(matches!(
+            Request::decode(&p),
+            Ok(Request::LoginV2 {
+                window: DEFAULT_WINDOW,
+                ..
+            })
+        ));
+        let ack = Response::LoginAckV2 {
+            session: 42,
+            protocol: PROTOCOL_V2,
+            window: 8,
+        };
+        write_frame(&mut s, &ack.encode()).unwrap();
     });
-
-    let env = Environment::new(); // defaults: try v2 first
-    let mut conn = env.connect(&addr, "app", "test").unwrap();
-    assert_eq!(conn.protocol(), PROTOCOL_V1, "must fall back to v1");
-    assert_eq!(conn.session_id(), 42);
-    conn.ping().unwrap();
+    let mut conn = Environment::new().connect(&addr, "app", "test").unwrap();
     server.join().unwrap();
-}
-
-#[test]
-fn old_v1_client_against_new_server() {
-    // The other compatibility direction: a client speaking raw v1 frames
-    // (no LoginV2 probe at all) against today's server.
-    let (h, dir) = start();
-    let mut s = std::net::TcpStream::connect(h.addr()).unwrap();
-    s.set_nodelay(true).unwrap();
-    let mut call = |req: Request| -> Response {
-        write_frame(&mut s, &req.encode()).unwrap();
-        Response::decode(&read_frame(&mut s).unwrap()).unwrap()
-    };
-    match call(Request::Login {
-        user: "old".into(),
-        database: "test".into(),
-        options: vec![],
-    }) {
-        Response::LoginAck { .. } => {}
-        other => panic!("v1 login failed: {other:?}"),
-    }
-    match call(Request::Exec {
-        sql: "SELECT 1".into(),
-    }) {
-        Response::Result { .. } => {}
-        other => panic!("v1 exec failed: {other:?}"),
-    }
-    match call(Request::Logout) {
-        Response::Bye => {}
-        other => panic!("v1 logout failed: {other:?}"),
-    }
-    drop(h);
-    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(conn.session_id(), 42);
+    assert_eq!(conn.pipeline().window(), 8);
 }
 
 #[test]
 fn pipeline_submits_ahead_and_replies_in_order() {
     let (h, dir) = start();
-    let env = Environment::new().with_window(8);
-    let mut conn = env.connect(&h.addr(), "app", "test").unwrap();
+    let mut conn = Environment::new()
+        .connect(&h.addr(), "app", "test")
+        .unwrap();
     conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
         .unwrap();
 
     let mut pipe = conn.pipeline();
-    assert_eq!(pipe.window(), 8);
-    let tags: Vec<u64> = (0..20)
+    assert_eq!(pipe.window(), DEFAULT_WINDOW);
+    let tags: Vec<u64> = (0..80)
         .map(|i| pipe.submit(&format!("INSERT INTO t VALUES ({i}, {})", i * 10)))
         .collect::<Result<_>>()
         .unwrap();
-    // 20 submissions through a window of 8: submission must have been forced
-    // to drain some replies along the way, yet every tag resolves.
+    // 80 submissions through a window of 32: submission must have been
+    // forced to drain some replies along the way, yet every tag resolves.
     for (i, tag) in tags.iter().enumerate() {
         assert_eq!(pipe.wait(*tag).unwrap().affected(), 1, "tag {i}");
     }
@@ -157,7 +126,7 @@ fn pipeline_submits_ahead_and_replies_in_order() {
     let q2 = pipe.submit("SELECT v FROM t WHERE id = 7").unwrap();
     pipe.drain().unwrap();
     assert_eq!(pipe.wait(q2).unwrap().rows()[0][0], Value::Int(70));
-    assert_eq!(pipe.wait(q1).unwrap().rows()[0][0], Value::Int(20));
+    assert_eq!(pipe.wait(q1).unwrap().rows()[0][0], Value::Int(80));
 
     // A sql error surfaces on its own tag without killing the pipeline.
     let bad = pipe.submit("INSERT INTO t VALUES (7, 0)").unwrap(); // dup pk
@@ -165,7 +134,7 @@ fn pipeline_submits_ahead_and_replies_in_order() {
     let err = pipe.wait(bad).unwrap_err();
     assert_eq!(err.server_code(), Some(codes::CONSTRAINT));
     assert!(!err.is_retryable());
-    assert_eq!(pipe.wait(good).unwrap().rows()[0][0], Value::Int(20));
+    assert_eq!(pipe.wait(good).unwrap().rows()[0][0], Value::Int(80));
 
     // Waiting on a never-submitted tag is a protocol (usage) error.
     assert!(matches!(pipe.wait(9999), Err(Error::Protocol(_))));
@@ -177,77 +146,56 @@ fn pipeline_submits_ahead_and_replies_in_order() {
 }
 
 #[test]
-fn pipeline_on_v1_connection_degrades_to_synchronous() {
+fn execute_batch_is_one_frame_and_stops_at_the_first_error() {
     let (h, dir) = start();
-    let env = Environment::new().with_protocol(PROTOCOL_V1);
-    let mut conn = env.connect(&h.addr(), "app", "test").unwrap();
+    let mut conn = Environment::new()
+        .connect(&h.addr(), "app", "test")
+        .unwrap();
     conn.execute("CREATE TABLE t (id INT PRIMARY KEY)").unwrap();
 
-    let mut pipe = conn.pipeline();
-    assert_eq!(pipe.window(), 1);
-    let a = pipe.submit("INSERT INTO t VALUES (1)").unwrap();
-    let b = pipe.submit("SELECT COUNT(*) FROM t").unwrap();
-    pipe.drain().unwrap();
-    assert_eq!(pipe.wait(b).unwrap().rows()[0][0], Value::Int(1));
-    assert_eq!(pipe.wait(a).unwrap().affected(), 1);
-    drop(pipe);
+    let items = conn
+        .execute_batch(&[
+            "INSERT INTO t VALUES (1)".into(),
+            "INSERT INTO t VALUES (2)".into(),
+            "SELECT COUNT(*) FROM t".into(),
+        ])
+        .unwrap();
+    assert_eq!(items.len(), 3);
+    assert!(matches!(
+        items[0],
+        BatchItem::Ok {
+            outcome: Outcome::RowsAffected(1),
+            ..
+        }
+    ));
+    match &items[2] {
+        BatchItem::Ok {
+            outcome: Outcome::ResultSet { rows, .. },
+            ..
+        } => assert_eq!(rows[0][0], Value::Int(2)),
+        other => panic!("{other:?}"),
+    }
+
+    // Batch stops at the first error; the error is the last item.
+    let items = conn
+        .execute_batch(&[
+            "INSERT INTO t VALUES (3)".into(),
+            "INSERT INTO t VALUES (1)".into(), // dup pk
+            "INSERT INTO t VALUES (4)".into(), // never attempted
+        ])
+        .unwrap();
+    assert_eq!(items.len(), 2);
+    assert!(matches!(items[1], BatchItem::Err { code, .. } if code == codes::CONSTRAINT));
+    let r = conn.execute("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(
+        r.rows()[0][0],
+        Value::Int(3),
+        "statement after the failure must not have run"
+    );
+
     conn.close();
     drop(h);
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn execute_batch_one_frame_and_v1_fallback_agree() {
-    for protocol in [PROTOCOL_V2, PROTOCOL_V1] {
-        let (h, dir) = start();
-        let env = Environment::new().with_protocol(protocol);
-        let mut conn = env.connect(&h.addr(), "app", "test").unwrap();
-        conn.execute("CREATE TABLE t (id INT PRIMARY KEY)").unwrap();
-
-        let items = conn
-            .execute_batch(&[
-                "INSERT INTO t VALUES (1)".into(),
-                "INSERT INTO t VALUES (2)".into(),
-                "SELECT COUNT(*) FROM t".into(),
-            ])
-            .unwrap();
-        assert_eq!(items.len(), 3, "protocol v{protocol}");
-        assert!(matches!(
-            items[0],
-            BatchItem::Ok {
-                outcome: Outcome::RowsAffected(1),
-                ..
-            }
-        ));
-        match &items[2] {
-            BatchItem::Ok {
-                outcome: Outcome::ResultSet { rows, .. },
-                ..
-            } => assert_eq!(rows[0][0], Value::Int(2)),
-            other => panic!("{other:?}"),
-        }
-
-        // Batch stops at the first error; the error is the last item.
-        let items = conn
-            .execute_batch(&[
-                "INSERT INTO t VALUES (3)".into(),
-                "INSERT INTO t VALUES (1)".into(), // dup pk
-                "INSERT INTO t VALUES (4)".into(), // never attempted
-            ])
-            .unwrap();
-        assert_eq!(items.len(), 2, "protocol v{protocol}");
-        assert!(matches!(items[1], BatchItem::Err { code, .. } if code == codes::CONSTRAINT));
-        let r = conn.execute("SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(
-            r.rows()[0][0],
-            Value::Int(3),
-            "statement after the failure must not have run (v{protocol})"
-        );
-
-        conn.close();
-        drop(h);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 }
 
 #[test]

@@ -60,7 +60,7 @@ pub struct SessiondMetrics {
     /// Spill rows discarded by the retention window or session close
     /// (`phoenix_sessiond_purged_total`).
     pub purged_total: Arc<Counter>,
-    /// Logins/requests refused with a retryable Busy
+    /// Logins refused with a retryable Busy at the `max_sessions` cap
     /// (`phoenix_sessiond_busy_total`).
     pub busy_total: Arc<Counter>,
     /// Sessions currently spilled (`phoenix_sessiond_spilled_sessions`).
@@ -68,8 +68,6 @@ pub struct SessiondMetrics {
     /// Serialized payload bytes written by spills
     /// (`phoenix_sessiond_spill_bytes_total`).
     pub spill_bytes: Arc<Counter>,
-    /// Cleanup-job passes completed (`phoenix_sessiond_cleanup_runs_total`).
-    pub cleanup_runs: Arc<Counter>,
 }
 
 /// The lifecycle metric set, registered on first use.
@@ -96,7 +94,7 @@ pub fn sessiond_metrics() -> &'static SessiondMetrics {
             ),
             busy_total: r.counter(
                 "phoenix_sessiond_busy_total",
-                "requests refused with retryable Busy (cap or admission)",
+                "logins refused with retryable Busy at the session cap",
             ),
             spilled_sessions: r.gauge(
                 "phoenix_sessiond_spilled_sessions",
@@ -105,10 +103,6 @@ pub fn sessiond_metrics() -> &'static SessiondMetrics {
             spill_bytes: r.counter(
                 "phoenix_sessiond_spill_bytes_total",
                 "serialized payload bytes written by spills",
-            ),
-            cleanup_runs: r.counter(
-                "phoenix_sessiond_cleanup_runs_total",
-                "lifecycle cleanup-job passes completed",
             ),
         }
     })

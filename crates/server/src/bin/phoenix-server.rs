@@ -29,48 +29,16 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--data" => data_dir = args.next().expect("--data needs a path").into(),
-            "--partitions" => {
-                partitions = Some(
-                    args.next()
-                        .expect("--partitions needs a number")
-                        .parse()
-                        .expect("bad partition count"),
-                )
-            }
-            "--group-commit-window-us" => {
-                group_commit_window_us = args
-                    .next()
-                    .expect("--group-commit-window-us needs a number")
-                    .parse()
-                    .expect("bad window")
-            }
-            "--port" => {
-                port = args
-                    .next()
-                    .expect("--port needs a number")
-                    .parse()
-                    .expect("bad port")
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--data" => data_dir = value(&mut args, flag),
+            "--partitions" => partitions = Some(value(&mut args, flag)),
+            "--group-commit-window-us" => group_commit_window_us = value(&mut args, flag),
+            "--port" => port = value(&mut args, flag),
             "--buffered" => durability = Durability::Buffered,
             "--semi-sync" => commit_mode = CommitMode::SemiSync,
-            "--max-sessions" => {
-                max_sessions = Some(
-                    args.next()
-                        .expect("--max-sessions needs a number")
-                        .parse()
-                        .expect("bad session cap"),
-                )
-            }
-            "--stats-port" => {
-                stats_port = Some(
-                    args.next()
-                        .expect("--stats-port needs a number")
-                        .parse()
-                        .expect("bad stats port"),
-                )
-            }
+            "--max-sessions" => max_sessions = Some(value(&mut args, flag)),
+            "--stats-port" => stats_port = Some(value(&mut args, flag)),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: phoenix-server [--data <dir>] [--port <port>] [--buffered] \
@@ -79,10 +47,7 @@ fn main() {
                 );
                 return;
             }
-            other => {
-                eprintln!("unknown argument '{other}' (try --help)");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument '{other}'")),
         }
     }
 
@@ -151,4 +116,20 @@ fn main() {
         }
     }
     eprintln!("phoenix-server: bye");
+}
+
+/// A bad command line ends the process with status 2 and one line on
+/// standard error — never a panic.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message} (try --help)");
+    std::process::exit(2);
+}
+
+/// The value after `flag`, parsed.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let Some(raw) = args.next() else {
+        usage_error(&format!("{flag} needs a value"))
+    };
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag}: bad value '{raw}'")))
 }

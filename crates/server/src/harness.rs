@@ -80,10 +80,10 @@ impl ServerHarness {
     }
 
     /// Reap registry entries whose peer has vanished (non-destructive
-    /// `MSG_PEEK` probe — see [`crate::server::prune_dead`]). Returns how
-    /// many were reaped; `None` while crashed. The sessiond cleanup job
-    /// calls this periodically so a *quiet* listener still notices dead
-    /// clients whose threads are parked inside long dispatches.
+    /// `MSG_PEEK` probe — see [`RunningServer::prune_dead_conns`]), so a
+    /// *quiet* listener still notices dead clients whose threads are parked
+    /// inside long dispatches. Returns how many were reaped; `None` while
+    /// crashed.
     pub fn prune_dead_conns(&self) -> Option<usize> {
         self.server.as_ref().map(|s| s.prune_dead_conns())
     }
@@ -196,8 +196,8 @@ impl Drop for ServerHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phoenix_wire::frame::{read_frame, write_frame};
-    use phoenix_wire::message::{Outcome, Request, Response};
+    use phoenix_wire::frame::{read_frame, read_tagged_frame, write_frame, write_tagged_frame};
+    use phoenix_wire::message::{Outcome, Request, Response, DEFAULT_WINDOW, PROTOCOL_V2};
     use std::net::TcpStream;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
@@ -217,21 +217,26 @@ mod tests {
         s
     }
 
+    /// One round trip on a logged-in connection, in tagged frames.
     fn call(s: &mut TcpStream, req: Request) -> Response {
-        write_frame(s, &req.encode()).unwrap();
-        Response::decode(&read_frame(s).unwrap()).unwrap()
+        write_tagged_frame(s, 1, &req.encode()).unwrap();
+        let (tag, payload) = read_tagged_frame(s).unwrap();
+        assert_eq!(tag, 1);
+        Response::decode(&payload).unwrap()
     }
 
+    /// The untagged `LoginV2` handshake.
     fn login(s: &mut TcpStream) {
-        match call(
-            s,
-            Request::Login {
-                user: "t".into(),
-                database: "d".into(),
-                options: vec![],
-            },
-        ) {
-            Response::LoginAck { .. } => {}
+        let login = Request::LoginV2 {
+            user: "t".into(),
+            database: "d".into(),
+            options: vec![],
+            protocol: PROTOCOL_V2,
+            window: DEFAULT_WINDOW,
+        };
+        write_frame(s, &login.encode()).unwrap();
+        match Response::decode(&read_frame(s).unwrap()).unwrap() {
+            Response::LoginAckV2 { .. } => {}
             other => panic!("{other:?}"),
         }
     }
@@ -316,8 +321,8 @@ mod tests {
         // The old connection is dead.
         s.set_read_timeout(Some(Duration::from_millis(500)))
             .unwrap();
-        let dead =
-            write_frame(&mut s, &Request::Ping.encode()).is_err() || read_frame(&mut s).is_err();
+        let dead = write_tagged_frame(&mut s, 1, &Request::Ping.encode()).is_err()
+            || read_tagged_frame(&mut s).is_err();
         assert!(dead, "socket should be severed by crash");
 
         // A double-crash is reported, not a panic.
@@ -443,8 +448,9 @@ mod tests {
             // FIN arrives while the thread is *executing*, not reading, so
             // the registry entry lingers until something probes it.
             h.stall(Duration::from_millis(600));
-            write_frame(
+            write_tagged_frame(
                 &mut s,
+                1,
                 &Request::Exec {
                     sql: "SELECT 1".into(),
                 }

@@ -5,10 +5,11 @@
 //! The TCP database server over [`phoenix_engine`], plus the crash-injection
 //! harness used by tests and benchmarks.
 //!
-//! * [`server`] — thread-per-connection request/response loop. A connection
-//!   owns one engine session; losing the connection (for any reason) closes
-//!   the session, destroying its temp tables — the property Phoenix's
-//!   liveness probe tests.
+//! * [`server`] — the one front-end: a thread per connection, speaking the
+//!   one wire protocol (a `LoginV2` handshake, then tagged, pipelined
+//!   frames). A connection owns one engine session; losing the connection
+//!   (for any reason) closes the session, destroying its temp tables — the
+//!   property Phoenix's liveness probe tests.
 //! * [`harness`] — [`harness::ServerHarness`]: `start()` / `crash()` /
 //!   `restart()` / `shutdown()`. `crash()` is deliberately brutal: client
 //!   sockets are severed *before* the engine is dropped, so a request that
@@ -28,7 +29,5 @@ pub mod server;
 pub mod stats_http;
 
 pub use harness::ServerHarness;
-pub use server::{
-    dispatch, login_v2, prune_dead, serve_connection, BoundServer, ConnRegistry, RunningServer,
-};
+pub use server::{BoundServer, RunningServer};
 pub use stats_http::StatsListener;

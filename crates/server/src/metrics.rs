@@ -29,13 +29,12 @@ pub struct ServerMetrics {
     /// client gets a `Response::Err`.
     pub malformed_requests: Arc<Counter>,
     /// Requests currently inside some connection's pipeline window — queued
-    /// or executing — across all v2 connections
+    /// or executing — across all logged-in connections
     /// (`phoenix_pipeline_window_depth`).
     pub pipeline_window_depth: Arc<Gauge>,
     /// Individual statements executed via `ExecBatch`
     /// (`phoenix_batch_statements_total`).
     pub batch_statements: Arc<Counter>,
-    login: Arc<Counter>,
     exec: Arc<Counter>,
     open_cursor: Arc<Counter>,
     fetch: Arc<Counter>,
@@ -55,7 +54,6 @@ impl ServerMetrics {
     /// The `phoenix_requests_total{type=...}` series for a request.
     pub fn requests(&self, request: &Request) -> &Counter {
         match request {
-            Request::Login { .. } => &self.login,
             Request::Exec { .. } => &self.exec,
             Request::OpenCursor { .. } => &self.open_cursor,
             Request::Fetch { .. } => &self.fetch,
@@ -113,13 +111,12 @@ pub fn server_metrics() -> &'static ServerMetrics {
             ),
             pipeline_window_depth: r.gauge(
                 "phoenix_pipeline_window_depth",
-                "requests queued or executing inside v2 pipeline windows",
+                "requests queued or executing inside pipeline windows",
             ),
             batch_statements: r.counter(
                 "phoenix_batch_statements_total",
                 "individual statements executed via ExecBatch",
             ),
-            login: req("login"),
             exec: req("exec"),
             open_cursor: req("open_cursor"),
             fetch: req("fetch"),

@@ -42,10 +42,8 @@ use crate::metrics::server_metrics;
 pub type SharedEngine = Arc<RwLock<Option<Arc<Engine>>>>;
 
 /// Registry of live client streams, keyed by connection id so each
-/// connection can prune its own entry when it exits. Public so alternate
-/// front-ends (the sessiond reactor) can share the sever-on-crash and
-/// reap-dead-connections machinery.
-pub type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+/// connection can prune its own entry when it exits.
+type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
 
 /// Liveness-probe a registered stream without consuming data: a one-byte
 /// `recv(MSG_PEEK | MSG_DONTWAIT)` returning 0 means the peer performed an
@@ -94,7 +92,7 @@ fn stream_is_dead(_stream: &TcpStream) -> bool {
 /// client died without a FIN reaching the blocking read) stays registered
 /// until something probes it. The reaped stream is also shut down so the
 /// owning thread's next read/write fails fast and it exits normally.
-pub fn prune_dead(conns: &ConnRegistry) -> usize {
+fn prune_dead(conns: &ConnRegistry) -> usize {
     let mut conns = conns.lock();
     let dead: Vec<u64> = conns
         .iter()
@@ -183,15 +181,12 @@ impl RunningServer {
         self.conns.lock().len()
     }
 
-    /// Reap registry entries whose peer has vanished (see [`prune_dead`]).
+    /// Reap registry entries whose peer has vanished: a 1-byte
+    /// `MSG_PEEK | MSG_DONTWAIT` probe per connection notices a peer that
+    /// left while its thread was parked inside a long dispatch. Returns how
+    /// many were reaped.
     pub fn prune_dead_conns(&self) -> usize {
         prune_dead(&self.conns)
-    }
-
-    /// A clone of the connection-registry handle, for external probers
-    /// (the sessiond cleanup job prunes through this).
-    pub fn conns_handle(&self) -> ConnRegistry {
-        Arc::clone(&self.conns)
     }
 
     /// Sever every client connection immediately.
@@ -291,49 +286,37 @@ fn accept_loop(
 }
 
 /// Serve one client connection until logout, client disconnect, or crash.
-pub fn serve_connection(mut stream: TcpStream, engine: SharedEngine) {
+///
+/// Until a `LoginV2` opens a session the connection speaks untagged frames
+/// and is served only what needs none — `Ping`, `Stats` and `Promote` (the
+/// fencing kill switch); a session-bound request gets the `NoSession`
+/// error. A successful login switches the connection to tagged frames for
+/// the rest of its life.
+fn serve_connection(mut stream: TcpStream, engine: SharedEngine) {
     let mut session: Option<SessionId> = None;
 
-    // (clippy suggests `while let`, but the explicit break keeps the
-    // "client gone or socket severed" exit path annotated.)
-    #[allow(clippy::while_let_loop)]
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(p) => p,
-            Err(_) => break, // client gone or socket severed
-        };
+    // The read error that ends the loop is the client hanging up or the
+    // socket being severed.
+    while let Ok(payload) = read_frame(&mut stream) {
+        let m = server_metrics();
         let request = match Request::decode(&payload) {
             Ok(r) => r,
             Err(e) => {
                 // A garbage payload inside a well-formed frame is the
                 // client's bug, not a transport failure: the frame layer has
                 // preserved message boundaries, so the stream is still in
-                // sync. Answer with a clean error and keep serving instead
-                // of killing the connection (and with it the session's temp
-                // tables and cursors).
-                server_metrics().malformed_requests.inc();
-                if send(
-                    &mut stream,
-                    &Response::Err {
-                        code: ErrorCode::Parse as u16,
-                        message: format!("malformed request: {e}"),
-                    },
-                )
-                .is_err()
-                {
+                // sync. Answer with a clean error and keep serving. (The
+                // retired v1 `Login` lands here too; its decode error names
+                // `LoginV2`.)
+                m.malformed_requests.inc();
+                if send(&mut stream, &malformed(e)).is_err() {
                     break;
                 }
                 continue;
             }
         };
-
-        let m = server_metrics();
         m.requests(&request).inc();
 
-        // A LoginV2 upgrades this connection to pipelined v2 mode for the
-        // rest of its lifetime. On a negotiation failure (e.g. the client
-        // asked for a version this server cannot speak) the connection stays
-        // in the v1 loop so the client can retry with a plain Login.
         if let Request::LoginV2 {
             user,
             database: _,
@@ -342,12 +325,12 @@ pub fn serve_connection(mut stream: TcpStream, engine: SharedEngine) {
             window,
         } = request
         {
-            match login_v2(&engine, &mut session, &user, options, protocol, window) {
-                Ok((ack, granted)) => {
-                    if send(&mut stream, &ack).is_err() {
-                        break;
+            match login_v2(&engine, &user, options, protocol, window) {
+                Ok((sid, ack)) => {
+                    session = Some(sid);
+                    if send(&mut stream, &ack).is_ok() {
+                        serve_pipelined(&mut stream, &engine, &mut session);
                     }
-                    serve_pipelined(&mut stream, &engine, &mut session, granted);
                     break;
                 }
                 Err(rsp) => {
@@ -363,10 +346,7 @@ pub fn serve_connection(mut stream: TcpStream, engine: SharedEngine) {
         m.requests_inflight.inc();
         let response = dispatch(&engine, &mut session, request);
         m.requests_inflight.dec();
-        if send(&mut stream, &response).is_err() {
-            break; // reply lost — the paper's lost-message case
-        }
-        if logout {
+        if send(&mut stream, &response).is_err() || logout {
             break;
         }
     }
@@ -381,44 +361,37 @@ pub fn serve_connection(mut stream: TcpStream, engine: SharedEngine) {
     }
 }
 
-/// Negotiate a v2 login. On success returns the ack to send (untagged — the
-/// handshake itself is still v1-framed) and the granted window. Public so
-/// the sessiond reactor's executors can run the identical negotiation.
-pub fn login_v2(
+/// Open the session a `LoginV2` asks for. On success returns it with the
+/// ack to send — untagged: the handshake is the connection's last untagged
+/// exchange.
+fn login_v2(
     engine: &SharedEngine,
-    session: &mut Option<SessionId>,
     user: &str,
     options: Vec<(String, phoenix_storage::types::Value)>,
     protocol: u32,
     window: u32,
-) -> Result<(Response, u32), Response> {
-    let eng = engine.read().clone().ok_or(Response::Err {
-        code: ErrorCode::NoSession as u16,
-        message: "server unavailable".into(),
-    })?;
+) -> Result<(SessionId, Response), Response> {
+    let eng = engine.read().clone().ok_or_else(unavailable)?;
     if protocol < PROTOCOL_V2 {
-        // A LoginV2 advertising v1 is contradictory; tell the client to use
-        // the v1 handshake, which is what a fallback client does anyway.
         return Err(Response::Err {
             code: ErrorCode::Unsupported as u16,
-            message: format!("protocol v{protocol} must use a v1 Login"),
+            message: format!("protocol v{protocol} is retired: this server speaks v{PROTOCOL_V2}"),
         });
     }
-    let sid = create_session_with_options(&eng, session, user, options)?;
-    // The server never grants more than DEFAULT_WINDOW regardless of the ask,
-    // and never less than 1 (a zero window could make no progress).
-    let granted = window.clamp(1, DEFAULT_WINDOW);
+    let sid = create_session_with_options(&eng, user, options)?;
     Ok((
+        sid,
         Response::LoginAckV2 {
             session: sid,
             protocol: PROTOCOL_V2,
-            window: granted,
+            // Never more than DEFAULT_WINDOW whatever the ask, and never
+            // less than 1 (a zero window could make no progress).
+            window: window.clamp(1, DEFAULT_WINDOW),
         },
-        granted,
     ))
 }
 
-/// Serve a connection in pipelined v2 mode: tagged frames are read,
+/// Serve a logged-in connection: tagged frames are read,
 /// executed strictly in arrival order, and answered with tagged replies —
 /// all on this thread.
 ///
@@ -431,18 +404,12 @@ pub fn login_v2(
 /// negotiated window bounds how many small tagged frames a client puts in
 /// flight, comfortably inside the receive buffer) and each loop iteration
 /// drains one request from it with the same zero-handoff read.
-fn serve_pipelined(
-    stream: &mut TcpStream,
-    engine: &SharedEngine,
-    session: &mut Option<SessionId>,
-    window: u32,
-) {
-    debug_assert!(window >= 1);
+fn serve_pipelined(stream: &mut TcpStream, engine: &SharedEngine, session: &mut Option<SessionId>) {
     let m = server_metrics();
     // The read error that ends the loop is the client hanging up or the
     // socket being severed.
     while let Ok((tag, payload)) = read_tagged_frame(stream) {
-        let req = Request::decode(&payload).map_err(|e| e.to_string());
+        let req = Request::decode(&payload);
         m.pipeline_window_depth.inc();
         // The moment a queued request is picked up for execution. Crashing
         // here models dying with a full reply window: earlier tags may have
@@ -465,16 +432,10 @@ fn serve_pipelined(
                 (r, logout)
             }
             Err(e) => {
-                // Same contract as the v1 loop: a malformed message inside a
-                // well-formed frame gets an error reply, not a hangup.
+                // Same contract as before login: a malformed message inside
+                // a well-formed frame gets an error reply, not a hangup.
                 m.malformed_requests.inc();
-                (
-                    Response::Err {
-                        code: ErrorCode::Parse as u16,
-                        message: format!("malformed request: {e}"),
-                    },
-                    false,
-                )
+                (malformed(e), false)
             }
         };
         m.pipeline_window_depth.dec();
@@ -492,8 +453,8 @@ fn send(stream: &mut TcpStream, response: &Response) -> Result<(), FrameError> {
     send_bytes(stream, &response.encode())
 }
 
-/// Send a tagged (v2) reply: the tag is part of the frame payload, so the
-/// fault-injection path below tears tagged frames exactly like v1 frames.
+/// Send a tagged reply: the tag is part of the frame payload, so the
+/// fault-injection path below tears tagged frames exactly like untagged ones.
 fn send_tagged(stream: &mut TcpStream, tag: u64, response: &Response) -> Result<(), FrameError> {
     let body = response.encode();
     let mut payload = Vec::with_capacity(8 + body.len());
@@ -539,27 +500,15 @@ fn send_bytes(stream: &mut TcpStream, bytes: &[u8]) -> Result<(), FrameError> {
     write_frame(stream, bytes)
 }
 
-/// Execute one request against the engine and produce its response. Public
-/// so the sessiond reactor's executors share the exact request semantics of
-/// the thread-per-connection server.
-pub fn dispatch(
-    engine: &SharedEngine,
-    session: &mut Option<SessionId>,
-    request: Request,
-) -> Response {
+/// Execute one request against the engine and produce its response.
+fn dispatch(engine: &SharedEngine, session: &mut Option<SessionId>, request: Request) -> Response {
     // Take a short shared lock to clone the engine handle, then execute with
     // no global lock held — other connections proceed concurrently.
-    let eng = match engine.read().clone() {
-        Some(e) => e,
-        None => {
-            // Crashed: every request fails. The socket will be severed by the
-            // harness moments later; answering here keeps the failure mode
-            // deterministic for requests that race the crash.
-            return Response::Err {
-                code: ErrorCode::NoSession as u16,
-                message: "server unavailable".into(),
-            };
-        }
+    // Crashed: every request fails. The socket will be severed by the
+    // harness moments later; answering here keeps the failure mode
+    // deterministic for requests that race the crash.
+    let Some(eng) = engine.read().clone() else {
+        return unavailable();
     };
 
     match request {
@@ -569,19 +518,11 @@ pub fn dispatch(
         Request::Stats => Response::Stats {
             snapshot: StatsSnapshot::capture().encode(),
         },
-        Request::Login {
-            user,
-            database: _,
-            options,
-        } => match create_session_with_options(&eng, session, &user, options) {
-            Ok(sid) => Response::LoginAck { session: sid },
-            Err(rsp) => rsp,
-        },
-        // The v2 handshake is handled at the connection layer (it changes the
-        // framing mode); reaching dispatch means it arrived mid-pipeline.
+        // The login is handled at the connection layer (it changes the
+        // framing); reaching dispatch means the connection has a session.
         Request::LoginV2 { .. } => Response::Err {
             code: ErrorCode::Unsupported as u16,
-            message: "connection is already in pipelined mode".into(),
+            message: "connection is already logged in".into(),
         },
         Request::Logout => {
             if let Some(sid) = session.take() {
@@ -736,13 +677,9 @@ pub fn dispatch(
     }
 }
 
-/// Create a session for `user` and apply initial options, replacing any
-/// existing session on the connection. A relogin replaces the session: the
-/// old one is closed first so its temp objects, cursors, and any open
-/// transaction are torn down instead of leaking.
+/// Create a session for `user` and apply initial options.
 fn create_session_with_options(
     eng: &Arc<Engine>,
-    session: &mut Option<SessionId>,
     user: &str,
     options: Vec<(String, phoenix_storage::types::Value)>,
 ) -> Result<SessionId, Response> {
@@ -755,9 +692,6 @@ fn create_session_with_options(
             code: ErrorCode::Fenced as u16,
             message: "server fenced: a newer primary has been promoted".into(),
         });
-    }
-    if let Some(old) = session.take() {
-        let _ = eng.close_session(old);
     }
     // The fallible path: when a `max_sessions` cap is configured and no
     // resident session can be spilled to make room, this surfaces the
@@ -774,7 +708,6 @@ fn create_session_with_options(
             return Err(err_of(e));
         }
     }
-    *session = Some(sid);
     Ok(sid)
 }
 
@@ -783,6 +716,20 @@ fn outcome_of(o: ExecOutcome) -> Outcome {
         ExecOutcome::ResultSet { schema, rows } => Outcome::ResultSet { schema, rows },
         ExecOutcome::RowsAffected(n) => Outcome::RowsAffected(n),
         ExecOutcome::Done => Outcome::Done,
+    }
+}
+
+fn unavailable() -> Response {
+    Response::Err {
+        code: ErrorCode::NoSession as u16,
+        message: "server unavailable".into(),
+    }
+}
+
+fn malformed(e: phoenix_storage::codec::DecodeError) -> Response {
+    Response::Err {
+        code: ErrorCode::Parse as u16,
+        message: format!("malformed request: {e}"),
     }
 }
 

@@ -2,6 +2,8 @@
 //! child process, talk to it over TCP, shut it down via stdin, and verify
 //! the data survived (checkpoint on shutdown + recovery on start).
 
+mod common;
+
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -9,7 +11,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use phoenix_wire::frame::{read_frame, write_frame};
+use common::{call, login};
 use phoenix_wire::message::{Outcome, Request, Response};
 
 fn temp_dir() -> PathBuf {
@@ -49,20 +51,6 @@ fn spawn_server_logging(data: &Path, port: u16, stderr: impl Into<Stdio>) -> Chi
         .expect("spawn phoenix-server")
 }
 
-fn login(s: &mut TcpStream) {
-    match call(
-        s,
-        Request::Login {
-            user: "smoke".into(),
-            database: "d".into(),
-            options: vec![],
-        },
-    ) {
-        Response::LoginAck { .. } => {}
-        other => panic!("{other:?}"),
-    }
-}
-
 fn exec(s: &mut TcpStream, sql: &str) -> Outcome {
     match call(s, Request::Exec { sql: sql.into() }) {
         Response::Result { outcome, .. } => outcome,
@@ -94,11 +82,6 @@ fn wait_for_port(port: u16) -> TcpStream {
             Err(e) => panic!("server never came up on {port}: {e}"),
         }
     }
-}
-
-fn call(s: &mut TcpStream, req: Request) -> Response {
-    write_frame(s, &req.encode()).unwrap();
-    Response::decode(&read_frame(s).unwrap()).unwrap()
 }
 
 fn shutdown(mut child: Child) {
@@ -268,4 +251,25 @@ fn restart_defers_the_table_its_log_tail_does_not_write() {
     child.wait().unwrap();
     std::fs::remove_dir_all(&data).unwrap();
     std::fs::remove_file(&log).unwrap();
+}
+
+/// A flag with a bad or missing value is a usage error: exit status 2 and a
+/// message, as for an unknown flag — not a panic.
+#[test]
+fn bad_flag_values_exit_2_without_a_panic() {
+    for args in [
+        &["--port", "abc"][..],
+        &["--partitions"][..],
+        &["--no-such-flag"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_phoenix-server"))
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run phoenix-server");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains("try --help"), "{args:?}: {stderr}");
+    }
 }

@@ -1,12 +1,16 @@
 //! Concurrency tests for the server: sessions must execute simultaneously,
-//! the crash switch must fail every live connection atomically, and the two
-//! session-leak fixes (connection registry, relogin) must hold.
+//! the crash switch must fail every live connection atomically, the
+//! connection registry must not leak, and a logged-in connection keeps its
+//! one session.
+
+mod common;
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{call, login, login_request, try_call};
 use phoenix_engine::EngineConfig;
 use phoenix_server::ServerHarness;
 use phoenix_wire::frame::{read_frame, write_frame};
@@ -27,30 +31,6 @@ fn connect(h: &ServerHarness) -> TcpStream {
     let s = TcpStream::connect(h.addr()).unwrap();
     s.set_nodelay(true).unwrap();
     s
-}
-
-fn call(s: &mut TcpStream, req: Request) -> Response {
-    try_call(s, req).unwrap()
-}
-
-fn try_call(s: &mut TcpStream, req: Request) -> std::io::Result<Response> {
-    write_frame(s, &req.encode()).map_err(|e| std::io::Error::other(e.to_string()))?;
-    let payload = read_frame(s).map_err(|e| std::io::Error::other(e.to_string()))?;
-    Response::decode(&payload).map_err(|e| std::io::Error::other(e.to_string()))
-}
-
-fn login(s: &mut TcpStream) {
-    match call(
-        s,
-        Request::Login {
-            user: "t".into(),
-            database: "d".into(),
-            options: vec![],
-        },
-    ) {
-        Response::LoginAck { .. } => {}
-        other => panic!("login failed: {other:?}"),
-    }
 }
 
 fn exec(s: &mut TcpStream, sql: &str) -> Response {
@@ -337,11 +317,11 @@ fn connection_registry_prunes_dead_clients() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Regression (relogin leak): a second `Login` on the same connection must
-/// close the first session — its temp objects die and the engine's session
-/// count stays at one.
+/// A connection has one session for life: a second `LoginV2` on a
+/// logged-in connection is refused, no second session is opened, and the
+/// first one keeps its temp objects.
 #[test]
-fn relogin_closes_previous_session() {
+fn second_login_on_a_connection_is_refused_and_keeps_the_session() {
     let dir = temp_dir("relogin");
     let h = ServerHarness::start(&dir, EngineConfig::default()).unwrap();
 
@@ -350,18 +330,12 @@ fn relogin_closes_previous_session() {
     exec_ok(&mut s, "CREATE TABLE #scratch (v INT)");
     assert_eq!(h.with_engine(|e| e.session_count()), Some(1));
 
-    // Relogin on the same connection.
-    login(&mut s);
-    assert_eq!(
-        h.with_engine(|e| e.session_count()),
-        Some(1),
-        "old session leaked after relogin"
-    );
-    // The old session's temp table died with it.
-    match exec(&mut s, "SELECT * FROM #scratch") {
-        Response::Err { .. } => {}
-        other => panic!("temp table survived relogin: {other:?}"),
+    match call(&mut s, login_request("again")) {
+        Response::Err { message, .. } => assert!(message.contains("logged in"), "{message}"),
+        other => panic!("a second login must be refused: {other:?}"),
     }
+    assert_eq!(h.with_engine(|e| e.session_count()), Some(1));
+    exec_ok(&mut s, "SELECT * FROM #scratch");
 
     call(&mut s, Request::Logout);
     drop(s);
@@ -381,12 +355,7 @@ fn login_sent_between_bind_and_serve_is_answered_and_stop_is_prompt() {
     let dir = temp_dir("bind-serve");
     let bound = RunningServer::bind(0).unwrap();
     let mut early = TcpStream::connect(("127.0.0.1", bound.port)).unwrap();
-    let hello = Request::Login {
-        user: "early".into(),
-        database: "d".into(),
-        options: vec![],
-    };
-    write_frame(&mut early, &hello.encode()).unwrap();
+    write_frame(&mut early, &login_request("early").encode()).unwrap();
 
     // "Recovery" happens here, with the client already queued.
     let engine = Engine::open(&dir, EngineConfig::default()).unwrap();
@@ -395,7 +364,7 @@ fn login_sent_between_bind_and_serve_is_answered_and_stop_is_prompt() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     let reply = Response::decode(&read_frame(&mut early).unwrap()).unwrap();
-    assert!(matches!(reply, Response::LoginAck { .. }), "{reply:?}");
+    assert!(matches!(reply, Response::LoginAckV2 { .. }), "{reply:?}");
     exec_ok(&mut early, "CREATE TABLE t (x INT)");
     drop(early);
 

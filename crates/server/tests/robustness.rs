@@ -3,14 +3,17 @@
 //! killing the connection would also kill the session (temp tables, cursors),
 //! which is far too high a price for one bad message.
 
+mod common;
+
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use common::{call, call_raw, login, login_request, untagged_call};
 use phoenix_engine::EngineConfig;
 use phoenix_server::metrics::server_metrics;
 use phoenix_server::ServerHarness;
 use phoenix_storage::types::Value;
-use phoenix_wire::frame::{read_frame, write_frame};
+use phoenix_wire::frame::{read_frame, read_tagged_frame, write_frame, write_tagged_frame};
 use phoenix_wire::message::{Outcome, Request, Response};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -21,19 +24,6 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     d
 }
 
-fn call(s: &mut TcpStream, req: Request) -> Response {
-    write_frame(s, &req.encode()).unwrap();
-    let payload = read_frame(s).unwrap();
-    Response::decode(&payload).unwrap()
-}
-
-/// Send raw bytes as a frame payload and read back the response.
-fn call_raw(s: &mut TcpStream, payload: &[u8]) -> Response {
-    write_frame(s, payload).unwrap();
-    let payload = read_frame(s).unwrap();
-    Response::decode(&payload).unwrap()
-}
-
 #[test]
 fn garbage_payload_gets_error_and_connection_survives() {
     let dir = temp_dir("garbage");
@@ -41,17 +31,7 @@ fn garbage_payload_gets_error_and_connection_survives() {
     let mut s = TcpStream::connect(h.addr()).unwrap();
     s.set_nodelay(true).unwrap();
 
-    match call(
-        &mut s,
-        Request::Login {
-            user: "t".into(),
-            database: "d".into(),
-            options: vec![],
-        },
-    ) {
-        Response::LoginAck { .. } => {}
-        other => panic!("login failed: {other:?}"),
-    }
+    login(&mut s);
     match call(
         &mut s,
         Request::Exec {
@@ -64,9 +44,9 @@ fn garbage_payload_gets_error_and_connection_survives() {
 
     let malformed_before = server_metrics().malformed_requests.get();
 
-    // An unknown request tag, a truncated Login, and pure noise: all are
-    // valid *frames*, none are valid *requests*. Each must be answered with
-    // an error on the same, still-living connection.
+    // An unknown request tag, the retired v1 Login tag, and pure noise: all
+    // are valid *frames*, none are valid *requests*. Each must be answered
+    // with an error on the same, still-living connection.
     for garbage in [&[200u8][..], &[1, 0, 0][..], &[0xde, 0xad, 0xbe, 0xef][..]] {
         match call_raw(&mut s, garbage) {
             Response::Err { message, .. } => {
@@ -113,12 +93,7 @@ fn grouped_query_over_empty_input_keeps_the_connection() {
     let mut h = ServerHarness::start(&dir, EngineConfig::default()).unwrap();
     let mut s = TcpStream::connect(h.addr()).unwrap();
     s.set_nodelay(true).unwrap();
-    let login = Request::Login {
-        user: "t".into(),
-        database: "d".into(),
-        options: vec![],
-    };
-    assert!(matches!(call(&mut s, login), Response::LoginAck { .. }));
+    login(&mut s);
     let mut exec = |sql: &str| call(&mut s, Request::Exec { sql: sql.into() });
     assert!(matches!(
         exec("CREATE TABLE #t (a INT, b INT)"),
@@ -153,11 +128,12 @@ fn grouped_query_over_empty_input_keeps_the_connection() {
     h.shutdown();
 }
 
-/// A scripted stand-in for a dying server: answers the login handshake, then
-/// hands the connection to `script` to misbehave with.
+/// A scripted stand-in for a dying server: answers the login handshake,
+/// reads the first tagged request, then hands the connection and that
+/// request's tag to `script` to misbehave with.
 fn fake_server<F>(script: F) -> (String, std::thread::JoinHandle<()>)
 where
-    F: FnOnce(&mut TcpStream) + Send + 'static,
+    F: FnOnce(&mut TcpStream, u64) + Send + 'static,
 {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
@@ -165,8 +141,14 @@ where
         let (mut s, _) = listener.accept().unwrap();
         s.set_nodelay(true).unwrap();
         let _login = read_frame(&mut s).unwrap();
-        write_frame(&mut s, &Response::LoginAck { session: 7 }.encode()).unwrap();
-        script(&mut s);
+        let ack = Response::LoginAckV2 {
+            session: 7,
+            protocol: phoenix_wire::message::PROTOCOL_V2,
+            window: phoenix_wire::message::DEFAULT_WINDOW,
+        };
+        write_frame(&mut s, &ack.encode()).unwrap();
+        let (tag, _req) = read_tagged_frame(&mut s).unwrap();
+        script(&mut s, tag);
     });
     (addr, handle)
 }
@@ -177,8 +159,7 @@ fn half_written_reply_is_clean_comm_error() {
     // 64 bytes) and 10 payload bytes when the socket closes. The driver must
     // surface a clean connection-lost error — the trigger for Phoenix's
     // reconnect loop — never a decode panic or a terminal protocol error.
-    let (addr, server) = fake_server(|s| {
-        let _req = read_frame(s).unwrap();
+    let (addr, server) = fake_server(|s, _tag| {
         use std::io::Write;
         s.write_all(&64u32.to_le_bytes()).unwrap();
         s.write_all(&[0xAA; 10]).unwrap();
@@ -186,7 +167,7 @@ fn half_written_reply_is_clean_comm_error() {
         // Socket drops here: EOF mid-frame on the client.
     });
 
-    let env = phoenix_driver::Environment::new().with_protocol(phoenix_wire::message::PROTOCOL_V1);
+    let env = phoenix_driver::Environment::new();
     let mut conn = env.connect(&addr, "app", "test").unwrap();
     let err = conn.execute("SELECT 1").unwrap_err();
     assert!(err.is_comm(), "half-written reply must be comm, got {err}");
@@ -202,15 +183,14 @@ fn undecodable_reply_frame_is_comm_and_poisons() {
     // this too must classify as a communication failure that poisons the
     // connection — not a protocol error the application would treat as
     // terminal, and not a panic.
-    let (addr, server) = fake_server(|s| {
-        let _req = read_frame(s).unwrap();
-        write_frame(s, &[0xde, 0xad, 0xbe, 0xef, 0xff]).unwrap();
+    let (addr, server) = fake_server(|s, tag| {
+        write_tagged_frame(s, tag, &[0xde, 0xad, 0xbe, 0xef, 0xff]).unwrap();
         // Keep the socket open until the client gives up, so the failure the
         // driver sees is the bad payload, not EOF.
         let _ = read_frame(s);
     });
 
-    let env = phoenix_driver::Environment::new().with_protocol(phoenix_wire::message::PROTOCOL_V1);
+    let env = phoenix_driver::Environment::new();
     let mut conn = env.connect(&addr, "app", "test").unwrap();
     let err = conn.execute("SELECT 1").unwrap_err();
     assert!(err.is_comm(), "undecodable reply must be comm, got {err}");
@@ -223,21 +203,80 @@ fn undecodable_reply_frame_is_comm_and_poisons() {
 fn oversized_reply_frame_is_comm_and_poisons() {
     // A length header past MAX_FRAME means the stream is desynchronized
     // (we are reading payload bytes as a header). Same classification.
-    let (addr, server) = fake_server(|s| {
-        let _req = read_frame(s).unwrap();
+    let (addr, server) = fake_server(|s, _tag| {
         use std::io::Write;
         s.write_all(&u32::MAX.to_le_bytes()).unwrap();
         s.flush().unwrap();
         let _ = read_frame(s);
     });
 
-    let env = phoenix_driver::Environment::new().with_protocol(phoenix_wire::message::PROTOCOL_V1);
+    let env = phoenix_driver::Environment::new();
     let mut conn = env.connect(&addr, "app", "test").unwrap();
     let err = conn.execute("SELECT 1").unwrap_err();
     assert!(err.is_comm(), "oversized reply must be comm, got {err}");
     assert!(conn.is_poisoned());
     drop(conn);
     server.join().unwrap();
+}
+
+/// The same desync inside a pipeline window: the oversized reply to the
+/// first of two in-flight requests poisons the connection for both.
+#[test]
+fn oversized_reply_inside_a_pipeline_poisons() {
+    let (addr, server) = fake_server(|s, _tag| {
+        use std::io::Write;
+        let _second = read_tagged_frame(s).unwrap();
+        s.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        s.flush().unwrap();
+        let _ = read_frame(s);
+    });
+
+    let env = phoenix_driver::Environment::new();
+    let mut conn = env.connect(&addr, "app", "test").unwrap();
+    let mut pipe = conn.pipeline();
+    let first = pipe.submit("SELECT 1").unwrap();
+    let second = pipe.submit("SELECT 2").unwrap();
+    let err = pipe.wait(first).unwrap_err();
+    assert!(err.is_comm(), "oversized reply must be comm, got {err}");
+    assert!(pipe.wait(second).unwrap_err().is_comm());
+    drop(pipe);
+    assert!(conn.is_poisoned());
+    drop(conn);
+    server.join().unwrap();
+}
+
+/// A client still speaking v1 sends `Login` (request tag 1). The server
+/// answers with an error naming its replacement and keeps the socket open,
+/// so the same connection can log in properly.
+#[test]
+fn retired_v1_login_is_refused_by_name_and_the_socket_stays_usable() {
+    let dir = temp_dir("v1-login");
+    let mut h = ServerHarness::start(&dir, EngineConfig::default()).unwrap();
+    let mut s = TcpStream::connect(h.addr()).unwrap();
+    s.set_nodelay(true).unwrap();
+
+    // A v1 Login is a LoginV2 without the trailing protocol and window
+    // fields, under request tag 1.
+    let mut v1_login = login_request("old").encode();
+    v1_login[0] = 1;
+    v1_login.truncate(v1_login.len() - 8);
+    write_frame(&mut s, &v1_login).unwrap();
+    match Response::decode(&read_frame(&mut s).unwrap()).unwrap() {
+        Response::Err { message, .. } => assert!(message.contains("LoginV2"), "{message}"),
+        other => panic!("a v1 Login must be refused, got {other:?}"),
+    }
+    assert_eq!(h.with_engine(|e| e.session_count()), Some(0));
+
+    match untagged_call(&mut s, login_request("new")) {
+        Response::LoginAckV2 { .. } => {}
+        other => panic!("LoginV2 after the refusal failed: {other:?}"),
+    }
+    match call(&mut s, Request::Ping) {
+        Response::Pong => {}
+        other => panic!("{other:?}"),
+    }
+    drop(s);
+    h.shutdown();
 }
 
 #[test]
@@ -247,7 +286,7 @@ fn stats_request_round_trips_without_login() {
     let mut s = TcpStream::connect(h.addr()).unwrap();
 
     // Stats is session-less, like Ping: no login required.
-    let snapshot = match call(&mut s, Request::Stats) {
+    let snapshot = match untagged_call(&mut s, Request::Stats) {
         Response::Stats { snapshot } => snapshot,
         other => panic!("expected stats, got {other:?}"),
     };

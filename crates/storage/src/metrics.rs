@@ -23,7 +23,8 @@ pub struct StorageMetrics {
     /// Commit records covered by group-commit flushes
     /// (`phoenix_group_commit_records_total`). Together with
     /// [`StorageMetrics::group_commit_syncs`] this yields the *exact* mean
-    /// batch size, which the `rw_mix` bench reports.
+    /// batch size, which the scoreboard reports as
+    /// `storage.group_commit_batch`.
     pub group_commit_records: Arc<Counter>,
     /// Group-commit leader flushes (`phoenix_group_commit_syncs_total`).
     pub group_commit_syncs: Arc<Counter>,

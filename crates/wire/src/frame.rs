@@ -127,12 +127,12 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     Ok(payload)
 }
 
-/// Write one *tagged* frame (protocol v2): an ordinary frame whose payload
-/// starts with the request tag as a `u64` LE, followed by the message bytes.
+/// Write one *tagged* frame: an ordinary frame whose payload starts with the
+/// request tag as a `u64` LE, followed by the message bytes.
 ///
 /// The tag travels *inside* the frame — a single [`write_frame`] call — so a
 /// torn write under fault injection tears the whole unit exactly as it does
-/// for v1 frames; the chaos layer needs no new cases for v2.
+/// for an untagged frame; the chaos layer needs no cases of its own for tags.
 pub fn write_tagged_frame(w: &mut impl Write, tag: u64, payload: &[u8]) -> Result<(), FrameError> {
     let mut buf = Vec::with_capacity(8 + payload.len());
     buf.extend_from_slice(&tag.to_le_bytes());
@@ -140,7 +140,7 @@ pub fn write_tagged_frame(w: &mut impl Write, tag: u64, payload: &[u8]) -> Resul
     write_frame(w, &buf)
 }
 
-/// Read one tagged frame (protocol v2), returning `(tag, message bytes)`.
+/// Read one tagged frame, returning `(tag, message bytes)`.
 ///
 /// A frame shorter than the 8-byte tag prefix is a protocol violation and
 /// surfaces as an `Io` error of kind `InvalidData` (not `UnexpectedEof`, so

@@ -11,24 +11,18 @@
 //!   (value encoding shared with the storage layer, so a row is encoded the
 //!   same way on disk and on the wire).
 //!
-//! Two protocol versions share the frame layer:
-//!
-//! * **v1** is strictly request/response per connection — one request in
-//!   flight, untagged frames — exactly as in ODBC. Old clients and servers
-//!   speak only this.
-//! * **v2** adds *tagged pipelining*: after a [`message::Request::LoginV2`]
-//!   handshake both sides switch to tagged frames (`tag: u64 LE` prefixed to
-//!   every payload). The client may keep up to the negotiated window of
-//!   requests in flight; the server executes them in arrival (= tag) order
-//!   and streams tagged responses back in the same order. v2 also adds
-//!   [`message::Request::ExecBatch`], which executes several statements in
-//!   one round trip and returns per-statement outcomes in a single
-//!   [`message::Response::BatchResult`] frame.
-//!
-//! Version negotiation needs no new mechanism: a v1 server answers the
-//! unknown `LoginV2` tag with a clean `Response::Err` and keeps the
-//! connection alive, so a v2 client simply falls back to a v1 `Login` on the
-//! same socket.
+//! There is one protocol, version 2: *tagged pipelining*. A connection opens
+//! with one untagged [`message::Request::LoginV2`] /
+//! [`message::Response::LoginAckV2`] exchange, after which both sides speak
+//! tagged frames (`tag: u64 LE` prefixed to every payload). The client may
+//! keep up to the negotiated window of requests in flight; the server
+//! executes them in arrival (= tag) order and streams tagged responses back
+//! in the same order. [`message::Request::ExecBatch`] executes several
+//! statements in one round trip and returns per-statement outcomes in a
+//! single [`message::Response::BatchResult`] frame. Before login the server
+//! also answers the session-less `Ping`, `Stats` and `Promote` untagged; the
+//! replication channel (`ReplHello`/`ReplFrames`, standby-bound) stays
+//! untagged throughout.
 //!
 //! Failure modes the Phoenix layer must handle — a dead socket mid-request,
 //! a response that never arrives — surface here as ordinary `io::Error`s,
@@ -40,5 +34,5 @@ pub mod message;
 pub use frame::{read_frame, read_tagged_frame, write_frame, write_tagged_frame, FrameError};
 pub use message::{
     BatchItem, CursorKind, FetchDir, Outcome, ReplFrame, Request, Response, DEFAULT_WINDOW,
-    PROTOCOL_V1, PROTOCOL_V2,
+    PROTOCOL_V2,
 };

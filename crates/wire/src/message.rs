@@ -13,9 +13,8 @@ use bytes::{Buf, BufMut, BytesMut};
 use phoenix_storage::codec::{self, DecodeError};
 use phoenix_storage::types::{Row, Schema, Value};
 
-/// Protocol version 1: untagged frames, one request in flight.
-pub const PROTOCOL_V1: u32 = 1;
-/// Protocol version 2: tagged frames, pipelined requests, batch execution.
+/// The protocol version: tagged frames, pipelined requests, batch
+/// execution.
 pub const PROTOCOL_V2: u32 = 2;
 /// The pipeline window the server grants by default (and the maximum it
 /// will grant regardless of what the client asks for).
@@ -46,15 +45,6 @@ pub enum FetchDir {
 /// A client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Open a session. `options` are applied as initial SET options.
-    Login {
-        /// Login user name.
-        user: String,
-        /// Target database name (advisory in this engine).
-        database: String,
-        /// Initial session options, applied as SETs.
-        options: Vec<(String, Value)>,
-    },
     /// Execute a statement; the response is the complete result.
     Exec {
         /// The SQL text.
@@ -97,13 +87,11 @@ pub enum Request {
     Stats,
     /// End the session gracefully.
     Logout,
-    /// Protocol-v2 login: like [`Request::Login`] but advertising the
-    /// client's protocol version and desired pipeline window. A v2 server
-    /// answers [`Response::LoginAckV2`] and — when the granted protocol is
-    /// v2 — both sides switch to tagged frames for the rest of the
-    /// connection. A v1 server answers the unknown tag with
-    /// [`Response::Err`] and keeps the connection open, so the client can
-    /// fall back to a v1 `Login` on the same socket.
+    /// Open a session, advertising the client's protocol version and
+    /// desired pipeline window; `options` are applied as initial SET
+    /// options. Sent as the connection's first untagged frame; the server
+    /// answers [`Response::LoginAckV2`] and both sides switch to tagged
+    /// frames for the rest of the connection.
     LoginV2 {
         /// Login user name.
         user: String,
@@ -192,11 +180,6 @@ pub enum Outcome {
 /// A server response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Session opened.
-    LoginAck {
-        /// Server-assigned session id.
-        session: u64,
-    },
     /// Statement result.
     Result {
         /// What the statement produced.
@@ -247,9 +230,8 @@ pub enum Response {
     },
     /// Logout acknowledged.
     Bye,
-    /// Protocol-v2 login acknowledged. Sent as the last *untagged* frame;
-    /// when `protocol` is v2, every subsequent frame in both directions is
-    /// tagged.
+    /// Login acknowledged. Sent as the last *untagged* frame; every
+    /// subsequent frame in both directions is tagged.
     LoginAckV2 {
         /// Server-assigned session id.
         session: u64,
@@ -313,7 +295,8 @@ pub enum BatchItem {
 // Encoding
 // ---------------------------------------------------------------------------
 
-const REQ_LOGIN: u8 = 1;
+/// The retired v1 `Login`; decoding it fails with a pointer to `LoginV2`.
+const REQ_LOGIN_RETIRED: u8 = 1;
 const REQ_EXEC: u8 = 2;
 const REQ_OPEN_CURSOR: u8 = 3;
 const REQ_FETCH: u8 = 4;
@@ -328,7 +311,6 @@ const REQ_REPL_HELLO: u8 = 12;
 const REQ_REPL_FRAMES: u8 = 13;
 const REQ_PROMOTE: u8 = 14;
 
-const RSP_LOGIN_ACK: u8 = 101;
 const RSP_RESULT: u8 = 102;
 const RSP_CURSOR_OPENED: u8 = 103;
 const RSP_ROWS: u8 = 104;
@@ -467,20 +449,6 @@ impl Request {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = BytesMut::new();
         match self {
-            Request::Login {
-                user,
-                database,
-                options,
-            } => {
-                buf.put_u8(REQ_LOGIN);
-                codec::put_str(&mut buf, user);
-                codec::put_str(&mut buf, database);
-                buf.put_u16_le(options.len() as u16);
-                for (k, v) in options {
-                    codec::put_str(&mut buf, k);
-                    codec::put_value(&mut buf, v);
-                }
-            }
             Request::Exec { sql } => {
                 buf.put_u8(REQ_EXEC);
                 codec::put_str(&mut buf, sql);
@@ -564,24 +532,10 @@ impl Request {
         }
         let tag = buf.get_u8();
         let req = match tag {
-            REQ_LOGIN => {
-                let user = codec::get_str(&mut buf)?;
-                let database = codec::get_str(&mut buf)?;
-                if buf.remaining() < 2 {
-                    return Err(DecodeError("truncated option count".into()));
-                }
-                let n = buf.get_u16_le() as usize;
-                let mut options = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = codec::get_str(&mut buf)?;
-                    let v = codec::get_value(&mut buf)?;
-                    options.push((k, v));
-                }
-                Request::Login {
-                    user,
-                    database,
-                    options,
-                }
+            REQ_LOGIN_RETIRED => {
+                return Err(DecodeError(
+                    "the v1 Login is retired: open the session with LoginV2".into(),
+                ))
             }
             REQ_EXEC => Request::Exec {
                 sql: codec::get_str(&mut buf)?,
@@ -714,10 +668,6 @@ impl Response {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = BytesMut::new();
         match self {
-            Response::LoginAck { session } => {
-                buf.put_u8(RSP_LOGIN_ACK);
-                buf.put_u64_le(*session);
-            }
             Response::Result { outcome, messages } => {
                 buf.put_u8(RSP_RESULT);
                 put_outcome(&mut buf, outcome);
@@ -814,14 +764,6 @@ impl Response {
         }
         let tag = buf.get_u8();
         let rsp = match tag {
-            RSP_LOGIN_ACK => {
-                if buf.remaining() < 8 {
-                    return Err(DecodeError("truncated session id".into()));
-                }
-                Response::LoginAck {
-                    session: buf.get_u64_le(),
-                }
-            }
             RSP_RESULT => {
                 let outcome = get_outcome(&mut buf)?;
                 let messages = get_messages(&mut buf)?;
@@ -980,11 +922,6 @@ mod tests {
 
     #[test]
     fn requests_roundtrip() {
-        roundtrip_req(Request::Login {
-            user: "app".into(),
-            database: "tpch".into(),
-            options: vec![("lock_timeout".into(), Value::Int(5000))],
-        });
         roundtrip_req(Request::Exec {
             sql: "SELECT * FROM customer WHERE name = 'Smith'".into(),
         });
@@ -1052,7 +989,6 @@ mod tests {
 
     #[test]
     fn responses_roundtrip() {
-        roundtrip_rsp(Response::LoginAck { session: 3 });
         roundtrip_rsp(Response::Result {
             outcome: Outcome::ResultSet {
                 schema: Schema::new(vec![
@@ -1228,6 +1164,9 @@ mod tests {
         // Garbage *after* a valid tag is also an error, not a partial parse.
         let err = Request::decode(&[REQ_EXEC, 0xFF, 0xFF, 0xFF, 0xFF]).unwrap_err();
         assert!(!err.0.is_empty());
+        // The retired v1 login tag says what replaced it.
+        let err = Request::decode(&[REQ_LOGIN_RETIRED, 0, 0]).unwrap_err();
+        assert!(err.0.contains("LoginV2"), "{err:?}");
     }
 
     #[test]

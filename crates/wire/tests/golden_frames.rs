@@ -1,10 +1,16 @@
-//! Golden-frame snapshot tests: the exact byte encodings of v1 and v2
+//! Golden-frame snapshot tests: the exact byte encodings of the protocol's
 //! messages, checked against fixtures committed to the repo.
+//!
+//! Most fixtures are bare message bodies (`req_*`, `rsp_*`, and the
+//! `v2_*` messages that arrived with tagged framing): on the socket each
+//! travels inside a tagged frame after login, or in an untagged one before
+//! it. `v2_tagged_frame` pins one whole tagged frame, length header and tag
+//! prefix included.
 //!
 //! Codec roundtrip tests prove encode/decode agree *with each other*; they
 //! cannot catch both sides drifting together (which would silently break
-//! cross-version interop with already-deployed peers). These tests pin the
-//! bytes themselves. If an encoding change is intentional — a new protocol
+//! interop with already-deployed peers). These tests pin the bytes
+//! themselves. If an encoding change is intentional — a new protocol
 //! revision — regenerate with:
 //!
 //! ```text
@@ -62,23 +68,14 @@ fn golden_set() -> Vec<(&'static str, Vec<u8>)> {
     ]);
     vec![
         (
-            "v1_req_login",
-            Request::Login {
-                user: "alice".into(),
-                database: "orders".into(),
-                options: vec![("lock_timeout".into(), Value::Int(5))],
-            }
-            .encode(),
-        ),
-        (
-            "v1_req_exec",
+            "req_exec",
             Request::Exec {
                 sql: "SELECT * FROM customer".into(),
             }
             .encode(),
         ),
         (
-            "v1_req_open_cursor",
+            "req_open_cursor",
             Request::OpenCursor {
                 sql: "SELECT id FROM customer".into(),
                 kind: CursorKind::Keyset,
@@ -86,7 +83,7 @@ fn golden_set() -> Vec<(&'static str, Vec<u8>)> {
             .encode(),
         ),
         (
-            "v1_req_fetch",
+            "req_fetch",
             Request::Fetch {
                 cursor: 7,
                 dir: FetchDir::Absolute(41),
@@ -95,25 +92,21 @@ fn golden_set() -> Vec<(&'static str, Vec<u8>)> {
             .encode(),
         ),
         (
-            "v1_req_close_cursor",
+            "req_close_cursor",
             Request::CloseCursor { cursor: 7 }.encode(),
         ),
-        ("v1_req_ping", Request::Ping.encode()),
+        ("req_ping", Request::Ping.encode()),
         (
-            "v1_req_describe",
+            "req_describe",
             Request::Describe {
                 table: "dbo.orders".into(),
             }
             .encode(),
         ),
-        ("v1_req_stats", Request::Stats.encode()),
-        ("v1_req_logout", Request::Logout.encode()),
+        ("req_stats", Request::Stats.encode()),
+        ("req_logout", Request::Logout.encode()),
         (
-            "v1_rsp_login_ack",
-            Response::LoginAck { session: 3 }.encode(),
-        ),
-        (
-            "v1_rsp_result_rows",
+            "rsp_result_rows",
             Response::Result {
                 outcome: Outcome::ResultSet {
                     schema: schema.clone(),
@@ -127,7 +120,7 @@ fn golden_set() -> Vec<(&'static str, Vec<u8>)> {
             .encode(),
         ),
         (
-            "v1_rsp_result_affected",
+            "rsp_result_affected",
             Response::Result {
                 outcome: Outcome::RowsAffected(1500),
                 messages: Vec::new(),
@@ -135,7 +128,7 @@ fn golden_set() -> Vec<(&'static str, Vec<u8>)> {
             .encode(),
         ),
         (
-            "v1_rsp_cursor_opened",
+            "rsp_cursor_opened",
             Response::CursorOpened {
                 cursor: 9,
                 schema: schema.clone(),
@@ -144,7 +137,7 @@ fn golden_set() -> Vec<(&'static str, Vec<u8>)> {
             .encode(),
         ),
         (
-            "v1_rsp_rows",
+            "rsp_rows",
             Response::Rows {
                 rows: vec![vec![Value::Float(1.5), Value::Bool(true)]],
                 at_end: true,
@@ -152,14 +145,14 @@ fn golden_set() -> Vec<(&'static str, Vec<u8>)> {
             .encode(),
         ),
         (
-            "v1_rsp_err",
+            "rsp_err",
             Response::Err {
                 code: 2,
                 message: "no such table 'x'".into(),
             }
             .encode(),
         ),
-        ("v1_rsp_bye", Response::Bye.encode()),
+        ("rsp_bye", Response::Bye.encode()),
         (
             "v2_req_login",
             Request::LoginV2 {
@@ -298,12 +291,13 @@ fn encodings_match_committed_fixtures() {
 
 #[test]
 fn fixtures_decode_back_to_messages() {
-    // The committed v1 request fixture must decode on today's code — this is
-    // the direction an old client exercises against a new server.
+    // Every committed message fixture must decode on today's code — this is
+    // the direction an already-deployed client exercises against a new
+    // server.
     for (name, bytes) in golden_set() {
-        if name.starts_with("v1_req") || name.starts_with("v2_req") {
+        if name.contains("req_") {
             Request::decode(&bytes).unwrap_or_else(|e| panic!("{name}: {e:?}"));
-        } else if name.starts_with("v1_rsp") || name.starts_with("v2_rsp") {
+        } else if name.contains("rsp_") {
             Response::decode(&bytes).unwrap_or_else(|e| panic!("{name}: {e:?}"));
         }
     }

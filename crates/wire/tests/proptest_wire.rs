@@ -78,13 +78,19 @@ fn request() -> impl Strategy<Value = Request> {
         (
             "[ -~]{0,12}",
             "[ -~]{0,12}",
-            prop::collection::vec(("[a-z]{1,8}", value()), 0..4)
+            prop::collection::vec(("[a-z]{1,8}", value()), 0..4),
+            any::<u32>(),
+            any::<u32>()
         )
-            .prop_map(|(user, database, options)| Request::Login {
-                user,
-                database,
-                options
-            }),
+            .prop_map(
+                |(user, database, options, protocol, window)| Request::LoginV2 {
+                    user,
+                    database,
+                    options,
+                    protocol,
+                    window
+                }
+            ),
         "[ -~]{0,64}".prop_map(|sql| Request::Exec { sql }),
         ("[ -~]{0,64}", cursor_kind()).prop_map(|(sql, kind)| Request::OpenCursor { sql, kind }),
         (any::<u64>(), fetch_dir(), any::<u32>()).prop_map(|(cursor, dir, n)| Request::Fetch {
@@ -101,7 +107,13 @@ fn request() -> impl Strategy<Value = Request> {
 
 fn response() -> impl Strategy<Value = Response> {
     prop_oneof![
-        any::<u64>().prop_map(|session| Response::LoginAck { session }),
+        (any::<u64>(), any::<u32>(), any::<u32>()).prop_map(|(session, protocol, window)| {
+            Response::LoginAckV2 {
+                session,
+                protocol,
+                window,
+            }
+        }),
         (
             prop_oneof![
                 (schema(), prop::collection::vec(row(), 0..6))

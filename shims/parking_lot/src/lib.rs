@@ -47,7 +47,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until it is available.
     ///
     /// Like the real crate, a contended `lock` first waits on-CPU for a
-    /// holder that is about to leave (bounded by [`SPIN`]) and only then
+    /// holder that is about to leave (bounded by `SPIN`) and only then
     /// parks. `std`'s mutex gives up after about a microsecond, and on the
     /// two-vCPU hosts this runs on a park/unpark pair costs several times
     /// the critical sections the write path holds its locks for (a log
