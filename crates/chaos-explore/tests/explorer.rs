@@ -184,12 +184,11 @@ fn exactly_once_window_replays_reply_without_reexecution() {
     };
     seed_workload(&mut pc).unwrap();
 
-    // A wrapped DML is four requests: BEGIN, the statement, the status-row
-    // insert, COMMIT. Reply #4 is the COMMIT's — crashing at its
-    // `server.reply_send` visit means the transaction (statement + status
-    // row) is durable but the client never hears back: the exactly-once
-    // window of paper §3.
-    let guard = chaos::arm(chaos::Schedule::new().crash_at("server.reply_send", 4));
+    // A wrapped DML is one request: `[BEGIN; statement; status-row insert;
+    // COMMIT]`. Crashing at its `server.reply_send` visit means the
+    // transaction (statement + status row) is durable but the client never
+    // hears back: the exactly-once window of paper §3.
+    let guard = chaos::arm(chaos::Schedule::new().crash_at("server.reply_send", 1));
     let stop = Arc::new(AtomicBool::new(false));
     let supervisor =
         phoenix_chaos_explore::spawn_supervisor(Arc::clone(&harness), Arc::clone(&stop));

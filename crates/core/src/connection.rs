@@ -32,7 +32,7 @@ use phoenix_obs::{journal, EventKind};
 
 use crate::config::PhoenixConfig;
 use crate::context::{PhoenixObject, SessionContext};
-use crate::dml::{self, DmlOutcome};
+use crate::dml;
 use crate::materialize::{self, Materialized};
 use crate::metrics::core_metrics;
 use crate::naming::{fresh_session_tag, Namer};
@@ -62,10 +62,9 @@ pub struct PhoenixStats {
     pub reconnect_attempts: u64,
     /// Result sets materialized into persistent tables.
     pub materialized_result_sets: u64,
-    /// DML statements wrapped with status records.
+    /// DML and `EXEC` statements wrapped with status records (one
+    /// `ExecBatch` request each).
     pub wrapped_dml: u64,
-    /// DML statements submitted through the pipelined (ExecBatch) path.
-    pub pipelined_dml: u64,
     /// Status-table probes performed after failures.
     pub status_probes: u64,
     /// Requests answered from the status table (logged outcome returned
@@ -379,7 +378,7 @@ impl PhoenixConnection {
     }
 
     // -----------------------------------------------------------------------
-    // DML path
+    // The exactly-once wrapper (DML, EXEC, the application's COMMIT)
     // -----------------------------------------------------------------------
 
     fn execute_dml(&mut self, sql: &str) -> Result<QueryResult> {
@@ -387,38 +386,15 @@ impl PhoenixConnection {
             // Inside an application transaction Phoenix does not wrap — the
             // outcome becomes testable via the status record injected at
             // COMMIT, and the statement is logged for replay.
-            let r = self.run_in_txn_context(sql)?;
-            return Ok(r);
+            return self.run_in_txn_context(sql);
         }
-
-        let session = self.namer.tag().to_string();
-        let tag = self.namer.request_tag();
-        self.stats.wrapped_dml += 1;
-        loop {
-            match dml::wrap_and_execute(&mut self.mapped, &session, tag, sql) {
-                Ok(out) => return Ok(dml_reply(out)),
-                Err(e) if e.is_comm() => {
-                    self.recover()?;
-                    self.stats.status_probes += 1;
-                    if let Some(out) = self.probe_status_retry(tag)? {
-                        // Committed before the crash: return the logged
-                        // outcome (the preserved reply buffer).
-                        self.note_replayed_reply(tag);
-                        return Ok(dml_reply(out));
-                    }
-                    self.stats.resubmissions += 1;
-                    // Not committed: resubmit the wrapped transaction.
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        Ok(self.wrap_each(&[sql])?.remove(0))
     }
 
     /// Execute a slate of independent DML statements with protocol v2
-    /// pipelining: each statement travels as **one** `ExecBatch` frame
-    /// (`BEGIN; dml; status insert via @@ROWCOUNT; COMMIT`) and up to the
-    /// negotiated window of them is in flight at once. Results come back in
-    /// submission order.
+    /// pipelining: each statement travels as **one** `ExecBatch` frame (its
+    /// own status-recording transaction) and up to the negotiated window of
+    /// them is in flight at once. Results come back in submission order.
     ///
     /// This is the pipelined face of the paper's exactly-once DML treatment:
     /// a crash with `k` requests in flight leaves each one individually
@@ -446,147 +422,86 @@ impl PhoenixConnection {
             }
             return Ok(out);
         }
-        let session = self.namer.tag().to_string();
-        let jobs: Vec<(u64, String)> = stmts
-            .iter()
-            .map(|sql| (self.namer.request_tag(), sql.clone()))
-            .collect();
-        self.stats.wrapped_dml += jobs.len() as u64;
-        self.stats.pipelined_dml += jobs.len() as u64;
-        let mut results: Vec<Option<DmlOutcome>> = vec![None; jobs.len()];
-        loop {
-            match self.pipeline_round(&session, &jobs, &mut results) {
-                Ok(()) => {
-                    return Ok(results
-                        .into_iter()
-                        .map(|o| dml_reply(o.expect("completed round resolves every job")))
-                        .collect());
-                }
-                Err(e) if e.is_comm() => {
-                    self.recover()?;
-                    // Probe the whole in-flight window: every unresolved tag
-                    // is individually testable in the status table.
-                    for (i, (tag, _)) in jobs.iter().enumerate() {
-                        if results[i].is_none() {
-                            self.stats.status_probes += 1;
-                            if let Some(out) = self.probe_status_retry(*tag)? {
-                                self.note_replayed_reply(*tag);
-                                results[i] = Some(out);
-                            } else {
-                                self.stats.resubmissions += 1;
-                            }
-                        }
-                    }
-                    // Unresolved jobs never committed: resubmit them.
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One pipelined pass over the unresolved jobs. Fills `results` for
-    /// every job whose wrapper committed and replied; a statement error
-    /// drains the window, rolls the dangling wrapper back and surfaces.
-    fn pipeline_round(
-        &mut self,
-        session: &str,
-        jobs: &[(u64, String)],
-        results: &mut [Option<DmlOutcome>],
-    ) -> Result<()> {
-        let mut failure: Option<DriverError> = None;
-        {
-            let mut pipe = self.mapped.pipeline();
-            let mut pending: Vec<(usize, u64)> = Vec::new();
-            for (i, (tag, sql)) in jobs.iter().enumerate() {
-                if results[i].is_some() {
-                    continue;
-                }
-                let ptag = pipe.submit_batch(&dml::pipelined_batch(session, *tag, sql))?;
-                pending.push((i, ptag));
-            }
-            for (i, ptag) in pending {
-                let items = pipe.wait_batch(ptag)?;
-                match batch_outcome(&items) {
-                    Ok(out) => results[i] = Some(out),
-                    Err(e) => {
-                        // First statement error wins; later wrappers hit the
-                        // dangling transaction and report nested-BEGIN noise
-                        // that the application never asked about.
-                        failure.get_or_insert(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = failure {
-            // The failed wrapper's transaction is still open server-side.
-            let _ = self.mapped.execute("ROLLBACK");
-            return Err(e);
-        }
-        Ok(())
+        self.wrap_each(stmts)
     }
 
     /// Execute a stored-procedure call. Procedures can modify data, so —
     /// like DML — the call is wrapped in a status-recording transaction and
     /// resubmitted only when the status probe proves it never committed
     /// (exactly-once). Procedures that manage their *own* transactions
-    /// cannot be wrapped (the nested BEGIN errors out); those fall back to
-    /// plain forwarding, where a crash in the commit-to-reply window gives
-    /// at-least-once semantics (documented limitation; the paper's
-    /// treatment of procedures with internal transactions is equally
-    /// best-effort). A wrapped call that committed before a crash replays
-    /// its logged rows-affected and messages; any result-set rows it
-    /// produced are not reconstructable from the status record.
+    /// cannot be wrapped (the nested BEGIN errors out and the wrapper rolls
+    /// back); those fall back to plain forwarding, where a crash in the
+    /// commit-to-reply window gives at-least-once semantics (documented
+    /// limitation; the paper's treatment of procedures with internal
+    /// transactions is equally best-effort). A wrapped call that committed
+    /// before a crash replays its logged row count and messages; any
+    /// result-set rows it produced are not reconstructable from the status
+    /// record.
     fn execute_exec(&mut self, sql: &str) -> Result<QueryResult> {
         if self.ctx.txn_open {
             return self.run_in_txn_context(sql);
         }
+        match self.wrap_each(&[sql]) {
+            Ok(mut r) => Ok(r.remove(0)),
+            Err(DriverError::Sql { code, .. }) if code == codes::TXN => self.run_mapped_retry(sql),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Wrap each statement in its own status-recording transaction and run
+    /// them, pipelined, through [`Self::run_wrapped`].
+    fn wrap_each<S: AsRef<str>>(&mut self, stmts: &[S]) -> Result<Vec<QueryResult>> {
         let session = self.namer.tag().to_string();
-        let tag = self.namer.request_tag();
-        self.stats.wrapped_dml += 1;
+        let tags: Vec<u64> = stmts.iter().map(|_| self.namer.request_tag()).collect();
+        let batches: Vec<Vec<String>> = stmts
+            .iter()
+            .zip(&tags)
+            .map(|(sql, tag)| dml::wrapped(&session, *tag, sql.as_ref()))
+            .collect();
+        self.stats.wrapped_dml += tags.len() as u64;
+        self.run_wrapped(&tags, &batches)
+    }
+
+    /// The one recover → probe → resubmit loop: batch `i` carries the
+    /// status record of request `tags[i]`. Every batch is sent as one
+    /// `ExecBatch` (pipelined when there are several); after a
+    /// communication failure every unanswered tag is probed in the status
+    /// table — committed ones replay their logged outcome, the rest are
+    /// resubmitted, inside the re-established application transaction when
+    /// one is open.
+    fn run_wrapped(&mut self, tags: &[u64], batches: &[Vec<String>]) -> Result<Vec<QueryResult>> {
+        let mut replies: Vec<Option<QueryResult>> = vec![None; tags.len()];
         loop {
-            let attempt = (|| -> Result<QueryResult> {
-                self.mapped.execute("BEGIN")?;
-                let r = match self.mapped.execute(sql) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        if !e.is_comm() {
-                            let _ = self.mapped.execute("ROLLBACK");
-                        }
-                        return Err(e);
-                    }
-                };
-                let affected = match &r.outcome {
-                    Outcome::RowsAffected(n) => *n,
-                    _ => 0,
-                };
-                self.mapped.execute(&dml::status_insert_sql(
-                    &session,
-                    tag,
-                    affected,
-                    &r.messages,
-                ))?;
-                self.mapped.execute("COMMIT")?;
-                Ok(r)
-            })();
-            match attempt {
-                Ok(r) => return Ok(r),
-                Err(DriverError::Sql { code, .. }) if code == codes::TXN => {
-                    // The procedure opened (or closed) its own transaction:
-                    // unwrappable. Forward plainly.
-                    return self.run_mapped_retry(sql);
-                }
+            match dml::run_batches(&mut self.mapped, batches, dml::REPLY_ITEM, &mut replies) {
+                Ok(()) => break,
                 Err(e) if e.is_comm() => {
                     self.recover()?;
-                    self.stats.status_probes += 1;
-                    if let Some(out) = self.probe_status_retry(tag)? {
-                        self.note_replayed_reply(tag);
-                        return Ok(dml_reply(out));
+                    for (tag, reply) in tags.iter().zip(&mut replies) {
+                        if reply.is_some() {
+                            continue;
+                        }
+                        self.stats.status_probes += 1;
+                        match self.probe_status_retry(*tag)? {
+                            Some(out) => {
+                                // Committed before the crash: the logged
+                                // outcome is the preserved reply buffer.
+                                self.note_replayed_reply(*tag);
+                                *reply = Some(out);
+                            }
+                            None => self.stats.resubmissions += 1,
+                        }
                     }
-                    self.stats.resubmissions += 1;
+                    if replies.iter().any(Option::is_none) {
+                        self.replay_open_txn()?;
+                    }
                 }
                 Err(e) => return Err(e),
             }
         }
+        Ok(replies
+            .into_iter()
+            .map(|r| r.expect("a completed round answers every request"))
+            .collect())
     }
 
     /// Count and journal a reply-buffer hit: a request answered from its
@@ -604,7 +519,7 @@ impl PhoenixConnection {
         );
     }
 
-    fn probe_status_retry(&mut self, tag: u64) -> Result<Option<DmlOutcome>> {
+    fn probe_status_retry(&mut self, tag: u64) -> Result<Option<QueryResult>> {
         let session = self.namer.tag().to_string();
         loop {
             match dml::probe_status(&mut self.private, &session, tag) {
@@ -636,38 +551,15 @@ impl PhoenixConnection {
         }
         let session = self.namer.tag().to_string();
         let tag = self.ctx.txn_tag.expect("open txn always has a request tag");
-        loop {
-            // The paper's reply-buffer write: record the transaction outcome
-            // in the status table *inside* the transaction, then commit.
-            let attempt = (|| -> Result<QueryResult> {
-                self.mapped
-                    .execute(&dml::status_insert_sql(&session, tag, 0, &[]))?;
-                self.mapped.execute("COMMIT")
-            })();
-            match attempt {
-                Ok(r) => {
-                    self.ctx.txn_end();
-                    return Ok(r);
-                }
-                Err(e) if e.is_comm() => {
-                    self.recover()?;
-                    self.stats.status_probes += 1;
-                    if self.probe_status_retry(tag)?.is_some() {
-                        // The commit made it before the crash.
-                        self.note_replayed_reply(tag);
-                        self.ctx.txn_end();
-                        return Ok(QueryResult {
-                            outcome: Outcome::Done,
-                            messages: Vec::new(),
-                        });
-                    }
-                    // Transaction lost: replay it and retry the commit.
-                    self.replay_open_txn()?;
-                    self.stats.resubmissions += 1;
-                }
-                Err(e) => return Err(e),
-            }
+        // The paper's reply-buffer write: the status record commits with the
+        // transaction, in the same request as the COMMIT.
+        let result = self.run_wrapped(&[tag], &[dml::commit(&session, tag)]);
+        // Committed, or rolled back by the wrapper on a server error: either
+        // way the transaction is over.
+        if !matches!(&result, Err(e) if e.is_comm()) {
+            self.ctx.txn_end();
         }
+        result.map(|_| done())
     }
 
     fn execute_rollback(&mut self) -> Result<QueryResult> {
@@ -684,10 +576,7 @@ impl PhoenixConnection {
                 // The crash rolled the transaction back for us.
                 self.recover()?;
                 self.ctx.txn_end();
-                Ok(QueryResult {
-                    outcome: Outcome::Done,
-                    messages: Vec::new(),
-                })
+                Ok(done())
             }
             Err(e) => Err(e),
         }
@@ -700,18 +589,22 @@ impl PhoenixConnection {
         if !self.ctx.txn_open {
             return Ok(());
         }
+        // `[BEGIN; log…]`, one request, left open for the application.
+        let mut batch = Vec::with_capacity(self.ctx.txn_log.len() + 1);
+        batch.push("BEGIN".to_string());
+        batch.extend(self.ctx.txn_log.iter().cloned());
         loop {
-            let attempt = (|| -> Result<()> {
-                self.mapped.execute("BEGIN")?;
-                let log = self.ctx.txn_log.clone();
-                for sql in &log {
-                    self.mapped.execute(sql)?;
-                    self.stats.replayed_txn_statements += 1;
+            let mut reply = [None];
+            match dml::run_batches(
+                &mut self.mapped,
+                std::slice::from_ref(&batch),
+                0,
+                &mut reply,
+            ) {
+                Ok(()) => {
+                    self.stats.replayed_txn_statements += batch.len() as u64 - 1;
+                    return Ok(());
                 }
-                Ok(())
-            })();
-            match attempt {
-                Ok(()) => return Ok(()),
                 Err(e) if e.is_comm() => self.recover()?,
                 Err(e) => return Err(e),
             }
@@ -775,10 +668,7 @@ impl PhoenixConnection {
                     if resubmitted
                         && (code == codes::ALREADY_EXISTS || code == codes::NOT_FOUND) =>
                 {
-                    return Ok(QueryResult {
-                        outcome: Outcome::Done,
-                        messages: Vec::new(),
-                    });
+                    return Ok(done());
                 }
                 Err(e) => return Err(e),
             }
@@ -991,40 +881,10 @@ impl PhoenixConnection {
     }
 }
 
-fn dml_reply(out: DmlOutcome) -> QueryResult {
+fn done() -> QueryResult {
     QueryResult {
-        outcome: Outcome::RowsAffected(out.affected),
-        messages: out.messages,
-    }
-}
-
-/// Interpret a pipelined wrapper's batch reply: `[BEGIN; dml; status
-/// insert; COMMIT]`. The DML's own item (index 1) carries the outcome; any
-/// error item aborts the wrapper and surfaces as the statement's error.
-fn batch_outcome(
-    items: &[phoenix_wire::message::BatchItem],
-) -> std::result::Result<DmlOutcome, DriverError> {
-    use phoenix_wire::message::BatchItem;
-    for item in items {
-        if let BatchItem::Err { code, message } = item {
-            return Err(DriverError::Sql {
-                code: *code,
-                message: message.clone(),
-            });
-        }
-    }
-    match items.get(1) {
-        Some(BatchItem::Ok { outcome, messages }) => Ok(DmlOutcome {
-            affected: match outcome {
-                Outcome::RowsAffected(n) => *n,
-                _ => 0,
-            },
-            messages: messages.clone(),
-        }),
-        _ => Err(DriverError::Protocol(format!(
-            "pipelined DML wrapper returned {} item(s) without an error",
-            items.len()
-        ))),
+        outcome: Outcome::Done,
+        messages: Vec::new(),
     }
 }
 

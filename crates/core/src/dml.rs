@@ -1,54 +1,42 @@
-//! Data-modification wrapping and the status table (paper §3, "Data
+//! The exactly-once wrapper and the status table (paper §3, "Data
 //! Modification Statements Results" and "Message Results").
 //!
 //! A data modification has no result set but it *does* have state: the
-//! number of tuples affected, and the fact of its completion. Phoenix makes
-//! that state **testable** by wrapping each DML statement in a transaction
-//! that also inserts an outcome record into `phoenix.status`:
+//! number of tuples affected, the messages it produced, and the fact of its
+//! completion. Phoenix makes that state **testable** by committing it with
+//! an outcome record in `phoenix.status`, and it does so in one way for
+//! every statement it wraps — DML and `EXEC` alike — as **one** `ExecBatch`
+//! request:
 //!
 //! ```text
-//! BEGIN;
-//! <dml>;                                   -- reply carries rows-affected n
-//! INSERT INTO phoenix.status VALUES (session, tag, n, messages);
-//! COMMIT;
+//! [BEGIN; <stmt>; INSERT INTO phoenix.status VALUES (session, tag,
+//!  @@ROWCOUNT, @@MESSAGES); COMMIT]
 //! ```
+//!
+//! The server fills in the outcome: `@@ROWCOUNT` and `@@MESSAGES` are the
+//! count and messages of the statement just before the insert, so the record
+//! carries the true outcome although the client composed the batch before
+//! seeing any reply. The application's own `COMMIT` of an open transaction
+//! is the same insert followed by `COMMIT` (the paper's reply-buffer write).
 //!
 //! The table is keyed `(session, tag)`: the process-unique session tag plus
-//! a per-session request counter — the same `tag` that travels in protocol
-//! v2 tagged frames, so with pipelining a whole in-flight *window* of
-//! requests is individually probe-able after a crash. Probing answers the
-//! only question that matters: *did request `tag` complete?* Found → return
-//! the logged outcome (the preserved reply buffer); absent → the transaction
-//! aborted with the crash and the original request is resubmitted — exactly
-//! once-semantics for the application.
+//! a per-session request counter, so a whole pipelined *window* of requests
+//! is individually probe-able after a crash. Probing answers the only
+//! question that matters: *did request `tag` complete?* Found → return the
+//! logged outcome (the preserved reply buffer, messages included); absent →
+//! the transaction aborted with the crash and the request is resubmitted —
+//! exactly-once semantics for the application.
 //!
-//! For pipelined submission the whole wrapper travels as **one**
-//! `ExecBatch` frame, with `@@ROWCOUNT` standing in for the rows-affected
-//! literal (the client has not seen the DML reply yet when it composes the
-//! status insert):
-//!
-//! ```text
-//! [BEGIN; <dml>; INSERT INTO phoenix.status VALUES (session, tag,
-//!  @@ROWCOUNT, ''); COMMIT]
-//! ```
-//!
-//! The same record doubles as the paper's *reply buffer* persistence: the
-//! messages column carries the server messages that would otherwise be lost
-//! when a crash lands between commit and reply.
+//! `run_batches` is the one place Phoenix sends such a batch and reads its
+//! reply; the result capture of [`crate::materialize`] travels through it
+//! too.
 
-use phoenix_driver::{error::codes, Connection, DriverError};
+use phoenix_driver::{error::codes, BatchItem, Connection, DriverError, QueryResult};
+use phoenix_sql::ast::MESSAGE_SEPARATOR;
+use phoenix_wire::message::Outcome;
 
 use crate::naming::STATUS_TABLE;
 use crate::Result;
-
-/// A recovered or fresh DML outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DmlOutcome {
-    /// Rows affected by the statement.
-    pub affected: u64,
-    /// Server messages delivered (or preserved) with the reply.
-    pub messages: Vec<String>,
-}
 
 /// Create the status table if this is the first Phoenix session against the
 /// database. Racing sessions are fine: "already exists" is success.
@@ -69,72 +57,101 @@ fn quote(s: &str) -> String {
     format!("'{}'", s.replace('\'', "''"))
 }
 
-/// The INSERT that records an outcome; issued *inside* the wrapping (or the
-/// application's) transaction, so it commits atomically with the work.
-pub fn status_insert_sql(session: &str, tag: u64, affected: u64, messages: &[String]) -> String {
+/// The INSERT that records request `tag`'s outcome — the count and messages
+/// of the statement before it; issued inside the transaction it describes.
+fn status_insert(session: &str, tag: u64) -> String {
     format!(
-        "INSERT INTO {STATUS_TABLE} VALUES ({}, {tag}, {affected}, {})",
-        quote(session),
-        quote(&messages.join("\u{1f}"))
+        "INSERT INTO {STATUS_TABLE} VALUES ({}, {tag}, @@ROWCOUNT, @@MESSAGES)",
+        quote(session)
     )
 }
 
-/// The pipelined wrapper: one `ExecBatch` payload executing the DML and its
-/// status record in a single round trip. `@@ROWCOUNT` is substituted by the
-/// server *after* the DML runs, so the record carries the true count even
-/// though the client composed the batch before seeing any reply. Messages
-/// are not capturable server-side this way; the batch reply carries them
-/// live, and a replay after a crash returns none (documented trade-off).
-pub fn pipelined_batch(session: &str, tag: u64, dml_sql: &str) -> Vec<String> {
+/// Where the application's reply sits in a wrapper's batch reply: the
+/// statement's own item in [`wrapped`], the `COMMIT`'s in [`commit`].
+pub(crate) const REPLY_ITEM: usize = 1;
+
+/// One wrapped statement: its own transaction with its status record.
+pub(crate) fn wrapped(session: &str, tag: u64, sql: &str) -> Vec<String> {
     vec![
         "BEGIN".to_string(),
-        dml_sql.to_string(),
-        format!(
-            "INSERT INTO {STATUS_TABLE} VALUES ({}, {tag}, @@ROWCOUNT, '')",
-            quote(session)
-        ),
+        sql.to_string(),
+        status_insert(session, tag),
         "COMMIT".to_string(),
     ]
 }
 
-/// Wrap one DML statement in a transaction with a status record.
+/// The application's `COMMIT` of its open transaction, status record first.
+pub(crate) fn commit(session: &str, tag: u64) -> Vec<String> {
+    vec![status_insert(session, tag), "COMMIT".to_string()]
+}
+
+/// Send every batch whose reply is still `None` as one pipelined `ExecBatch`
+/// on `conn`, and fill its reply with item `at` of the answer.
 ///
-/// Errors reported by the server roll the transaction back and surface to
-/// the caller; communication failures bubble up for the recovery machinery
-/// (which will [`probe_status`] before deciding to resubmit).
-pub fn wrap_and_execute(
+/// Each batch is a transaction ending in `COMMIT`, and the server stops a
+/// batch at its first failing statement, so an `Err` item means that
+/// transaction is still open: the window drains (batches behind it fail
+/// their own `BEGIN` against it), it is rolled back, and the first error
+/// surfaces. A communication failure surfaces as is, leaving the
+/// transaction to die with the session; replies already read stay filled in.
+pub(crate) fn run_batches(
     conn: &mut Connection,
-    session: &str,
-    tag: u64,
-    dml_sql: &str,
-) -> Result<DmlOutcome> {
-    conn.execute("BEGIN")?;
-    let result = match conn.execute(dml_sql) {
-        Ok(r) => r,
-        Err(e) => {
-            // Server-side statement failure: roll back the wrapper. A comm
-            // failure here leaves the transaction to die with the session.
-            if !e.is_comm() {
-                let _ = conn.execute("ROLLBACK");
+    batches: &[Vec<String>],
+    at: usize,
+    replies: &mut [Option<QueryResult>],
+) -> Result<()> {
+    let mut failure: Option<DriverError> = None;
+    {
+        let mut pipe = conn.pipeline();
+        let mut sent = Vec::new();
+        for (i, batch) in batches.iter().enumerate() {
+            if replies[i].is_none() {
+                sent.push((i, pipe.submit_batch(batch)?));
             }
-            return Err(e);
         }
-    };
-    let affected = match result.outcome {
-        phoenix_wire::message::Outcome::RowsAffected(n) => n,
-        _ => 0,
-    };
-    conn.execute(&status_insert_sql(session, tag, affected, &result.messages))?;
-    conn.execute("COMMIT")?;
-    Ok(DmlOutcome {
-        affected,
-        messages: result.messages,
-    })
+        for (i, ptag) in sent {
+            match reply_item(pipe.wait_batch(ptag)?, batches[i].len(), at) {
+                Ok(r) => replies[i] = Some(r),
+                Err(e) => {
+                    failure.get_or_insert(e);
+                }
+            }
+        }
+    }
+    match failure {
+        Some(e) => {
+            let _ = conn.execute("ROLLBACK");
+            Err(e)
+        }
+        None => Ok(()),
+    }
+}
+
+/// Item `at` of a batch reply to `sent` statements, or its error item.
+fn reply_item(items: Vec<BatchItem>, sent: usize, at: usize) -> Result<QueryResult> {
+    let count = items.len();
+    let mut reply = None;
+    for (i, item) in items.into_iter().enumerate() {
+        match item {
+            BatchItem::Err { code, message } => return Err(DriverError::Sql { code, message }),
+            BatchItem::Ok { outcome, messages } if i == at => {
+                reply = Some(QueryResult { outcome, messages })
+            }
+            BatchItem::Ok { .. } => {}
+        }
+    }
+    match reply {
+        Some(r) if count == sent => Ok(r),
+        _ => Err(DriverError::Protocol(format!(
+            "batch of {sent} statements returned {count} item(s) without an error"
+        ))),
+    }
 }
 
 /// Probe the status table for a request. `Ok(Some(_))` means the wrapped
-/// transaction committed before the crash; the logged outcome is the reply.
-pub fn probe_status(conn: &mut Connection, session: &str, tag: u64) -> Result<Option<DmlOutcome>> {
+/// transaction committed before the crash; the logged outcome — the row
+/// count and the messages — is the reply.
+pub fn probe_status(conn: &mut Connection, session: &str, tag: u64) -> Result<Option<QueryResult>> {
     let sql = format!(
         "SELECT affected, messages FROM {STATUS_TABLE} WHERE session = {} AND tag = {tag}",
         quote(session)
@@ -147,9 +164,12 @@ pub fn probe_status(conn: &mut Connection, session: &str, tag: u64) -> Result<Op
     let affected = rows[0][0].as_i64().unwrap_or(0) as u64;
     let messages = match rows[0][1].as_str() {
         Some("") | None => Vec::new(),
-        Some(s) => s.split('\u{1f}').map(str::to_string).collect(),
+        Some(s) => s.split(MESSAGE_SEPARATOR).map(str::to_string).collect(),
     };
-    Ok(Some(DmlOutcome { affected, messages }))
+    Ok(Some(QueryResult {
+        outcome: Outcome::RowsAffected(affected),
+        messages,
+    }))
 }
 
 /// Delete this session's status records (clean termination).
@@ -167,24 +187,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn status_insert_sql_parses_and_escapes() {
-        let sql = status_insert_sql(
-            "12_3",
-            7,
-            42,
-            &["it's done".to_string(), "msg2".to_string()],
-        );
-        phoenix_sql::parse_statement(&sql).unwrap();
-        assert!(sql.contains("''"), "{sql}");
+    fn wrapper_batches_parse_and_escape() {
+        let w = wrapped("it's", 9, "UPDATE t SET v = 1 WHERE id = 2");
+        let c = commit("it's", 9);
+        assert_eq!(w.len(), 4);
+        assert_eq!(c.len(), 2);
+        for sql in w.iter().chain(&c) {
+            phoenix_sql::parse_statement(sql).unwrap();
+        }
+        assert_eq!(w[2], c[0]);
+        assert!(w[2].contains("'it''s'"), "{}", w[2]);
+        assert!(w[2].contains("@@ROWCOUNT, @@MESSAGES"), "{}", w[2]);
+        assert_eq!(w[REPLY_ITEM], "UPDATE t SET v = 1 WHERE id = 2");
+        assert_eq!(c[REPLY_ITEM], "COMMIT");
     }
 
     #[test]
-    fn pipelined_batch_statements_parse() {
-        let batch = pipelined_batch("12_3", 9, "UPDATE t SET v = 1 WHERE id = 2");
-        assert_eq!(batch.len(), 4);
-        for sql in &batch {
-            phoenix_sql::parse_statement(sql).unwrap();
+    fn reply_item_takes_the_first_error_and_checks_the_count() {
+        let ok = |n| BatchItem::Ok {
+            outcome: Outcome::RowsAffected(n),
+            messages: vec![format!("m{n}")],
+        };
+        let r = reply_item(vec![ok(0), ok(3), ok(1), ok(0)], 4, 1).unwrap();
+        assert_eq!(r.affected(), 3);
+        assert_eq!(r.messages, ["m3"]);
+        let err = BatchItem::Err {
+            code: 7,
+            message: "boom".into(),
+        };
+        match reply_item(vec![ok(0), err], 4, 1) {
+            Err(DriverError::Sql { code: 7, .. }) => {}
+            other => panic!("{other:?}"),
         }
-        assert!(batch[2].contains("@@ROWCOUNT"), "{}", batch[2]);
+        assert!(matches!(
+            reply_item(vec![ok(0), ok(3)], 4, 1),
+            Err(DriverError::Protocol(_))
+        ));
     }
 }

@@ -25,15 +25,17 @@
 //!   materialized; fetches re-read current rows by key (keyset) or by
 //!   key-range (dynamic), so updates/inserts remain visible with the
 //!   paper's exact semantics — but now the cursor survives a crash.
-//! * **Data modification** — each DML statement is wrapped in a transaction
-//!   together with an insert into a Phoenix **status table** recording the
-//!   request id and its outcome (rows affected, messages): *testable state*.
-//!   After a crash, probing the status table decides "return logged outcome"
-//!   vs. "resubmit".
-//! * **Application transactions** — Phoenix injects the status insert just
-//!   before the application's own COMMIT (the paper's reply-buffer write),
-//!   and keeps a client-side log of the open transaction's statements so an
-//!   uncommitted transaction can be transparently replayed.
+//! * **Data modification** — each DML statement or `EXEC` travels as one
+//!   request, `[BEGIN; stmt; status insert; COMMIT]`, whose insert into a
+//!   Phoenix **status table** records the request id and the outcome the
+//!   server fills in (`@@ROWCOUNT`, `@@MESSAGES`): *testable state*. After
+//!   a crash, probing the status table decides "return logged outcome" vs.
+//!   "resubmit".
+//! * **Application transactions** — Phoenix sends the same status insert
+//!   with the application's own COMMIT, in one request (the paper's
+//!   reply-buffer write), and keeps a client-side log of the open
+//!   transaction's statements so an uncommitted transaction can be
+//!   transparently replayed.
 //! * **Temporary objects** — `CREATE TABLE #x` / temp procedures are
 //!   rewritten to persistent objects in the `phoenix` namespace and all
 //!   later references are redirected; Phoenix drops them at clean session
@@ -60,7 +62,7 @@
 //! * [`statement`] — [`PhoenixStatement`]: persistent result-set delivery
 //!   and persistent keyset/dynamic cursors.
 //! * [`materialize`] — the result-set capture pipeline.
-//! * [`dml`] — DML wrapping and the status table.
+//! * [`dml`] — the exactly-once wrapper and the status table.
 //! * [`recovery`] — failure detection, ping loop, two-phase reinstall.
 //! * [`metrics`] — process-wide recovery counters and the recovery-latency
 //!   histogram, registered in the [`phoenix_obs`] registry; recovery steps

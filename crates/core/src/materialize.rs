@@ -17,13 +17,14 @@
 //!    [`crate::statement::PhoenixStatement`].
 //!
 //! Steps 2 and 3 travel as **one** `ExecBatch` frame on the private
-//! connection, `[BEGIN; CREATE TABLE …; CREATE PROCEDURE …; EXEC …; COMMIT]`:
-//! one request and one log flush instead of three of each. The engine undoes
-//! DDL with the transaction, so a crash anywhere in the batch leaves the
-//! table either committed with its rows or absent, and
+//! connection, `[BEGIN; CREATE TABLE …; CREATE PROCEDURE …; EXEC …; COMMIT]`,
+//! sent and read by the same `dml::run_batches` as every wrapped
+//! statement: one request and one log flush instead of three of each. The
+//! engine undoes DDL with the transaction, so a crash anywhere in the batch
+//! leaves the table either committed with its rows or absent, and
 //! [`crate::PhoenixConnection`] retries with fresh names.
 
-use phoenix_driver::{BatchItem, Connection, DriverError};
+use phoenix_driver::{Connection, DriverError};
 use phoenix_sql::ast::{ColumnDef, CreateTableStmt, ObjectName, SelectStmt, Statement};
 use phoenix_sql::display::{render_expr, render_statement};
 use phoenix_sql::rewrite;
@@ -31,6 +32,7 @@ use phoenix_storage::types::{format_date, Row, Schema, Value};
 use phoenix_wire::message::Outcome;
 
 use crate::config::CaptureStrategy;
+use crate::dml;
 use crate::Result;
 
 /// Outcome of materializing one result set.
@@ -148,7 +150,7 @@ pub fn materialize(
         CaptureStrategy::ServerProc => {
             let proc =
                 rewrite::capture_proc(capture_proc_name.clone(), table.clone(), select.clone());
-            let rows = capture_in_one_request(
+            let rows = capture(
                 worker,
                 vec![
                     create,
@@ -161,7 +163,7 @@ pub fn materialize(
         }
         CaptureStrategy::ServerInsert => {
             let ins = rewrite::capture_into(table.clone(), select.clone());
-            capture_in_one_request(
+            capture(
                 worker,
                 vec![create, render_statement(&Statement::Insert(ins))],
             )?
@@ -185,34 +187,21 @@ pub fn materialize(
     })
 }
 
-/// Run `stmts` as one transaction in one `ExecBatch` frame — `[BEGIN;
-/// stmts…; COMMIT]` — and return the rows the last one affected. An error
-/// item rolls the transaction back and surfaces; a communication failure
-/// leaves it to die with the session (or the server).
-fn capture_in_one_request(worker: &mut Connection, stmts: Vec<String>) -> Result<u64> {
+/// Run `stmts` as one transaction in one `ExecBatch` — `[BEGIN; stmts…;
+/// COMMIT]`, through the wrapper's [`dml::run_batches`] — and return the rows
+/// the last one affected.
+fn capture(worker: &mut Connection, stmts: Vec<String>) -> Result<u64> {
     let mut batch = Vec::with_capacity(stmts.len() + 2);
     batch.push("BEGIN".to_string());
     batch.extend(stmts);
     batch.push("COMMIT".to_string());
-    let items = worker.execute_batch(&batch)?;
-    for item in &items {
-        if let BatchItem::Err { code, message } = item {
-            let _ = worker.execute("ROLLBACK");
-            return Err(DriverError::Sql {
-                code: *code,
-                message: message.clone(),
-            });
-        }
-    }
-    match items.get(batch.len() - 2) {
-        Some(BatchItem::Ok {
-            outcome: Outcome::RowsAffected(n),
-            ..
-        }) if items.len() == batch.len() => Ok(*n),
-        _ => Err(DriverError::Protocol(format!(
-            "capture batch of {} statements returned {} item(s)",
-            batch.len(),
-            items.len()
+    let at = batch.len() - 2;
+    let mut reply = [None];
+    dml::run_batches(worker, &[batch], at, &mut reply)?;
+    match reply[0].take().map(|r| r.outcome) {
+        Some(Outcome::RowsAffected(n)) => Ok(n),
+        other => Err(DriverError::Protocol(format!(
+            "capture answered {other:?}, not a row count"
         ))),
     }
 }

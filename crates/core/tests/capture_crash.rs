@@ -1,10 +1,12 @@
-//! A crash inside Phoenix's one-request result capture. This test arms the
-//! process-global fault schedule, so it has a test binary to itself: a
-//! sibling test's server would count toward (and be halted by) its
-//! schedule.
+//! Crashes inside Phoenix's one-request wrappers: the result capture and a
+//! wrapped `EXEC`. These tests arm the process-global fault schedule, so they
+//! have a test binary to themselves (a sibling test's server would count
+//! toward, and be halted by, their schedule) and run one at a time.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use phoenix_chaos as chaos;
@@ -14,16 +16,18 @@ use phoenix_engine::EngineConfig;
 use phoenix_server::ServerHarness;
 use phoenix_storage::types::Value;
 
-/// A crash inside the capture batch — `[BEGIN; CREATE TABLE; CREATE
-/// PROCEDURE; EXEC; COMMIT]`, one request — aborts the whole attempt: the
-/// query is resubmitted under fresh names, its rows arrive once, the
-/// aborted attempt's result table does not survive recovery, and `close`
-/// sweeps what the successful attempt created.
-#[test]
-fn query_resubmitted_after_crash_inside_capture_batch() {
-    let dir = std::env::temp_dir().join(format!("phoenix-capture-crash-{}", std::process::id()));
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A server on a fresh directory with a single partition, so every log
+/// append visits the one `wal.append` point, and a Phoenix session on it.
+fn start(name: &str) -> (Arc<Mutex<ServerHarness>>, PhoenixConnection, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("phoenix-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    // One partition, so every log append visits the one `wal.append` point.
     let engine_config = EngineConfig {
         partitions: Some(1),
         ..EngineConfig::default()
@@ -35,8 +39,40 @@ fn query_resubmitted_after_crash_inside_capture_batch() {
     let mut config = PhoenixConfig::default();
     config.recovery.read_timeout = Some(Duration::from_millis(800));
     config.recovery.ping_interval = Duration::from_millis(20);
-    let mut pc =
-        PhoenixConnection::connect(&Environment::new(), &addr, "app", "test", config).unwrap();
+    let pc = PhoenixConnection::connect(&Environment::new(), &addr, "app", "test", config).unwrap();
+    (harness, pc, dir)
+}
+
+/// Crash and restart the server once the armed schedule asks for it;
+/// yields whether it did before `stop` was raised.
+fn supervise(harness: &Arc<Mutex<ServerHarness>>, stop: &Arc<AtomicBool>) -> JoinHandle<bool> {
+    let harness = Arc::clone(harness);
+    let stop = Arc::clone(stop);
+    std::thread::spawn(move || loop {
+        if chaos::crash_requested() {
+            let mut h = harness.lock().unwrap();
+            h.crash().expect("supervisor crash");
+            chaos::acknowledge_crash();
+            std::thread::sleep(Duration::from_millis(20));
+            h.restart().expect("supervisor restart");
+            return true;
+        }
+        if stop.load(Ordering::Relaxed) {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    })
+}
+
+/// A crash inside the capture batch — `[BEGIN; CREATE TABLE; CREATE
+/// PROCEDURE; EXEC; COMMIT]`, one request — aborts the whole attempt: the
+/// query is resubmitted under fresh names, its rows arrive once, the
+/// aborted attempt's result table does not survive recovery, and `close`
+/// sweeps what the successful attempt created.
+#[test]
+fn query_resubmitted_after_crash_inside_capture_batch() {
+    let _s = serial();
+    let (harness, mut pc, dir) = start("capture-crash");
     pc.execute("CREATE TABLE customer (id INT PRIMARY KEY, name TEXT)")
         .unwrap();
     pc.execute(
@@ -60,24 +96,7 @@ fn query_resubmitted_after_crash_inside_capture_batch() {
     // procedure created and nothing committed.
     let guard = chaos::arm(chaos::Schedule::new().crash_at("wal.append", 3));
     let stop = Arc::new(AtomicBool::new(false));
-    let supervisor = {
-        let harness = Arc::clone(&harness);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || loop {
-            if chaos::crash_requested() {
-                let mut h = harness.lock().unwrap();
-                h.crash().expect("supervisor crash");
-                chaos::acknowledge_crash();
-                std::thread::sleep(Duration::from_millis(20));
-                h.restart().expect("supervisor restart");
-                return true;
-            }
-            if stop.load(Ordering::Relaxed) {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        })
-    };
+    let supervisor = supervise(&harness, &stop);
     let r = pc.execute("SELECT id, name FROM customer ORDER BY id");
     stop.store(true, Ordering::Relaxed);
     let crashed = supervisor.join().unwrap();
@@ -111,6 +130,47 @@ fn query_resubmitted_after_crash_inside_capture_batch() {
 
     pc.close();
     assert!(captures(&harness.lock().unwrap()).is_empty());
+    harness.lock().unwrap().shutdown();
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// The server dies after committing a wrapped `EXEC` of a procedure that
+/// PRINTs, before its reply leaves: the reply Phoenix replays from the
+/// status table carries the row count *and* the messages, which the server
+/// wrote into the status row itself (`@@MESSAGES`), and the procedure's
+/// insert applied once.
+#[test]
+fn messages_preserved_with_dml_outcome() {
+    let _s = serial();
+    let (harness, mut pc, dir) = start("messages-crash");
+    pc.execute("CREATE TABLE t (v INT)").unwrap();
+    pc.execute(
+        "CREATE PROCEDURE noisy AS BEGIN PRINT 'starting'; \
+         INSERT INTO t VALUES (1), (2), (3); PRINT 'done' END",
+    )
+    .unwrap();
+
+    // The EXEC's batch reply is the first reply the server sends from here.
+    let guard = chaos::arm(chaos::Schedule::new().crash_at("server.reply_send", 1));
+    let stop = Arc::new(AtomicBool::new(false));
+    let supervisor = supervise(&harness, &stop);
+    let r = pc.execute("EXEC noisy");
+    stop.store(true, Ordering::Relaxed);
+    let crashed = supervisor.join().unwrap();
+    assert!(guard.fired().iter().any(|f| f.point == "server.reply_send"));
+    drop(guard);
+    assert!(crashed, "the injected fault must have crashed the server");
+
+    let r = r.expect("the EXEC survives the crash");
+    assert_eq!(r.affected(), 3);
+    assert_eq!(r.messages, ["starting", "done"]);
+    let stats = pc.stats().clone();
+    assert_eq!(stats.replied_from_status, 1, "{stats:?}");
+    assert_eq!(stats.resubmissions, 0, "{stats:?}");
+    let count = pc.execute("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(count.rows(), &[vec![Value::Int(3)]]);
+
+    pc.close();
     harness.lock().unwrap().shutdown();
     std::fs::remove_dir_all(dir).unwrap();
 }

@@ -582,15 +582,3 @@ fn reposition_strategies_agree_across_crash() {
         std::fs::remove_dir_all(dir).unwrap();
     }
 }
-
-#[test]
-fn messages_preserved_with_dml_outcome() {
-    let (h, dir) = start();
-    let mut pc = connect(&h);
-    pc.execute("CREATE TABLE t (v INT)").unwrap();
-    let r = pc.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
-    assert_eq!(r.affected(), 3);
-    pc.close();
-    drop(h);
-    std::fs::remove_dir_all(dir).unwrap();
-}

@@ -20,7 +20,7 @@ use phoenix_sql::ast::{Expr, ObjectName, SelectItem, SelectStmt};
 use phoenix_storage::types::{Row, Schema, Value};
 
 use crate::error::{EngineError, ErrorCode, Result};
-use crate::eval::{Scalar, Scope};
+use crate::eval::{Params, Scalar, Scope};
 use crate::plan::{execute_select, Catalog};
 
 /// Cursor identifier, unique within a server incarnation.
@@ -130,7 +130,7 @@ impl Cursor {
         select: &SelectStmt,
         catalog: &dyn Catalog,
     ) -> Result<Cursor> {
-        let rs = execute_select(select, catalog, None)?;
+        let rs = execute_select(select, catalog, Params::NONE)?;
         Ok(Cursor {
             id,
             schema: rs.schema,
@@ -160,7 +160,7 @@ impl Cursor {
             .collect();
         let schema = projected_schema(data, &projection);
         let key_select = phoenix_sql::rewrite::with_projections(select.clone(), &key_names);
-        let rs = execute_select(&key_select, catalog, None)?;
+        let rs = execute_select(&key_select, catalog, Params::NONE)?;
         Ok(Cursor {
             id,
             schema,
@@ -188,7 +188,7 @@ impl Cursor {
         let predicate = select
             .where_clause
             .as_ref()
-            .map(|p| scope.bind(p, None))
+            .map(|p| scope.bind(p, Params::NONE))
             .transpose()?;
         Ok(Cursor {
             id,

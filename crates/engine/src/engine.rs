@@ -45,13 +45,13 @@ use phoenix_storage::types::{Row, Schema, TxnId, Value};
 
 use crate::cursor::{Cursor, CursorId, CursorKind, FetchDir, Fetched};
 use crate::error::{EngineError, ErrorCode, Result};
-use crate::eval::eval_const;
+use crate::eval::{eval_const, Params};
 use crate::exec::{
     build_table_def, compute_delete, compute_insert_rows, compute_update, CatalogView,
 };
 use crate::metrics::engine_metrics;
 use crate::plan::execute_select;
-use crate::session::{SessionId, SessionState};
+use crate::session::{SessionId, SessionState, SysVars};
 
 /// When a commit acknowledges, relative to replication.
 ///
@@ -574,25 +574,21 @@ impl Engine {
         &self,
         session: &mut SessionState,
         stmt: &Statement,
-        params: Option<&HashMap<String, Value>>,
+        args: Option<&HashMap<String, Value>>,
         depth: usize,
     ) -> Result<ExecResult> {
-        // `@@ROWCOUNT` is session state: substitute the previous statement's
-        // count before execution so a batch can record its own DML outcome
-        // server-side (the wrapped-request pattern).
-        let substituted = phoenix_sql::rewrite::substitute_sysvar(
-            stmt,
-            "ROWCOUNT",
-            &phoenix_sql::ast::Literal::Int(session.rowcount as i64),
-        );
-        let stmt = substituted.as_ref().unwrap_or(stmt);
+        // `@@NAME` binds to what the previous statement left in the session
+        // (the copy lets this statement mutate the session while it binds).
+        // That is what lets a batch record its own DML outcome server-side:
+        // the wrapped-request pattern.
+        let sys = session.sys.clone();
+        let params = Params {
+            args,
+            sys: Some(&sys),
+        };
         let result = self.exec_dispatch(session, stmt, params, depth);
         if let Ok(r) = &result {
-            session.rowcount = match &r.outcome {
-                ExecOutcome::RowsAffected(n) => *n,
-                ExecOutcome::ResultSet { rows, .. } => rows.len() as u64,
-                ExecOutcome::Done => 0,
-            };
+            session.sys = SysVars::after(r);
         }
         result
     }
@@ -601,7 +597,7 @@ impl Engine {
         &self,
         session: &mut SessionState,
         stmt: &Statement,
-        params: Option<&HashMap<String, Value>>,
+        params: Params<'_>,
         depth: usize,
     ) -> Result<ExecResult> {
         if depth > 8 {
@@ -926,7 +922,7 @@ impl Engine {
         &self,
         session: &mut SessionState,
         call: &ExecStmt,
-        outer_params: Option<&HashMap<String, Value>>,
+        outer_params: Params<'_>,
         depth: usize,
     ) -> Result<ExecResult> {
         let key = call.name.canonical();
@@ -1150,6 +1146,8 @@ fn temp_column_index(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phoenix_sql::ast::MESSAGE_SEPARATOR;
+    use phoenix_storage::types::DataType;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1230,6 +1228,98 @@ mod tests {
             .execute(sid, "SELECT n FROM audit WHERE sid = 's3'")
             .unwrap();
         assert_eq!(r.rows(), &[vec![Value::Int(0)]]);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn messages_sysvar_carries_the_previous_statements_messages() {
+        let (e, dir) = engine();
+        let sid = e.create_session("app");
+        setup(&e, sid);
+        e.execute(sid, "CREATE TABLE status (tag INT, n INT, m TEXT)")
+            .unwrap();
+        e.execute(
+            sid,
+            "CREATE PROCEDURE noisy AS BEGIN PRINT 'one'; \
+             UPDATE customer SET nation = 7 WHERE name = 'Smith'; PRINT 'two' END",
+        )
+        .unwrap();
+        // The wrapper's status insert sees the EXEC's count and every PRINT.
+        let results = e
+            .execute_batch(
+                sid,
+                "BEGIN; EXEC noisy; \
+                 INSERT INTO status VALUES (1, @@ROWCOUNT, @@MESSAGES); COMMIT",
+            )
+            .unwrap();
+        assert_eq!(results[1].messages, vec!["one", "two"]);
+        let r = e.execute(sid, "SELECT n, m FROM status").unwrap();
+        assert_eq!(
+            r.rows(),
+            &[vec![
+                Value::Int(2),
+                Value::Text(format!("one{MESSAGE_SEPARATOR}two"))
+            ]]
+        );
+        // A plain DML has no messages.
+        e.execute(sid, "UPDATE customer SET nation = 8 WHERE id = 1")
+            .unwrap();
+        e.execute(sid, "INSERT INTO status VALUES (2, @@ROWCOUNT, @@MESSAGES)")
+            .unwrap();
+        let r = e
+            .execute(sid, "SELECT n, m FROM status WHERE tag = 2")
+            .unwrap();
+        assert_eq!(r.rows(), &[vec![Value::Int(1), Value::Text(String::new())]]);
+        // Per session: another session's PRINT is not this one's message.
+        let sid2 = e.create_session("app");
+        e.execute(sid2, "PRINT 'elsewhere'").unwrap();
+        e.execute(sid, "INSERT INTO status VALUES (3, @@ROWCOUNT, @@MESSAGES)")
+            .unwrap();
+        e.execute(
+            sid2,
+            "INSERT INTO status VALUES (4, @@ROWCOUNT, @@MESSAGES)",
+        )
+        .unwrap();
+        let r = e
+            .execute(sid, "SELECT tag, m FROM status WHERE tag >= 3 ORDER BY tag")
+            .unwrap();
+        assert_eq!(
+            r.rows(),
+            &[
+                vec![Value::Int(3), Value::Text(String::new())],
+                vec![Value::Int(4), Value::Text("elsewhere".into())],
+            ]
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn sysvars_are_readable_in_a_select() {
+        let (e, dir) = engine();
+        let sid = e.create_session("app");
+        setup(&e, sid);
+        e.execute(sid, "UPDATE customer SET nation = 1 WHERE id <= 2")
+            .unwrap();
+        let r = e
+            .execute(sid, "SELECT @@ROWCOUNT, @@MESSAGES, @@ROWCOUNT + 1")
+            .unwrap();
+        assert_eq!(
+            r.rows(),
+            &[vec![
+                Value::Int(2),
+                Value::Text(String::new()),
+                Value::Int(3)
+            ]]
+        );
+        let ExecOutcome::ResultSet { schema, .. } = &r.outcome else {
+            panic!("{r:?}");
+        };
+        let types: Vec<DataType> = schema.columns.iter().map(|c| c.dtype).collect();
+        assert_eq!(types, [DataType::Int, DataType::Text, DataType::Int]);
+        // The SELECT itself returned one row.
+        let r = e.execute(sid, "SELECT @@ROWCOUNT").unwrap();
+        assert_eq!(r.rows(), &[vec![Value::Int(1)]]);
+        assert!(e.execute(sid, "SELECT @@NO_SUCH_VAR").is_err());
         std::fs::remove_dir_all(dir).unwrap();
     }
 

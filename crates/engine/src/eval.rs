@@ -29,9 +29,24 @@ use phoenix_sql::display::render_expr;
 use phoenix_storage::types::{parse_date, DataType, Schema, Value};
 
 use crate::error::{EngineError, Result};
+use crate::session::SysVars;
 
-/// Procedure parameters (`@name`) visible to binding, if any.
-pub type Params<'p> = Option<&'p HashMap<String, Value>>;
+/// What `@name` and `@@NAME` bind to.
+#[derive(Debug, Clone, Copy)]
+pub struct Params<'p> {
+    /// The calling procedure's arguments (`@name`), inside its body.
+    pub args: Option<&'p HashMap<String, Value>>,
+    /// The session's system variables (`@@NAME`), inside a session statement.
+    pub sys: Option<&'p SysVars>,
+}
+
+impl Params<'_> {
+    /// Nothing to bind: no procedure arguments, no session.
+    pub const NONE: Params<'static> = Params {
+        args: None,
+        sys: None,
+    };
+}
 
 static NULL: Value = Value::Null;
 
@@ -190,18 +205,18 @@ impl Binder<'_> {
                 let base = if self.group.is_some() { GROUP_ROWS } else { 0 };
                 Scalar::Col(base + t, c)
             }
-            Expr::Param(p) => match self.params.and_then(|m| m.get(p)) {
+            Expr::Param(p) => match self.params.args.and_then(|m| m.get(p)) {
                 Some(v) => Scalar::Const(v.clone()),
                 None => return Err(EngineError::column(format!("unbound parameter '@{p}'"))),
             },
-            // System variables are substituted by the engine facade before
-            // execution (DML shapes only); one surviving to binding means it
-            // was used somewhere that substitution does not cover.
-            Expr::SysVar(n) => {
-                return Err(EngineError::unsupported(format!(
-                    "system variable '@@{n}' is not available in this context"
-                )))
-            }
+            Expr::SysVar(n) => match self.params.sys {
+                Some(sys) => Scalar::Const(sys.get(n)?),
+                None => {
+                    return Err(EngineError::unsupported(format!(
+                        "system variable '@@{n}' is not available in this context"
+                    )))
+                }
+            },
             Expr::Unary { op, expr } => fold(Scalar::Unary(*op, b(expr)?)),
             Expr::Binary { left, op, right } => fold(Scalar::Binary(b(left)?, *op, b(right)?)),
             Expr::Function {
@@ -1159,7 +1174,14 @@ pub fn infer_type(expr: &Expr, scope: &Scope) -> Result<(DataType, bool)> {
             (c.dtype, c.nullable)
         }
         Expr::Param(_) => (DataType::Text, true),
-        Expr::SysVar(_) => (DataType::Int, false),
+        // The type of the value the variable would bind to (never NULL).
+        Expr::SysVar(n) => (
+            SysVars::default()
+                .get(n)?
+                .data_type()
+                .unwrap_or(DataType::Text),
+            false,
+        ),
         Expr::Unary { op, expr } => {
             let (t, n) = infer_type(expr, scope)?;
             match op {
@@ -1281,7 +1303,7 @@ mod tests {
 
     /// Evaluate over the tuple `(t: [a, b], u: [a])`.
     fn eval_str(sql: &str, t: &[Value], u: &[Value]) -> Result<Value> {
-        let bound = scope().bind(&expr_of(sql), None)?;
+        let bound = scope().bind(&expr_of(sql), Params::NONE)?;
         Ok(bound.eval(&[t, u])?.into_owned())
     }
 
@@ -1322,13 +1344,13 @@ mod tests {
         // No row is needed to find an unknown column or function.
         let s = scope();
         assert!(s
-            .bind(&expr_of("CASE WHEN 1 = 2 THEN zzz END"), None)
+            .bind(&expr_of("CASE WHEN 1 = 2 THEN zzz END"), Params::NONE)
             .is_err());
-        assert!(s.bind(&expr_of("NO_SUCH_FN(1)"), None).is_err());
-        assert!(s.bind(&expr_of("@p"), None).is_err());
+        assert!(s.bind(&expr_of("NO_SUCH_FN(1)"), Params::NONE).is_err());
+        assert!(s.bind(&expr_of("@p"), Params::NONE).is_err());
         // Value errors wait for a row to reach them.
         let guarded = s
-            .bind(&expr_of("CASE WHEN 1 = 2 THEN 1 / 0 END"), None)
+            .bind(&expr_of("CASE WHEN 1 = 2 THEN 1 / 0 END"), Params::NONE)
             .unwrap();
         let row: [&[Value]; 2] = [&[Value::Int(1), Value::Null], &[Value::Null]];
         assert_eq!(*guarded.eval(&row).unwrap(), Value::Null);
@@ -1345,7 +1367,7 @@ mod tests {
             "COALESCE(NULL, b)",
             "CASE WHEN t.a = 5 THEN b END",
         ] {
-            let bound = s.bind(&expr_of(sql), None).unwrap();
+            let bound = s.bind(&expr_of(sql), Params::NONE).unwrap();
             assert!(
                 matches!(bound.eval(&[&t, &u]).unwrap(), Cow::Borrowed(_)),
                 "{sql}"
@@ -1507,7 +1529,7 @@ mod tests {
         let keys = vec!["b".to_string()];
         let aggs = vec!["SUM(t.a)".to_string()];
         let bound = s
-            .bind_grouped(&expr_of("SUM(t.a) + LENGTH(b)"), None, &keys, &aggs)
+            .bind_grouped(&expr_of("SUM(t.a) + LENGTH(b)"), Params::NONE, &keys, &aggs)
             .unwrap();
         let key_row = [Value::Text("abc".into())];
         let agg_row = [Value::Int(42)];
@@ -1519,13 +1541,17 @@ mod tests {
 
     #[test]
     fn params() {
-        let mut params = HashMap::new();
-        params.insert("cid".to_string(), Value::Int(9));
+        let mut args = HashMap::new();
+        args.insert("cid".to_string(), Value::Int(9));
+        let params = Params {
+            args: Some(&args),
+            sys: None,
+        };
         assert_eq!(
-            eval_const(&expr_of("@cid + 1"), Some(&params)).unwrap(),
+            eval_const(&expr_of("@cid + 1"), params).unwrap(),
             Value::Int(10)
         );
-        assert!(eval_const(&expr_of("@missing"), Some(&params)).is_err());
+        assert!(eval_const(&expr_of("@missing"), params).is_err());
     }
 
     #[test]

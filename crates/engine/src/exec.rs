@@ -7,8 +7,6 @@
 //! applying keeps borrows simple and makes `INSERT INTO t SELECT … FROM t`
 //! self-joins well-defined (they see the pre-statement state).
 
-use std::collections::HashMap;
-
 use phoenix_sql::ast::{
     CreateTableStmt, DeleteStmt, InsertSource, InsertStmt, ObjectName, UpdateStmt,
 };
@@ -16,7 +14,7 @@ use phoenix_storage::store::{Store, StoreSnapshot, TableData};
 use phoenix_storage::types::{Column, DataType, Row, RowId, Schema, TableDef, Value};
 
 use crate::error::{EngineError, ErrorCode, Result};
-use crate::eval::{eval_const, Scope};
+use crate::eval::{eval_const, Params, Scope};
 use crate::plan::{execute_select, Catalog};
 
 /// Immutable view over a durable-store snapshot plus one session's temp
@@ -110,7 +108,7 @@ pub fn compute_insert_rows(
     insert: &InsertStmt,
     target: &TableDef,
     catalog: &dyn Catalog,
-    params: Option<&HashMap<String, Value>>,
+    params: Params<'_>,
 ) -> Result<Vec<Row>> {
     let schema = &target.schema;
 
@@ -169,7 +167,7 @@ pub fn compute_insert_rows(
 pub fn compute_update(
     update: &UpdateStmt,
     data: &TableData,
-    params: Option<&HashMap<String, Value>>,
+    params: Params<'_>,
 ) -> Result<Vec<(RowId, Row)>> {
     let scope = Scope::single(&update.table.name, &data.def.schema);
     // Resolve assignment targets once.
@@ -224,7 +222,7 @@ pub fn compute_update(
 pub fn compute_delete(
     delete: &DeleteStmt,
     data: &TableData,
-    params: Option<&HashMap<String, Value>>,
+    params: Params<'_>,
 ) -> Result<Vec<RowId>> {
     let scope = Scope::single(&delete.table.name, &data.def.schema);
     let pred = delete
@@ -329,7 +327,7 @@ mod tests {
             Statement::Insert(i) => i,
             other => panic!("{other:?}"),
         };
-        let rows = compute_insert_rows(&ins, &def, &view, None).unwrap();
+        let rows = compute_insert_rows(&ins, &def, &view, Params::NONE).unwrap();
         // v coerced int→float, s defaulted to NULL, order fixed up.
         assert_eq!(
             rows,
@@ -351,7 +349,7 @@ mod tests {
             Statement::Insert(i) => i,
             other => panic!("{other:?}"),
         };
-        let e = compute_insert_rows(&ins, &def, &view, None).unwrap_err();
+        let e = compute_insert_rows(&ins, &def, &view, Params::NONE).unwrap_err();
         assert_eq!(e.code, ErrorCode::Constraint);
     }
 
@@ -370,7 +368,7 @@ mod tests {
             Statement::Insert(i) => i,
             other => panic!("{other:?}"),
         };
-        let rows = compute_insert_rows(&ins, &def, &view, None).unwrap();
+        let rows = compute_insert_rows(&ins, &def, &view, Params::NONE).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0][0], Value::Int(11));
     }
@@ -383,7 +381,7 @@ mod tests {
             Statement::Update(u) => u,
             other => panic!("{other:?}"),
         };
-        let changes = compute_update(&upd, &data, None).unwrap();
+        let changes = compute_update(&upd, &data, Params::NONE).unwrap();
         assert_eq!(changes.len(), 2);
         assert_eq!(changes[0].1[1], Value::Float(4.0));
     }
@@ -397,7 +395,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(
-            compute_update(&upd, &data, None).unwrap_err().code,
+            compute_update(&upd, &data, Params::NONE).unwrap_err().code,
             ErrorCode::Column
         );
     }
@@ -410,7 +408,7 @@ mod tests {
             Statement::Delete(d) => d,
             other => panic!("{other:?}"),
         };
-        let ids = compute_delete(&del, &data, None).unwrap();
+        let ids = compute_delete(&del, &data, Params::NONE).unwrap();
         assert_eq!(ids.len(), 2);
     }
 

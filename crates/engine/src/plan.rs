@@ -70,7 +70,7 @@ pub struct ResultSet {
 pub fn execute_select(
     select: &SelectStmt,
     catalog: &dyn Catalog,
-    params: Option<&HashMap<String, Value>>,
+    params: Params<'_>,
 ) -> Result<ResultSet> {
     let from = bind_from(select, catalog)?;
     let projections = expand_projections(select, &from)?;
@@ -1174,7 +1174,7 @@ fn explain_row(
 pub fn explain_statement(
     stmt: &Statement,
     catalog: &dyn Catalog,
-    params: Option<&HashMap<String, Value>>,
+    params: Params<'_>,
 ) -> Result<ResultSet> {
     match stmt {
         Statement::Explain(inner) => explain_statement(inner, catalog, params),
@@ -1224,7 +1224,7 @@ fn explain_dml(
 fn explain_select(
     select: &SelectStmt,
     catalog: &dyn Catalog,
-    params: Option<&HashMap<String, Value>>,
+    params: Params<'_>,
 ) -> Result<ResultSet> {
     let bound = bind_from(select, catalog)?;
     // Surface the same binding errors the query itself would.
@@ -1969,7 +1969,7 @@ mod tests {
     fn run(sql: &str) -> ResultSet {
         let cat = catalog();
         match parse_statement(sql).unwrap() {
-            Statement::Select(s) => execute_select(&s, &cat, None).unwrap(),
+            Statement::Select(s) => execute_select(&s, &cat, Params::NONE).unwrap(),
             other => panic!("{other:?}"),
         }
     }
@@ -2137,7 +2137,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(
-            execute_select(&s, &cat, None).unwrap_err().code,
+            execute_select(&s, &cat, Params::NONE).unwrap_err().code,
             ErrorCode::NotFound
         );
         let s = match parse_statement("SELECT zzz FROM customer").unwrap() {
@@ -2145,7 +2145,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(
-            execute_select(&s, &cat, None).unwrap_err().code,
+            execute_select(&s, &cat, Params::NONE).unwrap_err().code,
             ErrorCode::Column
         );
     }
@@ -2181,7 +2181,7 @@ mod tests {
                 Statement::Select(s) => s,
                 other => panic!("{other:?}"),
             };
-        let rs = execute_select(&s, &cat, None).unwrap();
+        let rs = execute_select(&s, &cat, Params::NONE).unwrap();
         assert_eq!(rs.rows.len(), 5); // the NULL-keyed order matches nothing
     }
 }
@@ -2251,7 +2251,7 @@ mod point_lookup_tests {
 
     fn run(cat: &Cat, sql: &str) -> Vec<Row> {
         match parse_statement(sql).unwrap() {
-            Statement::Select(s) => execute_select(&s, cat, None).unwrap().rows,
+            Statement::Select(s) => execute_select(&s, cat, Params::NONE).unwrap().rows,
             other => panic!("{other:?}"),
         }
     }
@@ -2348,7 +2348,7 @@ mod distinct_tests {
 
     fn run(cat: &Cat, sql: &str) -> Vec<Row> {
         match parse_statement(sql).unwrap() {
-            Statement::Select(s) => execute_select(&s, cat, None).unwrap().rows,
+            Statement::Select(s) => execute_select(&s, cat, Params::NONE).unwrap().rows,
             other => panic!("{other:?}"),
         }
     }
@@ -2467,14 +2467,14 @@ mod index_plan_tests {
 
     fn run(c: &Cat, sql: &str) -> Vec<Row> {
         match parse_statement(sql).unwrap() {
-            Statement::Select(s) => execute_select(&s, c, None).unwrap().rows,
+            Statement::Select(s) => execute_select(&s, c, Params::NONE).unwrap().rows,
             other => panic!("{other:?}"),
         }
     }
 
     fn explain(c: &Cat, sql: &str) -> Vec<Row> {
         let stmt = parse_statement(sql).unwrap();
-        explain_statement(&stmt, c, None).unwrap().rows
+        explain_statement(&stmt, c, Params::NONE).unwrap().rows
     }
 
     fn txt(v: &Value) -> String {

@@ -10,10 +10,13 @@
 
 use std::collections::HashMap;
 
+use phoenix_sql::ast::MESSAGE_SEPARATOR;
 use phoenix_storage::store::Store;
 use phoenix_storage::types::{TxnId, Value};
 
 use crate::cursor::{Cursor, CursorId};
+use crate::engine::{ExecOutcome, ExecResult};
+use crate::error::{EngineError, Result};
 
 /// Session identifier. Monotone within one server incarnation; after a crash
 /// all previous ids are invalid (`ErrorCode::NoSession`), which is how stale
@@ -36,12 +39,8 @@ pub struct SessionState {
     pub txn: Option<TxnId>,
     /// Open server cursors.
     pub cursors: HashMap<CursorId, Cursor>,
-    /// Rows affected (or returned) by the previous statement — the value of
-    /// `@@ROWCOUNT`. DML sets it to the affected count, SELECT to the row
-    /// count, and everything else resets it to 0 (T-SQL-compatible enough
-    /// for the wrapped-request pattern, which reads it in the statement
-    /// immediately following the DML).
-    pub rowcount: u64,
+    /// What the previous statement left behind: `@@ROWCOUNT`, `@@MESSAGES`.
+    pub sys: SysVars,
     /// Tombstone set (under this state's mutex) by the lifecycle manager
     /// when it spills the session: the durable spill row is now the
     /// authoritative copy and this in-memory state is an orphan. A request
@@ -61,7 +60,7 @@ impl SessionState {
             temp: Store::new(),
             txn: None,
             cursors: HashMap::new(),
-            rowcount: 0,
+            sys: SysVars::default(),
             spilled_out: false,
         }
     }
@@ -86,6 +85,47 @@ impl SessionState {
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v)
+    }
+}
+
+/// A session's system variables, set by each statement that succeeds and
+/// read by the next one's expressions (T-SQL-compatible enough for the
+/// wrapped-request pattern, which reads them in the statement immediately
+/// following the DML or `EXEC`).
+#[derive(Debug, Clone, Default)]
+pub struct SysVars {
+    /// `@@ROWCOUNT`: DML sets it to the affected count, SELECT to the row
+    /// count, everything else to 0.
+    pub rowcount: u64,
+    /// `@@MESSAGES`: the statement's messages (a PRINT's text, every PRINT
+    /// of a procedure). Not carried through a spill: a spilled session
+    /// restores with none. The wrapper reads it inside its own transaction,
+    /// and a session with an open transaction is never spilled.
+    pub messages: Vec<String>,
+}
+
+impl SysVars {
+    /// What a successful statement leaves behind.
+    pub fn after(result: &ExecResult) -> SysVars {
+        SysVars {
+            rowcount: match &result.outcome {
+                ExecOutcome::RowsAffected(n) => *n,
+                ExecOutcome::ResultSet { rows, .. } => rows.len() as u64,
+                ExecOutcome::Done => 0,
+            },
+            messages: result.messages.clone(),
+        }
+    }
+
+    /// The value of `@@name` (`name` upper-case, as the parser spells it).
+    pub fn get(&self, name: &str) -> Result<Value> {
+        match name {
+            "ROWCOUNT" => Ok(Value::Int(self.rowcount as i64)),
+            "MESSAGES" => Ok(Value::Text(self.messages.join(MESSAGE_SEPARATOR))),
+            _ => Err(EngineError::unsupported(format!(
+                "unknown system variable '@@{name}'"
+            ))),
+        }
     }
 }
 

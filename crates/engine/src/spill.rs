@@ -144,7 +144,7 @@ fn codec_err(e: phoenix_storage::codec::DecodeError) -> EngineError {
 fn encode_session(state: &SessionState) -> Vec<u8> {
     let mut buf = Vec::with_capacity(256);
     put_str(&mut buf, &state.user);
-    put_u64(&mut buf, state.rowcount);
+    put_u64(&mut buf, state.sys.rowcount);
 
     put_u64(&mut buf, state.options.len() as u64);
     for (name, value) in &state.options {
@@ -227,7 +227,7 @@ fn decode_session(sid: SessionId, bytes: &[u8], snap: &StoreSnapshot) -> Result<
     }
 
     let mut state = SessionState::new(sid, user);
-    state.rowcount = rowcount;
+    state.sys.rowcount = rowcount;
     state.options = options;
     state.temp = temp;
 

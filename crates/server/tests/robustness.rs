@@ -410,7 +410,8 @@ fn pipelined_window_crash_replays_exactly_once() {
 
     let stats = pc.stats().clone();
     assert!(stats.recoveries >= 1, "{stats:?}");
-    assert_eq!(stats.pipelined_dml, 8, "{stats:?}");
+    // The seeding INSERT and the eight pipelined statements.
+    assert_eq!(stats.wrapped_dml, 9, "{stats:?}");
     assert!(
         stats.replied_from_status >= 1,
         "committed tag 6 must be answered from the status table: {stats:?}"

@@ -7,6 +7,11 @@
 
 use std::fmt;
 
+/// What joins a statement's messages in the text of `@@MESSAGES` (and so in
+/// the messages column of Phoenix's status table): the ASCII unit separator,
+/// which PRINT output does not contain in practice.
+pub const MESSAGE_SEPARATOR: &str = "\u{1f}";
+
 /// A possibly namespace-qualified object name (`dbo.orders`, `phoenix.rs_1`,
 /// `#session_temp`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -176,10 +181,12 @@ pub enum Expr {
     },
     /// Procedure parameter `@name`.
     Param(String),
-    /// System variable `@@NAME` (T-SQL style; name stored uppercased).
-    /// `@@ROWCOUNT` — the rows affected by the session's previous statement
-    /// — is substituted by the engine before execution, which is what lets a
-    /// wrapped request record its own outcome server-side inside one batch.
+    /// System variable `@@NAME` (T-SQL style; name stored uppercased), bound
+    /// by the engine from the session: `@@ROWCOUNT` is the rows the session's
+    /// previous statement affected or returned, `@@MESSAGES` its messages
+    /// joined by [`MESSAGE_SEPARATOR`]. Reading both in the statement after a
+    /// DML is what lets a wrapped request record its own outcome server-side
+    /// inside one batch.
     SysVar(String),
     /// Unary operator application.
     Unary {

@@ -304,144 +304,6 @@ impl Renamer<'_> {
     }
 }
 
-/// Substitute a system variable (`@@NAME`) with a literal value inside a
-/// DML-shaped statement. Returns `None` when the statement does not mention
-/// the variable, so callers on the hot path can skip the clone entirely.
-///
-/// Coverage is deliberately the statement shapes a T-SQL batch uses system
-/// variables in: `INSERT … VALUES`, `UPDATE` assignments and predicates,
-/// `DELETE` predicates, `EXEC` arguments, `SET`, and `PRINT`. A system
-/// variable anywhere else (e.g. a SELECT projection) is left in place and
-/// surfaces as an engine evaluation error.
-pub fn substitute_sysvar(stmt: &Statement, name: &str, value: &Literal) -> Option<Statement> {
-    let mut hit = false;
-    let out = {
-        let mut sub = |e: &Expr| subst_expr(e, name, value, &mut hit);
-        match stmt {
-            Statement::Insert(i) => Statement::Insert(InsertStmt {
-                table: i.table.clone(),
-                columns: i.columns.clone(),
-                source: match &i.source {
-                    InsertSource::Values(rows) => InsertSource::Values(
-                        rows.iter()
-                            .map(|r| r.iter().map(&mut sub).collect())
-                            .collect(),
-                    ),
-                    InsertSource::Select(s) => InsertSource::Select(s.clone()),
-                },
-            }),
-            Statement::Update(u) => Statement::Update(UpdateStmt {
-                table: u.table.clone(),
-                assignments: u
-                    .assignments
-                    .iter()
-                    .map(|(c, e)| (c.clone(), sub(e)))
-                    .collect(),
-                where_clause: u.where_clause.as_ref().map(&mut sub),
-            }),
-            Statement::Delete(d) => Statement::Delete(DeleteStmt {
-                table: d.table.clone(),
-                where_clause: d.where_clause.as_ref().map(&mut sub),
-            }),
-            Statement::Exec(e) => Statement::Exec(ExecStmt {
-                name: e.name.clone(),
-                args: e.args.iter().map(&mut sub).collect(),
-            }),
-            Statement::Set { name: n, value: v } => Statement::Set {
-                name: n.clone(),
-                value: sub(v),
-            },
-            Statement::Print(e) => Statement::Print(sub(e)),
-            _ => return None,
-        }
-    };
-    hit.then_some(out)
-}
-
-fn subst_expr(e: &Expr, name: &str, value: &Literal, hit: &mut bool) -> Expr {
-    let sub = |x: &Expr, hit: &mut bool| Box::new(subst_expr(x, name, value, hit));
-    match e {
-        Expr::SysVar(n) if n == name => {
-            *hit = true;
-            Expr::Literal(value.clone())
-        }
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: sub(expr, hit),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: sub(left, hit),
-            op: *op,
-            right: sub(right, hit),
-        },
-        Expr::Function {
-            name: f,
-            args,
-            distinct,
-        } => Expr::Function {
-            name: f.clone(),
-            args: args
-                .iter()
-                .map(|a| subst_expr(a, name, value, hit))
-                .collect(),
-            distinct: *distinct,
-        },
-        Expr::Case {
-            branches,
-            else_expr,
-        } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| {
-                    (
-                        subst_expr(c, name, value, hit),
-                        subst_expr(v, name, value, hit),
-                    )
-                })
-                .collect(),
-            else_expr: else_expr.as_ref().map(|x| sub(x, hit)),
-        },
-        Expr::Between {
-            expr,
-            negated,
-            low,
-            high,
-        } => Expr::Between {
-            expr: sub(expr, hit),
-            negated: *negated,
-            low: sub(low, hit),
-            high: sub(high, hit),
-        },
-        Expr::InList {
-            expr,
-            negated,
-            list,
-        } => Expr::InList {
-            expr: sub(expr, hit),
-            negated: *negated,
-            list: list
-                .iter()
-                .map(|x| subst_expr(x, name, value, hit))
-                .collect(),
-        },
-        Expr::Like {
-            expr,
-            negated,
-            pattern,
-        } => Expr::Like {
-            expr: sub(expr, hit),
-            negated: *negated,
-            pattern: sub(pattern, hit),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: sub(expr, hit),
-            negated: *negated,
-        },
-        Expr::Nested(inner) => Expr::Nested(sub(inner, hit)),
-        other => other.clone(),
-    }
-}
-
 /// Collect every table reference in a statement (FROM clauses, DML targets,
 /// nested selects, proc bodies). Used by Phoenix to find temp-object
 /// references that need redirecting.
