@@ -187,16 +187,15 @@ fn stage_coverage(rep: &RecoveryReport) -> f64 {
 
 /// The standby's schedule of the applier: loaded from an empty directory,
 /// then fed `src`'s log one frame at a time, each appended to the
-/// directory's own log first; promoted at the end. (The storm is loaded
-/// through one partition, so there is one log to append to.)
+/// directory's own log first; promoted at the end.
 fn open_fed_frame_by_frame(src: &Durable) -> (Durable, PathBuf) {
     let dir = temp_dir("fed");
     let mut applier = Applier::load(&dir).unwrap();
-    let mut wal = Wal::open(Durable::wal_path(&dir, 0)).unwrap();
-    for (stream, gsn, record) in src.repl_attach(0).unwrap() {
+    let mut wal = Wal::open(Durable::wal_path(&dir)).unwrap();
+    for (gsn, record) in src.repl_attach(0).unwrap() {
         wal.append(&frame_payload(gsn, &record)).unwrap();
         applier
-            .feed(stream as u32, gsn, LogRecord::decode(&record).unwrap())
+            .feed(gsn, LogRecord::decode(&record).unwrap())
             .unwrap();
     }
     src.repl_detach();

@@ -40,15 +40,13 @@ use phoenix_server::ServerHarness;
 
 use crate::{
     canonical_workload, enumerate_cases, explorer_config, explorer_engine_config, run_clean,
-    seed_workload, select_cases, CaseOutcome, ChurnHooks, CrashCase, ExploreOptions, Report,
-    Violation,
+    seed_workload, select_cases, watch_case, CaseOutcome, ChurnHooks, CrashCase, ExploreOptions,
+    Report, Violation,
 };
 
 /// Engine tuning for failover cases: the canonical explorer config plus
 /// semi-sync commit (see the module docs for why async is out of scope).
-/// Used for the primary *and* for the standby's promoted engine — the
-/// partition count must match or the shipped per-partition frames would
-/// land in the wrong streams.
+/// Used for the primary *and* for the standby's promoted engine.
 pub fn failover_engine_config() -> EngineConfig {
     EngineConfig {
         commit_mode: CommitMode::SemiSync,
@@ -289,10 +287,7 @@ pub fn enumerate_failover_cases(trace: &[Visit], torn_writes: bool) -> Vec<Failo
 
     // Anchor kill for the repl-fault variants: a mid-trace WAL append, so
     // replication traffic exists both before and after the injected fault.
-    let appends: Vec<&Visit> = trace
-        .iter()
-        .filter(|v| v.point.starts_with("wal.append"))
-        .collect();
+    let appends: Vec<&Visit> = trace.iter().filter(|v| v.point == "wal.append").collect();
     if let Some(anchor) = appends.get(appends.len() / 2) {
         let kill = CrashCase {
             point: anchor.point,
@@ -355,7 +350,9 @@ pub fn explore_failover(opts: &ExploreOptions) -> Report {
         violations: Vec::new(),
     };
     for (i, case) in selected.iter().enumerate() {
+        let watchdog = watch_case(opts, case.id());
         let outcome = run_failover_case(case);
+        drop(watchdog);
         report.executed += 1;
         if outcome.crashed {
             report.crashed += 1;

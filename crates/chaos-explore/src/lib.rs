@@ -48,7 +48,7 @@ pub mod failover;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -69,8 +69,9 @@ pub struct WorkloadOutput {
     /// Rows fetched through the keyset cursor, in delivery order.
     pub cursor_rows: Vec<String>,
     /// `SELECT * FROM acct ORDER BY id` followed by `SELECT * FROM customer
-    /// ORDER BY id` at the end of the workload (both partitions' tables, so
-    /// a half-applied cross-partition commit is observable).
+    /// ORDER BY id` at the end of the workload: both tables of
+    /// [`WORKLOAD_CROSS`]'s transactions, so a half-applied one is
+    /// observable.
     pub final_table: Vec<String>,
 }
 
@@ -108,16 +109,13 @@ pub const WORKLOAD_PIPELINED: &[&str] = &[
     "UPDATE acct SET bal = bal + 17 WHERE id = 7",
 ];
 
-/// The cross-partition phase. Under [`explorer_engine_config`]'s two-way
-/// partitioned store, `acct` (storage key `dbo.acct`) and `customer`
-/// (`dbo.customer`) hash to *different* partitions, so each transaction
-/// here commits via a `CommitMulti` record appended to both WAL streams.
-/// Crashing between the two participant appends (the per-partition
-/// `wal.append.p1` visits) leaves a partial cross-partition commit on disk;
-/// recovery must roll the whole transaction back and the resubmitted
-/// statements must land exactly once. Every mutation diverges observably
-/// if applied twice or half-applied (duplicate keys, unbalanced transfer
-/// totals).
+/// The two-table transaction phase. Each transaction here writes `acct`
+/// and `customer` and commits with one `Commit` record. Crashing before
+/// that record is durable (a crash or torn write at its `wal.append`, or a
+/// crash at the `wal.fsync` after it) must roll back both tables, and the
+/// resubmitted statements must land exactly once. Every mutation diverges
+/// observably if applied twice or half-applied (duplicate keys, unbalanced
+/// transfer totals).
 pub const WORKLOAD_CROSS: &[&str] = &[
     "BEGIN",
     "UPDATE acct SET bal = bal - 40 WHERE id = 1",
@@ -279,8 +277,8 @@ pub fn canonical_workload(
         st.close();
     }
 
-    // Both partitions' user tables: a half-applied cross-partition commit
-    // (acct debited, customer never credited or vice versa) shows up here.
+    // Both tables of the two-table phase: a half-applied transaction (acct
+    // debited, customer never credited or vice versa) shows up here.
     let mut final_table: Vec<String> = pc
         .execute("SELECT * FROM acct ORDER BY id")?
         .rows()
@@ -332,9 +330,6 @@ pub fn explorer_config() -> PhoenixConfig {
 pub fn explorer_engine_config() -> EngineConfig {
     EngineConfig {
         checkpoint_every: Some(24),
-        // Two partitions so the sweep exercises the per-partition WAL
-        // fault points and the partial cross-partition-commit windows.
-        partitions: Some(2),
         ..EngineConfig::default()
     }
 }
@@ -568,8 +563,7 @@ pub struct ExploreOptions {
     /// violation for reproduction).
     pub seed: u64,
     /// Also generate torn-write variants at the write-shaped points
-    /// (`wal.append` and its per-partition `wal.append.p<k>` siblings,
-    /// `server.reply_send`, `wire.write_frame`).
+    /// (`wal.append`, `server.reply_send`, `wire.write_frame`).
     pub torn_writes: bool,
     /// Print per-case progress to stderr.
     pub verbose: bool,
@@ -584,6 +578,61 @@ impl Default for ExploreOptions {
             verbose: false,
         }
     }
+}
+
+/// Wall-clock bound on one case. A case still running past it prints its
+/// schedule and ends the process with status 3 (see [`CaseWatchdog`]): a
+/// hung case fails the sweep, it does not hang it.
+pub const CASE_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// A wall-clock bound on one crash case. Armed before the case runs and
+/// dropped when it returns; if the bound passes first, `on_expiry` runs on
+/// the watchdog's own thread. The sweeps print the case's schedule and
+/// exit the process there: a case stuck inside the server or the client
+/// cannot be unwound from outside.
+pub struct CaseWatchdog {
+    /// Dropped with the watchdog, which wakes its thread before the bound.
+    disarm: Option<mpsc::Sender<()>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl CaseWatchdog {
+    /// Start watching: `on_expiry` runs unless the watchdog is dropped
+    /// within `bound`.
+    pub fn arm(bound: Duration, on_expiry: impl FnOnce() + Send + 'static) -> CaseWatchdog {
+        let (disarm, disarmed) = mpsc::channel::<()>();
+        let thread = std::thread::spawn(move || {
+            if let Err(mpsc::RecvTimeoutError::Timeout) = disarmed.recv_timeout(bound) {
+                on_expiry();
+            }
+        });
+        CaseWatchdog {
+            disarm: Some(disarm),
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for CaseWatchdog {
+    fn drop(&mut self) {
+        drop(self.disarm.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Watch one case of a sweep: past [`CASE_TIMEOUT`], print the case's
+/// schedule and the seed that reproduces the sweep, and exit with status 3.
+pub(crate) fn watch_case(opts: &ExploreOptions, case_id: String) -> CaseWatchdog {
+    let seed = opts.seed;
+    CaseWatchdog::arm(CASE_TIMEOUT, move || {
+        eprintln!(
+            "phoenix-chaos-explore: case {case_id} still running after {CASE_TIMEOUT:?}; \
+             reproduce with --seed {seed}. Exiting instead of hanging the sweep."
+        );
+        std::process::exit(3);
+    })
 }
 
 /// One invariant violation, with everything needed to reproduce it.
@@ -624,10 +673,7 @@ pub fn enumerate_cases(trace: &[Visit], torn_writes: bool) -> Vec<CrashCase> {
         .collect();
     if torn_writes {
         for v in trace {
-            // `wal.append` matched by prefix so the per-partition streams'
-            // appends (`wal.append.p1`, …) get torn variants too — they are
-            // exactly the partial cross-partition-commit windows.
-            let write_shaped = v.point.starts_with("wal.append")
+            let write_shaped = v.point == "wal.append"
                 || v.point == "server.reply_send"
                 || v.point == "wire.write_frame";
             if !write_shaped {
@@ -679,7 +725,9 @@ pub fn explore(opts: &ExploreOptions) -> Report {
         violations: Vec::new(),
     };
     for (i, case) in selected.iter().enumerate() {
+        let watchdog = watch_case(opts, case.id());
         let outcome = run_case(case);
+        drop(watchdog);
         report.executed += 1;
         if outcome.crashed {
             report.crashed += 1;
@@ -722,4 +770,25 @@ pub fn explore(opts: &ExploreOptions) -> Report {
         }
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn watchdog_fires_only_past_its_bound() {
+        let fired = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&fired);
+        // Dropping joins the watchdog's thread, so it has decided by now.
+        drop(CaseWatchdog::arm(Duration::from_secs(5), move || {
+            flag.store(true, Ordering::SeqCst)
+        }));
+        assert!(!fired.load(Ordering::SeqCst), "dropped in time, yet fired");
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let _watchdog = CaseWatchdog::arm(Duration::from_millis(20), move || tx.send(()).unwrap());
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("a case past its bound must fire the watchdog");
+    }
 }

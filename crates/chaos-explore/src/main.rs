@@ -17,8 +17,13 @@
 //!   kills a semi-sync primary at the scheduled visit and promotes its
 //!   WAL-shipping standby; the workload must ride the failover unchanged.
 //!
+//! Every case runs under a wall-clock bound (`CASE_TIMEOUT`, two minutes):
+//! a case still running past it prints its schedule and the
+//! reproducing seed, and the process exits with status 3 instead of hanging
+//! the sweep.
+//!
 //! Exit status: 0 when every invariant held at every crash point, 1
-//! otherwise.
+//! otherwise, 3 when a case hung.
 
 use phoenix_chaos_explore::{explore, ExploreOptions};
 

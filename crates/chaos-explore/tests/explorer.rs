@@ -36,13 +36,6 @@ const DURABLE_POINTS: &[&str] = &[
     "wal.append",
     "wal.fsync",
     "wal.rotate",
-    // Partition 1's stream under the explorer's two-way partitioned store
-    // (partition 0 keeps the unsuffixed names). Routing is by table name —
-    // with the `phoenix.*` bookkeeping namespace pinned to partition 0 —
-    // so these are as workload-pure as the unsuffixed points.
-    "wal.append.p1",
-    "wal.fsync.p1",
-    "wal.rotate.p1",
     "checkpoint.write",
     "checkpoint.truncate",
     "store.publish",
@@ -92,9 +85,6 @@ fn clean_trace_is_deterministic_and_enumerates_100_plus_points() {
         "wal.append",
         "wal.fsync",
         "wal.rotate",
-        "wal.append.p1",
-        "wal.fsync.p1",
-        "wal.rotate.p1",
         "checkpoint.write",
         "checkpoint.truncate",
         "store.publish",

@@ -311,7 +311,11 @@ mod tests {
 
     #[test]
     fn disarmed_points_do_nothing() {
-        // No guard held: every call is the fast path.
+        // Hold the session lock a guard would hold, so no sibling test can
+        // arm meanwhile: every call is the fast path.
+        let _session = session_mutex()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         assert_eq!(fault("wal.append"), FaultAction::Continue);
         assert_eq!(durable_fault("wal.append"), FaultAction::Continue);
         assert!(check_durable("wal.fsync").is_ok());

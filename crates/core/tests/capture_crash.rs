@@ -23,17 +23,12 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A server on a fresh directory with a single partition, so every log
-/// append visits the one `wal.append` point, and a Phoenix session on it.
+/// A server on a fresh directory, and a Phoenix session on it.
 fn start(name: &str) -> (Arc<Mutex<ServerHarness>>, PhoenixConnection, PathBuf) {
     let dir = std::env::temp_dir().join(format!("phoenix-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let engine_config = EngineConfig {
-        partitions: Some(1),
-        ..EngineConfig::default()
-    };
     let harness = Arc::new(Mutex::new(
-        ServerHarness::start(&dir, engine_config).unwrap(),
+        ServerHarness::start(&dir, EngineConfig::default()).unwrap(),
     ));
     let addr = harness.lock().unwrap().addr();
     let mut config = PhoenixConfig::default();

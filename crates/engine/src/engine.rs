@@ -40,7 +40,7 @@ use phoenix_sql::parser::{parse_statement, parse_statements};
 use phoenix_storage::db::{
     CheckpointStats, DrainReport, Durability, Durable, RecoveryOptions, RecoveryReport,
 };
-use phoenix_storage::store::StoreSnapshot;
+use phoenix_storage::store::Store;
 use phoenix_storage::types::{Row, Schema, TxnId, Value};
 
 use crate::cursor::{Cursor, CursorId, CursorKind, FetchDir, Fetched};
@@ -81,11 +81,7 @@ pub struct EngineConfig {
     /// Take a checkpoint automatically once this many log records have
     /// accumulated and the engine is quiescent. `None` disables.
     pub checkpoint_every: Option<u64>,
-    /// Write-path partitions (per-partition store shard + WAL stream +
-    /// group committer). `None` picks `min(8, available cores)`; `Some(1)`
-    /// forces the single-stream layout.
-    pub partitions: Option<usize>,
-    /// Bounded fsync delay for the group-commit leaders, in microseconds.
+    /// Bounded fsync delay for the group-commit leader, in microseconds.
     /// `0` (the default) flushes immediately.
     pub group_commit_window_us: u64,
     /// Cap on concurrently *resident* (in-memory) sessions. When a new
@@ -107,7 +103,6 @@ impl Default for EngineConfig {
         EngineConfig {
             durability: Durability::Fsync,
             checkpoint_every: Some(100_000),
-            partitions: None,
             group_commit_window_us: 0,
             max_sessions: None,
             commit_mode: CommitMode::default(),
@@ -268,13 +263,7 @@ impl Engine {
         applier: Option<phoenix_storage::Applier>,
     ) -> Result<Engine> {
         let dir = dir.as_ref();
-        let partitions = config.partitions.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(1)
-        });
         let opts = RecoveryOptions {
-            partitions: Some(partitions),
             group_commit_window_us: config.group_commit_window_us,
         };
         let durable = match applier {
@@ -390,7 +379,7 @@ impl Engine {
     /// The durable store's current published snapshot (tests, tooling).
     /// O(1), lock-free to hold: the image is immutable and later mutations
     /// publish new snapshots without touching this one.
-    pub fn snapshot(&self) -> Arc<StoreSnapshot> {
+    pub fn snapshot(&self) -> Arc<Store> {
         self.durable.snapshot()
     }
 

@@ -156,6 +156,7 @@ impl From<DbError> for EngineError {
             DbError::Store(s) => s.into(),
             DbError::Io(io) => EngineError::new(ErrorCode::Storage, io.to_string()),
             DbError::Decode(d) => EngineError::new(ErrorCode::Storage, d.to_string()),
+            e @ DbError::PartitionedLog(_) => EngineError::new(ErrorCode::Storage, e.to_string()),
             DbError::NoSuchTxn(t) => {
                 EngineError::new(ErrorCode::Txn, format!("no such transaction {t}"))
             }

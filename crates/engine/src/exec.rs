@@ -10,7 +10,7 @@
 use phoenix_sql::ast::{
     CreateTableStmt, DeleteStmt, InsertSource, InsertStmt, ObjectName, UpdateStmt,
 };
-use phoenix_storage::store::{Store, StoreSnapshot, TableData};
+use phoenix_storage::store::{Store, TableData};
 use phoenix_storage::types::{Column, DataType, Row, RowId, Schema, TableDef, Value};
 
 use crate::error::{EngineError, ErrorCode, Result};
@@ -19,11 +19,10 @@ use crate::plan::{execute_select, Catalog};
 
 /// Immutable view over a durable-store snapshot plus one session's temp
 /// store. Temp names (`#x`) resolve only in the temp store; everything else
-/// only in the durable snapshot (which routes each lookup to the partition
-/// shard owning that table).
+/// only in the durable snapshot.
 pub struct CatalogView<'a> {
     /// The durable (crash-surviving) store image.
-    pub durable: &'a StoreSnapshot,
+    pub durable: &'a Store,
     /// The session's volatile temp store.
     pub temp: &'a Store,
 }
@@ -272,10 +271,10 @@ mod tests {
         data
     }
 
-    fn view_with(data: TableData) -> (StoreSnapshot, Store) {
+    fn view_with(data: TableData) -> (Store, Store) {
         let mut durable = Store::new();
         durable.install_table(data);
-        (StoreSnapshot::capture(&durable), Store::new())
+        (durable, Store::new())
     }
 
     #[test]
@@ -420,7 +419,7 @@ mod tests {
             Schema::new(vec![Column::new("x", DataType::Int)]),
         ))
         .unwrap();
-        let durable = StoreSnapshot::default();
+        let durable = Store::new();
         let view = CatalogView {
             durable: &durable,
             temp: &temp,

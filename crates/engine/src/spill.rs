@@ -27,7 +27,6 @@ use std::time::Duration;
 use phoenix_obs::{journal, registry, Counter, EventKind, Gauge};
 use phoenix_storage::codec::{get_row, get_str, get_table_def, put_row, put_str, put_table_def};
 use phoenix_storage::store::Store;
-use phoenix_storage::store::StoreSnapshot;
 use phoenix_storage::types::{Column, DataType, RowId, Schema, TableDef, Value};
 
 use crate::cursor::Cursor;
@@ -193,7 +192,7 @@ fn encode_session(state: &SessionState) -> Vec<u8> {
     buf
 }
 
-fn decode_session(sid: SessionId, bytes: &[u8], snap: &StoreSnapshot) -> Result<SessionState> {
+fn decode_session(sid: SessionId, bytes: &[u8], snap: &Store) -> Result<SessionState> {
     let mut buf: &[u8] = bytes;
     let user = get_str(&mut buf).map_err(codec_err)?;
     let rowcount = get_u64(&mut buf)?;

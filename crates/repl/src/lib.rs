@@ -6,13 +6,13 @@
 //! that extends the paper's "sessions survive a server *crash*" guarantee to
 //! server *loss*.
 //!
-//! * [`ship`] — [`ship::Shipper`]: a primary-side thread that tails all N
-//!   partition WAL streams through the storage layer's replication tap
-//!   (post-fsync, strict GSN order) and pushes `[partition][gsn][record]`
-//!   frames to a standby over the ordinary wire protocol
+//! * [`ship`] — [`ship::Shipper`]: a primary-side thread that tails the WAL
+//!   through the storage layer's replication tap (post-fsync, strict GSN
+//!   order) and pushes `[gsn][record]` frames to a standby over the
+//!   ordinary wire protocol
 //!   (`ReplHello`/`ReplFrames`/`ReplAck`).
 //! * [`standby`] — [`standby::Standby`]: a warm receiver that appends the
-//!   shipped frames to its own per-partition logs (so its data directory is
+//!   shipped frames to its own log (so its data directory is
 //!   a valid primary directory at every instant) and feeds them to the
 //!   `phoenix_storage::Applier` crash recovery uses.
 //!   [`standby::Standby::promote`] fences further frames, bumps the durable

@@ -225,11 +225,10 @@ fn ship_session(
 /// Ship one batch and wait for its ack.
 fn send_batch(stream: &mut TcpStream, eng: &Arc<Engine>, frames: &[ShipFrame]) -> io::Result<()> {
     let m = repl_metrics();
-    let bytes: usize = frames.iter().map(|(_, _, r)| r.len()).sum();
+    let bytes: usize = frames.iter().map(|(_, r)| r.len()).sum();
     let wire_frames: Vec<ReplFrame> = frames
         .iter()
-        .map(|(partition, gsn, record)| ReplFrame {
-            partition: *partition,
+        .map(|(gsn, record)| ReplFrame {
             gsn: *gsn,
             record: record.clone(),
         })
@@ -243,7 +242,7 @@ fn send_batch(stream: &mut TcpStream, eng: &Arc<Engine>, frames: &[ShipFrame]) -
         .encode(),
     )
     .map_err(io_of_frame)?;
-    if let Some((_, gsn, _)) = frames.last() {
+    if let Some((gsn, _)) = frames.last() {
         m.frames_shipped.add(frames.len() as u64);
         m.bytes_shipped.add(bytes as u64);
         m.last_shipped_gsn.set(*gsn as i64);

@@ -2,8 +2,8 @@
 //!
 //! A [`Standby`] owns a data directory and a TCP port. Until promoted it
 //! speaks only the replication subset of the protocol: `ReplHello` (report
-//! the highest GSN it holds), `ReplFrames` (append to its own per-partition
-//! logs, feed the applier, fsync, ack), `Promote`, and `Ping`. Login
+//! the highest GSN it holds), `ReplFrames` (append to its own log, feed the
+//! applier, fsync, ack), `Promote`, and `Ping`. Login
 //! attempts are answered with the retryable `Fenced` error so a
 //! failover-aware driver rotates on to the next address — or retries here
 //! until promotion completes.
@@ -27,7 +27,6 @@
 //! from `Promote` (the supervisor's kill switch) or from this standby's
 //! hello-ack, and its own engine then refuses every login and WAL append.
 
-use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -42,7 +41,7 @@ use phoenix_engine::{read_epoch, write_epoch, Engine, EngineConfig, ErrorCode};
 use phoenix_server::server::SharedEngine;
 use phoenix_server::RunningServer;
 use phoenix_storage::applier::{frame_payload, Applier};
-use phoenix_storage::db::{Durable, MAX_PARTITIONS};
+use phoenix_storage::db::Durable;
 use phoenix_storage::record::LogRecord;
 use phoenix_storage::wal::{Wal, WalPoints};
 use phoenix_wire::frame::{read_frame, write_frame};
@@ -50,7 +49,7 @@ use phoenix_wire::{Request, Response};
 
 use crate::metrics::repl_metrics;
 
-/// Chaos fault-point names for the standby's own log streams — distinct
+/// Chaos fault-point names for the standby's own log — distinct
 /// from the primary's `wal.*` points so schedules targeting the primary's
 /// append windows don't also perturb (or get perturbed by) standby appends.
 const STANDBY_POINTS: WalPoints = WalPoints {
@@ -79,8 +78,8 @@ pub struct StandbyConfig {
 struct ReplState {
     /// `Some` until promotion consumes it.
     applier: Option<Applier>,
-    /// Lazily-opened per-partition logs for shipped frames.
-    wals: HashMap<usize, Wal>,
+    /// The log shipped frames go to, opened by the first frame appended.
+    wal: Option<Wal>,
 }
 
 struct Shared {
@@ -135,7 +134,7 @@ impl Standby {
             own_epoch: AtomicU64::new(own_epoch),
             state: Mutex::new(ReplState {
                 applier: Some(applier),
-                wals: HashMap::new(),
+                wal: None,
             }),
             server: Mutex::new(None),
             config,
@@ -256,11 +255,9 @@ impl Standby {
         }
         // Sync whatever the receiver appended so an orderly stop leaves a
         // fully durable directory.
-        let mut state = self.shared.state.lock();
-        for wal in state.wals.values_mut() {
+        if let Some(mut wal) = self.shared.state.lock().wal.take() {
             let _ = wal.sync();
         }
-        state.wals.clear();
     }
 }
 
@@ -462,35 +459,29 @@ fn apply_batch(shared: &Shared, frames: &[phoenix_wire::ReplFrame]) -> io::Resul
         .applier
         .as_mut()
         .ok_or_else(|| io::Error::other("applier gone (promotion raced)"))?;
-    let mut touched: HashSet<usize> = HashSet::new();
     let mut fed = 0u64;
     for frame in &frames[..cut] {
-        let k = frame.partition as usize;
-        if k >= MAX_PARTITIONS {
-            return Err(io::Error::other(format!("bad partition {k}")));
-        }
         if frame.gsn <= applier.max_gsn() {
             // Re-shipped after a reconnect: already held, skip.
             continue;
         }
         let rec = LogRecord::decode(&frame.record).map_err(|e| io::Error::other(e.to_string()))?;
-        let wal = match state.wals.entry(k) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => v.insert(Wal::open_with_points(
-                Durable::wal_path(&shared.dir, k),
+        let wal = match &mut state.wal {
+            Some(wal) => wal,
+            None => state.wal.insert(Wal::open_with_points(
+                Durable::wal_path(&shared.dir),
                 STANDBY_POINTS,
             )?),
         };
         wal.append(&frame_payload(frame.gsn, &frame.record))?;
-        touched.insert(k);
         applier
-            .feed(frame.partition as u32, frame.gsn, rec)
+            .feed(frame.gsn, rec)
             .map_err(|e| io::Error::other(format!("standby apply diverged: {e}")))?;
         fed += 1;
     }
     // Receive-ack means *durable* receive: semi-sync primaries count on it.
-    for k in &touched {
-        state.wals.get_mut(k).expect("touched wal open").sync()?;
+    if let Some(wal) = state.wal.as_mut().filter(|_| fed > 0) {
+        wal.sync()?;
     }
     let m = repl_metrics();
     m.frames_applied.add(fed);
@@ -525,10 +516,9 @@ fn do_promote(shared: &Shared, requested_epoch: u64) -> io::Result<u64> {
         std::thread::sleep(Duration::from_millis(1));
     }
     // Everything received must be on stable storage before we serve.
-    for wal in state.wals.values_mut() {
+    if let Some(mut wal) = state.wal.take() {
         wal.sync()?;
     }
-    state.wals.clear();
 
     // Outrank every epoch this directory has ever seen — durably, before
     // the engine opens, so even a crash mid-promotion leaves the bump.

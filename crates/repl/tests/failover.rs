@@ -396,7 +396,6 @@ fn shipper_reattaches_and_reships_only_the_missing_suffix() {
     const RESHIPPED: u64 = 20_000;
     let frames = (0..RESHIPPED)
         .map(|i| phoenix_wire::ReplFrame {
-            partition: 0,
             gsn: 1 + i % target,
             record: Vec::new(),
         })

@@ -2,14 +2,25 @@
 //!
 //! ```text
 //! phoenix-server [--data <dir>] [--port <port>] [--buffered] [--stats-port <port>]
+//!                [--group-commit-window-us <us>] [--max-sessions <n>] [--semi-sync]
 //! ```
 //!
 //! Takes the given port, announces it, opens (and crash-recovers) the
 //! database in the data directory, then serves until SIGINT/EOF on stdin:
 //! clients that connect while recovery runs wait in the listen backlog
-//! instead of being refused. A checkpoint is taken on orderly shutdown. With `--stats-port`, a second listener serves
-//! Prometheus-style metrics text over HTTP on that port (`curl
-//! localhost:<port>` to scrape).
+//! instead of being refused. A checkpoint is taken on orderly shutdown.
+//!
+//! * `--buffered` leaves log flushing to the OS instead of an fsync per
+//!   commit.
+//! * `--stats-port` starts a second listener serving Prometheus-style
+//!   metrics text over HTTP on that port (`curl localhost:<port>` to
+//!   scrape).
+//! * `--group-commit-window-us` makes the group-commit leader wait that
+//!   long before flushing, so more commits share one fsync.
+//! * `--max-sessions` caps resident sessions; past it the idlest one is
+//!   spilled to the database.
+//! * `--semi-sync` holds each commit until an attached standby
+//!   acknowledges it.
 
 use std::io::{BufRead, Write};
 
@@ -22,7 +33,6 @@ fn main() {
     let mut port: u16 = 54321;
     let mut stats_port: Option<u16> = None;
     let mut durability = Durability::Fsync;
-    let mut partitions: Option<usize> = None;
     let mut group_commit_window_us: u64 = 0;
     let mut max_sessions: Option<usize> = None;
     let mut commit_mode = CommitMode::Async;
@@ -32,7 +42,6 @@ fn main() {
         let flag = arg.as_str();
         match flag {
             "--data" => data_dir = value(&mut args, flag),
-            "--partitions" => partitions = Some(value(&mut args, flag)),
             "--group-commit-window-us" => group_commit_window_us = value(&mut args, flag),
             "--port" => port = value(&mut args, flag),
             "--buffered" => durability = Durability::Buffered,
@@ -42,7 +51,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: phoenix-server [--data <dir>] [--port <port>] [--buffered] \
-                     [--stats-port <port>] [--partitions <n>] [--group-commit-window-us <us>] \
+                     [--stats-port <port>] [--group-commit-window-us <us>] \
                      [--max-sessions <n>] [--semi-sync]"
                 );
                 return;
@@ -54,7 +63,6 @@ fn main() {
     let config = EngineConfig {
         durability,
         checkpoint_every: Some(100_000),
-        partitions,
         group_commit_window_us,
         max_sessions,
         commit_mode,

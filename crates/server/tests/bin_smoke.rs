@@ -253,13 +253,42 @@ fn restart_defers_the_table_its_log_tail_does_not_write() {
     std::fs::remove_file(&log).unwrap();
 }
 
+/// `--help` names every flag the parser accepts, and nothing else.
+#[test]
+fn help_lists_exactly_the_accepted_flags() {
+    let out = Command::new(env!("CARGO_BIN_EXE_phoenix-server"))
+        .arg("--help")
+        .stdin(Stdio::null())
+        .output()
+        .expect("run phoenix-server");
+    let help = String::from_utf8_lossy(&out.stderr);
+    let mut flags: Vec<&str> = help
+        .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+        .filter(|w| w.starts_with("--"))
+        .collect();
+    flags.sort_unstable();
+    assert_eq!(
+        flags,
+        [
+            "--buffered",
+            "--data",
+            "--group-commit-window-us",
+            "--max-sessions",
+            "--port",
+            "--semi-sync",
+            "--stats-port"
+        ],
+        "{help}"
+    );
+}
+
 /// A flag with a bad or missing value is a usage error: exit status 2 and a
 /// message, as for an unknown flag — not a panic.
 #[test]
 fn bad_flag_values_exit_2_without_a_panic() {
     for args in [
         &["--port", "abc"][..],
-        &["--partitions"][..],
+        &["--max-sessions"][..],
         &["--no-such-flag"][..],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_phoenix-server"))

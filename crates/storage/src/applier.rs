@@ -2,8 +2,9 @@
 //!
 //! The log is REDO-only and every DML record carries explicit row ids, so
 //! recovery is a single incremental state machine: take records in GSN
-//! order, hold each until its transaction's fate is known, then apply the
-//! winners with [`Store::apply`] and drop the losers. Crash recovery, the
+//! order — the order of the one log — hold each until its transaction's
+//! fate is known, then apply the winners with [`Store::apply`] and drop the
+//! losers. Crash recovery, the
 //! warm standby and promotion are three schedules of the same four calls:
 //!
 //! * cold open — [`Applier::load`] then [`Applier::finish`];
@@ -22,13 +23,10 @@
 //!
 //! # Fates
 //!
-//! A transaction is a winner once its `Commit` has been fed, or its
-//! `CommitMulti` has been fed from *every* participant stream (a crash
-//! between the per-stream appends leaves a partial set, and the transaction
-//! rolls back); it is a loser once an `Abort` has been fed, or when the log
-//! ends without deciding it. Records of transactions at or below the
-//! snapshot's high-water mark are already inside the image and are dropped
-//! on arrival. A deciding record dominates every other record of its
+//! A transaction is a winner once its `Commit` has been fed; it is a loser
+//! once an `Abort` has been fed, or when the log ends without deciding it.
+//! Records of transactions at or below the snapshot's high-water mark are
+//! already inside the image and are dropped on arrival. A deciding record dominates every other record of its
 //! transaction in GSN order, so the ledger entry is dropped when that record
 //! leaves the queue: the ledger is never larger than the queue.
 
@@ -37,24 +35,18 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use crate::codec::DecodeError;
-use crate::db::{DbError, Durable, MAX_PARTITIONS};
+use crate::db::{DbError, Durable};
 use crate::record::LogRecord;
 use crate::snapshot::{self, SegmentBase};
 use crate::store::{Slot, Store};
 use crate::types::TxnId;
 use crate::wal::Wal;
 
-/// What the log has said so far about one transaction past the mark.
-enum Fate {
-    /// Some but not all copies of a cross-partition commit have been fed.
-    Partial {
-        /// The streams that must each hold a copy.
-        participants: Vec<u32>,
-        /// The streams whose copy has been fed.
-        seen: Vec<u32>,
-    },
-    /// Decided by the record fed at GSN `at`.
-    Decided { committed: bool, at: u64 },
+/// How the log decided one transaction past the mark: by the `Commit` or
+/// `Abort` record fed at GSN `at`.
+struct Fate {
+    committed: bool,
+    at: u64,
 }
 
 /// The incremental REDO state machine. See the module docs.
@@ -76,9 +68,8 @@ pub struct Applier {
     last_txn: TxnId,
     fed: u64,
     applied: u64,
-    /// Valid-prefix length of each possible partition's live log, as of the
-    /// last `catch_up`.
-    live_valid: [u64; MAX_PARTITIONS],
+    /// Valid-prefix length of the live log, as of the last `catch_up`.
+    live_valid: u64,
     /// Time so far. Until `finish` takes them out, `apply` includes the
     /// segment reads replay forced.
     stages: Stages,
@@ -95,7 +86,7 @@ pub struct Stages {
     pub segments_loaded: usize,
     /// Reading, checksumming and decoding those, and building their indexes.
     pub segment_load: Duration,
-    /// Reading the logs off disk, decoding and merging them.
+    /// Reading the logs off disk and decoding them.
     pub wal_read: Duration,
     /// Deciding fates and applying the winners, segment loads excluded.
     pub apply: Duration,
@@ -121,7 +112,7 @@ pub struct Recovered {
     pub stages: Stages,
     pub(crate) gen: u64,
     pub(crate) base: SegmentBase,
-    pub(crate) live_valid: [u64; MAX_PARTITIONS],
+    pub(crate) live_valid: u64,
 }
 
 /// The WAL payload of one record: `gsn:u64 LE | encoded record`.
@@ -132,50 +123,67 @@ pub fn frame_payload(gsn: u64, record: &[u8]) -> Vec<u8> {
     payload
 }
 
-/// Hand every valid frame in `dir`'s logs — [`frame_payload`]s — to `visit` as `(stream, gsn,
-/// encoded record)`: each possible partition's stream in turn — not just
-/// those the current handle writes, so a directory written with another
-/// partition count is read completely — rotated log first, then the live
-/// log. Both reads tolerate a torn tail. Returns the valid-prefix length of
-/// each stream's live log, which is where [`Wal::open_at`] resumes it.
+/// Hand every valid frame in `dir`'s log — [`frame_payload`]s — to `visit`
+/// as `(gsn, encoded record)`, in GSN order: the rotated log first, then the
+/// live log. Both reads tolerate a torn tail. Returns the valid-prefix
+/// length of the live log, which is where [`Wal::open_at`] resumes it.
 pub(crate) fn for_each_frame(
     dir: &Path,
-    mut visit: impl FnMut(u32, u64, &[u8]) -> Result<(), DbError>,
-) -> Result<[u64; MAX_PARTITIONS], DbError> {
-    let mut live_valid = [0; MAX_PARTITIONS];
-    for (k, live_valid) in live_valid.iter_mut().enumerate() {
-        for (path, live) in [
-            (Durable::wal_old_path(dir, k), false),
-            (Durable::wal_path(dir, k), true),
-        ] {
-            // The first frame that fails stops the visiting, not the scan.
-            let mut outcome = Ok(());
-            let valid = Wal::scan(path, |frame| {
-                if outcome.is_ok() {
-                    outcome = match frame.split_first_chunk::<8>() {
-                        Some((gsn, record)) => visit(k as u32, u64::from_le_bytes(*gsn), record),
-                        None => Err(DecodeError(format!(
-                            "WAL frame of {} bytes is shorter than its GSN prefix",
-                            frame.len()
-                        ))
-                        .into()),
-                    };
-                }
-            })?;
-            outcome?;
-            if live {
-                *live_valid = valid;
+    mut visit: impl FnMut(u64, &[u8]) -> Result<(), DbError>,
+) -> Result<u64, DbError> {
+    let mut live_valid = 0;
+    for (path, live) in [
+        (Durable::wal_old_path(dir), false),
+        (Durable::wal_path(dir), true),
+    ] {
+        // The first frame that fails stops the visiting, not the scan.
+        let mut outcome = Ok(());
+        let valid = Wal::scan(path, |frame| {
+            if outcome.is_ok() {
+                outcome = match frame.split_first_chunk::<8>() {
+                    Some((gsn, record)) => visit(u64::from_le_bytes(*gsn), record),
+                    None => Err(DecodeError(format!(
+                        "WAL frame of {} bytes is shorter than its GSN prefix",
+                        frame.len()
+                    ))
+                    .into()),
+                };
             }
+        })?;
+        outcome?;
+        if live {
+            live_valid = valid;
         }
     }
     Ok(live_valid)
 }
 
+/// Refuse a directory a partitioned server wrote: its `phoenix.wal.p<k>`
+/// streams hold committed transactions this build does not read, so
+/// opening it would silently drop them.
+fn refuse_partitioned(dir: &Path) -> Result<(), DbError> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e.into()),
+    };
+    for entry in entries {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if name.starts_with("phoenix.wal.p") {
+            return Err(DbError::PartitionedLog(path));
+        }
+    }
+    Ok(())
+}
+
 impl Applier {
-    /// The snapshot in `dir` plus every frame in its logs, merged by GSN
-    /// and fed.
+    /// The snapshot in `dir` plus every frame in its log, fed. A directory
+    /// holding a partitioned server's log streams is refused
+    /// ([`DbError::PartitionedLog`]).
     pub fn load(dir: &Path) -> Result<Applier, DbError> {
         let start = Instant::now();
+        refuse_partitioned(dir)?;
         let (store, mark, gen, base) = match snapshot::load(dir, &Durable::snapshot_path(dir))? {
             Some(s) => (s.store, s.mark, s.gen, s.base),
             None => (Store::new(), 0, 0, SegmentBase::new()),
@@ -192,7 +200,7 @@ impl Applier {
             last_txn: mark,
             fed: 0,
             applied: 0,
-            live_valid: [0; MAX_PARTITIONS],
+            live_valid: 0,
             stages: Stages {
                 manifest: start.elapsed(),
                 ..Stages::default()
@@ -202,32 +210,29 @@ impl Applier {
         Ok(applier)
     }
 
-    /// Feed the frames in `dir`'s logs that have not been fed yet.
+    /// Feed the frames in `dir`'s log that have not been fed yet.
     pub fn catch_up(&mut self, dir: &Path) -> Result<(), DbError> {
         let start = Instant::now();
         let mut unseen = Vec::new();
-        self.live_valid = for_each_frame(dir, |stream, gsn, record| {
+        self.live_valid = for_each_frame(dir, |gsn, record| {
             if gsn > self.max_gsn {
-                unseen.push((gsn, stream, LogRecord::decode(record)?));
+                unseen.push((gsn, LogRecord::decode(record)?));
             }
             Ok(())
         })?;
-        // GSNs are globally unique and ascending within each stream, so
-        // the sort *is* the k-way merge.
-        unseen.sort_unstable_by_key(|&(gsn, _, _)| gsn);
         let read = start.elapsed();
         self.stages.wal_read += read;
-        for (gsn, stream, rec) in unseen {
-            self.feed(stream, gsn, rec)?;
+        for (gsn, rec) in unseen {
+            self.feed(gsn, rec)?;
         }
         self.stages.apply += start.elapsed() - read;
         Ok(())
     }
 
-    /// Take the record at `gsn` of `stream`, then apply every record whose
-    /// turn has come. A `gsn` at or below the highest one fed is a re-read
-    /// or a re-shipment and is ignored.
-    pub fn feed(&mut self, stream: u32, gsn: u64, rec: LogRecord) -> Result<(), DbError> {
+    /// Take the record at `gsn`, then apply every record whose turn has
+    /// come. A `gsn` at or below the highest one fed is a re-read or a
+    /// re-shipment and is ignored.
+    pub fn feed(&mut self, gsn: u64, rec: LogRecord) -> Result<(), DbError> {
         if gsn <= self.max_gsn {
             return Ok(());
         }
@@ -239,29 +244,9 @@ impl Applier {
         if txn <= self.mark {
             return Ok(());
         }
-        match &rec {
-            LogRecord::Commit { .. } | LogRecord::Abort { .. } => {
-                let committed = matches!(rec, LogRecord::Commit { .. });
-                self.fates.insert(txn, Fate::Decided { committed, at: gsn });
-            }
-            LogRecord::CommitMulti { participants, .. } => {
-                let fate = self.fates.entry(txn).or_insert_with(|| Fate::Partial {
-                    participants: participants.clone(),
-                    seen: Vec::new(),
-                });
-                if let Fate::Partial { participants, seen } = fate {
-                    if !seen.contains(&stream) {
-                        seen.push(stream);
-                    }
-                    if participants.iter().all(|p| seen.contains(p)) {
-                        *fate = Fate::Decided {
-                            committed: true,
-                            at: gsn,
-                        };
-                    }
-                }
-            }
-            _ => {}
+        if let LogRecord::Commit { .. } | LogRecord::Abort { .. } = rec {
+            let committed = matches!(rec, LogRecord::Commit { .. });
+            self.fates.insert(txn, Fate { committed, at: gsn });
         }
         self.pending.push_back((gsn, rec));
         self.drain(false)
@@ -315,14 +300,14 @@ impl Applier {
         while let Some((gsn, rec)) = self.pending.front() {
             let txn = rec.txn();
             let committed = match self.fates.get(&txn) {
-                Some(&Fate::Decided { committed, at }) => {
+                Some(&Fate { committed, at }) => {
                     if at == *gsn {
                         self.fates.remove(&txn);
                     }
                     committed
                 }
-                _ if end_of_log => false,
-                _ => break,
+                None if end_of_log => false,
+                None => break,
             };
             let (_, rec) = self.pending.pop_front().expect("front exists");
             // `feed` kept only records past the mark.
@@ -348,9 +333,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("phoenix-applier-{}", std::process::id()));
         let mut a = Applier::load(&dir).unwrap();
         let mut gsn = 0u64;
-        let mut feed = |a: &mut Applier, stream: u32, rec: LogRecord| {
+        let mut feed = |a: &mut Applier, rec: LogRecord| {
             gsn += 1;
-            a.feed(stream, gsn, rec).unwrap();
+            a.feed(gsn, rec).unwrap();
             assert!(a.fates.len() <= a.pending.len(), "ledger outgrew the queue");
         };
         let insert = |txn: TxnId, row_id: u64| LogRecord::Insert {
@@ -360,32 +345,38 @@ mod tests {
             row: vec![Value::Int(row_id as i64)],
         };
         let def = TableDef::new("t", Schema::new(vec![Column::new("v", DataType::Int)]));
-        feed(&mut a, 0, LogRecord::CreateTable { txn: 1, def });
-        feed(&mut a, 0, LogRecord::Commit { txn: 1 });
+        feed(&mut a, LogRecord::CreateTable { txn: 1, def });
+        feed(&mut a, LogRecord::Commit { txn: 1 });
 
         // Transaction 2 stays open across the first thousand others, so the
         // queue — and with it the ledger — has a tail to hold.
-        feed(&mut a, 0, insert(2, 1));
+        feed(&mut a, insert(2, 1));
         for txn in 3..50_003u64 {
-            feed(&mut a, 0, insert(txn, txn));
-            if txn % 2 == 0 {
-                feed(&mut a, 0, LogRecord::Commit { txn });
-            } else {
-                let participants = vec![0, 1];
-                let copy = LogRecord::CommitMulti { txn, participants };
-                feed(&mut a, 0, copy.clone());
-                feed(&mut a, 1, copy);
+            feed(&mut a, insert(txn, txn));
+            // Half commit, a sixth abort after a second record, and the
+            // rest abort at once: every deciding shape leaves the ledger.
+            match txn % 6 {
+                0 | 2 | 4 => feed(&mut a, LogRecord::Commit { txn }),
+                1 => {
+                    feed(&mut a, insert(txn, txn + 100_000));
+                    feed(&mut a, LogRecord::Abort { txn });
+                }
+                _ => feed(&mut a, LogRecord::Abort { txn }),
             }
             if txn == 1_000 {
                 assert!(a.fates.len() >= 998, "the open head holds its followers");
-                feed(&mut a, 0, LogRecord::Commit { txn: 2 });
+                feed(&mut a, LogRecord::Commit { txn: 2 });
             }
             if txn > 1_000 {
                 assert!(a.fates.is_empty() && a.pending.is_empty());
             }
         }
         let r = a.finish().unwrap();
-        assert_eq!(r.store.table("t").unwrap().len(), 50_001);
-        assert_eq!(r.frames, r.applied);
+        let committed = (3..50_003u64).filter(|t| t % 2 == 0).count();
+        assert_eq!(r.store.table("t").unwrap().len(), 1 + committed);
+        // Only committed transactions' records are applied: transaction 1's
+        // CreateTable and Commit, transaction 2's insert and Commit, and an
+        // insert and a Commit for each even one.
+        assert_eq!(r.applied, 2 + 2 + 2 * committed as u64);
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! [`Durable::open`] is crash recovery, and all of it is the
 //! [`crate::applier::Applier`]: load the latest snapshot's manifest (each
-//! table stays in its segment file until something touches it), merge the
-//! log streams by GSN, and apply the records
+//! table stays in its segment file until something touches it), read the
+//! log in GSN order, and apply the records
 //! of committed transactions with `txn >` the snapshot's *high-water mark* —
 //! records at or below the mark belong to transactions whose effects the
 //! snapshot already materializes, and replaying them would apply mutations
@@ -29,9 +29,10 @@
 //!   their append+apply pair, so write-ahead ordering is atomic with
 //!   respect to other threads;
 //! * after every successful statement — once, however many rows it wrote —
-//!   the writer *publishes* an immutable [`StoreSnapshot`] (a shallow,
-//!   per-table-`Arc` clone of the working store) with a cheap pointer swap;
-//!   [`Durable::snapshot`] hands that image out in O(1), and readers
+//!   the writer *publishes* an immutable `Arc<Store>` (an O(1) clone of the
+//!   working store: its catalog and every table are persistent maps) with a
+//!   cheap pointer swap; [`Durable::snapshot`] hands that image out in
+//!   O(1), and readers
 //!   execute against it with **no lock held** — a long scan never blocks a
 //!   writer, a queued writer never blocks new readers, and no reader sees
 //!   half of a multi-row statement. Keeping the published image alive costs
@@ -43,27 +44,21 @@
 //!   on a condition variable. N threads committing together therefore cost
 //!   far fewer than N syncs.
 //!
-//! # Partitioned write path
+//! # One log
 //!
-//! The store is sharded by table name hash into N *partitions* (see
-//! [`partition_of`]). Each partition owns its own working-store mutex, its
-//! own WAL stream (`phoenix.wal` for partition 0, `phoenix.wal.p<k>` above)
-//! and its own group committer, so transactions touching disjoint
-//! partitions append, fsync and apply fully concurrently. Every WAL frame
-//! payload is prefixed with a *global sequence number* (GSN) drawn from one
-//! process-wide atomic; recovery merges the N streams by GSN back into the
-//! single total order they were appended in. A transaction that
-//! wrote to several partitions commits with a [`LogRecord::CommitMulti`]
-//! record — one copy appended to *every* touched stream, carrying the full
-//! participant set — and recovery treats it as committed iff the record is
-//! present in each participant's stream (two-phase commit within the
-//! process: a crash between the per-stream appends rolls the whole
-//! transaction back).
+//! There is one working store, one WAL stream (`phoenix.wal`, plus the
+//! rotated `phoenix.wal.old` of an unfinished checkpoint) and one group
+//! committer, so a transaction commits with one `Commit` record and one
+//! flush however many tables it wrote. Every WAL frame payload is prefixed
+//! with a *global sequence number* (GSN), allocated under the WAL lock: the
+//! replication shipper and the standby position by it. A directory holding
+//! a `phoenix.wal.p<k>` stream was written by the retired partitioned write
+//! path and is refused at open ([`DbError::PartitionedLog`]): replaying
+//! only `phoenix.wal` would silently drop the transactions in the others.
 //!
-//! Lock order (outer to inner): `checkpoint_state` → `working[k]`
-//! (ascending k) → `wal[k]` (ascending k) → {`group[k].state`, `active`},
-//! and `working[k]` → `published[k]`. `published` is never held with `wal`
-//! or `active`.
+//! Lock order (outer to inner): `checkpoint_state` → `working` → `wal` →
+//! {`group.state`, `active`}, and `working` → `published`. `published` is
+//! never held with `wal` or `active`.
 //!
 //! # Checkpoint / commit / abort interlock
 //!
@@ -88,7 +83,7 @@
 //! post-rotation log — so `txn > mark` records are exactly the ones the
 //! snapshot does not contain.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -97,81 +92,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
-use phoenix_obs::Histogram;
 
 use crate::applier::{for_each_frame, frame_payload, Applier, Recovered};
 use crate::codec::DecodeError;
-use crate::metrics::{partition_batch_histogram, storage_metrics};
+use crate::metrics::storage_metrics;
 use crate::record::LogRecord;
 use crate::repl::{FrameState, ReplTap, ShipFrame, TapFrame, TAP_CAP};
 use crate::snapshot::{self, SegmentBase};
-use crate::store::{
-    normalize_name, partition_of, Segment, Slot, Store, StoreError, StoreSnapshot, TableData,
-};
+use crate::store::{normalize_name, Segment, Slot, Store, StoreError, TableData};
 use crate::types::{Row, RowId, TableDef, TxnId};
 use crate::wal::{Wal, WalPoints, MAX_FRAME};
-
-/// Upper bound on the partition count. Recovery always scans the streams of
-/// all `MAX_PARTITIONS` possible partitions so a database can be re-opened
-/// with a *different* partition count than it was written with: leftover
-/// higher-numbered streams are replayed (merged by GSN like any other) and
-/// deleted by the next checkpoint.
-pub const MAX_PARTITIONS: usize = 8;
-
-/// Chaos fault-point names per partition. Partition 0 keeps the legacy
-/// unsuffixed names so existing crash schedules keep working; partitions
-/// `k ≥ 1` get `.p<k>`-suffixed points that chaos-explore enumerates for
-/// partial cross-partition commit windows.
-static WAL_POINTS: [WalPoints; MAX_PARTITIONS] = [
-    WalPoints {
-        append: "wal.append",
-        fsync: "wal.fsync",
-        truncate: "wal.truncate",
-        rotate: "wal.rotate",
-    },
-    WalPoints {
-        append: "wal.append.p1",
-        fsync: "wal.fsync.p1",
-        truncate: "wal.truncate.p1",
-        rotate: "wal.rotate.p1",
-    },
-    WalPoints {
-        append: "wal.append.p2",
-        fsync: "wal.fsync.p2",
-        truncate: "wal.truncate.p2",
-        rotate: "wal.rotate.p2",
-    },
-    WalPoints {
-        append: "wal.append.p3",
-        fsync: "wal.fsync.p3",
-        truncate: "wal.truncate.p3",
-        rotate: "wal.rotate.p3",
-    },
-    WalPoints {
-        append: "wal.append.p4",
-        fsync: "wal.fsync.p4",
-        truncate: "wal.truncate.p4",
-        rotate: "wal.rotate.p4",
-    },
-    WalPoints {
-        append: "wal.append.p5",
-        fsync: "wal.fsync.p5",
-        truncate: "wal.truncate.p5",
-        rotate: "wal.rotate.p5",
-    },
-    WalPoints {
-        append: "wal.append.p6",
-        fsync: "wal.fsync.p6",
-        truncate: "wal.truncate.p6",
-        rotate: "wal.rotate.p6",
-    },
-    WalPoints {
-        append: "wal.append.p7",
-        fsync: "wal.fsync.p7",
-        truncate: "wal.truncate.p7",
-        rotate: "wal.rotate.p7",
-    },
-];
 
 /// When to force the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,6 +127,9 @@ pub enum DbError {
     NoSuchTxn(TxnId),
     /// Operation requires quiescence but a transaction is active.
     TxnActive(TxnId),
+    /// The directory holds this log stream of the retired partitioned
+    /// write path; opening it would drop the transactions it holds.
+    PartitionedLog(PathBuf),
 }
 
 impl fmt::Display for DbError {
@@ -207,6 +140,14 @@ impl fmt::Display for DbError {
             DbError::Decode(e) => write!(f, "{e}"),
             DbError::NoSuchTxn(t) => write!(f, "no such transaction {t}"),
             DbError::TxnActive(t) => write!(f, "transaction {t} still active"),
+            DbError::PartitionedLog(path) => write!(
+                f,
+                "{} is a log stream of a partitioned server, and this build reads \
+                 one log: opening the directory would drop the transactions in it. \
+                 Open it once with the build that wrote it at `--partitions 1` and \
+                 shut down cleanly; that checkpoint retires the stream",
+                path.display()
+            ),
         }
     }
 }
@@ -287,19 +228,12 @@ struct GroupCommit {
     flushed_cv: Condvar,
 }
 
-/// Layout tuning for [`Durable::open_opts`].
+/// Tuning for [`Durable::open_opts`].
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryOptions {
-    /// Write-path partitions (clamped to `1..=MAX_PARTITIONS`). `None`
-    /// means 1 — the single-stream layout. The count is a property of the
-    /// *handle*, not the directory: recovery always merges the streams of
-    /// every possible partition, so a database may be re-opened with any
-    /// partition count.
-    pub partitions: Option<usize>,
-    /// Bounded fsync delay for the per-partition group committers, in
-    /// microseconds. `0` (the default) syncs immediately; a small window
-    /// lets more committers pile onto one `sync_data` at the cost of that
-    /// much commit latency.
+    /// Bounded fsync delay for the group committer, in microseconds. `0`
+    /// (the default) syncs immediately; a small window lets more committers
+    /// pile onto one `sync_data` at the cost of that much commit latency.
     pub group_commit_window_us: u64,
 }
 
@@ -326,7 +260,7 @@ pub struct RecoveryReport {
     /// Reading, checksumming and decoding those segments and building their
     /// indexes. Not part of `replay_us`.
     pub segment_load_us: u64,
-    /// Reading the logs off disk, decoding and merging them.
+    /// Reading the logs off disk and decoding them.
     pub wal_read_us: u64,
     /// Deciding fates and applying the winners.
     pub apply_us: u64,
@@ -419,64 +353,42 @@ struct CheckpointState {
     stats: CheckpointStats,
 }
 
-/// Per-transaction bookkeeping: the undo list plus the set of partitions
-/// the transaction has written to (its commit-record participant set).
-#[derive(Default)]
-struct TxnState {
-    undo: Vec<UndoOp>,
-    touched: BTreeSet<usize>,
-}
-
-/// One write-path shard: a store partition, its WAL stream, and its group
-/// committer.
-struct Partition {
-    /// The writers' image of this shard. Mutations lock it, append+apply,
-    /// then publish.
+/// A durable, transactional store, shareable across threads (`&self` API).
+pub struct Durable {
+    /// The writers' image. Mutations lock it, append+apply, then publish.
     working: Mutex<Store>,
-    /// The readers' epoch of this shard: re-captured by the latest mutation
-    /// *of this partition only*. [`Durable::snapshot`] stitches the N
-    /// epochs into one [`StoreSnapshot`]. The lock is held only for the
-    /// pointer swap / `Arc` clone, never across query execution.
+    /// The readers' image, re-captured by every mutation. The lock is held
+    /// only for the pointer swap / `Arc` clone, never across query
+    /// execution.
     published: RwLock<Arc<Store>>,
     wal: Mutex<Wal>,
     group: GroupCommit,
-    /// Largest txn id that has finished (committed or aborted) *in this
-    /// partition*. Updated under the partition's WAL lock at commit-append
-    /// time; the checkpoint takes the max across partitions as its snapshot
-    /// mark. Recovery seeds every partition with the recovered high-water
-    /// mark.
+    /// Largest txn id that has finished (committed or aborted): the
+    /// checkpoint's snapshot mark. Advanced under the WAL lock at
+    /// commit-append time and under the working lock at abort; recovery
+    /// seeds it with the recovered high-water mark.
     last_finished: AtomicU64,
-    /// Largest GSN appended to this partition's stream. Written under the
-    /// partition's WAL lock (so it is append-order monotone); the
+    /// Largest GSN appended to the log. Written under the WAL lock; the
     /// group-commit leader reads it under the same lock right before
-    /// syncing, making it the replication tap's durable watermark source.
+    /// syncing, which makes it the replication tap's durable watermark.
     last_gsn: AtomicU64,
-    /// `phoenix_group_commit_batch{partition="p<k>"}`.
-    batch_hist: Arc<Histogram>,
-}
-
-/// A durable, transactional store, shareable across threads (`&self` API).
-pub struct Durable {
-    /// The write-path shards. Tables route by [`partition_of`] their name.
-    parts: Vec<Partition>,
     dir: PathBuf,
     durability: Durability,
     next_txn: AtomicU64,
-    /// Global sequence number for the next WAL frame, shared by all
-    /// streams. Allocated under the owning partition's WAL lock, so each
-    /// stream is GSN-monotone and recovery's merge-by-GSN reconstructs one
-    /// total append order.
+    /// Global sequence number for the next WAL frame, allocated under the
+    /// WAL lock, so the log is GSN-ordered.
     next_gsn: AtomicU64,
-    active: Mutex<HashMap<TxnId, TxnState>>,
-    /// Records appended since the last checkpoint, across all streams
-    /// (drives auto-checkpoint policy in the engine; the layer itself never
-    /// checkpoints implicitly).
+    /// Active transactions and their undo lists.
+    active: Mutex<HashMap<TxnId, Vec<UndoOp>>>,
+    /// Records appended since the last checkpoint (drives auto-checkpoint
+    /// policy in the engine; the layer itself never checkpoints
+    /// implicitly).
     records_since_checkpoint: AtomicU64,
     /// Checkpoint serialization + the previous checkpoint's segment images.
     checkpoint_state: Mutex<CheckpointState>,
     /// What recovery did when this handle was opened.
     recovery: RecoveryReport,
-    /// Bounded fsync delay the group-commit leaders apply before flushing.
+    /// Bounded fsync delay the group-commit leader applies before flushing.
     group_commit_window: Duration,
     /// The replication tap (dormant until a shipper attaches).
     tap: ReplTap,
@@ -499,28 +411,18 @@ pub struct Durable {
 }
 
 impl Durable {
-    /// Partition `k`'s live log. Partition 0 keeps the legacy unsuffixed
-    /// name so single-partition directories are unchanged on disk. Public
-    /// because the replication standby appends shipped frames to the same
-    /// per-partition layout, keeping its directory recoverable at every
-    /// instant.
-    pub fn wal_path(dir: &Path, k: usize) -> PathBuf {
-        if k == 0 {
-            dir.join("phoenix.wal")
-        } else {
-            dir.join(format!("phoenix.wal.p{k}"))
-        }
+    /// The live log. Public because the replication standby appends
+    /// shipped frames to the same file, keeping its directory recoverable at
+    /// every instant.
+    pub fn wal_path(dir: &Path) -> PathBuf {
+        dir.join("phoenix.wal")
     }
 
     /// The rotated-aside log of an in-progress (or crashed) checkpoint.
     /// Replayed *before* the live log; deleted when the checkpoint's
     /// manifest is durable.
-    pub(crate) fn wal_old_path(dir: &Path, k: usize) -> PathBuf {
-        if k == 0 {
-            dir.join("phoenix.wal.old")
-        } else {
-            dir.join(format!("phoenix.wal.p{k}.old"))
-        }
+    pub(crate) fn wal_old_path(dir: &Path) -> PathBuf {
+        dir.join("phoenix.wal.old")
     }
 
     pub(crate) fn snapshot_path(dir: &Path) -> PathBuf {
@@ -535,7 +437,8 @@ impl Durable {
 
     /// Open the database in `dir`, performing crash recovery: the snapshot
     /// plus every committed log record newer than its mark (see
-    /// [`crate::applier`]).
+    /// [`crate::applier`]). A directory a partitioned server wrote is
+    /// refused with [`DbError::PartitionedLog`].
     pub fn open_opts(
         dir: impl AsRef<Path>,
         durability: Durability,
@@ -584,38 +487,6 @@ impl Durable {
             base,
             live_valid,
         } = recovered;
-        let n = opts.partitions.unwrap_or(1).clamp(1, MAX_PARTITIONS);
-
-        let parts = store
-            .into_parts(n)
-            .into_iter()
-            .enumerate()
-            .map(|(k, shard)| -> Result<Partition, DbError> {
-                Ok(Partition {
-                    published: RwLock::new(Arc::new(shard.clone())),
-                    working: Mutex::new(shard),
-                    // The applier has just scanned this log: resume it at
-                    // the valid prefix it found instead of scanning again.
-                    wal: Mutex::new(Wal::open_at(
-                        Self::wal_path(dir, k),
-                        WAL_POINTS[k],
-                        live_valid[k],
-                    )?),
-                    group: GroupCommit {
-                        state: Mutex::new(GroupState {
-                            appended: 0,
-                            flushed: 0,
-                            leader: false,
-                        }),
-                        flushed_cv: Condvar::new(),
-                    },
-                    last_finished: AtomicU64::new(last_txn),
-                    last_gsn: AtomicU64::new(max_gsn),
-                    batch_hist: partition_batch_histogram(k),
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
         let us = |d: Duration| d.as_micros() as u64;
         let report = RecoveryReport {
             wal_frames: frames as usize,
@@ -636,7 +507,25 @@ impl Durable {
         let drain = Mutex::new(start_drain(&base)?);
 
         Ok(Durable {
-            parts,
+            published: RwLock::new(Arc::new(store.clone())),
+            working: Mutex::new(store),
+            // The applier has just scanned the log: resume it at the valid
+            // prefix it found instead of scanning again.
+            wal: Mutex::new(Wal::open_at(
+                Self::wal_path(dir),
+                WalPoints::default(),
+                live_valid,
+            )?),
+            group: GroupCommit {
+                state: Mutex::new(GroupState {
+                    appended: 0,
+                    flushed: 0,
+                    leader: false,
+                }),
+                flushed_cv: Condvar::new(),
+            },
+            last_finished: AtomicU64::new(last_txn),
+            last_gsn: AtomicU64::new(max_gsn),
             dir: dir.to_path_buf(),
             durability,
             next_txn: AtomicU64::new(last_txn + 1),
@@ -680,24 +569,6 @@ impl Durable {
         drain.report.clone()
     }
 
-    /// The number of write-path partitions this handle was opened with.
-    pub fn partitions(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// The partition `name`'s table (or procedure) routes to.
-    fn part_of(&self, name: &str) -> usize {
-        partition_of(name, self.parts.len())
-    }
-
-    /// Home partition for transaction-scoped records of a transaction that
-    /// touched nothing (or whose commit needs a deterministic single
-    /// stream): spreads empty-txn traffic instead of serializing it all on
-    /// partition 0.
-    fn home_of(&self, txn: TxnId) -> usize {
-        (txn % self.parts.len() as u64) as usize
-    }
-
     /// What recovery did when this handle was opened.
     pub fn recovery_report(&self) -> &RecoveryReport {
         &self.recovery
@@ -708,29 +579,20 @@ impl Durable {
         self.checkpoint_state.lock().stats.clone()
     }
 
-    /// The current published image: the N per-partition epochs stitched
-    /// into one [`StoreSnapshot`]. O(partitions) `Arc` clones, each under a
-    /// lock held only for the clone itself. The caller then reads with no
-    /// lock at all — long scans never block writers, and writers never
-    /// block new readers. The snapshot keeps showing each partition's state
-    /// as of its last publication; take a fresh one per statement (or per
-    /// cursor fetch) for current data.
-    pub fn snapshot(&self) -> Arc<StoreSnapshot> {
-        Arc::new(StoreSnapshot::from_parts(
-            self.parts
-                .iter()
-                .map(|p| p.published.read().clone())
-                .collect(),
-        ))
+    /// The current published image: one `Arc` clone, under a lock held
+    /// only for the clone itself. The caller then reads with no lock at all
+    /// — long scans never block writers, and writers never block new
+    /// readers. The image keeps showing the state as of its publication;
+    /// take a fresh one per statement (or per cursor fetch) for current
+    /// data.
+    pub fn snapshot(&self) -> Arc<Store> {
+        self.published.read().clone()
     }
 
-    /// Publish partition `k`'s working image for readers. Called with that
-    /// partition's working lock held so publication order matches mutation
-    /// order. Only the mutated shard is re-captured; with N partitions each
-    /// publish therefore *saves* N−1 of the whole-store captures the
-    /// un-partitioned design paid, which
-    /// `phoenix_snapshot_publishes_coalesced` counts.
-    fn publish(&self, k: usize, working: &Store) {
+    /// Publish the working image for readers: an O(1) clone, since the
+    /// catalog and every table are persistent maps. Called with the working
+    /// lock held so publication order matches mutation order.
+    fn publish(&self, working: &Store) {
         match phoenix_chaos::fault("store.publish") {
             phoenix_chaos::FaultAction::Continue => {}
             phoenix_chaos::FaultAction::Delay(d) => std::thread::sleep(d),
@@ -738,13 +600,8 @@ impl Durable {
             // previous snapshot, exactly as a crashed server would leave it.
             _ => return,
         }
-        *self.parts[k].published.write() = Arc::new(working.clone());
-        let m = storage_metrics();
-        m.snapshot_publishes.inc();
-        if self.parts.len() > 1 {
-            m.snapshot_publishes_coalesced
-                .add(self.parts.len() as u64 - 1);
-        }
+        *self.published.write() = Arc::new(working.clone());
+        storage_metrics().snapshot_publishes.inc();
     }
 
     /// The data directory.
@@ -762,21 +619,18 @@ impl Durable {
         self.records_since_checkpoint.load(Ordering::Relaxed)
     }
 
-    /// Number of `sync_data` calls issued across all WAL streams
-    /// (group-commit probe).
+    /// Number of `sync_data` calls issued on the log (group-commit probe).
     pub fn wal_sync_count(&self) -> u64 {
-        self.parts.iter().map(|p| p.wal.lock().sync_count()).sum()
+        self.wal.lock().sync_count()
     }
 
-    /// Append one record to partition `k`'s stream, whose WAL lock the
-    /// caller already holds, prefixing it with a freshly allocated GSN.
-    /// Allocating *under* the stream's lock keeps each stream GSN-monotone,
-    /// which is what lets recovery merge the streams by GSN into one total
-    /// order. Returns the frame's GSN.
+    /// Append one record to the log, whose lock the caller already holds,
+    /// prefixing it with a freshly allocated GSN. Allocating *under* the
+    /// lock keeps the log GSN-ordered. Returns the frame's GSN.
     ///
     /// Refused outright on a fenced handle: a deposed primary must never
     /// extend its log, however the write reached this layer.
-    fn append_locked(&self, k: usize, wal: &mut Wal, encoded: &[u8]) -> Result<u64, DbError> {
+    fn append_locked(&self, wal: &mut Wal, encoded: &[u8]) -> Result<u64, DbError> {
         if self.fenced.load(Ordering::Relaxed) {
             return Err(DbError::Io(io::Error::new(
                 io::ErrorKind::PermissionDenied,
@@ -785,8 +639,7 @@ impl Durable {
         }
         // With a shipper attached, GSN allocation and frame staging are one
         // atomic step under the tap lock, so the staged queue is strictly
-        // GSN-ordered across all partition streams. Unattached, allocation
-        // stays a bare fetch_add.
+        // GSN-ordered. Unattached, allocation stays a bare fetch_add.
         let gsn = if self.tap.enabled.load(Ordering::Acquire) {
             let mut t = self.tap.state.lock();
             let gsn = self.next_gsn.fetch_add(1, Ordering::Relaxed);
@@ -800,7 +653,6 @@ impl Durable {
                 } else {
                     t.frames.push_back(TapFrame {
                         gsn,
-                        partition: k as u8,
                         record: encoded.to_vec(),
                         state: FrameState::Staged,
                     });
@@ -815,7 +667,7 @@ impl Durable {
             self.tap_mark(gsn, appended.is_ok());
         }
         appended?;
-        self.parts[k].last_gsn.store(gsn, Ordering::Release);
+        self.last_gsn.store(gsn, Ordering::Release);
         self.records_since_checkpoint
             .fetch_add(1, Ordering::Relaxed);
         Ok(gsn)
@@ -839,11 +691,11 @@ impl Durable {
         self.tap.cv.notify_all();
     }
 
-    /// Append one record to partition `k`'s stream. Callers that need
-    /// write-ahead atomicity with a store mutation must already hold that
-    /// partition's working-store lock.
-    fn log_to(&self, k: usize, rec: &LogRecord) -> Result<(), DbError> {
-        self.append_locked(k, &mut self.parts[k].wal.lock(), &rec.encode())
+    /// Append one record to the log. Callers that need write-ahead
+    /// atomicity with a store mutation must already hold the working-store
+    /// lock.
+    fn log(&self, rec: &LogRecord) -> Result<(), DbError> {
+        self.append_locked(&mut self.wal.lock(), &rec.encode())
             .map(|_gsn| ())
     }
 
@@ -853,7 +705,7 @@ impl Durable {
     /// commit.
     pub fn begin(&self) -> Result<TxnId, DbError> {
         let txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
-        self.active.lock().insert(txn, TxnState::default());
+        self.active.lock().insert(txn, Vec::new());
         Ok(txn)
     }
 
@@ -864,61 +716,30 @@ impl Durable {
     /// for every record appended so far, the rest wait until the flushed
     /// watermark covers their own sequence number.
     pub fn commit(&self, txn: TxnId) -> Result<(), DbError> {
-        // The participant set decides the record shape: a transaction that
-        // wrote to at most one partition commits with a plain `Commit`
-        // (complete in itself wherever recovery finds it); one that wrote
-        // to several commits with a `CommitMulti` carrying the full
-        // participant set, appended to *every* touched stream — recovery
-        // commits it iff all copies landed (two-phase within the process).
-        let targets: Vec<usize> = {
-            let active = self.active.lock();
-            let state = active.get(&txn).ok_or(DbError::NoSuchTxn(txn))?;
-            if state.touched.is_empty() {
-                vec![self.home_of(txn)]
-            } else {
-                state.touched.iter().copied().collect()
-            }
-        };
-        let rec = if targets.len() <= 1 {
-            LogRecord::Commit { txn }
-        } else {
-            LogRecord::CommitMulti {
-                txn,
-                participants: targets.iter().map(|&k| k as u32).collect(),
-            }
-        };
-        let encoded = rec.encode();
-
-        // Per target partition: append the commit record, advance the
-        // finished-txn high-water mark, and claim a group sequence number —
-        // all under that partition's WAL lock (so sequence order matches
-        // append order) and all *before* leaving the `active` set. A
-        // checkpoint that observes this transaction as inactive is thereby
-        // guaranteed to capture a mark covering it: its commit records can
-        // never land after the snapshot's log rotation while its effects
-        // sit inside the snapshot image (the double-apply window). The
-        // quiescence check also means a checkpoint can never rotate between
-        // two of a cross-partition commit's appends.
-        let mut seqs = Vec::with_capacity(targets.len());
-        let mut commit_gsn = 0u64;
-        for &k in &targets {
-            let p = &self.parts[k];
-            let mut wal = p.wal.lock();
-            let gsn = self.append_locked(k, &mut wal, &encoded)?;
+        self.check_active(txn)?;
+        // Append the commit record, advance the finished-txn high-water
+        // mark, and claim a group sequence number — all under the WAL lock
+        // (so sequence order matches append order) and all *before* leaving
+        // the `active` set. A checkpoint that observes this transaction as
+        // inactive is thereby guaranteed to capture a mark covering it: its
+        // commit record can never land after the snapshot's log rotation
+        // while its effects sit inside the snapshot image (the double-apply
+        // window).
+        let encoded = LogRecord::Commit { txn }.encode();
+        let (seq, commit_gsn) = {
+            let mut wal = self.wal.lock();
             // The commit record's GSN dominates every record of the
             // transaction (they were all allocated earlier), so the standby
             // ack watermark covering it covers the whole transaction.
-            commit_gsn = commit_gsn.max(gsn);
-            p.last_finished.fetch_max(txn, Ordering::Relaxed);
-            let mut st = p.group.state.lock();
+            let gsn = self.append_locked(&mut wal, &encoded)?;
+            self.last_finished.fetch_max(txn, Ordering::Relaxed);
+            let mut st = self.group.state.lock();
             st.appended += 1;
-            seqs.push((k, st.appended));
-        }
+            (st.appended, gsn)
+        };
         self.active.lock().remove(&txn);
         if self.durability == Durability::Fsync {
-            for (k, seq) in seqs {
-                self.group_sync(k, seq)?;
-            }
+            self.group_sync(seq)?;
         }
         self.semi_sync_wait(commit_gsn);
         Ok(())
@@ -963,12 +784,10 @@ impl Durable {
         }
     }
 
-    /// Wait until partition `k`'s commit record with group sequence `seq`
-    /// is durable, taking that partition's leader role if nobody else is
-    /// flushing.
-    fn group_sync(&self, k: usize, seq: u64) -> Result<(), DbError> {
-        let p = &self.parts[k];
-        let mut st = p.group.state.lock();
+    /// Wait until the commit record with group sequence `seq` is durable,
+    /// taking the leader role if nobody else is flushing.
+    fn group_sync(&self, seq: u64) -> Result<(), DbError> {
+        let mut st = self.group.state.lock();
         loop {
             if st.flushed >= seq {
                 return Ok(());
@@ -976,7 +795,7 @@ impl Durable {
             if st.leader {
                 // A flush is in flight; it may or may not cover us. Wait for
                 // the watermark to move and re-check.
-                p.group.flushed_cv.wait(&mut st);
+                self.group.flushed_cv.wait(&mut st);
                 continue;
             }
             st.leader = true;
@@ -989,15 +808,15 @@ impl Durable {
                 std::thread::sleep(self.group_commit_window);
             }
             let flush = {
-                let mut wal = p.wal.lock();
-                let upto = p.group.state.lock().appended;
-                // Captured under the WAL lock: every frame of this
-                // partition with gsn ≤ gsn_upto is covered by the sync
-                // below — the replication tap's durable watermark.
-                let gsn_upto = p.last_gsn.load(Ordering::Acquire);
+                let mut wal = self.wal.lock();
+                let upto = self.group.state.lock().appended;
+                // Captured under the WAL lock: every frame with
+                // gsn ≤ gsn_upto is covered by the sync below — the
+                // replication tap's durable watermark.
+                let gsn_upto = self.last_gsn.load(Ordering::Acquire);
                 wal.sync().map(|()| (upto, gsn_upto))
             };
-            st = p.group.state.lock();
+            st = self.group.state.lock();
             st.leader = false;
             match flush {
                 Ok((upto, gsn_upto)) => {
@@ -1006,12 +825,11 @@ impl Durable {
                         m.group_commit_records.add(upto - st.flushed);
                         m.group_commit_syncs.inc();
                         m.group_commit_batch.record(upto - st.flushed);
-                        p.batch_hist.record(upto - st.flushed);
                     }
                     st.flushed = st.flushed.max(upto);
-                    p.group.flushed_cv.notify_all();
+                    self.group.flushed_cv.notify_all();
                     if self.tap.enabled.load(Ordering::Acquire) {
-                        self.tap.durable[k].fetch_max(gsn_upto, Ordering::AcqRel);
+                        self.tap.durable.fetch_max(gsn_upto, Ordering::AcqRel);
                         self.tap.cv.notify_all();
                     }
                     // `upto` ≥ our `seq` (we appended before flushing), so
@@ -1019,107 +837,73 @@ impl Durable {
                 }
                 Err(e) => {
                     // Wake waiters so one of them can retry as leader.
-                    p.group.flushed_cv.notify_all();
+                    self.group.flushed_cv.notify_all();
                     return Err(DbError::Io(e));
                 }
             }
         }
     }
 
-    /// Abort: undo in memory (reverse order) and log the abort record to
-    /// every touched stream.
+    /// Abort: undo in memory (reverse order) and log the abort record.
     ///
-    /// The touched partitions' working locks are taken *before* the
-    /// transaction leaves the `active` set: a checkpoint serializes its
-    /// capture on the same locks (and refuses while the transaction is
-    /// still in `active`), so it can never see the transaction as finished
-    /// while its effects are still un-rolled-back in the store.
+    /// The working lock is taken *before* the transaction leaves the
+    /// `active` set: a checkpoint serializes its capture on the same lock
+    /// (and refuses while the transaction is still in `active`), so it can
+    /// never see the transaction as finished while its effects are still
+    /// un-rolled-back in the store.
     pub fn abort(&self, txn: TxnId) -> Result<(), DbError> {
-        // Snapshot the undo list and participant set, leaving the entry in
-        // `active` so the checkpoint quiescence check keeps failing until
-        // the rollback is complete.
-        let (undo, touched) = {
+        // Take the undo list, leaving the entry in `active` so the
+        // checkpoint quiescence check keeps failing until the rollback is
+        // complete.
+        let undo = {
             let mut active = self.active.lock();
-            let state = active.get_mut(&txn).ok_or(DbError::NoSuchTxn(txn))?;
-            (std::mem::take(&mut state.undo), state.touched.clone())
+            std::mem::take(active.get_mut(&txn).ok_or(DbError::NoSuchTxn(txn))?)
         };
-        // Lock every touched shard in ascending order (the global lock
-        // order), then roll back: each op routes to its table's shard.
-        let mut guards: BTreeMap<usize, MutexGuard<'_, Store>> = touched
-            .iter()
-            .map(|&k| (k, self.parts[k].working.lock()))
-            .collect();
+        let wrote = !undo.is_empty();
+        let mut store = self.working.lock();
         let result = (|| -> Result<(), DbError> {
             for op in undo.into_iter().rev() {
                 match op {
                     UndoOp::RemoveRow { table, row_id } => {
-                        let store = guards.get_mut(&self.part_of(&table)).expect("touched");
                         store.table_mut(&table)?.delete(row_id)?;
                     }
                     UndoOp::ReinsertRow { table, row_id, row } => {
-                        let store = guards.get_mut(&self.part_of(&table)).expect("touched");
                         store.table_mut(&table)?.insert_with_id(row_id, row)?;
                     }
                     UndoOp::RestoreRow { table, row_id, row } => {
-                        let store = guards.get_mut(&self.part_of(&table)).expect("touched");
                         store.table_mut(&table)?.update(row_id, row)?;
                     }
                     UndoOp::DropCreatedTable { name } => {
-                        let store = guards.get_mut(&self.part_of(&name)).expect("touched");
                         store.drop_table(&name)?;
                     }
-                    UndoOp::RestoreDroppedTable { data } => {
-                        let store = guards
-                            .get_mut(&self.part_of(&data.def.name))
-                            .expect("touched");
-                        store.install_table(data);
-                    }
+                    UndoOp::RestoreDroppedTable { data } => store.install_table(data),
                     UndoOp::DropCreatedProc { name } => {
-                        let store = guards.get_mut(&self.part_of(&name)).expect("touched");
                         store.drop_proc(&name)?;
                     }
-                    UndoOp::RestoreDroppedProc { name, sql } => {
-                        let store = guards.get_mut(&self.part_of(&name)).expect("touched");
-                        store.create_proc(&name, &sql)?;
-                    }
+                    UndoOp::RestoreDroppedProc { name, sql } => store.create_proc(&name, &sql)?,
                     UndoOp::DropCreatedIndex { table, name } => {
-                        let store = guards.get_mut(&self.part_of(&table)).expect("touched");
                         store.table_mut(&table)?.drop_index(&name)?;
                     }
                     UndoOp::RestoreDroppedIndex {
                         table,
                         name,
                         column,
-                    } => {
-                        let store = guards.get_mut(&self.part_of(&table)).expect("touched");
-                        store.table_mut(&table)?.create_index(&name, column)?;
-                    }
+                    } => store.table_mut(&table)?.create_index(&name, column)?,
                 }
             }
             // Aborted ids count as finished too: the mark also seeds
             // `next_txn` after a post-checkpoint recovery, and ids must stay
             // monotone even when the highest allocated one never committed.
-            let targets: Vec<usize> = if touched.is_empty() {
-                vec![self.home_of(txn)]
-            } else {
-                touched.iter().copied().collect()
-            };
-            for k in targets {
-                self.log_to(k, &LogRecord::Abort { txn })?;
-                self.parts[k]
-                    .last_finished
-                    .fetch_max(txn, Ordering::Relaxed);
-            }
+            self.log(&LogRecord::Abort { txn })?;
+            self.last_finished.fetch_max(txn, Ordering::Relaxed);
             Ok(())
         })();
-        // Leave `active` only now, with the shard locks still held (or the
+        // Leave `active` only now, with the working lock still held (or the
         // rollback incomplete and the error propagating — either way the
         // transaction is finished).
         self.active.lock().remove(&txn);
-        if result.is_ok() {
-            for (&k, store) in &guards {
-                self.publish(k, store);
-            }
+        if result.is_ok() && wrote {
+            self.publish(&store);
         }
         result
     }
@@ -1138,14 +922,12 @@ impl Durable {
         }
     }
 
-    /// Record an undo entry for `txn` and mark partition `k` as touched —
-    /// the commit record's participant set (the caller verified the txn is
+    /// Record an undo entry for `txn` (the caller verified the txn is
     /// active; tolerate a concurrent removal by dropping the entry — the
     /// txn is gone and its undo list with it).
-    fn push_undo(&self, txn: TxnId, k: usize, op: UndoOp) {
-        if let Some(state) = self.active.lock().get_mut(&txn) {
-            state.undo.push(op);
-            state.touched.insert(k);
+    fn push_undo(&self, txn: TxnId, op: UndoOp) {
+        if let Some(undo) = self.active.lock().get_mut(&txn) {
+            undo.push(op);
         }
     }
 
@@ -1153,14 +935,14 @@ impl Durable {
 
     /// The one DML write path: apply a statement's records to one table.
     ///
-    /// Under the owning partition's working lock, `build` turns the table
+    /// Under the working lock, `build` turns the table
     /// as it stands into the statement's log records. They are then
     /// *validated by applying them to a scratch copy* of the table — an
     /// O(1) clone that shares every tree node, so the copy costs what the
     /// write itself would — and only when the whole batch applies (table
     /// exists, arity, key uniqueness against the table and within the
     /// batch, every row id present) are the records appended, the copy
-    /// installed as the working table, and the partition published, once.
+    /// installed as the working table, and the image published, once.
     /// A refused statement therefore writes zero log bytes and leaves the
     /// working image untouched; a logged one is in memory exactly as
     /// recovery will replay it.
@@ -1171,8 +953,7 @@ impl Durable {
         build: impl FnOnce(&TableData) -> Vec<LogRecord>,
     ) -> Result<(), DbError> {
         self.check_active(txn)?;
-        let k = self.part_of(table);
-        let mut store = self.parts[k].working.lock();
+        let mut store = self.working.lock();
         let current = store.table(table)?;
         // Encode once, up front. The 8-byte GSN prefix rides in the same
         // frame, so the cap accounts for it; an `InsertMany` over the cap
@@ -1233,9 +1014,9 @@ impl Durable {
         let mut failure = None;
         let mut appended = 0;
         {
-            let mut wal = self.parts[k].wal.lock();
+            let mut wal = self.wal.lock();
             for e in &encoded {
-                match self.append_locked(k, &mut wal, e) {
+                match self.append_locked(&mut wal, e) {
                     Ok(_gsn) => appended += 1,
                     Err(e) => {
                         failure = Some(e);
@@ -1261,10 +1042,9 @@ impl Durable {
         }
         let (scratch, undo) = applied;
         store.install_table(scratch);
-        self.publish(k, &store);
-        if let Some(state) = self.active.lock().get_mut(&txn) {
-            state.touched.insert(k);
-            state.undo.extend(undo);
+        self.publish(&store);
+        if let Some(txn_undo) = self.active.lock().get_mut(&txn) {
+            txn_undo.extend(undo);
         }
         failure.map_or(Ok(()), Err)
     }
@@ -1360,69 +1140,56 @@ impl Durable {
         })
     }
 
-    // -- catalog mutations (log first, then apply; the owning partition's
-    //    working-store mutex makes the pair atomic with respect to other
-    //    sessions, and every successful mutation publishes that partition's
-    //    fresh epoch before releasing it) ----------------------------------
+    // -- catalog mutations (log first, then apply; the working-store mutex
+    //    makes the pair atomic with respect to other sessions, and every
+    //    successful mutation publishes the fresh image before releasing
+    //    it) -------------------------------------------------------------
 
     /// Create a table (logged, undoable).
     pub fn create_table(&self, txn: TxnId, def: TableDef) -> Result<(), DbError> {
         self.check_active(txn)?;
-        let k = self.part_of(&def.name);
-        let mut store = self.parts[k].working.lock();
-        self.log_to(
-            k,
-            &LogRecord::CreateTable {
-                txn,
-                def: def.clone(),
-            },
-        )?;
+        let mut store = self.working.lock();
+        self.log(&LogRecord::CreateTable {
+            txn,
+            def: def.clone(),
+        })?;
         let name = def.name.clone();
         store.create_table(def)?;
-        self.publish(k, &store);
-        self.push_undo(txn, k, UndoOp::DropCreatedTable { name });
+        self.publish(&store);
+        self.push_undo(txn, UndoOp::DropCreatedTable { name });
         Ok(())
     }
 
     /// Drop a table (logged; abort restores it with its rows).
     pub fn drop_table(&self, txn: TxnId, name: &str) -> Result<(), DbError> {
         self.check_active(txn)?;
-        let k = self.part_of(name);
-        let mut store = self.parts[k].working.lock();
+        let mut store = self.working.lock();
         // Touch the table before anything is logged: undo needs the rows,
         // so a table whose segment does not read back cannot be dropped.
         store.table(name)?;
-        self.log_to(
-            k,
-            &LogRecord::DropTable {
-                txn,
-                name: name.to_string(),
-            },
-        )?;
+        self.log(&LogRecord::DropTable {
+            txn,
+            name: name.to_string(),
+        })?;
         let data = store.drop_table(name)?;
-        self.publish(k, &store);
-        self.push_undo(txn, k, UndoOp::RestoreDroppedTable { data });
+        self.publish(&store);
+        self.push_undo(txn, UndoOp::RestoreDroppedTable { data });
         Ok(())
     }
 
     /// Register a stored procedure (logged, undoable).
     pub fn create_proc(&self, txn: TxnId, name: &str, sql: &str) -> Result<(), DbError> {
         self.check_active(txn)?;
-        let k = self.part_of(name);
-        let mut store = self.parts[k].working.lock();
-        self.log_to(
-            k,
-            &LogRecord::CreateProc {
-                txn,
-                name: name.to_string(),
-                sql: sql.to_string(),
-            },
-        )?;
+        let mut store = self.working.lock();
+        self.log(&LogRecord::CreateProc {
+            txn,
+            name: name.to_string(),
+            sql: sql.to_string(),
+        })?;
         store.create_proc(name, sql)?;
-        self.publish(k, &store);
+        self.publish(&store);
         self.push_undo(
             txn,
-            k,
             UndoOp::DropCreatedProc {
                 name: name.to_string(),
             },
@@ -1433,20 +1200,15 @@ impl Durable {
     /// Drop a stored procedure (logged; abort restores it).
     pub fn drop_proc(&self, txn: TxnId, name: &str) -> Result<(), DbError> {
         self.check_active(txn)?;
-        let k = self.part_of(name);
-        let mut store = self.parts[k].working.lock();
-        self.log_to(
-            k,
-            &LogRecord::DropProc {
-                txn,
-                name: name.to_string(),
-            },
-        )?;
+        let mut store = self.working.lock();
+        self.log(&LogRecord::DropProc {
+            txn,
+            name: name.to_string(),
+        })?;
         let sql = store.drop_proc(name)?;
-        self.publish(k, &store);
+        self.publish(&store);
         self.push_undo(
             txn,
-            k,
             UndoOp::RestoreDroppedProc {
                 name: name.to_string(),
                 sql,
@@ -1465,25 +1227,20 @@ impl Durable {
         column: usize,
     ) -> Result<(), DbError> {
         self.check_active(txn)?;
-        let k = self.part_of(table);
-        let mut store = self.parts[k].working.lock();
+        let mut store = self.working.lock();
         // Touch the table before anything is logged: if its segment does
         // not read back, the statement is refused with an empty log.
         store.table(table)?;
-        self.log_to(
-            k,
-            &LogRecord::CreateIndex {
-                txn,
-                table: table.to_string(),
-                name: name.to_string(),
-                column,
-            },
-        )?;
+        self.log(&LogRecord::CreateIndex {
+            txn,
+            table: table.to_string(),
+            name: name.to_string(),
+            column,
+        })?;
         store.table_mut(table)?.create_index(name, column)?;
-        self.publish(k, &store);
+        self.publish(&store);
         self.push_undo(
             txn,
-            k,
             UndoOp::DropCreatedIndex {
                 table: table.to_string(),
                 name: name.to_string(),
@@ -1495,22 +1252,17 @@ impl Durable {
     /// Drop a secondary index from `table` (logged; abort rebuilds it).
     pub fn drop_index(&self, txn: TxnId, table: &str, name: &str) -> Result<(), DbError> {
         self.check_active(txn)?;
-        let k = self.part_of(table);
-        let mut store = self.parts[k].working.lock();
+        let mut store = self.working.lock();
         store.table(table)?;
-        self.log_to(
-            k,
-            &LogRecord::DropIndex {
-                txn,
-                table: table.to_string(),
-                name: name.to_string(),
-            },
-        )?;
+        self.log(&LogRecord::DropIndex {
+            txn,
+            table: table.to_string(),
+            name: name.to_string(),
+        })?;
         let dropped = store.table_mut(table)?.drop_index(name)?;
-        self.publish(k, &store);
+        self.publish(&store);
         self.push_undo(
             txn,
-            k,
             UndoOp::RestoreDroppedIndex {
                 table: table.to_string(),
                 name: dropped.name,
@@ -1528,15 +1280,14 @@ impl Durable {
     /// snapshot with an in-flight transaction would otherwise capture its
     /// uncommitted effects without the log records needed to decide its
     /// fate. The writer lock is held only for the **pause phase** — an
-    /// O(tables) pointer-clone of the store plus the log rotation — and is
+    /// O(1) clone of the store plus the log rotation — and is
     /// released before any serialization happens; concurrent writers append
     /// to the fresh log while the segments are written. Snapshot readers
     /// are unaffected throughout: they keep executing against the last
     /// published image.
     pub fn checkpoint(&self) -> Result<(), DbError> {
         let cp = self.checkpoint_state.lock();
-        let guards: Vec<_> = self.parts.iter().map(|p| p.working.lock()).collect();
-        self.run_checkpoint(cp, guards)
+        self.run_checkpoint(cp, self.working.lock())
     }
 
     /// Non-blocking [`Self::checkpoint`]: returns `Ok(false)` without doing
@@ -1551,20 +1302,16 @@ impl Durable {
         let Some(cp) = self.checkpoint_state.try_lock() else {
             return Ok(false);
         };
-        let mut guards = Vec::with_capacity(self.parts.len());
-        for p in &self.parts {
-            match p.working.try_lock() {
-                Some(g) => guards.push(g),
-                None => return Ok(false),
-            }
-        }
-        self.run_checkpoint(cp, guards).map(|()| true)
+        let Some(working) = self.working.try_lock() else {
+            return Ok(false);
+        };
+        self.run_checkpoint(cp, working).map(|()| true)
     }
 
     fn run_checkpoint(
         &self,
         mut cp: MutexGuard<'_, CheckpointState>,
-        guards: Vec<MutexGuard<'_, Store>>,
+        working: MutexGuard<'_, Store>,
     ) -> Result<(), DbError> {
         let start = Instant::now();
         if let Some(txn) = self.active.lock().keys().next().copied() {
@@ -1573,35 +1320,20 @@ impl Durable {
         let m = storage_metrics();
         let _t = phoenix_obs::Timer::new(&m.checkpoint_us);
 
-        // ---- pause phase (all writer locks held) ---------------------------
-        // A shallow image of every shard, merged: per-table `Arc` clones
-        // only. Any later mutation copies-on-write away from these
-        // pointers, so the image is frozen.
-        let mut image = Store::new();
-        for g in &guards {
-            image.merge_from(g);
-        }
-        // Mark + rotation inside one critical section over *all* WAL locks
-        // (taken in ascending order): `last_finished` advances under a WAL
-        // lock (commit) or a working lock (abort — and we hold them all),
-        // so no transaction can finish between reading the mark and
-        // rotating the logs; with `active` empty, the max across partitions
-        // is a true global high-water mark, and `txn ≤ mark` is *exactly*
-        // "records whose effects the image materializes". No commit can be
-        // mid-flight across streams either (it would still be in `active`),
-        // so the N rotations cut every stream at the same transaction
-        // boundary.
+        // ---- pause phase (writer lock held) --------------------------------
+        // An O(1) image of the store: the catalog and every table are
+        // persistent maps, and any later mutation copies-on-write away from
+        // the shared nodes, so the image is frozen.
+        let image = working.clone();
+        // Mark + rotation inside one WAL critical section: `last_finished`
+        // advances under the WAL lock (commit) or the working lock (abort —
+        // and we hold it), so no transaction can finish between reading the
+        // mark and rotating the log; with `active` empty, `txn ≤ mark` is
+        // *exactly* "records whose effects the image materializes".
         let mark = {
-            let mut wals: Vec<_> = self.parts.iter().map(|p| p.wal.lock()).collect();
-            let mark = self
-                .parts
-                .iter()
-                .map(|p| p.last_finished.load(Ordering::Relaxed))
-                .max()
-                .unwrap_or(0);
-            for (k, wal) in wals.iter_mut().enumerate() {
-                wal.rotate_to(&Self::wal_old_path(&self.dir, k))?;
-            }
+            let mut wal = self.wal.lock();
+            let mark = self.last_finished.load(Ordering::Relaxed);
+            wal.rotate_to(&Self::wal_old_path(&self.dir))?;
             // Everything below the current GSN high-water is being folded
             // into the snapshot; once the manifest commits, those frames
             // are deleted. Raise the shipping floor now, conservatively —
@@ -1612,7 +1344,7 @@ impl Durable {
             mark
         };
         self.records_since_checkpoint.store(0, Ordering::Relaxed);
-        drop(guards);
+        drop(working);
         let pause_us = start.elapsed().as_micros() as u64;
         m.checkpoint_pause_us.record(pause_us);
 
@@ -1665,21 +1397,10 @@ impl Durable {
         // image — recovery replays the rotated log with the mark filter, so
         // nothing is applied twice.
         phoenix_chaos::check_durable("checkpoint.truncate")?;
-        let remove_ok = |path: PathBuf| -> Result<(), DbError> {
-            match std::fs::remove_file(path) {
-                Ok(()) => Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-                Err(e) => Err(e.into()),
-            }
-        };
-        for k in 0..MAX_PARTITIONS {
-            remove_ok(Self::wal_old_path(&self.dir, k))?;
-            // A stream left behind by a previous, wider layout is fully
-            // materialized in this snapshot now — delete it so it is not
-            // replayed (harmlessly, but wastefully) forever.
-            if k >= self.parts.len() {
-                remove_ok(Self::wal_path(&self.dir, k))?;
-            }
+        match std::fs::remove_file(Self::wal_old_path(&self.dir)) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
         }
         let keep: HashSet<String> = base.values().map(|(f, _)| f.clone()).collect();
         snapshot::remove_orphan_segments(&self.dir, &keep)?;
@@ -1738,14 +1459,13 @@ impl Durable {
 
     /// Attach a shipper whose standby has every frame up to and including
     /// `standby_last_gsn`: arm the live tap and return the disk backlog —
-    /// every on-disk frame past that GSN, sorted by GSN.
+    /// every on-disk frame past that GSN, in GSN order.
     ///
-    /// Holding **all** WAL locks (ascending, per the global lock order)
-    /// blocks every append for the duration, so the returned backlog and
-    /// the armed queue partition the GSN space exactly: no frame is missed,
-    /// none is delivered twice.
+    /// Holding the WAL lock blocks every append for the duration, so the
+    /// returned backlog and the armed queue partition the GSN space
+    /// exactly: no frame is missed, none is delivered twice.
     pub fn repl_attach(&self, standby_last_gsn: u64) -> Result<Vec<ShipFrame>, DbError> {
-        let _wals: Vec<_> = self.parts.iter().map(|p| p.wal.lock()).collect();
+        let _wal = self.wal.lock();
         let floor = self.ship_floor.load(Ordering::Relaxed);
         if standby_last_gsn + 1 < floor {
             return Err(DbError::Io(io::Error::other(format!(
@@ -1769,19 +1489,18 @@ impl Durable {
         *self.tap.acked.lock() = standby_last_gsn;
         self.tap.enabled.store(true, Ordering::SeqCst);
         let mut backlog: Vec<ShipFrame> = Vec::new();
-        for_each_frame(&self.dir, |stream, gsn, record| {
+        for_each_frame(&self.dir, |gsn, record| {
             if gsn > standby_last_gsn {
-                backlog.push((stream as u8, gsn, record.to_vec()));
+                backlog.push((gsn, record.to_vec()));
             }
             Ok(())
         })?;
-        backlog.sort_unstable_by_key(|&(_, gsn, _)| gsn);
         Ok(backlog)
     }
 
     /// Drain up to `max` shippable frames in GSN order, blocking up to
     /// `wait` for the first one. A frame is shippable once its append
-    /// succeeded **and** (under `Fsync`) the partition's durable watermark
+    /// succeeded **and** (under `Fsync`) the durable watermark
     /// covers it — the shipper only ever sees post-fsync data. Returns an
     /// error if the tap overflowed its bounded queue: the caller
     /// must detach and re-attach with a disk catch-up.
@@ -1803,9 +1522,7 @@ impl Durable {
                         FrameState::Dead => true, // tombstone: pop, never ship
                         FrameState::Appended => {
                             self.durability == Durability::Buffered
-                                || f.gsn
-                                    <= self.tap.durable[f.partition as usize]
-                                        .load(Ordering::Acquire)
+                                || f.gsn <= self.tap.durable.load(Ordering::Acquire)
                         }
                     },
                 };
@@ -1814,7 +1531,7 @@ impl Durable {
                 }
                 let f = t.frames.pop_front().expect("front checked");
                 if matches!(f.state, FrameState::Appended) {
-                    out.push((f.partition, f.gsn, f.record));
+                    out.push((f.gsn, f.record));
                 }
             }
             if !out.is_empty() {
@@ -2432,13 +2149,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn opts(partitions: usize) -> RecoveryOptions {
-        RecoveryOptions {
-            partitions: Some(partitions),
-            ..RecoveryOptions::default()
-        }
-    }
-
     fn named_def(name: &str) -> TableDef {
         TableDef::new(
             name,
@@ -2450,167 +2160,142 @@ mod tests {
         .with_primary_key(vec![0])
     }
 
-    /// Basic write/commit/recover with a partitioned layout: tables land in
-    /// distinct shards and streams, and recovery merges them back.
+    /// A transaction over two tables commits with one `Commit` record and
+    /// one flush, and recovers whole; an uncommitted one over the same two
+    /// tables vanishes from both.
     #[test]
-    fn partitioned_commit_and_recover() {
+    fn two_table_txn_commits_with_one_record_and_one_flush() {
         let dir = temp_dir();
-        let names = ["acct", "dbo.acct", "customer", "audit"];
         {
-            let db = Durable::open_opts(&dir, Durability::Fsync, &opts(4)).unwrap();
-            assert_eq!(db.partitions(), 4);
-            let t = db.begin().unwrap();
-            for name in names {
-                db.create_table(t, named_def(name)).unwrap();
-                db.insert(t, name, row(1, name)).unwrap();
-            }
-            db.commit(t).unwrap();
-            // The tables hash to more than one partition, so at least one
-            // suffixed stream must exist on disk.
-            let extra: Vec<usize> = (1..4)
-                .filter(|&k| Durable::wal_path(&dir, k).exists())
-                .collect();
-            assert!(!extra.is_empty(), "expected at least one .p<k> stream");
-        }
-        let db = Durable::open_opts(&dir, Durability::Fsync, &opts(4)).unwrap();
-        let snap = db.snapshot();
-        for name in names {
-            let tbl = snap.table(name).unwrap();
-            assert_eq!(tbl.len(), 1, "{name}");
-            assert_eq!(tbl.rows[&1], row(1, name));
-        }
-        drop(snap);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A cross-partition transaction commits atomically: after crash +
-    /// recovery either both tables show its rows or neither does — here the
-    /// commit completed, so both must.
-    #[test]
-    fn cross_partition_txn_commits_atomically() {
-        let dir = temp_dir();
-        // At n=2, "acct" routes to partition 0 and "dbo.acct" to 1.
-        assert_ne!(partition_of("acct", 2), partition_of("dbo.acct", 2));
-        {
-            let db = Durable::open_opts(&dir, Durability::Fsync, &opts(2)).unwrap();
+            let db = Durable::open(&dir, Durability::Fsync).unwrap();
             let t = db.begin().unwrap();
             db.create_table(t, named_def("acct")).unwrap();
             db.create_table(t, named_def("dbo.acct")).unwrap();
             db.commit(t).unwrap();
+            let (records, syncs) = (db.log_records_since_checkpoint(), db.wal_sync_count());
             let t = db.begin().unwrap();
             db.insert(t, "acct", row(1, "debit")).unwrap();
             db.insert(t, "dbo.acct", row(1, "credit")).unwrap();
             db.commit(t).unwrap();
-            // And an uncommitted cross-partition txn that must vanish.
+            assert_eq!(
+                db.log_records_since_checkpoint(),
+                records + 3,
+                "two inserts, one commit"
+            );
+            assert_eq!(db.wal_sync_count(), syncs + 1, "one flush");
             let t = db.begin().unwrap();
             db.insert(t, "acct", row(2, "ghost")).unwrap();
             db.insert(t, "dbo.acct", row(2, "ghost")).unwrap();
             // Crash without commit.
         }
-        let db = Durable::open_opts(&dir, Durability::Fsync, &opts(2)).unwrap();
+        let db = Durable::open(&dir, Durability::Fsync).unwrap();
         let snap = db.snapshot();
+        assert_eq!(snap.table("acct").unwrap().rows[&1], row(1, "debit"));
+        assert_eq!(snap.table("dbo.acct").unwrap().rows[&1], row(1, "credit"));
         assert_eq!(snap.table("acct").unwrap().len(), 1);
         assert_eq!(snap.table("dbo.acct").unwrap().len(), 1);
         drop(snap);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A `CommitMulti` present in only *some* participant streams (the
-    /// mid-commit crash window) rolls the transaction back on recovery.
+    /// Aborting a transaction that wrote two tables and a procedure
+    /// restores both tables and the catalog, in memory and after a reopen.
     #[test]
-    fn partial_cross_partition_commit_rolls_back() {
+    fn aborted_two_table_txn_restores_both() {
         let dir = temp_dir();
-        let (p_acct, p_other) = (partition_of("acct", 2), partition_of("dbo.acct", 2));
         {
-            let db = Durable::open_opts(&dir, Durability::Fsync, &opts(2)).unwrap();
+            let db = Durable::open(&dir, Durability::Fsync).unwrap();
             let t = db.begin().unwrap();
             db.create_table(t, named_def("acct")).unwrap();
             db.create_table(t, named_def("dbo.acct")).unwrap();
+            db.insert(t, "acct", row(1, "a")).unwrap();
             db.commit(t).unwrap();
             let t = db.begin().unwrap();
-            db.insert(t, "acct", row(1, "half")).unwrap();
-            db.insert(t, "dbo.acct", row(1, "half")).unwrap();
-            // Forge the partial-commit window: append the CommitMulti
-            // record to only ONE participant stream, as a crash between the
-            // two appends would leave it.
-            let rec = LogRecord::CommitMulti {
-                txn: t,
-                participants: vec![p_acct as u32, p_other as u32],
-            };
-            db.append_locked(p_acct, &mut db.parts[p_acct].wal.lock(), &rec.encode())
-                .unwrap();
-            db.parts[p_acct].wal.lock().sync().unwrap();
-            // Crash.
-        }
-        let db = Durable::open_opts(&dir, Durability::Fsync, &opts(2)).unwrap();
-        let snap = db.snapshot();
-        assert!(snap.table("acct").unwrap().is_empty());
-        assert!(snap.table("dbo.acct").unwrap().is_empty());
-        drop(snap);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A directory written with one partition count re-opens correctly with
-    /// another: recovery scans every possible stream, and the next
-    /// checkpoint retires the ones outside the new layout.
-    #[test]
-    fn reopen_with_different_partition_count() {
-        let dir = temp_dir();
-        let names = ["acct", "dbo.acct", "customer", "audit"];
-        {
-            let db = Durable::open_opts(&dir, Durability::Fsync, &opts(4)).unwrap();
-            let t = db.begin().unwrap();
-            for name in names {
-                db.create_table(t, named_def(name)).unwrap();
-                db.insert(t, name, row(7, name)).unwrap();
-            }
-            db.commit(t).unwrap();
-        }
-        {
-            let db = Durable::open_opts(&dir, Durability::Fsync, &opts(1)).unwrap();
+            db.insert(t, "acct", row(2, "x")).unwrap();
+            db.update(t, "acct", 1, row(1, "mutated")).unwrap();
+            db.insert(t, "dbo.acct", row(1, "y")).unwrap();
+            db.create_proc(t, "p", "SELECT 1").unwrap();
+            db.abort(t).unwrap();
             let snap = db.snapshot();
-            for name in names {
-                assert_eq!(snap.table(name).unwrap().len(), 1, "{name}");
-            }
-            drop(snap);
-            db.checkpoint().unwrap();
-            // Streams outside the single-partition layout are gone.
-            for k in 1..MAX_PARTITIONS {
-                assert!(!Durable::wal_path(&dir, k).exists(), "p{k} should be gone");
-            }
+            let acct = snap.table("acct").unwrap();
+            assert_eq!(acct.len(), 1);
+            assert_eq!(acct.rows[&1], row(1, "a"));
+            assert!(snap.table("dbo.acct").unwrap().is_empty());
+            assert!(!snap.has_proc("p"));
         }
-        let db = Durable::open_opts(&dir, Durability::Fsync, &opts(2)).unwrap();
+        let db = Durable::open(&dir, Durability::Fsync).unwrap();
         let snap = db.snapshot();
-        for name in names {
-            assert_eq!(snap.table(name).unwrap().len(), 1, "{name}");
-        }
-        drop(snap);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Aborting a cross-partition transaction rolls back every shard.
-    #[test]
-    fn cross_partition_abort_rolls_back_all_shards() {
-        let dir = temp_dir();
-        let db = Durable::open_opts(&dir, Durability::Fsync, &opts(2)).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, named_def("acct")).unwrap();
-        db.create_table(t, named_def("dbo.acct")).unwrap();
-        db.insert(t, "acct", row(1, "a")).unwrap();
-        db.commit(t).unwrap();
-        let t = db.begin().unwrap();
-        db.insert(t, "acct", row(2, "x")).unwrap();
-        db.update(t, "acct", 1, row(1, "mutated")).unwrap();
-        db.insert(t, "dbo.acct", row(1, "y")).unwrap();
-        db.create_proc(t, "p", "SELECT 1").unwrap();
-        db.abort(t).unwrap();
-        let snap = db.snapshot();
-        let acct = snap.table("acct").unwrap();
-        assert_eq!(acct.len(), 1);
-        assert_eq!(acct.rows[&1], row(1, "a"));
+        assert_eq!(snap.table("acct").unwrap().rows[&1], row(1, "a"));
         assert!(snap.table("dbo.acct").unwrap().is_empty());
         assert!(!snap.has_proc("p"));
         drop(snap);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Publishing is O(1) and a statement path-copies the catalog: after a
+    /// single-row insert into one of 400 tables, the published catalog
+    /// shares all but at most height + 1 of its nodes with the image
+    /// published before it.
+    #[test]
+    fn publish_shares_the_catalog() {
+        let dir = temp_dir();
+        let db = Durable::open(&dir, Durability::Buffered).unwrap();
+        let t = db.begin().unwrap();
+        for i in 0..400 {
+            db.create_table(t, named_def(&format!("dbo.t{i:03}")))
+                .unwrap();
+        }
+        db.commit(t).unwrap();
+        let before = db.snapshot();
+        let t = db.begin().unwrap();
+        db.insert(t, "dbo.t123", row(1, "x")).unwrap();
+        db.commit(t).unwrap();
+        let after = db.snapshot();
+        let (nodes, shared, height) = after.catalog_sharing(&before);
+        assert!(height >= 2, "400 entries fill more than one node");
+        assert!(
+            nodes - shared <= height + 1,
+            "{nodes} catalog nodes, {shared} shared, height {height}"
+        );
+        assert_eq!(after.table("dbo.t123").unwrap().len(), 1);
+        assert!(before.table("dbo.t123").unwrap().is_empty());
+        drop((before, after));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A directory holding a partitioned server's second log stream is
+    /// refused with an error naming the file, instead of opening without
+    /// the transactions in it.
+    #[test]
+    fn directory_of_a_partitioned_server_is_refused() {
+        let dir = temp_dir();
+        {
+            let db = Durable::open(&dir, Durability::Fsync).unwrap();
+            let t = db.begin().unwrap();
+            db.create_table(t, named_def("dbo.acct")).unwrap();
+            db.commit(t).unwrap();
+        }
+        // What a partitioned server left in its partition-1 stream: a
+        // committed insert.
+        let stream = dir.join("phoenix.wal.p1");
+        {
+            let mut wal = Wal::open(&stream).unwrap();
+            let insert = LogRecord::Insert {
+                txn: 9,
+                table: "dbo.acct".into(),
+                row_id: 1,
+                row: row(1, "committed"),
+            };
+            wal.append(&frame_payload(10, &insert.encode())).unwrap();
+            wal.append(&frame_payload(11, &LogRecord::Commit { txn: 9 }.encode()))
+                .unwrap();
+            wal.sync().unwrap();
+        }
+        let err = Durable::open(&dir, Durability::Fsync)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.to_string().contains("phoenix.wal.p1"), "{err}");
+        assert!(matches!(err, DbError::PartitionedLog(p) if p == stream));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

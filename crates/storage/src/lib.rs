@@ -57,5 +57,5 @@ pub use applier::Applier;
 pub use db::{Durability, Durable};
 pub use pmap::{PMap, PSet};
 pub use repl::ShipFrame;
-pub use store::{Store, StoreSnapshot, TableData};
+pub use store::{Store, TableData};
 pub use types::{Column, DataType, Row, RowId, Schema, TableDef, TxnId, Value};

@@ -40,21 +40,17 @@ pub struct StorageMetrics {
     /// capture + log-rotation phase, the only part of a checkpoint that
     /// blocks mutations (`phoenix_checkpoint_pause_us`).
     pub checkpoint_pause_us: Arc<Histogram>,
-    /// Recovery replay duration — WAL decode + commit scan + partitioned
-    /// apply, per `Durable::open` (`phoenix_recovery_replay_us`).
+    /// Recovery replay duration — WAL read + decode + apply, per
+    /// `Durable::open` (`phoenix_recovery_replay_us`).
     pub recovery_replay_us: Arc<Histogram>,
     /// Copy-on-write store snapshots published for readers
     /// (`phoenix_snapshot_publishes_total`).
     pub snapshot_publishes: Arc<Counter>,
-    /// Whole-store captures *avoided* by per-partition epoch publishing:
-    /// each mutation re-captures only its own shard, so with N partitions
-    /// every publish saves N−1 captures the pre-partitioned design paid
-    /// (`phoenix_snapshot_publishes_coalesced`).
-    pub snapshot_publishes_coalesced: Arc<Counter>,
     /// Map entries cloned by path copying: each time a writer touches a
-    /// tree node a published snapshot still shares, the node's entries are
-    /// copied once (`phoenix_cow_entries_copied_total`). Proportional to
-    /// the rows a statement touches, never to the table.
+    /// tree node a published snapshot still shares — of a table, an index
+    /// or the catalog — the node's entries are copied once
+    /// (`phoenix_cow_entries_copied_total`). Proportional to the rows and
+    /// tables a statement touches, never to the table or the catalog.
     pub cow_entries_copied: Arc<Counter>,
 }
 
@@ -100,26 +96,10 @@ pub fn storage_metrics() -> &'static StorageMetrics {
                 "phoenix_snapshot_publishes_total",
                 "copy-on-write store snapshots published",
             ),
-            snapshot_publishes_coalesced: r.counter(
-                "phoenix_snapshot_publishes_coalesced",
-                "whole-store captures avoided by per-partition epoch publishing",
-            ),
             cow_entries_copied: r.counter(
                 "phoenix_cow_entries_copied_total",
-                "table-image map entries cloned by path copying",
+                "table-image and catalog map entries cloned by path copying",
             ),
         }
     })
-}
-
-/// Per-partition group-commit batch histogram
-/// (`phoenix_group_commit_batch{partition="p<k>"}`), registered on first use
-/// per partition and cached by the caller.
-pub fn partition_batch_histogram(partition: usize) -> Arc<Histogram> {
-    let label = format!("p{partition}");
-    registry().histogram_with(
-        "phoenix_group_commit_batch",
-        "commit records covered per group-commit flush",
-        &[("partition", &label)],
-    )
 }

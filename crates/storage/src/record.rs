@@ -32,16 +32,6 @@ pub enum LogRecord {
         /// The transaction.
         txn: TxnId,
     },
-    /// Commit of a transaction that touched more than one WAL partition —
-    /// the in-process two-phase record. One copy is appended to *every*
-    /// participant stream; recovery treats the transaction as committed iff
-    /// the copy is present in each stream the participant set names.
-    CommitMulti {
-        /// The transaction.
-        txn: TxnId,
-        /// Partition indexes the transaction wrote to (sorted, distinct).
-        participants: Vec<u32>,
-    },
     /// A row inserted with the given stable id.
     Insert {
         /// Owning transaction.
@@ -153,7 +143,10 @@ const T_DROP_TABLE: u8 = 8;
 const T_CREATE_PROC: u8 = 9;
 const T_DROP_PROC: u8 = 10;
 const T_INSERT_MANY: u8 = 11;
-const T_COMMIT_MULTI: u8 = 12;
+/// Retired: the cross-partition commit of the partitioned write path. A
+/// record carrying it decodes to an error naming the cause, never to a
+/// commit.
+const T_RETIRED_COMMIT_MULTI: u8 = 12;
 const T_CREATE_INDEX: u8 = 13;
 const T_DROP_INDEX: u8 = 14;
 
@@ -163,7 +156,6 @@ impl LogRecord {
         match self {
             LogRecord::Begin { txn }
             | LogRecord::Commit { txn }
-            | LogRecord::CommitMulti { txn, .. }
             | LogRecord::Abort { txn }
             | LogRecord::Insert { txn, .. }
             | LogRecord::InsertMany { txn, .. }
@@ -193,14 +185,6 @@ impl LogRecord {
             LogRecord::Abort { txn } => {
                 buf.put_u8(T_ABORT);
                 buf.put_u64_le(*txn);
-            }
-            LogRecord::CommitMulti { txn, participants } => {
-                buf.put_u8(T_COMMIT_MULTI);
-                buf.put_u64_le(*txn);
-                buf.put_u32_le(participants.len() as u32);
-                for p in participants {
-                    buf.put_u32_le(*p);
-                }
             }
             LogRecord::Insert {
                 txn,
@@ -302,19 +286,11 @@ impl LogRecord {
             T_BEGIN => LogRecord::Begin { txn },
             T_COMMIT => LogRecord::Commit { txn },
             T_ABORT => LogRecord::Abort { txn },
-            T_COMMIT_MULTI => {
-                if buf.remaining() < 4 {
-                    return Err(DecodeError("truncated commit-multi".into()));
-                }
-                let count = buf.get_u32_le() as usize;
-                if buf.remaining() < count * 4 {
-                    return Err(DecodeError("truncated commit-multi participants".into()));
-                }
-                let mut participants = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    participants.push(buf.get_u32_le());
-                }
-                LogRecord::CommitMulti { txn, participants }
+            T_RETIRED_COMMIT_MULTI => {
+                return Err(DecodeError(format!(
+                    "log record tag {T_RETIRED_COMMIT_MULTI} (cross-partition commit of txn \
+                     {txn}) is retired: this log was written by a partitioned server"
+                )))
             }
             T_INSERT => {
                 let table = codec::get_str(&mut buf)?;
@@ -430,14 +406,6 @@ mod tests {
         roundtrip(LogRecord::Begin { txn: 1 });
         roundtrip(LogRecord::Commit { txn: u64::MAX });
         roundtrip(LogRecord::Abort { txn: 7 });
-        roundtrip(LogRecord::CommitMulti {
-            txn: 11,
-            participants: vec![0, 3, 7],
-        });
-        roundtrip(LogRecord::CommitMulti {
-            txn: 12,
-            participants: Vec::new(),
-        });
         roundtrip(LogRecord::Insert {
             txn: 2,
             table: "dbo.orders".into(),
@@ -510,6 +478,19 @@ mod tests {
         let mut bytes = LogRecord::Begin { txn: 1 }.encode().to_vec();
         bytes.push(0);
         assert!(LogRecord::decode(&bytes).is_err());
+    }
+
+    /// The retired cross-partition commit decodes to an error, whatever
+    /// follows its header — a participant list, a truncated one, nothing.
+    #[test]
+    fn retired_commit_multi_tag_is_a_decode_error() {
+        let mut header = vec![T_RETIRED_COMMIT_MULTI];
+        header.extend_from_slice(&7u64.to_le_bytes());
+        for tail in [&[][..], &[2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0], &[0xff; 3]] {
+            let bytes = [header.as_slice(), tail].concat();
+            let err = LogRecord::decode(&bytes).unwrap_err();
+            assert!(err.0.contains("retired"), "{err}");
+        }
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! The primary tails its own log through a *replication tap* owned by
 //! [`crate::db::Durable`]: when a shipper attaches, every WAL append also
-//! stages a `(partition, gsn, record)` frame into an in-memory queue, and
-//! the group committer advances a per-partition *durable watermark* after
-//! each successful fsync. The shipper drains the queue in strict GSN order,
+//! stages a `(gsn, record)` frame into an in-memory queue, and the group
+//! committer advances a *durable watermark* after each successful fsync. The shipper drains the queue in strict GSN order,
 //! never handing out a frame that is not yet on the primary's stable
 //! storage (under `Durability::Fsync`) — the tap is, by construction, a tap
 //! of the group committer's post-fsync stream.
@@ -15,21 +14,19 @@
 //! promotion.
 //!
 //! Everything here is bit-compatible with crash recovery: the shipped
-//! frames are exactly the `[gsn u64 LE][record]` payloads of the WAL
-//! streams, and the standby appends them to its own per-partition logs, so
-//! a standby directory *is* a valid primary directory at every instant.
+//! frames are exactly the `[gsn u64 LE][record]` payloads of the WAL, and
+//! the standby appends them to its own log, so a standby directory *is* a
+//! valid primary directory at every instant.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::db::MAX_PARTITIONS;
-
-/// One frame handed to the shipper: `(partition, gsn, encoded record)`.
-/// The record bytes are the `LogRecord` encoding *without* the GSN prefix;
-/// the standby re-prefixes the GSN when appending to its own streams.
-pub type ShipFrame = (u8, u64, Vec<u8>);
+/// One frame handed to the shipper: `(gsn, encoded record)`. The record
+/// bytes are the `LogRecord` encoding *without* the GSN prefix; the standby
+/// re-prefixes the GSN when appending to its own log.
+pub type ShipFrame = (u64, Vec<u8>);
 
 /// Upper bound on staged-but-unshipped frames. A shipper that falls this
 /// far behind the write rate loses the queue (`lost`) and must re-attach
@@ -44,7 +41,7 @@ pub(crate) const TAP_CAP: usize = 1 << 16;
 pub(crate) enum FrameState {
     /// GSN allocated; append outcome not yet known.
     Staged,
-    /// On the partition's live log (shippable once covered by the durable
+    /// On the live log (shippable once covered by the durable
     /// watermark, or immediately under `Durability::Buffered`).
     Appended,
     /// The append failed; the frame never reached the log.
@@ -54,7 +51,6 @@ pub(crate) enum FrameState {
 /// One staged frame.
 pub(crate) struct TapFrame {
     pub gsn: u64,
-    pub partition: u8,
     pub record: Vec<u8>,
     pub state: FrameState,
 }
@@ -76,10 +72,9 @@ pub(crate) struct ReplTap {
     pub state: Mutex<TapState>,
     /// Signalled when new frames may have become shippable.
     pub cv: Condvar,
-    /// Per-partition durable GSN watermark: every frame of partition `k`
-    /// with `gsn ≤ durable[k]` is fsynced. Advanced by the group-commit
-    /// leader after each successful sync.
-    pub durable: [AtomicU64; MAX_PARTITIONS],
+    /// Durable GSN watermark: every frame with `gsn ≤ durable` is fsynced.
+    /// Advanced by the group-commit leader after each successful sync.
+    pub durable: AtomicU64,
     /// Highest GSN a standby has acknowledged as received and persisted.
     /// Semi-sync commits wait on this.
     pub acked: Mutex<u64>,
@@ -97,7 +92,7 @@ impl ReplTap {
                 lost: false,
             }),
             cv: Condvar::new(),
-            durable: std::array::from_fn(|_| AtomicU64::new(0)),
+            durable: AtomicU64::new(0),
             acked: Mutex::new(0),
             acked_cv: Condvar::new(),
         }
@@ -111,7 +106,7 @@ mod tests {
 
     use super::*;
     use crate::applier::Applier;
-    use crate::db::{Durability, Durable, RecoveryOptions};
+    use crate::db::{Durability, Durable};
     use crate::record::LogRecord;
     use crate::types::{Column, DataType, Row, Schema, TableDef, Value};
 
@@ -141,13 +136,6 @@ mod tests {
         vec![Value::Int(id), Value::Text(v.into())]
     }
 
-    fn opts(partitions: usize) -> RecoveryOptions {
-        RecoveryOptions {
-            partitions: Some(partitions),
-            ..RecoveryOptions::default()
-        }
-    }
-
     /// Drain everything currently shippable.
     fn drain(db: &Durable) -> Vec<ShipFrame> {
         let mut out = Vec::new();
@@ -165,7 +153,7 @@ mod tests {
     #[test]
     fn tap_ships_exactly_the_post_fsync_stream_in_gsn_order() {
         let dir = temp_dir();
-        let db = Durable::open_opts(&dir, Durability::Fsync, &opts(2)).unwrap();
+        let db = Durable::open(&dir, Durability::Fsync).unwrap();
         let t = db.begin().unwrap();
         db.create_table(t, def("a")).unwrap();
         db.create_table(t, def("dbo.b")).unwrap();
@@ -174,10 +162,10 @@ mod tests {
         // Attach at the current high-water: backlog covers the history.
         let backlog = db.repl_attach(0).unwrap();
         assert!(!backlog.is_empty());
-        let last = backlog.last().unwrap().1;
+        let last = backlog.last().unwrap().0;
         assert_eq!(last, db.last_gsn());
 
-        // Live frames: a cross-partition transaction; every frame becomes
+        // Live frames: a two-table transaction; every frame becomes
         // shippable once its commit fsync lands.
         let t = db.begin().unwrap();
         db.insert(t, "a", row(1, "x")).unwrap();
@@ -185,16 +173,17 @@ mod tests {
         db.commit(t).unwrap();
         let live = drain(&db);
         // Every frame appended since attach shipped exactly once: 2 inserts
-        // plus the commit record's per-stream copies.
+        // plus the commit record.
+        assert_eq!(live.len(), 3);
         assert_eq!(live.len() as u64, db.last_gsn() - last);
-        let gsns: Vec<u64> = live.iter().map(|f| f.1).collect();
+        let gsns: Vec<u64> = live.iter().map(|f| f.0).collect();
         let mut sorted = gsns.clone();
         sorted.sort_unstable();
         assert_eq!(gsns, sorted, "tap must drain in GSN order");
         assert_eq!(*gsns.last().unwrap(), db.last_gsn());
 
         // The shipped bytes are the WAL payloads verbatim: decode them.
-        for (_, _, rec) in &live {
+        for (_, rec) in &live {
             LogRecord::decode(rec).unwrap();
         }
         db.repl_detach();
@@ -204,7 +193,7 @@ mod tests {
     #[test]
     fn attach_behind_the_ship_floor_is_refused_after_checkpoint() {
         let dir = temp_dir();
-        let db = Durable::open_opts(&dir, Durability::Fsync, &opts(1)).unwrap();
+        let db = Durable::open(&dir, Durability::Fsync).unwrap();
         let t = db.begin().unwrap();
         db.create_table(t, def("a")).unwrap();
         db.insert(t, "a", row(1, "x")).unwrap();
@@ -223,7 +212,7 @@ mod tests {
     #[test]
     fn fenced_handle_refuses_every_append() {
         let dir = temp_dir();
-        let db = Durable::open_opts(&dir, Durability::Fsync, &opts(1)).unwrap();
+        let db = Durable::open(&dir, Durability::Fsync).unwrap();
         let t = db.begin().unwrap();
         db.create_table(t, def("a")).unwrap();
         db.commit(t).unwrap();
@@ -239,7 +228,7 @@ mod tests {
     fn loaded_applier_promotes_to_what_cold_recovery_builds() {
         let dir = temp_dir();
         {
-            let db = Durable::open_opts(&dir, Durability::Fsync, &opts(2)).unwrap();
+            let db = Durable::open(&dir, Durability::Fsync).unwrap();
             let t = db.begin().unwrap();
             db.create_table(t, def("a")).unwrap();
             db.commit(t).unwrap();
@@ -257,14 +246,14 @@ mod tests {
         // The undecided insert is the only record left waiting.
         assert_eq!(applier.pending_len(), 1);
         // Promotion ends the log, and with it the tail's chances.
-        let db = Durable::open_warm(&dir, Durability::Fsync, &opts(2), applier).unwrap();
+        let db = Durable::open_warm(&dir, Durability::Fsync, &Default::default(), applier).unwrap();
         let snap = db.snapshot();
         let table = snap.table("a").unwrap();
         assert_eq!(table.len(), 10, "uncommitted tail row must not apply");
         drop(snap);
         drop(db);
         // Cold recovery of the same directory agrees.
-        let cold = Durable::open_opts(&dir, Durability::Fsync, &opts(2)).unwrap();
+        let cold = Durable::open(&dir, Durability::Fsync).unwrap();
         assert_eq!(cold.snapshot().table("a").unwrap().len(), 10);
         std::fs::remove_dir_all(&dir).unwrap();
     }

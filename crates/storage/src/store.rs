@@ -14,9 +14,12 @@
 //! shares every node, and a write through [`Store::table_mut`] copies only
 //! the nodes on the path to the rows it touches that a clone still shares.
 //! The per-table `Arc` remains the unit of *change detection* (a table
-//! nobody wrote keeps its pointer). [`StoreSnapshot`] packages the property
-//! as an immutable published image readers execute against with no lock
-//! held.
+//! nobody wrote keeps its pointer). The catalog itself — table slots and
+//! procedure texts by name — is a [`PMap`] too, so cloning a `Store` is
+//! O(1) and a statement path-copies O(log tables) catalog entries: that is
+//! what makes the published image ([`crate::db::Durable::snapshot`], an
+//! `Arc<Store>` readers execute against with no lock held) cheap to
+//! re-publish after every statement.
 //!
 //! A table recovered from a checkpoint starts *on disk*: its slot names the
 //! snapshot segment holding it, and the first [`Store::table`] /
@@ -24,7 +27,7 @@
 //! slot shares one once-cell, so a segment is read at most once however many
 //! store images hold it.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -511,13 +514,16 @@ impl Slot {
 /// A collection of tables and stored procedures. Lookup is case-insensitive
 /// on the fully qualified name (names are normalized to lowercase keys).
 ///
-/// Each table sits behind its own [`Arc`], so `Clone` is shallow — clones
-/// share all row data until one of them mutates a table, at which point
-/// only the touched tree nodes of that table are copied.
+/// Both catalogs are persistent maps and each table sits behind its own
+/// [`Arc`], so `Clone` is O(1) — clones share the catalog and all row data
+/// until one of them mutates, at which point only the touched tree nodes
+/// (of the catalog and of that table) are copied. Names and procedure
+/// texts are `Arc<str>`, so copying a catalog node copies pointers, not
+/// strings.
 #[derive(Debug, Clone, Default)]
 pub struct Store {
-    tables: HashMap<String, Slot>,
-    procs: HashMap<String, String>,
+    tables: PMap<Arc<str>, Slot>,
+    procs: PMap<Arc<str>, Arc<str>>,
 }
 
 /// Normalize a table/procedure name for lookup.
@@ -525,11 +531,10 @@ pub fn normalize_name(name: &str) -> String {
     name.to_ascii_lowercase()
 }
 
-/// Map a table/procedure name to its partition index under an `n`-way
-/// partitioned store. FNV-1a over the *normalized* name: deterministic
-/// across processes and hosts, which matters because partition routing is
-/// baked into on-disk WAL streams (commit participant sets name partition
-/// indexes, and recovery re-routes tables by re-hashing).
+/// FNV-1a over the *normalized* name, modulo `n`, with the `phoenix.`
+/// namespace pinned to 0: the table-to-log routing of the retired
+/// partitioned write path. No crate calls it; it survives, body unchanged,
+/// only because `benchmark/src/adapter.rs` still does.
 pub fn partition_of(name: &str, n: usize) -> usize {
     if n <= 1 {
         return 0;
@@ -560,25 +565,27 @@ impl Store {
     /// Create an empty table; errors if the name is taken.
     pub fn create_table(&mut self, def: TableDef) -> Result<(), StoreError> {
         let key = normalize_name(&def.name);
-        if self.tables.contains_key(&key) {
+        if self.tables.contains_key(key.as_str()) {
             return Err(StoreError::TableExists(def.name));
         }
         self.tables
-            .insert(key, Slot::Loaded(Arc::new(TableData::new(def))));
+            .insert(key.into(), Slot::Loaded(Arc::new(TableData::new(def))));
         Ok(())
     }
 
     /// Install a fully populated table, replacing any table of that name.
     pub fn install_table(&mut self, data: TableData) {
-        self.tables
-            .insert(normalize_name(&data.def.name), Slot::Loaded(Arc::new(data)));
+        self.tables.insert(
+            normalize_name(&data.def.name).into(),
+            Slot::Loaded(Arc::new(data)),
+        );
     }
 
     /// Install a checkpointed table that stays in its segment file until
     /// something touches it (snapshot load).
     pub(crate) fn install_segment(&mut self, seg: Arc<Segment>) {
         self.tables
-            .insert(normalize_name(&seg.name), Slot::OnDisk(seg));
+            .insert(normalize_name(&seg.name).into(), Slot::OnDisk(seg));
     }
 
     /// Remove a table, returning its data (an O(1) clone if a snapshot
@@ -586,16 +593,15 @@ impl Store {
     /// gets what it would need to put the table back — and stays in the
     /// store if that fails.
     pub fn drop_table(&mut self, name: &str) -> Result<TableData, StoreError> {
-        let key = normalize_name(name);
         let data = Arc::clone(self.slot(name)?.load()?);
-        self.tables.remove(&key);
+        self.tables.remove(normalize_name(name).as_str());
         Ok(Arc::try_unwrap(data).unwrap_or_else(|shared| (*shared).clone()))
     }
 
     /// The slot behind a table: what [`Slot::same`] compares.
     pub(crate) fn slot(&self, name: &str) -> Result<&Slot, StoreError> {
         self.tables
-            .get(&normalize_name(name))
+            .get(normalize_name(name).as_str())
             .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))
     }
 
@@ -612,7 +618,7 @@ impl Store {
     pub fn table_mut(&mut self, name: &str) -> Result<&mut TableData, StoreError> {
         let slot = self
             .tables
-            .get_mut(&normalize_name(name))
+            .get_mut(normalize_name(name).as_str())
             .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))?;
         if let Slot::OnDisk(seg) = slot {
             *slot = Slot::Loaded(Arc::clone(seg.load()?));
@@ -625,7 +631,7 @@ impl Store {
 
     /// Does a table with this name exist?
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(&normalize_name(name))
+        self.tables.contains_key(normalize_name(name).as_str())
     }
 
     /// Iterate over all tables in an unspecified order, loading those still
@@ -648,69 +654,50 @@ impl Store {
     /// Register a stored procedure's SQL text.
     pub fn create_proc(&mut self, name: &str, sql: &str) -> Result<(), StoreError> {
         let key = normalize_name(name);
-        if self.procs.contains_key(&key) {
+        if self.procs.contains_key(key.as_str()) {
             return Err(StoreError::ProcExists(name.to_string()));
         }
-        self.procs.insert(key, sql.to_string());
+        self.procs.insert(key.into(), sql.into());
         Ok(())
     }
 
     /// Remove a stored procedure, returning its SQL text.
     pub fn drop_proc(&mut self, name: &str) -> Result<String, StoreError> {
         self.procs
-            .remove(&normalize_name(name))
+            .remove(normalize_name(name).as_str())
+            .map(|sql| sql.to_string())
             .ok_or_else(|| StoreError::NoSuchProc(name.to_string()))
     }
 
     /// Look a procedure's SQL text up by name.
     pub fn proc(&self, name: &str) -> Option<&str> {
-        self.procs.get(&normalize_name(name)).map(String::as_str)
+        self.procs
+            .get(normalize_name(name).as_str())
+            .map(|sql| &**sql)
     }
 
     /// Does a procedure with this name exist?
     pub fn has_proc(&self, name: &str) -> bool {
-        self.procs.contains_key(&normalize_name(name))
+        self.procs.contains_key(normalize_name(name).as_str())
     }
 
     /// Names of all procedures, sorted.
     pub fn proc_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.procs.keys().cloned().collect();
-        names.sort();
-        names
+        self.procs.keys().map(|name| name.to_string()).collect()
     }
 
-    /// Iterate `(name, sql)` over all procedures.
+    /// Iterate `(name, sql)` over all procedures, by name.
     pub fn procs(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.procs.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+        self.procs.iter().map(|(k, v)| (&**k, &**v))
     }
 
-    /// Absorb every table and procedure of `other` by shallow `Arc` clone —
-    /// the stitch step a partitioned checkpoint uses to build one global
-    /// image out of disjoint shards. Keys never collide because each table
-    /// lives in exactly one partition.
-    pub(crate) fn merge_from(&mut self, other: &Store) {
-        for (key, slot) in &other.tables {
-            self.tables.insert(key.clone(), slot.clone());
-        }
-        for (key, sql) in &other.procs {
-            self.procs.insert(key.clone(), sql.clone());
-        }
-    }
-
-    /// Split this store into `n` disjoint shards by [`partition_of`] on the
-    /// normalized name — the inverse of [`Store::merge_from`], used once at
-    /// the end of recovery to seed the per-partition working stores.
-    pub(crate) fn into_parts(self, n: usize) -> Vec<Store> {
-        let mut parts: Vec<Store> = (0..n.max(1)).map(|_| Store::new()).collect();
-        for (key, slot) in self.tables {
-            let k = partition_of(&key, n);
-            parts[k].tables.insert(key, slot);
-        }
-        for (key, sql) in self.procs {
-            let k = partition_of(&key, n);
-            parts[k].procs.insert(key, sql);
-        }
-        parts
+    /// `(catalog nodes of this image, how many of them `other` shares,
+    /// catalog height)`: what publishing this image copied.
+    #[cfg(test)]
+    pub(crate) fn catalog_sharing(&self, other: &Store) -> (usize, usize, usize) {
+        let (nodes, shared) = self.tables.nodes_shared_with(&other.tables);
+        let height = self.tables.check_shape().expect("catalog shape");
+        (nodes, shared, height)
     }
 
     /// Apply one committed log record during recovery.
@@ -721,10 +708,7 @@ impl Store {
     /// surfacing loudly.
     pub fn apply(&mut self, rec: &LogRecord) -> Result<(), StoreError> {
         match rec {
-            LogRecord::Begin { .. }
-            | LogRecord::Commit { .. }
-            | LogRecord::CommitMulti { .. }
-            | LogRecord::Abort { .. } => Ok(()),
+            LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => Ok(()),
             LogRecord::Insert { table, .. }
             | LogRecord::InsertMany { table, .. }
             | LogRecord::Delete { table, .. }
@@ -734,7 +718,7 @@ impl Store {
             // still on disk goes without its segment being read.
             LogRecord::DropTable { name, .. } => self
                 .tables
-                .remove(&normalize_name(name))
+                .remove(normalize_name(name).as_str())
                 .map(|_| ())
                 .ok_or_else(|| StoreError::NoSuchTable(name.clone())),
             LogRecord::CreateProc { name, sql, .. } => self.create_proc(name, sql),
@@ -764,102 +748,6 @@ impl Store {
     pub fn find_index_owner(&self, index_name: &str) -> Option<&TableData> {
         self.tables()
             .find(|t| t.def.index_pos(index_name).is_some())
-    }
-}
-
-/// An immutable image of the whole store, stitched from one published epoch
-/// per write partition.
-///
-/// Readers obtain one from the durability layer — O(partitions) `Arc`
-/// clones, no matter how large the database is — and then execute whole
-/// queries, scans and cursor fetches against it with **no lock held**.
-/// Writers never wait for readers and readers never wait for writers; a
-/// snapshot simply keeps showing each partition's state as of its epoch.
-/// Name lookups route to the owning shard with the same [`partition_of`]
-/// hash the write path uses.
-#[derive(Debug, Clone)]
-pub struct StoreSnapshot {
-    parts: Vec<Arc<Store>>,
-}
-
-impl Default for StoreSnapshot {
-    fn default() -> StoreSnapshot {
-        StoreSnapshot {
-            parts: vec![Arc::new(Store::new())],
-        }
-    }
-}
-
-impl StoreSnapshot {
-    /// Capture the current state of `store` as a single-partition snapshot.
-    /// Shallow: the per-table `Arc`s are cloned, all row data is shared
-    /// until a later writer touches it.
-    pub fn capture(store: &Store) -> StoreSnapshot {
-        StoreSnapshot {
-            parts: vec![Arc::new(store.clone())],
-        }
-    }
-
-    /// Stitch per-partition published epochs into one snapshot. The slot
-    /// order must match the write path's [`partition_of`] routing.
-    pub(crate) fn from_parts(parts: Vec<Arc<Store>>) -> StoreSnapshot {
-        debug_assert!(!parts.is_empty());
-        StoreSnapshot { parts }
-    }
-
-    /// The shard that owns `name` under this snapshot's partition count.
-    fn shard(&self, name: &str) -> &Store {
-        &self.parts[partition_of(name, self.parts.len())]
-    }
-
-    /// Look a table up by (case-insensitive) name.
-    pub fn table(&self, name: &str) -> Result<&TableData, StoreError> {
-        self.shard(name).table(name)
-    }
-
-    /// Does a table with this name exist?
-    pub fn has_table(&self, name: &str) -> bool {
-        self.shard(name).has_table(name)
-    }
-
-    /// Names of all tables across every shard, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.parts.iter().flat_map(|p| p.table_names()).collect();
-        names.sort();
-        names
-    }
-
-    /// Look a procedure's SQL text up by name.
-    pub fn proc(&self, name: &str) -> Option<&str> {
-        self.shard(name).proc(name)
-    }
-
-    /// Does a procedure with this name exist?
-    pub fn has_proc(&self, name: &str) -> bool {
-        self.shard(name).has_proc(name)
-    }
-
-    /// Names of all procedures across every shard, sorted.
-    pub fn proc_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.parts.iter().flat_map(|p| p.proc_names()).collect();
-        names.sort();
-        names
-    }
-
-    /// The table owning an index with this (case-insensitive) name, if any.
-    /// Index names are not partition-routable, so this searches every shard.
-    pub fn find_index_owner(&self, index_name: &str) -> Option<&TableData> {
-        self.parts
-            .iter()
-            .find_map(|p| p.find_index_owner(index_name))
-    }
-
-    /// Verify every secondary index in every table against its row image.
-    pub fn verify_indexes(&self) -> Result<(), String> {
-        for p in &self.parts {
-            p.verify_indexes()?;
-        }
-        Ok(())
     }
 }
 
@@ -1025,7 +913,7 @@ mod tests {
             .insert(vec![Value::Int(1), Value::Null])
             .unwrap();
 
-        let snap = StoreSnapshot::capture(&s);
+        let snap = s.clone();
         // Untouched table is shared, not copied.
         assert!(std::ptr::eq(
             s.table("dbo.b").unwrap(),
@@ -1043,9 +931,9 @@ mod tests {
         assert!(snap.has_table("dbo.b"));
     }
 
-    /// Partition routing is a pure function of the normalized name — pinned
-    /// values guard against accidental hash changes, which would strand
-    /// tables in the wrong WAL stream across an upgrade.
+    /// `partition_of` is a pure function of the normalized name — pinned
+    /// values keep what the benchmark reports about a partitioned server
+    /// unchanged.
     #[test]
     fn partition_routing_is_deterministic_and_case_insensitive() {
         assert_eq!(partition_of("anything", 1), 0);
@@ -1056,48 +944,6 @@ mod tests {
         // FNV-1a pinned values (n = 2).
         assert_eq!(partition_of("dbo.acct", 2), 1);
         assert_eq!(partition_of("acct", 2), 0);
-    }
-
-    #[test]
-    fn split_and_merge_roundtrip() {
-        let mut s = Store::new();
-        for name in ["dbo.a", "dbo.b", "dbo.c", "dbo.d"] {
-            s.create_table(keyed_def(name)).unwrap();
-        }
-        s.create_proc("p1", "SELECT 1").unwrap();
-        s.create_proc("p2", "SELECT 2").unwrap();
-        let parts = s.clone().into_parts(4);
-        assert_eq!(parts.len(), 4);
-        let mut merged = Store::new();
-        for p in &parts {
-            merged.merge_from(p);
-        }
-        assert_eq!(merged.table_names(), s.table_names());
-        assert_eq!(merged.proc_names(), s.proc_names());
-        // Every table landed in the shard its name hashes to.
-        for (k, p) in parts.iter().enumerate() {
-            for t in p.tables() {
-                assert_eq!(partition_of(&t.def.name, 4), k);
-            }
-        }
-    }
-
-    #[test]
-    fn multi_part_snapshot_routes_lookups() {
-        let mut s = Store::new();
-        for name in ["dbo.a", "dbo.b", "dbo.c", "dbo.d"] {
-            s.create_table(keyed_def(name)).unwrap();
-        }
-        s.create_proc("phoenix.p", "SELECT 1").unwrap();
-        let parts: Vec<Arc<Store>> = s.clone().into_parts(4).into_iter().map(Arc::new).collect();
-        let snap = StoreSnapshot::from_parts(parts);
-        for name in ["dbo.a", "dbo.b", "dbo.c", "dbo.d"] {
-            assert!(snap.has_table(name), "{name} must resolve through routing");
-            assert!(snap.table(name).is_ok());
-        }
-        assert_eq!(snap.proc("PHOENIX.P"), Some("SELECT 1"));
-        assert!(!snap.has_table("dbo.nope"));
-        assert_eq!(snap.table_names().len(), 4);
     }
 
     #[test]

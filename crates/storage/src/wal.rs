@@ -25,10 +25,9 @@ use crate::metrics::storage_metrics;
 /// in memory but vanish as a "corrupt tail" on the next recovery.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
-/// Chaos fault-point names for one log stream. Each WAL partition carries
-/// its own set so a crash-schedule can target (say) `wal.append.p1` without
-/// touching partition 0 — the per-partition windows `chaos-explore`
-/// enumerates for partial cross-partition commits.
+/// Chaos fault-point names for one log. The primary's log fires the
+/// default `wal.*` names; a standby's staging log carries its own set, so a
+/// crash schedule can target one without the other.
 #[derive(Debug, Clone, Copy)]
 pub struct WalPoints {
     /// Fault point hit inside [`Wal::append`].
@@ -42,7 +41,8 @@ pub struct WalPoints {
 }
 
 impl Default for WalPoints {
-    /// The legacy (single-stream / partition-0) names.
+    /// The primary's log: `wal.append`, `wal.fsync`, `wal.truncate`,
+    /// `wal.rotate`.
     fn default() -> WalPoints {
         WalPoints {
             append: "wal.append",
@@ -69,7 +69,7 @@ pub struct Wal {
 
 impl Wal {
     /// Open (creating if necessary) the log at `path` for appending, with
-    /// the default (partition-0) fault-point names.
+    /// the default fault-point names.
     ///
     /// Any torn or corrupt tail left by a crash mid-append is **truncated
     /// away** before the log accepts its first new frame. The reader already
@@ -81,8 +81,8 @@ impl Wal {
         Self::open_with_points(path, WalPoints::default())
     }
 
-    /// [`Wal::open`] with explicit chaos fault-point names (per-partition
-    /// streams use suffixed names like `wal.append.p1`).
+    /// [`Wal::open`] with explicit chaos fault-point names (the standby's
+    /// staging log uses its own).
     pub fn open_with_points(path: impl AsRef<Path>, points: WalPoints) -> io::Result<Wal> {
         let valid = Self::scan(&path, |_| {})?;
         Self::open_at(path, points, valid)

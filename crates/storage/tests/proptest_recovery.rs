@@ -6,8 +6,9 @@
 //!    simulated crash (drop without checkpoint, plus optional torn tail)
 //!    reconstructs exactly the committed state — the invariant everything
 //!    above (the engine, Phoenix, the paper's whole design) stands on.
-//! 3. **One applier, any schedule**: a random multi-stream log history
-//!    recovers to the same image whether the applier reads it all at once
+//! 3. **One applier, any schedule**: a random log history — commits,
+//!    aborts, failed commits, the undecided tail, GSN holes, DDL, a rotated
+//!    log beside the live one — recovers to the same image whether the applier reads it all at once
 //!    (cold open) or is loaded from a prefix and fed the rest frame by
 //!    frame (standby, then promotion).
 //!
@@ -23,9 +24,9 @@ use proptest::prelude::*;
 use phoenix_storage::applier::{frame_payload, Applier};
 #[cfg(feature = "slow-proptests")]
 use phoenix_storage::codec;
-use phoenix_storage::db::{Durability, Durable, RecoveryOptions};
+use phoenix_storage::db::{Durability, Durable};
 use phoenix_storage::record::LogRecord;
-use phoenix_storage::store::{partition_of, Store};
+use phoenix_storage::store::Store;
 use phoenix_storage::types::{Column, DataType, Row, RowId, Schema, TableDef, Value};
 use phoenix_storage::wal::Wal;
 
@@ -395,13 +396,6 @@ impl Rng {
     }
 }
 
-/// Log streams the histories are spread over.
-const STREAMS: usize = 3;
-
-fn stream_of(name: &str) -> u32 {
-    partition_of(name, STREAMS) as u32
-}
-
 fn history_def(name: &str) -> TableDef {
     TableDef::new(
         name,
@@ -431,7 +425,6 @@ struct TableModel {
 /// A transaction that has begun and not ended.
 struct OpenTxn {
     txn: u64,
-    streams: BTreeSet<u32>,
     tables: BTreeSet<String>,
     inserted: Vec<(String, RowId)>,
     deleted: Vec<(String, RowId)>,
@@ -444,17 +437,17 @@ struct History {
     gsn: u64,
     next_txn: u64,
     next_name: usize,
-    frames: Vec<(u32, u64, LogRecord)>,
+    frames: Vec<(u64, LogRecord)>,
     tables: BTreeMap<String, TableModel>,
     procs: BTreeSet<String>,
     open: Vec<OpenTxn>,
 }
 
 impl History {
-    fn log(&mut self, stream: u32, rec: LogRecord) {
+    fn log(&mut self, rec: LogRecord) {
         // A failed append burns its GSN: the sequence has holes.
         self.gsn += if self.rng.chance(1, 16) { 2 } else { 1 };
-        self.frames.push((stream, self.gsn, rec));
+        self.frames.push((self.gsn, rec));
     }
 
     fn fresh_name(&mut self, prefix: &str) -> String {
@@ -469,44 +462,25 @@ impl History {
 
     /// End `o`: every way a transaction's log can end.
     fn end(&mut self, o: OpenTxn) {
-        let streams: Vec<u32> = if o.streams.is_empty() {
-            vec![(o.txn % STREAMS as u64) as u32]
-        } else {
-            o.streams.iter().copied().collect()
-        };
         let txn = o.txn;
         let mut committed = false;
         let mut rolled_back = false;
         match self.rng.below(8) {
-            // Abort: one record per touched stream.
             0 => rolled_back = true,
-            // A cross-partition commit that reached only some of its
-            // streams — then the crash, or the failed commit's rollback.
-            1 | 2 if streams.len() > 1 => {
-                let participants = streams.clone();
-                let reached = 1 + self.rng.below(streams.len() - 1);
-                for &s in &streams[..reached] {
-                    let participants = participants.clone();
-                    self.log(s, LogRecord::CommitMulti { txn, participants });
-                }
+            // The commit record's append failed, burning its GSN — then the
+            // rollback, or (its append failing too) nothing: the log never
+            // decides the transaction while later ones go on.
+            1 => {
+                self.gsn += 1;
                 rolled_back = self.rng.chance(1, 2);
             }
             _ => {
                 committed = true;
-                if let [s] = streams[..] {
-                    self.log(s, LogRecord::Commit { txn });
-                } else {
-                    for &s in &streams {
-                        let participants = streams.clone();
-                        self.log(s, LogRecord::CommitMulti { txn, participants });
-                    }
-                }
+                self.log(LogRecord::Commit { txn });
             }
         }
         if rolled_back {
-            for &s in &streams {
-                self.log(s, LogRecord::Abort { txn });
-            }
+            self.log(LogRecord::Abort { txn });
         }
         if committed {
             for (t, id) in &o.inserted {
@@ -600,10 +574,8 @@ impl History {
                 }
             }
         };
-        let stream = stream_of(&table);
-        self.open[i].streams.insert(stream);
         self.open[i].tables.insert(table);
-        self.log(stream, rec);
+        self.log(rec);
     }
 
     /// A catalog change in a transaction of its own, committed or aborted,
@@ -619,11 +591,9 @@ impl History {
             .cloned()
             .collect();
         let names: Vec<String> = self.tables.keys().cloned().collect();
-        let stream;
         match self.rng.below(5) {
             0 | 1 if !names.is_empty() => {
                 let table = names[self.rng.below(names.len())].clone();
-                stream = stream_of(&table);
                 let rec = match self.tables[&table].index.clone() {
                     Some(name) => LogRecord::DropIndex {
                         txn,
@@ -643,15 +613,14 @@ impl History {
                         _ => None,
                     };
                 }
-                self.log(stream, rec);
+                self.log(rec);
             }
             2 if idle.len() > 1 => {
                 let name = idle[self.rng.below(idle.len())].clone();
-                stream = stream_of(&name);
                 if commit {
                     self.tables.remove(&name);
                 }
-                self.log(stream, LogRecord::DropTable { txn, name });
+                self.log(LogRecord::DropTable { txn, name });
             }
             3 => {
                 let name = match self.procs.iter().next().cloned() {
@@ -659,38 +628,33 @@ impl History {
                         if commit {
                             self.procs.remove(&name);
                         }
-                        self.log(0, LogRecord::DropProc { txn, name });
+                        self.log(LogRecord::DropProc { txn, name });
                         None
                     }
                     _ => Some(self.fresh_name("p")),
                 };
-                stream = 0;
                 if let Some(name) = name {
                     let sql = format!("CREATE PROCEDURE {name} AS SELECT 1");
                     if commit {
                         self.procs.insert(name.clone());
                     }
-                    self.log(0, LogRecord::CreateProc { txn, name, sql });
+                    self.log(LogRecord::CreateProc { txn, name, sql });
                 }
             }
             _ => {
                 let name = self.fresh_name("t");
-                stream = stream_of(&name);
                 let def = history_def(&name);
-                self.log(stream, LogRecord::CreateTable { txn, def });
+                self.log(LogRecord::CreateTable { txn, def });
                 let n = self.rng.below(4) as u64;
                 if n > 0 {
                     let rows = (1..=n).map(|id| history_row(id, 0)).collect();
                     let table = name.clone();
-                    self.log(
-                        stream,
-                        LogRecord::InsertMany {
-                            txn,
-                            table,
-                            first_row_id: 1,
-                            rows,
-                        },
-                    );
+                    self.log(LogRecord::InsertMany {
+                        txn,
+                        table,
+                        first_row_id: 1,
+                        rows,
+                    });
                 }
                 if commit {
                     let model = TableModel {
@@ -708,7 +672,7 @@ impl History {
         } else {
             LogRecord::Abort { txn }
         };
-        self.log(stream, end);
+        self.log(end);
     }
 
     /// `steps` random moves; whatever is still open at the end is the
@@ -720,7 +684,6 @@ impl History {
                     let txn = self.begin();
                     self.open.push(OpenTxn {
                         txn,
-                        streams: BTreeSet::new(),
                         tables: BTreeSet::new(),
                         inserted: Vec::new(),
                         deleted: Vec::new(),
@@ -743,13 +706,10 @@ impl History {
     }
 }
 
-/// Append `frames` to the logs in `dir`, each to its own stream.
-fn append_frames(dir: &Path, frames: &[(u32, u64, LogRecord)]) {
-    let mut wals: BTreeMap<u32, Wal> = BTreeMap::new();
-    for (stream, gsn, rec) in frames {
-        let wal = wals
-            .entry(*stream)
-            .or_insert_with(|| Wal::open(Durable::wal_path(dir, *stream as usize)).unwrap());
+/// Append `frames` to the log in `dir`.
+fn append_frames(dir: &Path, frames: &[(u64, LogRecord)]) {
+    let mut wal = Wal::open(Durable::wal_path(dir)).unwrap();
+    for (gsn, rec) in frames {
         wal.append(&frame_payload(*gsn, &rec.encode())).unwrap();
     }
 }
@@ -806,11 +766,7 @@ fn run_history(seed: u64) {
         open: Vec::new(),
     };
     if seed.is_multiple_of(2) {
-        let opts = RecoveryOptions {
-            partitions: Some(STREAMS),
-            ..RecoveryOptions::default()
-        };
-        let db = Durable::open_opts(&base, Durability::Buffered, &opts).unwrap();
+        let db = Durable::open(&base, Durability::Buffered).unwrap();
         for round in 0..2 {
             let t = db.begin().unwrap();
             for name in ["ta", "tb", "tc"] {
@@ -837,21 +793,12 @@ fn run_history(seed: u64) {
             db.commit(t).unwrap();
             if round == 0 {
                 // Every fourth seed crashes its checkpoint between the
-                // manifest and the discard of the rotated logs: records at
+                // manifest and the discard of the rotated log: records at
                 // or below the mark are on disk beside the image.
-                let rotated: Vec<(PathBuf, Vec<u8>)> = (0..STREAMS)
-                    .map(|k| Durable::wal_path(&base, k))
-                    .filter(|log| log.exists())
-                    .map(|log| {
-                        let old = format!("{}.old", log.display());
-                        (PathBuf::from(old), std::fs::read(&log).unwrap())
-                    })
-                    .collect();
+                let rotated = std::fs::read(Durable::wal_path(&base)).unwrap();
                 db.checkpoint().unwrap();
                 if seed.is_multiple_of(4) {
-                    for (old, bytes) in rotated {
-                        std::fs::write(old, bytes).unwrap();
-                    }
+                    std::fs::write(base.join("phoenix.wal.old"), rotated).unwrap();
                 }
             }
         }
@@ -893,11 +840,11 @@ fn run_history(seed: u64) {
         let q = p + h.rng.below(h.frames.len() - p + 1);
         for (i, frame) in h.frames[p..q].iter().enumerate() {
             append_frames(&dir, std::slice::from_ref(frame));
-            let (stream, gsn, rec) = frame.clone();
-            applier.feed(stream, gsn, rec).unwrap();
+            let (gsn, rec) = frame.clone();
+            applier.feed(gsn, rec).unwrap();
             if h.rng.chance(1, 8) {
-                let (stream, gsn, rec) = h.frames[p + i / 2].clone();
-                applier.feed(stream, gsn, rec).unwrap();
+                let (gsn, rec) = h.frames[p + i / 2].clone();
+                applier.feed(gsn, rec).unwrap();
             }
         }
         append_frames(&dir, &h.frames[q..]);
@@ -960,11 +907,7 @@ fn table_image(db: &Durable, name: &str) -> Result<TableImage, String> {
 /// reopen, and must agree at every step.
 fn run_lazy_history(seed: u64) {
     let what = format!("seed {seed}");
-    let opts = RecoveryOptions {
-        partitions: Some(STREAMS),
-        ..RecoveryOptions::default()
-    };
-    let open = |dir: &Path| Durable::open_opts(dir, Durability::Buffered, &opts).unwrap();
+    let open = |dir: &Path| Durable::open(dir, Durability::Buffered).unwrap();
     let base = temp_dir();
     let mut h = History {
         rng: Rng(seed ^ 0x1a2b),

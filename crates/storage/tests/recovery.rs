@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use phoenix_chaos as chaos;
-use phoenix_storage::db::{Durability, Durable, RecoveryOptions};
+use phoenix_storage::db::{Durability, Durable};
 use phoenix_storage::types::{Column, DataType, Row, Schema, TableDef, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -281,95 +281,15 @@ fn failed_checkpoint_then_retry_merges_rotated_log() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The same workload driven through a 1-partition layout and a 4-partition
-/// layout must recover to bit-identical final snapshots: the GSN merge of
-/// the N streams reconstructs exactly the single-stream append order.
+/// Commit atomicity across a *real* crash window: a transaction that wrote
+/// two tables dies mid-append of its one commit record. The torn frame is
+/// discarded on reopen, so neither table shows the transaction's rows.
 #[test]
-fn gsn_merge_recovery_matches_single_stream() {
+fn torn_commit_of_a_two_table_txn_rolls_back_both() {
     let _serial = one_at_a_time();
-    // Tables chosen to spread over several partitions at n=4.
-    let tables = ["dbo.a", "dbo.b", "dbo.c", "dbo.late"];
-
-    type Dump = Vec<(String, u64, Vec<(u64, Row)>)>;
-    let run = |partitions: usize| -> Dump {
-        let dir = temp_dir(&format!("gsn-merge-{partitions}"));
-        let opts = RecoveryOptions {
-            partitions: Some(partitions),
-            ..RecoveryOptions::default()
-        };
-        {
-            let db = Durable::open_opts(&dir, Durability::Fsync, &opts).unwrap();
-            let t = db.begin().unwrap();
-            for name in &tables[..3] {
-                db.create_table(t, def(name)).unwrap();
-            }
-            db.commit(t).unwrap();
-            for i in 0..30i64 {
-                // Cross-partition transactions, aborts, updates, deletes.
-                let t = db.begin().unwrap();
-                db.insert(t, "dbo.a", row(i, "a")).unwrap();
-                db.insert(t, "dbo.b", row(i * 2, "b")).unwrap();
-                if i % 3 == 0 {
-                    db.insert(t, "dbo.c", row(i, "c")).unwrap();
-                }
-                if i % 7 == 0 {
-                    // Row 1 always exists (inserted at i = 0, never deleted);
-                    // aborted ghosts burn row ids, so computed ids are unsafe.
-                    db.update(t, "dbo.a", 1, row(0, "updated")).unwrap();
-                }
-                db.commit(t).unwrap();
-                if i % 5 == 0 {
-                    let a = db.begin().unwrap();
-                    db.insert(a, "dbo.a", row(1000 + i, "ghost")).unwrap();
-                    db.insert(a, "dbo.b", row(1000 + i, "ghost")).unwrap();
-                    db.abort(a).unwrap();
-                }
-            }
-            let t = db.begin().unwrap();
-            db.create_table(t, def("dbo.late")).unwrap();
-            db.insert(t, "dbo.late", row(1, "l")).unwrap();
-            db.delete(t, "dbo.b", 1).unwrap();
-            db.commit(t).unwrap();
-            // Crash: drop without checkpoint.
-        }
-        let db = Durable::open_opts(&dir, Durability::Fsync, &opts).unwrap();
-        let snap = db.snapshot();
-        let dump = tables
-            .iter()
-            .map(|name| {
-                let t = snap.table(name).unwrap();
-                let mut rows: Vec<_> = t.rows.iter().map(|(id, r)| (*id, r.clone())).collect();
-                rows.sort_by_key(|(id, _)| *id);
-                (name.to_string(), t.next_row_id, rows)
-            })
-            .collect();
-        drop(snap);
-        std::fs::remove_dir_all(&dir).unwrap();
-        dump
-    };
-
-    assert_eq!(
-        run(1),
-        run(4),
-        "merged-stream recovery must be bit-identical to single-stream"
-    );
-}
-
-/// Cross-partition commit atomicity across a *real* crash window: tear the
-/// WAL append of the second participant's CommitMulti record, so partition
-/// 0 holds a durable commit record and partition 1 holds none. Recovery
-/// must roll the whole transaction back.
-#[test]
-fn torn_cross_partition_commit_rolls_back_everywhere() {
-    let _serial = one_at_a_time();
-    let dir = temp_dir("torn-multi-commit");
-    let opts = RecoveryOptions {
-        partitions: Some(2),
-        ..RecoveryOptions::default()
-    };
-    // At n=2, "acct" → partition 0 and "dbo.acct" → partition 1.
+    let dir = temp_dir("torn-commit");
     {
-        let db = Durable::open_opts(&dir, Durability::Fsync, &opts).unwrap();
+        let db = Durable::open(&dir, Durability::Fsync).unwrap();
         let t = db.begin().unwrap();
         db.create_table(t, def("acct")).unwrap();
         db.create_table(t, def("dbo.acct")).unwrap();
@@ -379,32 +299,26 @@ fn torn_cross_partition_commit_rolls_back_everywhere() {
         let t = db.begin().unwrap();
         db.insert(t, "acct", row(2, "debit")).unwrap();
         db.insert(t, "dbo.acct", row(2, "credit")).unwrap();
-        // The commit appends CommitMulti to partition 0 first (participants
-        // ascend), then dies mid-append on partition 1's stream. Visits
-        // count from arming, so partition 1's first armed append *is* the
-        // CommitMulti record.
-        let guard = chaos::arm(chaos::Schedule::new().torn_at("wal.append.p1", 1, 5));
+        // Visits count from arming, so the first armed append *is* the
+        // commit record.
+        let guard = chaos::arm(chaos::Schedule::new().torn_at("wal.append", 1, 5));
         db.commit(t).unwrap_err();
         assert_eq!(guard.fired().len(), 1);
         drop(guard);
         // Process crash.
     }
     {
-        let db = Durable::open_opts(&dir, Durability::Fsync, &opts).unwrap();
-        assert_eq!(
-            ids(&db, "acct"),
-            vec![1],
-            "partial cross-partition commit must roll back"
-        );
+        let db = Durable::open(&dir, Durability::Fsync).unwrap();
+        assert_eq!(ids(&db, "acct"), vec![1], "torn commit must roll back");
         assert_eq!(ids(&db, "dbo.acct"), Vec::<i64>::new());
-        // And the database keeps working, including cross-partition txns.
+        // And the database keeps working, two-table transactions included.
         let t = db.begin().unwrap();
         db.insert(t, "acct", row(3, "x")).unwrap();
         db.insert(t, "dbo.acct", row(3, "y")).unwrap();
         db.commit(t).unwrap();
     }
     {
-        let db = Durable::open_opts(&dir, Durability::Fsync, &opts).unwrap();
+        let db = Durable::open(&dir, Durability::Fsync).unwrap();
         assert_eq!(ids(&db, "acct"), vec![1, 3]);
         assert_eq!(ids(&db, "dbo.acct"), vec![3]);
     }

@@ -125,7 +125,7 @@ pub enum Request {
         protocol: u32,
     },
     /// A batch of WAL frames shipped primary → standby, in strict GSN
-    /// order. The standby appends each to its own per-partition log, fsyncs,
+    /// order. The standby appends each to its own log, fsyncs,
     /// applies, and answers [`Response::ReplAck`] with its new watermark. An
     /// empty batch is a heartbeat (resets the standby's auto-promotion
     /// timer) and is acked like any other.
@@ -147,14 +147,11 @@ pub enum Request {
     },
 }
 
-/// One replicated WAL frame: a partition-tagged, GSN-stamped log record,
-/// byte-identical to the source stream's frame payload (minus the GSN
-/// prefix, carried explicitly here).
+/// One replicated WAL frame: a GSN-stamped log record, byte-identical to
+/// the primary's WAL frame payload (minus the GSN prefix, carried
+/// explicitly here). On the wire: `[gsn u64][len u32][record]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplFrame {
-    /// Which of the primary's partition streams the record came from — the
-    /// standby appends it to the same stream index of its own directory.
-    pub partition: u8,
     /// The record's global sequence number.
     pub gsn: u64,
     /// The encoded `LogRecord` bytes (opaque to the wire layer).
@@ -510,7 +507,6 @@ impl Request {
                 buf.put_u64_le(*epoch);
                 buf.put_u32_le(frames.len() as u32);
                 for f in frames {
-                    buf.put_u8(f.partition);
                     buf.put_u64_le(f.gsn);
                     buf.put_u32_le(f.record.len() as u32);
                     buf.extend_from_slice(&f.record);
@@ -627,10 +623,9 @@ impl Request {
                 let n = buf.get_u32_le() as usize;
                 let mut frames = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
-                    if buf.remaining() < 13 {
+                    if buf.remaining() < 12 {
                         return Err(DecodeError("truncated repl frame".into()));
                     }
-                    let partition = buf.get_u8();
                     let gsn = buf.get_u64_le();
                     let len = buf.get_u32_le() as usize;
                     if buf.remaining() < len {
@@ -638,11 +633,7 @@ impl Request {
                     }
                     let record = buf[..len].to_vec();
                     buf.advance(len);
-                    frames.push(ReplFrame {
-                        partition,
-                        gsn,
-                        record,
-                    });
+                    frames.push(ReplFrame { gsn, record });
                 }
                 Request::ReplFrames { epoch, frames }
             }
@@ -973,12 +964,10 @@ mod tests {
             epoch: 3,
             frames: vec![
                 ReplFrame {
-                    partition: 0,
                     gsn: 41,
                     record: vec![1, 2, 3],
                 },
                 ReplFrame {
-                    partition: 7,
                     gsn: 42,
                     record: Vec::new(),
                 },
@@ -1097,7 +1086,6 @@ mod tests {
             Request::ReplFrames {
                 epoch: 1,
                 frames: vec![ReplFrame {
-                    partition: 1,
                     gsn: 9,
                     record: vec![0xAB],
                 }],

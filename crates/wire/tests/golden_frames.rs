@@ -225,12 +225,10 @@ fn golden_set() -> Vec<(&'static str, Vec<u8>)> {
                 epoch: 3,
                 frames: vec![
                     ReplFrame {
-                        partition: 0,
                         gsn: 41,
                         record: vec![0xDE, 0xAD, 0xBE, 0xEF],
                     },
                     ReplFrame {
-                        partition: 7,
                         gsn: 42,
                         record: Vec::new(),
                     },
