@@ -40,8 +40,8 @@ use phoenix_server::ServerHarness;
 
 use crate::{
     canonical_workload, enumerate_cases, explorer_config, explorer_engine_config, run_clean,
-    seed_workload, select_cases, watch_case, CaseOutcome, ChurnHooks, CrashCase, ExploreOptions,
-    Report, Violation,
+    seed_workload, select_cases, watch_case, CaseOutcome, CrashCase, ExploreOptions, Report,
+    Violation,
 };
 
 /// Engine tuning for failover cases: the canonical explorer config plus
@@ -219,24 +219,8 @@ pub fn run_failover_case(case: &FailoverCase) -> CaseOutcome {
 
     let output = {
         let churn_addrs = addrs.clone();
-        let connect_hook = move || connect_multi_retry(&churn_addrs, "churn");
-        let spill_harness = Arc::clone(&harness);
-        let spill_standby = Arc::clone(&standby);
-        let spill_promoted = Arc::clone(&promoted);
-        let spill_hook = move || {
-            // Spill on whichever incarnation currently serves sessions.
-            if spill_promoted.load(Ordering::SeqCst) {
-                let _ = spill_standby.with_engine(|e| e.spill_idle_sessions(Duration::ZERO));
-            } else {
-                let h = spill_harness.lock().unwrap();
-                let _ = h.with_engine(|e| e.spill_idle_sessions(Duration::ZERO));
-            }
-        };
-        let hooks = ChurnHooks {
-            connect: &connect_hook,
-            spill: &spill_hook,
-        };
-        canonical_workload(&mut pc, &hooks).map_err(|e| e.to_string())
+        let churn_connect = move || connect_multi_retry(&churn_addrs, "churn");
+        canonical_workload(&mut pc, &churn_connect).map_err(|e| e.to_string())
     };
 
     stop.store(true, Ordering::Relaxed);

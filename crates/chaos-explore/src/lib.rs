@@ -168,34 +168,17 @@ pub const WORKLOAD_INDEX: &[&str] = &[
 ];
 
 /// The session-churn phase, run by a *second* client. It builds up session
-/// state (a var, a temp table, real DML), goes idle, and is spilled to the
-/// durable `phoenix.sessiond_spill` table by [`ChurnHooks::spill`] — which
-/// also spills the main client's idle session. Both sessions must then
-/// restore transparently on their next statement. Crashing anywhere in the
-/// phase — including exactly at the `sessiond.spill` fault point — must
-/// leave every reply unchanged: a lost session is rebuilt by the client's
-/// context replay, a restored one is byte-identical by construction. The
-/// customer INSERT diverges observably (duplicate key) if applied twice.
+/// state (a var, a temp table, real DML) beside the main client's idle
+/// session, then reads it back. Crashing anywhere in the phase must leave
+/// every reply unchanged: a lost session is rebuilt by the client's context
+/// replay. The customer INSERT diverges observably (duplicate key) if
+/// applied twice.
 pub const WORKLOAD_CHURN: &[&str] = &[
     "SET app_name 'churn'",
     "CREATE TABLE #churn (v INT PRIMARY KEY)",
     "INSERT INTO #churn VALUES (1), (2), (3)",
     "INSERT INTO customer VALUES (3, 9, 'churn')",
 ];
-
-/// What the churn phase needs from the embedding harness.
-pub struct ChurnHooks<'a> {
-    /// Open a fresh Phoenix client against the same server, retrying until
-    /// it succeeds (a scheduled crash can land mid-login; the retried
-    /// connect produces no recorded replies, so retrying keeps the
-    /// workload's observable output crash-independent).
-    pub connect: &'a dyn Fn() -> PhoenixConnection,
-    /// Force the engine's spill pass: spill every idle session to the
-    /// durable table. Failures are swallowed — under an injected crash
-    /// there is nothing left to spill, and the clients rebuild instead of
-    /// restore.
-    pub spill: &'a dyn Fn(),
-}
 
 /// Create and populate the workload's table. Run *before* arming chaos so
 /// schedules align with [`run_clean`]'s trace.
@@ -210,12 +193,16 @@ pub fn seed_workload(pc: &mut PhoenixConnection) -> phoenix_core::Result<()> {
 }
 
 /// Run the canonical workload: wrapped DML, an application transaction, a
-/// materialized SELECT, a pipelined DML window, a session-churn phase with
-/// a forced session spill, a keyset-cursor scan, and a final full-table
-/// read.
+/// materialized SELECT, a pipelined DML window, a session-churn phase, a
+/// keyset-cursor scan, and a final full-table read.
+///
+/// `connect` opens the churn phase's fresh Phoenix clients against the same
+/// server, retrying until it succeeds (a scheduled crash can land
+/// mid-login; the retried connect produces no recorded replies, so
+/// retrying keeps the workload's observable output crash-independent).
 pub fn canonical_workload(
     pc: &mut PhoenixConnection,
-    hooks: &ChurnHooks<'_>,
+    connect: &dyn Fn() -> PhoenixConnection,
 ) -> phoenix_core::Result<WorkloadOutput> {
     let mut replies = Vec::new();
     for sql in WORKLOAD_DML {
@@ -243,23 +230,21 @@ pub fn canonical_workload(
         replies.push(format!("{r:?}"));
     }
 
-    // Session churn (see [`WORKLOAD_CHURN`]): second client, spill of every
-    // idle session — the main client's included — then transparent restore
-    // on the next statement of each, and an ephemeral third session.
+    // Session churn (see [`WORKLOAD_CHURN`]): a second client, then an
+    // ephemeral third session.
     {
-        let mut churn = (hooks.connect)();
+        let mut churn = connect();
         for sql in WORKLOAD_CHURN {
             let r = churn.execute(sql)?;
             replies.push(format!("churn {r:?}"));
         }
-        (hooks.spill)();
         let r = churn.execute("SELECT COUNT(*) FROM #churn")?;
         replies.push(format!("churn {r:?}"));
         let r = churn.execute("SELECT owed FROM customer WHERE id = 3")?;
         replies.push(format!("churn {r:?}"));
         churn.close();
 
-        let mut ephemeral = (hooks.connect)();
+        let mut ephemeral = connect();
         let r = ephemeral.execute("SELECT memo FROM customer WHERE id = 3")?;
         replies.push(format!("ephemeral {r:?}"));
         ephemeral.close();
@@ -382,15 +367,8 @@ pub fn run_clean() -> (WorkloadOutput, Vec<Visit>) {
     let guard = chaos::arm_traced(chaos::Schedule::new());
     let out = {
         let addr = h.addr();
-        let connect_hook = move || connect_with_retry(&addr, "churn");
-        let spill_hook = || {
-            let _ = h.with_engine(|e| e.spill_idle_sessions(Duration::ZERO));
-        };
-        let hooks = ChurnHooks {
-            connect: &connect_hook,
-            spill: &spill_hook,
-        };
-        canonical_workload(&mut pc, &hooks).expect("clean run must succeed")
+        let churn_connect = move || connect_with_retry(&addr, "churn");
+        canonical_workload(&mut pc, &churn_connect).expect("clean run must succeed")
     };
     let trace = guard.trace();
     drop(guard);
@@ -490,17 +468,8 @@ pub fn run_case(case: &CrashCase) -> CaseOutcome {
 
     let output = {
         let addr = { harness.lock().unwrap().addr() };
-        let connect_hook = move || connect_with_retry(&addr, "churn");
-        let spill_harness = Arc::clone(&harness);
-        let spill_hook = move || {
-            let h = spill_harness.lock().unwrap();
-            let _ = h.with_engine(|e| e.spill_idle_sessions(Duration::ZERO));
-        };
-        let hooks = ChurnHooks {
-            connect: &connect_hook,
-            spill: &spill_hook,
-        };
-        canonical_workload(&mut pc, &hooks).map_err(|e| e.to_string())
+        let churn_connect = move || connect_with_retry(&addr, "churn");
+        canonical_workload(&mut pc, &churn_connect).map_err(|e| e.to_string())
     };
 
     stop.store(true, Ordering::Relaxed);

@@ -92,7 +92,6 @@ fn clean_trace_is_deterministic_and_enumerates_100_plus_points() {
         "wire.write_frame",
         "server.pipeline_dequeue",
         "server.reply_send",
-        "sessiond.spill",
     ] {
         assert!(
             trace_a.iter().any(|v| v.point == point),

@@ -59,9 +59,6 @@ pub struct Cursor {
     pub schema: Schema,
     /// The kind actually granted (may be a downgrade from the request).
     pub kind: CursorKind,
-    /// The SELECT this cursor was opened over, rendered back to SQL. Dynamic
-    /// cursors are rebuilt from this text when a spilled session is restored.
-    select_sql: String,
     state: State,
 }
 
@@ -135,7 +132,6 @@ impl Cursor {
             id,
             schema: rs.schema,
             kind: CursorKind::ForwardOnly,
-            select_sql: render_select(select),
             state: State::Materialized {
                 rows: rs.rows,
                 pos: 0,
@@ -165,7 +161,6 @@ impl Cursor {
             id,
             schema,
             kind: CursorKind::Keyset,
-            select_sql: render_select(select),
             state: State::Keyset {
                 table,
                 keys: rs.rows,
@@ -194,7 +189,6 @@ impl Cursor {
             id,
             schema,
             kind: CursorKind::Dynamic,
-            select_sql: render_select(select),
             state: State::Dynamic {
                 table,
                 predicate,
@@ -362,208 +356,6 @@ impl Cursor {
     }
 }
 
-// -- spill serialization -----------------------------------------------------
-//
-// A spilled session writes its open cursors into the durable
-// `phoenix.sessiond_spill` payload. Materialized and keyset cursors are
-// position-exact: their captured rows / keys and the delivery position are
-// serialized verbatim, so restore continues from the same row with the same
-// membership. Dynamic cursors carry no captured set by design — they are
-// rebuilt from the rendered SELECT text against the *current* catalog, and
-// the last-delivered key is re-seeded so the next FETCH NEXT resumes after
-// it (exactly the paper's §3 dynamic-cursor recovery contract).
-
-const SPILL_MATERIALIZED: u8 = 0;
-const SPILL_KEYSET: u8 = 1;
-const SPILL_DYNAMIC: u8 = 2;
-
-use phoenix_storage::codec::{
-    get_row, get_schema, get_str, put_row, put_schema, put_str, DecodeError,
-};
-
-fn spill_err(e: DecodeError) -> EngineError {
-    EngineError::new(ErrorCode::Storage, format!("cursor spill: {e}"))
-}
-
-fn need(buf: &[u8], n: usize) -> Result<()> {
-    if buf.len() < n {
-        Err(EngineError::new(
-            ErrorCode::Storage,
-            "cursor spill: truncated payload",
-        ))
-    } else {
-        Ok(())
-    }
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    need(buf, 1)?;
-    let v = buf[0];
-    *buf = &buf[1..];
-    Ok(v)
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    need(buf, 8)?;
-    let v = u64::from_le_bytes(buf[..8].try_into().unwrap());
-    *buf = &buf[8..];
-    Ok(v)
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_object_name(buf: &mut Vec<u8>, name: &ObjectName) {
-    buf.push(name.namespace.is_some() as u8);
-    if let Some(ns) = &name.namespace {
-        put_str(buf, ns);
-    }
-    put_str(buf, &name.name);
-}
-
-fn get_object_name(buf: &mut &[u8]) -> Result<ObjectName> {
-    let has_ns = get_u8(buf)? != 0;
-    let namespace = if has_ns {
-        Some(get_str(buf).map_err(spill_err)?)
-    } else {
-        None
-    };
-    let name = get_str(buf).map_err(spill_err)?;
-    Ok(ObjectName { namespace, name })
-}
-
-impl Cursor {
-    /// Serialize this cursor into a spill payload.
-    pub(crate) fn spill_encode(&self, buf: &mut Vec<u8>) {
-        put_u64(buf, self.id);
-        put_str(buf, &self.select_sql);
-        match &self.state {
-            State::Materialized { rows, pos } => {
-                buf.push(SPILL_MATERIALIZED);
-                put_schema(buf, &self.schema);
-                put_u64(buf, *pos as u64);
-                put_u64(buf, rows.len() as u64);
-                for row in rows {
-                    put_row(buf, row);
-                }
-            }
-            State::Keyset {
-                table,
-                keys,
-                pos,
-                projection,
-            } => {
-                buf.push(SPILL_KEYSET);
-                put_schema(buf, &self.schema);
-                put_object_name(buf, table);
-                put_u64(buf, *pos as u64);
-                put_u64(buf, keys.len() as u64);
-                for key in keys {
-                    put_row(buf, key);
-                }
-                put_u64(buf, projection.len() as u64);
-                for &i in projection {
-                    put_u64(buf, i as u64);
-                }
-            }
-            State::Dynamic { last_key, .. } => {
-                buf.push(SPILL_DYNAMIC);
-                buf.push(last_key.is_some() as u8);
-                if let Some(k) = last_key {
-                    put_row(buf, k);
-                }
-            }
-        }
-    }
-
-    /// Rebuild a cursor from a spill payload. Needs the catalog because
-    /// dynamic cursors are re-opened against the current state of the world.
-    pub(crate) fn spill_decode(buf: &mut &[u8], catalog: &dyn Catalog) -> Result<Cursor> {
-        let id = get_u64(buf)?;
-        let select_sql = get_str(buf).map_err(spill_err)?;
-        match get_u8(buf)? {
-            SPILL_MATERIALIZED => {
-                let schema = get_schema(buf).map_err(spill_err)?;
-                let pos = get_u64(buf)? as usize;
-                let n = get_u64(buf)? as usize;
-                let mut rows = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    rows.push(get_row(buf).map_err(spill_err)?);
-                }
-                Ok(Cursor {
-                    id,
-                    schema,
-                    kind: CursorKind::ForwardOnly,
-                    select_sql,
-                    state: State::Materialized { rows, pos },
-                })
-            }
-            SPILL_KEYSET => {
-                let schema = get_schema(buf).map_err(spill_err)?;
-                let table = get_object_name(buf)?;
-                let pos = get_u64(buf)? as usize;
-                let n = get_u64(buf)? as usize;
-                let mut keys = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    keys.push(get_row(buf).map_err(spill_err)?);
-                }
-                let np = get_u64(buf)? as usize;
-                let mut projection = Vec::with_capacity(np.min(1 << 16));
-                for _ in 0..np {
-                    projection.push(get_u64(buf)? as usize);
-                }
-                Ok(Cursor {
-                    id,
-                    schema,
-                    kind: CursorKind::Keyset,
-                    select_sql,
-                    state: State::Keyset {
-                        table,
-                        keys,
-                        pos,
-                        projection,
-                    },
-                })
-            }
-            SPILL_DYNAMIC => {
-                let last_key = if get_u8(buf)? != 0 {
-                    Some(get_row(buf).map_err(spill_err)?)
-                } else {
-                    None
-                };
-                let select = match phoenix_sql::parser::parse_statement(&select_sql)? {
-                    phoenix_sql::ast::Statement::Select(s) => s,
-                    _ => {
-                        return Err(EngineError::internal(
-                            "spilled dynamic cursor text is not a SELECT",
-                        ))
-                    }
-                };
-                let mut cursor = Cursor::open(id, &select, CursorKind::Dynamic, catalog)?;
-                if cursor.kind != CursorKind::Dynamic {
-                    return Err(EngineError::new(
-                        ErrorCode::Cursor,
-                        "spilled dynamic cursor no longer qualifies (table or key changed)",
-                    ));
-                }
-                if let State::Dynamic { last_key: slot, .. } = &mut cursor.state {
-                    *slot = last_key;
-                }
-                Ok(cursor)
-            }
-            other => Err(EngineError::new(
-                ErrorCode::Storage,
-                format!("cursor spill: unknown state tag {other}"),
-            )),
-        }
-    }
-}
-
-fn render_select(select: &SelectStmt) -> String {
-    phoenix_sql::display::render_statement(&phoenix_sql::ast::Statement::Select(select.clone()))
-}
-
 fn row_passes(pred: Option<&Scalar>, row: &Row) -> Result<bool> {
     pred.map_or(Ok(true), |p| p.holds(&[row.as_slice()]))
 }
@@ -585,7 +377,7 @@ fn projected_schema(data: &phoenix_storage::store::TableData, projection: &[usiz
 /// ORDER BY is allowed only when `allow_order` is set (keyset requests):
 /// the keyset captures qualifying keys in the query's own order — with a
 /// secondary index on the sort column the planner serves that order by an
-/// index walk, and restore replays the captured sequence position-exact.
+/// index walk, and fetches deliver the captured sequence position-exact.
 /// Dynamic cursors walk primary-key order by construction, so any ORDER BY
 /// still downgrades them.
 #[allow(clippy::type_complexity)]
@@ -878,7 +670,7 @@ mod tests {
     }
 
     #[test]
-    fn keyset_order_by_rides_index_and_restores_position_exact() {
+    fn keyset_order_by_rides_index() {
         let mut c = cat();
         c.store
             .table_mut("dbo.orders")
@@ -905,15 +697,9 @@ mod tests {
             ]
         );
 
-        // Spill and restore: the captured order and position come back
-        // verbatim, so delivery resumes mid-sequence with no re-sort.
-        let mut buf = Vec::new();
-        cur.spill_encode(&mut buf);
-        let mut slice = buf.as_slice();
-        let mut restored = Cursor::spill_decode(&mut slice, &c).unwrap();
-        assert_eq!(restored.kind, CursorKind::Keyset);
-        assert_eq!(restored.position(), Some(3));
-        let f = restored.fetch(FetchDir::Next, 3, &c).unwrap();
+        // The next block continues the captured order from the position.
+        assert_eq!(cur.position(), Some(3));
+        let f = cur.fetch(FetchDir::Next, 3, &c).unwrap();
         assert_eq!(
             f.rows,
             vec![

@@ -84,12 +84,10 @@ pub struct EngineConfig {
     /// Bounded fsync delay for the group-commit leader, in microseconds.
     /// `0` (the default) flushes immediately.
     pub group_commit_window_us: u64,
-    /// Cap on concurrently *resident* (in-memory) sessions. When a new
-    /// session would exceed the cap, the engine spills the least-recently
-    /// active idle session to the durable spill table to make room; if no
-    /// session is spillable the caller gets [`ErrorCode::Busy`] — a
-    /// retryable error by the driver's taxonomy. `None` (the default)
-    /// disables the cap.
+    /// Cap on concurrently open sessions: admission control. A login that
+    /// would exceed the cap is refused with [`ErrorCode::Busy`] — a
+    /// retryable error by the driver's taxonomy — until a session closes.
+    /// `None` (the default) disables the cap.
     pub max_sessions: Option<usize>,
     /// Commit acknowledgement mode relative to replication. `Async` (the
     /// default) acknowledges on primary fsync; `SemiSync` waits for the
@@ -160,53 +158,19 @@ impl ExecResult {
     }
 }
 
-/// A session catalog entry: the session's state behind its own mutex, plus
-/// a lock-free last-activity stamp the lifecycle manager reads to pick
-/// idle-spill and LRU-eviction victims without touching the state lock.
-pub(crate) struct SessionEntry {
-    /// The session's state; statements serialize on this mutex.
-    pub(crate) state: Mutex<SessionState>,
-    /// `phoenix_obs::now_us()` of the last engine call that touched this
-    /// session.
-    pub(crate) last_active: AtomicU64,
-}
-
-impl SessionEntry {
-    pub(crate) fn new(state: SessionState) -> SessionEntry {
-        SessionEntry {
-            state: Mutex::new(state),
-            last_active: AtomicU64::new(phoenix_obs::now_us()),
-        }
-    }
-
-    pub(crate) fn touch(&self) {
-        self.last_active
-            .store(phoenix_obs::now_us(), Ordering::Relaxed);
-    }
-}
-
 /// The database engine. Shared across connection threads (`&self` API).
 pub struct Engine {
-    pub(crate) durable: Durable,
+    durable: Durable,
     /// Session catalog. The outer lock is held only to look up / insert /
     /// remove entries; each session's statements serialize on its own mutex.
-    pub(crate) sessions: RwLock<HashMap<SessionId, Arc<SessionEntry>>>,
-    pub(crate) next_session: AtomicU64,
+    sessions: RwLock<HashMap<SessionId, Arc<Mutex<SessionState>>>>,
+    next_session: AtomicU64,
     next_cursor: AtomicU64,
-    pub(crate) config: EngineConfig,
+    config: EngineConfig,
     /// Every entry point holds this in shared mode for the duration of the
     /// call; [`Engine::stall`] takes it exclusively so the test harness can
     /// freeze the server without killing it.
-    pub(crate) stall_gate: RwLock<()>,
-    /// Server-incarnation stamp baked into spill-table keys so rows written
-    /// by a previous incarnation can never be mistaken for live spills after
-    /// a crash (stale rows age out via the retention window instead).
-    pub(crate) incarnation: u64,
-    /// Index of sessions currently spilled to the durable spill table.
-    /// A session id is in *either* `sessions` or here, never both; after a
-    /// crash the index starts empty, which is what makes stale spill rows
-    /// unrestorable. Lock order: `spilled` before `sessions`.
-    pub(crate) spilled: Mutex<HashMap<SessionId, crate::spill::SpilledInfo>>,
+    stall_gate: RwLock<()>,
     /// Data directory, kept for epoch/fence marker persistence.
     data_dir: std::path::PathBuf,
     /// Replication epoch this incarnation serves under, read from the
@@ -278,11 +242,6 @@ impl Engine {
         if config.commit_mode == CommitMode::SemiSync {
             durable.set_commit_wait(Some(std::time::Duration::from_secs(2)));
         }
-        let incarnation = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(1)
-            & (i64::MAX as u64);
         Ok(Engine {
             durable,
             sessions: RwLock::new(HashMap::new()),
@@ -290,8 +249,6 @@ impl Engine {
             next_cursor: AtomicU64::new(1),
             config,
             stall_gate: RwLock::new(()),
-            incarnation,
-            spilled: Mutex::new(HashMap::new()),
             data_dir: dir.to_path_buf(),
             epoch,
         })
@@ -431,24 +388,35 @@ impl Engine {
     /// [`Engine::try_create_session`] instead.
     pub fn create_session(&self, user: &str) -> SessionId {
         let _gate = self.stall_gate.read();
-        self.install_session(user)
+        self.install_session(&mut self.sessions.write(), user)
     }
 
-    pub(crate) fn install_session(&self, user: &str) -> SessionId {
+    /// Open a session for `user` unless `max_sessions` are already open, in
+    /// which case the caller gets a retryable [`ErrorCode::Busy`]. The cap
+    /// check and the insert happen under one catalog write lock, so
+    /// concurrent logins cannot all pass a stale check.
+    pub fn try_create_session(&self, user: &str) -> Result<SessionId> {
+        let _gate = self.stall_gate.read();
         let mut sessions = self.sessions.write();
-        self.install_session_locked(&mut sessions, user)
+        match self.config.max_sessions {
+            Some(cap) if sessions.len() >= cap => {
+                engine_metrics().sessions_refused.inc();
+                Err(EngineError::new(
+                    ErrorCode::Busy,
+                    format!("session limit {cap} reached; retry"),
+                ))
+            }
+            _ => Ok(self.install_session(&mut sessions, user)),
+        }
     }
 
-    /// Install a session while the caller already holds the catalog write
-    /// lock — lets `try_create_session` make its cap check and insert one
-    /// atomic critical section.
-    pub(crate) fn install_session_locked(
+    fn install_session(
         &self,
-        sessions: &mut HashMap<SessionId, Arc<SessionEntry>>,
+        sessions: &mut HashMap<SessionId, Arc<Mutex<SessionState>>>,
         user: &str,
     ) -> SessionId {
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-        sessions.insert(id, Arc::new(SessionEntry::new(SessionState::new(id, user))));
+        sessions.insert(id, Arc::new(Mutex::new(SessionState::new(id, user))));
         let m = engine_metrics();
         m.sessions_opened.inc();
         m.sessions_active.inc();
@@ -463,14 +431,13 @@ impl Engine {
     /// finish before tearing the session down.
     pub fn close_session(&self, sid: SessionId) -> Result<()> {
         let _gate = self.stall_gate.read();
-        let session = match self.sessions.write().remove(&sid) {
-            Some(s) => s,
-            // Temp objects die when a session terminates for any reason, so
-            // closing a *spilled* session discards its durable spill row.
-            None => return self.close_spilled_session(sid),
-        };
+        let session = self
+            .sessions
+            .write()
+            .remove(&sid)
+            .ok_or_else(|| no_session(sid))?;
         let (txn, temp_tables) = {
-            let mut s = session.state.lock();
+            let mut s = session.lock();
             (s.txn.take(), s.temp.tables().count() as i64)
         };
         let m = engine_metrics();
@@ -482,40 +449,22 @@ impl Engine {
         Ok(())
     }
 
-    /// Look up a session's shared handle. A session that was spilled to the
-    /// durable spill table is transparently restored — the caller can't tell
-    /// the difference, which is the lifecycle manager's contract.
-    pub(crate) fn session(&self, sid: SessionId) -> Result<Arc<SessionEntry>> {
-        if let Some(entry) = self.sessions.read().get(&sid).cloned() {
-            entry.touch();
-            return Ok(entry);
-        }
-        self.restore_session(sid)
-    }
-
-    /// Look up a session and run `f` with its state mutex held, re-validating
-    /// after the lock is acquired: the lifecycle manager may spill a session
-    /// *between* the catalog lookup (which only clones the `Arc`) and the
-    /// state-lock acquisition. Executing against such an orphaned entry would
-    /// silently discard the statement's session-state effects when the
-    /// session is later restored from the spill row, so on a tombstone we
-    /// retry the lookup — which restores the durable copy.
+    /// Look up a session and run `f` with its state mutex held. The catalog
+    /// lock is released before the session's own lock is taken, so a
+    /// statement on one session never blocks a lookup of another.
     fn with_session_state<R>(
         &self,
         sid: SessionId,
         f: impl FnOnce(&mut SessionState) -> Result<R>,
     ) -> Result<R> {
-        let mut f = Some(f);
-        loop {
-            let entry = self.session(sid)?;
-            let mut state = entry.state.lock();
-            if state.spilled_out {
-                drop(state);
-                continue;
-            }
-            let f = f.take().expect("validated-session closure runs once");
-            return f(&mut state);
-        }
+        let entry = self
+            .sessions
+            .read()
+            .get(&sid)
+            .cloned()
+            .ok_or_else(|| no_session(sid))?;
+        let mut state = entry.lock();
+        f(&mut state)
     }
 
     /// Current value of a session's SET option (observability/test hook; the
@@ -1070,7 +1019,7 @@ impl Engine {
         {
             let sessions = self.sessions.read();
             for s in sessions.values() {
-                if let Some(s) = s.state.try_lock() {
+                if let Some(s) = s.try_lock() {
                     if s.txn.is_some() {
                         return Err(EngineError::new(
                             ErrorCode::Txn,
@@ -1095,7 +1044,7 @@ impl Engine {
                     .sessions
                     .read()
                     .values()
-                    .all(|s| s.state.try_lock().map(|g| g.txn.is_none()).unwrap_or(false));
+                    .all(|s| s.try_lock().map(|g| g.txn.is_none()).unwrap_or(false));
                 if quiescent {
                     // Best effort, and non-blocking: `try_checkpoint` skips
                     // the round when another writer holds the working store
@@ -1107,6 +1056,10 @@ impl Engine {
             }
         }
     }
+}
+
+fn no_session(sid: SessionId) -> EngineError {
+    EngineError::new(ErrorCode::NoSession, format!("no session {sid}"))
 }
 
 /// Look up a table definition through the view (shared out so the view's
@@ -1422,6 +1375,47 @@ mod tests {
             e.execute(s3, "SELECT * FROM #w").unwrap_err().code,
             ErrorCode::NotFound
         );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Regression (cap race): the `max_sessions` check and the catalog insert
+    /// happen under one write-lock critical section, so a burst of concurrent
+    /// logins can never push the open-session count past the cap.
+    #[test]
+    fn concurrent_logins_never_exceed_cap() {
+        const CAP: usize = 4;
+        const LOGINS: usize = 16;
+        let dir = temp_dir();
+        let config = EngineConfig {
+            max_sessions: Some(CAP),
+            ..EngineConfig::default()
+        };
+        let e = Arc::new(Engine::open(&dir, config).unwrap());
+        let barrier = Arc::new(std::sync::Barrier::new(LOGINS));
+        let peak = Arc::new(AtomicU64::new(0));
+        let threads: Vec<_> = (0..LOGINS)
+            .map(|_| {
+                let e = Arc::clone(&e);
+                let barrier = Arc::clone(&barrier);
+                let peak = Arc::clone(&peak);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    // Busy is the expected outcome past the cap; open
+                    // sessions above the cap are not.
+                    let _ = e.try_create_session("storm");
+                    peak.fetch_max(e.session_count() as u64, Ordering::Relaxed);
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let peak = peak.load(Ordering::Relaxed);
+        assert!(
+            peak <= CAP as u64,
+            "open sessions peaked at {peak} > cap {CAP}"
+        );
+        assert_eq!(e.session_count(), CAP);
         std::fs::remove_dir_all(dir).unwrap();
     }
 

@@ -45,7 +45,6 @@ pub mod exec;
 pub mod metrics;
 pub mod plan;
 pub mod session;
-pub mod spill;
 
 pub use cursor::{CursorId, CursorKind, FetchDir};
 pub use engine::{

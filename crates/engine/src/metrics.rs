@@ -16,6 +16,9 @@ pub struct EngineMetrics {
     pub sessions_active: Arc<Gauge>,
     /// Sessions ever opened (`phoenix_sessions_opened_total`).
     pub sessions_opened: Arc<Counter>,
+    /// Logins refused with a retryable `Busy` at the `max_sessions` cap
+    /// (`phoenix_sessions_refused_total`).
+    pub sessions_refused: Arc<Counter>,
     /// Server cursors opened (`phoenix_cursor_opens_total`).
     pub cursor_opens: Arc<Counter>,
     /// Cursor fetch calls served (`phoenix_cursor_fetches_total`).
@@ -73,6 +76,10 @@ pub fn engine_metrics() -> &'static EngineMetrics {
         EngineMetrics {
             sessions_active: r.gauge("phoenix_sessions_active", "live sessions"),
             sessions_opened: r.counter("phoenix_sessions_opened_total", "sessions ever opened"),
+            sessions_refused: r.counter(
+                "phoenix_sessions_refused_total",
+                "logins refused with retryable Busy at the session cap",
+            ),
             cursor_opens: r.counter("phoenix_cursor_opens_total", "server cursors opened"),
             cursor_fetches: r.counter("phoenix_cursor_fetches_total", "cursor fetches served"),
             temp_tables: r.gauge("phoenix_temp_tables", "session temp tables currently alive"),

@@ -41,13 +41,6 @@ pub struct SessionState {
     pub cursors: HashMap<CursorId, Cursor>,
     /// What the previous statement left behind: `@@ROWCOUNT`, `@@MESSAGES`.
     pub sys: SysVars,
-    /// Tombstone set (under this state's mutex) by the lifecycle manager
-    /// when it spills the session: the durable spill row is now the
-    /// authoritative copy and this in-memory state is an orphan. A request
-    /// thread that cloned the catalog entry before the spill re-checks this
-    /// after locking and retries its lookup instead of executing against
-    /// state whose effects would be silently discarded.
-    pub(crate) spilled_out: bool,
 }
 
 impl SessionState {
@@ -61,7 +54,6 @@ impl SessionState {
             txn: None,
             cursors: HashMap::new(),
             sys: SysVars::default(),
-            spilled_out: false,
         }
     }
 
@@ -98,9 +90,7 @@ pub struct SysVars {
     /// count, everything else to 0.
     pub rowcount: u64,
     /// `@@MESSAGES`: the statement's messages (a PRINT's text, every PRINT
-    /// of a procedure). Not carried through a spill: a spilled session
-    /// restores with none. The wrapper reads it inside its own transaction,
-    /// and a session with an open transaction is never spilled.
+    /// of a procedure).
     pub messages: Vec<String>,
 }
 

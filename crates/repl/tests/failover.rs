@@ -257,6 +257,66 @@ fn phoenix_session_rides_failover_to_promoted_standby() {
     let _ = std::fs::remove_dir_all(&sdir);
 }
 
+/// A second Phoenix session's state — a SET option and a `#temp` table
+/// with rows — rides a failover beside the first: after the primary dies
+/// and the standby is promoted, both sessions' next statements succeed, the
+/// temp table holds its rows and the option is live on the promoted server.
+#[test]
+fn second_phoenix_session_keeps_its_state_across_failover() {
+    let pdir = temp_dir("second-p");
+    let sdir = temp_dir("second-s");
+    let mut h = ServerHarness::start(&pdir, semi_sync()).unwrap();
+    let standby = Standby::start(&sdir, StandbyConfig::default()).unwrap();
+    let shipper = Shipper::start(h.shared_engine().unwrap(), standby.addr());
+
+    let env = Environment::new();
+    let connect = |user: &str| {
+        let mut config = phoenix_core::PhoenixConfig::default();
+        config.recovery.ping_interval = Duration::from_millis(20);
+        config.recovery.max_wait = Duration::from_secs(20);
+        PhoenixConnection::connect_multi(&env, &[&h.addr(), &standby.addr()], user, "test", config)
+            .unwrap()
+    };
+    let mut first = connect("app");
+    first.execute("CREATE TABLE s (id INT)").unwrap();
+    first.execute("INSERT INTO s VALUES (1)").unwrap();
+    let mut second = connect("churn");
+    second.execute("SET app_name 'churn'").unwrap();
+    second
+        .execute("CREATE TABLE #churn (v INT PRIMARY KEY)")
+        .unwrap();
+    second
+        .execute("INSERT INTO #churn VALUES (1), (2), (3)")
+        .unwrap();
+    let target = h.with_engine(|e| e.last_gsn()).unwrap();
+    wait_until("standby catch-up", || standby.applied_gsn() >= target);
+
+    h.crash().unwrap();
+    shipper.stop();
+    standby.promote(0).unwrap();
+
+    let r = second.execute("SELECT COUNT(*) FROM #churn").unwrap();
+    assert_eq!(r.rows()[0][0], Value::Int(3));
+    assert_eq!(second.current_server(), standby.addr());
+    let r = first.execute("SELECT COUNT(*) FROM s").unwrap();
+    assert_eq!(r.rows()[0][0], Value::Int(1));
+    // The replayed option lives in whichever promoted session now serves
+    // the second client; session ids start at 1 on the new server.
+    let churn = Value::Text("churn".into());
+    let replayed = standby
+        .with_engine(|e| {
+            (1..=64)
+                .any(|sid| e.session_option(sid, "app_name").ok().flatten() == Some(churn.clone()))
+        })
+        .unwrap();
+    assert!(replayed, "the second session's SET was not replayed");
+
+    second.close();
+    first.close();
+    let _ = std::fs::remove_dir_all(&pdir);
+    let _ = std::fs::remove_dir_all(&sdir);
+}
+
 /// The exactly-once satellite: crash the primary with a pipelined window
 /// half-acknowledged, promote the standby, and verify on the survivor
 /// that every acknowledged tag's effect is present exactly once — replays

@@ -17,8 +17,8 @@
 //!   scrape).
 //! * `--group-commit-window-us` makes the group-commit leader wait that
 //!   long before flushing, so more commits share one fsync.
-//! * `--max-sessions` caps resident sessions; past it the idlest one is
-//!   spilled to the database.
+//! * `--max-sessions` caps open sessions: a login past the cap is refused
+//!   with a retryable `Busy` until a session closes.
 //! * `--semi-sync` holds each commit until an attached standby
 //!   acknowledges it.
 
@@ -52,7 +52,9 @@ fn main() {
                 eprintln!(
                     "usage: phoenix-server [--data <dir>] [--port <port>] [--buffered] \
                      [--stats-port <port>] [--group-commit-window-us <us>] \
-                     [--max-sessions <n>] [--semi-sync]"
+                     [--max-sessions <n>] [--semi-sync]\n\
+                     \x20 max-sessions <n>: a login past n open sessions is refused \
+                     with a retryable Busy until one closes"
                 );
                 return;
             }

@@ -693,8 +693,7 @@ fn create_session_with_options(
             message: "server fenced: a newer primary has been promoted".into(),
         });
     }
-    // The fallible path: when a `max_sessions` cap is configured and no
-    // resident session can be spilled to make room, this surfaces the
+    // Admission control: at the `max_sessions` cap this surfaces the
     // engine's retryable `Busy` straight over the wire.
     let sid = eng.try_create_session(user).map_err(err_of)?;
     for (name, value) in options {

@@ -1,14 +1,13 @@
-//! The engine's session spill seen through the server and the driver: a
-//! spilled session comes back on its next request, and a server at its
-//! session cap with nothing spillable answers a login with the retryable
-//! `Busy`.
+//! Session admission seen through the server and the driver: a server at
+//! its `max_sessions` cap answers a login with the retryable `Busy` until a
+//! session leaves, and never holds more sessions than the cap.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use phoenix_driver::error::codes;
-use phoenix_driver::{CursorKind, Environment, FetchDir};
+use phoenix_driver::Environment;
 use phoenix_engine::EngineConfig;
 use phoenix_server::ServerHarness;
 use phoenix_storage::types::Value;
@@ -25,87 +24,54 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn spilled_session_is_restored_on_its_next_request() {
-    let dir = temp_dir("spill");
-    let mut h = ServerHarness::start(&dir, EngineConfig::default()).unwrap();
-    let mut conn = Environment::new().connect(&h.addr(), "app", "db").unwrap();
-    conn.execute("CREATE TABLE orders (k INT PRIMARY KEY, v INT)")
-        .unwrap();
-    conn.execute("INSERT INTO orders VALUES (1, 10), (2, 20), (3, 30), (4, 40)")
-        .unwrap();
-    conn.execute("SET app_name 'spilled'").unwrap();
-    conn.execute("CREATE TABLE #scratch (v INT PRIMARY KEY)")
-        .unwrap();
-    conn.execute("INSERT INTO #scratch VALUES (1), (2), (3)")
-        .unwrap();
-    // No ORDER BY: a keyset grant needs a plain keyed scan.
-    let (cur, _, granted) = conn
-        .open_cursor_raw("SELECT k FROM orders", CursorKind::Keyset)
-        .unwrap();
-    assert_eq!(granted, CursorKind::Keyset);
-    let (rows, _) = conn.fetch_cursor_raw(cur, FetchDir::Next, 2).unwrap();
-    assert_eq!(rows.len(), 2);
-
-    assert_eq!(
-        h.with_engine(|e| e.spill_idle_sessions(Duration::ZERO)),
-        Some(1)
-    );
-    assert_eq!(h.with_engine(|e| e.session_count()), Some(0));
-    assert_eq!(h.with_engine(|e| e.spilled_session_count()), Some(1));
-
-    // The same driver connection goes on: its next request restores the
-    // session from the durable table — temp table, option and the
-    // cursor's position included.
-    let r = conn.execute("SELECT COUNT(*) FROM #scratch").unwrap();
-    assert_eq!(r.rows()[0][0], Value::Int(3));
-    assert_eq!(h.with_engine(|e| e.spilled_session_count()), Some(0));
-    let sid = conn.session_id();
-    assert_eq!(
-        h.with_engine(|e| e.session_option(sid, "app_name").unwrap()),
-        Some(Some(Value::Text("spilled".into())))
-    );
-    let (rows, at_end) = conn.fetch_cursor_raw(cur, FetchDir::Next, 5).unwrap();
-    assert_eq!(rows, vec![vec![Value::Int(3)], vec![Value::Int(4)]]);
-    assert!(at_end);
-
-    conn.close();
-    h.shutdown();
-    std::fs::remove_dir_all(dir).unwrap();
-}
-
-#[test]
-fn login_at_the_session_cap_with_a_pinned_session_is_busy() {
+fn login_past_the_cap_is_busy_until_a_session_leaves() {
     let dir = temp_dir("cap");
     let config = EngineConfig {
         max_sessions: Some(1),
         ..EngineConfig::default()
     };
     let mut h = ServerHarness::start(&dir, config).unwrap();
+    let at_most_one = |h: &ServerHarness, step: &str| {
+        let n = h.with_engine(|e| e.session_count()).unwrap();
+        assert!(n <= 1, "{n} sessions open at cap 1 after {step}");
+    };
     let env = Environment::new();
-    let mut pinned = env.connect(&h.addr(), "app", "db").unwrap();
-    pinned.execute("CREATE TABLE t (v INT)").unwrap();
-    // An open transaction pins the session: it cannot be spilled to make
-    // room, so the next login must be refused.
-    pinned.execute("BEGIN").unwrap();
+    let mut first = env.connect(&h.addr(), "app", "db").unwrap();
+    first.execute("CREATE TABLE t (v INT)").unwrap();
+    at_most_one(&h, "the first login");
 
+    // The first session is idle, with no transaction open: a second login
+    // is refused all the same.
     let err = match env.connect(&h.addr(), "other", "db") {
         Err(e) => e,
         Ok(_) => panic!("a login past the cap must be refused"),
     };
     assert_eq!(err.server_code(), Some(codes::BUSY), "{err}");
     assert!(err.is_retryable(), "a cap refusal must be retryable");
+    at_most_one(&h, "the refused login");
 
-    // Without the pin, the next login spills the idle session instead, and
-    // that session still works: its next request swaps it back in.
-    pinned.execute("COMMIT").unwrap();
-    let mut second = env.connect(&h.addr(), "other", "db").unwrap();
-    assert_eq!(h.with_engine(|e| e.session_count()), Some(1));
-    assert_eq!(h.with_engine(|e| e.spilled_session_count()), Some(1));
-    let r = pinned.execute("SELECT COUNT(*) FROM t").unwrap();
+    // The first session is untouched by the refusal.
+    let r = first.execute("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(r.rows()[0][0], Value::Int(0));
-    second.execute("SELECT 1").unwrap();
+    at_most_one(&h, "the first session's next request");
 
-    pinned.close();
+    // Once it leaves, a retry gets in.
+    first.close();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut second = loop {
+        match env.connect(&h.addr(), "other", "db") {
+            Ok(c) => break c,
+            Err(e) => {
+                assert_eq!(e.server_code(), Some(codes::BUSY), "{e}");
+                assert!(Instant::now() < deadline, "the retry never got in");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+    };
+    at_most_one(&h, "the retried login");
+    second.execute("SELECT 1").unwrap();
+    at_most_one(&h, "the second session's request");
+
     second.close();
     h.shutdown();
     std::fs::remove_dir_all(dir).unwrap();
