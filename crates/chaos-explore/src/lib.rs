@@ -44,8 +44,6 @@
 //! reproduces it — exactly for the durable points, and up to the pipelined
 //! window's frame interleaving for the wire-level points.
 
-pub mod failover;
-
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};

@@ -2,7 +2,7 @@
 //! line.
 //!
 //! ```text
-//! phoenix-chaos-explore [--failover] [--budget N] [--seed N] [--no-torn] [--quiet]
+//! phoenix-chaos-explore [--budget N] [--seed N] [--no-torn] [--quiet]
 //! ```
 //!
 //! * `--budget N` — execute at most N crash cases (0 = the full sweep;
@@ -13,9 +13,6 @@
 //!   reproduces the identical sweep.
 //! * `--no-torn` — crash-only sweep, skip torn-write variants.
 //! * `--quiet` — suppress per-case progress.
-//! * `--failover` — sweep server *loss* instead of crash/restart: each case
-//!   kills a semi-sync primary at the scheduled visit and promotes its
-//!   WAL-shipping standby; the workload must ride the failover unchanged.
 //!
 //! Every case runs under a wall-clock bound (`CASE_TIMEOUT`, two minutes):
 //! a case still running past it prints its schedule and the
@@ -32,11 +29,9 @@ fn main() {
         verbose: true,
         ..ExploreOptions::default()
     };
-    let mut failover = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--failover" => failover = true,
             "--budget" => {
                 let v = args.next().unwrap_or_default();
                 opts.budget = v
@@ -59,21 +54,10 @@ fn main() {
     }
 
     eprintln!(
-        "phoenix-chaos-explore: sweeping {} schedules (budget={}, seed={}, torn={})",
-        if failover {
-            "kill-primary/promote"
-        } else {
-            "crash"
-        },
-        opts.budget,
-        opts.seed,
-        opts.torn_writes
+        "phoenix-chaos-explore: sweeping crash schedules (budget={}, seed={}, torn={})",
+        opts.budget, opts.seed, opts.torn_writes
     );
-    let report = if failover {
-        phoenix_chaos_explore::failover::explore_failover(&opts)
-    } else {
-        explore(&opts)
-    };
+    let report = explore(&opts);
     println!(
         "enumerated {} crash candidates; executed {}, real crash/restart in {}, \
          status-table replay in {}, violations: {}",
@@ -103,8 +87,6 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
-    eprintln!(
-        "usage: phoenix-chaos-explore [--failover] [--budget N] [--seed N] [--no-torn] [--quiet]"
-    );
+    eprintln!("usage: phoenix-chaos-explore [--budget N] [--seed N] [--no-torn] [--quiet]");
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

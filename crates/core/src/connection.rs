@@ -81,15 +81,9 @@ pub struct PhoenixStats {
 /// A persistent client-server database session.
 pub struct PhoenixConnection {
     pub(crate) env: Environment,
-    /// The server list: the primary first, then any standbys. Recovery
-    /// rotates through it, so a session survives the loss of the machine it
-    /// was logged into as long as some listed server gets promoted.
-    pub(crate) addrs: Vec<String>,
-    /// Index into `addrs` of the server the session currently lives on.
-    /// Both underlying connections always point at this one server — the
-    /// status table, temp stand-ins, and liveness marker are only
-    /// meaningful when probe and execution hit the same database.
-    pub(crate) current: usize,
+    /// The server the session lives on. Both underlying connections point
+    /// at it, and recovery reconnects to it once it has restarted.
+    pub(crate) addr: String,
     pub(crate) user: String,
     pub(crate) database: String,
     pub(crate) config: PhoenixConfig,
@@ -110,52 +104,9 @@ impl PhoenixConnection {
         database: &str,
         config: PhoenixConfig,
     ) -> Result<PhoenixConnection> {
-        Self::connect_multi(env, &[addr], user, database, config)
-    }
-
-    /// Open a persistent session against a *server list*: the primary
-    /// first, then any hot standbys. The initial login goes to the first
-    /// address; if the primary is later lost, recovery rotates through the
-    /// whole list, so the session rides a standby promotion without the
-    /// application ever seeing the failover.
-    pub fn connect_multi(
-        env: &Environment,
-        addrs: &[&str],
-        user: &str,
-        database: &str,
-        config: PhoenixConfig,
-    ) -> Result<PhoenixConnection> {
-        assert!(
-            !addrs.is_empty(),
-            "connect_multi needs at least one address"
-        );
         let env = env.clone().with_read_timeout(config.recovery.read_timeout);
-        // Try each listed server in order. A refused/reset dial or a fenced
-        // login (an unpromoted standby) moves on to the next address; both
-        // the mapped and the private connection must land on the SAME server
-        // so the liveness marker and the status table live where the
-        // statements run.
-        let mut winner = 0usize;
-        let mut mapped = None;
-        let mut last_err = None;
-        for (idx, addr) in addrs.iter().enumerate() {
-            match env.connect(addr, user, database) {
-                Ok(conn) => {
-                    winner = idx;
-                    mapped = Some(conn);
-                    break;
-                }
-                Err(e) if e.is_retryable() && idx + 1 < addrs.len() => {
-                    last_err = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let mapped = match mapped {
-            Some(c) => c,
-            None => return Err(last_err.expect("no address attempted")),
-        };
-        let mut private = env.connect(addrs[winner], user, database)?;
+        let mapped = env.connect(addr, user, database)?;
+        let mut private = env.connect(addr, user, database)?;
         let namer = Namer::new(fresh_session_tag());
         if !config.passthrough {
             dml::ensure_status_table(&mut private)?;
@@ -163,8 +114,7 @@ impl PhoenixConnection {
         }
         Ok(PhoenixConnection {
             env,
-            addrs: addrs.iter().map(|a| a.to_string()).collect(),
-            current: winner,
+            addr: addr.to_string(),
             user: user.to_string(),
             database: database.to_string(),
             config,
@@ -174,19 +124,6 @@ impl PhoenixConnection {
             ctx: SessionContext::new(),
             stats: PhoenixStats::default(),
         })
-    }
-
-    /// Grow the session's server list (e.g. when a standby comes online
-    /// after the session was opened). Duplicates are ignored.
-    pub fn add_server(&mut self, addr: &str) {
-        if !self.addrs.iter().any(|a| a == addr) {
-            self.addrs.push(addr.to_string());
-        }
-    }
-
-    /// The address of the server this session currently lives on.
-    pub fn current_server(&self) -> &str {
-        &self.addrs[self.current]
     }
 
     /// Behaviour counters (recoveries, materializations, probes, …).
@@ -762,21 +699,16 @@ impl PhoenixConnection {
             && recovery::session_alive(&mut self.private, &marker).unwrap_or(false);
 
         if !blip {
-            // Full path: ping until *some* listed server answers a login —
-            // rotating through the whole server list, so a promoted standby
-            // is found as readily as a restarted primary — then rebuild the
-            // private connection there and re-create the proxy marker.
+            // Full path: ping until the server answers, then rebuild the
+            // private connection and re-create the proxy marker.
             let (private, attempts) = recovery::reconnect_loop(
                 &self.env,
-                &self.addrs,
+                &self.addr,
                 &self.user,
                 &self.database,
                 Vec::new(),
                 &self.config.recovery,
             )?;
-            // Attempt k dialed addrs[(k-1) % len]: the session now lives on
-            // the address the final (successful) attempt hit.
-            self.current = (attempts as usize - 1) % self.addrs.len();
             self.stats.reconnect_attempts += attempts;
             self.private = private;
             recovery::create_marker(&mut self.private, &marker)?;
@@ -784,35 +716,15 @@ impl PhoenixConnection {
         }
 
         // Phase 1: rebuild the mapped connection, replaying the recorded
-        // session context (login info + SET options). Pinned to the server
-        // the private connection landed on — probe and execution must see
-        // the same database. The pinned wait is clamped to a few ping
-        // intervals: if this one server dies between the phases (a crash
-        // can race phase 0 onto a half-dead primary whose listener closes
-        // a moment later), retrying the single pinned address would burn
-        // the whole recovery window on connection-refused. Failing fast
-        // instead — with the private link poisoned so the blip shortcut
-        // cannot re-trust a session on the dead server — sends the outer
-        // loop around the full sequence, which rotates to the survivors.
-        let pinned = std::slice::from_ref(&self.addrs[self.current]);
-        let mut pinned_settings = self.config.recovery.clone();
-        pinned_settings.max_wait = pinned_settings
-            .max_wait
-            .min((pinned_settings.ping_interval * 10).max(std::time::Duration::from_millis(200)));
-        let (mapped, attempts) = match recovery::reconnect_loop(
+        // session context (login info + SET options).
+        let (mapped, attempts) = recovery::reconnect_loop(
             &self.env,
-            pinned,
+            &self.addr,
             &self.user,
             &self.database,
             self.ctx.options.clone(),
-            &pinned_settings,
-        ) {
-            Ok(v) => v,
-            Err(e) => {
-                self.private.poison();
-                return Err(e);
-            }
-        };
+            &self.config.recovery,
+        )?;
         self.stats.reconnect_attempts += attempts;
         self.mapped = mapped;
         journal().record(

@@ -27,33 +27,18 @@ use crate::Result;
 
 /// Attempt to (re)connect and log in until it succeeds or `settings.max_wait`
 /// elapses. Returns the new connection and the number of attempts made.
-///
-/// `addrs` is the session's *server list* — the primary first, then any
-/// standbys. The loop rotates through it round-robin: attempt `k` dials
-/// `addrs[k % addrs.len()]`, so when the primary is gone (connection
-/// refused/reset, both `Comm` and therefore retryable) the very next
-/// attempt tries the standby instead of hammering the dead address for the
-/// whole recovery window. A standby that is not yet promoted answers logins
-/// with the retryable `Fenced` code, which keeps the loop rotating until
-/// promotion completes — at which point the login lands and recovery
-/// proceeds exactly as it would after a plain restart.
 pub fn reconnect_loop(
     env: &Environment,
-    addrs: &[String],
+    addr: &str,
     user: &str,
     database: &str,
     options: Vec<(String, Value)>,
     settings: &RecoverySettings,
 ) -> Result<(Connection, u64)> {
-    assert!(
-        !addrs.is_empty(),
-        "reconnect_loop needs at least one address"
-    );
     let deadline = Instant::now() + settings.max_wait;
     let m = core_metrics();
     let mut attempts = 0u64;
     loop {
-        let addr = &addrs[(attempts as usize) % addrs.len()];
         attempts += 1;
         m.reconnect_attempts.inc();
         journal().record(
@@ -158,14 +143,7 @@ mod tests {
         };
         // Nothing listens on this port.
         let started = Instant::now();
-        let r = reconnect_loop(
-            &env,
-            &["127.0.0.1:1".to_string()],
-            "u",
-            "d",
-            Vec::new(),
-            &settings,
-        );
+        let r = reconnect_loop(&env, "127.0.0.1:1", "u", "d", Vec::new(), &settings);
         assert!(r.is_err());
         assert!(started.elapsed() >= Duration::from_millis(100));
     }
@@ -182,14 +160,7 @@ mod tests {
             read_timeout: None,
         };
         let started = Instant::now();
-        let r = reconnect_loop(
-            &env,
-            &["127.0.0.1:1".to_string()],
-            "u",
-            "d",
-            Vec::new(),
-            &settings,
-        );
+        let r = reconnect_loop(&env, "127.0.0.1:1", "u", "d", Vec::new(), &settings);
         assert!(r.is_err());
         assert!(
             started.elapsed() < Duration::from_secs(2),
@@ -215,14 +186,7 @@ mod tests {
         let sleeps_before = m.backoff_sleeps.get();
         let started = Instant::now();
         // Nothing listens on this port: every attempt fails fast.
-        let r = reconnect_loop(
-            &env,
-            &["127.0.0.1:1".to_string()],
-            "u",
-            "d",
-            Vec::new(),
-            &settings,
-        );
+        let r = reconnect_loop(&env, "127.0.0.1:1", "u", "d", Vec::new(), &settings);
         assert!(r.is_err());
         let elapsed = started.elapsed();
         assert!(
@@ -242,39 +206,6 @@ mod tests {
         // Every attempt but the last (which hits the deadline and returns)
         // is followed by exactly one clamped sleep.
         assert_eq!(sleeps, attempts - 1);
-    }
-
-    #[test]
-    fn reconnect_rotates_to_second_address_when_first_refuses() {
-        let _g = RECONNECT_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join(format!(
-            "phoenix-core-rotate-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let h = phoenix_server::ServerHarness::start(&dir, phoenix_engine::EngineConfig::default())
-            .unwrap();
-        let env = Environment::new().with_connect_timeout(Duration::from_millis(100));
-        let settings = RecoverySettings {
-            ping_interval: Duration::from_millis(5),
-            max_wait: Duration::from_secs(5),
-            read_timeout: None,
-        };
-        // First address refuses (nothing listens there); second is live.
-        // The failover shape: the primary's machine is gone, the standby
-        // is next in the server list.
-        let addrs = ["127.0.0.1:1".to_string(), h.addr()];
-        let (mut conn, attempts) =
-            reconnect_loop(&env, &addrs, "u", "d", Vec::new(), &settings).unwrap();
-        assert_eq!(
-            attempts, 2,
-            "attempt 1 must eat the refusal and attempt 2 must rotate to the live server"
-        );
-        conn.execute("SELECT 1").unwrap();
-        drop(conn);
-        drop(h);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

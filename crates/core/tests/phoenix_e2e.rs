@@ -443,6 +443,60 @@ fn set_options_replayed_on_recovery() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
+/// A second Phoenix session's state — a SET option and a `#temp` table
+/// with rows — survives a crash and restart beside the first: both
+/// sessions' next statements succeed, the temp table holds its rows and the
+/// option is live in the restarted server's session.
+#[test]
+fn second_phoenix_session_keeps_its_state_across_crash() {
+    let (mut h, dir) = start();
+    let mut first = connect(&h);
+    first.execute("CREATE TABLE s (id INT)").unwrap();
+    first.execute("INSERT INTO s VALUES (1)").unwrap();
+    let mut second =
+        PhoenixConnection::connect(&Environment::new(), &h.addr(), "churn", "test", config())
+            .unwrap();
+    second.execute("SET app_name 'churn'").unwrap();
+    second
+        .execute("CREATE TABLE #churn (v INT PRIMARY KEY)")
+        .unwrap();
+    second
+        .execute("INSERT INTO #churn VALUES (1), (2), (3)")
+        .unwrap();
+
+    h.crash().unwrap();
+    let hh = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(150));
+        h.restart().unwrap();
+        h
+    });
+
+    let r = second.execute("SELECT COUNT(*) FROM #churn").unwrap();
+    assert_eq!(r.rows()[0][0], Value::Int(3));
+    assert!(
+        second.stats().recoveries >= 1,
+        "the crash should be a recovery"
+    );
+    let r = first.execute("SELECT COUNT(*) FROM s").unwrap();
+    assert_eq!(r.rows()[0][0], Value::Int(1));
+    // The replayed option lives in whichever session now serves the second
+    // client; session ids start at 1 on the restarted server.
+    let h = hh.join().unwrap();
+    let churn = Value::Text("churn".into());
+    let replayed = h
+        .with_engine(|e| {
+            (1..=64)
+                .any(|sid| e.session_option(sid, "app_name").ok().flatten() == Some(churn.clone()))
+        })
+        .unwrap();
+    assert!(replayed, "the second session's SET was not replayed");
+
+    second.close();
+    first.close();
+    drop(h);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 #[test]
 fn gives_up_when_server_stays_down() {
     let (mut h, dir) = start();

@@ -169,14 +169,6 @@ impl Connection {
         self.poisoned
     }
 
-    /// Mark this connection dead without waiting for a transport error.
-    /// Recovery layers use this when out-of-band evidence (e.g. a failed
-    /// reconnect to the same server) shows the peer is gone, so liveness
-    /// probes on this connection cannot be trusted again.
-    pub fn poison(&mut self) {
-        self.poisoned = true;
-    }
-
     /// Override the read timeout for subsequent requests.
     pub fn set_read_timeout(&mut self, t: Option<Duration>) -> Result<()> {
         self.stream.set_read_timeout(t)?;

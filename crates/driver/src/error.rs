@@ -52,14 +52,10 @@ pub mod codes {
     /// Server-side I/O or durability failure.
     pub const STORAGE: ServerErrorCode = 12;
     /// Server at capacity (session cap reached or admission queue full).
-    /// Transient by contract, like [`FENCED`]: retrying can succeed.
+    /// Transient by contract: retrying can succeed.
     pub const BUSY: ServerErrorCode = 13;
-    /// Server fenced: either a deposed primary (a newer server has been
-    /// promoted — this one will never accept a login again) or a standby
-    /// that has not been promoted *yet*. Retryable by contract: the
-    /// reconnect loop rotates to the next server in the session's list,
-    /// which is exactly where a fenced answer says the session should go.
-    pub const FENCED: ServerErrorCode = 14;
+    // 14 is reserved: a deposed replication primary's `Fenced`, retired
+    // with replication and never reassigned.
 }
 
 /// A driver error. See the module docs for the class semantics.
@@ -98,19 +94,17 @@ impl Error {
         matches!(self, Error::Comm(_))
     }
 
-    /// Can the operation be retried — possibly on a fresh connection, or a
-    /// *different server* — with a real chance of success? True for
-    /// [`Error::Comm`] (covers connection refused/reset on a lost server),
-    /// and for the two transient server codes: [`codes::BUSY`] (at
-    /// capacity — back off and retry) and [`codes::FENCED`] (deposed
-    /// primary or not-yet-promoted standby — rotate to the next server in
-    /// the list). Any other `Sql` error would recur, a `Protocol` error is
-    /// a bug, and a `Recovery` error means retrying was already tried and
+    /// Can the operation be retried — possibly on a fresh connection —
+    /// with a real chance of success? True for [`Error::Comm`] (covers
+    /// connection refused/reset while the server restarts), and for the
+    /// transient server code [`codes::BUSY`] (at capacity — back off and
+    /// retry). Any other `Sql` error would recur, a `Protocol` error is a
+    /// bug, and a `Recovery` error means retrying was already tried and
     /// lost.
     pub fn is_retryable(&self) -> bool {
         match self {
             Error::Comm(_) => true,
-            Error::Sql { code, .. } => *code == codes::BUSY || *code == codes::FENCED,
+            Error::Sql { code, .. } => *code == codes::BUSY,
             _ => false,
         }
     }
@@ -195,14 +189,12 @@ mod tests {
             message: "full".into(),
         }
         .is_retryable());
-        assert!(
-            Error::Sql {
-                code: codes::FENCED,
-                message: "standby: not promoted yet".into(),
-            }
-            .is_retryable(),
-            "fenced must be retryable or failover rotation never reaches the standby"
-        );
+        // The reserved code 14 is nothing special.
+        assert!(!Error::Sql {
+            code: 14,
+            message: "x".into(),
+        }
+        .is_retryable());
         assert!(!Error::Protocol("p".into()).is_retryable());
         assert!(!Error::Recovery("r".into()).is_retryable());
         // Each class renders with its own prefix — applications can log

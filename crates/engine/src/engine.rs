@@ -53,26 +53,6 @@ use crate::metrics::engine_metrics;
 use crate::plan::execute_select;
 use crate::session::{SessionId, SessionState, SysVars};
 
-/// When a commit acknowledges, relative to replication.
-///
-/// The classic commit-latency / durability-scope tradeoff: `Async` loses
-/// the unshipped tail of acknowledged commits if the primary host is
-/// destroyed (crash-and-restart still loses nothing — the local WAL has
-/// it); `SemiSync` holds each commit until the standby has acknowledged
-/// receipt of its highest log record, so a promoted standby has every
-/// acknowledged write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitMode {
-    /// Acknowledge on primary fsync (default). Lowest latency; replication
-    /// lag bounds what a *lost* (not merely crashed) primary can forget.
-    #[default]
-    Async,
-    /// Acknowledge when the standby has confirmed receipt of the commit's
-    /// log record (or after a bounded degrade window if no standby is
-    /// attached, so a dead standby cannot wedge the primary).
-    SemiSync,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -89,11 +69,6 @@ pub struct EngineConfig {
     /// retryable error by the driver's taxonomy — until a session closes.
     /// `None` (the default) disables the cap.
     pub max_sessions: Option<usize>,
-    /// Commit acknowledgement mode relative to replication. `Async` (the
-    /// default) acknowledges on primary fsync; `SemiSync` waits for the
-    /// standby's receive-ack (bounded by a degrade window). Ignored unless
-    /// a replication shipper is attached.
-    pub commit_mode: CommitMode,
 }
 
 impl Default for EngineConfig {
@@ -103,7 +78,6 @@ impl Default for EngineConfig {
             checkpoint_every: Some(100_000),
             group_commit_window_us: 0,
             max_sessions: None,
-            commit_mode: CommitMode::default(),
         }
     }
 }
@@ -171,166 +145,23 @@ pub struct Engine {
     /// call; [`Engine::stall`] takes it exclusively so the test harness can
     /// freeze the server without killing it.
     stall_gate: RwLock<()>,
-    /// Data directory, kept for epoch/fence marker persistence.
-    data_dir: std::path::PathBuf,
-    /// Replication epoch this incarnation serves under, read from the
-    /// `phoenix.epoch` file at open (1 if absent). A promotion bumps the
-    /// file before the promoted engine opens, so the new primary always
-    /// outranks every deposed one.
-    epoch: u64,
-}
-
-/// Name of the replication-epoch file inside the data directory.
-const EPOCH_FILE: &str = "phoenix.epoch";
-/// Sticky fence marker: its presence means this data directory belongs to a
-/// deposed incarnation and must never accept writes again.
-const FENCED_FILE: &str = "phoenix.fenced";
-
-/// Read the replication epoch recorded in `dir` (1 if none recorded).
-pub fn read_epoch(dir: impl AsRef<std::path::Path>) -> u64 {
-    std::fs::read_to_string(dir.as_ref().join(EPOCH_FILE))
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
-/// Durably record `epoch` in `dir`'s epoch file (write + fsync + rename).
-pub fn write_epoch(dir: impl AsRef<std::path::Path>, epoch: u64) -> std::io::Result<()> {
-    let dir = dir.as_ref();
-    let tmp = dir.join("phoenix.epoch.tmp");
-    std::fs::write(&tmp, format!("{epoch}\n"))?;
-    std::fs::File::open(&tmp)?.sync_all()?;
-    std::fs::rename(&tmp, dir.join(EPOCH_FILE))?;
-    Ok(())
 }
 
 impl Engine {
-    /// Open (and recover) the database in `dir`.
+    /// Open (and recover) the database in `dir`. A directory a promoted
+    /// standby fenced is refused (`phoenix_storage::db::DbError::Fenced`).
     pub fn open(dir: impl AsRef<std::path::Path>, config: EngineConfig) -> Result<Engine> {
-        Self::open_with(dir, config, None)
-    }
-
-    /// Open the database in `dir` from the applier a standby loaded from it
-    /// and has fed every shipped frame since — the promotion path. Only
-    /// frames the applier has not seen are read back from the log.
-    pub fn open_warm(
-        dir: impl AsRef<std::path::Path>,
-        config: EngineConfig,
-        applier: phoenix_storage::Applier,
-    ) -> Result<Engine> {
-        Self::open_with(dir, config, Some(applier))
-    }
-
-    fn open_with(
-        dir: impl AsRef<std::path::Path>,
-        config: EngineConfig,
-        applier: Option<phoenix_storage::Applier>,
-    ) -> Result<Engine> {
-        let dir = dir.as_ref();
         let opts = RecoveryOptions {
             group_commit_window_us: config.group_commit_window_us,
         };
-        let durable = match applier {
-            None => Durable::open_opts(dir, config.durability, &opts)?,
-            Some(applier) => Durable::open_warm(dir, config.durability, &opts, applier)?,
-        };
-        let epoch = read_epoch(dir);
-        if dir.join(FENCED_FILE).exists() {
-            // Sticky: a deposed primary stays deposed across restarts.
-            durable.fence();
-        }
-        if config.commit_mode == CommitMode::SemiSync {
-            durable.set_commit_wait(Some(std::time::Duration::from_secs(2)));
-        }
         Ok(Engine {
-            durable,
+            durable: Durable::open_opts(dir, config.durability, &opts)?,
             sessions: RwLock::new(HashMap::new()),
             next_session: AtomicU64::new(1),
             next_cursor: AtomicU64::new(1),
             config,
             stall_gate: RwLock::new(()),
-            data_dir: dir.to_path_buf(),
-            epoch,
         })
-    }
-
-    // -- replication ---------------------------------------------------------
-
-    /// The replication epoch this incarnation serves under.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Whether this incarnation has been fenced (deposed by a newer primary).
-    pub fn is_fenced(&self) -> bool {
-        self.durable.is_fenced()
-    }
-
-    /// Fence this incarnation if `new_epoch` outranks its own epoch.
-    ///
-    /// Returns `true` if the engine is fenced after the call (whether by
-    /// this call or earlier). Fencing is durable — a marker file makes a
-    /// restarted deposed primary come back fenced — and immediate: every
-    /// in-flight and future `wal.append` on this incarnation is refused.
-    pub fn fence(&self, new_epoch: u64) -> bool {
-        if self.durable.is_fenced() {
-            return true;
-        }
-        if new_epoch <= self.epoch {
-            return false;
-        }
-        // Persist the marker *before* flipping the in-memory switch: if we
-        // crash in between, the restart re-reads the marker and stays
-        // fenced; the reverse order could lose the fence across a crash.
-        if let Err(e) = std::fs::write(self.data_dir.join(FENCED_FILE), format!("{new_epoch}\n")) {
-            phoenix_obs::journal().record(
-                "engine",
-                phoenix_obs::EventKind::Other,
-                format!("failed to persist fence marker: {e}"),
-            );
-        }
-        self.durable.fence();
-        phoenix_obs::journal().record(
-            "engine",
-            phoenix_obs::EventKind::ServerLifecycle,
-            format!("fenced by epoch {new_epoch} (own epoch {})", self.epoch),
-        );
-        true
-    }
-
-    /// Attach a replication shipper: enable the WAL tap and return every
-    /// durable frame past `standby_last_gsn` as backlog.
-    pub fn repl_attach(&self, standby_last_gsn: u64) -> Result<Vec<phoenix_storage::ShipFrame>> {
-        Ok(self.durable.repl_attach(standby_last_gsn)?)
-    }
-
-    /// Drain up to `max` shippable frames, waiting up to `wait` for traffic.
-    pub fn repl_poll(
-        &self,
-        max: usize,
-        wait: std::time::Duration,
-    ) -> Result<Vec<phoenix_storage::ShipFrame>> {
-        Ok(self.durable.repl_poll(max, wait)?)
-    }
-
-    /// Record the standby's receive-ack high-water mark.
-    pub fn repl_ack(&self, gsn: u64) {
-        self.durable.repl_ack(gsn)
-    }
-
-    /// Detach the shipper and disable the WAL tap.
-    pub fn repl_detach(&self) {
-        self.durable.repl_detach()
-    }
-
-    /// Highest GSN ever allocated by this incarnation's log.
-    pub fn last_gsn(&self) -> u64 {
-        self.durable.last_gsn()
-    }
-
-    /// The standby's receive-ack high-water mark (0 until one attaches).
-    pub fn repl_acked_gsn(&self) -> u64 {
-        self.durable.repl_acked_gsn()
     }
 
     /// The durable store's current published snapshot (tests, tooling).

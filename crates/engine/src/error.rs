@@ -46,11 +46,9 @@ pub enum ErrorCode {
     /// Transient by contract: the client may retry after a backoff — the
     /// driver treats this code as retryable.
     Busy = 13,
-    /// This server incarnation was fenced by a newer primary (or has not
-    /// been promoted yet) and refuses logins and writes. Retryable by the
-    /// driver's taxonomy: the client should rotate to the next server in
-    /// its list, where the promoted incarnation is (or will be) accepting.
-    Fenced = 14,
+    // 14 is reserved: it was `Fenced`, sent by a deposed replication
+    // primary, and decodes as `Internal` so an old server's code is never
+    // read as something else.
 }
 
 impl ErrorCode {
@@ -69,7 +67,6 @@ impl ErrorCode {
             10 => ErrorCode::NoSession,
             12 => ErrorCode::Storage,
             13 => ErrorCode::Busy,
-            14 => ErrorCode::Fenced,
             _ => ErrorCode::Internal,
         }
     }
@@ -156,7 +153,9 @@ impl From<DbError> for EngineError {
             DbError::Store(s) => s.into(),
             DbError::Io(io) => EngineError::new(ErrorCode::Storage, io.to_string()),
             DbError::Decode(d) => EngineError::new(ErrorCode::Storage, d.to_string()),
-            e @ DbError::PartitionedLog(_) => EngineError::new(ErrorCode::Storage, e.to_string()),
+            e @ (DbError::PartitionedLog(_) | DbError::Fenced(_)) => {
+                EngineError::new(ErrorCode::Storage, e.to_string())
+            }
             DbError::NoSuchTxn(t) => {
                 EngineError::new(ErrorCode::Txn, format!("no such transaction {t}"))
             }
@@ -190,10 +189,11 @@ mod tests {
             ErrorCode::Internal,
             ErrorCode::Storage,
             ErrorCode::Busy,
-            ErrorCode::Fenced,
         ] {
             assert_eq!(ErrorCode::from_u16(code as u16), code);
         }
+        // The retired `Fenced` code stays unassigned.
+        assert_eq!(ErrorCode::from_u16(14), ErrorCode::Internal);
     }
 
     #[test]

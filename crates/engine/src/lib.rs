@@ -47,8 +47,6 @@ pub mod plan;
 pub mod session;
 
 pub use cursor::{CursorId, CursorKind, FetchDir};
-pub use engine::{
-    read_epoch, write_epoch, CommitMode, Engine, EngineConfig, ExecOutcome, ExecResult,
-};
+pub use engine::{Engine, EngineConfig, ExecOutcome, ExecResult};
 pub use error::{EngineError, ErrorCode};
 pub use session::SessionId;

@@ -2,13 +2,16 @@
 //!
 //! ```text
 //! phoenix-server [--data <dir>] [--port <port>] [--buffered] [--stats-port <port>]
-//!                [--group-commit-window-us <us>] [--max-sessions <n>] [--semi-sync]
+//!                [--group-commit-window-us <us>] [--max-sessions <n>]
 //! ```
 //!
 //! Takes the given port, announces it, opens (and crash-recovers) the
 //! database in the data directory, then serves until SIGINT/EOF on stdin:
 //! clients that connect while recovery runs wait in the listen backlog
 //! instead of being refused. A checkpoint is taken on orderly shutdown.
+//! Availability after a crash comes from restarting this process on the
+//! same directory: recovery replays the log, and Phoenix clients reconnect
+//! and reinstall their sessions. There is no standby to fail over to.
 //!
 //! * `--buffered` leaves log flushing to the OS instead of an fsync per
 //!   commit.
@@ -19,12 +22,10 @@
 //!   long before flushing, so more commits share one fsync.
 //! * `--max-sessions` caps open sessions: a login past the cap is refused
 //!   with a retryable `Busy` until a session closes.
-//! * `--semi-sync` holds each commit until an attached standby
-//!   acknowledges it.
 
 use std::io::{BufRead, Write};
 
-use phoenix_engine::{CommitMode, Engine, EngineConfig};
+use phoenix_engine::{Engine, EngineConfig};
 use phoenix_server::{RunningServer, StatsListener};
 use phoenix_storage::db::Durability;
 
@@ -35,7 +36,6 @@ fn main() {
     let mut durability = Durability::Fsync;
     let mut group_commit_window_us: u64 = 0;
     let mut max_sessions: Option<usize> = None;
-    let mut commit_mode = CommitMode::Async;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -45,14 +45,13 @@ fn main() {
             "--group-commit-window-us" => group_commit_window_us = value(&mut args, flag),
             "--port" => port = value(&mut args, flag),
             "--buffered" => durability = Durability::Buffered,
-            "--semi-sync" => commit_mode = CommitMode::SemiSync,
             "--max-sessions" => max_sessions = Some(value(&mut args, flag)),
             "--stats-port" => stats_port = Some(value(&mut args, flag)),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: phoenix-server [--data <dir>] [--port <port>] [--buffered] \
                      [--stats-port <port>] [--group-commit-window-us <us>] \
-                     [--max-sessions <n>] [--semi-sync]\n\
+                     [--max-sessions <n>]\n\
                      \x20 max-sessions <n>: a login past n open sessions is refused \
                      with a retryable Busy until one closes"
                 );
@@ -67,7 +66,6 @@ fn main() {
         checkpoint_every: Some(100_000),
         group_commit_window_us,
         max_sessions,
-        commit_mode,
     };
     // The port first: a client reconnecting after a crash then queues in the
     // listen backlog while the log is read, and is served the moment

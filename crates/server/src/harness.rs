@@ -176,15 +176,6 @@ impl ServerHarness {
         let engine = server.engine.read().clone();
         engine.map(|e| f(&e))
     }
-
-    /// The crash-switch engine handle, for components that must survive a
-    /// harness crash with a handle that goes observably dead rather than a
-    /// dangling `Arc<Engine>` (the replication shipper threads through this).
-    pub fn shared_engine(&self) -> Option<crate::server::SharedEngine> {
-        self.server
-            .as_ref()
-            .map(|s| std::sync::Arc::clone(&s.engine))
-    }
 }
 
 impl Drop for ServerHarness {

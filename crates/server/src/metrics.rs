@@ -45,9 +45,6 @@ pub struct ServerMetrics {
     logout: Arc<Counter>,
     login_v2: Arc<Counter>,
     exec_batch: Arc<Counter>,
-    repl_hello: Arc<Counter>,
-    repl_frames: Arc<Counter>,
-    promote: Arc<Counter>,
 }
 
 impl ServerMetrics {
@@ -64,9 +61,6 @@ impl ServerMetrics {
             Request::Logout => &self.logout,
             Request::LoginV2 { .. } => &self.login_v2,
             Request::ExecBatch { .. } => &self.exec_batch,
-            Request::ReplHello { .. } => &self.repl_hello,
-            Request::ReplFrames { .. } => &self.repl_frames,
-            Request::Promote { .. } => &self.promote,
         }
     }
 }
@@ -127,9 +121,6 @@ pub fn server_metrics() -> &'static ServerMetrics {
             logout: req("logout"),
             login_v2: req("login_v2"),
             exec_batch: req("exec_batch"),
-            repl_hello: req("repl_hello"),
-            repl_frames: req("repl_frames"),
-            promote: req("promote"),
         }
     })
 }

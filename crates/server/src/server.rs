@@ -288,9 +288,8 @@ fn accept_loop(
 /// Serve one client connection until logout, client disconnect, or crash.
 ///
 /// Until a `LoginV2` opens a session the connection speaks untagged frames
-/// and is served only what needs none — `Ping`, `Stats` and `Promote` (the
-/// fencing kill switch); a session-bound request gets the `NoSession`
-/// error. A successful login switches the connection to tagged frames for
+/// and is served only what needs none — `Ping` and `Stats`; a
+/// session-bound request gets the `NoSession` error. A successful login switches the connection to tagged frames for
 /// the rest of its life.
 fn serve_connection(mut stream: TcpStream, engine: SharedEngine) {
     let mut session: Option<SessionId> = None;
@@ -645,35 +644,6 @@ fn dispatch(engine: &SharedEngine, session: &mut Option<SessionId>, request: Req
                 Err(e) => err_of(e),
             }
         }
-        // Replication streams terminate at a *standby* receiver, never at a
-        // serving primary: a ReplHello here means someone pointed a shipper
-        // at the wrong address.
-        Request::ReplHello { .. } | Request::ReplFrames { .. } => Response::Err {
-            code: ErrorCode::Unsupported as u16,
-            message: "this server is a primary; replication frames go to a standby".into(),
-        },
-        // Promote sent to a live primary is the split-brain kill switch: an
-        // operator (or the failover supervisor) telling this incarnation a
-        // newer primary exists. Fence it — durably — so it refuses every
-        // write and login from here on, even across a restart.
-        Request::Promote { epoch } => {
-            if eng.fence(epoch) {
-                phoenix_obs::journal().record(
-                    "server",
-                    phoenix_obs::EventKind::ServerLifecycle,
-                    format!("fenced by Promote(epoch {epoch})"),
-                );
-                Response::Promoted { epoch }
-            } else {
-                Response::Err {
-                    code: ErrorCode::Unsupported as u16,
-                    message: format!(
-                        "promote epoch {epoch} does not outrank this primary's epoch {}",
-                        eng.epoch()
-                    ),
-                }
-            }
-        }
     }
 }
 
@@ -683,16 +653,6 @@ fn create_session_with_options(
     user: &str,
     options: Vec<(String, phoenix_storage::types::Value)>,
 ) -> Result<SessionId, Response> {
-    // A deposed primary must not hand out sessions: every statement the
-    // client ran here would be refused at the WAL anyway, and the client's
-    // recovery loop should rotate to the promoted server instead. Fenced is
-    // retryable by the driver's taxonomy, exactly like Busy.
-    if eng.is_fenced() {
-        return Err(Response::Err {
-            code: ErrorCode::Fenced as u16,
-            message: "server fenced: a newer primary has been promoted".into(),
-        });
-    }
     // Admission control: at the `max_sessions` cap this surfaces the
     // engine's retryable `Busy` straight over the wire.
     let sid = eng.try_create_session(user).map_err(err_of)?;

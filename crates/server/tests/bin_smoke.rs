@@ -275,7 +275,6 @@ fn help_lists_exactly_the_accepted_flags() {
             "--group-commit-window-us",
             "--max-sessions",
             "--port",
-            "--semi-sync",
             "--stats-port"
         ],
         "{help}"
@@ -300,5 +299,26 @@ fn bad_flag_values_exit_2_without_a_panic() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(stderr.contains("try --help"), "{args:?}: {stderr}");
+    }
+}
+
+/// Flags of deleted subsystems — the partitioned write path's and
+/// replication's semi-sync commit — are unknown arguments now, not silently
+/// ignored ones.
+#[test]
+fn retired_flags_are_unknown_arguments() {
+    for name in ["partitions", "semi-sync"] {
+        let flag = format!("--{name}");
+        let out = Command::new(env!("CARGO_BIN_EXE_phoenix-server"))
+            .arg(&flag)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run phoenix-server");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument '{flag}'")),
+            "{flag}: {stderr}"
+        );
     }
 }

@@ -4,22 +4,8 @@
 //! recovery is a single incremental state machine: take records in GSN
 //! order — the order of the one log — hold each until its transaction's
 //! fate is known, then apply the winners with [`Store::apply`] and drop the
-//! losers. Crash recovery, the
-//! warm standby and promotion are three schedules of the same four calls:
-//!
-//! * cold open — [`Applier::load`] then [`Applier::finish`];
-//! * standby — [`Applier::load`] once, then [`Applier::feed`] after each
-//!   shipped frame is durably appended to the standby's own log;
-//! * promotion — [`Applier::catch_up`] then [`Applier::finish`] on the
-//!   standby's applier.
-//!
-//! # Invariant
-//!
-//! A frame is fed only after it is on disk in the directory the applier was
-//! loaded from (*disk before feed*). The image is therefore, at every
-//! instant, exactly what `load` of that directory would build: killing the
-//! process and recovering the directory cold reproduces it, and `finish` on
-//! a fed applier equals `finish` on a freshly loaded one.
+//! losers. Crash recovery is two calls: [`Applier::load`] reads the snapshot
+//! and feeds every frame of the log, then [`Applier::finish`] ends the log.
 //!
 //! # Fates
 //!
@@ -64,11 +50,10 @@ pub struct Applier {
     /// one's transaction is undecided.
     pending: VecDeque<(u64, LogRecord)>,
     max_gsn: u64,
-    min_gsn: Option<u64>,
     last_txn: TxnId,
     fed: u64,
     applied: u64,
-    /// Valid-prefix length of the live log, as of the last `catch_up`.
+    /// Valid-prefix length of the live log.
     live_valid: u64,
     /// Time so far. Until `finish` takes them out, `apply` includes the
     /// segment reads replay forced.
@@ -100,15 +85,13 @@ pub struct Recovered {
     pub last_txn: TxnId,
     /// Largest GSN in the log (0 = empty log).
     pub max_gsn: u64,
-    /// Smallest GSN in the log.
-    pub min_gsn: Option<u64>,
     /// Log records read.
     pub frames: u64,
     /// Log records applied to the store.
     pub applied: u64,
     /// Where the time went. `wal_read + apply` is the replay time: reading
     /// the log off disk, decoding and applying it (the snapshot's manifest
-    /// and segments, and a standby's frame-by-frame feeding, excluded).
+    /// and segments excluded).
     pub stages: Stages,
     pub(crate) gen: u64,
     pub(crate) base: SegmentBase,
@@ -127,7 +110,7 @@ pub fn frame_payload(gsn: u64, record: &[u8]) -> Vec<u8> {
 /// as `(gsn, encoded record)`, in GSN order: the rotated log first, then the
 /// live log. Both reads tolerate a torn tail. Returns the valid-prefix
 /// length of the live log, which is where [`Wal::open_at`] resumes it.
-pub(crate) fn for_each_frame(
+fn for_each_frame(
     dir: &Path,
     mut visit: impl FnMut(u64, &[u8]) -> Result<(), DbError>,
 ) -> Result<u64, DbError> {
@@ -158,10 +141,18 @@ pub(crate) fn for_each_frame(
     Ok(live_valid)
 }
 
-/// Refuse a directory a partitioned server wrote: its `phoenix.wal.p<k>`
-/// streams hold committed transactions this build does not read, so
-/// opening it would silently drop them.
-fn refuse_partitioned(dir: &Path) -> Result<(), DbError> {
+/// The marker a promoted standby of an older, replicating build left in
+/// the directory of the primary it deposed.
+pub const FENCE_FILE: &str = "phoenix.fenced";
+
+/// Refuse a directory this build must not write to:
+///
+/// * a partitioned server's: its `phoenix.wal.p<k>` streams hold committed
+///   transactions this build does not read, so opening it would silently
+///   drop them ([`DbError::PartitionedLog`]);
+/// * a deposed primary's, marked by [`FENCE_FILE`]: a promoted standby owns
+///   its history, and a write here would fork it ([`DbError::Fenced`]).
+fn refuse_retired(dir: &Path) -> Result<(), DbError> {
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
@@ -173,17 +164,21 @@ fn refuse_partitioned(dir: &Path) -> Result<(), DbError> {
         if name.starts_with("phoenix.wal.p") {
             return Err(DbError::PartitionedLog(path));
         }
+        if name == FENCE_FILE {
+            return Err(DbError::Fenced(path));
+        }
     }
     Ok(())
 }
 
 impl Applier {
     /// The snapshot in `dir` plus every frame in its log, fed. A directory
-    /// holding a partitioned server's log streams is refused
-    /// ([`DbError::PartitionedLog`]).
+    /// holding a partitioned server's log streams
+    /// ([`DbError::PartitionedLog`]) or a fence marker ([`DbError::Fenced`])
+    /// is refused.
     pub fn load(dir: &Path) -> Result<Applier, DbError> {
         let start = Instant::now();
-        refuse_partitioned(dir)?;
+        refuse_retired(dir)?;
         let (store, mark, gen, base) = match snapshot::load(dir, &Durable::snapshot_path(dir))? {
             Some(s) => (s.store, s.mark, s.gen, s.base),
             None => (Store::new(), 0, 0, SegmentBase::new()),
@@ -196,7 +191,6 @@ impl Applier {
             fates: HashMap::new(),
             pending: VecDeque::new(),
             max_gsn: 0,
-            min_gsn: None,
             last_txn: mark,
             fed: 0,
             applied: 0,
@@ -206,23 +200,26 @@ impl Applier {
                 ..Stages::default()
             },
         };
-        applier.catch_up(dir)?;
+        applier.read_log(dir)?;
         Ok(applier)
     }
 
-    /// Feed the frames in `dir`'s log that have not been fed yet.
-    pub fn catch_up(&mut self, dir: &Path) -> Result<(), DbError> {
+    /// Feed every frame in `dir`'s log, in GSN order. A frame at or below
+    /// the highest GSN already read is not fed twice.
+    fn read_log(&mut self, dir: &Path) -> Result<(), DbError> {
         let start = Instant::now();
-        let mut unseen = Vec::new();
+        let mut frames = Vec::new();
+        let mut high = 0;
         self.live_valid = for_each_frame(dir, |gsn, record| {
-            if gsn > self.max_gsn {
-                unseen.push((gsn, LogRecord::decode(record)?));
+            if gsn > high {
+                high = gsn;
+                frames.push((gsn, LogRecord::decode(record)?));
             }
             Ok(())
         })?;
         let read = start.elapsed();
         self.stages.wal_read += read;
-        for (gsn, rec) in unseen {
+        for (gsn, rec) in frames {
             self.feed(gsn, rec)?;
         }
         self.stages.apply += start.elapsed() - read;
@@ -230,14 +227,9 @@ impl Applier {
     }
 
     /// Take the record at `gsn`, then apply every record whose turn has
-    /// come. A `gsn` at or below the highest one fed is a re-read or a
-    /// re-shipment and is ignored.
-    pub fn feed(&mut self, gsn: u64, rec: LogRecord) -> Result<(), DbError> {
-        if gsn <= self.max_gsn {
-            return Ok(());
-        }
+    /// come.
+    fn feed(&mut self, gsn: u64, rec: LogRecord) -> Result<(), DbError> {
         self.max_gsn = gsn;
-        self.min_gsn.get_or_insert(gsn);
         self.fed += 1;
         let txn = rec.txn();
         self.last_txn = self.last_txn.max(txn);
@@ -274,7 +266,6 @@ impl Applier {
             store: self.store,
             last_txn: self.last_txn,
             max_gsn: self.max_gsn,
-            min_gsn: self.min_gsn,
             frames: self.fed,
             applied: self.applied,
             stages,
@@ -282,16 +273,6 @@ impl Applier {
             base: self.base,
             live_valid: self.live_valid,
         })
-    }
-
-    /// Highest GSN fed (0 = none).
-    pub fn max_gsn(&self) -> u64 {
-        self.max_gsn
-    }
-
-    /// Records fed and waiting behind an undecided transaction.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     /// Apply the longest prefix of `pending` whose transactions are all
@@ -325,9 +306,9 @@ mod tests {
     use super::*;
     use crate::types::{Column, DataType, Schema, TableDef, Value};
 
-    /// A long-lived standby must not remember every transaction it was ever
-    /// shipped: a ledger entry lives exactly as long as its deciding record
-    /// waits in the queue.
+    /// A long log must not make recovery remember every transaction in it:
+    /// a ledger entry lives exactly as long as its deciding record waits in
+    /// the queue.
     #[test]
     fn ledger_is_bounded_by_the_pending_tail() {
         let dir = std::env::temp_dir().join(format!("phoenix-applier-{}", std::process::id()));

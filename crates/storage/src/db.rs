@@ -50,11 +50,14 @@
 //! rotated `phoenix.wal.old` of an unfinished checkpoint) and one group
 //! committer, so a transaction commits with one `Commit` record and one
 //! flush however many tables it wrote. Every WAL frame payload is prefixed
-//! with a *global sequence number* (GSN), allocated under the WAL lock: the
-//! replication shipper and the standby position by it. A directory holding
-//! a `phoenix.wal.p<k>` stream was written by the retired partitioned write
-//! path and is refused at open ([`DbError::PartitionedLog`]): replaying
-//! only `phoenix.wal` would silently drop the transactions in the others.
+//! with a *global sequence number* (GSN), allocated under the WAL lock, so
+//! the log is GSN-ordered. A directory holding a `phoenix.wal.p<k>` stream
+//! was written by the retired partitioned write path and is refused at open
+//! ([`DbError::PartitionedLog`]): replaying only `phoenix.wal` would
+//! silently drop the transactions in the others. A directory holding
+//! `phoenix.fenced` belonged to a primary a promoted standby deposed, in a
+//! build that still replicated; it is refused too ([`DbError::Fenced`]),
+//! because the survivor owns its history now.
 //!
 //! Lock order (outer to inner): `checkpoint_state` → `working` → `wal` →
 //! {`group.state`, `active`}, and `working` → `published`. `published` is
@@ -87,21 +90,20 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
-use crate::applier::{for_each_frame, frame_payload, Applier, Recovered};
+use crate::applier::{frame_payload, Applier, Recovered};
 use crate::codec::DecodeError;
 use crate::metrics::storage_metrics;
 use crate::record::LogRecord;
-use crate::repl::{FrameState, ReplTap, ShipFrame, TapFrame, TAP_CAP};
 use crate::snapshot::{self, SegmentBase};
 use crate::store::{normalize_name, Segment, Slot, Store, StoreError, TableData};
 use crate::types::{Row, RowId, TableDef, TxnId};
-use crate::wal::{Wal, WalPoints, MAX_FRAME};
+use crate::wal::{Wal, MAX_FRAME};
 
 /// When to force the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,6 +132,10 @@ pub enum DbError {
     /// The directory holds this log stream of the retired partitioned
     /// write path; opening it would drop the transactions it holds.
     PartitionedLog(PathBuf),
+    /// The directory holds this fence marker: a standby of an older,
+    /// replicating build was promoted over this primary, so the history
+    /// here is no longer the authoritative one.
+    Fenced(PathBuf),
 }
 
 impl fmt::Display for DbError {
@@ -146,6 +152,13 @@ impl fmt::Display for DbError {
                  one log: opening the directory would drop the transactions in it. \
                  Open it once with the build that wrote it at `--partitions 1` and \
                  shut down cleanly; that checkpoint retires the stream",
+                path.display()
+            ),
+            DbError::Fenced(path) => write!(
+                f,
+                "{} marks this directory as a deposed primary: a promoted standby \
+                 owns its history, and writing here would fork it. Serve the \
+                 promoted standby's directory instead",
                 path.display()
             ),
         }
@@ -368,10 +381,6 @@ pub struct Durable {
     /// commit-append time and under the working lock at abort; recovery
     /// seeds it with the recovered high-water mark.
     last_finished: AtomicU64,
-    /// Largest GSN appended to the log. Written under the WAL lock; the
-    /// group-commit leader reads it under the same lock right before
-    /// syncing, which makes it the replication tap's durable watermark.
-    last_gsn: AtomicU64,
     dir: PathBuf,
     durability: Durability,
     next_txn: AtomicU64,
@@ -390,30 +399,13 @@ pub struct Durable {
     recovery: RecoveryReport,
     /// Bounded fsync delay the group-commit leader applies before flushing.
     group_commit_window: Duration,
-    /// The replication tap (dormant until a shipper attaches).
-    tap: ReplTap,
-    /// Sticky fencing flag: once set, every WAL append is refused. A deposed
-    /// primary is fenced when a newer incarnation is known to exist; the
-    /// engine layer persists the decision across restarts.
-    fenced: AtomicBool,
-    /// Oldest GSN still reconstructible from this directory's logs: raised
-    /// to the GSN high-water inside every checkpoint's rotation critical
-    /// section (the checkpoint folds older frames into the snapshot and
-    /// deletes them). A standby behind the floor must be re-seeded.
-    ship_floor: AtomicU64,
-    /// Semi-sync commit: how long a committer waits for the standby ack
-    /// watermark to cover its commit record before degrading to async.
-    /// `None` (the default) is fully asynchronous replication.
-    commit_wait: Mutex<Option<Duration>>,
     /// Loads the snapshot tables recovery did not need, so that steady state
     /// is reached without a client paying for it.
     drain: Mutex<Drain>,
 }
 
 impl Durable {
-    /// The live log. Public because the replication standby appends
-    /// shipped frames to the same file, keeping its directory recoverable at
-    /// every instant.
+    /// The live log.
     pub fn wal_path(dir: &Path) -> PathBuf {
         dir.join("phoenix.wal")
     }
@@ -438,55 +430,27 @@ impl Durable {
     /// Open the database in `dir`, performing crash recovery: the snapshot
     /// plus every committed log record newer than its mark (see
     /// [`crate::applier`]). A directory a partitioned server wrote is
-    /// refused with [`DbError::PartitionedLog`].
+    /// refused with [`DbError::PartitionedLog`], and one a promoted standby
+    /// fenced with [`DbError::Fenced`].
     pub fn open_opts(
         dir: impl AsRef<Path>,
         durability: Durability,
         opts: &RecoveryOptions,
     ) -> Result<Durable, DbError> {
         let start = Instant::now();
-        std::fs::create_dir_all(&dir)?;
-        let recovered = Applier::load(dir.as_ref())?.finish()?;
-        Self::from_recovered(dir.as_ref(), durability, opts, recovered, start)
-    }
-
-    /// Open a directory whose log a warm standby has been applying as it
-    /// arrived: `applier` was loaded from `dir` and fed every frame since.
-    /// This is promotion's fast path — only frames the applier has not
-    /// seen are read back, so the cost is bounded by the standby's lag, not
-    /// the log size — and the result is bit-identical to a cold `open_opts`
-    /// of the same directory.
-    pub fn open_warm(
-        dir: impl AsRef<Path>,
-        durability: Durability,
-        opts: &RecoveryOptions,
-        mut applier: Applier,
-    ) -> Result<Durable, DbError> {
-        let start = Instant::now();
-        applier.catch_up(dir.as_ref())?;
-        let recovered = applier.finish()?;
-        Self::from_recovered(dir.as_ref(), durability, opts, recovered, start)
-    }
-
-    fn from_recovered(
-        dir: &Path,
-        durability: Durability,
-        opts: &RecoveryOptions,
-        recovered: Recovered,
-        start: Instant,
-    ) -> Result<Durable, DbError> {
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
         let Recovered {
             store,
             last_txn,
             max_gsn,
-            min_gsn,
             frames,
             applied,
             stages,
             gen,
             base,
             live_valid,
-        } = recovered;
+        } = Applier::load(dir)?.finish()?;
         let us = |d: Duration| d.as_micros() as u64;
         let report = RecoveryReport {
             wal_frames: frames as usize,
@@ -511,11 +475,7 @@ impl Durable {
             working: Mutex::new(store),
             // The applier has just scanned the log: resume it at the valid
             // prefix it found instead of scanning again.
-            wal: Mutex::new(Wal::open_at(
-                Self::wal_path(dir),
-                WalPoints::default(),
-                live_valid,
-            )?),
+            wal: Mutex::new(Wal::open_at(Self::wal_path(dir), live_valid)?),
             group: GroupCommit {
                 state: Mutex::new(GroupState {
                     appended: 0,
@@ -525,7 +485,6 @@ impl Durable {
                 flushed_cv: Condvar::new(),
             },
             last_finished: AtomicU64::new(last_txn),
-            last_gsn: AtomicU64::new(max_gsn),
             dir: dir.to_path_buf(),
             durability,
             next_txn: AtomicU64::new(last_txn + 1),
@@ -539,18 +498,6 @@ impl Durable {
             }),
             recovery: report,
             group_commit_window: Duration::from_micros(opts.group_commit_window_us),
-            tap: ReplTap::new(),
-            fenced: AtomicBool::new(false),
-            // With a snapshot on disk, frames it folded in are gone: the
-            // oldest shippable GSN is the oldest one still in the logs (or
-            // just past the high-water if the logs are empty). Without one,
-            // the entire history is reconstructible from GSN 1.
-            ship_floor: AtomicU64::new(if gen > 0 {
-                min_gsn.unwrap_or(max_gsn + 1)
-            } else {
-                1
-            }),
-            commit_wait: Mutex::new(None),
             drain,
         })
     }
@@ -626,69 +573,13 @@ impl Durable {
 
     /// Append one record to the log, whose lock the caller already holds,
     /// prefixing it with a freshly allocated GSN. Allocating *under* the
-    /// lock keeps the log GSN-ordered. Returns the frame's GSN.
-    ///
-    /// Refused outright on a fenced handle: a deposed primary must never
-    /// extend its log, however the write reached this layer.
-    fn append_locked(&self, wal: &mut Wal, encoded: &[u8]) -> Result<u64, DbError> {
-        if self.fenced.load(Ordering::Relaxed) {
-            return Err(DbError::Io(io::Error::new(
-                io::ErrorKind::PermissionDenied,
-                "wal.append refused: this incarnation was fenced by a newer primary",
-            )));
-        }
-        // With a shipper attached, GSN allocation and frame staging are one
-        // atomic step under the tap lock, so the staged queue is strictly
-        // GSN-ordered. Unattached, allocation stays a bare fetch_add.
-        let gsn = if self.tap.enabled.load(Ordering::Acquire) {
-            let mut t = self.tap.state.lock();
-            let gsn = self.next_gsn.fetch_add(1, Ordering::Relaxed);
-            if !t.lost {
-                if t.frames.len() >= TAP_CAP {
-                    // The shipper fell too far behind the write rate: drop
-                    // the queue (bounding memory, not throughput); the
-                    // shipper must re-attach with a disk catch-up.
-                    t.frames.clear();
-                    t.lost = true;
-                } else {
-                    t.frames.push_back(TapFrame {
-                        gsn,
-                        record: encoded.to_vec(),
-                        state: FrameState::Staged,
-                    });
-                }
-            }
-            gsn
-        } else {
-            self.next_gsn.fetch_add(1, Ordering::Relaxed)
-        };
-        let appended = wal.append(&frame_payload(gsn, encoded));
-        if self.tap.enabled.load(Ordering::Acquire) {
-            self.tap_mark(gsn, appended.is_ok());
-        }
-        appended?;
-        self.last_gsn.store(gsn, Ordering::Release);
+    /// lock keeps the log GSN-ordered.
+    fn append_locked(&self, wal: &mut Wal, encoded: &[u8]) -> Result<(), DbError> {
+        let gsn = self.next_gsn.fetch_add(1, Ordering::Relaxed);
+        wal.append(&frame_payload(gsn, encoded))?;
         self.records_since_checkpoint
             .fetch_add(1, Ordering::Relaxed);
-        Ok(gsn)
-    }
-
-    /// Resolve a staged frame's fate once its append outcome is known: a
-    /// successful append makes it shippable (subject to the durable
-    /// watermark), a failed one leaves a `Dead` tombstone preserving the
-    /// queue's GSN contiguity.
-    fn tap_mark(&self, gsn: u64, ok: bool) {
-        let mut t = self.tap.state.lock();
-        // The frame is near the back (staged moments ago under this lock).
-        if let Some(f) = t.frames.iter_mut().rev().find(|f| f.gsn == gsn) {
-            f.state = if ok {
-                FrameState::Appended
-            } else {
-                FrameState::Dead
-            };
-        }
-        drop(t);
-        self.tap.cv.notify_all();
+        Ok(())
     }
 
     /// Append one record to the log. Callers that need write-ahead
@@ -696,7 +587,6 @@ impl Durable {
     /// lock.
     fn log(&self, rec: &LogRecord) -> Result<(), DbError> {
         self.append_locked(&mut self.wal.lock(), &rec.encode())
-            .map(|_gsn| ())
     }
 
     /// Begin a new transaction. Nothing is logged — a transaction exists in
@@ -726,62 +616,19 @@ impl Durable {
         // while its effects sit inside the snapshot image (the double-apply
         // window).
         let encoded = LogRecord::Commit { txn }.encode();
-        let (seq, commit_gsn) = {
+        let seq = {
             let mut wal = self.wal.lock();
-            // The commit record's GSN dominates every record of the
-            // transaction (they were all allocated earlier), so the standby
-            // ack watermark covering it covers the whole transaction.
-            let gsn = self.append_locked(&mut wal, &encoded)?;
+            self.append_locked(&mut wal, &encoded)?;
             self.last_finished.fetch_max(txn, Ordering::Relaxed);
             let mut st = self.group.state.lock();
             st.appended += 1;
-            (st.appended, gsn)
+            st.appended
         };
         self.active.lock().remove(&txn);
         if self.durability == Durability::Fsync {
             self.group_sync(seq)?;
         }
-        self.semi_sync_wait(commit_gsn);
         Ok(())
-    }
-
-    /// Under semi-sync replication, hold the committer until the standby
-    /// ack watermark covers `gsn` — the reply does not leave the server
-    /// before the standby holds the transaction. Bounded: past the
-    /// configured timeout the commit *degrades* to async (counted by
-    /// `phoenix_repl_semisync_degraded_total`) rather than stalling the
-    /// session behind a dead standby. No-op when async (the default) or
-    /// when no shipper is attached.
-    fn semi_sync_wait(&self, gsn: u64) {
-        let Some(timeout) = *self.commit_wait.lock() else {
-            return;
-        };
-        if !self.tap.enabled.load(Ordering::Acquire) {
-            return;
-        }
-        let deadline = Instant::now() + timeout;
-        let mut acked = self.tap.acked.lock();
-        while *acked < gsn {
-            // Re-check the exit conditions at a bounded cadence: the
-            // shipper may detach, and a chaos-halted process must never
-            // leave committers parked (the harness drains them on crash).
-            if !self.tap.enabled.load(Ordering::Acquire) || phoenix_chaos::halted() {
-                return;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                phoenix_obs::registry()
-                    .counter(
-                        "phoenix_repl_semisync_degraded_total",
-                        "semi-sync commits that timed out waiting for a standby ack \
-                         and degraded to async",
-                    )
-                    .inc();
-                return;
-            }
-            let wait = (deadline - now).min(Duration::from_millis(10));
-            self.tap.acked_cv.wait_for(&mut acked, wait);
-        }
     }
 
     /// Wait until the commit record with group sequence `seq` is durable,
@@ -810,16 +657,12 @@ impl Durable {
             let flush = {
                 let mut wal = self.wal.lock();
                 let upto = self.group.state.lock().appended;
-                // Captured under the WAL lock: every frame with
-                // gsn ≤ gsn_upto is covered by the sync below — the
-                // replication tap's durable watermark.
-                let gsn_upto = self.last_gsn.load(Ordering::Acquire);
-                wal.sync().map(|()| (upto, gsn_upto))
+                wal.sync().map(|()| upto)
             };
             st = self.group.state.lock();
             st.leader = false;
             match flush {
-                Ok((upto, gsn_upto)) => {
+                Ok(upto) => {
                     if upto > st.flushed {
                         let m = storage_metrics();
                         m.group_commit_records.add(upto - st.flushed);
@@ -828,10 +671,6 @@ impl Durable {
                     }
                     st.flushed = st.flushed.max(upto);
                     self.group.flushed_cv.notify_all();
-                    if self.tap.enabled.load(Ordering::Acquire) {
-                        self.tap.durable.fetch_max(gsn_upto, Ordering::AcqRel);
-                        self.tap.cv.notify_all();
-                    }
                     // `upto` ≥ our `seq` (we appended before flushing), so
                     // the next loop iteration returns Ok.
                 }
@@ -1334,13 +1173,6 @@ impl Durable {
             let mut wal = self.wal.lock();
             let mark = self.last_finished.load(Ordering::Relaxed);
             wal.rotate_to(&Self::wal_old_path(&self.dir))?;
-            // Everything below the current GSN high-water is being folded
-            // into the snapshot; once the manifest commits, those frames
-            // are deleted. Raise the shipping floor now, conservatively —
-            // a standby catch-up between rotation and deletion refuses
-            // rather than racing the unlink.
-            self.ship_floor
-                .fetch_max(self.next_gsn.load(Ordering::Relaxed), Ordering::Relaxed);
             mark
         };
         self.records_since_checkpoint.store(0, Ordering::Relaxed);
@@ -1415,164 +1247,6 @@ impl Durable {
         };
         m.checkpoints.inc();
         Ok(())
-    }
-
-    // -- replication tap (see `crate::repl` for the frame/queue types) ----
-
-    /// Permanently fence this handle: every subsequent WAL append is
-    /// refused with `PermissionDenied`. Called when a newer incarnation (a
-    /// promoted standby) is known to exist; the engine layer persists the
-    /// decision so it sticks across restarts.
-    pub fn fence(&self) {
-        self.fenced.store(true, Ordering::SeqCst);
-        // Wake any semi-sync committers; they re-check and bail on timeout
-        // or detach, never completing a write on a fenced primary anyway.
-        self.tap.acked_cv.notify_all();
-    }
-
-    /// Has [`Durable::fence`] been called on this handle?
-    pub fn is_fenced(&self) -> bool {
-        self.fenced.load(Ordering::SeqCst)
-    }
-
-    /// Highest GSN allocated so far (0 = none yet): the shipper's lag
-    /// reference point.
-    pub fn last_gsn(&self) -> u64 {
-        self.next_gsn.load(Ordering::Relaxed).saturating_sub(1)
-    }
-
-    /// Oldest GSN still reconstructible from this directory (frames below
-    /// it were folded into a snapshot). A standby whose log ends before
-    /// `floor - 1` cannot catch up over the wire and must be re-seeded from
-    /// a copy of the primary's data directory.
-    pub fn ship_floor(&self) -> u64 {
-        self.ship_floor.load(Ordering::Relaxed)
-    }
-
-    /// Configure the semi-sync commit wait: `Some(timeout)` holds each
-    /// commit until the standby ack watermark covers it (degrading to async
-    /// past the timeout), `None` (the default) replicates asynchronously.
-    pub fn set_commit_wait(&self, wait: Option<Duration>) {
-        *self.commit_wait.lock() = wait;
-        self.tap.acked_cv.notify_all();
-    }
-
-    /// Attach a shipper whose standby has every frame up to and including
-    /// `standby_last_gsn`: arm the live tap and return the disk backlog —
-    /// every on-disk frame past that GSN, in GSN order.
-    ///
-    /// Holding the WAL lock blocks every append for the duration, so the
-    /// returned backlog and the armed queue partition the GSN space
-    /// exactly: no frame is missed, none is delivered twice.
-    pub fn repl_attach(&self, standby_last_gsn: u64) -> Result<Vec<ShipFrame>, DbError> {
-        let _wal = self.wal.lock();
-        let floor = self.ship_floor.load(Ordering::Relaxed);
-        if standby_last_gsn + 1 < floor {
-            return Err(DbError::Io(io::Error::other(format!(
-                "standby is at gsn {standby_last_gsn} but the oldest shippable frame is \
-                 {floor} (a checkpoint folded the gap into the snapshot); re-seed the \
-                 standby from a copy of the primary's data directory"
-            ))));
-        }
-        if standby_last_gsn > self.last_gsn() {
-            return Err(DbError::Io(io::Error::other(format!(
-                "standby is at gsn {standby_last_gsn}, ahead of this primary's high-water \
-                 {} — it was seeded from a different log history; re-seed it",
-                self.last_gsn()
-            ))));
-        }
-        {
-            let mut t = self.tap.state.lock();
-            t.frames.clear();
-            t.lost = false;
-        }
-        *self.tap.acked.lock() = standby_last_gsn;
-        self.tap.enabled.store(true, Ordering::SeqCst);
-        let mut backlog: Vec<ShipFrame> = Vec::new();
-        for_each_frame(&self.dir, |gsn, record| {
-            if gsn > standby_last_gsn {
-                backlog.push((gsn, record.to_vec()));
-            }
-            Ok(())
-        })?;
-        Ok(backlog)
-    }
-
-    /// Drain up to `max` shippable frames in GSN order, blocking up to
-    /// `wait` for the first one. A frame is shippable once its append
-    /// succeeded **and** (under `Fsync`) the durable watermark
-    /// covers it — the shipper only ever sees post-fsync data. Returns an
-    /// error if the tap overflowed its bounded queue: the caller
-    /// must detach and re-attach with a disk catch-up.
-    pub fn repl_poll(&self, max: usize, wait: Duration) -> Result<Vec<ShipFrame>, DbError> {
-        let deadline = Instant::now() + wait;
-        let mut t = self.tap.state.lock();
-        loop {
-            if t.lost {
-                return Err(DbError::Io(io::Error::other(
-                    "replication tap overflowed; re-attach with a disk catch-up",
-                )));
-            }
-            let mut out = Vec::new();
-            while out.len() < max {
-                let ship = match t.frames.front() {
-                    None => break,
-                    Some(f) => match f.state {
-                        FrameState::Staged => false,
-                        FrameState::Dead => true, // tombstone: pop, never ship
-                        FrameState::Appended => {
-                            self.durability == Durability::Buffered
-                                || f.gsn <= self.tap.durable.load(Ordering::Acquire)
-                        }
-                    },
-                };
-                if !ship {
-                    break;
-                }
-                let f = t.frames.pop_front().expect("front checked");
-                if matches!(f.state, FrameState::Appended) {
-                    out.push((f.gsn, f.record));
-                }
-            }
-            if !out.is_empty() {
-                return Ok(out);
-            }
-            if Instant::now() >= deadline {
-                return Ok(Vec::new());
-            }
-            // Bounded wait: notifications cover the common paths (append,
-            // sync), the timeout covers the rest.
-            self.tap.cv.wait_for(&mut t, Duration::from_millis(2));
-        }
-    }
-
-    /// Record the standby's ack watermark: every frame with `gsn ≤` the
-    /// watermark is received and persisted on the standby. Unblocks
-    /// semi-sync committers.
-    pub fn repl_ack(&self, gsn: u64) {
-        let mut acked = self.tap.acked.lock();
-        if gsn > *acked {
-            *acked = gsn;
-        }
-        drop(acked);
-        self.tap.acked_cv.notify_all();
-    }
-
-    /// The standby ack watermark (for lag accounting).
-    pub fn repl_acked_gsn(&self) -> u64 {
-        *self.tap.acked.lock()
-    }
-
-    /// Detach the shipper: disarm the tap, drop staged frames, and release
-    /// any semi-sync committers (their standby is gone; holding commits
-    /// hostage would not make it less gone).
-    pub fn repl_detach(&self) {
-        self.tap.enabled.store(false, Ordering::SeqCst);
-        let mut t = self.tap.state.lock();
-        t.frames.clear();
-        t.lost = false;
-        drop(t);
-        self.tap.acked_cv.notify_all();
     }
 }
 
@@ -2296,6 +1970,35 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("phoenix.wal.p1"), "{err}");
         assert!(matches!(err, DbError::PartitionedLog(p) if p == stream));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A primary a promoted standby deposed (in a build that still
+    /// replicated) carries `phoenix.fenced`: it stays refused, every time it
+    /// is opened, and the refusal writes nothing to its log.
+    #[test]
+    fn directory_of_a_fenced_primary_is_refused() {
+        let dir = temp_dir();
+        {
+            let db = Durable::open(&dir, Durability::Fsync).unwrap();
+            let t = db.begin().unwrap();
+            db.create_table(t, named_def("dbo.acct")).unwrap();
+            db.commit(t).unwrap();
+        }
+        let marker = dir.join(crate::applier::FENCE_FILE);
+        std::fs::write(&marker, b"fenced by epoch 2\n").unwrap();
+        let log = std::fs::read(Durable::wal_path(&dir)).unwrap();
+        for _ in 0..2 {
+            let err = Durable::open(&dir, Durability::Fsync)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(err.to_string().contains("phoenix.fenced"), "{err}");
+            assert!(
+                matches!(err, DbError::Fenced(ref p) if *p == marker),
+                "{err}"
+            );
+        }
+        assert_eq!(std::fs::read(Durable::wal_path(&dir)).unwrap(), log);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

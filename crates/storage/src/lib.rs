@@ -26,8 +26,7 @@
 //! * [`snapshot`] — checkpointing: atomically written full-state snapshots
 //!   that allow the log to be truncated.
 //! * [`applier`] — [`applier::Applier`], the one routine that turns log
-//!   records into table state: crash recovery, the warm standby and
-//!   promotion all go through it.
+//!   records into table state: crash recovery goes through it.
 //! * [`db`] — [`db::Durable`], the transactional binding of a [`store::Store`]
 //!   to a WAL: every mutation is logged before it is applied, commits force
 //!   the log, aborts roll back in memory, and [`db::Durable::open`] performs
@@ -47,7 +46,6 @@ pub mod db;
 pub mod metrics;
 pub mod pmap;
 pub mod record;
-pub mod repl;
 pub mod snapshot;
 pub mod store;
 pub mod types;
@@ -56,6 +54,5 @@ pub mod wal;
 pub use applier::Applier;
 pub use db::{Durability, Durable};
 pub use pmap::{PMap, PSet};
-pub use repl::ShipFrame;
 pub use store::{Store, TableData};
 pub use types::{Column, DataType, Row, RowId, Schema, TableDef, TxnId, Value};

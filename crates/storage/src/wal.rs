@@ -25,40 +25,19 @@ use crate::metrics::storage_metrics;
 /// in memory but vanish as a "corrupt tail" on the next recovery.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
-/// Chaos fault-point names for one log. The primary's log fires the
-/// default `wal.*` names; a standby's staging log carries its own set, so a
-/// crash schedule can target one without the other.
-#[derive(Debug, Clone, Copy)]
-pub struct WalPoints {
-    /// Fault point hit inside [`Wal::append`].
-    pub append: &'static str,
-    /// Fault point hit inside [`Wal::sync`].
-    pub fsync: &'static str,
-    /// Fault point hit inside [`Wal::truncate`].
-    pub truncate: &'static str,
-    /// Fault point hit inside [`Wal::rotate_to`].
-    pub rotate: &'static str,
-}
-
-impl Default for WalPoints {
-    /// The primary's log: `wal.append`, `wal.fsync`, `wal.truncate`,
-    /// `wal.rotate`.
-    fn default() -> WalPoints {
-        WalPoints {
-            append: "wal.append",
-            fsync: "wal.fsync",
-            truncate: "wal.truncate",
-            rotate: "wal.rotate",
-        }
-    }
-}
+/// Chaos fault point hit inside [`Wal::append`].
+const APPEND_POINT: &str = "wal.append";
+/// Chaos fault point hit inside [`Wal::sync`].
+const FSYNC_POINT: &str = "wal.fsync";
+/// Chaos fault point hit inside [`Wal::truncate`].
+const TRUNCATE_POINT: &str = "wal.truncate";
+/// Chaos fault point hit inside [`Wal::rotate_to`].
+const ROTATE_POINT: &str = "wal.rotate";
 
 /// An open write-ahead log.
 pub struct Wal {
     file: File,
     path: PathBuf,
-    /// Chaos fault-point names this stream fires.
-    points: WalPoints,
     /// Bytes appended since the last sync, used by tests and stats.
     unsynced: usize,
     /// Number of `sync_data` calls issued over the log's lifetime — the
@@ -68,8 +47,7 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Open (creating if necessary) the log at `path` for appending, with
-    /// the default fault-point names.
+    /// Open (creating if necessary) the log at `path` for appending.
     ///
     /// Any torn or corrupt tail left by a crash mid-append is **truncated
     /// away** before the log accepts its first new frame. The reader already
@@ -78,24 +56,14 @@ impl Wal {
     /// would silently discard it — committed work lost on the following
     /// recovery.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Wal> {
-        Self::open_with_points(path, WalPoints::default())
-    }
-
-    /// [`Wal::open`] with explicit chaos fault-point names (the standby's
-    /// staging log uses its own).
-    pub fn open_with_points(path: impl AsRef<Path>, points: WalPoints) -> io::Result<Wal> {
         let valid = Self::scan(&path, |_| {})?;
-        Self::open_at(path, points, valid)
+        Self::open_at(path, valid)
     }
 
-    /// [`Wal::open_with_points`] for a caller that has just scanned the log
-    /// itself: `valid` is the valid-prefix length its [`Wal::scan`] returned,
-    /// so the file is not read a second time.
-    pub(crate) fn open_at(
-        path: impl AsRef<Path>,
-        points: WalPoints,
-        valid: u64,
-    ) -> io::Result<Wal> {
+    /// [`Wal::open`] for a caller that has just scanned the log itself:
+    /// `valid` is the valid-prefix length its [`Wal::scan`] returned, so the
+    /// file is not read a second time.
+    pub(crate) fn open_at(path: impl AsRef<Path>, valid: u64) -> io::Result<Wal> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
             .create(true)
@@ -110,7 +78,6 @@ impl Wal {
         Ok(Wal {
             file,
             path,
-            points,
             unsynced: 0,
             sync_calls: 0,
         })
@@ -139,7 +106,7 @@ impl Wal {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
-        match phoenix_chaos::durable_fault(self.points.append) {
+        match phoenix_chaos::durable_fault(APPEND_POINT) {
             phoenix_chaos::FaultAction::Continue => {}
             phoenix_chaos::FaultAction::Delay(d) => std::thread::sleep(d),
             phoenix_chaos::FaultAction::Torn(n) => {
@@ -148,10 +115,10 @@ impl Wal {
                 let n = n.min(frame.len() - 1);
                 self.file.write_all(&frame[..n])?;
                 let _ = self.file.sync_data();
-                return Err(phoenix_chaos::injected_error(self.points.append));
+                return Err(phoenix_chaos::injected_error(APPEND_POINT));
             }
             phoenix_chaos::FaultAction::Crash | phoenix_chaos::FaultAction::IoError => {
-                return Err(phoenix_chaos::injected_error(self.points.append));
+                return Err(phoenix_chaos::injected_error(APPEND_POINT));
             }
         }
         self.file.write_all(&frame)?;
@@ -162,7 +129,7 @@ impl Wal {
 
     /// Force all appended frames to stable storage.
     pub fn sync(&mut self) -> io::Result<()> {
-        phoenix_chaos::check_durable(self.points.fsync)?;
+        phoenix_chaos::check_durable(FSYNC_POINT)?;
         let m = storage_metrics();
         let _t = phoenix_obs::Timer::new(&m.wal_fsync_us);
         self.file.sync_data()?;
@@ -179,7 +146,7 @@ impl Wal {
 
     /// Truncate the log to zero length (after a successful checkpoint).
     pub fn truncate(&mut self) -> io::Result<()> {
-        phoenix_chaos::check_durable(self.points.truncate)?;
+        phoenix_chaos::check_durable(TRUNCATE_POINT)?;
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::End(0))?;
         self.file.sync_data()?;
@@ -197,7 +164,7 @@ impl Wal {
     /// before completing — the live frames are *merged* onto the healed tail
     /// of the old file instead, so no generation of records is ever dropped.
     pub fn rotate_to(&mut self, old_path: &Path) -> io::Result<()> {
-        phoenix_chaos::check_durable(self.points.rotate)?;
+        phoenix_chaos::check_durable(ROTATE_POINT)?;
         // Only full, valid frames may move: a torn tail (possible only via
         // injected faults, which kill the process, but cheap to respect)
         // stays behind to be discarded.

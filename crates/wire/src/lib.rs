@@ -20,9 +20,7 @@
 //! in the same order. [`message::Request::ExecBatch`] executes several
 //! statements in one round trip and returns per-statement outcomes in a
 //! single [`message::Response::BatchResult`] frame. Before login the server
-//! also answers the session-less `Ping`, `Stats` and `Promote` untagged; the
-//! replication channel (`ReplHello`/`ReplFrames`, standby-bound) stays
-//! untagged throughout.
+//! also answers the session-less `Ping` and `Stats` untagged.
 //!
 //! Failure modes the Phoenix layer must handle — a dead socket mid-request,
 //! a response that never arrives — surface here as ordinary `io::Error`s,
@@ -33,6 +31,5 @@ pub mod message;
 
 pub use frame::{read_frame, read_tagged_frame, write_frame, write_tagged_frame, FrameError};
 pub use message::{
-    BatchItem, CursorKind, FetchDir, Outcome, ReplFrame, Request, Response, DEFAULT_WINDOW,
-    PROTOCOL_V2,
+    BatchItem, CursorKind, FetchDir, Outcome, Request, Response, DEFAULT_WINDOW, PROTOCOL_V2,
 };

@@ -113,49 +113,6 @@ pub enum Request {
         /// The statements, in execution order.
         stmts: Vec<String>,
     },
-    /// Replication handshake, sent by a primary's shipper to a standby's
-    /// receiver. The standby answers [`Response::ReplHelloAck`] with its own
-    /// log high-water so the shipper can serve exactly the missing suffix —
-    /// or [`Response::Err`] when the sender's epoch is stale (the shipper
-    /// must then fence its primary: a newer incarnation exists).
-    ReplHello {
-        /// The sending primary's incarnation epoch.
-        epoch: u64,
-        /// Replication protocol version the shipper speaks.
-        protocol: u32,
-    },
-    /// A batch of WAL frames shipped primary → standby, in strict GSN
-    /// order. The standby appends each to its own log, fsyncs,
-    /// applies, and answers [`Response::ReplAck`] with its new watermark. An
-    /// empty batch is a heartbeat (resets the standby's auto-promotion
-    /// timer) and is acked like any other.
-    ReplFrames {
-        /// The sending primary's incarnation epoch (re-checked per batch:
-        /// a standby that has seen a newer epoch refuses the stale one).
-        epoch: u64,
-        /// The frames, GSN-ascending.
-        frames: Vec<ReplFrame>,
-    },
-    /// Operator command: promote the receiving standby to primary under (at
-    /// least) the given epoch. The standby replies [`Response::Promoted`]
-    /// with the epoch it actually took, then replays its tail and starts
-    /// accepting logins. Sent to a live *primary*, this fences it instead —
-    /// the split-brain kill switch.
-    Promote {
-        /// Minimum epoch the new incarnation must exceed the old one by.
-        epoch: u64,
-    },
-}
-
-/// One replicated WAL frame: a GSN-stamped log record, byte-identical to
-/// the primary's WAL frame payload (minus the GSN prefix, carried
-/// explicitly here). On the wire: `[gsn u64][len u32][record]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplFrame {
-    /// The record's global sequence number.
-    pub gsn: u64,
-    /// The encoded `LogRecord` bytes (opaque to the wire layer).
-    pub record: Vec<u8>,
 }
 
 /// What a statement produced (wire view of the engine's outcome).
@@ -245,28 +202,6 @@ pub enum Response {
         /// Outcomes in statement order.
         items: Vec<BatchItem>,
     },
-    /// Standby's answer to [`Request::ReplHello`]: its current epoch and
-    /// log high-water. The shipper resumes shipping at `last_gsn + 1`.
-    ReplHelloAck {
-        /// The standby's (possibly just-raised) epoch.
-        epoch: u64,
-        /// Highest GSN present in the standby's logs (0 = empty).
-        last_gsn: u64,
-    },
-    /// Standby's answer to [`Request::ReplFrames`]: every frame with
-    /// `gsn ≤ last_gsn` is received, appended to the standby's own log and
-    /// fsynced — the semi-sync commit ack point.
-    ReplAck {
-        /// The standby's new log high-water.
-        last_gsn: u64,
-    },
-    /// Answer to [`Request::Promote`]: the standby took this epoch and is
-    /// replaying its tail; logins are accepted shortly after on the same
-    /// address.
-    Promoted {
-        /// The new incarnation's epoch (> every epoch the standby had seen).
-        epoch: u64,
-    },
 }
 
 /// One statement's outcome inside a [`Response::BatchResult`].
@@ -304,9 +239,11 @@ const REQ_DESCRIBE: u8 = 8;
 const REQ_STATS: u8 = 9;
 const REQ_LOGIN_V2: u8 = 10;
 const REQ_EXEC_BATCH: u8 = 11;
-const REQ_REPL_HELLO: u8 = 12;
-const REQ_REPL_FRAMES: u8 = 13;
-const REQ_PROMOTE: u8 = 14;
+/// The retired replication requests — handshake (12), frame batch (13) and
+/// promotion (14): decoding one fails with an error saying so, and the tags
+/// are never reassigned.
+const REQ_REPL_RETIRED_FIRST: u8 = 12;
+const REQ_REPL_RETIRED_LAST: u8 = 14;
 
 const RSP_RESULT: u8 = 102;
 const RSP_CURSOR_OPENED: u8 = 103;
@@ -318,9 +255,10 @@ const RSP_TABLE_INFO: u8 = 108;
 const RSP_STATS: u8 = 109;
 const RSP_LOGIN_ACK_V2: u8 = 110;
 const RSP_BATCH_RESULT: u8 = 111;
-const RSP_REPL_HELLO_ACK: u8 = 112;
-const RSP_REPL_ACK: u8 = 113;
-const RSP_PROMOTED: u8 = 114;
+/// The retired replication responses — handshake ack (112), frame ack (113)
+/// and promoted (114) — kept unassigned like their requests.
+const RSP_REPL_RETIRED_FIRST: u8 = 112;
+const RSP_REPL_RETIRED_LAST: u8 = 114;
 
 fn cursor_kind_tag(k: CursorKind) -> u8 {
     match k {
@@ -497,25 +435,6 @@ impl Request {
                     codec::put_str(&mut buf, s);
                 }
             }
-            Request::ReplHello { epoch, protocol } => {
-                buf.put_u8(REQ_REPL_HELLO);
-                buf.put_u64_le(*epoch);
-                buf.put_u32_le(*protocol);
-            }
-            Request::ReplFrames { epoch, frames } => {
-                buf.put_u8(REQ_REPL_FRAMES);
-                buf.put_u64_le(*epoch);
-                buf.put_u32_le(frames.len() as u32);
-                for f in frames {
-                    buf.put_u64_le(f.gsn);
-                    buf.put_u32_le(f.record.len() as u32);
-                    buf.extend_from_slice(&f.record);
-                }
-            }
-            Request::Promote { epoch } => {
-                buf.put_u8(REQ_PROMOTE);
-                buf.put_u64_le(*epoch);
-            }
         }
         buf.to_vec()
     }
@@ -607,43 +526,10 @@ impl Request {
                 }
                 Request::ExecBatch { stmts }
             }
-            REQ_REPL_HELLO => {
-                if buf.remaining() < 12 {
-                    return Err(DecodeError("truncated repl hello".into()));
-                }
-                let epoch = buf.get_u64_le();
-                let protocol = buf.get_u32_le();
-                Request::ReplHello { epoch, protocol }
-            }
-            REQ_REPL_FRAMES => {
-                if buf.remaining() < 12 {
-                    return Err(DecodeError("truncated repl frame header".into()));
-                }
-                let epoch = buf.get_u64_le();
-                let n = buf.get_u32_le() as usize;
-                let mut frames = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    if buf.remaining() < 12 {
-                        return Err(DecodeError("truncated repl frame".into()));
-                    }
-                    let gsn = buf.get_u64_le();
-                    let len = buf.get_u32_le() as usize;
-                    if buf.remaining() < len {
-                        return Err(DecodeError("truncated repl frame record".into()));
-                    }
-                    let record = buf[..len].to_vec();
-                    buf.advance(len);
-                    frames.push(ReplFrame { gsn, record });
-                }
-                Request::ReplFrames { epoch, frames }
-            }
-            REQ_PROMOTE => {
-                if buf.remaining() < 8 {
-                    return Err(DecodeError("truncated promote epoch".into()));
-                }
-                Request::Promote {
-                    epoch: buf.get_u64_le(),
-                }
+            tag @ REQ_REPL_RETIRED_FIRST..=REQ_REPL_RETIRED_LAST => {
+                return Err(DecodeError(format!(
+                    "request tag {tag} belongs to the retired replication channel"
+                )))
             }
             other => return Err(DecodeError(format!("unknown request tag {other}"))),
         };
@@ -729,19 +615,6 @@ impl Response {
                         }
                     }
                 }
-            }
-            Response::ReplHelloAck { epoch, last_gsn } => {
-                buf.put_u8(RSP_REPL_HELLO_ACK);
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(*last_gsn);
-            }
-            Response::ReplAck { last_gsn } => {
-                buf.put_u8(RSP_REPL_ACK);
-                buf.put_u64_le(*last_gsn);
-            }
-            Response::Promoted { epoch } => {
-                buf.put_u8(RSP_PROMOTED);
-                buf.put_u64_le(*epoch);
             }
         }
         buf.to_vec()
@@ -865,29 +738,10 @@ impl Response {
                 }
                 Response::BatchResult { items }
             }
-            RSP_REPL_HELLO_ACK => {
-                if buf.remaining() < 16 {
-                    return Err(DecodeError("truncated repl hello ack".into()));
-                }
-                let epoch = buf.get_u64_le();
-                let last_gsn = buf.get_u64_le();
-                Response::ReplHelloAck { epoch, last_gsn }
-            }
-            RSP_REPL_ACK => {
-                if buf.remaining() < 8 {
-                    return Err(DecodeError("truncated repl ack".into()));
-                }
-                Response::ReplAck {
-                    last_gsn: buf.get_u64_le(),
-                }
-            }
-            RSP_PROMOTED => {
-                if buf.remaining() < 8 {
-                    return Err(DecodeError("truncated promoted epoch".into()));
-                }
-                Response::Promoted {
-                    epoch: buf.get_u64_le(),
-                }
+            tag @ RSP_REPL_RETIRED_FIRST..=RSP_REPL_RETIRED_LAST => {
+                return Err(DecodeError(format!(
+                    "response tag {tag} belongs to the retired replication channel"
+                )))
             }
             other => return Err(DecodeError(format!("unknown response tag {other}"))),
         };
@@ -952,28 +806,6 @@ mod tests {
                 "COMMIT".into(),
             ],
         });
-        roundtrip_req(Request::ReplHello {
-            epoch: 3,
-            protocol: PROTOCOL_V2,
-        });
-        roundtrip_req(Request::ReplFrames {
-            epoch: 3,
-            frames: Vec::new(),
-        });
-        roundtrip_req(Request::ReplFrames {
-            epoch: 3,
-            frames: vec![
-                ReplFrame {
-                    gsn: 41,
-                    record: vec![1, 2, 3],
-                },
-                ReplFrame {
-                    gsn: 42,
-                    record: Vec::new(),
-                },
-            ],
-        });
-        roundtrip_req(Request::Promote { epoch: 4 });
     }
 
     #[test]
@@ -1053,12 +885,6 @@ mod tests {
                 },
             ],
         });
-        roundtrip_rsp(Response::ReplHelloAck {
-            epoch: 3,
-            last_gsn: 4096,
-        });
-        roundtrip_rsp(Response::ReplAck { last_gsn: 4097 });
-        roundtrip_rsp(Response::Promoted { epoch: 4 });
     }
 
     #[test]
@@ -1078,20 +904,6 @@ mod tests {
                 stmts: vec!["SELECT 1".into()],
             }
             .encode(),
-            Request::ReplHello {
-                epoch: 1,
-                protocol: PROTOCOL_V2,
-            }
-            .encode(),
-            Request::ReplFrames {
-                epoch: 1,
-                frames: vec![ReplFrame {
-                    gsn: 9,
-                    record: vec![0xAB],
-                }],
-            }
-            .encode(),
-            Request::Promote { epoch: 2 }.encode(),
         ];
         for bytes in &encodings {
             for cut in 1..bytes.len() {
@@ -1112,13 +924,6 @@ mod tests {
                 }],
             }
             .encode(),
-            Response::ReplHelloAck {
-                epoch: 1,
-                last_gsn: 9,
-            }
-            .encode(),
-            Response::ReplAck { last_gsn: 9 }.encode(),
-            Response::Promoted { epoch: 2 }.encode(),
         ];
         for bytes in &encodings {
             for cut in 1..bytes.len() {
@@ -1155,6 +960,24 @@ mod tests {
         // The retired v1 login tag says what replaced it.
         let err = Request::decode(&[REQ_LOGIN_RETIRED, 0, 0]).unwrap_err();
         assert!(err.0.contains("LoginV2"), "{err:?}");
+    }
+
+    /// The six tags of the retired replication channel decode to errors,
+    /// whatever follows them: never a panic, never another message.
+    #[test]
+    fn retired_replication_tags_are_decode_errors() {
+        let epoch = 3u64.to_le_bytes();
+        let one_frame = [&epoch[..], &[1, 0, 0, 0], &[9; 8], &[1, 0, 0, 0], &[0xAB]].concat();
+        for tail in [&[][..], &epoch[..], &one_frame[..], &[0xff; 3]] {
+            for tag in [12u8, 13, 14] {
+                let err = Request::decode(&[&[tag], tail].concat()).unwrap_err();
+                assert!(err.0.contains("retired replication"), "tag {tag}: {err}");
+            }
+            for tag in [112u8, 113, 114] {
+                let err = Response::decode(&[&[tag], tail].concat()).unwrap_err();
+                assert!(err.0.contains("retired replication"), "tag {tag}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! and review the fixture diff like any other wire-format change.
 
 use phoenix_storage::types::{Column, DataType, Schema, Value};
-use phoenix_wire::{BatchItem, CursorKind, FetchDir, Outcome, ReplFrame, Request, Response};
+use phoenix_wire::{BatchItem, CursorKind, FetchDir, Outcome, Request, Response};
 use phoenix_wire::{DEFAULT_WINDOW, PROTOCOL_V2};
 
 fn hex(bytes: &[u8]) -> String {
@@ -211,53 +211,6 @@ fn golden_set() -> Vec<(&'static str, Vec<u8>)> {
             }
             .encode(),
         ),
-        (
-            "v2_req_repl_hello",
-            Request::ReplHello {
-                epoch: 3,
-                protocol: PROTOCOL_V2,
-            }
-            .encode(),
-        ),
-        (
-            "v2_req_repl_frames",
-            Request::ReplFrames {
-                epoch: 3,
-                frames: vec![
-                    ReplFrame {
-                        gsn: 41,
-                        record: vec![0xDE, 0xAD, 0xBE, 0xEF],
-                    },
-                    ReplFrame {
-                        gsn: 42,
-                        record: Vec::new(),
-                    },
-                ],
-            }
-            .encode(),
-        ),
-        (
-            "v2_req_repl_heartbeat",
-            Request::ReplFrames {
-                epoch: 3,
-                frames: Vec::new(),
-            }
-            .encode(),
-        ),
-        ("v2_req_promote", Request::Promote { epoch: 4 }.encode()),
-        (
-            "v2_rsp_repl_hello_ack",
-            Response::ReplHelloAck {
-                epoch: 3,
-                last_gsn: 4096,
-            }
-            .encode(),
-        ),
-        (
-            "v2_rsp_repl_ack",
-            Response::ReplAck { last_gsn: 4097 }.encode(),
-        ),
-        ("v2_rsp_promoted", Response::Promoted { epoch: 4 }.encode()),
         ("v2_tagged_frame", {
             // A full tagged frame as it appears on the socket: length
             // header, tag prefix, then the message payload.
