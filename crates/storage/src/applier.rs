@@ -143,7 +143,7 @@ fn for_each_frame(
 
 /// The marker a promoted standby of an older, replicating build left in
 /// the directory of the primary it deposed.
-pub const FENCE_FILE: &str = "phoenix.fenced";
+pub(crate) const FENCE_FILE: &str = "phoenix.fenced";
 
 /// Refuse a directory this build must not write to:
 ///
