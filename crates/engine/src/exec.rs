@@ -273,7 +273,9 @@ mod tests {
 
     fn view_with(data: TableData) -> (Store, Store) {
         let mut durable = Store::new();
-        durable.install_table(data);
+        let name = data.def.name.clone();
+        durable.create_table((*data.def).clone()).unwrap();
+        *durable.table_mut(&name).unwrap() = data;
         (durable, Store::new())
     }
 

@@ -59,6 +59,8 @@ fn failed_statement_in_committed_txn_does_not_brick_the_database() {
         e.execute(sid, "BEGIN").unwrap();
         e.execute(sid, "INSERT INTO t VALUES (1, 2)")
             .expect_err("duplicate key");
+        e.execute(sid, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+            .expect_err("table exists");
         e.execute(sid, "INSERT INTO t VALUES (2, 2)").unwrap();
         e.execute(sid, "COMMIT").unwrap();
     }

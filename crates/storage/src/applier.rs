@@ -1,9 +1,10 @@
-//! [`Applier`]: the one routine that turns log records into table state.
+//! [`Applier`]: crash recovery, the schedule that decides which log records
+//! reach `Store::apply`, the one routine that turns them into table state.
 //!
 //! The log is REDO-only and every DML record carries explicit row ids, so
 //! recovery is a single incremental state machine: take records in GSN
 //! order — the order of the one log — hold each until its transaction's
-//! fate is known, then apply the winners with [`Store::apply`] and drop the
+//! fate is known, then apply the winners with `Store::apply` and drop the
 //! losers. Crash recovery is two calls: [`Applier::load`] reads the snapshot
 //! and feeds every frame of the log, then [`Applier::finish`] ends the log.
 //!
@@ -293,7 +294,7 @@ impl Applier {
             let (_, rec) = self.pending.pop_front().expect("front exists");
             // `feed` kept only records past the mark.
             if committed {
-                self.store.apply(&rec)?;
+                self.store.apply([rec], None)?;
                 self.applied += 1;
             }
         }

@@ -1,12 +1,14 @@
 //! [`Durable`]: the transactional binding of a [`Store`] to a write-ahead log.
 //!
-//! Every mutation follows write-ahead discipline — the log record is appended
-//! *before* the change becomes visible in the working store — and commit
-//! forces the log. A DML statement is first validated against a scratch copy
-//! of its table (an O(1) clone), so a statement the store would refuse never
-//! reaches the log. An aborted transaction is rolled back in memory from a
-//! per-transaction undo list (the log keeps the records; recovery ignores
-//! them because no commit record follows).
+//! Every mutation, row or catalog, takes one write path: its log records are
+//! applied through `Store::apply` to a scratch copy of the working store
+//! (an O(1) clone), and only a statement that applies whole reaches the log,
+//! so the log holds nothing recovery could not replay. The scratch then
+//! becomes the working store — write-ahead: the records are appended before
+//! the change is visible — and commit forces the log. The same apply hands
+//! back each record's inverse; an aborted transaction is rolled back in
+//! memory by applying those, newest first (the log keeps the records;
+//! recovery ignores them because no commit record follows).
 //!
 //! [`Durable::open`] is crash recovery, and all of it is the
 //! [`crate::applier::Applier`]: load the latest snapshot's manifest (each
@@ -101,7 +103,7 @@ use crate::codec::DecodeError;
 use crate::metrics::storage_metrics;
 use crate::record::LogRecord;
 use crate::snapshot::{self, SegmentBase};
-use crate::store::{normalize_name, Segment, Slot, Store, StoreError, TableData};
+use crate::store::{normalize_name, Change, Segment, Slot, Store, StoreError};
 use crate::types::{Row, RowId, TableDef, TxnId};
 use crate::wal::{Wal, MAX_FRAME};
 
@@ -181,46 +183,6 @@ impl From<DecodeError> for DbError {
     fn from(e: DecodeError) -> Self {
         DbError::Decode(e)
     }
-}
-
-/// Inverse operations recorded per transaction for in-memory rollback.
-enum UndoOp {
-    RemoveRow {
-        table: String,
-        row_id: RowId,
-    },
-    ReinsertRow {
-        table: String,
-        row_id: RowId,
-        row: Row,
-    },
-    RestoreRow {
-        table: String,
-        row_id: RowId,
-        row: Row,
-    },
-    DropCreatedTable {
-        name: String,
-    },
-    RestoreDroppedTable {
-        data: TableData,
-    },
-    DropCreatedProc {
-        name: String,
-    },
-    RestoreDroppedProc {
-        name: String,
-        sql: String,
-    },
-    DropCreatedIndex {
-        table: String,
-        name: String,
-    },
-    RestoreDroppedIndex {
-        table: String,
-        name: String,
-        column: usize,
-    },
 }
 
 /// Group-commit rendezvous. Committers take a monotonically increasing
@@ -387,8 +349,9 @@ pub struct Durable {
     /// Global sequence number for the next WAL frame, allocated under the
     /// WAL lock, so the log is GSN-ordered.
     next_gsn: AtomicU64,
-    /// Active transactions and their undo lists.
-    active: Mutex<HashMap<TxnId, Vec<UndoOp>>>,
+    /// Active transactions and the inverses of their applied records,
+    /// oldest first.
+    active: Mutex<HashMap<TxnId, Vec<Change>>>,
     /// Records appended since the last checkpoint (drives auto-checkpoint
     /// policy in the engine; the layer itself never checkpoints
     /// implicitly).
@@ -582,13 +545,6 @@ impl Durable {
         Ok(())
     }
 
-    /// Append one record to the log. Callers that need write-ahead
-    /// atomicity with a store mutation must already hold the working-store
-    /// lock.
-    fn log(&self, rec: &LogRecord) -> Result<(), DbError> {
-        self.append_locked(&mut self.wal.lock(), &rec.encode())
-    }
-
     /// Begin a new transaction. Nothing is logged — a transaction exists in
     /// the log only through the records of its mutations (and its final
     /// commit/abort marker), so an empty transaction costs no I/O until
@@ -683,7 +639,8 @@ impl Durable {
         }
     }
 
-    /// Abort: undo in memory (reverse order) and log the abort record.
+    /// Abort: apply the transaction's inverses in memory, newest first, and
+    /// log the abort record.
     ///
     /// The working lock is taken *before* the transaction leaves the
     /// `active` set: a checkpoint serializes its capture on the same lock
@@ -691,9 +648,8 @@ impl Durable {
     /// never see the transaction as finished while its effects are still
     /// un-rolled-back in the store.
     pub fn abort(&self, txn: TxnId) -> Result<(), DbError> {
-        // Take the undo list, leaving the entry in `active` so the
-        // checkpoint quiescence check keeps failing until the rollback is
-        // complete.
+        // Take the inverses, leaving the entry in `active` so the checkpoint
+        // quiescence check keeps failing until the rollback is complete.
         let undo = {
             let mut active = self.active.lock();
             std::mem::take(active.get_mut(&txn).ok_or(DbError::NoSuchTxn(txn))?)
@@ -701,39 +657,12 @@ impl Durable {
         let wrote = !undo.is_empty();
         let mut store = self.working.lock();
         let result = (|| -> Result<(), DbError> {
-            for op in undo.into_iter().rev() {
-                match op {
-                    UndoOp::RemoveRow { table, row_id } => {
-                        store.table_mut(&table)?.delete(row_id)?;
-                    }
-                    UndoOp::ReinsertRow { table, row_id, row } => {
-                        store.table_mut(&table)?.insert_with_id(row_id, row)?;
-                    }
-                    UndoOp::RestoreRow { table, row_id, row } => {
-                        store.table_mut(&table)?.update(row_id, row)?;
-                    }
-                    UndoOp::DropCreatedTable { name } => {
-                        store.drop_table(&name)?;
-                    }
-                    UndoOp::RestoreDroppedTable { data } => store.install_table(data),
-                    UndoOp::DropCreatedProc { name } => {
-                        store.drop_proc(&name)?;
-                    }
-                    UndoOp::RestoreDroppedProc { name, sql } => store.create_proc(&name, &sql)?,
-                    UndoOp::DropCreatedIndex { table, name } => {
-                        store.table_mut(&table)?.drop_index(&name)?;
-                    }
-                    UndoOp::RestoreDroppedIndex {
-                        table,
-                        name,
-                        column,
-                    } => store.table_mut(&table)?.create_index(&name, column)?,
-                }
-            }
+            store.apply(undo.into_iter().rev(), None)?;
             // Aborted ids count as finished too: the mark also seeds
             // `next_txn` after a post-checkpoint recovery, and ids must stay
             // monotone even when the highest allocated one never committed.
-            self.log(&LogRecord::Abort { txn })?;
+            let encoded = LogRecord::Abort { txn }.encode();
+            self.append_locked(&mut self.wal.lock(), &encoded)?;
             self.last_finished.fetch_max(txn, Ordering::Relaxed);
             Ok(())
         })();
@@ -761,45 +690,35 @@ impl Durable {
         }
     }
 
-    /// Record an undo entry for `txn` (the caller verified the txn is
-    /// active; tolerate a concurrent removal by dropping the entry — the
-    /// txn is gone and its undo list with it).
-    fn push_undo(&self, txn: TxnId, op: UndoOp) {
-        if let Some(undo) = self.active.lock().get_mut(&txn) {
-            undo.push(op);
-        }
-    }
+    // -- mutations: one write routine, one publish per statement ----------
 
-    // -- row mutations: one write routine, one publish per statement -----
-
-    /// The one DML write path: apply a statement's records to one table.
+    /// The one write path: every mutation, row or catalog, goes through it.
     ///
-    /// Under the working lock, `build` turns the table
-    /// as it stands into the statement's log records. They are then
-    /// *validated by applying them to a scratch copy* of the table — an
-    /// O(1) clone that shares every tree node, so the copy costs what the
-    /// write itself would — and only when the whole batch applies (table
-    /// exists, arity, key uniqueness against the table and within the
-    /// batch, every row id present) are the records appended, the copy
-    /// installed as the working table, and the image published, once.
-    /// A refused statement therefore writes zero log bytes and leaves the
-    /// working image untouched; a logged one is in memory exactly as
-    /// recovery will replay it.
-    fn write_rows(
+    /// Under the working lock, `build` turns the store as it stands into the
+    /// statement's log records. They are then *validated by applying them*
+    /// through [`Store::apply`] *to a scratch copy* of the store — an O(1)
+    /// clone that shares every tree node, so the copy costs what the write
+    /// itself would — and only when the whole statement applies (table,
+    /// procedure or index present or absent as the record needs, arity, key
+    /// uniqueness against the table and within the statement, every row id
+    /// present) are the records appended, the scratch installed as the
+    /// working store, and the image published, once. A refused statement
+    /// therefore writes zero log bytes and leaves the working image
+    /// untouched; a logged one is in memory exactly as recovery will replay
+    /// it, and its inverses join the transaction's for rollback.
+    fn write(
         &self,
         txn: TxnId,
-        table: &str,
-        build: impl FnOnce(&TableData) -> Vec<LogRecord>,
+        build: impl FnOnce(&Store) -> Result<Vec<LogRecord>, StoreError>,
     ) -> Result<(), DbError> {
         self.check_active(txn)?;
         let mut store = self.working.lock();
-        let current = store.table(table)?;
         // Encode once, up front. The 8-byte GSN prefix rides in the same
         // frame, so the cap accounts for it; an `InsertMany` over the cap
         // is halved until each piece fits (ids stay consecutive because the
         // front half is taken first), anything else over it is refused
         // here, before a byte is logged.
-        let mut pending: VecDeque<LogRecord> = build(current).into();
+        let mut pending: VecDeque<LogRecord> = build(&store)?.into();
         let (mut recs, mut encoded) = (Vec::new(), Vec::new());
         while let Some(rec) = pending.pop_front() {
             let bytes = rec.encode();
@@ -843,9 +762,11 @@ impl Durable {
         if recs.is_empty() {
             return Ok(());
         }
-        let apply = |recs: Vec<LogRecord>| -> Result<(TableData, Vec<UndoOp>), StoreError> {
+        let current: &Store = &store;
+        let apply = |recs: Vec<LogRecord>| -> Result<(Store, Vec<Change>), StoreError> {
             let mut scratch = current.clone();
-            let undo = apply_with_undo(&mut scratch, recs)?;
+            let mut undo = Vec::new();
+            scratch.apply(recs, Some(&mut undo))?;
             Ok((scratch, undo))
         };
         let mut applied = apply(recs)?;
@@ -880,7 +801,7 @@ impl Durable {
             None => {}
         }
         let (scratch, undo) = applied;
-        store.install_table(scratch);
+        *store = scratch;
         self.publish(&store);
         if let Some(txn_undo) = self.active.lock().get_mut(&txn) {
             txn_undo.extend(undo);
@@ -891,14 +812,14 @@ impl Durable {
     /// Insert a row (logged, undoable), returning its stable id.
     pub fn insert(&self, txn: TxnId, table: &str, row: Row) -> Result<RowId, DbError> {
         let mut row_id = 0;
-        self.write_rows(txn, table, |t| {
-            row_id = t.next_row_id;
-            vec![LogRecord::Insert {
+        self.write(txn, |s| {
+            row_id = s.table(table)?.next_row_id;
+            Ok(vec![LogRecord::Insert {
                 txn,
                 table: table.to_string(),
                 row_id,
                 row,
-            }]
+            }])
         })?;
         Ok(row_id)
     }
@@ -918,17 +839,18 @@ impl Durable {
         rows: Vec<Row>,
     ) -> Result<Vec<RowId>, DbError> {
         let mut ids = 0..0;
-        self.write_rows(txn, table, |t| {
-            ids = t.next_row_id..t.next_row_id + rows.len() as RowId;
+        self.write(txn, |s| {
+            let first_row_id = s.table(table)?.next_row_id;
+            ids = first_row_id..first_row_id + rows.len() as RowId;
             if rows.is_empty() {
-                return Vec::new();
+                return Ok(Vec::new());
             }
-            vec![LogRecord::InsertMany {
+            Ok(vec![LogRecord::InsertMany {
                 txn,
                 table: table.to_string(),
-                first_row_id: ids.start,
+                first_row_id,
                 rows,
-            }]
+            }])
         })?;
         Ok(ids.collect())
     }
@@ -941,15 +863,16 @@ impl Durable {
     /// Delete a statement's rows by id: one `Delete` record per row (the
     /// log format recovery already replays), one publish for the lot.
     pub fn delete_many(&self, txn: TxnId, table: &str, row_ids: &[RowId]) -> Result<(), DbError> {
-        self.write_rows(txn, table, |_| {
-            row_ids
+        self.write(txn, |s| {
+            s.table(table)?;
+            Ok(row_ids
                 .iter()
                 .map(|&row_id| LogRecord::Delete {
                     txn,
                     table: table.to_string(),
                     row_id,
                 })
-                .collect()
+                .collect())
         })
     }
 
@@ -966,8 +889,9 @@ impl Durable {
         table: &str,
         changes: Vec<(RowId, Row)>,
     ) -> Result<(), DbError> {
-        self.write_rows(txn, table, |_| {
-            changes
+        self.write(txn, |s| {
+            s.table(table)?;
+            Ok(changes
                 .into_iter()
                 .map(|(row_id, row)| LogRecord::Update {
                     txn,
@@ -975,85 +899,38 @@ impl Durable {
                     row_id,
                     row,
                 })
-                .collect()
+                .collect())
         })
     }
 
-    // -- catalog mutations (log first, then apply; the working-store mutex
-    //    makes the pair atomic with respect to other sessions, and every
-    //    successful mutation publishes the fresh image before releasing
-    //    it) -------------------------------------------------------------
+    // -- catalog mutations: the same write path -------------------------
 
     /// Create a table (logged, undoable).
     pub fn create_table(&self, txn: TxnId, def: TableDef) -> Result<(), DbError> {
-        self.check_active(txn)?;
-        let mut store = self.working.lock();
-        self.log(&LogRecord::CreateTable {
-            txn,
-            def: def.clone(),
-        })?;
-        let name = def.name.clone();
-        store.create_table(def)?;
-        self.publish(&store);
-        self.push_undo(txn, UndoOp::DropCreatedTable { name });
-        Ok(())
+        self.write(txn, |_| Ok(vec![LogRecord::CreateTable { txn, def }]))
     }
 
-    /// Drop a table (logged; abort restores it with its rows).
+    /// Drop a table (logged; abort restores it with its rows). Like every
+    /// statement on a table whose snapshot segment does not read back, the
+    /// drop of one is refused.
     pub fn drop_table(&self, txn: TxnId, name: &str) -> Result<(), DbError> {
-        self.check_active(txn)?;
-        let mut store = self.working.lock();
-        // Touch the table before anything is logged: undo needs the rows,
-        // so a table whose segment does not read back cannot be dropped.
-        store.table(name)?;
-        self.log(&LogRecord::DropTable {
-            txn,
-            name: name.to_string(),
-        })?;
-        let data = store.drop_table(name)?;
-        self.publish(&store);
-        self.push_undo(txn, UndoOp::RestoreDroppedTable { data });
-        Ok(())
+        self.write(txn, |s| {
+            s.table(name)?;
+            let name = name.to_string();
+            Ok(vec![LogRecord::DropTable { txn, name }])
+        })
     }
 
     /// Register a stored procedure (logged, undoable).
     pub fn create_proc(&self, txn: TxnId, name: &str, sql: &str) -> Result<(), DbError> {
-        self.check_active(txn)?;
-        let mut store = self.working.lock();
-        self.log(&LogRecord::CreateProc {
-            txn,
-            name: name.to_string(),
-            sql: sql.to_string(),
-        })?;
-        store.create_proc(name, sql)?;
-        self.publish(&store);
-        self.push_undo(
-            txn,
-            UndoOp::DropCreatedProc {
-                name: name.to_string(),
-            },
-        );
-        Ok(())
+        let (name, sql) = (name.to_string(), sql.to_string());
+        self.write(txn, |_| Ok(vec![LogRecord::CreateProc { txn, name, sql }]))
     }
 
     /// Drop a stored procedure (logged; abort restores it).
     pub fn drop_proc(&self, txn: TxnId, name: &str) -> Result<(), DbError> {
-        self.check_active(txn)?;
-        let mut store = self.working.lock();
-        self.log(&LogRecord::DropProc {
-            txn,
-            name: name.to_string(),
-        })?;
-        let sql = store.drop_proc(name)?;
-        self.publish(&store);
-        self.push_undo(
-            txn,
-            UndoOp::RestoreDroppedProc {
-                name: name.to_string(),
-                sql,
-            },
-        );
-        Ok(())
+        let name = name.to_string();
+        self.write(txn, |_| Ok(vec![LogRecord::DropProc { txn, name }]))
     }
 
     /// Create a secondary index on `table` (logged, undoable). The index is
@@ -1065,50 +942,21 @@ impl Durable {
         name: &str,
         column: usize,
     ) -> Result<(), DbError> {
-        self.check_active(txn)?;
-        let mut store = self.working.lock();
-        // Touch the table before anything is logged: if its segment does
-        // not read back, the statement is refused with an empty log.
-        store.table(table)?;
-        self.log(&LogRecord::CreateIndex {
-            txn,
-            table: table.to_string(),
-            name: name.to_string(),
-            column,
-        })?;
-        store.table_mut(table)?.create_index(name, column)?;
-        self.publish(&store);
-        self.push_undo(
-            txn,
-            UndoOp::DropCreatedIndex {
-                table: table.to_string(),
-                name: name.to_string(),
-            },
-        );
-        Ok(())
+        let (table, name) = (table.to_string(), name.to_string());
+        self.write(txn, |_| {
+            Ok(vec![LogRecord::CreateIndex {
+                txn,
+                table,
+                name,
+                column,
+            }])
+        })
     }
 
     /// Drop a secondary index from `table` (logged; abort rebuilds it).
     pub fn drop_index(&self, txn: TxnId, table: &str, name: &str) -> Result<(), DbError> {
-        self.check_active(txn)?;
-        let mut store = self.working.lock();
-        store.table(table)?;
-        self.log(&LogRecord::DropIndex {
-            txn,
-            table: table.to_string(),
-            name: name.to_string(),
-        })?;
-        let dropped = store.table_mut(table)?.drop_index(name)?;
-        self.publish(&store);
-        self.push_undo(
-            txn,
-            UndoOp::RestoreDroppedIndex {
-                table: table.to_string(),
-                name: dropped.name,
-                column: dropped.column,
-            },
-        );
-        Ok(())
+        let (table, name) = (table.to_string(), name.to_string());
+        self.write(txn, |_| Ok(vec![LogRecord::DropIndex { txn, table, name }]))
     }
 
     /// Take a checkpoint: capture the current *committed* image, rotate the
@@ -1295,48 +1143,6 @@ fn start_drain(base: &SegmentBase) -> io::Result<Drain> {
         running: Some(thread),
         report: DrainReport::default(),
     })
-}
-
-/// Apply one statement's DML records to `t` in order, returning the inverse
-/// operations in the same order (rollback runs them reversed).
-fn apply_with_undo(t: &mut TableData, recs: Vec<LogRecord>) -> Result<Vec<UndoOp>, StoreError> {
-    let mut undo = Vec::new();
-    for rec in recs {
-        match rec {
-            LogRecord::Insert {
-                table, row_id, row, ..
-            } => {
-                t.insert_with_id(row_id, row)?;
-                undo.push(UndoOp::RemoveRow { table, row_id });
-            }
-            LogRecord::InsertMany {
-                table,
-                first_row_id,
-                rows,
-                ..
-            } => {
-                for (row_id, row) in (first_row_id..).zip(rows) {
-                    t.insert_with_id(row_id, row)?;
-                    undo.push(UndoOp::RemoveRow {
-                        table: table.clone(),
-                        row_id,
-                    });
-                }
-            }
-            LogRecord::Delete { table, row_id, .. } => {
-                let row = t.delete(row_id)?;
-                undo.push(UndoOp::ReinsertRow { table, row_id, row });
-            }
-            LogRecord::Update {
-                table, row_id, row, ..
-            } => {
-                let row = t.update(row_id, row)?;
-                undo.push(UndoOp::RestoreRow { table, row_id, row });
-            }
-            other => unreachable!("write_rows builds only row records, not {other:?}"),
-        }
-    }
-    Ok(undo)
 }
 
 #[cfg(test)]
@@ -1728,6 +1534,61 @@ mod tests {
         db.insert(t, "dbo.t", row(1, "small")).unwrap();
         db.commit(t).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A catalog statement the store refuses, inside a transaction that then
+    /// commits, logs nothing: the log holds only the commit record, and the
+    /// directory reopens with the catalog it had.
+    #[test]
+    fn refused_catalog_statement_in_committed_txn_logs_nothing() {
+        type Refused = fn(&Durable, TxnId) -> Result<(), DbError>;
+        let cases: [(&str, Refused); 6] = [
+            ("duplicate create_table", |db, t| db.create_table(t, def())),
+            ("missing drop_table", |db, t| db.drop_table(t, "dbo.nope")),
+            ("duplicate create_proc", |db, t| db.create_proc(t, "p", "x")),
+            ("missing drop_proc", |db, t| db.drop_proc(t, "dbo.nope")),
+            ("duplicate create_index", |db, t| {
+                db.create_index(t, "dbo.t", "t_v", 0)
+            }),
+            ("missing drop_index", |db, t| {
+                db.drop_index(t, "dbo.t", "nope")
+            }),
+        ];
+        for (what, refused) in cases {
+            let dir = temp_dir();
+            {
+                let db = Durable::open(&dir, Durability::Fsync).unwrap();
+                let t = db.begin().unwrap();
+                db.create_table(t, def()).unwrap();
+                db.insert(t, "dbo.t", row(1, "a")).unwrap();
+                db.create_index(t, "dbo.t", "t_v", 1).unwrap();
+                db.create_proc(t, "p", "SELECT 1").unwrap();
+                db.commit(t).unwrap();
+                let before = db.log_records_since_checkpoint();
+                let t = db.begin().unwrap();
+                assert!(refused(&db, t).is_err(), "{what}");
+                db.commit(t).unwrap();
+                assert_eq!(
+                    db.log_records_since_checkpoint(),
+                    before + 1,
+                    "{what}: only the commit record"
+                );
+                // Crash: drop without checkpoint.
+            }
+            let db = Durable::open(&dir, Durability::Fsync)
+                .unwrap_or_else(|e| panic!("{what}: reopen failed: {e}"));
+            let snap = db.snapshot();
+            assert_eq!(snap.table_names(), ["dbo.t"], "{what}");
+            let tbl = snap.table("dbo.t").unwrap();
+            assert_eq!(tbl.len(), 1, "{what}");
+            assert_eq!(tbl.rows[&1], row(1, "a"), "{what}");
+            assert_eq!(tbl.def.indexes.len(), 1, "{what}");
+            assert_eq!(tbl.def.indexes[0].column, 1, "{what}");
+            assert_eq!(snap.proc_names(), ["p"], "{what}");
+            assert_eq!(snap.proc("p"), Some("SELECT 1"), "{what}");
+            drop(snap);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// Concurrent committers must coalesce into fewer `sync_data` calls than

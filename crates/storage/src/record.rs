@@ -170,6 +170,18 @@ impl LogRecord {
         }
     }
 
+    /// The table a row record (`Insert`, `InsertMany`, `Delete`, `Update`)
+    /// writes; `None` for every other record.
+    pub(crate) fn row_table(&self) -> Option<&str> {
+        match self {
+            LogRecord::Insert { table, .. }
+            | LogRecord::InsertMany { table, .. }
+            | LogRecord::Delete { table, .. }
+            | LogRecord::Update { table, .. } => Some(table),
+            _ => None,
+        }
+    }
+
     /// Serialize to the WAL payload encoding.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();

@@ -2,11 +2,12 @@
 //!
 //! A [`Store`] holds tables (rows addressed by stable [`RowId`]), optional
 //! primary-key indexes, and stored-procedure text. It is deliberately free of
-//! transaction logic: [`crate::db::Durable`] layers logging/undo on top, and
-//! crash recovery rebuilds a `Store` by applying committed log records to a
-//! snapshot image. The engine also uses a bare `Store` for *volatile* state
-//! (session temp tables), which is exactly the state that must die in a
-//! crash.
+//! transaction logic: [`crate::db::Durable`] layers logging and rollback on
+//! top, and crash recovery rebuilds a `Store` by applying committed log
+//! records to a snapshot image — both through `Store::apply`, the one
+//! routine that turns a log record into table state. The engine also uses a
+//! bare `Store` for *volatile* state (session temp tables), which is exactly
+//! the state that must die in a crash.
 //!
 //! Tables are held behind per-table [`Arc`]s and built from persistent maps
 //! ([`crate::pmap`]), making the store *copy-on-write at tree-node
@@ -265,7 +266,7 @@ impl TableData {
         }
     }
 
-    /// Insert with a specific row id (used by recovery and undo).
+    /// Insert with a specific row id (what replaying an `Insert` does).
     pub fn insert_with_id(&mut self, row_id: RowId, row: Row) -> Result<(), StoreError> {
         self.check_arity(&row)?;
         if self.def.has_primary_key() {
@@ -305,26 +306,6 @@ impl TableData {
             index_remove(ix, &row[def.column], row_id);
         }
         Ok(row)
-    }
-
-    /// Apply one committed DML log record addressed to this table. Catalog
-    /// records (create/drop) never reach here; transaction markers are
-    /// no-ops.
-    pub(crate) fn apply_dml(&mut self, rec: &LogRecord) -> Result<(), StoreError> {
-        match rec {
-            LogRecord::Insert { row_id, row, .. } => self.insert_with_id(*row_id, row.clone()),
-            LogRecord::InsertMany {
-                first_row_id, rows, ..
-            } => {
-                for (k, row) in rows.iter().enumerate() {
-                    self.insert_with_id(first_row_id + k as RowId, row.clone())?;
-                }
-                Ok(())
-            }
-            LogRecord::Delete { row_id, .. } => self.delete(*row_id).map(|_| ()),
-            LogRecord::Update { row_id, row, .. } => self.update(*row_id, row.clone()).map(|_| ()),
-            _ => Ok(()),
-        }
     }
 
     /// Replace a row in place, returning the previous image. Only the
@@ -376,8 +357,8 @@ impl TableData {
         Ok(())
     }
 
-    /// Drop a secondary index by name, returning its definition (so undo
-    /// can recreate it).
+    /// Drop a secondary index by name, returning its definition (so the
+    /// drop's inverse can recreate it).
     pub fn drop_index(&mut self, name: &str) -> Result<IndexDef, StoreError> {
         let pos = self
             .def
@@ -511,6 +492,22 @@ impl Slot {
     }
 }
 
+/// What [`Store::apply`] applies: a log record or, as the inverse of a
+/// `DropTable` only, the dropped table's slot put back as it was.
+#[derive(Debug)]
+pub(crate) enum Change {
+    /// A log record.
+    Record(LogRecord),
+    /// A dropped table's slot, loaded or still on disk.
+    Restore(Slot),
+}
+
+impl From<LogRecord> for Change {
+    fn from(rec: LogRecord) -> Change {
+        Change::Record(rec)
+    }
+}
+
 /// A collection of tables and stored procedures. Lookup is case-insensitive
 /// on the fully qualified name (names are normalized to lowercase keys).
 ///
@@ -573,14 +570,6 @@ impl Store {
         Ok(())
     }
 
-    /// Install a fully populated table, replacing any table of that name.
-    pub fn install_table(&mut self, data: TableData) {
-        self.tables.insert(
-            normalize_name(&data.def.name).into(),
-            Slot::Loaded(Arc::new(data)),
-        );
-    }
-
     /// Install a checkpointed table that stays in its segment file until
     /// something touches it (snapshot load).
     pub(crate) fn install_segment(&mut self, seg: Arc<Segment>) {
@@ -588,14 +577,12 @@ impl Store {
             .insert(normalize_name(&seg.name).into(), Slot::OnDisk(seg));
     }
 
-    /// Remove a table, returning its data (an O(1) clone if a snapshot
-    /// still shares it). A table still on disk is loaded first — the caller
-    /// gets what it would need to put the table back — and stays in the
-    /// store if that fails.
-    pub fn drop_table(&mut self, name: &str) -> Result<TableData, StoreError> {
-        let data = Arc::clone(self.slot(name)?.load()?);
+    /// Remove a table. A table still on disk is loaded first, as by every
+    /// statement that touches it, and stays in the store if that fails.
+    pub fn drop_table(&mut self, name: &str) -> Result<(), StoreError> {
+        self.slot(name)?.load()?;
         self.tables.remove(normalize_name(name).as_str());
-        Ok(Arc::try_unwrap(data).unwrap_or_else(|shared| (*shared).clone()))
+        Ok(())
     }
 
     /// The slot behind a table: what [`Slot::same`] compares.
@@ -700,39 +687,154 @@ impl Store {
         (nodes, shared, height)
     }
 
-    /// Apply one committed log record during recovery.
+    /// The one routine that turns log records into table state. Recovery
+    /// replays committed records through it; [`crate::db::Durable`] applies
+    /// every statement's records through it to a scratch copy before logging
+    /// them, and rolls a transaction back by applying the inverses that
+    /// collected, newest first.
     ///
-    /// Recovery applies records in log order, so every operation is valid
-    /// against the state produced by its predecessors; any failure here means
-    /// the log and snapshot disagree, which is a corruption bug worth
-    /// surfacing loudly.
-    pub fn apply(&mut self, rec: &LogRecord) -> Result<(), StoreError> {
-        match rec {
-            LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => Ok(()),
-            LogRecord::Insert { table, .. }
-            | LogRecord::InsertMany { table, .. }
-            | LogRecord::Delete { table, .. }
-            | LogRecord::Update { table, .. } => self.table_mut(table)?.apply_dml(rec),
-            LogRecord::CreateTable { def, .. } => self.create_table(def.clone()),
-            // Not `drop_table`: replay has no use for the rows, so a table
-            // still on disk goes without its segment being read.
-            LogRecord::DropTable { name, .. } => self
-                .tables
-                .remove(normalize_name(name).as_str())
-                .map(|_| ())
-                .ok_or_else(|| StoreError::NoSuchTable(name.clone())),
-            LogRecord::CreateProc { name, sql, .. } => self.create_proc(name, sql),
-            LogRecord::DropProc { name, .. } => self.drop_proc(name).map(|_| ()),
-            LogRecord::CreateIndex {
-                table,
-                name,
-                column,
-                ..
-            } => self.table_mut(table)?.create_index(name, *column),
-            LogRecord::DropIndex { table, name, .. } => {
-                self.table_mut(table)?.drop_index(name).map(|_| ())
+    /// Changes apply in order; the first that does not is the error, and the
+    /// store then holds those before it. In recovery that means the log and
+    /// the snapshot disagree: a corruption bug, surfaced loudly. With `inverses`, every applied
+    /// record pushes what undoes it: a `Delete` per inserted row, an `Insert`
+    /// of a deleted row's image, an `Update` back to an updated row's image,
+    /// the drop of a created table, procedure or index, the create of a
+    /// dropped procedure or index, and a dropped table's slot. Without,
+    /// nothing is cloned or pushed, and a dropped table still on disk goes
+    /// without its segment being read. A run of row records on one table
+    /// looks the catalog up once, however many rows it writes.
+    pub(crate) fn apply<C: Into<Change>>(
+        &mut self,
+        changes: impl IntoIterator<Item = C>,
+        mut inverses: Option<&mut Vec<Change>>,
+    ) -> Result<(), StoreError> {
+        // Inverses are built by moves; the two that would clone are built
+        // only when asked for.
+        let want = inverses.is_some();
+        let mut changes = changes.into_iter().map(Into::into).peekable();
+        while let Some(change) = changes.next() {
+            let rec = match change {
+                Change::Record(rec) => rec,
+                Change::Restore(slot) => {
+                    self.tables.insert(normalize_name(slot.name()).into(), slot);
+                    continue;
+                }
+            };
+            let inverse = match rec {
+                LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => {
+                    None
+                }
+                LogRecord::CreateTable { txn, def } => {
+                    let name = want.then(|| def.name.clone());
+                    self.create_table(def)?;
+                    name.map(|name| LogRecord::DropTable { txn, name }.into())
+                }
+                LogRecord::DropTable { name, .. } => {
+                    let slot = self.tables.remove(normalize_name(&name).as_str());
+                    Some(Change::Restore(slot.ok_or(StoreError::NoSuchTable(name))?))
+                }
+                LogRecord::CreateProc { txn, name, sql } => {
+                    self.create_proc(&name, &sql)?;
+                    Some(LogRecord::DropProc { txn, name }.into())
+                }
+                LogRecord::DropProc { txn, name } => {
+                    let sql = self.drop_proc(&name)?;
+                    Some(LogRecord::CreateProc { txn, name, sql }.into())
+                }
+                LogRecord::CreateIndex {
+                    txn,
+                    table,
+                    name,
+                    column,
+                } => {
+                    self.table_mut(&table)?.create_index(&name, column)?;
+                    Some(LogRecord::DropIndex { txn, table, name }.into())
+                }
+                LogRecord::DropIndex { txn, table, name } => {
+                    let IndexDef { name, column } = self.table_mut(&table)?.drop_index(&name)?;
+                    Some(Change::Record(LogRecord::CreateIndex {
+                        txn,
+                        table,
+                        name,
+                        column,
+                    }))
+                }
+                rows => {
+                    // A run of row records on one table looks it up once.
+                    let t = self.table_mut(rows.row_table().expect("only rows are left"))?;
+                    let mut next = Some(rows);
+                    while let Some(rec) = next {
+                        let inverse = match rec {
+                            LogRecord::Insert {
+                                txn,
+                                table,
+                                row_id,
+                                row,
+                            } => {
+                                t.insert_with_id(row_id, row)?;
+                                Some(LogRecord::Delete { txn, table, row_id })
+                            }
+                            LogRecord::InsertMany {
+                                txn,
+                                table,
+                                first_row_id,
+                                rows,
+                            } => {
+                                for (row_id, row) in (first_row_id..).zip(rows) {
+                                    t.insert_with_id(row_id, row)?;
+                                    if let Some(inverses) = inverses.as_deref_mut() {
+                                        let table = table.clone();
+                                        let delete = LogRecord::Delete { txn, table, row_id };
+                                        inverses.push(delete.into());
+                                    }
+                                }
+                                None
+                            }
+                            LogRecord::Delete { txn, table, row_id } => {
+                                let row = t.delete(row_id)?;
+                                Some(LogRecord::Insert {
+                                    txn,
+                                    table,
+                                    row_id,
+                                    row,
+                                })
+                            }
+                            LogRecord::Update {
+                                txn,
+                                table,
+                                row_id,
+                                row,
+                            } => {
+                                let row = t.update(row_id, row)?;
+                                Some(LogRecord::Update {
+                                    txn,
+                                    table,
+                                    row_id,
+                                    row,
+                                })
+                            }
+                            other => unreachable!("{other:?} is not a row record"),
+                        };
+                        if let (Some(inverses), Some(inverse)) = (inverses.as_deref_mut(), inverse)
+                        {
+                            inverses.push(inverse.into());
+                        }
+                        next = match changes.next_if(|c| {
+                            matches!(c, Change::Record(r)
+                                if r.row_table().is_some_and(|n| n.eq_ignore_ascii_case(&t.def.name)))
+                        }) {
+                            Some(Change::Record(rec)) => Some(rec),
+                            _ => None,
+                        };
+                    }
+                    None
+                }
+            };
+            if let (Some(inverses), Some(inverse)) = (inverses.as_deref_mut(), inverse) {
+                inverses.push(inverse);
             }
         }
+        Ok(())
     }
 
     /// Verify every secondary index in every table against its row image
@@ -848,34 +950,46 @@ mod tests {
     #[test]
     fn apply_replays_records() {
         let mut s = Store::new();
-        s.apply(&LogRecord::CreateTable {
-            txn: 1,
-            def: keyed_def("dbo.t"),
-        })
+        s.apply(
+            [LogRecord::CreateTable {
+                txn: 1,
+                def: keyed_def("dbo.t"),
+            }],
+            None,
+        )
         .unwrap();
-        s.apply(&LogRecord::Insert {
-            txn: 1,
-            table: "dbo.t".into(),
-            row_id: 1,
-            row: vec![Value::Int(1), Value::Text("a".into())],
-        })
+        s.apply(
+            [LogRecord::Insert {
+                txn: 1,
+                table: "dbo.t".into(),
+                row_id: 1,
+                row: vec![Value::Int(1), Value::Text("a".into())],
+            }],
+            None,
+        )
         .unwrap();
-        s.apply(&LogRecord::Update {
-            txn: 1,
-            table: "dbo.t".into(),
-            row_id: 1,
-            row: vec![Value::Int(1), Value::Text("b".into())],
-        })
+        s.apply(
+            [LogRecord::Update {
+                txn: 1,
+                table: "dbo.t".into(),
+                row_id: 1,
+                row: vec![Value::Int(1), Value::Text("b".into())],
+            }],
+            None,
+        )
         .unwrap();
         assert_eq!(
             s.table("dbo.t").unwrap().rows[&1],
             vec![Value::Int(1), Value::Text("b".into())]
         );
-        s.apply(&LogRecord::Delete {
-            txn: 1,
-            table: "dbo.t".into(),
-            row_id: 1,
-        })
+        s.apply(
+            [LogRecord::Delete {
+                txn: 1,
+                table: "dbo.t".into(),
+                row_id: 1,
+            }],
+            None,
+        )
         .unwrap();
         assert!(s.table("dbo.t").unwrap().is_empty());
     }
@@ -884,15 +998,18 @@ mod tests {
     fn apply_insert_many_assigns_consecutive_ids() {
         let mut s = Store::new();
         s.create_table(keyed_def("dbo.t")).unwrap();
-        s.apply(&LogRecord::InsertMany {
-            txn: 1,
-            table: "dbo.t".into(),
-            first_row_id: 5,
-            rows: vec![
-                vec![Value::Int(1), Value::Null],
-                vec![Value::Int(2), Value::Null],
-            ],
-        })
+        s.apply(
+            [LogRecord::InsertMany {
+                txn: 1,
+                table: "dbo.t".into(),
+                first_row_id: 5,
+                rows: vec![
+                    vec![Value::Int(1), Value::Null],
+                    vec![Value::Int(2), Value::Null],
+                ],
+            }],
+            None,
+        )
         .unwrap();
         let t = s.table("dbo.t").unwrap();
         assert_eq!(t.rows[&5], vec![Value::Int(1), Value::Null]);
@@ -1005,37 +1122,49 @@ mod tests {
     fn apply_replays_index_ddl() {
         let mut s = Store::new();
         s.create_table(keyed_def("dbo.t")).unwrap();
-        s.apply(&LogRecord::Insert {
-            txn: 1,
-            table: "dbo.t".into(),
-            row_id: 1,
-            row: vec![Value::Int(1), Value::Text("a".into())],
-        })
+        s.apply(
+            [LogRecord::Insert {
+                txn: 1,
+                table: "dbo.t".into(),
+                row_id: 1,
+                row: vec![Value::Int(1), Value::Text("a".into())],
+            }],
+            None,
+        )
         .unwrap();
-        s.apply(&LogRecord::CreateIndex {
-            txn: 2,
-            table: "dbo.t".into(),
-            name: "t_name".into(),
-            column: 1,
-        })
+        s.apply(
+            [LogRecord::CreateIndex {
+                txn: 2,
+                table: "dbo.t".into(),
+                name: "t_name".into(),
+                column: 1,
+            }],
+            None,
+        )
         .unwrap();
         // DML after the barrier maintains the recovered index.
-        s.apply(&LogRecord::Insert {
-            txn: 3,
-            table: "dbo.t".into(),
-            row_id: 2,
-            row: vec![Value::Int(2), Value::Text("b".into())],
-        })
+        s.apply(
+            [LogRecord::Insert {
+                txn: 3,
+                table: "dbo.t".into(),
+                row_id: 2,
+                row: vec![Value::Int(2), Value::Text("b".into())],
+            }],
+            None,
+        )
         .unwrap();
         let t = s.table("dbo.t").unwrap();
         assert_eq!(t.sec_index(0).len(), 2);
         s.verify_indexes().unwrap();
         assert!(s.find_index_owner("T_NAME").is_some());
-        s.apply(&LogRecord::DropIndex {
-            txn: 4,
-            table: "dbo.t".into(),
-            name: "t_name".into(),
-        })
+        s.apply(
+            [LogRecord::DropIndex {
+                txn: 4,
+                table: "dbo.t".into(),
+                name: "t_name".into(),
+            }],
+            None,
+        )
         .unwrap();
         assert!(s.find_index_owner("t_name").is_none());
     }

@@ -11,12 +11,18 @@
 //!    a rotated log beside the live one — recovers to exactly the committed
 //!    tables and procedures the generator modelled, and their indexes
 //!    verify.
+//! 4. **The write path against a model**: random statements through a real
+//!    `Durable` — row writes and table, procedure and index DDL, many of
+//!    them ones the store must refuse — in committed and aborted
+//!    transactions, with checkpoints and crashes between them, agree after
+//!    every step with a model kept in `std` maps that shares no code with
+//!    the store.
 //!
 //! The offline build environment has no `proptest` crate, so 1 and 2 are
 //! compiled only when the `slow-proptests` feature is enabled (which
-//! requires supplying a real proptest dependency); 3 draws its cases from a
-//! seeded generator and always runs — a failure prints its seed, and the
-//! seed reproduces it.
+//! requires supplying a real proptest dependency); 3 and 4 draw their cases
+//! from a seeded generator and always run — a failure prints its seed, and
+//! the seed reproduces it.
 
 #[cfg(feature = "slow-proptests")]
 use proptest::prelude::*;
@@ -27,7 +33,9 @@ use phoenix_storage::codec;
 use phoenix_storage::db::{Durability, Durable};
 use phoenix_storage::record::LogRecord;
 use phoenix_storage::store::Store;
-use phoenix_storage::types::{Column, DataType, Row, RowId, Schema, TableDef, Value};
+use phoenix_storage::types::{
+    Column, DataType, IndexDef, Row, RowId, Schema, TableDef, TxnId, Value,
+};
 use phoenix_storage::wal::Wal;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -981,5 +989,308 @@ fn run_lazy_history(seed: u64) {
 fn query_before_load_equals_query_after() {
     for seed in 0..16 {
         run_lazy_history(seed);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The write path against a model that shares no code with it.
+// ---------------------------------------------------------------------------
+
+/// What the model predicts of a store: `image` without `next_row_id` (an
+/// aborted insert raises it, a reopen may lower it again) and with each
+/// table's indexes in name order (an aborted drop puts an index back last).
+type View = (Vec<(TableDef, Vec<(RowId, Row)>)>, Vec<(String, String)>);
+
+fn view(store: &Store, what: &str) -> View {
+    let (tables, procs) = image(store, what);
+    let tables = tables
+        .into_iter()
+        .map(|(mut def, _, rows)| {
+            def.indexes.sort_by(|a, b| a.name.cmp(&b.name));
+            (def, rows)
+        })
+        .collect();
+    (tables, procs)
+}
+
+/// One table of the model: rows by id, and index name → column.
+#[derive(Clone, Default)]
+struct ModelTable {
+    rows: BTreeMap<RowId, Row>,
+    indexes: BTreeMap<String, usize>,
+}
+
+impl ModelTable {
+    fn has_key(&self, key: &Value) -> bool {
+        self.rows.values().any(|r| r[0] == *key)
+    }
+}
+
+/// The database as the model sees it. Every name is lower case, so the
+/// store's case folding never comes into it.
+#[derive(Clone, Default)]
+struct Model {
+    tables: BTreeMap<String, ModelTable>,
+    procs: BTreeMap<String, String>,
+}
+
+impl Model {
+    fn view(&self) -> View {
+        let tables = self
+            .tables
+            .iter()
+            .map(|(name, t)| {
+                let mut def = history_def(name);
+                def.indexes = t
+                    .indexes
+                    .iter()
+                    .map(|(name, &column)| IndexDef {
+                        name: name.clone(),
+                        column,
+                    })
+                    .collect();
+                (def, t.rows.iter().map(|(id, r)| (*id, r.clone())).collect())
+            })
+            .collect();
+        let procs = self.procs.iter().map(|(n, s)| (n.clone(), s.clone()));
+        (tables, procs.collect())
+    }
+}
+
+/// One statement of a generated transaction.
+#[derive(Debug)]
+enum Stmt {
+    Insert(String, Vec<Row>),
+    Delete(String, Vec<RowId>),
+    Update(String, Vec<(RowId, Row)>),
+    CreateTable(String),
+    DropTable(String),
+    CreateIndex(String, String),
+    DropIndex(String, String),
+    CreateProc(String, String),
+    DropProc(String),
+}
+
+/// A row id to address: usually one the table holds, sometimes one it
+/// does not.
+fn pick_id(rng: &mut Rng, t: Option<&ModelTable>) -> RowId {
+    let ids: Vec<RowId> = t.map_or(Vec::new(), |t| t.rows.keys().copied().collect());
+    if ids.is_empty() || rng.chance(1, 8) {
+        1_000 + rng.below(4) as RowId
+    } else {
+        ids[rng.below(ids.len())]
+    }
+}
+
+fn model_row(rng: &mut Rng) -> Row {
+    vec![
+        Value::Int(rng.below(64) as i64),
+        Value::Int(rng.below(100) as i64),
+    ]
+}
+
+/// A statement on a table that usually exists, a procedure or an index;
+/// about half of them the store must refuse.
+fn random_stmt(rng: &mut Rng, m: &Model) -> Stmt {
+    const TABLES: [&str; 3] = ["ta", "tb", "tc"];
+    const INDEXES: [&str; 2] = ["ia", "ib"];
+    const PROCS: [&str; 2] = ["pa", "pb"];
+    let existing: Vec<&String> = m.tables.keys().collect();
+    let table = if !existing.is_empty() && rng.chance(7, 8) {
+        existing[rng.below(existing.len())].clone()
+    } else {
+        TABLES[rng.below(TABLES.len())].to_string()
+    };
+    let t = m.tables.get(&table);
+    match rng.below(14) {
+        0..=3 => {
+            let n = 1 + rng.below(3);
+            Stmt::Insert(table, (0..n).map(|_| model_row(rng)).collect())
+        }
+        4 | 5 => {
+            let n = 1 + rng.below(2);
+            Stmt::Delete(table, (0..n).map(|_| pick_id(rng, t)).collect())
+        }
+        6 | 7 => {
+            let n = 1 + rng.below(2);
+            let changes = (0..n).map(|_| (pick_id(rng, t), model_row(rng))).collect();
+            Stmt::Update(table, changes)
+        }
+        9 if rng.chance(1, 3) => Stmt::DropTable(table),
+        8 | 9 => Stmt::CreateTable(table),
+        10 => Stmt::CreateIndex(table, INDEXES[rng.below(INDEXES.len())].to_string()),
+        11 => Stmt::DropIndex(table, INDEXES[rng.below(INDEXES.len())].to_string()),
+        12 => {
+            let sql = format!("SELECT {}", rng.below(100));
+            Stmt::CreateProc(PROCS[rng.below(PROCS.len())].to_string(), sql)
+        }
+        _ => Stmt::DropProc(PROCS[rng.below(PROCS.len())].to_string()),
+    }
+}
+
+/// The model after `stmt`, or `None` if the store must refuse it. Inserted
+/// rows get their ids from the store (`ids`): the model checks them instead
+/// of predicting them.
+fn model_apply(m: &Model, stmt: &Stmt, ids: &[RowId]) -> Option<Model> {
+    let mut m = m.clone();
+    match stmt {
+        Stmt::Insert(table, rows) => {
+            let t = m.tables.get_mut(table)?;
+            let mut keys = BTreeSet::new();
+            if rows.iter().any(|r| t.has_key(&r[0]) || !keys.insert(&r[0])) {
+                return None;
+            }
+            t.rows.extend(ids.iter().copied().zip(rows.iter().cloned()));
+        }
+        Stmt::Delete(table, row_ids) => {
+            let t = m.tables.get_mut(table)?;
+            for id in row_ids {
+                t.rows.remove(id)?;
+            }
+        }
+        Stmt::Update(table, changes) => {
+            let t = m.tables.get_mut(table)?;
+            for (id, row) in changes {
+                let old = t.rows.remove(id)?;
+                if old[0] != row[0] && t.has_key(&row[0]) {
+                    return None;
+                }
+                t.rows.insert(*id, row.clone());
+            }
+        }
+        Stmt::CreateTable(table) => {
+            if m.tables.contains_key(table) {
+                return None;
+            }
+            m.tables.insert(table.clone(), ModelTable::default());
+        }
+        Stmt::DropTable(table) => {
+            m.tables.remove(table)?;
+        }
+        Stmt::CreateIndex(table, name) => {
+            let t = m.tables.get_mut(table)?;
+            if t.indexes.insert(name.clone(), 1).is_some() {
+                return None;
+            }
+        }
+        Stmt::DropIndex(table, name) => {
+            m.tables.get_mut(table)?.indexes.remove(name)?;
+        }
+        Stmt::CreateProc(name, sql) => {
+            if m.procs.insert(name.clone(), sql.clone()).is_some() {
+                return None;
+            }
+        }
+        Stmt::DropProc(name) => {
+            m.procs.remove(name)?;
+        }
+    }
+    Some(m)
+}
+
+/// Run `stmt` on the store; for an insert, the ids it handed out.
+fn run_stmt(db: &Durable, txn: TxnId, stmt: &Stmt) -> Result<Vec<RowId>, String> {
+    let done = |r: Result<(), _>| r.map(|()| Vec::new());
+    match stmt {
+        Stmt::Insert(table, rows) => db.insert_many(txn, table, rows.clone()),
+        Stmt::Delete(table, ids) => done(db.delete_many(txn, table, ids)),
+        Stmt::Update(table, changes) => done(db.update_many(txn, table, changes.clone())),
+        Stmt::CreateTable(table) => done(db.create_table(txn, history_def(table))),
+        Stmt::DropTable(table) => done(db.drop_table(txn, table)),
+        Stmt::CreateIndex(table, name) => done(db.create_index(txn, table, name, 1)),
+        Stmt::DropIndex(table, name) => done(db.drop_index(txn, table, name)),
+        Stmt::CreateProc(name, sql) => done(db.create_proc(txn, name, sql)),
+        Stmt::DropProc(name) => done(db.drop_proc(txn, name)),
+    }
+    .map_err(|e| e.to_string())
+}
+
+/// One case: transactions of random statements, each committed or aborted,
+/// with checkpoints and crashes (a drop without checkpoint, sometimes with a
+/// transaction open) between and inside them.
+fn run_model_history(seed: u64) {
+    let dir = temp_dir();
+    let open = || Durable::open(&dir, Durability::Buffered).unwrap();
+    let mut rng = Rng(seed ^ 0x5eed);
+    let mut db = open();
+    let mut committed = Model::default();
+    for step in 0..40 {
+        let what = format!("seed {seed}, transaction {step}");
+        let txn = db.begin().unwrap();
+        let mut live = committed.clone();
+        let mut crashed = false;
+        for _ in 0..1 + rng.below(6) {
+            let stmt = random_stmt(&mut rng, &live);
+            let what = format!("{what}, {stmt:?}");
+            let logged = db.log_records_since_checkpoint();
+            let result = run_stmt(&db, txn, &stmt);
+            let ids = result.clone().unwrap_or_default();
+            if let Stmt::Insert(table, rows) = &stmt {
+                if let Ok(ids) = &result {
+                    // Consecutive, and past every id the table holds.
+                    let max = live.tables[table].rows.keys().max().copied().unwrap_or(0);
+                    let want: Vec<RowId> = (ids[0]..ids[0] + rows.len() as RowId).collect();
+                    assert!(ids[0] > max && *ids == want, "{what}: ids {ids:?}");
+                }
+            }
+            match model_apply(&live, &stmt, &ids) {
+                Some(next) => {
+                    assert!(result.is_ok(), "{what}: refused: {result:?}");
+                    live = next;
+                }
+                None => {
+                    assert!(result.is_err(), "{what}: applied what must be refused");
+                    assert_eq!(
+                        db.log_records_since_checkpoint(),
+                        logged,
+                        "{what}: a refused statement logged"
+                    );
+                }
+            }
+            assert_eq!(view(&db.snapshot(), &what), live.view(), "{what}");
+            if rng.chance(1, 30) {
+                crashed = true;
+                break;
+            }
+        }
+        if !crashed {
+            if rng.chance(2, 3) {
+                db.commit(txn).unwrap();
+                committed = live;
+            } else {
+                db.abort(txn).unwrap();
+            }
+            assert_eq!(
+                view(&db.snapshot(), &what),
+                committed.view(),
+                "{what}: ended"
+            );
+            match rng.below(5) {
+                0 => db.checkpoint().unwrap(),
+                1 => crashed = true,
+                _ => {}
+            }
+        }
+        if crashed {
+            drop(db);
+            db = open();
+            let recovered = view(&db.snapshot(), &what);
+            assert_eq!(recovered, committed.view(), "{what}: after reopen");
+        }
+    }
+    drop(db);
+    let db = open();
+    assert_eq!(view(&db.snapshot(), "final reopen"), committed.view());
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The write path, rollback and recovery agree with a model that shares no
+/// code with `Store::apply`, for statements the store applies and ones it
+/// must refuse alike.
+#[test]
+fn write_path_rollback_and_recovery_match_a_model() {
+    for seed in 0..24 {
+        run_model_history(seed);
     }
 }
