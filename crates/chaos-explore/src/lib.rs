@@ -51,7 +51,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use phoenix_chaos as chaos;
-use phoenix_chaos::{FaultSpec, Visit};
+use phoenix_chaos::{FaultPlan, FaultSpec, Visit};
 use phoenix_core::{PhoenixConfig, PhoenixConnection, PhoenixCursorKind, PhoenixStats};
 use phoenix_driver::Environment;
 use phoenix_engine::EngineConfig;
@@ -178,8 +178,8 @@ pub const WORKLOAD_CHURN: &[&str] = &[
     "INSERT INTO customer VALUES (3, 9, 'churn')",
 ];
 
-/// Create and populate the workload's table. Run *before* arming chaos so
-/// schedules align with [`run_clean`]'s trace.
+/// Create and populate the workload's table. Run *before* the plan starts
+/// counting, so schedules align with [`run_clean`]'s trace.
 pub fn seed_workload(pc: &mut PhoenixConnection) -> phoenix_core::Result<()> {
     pc.execute("CREATE TABLE acct (id INT PRIMARY KEY, bal INT, memo TEXT)")?;
     pc.execute("CREATE TABLE customer (id INT PRIMARY KEY, owed INT, memo TEXT)")?;
@@ -356,13 +356,15 @@ fn connect_with_retry(addr: &str, user: &str) -> PhoenixConnection {
 /// concurrently.
 pub fn run_clean() -> (WorkloadOutput, Vec<Visit>) {
     let dir = fresh_dir("clean");
+    // The server must start inside the plan to serve inside it.
+    let guard = chaos::arm_traced(chaos::Schedule::new());
     let mut h = ServerHarness::start(&dir, explorer_engine_config()).unwrap();
     let mut pc = connect(&h);
     seed_workload(&mut pc).expect("seed");
-    // Arm only now: visits during startup/connect/seed are not crash
+    // Count only from now: visits during startup/connect/seed are not crash
     // candidates (recovery of an un-seeded session is covered elsewhere),
     // and skipping them keeps visit numbers aligned across runs.
-    let guard = chaos::arm_traced(chaos::Schedule::new());
+    guard.reset(chaos::Schedule::new());
     let out = {
         let addr = h.addr();
         let churn_connect = move || connect_with_retry(&addr, "churn");
@@ -376,23 +378,24 @@ pub fn run_clean() -> (WorkloadOutput, Vec<Visit>) {
     (out, trace)
 }
 
-/// Spawn the crash supervisor: polls [`chaos::crash_requested`] and, when a
-/// fatal fault fires, severs/crashes the harness, acknowledges the crash
-/// (lifting the halt for the next incarnation), and restarts the server on
-/// the same port. Returns `true` from its join handle iff a crash was
-/// handled. Set `stop` after the workload finishes, then join.
+/// Spawn the crash supervisor: polls [`FaultPlan::crash_requested`] and,
+/// when a fatal fault fires, severs/crashes the harness, acknowledges the
+/// crash (lifting the halt for the next incarnation), and restarts the
+/// server on the same port. Returns `true` from its join handle iff a crash
+/// was handled. Set `stop` after the workload finishes, then join.
 pub fn spawn_supervisor(
+    plan: Arc<FaultPlan>,
     harness: Arc<Mutex<ServerHarness>>,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<bool> {
     std::thread::spawn(move || loop {
-        if chaos::crash_requested() {
+        if plan.crash_requested() {
             {
                 let mut h = harness.lock().unwrap();
                 h.crash().expect("supervisor crash");
                 // The dead incarnation is fully drained; the halt may lift
                 // so the next incarnation can write and reply.
-                chaos::acknowledge_crash();
+                plan.acknowledge_crash();
                 std::thread::sleep(Duration::from_millis(20));
                 h.restart().expect("supervisor restart");
             }
@@ -445,6 +448,8 @@ pub struct CaseOutcome {
 /// and letting Phoenix recover. Fully deterministic for a given case.
 pub fn run_case(case: &CrashCase) -> CaseOutcome {
     let dir = fresh_dir("case");
+    // As in `run_clean`: the server starts inside the plan.
+    let guard = chaos::arm(chaos::Schedule::new());
     let harness = Arc::new(Mutex::new(
         ServerHarness::start(&dir, explorer_engine_config()).unwrap(),
     ));
@@ -454,7 +459,7 @@ pub fn run_case(case: &CrashCase) -> CaseOutcome {
     };
     seed_workload(&mut pc).expect("seed");
 
-    let guard = chaos::arm(chaos::Schedule::new().rule(
+    guard.reset(chaos::Schedule::new().rule(
         chaos::Target::Point {
             point: case.point,
             nth: case.nth,
@@ -462,7 +467,7 @@ pub fn run_case(case: &CrashCase) -> CaseOutcome {
         case.spec,
     ));
     let stop = Arc::new(AtomicBool::new(false));
-    let supervisor = spawn_supervisor(Arc::clone(&harness), Arc::clone(&stop));
+    let supervisor = spawn_supervisor(guard.plan(), Arc::clone(&harness), Arc::clone(&stop));
 
     let output = {
         let addr = { harness.lock().unwrap().addr() };

@@ -1,12 +1,10 @@
 //! Explorer-driven regression tests.
 //!
-//! phoenix-chaos state is process-global, so every test here serializes on
-//! one mutex for its whole body (not just the armed window — un-armed
-//! traffic from a parallel test would otherwise interleave with an armed
-//! session's visit counters).
+//! Each test's fault plan counts only its own threads and the servers it
+//! started, so the tests run in parallel.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use phoenix_chaos as chaos;
 use phoenix_chaos_explore::{
@@ -18,13 +16,6 @@ use phoenix_driver::Environment;
 use phoenix_engine::EngineConfig;
 use phoenix_server::ServerHarness;
 use phoenix_storage::types::Value;
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Points whose every visit happens on the server's single execute/commit
 /// path. Their `(point, nth)` sequence is a pure function of the workload
@@ -61,7 +52,6 @@ fn visit_counts(trace: &[chaos::Visit]) -> std::collections::BTreeMap<&'static s
 
 #[test]
 fn clean_trace_is_deterministic_and_enumerates_100_plus_points() {
-    let _s = serial();
     let (out_a, trace_a) = run_clean();
     let (out_b, trace_b) = run_clean();
     assert_eq!(
@@ -114,7 +104,6 @@ fn clean_trace_is_deterministic_and_enumerates_100_plus_points() {
 
 #[test]
 fn bounded_sweep_upholds_every_invariant() {
-    let _s = serial();
     // A budgeted slice by default; the whole schedule space behind the
     // opt-in env var (CI runs it nightly-style, see ci.yml).
     let full = std::env::var("PHOENIX_CHAOS_FULL").is_ok();
@@ -154,9 +143,11 @@ fn bounded_sweep_upholds_every_invariant() {
 /// table), never re-execute.
 #[test]
 fn exactly_once_window_replays_reply_without_reexecution() {
-    let _s = serial();
     let dir = std::env::temp_dir().join(format!("phoenix-exactly-once-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    // The server serves inside the plan it is started in; the schedule is
+    // set once the seed is in.
+    let guard = chaos::arm(chaos::Schedule::new());
     let harness = Arc::new(Mutex::new(
         ServerHarness::start(&dir, EngineConfig::default()).unwrap(),
     ));
@@ -177,10 +168,13 @@ fn exactly_once_window_replays_reply_without_reexecution() {
     // COMMIT]`. Crashing at its `server.reply_send` visit means the
     // transaction (statement + status row) is durable but the client never
     // hears back: the exactly-once window of paper §3.
-    let guard = chaos::arm(chaos::Schedule::new().crash_at("server.reply_send", 1));
+    guard.reset(chaos::Schedule::new().crash_at("server.reply_send", 1));
     let stop = Arc::new(AtomicBool::new(false));
-    let supervisor =
-        phoenix_chaos_explore::spawn_supervisor(Arc::clone(&harness), Arc::clone(&stop));
+    let supervisor = phoenix_chaos_explore::spawn_supervisor(
+        guard.plan(),
+        Arc::clone(&harness),
+        Arc::clone(&stop),
+    );
 
     let r = pc
         .execute("UPDATE acct SET bal = bal + 1 WHERE id = 1")
@@ -227,7 +221,6 @@ fn exactly_once_window_replays_reply_without_reexecution() {
 /// end through PhoenixConnection.
 #[test]
 fn torn_reply_frame_recovers_cleanly() {
-    let _s = serial();
     let case = CrashCase {
         point: "server.reply_send",
         nth: 4,
@@ -249,16 +242,18 @@ fn torn_reply_frame_recovers_cleanly() {
     outcome.index_check.expect("index audit after recovery");
 }
 
-/// Satellite: crash mid-WAL inside index-maintained DML. Chaos is armed
-/// only after CREATE INDEX, so the scheduled `wal.append` visit lands
+/// Satellite: crash mid-WAL inside index-maintained DML. The plan starts
+/// counting only after CREATE INDEX, so the scheduled `wal.append` visit lands
 /// inside the wrapped INSERT's transaction — index entries in flight when
 /// the server dies. Recovery must land the row exactly once, rebuild the
 /// index REDO-only, and keep serving the equality probe through it.
 #[test]
 fn crash_mid_wal_during_indexed_dml_stays_consistent() {
-    let _s = serial();
     let dir = std::env::temp_dir().join(format!("phoenix-index-crash-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    // The server serves inside the plan it is started in; the schedule is
+    // set once the seed is in.
+    let guard = chaos::arm(chaos::Schedule::new());
     let harness = Arc::new(Mutex::new(
         ServerHarness::start(&dir, EngineConfig::default()).unwrap(),
     ));
@@ -276,10 +271,13 @@ fn crash_mid_wal_during_indexed_dml_stays_consistent() {
     seed_workload(&mut pc).unwrap();
     pc.execute("CREATE INDEX ix_bal ON acct(bal)").unwrap();
 
-    let guard = chaos::arm(chaos::Schedule::new().crash_at("wal.append", 2));
+    guard.reset(chaos::Schedule::new().crash_at("wal.append", 2));
     let stop = Arc::new(AtomicBool::new(false));
-    let supervisor =
-        phoenix_chaos_explore::spawn_supervisor(Arc::clone(&harness), Arc::clone(&stop));
+    let supervisor = phoenix_chaos_explore::spawn_supervisor(
+        guard.plan(),
+        Arc::clone(&harness),
+        Arc::clone(&stop),
+    );
 
     let r = pc
         .execute("INSERT INTO acct VALUES (42, 4200, 'ix')")

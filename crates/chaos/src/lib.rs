@@ -9,18 +9,26 @@
 //! instants someone thought of; this crate makes the instants enumerable.
 //! Named *fault points* are compiled into the stack's hot paths (WAL append,
 //! fsync, checkpoint write, snapshot publish, wire frame read/write, server
-//! reply send). Each point costs **one relaxed atomic load** when the
-//! subsystem is disarmed — cheap enough to ship in release builds and keep
-//! under the benchmarks — and, when armed, consults a deterministic
-//! [`Schedule`] that can fire [`FaultSpec::CrashNow`],
-//! [`FaultSpec::TornWrite`], [`FaultSpec::IoError`] or [`FaultSpec::Delay`]
-//! at the k-th visit to a point.
+//! reply send). A visit from a thread outside every plan costs **one
+//! thread-local read** — cheap enough to ship in release builds and keep
+//! under the benchmarks. A visit from a thread inside a [`FaultPlan`]
+//! consults the plan's deterministic [`Schedule`], which can fire
+//! [`FaultSpec::CrashNow`], [`FaultSpec::TornWrite`], [`FaultSpec::IoError`]
+//! or [`FaultSpec::Delay`] at the k-th visit to a point.
+//!
+//! ## Whose visits a plan counts
+//!
+//! [`arm`] creates a plan and enters it on the calling thread until the
+//! returned [`ChaosGuard`] drops (on unwind too). A thread hands its plan to
+//! the threads it spawns with [`current`] and [`enter`]: a server started
+//! inside a plan serves inside it. Two tests never see each other's
+//! schedule, counters or halt, so armed tests run in parallel.
 //!
 //! ## Determinism contract
 //!
 //! * No wall-clock anywhere: rules are keyed by *visit counts*, and
 //!   seed-driven selection uses the crate's own [`rng::XorShift64`].
-//! * With a single sequential client, the global visit order is a pure
+//! * With a single sequential client, the plan's visit order is a pure
 //!   function of the workload: instrumentation sites fire *after* blocking
 //!   reads complete and *before* writes start, so there is no
 //!   read-side/write-side race on the ordering.
@@ -31,55 +39,62 @@
 //! ## Crash semantics
 //!
 //! A fatal spec ([`FaultSpec::is_fatal`]) simulates process death, not a
-//! transient error, so firing one flips a sticky **halted** flag:
+//! transient error, so firing one flips the plan's sticky **halted** flag:
 //!
-//! * every durable-write point ([`durable_fault`]) fails from then on — a
-//!   dead process writes no more bytes to disk;
+//! * every durable-write point ([`durable_fault`]) visited inside the plan
+//!   fails from then on — a dead process writes no more bytes to disk;
 //! * the server refuses to send replies ([`halted`] is checked before every
 //!   reply) — a dead process emits no more frames;
-//! * [`crash_requested`] turns true so a supervisor (e.g. the explorer's
-//!   harness thread) can sever sockets, drop the engine, and restart it,
-//!   then call [`acknowledge_crash`] to lift the halt for the next
-//!   incarnation.
+//! * [`FaultPlan::crash_requested`] turns true so a supervisor (e.g. the
+//!   explorer's harness thread) can sever sockets, drop the engine, and
+//!   restart it, then call [`FaultPlan::acknowledge_crash`] to lift the halt
+//!   for the next incarnation.
 //!
 //! ## Usage
 //!
 //! ```
 //! use phoenix_chaos as chaos;
 //!
-//! // Arm a schedule: crash at the 2nd WAL append.
-//! let _guard = chaos::arm(chaos::Schedule::new().crash_at("wal.append", 2));
+//! // Arm a schedule: crash at the 2nd WAL append of this thread's work.
+//! let guard = chaos::arm(chaos::Schedule::new().crash_at("wal.append", 2));
 //! // ... run the workload; the fault fires deterministically ...
-//! assert!(!chaos::crash_requested()); // (nothing visited in this doctest)
-//! // Dropping the guard disarms and resets all chaos state.
+//! assert!(!guard.crash_requested()); // (nothing visited in this doctest)
+//! // Dropping the guard leaves the plan and disarms it.
 //! ```
-//!
-//! Arming is process-global and serialized: [`arm`] blocks until any other
-//! armed session's guard drops, so concurrent `#[test]`s cannot interleave
-//! schedules.
 
 pub mod rng;
 pub mod schedule;
 
 pub use schedule::{FaultAction, FaultSpec, Fired, Rule, Schedule, Target, Visit};
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io;
+use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use phoenix_obs::{journal, registry, EventKind};
 
-/// Fast-path switch: a single relaxed load of this is the entire cost of a
-/// fault point while disarmed.
-static ARMED: AtomicBool = AtomicBool::new(false);
-/// Sticky "the process died" flag; see the crate docs for its semantics.
-static HALTED: AtomicBool = AtomicBool::new(false);
-/// Set together with `HALTED`; cleared by [`acknowledge_crash`]. The
-/// supervisor polls this to know it must sever/restart the server.
-static CRASH_REQUESTED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// The plan this thread's visits count toward, if any.
+    static CURRENT: RefCell<Option<Arc<FaultPlan>>> = const { RefCell::new(None) };
+}
 
-struct Inner {
+/// One test's fault schedule and everything its visits record: visit
+/// counters, the optional trace, the faults fired, and the halt. Created by
+/// [`arm`]; shared by every thread that [`enter`]s it.
+#[derive(Default)]
+pub struct FaultPlan {
+    state: Mutex<PlanState>,
+    /// Sticky "the process died" flag, set by a fatal fault and lifted by
+    /// [`FaultPlan::acknowledge_crash`]; see the crate docs.
+    halted: AtomicBool,
+}
+
+#[derive(Default)]
+struct PlanState {
     schedule: Schedule,
     per_point: HashMap<&'static str, u64>,
     global: u64,
@@ -87,122 +102,188 @@ struct Inner {
     fired: Vec<Fired>,
 }
 
-impl Inner {
-    fn reset(&mut self) {
-        self.schedule = Schedule::new();
-        self.per_point.clear();
-        self.global = 0;
-        self.trace = None;
-        self.fired.clear();
+impl FaultPlan {
+    fn lock(&self) -> MutexGuard<'_, PlanState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Start over with `schedule`: counters, trace and fired list clear and
+    /// the halt lifts. A test whose setup must not count arms an empty
+    /// schedule, starts its server inside the plan, then resets it.
+    pub fn reset(&self, schedule: Schedule) {
+        let mut state = self.lock();
+        let trace = state.trace.as_ref().map(|_| Vec::new());
+        *state = PlanState {
+            schedule,
+            trace,
+            ..PlanState::default()
+        };
+        self.acknowledge_crash();
+    }
+
+    /// The visits recorded so far (empty unless armed with [`arm_traced`]).
+    pub fn trace(&self) -> Vec<Visit> {
+        self.lock().trace.clone().unwrap_or_default()
+    }
+
+    /// The faults fired so far.
+    pub fn fired(&self) -> Vec<Fired> {
+        self.lock().fired.clone()
+    }
+
+    /// Has a fatal fault fired, simulating process death? While true,
+    /// durable points inside the plan fail and its server lets no reply
+    /// escape.
+    pub fn halted(&self) -> bool {
+        self.halted.load(Ordering::Relaxed)
+    }
+
+    /// Has a fatal fault fired that a supervisor has not yet acknowledged?
+    /// The supervisor's name for [`FaultPlan::halted`].
+    pub fn crash_requested(&self) -> bool {
+        self.halted()
+    }
+
+    /// Supervisor acknowledgement: the crashed server incarnation has been
+    /// torn down, lift the halt so the *next* incarnation can write and
+    /// reply again.
+    pub fn acknowledge_crash(&self) {
+        self.halted.store(false, Ordering::SeqCst);
+    }
+
+    /// Count one visit to `point` and fire the rule it matches, if any.
+    #[cold]
+    fn visit(&self, point: &'static str) -> FaultAction {
+        let spec = {
+            let mut state = self.lock();
+            state.global += 1;
+            let global = state.global;
+            let nth = {
+                let c = state.per_point.entry(point).or_insert(0);
+                *c += 1;
+                *c
+            };
+            if let Some(trace) = state.trace.as_mut() {
+                trace.push(Visit { point, nth, global });
+            }
+            match state.schedule.take_match(point, nth, global) {
+                Some(spec) => {
+                    state.fired.push(Fired {
+                        point,
+                        nth,
+                        global,
+                        spec,
+                    });
+                    spec
+                }
+                None => return FaultAction::Continue,
+            }
+        };
+        // Emission happens outside the plan's lock: the journal and registry
+        // take their own locks and firings are rare.
+        faults_injected(point).inc();
+        journal().record(
+            "chaos",
+            EventKind::FaultInjected,
+            format!("{} at {point}", spec.as_str()),
+        );
+        if spec.is_fatal() {
+            self.halted.store(true, Ordering::SeqCst);
+        }
+        spec.into()
     }
 }
 
-fn inner() -> &'static Mutex<Inner> {
-    static INNER: OnceLock<Mutex<Inner>> = OnceLock::new();
-    INNER.get_or_init(|| {
-        Mutex::new(Inner {
-            schedule: Schedule::new(),
-            per_point: HashMap::new(),
-            global: 0,
-            trace: None,
-            fired: Vec::new(),
-        })
-    })
+/// The calling thread's membership in a plan, from [`enter`] until drop,
+/// which restores the thread's previous plan — on unwind too.
+#[must_use = "the thread leaves the plan when this is dropped"]
+pub struct Entered {
+    previous: Option<Arc<FaultPlan>>,
+    /// Membership is per thread: the guard must drop where it was made.
+    _thread: PhantomData<*const ()>,
 }
 
-fn lock_inner() -> MutexGuard<'static, Inner> {
-    inner().lock().unwrap_or_else(PoisonError::into_inner)
+impl Drop for Entered {
+    fn drop(&mut self) {
+        CURRENT.with(|c| c.replace(self.previous.take()));
+    }
 }
 
-/// Serializes chaos sessions: held (inside the [`ChaosGuard`]) from [`arm`]
-/// until the guard drops.
-fn session_mutex() -> &'static Mutex<()> {
-    static SESSION: OnceLock<Mutex<()>> = OnceLock::new();
-    SESSION.get_or_init(|| Mutex::new(()))
+/// Make `plan` (or no plan) the one the calling thread's visits count
+/// toward until the returned guard drops. With [`current`], this is how a
+/// thread hands its plan to the threads it spawns.
+pub fn enter(plan: Option<Arc<FaultPlan>>) -> Entered {
+    Entered {
+        previous: CURRENT.with(|c| c.replace(plan)),
+        _thread: PhantomData,
+    }
 }
 
-/// Holds the armed chaos session. Dropping it disarms the subsystem and
-/// resets every counter, flag and recorded trace, then releases the global
-/// session lock so another test can arm.
+/// The plan the calling thread is in, if any.
+pub fn current() -> Option<Arc<FaultPlan>> {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// An armed plan, entered on the thread that armed it; derefs to the
+/// [`FaultPlan`]. Dropping it leaves the plan and disarms it, so a server
+/// that inherited the plan fires nothing more and is not halted by it.
 pub struct ChaosGuard {
-    _session: MutexGuard<'static, ()>,
+    plan: Arc<FaultPlan>,
+    _entered: Entered,
 }
 
 impl ChaosGuard {
-    /// The visits recorded so far (empty unless armed with
-    /// [`arm_traced`]).
-    pub fn trace(&self) -> Vec<Visit> {
-        lock_inner().trace.clone().unwrap_or_default()
+    /// The plan, for a thread that must watch it (a crash supervisor).
+    pub fn plan(&self) -> Arc<FaultPlan> {
+        Arc::clone(&self.plan)
     }
+}
 
-    /// The faults fired so far in this session.
-    pub fn fired(&self) -> Vec<Fired> {
-        lock_inner().fired.clone()
+impl Deref for ChaosGuard {
+    type Target = FaultPlan;
+
+    fn deref(&self) -> &FaultPlan {
+        &self.plan
     }
 }
 
 impl Drop for ChaosGuard {
     fn drop(&mut self) {
-        ARMED.store(false, Ordering::SeqCst);
-        HALTED.store(false, Ordering::SeqCst);
-        CRASH_REQUESTED.store(false, Ordering::SeqCst);
-        lock_inner().reset();
+        self.plan.lock().schedule = Schedule::new();
+        self.plan.acknowledge_crash();
     }
 }
 
 fn arm_with(schedule: Schedule, traced: bool) -> ChaosGuard {
-    let session = session_mutex()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    {
-        let mut inner = lock_inner();
-        inner.reset();
-        inner.schedule = schedule;
-        if traced {
-            inner.trace = Some(Vec::new());
-        }
+    let plan = Arc::new(FaultPlan::default());
+    *plan.lock() = PlanState {
+        schedule,
+        trace: traced.then(Vec::new),
+        ..PlanState::default()
+    };
+    ChaosGuard {
+        _entered: enter(Some(Arc::clone(&plan))),
+        plan,
     }
-    HALTED.store(false, Ordering::SeqCst);
-    CRASH_REQUESTED.store(false, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    ChaosGuard { _session: session }
 }
 
-/// Arm the subsystem with `schedule`. Blocks until no other chaos session is
-/// active (sessions are process-global). Disarm by dropping the returned
-/// guard.
+/// Arm a new plan with `schedule` and enter it on the calling thread.
+/// Disarm by dropping the returned guard.
 pub fn arm(schedule: Schedule) -> ChaosGuard {
     arm_with(schedule, false)
 }
 
-/// Arm with `schedule` *and* record every fault-point visit; read the trace
-/// from [`ChaosGuard::trace`]. Arming with [`Schedule::new`] gives the pure
-/// observation mode the explorer uses for its clean run.
+/// Arm with `schedule` *and* record every visit inside the plan; read the
+/// trace from [`FaultPlan::trace`]. Arming with [`Schedule::new`] gives the
+/// pure observation mode the explorer uses for its clean run.
 pub fn arm_traced(schedule: Schedule) -> ChaosGuard {
     arm_with(schedule, true)
 }
 
-/// Is a chaos session currently armed?
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-/// Has a fatal fault fired, simulating process death? While true, durable
-/// points fail and the server must not let any reply escape.
+/// Is the calling thread's plan [halted](FaultPlan::halted)? False outside
+/// every plan. The server checks this before every reply.
 pub fn halted() -> bool {
-    ARMED.load(Ordering::Relaxed) && HALTED.load(Ordering::Relaxed)
-}
-
-/// Has a fatal fault fired that a supervisor has not yet acknowledged?
-pub fn crash_requested() -> bool {
-    ARMED.load(Ordering::Relaxed) && CRASH_REQUESTED.load(Ordering::Relaxed)
-}
-
-/// Supervisor acknowledgement: the crashed server incarnation has been torn
-/// down, lift the halt so the *next* incarnation can write and reply again.
-pub fn acknowledge_crash() {
-    HALTED.store(false, Ordering::SeqCst);
-    CRASH_REQUESTED.store(false, Ordering::SeqCst);
+    CURRENT.with(|c| c.borrow().as_deref().is_some_and(FaultPlan::halted))
 }
 
 /// The `io::Error` every injected failure surfaces as. The message carries
@@ -212,30 +293,28 @@ pub fn injected_error(point: &str) -> io::Error {
 }
 
 /// Visit the fault point `point` and return the action the site must carry
-/// out. Disarmed cost: one relaxed atomic load.
+/// out. Outside every plan: one thread-local read, then `Continue`.
 ///
 /// Sites that perform writes must call this *before* writing; sites that
 /// perform blocking reads must call it *after* the read completes (see the
 /// crate docs' determinism contract).
 pub fn fault(point: &'static str) -> FaultAction {
-    if !ARMED.load(Ordering::Relaxed) {
-        return FaultAction::Continue;
-    }
-    fault_slow(point)
+    CURRENT.with(|c| match c.borrow().as_deref() {
+        None => FaultAction::Continue,
+        Some(plan) => plan.visit(point),
+    })
 }
 
 /// Like [`fault`], for durable-write points (WAL, checkpoint): once the
-/// subsystem is [`halted`], every call fails with [`FaultAction::IoError`] —
-/// a dead process writes no more bytes to disk, even from request threads
-/// still in flight when the crash fired.
+/// plan is [halted](FaultPlan::halted), every call inside it fails with
+/// [`FaultAction::IoError`] — a dead process writes no more bytes to disk,
+/// even from request threads still in flight when the crash fired.
 pub fn durable_fault(point: &'static str) -> FaultAction {
-    if !ARMED.load(Ordering::Relaxed) {
-        return FaultAction::Continue;
-    }
-    if HALTED.load(Ordering::Relaxed) {
-        return FaultAction::IoError;
-    }
-    fault_slow(point)
+    CURRENT.with(|c| match c.borrow().as_deref() {
+        None => FaultAction::Continue,
+        Some(plan) if plan.halted() => FaultAction::IoError,
+        Some(plan) => plan.visit(point),
+    })
 }
 
 /// [`durable_fault`] for sites without torn-write support: `Continue`/
@@ -254,50 +333,8 @@ pub fn check_durable(point: &'static str) -> io::Result<()> {
     }
 }
 
-#[cold]
-fn fault_slow(point: &'static str) -> FaultAction {
-    let spec = {
-        let mut inner = lock_inner();
-        inner.global += 1;
-        let global = inner.global;
-        let nth = {
-            let c = inner.per_point.entry(point).or_insert(0);
-            *c += 1;
-            *c
-        };
-        if let Some(trace) = inner.trace.as_mut() {
-            trace.push(Visit { point, nth, global });
-        }
-        match inner.schedule.take_match(point, nth, global) {
-            Some(spec) => {
-                inner.fired.push(Fired {
-                    point,
-                    nth,
-                    global,
-                    spec,
-                });
-                spec
-            }
-            None => return FaultAction::Continue,
-        }
-    };
-    // Emission happens outside the inner lock: the journal and registry
-    // take their own locks and firings are rare.
-    faults_injected(point).inc();
-    journal().record(
-        "chaos",
-        EventKind::FaultInjected,
-        format!("{} at {point}", spec.as_str()),
-    );
-    if spec.is_fatal() {
-        HALTED.store(true, Ordering::SeqCst);
-        CRASH_REQUESTED.store(true, Ordering::SeqCst);
-    }
-    spec.into()
-}
-
 /// The `phoenix_faults_injected_total{point=...}` counter for one point.
-fn faults_injected(point: &'static str) -> std::sync::Arc<phoenix_obs::Counter> {
+fn faults_injected(point: &'static str) -> Arc<phoenix_obs::Counter> {
     registry().counter_with(
         "phoenix_faults_injected_total",
         "Faults fired by phoenix-chaos, by fault point",
@@ -311,17 +348,11 @@ mod tests {
 
     #[test]
     fn disarmed_points_do_nothing() {
-        // Hold the session lock a guard would hold, so no sibling test can
-        // arm meanwhile: every call is the fast path.
-        let _session = session_mutex()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        assert!(current().is_none());
         assert_eq!(fault("wal.append"), FaultAction::Continue);
         assert_eq!(durable_fault("wal.append"), FaultAction::Continue);
         assert!(check_durable("wal.fsync").is_ok());
-        assert!(!armed());
         assert!(!halted());
-        assert!(!crash_requested());
     }
 
     #[test]
@@ -329,30 +360,31 @@ mod tests {
         let guard = arm(Schedule::new().crash_at("p.a", 2).io_error_at("p.b", 1));
         assert_eq!(fault("p.a"), FaultAction::Continue); // visit 1
         assert_eq!(fault("p.b"), FaultAction::IoError); // fires
-        assert!(!halted(), "IoError is transient, not fatal");
+        assert!(!guard.halted(), "IoError is transient, not fatal");
         assert_eq!(fault("p.a"), FaultAction::Crash); // visit 2 fires
         assert!(halted());
-        assert!(crash_requested());
+        assert!(guard.crash_requested());
         let fired = guard.fired();
         assert_eq!(fired.len(), 2);
         assert_eq!(fired[1].point, "p.a");
         assert_eq!(fired[1].nth, 2);
         assert_eq!(fired[1].global, 3);
+        let plan = guard.plan();
         drop(guard);
-        assert!(!armed());
-        assert!(!crash_requested());
+        assert!(current().is_none());
+        assert!(!plan.crash_requested(), "dropping the guard disarms");
     }
 
     #[test]
     fn halt_blocks_durable_points_until_acknowledged() {
-        let _guard = arm(Schedule::new().crash_at("w", 1));
+        let guard = arm(Schedule::new().crash_at("w", 1));
         assert_eq!(fault("w"), FaultAction::Crash);
         // Every durable point now fails, without consuming schedule state.
         assert_eq!(durable_fault("x"), FaultAction::IoError);
         assert!(check_durable("y").is_err());
         // Non-durable points keep counting normally.
         assert_eq!(fault("z"), FaultAction::Continue);
-        acknowledge_crash();
+        guard.acknowledge_crash();
         assert!(!halted());
         assert_eq!(durable_fault("x"), FaultAction::Continue);
     }
@@ -394,9 +426,9 @@ mod tests {
 
     #[test]
     fn torn_write_action_carries_byte_count() {
-        let _guard = arm(Schedule::new().torn_at("t", 1, 5));
+        let guard = arm(Schedule::new().torn_at("t", 1, 5));
         assert_eq!(fault("t"), FaultAction::Torn(5));
-        assert!(halted(), "a torn write is process death");
+        assert!(guard.halted(), "a torn write is process death");
     }
 
     #[test]
@@ -425,12 +457,17 @@ mod tests {
         }
         let guard = arm_traced(Schedule::new());
         fault("reset.me");
-        assert_eq!(guard.trace()[0].nth, 1, "counters reset between sessions");
+        assert_eq!(guard.trace()[0].nth, 1, "a new plan counts from 1");
+        fault("reset.me");
+        guard.reset(Schedule::new());
+        fault("reset.me");
+        assert_eq!(guard.trace().len(), 1, "reset clears the trace");
+        assert_eq!(guard.trace()[0].nth, 1, "and the counters");
     }
 
     #[test]
     fn fired_faults_emit_journal_and_metrics() {
-        let before = journal().events_of(EventKind::FaultInjected).len();
+        let last_seq = journal().events().last().map(|e| e.seq);
         let counter = faults_injected("emit.test");
         let count_before = counter.get();
         {
@@ -438,9 +475,48 @@ mod tests {
             assert_eq!(fault("emit.test"), FaultAction::IoError);
         }
         assert_eq!(counter.get(), count_before + 1);
-        let events = journal().events_of(EventKind::FaultInjected);
-        assert_eq!(events.len(), before + 1);
-        assert!(events.last().unwrap().detail.contains("emit.test"));
+        // Sibling tests fire faults of their own meanwhile: count only the
+        // events that are new and name this test's point.
+        let ours = journal()
+            .events_of(EventKind::FaultInjected)
+            .into_iter()
+            .filter(|e| Some(e.seq) > last_seq)
+            .filter(|e| e.detail.contains("emit.test"))
+            .count();
+        assert_eq!(ours, 1);
+    }
+
+    #[test]
+    fn a_plan_is_invisible_to_threads_outside_it() {
+        let guard = arm(Schedule::new().crash_at("p", 1));
+        let outside = std::thread::spawn(|| fault("p")).join().unwrap();
+        assert_eq!(outside, FaultAction::Continue, "a visit outside the plan");
+        assert_eq!(fault("p"), FaultAction::Crash, "the plan's own first visit");
+        assert_eq!(guard.fired().len(), 1);
+    }
+
+    #[test]
+    fn an_entered_plan_counts_the_spawned_thread() {
+        let guard = arm(Schedule::new().crash_at("q", 2));
+        fault("q");
+        let plan = current();
+        let inside = std::thread::spawn(move || {
+            let _in = enter(plan);
+            fault("q")
+        });
+        assert_eq!(inside.join().unwrap(), FaultAction::Crash);
+        assert!(guard.crash_requested());
+    }
+
+    #[test]
+    fn the_guard_leaves_the_thread_on_unwind() {
+        let unwound = std::panic::catch_unwind(|| {
+            let _guard = arm(Schedule::new().crash_at("u", 1));
+            panic!("test body fails while armed");
+        });
+        assert!(unwound.is_err());
+        assert!(current().is_none());
+        assert_eq!(fault("u"), FaultAction::Continue);
     }
 
     #[test]

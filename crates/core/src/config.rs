@@ -70,9 +70,6 @@ pub struct PhoenixConfig {
     /// Rows per block when Phoenix delivers result sets from its persistent
     /// tables.
     pub fetch_block: usize,
-    /// Disable persistence entirely (pass-through mode). Used by benchmarks
-    /// to measure the native baseline through identical code paths.
-    pub passthrough: bool,
     /// Drop a statement's persistent result/key tables as soon as the
     /// result is consumed (or the statement is re-executed/closed), instead
     /// of only at session termination as the paper does. Bounds server-side
@@ -88,7 +85,6 @@ impl Default for PhoenixConfig {
             reposition: RepositionStrategy::ServerSide,
             recovery: RecoverySettings::default(),
             fetch_block: 64,
-            passthrough: false,
             eager_cleanup: false,
         }
     }
@@ -117,14 +113,5 @@ impl PhoenixConfig {
     pub fn with_eager_cleanup(mut self, on: bool) -> Self {
         self.eager_cleanup = on;
         self
-    }
-
-    /// A configuration with all persistence disabled (native behaviour
-    /// through identical code paths — benchmark baseline).
-    pub fn passthrough() -> Self {
-        PhoenixConfig {
-            passthrough: true,
-            ..PhoenixConfig::default()
-        }
     }
 }

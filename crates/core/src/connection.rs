@@ -108,10 +108,8 @@ impl PhoenixConnection {
         let mapped = env.connect(addr, user, database)?;
         let mut private = env.connect(addr, user, database)?;
         let namer = Namer::new(fresh_session_tag());
-        if !config.passthrough {
-            dml::ensure_status_table(&mut private)?;
-            recovery::create_marker(&mut private, &namer.alive_marker())?;
-        }
+        dml::ensure_status_table(&mut private)?;
+        recovery::create_marker(&mut private, &namer.alive_marker())?;
         Ok(PhoenixConnection {
             env,
             addr: addr.to_string(),
@@ -150,9 +148,6 @@ impl PhoenixConnection {
     /// the complete result (queries are materialized and then read back in
     /// full; use [`PhoenixConnection::statement`] for incremental delivery).
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        if self.config.passthrough {
-            return self.mapped.execute(sql);
-        }
         // One-pass parse to determine request type. Unparseable requests are
         // forwarded opaquely — the server is the authority on errors.
         let stmt = match parse_statement(sql) {
@@ -215,18 +210,16 @@ impl PhoenixConnection {
     /// structures on the database server that were created to store database
     /// session state … dropping all tables and stored procedures".
     pub fn close(mut self) {
-        if !self.config.passthrough {
-            let mut sweep = self.ctx.debris.clone();
-            sweep.extend(self.ctx.created.clone());
-            for obj in sweep.iter().rev() {
-                let sql = match obj.kind {
-                    PhoenixObject::Table => format!("DROP TABLE IF EXISTS {}", obj.name),
-                    PhoenixObject::Procedure => format!("DROP PROCEDURE IF EXISTS {}", obj.name),
-                };
-                let _ = self.private.execute(&sql);
-            }
-            let _ = dml::clear_status(&mut self.private, self.namer.tag());
+        let mut sweep = self.ctx.debris.clone();
+        sweep.extend(self.ctx.created.clone());
+        for obj in sweep.iter().rev() {
+            let sql = match obj.kind {
+                PhoenixObject::Table => format!("DROP TABLE IF EXISTS {}", obj.name),
+                PhoenixObject::Procedure => format!("DROP PROCEDURE IF EXISTS {}", obj.name),
+            };
+            let _ = self.private.execute(&sql);
         }
+        let _ = dml::clear_status(&mut self.private, self.namer.tag());
         self.mapped.close();
         self.private.close();
     }
@@ -342,13 +335,6 @@ impl PhoenixConnection {
     /// already submitted behind it fail their own `BEGIN` against the
     /// dangling transaction, so nothing beyond the failed statement applies.
     pub fn execute_pipelined(&mut self, stmts: &[String]) -> Result<Vec<QueryResult>> {
-        if self.config.passthrough {
-            let mut out = Vec::with_capacity(stmts.len());
-            for sql in stmts {
-                out.push(self.mapped.execute(sql)?);
-            }
-            return Ok(out);
-        }
         if self.ctx.txn_open {
             // Inside an application transaction the wrappers cannot nest;
             // fall back to the interception pipeline statement by statement

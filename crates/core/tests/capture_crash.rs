@@ -1,29 +1,23 @@
 //! Crashes inside Phoenix's one-request wrappers: the result capture and a
-//! wrapped `EXEC`. These tests arm the process-global fault schedule, so they
-//! have a test binary to themselves (a sibling test's server would count
-//! toward, and be halted by, their schedule) and run one at a time.
+//! wrapped `EXEC`. Each test's server is started inside the test's own
+//! fault plan, so the tests run in parallel.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use phoenix_chaos as chaos;
+use phoenix_chaos::FaultPlan;
 use phoenix_core::{PhoenixConfig, PhoenixConnection};
 use phoenix_driver::Environment;
 use phoenix_engine::EngineConfig;
 use phoenix_server::ServerHarness;
 use phoenix_storage::types::Value;
 
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A server on a fresh directory, and a Phoenix session on it.
+/// A server on a fresh directory, and a Phoenix session on it. Call it
+/// inside an armed plan: the server serves inside the plan it starts in.
 fn start(name: &str) -> (Arc<Mutex<ServerHarness>>, PhoenixConnection, PathBuf) {
     let dir = std::env::temp_dir().join(format!("phoenix-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -38,16 +32,20 @@ fn start(name: &str) -> (Arc<Mutex<ServerHarness>>, PhoenixConnection, PathBuf) 
     (harness, pc, dir)
 }
 
-/// Crash and restart the server once the armed schedule asks for it;
-/// yields whether it did before `stop` was raised.
-fn supervise(harness: &Arc<Mutex<ServerHarness>>, stop: &Arc<AtomicBool>) -> JoinHandle<bool> {
+/// Crash and restart the server once `plan` asks for it; yields whether it
+/// did before `stop` was raised.
+fn supervise(
+    plan: Arc<FaultPlan>,
+    harness: &Arc<Mutex<ServerHarness>>,
+    stop: &Arc<AtomicBool>,
+) -> JoinHandle<bool> {
     let harness = Arc::clone(harness);
     let stop = Arc::clone(stop);
     std::thread::spawn(move || loop {
-        if chaos::crash_requested() {
+        if plan.crash_requested() {
             let mut h = harness.lock().unwrap();
             h.crash().expect("supervisor crash");
-            chaos::acknowledge_crash();
+            plan.acknowledge_crash();
             std::thread::sleep(Duration::from_millis(20));
             h.restart().expect("supervisor restart");
             return true;
@@ -66,7 +64,7 @@ fn supervise(harness: &Arc<Mutex<ServerHarness>>, stop: &Arc<AtomicBool>) -> Joi
 /// sweeps what the successful attempt created.
 #[test]
 fn query_resubmitted_after_crash_inside_capture_batch() {
-    let _s = serial();
+    let guard = chaos::arm(chaos::Schedule::new());
     let (harness, mut pc, dir) = start("capture-crash");
     pc.execute("CREATE TABLE customer (id INT PRIMARY KEY, name TEXT)")
         .unwrap();
@@ -89,9 +87,9 @@ fn query_resubmitted_after_crash_inside_capture_batch() {
     // The batch appends to the log for CREATE TABLE, CREATE PROCEDURE and
     // the INSERT the procedure runs: die at the third, with the table and
     // procedure created and nothing committed.
-    let guard = chaos::arm(chaos::Schedule::new().crash_at("wal.append", 3));
+    guard.reset(chaos::Schedule::new().crash_at("wal.append", 3));
     let stop = Arc::new(AtomicBool::new(false));
-    let supervisor = supervise(&harness, &stop);
+    let supervisor = supervise(guard.plan(), &harness, &stop);
     let r = pc.execute("SELECT id, name FROM customer ORDER BY id");
     stop.store(true, Ordering::Relaxed);
     let crashed = supervisor.join().unwrap();
@@ -136,7 +134,7 @@ fn query_resubmitted_after_crash_inside_capture_batch() {
 /// insert applied once.
 #[test]
 fn messages_preserved_with_dml_outcome() {
-    let _s = serial();
+    let guard = chaos::arm(chaos::Schedule::new());
     let (harness, mut pc, dir) = start("messages-crash");
     pc.execute("CREATE TABLE t (v INT)").unwrap();
     pc.execute(
@@ -146,9 +144,9 @@ fn messages_preserved_with_dml_outcome() {
     .unwrap();
 
     // The EXEC's batch reply is the first reply the server sends from here.
-    let guard = chaos::arm(chaos::Schedule::new().crash_at("server.reply_send", 1));
+    guard.reset(chaos::Schedule::new().crash_at("server.reply_send", 1));
     let stop = Arc::new(AtomicBool::new(false));
-    let supervisor = supervise(&harness, &stop);
+    let supervisor = supervise(guard.plan(), &harness, &stop);
     let r = pc.execute("EXEC noisy");
     stop.store(true, Ordering::Relaxed);
     let crashed = supervisor.join().unwrap();

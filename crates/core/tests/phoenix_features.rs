@@ -1,5 +1,5 @@
 //! Feature-focused Phoenix tests: command batches, stored procedures,
-//! message preservation, passthrough mode, and interception edge cases.
+//! message preservation, and interception edge cases.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,31 +142,6 @@ fn print_messages_flow_through_phoenix() {
     let r = pc.execute("PRINT 'phase ' + '1'").unwrap();
     assert_eq!(r.messages, vec!["phase 1"]);
     pc.close();
-    drop(h);
-    std::fs::remove_dir_all(dir).unwrap();
-}
-
-#[test]
-fn passthrough_mode_behaves_like_native() {
-    let (mut h, dir) = start();
-    let mut pc = PhoenixConnection::connect(
-        &Environment::new().with_read_timeout(Some(Duration::from_millis(500))),
-        &h.addr(),
-        "app",
-        "test",
-        PhoenixConfig::passthrough(),
-    )
-    .unwrap();
-    pc.execute("CREATE TABLE t (v INT)").unwrap();
-    pc.execute("INSERT INTO t VALUES (1)").unwrap();
-    // No phoenix objects are created in passthrough mode.
-    assert_eq!(pc.stats().materialized_result_sets, 0);
-    assert_eq!(pc.stats().wrapped_dml, 0);
-    // And a crash is NOT masked.
-    h.crash().unwrap();
-    let e = pc.execute("SELECT 1").unwrap_err();
-    assert!(e.is_comm());
-    h.restart().unwrap();
     drop(h);
     std::fs::remove_dir_all(dir).unwrap();
 }

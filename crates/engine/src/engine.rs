@@ -37,9 +37,7 @@ use parking_lot::{Mutex, RwLock};
 use phoenix_sql::ast::{ExecStmt, ObjectName, SelectStmt, Statement};
 use phoenix_sql::display::render_statement;
 use phoenix_sql::parser::{parse_statement, parse_statements};
-use phoenix_storage::db::{
-    CheckpointStats, DrainReport, Durability, Durable, RecoveryOptions, RecoveryReport,
-};
+use phoenix_storage::db::{CheckpointStats, DrainReport, Durability, Durable, RecoveryReport};
 use phoenix_storage::store::Store;
 use phoenix_storage::types::{Row, Schema, TxnId, Value};
 
@@ -61,9 +59,6 @@ pub struct EngineConfig {
     /// Take a checkpoint automatically once this many log records have
     /// accumulated and the engine is quiescent. `None` disables.
     pub checkpoint_every: Option<u64>,
-    /// Bounded fsync delay for the group-commit leader, in microseconds.
-    /// `0` (the default) flushes immediately.
-    pub group_commit_window_us: u64,
     /// Cap on concurrently open sessions: admission control. A login that
     /// would exceed the cap is refused with [`ErrorCode::Busy`] — a
     /// retryable error by the driver's taxonomy — until a session closes.
@@ -76,7 +71,6 @@ impl Default for EngineConfig {
         EngineConfig {
             durability: Durability::Fsync,
             checkpoint_every: Some(100_000),
-            group_commit_window_us: 0,
             max_sessions: None,
         }
     }
@@ -151,11 +145,8 @@ impl Engine {
     /// Open (and recover) the database in `dir`. A directory a promoted
     /// standby fenced is refused (`phoenix_storage::db::DbError::Fenced`).
     pub fn open(dir: impl AsRef<std::path::Path>, config: EngineConfig) -> Result<Engine> {
-        let opts = RecoveryOptions {
-            group_commit_window_us: config.group_commit_window_us,
-        };
         Ok(Engine {
-            durable: Durable::open_opts(dir, config.durability, &opts)?,
+            durable: Durable::open(dir, config.durability)?,
             sessions: RwLock::new(HashMap::new()),
             next_session: AtomicU64::new(1),
             next_cursor: AtomicU64::new(1),

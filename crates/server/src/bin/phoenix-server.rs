@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! phoenix-server [--data <dir>] [--port <port>] [--buffered] [--stats-port <port>]
-//!                [--group-commit-window-us <us>] [--max-sessions <n>]
+//!                [--max-sessions <n>]
 //! ```
 //!
 //! Takes the given port, announces it, opens (and crash-recovers) the
@@ -18,8 +18,6 @@
 //! * `--stats-port` starts a second listener serving Prometheus-style
 //!   metrics text over HTTP on that port (`curl localhost:<port>` to
 //!   scrape).
-//! * `--group-commit-window-us` makes the group-commit leader wait that
-//!   long before flushing, so more commits share one fsync.
 //! * `--max-sessions` caps open sessions: a login past the cap is refused
 //!   with a retryable `Busy` until a session closes.
 
@@ -34,7 +32,6 @@ fn main() {
     let mut port: u16 = 54321;
     let mut stats_port: Option<u16> = None;
     let mut durability = Durability::Fsync;
-    let mut group_commit_window_us: u64 = 0;
     let mut max_sessions: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
@@ -42,7 +39,6 @@ fn main() {
         let flag = arg.as_str();
         match flag {
             "--data" => data_dir = value(&mut args, flag),
-            "--group-commit-window-us" => group_commit_window_us = value(&mut args, flag),
             "--port" => port = value(&mut args, flag),
             "--buffered" => durability = Durability::Buffered,
             "--max-sessions" => max_sessions = Some(value(&mut args, flag)),
@@ -50,8 +46,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: phoenix-server [--data <dir>] [--port <port>] [--buffered] \
-                     [--stats-port <port>] [--group-commit-window-us <us>] \
-                     [--max-sessions <n>]\n\
+                     [--stats-port <port>] [--max-sessions <n>]\n\
                      \x20 max-sessions <n>: a login past n open sessions is refused \
                      with a retryable Busy until one closes"
                 );
@@ -64,7 +59,6 @@ fn main() {
     let config = EngineConfig {
         durability,
         checkpoint_every: Some(100_000),
-        group_commit_window_us,
         max_sessions,
     };
     // The port first: a client reconnecting after a crash then queues in the

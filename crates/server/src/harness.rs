@@ -21,7 +21,9 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
+use phoenix_chaos::FaultPlan;
 use phoenix_engine::{Engine, EngineConfig};
 
 use crate::server::RunningServer;
@@ -32,6 +34,9 @@ pub struct ServerHarness {
     engine_config: EngineConfig,
     port: u16,
     server: Option<RunningServer>,
+    /// The fault plan the harness was started inside: every incarnation
+    /// serves inside it, whichever thread restarts it.
+    plan: Option<Arc<FaultPlan>>,
 }
 
 impl ServerHarness {
@@ -50,6 +55,7 @@ impl ServerHarness {
             engine_config,
             port,
             server: Some(server),
+            plan: phoenix_chaos::current(),
         })
     }
 
@@ -125,6 +131,7 @@ impl ServerHarness {
     /// the same port.
     pub fn restart(&mut self) -> io::Result<()> {
         assert!(self.server.is_none(), "restart() while still running");
+        let _plan = phoenix_chaos::enter(self.plan.clone());
         let engine = Engine::open(&self.data_dir, self.engine_config.clone())
             .map_err(|e| io::Error::other(e.to_string()))?;
         // The old listener is fully closed (accept thread joined in stop()),

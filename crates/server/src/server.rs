@@ -146,9 +146,13 @@ impl BoundServer {
         let accept_engine = Arc::clone(&engine);
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_conns = Arc::clone(&conns);
+        // A server started inside a fault plan serves inside it: the accept
+        // thread enters the plan and hands it to every connection thread.
+        let plan = phoenix_chaos::current();
         let accept_thread = std::thread::Builder::new()
             .name(format!("phx-accept-{port}"))
             .spawn(move || {
+                let _plan = phoenix_chaos::enter(plan);
                 accept_loop(listener, accept_engine, accept_shutdown, accept_conns);
             })?;
 
@@ -264,9 +268,11 @@ fn accept_loop(
                 m.connections_active.inc();
                 let engine = Arc::clone(&engine);
                 let conns = Arc::clone(&conns);
+                let plan = phoenix_chaos::current();
                 let _ = std::thread::Builder::new()
                     .name("phx-conn".into())
                     .spawn(move || {
+                        let _plan = phoenix_chaos::enter(plan);
                         serve_connection(stream, engine);
                         // Prune this connection's registry entry; after a
                         // sever the entry is already gone, which is fine.
@@ -466,7 +472,7 @@ fn send_bytes(stream: &mut TcpStream, bytes: &[u8]) -> Result<(), FrameError> {
     // Once a fatal fault has fired, this server incarnation is "dead": no
     // reply may escape, not even an error reply from a request thread that
     // observed the injected failure — a crashed process emits nothing. One
-    // relaxed load when chaos is disarmed.
+    // thread-local read outside every fault plan.
     if phoenix_chaos::halted() {
         return Err(FrameError::Io(phoenix_chaos::injected_error(
             "server.reply_send",

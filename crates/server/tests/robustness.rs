@@ -316,6 +316,8 @@ fn pipelined_window_crash_replays_exactly_once() {
     use phoenix_core::{PhoenixConfig, PhoenixConnection};
 
     let dir = temp_dir("pipewindow");
+    // The server serves inside the plan it is started in.
+    let guard = chaos::arm(chaos::Schedule::new());
     let harness = Arc::new(Mutex::new(
         ServerHarness::start(&dir, EngineConfig::default()).unwrap(),
     ));
@@ -349,11 +351,11 @@ fn pipelined_window_crash_replays_exactly_once() {
         .map(|i| format!("UPDATE t SET v = v + 1 WHERE id <= {i}"))
         .collect();
 
-    // Arm only now, so reply_send visit numbers start at the pipelined
-    // window: the 6th reply is the 6th wrapper's — it has committed, and
-    // killing its reply forces a status-table replay, while wrappers 7 and 8
-    // die unexecuted and must be resubmitted.
-    let guard = chaos::arm(chaos::Schedule::new().rule(
+    // Count only from now, so reply_send visit numbers start at the
+    // pipelined window: the 6th reply is the 6th wrapper's — it has
+    // committed, and killing its reply forces a status-table replay, while
+    // wrappers 7 and 8 die unexecuted and must be resubmitted.
+    guard.reset(chaos::Schedule::new().rule(
         chaos::Target::Point {
             point: "server.reply_send",
             nth: 6,
@@ -364,11 +366,12 @@ fn pipelined_window_crash_replays_exactly_once() {
     let supervisor = {
         let harness = Arc::clone(&harness);
         let stop = Arc::clone(&stop);
+        let plan = guard.plan();
         std::thread::spawn(move || loop {
-            if chaos::crash_requested() {
+            if plan.crash_requested() {
                 let mut h = harness.lock().unwrap();
                 h.crash().expect("supervisor crash");
-                chaos::acknowledge_crash();
+                plan.acknowledge_crash();
                 std::thread::sleep(Duration::from_millis(20));
                 h.restart().expect("supervisor restart");
                 return true;

@@ -15,6 +15,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::crc::crc32;
 use crate::metrics::storage_metrics;
@@ -27,7 +28,7 @@ pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
 /// Chaos fault point hit inside [`Wal::append`].
 const APPEND_POINT: &str = "wal.append";
-/// Chaos fault point hit inside [`Wal::sync`].
+/// Chaos fault point hit inside [`Flusher::sync`].
 const FSYNC_POINT: &str = "wal.fsync";
 /// Chaos fault point hit inside [`Wal::truncate`].
 const TRUNCATE_POINT: &str = "wal.truncate";
@@ -38,12 +39,26 @@ const ROTATE_POINT: &str = "wal.rotate";
 pub struct Wal {
     file: File,
     path: PathBuf,
-    /// Bytes appended since the last sync, used by tests and stats.
-    unsynced: usize,
-    /// Number of `sync_data` calls issued over the log's lifetime — the
-    /// probe group-commit tests use to assert that concurrent commits
-    /// coalesce into fewer syncs.
-    sync_calls: u64,
+    flusher: Flusher,
+}
+
+/// Forces the log's frames to stable storage through a second handle on the
+/// live file, so a flush need not hold the log. A checkpoint that rotates
+/// the log meanwhile has synced the frames it moved, so a flush through the
+/// rotated file's handle loses nothing.
+#[derive(Clone)]
+pub struct Flusher(Arc<File>);
+
+impl Flusher {
+    /// Force every frame appended before this call to stable storage.
+    pub fn sync(&self) -> io::Result<()> {
+        phoenix_chaos::check_durable(FSYNC_POINT)?;
+        let m = storage_metrics();
+        let _t = phoenix_obs::Timer::new(&m.wal_fsync_us);
+        self.0.sync_data()?;
+        m.wal_fsyncs.inc();
+        Ok(())
+    }
 }
 
 impl Wal {
@@ -76,16 +91,15 @@ impl Wal {
         }
         file.seek(SeekFrom::End(0))?;
         Ok(Wal {
+            flusher: Flusher(Arc::new(file.try_clone()?)),
             file,
             path,
-            unsynced: 0,
-            sync_calls: 0,
         })
     }
 
     /// Append one framed record. The bytes are written to the OS but not
-    /// necessarily forced to stable storage; call [`Wal::sync`] (commit) for
-    /// that.
+    /// necessarily forced to stable storage; call [`Flusher::sync`] (commit)
+    /// for that.
     ///
     /// A payload larger than [`MAX_FRAME`] is refused: the reader treats such
     /// a length as a corrupt tail, so writing it would silently drop the
@@ -122,26 +136,13 @@ impl Wal {
             }
         }
         self.file.write_all(&frame)?;
-        self.unsynced += frame.len();
         m.wal_appends.inc();
         Ok(())
     }
 
-    /// Force all appended frames to stable storage.
-    pub fn sync(&mut self) -> io::Result<()> {
-        phoenix_chaos::check_durable(FSYNC_POINT)?;
-        let m = storage_metrics();
-        let _t = phoenix_obs::Timer::new(&m.wal_fsync_us);
-        self.file.sync_data()?;
-        self.sync_calls += 1;
-        self.unsynced = 0;
-        m.wal_fsyncs.inc();
-        Ok(())
-    }
-
-    /// Number of `sync_data` calls issued so far (stats/test probe).
-    pub fn sync_count(&self) -> u64 {
-        self.sync_calls
+    /// A handle that syncs the log without holding it (see [`Flusher`]).
+    pub fn flusher(&self) -> Flusher {
+        self.flusher.clone()
     }
 
     /// Truncate the log to zero length (after a successful checkpoint).
@@ -150,7 +151,6 @@ impl Wal {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::End(0))?;
         self.file.sync_data()?;
-        self.unsynced = 0;
         Ok(())
     }
 
@@ -199,9 +199,9 @@ impl Wal {
                     let _ = d.sync_data();
                 }
             }
+            self.flusher = Flusher(Arc::new(file.try_clone()?));
             self.file = file;
         }
-        self.unsynced = 0;
         Ok(())
     }
 
@@ -333,7 +333,7 @@ mod tests {
         wal.append(b"one").unwrap();
         wal.append(b"two").unwrap();
         wal.append(b"").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         drop(wal);
         let frames = Wal::read_all(&path).unwrap();
         assert_eq!(frames, vec![b"one".to_vec(), b"two".to_vec(), Vec::new()]);
@@ -373,7 +373,7 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         wal.append(b"keep me").unwrap();
         wal.append(b"tear me").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         drop(wal);
         // Chop 3 bytes off the end, simulating a crash mid-append.
         let len = fs::metadata(&path).unwrap().len();
@@ -391,7 +391,7 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         wal.append(b"good record").unwrap();
         wal.append(b"bad record!").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         drop(wal);
         // Flip a byte inside the second record's payload.
         let mut bytes = fs::read(&path).unwrap();
@@ -411,7 +411,7 @@ mod tests {
         wal.truncate().unwrap();
         assert!(wal.is_empty().unwrap());
         wal.append(b"y").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         drop(wal);
         assert_eq!(Wal::read_all(&path).unwrap(), vec![b"y".to_vec()]);
         fs::remove_file(&path).unwrap();
@@ -423,7 +423,7 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         wal.append(b"keep me").unwrap();
         wal.append(b"tear me").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         drop(wal);
         // Crash mid-append: the last frame loses its final 3 bytes.
         let len = fs::metadata(&path).unwrap().len();
@@ -436,7 +436,7 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         assert_eq!(wal.len().unwrap(), 8 + 7, "torn tail trimmed on open");
         wal.append(b"after crash").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         drop(wal);
         let frames = Wal::read_all(&path).unwrap();
         assert_eq!(frames, vec![b"keep me".to_vec(), b"after crash".to_vec()]);
@@ -449,7 +449,7 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         wal.append(b"good").unwrap();
         wal.append(b"evil").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         drop(wal);
         // Bit-rot in the last frame's payload.
         let mut bytes = fs::read(&path).unwrap();
@@ -458,7 +458,7 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         let mut wal = Wal::open(&path).unwrap();
         wal.append(b"new").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         drop(wal);
         assert_eq!(
             Wal::read_all(&path).unwrap(),
@@ -473,7 +473,7 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         wal.append(b"a").unwrap();
         wal.append(b"b").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         let len_before = wal.len().unwrap();
         drop(wal);
         let wal = Wal::open(&path).unwrap();
@@ -493,11 +493,11 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         wal.append(b"a").unwrap();
         wal.append(b"b").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         wal.rotate_to(&old).unwrap();
         assert!(wal.is_empty().unwrap());
         wal.append(b"c").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         assert_eq!(
             Wal::read_all(&old).unwrap(),
             vec![b"a".to_vec(), b"b".to_vec()]
@@ -513,12 +513,12 @@ mod tests {
         let old = path.with_extension("old");
         let mut wal = Wal::open(&path).unwrap();
         wal.append(b"gen1").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         wal.rotate_to(&old).unwrap();
         // A checkpoint died here: `old` still exists. New appends land in
         // the live log, then the next checkpoint rotates again.
         wal.append(b"gen2").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         wal.rotate_to(&old).unwrap();
         assert!(wal.is_empty().unwrap());
         assert_eq!(
@@ -536,7 +536,7 @@ mod tests {
         let old = path.with_extension("old");
         let mut wal = Wal::open(&path).unwrap();
         wal.append(b"keep").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         wal.rotate_to(&old).unwrap();
         // Tear the old file's tail (crash mid-append before the rotation
         // that created it — simulated by chopping bytes).
@@ -544,7 +544,7 @@ mod tests {
         bytes.extend_from_slice(&[9, 9, 9]); // garbage partial header
         fs::write(&old, &bytes).unwrap();
         wal.append(b"live").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         wal.rotate_to(&old).unwrap();
         assert_eq!(
             Wal::read_all(&old).unwrap(),
@@ -560,7 +560,7 @@ mod tests {
         let path = temp_path("len");
         let mut wal = Wal::open(&path).unwrap();
         wal.append(b"ok").unwrap();
-        wal.sync().unwrap();
+        wal.flusher().sync().unwrap();
         drop(wal);
         let mut bytes = fs::read(&path).unwrap();
         // Append a frame header claiming a gigantic payload.

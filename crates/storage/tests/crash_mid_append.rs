@@ -56,14 +56,8 @@ fn ids(db: &Durable) -> Vec<i64> {
     ids
 }
 
-/// Fault schedules are process-global, and both tests also write outside
-/// their armed sections: run one at a time, or one test's schedule fires in
-/// the other's unguarded appends.
-static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[test]
 fn crash_mid_append_then_append_keeps_both_sides() {
-    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("torn");
 
     // A committed transaction the crash must not touch.
@@ -84,7 +78,7 @@ fn crash_mid_append_then_append_keeps_both_sides() {
         let guard = chaos::arm(chaos::Schedule::new().torn_at("wal.append", 1, 11));
         let err = db.insert(t, "dbo.t", row(2, "torn")).unwrap_err();
         assert!(err.to_string().contains("phoenix-chaos"));
-        assert!(chaos::crash_requested());
+        assert!(guard.crash_requested());
         assert_eq!(guard.fired().len(), 1);
         drop(guard);
         // Process death: drop the handle without abort/checkpoint.
@@ -112,7 +106,6 @@ fn crash_mid_append_then_append_keeps_both_sides() {
 
 #[test]
 fn torn_frame_bytes_are_really_on_disk_and_trimmed() {
-    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("trim");
     let wal_path;
 
@@ -139,7 +132,7 @@ fn torn_frame_bytes_are_really_on_disk_and_trimmed() {
     let frames_before = Wal::read_all(&wal_path).unwrap();
     let mut wal = Wal::open(&wal_path).unwrap();
     wal.append(b"fresh").unwrap();
-    wal.sync().unwrap();
+    wal.flusher().sync().unwrap();
     drop(wal);
     let frames_after = Wal::read_all(&wal_path).unwrap();
     assert_eq!(frames_after.len(), frames_before.len() + 1);

@@ -24,15 +24,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Fault schedules are process-global and every test here also writes
-/// outside its armed section, so the tests of this file run one at a time:
-/// otherwise one test's schedule fires in another's unguarded appends (the
-/// intermittent failures ROADMAP item 0 records).
-fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn def(name: &str) -> TableDef {
     TableDef::new(
         name,
@@ -79,7 +70,6 @@ fn commit_rows(db: &Durable, table: &str, rows: &[(i64, &str)]) {
 /// error (the snapshot lacked a mark and replay was unfiltered).
 #[test]
 fn checkpoint_crash_before_truncate_does_not_double_apply() {
-    let _serial = one_at_a_time();
     let dir = temp_dir("truncate-window");
 
     {
@@ -130,7 +120,6 @@ fn checkpoint_crash_before_truncate_does_not_double_apply() {
 /// live log) against the *previous* image.
 #[test]
 fn checkpoint_crash_at_write_keeps_old_image() {
-    let _serial = one_at_a_time();
     let dir = temp_dir("write-crash");
 
     {
@@ -160,7 +149,6 @@ fn checkpoint_crash_at_write_keeps_old_image() {
 /// applies governs both files on the read path.
 #[test]
 fn torn_live_tail_with_rotated_log_recovers() {
-    let _serial = one_at_a_time();
     let dir = temp_dir("torn-with-old");
 
     {
@@ -209,7 +197,6 @@ fn torn_live_tail_with_rotated_log_recovers() {
 /// tables serializes exactly that table and reuses the other segments.
 #[test]
 fn incremental_checkpoint_rewrites_only_touched_tables() {
-    let _serial = one_at_a_time();
     let dir = temp_dir("incremental");
     let db = Durable::open(&dir, Durability::Fsync).unwrap();
 
@@ -251,7 +238,6 @@ fn incremental_checkpoint_rewrites_only_touched_tables() {
 /// of clobbering it.
 #[test]
 fn failed_checkpoint_then_retry_merges_rotated_log() {
-    let _serial = one_at_a_time();
     let dir = temp_dir("retry-merge");
     let db = Durable::open(&dir, Durability::Fsync).unwrap();
 
@@ -286,7 +272,6 @@ fn failed_checkpoint_then_retry_merges_rotated_log() {
 /// discarded on reopen, so neither table shows the transaction's rows.
 #[test]
 fn torn_commit_of_a_two_table_txn_rolls_back_both() {
-    let _serial = one_at_a_time();
     let dir = temp_dir("torn-commit");
     {
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
@@ -330,7 +315,6 @@ fn torn_commit_of_a_two_table_txn_rolls_back_both() {
 /// may not collide with the aborted one, and its effects stay invisible.
 #[test]
 fn abort_advances_checkpoint_mark() {
-    let _serial = one_at_a_time();
     let dir = temp_dir("abort-mark");
 
     {
@@ -369,7 +353,6 @@ fn abort_advances_checkpoint_mark() {
 /// a failed statement bricked the database.
 #[test]
 fn refused_statement_logs_nothing_and_recovery_survives_its_commit() {
-    let _serial = one_at_a_time();
     let dir = temp_dir("refused");
     let wal = dir.join("phoenix.wal");
     {
@@ -436,7 +419,6 @@ fn segment_of(dir: &std::path::Path, idx: usize) -> PathBuf {
 /// notices.
 #[test]
 fn reopen_and_checkpoint_read_only_the_tables_the_tail_writes() {
-    let _serial = one_at_a_time();
     let dir = checkpointed_with_tail("lazy");
     let bad = segment_of(&dir, 1);
     let mut bytes = std::fs::read(&bad).unwrap();
@@ -478,7 +460,6 @@ fn reopen_and_checkpoint_read_only_the_tables_the_tail_writes() {
 /// reopens. A segment that is *missing* fails the open, as it always did.
 #[test]
 fn unreadable_segment_fails_its_table_only_and_a_missing_one_fails_open() {
-    let _serial = one_at_a_time();
     let dir = checkpointed_with_tail("badseg");
     let bad = segment_of(&dir, 0);
     let len = std::fs::metadata(&bad).unwrap().len();
