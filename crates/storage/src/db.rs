@@ -10,14 +10,17 @@
 //! memory by applying those, newest first (the log keeps the records;
 //! recovery ignores them because no commit record follows).
 //!
-//! [`Durable::open`] is crash recovery, and all of it is the
-//! [`crate::applier::Applier`]: load the latest snapshot's manifest (each
+//! [`Durable::open`] is crash recovery, and all of it is
+//! [`crate::applier::recover`]: load the latest snapshot's manifest (each
 //! table stays in its segment file until something touches it), read the
-//! log in GSN order, and apply the records
+//! log in GSN order, and redo the records
 //! of committed transactions with `txn >` the snapshot's *high-water mark* —
 //! records at or below the mark belong to transactions whose effects the
 //! snapshot already materializes, and replaying them would apply mutations
-//! twice. A process crash at *any* point — including mid-append, which
+//! twice. The records of a snapshot table no catalog record names are not
+//! redone at open: they wait as that table's log tail, redone by whoever
+//! first loads it, and a background pass at idle priority loads whatever is
+//! left. A process crash at *any* point — including mid-append, which
 //! leaves a torn tail the WAL reader discards, and mid-checkpoint, which
 //! leaves a rotated `phoenix.wal.old` the next open replays first —
 //! recovers to a state containing exactly the committed transactions.
@@ -98,12 +101,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
-use crate::applier::{frame_payload, Applier, Recovered};
+use crate::applier::{self, frame_payload, Recovered};
 use crate::codec::DecodeError;
 use crate::metrics::storage_metrics;
 use crate::record::LogRecord;
 use crate::snapshot::{self, SegmentBase};
-use crate::store::{normalize_name, Change, Segment, Slot, Store, StoreError};
+use crate::store::{normalize_name, Change, Store, StoreError};
 use crate::types::{Row, RowId, TableDef, TxnId};
 use crate::wal::{Wal, MAX_FRAME};
 
@@ -211,10 +214,18 @@ struct GroupCommit {
 pub struct RecoveryReport {
     /// Valid WAL frames read (rotated log + live log).
     pub wal_frames: usize,
-    /// Records applied to the store (committed, past the snapshot mark).
+    /// Records applied at open (committed, past the snapshot mark, and in no
+    /// table's log tail), `Commit`s included.
     pub records_applied: u64,
     /// Records skipped: uncommitted, or `txn ≤` the snapshot mark.
+    /// `wal_frames − records_applied − records_deferred`.
     pub records_skipped: u64,
+    /// Committed records past the mark left in a log tail: row records on a
+    /// snapshot table no catalog record in the log names, redone when the
+    /// table is first loaded (see [`Durable::drain_report`]).
+    pub records_deferred: u64,
+    /// Tables with a log tail.
+    pub tables_behind: usize,
     /// Wall time of reading the log, decoding and applying it, in
     /// microseconds: `wal_read_us + apply_us`.
     pub replay_us: u64,
@@ -222,16 +233,17 @@ pub struct RecoveryReport {
     pub manifest_us: u64,
     /// Tables in the snapshot.
     pub segments_total: usize,
-    /// Of those, the ones read before the handle opened, because the log
-    /// tail writes to them. The rest load on first touch or in the
-    /// background (see [`Durable::drain_report`]).
+    /// Of those, the ones read before the handle opened, because a catalog
+    /// record in the log names them. The rest load, and redo their log
+    /// tails, on first touch or in the background (see
+    /// [`Durable::drain_report`]).
     pub segments_loaded_at_open: usize,
     /// Reading, checksumming and decoding those segments and building their
     /// indexes. Not part of `replay_us`.
     pub segment_load_us: u64,
-    /// Reading the logs off disk and decoding them.
+    /// Reading the logs off disk, decoding them and routing each record.
     pub wal_read_us: u64,
-    /// Deciding fates and applying the winners.
+    /// Dropping the losers and applying what the open applies.
     pub apply_us: u64,
     /// The whole open, start to usable handle. The four stages above account
     /// for it; the remainder is opening the logs for append.
@@ -246,7 +258,7 @@ impl fmt::Display for RecoveryReport {
             f,
             "open_us={} manifest_us={} segments_total={} segments_loaded_at_open={} \
              segment_load_us={} wal_read_us={} apply_us={} replay_us={} wal_frames={} \
-             records_applied={} records_skipped={}",
+             records_applied={} records_skipped={} tables_behind={} records_deferred={}",
             self.open_us,
             self.manifest_us,
             self.segments_total,
@@ -258,6 +270,8 @@ impl fmt::Display for RecoveryReport {
             self.wal_frames,
             self.records_applied,
             self.records_skipped,
+            self.tables_behind,
+            self.records_deferred,
         )
     }
 }
@@ -270,6 +284,8 @@ pub struct DrainReport {
     pub tables: usize,
     /// Their size on disk.
     pub bytes: u64,
+    /// Log-tail records the drain redid on those tables.
+    pub tail_records: u64,
     /// Wall time of the pass, in microseconds.
     pub us: u64,
     /// One line per table whose segment does not read back, whoever found
@@ -281,9 +297,10 @@ impl fmt::Display for DrainReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "tables={} bytes={} ms={:.1} unreadable={:?}",
+            "tables={} bytes={} tail_records={} ms={:.1} unreadable={:?}",
             self.tables,
             self.bytes,
+            self.tail_records,
             self.us as f64 / 1e3,
             self.unreadable,
         )
@@ -354,8 +371,9 @@ pub struct Durable {
     checkpoint_state: Mutex<CheckpointState>,
     /// What recovery did when this handle was opened.
     recovery: RecoveryReport,
-    /// Loads the snapshot tables recovery did not need, so that steady state
-    /// is reached without a client paying for it.
+    /// Loads the snapshot tables recovery did not need, and redoes their log
+    /// tails, so that steady state is reached without a client paying for
+    /// it.
     drain: Mutex<Drain>,
 }
 
@@ -377,10 +395,10 @@ impl Durable {
     }
 
     /// Open the database in `dir`, performing crash recovery: the snapshot
-    /// plus every committed log record newer than its mark (see
-    /// [`crate::applier`]). A directory a partitioned server wrote is
-    /// refused with [`DbError::PartitionedLog`], and one a promoted standby
-    /// fenced with [`DbError::Fenced`].
+    /// plus every committed log record newer than its mark, applied or left
+    /// in a table's log tail (see [`crate::applier`]). A directory a
+    /// partitioned server wrote is refused with [`DbError::PartitionedLog`],
+    /// and one a promoted standby fenced with [`DbError::Fenced`].
     pub fn open(dir: impl AsRef<Path>, durability: Durability) -> Result<Durable, DbError> {
         let start = Instant::now();
         let dir = dir.as_ref();
@@ -391,16 +409,20 @@ impl Durable {
             max_gsn,
             frames,
             applied,
+            deferred,
+            behind,
             stages,
             gen,
             base,
             live_valid,
-        } = Applier::load(dir)?.finish()?;
+        } = applier::recover(dir)?;
         let us = |d: Duration| d.as_micros() as u64;
         let report = RecoveryReport {
             wal_frames: frames as usize,
             records_applied: applied,
-            records_skipped: frames - applied,
+            records_skipped: frames - applied - deferred,
+            records_deferred: deferred,
+            tables_behind: behind,
             replay_us: us(stages.wal_read) + us(stages.apply),
             manifest_us: us(stages.manifest),
             segments_total: stages.segments_total,
@@ -413,7 +435,7 @@ impl Durable {
         storage_metrics()
             .recovery_replay_us
             .record(report.replay_us);
-        let drain = Mutex::new(start_drain(&base)?);
+        let drain = Mutex::new(start_drain(&store)?);
 
         Ok(Durable {
             published: RwLock::new(Arc::new(store.clone())),
@@ -449,8 +471,9 @@ impl Durable {
 
     /// Wait for the background load of the snapshot tables recovery did not
     /// need, and say what it did. Nothing depends on the wait — a statement
-    /// that touches a table first simply loads it itself — so this is for
-    /// whoever wants the report: the server's log line, benches, tests.
+    /// that touches a table first simply loads it, and redoes its log tail,
+    /// itself — so this is for whoever wants the report: the server's log
+    /// line, benches, tests.
     pub fn drain_report(&self) -> DrainReport {
         let mut drain = self.drain.lock();
         if let Some(thread) = drain.running.take() {
@@ -1079,36 +1102,30 @@ impl Durable {
     }
 }
 
-/// Start the one background pass over the snapshot tables recovery left on
-/// disk, in manifest (name) order. The thread owns nothing but `Arc`s to the
-/// segments: it fills their cells, which every store image shares, and takes
-/// no lock a statement could wait on.
-fn start_drain(base: &SegmentBase) -> io::Result<Drain> {
-    let mut segments: Vec<Arc<Segment>> = base
-        .values()
-        .filter_map(|(_, slot)| match slot {
-            Slot::OnDisk(seg) => Some(Arc::clone(seg)),
-            Slot::Loaded(_) => None,
-        })
-        .collect();
-    if segments.iter().all(|seg| seg.loaded().is_some()) {
-        // Replay read them all (and would have failed on a bad one).
+/// Start the one background pass over the snapshot tables of `store` that
+/// nothing has loaded yet — log tails included — in name order, at idle
+/// priority. The thread owns nothing but `Arc`s to the segments: it fills
+/// their cells, which every store image shares, and takes no lock a
+/// statement could wait on.
+fn start_drain(store: &Store) -> io::Result<Drain> {
+    let segments = store.unread_segments();
+    if segments.is_empty() {
         return Ok(Drain {
             running: None,
             report: DrainReport::default(),
         });
     }
-    segments.sort_by(|a, b| a.name.cmp(&b.name));
     let thread = std::thread::Builder::new()
         .name("phx-drain".into())
         .spawn(move || {
+            idle_priority();
             let start = Instant::now();
             let mut report = DrainReport::default();
             for seg in &segments {
-                if seg.loaded().is_none() {
-                    let _ = seg.load();
+                if seg.load_first() {
                     report.tables += 1;
                     report.bytes += seg.bytes;
+                    report.tail_records += seg.tail_records;
                 }
             }
             report.us = start.elapsed().as_micros() as u64;
@@ -1125,6 +1142,25 @@ fn start_drain(base: &SegmentBase) -> io::Result<Drain> {
         report: DrainReport::default(),
     })
 }
+
+/// Lower the calling thread to the least CPU priority (nice 19), so that
+/// the drain runs only when no statement wants the CPU. On Linux
+/// `setpriority(PRIO_PROCESS, 0, …)` applies to the calling thread alone.
+/// Best effort: if the call fails, the drain runs at normal priority.
+#[cfg(target_os = "linux")]
+fn idle_priority() {
+    const PRIO_PROCESS: i32 = 0;
+    extern "C" {
+        fn setpriority(which: i32, who: u32, prio: i32) -> i32;
+    }
+    unsafe {
+        setpriority(PRIO_PROCESS, 0, 19);
+    }
+}
+
+/// Elsewhere the drain runs at normal priority.
+#[cfg(not(target_os = "linux"))]
+fn idle_priority() {}
 
 #[cfg(test)]
 mod tests {

@@ -25,8 +25,10 @@
 //!   (tables, rows, stored procedures).
 //! * [`snapshot`] — checkpointing: atomically written full-state snapshots
 //!   that allow the log to be truncated.
-//! * [`applier`] — [`applier::Applier`], the one routine that turns log
-//!   records into table state: crash recovery goes through it.
+//! * [`applier`] — [`applier::recover`], crash recovery: one pass over the
+//!   log that applies what the open needs through `Store::apply` and leaves
+//!   each untouched snapshot table's records as a log tail, redone when the
+//!   table is first loaded.
 //! * [`db`] — [`db::Durable`], the transactional binding of a [`store::Store`]
 //!   to a WAL: every mutation is logged before it is applied, commits force
 //!   the log, aborts roll back in memory, and [`db::Durable::open`] performs
@@ -51,7 +53,6 @@ pub mod store;
 pub mod types;
 pub mod wal;
 
-pub use applier::Applier;
 pub use db::{Durability, Durable};
 pub use pmap::{PMap, PSet};
 pub use store::{Store, TableData};

@@ -23,16 +23,19 @@
 //! re-publish after every statement.
 //!
 //! A table recovered from a checkpoint starts *on disk*: its slot names the
-//! snapshot segment holding it, and the first [`Store::table`] /
-//! [`Store::table_mut`] that touches it reads the file. Every clone of the
-//! slot shares one once-cell, so a segment is read at most once however many
-//! store images hold it.
+//! snapshot segment holding it, plus the log tail recovery deferred for it,
+//! and the first [`Store::table`] / [`Store::table_mut`] that touches it
+//! reads the file and redoes the tail. Every clone of the slot shares one
+//! once-cell, so a segment is read, and its tail redone, at most once
+//! however many store images hold it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+use parking_lot::Mutex;
 
 use crate::pmap::{PMap, PSet};
 use crate::record::LogRecord;
@@ -72,7 +75,8 @@ pub enum StoreError {
     /// Reference to an index that does not exist.
     NoSuchIndex(String),
     /// The table exists, but the snapshot segment holding its rows could not
-    /// be read back (missing, truncated, checksum or decode failure).
+    /// be read back (missing, truncated, checksum or decode failure), or the
+    /// log tail recovery deferred for it did not redo.
     Segment {
         /// The table.
         table: String,
@@ -340,6 +344,73 @@ impl TableData {
             .expect("row looked up above"))
     }
 
+    /// Apply one row record (`Insert`, `InsertMany`, `Delete`, `Update`) that
+    /// names this table: the row arm of [`Store::apply`], and what redoes a
+    /// table's deferred log tail when its [`Segment`] loads. With `inverses`,
+    /// push what undoes it: a `Delete` per inserted row, an `Insert` of a
+    /// deleted row's image, an `Update` back to an updated row's image.
+    pub(crate) fn apply_row(
+        &mut self,
+        rec: LogRecord,
+        mut inverses: Option<&mut Vec<Change>>,
+    ) -> Result<(), StoreError> {
+        let inverse = match rec {
+            LogRecord::Insert {
+                txn,
+                table,
+                row_id,
+                row,
+            } => {
+                self.insert_with_id(row_id, row)?;
+                LogRecord::Delete { txn, table, row_id }
+            }
+            LogRecord::InsertMany {
+                txn,
+                table,
+                first_row_id,
+                rows,
+            } => {
+                for (row_id, row) in (first_row_id..).zip(rows) {
+                    self.insert_with_id(row_id, row)?;
+                    if let Some(inverses) = inverses.as_deref_mut() {
+                        let table = table.clone();
+                        let delete = LogRecord::Delete { txn, table, row_id };
+                        inverses.push(delete.into());
+                    }
+                }
+                return Ok(());
+            }
+            LogRecord::Delete { txn, table, row_id } => {
+                let row = self.delete(row_id)?;
+                LogRecord::Insert {
+                    txn,
+                    table,
+                    row_id,
+                    row,
+                }
+            }
+            LogRecord::Update {
+                txn,
+                table,
+                row_id,
+                row,
+            } => {
+                let row = self.update(row_id, row)?;
+                LogRecord::Update {
+                    txn,
+                    table,
+                    row_id,
+                    row,
+                }
+            }
+            other => unreachable!("{other:?} is not a row record"),
+        };
+        if let Some(inverses) = inverses {
+            inverses.push(inverse.into());
+        }
+        Ok(())
+    }
+
     /// Create a secondary index over one column, backfilling it from the
     /// current rows. Errors if the name is already taken on this table.
     pub fn create_index(&mut self, name: &str, column: usize) -> Result<(), StoreError> {
@@ -400,14 +471,16 @@ impl TableData {
     }
 }
 
-/// A checkpointed table whose rows are still in its snapshot segment.
+/// A checkpointed table whose rows are still in its snapshot segment, plus
+/// the table's *log tail*: the committed row records past the snapshot's
+/// mark that recovery deferred (empty for a table the log does not write).
 ///
 /// One `Segment` is shared (behind an [`Arc`]) by every store image that
 /// holds the table — the working store, the published snapshots, readers'
 /// captures, the checkpoint's identity map — and its once-cell is the
 /// *load-once invariant*: whichever of them touches the table first reads,
-/// checksums and decodes the file, every other sees that result, and a
-/// failure is as sticky as a success.
+/// checksums and decodes the file and redoes the tail, every other sees
+/// that result, and a failure is as sticky as a success.
 #[derive(Debug)]
 pub(crate) struct Segment {
     /// Canonical table name, from the manifest.
@@ -415,8 +488,15 @@ pub(crate) struct Segment {
     path: PathBuf,
     /// Size of the file when the manifest was loaded.
     pub(crate) bytes: u64,
-    cell: OnceLock<(Result<Arc<TableData>, String>, Duration)>,
+    /// Records in the log tail, counted before the load consumes it.
+    pub(crate) tail_records: u64,
+    /// The log tail, in GSN order; the load takes it.
+    tail: Mutex<Vec<LogRecord>>,
+    cell: OnceLock<Loaded>,
 }
+
+/// What a segment's load left in its cell, and how long the load took.
+type Loaded = (Result<Arc<TableData>, String>, Duration);
 
 impl Segment {
     pub(crate) fn new(name: String, path: PathBuf, bytes: u64) -> Segment {
@@ -424,20 +504,57 @@ impl Segment {
             name,
             path,
             bytes,
+            tail_records: 0,
+            tail: Mutex::new(Vec::new()),
             cell: OnceLock::new(),
         }
     }
 
-    /// The table, reading the segment file if nobody has yet; the outcome
-    /// stays in the cell for whoever touches the table next.
-    pub(crate) fn load(&self) -> Result<&Arc<TableData>, StoreError> {
-        let (loaded, _) = self.cell.get_or_init(|| {
-            let start = Instant::now();
-            let loaded = crate::snapshot::load_segment(&self.path)
-                .map(Arc::new)
-                .map_err(|e| e.to_string());
-            (loaded, start.elapsed())
+    /// The same file with `tail` redone on load: the slot of a table
+    /// recovery left behind its log.
+    pub(crate) fn behind(&self, tail: Vec<LogRecord>) -> Segment {
+        Segment {
+            name: self.name.clone(),
+            path: self.path.clone(),
+            bytes: self.bytes,
+            tail_records: tail.len() as u64,
+            tail: Mutex::new(tail),
+            cell: OnceLock::new(),
+        }
+    }
+
+    /// Read, checksum and decode the file, then redo the tail through
+    /// [`TableData::apply_row`]. A tail that does not apply fails the table
+    /// exactly as a file that does not read back.
+    fn read(&self) -> Loaded {
+        let start = Instant::now();
+        let tail = std::mem::take(&mut *self.tail.lock());
+        let loaded = crate::snapshot::load_segment(&self.path)
+            .map_err(|e| e.to_string())
+            .and_then(|mut data| {
+                for rec in tail {
+                    data.apply_row(rec, None)
+                        .map_err(|e| format!("redoing its log tail: {e}"))?;
+                }
+                Ok(Arc::new(data))
+            });
+        (loaded, start.elapsed())
+    }
+
+    /// Load the table unless somebody has: whether this call did.
+    pub(crate) fn load_first(&self) -> bool {
+        let mut first = false;
+        self.cell.get_or_init(|| {
+            first = true;
+            self.read()
         });
+        first
+    }
+
+    /// The table, loading it if nobody has yet; the outcome stays in the
+    /// cell for whoever touches the table next.
+    pub(crate) fn load(&self) -> Result<&Arc<TableData>, StoreError> {
+        let (loaded, _) = self.cell.get_or_init(|| self.read());
         loaded.as_ref().map_err(|reason| StoreError::Segment {
             table: self.name.clone(),
             file: self.path.display().to_string(),
@@ -457,10 +574,12 @@ impl Segment {
 pub(crate) enum Slot {
     /// In memory. The `Arc` pointer is the change detector.
     Loaded(Arc<TableData>),
-    /// In the snapshot segment a checkpoint wrote, unchanged since.
-    /// [`Store::table_mut`] turns the slot into `Loaded` before handing out
-    /// a mutable reference, so an `OnDisk` slot is by construction
-    /// bit-identical to its file.
+    /// In the snapshot segment a checkpoint wrote, plus the segment's log
+    /// tail. [`Store::table_mut`] turns the slot into `Loaded` before
+    /// handing out a mutable reference, so an `OnDisk` slot holds its file
+    /// with that tail redone: bit-identical to the file when the tail is
+    /// empty, and a new [`Segment`] — never [`Slot::same`] as the file's —
+    /// when it is not.
     OnDisk(Arc<Segment>),
 }
 
@@ -571,10 +690,23 @@ impl Store {
     }
 
     /// Install a checkpointed table that stays in its segment file until
-    /// something touches it (snapshot load).
+    /// something touches it (snapshot load), or replace one with the same
+    /// file plus a log tail (recovery).
     pub(crate) fn install_segment(&mut self, seg: Arc<Segment>) {
         self.tables
             .insert(normalize_name(&seg.name).into(), Slot::OnDisk(seg));
+    }
+
+    /// The segments of the tables still on disk that nobody has loaded, by
+    /// name.
+    pub(crate) fn unread_segments(&self) -> Vec<Arc<Segment>> {
+        self.tables
+            .values()
+            .filter_map(|slot| match slot {
+                Slot::OnDisk(seg) if seg.loaded().is_none() => Some(Arc::clone(seg)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Remove a table. A table still on disk is loaded first, as by every
@@ -764,61 +896,7 @@ impl Store {
                     let t = self.table_mut(rows.row_table().expect("only rows are left"))?;
                     let mut next = Some(rows);
                     while let Some(rec) = next {
-                        let inverse = match rec {
-                            LogRecord::Insert {
-                                txn,
-                                table,
-                                row_id,
-                                row,
-                            } => {
-                                t.insert_with_id(row_id, row)?;
-                                Some(LogRecord::Delete { txn, table, row_id })
-                            }
-                            LogRecord::InsertMany {
-                                txn,
-                                table,
-                                first_row_id,
-                                rows,
-                            } => {
-                                for (row_id, row) in (first_row_id..).zip(rows) {
-                                    t.insert_with_id(row_id, row)?;
-                                    if let Some(inverses) = inverses.as_deref_mut() {
-                                        let table = table.clone();
-                                        let delete = LogRecord::Delete { txn, table, row_id };
-                                        inverses.push(delete.into());
-                                    }
-                                }
-                                None
-                            }
-                            LogRecord::Delete { txn, table, row_id } => {
-                                let row = t.delete(row_id)?;
-                                Some(LogRecord::Insert {
-                                    txn,
-                                    table,
-                                    row_id,
-                                    row,
-                                })
-                            }
-                            LogRecord::Update {
-                                txn,
-                                table,
-                                row_id,
-                                row,
-                            } => {
-                                let row = t.update(row_id, row)?;
-                                Some(LogRecord::Update {
-                                    txn,
-                                    table,
-                                    row_id,
-                                    row,
-                                })
-                            }
-                            other => unreachable!("{other:?} is not a row record"),
-                        };
-                        if let (Some(inverses), Some(inverse)) = (inverses.as_deref_mut(), inverse)
-                        {
-                            inverses.push(inverse.into());
-                        }
+                        t.apply_row(rec, inverses.as_deref_mut())?;
                         next = match changes.next_if(|c| {
                             matches!(c, Change::Record(r)
                                 if r.row_table().is_some_and(|n| n.eq_ignore_ascii_case(&t.def.name)))

@@ -13,8 +13,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use phoenix_chaos as chaos;
+use phoenix_storage::applier::{frame_payload, recover};
 use phoenix_storage::db::{Durability, Durable};
+use phoenix_storage::record::LogRecord;
 use phoenix_storage::types::{Column, DataType, Row, Schema, TableDef, Value};
+use phoenix_storage::wal::Wal;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -413,10 +416,12 @@ fn segment_of(dir: &std::path::Path, idx: usize) -> PathBuf {
     dir.join(phoenix_storage::snapshot::segment_file_name(1, idx))
 }
 
-/// A restart reads the segments the log tail writes to and no others, and
-/// the next checkpoint carries the rest over without reading them either:
-/// one of them is unreadable here, and neither the open nor the checkpoint
-/// notices.
+/// A restart reads no segment: the one table the log tail writes to is left
+/// behind, its tail redone when it is loaded. The next checkpoint rewrites
+/// that table alone and carries the rest over without reading them: one of
+/// them is unreadable here, and neither the open nor the checkpoint
+/// notices. The background pass reads every table and says which one it
+/// could not.
 #[test]
 fn reopen_and_checkpoint_read_only_the_tables_the_tail_writes() {
     let dir = checkpointed_with_tail("lazy");
@@ -429,25 +434,31 @@ fn reopen_and_checkpoint_read_only_the_tables_the_tail_writes() {
     let db = Durable::open(&dir, Durability::Fsync).unwrap();
     let report = db.recovery_report().clone();
     assert_eq!(report.segments_total, 4);
-    assert_eq!(report.segments_loaded_at_open, 1, "dbo.c alone: {report:?}");
+    assert_eq!(report.segments_loaded_at_open, 0, "{report:?}");
+    assert_eq!(report.tables_behind, 1, "dbo.c alone: {report:?}");
     assert_eq!(
-        report.records_applied, 2,
-        "the tail: one insert, one commit"
+        report.records_deferred, 1,
+        "the tail's one insert: {report:?}"
     );
+    assert_eq!(
+        report.records_applied, 1,
+        "the tail's one commit: {report:?}"
+    );
+    assert_eq!(report.records_skipped, 0, "{report:?}");
     assert_eq!(report.replay_us, report.wal_read_us + report.apply_us);
+
+    // Nothing has touched a table yet, so the drain reads all four.
+    let drained = db.drain_report();
+    assert_eq!(drained.tables, 4, "{drained:?}");
+    assert_eq!(drained.tail_records, 1, "{drained:?}");
+    assert_eq!(drained.unreadable.len(), 1, "{drained:?}");
+    assert!(drained.unreadable[0].contains("dbo.b"), "{drained:?}");
 
     db.checkpoint().unwrap();
     let stats = db.checkpoint_stats();
     assert_eq!(stats.segments_written, 1, "only dbo.c: {stats:?}");
     assert_eq!(stats.segments_reused, 3);
     assert!(bad.exists(), "a reused segment stays where it is");
-
-    // The background pass is what finally reads them, and says which one
-    // it could not.
-    let drained = db.drain_report();
-    assert_eq!(drained.unreadable.len(), 1, "{drained:?}");
-    assert!(drained.unreadable[0].contains("dbo.b"), "{drained:?}");
-    assert!(drained.tables <= 3 && drained.bytes > 0, "{drained:?}");
     assert_eq!(ids(&db, "dbo.a"), vec![1, 2]);
     assert_eq!(ids(&db, "dbo.c"), vec![1, 2, 3]);
 
@@ -502,5 +513,195 @@ fn unreadable_segment_fails_its_table_only_and_a_missing_one_fails_open() {
         .unwrap_err()
         .to_string();
     assert!(e.contains("dbo.d"), "{e}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Deferred redo: the barrier rule, losers, a failed redo, and checkpoints.
+// ---------------------------------------------------------------------------
+
+/// Append `records` to the live log of `dir`, at GSNs past every frame in it
+/// (a GSN listed as `None` is a hole: its append failed), as of a crash.
+fn append_records(dir: &std::path::Path, records: Vec<Option<LogRecord>>) {
+    let mut gsn = recover(dir).unwrap().max_gsn;
+    let mut wal = Wal::open(Durable::wal_path(dir)).unwrap();
+    for rec in records {
+        gsn += 1;
+        if let Some(rec) = rec {
+            wal.append(&frame_payload(gsn, &rec.encode())).unwrap();
+        }
+    }
+}
+
+/// A checkpointed `dbo.t`, then the next transaction id and row id.
+fn checkpointed_t(tag: &str) -> (PathBuf, u64, u64) {
+    let dir = temp_dir(tag);
+    let db = Durable::open(&dir, Durability::Fsync).unwrap();
+    let t = db.begin().unwrap();
+    db.create_table(t, def("dbo.t")).unwrap();
+    db.create_table(t, def("dbo.u")).unwrap();
+    db.commit(t).unwrap();
+    commit_rows(&db, "dbo.t", &[(1, "x"), (2, "y")]);
+    commit_rows(&db, "dbo.u", &[(1, "x")]);
+    db.checkpoint().unwrap();
+    let txn = db.begin().unwrap();
+    (dir, txn, 3)
+}
+
+fn insert(txn: u64, table: &str, row_id: u64) -> Option<LogRecord> {
+    Some(LogRecord::Insert {
+        txn,
+        table: table.into(),
+        row_id,
+        row: row(row_id as i64, "tail"),
+    })
+}
+
+/// The barrier rule: a catalog record in the log that names a table makes
+/// the open redo every record of that table, in GSN order with the catalog
+/// record, so rows before and after a `CREATE INDEX` are all in the index.
+#[test]
+fn a_catalog_record_makes_its_table_redo_at_open() {
+    let dir = temp_dir("barrier");
+    {
+        let db = Durable::open(&dir, Durability::Fsync).unwrap();
+        let t = db.begin().unwrap();
+        db.create_table(t, def("dbo.t")).unwrap();
+        db.create_table(t, def("dbo.u")).unwrap();
+        db.commit(t).unwrap();
+        commit_rows(&db, "dbo.t", &[(1, "x")]);
+        commit_rows(&db, "dbo.u", &[(1, "x")]);
+        db.checkpoint().unwrap();
+        commit_rows(&db, "dbo.t", &[(2, "y"), (3, "x")]);
+        let t = db.begin().unwrap();
+        db.create_index(t, "dbo.t", "t_v", 1).unwrap();
+        db.commit(t).unwrap();
+        commit_rows(&db, "dbo.t", &[(4, "y")]);
+        commit_rows(&db, "dbo.u", &[(2, "y")]);
+    }
+    let db = Durable::open(&dir, Durability::Fsync).unwrap();
+    let report = db.recovery_report().clone();
+    assert_eq!(report.segments_loaded_at_open, 1, "dbo.t: {report:?}");
+    assert_eq!(report.tables_behind, 1, "dbo.u: {report:?}");
+    assert_eq!(report.records_deferred, 1, "{report:?}");
+    assert_eq!(report.records_applied, 4 + 4, "{report:?}");
+    let snap = db.snapshot();
+    let t = snap.table("dbo.t").unwrap();
+    assert_eq!(t.def.indexes.len(), 1);
+    t.verify_indexes().unwrap();
+    snap.verify_indexes().unwrap();
+    assert_eq!(ids(&db, "dbo.t"), vec![1, 2, 3, 4]);
+    assert_eq!(ids(&db, "dbo.u"), vec![1, 2]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Only committed records reach a log tail: an aborted transaction, one the
+/// log leaves undecided and a GSN hole leave the table as its committed
+/// transactions made it, and are counted as skipped.
+#[test]
+fn losers_never_reach_a_log_tail() {
+    let (dir, txn, id) = checkpointed_t("losers");
+    append_records(
+        &dir,
+        vec![
+            insert(txn, "dbo.t", id),
+            insert(txn + 1, "dbo.t", id + 1),
+            None,
+            insert(txn + 2, "dbo.t", id + 2),
+            Some(LogRecord::Commit { txn }),
+            insert(txn + 1, "dbo.t", id + 3),
+            Some(LogRecord::Abort { txn: txn + 1 }),
+            None,
+            insert(txn + 2, "dbo.t", id + 4),
+        ],
+    );
+    let db = Durable::open(&dir, Durability::Fsync).unwrap();
+    let report = db.recovery_report().clone();
+    assert_eq!(
+        (report.tables_behind, report.records_deferred),
+        (1, 1),
+        "{report:?}"
+    );
+    assert_eq!(report.records_applied, 1, "the commit: {report:?}");
+    assert_eq!(report.records_skipped, 5, "{report:?}");
+    let drained = db.drain_report();
+    assert_eq!(drained.tail_records, 1, "{drained:?}");
+    assert!(drained.unreadable.is_empty(), "{drained:?}");
+    assert_eq!(ids(&db, "dbo.t"), vec![1, 2, id as i64]);
+    assert_eq!(db.snapshot().table("dbo.t").unwrap().next_row_id, id + 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A log tail that does not redo fails its table only, as an unreadable
+/// segment does: every statement on it gets an error naming the table,
+/// every other table serves, the drain lists it, and a checkpoint — which
+/// would have to write it — refuses rather than drop the log that holds it.
+#[test]
+fn a_failed_redo_fails_its_table_only() {
+    let (dir, txn, _) = checkpointed_t("badtail");
+    append_records(
+        &dir,
+        vec![
+            Some(LogRecord::Delete {
+                txn,
+                table: "dbo.t".into(),
+                row_id: 99,
+            }),
+            insert(txn, "dbo.u", 2),
+            Some(LogRecord::Commit { txn }),
+        ],
+    );
+    let db = Durable::open(&dir, Durability::Fsync).unwrap();
+    assert_eq!(db.recovery_report().tables_behind, 2);
+    let e = db
+        .snapshot()
+        .table("dbo.t")
+        .map(|_| ())
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("dbo.t") && e.contains("no row 99"), "{e}");
+    assert_eq!(ids(&db, "dbo.u"), vec![1, 2]);
+    let t = db.begin().unwrap();
+    assert!(db.insert(t, "dbo.t", row(9, "n")).is_err());
+    db.insert(t, "dbo.u", row(3, "z")).unwrap();
+    db.commit(t).unwrap();
+    let drained = db.drain_report();
+    assert_eq!(drained.unreadable.len(), 1, "{drained:?}");
+    assert!(drained.unreadable[0].contains("dbo.t"), "{drained:?}");
+    let e = db.checkpoint().unwrap_err().to_string();
+    assert!(e.contains("dbo.t"), "{e}");
+    drop(db);
+    let db = Durable::open(&dir, Durability::Fsync).unwrap();
+    assert_eq!(ids(&db, "dbo.u"), vec![1, 2, 3]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint writes a table nothing has touched since the open with its
+/// log tail redone, and the directory reopens to the same tables with no
+/// tail left.
+#[test]
+fn checkpoint_writes_a_table_behind_its_tail_and_reopens_the_same() {
+    let dir = checkpointed_with_tail("behind");
+    let db = Durable::open(&dir, Durability::Fsync).unwrap();
+    assert_eq!(db.recovery_report().tables_behind, 1);
+    db.checkpoint().unwrap();
+    let stats = db.checkpoint_stats();
+    assert_eq!(
+        (stats.segments_written, stats.segments_reused),
+        (1, 3),
+        "{stats:?}"
+    );
+    drop(db);
+    let db = Durable::open(&dir, Durability::Fsync).unwrap();
+    let report = db.recovery_report().clone();
+    assert_eq!(
+        (report.tables_behind, report.wal_frames),
+        (0, 0),
+        "{report:?}"
+    );
+    for name in ["dbo.a", "dbo.b", "dbo.d"] {
+        assert_eq!(ids(&db, name), vec![1, 2]);
+    }
+    assert_eq!(ids(&db, "dbo.c"), vec![1, 2, 3]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
