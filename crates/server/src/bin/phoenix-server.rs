@@ -86,15 +86,6 @@ fn main() {
         std::process::exit(1);
     });
     eprintln!("phoenix-server: recovered: {r}");
-    // The tables recovery did not need are loading, and redoing their log
-    // tails, in the background: say so once they are in, and which of them
-    // could not be read.
-    let engine = server.engine.read().clone();
-    if let Some(engine) = engine.filter(|_| r.segments_loaded_at_open < r.segments_total) {
-        std::thread::spawn(move || {
-            eprintln!("phoenix-server: drained: {}", engine.drain_report());
-        });
-    }
     let _stats = stats_port.map(|p| {
         let listener = StatsListener::start(p).unwrap_or_else(|e| {
             eprintln!("cannot listen on stats port {p}: {e}");

@@ -242,14 +242,16 @@ fn restart_defers_the_table_its_log_tail_does_not_write() {
         }
         other => panic!("{other:?}"),
     }
-    match exec(&mut s, "SELECT COUNT(*) FROM tail") {
+    // The table behind its log tail: the first touch loads it and redoes
+    // the five inserts the crash left in the log.
+    match exec(&mut s, "SELECT id FROM tail ORDER BY id") {
         Outcome::ResultSet { rows, .. } => {
-            assert_eq!(rows[0][0], phoenix_storage::types::Value::Int(5))
+            let ids: Vec<_> = rows.iter().map(|r| r[0].clone()).collect();
+            let tail: Vec<_> = (0..5).map(phoenix_storage::types::Value::Int).collect();
+            assert_eq!(ids, tail);
         }
         other => panic!("{other:?}"),
     }
-    let drained = wait_for_line(&log, "drained:");
-    assert!(drained.contains("unreadable=[]"), "{drained}");
     child.kill().unwrap();
     child.wait().unwrap();
     std::fs::remove_dir_all(&data).unwrap();

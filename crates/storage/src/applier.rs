@@ -6,27 +6,31 @@
 //! recovery needs no undo and no analysis beyond one question per record:
 //! did its transaction commit? [`recover`] reads the snapshot's manifest
 //! (every table stays in its segment file), then scans the log in GSN order,
-//! decoding every frame as it goes. Records of transactions at or below the
-//! snapshot's high-water mark are already inside the image and are dropped
-//! on arrival; the rest are routed as they are decoded — a `Commit` into the
-//! committed set, a catalog or procedure record into the *eager* list, a
-//! row record into its table's bucket — so the log is held decoded once.
-//! When the log ends, every record of a transaction with no `Commit`
-//! (aborted, or left undecided) is dropped.
+//! checking every frame as it goes with the parser [`LogRecord::decode`] is
+//! built on. Records of transactions at or below the snapshot's high-water
+//! mark are already inside the image and are dropped on arrival; the rest
+//! are routed as they are checked — a `Commit` into the committed list, a
+//! catalog or procedure record, decoded, into the *eager* list, a row record
+//! into its table's bucket, *still encoded*: its bytes go into one arena per
+//! table, so the check builds no value and keeping a record allocates
+//! nothing. When the log ends, every record of a transaction with no
+//! `Commit` (aborted, or left undecided) is dropped.
 //!
 //! # The barrier rule
 //!
-//! A table's bucket is redone at open, in GSN order with the eager list,
-//! when a catalog record in the log names the table (`CreateTable`,
-//! `DropTable`, `CreateIndex`, `DropIndex`) or the table is not an unread
-//! snapshot table. Every other bucket — row records only, on a table the
-//! snapshot holds and nothing has read — becomes that table's log tail: a
-//! new `Segment` over the same file, which redoes the tail through the same
-//! row routine when the table is first touched, written by a checkpoint, or
-//! loaded by the background drain. Row records on different tables commute
-//! (row ids are explicit and per table), so redoing one table's records
-//! later, on their own, builds the same state.
+//! A table's bucket is decoded and redone at open, in GSN order with the
+//! eager list, when a catalog record in the log names the table
+//! (`CreateTable`, `DropTable`, `CreateIndex`, `DropIndex`) or the table is
+//! not an unread snapshot table. Every other bucket — row records only, on a
+//! table the snapshot holds and nothing has read — becomes that table's log
+//! tail: a new `Segment` over the same file, holding the arena, which
+//! decodes and redoes the tail through the same row routine when a statement
+//! first touches the table or a checkpoint has to write it. Nothing loads a
+//! table in the background. Row records on different tables commute (row ids
+//! are explicit and per table), so redoing one table's records later, on
+//! their own, builds the same state.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
@@ -34,9 +38,9 @@ use std::time::{Duration, Instant};
 
 use crate::codec::DecodeError;
 use crate::db::{DbError, Durable};
-use crate::record::LogRecord;
+use crate::record::{LogRecord, Parsed};
 use crate::snapshot::{self, SegmentBase};
-use crate::store::{normalize_name, Slot, Store};
+use crate::store::{normalize_name, Slot, Store, Tail};
 use crate::types::TxnId;
 use crate::wal::Wal;
 
@@ -52,9 +56,10 @@ pub struct Stages {
     pub segments_loaded: usize,
     /// Reading, checksumming and decoding those, and building their indexes.
     pub segment_load: Duration,
-    /// Reading the logs off disk, decoding and routing them.
+    /// Reading the logs off disk, checking every frame and routing it.
     pub wal_read: Duration,
-    /// Applying the records the open applies, segment loads excluded.
+    /// Dropping the losers, then decoding and applying the records the open
+    /// applies, segment loads excluded.
     pub apply: Duration,
 }
 
@@ -76,6 +81,8 @@ pub struct Recovered {
     pub deferred: u64,
     /// Tables with a log tail.
     pub behind: usize,
+    /// Encoded bytes the log tails hold.
+    pub tail_bytes: u64,
     /// Where the time went. `wal_read + apply` is the replay time: reading
     /// the log off disk, decoding and applying it (the snapshot's manifest
     /// and segments excluded).
@@ -172,39 +179,63 @@ fn catalog_table(rec: &LogRecord) -> Option<&str> {
     }
 }
 
+/// One table's row records past the mark, still encoded: the records in
+/// one arena, each one's GSN and transaction beside it.
+#[derive(Default)]
+struct Bucket {
+    tail: Tail,
+    at: Vec<(u64, TxnId)>,
+}
+
 /// The log past the snapshot's mark, routed as it is scanned.
 #[derive(Default)]
 struct Routed {
-    committed: HashSet<TxnId>,
+    /// Transactions with a `Commit`, in log order until the scan ends.
+    committed: Vec<TxnId>,
     /// Catalog and procedure records, with their GSNs.
     eager: Vec<(u64, LogRecord)>,
-    /// Row records by normalized table name, with their GSNs.
-    buckets: HashMap<String, Vec<(u64, LogRecord)>>,
+    /// Row records by table, in `buckets`, indexed by normalized name.
+    index: HashMap<String, usize>,
+    buckets: Vec<Bucket>,
     /// Normalized names of the tables a catalog record names.
     named: HashSet<String>,
 }
 
 impl Routed {
-    fn route(&mut self, gsn: u64, rec: LogRecord) {
-        match rec {
-            LogRecord::Commit { txn } => {
-                self.committed.insert(txn);
-            }
-            LogRecord::Begin { .. } | LogRecord::Abort { .. } => {}
-            rec => match rec.row_table() {
-                Some(table) => self
-                    .buckets
-                    .entry(normalize_name(table))
-                    .or_default()
-                    .push((gsn, rec)),
-                None => {
-                    if let Some(table) = catalog_table(&rec) {
-                        self.named.insert(normalize_name(table));
-                    }
-                    self.eager.push((gsn, rec));
+    /// Route one checked record; `bytes` is its encoding.
+    fn route(&mut self, gsn: u64, bytes: &[u8], rec: Parsed<'_, ()>) {
+        let txn = rec.txn();
+        let table = match rec {
+            Parsed::Built(LogRecord::Commit { txn }) => return self.committed.push(txn),
+            Parsed::Built(LogRecord::Begin { .. } | LogRecord::Abort { .. }) => return,
+            Parsed::Built(rec) => {
+                if let Some(table) = catalog_table(&rec) {
+                    self.named.insert(normalize_name(table));
                 }
-            },
-        }
+                return self.eager.push((gsn, rec));
+            }
+            Parsed::Insert { table, .. }
+            | Parsed::InsertMany { table, .. }
+            | Parsed::Delete { table, .. }
+            | Parsed::Update { table, .. } => table,
+        };
+        // Names are logged canonical, and mostly lowercase already: look the
+        // bucket up by the borrowed name then.
+        let key = match table.bytes().any(|b| b.is_ascii_uppercase()) {
+            true => Cow::Owned(normalize_name(table)),
+            false => Cow::Borrowed(table),
+        };
+        let i = match self.index.get(&*key) {
+            Some(&i) => i,
+            None => {
+                self.index.insert(key.into_owned(), self.buckets.len());
+                self.buckets.push(Bucket::default());
+                self.buckets.len() - 1
+            }
+        };
+        let bucket = &mut self.buckets[i];
+        bucket.tail.push(bytes);
+        bucket.at.push((gsn, txn));
     }
 }
 
@@ -227,8 +258,8 @@ pub fn recover(dir: &Path) -> Result<Recovered, DbError> {
         ..Stages::default()
     };
 
-    // One pass: decode every frame, route the records past the mark. A
-    // frame at or below the highest GSN already read is not taken twice.
+    // One pass: check every frame, route the records past the mark. A frame
+    // at or below the highest GSN already read is not taken twice.
     let scan = Instant::now();
     let mut log = Routed::default();
     let (mut max_gsn, mut frames, mut last_txn) = (0, 0u64, mark);
@@ -236,10 +267,10 @@ pub fn recover(dir: &Path) -> Result<Recovered, DbError> {
         if gsn > max_gsn {
             max_gsn = gsn;
             frames += 1;
-            let rec = LogRecord::decode(bytes)?;
+            let rec = Parsed::<()>::read(bytes)?;
             last_txn = last_txn.max(rec.txn());
             if rec.txn() > mark {
-                log.route(gsn, rec);
+                log.route(gsn, bytes, rec);
             }
         }
         Ok(())
@@ -248,33 +279,46 @@ pub fn recover(dir: &Path) -> Result<Recovered, DbError> {
 
     let apply = Instant::now();
     let Routed {
-        committed,
+        mut committed,
         mut eager,
-        buckets,
+        index,
+        mut buckets,
         named,
     } = log;
-    let won = |(_, rec): &(u64, LogRecord)| committed.contains(&rec.txn());
-    eager.retain(won);
+    committed.sort_unstable();
+    let won = |txn: TxnId| committed.binary_search(&txn).is_ok();
+    eager.retain(|(_, rec)| won(rec.txn()));
     let mut tails = Vec::new();
-    for (table, mut bucket) in buckets {
-        bucket.retain(won);
+    for (table, i) in index {
+        let Bucket { mut tail, mut at } = std::mem::take(&mut buckets[i]);
+        if at.iter().any(|&(_, txn)| !won(txn)) {
+            let all = std::mem::take(&mut tail);
+            for (rec, _) in all.records().zip(&at).filter(|(_, &(_, txn))| won(txn)) {
+                tail.push(rec);
+            }
+            at.retain(|&(_, txn)| won(txn));
+        }
         match store.slot(&table) {
-            _ if bucket.is_empty() => {}
+            _ if at.is_empty() => {}
             // Nothing has been applied yet, so every snapshot table is
             // still unread in its segment.
             Ok(Slot::OnDisk(seg)) if !named.contains(&table) => {
-                tails.push((Arc::clone(seg), bucket));
+                tails.push((Arc::clone(seg), tail));
             }
-            _ => eager.extend(bucket),
+            _ => {
+                for ((gsn, _), rec) in at.into_iter().zip(tail.records()) {
+                    eager.push((gsn, LogRecord::decode(rec)?));
+                }
+            }
         }
     }
     eager.sort_unstable_by_key(|(gsn, _)| *gsn);
     let applied = committed.len() as u64 + eager.len() as u64;
     store.apply(eager.into_iter().map(|(_, rec)| rec), None)?;
-    let (behind, mut deferred) = (tails.len(), 0);
-    for (seg, bucket) in tails {
-        deferred += bucket.len() as u64;
-        let tail = bucket.into_iter().map(|(_, rec)| rec).collect();
+    let (behind, mut deferred, mut tail_bytes) = (tails.len(), 0, 0);
+    for (seg, tail) in tails {
+        deferred += tail.len() as u64;
+        tail_bytes += tail.bytes() as u64;
         store.install_segment(Arc::new(seg.behind(tail)));
     }
 
@@ -282,7 +326,7 @@ pub fn recover(dir: &Path) -> Result<Recovered, DbError> {
     // every record to tell the two apart.
     for (_, slot) in base.values() {
         if let Slot::OnDisk(seg) = slot {
-            if let Some((took, _)) = seg.loaded() {
+            if let Some(took) = seg.loaded() {
                 stages.segments_loaded += 1;
                 stages.segment_load += took;
             }
@@ -297,6 +341,7 @@ pub fn recover(dir: &Path) -> Result<Recovered, DbError> {
         applied,
         deferred,
         behind,
+        tail_bytes,
         stages,
         gen,
         base,
@@ -307,7 +352,186 @@ pub fn recover(dir: &Path) -> Result<Recovered, DbError> {
 mod tests {
     use super::*;
     use crate::db::Durability;
-    use crate::types::{Column, DataType, RowId, Schema, TableDef, Value};
+    use crate::store::{Segment, TableData};
+    use crate::types::{Column, DataType, IndexDef, RowId, Schema, TableDef, Value};
+
+    fn t_def() -> TableDef {
+        TableDef::new(
+            "dbo.t",
+            Schema::new(vec![
+                Column::new("id", DataType::Int).not_null(),
+                Column::new("v", DataType::Text),
+            ]),
+        )
+        .with_primary_key(vec![0])
+    }
+
+    /// One record of every kind, its rows in `t_def`'s shape and its values
+    /// of every type.
+    fn every_kind() -> Vec<LogRecord> {
+        let row = |id: i64, v: Value| vec![Value::Int(id), v];
+        let t = || "dbo.t".to_string();
+        let mut def = t_def();
+        def.indexes.push(IndexDef {
+            name: "t_v".into(),
+            column: 1,
+        });
+        vec![
+            LogRecord::Begin { txn: 7 },
+            LogRecord::Commit { txn: 7 },
+            LogRecord::Abort { txn: 7 },
+            LogRecord::Insert {
+                txn: 7,
+                table: t(),
+                row_id: 4,
+                row: row(4, Value::Text("four".into())),
+            },
+            LogRecord::InsertMany {
+                txn: 7,
+                table: t(),
+                first_row_id: 4,
+                rows: vec![
+                    row(4, Value::Null),
+                    row(5, Value::Float(0.5)),
+                    vec![Value::Bool(true), Value::Date(-3)],
+                ],
+            },
+            LogRecord::InsertMany {
+                txn: 7,
+                table: t(),
+                first_row_id: 4,
+                rows: Vec::new(),
+            },
+            LogRecord::Delete {
+                txn: 7,
+                table: t(),
+                row_id: 2,
+            },
+            LogRecord::Update {
+                txn: 7,
+                table: t(),
+                row_id: 2,
+                row: row(2, Value::Text("two'".into())),
+            },
+            LogRecord::CreateTable { txn: 7, def },
+            LogRecord::DropTable { txn: 7, name: t() },
+            LogRecord::CreateProc {
+                txn: 7,
+                name: "dbo.p".into(),
+                sql: "CREATE PROCEDURE dbo.p AS SELECT 1".into(),
+            },
+            LogRecord::DropProc {
+                txn: 7,
+                name: "dbo.p".into(),
+            },
+            LogRecord::CreateIndex {
+                txn: 7,
+                table: t(),
+                name: "t_v".into(),
+                column: 1,
+            },
+            LogRecord::DropIndex {
+                txn: 7,
+                table: t(),
+                name: "t_v".into(),
+            },
+        ]
+    }
+
+    /// Every hostile variant of `bytes`: each truncation, each single-bit
+    /// flip, and a lie written over every 2- and 4-byte field position —
+    /// which covers each string length, row arity and row count.
+    fn hostile(bytes: &[u8]) -> Vec<Vec<u8>> {
+        let mut out: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+        for i in 0..bytes.len() * 8 {
+            let mut b = bytes.to_vec();
+            b[i / 8] ^= 1 << (i % 8);
+            out.push(b);
+        }
+        for at in 0..bytes.len() {
+            let left = (bytes.len() - at) as u32;
+            for lie in [0, 1, left.saturating_sub(1), left, left + 1, u32::MAX] {
+                for width in [2, 4] {
+                    if at + width <= bytes.len() {
+                        let mut b = bytes.to_vec();
+                        b[at..at + width].copy_from_slice(&lie.to_le_bytes()[..width]);
+                        out.push(b);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// A table's state, comparable even with a NaN among its values.
+    fn state(t: &TableData) -> String {
+        let rows: Vec<_> = t.rows.iter().collect();
+        format!("{:?} {} {rows:?}", t.def, t.next_row_id)
+    }
+
+    /// The open's check accepts exactly what `LogRecord::decode` accepts,
+    /// with the same error, over every hostile variant of a record of every
+    /// kind; neither panics. A row record the check accepts redoes from a
+    /// log tail to the same table state as its eagerly decoded record
+    /// through `Store::apply` — or fails on both paths.
+    #[test]
+    fn the_check_and_decode_agree_on_hostile_bytes() {
+        let dir = std::env::temp_dir().join(format!("phoenix-hostile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.seg");
+        let base = TableData::from_rows(
+            t_def(),
+            4,
+            (1..4)
+                .map(|id| (id, vec![Value::Int(id as i64), Value::Null]))
+                .collect(),
+        )
+        .unwrap();
+        snapshot::write_segment(&path, &base).unwrap();
+        let on_disk = || Segment::new("dbo.t".into(), path.clone());
+
+        let (mut variants, mut accepted, mut redone) = (0, 0, 0);
+        for rec in every_kind() {
+            let bytes = rec.encode();
+            for b in std::iter::once(bytes.to_vec()).chain(hostile(&bytes)) {
+                variants += 1;
+                let checked = Parsed::<()>::read(&b);
+                let decoded = LogRecord::decode(&b);
+                assert_eq!(
+                    checked.as_ref().map(|_| ()).map_err(|e| e.to_string()),
+                    decoded.as_ref().map(|_| ()).map_err(|e| e.to_string()),
+                    "{rec:?} as {b:?}"
+                );
+                let Ok(decoded) = decoded else { continue };
+                accepted += 1;
+                assert_eq!(checked.unwrap().txn(), decoded.txn());
+                if !decoded
+                    .row_table()
+                    .is_some_and(|t| t.eq_ignore_ascii_case("dbo.t"))
+                {
+                    continue;
+                }
+                redone += 1;
+                let mut tail = Tail::default();
+                tail.push(&b);
+                let lazy = on_disk().behind(tail);
+                let lazy = lazy.load().map(|t| state(t));
+                let mut store = Store::new();
+                store.install_segment(Arc::new(on_disk()));
+                let eager = store
+                    .apply([decoded], None)
+                    .and_then(|()| store.table("dbo.t").map(state));
+                assert_eq!(lazy.is_ok(), eager.is_ok(), "{b:?}: {lazy:?} {eager:?}");
+                if let (Ok(lazy), Ok(eager)) = (lazy, eager) {
+                    assert_eq!(lazy, eager, "{b:?}");
+                }
+            }
+        }
+        // The variants are not all rejected, nor all row records elsewhere.
+        assert!(variants > 5_000, "{variants}");
+        assert!(accepted > 2_000 && redone > 1_000, "{accepted} {redone}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     /// Every way the log decides a transaction — commit, abort after a
     /// second record, abort at once — and one left open across the first

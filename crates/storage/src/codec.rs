@@ -15,7 +15,10 @@
 //!
 //! Decoding is strict: unknown tags, truncated buffers and invalid UTF-8 all
 //! surface as [`DecodeError`] rather than panics, because the WAL reader must
-//! treat a torn tail as end-of-log, not as a crash.
+//! treat a torn tail as end-of-log, not as a crash. Every decoder here is
+//! one `Reader`, which hands strings and values back borrowed from the
+//! bytes: the `get_*` functions own what it reads, and recovery's check of
+//! a log record it keeps encoded walks the same reader and builds nothing.
 
 use bytes::{Buf, BufMut};
 use std::fmt;
@@ -38,16 +41,159 @@ fn err(msg: impl Into<String>) -> DecodeError {
     DecodeError(msg.into())
 }
 
-/// Ensure `buf` has at least `n` readable bytes.
-fn need(buf: &impl Buf, n: usize, what: &str) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(err(format!(
-            "truncated {what}: need {n} bytes, have {}",
-            buf.remaining()
-        )))
-    } else {
+fn truncated(what: &str, need: usize, have: usize) -> DecodeError {
+    err(format!("truncated {what}: need {need} bytes, have {have}"))
+}
+
+// ---------------------------------------------------------------------------
+// The reader
+// ---------------------------------------------------------------------------
+
+/// A checked cursor over encoded bytes: the one parser of strings, values
+/// and rows. Strings and values come back borrowed from the bytes, so a
+/// caller that only needs to know the bytes decode — recovery's check of a
+/// log record it keeps encoded — walks them without allocating, with the
+/// very checks that building them applies.
+#[derive(Debug)]
+pub(crate) struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+/// A value borrowed from its encoding.
+#[derive(Debug)]
+pub(crate) enum ValueRef<'a> {
+    Null,
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+    Bool(bool),
+    Date(i32),
+}
+
+impl From<ValueRef<'_>> for Value {
+    fn from(v: ValueRef<'_>) -> Value {
+        match v {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Text(s) => Value::Text(s.to_owned()),
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Date(d) => Value::Date(d),
+        }
+    }
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `buf`.
+    pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf }
+    }
+
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len()
+    }
+
+    fn take<const N: usize>(&mut self, what: &str) -> Result<[u8; N], DecodeError> {
+        match self.buf.split_first_chunk::<N>() {
+            Some((head, rest)) => {
+                self.buf = rest;
+                Ok(*head)
+            }
+            None => Err(truncated(what, N, self.buf.len())),
+        }
+    }
+
+    /// One byte.
+    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, DecodeError> {
+        Ok(self.take::<1>(what)?[0])
+    }
+
+    /// A little-endian `u16`.
+    pub(crate) fn u16(&mut self, what: &str) -> Result<u16, DecodeError> {
+        self.take(what).map(u16::from_le_bytes)
+    }
+
+    /// A little-endian `u32`.
+    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, DecodeError> {
+        self.take(what).map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, DecodeError> {
+        self.take(what).map(u64::from_le_bytes)
+    }
+
+    /// A length-prefixed UTF-8 string.
+    pub(crate) fn str(&mut self) -> Result<&'a str, DecodeError> {
+        let len = self.u32("string length")? as usize;
+        if self.buf.len() < len {
+            return Err(truncated("string body", len, self.buf.len()));
+        }
+        let (body, rest) = self.buf.split_at(len);
+        self.buf = rest;
+        std::str::from_utf8(body).map_err(|_| err("invalid utf-8 in string"))
+    }
+
+    /// One value (tag + payload).
+    pub(crate) fn value(&mut self) -> Result<ValueRef<'a>, DecodeError> {
+        Ok(match self.u8("value tag")? {
+            TAG_NULL => ValueRef::Null,
+            TAG_INT => ValueRef::Int(self.take("int").map(i64::from_le_bytes)?),
+            TAG_FLOAT => ValueRef::Float(self.take("float").map(f64::from_le_bytes)?),
+            TAG_TEXT => ValueRef::Text(self.str()?),
+            TAG_BOOL => ValueRef::Bool(self.u8("bool")? != 0),
+            TAG_DATE => ValueRef::Date(self.take("date").map(i32::from_le_bytes)?),
+            other => return Err(err(format!("unknown value tag {other}"))),
+        })
+    }
+
+    /// One row (arity + values), as `R` makes it: built, or only checked.
+    pub(crate) fn row<R: ReadRow>(&mut self) -> Result<R, DecodeError> {
+        R::read_row(self)
+    }
+}
+
+/// What [`Reader::row`] makes of a row's bytes: a built [`Row`], or `()`
+/// for a row that is walked with every check and built into nothing.
+pub(crate) trait ReadRow: Sized {
+    /// Read one row from `r`.
+    fn read_row(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+}
+
+impl ReadRow for Row {
+    fn read_row(r: &mut Reader<'_>) -> Result<Row, DecodeError> {
+        let n = r.u16("row arity")? as usize;
+        let mut row = Vec::with_capacity(n);
+        for _ in 0..n {
+            row.push(r.value()?.into());
+        }
+        Ok(row)
+    }
+}
+
+impl ReadRow for () {
+    fn read_row(r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        let n = r.u16("row arity")?;
+        for _ in 0..n {
+            r.value()?;
+        }
         Ok(())
     }
+}
+
+/// Run `read` over the contiguous bytes of `buf` and advance it past what
+/// was read: how the `get_*` functions below share the [`Reader`]. Every
+/// caller decodes a contiguous buffer (`&[u8]`, `Bytes`).
+fn with_reader<B: Buf, T>(
+    buf: &mut B,
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    let mut r = Reader::new(buf.chunk());
+    let out = read(&mut r)?;
+    let used = buf.chunk().len() - r.remaining();
+    buf.advance(used);
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -62,12 +208,7 @@ pub fn put_str(buf: &mut impl BufMut, s: &str) {
 
 /// Decode a length-prefixed UTF-8 string.
 pub fn get_str(buf: &mut impl Buf) -> Result<String, DecodeError> {
-    need(buf, 4, "string length")?;
-    let len = buf.get_u32_le() as usize;
-    need(buf, len, "string body")?;
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| err("invalid utf-8 in string"))
+    with_reader(buf, |r| r.str().map(str::to_owned))
 }
 
 // ---------------------------------------------------------------------------
@@ -110,29 +251,7 @@ pub fn put_value(buf: &mut impl BufMut, v: &Value) {
 
 /// Decode one value.
 pub fn get_value(buf: &mut impl Buf) -> Result<Value, DecodeError> {
-    need(buf, 1, "value tag")?;
-    let tag = buf.get_u8();
-    Ok(match tag {
-        TAG_NULL => Value::Null,
-        TAG_INT => {
-            need(buf, 8, "int")?;
-            Value::Int(buf.get_i64_le())
-        }
-        TAG_FLOAT => {
-            need(buf, 8, "float")?;
-            Value::Float(buf.get_f64_le())
-        }
-        TAG_TEXT => Value::Text(get_str(buf)?),
-        TAG_BOOL => {
-            need(buf, 1, "bool")?;
-            Value::Bool(buf.get_u8() != 0)
-        }
-        TAG_DATE => {
-            need(buf, 4, "date")?;
-            Value::Date(buf.get_i32_le())
-        }
-        other => return Err(err(format!("unknown value tag {other}"))),
-    })
+    with_reader(buf, |r| r.value().map(Value::from))
 }
 
 /// Encode a row (arity + values).
@@ -145,13 +264,7 @@ pub fn put_row(buf: &mut impl BufMut, row: &Row) {
 
 /// Decode a row.
 pub fn get_row(buf: &mut impl Buf) -> Result<Row, DecodeError> {
-    need(buf, 2, "row arity")?;
-    let n = buf.get_u16_le() as usize;
-    let mut row = Vec::with_capacity(n);
-    for _ in 0..n {
-        row.push(get_value(buf)?);
-    }
-    Ok(row)
+    with_reader(buf, |r| r.row())
 }
 
 // ---------------------------------------------------------------------------
@@ -191,21 +304,7 @@ pub fn put_schema(buf: &mut impl BufMut, schema: &Schema) {
 
 /// Decode a schema.
 pub fn get_schema(buf: &mut impl Buf) -> Result<Schema, DecodeError> {
-    need(buf, 2, "schema arity")?;
-    let n = buf.get_u16_le() as usize;
-    let mut columns = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = get_str(buf)?;
-        need(buf, 2, "column type")?;
-        let dtype = dtype_from_tag(buf.get_u8())?;
-        let nullable = buf.get_u8() != 0;
-        columns.push(Column {
-            name,
-            dtype,
-            nullable,
-        });
-    }
-    Ok(Schema { columns })
+    with_reader(buf, |r| r.schema())
 }
 
 /// Encode a full table definition (name + schema + primary key + indexes).
@@ -226,40 +325,60 @@ pub fn put_table_def(buf: &mut impl BufMut, def: &TableDef) {
 /// Decode a table definition, validating key and index column indices
 /// against the schema.
 pub fn get_table_def(buf: &mut impl Buf) -> Result<TableDef, DecodeError> {
-    let name = get_str(buf)?;
-    let schema = get_schema(buf)?;
-    need(buf, 2, "pk arity")?;
-    let n = buf.get_u16_le() as usize;
-    let mut primary_key = Vec::with_capacity(n);
-    for _ in 0..n {
-        need(buf, 2, "pk index")?;
-        let i = buf.get_u16_le() as usize;
-        if i >= schema.columns.len() {
-            return Err(err(format!("pk index {i} out of range")));
+    with_reader(buf, |r| r.table_def())
+}
+
+impl Reader<'_> {
+    /// A schema (column names, types, nullability).
+    pub(crate) fn schema(&mut self) -> Result<Schema, DecodeError> {
+        let n = self.u16("schema arity")? as usize;
+        let mut columns = Vec::with_capacity(n);
+        for _ in 0..n {
+            let name = self.str()?.to_owned();
+            let [dtype, nullable] = self.take("column type")?;
+            columns.push(Column {
+                name,
+                dtype: dtype_from_tag(dtype)?,
+                nullable: nullable != 0,
+            });
         }
-        primary_key.push(i);
+        Ok(Schema { columns })
     }
-    need(buf, 2, "index count")?;
-    let n = buf.get_u16_le() as usize;
-    let mut indexes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let ix_name = get_str(buf)?;
-        need(buf, 2, "index column")?;
-        let column = buf.get_u16_le() as usize;
-        if column >= schema.columns.len() {
-            return Err(err(format!("index column {column} out of range")));
+
+    /// A table definition, its key and index column indices validated
+    /// against its schema.
+    pub(crate) fn table_def(&mut self) -> Result<TableDef, DecodeError> {
+        let name = self.str()?.to_owned();
+        let schema = self.schema()?;
+        let n = self.u16("pk arity")? as usize;
+        let mut primary_key = Vec::with_capacity(n);
+        for _ in 0..n {
+            let i = self.u16("pk index")? as usize;
+            if i >= schema.columns.len() {
+                return Err(err(format!("pk index {i} out of range")));
+            }
+            primary_key.push(i);
         }
-        indexes.push(IndexDef {
-            name: ix_name,
-            column,
-        });
+        let n = self.u16("index count")? as usize;
+        let mut indexes = Vec::with_capacity(n);
+        for _ in 0..n {
+            let ix_name = self.str()?.to_owned();
+            let column = self.u16("index column")? as usize;
+            if column >= schema.columns.len() {
+                return Err(err(format!("index column {column} out of range")));
+            }
+            indexes.push(IndexDef {
+                name: ix_name,
+                column,
+            });
+        }
+        Ok(TableDef {
+            name,
+            schema,
+            primary_key,
+            indexes,
+        })
     }
-    Ok(TableDef {
-        name,
-        schema,
-        primary_key,
-        indexes,
-    })
 }
 
 #[cfg(test)]

@@ -18,9 +18,9 @@
 //! records at or below the mark belong to transactions whose effects the
 //! snapshot already materializes, and replaying them would apply mutations
 //! twice. The records of a snapshot table no catalog record names are not
-//! redone at open: they wait as that table's log tail, redone by whoever
-//! first loads it, and a background pass at idle priority loads whatever is
-//! left. A process crash at *any* point — including mid-append, which
+//! redone at open: they wait, encoded, as that table's log tail, decoded and
+//! redone when a statement first touches the table or a checkpoint has to
+//! write it. A process crash at *any* point — including mid-append, which
 //! leaves a torn tail the WAL reader discards, and mid-checkpoint, which
 //! leaves a rotated `phoenix.wal.old` the next open replays first —
 //! recovers to a state containing exactly the committed transactions.
@@ -221,11 +221,13 @@ pub struct RecoveryReport {
     /// `wal_frames − records_applied − records_deferred`.
     pub records_skipped: u64,
     /// Committed records past the mark left in a log tail: row records on a
-    /// snapshot table no catalog record in the log names, redone when the
-    /// table is first loaded (see [`Durable::drain_report`]).
+    /// snapshot table no catalog record in the log names, redone when a
+    /// statement first touches the table or a checkpoint writes it.
     pub records_deferred: u64,
     /// Tables with a log tail.
     pub tables_behind: usize,
+    /// Encoded bytes the log tails hold.
+    pub tail_bytes: u64,
     /// Wall time of reading the log, decoding and applying it, in
     /// microseconds: `wal_read_us + apply_us`.
     pub replay_us: u64,
@@ -235,15 +237,17 @@ pub struct RecoveryReport {
     pub segments_total: usize,
     /// Of those, the ones read before the handle opened, because a catalog
     /// record in the log names them. The rest load, and redo their log
-    /// tails, on first touch or in the background (see
-    /// [`Durable::drain_report`]).
+    /// tails, when a statement first touches them or a checkpoint writes
+    /// them; nothing loads them in the background.
     pub segments_loaded_at_open: usize,
     /// Reading, checksumming and decoding those segments and building their
     /// indexes. Not part of `replay_us`.
     pub segment_load_us: u64,
-    /// Reading the logs off disk, decoding them and routing each record.
+    /// Reading the logs off disk, checking every frame and routing each
+    /// record.
     pub wal_read_us: u64,
-    /// Dropping the losers and applying what the open applies.
+    /// Dropping the losers, then decoding and applying what the open
+    /// applies.
     pub apply_us: u64,
     /// The whole open, start to usable handle. The four stages above account
     /// for it; the remainder is opening the logs for append.
@@ -258,7 +262,8 @@ impl fmt::Display for RecoveryReport {
             f,
             "open_us={} manifest_us={} segments_total={} segments_loaded_at_open={} \
              segment_load_us={} wal_read_us={} apply_us={} replay_us={} wal_frames={} \
-             records_applied={} records_skipped={} tables_behind={} records_deferred={}",
+             records_applied={} records_skipped={} tables_behind={} records_deferred={} \
+             tail_bytes={}",
             self.open_us,
             self.manifest_us,
             self.segments_total,
@@ -272,46 +277,9 @@ impl fmt::Display for RecoveryReport {
             self.records_skipped,
             self.tables_behind,
             self.records_deferred,
+            self.tail_bytes,
         )
     }
-}
-
-/// What the background load of the tables nothing had touched yet did (see
-/// [`Durable::drain_report`]).
-#[derive(Debug, Clone, Default)]
-pub struct DrainReport {
-    /// Segments the drain read (those a statement got to first not counted).
-    pub tables: usize,
-    /// Their size on disk.
-    pub bytes: u64,
-    /// Log-tail records the drain redid on those tables.
-    pub tail_records: u64,
-    /// Wall time of the pass, in microseconds.
-    pub us: u64,
-    /// One line per table whose segment does not read back, whoever found
-    /// out. Statements on those tables fail with the same message.
-    pub unreadable: Vec<String>,
-}
-
-impl fmt::Display for DrainReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "tables={} bytes={} tail_records={} ms={:.1} unreadable={:?}",
-            self.tables,
-            self.bytes,
-            self.tail_records,
-            self.us as f64 / 1e3,
-            self.unreadable,
-        )
-    }
-}
-
-/// The background segment load: its thread until somebody asks for the
-/// report, the report from then on.
-struct Drain {
-    running: Option<std::thread::JoinHandle<DrainReport>>,
-    report: DrainReport,
 }
 
 /// Timing/shape of the most recent checkpoint (bench + test probe).
@@ -371,10 +339,6 @@ pub struct Durable {
     checkpoint_state: Mutex<CheckpointState>,
     /// What recovery did when this handle was opened.
     recovery: RecoveryReport,
-    /// Loads the snapshot tables recovery did not need, and redoes their log
-    /// tails, so that steady state is reached without a client paying for
-    /// it.
-    drain: Mutex<Drain>,
 }
 
 impl Durable {
@@ -411,6 +375,7 @@ impl Durable {
             applied,
             deferred,
             behind,
+            tail_bytes,
             stages,
             gen,
             base,
@@ -423,6 +388,7 @@ impl Durable {
             records_skipped: frames - applied - deferred,
             records_deferred: deferred,
             tables_behind: behind,
+            tail_bytes,
             replay_us: us(stages.wal_read) + us(stages.apply),
             manifest_us: us(stages.manifest),
             segments_total: stages.segments_total,
@@ -435,7 +401,6 @@ impl Durable {
         storage_metrics()
             .recovery_replay_us
             .record(report.replay_us);
-        let drain = Mutex::new(start_drain(&store)?);
 
         Ok(Durable {
             published: RwLock::new(Arc::new(store.clone())),
@@ -465,23 +430,7 @@ impl Durable {
                 stats: CheckpointStats::default(),
             }),
             recovery: report,
-            drain,
         })
-    }
-
-    /// Wait for the background load of the snapshot tables recovery did not
-    /// need, and say what it did. Nothing depends on the wait — a statement
-    /// that touches a table first simply loads it, and redoes its log tail,
-    /// itself — so this is for whoever wants the report: the server's log
-    /// line, benches, tests.
-    pub fn drain_report(&self) -> DrainReport {
-        let mut drain = self.drain.lock();
-        if let Some(thread) = drain.running.take() {
-            // The thread only reads files into cells; a panic in it is a
-            // bug, and reporting an empty drain would hide it.
-            drain.report = thread.join().expect("segment drain panicked");
-        }
-        drain.report.clone()
     }
 
     /// What recovery did when this handle was opened.
@@ -1101,66 +1050,6 @@ impl Durable {
         Ok(())
     }
 }
-
-/// Start the one background pass over the snapshot tables of `store` that
-/// nothing has loaded yet — log tails included — in name order, at idle
-/// priority. The thread owns nothing but `Arc`s to the segments: it fills
-/// their cells, which every store image shares, and takes no lock a
-/// statement could wait on.
-fn start_drain(store: &Store) -> io::Result<Drain> {
-    let segments = store.unread_segments();
-    if segments.is_empty() {
-        return Ok(Drain {
-            running: None,
-            report: DrainReport::default(),
-        });
-    }
-    let thread = std::thread::Builder::new()
-        .name("phx-drain".into())
-        .spawn(move || {
-            idle_priority();
-            let start = Instant::now();
-            let mut report = DrainReport::default();
-            for seg in &segments {
-                if seg.load_first() {
-                    report.tables += 1;
-                    report.bytes += seg.bytes;
-                    report.tail_records += seg.tail_records;
-                }
-            }
-            report.us = start.elapsed().as_micros() as u64;
-            // Whoever found out: a statement may have got there first.
-            report.unreadable = segments
-                .iter()
-                .filter_map(|seg| seg.loaded()?.1)
-                .map(|e| e.to_string())
-                .collect();
-            report
-        })?;
-    Ok(Drain {
-        running: Some(thread),
-        report: DrainReport::default(),
-    })
-}
-
-/// Lower the calling thread to the least CPU priority (nice 19), so that
-/// the drain runs only when no statement wants the CPU. On Linux
-/// `setpriority(PRIO_PROCESS, 0, …)` applies to the calling thread alone.
-/// Best effort: if the call fails, the drain runs at normal priority.
-#[cfg(target_os = "linux")]
-fn idle_priority() {
-    const PRIO_PROCESS: i32 = 0;
-    extern "C" {
-        fn setpriority(which: i32, who: u32, prio: i32) -> i32;
-    }
-    unsafe {
-        setpriority(PRIO_PROCESS, 0, 19);
-    }
-}
-
-/// Elsewhere the drain runs at normal priority.
-#[cfg(not(target_os = "linux"))]
-fn idle_priority() {}
 
 #[cfg(test)]
 mod tests {
@@ -1889,6 +1778,49 @@ mod tests {
             );
         }
         assert_eq!(std::fs::read(Durable::wal_path(&dir)).unwrap(), log);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The tables of `store` whose segment some touch has read.
+    fn segments_read(store: &Store) -> Vec<String> {
+        use crate::store::Slot;
+        let read = |name: &String| matches!(store.slot(name), Ok(Slot::OnDisk(seg)) if seg.loaded().is_some());
+        store.table_names().into_iter().filter(read).collect()
+    }
+
+    /// A restart that nobody talks to loads no table, however long it
+    /// idles: the tables behind their log tails included. The first
+    /// statement on one of them loads exactly that one.
+    #[test]
+    fn an_idle_restart_loads_nothing() {
+        let dir = temp_dir();
+        {
+            let db = Durable::open(&dir, Durability::Buffered).unwrap();
+            for name in ["dbo.a", "dbo.b", "dbo.c"] {
+                let t = db.begin().unwrap();
+                db.create_table(t, named_def(name)).unwrap();
+                db.insert(t, name, row(1, "snapshot")).unwrap();
+                db.commit(t).unwrap();
+            }
+            db.checkpoint().unwrap();
+            for name in ["dbo.a", "dbo.b"] {
+                let t = db.begin().unwrap();
+                db.insert(t, name, row(2, "tail")).unwrap();
+                db.commit(t).unwrap();
+            }
+        }
+        let db = Durable::open(&dir, Durability::Buffered).unwrap();
+        let report = db.recovery_report();
+        assert_eq!(
+            (report.segments_loaded_at_open, report.tables_behind),
+            (0, 2),
+            "{report:?}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        assert_eq!(segments_read(&db.snapshot()), Vec::<String>::new());
+        assert_eq!(db.snapshot().table("dbo.b").unwrap().len(), 2);
+        assert_eq!(segments_read(&db.snapshot()), ["dbo.b"]);
+        drop(db);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

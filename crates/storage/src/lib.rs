@@ -26,9 +26,9 @@
 //! * [`snapshot`] — checkpointing: atomically written full-state snapshots
 //!   that allow the log to be truncated.
 //! * [`applier`] — [`applier::recover`], crash recovery: one pass over the
-//!   log that applies what the open needs through `Store::apply` and leaves
-//!   each untouched snapshot table's records as a log tail, redone when the
-//!   table is first loaded.
+//!   log that checks every record, applies what the open needs through
+//!   `Store::apply` and leaves each untouched snapshot table's records,
+//!   still encoded, as a log tail, redone when the table is first loaded.
 //! * [`db`] — [`db::Durable`], the transactional binding of a [`store::Store`]
 //!   to a WAL: every mutation is logged before it is applied, commits force
 //!   the log, aborts roll back in memory, and [`db::Durable::open`] performs

@@ -7,9 +7,9 @@
 //! plus the log (the crashed process's in-memory state, which may contain
 //! uncommitted work, is discarded wholesale).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::codec::{self, DecodeError};
+use crate::codec::{self, DecodeError, ReadRow, Reader};
 use crate::types::{Row, RowId, TableDef, TxnId};
 
 /// One logical log record.
@@ -288,118 +288,200 @@ impl LogRecord {
 
     /// Decode one record from WAL payload bytes.
     pub fn decode(bytes: &[u8]) -> Result<LogRecord, DecodeError> {
-        let mut buf = bytes;
-        if buf.remaining() < 9 {
+        Ok(match Parsed::<Row>::read(bytes)? {
+            Parsed::Built(rec) => rec,
+            Parsed::Insert {
+                txn,
+                table,
+                row_id,
+                row,
+            } => LogRecord::Insert {
+                txn,
+                table: table.to_owned(),
+                row_id,
+                row,
+            },
+            Parsed::InsertMany {
+                txn,
+                table,
+                first_row_id,
+                rows,
+            } => LogRecord::InsertMany {
+                txn,
+                table: table.to_owned(),
+                first_row_id,
+                rows,
+            },
+            Parsed::Delete { txn, table, row_id } => LogRecord::Delete {
+                txn,
+                table: table.to_owned(),
+                row_id,
+            },
+            Parsed::Update {
+                txn,
+                table,
+                row_id,
+                row,
+            } => LogRecord::Update {
+                txn,
+                table: table.to_owned(),
+                row_id,
+                row,
+            },
+        })
+    }
+}
+
+/// A log record as the one parser of the record format reads it: a row
+/// record's table borrowed from the bytes and its rows as `R` makes them,
+/// every other record built. With `R = Row` it is [`LogRecord::decode`];
+/// with `R = ()` it is recovery's check of a row record it keeps encoded,
+/// which walks every value with the same checks and builds nothing.
+#[derive(Debug)]
+pub(crate) enum Parsed<'a, R> {
+    /// Every record that is not a row record.
+    Built(LogRecord),
+    /// [`LogRecord::Insert`].
+    Insert {
+        txn: TxnId,
+        table: &'a str,
+        row_id: RowId,
+        row: R,
+    },
+    /// [`LogRecord::InsertMany`].
+    InsertMany {
+        txn: TxnId,
+        table: &'a str,
+        first_row_id: RowId,
+        rows: Vec<R>,
+    },
+    /// [`LogRecord::Delete`].
+    Delete {
+        txn: TxnId,
+        table: &'a str,
+        row_id: RowId,
+    },
+    /// [`LogRecord::Update`].
+    Update {
+        txn: TxnId,
+        table: &'a str,
+        row_id: RowId,
+        row: R,
+    },
+}
+
+impl<'a, R: ReadRow> Parsed<'a, R> {
+    /// Read one record from WAL payload bytes: all of them, or an error.
+    pub(crate) fn read(bytes: &'a [u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        if r.remaining() < 9 {
             return Err(DecodeError("log record too short".into()));
         }
-        let tag = buf.get_u8();
-        let txn = buf.get_u64_le();
-        let rec = match tag {
-            T_BEGIN => LogRecord::Begin { txn },
-            T_COMMIT => LogRecord::Commit { txn },
-            T_ABORT => LogRecord::Abort { txn },
-            T_RETIRED_COMMIT_MULTI => {
-                return Err(DecodeError(format!(
-                    "log record tag {T_RETIRED_COMMIT_MULTI} (cross-partition commit of txn \
-                     {txn}) is retired: this log was written by a partitioned server"
-                )))
-            }
+        let tag = r.u8("record tag")?;
+        let txn = r.u64("record txn")?;
+        let built = |rec| Ok(Parsed::Built(rec));
+        let parsed = match tag {
+            T_BEGIN => built(LogRecord::Begin { txn }),
+            T_COMMIT => built(LogRecord::Commit { txn }),
+            T_ABORT => built(LogRecord::Abort { txn }),
+            T_RETIRED_COMMIT_MULTI => Err(DecodeError(format!(
+                "log record tag {T_RETIRED_COMMIT_MULTI} (cross-partition commit of txn \
+                 {txn}) is retired: this log was written by a partitioned server"
+            ))),
             T_INSERT => {
-                let table = codec::get_str(&mut buf)?;
-                if buf.remaining() < 8 {
-                    return Err(DecodeError("truncated insert".into()));
-                }
-                let row_id = buf.get_u64_le();
-                let row = codec::get_row(&mut buf)?;
-                LogRecord::Insert {
+                let table = r.str()?;
+                let row_id = r.u64("insert")?;
+                let row = r.row()?;
+                Ok(Parsed::Insert {
                     txn,
                     table,
                     row_id,
                     row,
-                }
+                })
             }
             T_INSERT_MANY => {
-                let table = codec::get_str(&mut buf)?;
-                if buf.remaining() < 12 {
-                    return Err(DecodeError("truncated insert-many".into()));
-                }
-                let first_row_id = buf.get_u64_le();
-                let count = buf.get_u32_le() as usize;
+                let table = r.str()?;
+                let first_row_id = r.u64("insert-many")?;
+                let count = r.u32("insert-many")? as usize;
                 let mut rows = Vec::with_capacity(count.min(4096));
                 for _ in 0..count {
-                    rows.push(codec::get_row(&mut buf)?);
+                    rows.push(r.row()?);
                 }
-                LogRecord::InsertMany {
+                Ok(Parsed::InsertMany {
                     txn,
                     table,
                     first_row_id,
                     rows,
-                }
+                })
             }
             T_DELETE => {
-                let table = codec::get_str(&mut buf)?;
-                if buf.remaining() < 8 {
-                    return Err(DecodeError("truncated delete".into()));
-                }
-                let row_id = buf.get_u64_le();
-                LogRecord::Delete { txn, table, row_id }
+                let table = r.str()?;
+                let row_id = r.u64("delete")?;
+                Ok(Parsed::Delete { txn, table, row_id })
             }
             T_UPDATE => {
-                let table = codec::get_str(&mut buf)?;
-                if buf.remaining() < 8 {
-                    return Err(DecodeError("truncated update".into()));
-                }
-                let row_id = buf.get_u64_le();
-                let row = codec::get_row(&mut buf)?;
-                LogRecord::Update {
+                let table = r.str()?;
+                let row_id = r.u64("update")?;
+                let row = r.row()?;
+                Ok(Parsed::Update {
                     txn,
                     table,
                     row_id,
                     row,
-                }
+                })
             }
-            T_CREATE_TABLE => LogRecord::CreateTable {
+            T_CREATE_TABLE => built(LogRecord::CreateTable {
                 txn,
-                def: codec::get_table_def(&mut buf)?,
-            },
-            T_DROP_TABLE => LogRecord::DropTable {
+                def: r.table_def()?,
+            }),
+            T_DROP_TABLE => built(LogRecord::DropTable {
                 txn,
-                name: codec::get_str(&mut buf)?,
-            },
+                name: r.str()?.to_owned(),
+            }),
             T_CREATE_PROC => {
-                let name = codec::get_str(&mut buf)?;
-                let sql = codec::get_str(&mut buf)?;
-                LogRecord::CreateProc { txn, name, sql }
+                let name = r.str()?.to_owned();
+                let sql = r.str()?.to_owned();
+                built(LogRecord::CreateProc { txn, name, sql })
             }
-            T_DROP_PROC => LogRecord::DropProc {
+            T_DROP_PROC => built(LogRecord::DropProc {
                 txn,
-                name: codec::get_str(&mut buf)?,
-            },
+                name: r.str()?.to_owned(),
+            }),
             T_CREATE_INDEX => {
-                let table = codec::get_str(&mut buf)?;
-                let name = codec::get_str(&mut buf)?;
-                if buf.remaining() < 2 {
-                    return Err(DecodeError("truncated create-index".into()));
-                }
-                let column = buf.get_u16_le() as usize;
-                LogRecord::CreateIndex {
+                let table = r.str()?.to_owned();
+                let name = r.str()?.to_owned();
+                let column = r.u16("create-index")? as usize;
+                built(LogRecord::CreateIndex {
                     txn,
                     table,
                     name,
                     column,
-                }
+                })
             }
             T_DROP_INDEX => {
-                let table = codec::get_str(&mut buf)?;
-                let name = codec::get_str(&mut buf)?;
-                LogRecord::DropIndex { txn, table, name }
+                let table = r.str()?.to_owned();
+                let name = r.str()?.to_owned();
+                built(LogRecord::DropIndex { txn, table, name })
             }
-            other => return Err(DecodeError(format!("unknown log record tag {other}"))),
-        };
-        if buf.remaining() != 0 {
+            other => Err(DecodeError(format!("unknown log record tag {other}"))),
+        }?;
+        if r.remaining() != 0 {
             return Err(DecodeError("trailing bytes in log record".into()));
         }
-        Ok(rec)
+        Ok(parsed)
+    }
+}
+
+impl<R> Parsed<'_, R> {
+    /// The transaction the record belongs to.
+    pub(crate) fn txn(&self) -> TxnId {
+        match self {
+            Parsed::Built(rec) => rec.txn(),
+            Parsed::Insert { txn, .. }
+            | Parsed::InsertMany { txn, .. }
+            | Parsed::Delete { txn, .. }
+            | Parsed::Update { txn, .. } => *txn,
+        }
     }
 }
 

@@ -298,7 +298,7 @@ pub fn load(dir: &Path, path: &Path) -> io::Result<Option<LoadedSnapshot>> {
     let mut base = SegmentBase::with_capacity(manifest.tables.len());
     for (name, file) in manifest.tables {
         let seg_path = dir.join(&file);
-        let meta = fs::metadata(&seg_path).map_err(|e| {
+        fs::metadata(&seg_path).map_err(|e| {
             io::Error::new(
                 e.kind(),
                 format!(
@@ -308,7 +308,7 @@ pub fn load(dir: &Path, path: &Path) -> io::Result<Option<LoadedSnapshot>> {
             )
         })?;
         let key = normalize_name(&name);
-        let seg = Arc::new(Segment::new(name, seg_path, meta.len()));
+        let seg = Arc::new(Segment::new(name, seg_path));
         base.insert(key, (file, Slot::OnDisk(Arc::clone(&seg))));
         store.install_segment(seg);
     }

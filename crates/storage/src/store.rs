@@ -23,9 +23,9 @@
 //! re-publish after every statement.
 //!
 //! A table recovered from a checkpoint starts *on disk*: its slot names the
-//! snapshot segment holding it, plus the log tail recovery deferred for it,
-//! and the first [`Store::table`] / [`Store::table_mut`] that touches it
-//! reads the file and redoes the tail. Every clone of the slot shares one
+//! snapshot segment holding it, plus the log tail recovery deferred for it
+//! (still encoded), and the first [`Store::table`] / [`Store::table_mut`]
+//! that touches it reads the file, decodes the tail and redoes it. Every clone of the slot shares one
 //! once-cell, so a segment is read, and its tail redone, at most once
 //! however many store images hold it.
 
@@ -471,9 +471,46 @@ impl TableData {
     }
 }
 
+/// A table's *log tail*: the committed row records past the snapshot's
+/// mark that recovery deferred, encoded as in the log, in GSN order. One
+/// growing arena per table holds them all, so keeping a record allocates
+/// nothing; they are decoded when the table loads.
+#[derive(Debug, Default)]
+pub(crate) struct Tail {
+    bytes: Vec<u8>,
+    /// Where each record ends in `bytes`; it starts where the one before
+    /// ends.
+    ends: Vec<usize>,
+}
+
+impl Tail {
+    /// Append one encoded record.
+    pub(crate) fn push(&mut self, rec: &[u8]) {
+        self.bytes.extend_from_slice(rec);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Records held.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Encoded bytes held.
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The records, in the order they were pushed.
+    pub(crate) fn records(&self) -> impl Iterator<Item = &[u8]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.bytes[start..end])
+    }
+}
+
 /// A checkpointed table whose rows are still in its snapshot segment, plus
-/// the table's *log tail*: the committed row records past the snapshot's
-/// mark that recovery deferred (empty for a table the log does not write).
+/// the table's [`Tail`] (empty for a table the log does not write).
 ///
 /// One `Segment` is shared (behind an [`Arc`]) by every store image that
 /// holds the table — the working store, the published snapshots, readers'
@@ -486,12 +523,8 @@ pub(crate) struct Segment {
     /// Canonical table name, from the manifest.
     pub(crate) name: String,
     path: PathBuf,
-    /// Size of the file when the manifest was loaded.
-    pub(crate) bytes: u64,
-    /// Records in the log tail, counted before the load consumes it.
-    pub(crate) tail_records: u64,
-    /// The log tail, in GSN order; the load takes it.
-    tail: Mutex<Vec<LogRecord>>,
+    /// The log tail; the load takes it.
+    tail: Mutex<Tail>,
     cell: OnceLock<Loaded>,
 }
 
@@ -499,56 +532,43 @@ pub(crate) struct Segment {
 type Loaded = (Result<Arc<TableData>, String>, Duration);
 
 impl Segment {
-    pub(crate) fn new(name: String, path: PathBuf, bytes: u64) -> Segment {
+    pub(crate) fn new(name: String, path: PathBuf) -> Segment {
         Segment {
             name,
             path,
-            bytes,
-            tail_records: 0,
-            tail: Mutex::new(Vec::new()),
+            tail: Mutex::new(Tail::default()),
             cell: OnceLock::new(),
         }
     }
 
     /// The same file with `tail` redone on load: the slot of a table
     /// recovery left behind its log.
-    pub(crate) fn behind(&self, tail: Vec<LogRecord>) -> Segment {
+    pub(crate) fn behind(&self, tail: Tail) -> Segment {
         Segment {
             name: self.name.clone(),
             path: self.path.clone(),
-            bytes: self.bytes,
-            tail_records: tail.len() as u64,
             tail: Mutex::new(tail),
             cell: OnceLock::new(),
         }
     }
 
-    /// Read, checksum and decode the file, then redo the tail through
-    /// [`TableData::apply_row`]. A tail that does not apply fails the table
-    /// exactly as a file that does not read back.
+    /// Read, checksum and decode the file, then decode each tail record and
+    /// redo it through [`TableData::apply_row`]. A tail that does not apply
+    /// fails the table exactly as a file that does not read back.
     fn read(&self) -> Loaded {
         let start = Instant::now();
         let tail = std::mem::take(&mut *self.tail.lock());
         let loaded = crate::snapshot::load_segment(&self.path)
             .map_err(|e| e.to_string())
             .and_then(|mut data| {
-                for rec in tail {
-                    data.apply_row(rec, None)
-                        .map_err(|e| format!("redoing its log tail: {e}"))?;
+                let redo = |e: &dyn fmt::Display| format!("redoing its log tail: {e}");
+                for rec in tail.records() {
+                    let rec = LogRecord::decode(rec).map_err(|e| redo(&e))?;
+                    data.apply_row(rec, None).map_err(|e| redo(&e))?;
                 }
                 Ok(Arc::new(data))
             });
         (loaded, start.elapsed())
-    }
-
-    /// Load the table unless somebody has: whether this call did.
-    pub(crate) fn load_first(&self) -> bool {
-        let mut first = false;
-        self.cell.get_or_init(|| {
-            first = true;
-            self.read()
-        });
-        first
     }
 
     /// The table, loading it if nobody has yet; the outcome stays in the
@@ -562,10 +582,9 @@ impl Segment {
         })
     }
 
-    /// `Some` once the file has been read: how long that took, and the
-    /// error if it failed.
-    pub(crate) fn loaded(&self) -> Option<(Duration, Option<StoreError>)> {
-        self.cell.get().map(|(_, took)| (*took, self.load().err()))
+    /// `Some` once the file has been read: how long that took.
+    pub(crate) fn loaded(&self) -> Option<Duration> {
+        self.cell.get().map(|(_, took)| *took)
     }
 }
 
@@ -695,18 +714,6 @@ impl Store {
     pub(crate) fn install_segment(&mut self, seg: Arc<Segment>) {
         self.tables
             .insert(normalize_name(&seg.name).into(), Slot::OnDisk(seg));
-    }
-
-    /// The segments of the tables still on disk that nobody has loaded, by
-    /// name.
-    pub(crate) fn unread_segments(&self) -> Vec<Arc<Segment>> {
-        self.tables
-            .values()
-            .filter_map(|slot| match slot {
-                Slot::OnDisk(seg) if seg.loaded().is_none() => Some(Arc::clone(seg)),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Remove a table. A table still on disk is loaded first, as by every

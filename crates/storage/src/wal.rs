@@ -229,7 +229,10 @@ impl Wal {
     /// empty log.
     pub fn scan(path: impl AsRef<Path>, sink: impl FnMut(&[u8])) -> io::Result<u64> {
         match File::open(path) {
-            Ok(file) => scan_valid_frames(BufReader::with_capacity(1 << 16, file), sink),
+            Ok(file) => {
+                let len = file.metadata()?.len();
+                scan_valid_frames(BufReader::with_capacity(1 << 16, file), len, sink)
+            }
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
             Err(e) => Err(e),
         }
@@ -244,11 +247,17 @@ impl Wal {
 }
 
 /// The tail-scan discipline, shared by every reader of the frame format:
-/// consume frames from `reader` until EOF or the first torn header, torn
-/// payload, over-long length, or CRC mismatch — the signatures of a crash
-/// mid-append — handing each valid payload to `sink`. Returns the byte
-/// length of the valid prefix.
-fn scan_valid_frames(mut reader: impl Read, mut sink: impl FnMut(&[u8])) -> io::Result<u64> {
+/// consume frames from `reader`, which holds `len` bytes, until EOF or the
+/// first torn header, torn payload, over-long length, or CRC mismatch — the
+/// signatures of a crash mid-append — handing each valid payload to `sink`.
+/// Returns the byte length of the valid prefix. A length field is believed
+/// only as far as the bytes left: a payload the file cannot hold is torn,
+/// and nothing is allocated for it.
+fn scan_valid_frames(
+    mut reader: impl Read,
+    len: u64,
+    mut sink: impl FnMut(&[u8]),
+) -> io::Result<u64> {
     let mut valid: u64 = 0;
     let mut payload = Vec::new();
     loop {
@@ -257,12 +266,15 @@ fn scan_valid_frames(mut reader: impl Read, mut sink: impl FnMut(&[u8])) -> io::
             ReadOutcome::Full => {}
             _ => break, // EOF or torn header
         }
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
+        let frame = u32::from_le_bytes(header[0..4].try_into().unwrap());
         let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_FRAME {
+        if frame > MAX_FRAME {
             break; // corrupt length — treat as tail
         }
-        payload.resize(len as usize, 0);
+        if valid + 8 + frame as u64 > len {
+            break; // torn payload, or a length the file cannot hold
+        }
+        payload.resize(frame as usize, 0);
         match read_exact_or_eof(&mut reader, &mut payload)? {
             ReadOutcome::Full => {}
             _ => break, // torn payload
@@ -270,7 +282,7 @@ fn scan_valid_frames(mut reader: impl Read, mut sink: impl FnMut(&[u8])) -> io::
         if crc32(&payload) != crc {
             break; // corrupt payload — treat as tail
         }
-        valid += 8 + len as u64;
+        valid += 8 + frame as u64;
         sink(&payload);
     }
     Ok(valid)
@@ -280,8 +292,9 @@ fn scan_valid_frames(mut reader: impl Read, mut sink: impl FnMut(&[u8])) -> io::
 /// valid frames. Leaves the file cursor wherever the scan stopped; callers
 /// reposition.
 fn valid_prefix_len(file: &mut File) -> io::Result<u64> {
+    let len = file.metadata()?.len();
     file.seek(SeekFrom::Start(0))?;
-    scan_valid_frames(BufReader::new(&mut *file), |_| {})
+    scan_valid_frames(BufReader::new(&mut *file), len, |_| {})
 }
 
 enum ReadOutcome {
@@ -569,5 +582,47 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         assert_eq!(Wal::read_all(&path).unwrap(), vec![b"ok".to_vec()]);
         fs::remove_file(&path).unwrap();
+    }
+
+    /// A reader that remembers the largest buffer it was asked to fill.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    /// A length field that lies — in range for a frame, far past the end of
+    /// the file — is a torn tail found without filling a buffer of that
+    /// size: the scan asks for no more than the file holds.
+    #[test]
+    fn a_length_lie_allocates_no_more_than_the_file_holds() {
+        let mut log = Vec::new();
+        for payload in [&b"first"[..], &[7u8; 900][..]] {
+            log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            log.extend_from_slice(&crc32(payload).to_le_bytes());
+            log.extend_from_slice(payload);
+        }
+        let valid = log.len() as u64;
+        log.extend_from_slice(&(MAX_FRAME - 1).to_le_bytes());
+        log.extend_from_slice(&0u32.to_le_bytes());
+        log.resize(1024, 0xAB);
+        let mut reader = Recording {
+            bytes: &log,
+            largest: 0,
+        };
+        let mut frames = 0;
+        let scanned = scan_valid_frames(&mut reader, log.len() as u64, |_| frames += 1).unwrap();
+        assert_eq!((scanned, frames), (valid, 2));
+        assert!(
+            reader.largest <= 1024,
+            "asked to fill {} bytes",
+            reader.largest
+        );
     }
 }

@@ -908,8 +908,8 @@ fn run_lazy_history(seed: u64, behind_total: &mut usize) {
     h.generate(steps, !rows_only);
     append_frames(&base, &h.frames);
 
-    // Without a drain in the way: the applier's store, read in one order
-    // with everything loaded first, and in another as it comes.
+    // The applier's store on its own, with no database around it: read
+    // in one order with everything loaded first, and in another as it comes.
     let mut names = {
         let lazy = recover(&base).unwrap();
         if rows_only {
@@ -952,8 +952,8 @@ fn run_lazy_history(seed: u64, behind_total: &mut usize) {
     let (lazy_dir, loaded_dir) = (copy_dir(&base), copy_dir(&base));
     let (mut lazy, mut loaded) = (open(&lazy_dir), open(&loaded_dir));
     for pass in 0..2 {
-        let drained = loaded.drain_report();
-        assert!(drained.unreadable.is_empty(), "{what}: {drained:?}");
+        // Every table of one side loads, its log tail redone, before the
+        // other side has touched any.
         for name in &names {
             table_image(&loaded, name).unwrap();
         }

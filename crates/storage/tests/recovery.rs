@@ -417,11 +417,10 @@ fn segment_of(dir: &std::path::Path, idx: usize) -> PathBuf {
 }
 
 /// A restart reads no segment: the one table the log tail writes to is left
-/// behind, its tail redone when it is loaded. The next checkpoint rewrites
-/// that table alone and carries the rest over without reading them: one of
-/// them is unreadable here, and neither the open nor the checkpoint
-/// notices. The background pass reads every table and says which one it
-/// could not.
+/// behind, its tail kept encoded and redone when it is loaded. The next
+/// checkpoint rewrites that table alone and carries the rest over without
+/// reading them: one of them is unreadable here, and neither the open nor
+/// the checkpoint notices. The first statement that touches it does.
 #[test]
 fn reopen_and_checkpoint_read_only_the_tables_the_tail_writes() {
     let dir = checkpointed_with_tail("lazy");
@@ -445,22 +444,31 @@ fn reopen_and_checkpoint_read_only_the_tables_the_tail_writes() {
         "the tail's one commit: {report:?}"
     );
     assert_eq!(report.records_skipped, 0, "{report:?}");
+    assert_eq!(
+        report.tail_bytes,
+        LogRecord::Insert {
+            txn: 0,
+            table: "dbo.c".into(),
+            row_id: 3,
+            row: row(3, "z"),
+        }
+        .encode()
+        .len() as u64,
+        "the one insert, as logged: {report:?}"
+    );
     assert_eq!(report.replay_us, report.wal_read_us + report.apply_us);
-
-    // Nothing has touched a table yet, so the drain reads all four.
-    let drained = db.drain_report();
-    assert_eq!(drained.tables, 4, "{drained:?}");
-    assert_eq!(drained.tail_records, 1, "{drained:?}");
-    assert_eq!(drained.unreadable.len(), 1, "{drained:?}");
-    assert!(drained.unreadable[0].contains("dbo.b"), "{drained:?}");
 
     db.checkpoint().unwrap();
     let stats = db.checkpoint_stats();
     assert_eq!(stats.segments_written, 1, "only dbo.c: {stats:?}");
     assert_eq!(stats.segments_reused, 3);
     assert!(bad.exists(), "a reused segment stays where it is");
+    // Every table loads on its first touch, and the bad one fails it.
     assert_eq!(ids(&db, "dbo.a"), vec![1, 2]);
     assert_eq!(ids(&db, "dbo.c"), vec![1, 2, 3]);
+    assert_eq!(ids(&db, "dbo.d"), vec![1, 2]);
+    let e = db.snapshot().table("dbo.b").map(|_| ()).unwrap_err();
+    assert!(e.to_string().contains("dbo.b"), "{e}");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -500,7 +508,9 @@ fn unreadable_segment_fails_its_table_only_and_a_missing_one_fails_open() {
         appended + 2,
         "the refused statements logged nothing"
     );
-    assert_eq!(db.drain_report().unreadable.len(), 1);
+    for name in ["dbo.b", "dbo.c", "dbo.d"] {
+        assert!(db.snapshot().table(name).is_ok(), "{name} serves");
+    }
     drop(snap);
     drop(db);
     let db = Durable::open(&dir, Durability::Fsync).unwrap();
@@ -624,18 +634,21 @@ fn losers_never_reach_a_log_tail() {
     );
     assert_eq!(report.records_applied, 1, "the commit: {report:?}");
     assert_eq!(report.records_skipped, 5, "{report:?}");
-    let drained = db.drain_report();
-    assert_eq!(drained.tail_records, 1, "{drained:?}");
-    assert!(drained.unreadable.is_empty(), "{drained:?}");
+    assert_eq!(
+        report.tail_bytes,
+        insert(txn, "dbo.t", id).unwrap().encode().len() as u64,
+        "the losers' bytes are not kept: {report:?}"
+    );
     assert_eq!(ids(&db, "dbo.t"), vec![1, 2, id as i64]);
     assert_eq!(db.snapshot().table("dbo.t").unwrap().next_row_id, id + 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A log tail that does not redo fails its table only, as an unreadable
-/// segment does: every statement on it gets an error naming the table,
-/// every other table serves, the drain lists it, and a checkpoint — which
-/// would have to write it — refuses rather than drop the log that holds it.
+/// segment does: the first statement that touches it finds out, every
+/// statement on it gets an error naming the table, every other table
+/// serves, and a checkpoint — which would have to write it — refuses rather
+/// than drop the log that holds it.
 #[test]
 fn a_failed_redo_fails_its_table_only() {
     let (dir, txn, _) = checkpointed_t("badtail");
@@ -665,9 +678,6 @@ fn a_failed_redo_fails_its_table_only() {
     assert!(db.insert(t, "dbo.t", row(9, "n")).is_err());
     db.insert(t, "dbo.u", row(3, "z")).unwrap();
     db.commit(t).unwrap();
-    let drained = db.drain_report();
-    assert_eq!(drained.unreadable.len(), 1, "{drained:?}");
-    assert!(drained.unreadable[0].contains("dbo.t"), "{drained:?}");
     let e = db.checkpoint().unwrap_err().to_string();
     assert!(e.contains("dbo.t"), "{e}");
     drop(db);
