@@ -3,7 +3,7 @@
 //! The planner is cost-aware but deliberately compact. The WHERE clause is
 //! split into conjuncts; for each FROM table the planner picks an access
 //! path — full scan, primary-key point lookup, or a secondary-index
-//! equality/range probe — by comparing exact index-bucket counts against
+//! equality/range probe — by comparing exact index entry counts against
 //! the table cardinality. Join order is chosen greedily from the cheapest
 //! estimated input, using an index nested-loop join when the inner side of
 //! an equi-conjunct is an indexed column and the outer estimate is small,
@@ -38,7 +38,6 @@ use phoenix_sql::ast::{
     BinaryOp, Expr, InsertSource, Literal, ObjectName, SelectItem, SelectStmt, Statement,
 };
 use phoenix_sql::display::render_expr;
-use phoenix_storage::pmap::PSet;
 use phoenix_storage::store::{SecIndex, TableData};
 use phoenix_storage::types::{Column, DataType, Row, RowId, Schema, Value};
 
@@ -341,7 +340,7 @@ fn build_plan(
                     let match_per = match tgt {
                         ProbeTarget::Pk => 1.0,
                         ProbeTarget::Sec(pos) => {
-                            let distinct = bound.tables[c].sec_index(*pos).len().max(1) as f64;
+                            let distinct = bound.tables[c].sec[*pos].distinct().max(1) as f64;
                             (nrows[c] / distinct).max(1.0)
                         }
                     };
@@ -415,7 +414,7 @@ fn choose_access(
         }
     }
 
-    // Best secondary-index probe by exact bucket counts.
+    // Best secondary-index probe by exact entry counts.
     let mut best: Option<(Access, f64, usize)> = None;
     for (pos, ix) in table.def.indexes.iter().enumerate() {
         let col = &table.def.schema.columns[ix.column];
@@ -465,7 +464,7 @@ fn pk_key(table: &TableData, cols: &[BoundColumn], filters: &[&Expr]) -> Option<
 }
 
 /// Find the best equality or range probe for one secondary index. Returns
-/// the access path, its exact base row estimate from the index buckets, and
+/// the access path, its exact base row estimate from the index entries, and
 /// how many filter conjuncts the probe subsumes.
 #[allow(clippy::too_many_arguments)]
 fn index_probe(
@@ -477,9 +476,9 @@ fn index_probe(
     filters: &[&Expr],
     params: Params<'_>,
 ) -> Option<(Access, f64, usize)> {
-    let map = table.sec_index(pos);
+    let map = &table.sec[pos];
     let nrows = table.len() as f64;
-    let avg_bucket = nrows / map.len().max(1) as f64;
+    let avg_per_value = nrows / map.distinct().max(1) as f64;
 
     // Prefer an equality probe: `col = const` or `col IN (consts)`.
     for f in filters {
@@ -506,8 +505,9 @@ fn index_probe(
             }
             _ => continue,
         };
-        // Exact base: sum the matched buckets; values opaque at plan time
-        // (e.g. EXPLAIN of a parameterized query) cost one average bucket.
+        // Exact base: sum the matched values' entries; values opaque at plan
+        // time (e.g. EXPLAIN of a parameterized query) cost one average
+        // value's.
         let mut seen: Vec<Value> = Vec::new();
         let mut base = 0.0;
         for v in &values {
@@ -516,10 +516,11 @@ fn index_probe(
                     if seen.contains(&val) {
                         continue;
                     }
-                    base += map.get(&val).map_or(0, |ids| ids.len()) as f64;
+                    let one = Bound::Included(&val);
+                    base += range_count(map, (one, one)) as f64;
                     seen.push(val);
                 }
-                None => base += avg_bucket,
+                None => base += avg_per_value,
             }
         }
         return Some((Access::SecEq { pos, values }, base, 1));
@@ -579,7 +580,7 @@ fn index_probe(
     if lo.is_none() && hi.is_none() {
         return None;
     }
-    // Exact base when a bound is evaluable: count the buckets inside the
+    // Exact base when a bound is evaluable: count the entries inside the
     // range. Both bounds opaque → assume a third of the table.
     let lo_v = lo
         .as_ref()
@@ -588,7 +589,7 @@ fn index_probe(
         .as_ref()
         .and_then(|(_, inc, v)| v.clone().map(|v| (v, *inc)));
     let base = if lo_v.is_some() || hi_v.is_some() {
-        range_count(map, lo_v.as_ref(), hi_v.as_ref()) as f64
+        range_count(map, key_bounds(lo_v.as_ref(), hi_v.as_ref())) as f64
     } else {
         nrows / 3.0
     };
@@ -648,27 +649,28 @@ fn probe_value(e: &Expr, dtype: DataType, params: Params<'_>) -> Option<Value> {
     probe_const(e, dtype, params).ok().flatten()
 }
 
-/// Sum the bucket sizes of the index entries inside the bounds.
-fn range_count(map: &SecIndex, lo: Option<&(Value, bool)>, hi: Option<&(Value, bool)>) -> usize {
-    map.range(key_bounds(lo, hi))
-        .map(|(_, ids)| ids.len())
-        .sum()
+/// Count the index entries inside the bounds, up to one past half the
+/// table. A probe is taken only when its count is at most half, so the cap
+/// changes no plan; it keeps a wide range over a big table (TPC-H Q1's
+/// date predicate) from walking most of it at plan time.
+fn range_count(map: &SecIndex, (lo, hi): (Bound<&Value>, Bound<&Value>)) -> usize {
+    map.range(lo, hi).take(map.len() / 2 + 1).count()
 }
 
 /// Index-walk bounds; no low bound still skips NULL keys, since no
 /// comparison predicate matches NULL.
-fn key_bounds(
-    lo: Option<&(Value, bool)>,
-    hi: Option<&(Value, bool)>,
-) -> (Bound<Value>, Bound<Value>) {
+fn key_bounds<'v>(
+    lo: Option<&'v (Value, bool)>,
+    hi: Option<&'v (Value, bool)>,
+) -> (Bound<&'v Value>, Bound<&'v Value>) {
     let lo_b = match lo {
-        Some((v, true)) => Bound::Included(v.clone()),
-        Some((v, false)) => Bound::Excluded(v.clone()),
-        None => Bound::Excluded(Value::Null),
+        Some((v, true)) => Bound::Included(v),
+        Some((v, false)) => Bound::Excluded(v),
+        None => Bound::Excluded(&Value::Null),
     };
     let hi_b = match hi {
-        Some((v, true)) => Bound::Included(v.clone()),
-        Some((v, false)) => Bound::Excluded(v.clone()),
+        Some((v, true)) => Bound::Included(v),
+        Some((v, false)) => Bound::Excluded(v),
         None => Bound::Unbounded,
     };
     (lo_b, hi_b)
@@ -751,7 +753,7 @@ fn apply_order(
                 return false;
             }
             if values.len() > 1 {
-                // Visit the probe buckets in output order.
+                // Visit the probed values in output order.
                 let dtype = table.def.schema.columns[oc].dtype;
                 let mut evald = Vec::with_capacity(values.len());
                 for e in values.iter() {
@@ -967,7 +969,7 @@ fn access<'a>(
             }
             Access::SecEq { pos, values } => {
                 let dtype = table.def.schema.columns[table.def.indexes[*pos].column].dtype;
-                let map = table.sec_index(*pos);
+                let map = &table.sec[*pos];
                 let mut seen: Vec<Value> = Vec::new();
                 for vexpr in values {
                     let v = match probe_const(vexpr, dtype, params)? {
@@ -977,10 +979,8 @@ fn access<'a>(
                     if seen.contains(&v) {
                         continue;
                     }
-                    if let Some(ids) = map.get(&v) {
-                        for id in ids {
-                            visit(&table.rows[id])?;
-                        }
+                    for id in map.get(&v) {
+                        visit(&table.rows[&id])?;
                     }
                     seen.push(v);
                 }
@@ -997,31 +997,26 @@ fn access<'a>(
                 let (Some(lo_v), Some(hi_v)) = (bound(lo)?, bound(hi)?) else {
                     return Ok(Tuples::new(width));
                 };
-                let range = table
-                    .sec_index(*pos)
-                    .range(key_bounds(lo_v.as_ref(), hi_v.as_ref()));
-                let buckets: Box<dyn Iterator<Item = (&Value, &PSet<RowId>)>> = if *desc {
+                let (lo_b, hi_b) = key_bounds(lo_v.as_ref(), hi_v.as_ref());
+                let range = table.sec[*pos].range(lo_b, hi_b);
+                let ids: Box<dyn Iterator<Item = RowId>> = if *desc {
                     Box::new(range.rev())
                 } else {
                     Box::new(range)
                 };
-                for (_, ids) in buckets {
-                    for id in ids {
-                        visit(&table.rows[id])?;
-                    }
+                for id in ids {
+                    visit(&table.rows[&id])?;
                 }
             }
             Access::SecOrder { pos, desc } => {
-                let map = table.sec_index(*pos);
-                let buckets: Box<dyn Iterator<Item = (&Value, &PSet<RowId>)>> = if *desc {
-                    Box::new(map.iter().rev())
+                let all = table.sec[*pos].range(Bound::Unbounded, Bound::Unbounded);
+                let ids: Box<dyn Iterator<Item = RowId>> = if *desc {
+                    Box::new(all.rev())
                 } else {
-                    Box::new(map.iter())
+                    Box::new(all)
                 };
-                for (_, ids) in buckets {
-                    for id in ids {
-                        visit(&table.rows[id])?;
-                    }
+                for id in ids {
+                    visit(&table.rows[&id])?;
                 }
             }
             Access::PkOrder { desc } => {
@@ -1073,10 +1068,8 @@ fn index_join<'a>(
                 }
             }
             ProbeTarget::Sec(pos) => {
-                if let Some(ids) = inner.sec_index(pos).get(&*v) {
-                    for id in ids {
-                        out.push(o, t, &inner.rows[id], filters)?;
-                    }
+                for id in inner.sec[pos].get(&v) {
+                    out.push(o, t, &inner.rows[&id], filters)?;
                 }
             }
         }

@@ -352,6 +352,7 @@ pub fn recover(dir: &Path) -> Result<Recovered, DbError> {
 mod tests {
     use super::*;
     use crate::db::Durability;
+    use crate::pmap::PMap;
     use crate::store::{Segment, TableData};
     use crate::types::{Column, DataType, IndexDef, RowId, Schema, TableDef, Value};
 
@@ -482,9 +483,7 @@ mod tests {
         let base = TableData::from_rows(
             t_def(),
             4,
-            (1..4)
-                .map(|id| (id, vec![Value::Int(id as i64), Value::Null]))
-                .collect(),
+            PMap::from_sorted((1..4).map(|id| (id, vec![Value::Int(id as i64), Value::Null]))),
         )
         .unwrap();
         snapshot::write_segment(&path, &base).unwrap();

@@ -164,7 +164,9 @@ pub(crate) trait ReadRow: Sized {
 impl ReadRow for Row {
     fn read_row(r: &mut Reader<'_>) -> Result<Row, DecodeError> {
         let n = r.u16("row arity")? as usize;
-        let mut row = Vec::with_capacity(n);
+        // Every value is at least its tag byte: an arity the bytes left
+        // cannot hold reserves no more than they could.
+        let mut row = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             row.push(r.value()?.into());
         }
@@ -332,7 +334,8 @@ impl Reader<'_> {
     /// A schema (column names, types, nullability).
     pub(crate) fn schema(&mut self) -> Result<Schema, DecodeError> {
         let n = self.u16("schema arity")? as usize;
-        let mut columns = Vec::with_capacity(n);
+        // A column is at least its name's length and two type bytes.
+        let mut columns = Vec::with_capacity(n.min(self.remaining() / 6));
         for _ in 0..n {
             let name = self.str()?.to_owned();
             let [dtype, nullable] = self.take("column type")?;
@@ -351,7 +354,7 @@ impl Reader<'_> {
         let name = self.str()?.to_owned();
         let schema = self.schema()?;
         let n = self.u16("pk arity")? as usize;
-        let mut primary_key = Vec::with_capacity(n);
+        let mut primary_key = Vec::with_capacity(n.min(self.remaining() / 2));
         for _ in 0..n {
             let i = self.u16("pk index")? as usize;
             if i >= schema.columns.len() {
@@ -360,7 +363,7 @@ impl Reader<'_> {
             primary_key.push(i);
         }
         let n = self.u16("index count")? as usize;
-        let mut indexes = Vec::with_capacity(n);
+        let mut indexes = Vec::with_capacity(n.min(self.remaining() / 6));
         for _ in 0..n {
             let ix_name = self.str()?.to_owned();
             let column = self.u16("index column")? as usize;

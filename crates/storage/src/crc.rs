@@ -49,7 +49,14 @@ const fn build_tables() -> [[u32; 256]; 8] {
 
 /// Compute the CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+    crc32_resume(0, data)
+}
+
+/// The CRC-32 of `a` followed by `data`, given `crc`, the CRC-32 of `a`:
+/// how a file read or written a piece at a time is checksummed. `crc32(x)`
+/// is `crc32_resume(0, x)`.
+pub fn crc32_resume(crc: u32, data: &[u8]) -> u32 {
+    let mut crc = !crc;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -120,6 +127,17 @@ pub(crate) mod tests {
                 crc32_bytewise(&buf[align..align + 4096]),
                 crc32(&buf[align..align + 4096])
             );
+        }
+    }
+
+    /// Resumed at every cut of a buffer, the CRC is the whole buffer's.
+    #[test]
+    fn resuming_at_any_cut_equals_the_whole() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 + i / 5) as u8).collect();
+        let whole = crc32(&data);
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(crc32_resume(crc32(a), b), whole, "cut at {cut}");
         }
     }
 

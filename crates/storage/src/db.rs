@@ -1182,7 +1182,7 @@ mod tests {
             let snap = db.snapshot();
             let tbl = snap.table("dbo.t").unwrap();
             assert_eq!(tbl.def.indexes.len(), 1);
-            assert_eq!(tbl.sec_index(0).len(), 2);
+            assert_eq!(tbl.sec[0].len(), 2);
             snap.verify_indexes().unwrap();
             drop(snap);
             // Checkpoint, then more DML, then crash again: the index def now
@@ -1195,7 +1195,7 @@ mod tests {
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
         let snap = db.snapshot();
         let tbl = snap.table("dbo.t").unwrap();
-        assert_eq!(tbl.sec_index(0).len(), 3);
+        assert_eq!(tbl.sec[0].len(), 3);
         snap.verify_indexes().unwrap();
         drop(snap);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1220,7 +1220,7 @@ mod tests {
         let tbl = snap.table("dbo.t").unwrap();
         assert_eq!(tbl.def.indexes.len(), 1, "scratch gone, keep restored");
         assert!(tbl.def.index_pos("t_keep").is_some());
-        assert_eq!(tbl.sec_index(0).len(), 1, "restored index is backfilled");
+        assert_eq!(tbl.sec[0].len(), 1, "restored index is backfilled");
         snap.verify_indexes().unwrap();
         drop(snap);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -10,17 +10,18 @@
 //!
 //! The interface is `BTreeMap`-shaped (`get`, `insert`, `remove`, `range`,
 //! double-ended iterators in key order, `Index`) so call sites read the
-//! same. [`PSet`] is the same tree with no values; secondary indexes nest it
-//! as their row-id buckets, which makes a write to a bucket of n/7 ids cost
-//! a path, not the bucket.
+//! same. [`PSet`] is the same tree with no values; a secondary index is one
+//! of them over `(value, row id)` pairs, so a write to a column that holds
+//! only seven values still costs one path.
 //!
 //! Shape: at most 32 (`FANOUT`) entries per leaf and children per internal
 //! node, all leaves at one depth, no empty node below the root. A removal
 //! that leaves a node under half full merges it with a sibling (or evens
-//! the two out). One deliberate slack: appending past the end of a full
-//! node splits it *unevenly* — the full node stays full and the new one
-//! starts with one entry — because row ids only ever grow, and an even
-//! split would leave every leaf of a loaded table half empty.
+//! the two out). One deliberate slack: the last node of a level may be
+//! short. Appending past the end of a full node splits it *unevenly* — the
+//! full node stays full and the new one starts with one entry — because row
+//! ids only ever grow, and an even split would leave every leaf of a loaded
+//! table half empty; a bulk build fills its nodes the same way.
 
 use std::borrow::Borrow;
 use std::collections::HashSet;
@@ -244,14 +245,6 @@ fn rebalance<K: Clone, V: Clone>(seps: &mut Vec<K>, kids: &mut Vec<Arc<Node<K, V
     }
 }
 
-/// Sizes of the fewest chunks of at most `FANOUT` that `n` items fill
-/// evenly (so no chunk is under half full unless it is the only one).
-fn chunk_sizes(n: usize) -> impl Iterator<Item = usize> {
-    let chunks = n.div_ceil(FANOUT);
-    let (base, extra) = (n / chunks.max(1), n % chunks.max(1));
-    (0..chunks).map(move |i| base + usize::from(i < extra))
-}
-
 /// A persistent ordered map; see the module docs.
 pub struct PMap<K, V> {
     root: Option<Arc<Node<K, V>>>,
@@ -369,8 +362,8 @@ impl<K: Ord, V> PMap<K, V> {
     }
 
     /// Every key in order, from either end.
-    pub fn keys(&self) -> Keys<'_, K, V> {
-        Keys(self.iter())
+    pub fn keys(&self) -> impl DoubleEndedIterator<Item = &K> {
+        self.iter().map(|(k, _)| k)
     }
 
     /// Every value in key order, from either end.
@@ -449,36 +442,40 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     }
 
     /// Build a map from entries already in strictly ascending key order, in
-    /// O(n): leaves are filled directly and no key is searched for.
+    /// O(n): leaves are filled directly, in the order the entries come and
+    /// without collecting them first, and no key is searched for.
     ///
     /// # Panics
     /// If the keys are not strictly ascending.
     pub fn from_sorted(entries: impl IntoIterator<Item = (K, V)>) -> Self {
-        let (keys, vals): (Vec<K>, Vec<V>) = entries.into_iter().unzip();
-        assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "PMap::from_sorted needs strictly ascending keys"
-        );
-        let len = keys.len();
-        let (mut keys, mut vals) = (keys.into_iter(), vals.into_iter());
+        let mut entries = entries.into_iter().peekable();
+        let mut len = 0;
         // One level at a time, each node beside the smallest key under it
         // (its parent's separator).
-        let mut level: Vec<(K, Arc<Node<K, V>>)> = chunk_sizes(len)
-            .map(|n| {
-                let keys: Vec<K> = keys.by_ref().take(n).collect();
-                let vals: Vec<V> = vals.by_ref().take(n).collect();
-                (keys[0].clone(), Arc::new(Node::Leaf { keys, vals }))
-            })
-            .collect();
+        let mut level: Vec<(K, Arc<Node<K, V>>)> = Vec::new();
+        while entries.peek().is_some() {
+            let (mut keys, mut vals) = (Vec::with_capacity(FANOUT), Vec::with_capacity(FANOUT));
+            for (k, v) in entries.by_ref().take(FANOUT) {
+                keys.push(k);
+                vals.push(v);
+            }
+            let next = entries.peek().map(|(k, _)| k);
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1])
+                    && next.is_none_or(|k| keys[keys.len() - 1] < *k),
+                "PMap::from_sorted needs strictly ascending keys"
+            );
+            len += keys.len();
+            level.push((keys[0].clone(), Arc::new(Node::Leaf { keys, vals })));
+        }
         while level.len() > 1 {
             let mut nodes = level.into_iter();
-            level = chunk_sizes(nodes.len())
-                .map(|n| {
-                    let (mut mins, kids): (Vec<K>, Vec<_>) = nodes.by_ref().take(n).unzip();
-                    let min = mins.remove(0);
-                    (min, Arc::new(Node::Internal { seps: mins, kids }))
-                })
-                .collect();
+            level = Vec::with_capacity(nodes.len().div_ceil(FANOUT));
+            while nodes.len() > 0 {
+                let (mut mins, kids): (Vec<K>, Vec<_>) = nodes.by_ref().take(FANOUT).unzip();
+                let min = mins.remove(0);
+                level.push((min, Arc::new(Node::Internal { seps: mins, kids })));
+            }
         }
         PMap {
             root: level.pop().map(|(_, root)| root),
@@ -717,24 +714,6 @@ impl<K, V> DoubleEndedIterator for Range<'_, K, V> {
     }
 }
 
-/// Double-ended iterator over the keys of a [`PMap`] (and the members of a
-/// [`PSet`]).
-pub struct Keys<'a, K, V>(Range<'a, K, V>);
-
-impl<'a, K, V> Iterator for Keys<'a, K, V> {
-    type Item = &'a K;
-
-    fn next(&mut self) -> Option<&'a K> {
-        self.0.next().map(|(k, _)| k)
-    }
-}
-
-impl<K, V> DoubleEndedIterator for Keys<'_, K, V> {
-    fn next_back(&mut self) -> Option<Self::Item> {
-        self.0.next_back().map(|(k, _)| k)
-    }
-}
-
 /// A persistent ordered set: a [`PMap`] with no values.
 pub struct PSet<T>(PMap<T, ()>);
 
@@ -763,14 +742,15 @@ impl<T> PSet<T> {
 }
 
 impl<T: Ord> PSet<T> {
-    /// Is `t` a member?
-    pub fn contains(&self, t: &T) -> bool {
-        self.0.contains_key(t)
+    /// Every member in order, from either end.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &T> {
+        self.0.keys()
     }
 
-    /// Every member in order, from either end.
-    pub fn iter(&self) -> Keys<'_, T, ()> {
-        self.0.keys()
+    /// Members within `range`, in order, from either end; an inverted range
+    /// is empty.
+    pub fn range<R: RangeBounds<T>>(&self, range: R) -> impl DoubleEndedIterator<Item = &T> {
+        self.0.range(range).map(|(t, _)| t)
     }
 }
 
@@ -794,24 +774,9 @@ impl<T: Ord + Clone> PSet<T> {
     }
 }
 
-impl<T: Ord> PartialEq for PSet<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-
 impl<T: Ord + fmt::Debug> fmt::Debug for PSet<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-impl<'a, T: Ord> IntoIterator for &'a PSet<T> {
-    type Item = &'a T;
-    type IntoIter = Keys<'a, T, ()>;
-
-    fn into_iter(self) -> Keys<'a, T, ()> {
-        self.iter()
     }
 }
 

@@ -32,17 +32,18 @@
 //! all in [`load_segment`] — when the table is first touched (see
 //! [`crate::store`]).
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::codec::{self, DecodeError};
-use crate::crc::crc32;
+use crate::codec::{self, DecodeError, Reader};
+use crate::crc::crc32_resume;
+use crate::pmap::PMap;
 use crate::store::{normalize_name, Segment, Slot, Store, TableData};
-use crate::types::TxnId;
+use crate::types::{Row, RowId, TxnId};
 
 /// Magic header identifying a phoenix snapshot manifest (format version 2 —
 /// the multi-segment layout; version 1 was the monolithic `PHXSNAP1`).
@@ -74,119 +75,172 @@ pub fn segment_file_name(gen: u64, idx: usize) -> String {
     format!("phoenix.{gen:06}.{idx}.seg")
 }
 
-fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Bytes a segment is read, and written, a piece at a time in.
+const CHUNK: usize = 64 * 1024;
+
+/// Write `path` through `fill`, which hands each piece of the body to the
+/// function it is given, then seal it with a trailing CRC over everything,
+/// so a torn write is detectable (the atomic rename makes this nearly
+/// impossible, but cheap belt and braces for files everything else depends
+/// on): temp file, fsync, rename.
+fn write_atomically(
+    path: &Path,
+    fill: impl FnOnce(&mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()>,
+) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-    }
-    fs::rename(&tmp, path)?;
-    Ok(())
+    let mut file = BufWriter::with_capacity(CHUNK, File::create(&tmp)?);
+    let mut crc = 0;
+    fill(&mut |bytes| {
+        crc = crc32_resume(crc, bytes);
+        file.write_all(bytes)
+    })?;
+    file.write_all(&crc.to_le_bytes())?;
+    file.into_inner().map_err(|e| e.into_error())?.sync_data()?;
+    fs::rename(&tmp, path)
 }
 
-fn read_file(path: &Path) -> io::Result<Option<Vec<u8>>> {
-    match File::open(path) {
-        Ok(mut f) => {
-            // Sized up front: a segment is megabytes, and growing the buffer
-            // by doubling copies it several times over.
-            let mut bytes = Vec::with_capacity(f.metadata()?.len() as usize + 1);
-            f.read_to_end(&mut bytes)?;
-            Ok(Some(bytes))
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
+fn decode_err(e: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, DecodeError(e.into()))
 }
 
-fn seal(mut body: Vec<u8>) -> Vec<u8> {
-    // Trailing CRC over everything, so a torn write is detectable (the
-    // atomic rename makes this nearly impossible, but cheap belt and braces
-    // for files everything else depends on).
-    let crc = crc32(&body);
-    body.extend_from_slice(&crc.to_le_bytes());
-    body
-}
-
-fn unseal<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8], DecodeError> {
-    if bytes.len() < 12 {
-        return Err(DecodeError(format!("{what} too short")));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != stored_crc {
-        return Err(DecodeError(format!("{what} checksum mismatch")));
-    }
-    Ok(body)
-}
-
-fn decode_err(e: DecodeError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e)
-}
-
-/// Write one table's data as a segment file (temp + fsync + rename).
+/// Write one table's data as a segment file (temp + fsync + rename), a row
+/// at a time.
 pub fn write_segment(path: &Path, table: &TableData) -> io::Result<()> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(SEGMENT_MAGIC);
-    codec::put_table_def(&mut buf, &table.def);
-    buf.put_u64_le(table.next_row_id);
-    buf.put_u64_le(table.rows.len() as u64);
-    for (row_id, row) in &table.rows {
-        buf.put_u64_le(*row_id);
-        codec::put_row(&mut buf, row);
+    write_atomically(path, |out| {
+        let mut buf = Vec::new();
+        buf.put_slice(SEGMENT_MAGIC);
+        codec::put_table_def(&mut buf, &table.def);
+        buf.put_u64_le(table.next_row_id);
+        buf.put_u64_le(table.rows.len() as u64);
+        out(&buf)?;
+        for (row_id, row) in &table.rows {
+            buf.clear();
+            buf.put_u64_le(*row_id);
+            codec::put_row(&mut buf, row);
+            out(&buf)?;
+        }
+        Ok(())
+    })
+}
+
+/// A sealed file — a body, then the CRC-32 of the body — read `chunk` bytes
+/// at a time and summed into a CRC as it is read; nothing but the bytes not
+/// yet decoded is held.
+struct Unsealing {
+    file: File,
+    /// Body bytes not yet read from the file.
+    left: u64,
+    buf: Vec<u8>,
+    /// Where in `buf` the next item starts.
+    at: usize,
+    crc: u32,
+    chunk: usize,
+}
+
+impl Unsealing {
+    /// Open `path` and check that its body starts with `magic`.
+    fn open(path: &Path, magic: &[u8; 8], chunk: usize) -> io::Result<Unsealing> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        if len < 12 {
+            return Err(decode_err("file too short"));
+        }
+        let mut f = Unsealing {
+            file,
+            left: len - 4,
+            buf: Vec::new(),
+            at: 0,
+            crc: 0,
+            chunk,
+        };
+        if f.decode(|r| r.u64("magic"))? != u64::from_le_bytes(*magic) {
+            return Err(decode_err("bad magic"));
+        }
+        Ok(f)
     }
-    write_atomically(path, &seal(buf.to_vec()))
+
+    /// Read more of the body: a chunk, or as much as is held if that is
+    /// more, so an item longer than a chunk takes a few reads, not one per
+    /// chunk. `false` at the end of the body.
+    fn fill(&mut self) -> io::Result<bool> {
+        self.buf.drain(..self.at);
+        self.at = 0;
+        let held = self.buf.len();
+        let n = (self.chunk.max(held) as u64).min(self.left) as usize;
+        self.buf.resize(held + n, 0);
+        self.file.read_exact(&mut self.buf[held..])?;
+        self.crc = crc32_resume(self.crc, &self.buf[held..]);
+        self.left -= n as u64;
+        Ok(n > 0)
+    }
+
+    /// Decode one item with `read`, reading more of the body while what is
+    /// held does not decode and there is more to read: an item cut by the
+    /// end of a chunk is read again from its start.
+    fn decode<T>(
+        &mut self,
+        read: impl Fn(&mut Reader<'_>) -> Result<T, DecodeError>,
+    ) -> io::Result<T> {
+        loop {
+            let mut r = Reader::new(&self.buf[self.at..]);
+            match read(&mut r) {
+                Ok(item) => {
+                    self.at = self.buf.len() - r.remaining();
+                    return Ok(item);
+                }
+                Err(e) if !self.fill()? => return Err(decode_err(e.0)),
+                Err(_) => {}
+            }
+        }
+    }
+
+    /// Check that the body ends where the last item does, then read the
+    /// seal and check it.
+    fn check_seal(mut self) -> io::Result<()> {
+        if self.at < self.buf.len() || self.left > 0 {
+            return Err(decode_err("bytes past the last item"));
+        }
+        let mut seal = [0u8; 4];
+        self.file.read_exact(&mut seal)?;
+        if u32::from_le_bytes(seal) != self.crc {
+            return Err(decode_err("checksum mismatch"));
+        }
+        Ok(())
+    }
 }
 
 /// Load one table segment: the one place a segment file becomes a
 /// [`TableData`].
 pub fn load_segment(path: &Path) -> io::Result<TableData> {
-    let bytes = read_file(path)?.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("missing snapshot segment {}", path.display()),
-        )
-    })?;
-    let mut buf = unseal(&bytes, "segment").map_err(decode_err)?;
-    let mut magic = [0u8; 8];
-    if buf.remaining() < 8 {
-        return Err(decode_err(DecodeError("segment too short".into())));
-    }
-    buf.copy_to_slice(&mut magic);
-    if &magic != SEGMENT_MAGIC {
-        return Err(decode_err(DecodeError("bad segment magic".into())));
-    }
-    let mut inner = || -> Result<TableData, DecodeError> {
-        let def = codec::get_table_def(&mut buf)?;
-        if buf.remaining() < 16 {
-            return Err(DecodeError("truncated segment header".into()));
-        }
-        let next_row_id = buf.get_u64_le();
-        let nrows = buf.get_u64_le();
-        // Every row costs at least its 8-byte id, which bounds the count
-        // before anything is allocated for it.
-        if nrows > (buf.remaining() / 8) as u64 {
-            return Err(DecodeError("segment row count exceeds its size".into()));
-        }
-        let mut rows = Vec::with_capacity(nrows as usize);
-        for _ in 0..nrows {
-            if buf.remaining() < 8 {
-                return Err(DecodeError("truncated row id".into()));
-            }
-            let row_id = buf.get_u64_le();
-            if rows.last().is_some_and(|(last, _)| *last >= row_id) {
-                return Err(DecodeError("segment row ids not ascending".into()));
-            }
-            rows.push((row_id, codec::get_row(&mut buf)?));
-        }
-        TableData::from_rows(def, next_row_id, rows)
-            .map_err(|e| DecodeError(format!("segment rows rejected: {e}")))
-    };
-    inner().map_err(decode_err)
+    read_segment(path, CHUNK)
+}
+
+/// [`load_segment`], reading `chunk` bytes at a time. Rows decode straight
+/// into the row map; the checksum, summed as the file is read, is checked
+/// once the last row is in, and a mismatch drops everything built.
+fn read_segment(path: &Path, chunk: usize) -> io::Result<TableData> {
+    let mut seg = Unsealing::open(path, SEGMENT_MAGIC, chunk)?;
+    let def = seg.decode(|r| r.table_def())?;
+    let (next_row_id, nrows) = seg.decode(|r| Ok((r.u64("next row id")?, r.u64("row count")?)))?;
+    let mut failed = Ok(());
+    let mut last = None;
+    let rows = PMap::from_sorted((0..nrows).map_while(|_| {
+        let row = seg.decode(|r| Ok((r.u64("row id")?, r.row::<Row>()?)));
+        // Ascending, and short of the last id, which no row may take: the
+        // next id to assign is one past it.
+        let row = row.and_then(|(id, row)| match last {
+            _ if id == RowId::MAX => Err(decode_err("segment row id out of range")),
+            Some(last) if last >= id => Err(decode_err("segment row ids not ascending")),
+            _ => Ok((id, row)),
+        });
+        row.inspect(|(id, _)| last = Some(*id))
+            .map_err(|e| failed = Err(e))
+            .ok()
+    }));
+    failed?;
+    seg.check_seal()?;
+    TableData::from_rows(def, next_row_id, rows)
+        .map_err(|e| decode_err(format!("segment rows rejected: {e}")))
 }
 
 /// Write the manifest atomically, then fsync the directory so the rename —
@@ -206,7 +260,7 @@ pub fn write_manifest(path: &Path, m: &Manifest) -> io::Result<()> {
         codec::put_str(&mut buf, name);
         codec::put_str(&mut buf, sql);
     }
-    write_atomically(path, &seal(buf.to_vec()))?;
+    write_atomically(path, |out| out(&buf))?;
     if let Some(dir) = path.parent() {
         // Persist the rename itself — and, transitively, the earlier
         // segment renames in the same directory.
@@ -219,49 +273,25 @@ pub fn write_manifest(path: &Path, m: &Manifest) -> io::Result<()> {
 
 /// Load the manifest at `path`. Returns `Ok(None)` when none exists.
 pub fn load_manifest(path: &Path) -> io::Result<Option<Manifest>> {
-    let Some(bytes) = read_file(path)? else {
-        return Ok(None);
+    let mut f = match Unsealing::open(path, MANIFEST_MAGIC, CHUNK) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        f => f?,
     };
-    let mut buf = unseal(&bytes, "manifest").map_err(decode_err)?;
-    let mut magic = [0u8; 8];
-    if buf.remaining() < 8 {
-        return Err(decode_err(DecodeError("manifest too short".into())));
-    }
-    buf.copy_to_slice(&mut magic);
-    if &magic != MANIFEST_MAGIC {
-        return Err(decode_err(DecodeError("bad manifest magic".into())));
-    }
-    let mut inner = || -> Result<Manifest, DecodeError> {
-        if buf.remaining() < 20 {
-            return Err(DecodeError("truncated manifest header".into()));
-        }
-        let mark = buf.get_u64_le();
-        let gen = buf.get_u64_le();
-        let ntables = buf.get_u32_le();
-        let mut tables = Vec::with_capacity(ntables as usize);
-        for _ in 0..ntables {
-            let name = codec::get_str(&mut buf)?;
-            let file = codec::get_str(&mut buf)?;
-            tables.push((name, file));
-        }
-        if buf.remaining() < 4 {
-            return Err(DecodeError("truncated proc count".into()));
-        }
-        let nprocs = buf.get_u32_le();
-        let mut procs = Vec::with_capacity(nprocs as usize);
-        for _ in 0..nprocs {
-            let name = codec::get_str(&mut buf)?;
-            let sql = codec::get_str(&mut buf)?;
-            procs.push((name, sql));
-        }
-        Ok(Manifest {
-            mark,
-            gen,
-            tables,
-            procs,
-        })
+    let (mark, gen) = f.decode(|r| Ok((r.u64("mark")?, r.u64("generation")?)))?;
+    let mut pairs = || -> io::Result<Vec<(String, String)>> {
+        let n = f.decode(|r| r.u32("count"))?;
+        (0..n)
+            .map(|_| f.decode(|r| Ok((r.str()?.to_owned(), r.str()?.to_owned()))))
+            .collect()
     };
-    inner().map(Some).map_err(decode_err)
+    let (tables, procs) = (pairs()?, pairs()?);
+    f.check_seal()?;
+    Ok(Some(Manifest {
+        mark,
+        gen,
+        tables,
+        procs,
+    }))
 }
 
 /// Normalized table key → (segment file, the table image that file holds):
@@ -315,7 +345,7 @@ pub fn load(dir: &Path, path: &Path) -> io::Result<Option<LoadedSnapshot>> {
     for (name, sql) in &manifest.procs {
         store
             .create_proc(name, sql)
-            .map_err(|e| decode_err(DecodeError(format!("manifest proc rejected: {e}"))))?;
+            .map_err(|e| decode_err(format!("manifest proc rejected: {e}")))?;
     }
     Ok(Some(LoadedSnapshot {
         store,
@@ -352,6 +382,7 @@ pub fn remove_orphan_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::crc32;
     use crate::store::StoreError;
     use crate::types::{Column, DataType, Schema, TableDef, Value};
     use std::path::PathBuf;
@@ -553,6 +584,153 @@ mod tests {
         let loaded = load(&dir, &dir.join("phoenix.snapshot")).unwrap().unwrap();
         assert_eq!(loaded.mark, 7);
         assert_eq!(loaded.store.table("dbo.t").unwrap().len(), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What `write_segment` wrote before it streamed: the whole file built
+    /// in memory, then sealed. Kept as the reference the streamed file must
+    /// equal byte for byte.
+    fn segment_bytes_reference(table: &TableData) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        buf.put_slice(SEGMENT_MAGIC);
+        codec::put_table_def(&mut buf, &table.def);
+        buf.put_u64_le(table.next_row_id);
+        buf.put_u64_le(table.rows.len() as u64);
+        for (row_id, row) in &table.rows {
+            buf.put_u64_le(*row_id);
+            codec::put_row(&mut buf, row);
+        }
+        let mut body = buf.to_vec();
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    }
+
+    /// A table with a secondary index, NULLs and text, rows deleted so the
+    /// ids have gaps: what the hostile-bytes test mutates.
+    fn indexed_table() -> TableData {
+        let mut t = TableData::new(
+            TableDef::new(
+                "dbo.h",
+                Schema::new(vec![
+                    Column::new("id", DataType::Int).not_null(),
+                    Column::new("g", DataType::Int),
+                    Column::new("s", DataType::Text),
+                ]),
+            )
+            .with_primary_key(vec![0]),
+        );
+        t.create_index("h_g", 1).unwrap();
+        for i in 0..6i64 {
+            let g = if i % 3 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 2)
+            };
+            let s = if i == 4 {
+                Value::Null
+            } else {
+                Value::Text(format!("row-{i}"))
+            };
+            t.insert(vec![Value::Int(i), g, s]).unwrap();
+        }
+        t.delete(2).unwrap();
+        t
+    }
+
+    #[test]
+    fn a_streamed_segment_equals_the_reference_bytes_and_loads_back() {
+        let dir = temp_dir();
+        let path = dir.join("t.seg");
+        let table = indexed_table();
+        write_segment(&path, &table).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), segment_bytes_reference(&table));
+        for chunk in [1, 2, 5, 64, CHUNK] {
+            let back = read_segment(&path, chunk).unwrap();
+            assert_eq!(back.rows, table.rows, "chunk {chunk}");
+            assert_eq!(back.next_row_id, table.next_row_id);
+            assert_eq!(back.def, table.def);
+            back.verify_indexes().unwrap();
+            assert_eq!(back.sec[0].distinct(), 3);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Hostile segment bytes through the streaming loader: truncated at
+    /// every byte (so at every chunk boundary of a 7-byte chunk), every bit
+    /// flipped, and lies in the row count, a row's arity, a string's length
+    /// and a row id under a recomputed seal. Each is an error, never a panic, and
+    /// no part of the table reaches the store's slot: the table stays an
+    /// error however often it is touched.
+    #[test]
+    fn hostile_segment_bytes_are_errors_and_build_nothing() {
+        let dir = temp_dir();
+        let mut store = Store::new();
+        store
+            .create_table(indexed_table().def.as_ref().clone())
+            .unwrap();
+        *store.table_mut("dbo.h").unwrap() = indexed_table();
+        write_full(&dir, &store, 1, 1);
+        let path = dir.join(segment_file_name(1, 0));
+        let good = fs::read(&path).unwrap();
+        let resealed = |mut bytes: Vec<u8>| {
+            let body = bytes.len() - 4;
+            let crc = crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_le_bytes());
+            bytes
+        };
+        // Offsets of the fields the lies rewrite.
+        let mut def = BytesMut::new();
+        codec::put_table_def(&mut def, &store.table("dbo.h").unwrap().def);
+        let count_at = 8 + def.len() + 8;
+        let arity_at = count_at + 8 + 8;
+        // The first row is (0, NULL, 'row-0'): its string length follows
+        // two tags, the int's eight bytes and the text tag.
+        let str_len_at = arity_at + 2 + 1 + 8 + 1 + 1;
+        assert_eq!(good[str_len_at..str_len_at + 4], 5u32.to_le_bytes());
+        // The last row's id, 6, just before its row and the seal.
+        let mut last_row = BytesMut::new();
+        codec::put_row(&mut last_row, &store.table("dbo.h").unwrap().rows[&6]);
+        let last_id_at = good.len() - 4 - last_row.len() - 8;
+        assert_eq!(good[last_id_at..last_id_at + 8], 6u64.to_le_bytes());
+
+        let mut variants: Vec<(String, Vec<u8>)> = Vec::new();
+        for cut in 0..good.len() {
+            variants.push((format!("cut at {cut}"), good[..cut].to_vec()));
+        }
+        for bit in 0..good.len() * 8 {
+            let mut b = good.clone();
+            b[bit / 8] ^= 1 << (bit % 8);
+            variants.push((format!("bit {bit} flipped"), b));
+        }
+        for (at, width, lies) in [
+            (count_at, 8, &[0u64, 4, 6, u64::MAX][..]),
+            (arity_at, 2, &[0, 2, 4, 0xFFFF]),
+            (str_len_at, 4, &[0, 4, 6, 0xFFFF_FFFF]),
+            (last_id_at, 8, &[5, u64::MAX]),
+        ] {
+            for &lie in lies {
+                let mut b = good.clone();
+                b[at..at + width].copy_from_slice(&lie.to_le_bytes()[..width]);
+                variants.push((format!("{lie} written at {at}"), resealed(b)));
+            }
+        }
+        for (what, bytes) in &variants {
+            fs::write(&path, bytes).unwrap();
+            for chunk in [7, CHUNK] {
+                assert!(read_segment(&path, chunk).is_err(), "{what}, chunk {chunk}");
+            }
+            let loaded = load(&dir, &dir.join("phoenix.snapshot")).unwrap().unwrap();
+            for _ in 0..2 {
+                assert!(
+                    matches!(loaded.store.table("dbo.h"), Err(StoreError::Segment { .. })),
+                    "{what}"
+                );
+            }
+            assert_eq!(loaded.store.tables().count(), 0, "{what}");
+        }
+        fs::write(&path, &good).unwrap();
+        assert_eq!(read_segment(&path, 7).unwrap().len(), 5);
         fs::remove_dir_all(&dir).unwrap();
     }
 

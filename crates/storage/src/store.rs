@@ -31,6 +31,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -130,8 +131,8 @@ impl std::error::Error for StoreError {}
 ///
 /// Every map is a persistent [`PMap`] and the definition sits behind an
 /// [`Arc`], so `clone` is O(1) and a write copies only the tree nodes on the
-/// path to the rows it touches — including inside an index bucket, which
-/// for a low-cardinality column holds a large share of the table's row ids.
+/// path to the rows it touches — in a secondary index too, however many rows
+/// share the value it writes.
 ///
 /// Secondary indexes are *derived* state: every mutation path funnels
 /// through [`TableData::insert_with_id`], [`TableData::delete`] or
@@ -146,55 +147,98 @@ pub struct TableData {
     pub rows: PMap<RowId, Row>,
     /// Primary-key index; empty map when no key is declared.
     pub pk_index: PMap<Vec<Value>, RowId>,
-    /// Secondary indexes, parallel to `def.indexes`: indexed-column value →
-    /// ids of the rows holding it. Non-unique, so the payload is a set.
+    /// Secondary indexes, parallel to `def.indexes`.
     pub sec: Vec<SecIndex>,
     /// Next row id to assign (never reused).
     pub next_row_id: RowId,
 }
 
-/// One secondary index: indexed-column value → the ids of the rows holding
-/// it.
-pub type SecIndex = PMap<Value, PSet<RowId>>;
-
-/// Add `row_id` to index `ix` under `value`.
-fn index_add(ix: &mut SecIndex, value: &Value, row_id: RowId) {
-    match ix.get_mut(value) {
-        Some(ids) => {
-            ids.insert(row_id);
-        }
-        None => {
-            ix.insert(value.clone(), PSet::from_sorted([row_id]));
-        }
-    }
+/// One secondary index: a persistent set of `(value, row id)` pairs, one per
+/// row, so the rows holding a value, or a range of values, are one run of
+/// it, in id order within each value. It counts its distinct values as it
+/// goes, which is what the planner's per-value estimate divides by.
+#[derive(Debug, Clone, Default)]
+pub struct SecIndex {
+    entries: PSet<(Value, RowId)>,
+    distinct: usize,
 }
 
-/// Remove `row_id` from index `ix` under `value`, pruning an empty bucket.
-fn index_remove(ix: &mut SecIndex, value: &Value, row_id: RowId) {
-    if let Some(ids) = ix.get_mut(value) {
-        ids.remove(&row_id);
-        if ids.is_empty() {
-            ix.remove(value);
+impl SecIndex {
+    /// Build the index of `column` over `rows`: sort the `(value, id)` pairs
+    /// once, in place, then fill the set bottom-up.
+    fn build<'a>(rows: impl Iterator<Item = (&'a RowId, &'a Row)>, column: usize) -> SecIndex {
+        let mut pairs: Vec<(&Value, RowId)> = rows.map(|(id, row)| (&row[column], *id)).collect();
+        pairs.sort_unstable();
+        let mut distinct = 0;
+        let mut last: Option<&Value> = None;
+        let entries = PSet::from_sorted(pairs.into_iter().map(|(v, id)| {
+            distinct += usize::from(last != Some(v));
+            last = Some(v);
+            (v.clone(), id)
+        }));
+        SecIndex { entries, distinct }
+    }
+
+    /// Entries: one per row.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// No entries?
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Distinct values indexed (NULL counts as one).
+    pub fn distinct(&self) -> usize {
+        self.distinct
+    }
+
+    /// Ids of the rows whose value lies within `lo`..`hi`, in `(value, id)`
+    /// order, from either end; an inverted range is empty. A bound on a
+    /// value becomes a bound on the pairs that hold it: past every id of an
+    /// excluded value, up to and including every id of an included one.
+    pub fn range(
+        &self,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+    ) -> impl DoubleEndedIterator<Item = RowId> + '_ {
+        let lo = match lo {
+            Bound::Included(v) => Bound::Included((v.clone(), RowId::MIN)),
+            Bound::Excluded(v) => Bound::Excluded((v.clone(), RowId::MAX)),
+            Bound::Unbounded => Bound::Unbounded,
+        };
+        let hi = match hi {
+            Bound::Included(v) => Bound::Included((v.clone(), RowId::MAX)),
+            Bound::Excluded(v) => Bound::Excluded((v.clone(), RowId::MIN)),
+            Bound::Unbounded => Bound::Unbounded,
+        };
+        self.entries.range((lo, hi)).map(|&(_, id)| id)
+    }
+
+    /// Ids of the rows holding `v`, ascending.
+    pub fn get(&self, v: &Value) -> impl DoubleEndedIterator<Item = RowId> + '_ {
+        self.range(Bound::Included(v), Bound::Included(v))
+    }
+
+    fn insert(&mut self, v: &Value, id: RowId) {
+        self.entries.insert((v.clone(), id));
+        let first = self.get(v).nth(1).is_none();
+        self.distinct += usize::from(first);
+    }
+
+    fn remove(&mut self, v: &Value, id: RowId) {
+        if self.entries.remove(&(v.clone(), id)) {
+            let last = self.get(v).next().is_none();
+            self.distinct -= usize::from(last);
         }
     }
-}
-
-/// Build one index over `rows` (ascending by id) in a single pass: sort the
-/// `(value, id)` pairs once, then fill buckets and index bottom-up.
-fn build_index<'a>(rows: impl Iterator<Item = (RowId, &'a Row)>, column: usize) -> SecIndex {
-    let mut pairs: Vec<(&Value, RowId)> = rows.map(|(id, row)| (&row[column], id)).collect();
-    // Stable, so ids stay ascending inside each bucket.
-    pairs.sort_by(|a, b| a.0.cmp(b.0));
-    PMap::from_sorted(pairs.chunk_by(|a, b| a.0 == b.0).map(|bucket| {
-        let ids = PSet::from_sorted(bucket.iter().map(|&(_, id)| id));
-        (bucket[0].0.clone(), ids)
-    }))
 }
 
 impl TableData {
     /// An empty table with the given definition.
     pub fn new(def: TableDef) -> TableData {
-        let sec = vec![PMap::new(); def.indexes.len()];
+        let sec = vec![SecIndex::default(); def.indexes.len()];
         TableData {
             def: Arc::new(def),
             rows: PMap::new(),
@@ -204,35 +248,39 @@ impl TableData {
         }
     }
 
-    /// A table holding `rows`, which must be in strictly ascending id order
-    /// (how a snapshot segment stores them): every map is bulk-built, so a
-    /// load costs one sort per index instead of a tree descent per row.
-    /// `next_row_id` is raised past the largest id if it is not already.
+    /// A table holding `rows` (how a snapshot segment loads): every index is
+    /// bulk-built from the finished map, so a load costs at most one sort
+    /// per index instead of a tree descent per row, and none for a primary
+    /// key whose values already ascend with the row ids. `next_row_id` is
+    /// raised past the largest id if it is not already.
     pub(crate) fn from_rows(
         def: TableDef,
         next_row_id: RowId,
-        rows: Vec<(RowId, Row)>,
+        rows: PMap<RowId, Row>,
     ) -> Result<TableData, StoreError> {
         let mut data = TableData::new(def);
-        for (_, row) in &rows {
+        for row in rows.values() {
             data.check_arity(row)?;
         }
-        if data.def.has_primary_key() {
-            let mut keys: Vec<(Vec<Value>, RowId)> = rows
-                .iter()
-                .map(|(id, row)| (data.def.key_of(row), *id))
-                .collect();
-            keys.sort();
-            if keys.windows(2).any(|w| w[0].0 == w[1].0) {
-                return Err(StoreError::DuplicateKey(data.def.name.clone()));
+        let def = Arc::clone(&data.def);
+        if def.has_primary_key() {
+            let pk = &def.primary_key;
+            let cmp = |a: &Row, b: &Row| pk.iter().map(|&c| &a[c]).cmp(pk.iter().map(|&c| &b[c]));
+            let mut by_key: Vec<(&Row, RowId)> = rows.iter().map(|(id, r)| (r, *id)).collect();
+            if !by_key.is_sorted_by(|a, b| cmp(a.0, b.0).is_lt()) {
+                by_key.sort_unstable_by(|a, b| cmp(a.0, b.0));
+                if by_key.windows(2).any(|w| cmp(w[0].0, w[1].0).is_eq()) {
+                    return Err(StoreError::DuplicateKey(def.name.clone()));
+                }
             }
-            data.pk_index = PMap::from_sorted(keys);
+            data.pk_index =
+                PMap::from_sorted(by_key.into_iter().map(|(r, id)| (def.key_of(r), id)));
         }
-        for (k, ix) in data.def.indexes.iter().enumerate() {
-            data.sec[k] = build_index(rows.iter().map(|(id, row)| (*id, row)), ix.column);
+        for (k, ix) in def.indexes.iter().enumerate() {
+            data.sec[k] = SecIndex::build(rows.iter(), ix.column);
         }
-        data.next_row_id = next_row_id.max(rows.last().map_or(1, |(id, _)| id + 1));
-        data.rows = PMap::from_sorted(rows);
+        data.next_row_id = next_row_id.max(rows.keys().next_back().map_or(1, |id| id + 1));
+        data.rows = rows;
         Ok(data)
     }
 
@@ -281,7 +329,7 @@ impl TableData {
             self.pk_index.insert(key, row_id);
         }
         for (ix, def) in self.sec.iter_mut().zip(&self.def.indexes) {
-            index_add(ix, &row[def.column], row_id);
+            ix.insert(&row[def.column], row_id);
         }
         self.rows.insert(row_id, row);
         if row_id >= self.next_row_id {
@@ -307,7 +355,7 @@ impl TableData {
             self.pk_index.remove(&self.def.key_of(&row));
         }
         for (ix, def) in self.sec.iter_mut().zip(&self.def.indexes) {
-            index_remove(ix, &row[def.column], row_id);
+            ix.remove(&row[def.column], row_id);
         }
         Ok(row)
     }
@@ -334,8 +382,8 @@ impl TableData {
         for (ix, def) in self.sec.iter_mut().zip(&self.def.indexes) {
             let (was, is) = (&old[def.column], &new_row[def.column]);
             if was != is {
-                index_remove(ix, was, row_id);
-                index_add(ix, is, row_id);
+                ix.remove(was, row_id);
+                ix.insert(is, row_id);
             }
         }
         Ok(self
@@ -417,10 +465,7 @@ impl TableData {
         if self.def.index_pos(name).is_some() {
             return Err(StoreError::IndexExists(name.to_string()));
         }
-        self.sec.push(build_index(
-            self.rows.iter().map(|(id, row)| (*id, row)),
-            column,
-        ));
+        self.sec.push(SecIndex::build(self.rows.iter(), column));
         Arc::make_mut(&mut self.def).indexes.push(IndexDef {
             name: name.to_string(),
             column,
@@ -439,27 +484,25 @@ impl TableData {
         Ok(Arc::make_mut(&mut self.def).indexes.remove(pos))
     }
 
-    /// The secondary-index map for `def.indexes[pos]`.
-    pub fn sec_index(&self, pos: usize) -> &SecIndex {
-        &self.sec[pos]
-    }
-
     /// Cross-check every secondary index against the row image: each row
-    /// must appear under exactly its column value, and every indexed id
-    /// must reference a live row. Used by chaos sweeps after recovery. The
-    /// expectation is built in `std` collections, so it shares no code with
-    /// the maps it audits.
+    /// must appear under exactly its column value, every indexed id must
+    /// reference a live row, and the distinct-value count must be the
+    /// number of values the rows hold. Used by chaos sweeps after recovery.
+    /// The expectation is built in `std` collections, so it shares no code
+    /// with the maps it audits.
     pub fn verify_indexes(&self) -> Result<(), String> {
         for (k, ix) in self.def.indexes.iter().enumerate() {
             let mut expect: BTreeMap<&Value, BTreeSet<RowId>> = BTreeMap::new();
             for (&row_id, row) in &self.rows {
                 expect.entry(&row[ix.column]).or_default().insert(row_id);
             }
-            let same = self.sec[k].len() == expect.len()
-                && self.sec[k]
-                    .iter()
-                    .zip(&expect)
-                    .all(|((v, ids), (ev, eids))| v == *ev && ids.iter().eq(eids));
+            let pairs = expect
+                .iter()
+                .flat_map(|(&v, ids)| ids.iter().map(move |&id| (v, id)));
+            let sec = &self.sec[k];
+            let same = sec.len() == self.rows.len()
+                && sec.distinct() == expect.len()
+                && sec.entries.iter().map(|(v, id)| (v, *id)).eq(pairs);
             if !same {
                 return Err(format!(
                     "index '{}' on '{}' diverges from table rows",
@@ -1161,22 +1204,18 @@ mod tests {
         let c = t
             .insert(vec![Value::Int(3), Value::Text("y".into())])
             .unwrap();
-        let bucket = |t: &TableData, v: &str| -> Vec<RowId> {
-            t.sec_index(0)[&Value::Text(v.into())]
-                .iter()
-                .copied()
-                .collect()
+        let ids = |t: &TableData, v: &str| -> Vec<RowId> {
+            t.sec[0].get(&Value::Text(v.into())).collect()
         };
-        assert_eq!(bucket(&t, "x"), [a, b], "non-unique bucket holds both rows");
+        assert_eq!(ids(&t, "x"), [a, b], "a non-unique value holds both rows");
+        assert_eq!(t.sec[0].distinct(), 2);
         t.update(b, vec![Value::Int(2), Value::Text("y".into())])
             .unwrap();
-        assert_eq!(bucket(&t, "x"), [a]);
-        assert_eq!(bucket(&t, "y"), [b, c]);
+        assert_eq!(ids(&t, "x"), [a]);
+        assert_eq!(ids(&t, "y"), [b, c]);
         t.delete(a).unwrap();
-        assert!(
-            !t.sec_index(0).contains_key(&Value::Text("x".into())),
-            "empty buckets are pruned"
-        );
+        assert!(ids(&t, "x").is_empty());
+        assert_eq!(t.sec[0].distinct(), 1, "a value no row holds is gone");
         t.verify_indexes().unwrap();
     }
 
@@ -1187,8 +1226,8 @@ mod tests {
             .unwrap();
         t.insert(vec![Value::Int(2), Value::Null]).unwrap();
         t.create_index("c_name", 1).unwrap();
-        assert_eq!(t.sec_index(0).len(), 2);
-        assert!(t.sec_index(0).contains_key(&Value::Null));
+        assert_eq!(t.sec[0].len(), 2);
+        assert_eq!(t.sec[0].get(&Value::Null).count(), 1);
         t.verify_indexes().unwrap();
         assert!(matches!(
             t.create_index("C_NAME", 0),
@@ -1239,7 +1278,7 @@ mod tests {
         )
         .unwrap();
         let t = s.table("dbo.t").unwrap();
-        assert_eq!(t.sec_index(0).len(), 2);
+        assert_eq!(t.sec[0].len(), 2);
         s.verify_indexes().unwrap();
         assert!(s.find_index_owner("T_NAME").is_some());
         s.apply(
