@@ -17,6 +17,7 @@
 use std::ops::Bound;
 
 use phoenix_sql::ast::{Expr, ObjectName, SelectItem, SelectStmt};
+use phoenix_storage::store::Key;
 use phoenix_storage::types::{Row, Schema, Value};
 
 use crate::error::{EngineError, ErrorCode, Result};
@@ -81,7 +82,7 @@ enum State {
         predicate: Option<Scalar>,
         projection: Vec<usize>,
         /// Key of the last row delivered; `None` before the first fetch.
-        last_key: Option<Vec<Value>>,
+        last_key: Option<Key>,
     },
 }
 
@@ -356,8 +357,8 @@ impl Cursor {
     }
 }
 
-fn row_passes(pred: Option<&Scalar>, row: &Row) -> Result<bool> {
-    pred.map_or(Ok(true), |p| p.holds(&[row.as_slice()]))
+fn row_passes(pred: Option<&Scalar>, row: &[Value]) -> Result<bool> {
+    pred.map_or(Ok(true), |p| p.holds(&[row]))
 }
 
 fn projected_schema(data: &phoenix_storage::store::TableData, projection: &[usize]) -> Schema {

@@ -141,7 +141,7 @@ impl From<StoreError> for EngineError {
             | StoreError::NoSuchIndex(_)
             | StoreError::NoSuchRow { .. } => ErrorCode::NotFound,
             StoreError::DuplicateKey(_) | StoreError::ArityMismatch { .. } => ErrorCode::Constraint,
-            StoreError::Segment { .. } => ErrorCode::Storage,
+            StoreError::Segment { .. } | StoreError::RowIdOutOfRange { .. } => ErrorCode::Storage,
         };
         EngineError::new(code, e.to_string())
     }

@@ -660,10 +660,12 @@ pub fn truth(v: &Value) -> Result<Option<bool>> {
 pub fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering> {
     use Value::*;
     let ord = match (a, b) {
+        // Numerically: `Value`'s order puts `1` before `1.0`, SQL calls
+        // them equal.
+        (Int(x), Float(y)) => (*x as f64).total_cmp(y),
+        (Float(x), Int(y)) => x.total_cmp(&(*y as f64)),
         (Int(_), Int(_))
         | (Float(_), Float(_))
-        | (Int(_), Float(_))
-        | (Float(_), Int(_))
         | (Text(_), Text(_))
         | (Bool(_), Bool(_))
         | (Date(_), Date(_)) => a.cmp(b),
@@ -1393,6 +1395,11 @@ mod tests {
     fn comparisons_and_coercion() {
         assert_eq!(ev("t.a > 4").unwrap(), Value::Bool(true));
         assert_eq!(ev("t.a = 5.0").unwrap(), Value::Bool(true));
+        // `Value` orders 5 before 5.0; SQL calls them equal, both ways round.
+        for sql in ["5.0 = t.a", "t.a >= 5.0", "5.0 <= t.a", "t.a IN (5.0)"] {
+            assert_eq!(ev(sql).unwrap(), Value::Bool(true), "{sql}");
+        }
+        assert_eq!(ev("t.a BETWEEN 5.0 AND 5.0").unwrap(), Value::Bool(true));
         assert_eq!(
             ev("DATE '1994-06-01' < '1995-01-01'").unwrap(),
             Value::Bool(true)

@@ -188,13 +188,13 @@ pub fn compute_update(
 
     let mut out = Vec::new();
     for (&rid, row) in &data.rows {
-        let tuple = [row.as_slice()];
+        let tuple = [&**row];
         if let Some(p) = &pred {
             if !p.holds(&tuple)? {
                 continue;
             }
         }
-        let mut new_row = row.clone();
+        let mut new_row = row.to_vec();
         for (idx, expr) in &targets {
             let v = expr.eval(&tuple)?;
             let col = &data.def.schema.columns[*idx];
@@ -233,7 +233,7 @@ pub fn compute_delete(
     for (&rid, row) in &data.rows {
         let hit = match &pred {
             None => true,
-            Some(p) => p.holds(&[row.as_slice()])?,
+            Some(p) => p.holds(&[&**row])?,
         };
         if hit {
             out.push(rid);

@@ -38,7 +38,7 @@ use phoenix_sql::ast::{
     BinaryOp, Expr, InsertSource, Literal, ObjectName, SelectItem, SelectStmt, Statement,
 };
 use phoenix_sql::display::render_expr;
-use phoenix_storage::store::{SecIndex, TableData};
+use phoenix_storage::store::{Key, SecIndex, TableData};
 use phoenix_storage::types::{Column, DataType, Row, RowId, Schema, Value};
 
 #[cfg(test)]
@@ -947,7 +947,7 @@ fn access<'a>(
     let base = vec![NO_ROW; width];
     let mut out = Tuples::new(width);
     {
-        let mut visit = |row: &'a Row| out.push(&base, t, row, filters);
+        let mut visit = |row: &'a [Value]| out.push(&base, t, row, filters);
         match access {
             Access::Scan => {
                 for row in table.rows.values() {
@@ -1020,7 +1020,7 @@ fn access<'a>(
                 }
             }
             Access::PkOrder { desc } => {
-                let entries: Box<dyn Iterator<Item = (&Vec<Value>, &RowId)>> = if *desc {
+                let entries: Box<dyn Iterator<Item = (&Key, &RowId)>> = if *desc {
                     Box::new(table.pk_index.iter().rev())
                 } else {
                     Box::new(table.pk_index.iter())

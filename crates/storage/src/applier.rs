@@ -483,7 +483,7 @@ mod tests {
         let base = TableData::from_rows(
             t_def(),
             4,
-            PMap::from_sorted((1..4).map(|id| (id, vec![Value::Int(id as i64), Value::Null]))),
+            PMap::from_sorted((1..4).map(|id| (id, [Value::Int(id as i64), Value::Null].into()))),
         )
         .unwrap();
         snapshot::write_segment(&path, &base).unwrap();

@@ -257,7 +257,7 @@ pub fn get_value(buf: &mut impl Buf) -> Result<Value, DecodeError> {
 }
 
 /// Encode a row (arity + values).
-pub fn put_row(buf: &mut impl BufMut, row: &Row) {
+pub fn put_row(buf: &mut impl BufMut, row: &[Value]) {
     buf.put_u16_le(row.len() as u16);
     for v in row {
         put_value(buf, v);

@@ -629,11 +629,6 @@ impl Durable {
         result
     }
 
-    /// Is `txn` currently active?
-    pub fn is_active(&self, txn: TxnId) -> bool {
-        self.active.lock().contains_key(&txn)
-    }
-
     /// Error unless `txn` is active.
     fn check_active(&self, txn: TxnId) -> Result<(), DbError> {
         if self.active.lock().contains_key(&txn) {
@@ -691,7 +686,7 @@ impl Durable {
                     pending.push_front(LogRecord::InsertMany {
                         txn,
                         table: table.clone(),
-                        first_row_id: first_row_id + rows.len() as RowId,
+                        first_row_id: first_row_id.saturating_add(rows.len() as RowId),
                         rows: tail,
                     });
                     pending.push_front(LogRecord::InsertMany {
@@ -794,7 +789,7 @@ impl Durable {
         let mut ids = 0..0;
         self.write(txn, |s| {
             let first_row_id = s.table(table)?.next_row_id;
-            ids = first_row_id..first_row_id + rows.len() as RowId;
+            ids = first_row_id..first_row_id.saturating_add(rows.len() as RowId);
             if rows.is_empty() {
                 return Ok(Vec::new());
             }
@@ -1136,7 +1131,7 @@ mod tests {
         let store = db.snapshot();
         let tbl = store.table("dbo.t").unwrap();
         assert_eq!(tbl.len(), 1);
-        assert_eq!(tbl.rows[&1], row(1, "a"));
+        assert_eq!(*tbl.rows[&1], row(1, "a"));
         assert!(!tbl.rows.contains_key(&rid));
         assert!(store.proc("p").is_none());
         drop(store);
@@ -1249,7 +1244,7 @@ mod tests {
         // The old snapshot still shows exactly the pre-mutation image …
         let tbl = before.table("dbo.t").unwrap();
         assert_eq!(tbl.len(), 1);
-        assert_eq!(tbl.rows[&1], row(1, "a"));
+        assert_eq!(*tbl.rows[&1], row(1, "a"));
         // … while a fresh one sees everything.
         let after = db.snapshot();
         let tbl = after.table("dbo.t").unwrap();
@@ -1487,7 +1482,7 @@ mod tests {
             assert_eq!(snap.table_names(), ["dbo.t"], "{what}");
             let tbl = snap.table("dbo.t").unwrap();
             assert_eq!(tbl.len(), 1, "{what}");
-            assert_eq!(tbl.rows[&1], row(1, "a"), "{what}");
+            assert_eq!(*tbl.rows[&1], row(1, "a"), "{what}");
             assert_eq!(tbl.def.indexes.len(), 1, "{what}");
             assert_eq!(tbl.def.indexes[0].column, 1, "{what}");
             assert_eq!(snap.proc_names(), ["p"], "{what}");
@@ -1643,8 +1638,8 @@ mod tests {
         }
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
         let snap = db.snapshot();
-        assert_eq!(snap.table("acct").unwrap().rows[&1], row(1, "debit"));
-        assert_eq!(snap.table("dbo.acct").unwrap().rows[&1], row(1, "credit"));
+        assert_eq!(*snap.table("acct").unwrap().rows[&1], row(1, "debit"));
+        assert_eq!(*snap.table("dbo.acct").unwrap().rows[&1], row(1, "credit"));
         assert_eq!(snap.table("acct").unwrap().len(), 1);
         assert_eq!(snap.table("dbo.acct").unwrap().len(), 1);
         drop(snap);
@@ -1672,13 +1667,13 @@ mod tests {
             let snap = db.snapshot();
             let acct = snap.table("acct").unwrap();
             assert_eq!(acct.len(), 1);
-            assert_eq!(acct.rows[&1], row(1, "a"));
+            assert_eq!(*acct.rows[&1], row(1, "a"));
             assert!(snap.table("dbo.acct").unwrap().is_empty());
             assert!(!snap.has_proc("p"));
         }
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
         let snap = db.snapshot();
-        assert_eq!(snap.table("acct").unwrap().rows[&1], row(1, "a"));
+        assert_eq!(*snap.table("acct").unwrap().rows[&1], row(1, "a"));
         assert!(snap.table("dbo.acct").unwrap().is_empty());
         assert!(!snap.has_proc("p"));
         drop(snap);

@@ -43,7 +43,7 @@ use crate::codec::{self, DecodeError, Reader};
 use crate::crc::crc32_resume;
 use crate::pmap::PMap;
 use crate::store::{normalize_name, Segment, Slot, Store, TableData};
-use crate::types::{Row, RowId, TxnId};
+use crate::types::{Row, TxnId};
 
 /// Magic header identifying a phoenix snapshot manifest (format version 2 —
 /// the multi-segment layout; version 1 was the monolithic `PHXSNAP1`).
@@ -225,11 +225,9 @@ fn read_segment(path: &Path, chunk: usize) -> io::Result<TableData> {
     let mut failed = Ok(());
     let mut last = None;
     let rows = PMap::from_sorted((0..nrows).map_while(|_| {
-        let row = seg.decode(|r| Ok((r.u64("row id")?, r.row::<Row>()?)));
-        // Ascending, and short of the last id, which no row may take: the
-        // next id to assign is one past it.
+        let row = seg.decode(|r| Ok((r.u64("row id")?, r.row::<Row>()?.into_boxed_slice())));
+        // Ascending; `from_rows` refuses the last id, which no row may take.
         let row = row.and_then(|(id, row)| match last {
-            _ if id == RowId::MAX => Err(decode_err("segment row id out of range")),
             Some(last) if last >= id => Err(decode_err("segment row ids not ascending")),
             _ => Ok((id, row)),
         });
@@ -658,10 +656,11 @@ mod tests {
 
     /// Hostile segment bytes through the streaming loader: truncated at
     /// every byte (so at every chunk boundary of a 7-byte chunk), every bit
-    /// flipped, and lies in the row count, a row's arity, a string's length
-    /// and a row id under a recomputed seal. Each is an error, never a panic, and
-    /// no part of the table reaches the store's slot: the table stays an
-    /// error however often it is touched.
+    /// flipped, and lies in the header's next row id, the row count, a
+    /// row's arity, a string's length and a row id under a recomputed seal.
+    /// Each is an error, never a panic, and no part of the table reaches
+    /// the store's slot: the table stays an error however often it is
+    /// touched.
     #[test]
     fn hostile_segment_bytes_are_errors_and_build_nothing() {
         let dir = temp_dir();
@@ -704,7 +703,8 @@ mod tests {
             variants.push((format!("bit {bit} flipped"), b));
         }
         for (at, width, lies) in [
-            (count_at, 8, &[0u64, 4, 6, u64::MAX][..]),
+            (count_at - 8, 8, &[u64::MAX][..]),
+            (count_at, 8, &[0, 4, 6, u64::MAX]),
             (arity_at, 2, &[0, 2, 4, 0xFFFF]),
             (str_len_at, 4, &[0, 4, 6, 0xFFFF_FFFF]),
             (last_id_at, 8, &[5, u64::MAX]),

@@ -29,9 +29,11 @@
 //! once-cell, so a segment is read, and its tail redone, at most once
 //! however many store images hold it.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::Bound;
+use std::ops::{Bound, Deref};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -75,6 +77,14 @@ pub enum StoreError {
     IndexExists(String),
     /// Reference to an index that does not exist.
     NoSuchIndex(String),
+    /// A row id of `u64::MAX`, from a log record or a segment's next id: no
+    /// row may take it, as the next id to assign is one past it.
+    RowIdOutOfRange {
+        /// The table.
+        table: String,
+        /// The id.
+        row_id: RowId,
+    },
     /// The table exists, but the snapshot segment holding its rows could not
     /// be read back (missing, truncated, checksum or decode failure), or the
     /// log tail recovery deferred for it did not redo.
@@ -111,6 +121,9 @@ impl fmt::Display for StoreError {
             }
             StoreError::IndexExists(n) => write!(f, "index '{n}' already exists"),
             StoreError::NoSuchIndex(n) => write!(f, "no such index '{n}'"),
+            StoreError::RowIdOutOfRange { table, row_id } => {
+                write!(f, "row id {row_id} is out of range in table '{table}'")
+            }
             StoreError::Segment {
                 table,
                 file,
@@ -144,13 +157,72 @@ pub struct TableData {
     /// The table definition.
     pub def: Arc<TableDef>,
     /// Rows by stable id; iteration order is insertion order.
-    pub rows: PMap<RowId, Row>,
+    pub rows: PMap<RowId, Box<[Value]>>,
     /// Primary-key index; empty map when no key is declared.
-    pub pk_index: PMap<Vec<Value>, RowId>,
+    pub pk_index: PMap<Key, RowId>,
     /// Secondary indexes, parallel to `def.indexes`.
     pub sec: Vec<SecIndex>,
     /// Next row id to assign (never reused).
     pub next_row_id: RowId,
+}
+
+/// A primary key as the pk index holds it: a one-column key inline, a
+/// wider one boxed, so a one-column key costs its value and no heap block
+/// of its own. It is the size of a [`Value`]. Both forms dereference to the
+/// key's values, and order and compare as that slice, which is also what
+/// the index is looked up and walked by (`Borrow<[Value]>`).
+#[derive(Debug, Clone)]
+pub enum Key {
+    /// A one-column key.
+    One(Value),
+    /// A key of several columns, in key order.
+    Many(Box<[Value]>),
+}
+
+impl From<&[Value]> for Key {
+    fn from(values: &[Value]) -> Key {
+        match values {
+            [one] => Key::One(one.clone()),
+            many => Key::Many(many.into()),
+        }
+    }
+}
+
+impl Deref for Key {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        match self {
+            Key::One(v) => std::slice::from_ref(v),
+            Key::Many(vs) => vs,
+        }
+    }
+}
+
+impl Borrow<[Value]> for Key {
+    fn borrow(&self) -> &[Value] {
+        self
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Key {}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// One secondary index: a persistent set of `(value, row id)` pairs, one per
@@ -166,7 +238,10 @@ pub struct SecIndex {
 impl SecIndex {
     /// Build the index of `column` over `rows`: sort the `(value, id)` pairs
     /// once, in place, then fill the set bottom-up.
-    fn build<'a>(rows: impl Iterator<Item = (&'a RowId, &'a Row)>, column: usize) -> SecIndex {
+    fn build<'a>(
+        rows: impl Iterator<Item = (&'a RowId, &'a Box<[Value]>)>,
+        column: usize,
+    ) -> SecIndex {
         let mut pairs: Vec<(&Value, RowId)> = rows.map(|(id, row)| (&row[column], *id)).collect();
         pairs.sort_unstable();
         let mut distinct = 0;
@@ -252,34 +327,45 @@ impl TableData {
     /// bulk-built from the finished map, so a load costs at most one sort
     /// per index instead of a tree descent per row, and none for a primary
     /// key whose values already ascend with the row ids. `next_row_id` is
-    /// raised past the largest id if it is not already.
+    /// raised past the largest id if it is not already; neither may be
+    /// `u64::MAX`.
     pub(crate) fn from_rows(
         def: TableDef,
         next_row_id: RowId,
-        rows: PMap<RowId, Row>,
+        rows: PMap<RowId, Box<[Value]>>,
     ) -> Result<TableData, StoreError> {
         let mut data = TableData::new(def);
+        let last = rows.keys().next_back().copied();
+        for row_id in [Some(next_row_id), last].into_iter().flatten() {
+            data.check_row_id(row_id)?;
+        }
         for row in rows.values() {
             data.check_arity(row)?;
         }
         let def = Arc::clone(&data.def);
         if def.has_primary_key() {
             let pk = &def.primary_key;
-            let cmp = |a: &Row, b: &Row| pk.iter().map(|&c| &a[c]).cmp(pk.iter().map(|&c| &b[c]));
-            let mut by_key: Vec<(&Row, RowId)> = rows.iter().map(|(id, r)| (r, *id)).collect();
+            let cmp =
+                |a: &[Value], b: &[Value]| pk.iter().map(|&c| &a[c]).cmp(pk.iter().map(|&c| &b[c]));
+            // A thin pointer to each boxed row: 16 bytes a row.
+            let mut by_key: Vec<(&Box<[Value]>, RowId)> =
+                rows.iter().map(|(id, r)| (r, *id)).collect();
             if !by_key.is_sorted_by(|a, b| cmp(a.0, b.0).is_lt()) {
                 by_key.sort_unstable_by(|a, b| cmp(a.0, b.0));
                 if by_key.windows(2).any(|w| cmp(w[0].0, w[1].0).is_eq()) {
                     return Err(StoreError::DuplicateKey(def.name.clone()));
                 }
             }
-            data.pk_index =
-                PMap::from_sorted(by_key.into_iter().map(|(r, id)| (def.key_of(r), id)));
+            data.pk_index = PMap::from_sorted(
+                by_key
+                    .into_iter()
+                    .map(|(r, id)| (Key::from(&*def.key_of(r)), id)),
+            );
         }
         for (k, ix) in def.indexes.iter().enumerate() {
             data.sec[k] = SecIndex::build(rows.iter(), ix.column);
         }
-        data.next_row_id = next_row_id.max(rows.keys().next_back().map_or(1, |id| id + 1));
+        data.next_row_id = next_row_id.max(last.map_or(1, |id| id + 1));
         data.rows = rows;
         Ok(data)
     }
@@ -299,13 +385,23 @@ impl TableData {
         self.pk_index.get(key).copied()
     }
 
-    fn check_arity(&self, row: &Row) -> Result<(), StoreError> {
+    fn check_arity(&self, row: &[Value]) -> Result<(), StoreError> {
         let expected = self.def.schema.len();
         if row.len() != expected {
             return Err(StoreError::ArityMismatch {
                 table: self.def.name.clone(),
                 expected,
                 got: row.len(),
+            });
+        }
+        Ok(())
+    }
+
+    fn check_row_id(&self, row_id: RowId) -> Result<(), StoreError> {
+        if row_id == RowId::MAX {
+            return Err(StoreError::RowIdOutOfRange {
+                table: self.def.name.clone(),
+                row_id,
             });
         }
         Ok(())
@@ -320,18 +416,19 @@ impl TableData {
 
     /// Insert with a specific row id (what replaying an `Insert` does).
     pub fn insert_with_id(&mut self, row_id: RowId, row: Row) -> Result<(), StoreError> {
+        self.check_row_id(row_id)?;
         self.check_arity(&row)?;
         if self.def.has_primary_key() {
             let key = self.def.key_of(&row);
-            if self.pk_index.contains_key(&key) {
+            if self.pk_index.contains_key(&*key) {
                 return Err(StoreError::DuplicateKey(self.def.name.clone()));
             }
-            self.pk_index.insert(key, row_id);
+            self.pk_index.insert(Key::from(&*key), row_id);
         }
         for (ix, def) in self.sec.iter_mut().zip(&self.def.indexes) {
             ix.insert(&row[def.column], row_id);
         }
-        self.rows.insert(row_id, row);
+        self.rows.insert(row_id, row.into_boxed_slice());
         if row_id >= self.next_row_id {
             self.next_row_id = row_id + 1;
         }
@@ -352,12 +449,12 @@ impl TableData {
             .remove(&row_id)
             .ok_or_else(|| self.no_such_row(row_id))?;
         if self.def.has_primary_key() {
-            self.pk_index.remove(&self.def.key_of(&row));
+            self.pk_index.remove(&*self.def.key_of(&row));
         }
         for (ix, def) in self.sec.iter_mut().zip(&self.def.indexes) {
             ix.remove(&row[def.column], row_id);
         }
-        Ok(row)
+        Ok(row.into_vec())
     }
 
     /// Replace a row in place, returning the previous image. Only the
@@ -372,11 +469,11 @@ impl TableData {
             let old_key = self.def.key_of(old);
             let new_key = self.def.key_of(&new_row);
             if old_key != new_key {
-                if self.pk_index.contains_key(&new_key) {
+                if self.pk_index.contains_key(&*new_key) {
                     return Err(StoreError::DuplicateKey(self.def.name.clone()));
                 }
-                self.pk_index.remove(&old_key);
-                self.pk_index.insert(new_key, row_id);
+                self.pk_index.remove(&*old_key);
+                self.pk_index.insert(Key::from(&*new_key), row_id);
             }
         }
         for (ix, def) in self.sec.iter_mut().zip(&self.def.indexes) {
@@ -388,8 +485,9 @@ impl TableData {
         }
         Ok(self
             .rows
-            .insert(row_id, new_row)
-            .expect("row looked up above"))
+            .insert(row_id, new_row.into_boxed_slice())
+            .expect("row looked up above")
+            .into_vec())
     }
 
     /// Apply one row record (`Insert`, `InsertMany`, `Delete`, `Update`) that
@@ -418,7 +516,9 @@ impl TableData {
                 first_row_id,
                 rows,
             } => {
-                for (row_id, row) in (first_row_id..).zip(rows) {
+                // A run past the last id saturates there, which is refused.
+                for (k, row) in (0..).zip(rows) {
+                    let row_id = first_row_id.saturating_add(k);
                     self.insert_with_id(row_id, row)?;
                     if let Some(inverses) = inverses.as_deref_mut() {
                         let table = table.clone();
@@ -1107,7 +1207,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            s.table("dbo.t").unwrap().rows[&1],
+            *s.table("dbo.t").unwrap().rows[&1],
             vec![Value::Int(1), Value::Text("b".into())]
         );
         s.apply(
@@ -1140,8 +1240,8 @@ mod tests {
         )
         .unwrap();
         let t = s.table("dbo.t").unwrap();
-        assert_eq!(t.rows[&5], vec![Value::Int(1), Value::Null]);
-        assert_eq!(t.rows[&6], vec![Value::Int(2), Value::Null]);
+        assert_eq!(*t.rows[&5], vec![Value::Int(1), Value::Null]);
+        assert_eq!(*t.rows[&6], vec![Value::Int(2), Value::Null]);
         assert_eq!(t.next_row_id, 7);
     }
 
@@ -1291,6 +1391,13 @@ mod tests {
         )
         .unwrap();
         assert!(s.find_index_owner("t_name").is_none());
+    }
+
+    /// A one-column key is held inline: a `Key` costs what a `Value` does.
+    #[test]
+    fn a_key_is_the_size_of_a_value() {
+        assert_eq!(std::mem::size_of::<Key>(), std::mem::size_of::<Value>());
+        assert_eq!(std::mem::size_of::<Value>(), 24);
     }
 
     #[test]

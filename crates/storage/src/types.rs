@@ -4,6 +4,7 @@
 //! these types, so a row read off the network is byte-for-byte the row that
 //! was logged and the row the executor evaluates predicates over.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -72,9 +73,13 @@ impl fmt::Display for DataType {
 /// A single SQL value.
 ///
 /// `Value` implements a *total* order (`Ord`): `NULL` sorts first, then
-/// booleans, integers/floats (compared numerically against each other),
-/// dates, and text. The executor's ORDER BY, the keyset cursor's key order
-/// and the B-tree-style primary-key lookups all rely on this order.
+/// booleans, integers/floats (compared numerically against each other; of
+/// an integer and a float that compare equal, the integer first), dates,
+/// and text. So `cmp` is `Equal` exactly when `==` holds, and a map keyed
+/// by values never holds two keys it cannot tell apart. The executor's
+/// ORDER BY, the keyset cursor's key order and the B-tree-style
+/// primary-key lookups all rely on this order; SQL comparison
+/// (`phoenix-engine`'s `eval::compare`) makes `1 = 1.0` true on its own.
 ///
 /// Floats use IEEE-754 *total ordering* throughout (`f64::total_cmp`), and
 /// `PartialEq`/`Hash` are defined to agree with it bit-for-bit: `-0.0` and
@@ -142,14 +147,6 @@ impl Value {
         }
     }
 
-    /// Boolean view, if this is a `Bool` value.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Coerce this value to `ty` where a lossless or conventional conversion
     /// exists (int↔float, int→date). Used when inserting literals into typed
     /// columns. Returns `None` when no sensible coercion exists.
@@ -166,14 +163,16 @@ impl Value {
         }
     }
 
-    /// Rank used by the total order: groups values by type family.
+    /// Rank used by the total order: orders the type families, and breaks
+    /// a numeric tie between an integer and a float.
     fn type_rank(&self) -> u8 {
         match self {
             Value::Null => 0,
             Value::Bool(_) => 1,
-            Value::Int(_) | Value::Float(_) => 2,
-            Value::Date(_) => 3,
-            Value::Text(_) => 4,
+            Value::Int(_) => 2,
+            Value::Float(_) => 3,
+            Value::Date(_) => 4,
+            Value::Text(_) => 5,
         }
     }
 }
@@ -198,8 +197,7 @@ impl Eq for Value {}
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
         use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
+        let ord = match (self, other) {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
@@ -207,8 +205,9 @@ impl Ord for Value {
             (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
             (Date(a), Date(b)) => a.cmp(b),
             (Text(a), Text(b)) => a.cmp(b),
-            _ => self.type_rank().cmp(&other.type_rank()),
-        }
+            _ => Ordering::Equal,
+        };
+        ord.then_with(|| self.type_rank().cmp(&other.type_rank()))
     }
 }
 
@@ -449,9 +448,16 @@ impl TableDef {
         self
     }
 
-    /// Extract the primary-key values of `row`, in key order.
-    pub fn key_of(&self, row: &Row) -> Vec<Value> {
-        self.primary_key.iter().map(|&i| row[i].clone()).collect()
+    /// The primary-key values of `row`, in key order: borrowed when the key
+    /// is one column, or adjacent columns in order, and collected otherwise.
+    pub fn key_of<'r>(&self, row: &'r [Value]) -> Cow<'r, [Value]> {
+        let pk = &self.primary_key;
+        let first = pk.first().copied().unwrap_or(0);
+        if (first..).zip(pk).all(|(c, &k)| c == k) {
+            Cow::Borrowed(&row[first..first + pk.len()])
+        } else {
+            pk.iter().map(|&i| row[i].clone()).collect()
+        }
     }
 
     /// Does the table declare a primary key?
@@ -498,8 +504,64 @@ mod tests {
 
     #[test]
     fn int_float_cross_comparison() {
-        assert_eq!(Value::Int(2).cmp(&Value::Float(2.0)), Ordering::Equal);
+        assert_eq!(Value::Int(2).cmp(&Value::Float(2.0)), Ordering::Less);
+        assert_eq!(Value::Float(2.0).cmp(&Value::Int(2)), Ordering::Greater);
         assert_eq!(Value::Float(1.5).cmp(&Value::Int(2)), Ordering::Less);
+        assert_eq!(Value::Int(2).cmp(&Value::Float(2.5)), Ordering::Less);
+    }
+
+    /// `cmp` is `Equal` exactly when `==` holds, over every pair of a mix
+    /// of types with numeric ties, signed zeros and NaN; so a `PMap` keyed
+    /// by them holds what a `BTreeMap` does, and finds each key.
+    #[test]
+    fn value_order_agrees_with_equality() {
+        use crate::pmap::PMap;
+        use std::collections::BTreeMap;
+        let big = 1i64 << 53;
+        let vs = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(-1),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::Float(-1.0),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(1.0),
+            Value::Float(1.5),
+            Value::Float(big as f64),
+            Value::Float(f64::NAN),
+            Value::Date(0),
+            Value::Date(1),
+            Value::Text(String::new()),
+            Value::Text("1".into()),
+        ];
+        for a in &vs {
+            for b in &vs {
+                assert_eq!(a.cmp(b) == Ordering::Equal, a == b, "{a:?} vs {b:?}");
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} vs {b:?}");
+                for c in &vs {
+                    if a < b && b < c {
+                        assert!(a < c, "{a:?} < {b:?} < {c:?}");
+                    }
+                }
+            }
+        }
+        let (mut p, mut m) = (PMap::new(), BTreeMap::new());
+        // Every value twice, in a scrambled order: the second insert
+        // replaces the first on both maps.
+        for i in 0..2 * vs.len() {
+            let v = &vs[i * 7 % vs.len()];
+            assert_eq!(p.insert(v.clone(), i), m.insert(v.clone(), i), "{v:?}");
+        }
+        assert_eq!(p.len(), vs.len());
+        assert!(p.iter().eq(m.iter()));
+        for v in &vs {
+            assert_eq!(p.get(v), m.get(v), "{v:?}");
+        }
     }
 
     #[test]
@@ -551,7 +613,7 @@ mod tests {
         )
         .with_primary_key(vec![1]);
         assert_eq!(
-            def.key_of(&vec![Value::Int(1), Value::Text("k".into())]),
+            def.key_of(&[Value::Int(1), Value::Text("k".into())]),
             vec![Value::Text("k".into())]
         );
     }

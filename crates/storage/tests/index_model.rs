@@ -9,10 +9,18 @@
 //! rows holding one value, the rows in a range at every bound kind (bounds
 //! inside a run of equal values included, from both ends), the number of
 //! distinct values, and a range's count capped as the planner caps it.
+//!
+//! The primary-key index is modelled the same way, by a
+//! `BTreeMap<Vec<Value>, RowId>`: inserts, deletes and updates that change
+//! the key or keep it, with every duplicate refused and the table left as
+//! it was. Keys of one column (integers and floats, `1` and `1.0` apart),
+//! of two adjacent columns and of two columns out of schema order; lookups
+//! by a borrowed slice, and ranges at every bound kind from both ends.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 
+use phoenix_storage::store::StoreError;
 use phoenix_storage::types::{Column, DataType, RowId, Schema, TableDef, Value};
 use phoenix_storage::TableData;
 
@@ -187,7 +195,7 @@ fn run_case(seed: u64, steps: usize) {
             }
             5..=7 => {
                 let id = live[rng.below(live.len() as u64) as usize];
-                let old = t.rows[&id].clone();
+                let old = t.rows[&id].to_vec();
                 let mut new = old.clone();
                 if rng.below(2) == 0 {
                     new[G] = g_value(&mut rng);
@@ -227,5 +235,155 @@ fn run_case(seed: u64, steps: usize) {
 fn the_flat_index_answers_as_the_model_does() {
     for seed in 1..=4 {
         run_case(seed, 700);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The primary-key index.
+// ---------------------------------------------------------------------------
+
+type PkModel = BTreeMap<Vec<Value>, RowId>;
+
+/// A value of column `c` of the pk table `(a, b, c)`: few enough that keys
+/// collide often. `a` mixes integers with floats, some equal to them.
+fn pk_value(rng: &mut Rng, c: usize) -> Value {
+    let n = rng.below(6) as i64;
+    match (c, rng.below(3)) {
+        (0, 0) => Value::Float(n as f64),
+        (0, 1) => Value::Float(n as f64 + 0.5),
+        (0, _) | (1, _) => Value::Int(n),
+        _ => Value::Text(format!("k{n}")),
+    }
+}
+
+fn pk_key(rng: &mut Rng, pk: &[usize]) -> Vec<Value> {
+    pk.iter().map(|&c| pk_value(rng, c)).collect()
+}
+
+fn pk_bound(rng: &mut Rng, pk: &[usize]) -> Bound<Vec<Value>> {
+    match rng.below(3) {
+        0 => Bound::Unbounded,
+        1 => Bound::Included(pk_key(rng, pk)),
+        _ => Bound::Excluded(pk_key(rng, pk)),
+    }
+}
+
+fn check_pk(t: &TableData, model: &PkModel, rng: &mut Rng, what: &str) {
+    let pk = &t.def.primary_key;
+    assert_eq!(t.pk_index.len(), model.len(), "{what}: entries");
+    assert!(
+        t.pk_index
+            .iter()
+            .map(|(k, id)| (&k[..], *id))
+            .eq(model.iter().map(|(k, id)| (&k[..], *id))),
+        "{what}: entries differ"
+    );
+    for (key, id) in model {
+        assert_eq!(t.def.key_of(&t.rows[id]), *key, "{what}: row {id}");
+    }
+    for _ in 0..6 {
+        let key = pk_key(rng, pk);
+        assert_eq!(
+            t.row_id_by_key(&key),
+            model.get(&key).copied(),
+            "{what}: {key:?}"
+        );
+    }
+    for _ in 0..6 {
+        let (lo, hi) = (pk_bound(rng, pk), pk_bound(rng, pk));
+        let slices = (
+            lo.as_ref().map(Vec::as_slice),
+            hi.as_ref().map(Vec::as_slice),
+        );
+        let want: Vec<RowId> = model
+            .iter()
+            .filter(|(k, _)| (lo.as_ref(), hi.as_ref()).contains(*k))
+            .map(|(_, id)| *id)
+            .collect();
+        let got = || t.pk_index.range::<[Value], _>(slices).map(|(_, id)| *id);
+        assert_eq!(got().collect::<Vec<_>>(), want, "{what}: {lo:?}..{hi:?}");
+        assert!(
+            got().rev().eq(want.iter().rev().copied()),
+            "{what}: reversed"
+        );
+    }
+}
+
+fn run_pk_case(seed: u64, pk: Vec<usize>, steps: usize) {
+    let mut rng = Rng(seed);
+    let mut t = TableData::new(
+        TableDef::new(
+            "dbo.k",
+            Schema::new(vec![
+                Column::new("a", DataType::Float),
+                Column::new("b", DataType::Int),
+                Column::new("c", DataType::Text),
+                Column::new("v", DataType::Int),
+            ]),
+        )
+        .with_primary_key(pk.clone()),
+    );
+    let mut model = PkModel::new();
+    let key_of = |row: &[Value]| pk.iter().map(|&c| row[c].clone()).collect::<Vec<_>>();
+    for step in 0..steps {
+        let what = format!("seed {seed} key {pk:?} step {step}");
+        let (before, before_model) = (t.clone(), model.clone());
+        let live: Vec<RowId> = t.rows.keys().copied().collect();
+        let mut row: Vec<Value> = (0..3).map(|c| pk_value(&mut rng, c)).collect();
+        row.push(Value::Int(step as i64));
+        match if live.len() < 8 { 0 } else { rng.below(10) } {
+            0..=4 => match t.insert(row.clone()) {
+                Ok(id) => assert!(model.insert(key_of(&row), id).is_none(), "{what}"),
+                Err(e) => {
+                    assert!(matches!(e, StoreError::DuplicateKey(_)), "{what}: {e}");
+                    assert!(model.contains_key(&key_of(&row)), "{what}: refused");
+                }
+            },
+            5..=7 => {
+                let id = live[rng.below(live.len() as u64) as usize];
+                let old = t.rows[&id].to_vec();
+                // Half the updates keep the key and change only `v`.
+                if rng.below(2) == 0 {
+                    row = old.clone();
+                    row[3] = Value::Int(-(step as i64));
+                }
+                let (was, is) = (key_of(&old), key_of(&row));
+                match t.update(id, row.clone()) {
+                    Ok(prev) => {
+                        assert_eq!(prev, old, "{what}");
+                        model.remove(&was);
+                        assert!(model.insert(is, id).is_none(), "{what}");
+                    }
+                    Err(e) => {
+                        assert!(matches!(e, StoreError::DuplicateKey(_)), "{what}: {e}");
+                        assert!(was != is && model.contains_key(&is), "{what}: refused");
+                        assert_eq!(*t.rows[&id], old, "{what}: a refused update");
+                    }
+                }
+            }
+            _ => {
+                let id = live[rng.below(live.len() as u64) as usize];
+                let old = t.delete(id).unwrap();
+                assert_eq!(model.remove(&key_of(&old)), Some(id), "{what}");
+            }
+        }
+        check_pk(&t, &model, &mut rng, &what);
+        check_pk(
+            &before,
+            &before_model,
+            &mut rng,
+            &format!("{what}, the clone"),
+        );
+    }
+}
+
+#[test]
+fn the_pk_index_answers_as_the_model_does() {
+    // One column; two adjacent ones, looked up as a borrowed run of the
+    // row; two out of schema order, collected.
+    for pk in [vec![0], vec![1, 2], vec![2, 0]] {
+        for seed in 1..=3 {
+            run_pk_case(seed, pk.clone(), 400);
+        }
     }
 }

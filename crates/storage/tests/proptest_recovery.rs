@@ -745,7 +745,7 @@ fn image(store: &Store, what: &str) -> Image {
     let mut tables: Vec<_> = store
         .tables()
         .map(|t| {
-            let rows = t.rows.iter().map(|(id, r)| (*id, r.clone())).collect();
+            let rows = t.rows.iter().map(|(id, r)| (*id, r.to_vec())).collect();
             ((*t.def).clone(), t.next_row_id, rows)
         })
         .collect();
@@ -858,7 +858,7 @@ fn table_image(db: &Durable, name: &str) -> Result<TableImage, String> {
     let snap = db.snapshot();
     let t = snap.table(name).map_err(|e| e.to_string())?;
     t.verify_indexes()?;
-    let rows = t.rows.iter().map(|(id, r)| (*id, r.clone())).collect();
+    let rows = t.rows.iter().map(|(id, r)| (*id, r.to_vec())).collect();
     Ok(((*t.def).clone(), t.next_row_id, rows))
 }
 
@@ -1074,7 +1074,10 @@ impl Model {
                         column,
                     })
                     .collect();
-                (def, t.rows.iter().map(|(id, r)| (*id, r.clone())).collect())
+                (
+                    def,
+                    t.rows.iter().map(|(id, r)| (*id, r.to_vec())).collect(),
+                )
             })
             .collect();
         let procs = self.procs.iter().map(|(n, s)| (n.clone(), s.clone()));

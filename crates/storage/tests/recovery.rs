@@ -686,6 +686,40 @@ fn a_failed_redo_fails_its_table_only() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A log record's row id of `u64::MAX` — an `Insert` of it, or an
+/// `InsertMany` whose run of ids reaches it — fails its table as any tail
+/// that does not redo, never an overflow or a wrap to id 0.
+#[test]
+fn a_row_id_of_u64_max_in_the_log_fails_its_table() {
+    for tag in ["maxid", "maxrun"] {
+        let (dir, txn, _) = checkpointed_t(tag);
+        let rec = match tag {
+            "maxid" => insert(txn, "dbo.t", u64::MAX),
+            _ => Some(LogRecord::InsertMany {
+                txn,
+                table: "dbo.t".into(),
+                first_row_id: u64::MAX - 1,
+                rows: vec![row(7, "a"), row(8, "b")],
+            }),
+        };
+        append_records(&dir, vec![rec, Some(LogRecord::Commit { txn })]);
+        let db = Durable::open(&dir, Durability::Fsync).unwrap();
+        let e = db
+            .snapshot()
+            .table("dbo.t")
+            .map(|_| ())
+            .unwrap_err()
+            .to_string();
+        assert!(
+            e.contains("dbo.t") && e.contains("out of range"),
+            "{tag}: {e}"
+        );
+        assert_eq!(ids(&db, "dbo.u"), vec![1], "{tag}");
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// A checkpoint writes a table nothing has touched since the open with its
 /// log tail redone, and the directory reopens to the same tables with no
 /// tail left.

@@ -10,7 +10,9 @@
 //!   plus one 16-byte-per-row sort buffer (the segment is streamed, not
 //!   read whole, and rows go straight into their map);
 //! - the secondary index keeps at most 48 bytes per row (one flat set of
-//!   `(value, row id)` pairs, not a set per value).
+//!   `(value, row id)` pairs, not a set per value);
+//! - the primary-key index keeps at most 40 bytes per row (a one-column
+//!   key held inline, not in a `Vec` of its own).
 //!
 //! And a length lie costs no more than the bytes that carry it: a row or a
 //! schema whose `u16` arity claims 65 535 entries reserves room for no
@@ -75,6 +77,13 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     (out, after.saturating_sub(before), peak - before)
 }
 
+/// Drop `t`; return the bytes that freed.
+fn freed<T>(t: T) -> usize {
+    let before = LIVE.load(Ordering::Relaxed);
+    drop(t);
+    before - LIVE.load(Ordering::Relaxed)
+}
+
 const ROWS: u64 = 50_000;
 const MIB: usize = 1 << 20;
 
@@ -121,14 +130,17 @@ fn a_loaded_table_costs_its_rows_and_a_length_lie_costs_nothing() {
     );
 
     let mut loaded = loaded;
-    let index = std::mem::take(&mut loaded.sec[0]);
-    let before = LIVE.load(Ordering::Relaxed);
-    drop(index);
-    let index_bytes = before - LIVE.load(Ordering::Relaxed);
+    let index_bytes = freed(std::mem::take(&mut loaded.sec[0]));
     assert!(
         index_bytes <= 48 * rows,
         "the index keeps {index_bytes} bytes, {} per row",
         index_bytes / rows
+    );
+    let pk_bytes = freed(std::mem::take(&mut loaded.pk_index));
+    assert!(
+        pk_bytes <= 40 * rows,
+        "the pk index keeps {pk_bytes} bytes, {} per row",
+        pk_bytes / rows
     );
     drop(loaded);
 
