@@ -110,11 +110,11 @@ fn def(name: &str) -> TableDef {
 /// load phase out of the measurement; the WAL bytes are identical.
 fn load(dir: &Path, spec: &SizeSpec) {
     let db = Durable::open(dir, Durability::Buffered).unwrap();
-    let t = db.begin().unwrap();
+    let mut t = db.begin_txn();
     for i in 0..spec.tables {
-        db.create_table(t, def(&table_name(i))).unwrap();
+        t.create_table(def(&table_name(i))).unwrap();
     }
-    db.commit(t).unwrap();
+    db.commit_txn(t).unwrap();
 
     const BATCH: u64 = 50;
     let mut written = 0u64;
@@ -125,12 +125,11 @@ fn load(dir: &Path, spec: &SizeSpec) {
                 break;
             }
             let name = table_name(i);
-            let t = db.begin().unwrap();
+            let mut t = db.begin_txn();
             let n = BATCH.min(spec.records - written);
             for k in 0..n {
                 let id = (round * BATCH + k) as i64;
-                db.insert(
-                    t,
+                t.insert(
                     &name,
                     vec![
                         Value::Int(id),
@@ -140,7 +139,7 @@ fn load(dir: &Path, spec: &SizeSpec) {
                 )
                 .unwrap();
             }
-            db.commit(t).unwrap();
+            db.commit_txn(t).unwrap();
             written += n;
         }
         round += 1;
@@ -256,27 +255,25 @@ fn run_size(spec: &SizeSpec, reps: usize, check: bool) -> SizeResult {
     let db = open(&dir);
     db.checkpoint().unwrap();
     let full = db.checkpoint_stats();
-    let t = db.begin().unwrap();
-    db.insert(
-        t,
+    let mut t = db.begin_txn();
+    t.insert(
         &table_name(0),
         vec![Value::Int(-1), Value::Int(-1), Value::Text("touch".into())],
     )
     .unwrap();
-    db.commit(t).unwrap();
+    db.commit_txn(t).unwrap();
     db.checkpoint().unwrap();
     let incr = db.checkpoint_stats();
     // Leave one table's worth of log tail past the checkpoint, and restart:
     // the open reads no segment and leaves that table behind its one-insert
     // tail; touching every table then loads each and redoes the tail.
-    let t = db.begin().unwrap();
-    db.insert(
-        t,
+    let mut t = db.begin_txn();
+    t.insert(
         &table_name(0),
         vec![Value::Int(-2), Value::Int(-2), Value::Text("tail".into())],
     )
     .unwrap();
-    db.commit(t).unwrap();
+    db.commit_txn(t).unwrap();
     drop(db);
     let db = open(&dir);
     let reopened = db.recovery_report().clone();

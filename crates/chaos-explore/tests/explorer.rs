@@ -243,9 +243,9 @@ fn torn_reply_frame_recovers_cleanly() {
 }
 
 /// Satellite: crash mid-WAL inside index-maintained DML. The plan starts
-/// counting only after CREATE INDEX, so the scheduled `wal.append` visit lands
-/// inside the wrapped INSERT's transaction — index entries in flight when
-/// the server dies. Recovery must land the row exactly once, rebuild the
+/// counting only after CREATE INDEX, so the scheduled `wal.append` visit is
+/// the wrapped INSERT's commit, the one write that carries its rows and its
+/// commit record — index entries in flight when the server dies. Recovery must land the row exactly once, rebuild the
 /// index REDO-only, and keep serving the equality probe through it.
 #[test]
 fn crash_mid_wal_during_indexed_dml_stays_consistent() {
@@ -271,7 +271,7 @@ fn crash_mid_wal_during_indexed_dml_stays_consistent() {
     seed_workload(&mut pc).unwrap();
     pc.execute("CREATE INDEX ix_bal ON acct(bal)").unwrap();
 
-    guard.reset(chaos::Schedule::new().crash_at("wal.append", 2));
+    guard.reset(chaos::Schedule::new().crash_at("wal.append", 1));
     let stop = Arc::new(AtomicBool::new(false));
     let supervisor = phoenix_chaos_explore::spawn_supervisor(
         guard.plan(),

@@ -158,6 +158,13 @@ impl PhoenixConnection {
 
         match classify(&stmt) {
             RequestKind::Query => match &stmt {
+                // Only the transaction's own session reads its uncommitted
+                // writes, so a query inside an application transaction runs
+                // there and its whole result comes back in the reply; after
+                // a crash the transaction is replayed and the query resent.
+                Statement::Select(_) if self.ctx.txn_open => {
+                    self.run_mapped_retry(&render_statement(&stmt))
+                }
                 Statement::Select(s) => {
                     let select = s.clone();
                     self.execute_query_complete(&select)
@@ -392,30 +399,40 @@ impl PhoenixConnection {
     /// table — committed ones replay their logged outcome, the rest are
     /// resubmitted, inside the re-established application transaction when
     /// one is open.
+    ///
+    /// A batch whose `COMMIT` lost a write conflict is probed too: a status
+    /// row means the winner was the request itself — an original still
+    /// running when its resubmission went out — and its outcome is the
+    /// reply; no row means another session won, and the request runs again,
+    /// except the application's own `COMMIT`, whose transaction is gone and
+    /// which reports the conflict. A resubmitted request that violates a
+    /// constraint is probed the same way, since its original may have
+    /// committed, status row and all, before it began.
     fn run_wrapped(&mut self, tags: &[u64], batches: &[Vec<String>]) -> Result<Vec<QueryResult>> {
         let mut replies: Vec<Option<QueryResult>> = vec![None; tags.len()];
+        let mut resubmitted = false;
         loop {
             match dml::run_batches(&mut self.mapped, batches, dml::REPLY_ITEM, &mut replies) {
                 Ok(()) => break,
                 Err(e) if e.is_comm() => {
                     self.recover()?;
-                    for (tag, reply) in tags.iter().zip(&mut replies) {
-                        if reply.is_some() {
-                            continue;
-                        }
-                        self.stats.status_probes += 1;
-                        match self.probe_status_retry(*tag)? {
-                            Some(out) => {
-                                // Committed before the crash: the logged
-                                // outcome is the preserved reply buffer.
-                                self.note_replayed_reply(*tag);
-                                *reply = Some(out);
-                            }
-                            None => self.stats.resubmissions += 1,
-                        }
-                    }
-                    if replies.iter().any(Option::is_none) {
+                    let unanswered = self.probe_unanswered(tags, &mut replies)?;
+                    if unanswered > 0 {
+                        self.stats.resubmissions += unanswered;
+                        resubmitted = true;
                         self.replay_open_txn()?;
+                    }
+                }
+                Err(DriverError::Sql { code, message })
+                    if code == codes::CONFLICT || (resubmitted && code == codes::CONSTRAINT) =>
+                {
+                    let unanswered = self.probe_unanswered(tags, &mut replies)?;
+                    if unanswered > 0 {
+                        if code != codes::CONFLICT || self.ctx.txn_open {
+                            return Err(DriverError::Sql { code, message });
+                        }
+                        self.stats.resubmissions += unanswered;
+                        resubmitted = true;
                     }
                 }
                 Err(e) => return Err(e),
@@ -425,6 +442,33 @@ impl PhoenixConnection {
             .into_iter()
             .map(|r| r.expect("a completed round answers every request"))
             .collect())
+    }
+
+    /// Probe every unanswered request's status row: a committed request's
+    /// logged outcome becomes its reply. Returns how many requests are
+    /// still unanswered.
+    fn probe_unanswered(
+        &mut self,
+        tags: &[u64],
+        replies: &mut [Option<QueryResult>],
+    ) -> Result<u64> {
+        let mut unanswered = 0;
+        for (tag, reply) in tags.iter().zip(replies) {
+            if reply.is_some() {
+                continue;
+            }
+            self.stats.status_probes += 1;
+            match self.probe_status_retry(*tag)? {
+                Some(out) => {
+                    // Committed: the logged outcome is the preserved reply
+                    // buffer.
+                    self.note_replayed_reply(*tag);
+                    *reply = Some(out);
+                }
+                None => unanswered += 1,
+            }
+        }
+        Ok(unanswered)
     }
 
     /// Count and journal a reply-buffer hit: a request answered from its

@@ -20,7 +20,7 @@
 
 use phoenix_driver::DriverError;
 use phoenix_sql::ast::{Expr, ObjectName, SelectItem, SelectStmt, Statement};
-use phoenix_sql::display::render_expr;
+use phoenix_sql::display::{render_expr, render_statement};
 use phoenix_sql::parser::parse_statement;
 use phoenix_sql::rewrite::with_projections;
 use phoenix_storage::types::{Row, Schema, Value};
@@ -80,6 +80,15 @@ enum Delivery {
         key_buf: Vec<Row>,
         key_buf_pos: usize,
         keys_done: bool,
+    },
+    /// The whole result, read inside an application transaction by the
+    /// transaction's own session (the only one that sees its writes) and
+    /// delivered from here. A crash loses the transaction, not the rows.
+    Buffered {
+        schema: Schema,
+        rows: Vec<Row>,
+        /// Rows already handed to the application.
+        delivered: u64,
     },
     /// Dynamic cursor: key table for pacing + range SELECTs.
     Dynamic {
@@ -165,6 +174,7 @@ impl<'c> PhoenixStatement<'c> {
         match &self.state {
             Some(Delivery::Persistent { schema, .. })
             | Some(Delivery::Keyset { schema, .. })
+            | Some(Delivery::Buffered { schema, .. })
             | Some(Delivery::Dynamic { schema, .. }) => Some(schema),
             None => None,
         }
@@ -174,7 +184,8 @@ impl<'c> PhoenixStatement<'c> {
     /// from after a crash).
     pub fn delivered(&self) -> u64 {
         match &self.state {
-            Some(Delivery::Persistent { delivered, .. }) => *delivered,
+            Some(Delivery::Persistent { delivered, .. })
+            | Some(Delivery::Buffered { delivered, .. }) => *delivered,
             Some(Delivery::Keyset { pos, .. }) => *pos,
             Some(Delivery::Dynamic { pos, .. }) => *pos,
             None => 0,
@@ -205,6 +216,9 @@ impl<'c> PhoenixStatement<'c> {
             _ => unreachable!("redirect preserves statement kind"),
         };
 
+        if self.pc.ctx.txn_open {
+            return self.open_buffered(&select);
+        }
         match self.kind {
             PhoenixCursorKind::ForwardOnly => self.open_persistent(&select),
             PhoenixCursorKind::Keyset | PhoenixCursorKind::Dynamic => {
@@ -232,6 +246,9 @@ impl<'c> PhoenixStatement<'c> {
         match self.state.as_ref() {
             None => Err(DriverError::Protocol("no open result set".into())),
             Some(Delivery::Persistent { .. }) => self.fetch_persistent(),
+            Some(Delivery::Buffered { .. }) => {
+                Ok(self.scroll_buffered(PhoenixFetch::Next, 1).pop())
+            }
             Some(Delivery::Keyset { .. }) => self.fetch_keyset(),
             Some(Delivery::Dynamic { .. }) => self.fetch_dynamic(),
         }
@@ -248,6 +265,7 @@ impl<'c> PhoenixStatement<'c> {
         match self.state.as_ref() {
             None => Err(DriverError::Protocol("no open result set".into())),
             Some(Delivery::Persistent { .. }) => self.scroll_persistent(dir, n),
+            Some(Delivery::Buffered { .. }) => Ok(self.scroll_buffered(dir, n)),
             Some(Delivery::Keyset { .. }) => self.scroll_keyset(dir, n),
             Some(Delivery::Dynamic { .. }) => Err(DriverError::Sql {
                 code: phoenix_driver::error::codes::CURSOR,
@@ -295,6 +313,47 @@ impl<'c> PhoenixStatement<'c> {
             *at_end = false;
         }
         Ok(rows)
+    }
+
+    /// Read the whole result on the mapped connection, inside the open
+    /// application transaction: a cursor of any kind is delivered from the
+    /// client's copy.
+    fn open_buffered(&mut self, select: &SelectStmt) -> Result<()> {
+        let r = self
+            .pc
+            .run_mapped_retry(&render_statement(&Statement::Select(select.clone())))?;
+        let schema = r.schema().cloned().unwrap_or_default();
+        if self.kind != PhoenixCursorKind::ForwardOnly {
+            self.pc.stats.cursor_downgrades += 1;
+        }
+        self.granted = Some(PhoenixCursorKind::ForwardOnly);
+        self.state = Some(Delivery::Buffered {
+            schema,
+            rows: r.rows().to_vec(),
+            delivered: 0,
+        });
+        Ok(())
+    }
+
+    fn scroll_buffered(&mut self, dir: PhoenixFetch, n: usize) -> Vec<Row> {
+        let Some(Delivery::Buffered {
+            rows, delivered, ..
+        }) = self.state.as_mut()
+        else {
+            unreachable!()
+        };
+        let start = match dir {
+            PhoenixFetch::Next => *delivered,
+            PhoenixFetch::Prior => delivered.saturating_sub(n as u64),
+            PhoenixFetch::Absolute(k) => k,
+        };
+        let from = (start as usize).min(rows.len());
+        let out = rows[from..(from + n).min(rows.len())].to_vec();
+        *delivered = match dir {
+            PhoenixFetch::Prior => start,
+            _ => start + out.len() as u64,
+        };
+        out
     }
 
     fn scroll_keyset(&mut self, dir: PhoenixFetch, n: usize) -> Result<Vec<Row>> {

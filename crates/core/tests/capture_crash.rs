@@ -84,10 +84,10 @@ fn query_resubmitted_after_crash_inside_capture_batch() {
     };
     assert!(captures(&harness.lock().unwrap()).is_empty());
 
-    // The batch appends to the log for CREATE TABLE, CREATE PROCEDURE and
-    // the INSERT the procedure runs: die at the third, with the table and
-    // procedure created and nothing committed.
-    guard.reset(chaos::Schedule::new().crash_at("wal.append", 3));
+    // The batch reaches the log in one append, at its COMMIT: the CREATE
+    // TABLE, the CREATE PROCEDURE, the rows the procedure inserts and the
+    // commit record together. Die there, with nothing committed.
+    guard.reset(chaos::Schedule::new().crash_at("wal.append", 1));
     let stop = Arc::new(AtomicBool::new(false));
     let supervisor = supervise(guard.plan(), &harness, &stop);
     let r = pc.execute("SELECT id, name FROM customer ORDER BY id");

@@ -156,8 +156,8 @@ fn select_inside_transaction_is_still_recoverable() {
 
     pc.execute("BEGIN").unwrap();
     pc.execute("UPDATE t SET v = v + 1 WHERE id = 1").unwrap();
-    // A query mid-transaction (sees the uncommitted update — our engine
-    // reads the live image).
+    // A query mid-transaction reads the transaction's own uncommitted
+    // update.
     let r = pc.execute("SELECT v FROM t WHERE id = 1").unwrap();
     assert_eq!(r.rows()[0][0], Value::Int(11));
 
@@ -700,6 +700,82 @@ fn dml_gives_up_when_server_stays_down() {
     let r = pc2.execute("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(r.rows()[0][0], Value::Int(0));
     pc2.close();
+    drop(h);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Two Phoenix sessions increment one row concurrently. Each increment is
+/// a wrapped request whose `COMMIT` may lose the row to the other session;
+/// the loser's status row is absent, so Phoenix runs it again. Every
+/// increment is applied exactly once.
+#[test]
+fn concurrent_phoenix_increments_of_one_row_are_exact() {
+    const EACH: i64 = 150;
+    let (h, dir) = start();
+    let mut pc = connect(&h);
+    pc.execute("CREATE TABLE hot (k INT PRIMARY KEY, v INT)")
+        .unwrap();
+    pc.execute("INSERT INTO hot VALUES (1, 0)").unwrap();
+    let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let mut pc = connect(&h);
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                for _ in 0..EACH {
+                    let r = pc.execute("UPDATE hot SET v = v + 1 WHERE k = 1").unwrap();
+                    assert_eq!(r.affected(), 1);
+                }
+                pc.close();
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    let r = pc.execute("SELECT v FROM hot WHERE k = 1").unwrap();
+    assert_eq!(r.rows()[0][0], Value::Int(2 * EACH));
+    pc.close();
+    drop(h);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A cursor opened inside an application transaction reads the
+/// transaction's own writes: the result is read in that session and
+/// delivered from the client's copy, forward and by scrolling.
+#[test]
+fn cursor_inside_transaction_reads_its_own_writes() {
+    let (h, dir) = start();
+    let mut pc = connect(&h);
+    pc.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    pc.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        .unwrap();
+    pc.execute("BEGIN").unwrap();
+    pc.execute("UPDATE t SET v = 11 WHERE id = 1").unwrap();
+    pc.execute("INSERT INTO t VALUES (4, 40)").unwrap();
+    {
+        let mut stmt = pc.statement();
+        stmt.set_cursor_type(PhoenixCursorKind::Keyset);
+        stmt.execute("SELECT id, v FROM t ORDER BY id").unwrap();
+        assert_eq!(stmt.granted_cursor(), Some(PhoenixCursorKind::ForwardOnly));
+        assert_eq!(
+            stmt.fetch().unwrap(),
+            Some(vec![Value::Int(1), Value::Int(11)])
+        );
+        let rest = stmt.fetch_all().unwrap();
+        assert_eq!(rest.len(), 3);
+        assert_eq!(rest[2], vec![Value::Int(4), Value::Int(40)]);
+        let back = stmt
+            .fetch_scroll(phoenix_core::PhoenixFetch::Absolute(1), 2)
+            .unwrap();
+        assert_eq!(back[0], vec![Value::Int(2), Value::Int(20)]);
+    }
+    pc.execute("COMMIT").unwrap();
+    let r = pc.execute("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(r.rows()[0][0], Value::Int(4));
+    pc.close();
     drop(h);
     std::fs::remove_dir_all(dir).unwrap();
 }

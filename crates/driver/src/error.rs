@@ -56,6 +56,9 @@ pub mod codes {
     pub const BUSY: ServerErrorCode = 13;
     // 14 is reserved: a deposed replication primary's `Fenced`, retired
     // with replication and never reassigned.
+    /// The transaction's commit lost to one that committed after it began
+    /// and wrote what it wrote; it was rolled back and may be run again.
+    pub const CONFLICT: ServerErrorCode = 15;
 }
 
 /// A driver error. See the module docs for the class semantics.

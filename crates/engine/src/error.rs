@@ -49,6 +49,11 @@ pub enum ErrorCode {
     // 14 is reserved: it was `Fenced`, sent by a deposed replication
     // primary, and decodes as `Internal` so an old server's code is never
     // read as something else.
+    /// The transaction's commit lost to one that committed after it began
+    /// and wrote what it wrote (first committer wins); it was rolled back.
+    /// Running it again may succeed. An autocommit statement is re-run by
+    /// the engine and never reports this.
+    Conflict = 15,
 }
 
 impl ErrorCode {
@@ -67,6 +72,7 @@ impl ErrorCode {
             10 => ErrorCode::NoSession,
             12 => ErrorCode::Storage,
             13 => ErrorCode::Busy,
+            15 => ErrorCode::Conflict,
             _ => ErrorCode::Internal,
         }
     }
@@ -156,12 +162,7 @@ impl From<DbError> for EngineError {
             e @ (DbError::PartitionedLog(_) | DbError::Fenced(_)) => {
                 EngineError::new(ErrorCode::Storage, e.to_string())
             }
-            DbError::NoSuchTxn(t) => {
-                EngineError::new(ErrorCode::Txn, format!("no such transaction {t}"))
-            }
-            DbError::TxnActive(t) => {
-                EngineError::new(ErrorCode::Txn, format!("transaction {t} active"))
-            }
+            e @ DbError::Conflict(_) => EngineError::new(ErrorCode::Conflict, e.to_string()),
         }
     }
 }
@@ -189,6 +190,7 @@ mod tests {
             ErrorCode::Internal,
             ErrorCode::Storage,
             ErrorCode::Busy,
+            ErrorCode::Conflict,
         ] {
             assert_eq!(ErrorCode::from_u16(code as u16), code);
         }

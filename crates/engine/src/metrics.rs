@@ -28,6 +28,9 @@ pub struct EngineMetrics {
     pub temp_tables: Arc<Gauge>,
     /// CREATE/DROP INDEX statements applied (`phoenix_index_ddl_total`).
     pub index_ddl: Arc<Counter>,
+    /// Autocommit statements run again because their commit lost a write
+    /// conflict (`phoenix_autocommit_reruns_total`).
+    pub autocommit_reruns: Arc<Counter>,
     select: Arc<Histogram>,
     insert: Arc<Histogram>,
     update: Arc<Histogram>,
@@ -86,6 +89,10 @@ pub fn engine_metrics() -> &'static EngineMetrics {
             index_ddl: r.counter(
                 "phoenix_index_ddl_total",
                 "CREATE/DROP INDEX statements applied",
+            ),
+            autocommit_reruns: r.counter(
+                "phoenix_autocommit_reruns_total",
+                "autocommit statements re-run after their commit lost a write conflict",
             ),
             select: lat("select"),
             insert: lat("insert"),

@@ -11,8 +11,9 @@
 use std::collections::HashMap;
 
 use phoenix_sql::ast::MESSAGE_SEPARATOR;
+use phoenix_storage::db::Txn;
 use phoenix_storage::store::Store;
-use phoenix_storage::types::{TxnId, Value};
+use phoenix_storage::types::Value;
 
 use crate::cursor::{Cursor, CursorId};
 use crate::engine::{ExecOutcome, ExecResult};
@@ -35,8 +36,10 @@ pub struct SessionState {
     /// Session-scoped temporary tables and procedures (`#name`). A bare
     /// volatile [`Store`]: no WAL, no snapshot — dies with the process.
     pub temp: Store,
-    /// The open explicit transaction, if any.
-    pub txn: Option<TxnId>,
+    /// The open explicit transaction, if any: its own copy of the durable
+    /// store, which the session's statements read and write. Dropping it is
+    /// the rollback.
+    pub txn: Option<Txn>,
     /// Open server cursors.
     pub cursors: HashMap<CursorId, Cursor>,
     /// What the previous statement left behind: `@@ROWCOUNT`, `@@MESSAGES`.

@@ -1,7 +1,8 @@
 //! The write path, checked by count and by content rather than by clock:
 //! a statement copies a number of map entries proportional to the rows it
-//! touches (not to the table), publishes once, is never seen half-applied,
-//! and — when the store refuses it — leaves nothing in the log.
+//! touches (not to the table), a transaction publishes once, at commit, is
+//! never seen half-applied, and a statement the store refuses leaves
+//! nothing in the log.
 //!
 //! The counters are process-wide, so the tests of this file run one at a
 //! time.
@@ -137,11 +138,25 @@ fn dml_copies_paths_not_tables_and_publishes_once() {
         .unwrap();
     assert_eq!(r.affected(), 100);
     let delete_cost = copied() - c0;
-    assert_eq!(publishes() - p0, 1, "one publish per statement");
+    assert_eq!(publishes() - p0, 1, "one publish per autocommit statement");
     assert!(
         delete_cost <= 100 * update_cost.max(reindex_cost),
         "100-row DELETE copied {delete_cost} entries (single-row UPDATE: {update_cost})"
     );
+
+    // An explicit transaction publishes nothing until its commit, and then
+    // once, however many statements it ran.
+    let p0 = publishes();
+    e.execute(sid, "BEGIN").unwrap();
+    e.execute(sid, "UPDATE big SET v = 2 WHERE k = 123456")
+        .unwrap();
+    e.execute(sid, "DELETE FROM big WHERE k = 7").unwrap();
+    assert_eq!(publishes() - p0, 0, "nothing published before commit");
+    e.execute(sid, "COMMIT").unwrap();
+    assert_eq!(publishes() - p0, 1, "one publish per commit");
+    e.execute(sid, "UPDATE big SET v = 1 WHERE k = 123456")
+        .unwrap();
+    e.execute(sid, "INSERT INTO big VALUES (7, 0, 0)").unwrap();
 
     // The held snapshot still shows the table as it was; the engine shows
     // every change; the index agrees with the rows on both.
@@ -221,7 +236,7 @@ fn readers_never_see_a_partially_applied_statement() {
     assert_eq!(
         storage_metrics().snapshot_publishes.get() - publishes,
         301,
-        "301 statements, 301 publishes"
+        "301 autocommit statements: 301 commits, 301 publishes"
     );
     done.store(true, Ordering::Release);
     for r in readers {

@@ -14,7 +14,8 @@
 //! into its table's bucket, *still encoded*: its bytes go into one arena per
 //! table, so the check builds no value and keeping a record allocates
 //! nothing. When the log ends, every record of a transaction with no
-//! `Commit` (aborted, or left undecided) is dropped.
+//! `Commit` is dropped: one whose commit write tore, or, in a log an older
+//! build wrote, one that aborted or was left undecided.
 //!
 //! # The barrier rule
 //!
@@ -314,7 +315,7 @@ pub fn recover(dir: &Path) -> Result<Recovered, DbError> {
     }
     eager.sort_unstable_by_key(|(gsn, _)| *gsn);
     let applied = committed.len() as u64 + eager.len() as u64;
-    store.apply(eager.into_iter().map(|(_, rec)| rec), None)?;
+    store.apply(eager.into_iter().map(|(_, rec)| rec))?;
     let (behind, mut deferred, mut tail_bytes) = (tails.len(), 0, 0);
     for (seg, tail) in tails {
         deferred += tail.len() as u64;
@@ -518,7 +519,7 @@ mod tests {
                 let mut store = Store::new();
                 store.install_segment(Arc::new(on_disk()));
                 let eager = store
-                    .apply([decoded], None)
+                    .apply([decoded])
                     .and_then(|()| store.table("dbo.t").map(state));
                 assert_eq!(lazy.is_ok(), eager.is_ok(), "{b:?}: {lazy:?} {eager:?}");
                 if let (Ok(lazy), Ok(eager)) = (lazy, eager) {

@@ -1,14 +1,12 @@
 //! [`Durable`]: the transactional binding of a [`Store`] to a write-ahead log.
 //!
-//! Every mutation, row or catalog, takes one write path: its log records are
-//! applied through `Store::apply` to a scratch copy of the working store
-//! (an O(1) clone), and only a statement that applies whole reaches the log,
-//! so the log holds nothing recovery could not replay. The scratch then
-//! becomes the working store — write-ahead: the records are appended before
-//! the change is visible — and commit forces the log. The same apply hands
-//! back each record's inverse; an aborted transaction is rolled back in
-//! memory by applying those, newest first (the log keeps the records;
-//! recovery ignores them because no commit record follows).
+//! A transaction is a [`Txn`]: the published store it began from (an O(1)
+//! clone: the catalog and every table are persistent maps), its own copy of
+//! that store, and the log records of its writes. Every write is applied
+//! through `Store::apply` to the copy, and every read inside the transaction
+//! reads the copy. Nothing is logged or published before commit, so the log
+//! holds only committed transactions: recovery is REDO only, and a rollback
+//! is dropping the `Txn`.
 //!
 //! [`Durable::open`] is crash recovery, and all of it is
 //! [`crate::applier::recover`]: load the latest snapshot's manifest (each
@@ -25,33 +23,43 @@
 //! leaves a rotated `phoenix.wal.old` the next open replays first —
 //! recovers to a state containing exactly the committed transactions.
 //!
+//! # Commit
+//!
+//! [`Durable::commit_txn`] runs once under the `committed` lock, which
+//! holds the store every appended commit built, in log order. If that store
+//! is still the one the transaction began from (one pointer compare), the
+//! transaction's copy becomes it; otherwise its records are re-applied to
+//! it (see `rebase`), or the commit is refused with [`DbError::Conflict`]:
+//! the first committer wins.
+//!
+//! The transaction id is allocated then, under the WAL lock, so log order,
+//! id order and commit order agree, and the records and the `Commit` record
+//! go to the log in **one** `write(2)`. A checkpoint captures the committed
+//! store and reads the last id under the same two locks, so `txn ≤ mark`
+//! means exactly "in the image": no transaction can commit between the
+//! capture and the log rotation, and none that commits later can carry a
+//! smaller id. Checkpoints need no quiescence and run whenever they are
+//! due.
+//!
 //! # Concurrency
 //!
 //! All methods take `&self`; the layer is safe to share between sessions.
-//! Reads and writes are decoupled by *copy-on-write snapshots*:
 //!
-//! * writers serialize on the `working` store mutex and hold it across
-//!   their append+apply pair, so write-ahead ordering is atomic with
-//!   respect to other threads;
-//! * after every successful statement — once, however many rows it wrote —
-//!   the writer *publishes* an immutable `Arc<Store>` (an O(1) clone of the
-//!   working store: its catalog and every table are persistent maps) with a
-//!   cheap pointer swap; [`Durable::snapshot`] hands that image out in
-//!   O(1), and readers
-//!   execute against it with **no lock held** — a long scan never blocks a
-//!   writer, a queued writer never blocks new readers, and no reader sees
-//!   half of a multi-row statement. Keeping the published image alive costs
-//!   the next writer only the tree nodes on the path to the rows it
-//!   touches (see [`crate::pmap`]), never a copy of the table;
-//! * commits coalesce through a *group commit*: each committer appends its
-//!   commit record, then one committer (the leader) issues a single
-//!   `sync_data` covering every record appended so far while the rest wait
-//!   on a condition variable. N threads committing together therefore cost
-//!   far fewer than N syncs.
+//! * Readers, and transactions as they begin, take the *published* store
+//!   with an O(1) `Arc` clone and read with **no lock held**.
+//! * A commit is published only once the group flush covers it (at once
+//!   under `Buffered`, which forces nothing), so no reader sees a commit the
+//!   log could still lose, and never over a later commit's store, which
+//!   includes it.
+//! * Commits coalesce through a *group commit*: each committer appends and
+//!   takes a sequence number, then one committer (the leader) issues a
+//!   single `sync_data` covering every commit appended so far while the rest
+//!   wait on a condition variable. N threads committing together therefore
+//!   cost far fewer than N syncs.
 //!
 //! # One log
 //!
-//! There is one working store, one WAL stream (`phoenix.wal`, plus the
+//! There is one committed store, one WAL stream (`phoenix.wal`, plus the
 //! rotated `phoenix.wal.old` of an unfinished checkpoint) and one group
 //! committer, so a transaction commits with one `Commit` record and one
 //! flush however many tables it wrote. Every WAL frame payload is prefixed
@@ -64,32 +72,8 @@
 //! build that still replicated; it is refused too ([`DbError::Fenced`]),
 //! because the survivor owns its history now.
 //!
-//! Lock order (outer to inner): `checkpoint_state` → `working` → `wal` →
-//! {`group.state`, `active`}, and `working` → `published`. `published` is
-//! never held with `wal` or `active`.
-//!
-//! # Checkpoint / commit / abort interlock
-//!
-//! The snapshot's high-water mark is `last_finished` — the largest txn id
-//! that has *finished* (commit record appended, or abort rolled back).
-//! Three ordering rules make the mark sound:
-//!
-//! * `commit` appends the commit record and advances `last_finished` under
-//!   the WAL lock **before** leaving the `active` set, so a transaction the
-//!   checkpoint's quiescence check no longer sees is always covered by the
-//!   mark (and its effects, applied under the working lock, are in the
-//!   captured image);
-//! * `abort` takes the working lock **before** leaving the `active` set, so
-//!   a checkpoint can never capture un-rolled-back effects of a transaction
-//!   that is mid-abort;
-//! * the checkpoint reads the mark and rotates the log inside one WAL
-//!   critical section, so no commit record can land between the two.
-//!
-//! Freshly begun transactions always carry ids greater than any finished
-//! one (`next_txn` is allocation-monotone), their mutations serialize after
-//! the capture on the working lock, and their records land in the
-//! post-rotation log — so `txn > mark` records are exactly the ones the
-//! snapshot does not contain.
+//! Lock order (outer to inner): `checkpoint_state` → `committed` → `log` →
+//! `group.state`. `published` is never held with another lock.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -99,15 +83,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use bytes::Bytes;
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::applier::{self, frame_payload, Recovered};
 use crate::codec::DecodeError;
 use crate::metrics::storage_metrics;
 use crate::record::LogRecord;
 use crate::snapshot::{self, SegmentBase};
-use crate::store::{normalize_name, Change, Store, StoreError};
-use crate::types::{Row, RowId, TableDef, TxnId};
+use crate::store::{normalize_name, Store, StoreError};
+use crate::types::{Row, RowId, TableDef, TxnId, Value};
 use crate::wal::{Wal, MAX_FRAME};
 
 /// When to force the log.
@@ -130,10 +115,11 @@ pub enum DbError {
     Store(StoreError),
     /// Log or snapshot bytes did not decode (corruption).
     Decode(DecodeError),
-    /// Operation named a transaction that is not active.
-    NoSuchTxn(TxnId),
-    /// Operation requires quiescence but a transaction is active.
-    TxnActive(TxnId),
+    /// The commit lost to one that committed after the transaction began
+    /// and wrote what it wrote: first committer wins. Nothing was logged;
+    /// running the transaction again, on the store as it now stands, may
+    /// succeed.
+    Conflict(String),
     /// The directory holds this log stream of the retired partitioned
     /// write path; opening it would drop the transactions it holds.
     PartitionedLog(PathBuf),
@@ -149,8 +135,10 @@ impl fmt::Display for DbError {
             DbError::Io(e) => write!(f, "io error: {e}"),
             DbError::Store(e) => write!(f, "{e}"),
             DbError::Decode(e) => write!(f, "{e}"),
-            DbError::NoSuchTxn(t) => write!(f, "no such transaction {t}"),
-            DbError::TxnActive(t) => write!(f, "transaction {t} still active"),
+            DbError::Conflict(what) => write!(
+                f,
+                "write conflict: {what} since the transaction began; run it again"
+            ),
             DbError::PartitionedLog(path) => write!(
                 f,
                 "{} is a log stream of a partitioned server, and this build reads \
@@ -307,30 +295,30 @@ struct CheckpointState {
     stats: CheckpointStats,
 }
 
+/// The log and what is allocated under its lock.
+struct Log {
+    wal: Wal,
+    /// Global sequence number for the next WAL frame.
+    next_gsn: u64,
+    /// The id of the last transaction appended: the checkpoint's mark.
+    /// Recovery seeds it with the largest id in the snapshot or the log.
+    last_txn: TxnId,
+}
+
 /// A durable, transactional store, shareable across threads (`&self` API).
 pub struct Durable {
-    /// The writers' image. Mutations lock it, append+apply, then publish.
-    working: Mutex<Store>,
-    /// The readers' image, re-captured by every mutation. The lock is held
-    /// only for the pointer swap / `Arc` clone, never across query
-    /// execution.
-    published: RwLock<Arc<Store>>,
-    wal: Mutex<Wal>,
+    /// The store every appended commit built, in log order: what a commit
+    /// checks its transaction against and a checkpoint writes.
+    committed: Mutex<Arc<Store>>,
+    /// What readers, and transactions as they begin, see: the committed
+    /// store as of the last commit the log has flushed, with that commit's
+    /// group sequence number. The lock is held only for the pointer swap /
+    /// `Arc` clone, never across query execution.
+    published: RwLock<(u64, Arc<Store>)>,
+    log: Mutex<Log>,
     group: GroupCommit,
-    /// Largest txn id that has finished (committed or aborted): the
-    /// checkpoint's snapshot mark. Advanced under the WAL lock at
-    /// commit-append time and under the working lock at abort; recovery
-    /// seeds it with the recovered high-water mark.
-    last_finished: AtomicU64,
     dir: PathBuf,
     durability: Durability,
-    next_txn: AtomicU64,
-    /// Global sequence number for the next WAL frame, allocated under the
-    /// WAL lock, so the log is GSN-ordered.
-    next_gsn: AtomicU64,
-    /// Active transactions and the inverses of their applied records,
-    /// oldest first.
-    active: Mutex<HashMap<TxnId, Vec<Change>>>,
     /// Records appended since the last checkpoint (drives auto-checkpoint
     /// policy in the engine; the layer itself never checkpoints
     /// implicitly).
@@ -339,6 +327,9 @@ pub struct Durable {
     checkpoint_state: Mutex<CheckpointState>,
     /// What recovery did when this handle was opened.
     recovery: RecoveryReport,
+    /// The transactions [`Durable::begin`] handed out by number.
+    numbered: Mutex<HashMap<u64, Txn>>,
+    next_number: AtomicU64,
 }
 
 impl Durable {
@@ -402,12 +393,17 @@ impl Durable {
             .recovery_replay_us
             .record(report.replay_us);
 
+        let store = Arc::new(store);
         Ok(Durable {
-            published: RwLock::new(Arc::new(store.clone())),
-            working: Mutex::new(store),
-            // The applier has just scanned the log: resume it at the valid
-            // prefix it found instead of scanning again.
-            wal: Mutex::new(Wal::open_at(Self::wal_path(dir), live_valid)?),
+            published: RwLock::new((0, Arc::clone(&store))),
+            committed: Mutex::new(store),
+            log: Mutex::new(Log {
+                // The applier has just scanned the log: resume it at the
+                // valid prefix it found instead of scanning again.
+                wal: Wal::open_at(Self::wal_path(dir), live_valid)?,
+                next_gsn: max_gsn + 1,
+                last_txn,
+            }),
             group: GroupCommit {
                 state: Mutex::new(GroupState {
                     appended: 0,
@@ -417,12 +413,8 @@ impl Durable {
                 }),
                 flushed_cv: Condvar::new(),
             },
-            last_finished: AtomicU64::new(last_txn),
             dir: dir.to_path_buf(),
             durability,
-            next_txn: AtomicU64::new(last_txn + 1),
-            next_gsn: AtomicU64::new(max_gsn + 1),
-            active: Mutex::new(HashMap::new()),
             records_since_checkpoint: AtomicU64::new(frames),
             checkpoint_state: Mutex::new(CheckpointState {
                 gen,
@@ -430,6 +422,8 @@ impl Durable {
                 stats: CheckpointStats::default(),
             }),
             recovery: report,
+            numbered: Mutex::new(HashMap::new()),
+            next_number: AtomicU64::new(1),
         })
     }
 
@@ -450,32 +444,24 @@ impl Durable {
     /// take a fresh one per statement (or per cursor fetch) for current
     /// data.
     pub fn snapshot(&self) -> Arc<Store> {
-        self.published.read().clone()
+        Arc::clone(&self.published.read().1)
     }
 
-    /// Publish the working image for readers: an O(1) clone, since the
-    /// catalog and every table are persistent maps. Called with the working
-    /// lock held so publication order matches mutation order.
-    fn publish(&self, working: &Store) {
+    /// Publish the store of the commit with group sequence `seq`, unless a
+    /// later commit's store, which includes it, is out already.
+    fn publish(&self, seq: u64, store: Arc<Store>) {
         match phoenix_chaos::fault("store.publish") {
             phoenix_chaos::FaultAction::Continue => {}
             phoenix_chaos::FaultAction::Delay(d) => std::thread::sleep(d),
-            // Process death between mutation and publish: readers keep the
+            // Process death between commit and publish: readers keep the
             // previous snapshot, exactly as a crashed server would leave it.
             _ => return,
         }
-        *self.published.write() = Arc::new(working.clone());
-        storage_metrics().snapshot_publishes.inc();
-    }
-
-    /// The data directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured commit durability.
-    pub fn durability(&self) -> Durability {
-        self.durability
+        let mut published = self.published.write();
+        if seq > published.0 {
+            *published = (seq, store);
+            storage_metrics().snapshot_publishes.inc();
+        }
     }
 
     /// Number of log records appended since the last checkpoint.
@@ -488,60 +474,75 @@ impl Durable {
         self.group.state.lock().syncs
     }
 
-    /// Append one record to the log, whose lock the caller already holds,
-    /// prefixing it with a freshly allocated GSN. Allocating *under* the
-    /// lock keeps the log GSN-ordered.
-    fn append_locked(&self, wal: &mut Wal, encoded: &[u8]) -> Result<(), DbError> {
-        let gsn = self.next_gsn.fetch_add(1, Ordering::Relaxed);
-        wal.append(&frame_payload(gsn, encoded))?;
-        self.records_since_checkpoint
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(())
+    /// Begin a transaction on the published store. Nothing is logged or
+    /// locked: the transaction exists only in the returned value until
+    /// [`Durable::commit_txn`], and dropping it is the rollback.
+    pub fn begin_txn(&self) -> Txn {
+        let base = self.snapshot();
+        Txn {
+            store: Store::clone(&base),
+            base,
+            records: Vec::new(),
+        }
     }
 
-    /// Begin a new transaction. Nothing is logged — a transaction exists in
-    /// the log only through the records of its mutations (and its final
-    /// commit/abort marker), so an empty transaction costs no I/O until
-    /// commit.
-    pub fn begin(&self) -> Result<TxnId, DbError> {
-        let txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
-        self.active.lock().insert(txn, Vec::new());
-        Ok(txn)
-    }
-
-    /// Commit: log the commit record and force the log (under `Fsync`).
+    /// Commit: check the transaction against the committed store (see the
+    /// module docs), append its records and a `Commit` record in one write,
+    /// force the log (under `Fsync`), and publish. A transaction that wrote
+    /// nothing logs nothing.
     ///
-    /// Concurrent committers coalesce: each appends its record and takes a
-    /// group sequence number; one of them (the leader) syncs the file once
-    /// for every record appended so far, the rest wait until the flushed
+    /// Concurrent committers coalesce: each appends and takes a group
+    /// sequence number; one of them (the leader) syncs the file once for
+    /// every commit appended so far, the rest wait until the flushed
     /// watermark covers their own sequence number.
-    pub fn commit(&self, txn: TxnId) -> Result<(), DbError> {
-        self.check_active(txn)?;
-        // Append the commit record, advance the finished-txn high-water
-        // mark, and claim a group sequence number — all under the WAL lock
-        // (so sequence order matches append order) and all *before* leaving
-        // the `active` set. A checkpoint that observes this transaction as
-        // inactive is thereby guaranteed to capture a mark covering it: its
-        // commit record can never land after the snapshot's log rotation
-        // while its effects sit inside the snapshot image (the double-apply
-        // window).
-        let encoded = LogRecord::Commit { txn }.encode();
-        let seq = {
-            let mut wal = self.wal.lock();
-            self.append_locked(&mut wal, &encoded)?;
-            self.last_finished.fetch_max(txn, Ordering::Relaxed);
-            let mut st = self.group.state.lock();
-            st.appended += 1;
-            st.appended
+    pub fn commit_txn(&self, txn: Txn) -> Result<(), DbError> {
+        let Txn {
+            base,
+            store,
+            records,
+        } = txn;
+        if records.is_empty() {
+            return Ok(());
+        }
+        let (seq, store) = {
+            let mut committed = self.committed.lock();
+            let (store, records) = if Arc::ptr_eq(&committed, &base) {
+                (store, records)
+            } else {
+                storage_metrics().commit_rebases.inc();
+                rebase(&base, &committed, records).inspect_err(|_| {
+                    storage_metrics().commit_conflicts.inc();
+                })?
+            };
+            let seq = {
+                let mut log = self.log.lock();
+                let txn = log.last_txn + 1;
+                let commit = LogRecord::Commit { txn }.encode();
+                let frames = records.len() as u64 + 1;
+                let payloads = (log.next_gsn..)
+                    .zip(records.iter().chain([&commit]))
+                    .map(|(gsn, rec)| stamped(gsn, txn, rec));
+                log.wal.append_all(payloads)?;
+                log.next_gsn += frames;
+                log.last_txn = txn;
+                self.records_since_checkpoint
+                    .fetch_add(frames, Ordering::Relaxed);
+                let mut st = self.group.state.lock();
+                st.appended += 1;
+                st.appended
+            };
+            let store = Arc::new(store);
+            *committed = Arc::clone(&store);
+            (seq, store)
         };
-        self.active.lock().remove(&txn);
         if self.durability == Durability::Fsync {
             self.group_sync(seq)?;
         }
+        self.publish(seq, store);
         Ok(())
     }
 
-    /// Wait until the commit record with group sequence `seq` is durable,
+    /// Wait until the commit with group sequence `seq` is durable,
     /// taking the leader role if nobody else is flushing.
     fn group_sync(&self, seq: u64) -> Result<(), DbError> {
         let mut st = self.group.state.lock();
@@ -563,8 +564,8 @@ impl Durable {
             // committers arriving during the device flush append behind it
             // and make up the next group.
             let (upto, flusher) = {
-                let wal = self.wal.lock();
-                (self.group.state.lock().appended, wal.flusher())
+                let log = self.log.lock();
+                (self.group.state.lock().appended, log.wal.flusher())
             };
             let flush = flusher.sync().map(|()| upto);
             st = self.group.state.lock();
@@ -592,387 +593,33 @@ impl Durable {
         }
     }
 
-    /// Abort: apply the transaction's inverses in memory, newest first, and
-    /// log the abort record.
-    ///
-    /// The working lock is taken *before* the transaction leaves the
-    /// `active` set: a checkpoint serializes its capture on the same lock
-    /// (and refuses while the transaction is still in `active`), so it can
-    /// never see the transaction as finished while its effects are still
-    /// un-rolled-back in the store.
-    pub fn abort(&self, txn: TxnId) -> Result<(), DbError> {
-        // Take the inverses, leaving the entry in `active` so the checkpoint
-        // quiescence check keeps failing until the rollback is complete.
-        let undo = {
-            let mut active = self.active.lock();
-            std::mem::take(active.get_mut(&txn).ok_or(DbError::NoSuchTxn(txn))?)
-        };
-        let wrote = !undo.is_empty();
-        let mut store = self.working.lock();
-        let result = (|| -> Result<(), DbError> {
-            store.apply(undo.into_iter().rev(), None)?;
-            // Aborted ids count as finished too: the mark also seeds
-            // `next_txn` after a post-checkpoint recovery, and ids must stay
-            // monotone even when the highest allocated one never committed.
-            let encoded = LogRecord::Abort { txn }.encode();
-            self.append_locked(&mut self.wal.lock(), &encoded)?;
-            self.last_finished.fetch_max(txn, Ordering::Relaxed);
-            Ok(())
-        })();
-        // Leave `active` only now, with the working lock still held (or the
-        // rollback incomplete and the error propagating — either way the
-        // transaction is finished).
-        self.active.lock().remove(&txn);
-        if result.is_ok() && wrote {
-            self.publish(&store);
-        }
-        result
-    }
-
-    /// Error unless `txn` is active.
-    fn check_active(&self, txn: TxnId) -> Result<(), DbError> {
-        if self.active.lock().contains_key(&txn) {
-            Ok(())
-        } else {
-            Err(DbError::NoSuchTxn(txn))
-        }
-    }
-
-    // -- mutations: one write routine, one publish per statement ----------
-
-    /// The one write path: every mutation, row or catalog, goes through it.
-    ///
-    /// Under the working lock, `build` turns the store as it stands into the
-    /// statement's log records. They are then *validated by applying them*
-    /// through [`Store::apply`] *to a scratch copy* of the store — an O(1)
-    /// clone that shares every tree node, so the copy costs what the write
-    /// itself would — and only when the whole statement applies (table,
-    /// procedure or index present or absent as the record needs, arity, key
-    /// uniqueness against the table and within the statement, every row id
-    /// present) are the records appended, the scratch installed as the
-    /// working store, and the image published, once. A refused statement
-    /// therefore writes zero log bytes and leaves the working image
-    /// untouched; a logged one is in memory exactly as recovery will replay
-    /// it, and its inverses join the transaction's for rollback.
-    fn write(
-        &self,
-        txn: TxnId,
-        build: impl FnOnce(&Store) -> Result<Vec<LogRecord>, StoreError>,
-    ) -> Result<(), DbError> {
-        self.check_active(txn)?;
-        let mut store = self.working.lock();
-        // Encode once, up front. The 8-byte GSN prefix rides in the same
-        // frame, so the cap accounts for it; an `InsertMany` over the cap
-        // is halved until each piece fits (ids stay consecutive because the
-        // front half is taken first), anything else over it is refused
-        // here, before a byte is logged.
-        let mut pending: VecDeque<LogRecord> = build(&store)?.into();
-        let (mut recs, mut encoded) = (Vec::new(), Vec::new());
-        while let Some(rec) = pending.pop_front() {
-            let bytes = rec.encode();
-            if bytes.len() <= MAX_FRAME as usize - 8 {
-                recs.push(rec);
-                encoded.push(bytes);
-                continue;
-            }
-            match rec {
-                LogRecord::InsertMany {
-                    txn,
-                    table,
-                    first_row_id,
-                    mut rows,
-                } if rows.len() > 1 => {
-                    let tail = rows.split_off(rows.len() / 2);
-                    pending.push_front(LogRecord::InsertMany {
-                        txn,
-                        table: table.clone(),
-                        first_row_id: first_row_id.saturating_add(rows.len() as RowId),
-                        rows: tail,
-                    });
-                    pending.push_front(LogRecord::InsertMany {
-                        txn,
-                        table,
-                        first_row_id,
-                        rows,
-                    });
-                }
-                _ => {
-                    return Err(DbError::Io(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "log record of {} bytes exceeds the {MAX_FRAME}-byte WAL frame cap",
-                            bytes.len()
-                        ),
-                    )))
-                }
-            }
-        }
-        if recs.is_empty() {
-            return Ok(());
-        }
-        let current: &Store = &store;
-        let apply = |recs: Vec<LogRecord>| -> Result<(Store, Vec<Change>), StoreError> {
-            let mut scratch = current.clone();
-            let mut undo = Vec::new();
-            scratch.apply(recs, Some(&mut undo))?;
-            Ok((scratch, undo))
-        };
-        let mut applied = apply(recs)?;
-
-        let mut failure = None;
-        let mut appended = 0;
-        {
-            let mut wal = self.wal.lock();
-            for e in &encoded {
-                match self.append_locked(&mut wal, e) {
-                    Ok(_gsn) => appended += 1,
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        match failure {
-            Some(e) if appended == 0 => return Err(e),
-            Some(_) => {
-                // The log took a prefix of the statement before failing:
-                // memory must hold exactly what the log holds, so the
-                // transaction's fate (commit or abort) means the same thing
-                // in both.
-                let prefix = encoded[..appended]
-                    .iter()
-                    .map(|e| LogRecord::decode(e))
-                    .collect::<Result<Vec<_>, _>>()?;
-                applied = apply(prefix)?;
-            }
-            None => {}
-        }
-        let (scratch, undo) = applied;
-        *store = scratch;
-        self.publish(&store);
-        if let Some(txn_undo) = self.active.lock().get_mut(&txn) {
-            txn_undo.extend(undo);
-        }
-        failure.map_or(Ok(()), Err)
-    }
-
-    /// Insert a row (logged, undoable), returning its stable id.
-    pub fn insert(&self, txn: TxnId, table: &str, row: Row) -> Result<RowId, DbError> {
-        let mut row_id = 0;
-        self.write(txn, |s| {
-            row_id = s.table(table)?.next_row_id;
-            Ok(vec![LogRecord::Insert {
-                txn,
-                table: table.to_string(),
-                row_id,
-                row,
-            }])
-        })?;
-        Ok(row_id)
-    }
-
-    /// Insert a batch of rows with consecutive stable ids, taking **one**
-    /// WAL append (and one lock round trip) for the whole batch instead of
-    /// one per row — the `INSERT … SELECT` materialization hot path.
-    ///
-    /// A batch whose encoding would exceed the WAL frame cap is split into
-    /// the minimum number of conforming chunk records; a single row too big
-    /// for a frame is refused with the same `InvalidInput` error as
-    /// [`Durable::insert`].
-    pub fn insert_many(
-        &self,
-        txn: TxnId,
-        table: &str,
-        rows: Vec<Row>,
-    ) -> Result<Vec<RowId>, DbError> {
-        let mut ids = 0..0;
-        self.write(txn, |s| {
-            let first_row_id = s.table(table)?.next_row_id;
-            ids = first_row_id..first_row_id.saturating_add(rows.len() as RowId);
-            if rows.is_empty() {
-                return Ok(Vec::new());
-            }
-            Ok(vec![LogRecord::InsertMany {
-                txn,
-                table: table.to_string(),
-                first_row_id,
-                rows,
-            }])
-        })?;
-        Ok(ids.collect())
-    }
-
-    /// Delete a row by id (logged, undoable).
-    pub fn delete(&self, txn: TxnId, table: &str, row_id: RowId) -> Result<(), DbError> {
-        self.delete_many(txn, table, &[row_id])
-    }
-
-    /// Delete a statement's rows by id: one `Delete` record per row (the
-    /// log format recovery already replays), one publish for the lot.
-    pub fn delete_many(&self, txn: TxnId, table: &str, row_ids: &[RowId]) -> Result<(), DbError> {
-        self.write(txn, |s| {
-            s.table(table)?;
-            Ok(row_ids
-                .iter()
-                .map(|&row_id| LogRecord::Delete {
-                    txn,
-                    table: table.to_string(),
-                    row_id,
-                })
-                .collect())
-        })
-    }
-
-    /// Replace a row in place (logged, undoable).
-    pub fn update(&self, txn: TxnId, table: &str, row_id: RowId, row: Row) -> Result<(), DbError> {
-        self.update_many(txn, table, vec![(row_id, row)])
-    }
-
-    /// Replace a statement's rows in place: one `Update` record per row,
-    /// applied in order, one publish for the lot.
-    pub fn update_many(
-        &self,
-        txn: TxnId,
-        table: &str,
-        changes: Vec<(RowId, Row)>,
-    ) -> Result<(), DbError> {
-        self.write(txn, |s| {
-            s.table(table)?;
-            Ok(changes
-                .into_iter()
-                .map(|(row_id, row)| LogRecord::Update {
-                    txn,
-                    table: table.to_string(),
-                    row_id,
-                    row,
-                })
-                .collect())
-        })
-    }
-
-    // -- catalog mutations: the same write path -------------------------
-
-    /// Create a table (logged, undoable).
-    pub fn create_table(&self, txn: TxnId, def: TableDef) -> Result<(), DbError> {
-        self.write(txn, |_| Ok(vec![LogRecord::CreateTable { txn, def }]))
-    }
-
-    /// Drop a table (logged; abort restores it with its rows). Like every
-    /// statement on a table whose snapshot segment does not read back, the
-    /// drop of one is refused.
-    pub fn drop_table(&self, txn: TxnId, name: &str) -> Result<(), DbError> {
-        self.write(txn, |s| {
-            s.table(name)?;
-            let name = name.to_string();
-            Ok(vec![LogRecord::DropTable { txn, name }])
-        })
-    }
-
-    /// Register a stored procedure (logged, undoable).
-    pub fn create_proc(&self, txn: TxnId, name: &str, sql: &str) -> Result<(), DbError> {
-        let (name, sql) = (name.to_string(), sql.to_string());
-        self.write(txn, |_| Ok(vec![LogRecord::CreateProc { txn, name, sql }]))
-    }
-
-    /// Drop a stored procedure (logged; abort restores it).
-    pub fn drop_proc(&self, txn: TxnId, name: &str) -> Result<(), DbError> {
-        let name = name.to_string();
-        self.write(txn, |_| Ok(vec![LogRecord::DropProc { txn, name }]))
-    }
-
-    /// Create a secondary index on `table` (logged, undoable). The index is
-    /// backfilled from the table's current rows; no index pages are logged.
-    pub fn create_index(
-        &self,
-        txn: TxnId,
-        table: &str,
-        name: &str,
-        column: usize,
-    ) -> Result<(), DbError> {
-        let (table, name) = (table.to_string(), name.to_string());
-        self.write(txn, |_| {
-            Ok(vec![LogRecord::CreateIndex {
-                txn,
-                table,
-                name,
-                column,
-            }])
-        })
-    }
-
-    /// Drop a secondary index from `table` (logged; abort rebuilds it).
-    pub fn drop_index(&self, txn: TxnId, table: &str, name: &str) -> Result<(), DbError> {
-        let (table, name) = (table.to_string(), name.to_string());
-        self.write(txn, |_| Ok(vec![LogRecord::DropIndex { txn, table, name }]))
-    }
-
-    /// Take a checkpoint: capture the current *committed* image, rotate the
-    /// log aside, serialize the tables whose data changed since the last
+    /// Take a checkpoint: capture the committed store, rotate the log
+    /// aside, serialize the tables whose data changed since the last
     /// checkpoint, commit the new manifest, and discard the rotated log.
     ///
-    /// Requires no active transactions (the engine quiesces first); a
-    /// snapshot with an in-flight transaction would otherwise capture its
-    /// uncommitted effects without the log records needed to decide its
-    /// fate. The writer lock is held only for the **pause phase** — an
-    /// O(1) clone of the store plus the log rotation — and is
-    /// released before any serialization happens; concurrent writers append
+    /// Open transactions do not matter: none of them has logged anything.
+    /// Commits wait only for the **pause phase** — an `Arc` clone of the
+    /// committed store plus the log rotation — and concurrent writers append
     /// to the fresh log while the segments are written. Snapshot readers
     /// are unaffected throughout: they keep executing against the last
     /// published image.
     pub fn checkpoint(&self) -> Result<(), DbError> {
-        let cp = self.checkpoint_state.lock();
-        self.run_checkpoint(cp, self.working.lock())
-    }
-
-    /// Non-blocking [`Self::checkpoint`]: returns `Ok(false)` without doing
-    /// anything if a checkpoint is already running or another writer
-    /// currently holds the working store.
-    ///
-    /// Background/best-effort callers use this rather than `checkpoint()`
-    /// so an opportunistic checkpoint never queues behind a long write —
-    /// readers are already immune (they run on published snapshots and
-    /// never touch the writer lock).
-    pub fn try_checkpoint(&self) -> Result<bool, DbError> {
-        let Some(cp) = self.checkpoint_state.try_lock() else {
-            return Ok(false);
-        };
-        let Some(working) = self.working.try_lock() else {
-            return Ok(false);
-        };
-        self.run_checkpoint(cp, working).map(|()| true)
-    }
-
-    fn run_checkpoint(
-        &self,
-        mut cp: MutexGuard<'_, CheckpointState>,
-        working: MutexGuard<'_, Store>,
-    ) -> Result<(), DbError> {
+        let mut cp = self.checkpoint_state.lock();
         let start = Instant::now();
-        if let Some(txn) = self.active.lock().keys().next().copied() {
-            return Err(DbError::TxnActive(txn));
-        }
         let m = storage_metrics();
         let _t = phoenix_obs::Timer::new(&m.checkpoint_us);
 
-        // ---- pause phase (writer lock held) --------------------------------
-        // An O(1) image of the store: the catalog and every table are
-        // persistent maps, and any later mutation copies-on-write away from
-        // the shared nodes, so the image is frozen.
-        let image = working.clone();
-        // Mark + rotation inside one WAL critical section: `last_finished`
-        // advances under the WAL lock (commit) or the working lock (abort —
-        // and we hold it), so no transaction can finish between reading the
-        // mark and rotating the log; with `active` empty, `txn ≤ mark` is
-        // *exactly* "records whose effects the image materializes".
-        let mark = {
-            let mut wal = self.wal.lock();
-            let mark = self.last_finished.load(Ordering::Relaxed);
-            wal.rotate_to(&Self::wal_old_path(&self.dir))?;
-            mark
+        // ---- pause phase (commits wait) ------------------------------------
+        // The image and the mark under both locks a commit holds while it
+        // appends and installs, with the rotation in the same critical
+        // section: `txn ≤ mark` is exactly "in the image".
+        let (image, mark) = {
+            let committed = self.committed.lock();
+            let mut log = self.log.lock();
+            log.wal.rotate_to(&Self::wal_old_path(&self.dir))?;
+            (Arc::clone(&committed), log.last_txn)
         };
         self.records_since_checkpoint.store(0, Ordering::Relaxed);
-        drop(working);
         let pause_us = start.elapsed().as_micros() as u64;
         m.checkpoint_pause_us.record(pause_us);
 
@@ -1046,6 +693,358 @@ impl Durable {
     }
 }
 
+/// Transactions by number, for callers that hold a transaction as a plain
+/// id between calls: `begin` parks a [`Txn`] under a fresh number, `insert`
+/// and `create_table` write through it, and `commit` commits it. A number
+/// not parked is an `InvalidInput` error.
+impl Durable {
+    /// [`Durable::begin_txn`], parked under the returned number.
+    pub fn begin(&self) -> Result<u64, DbError> {
+        let number = self.next_number.fetch_add(1, Ordering::Relaxed);
+        self.numbered.lock().insert(number, self.begin_txn());
+        Ok(number)
+    }
+
+    /// [`Txn::insert`] in the numbered transaction.
+    pub fn insert(&self, number: u64, table: &str, row: Row) -> Result<RowId, DbError> {
+        let mut txn = self.take_numbered(number)?;
+        let row_id = txn.insert(table, row);
+        self.numbered.lock().insert(number, txn);
+        row_id
+    }
+
+    /// [`Txn::create_table`] in the numbered transaction.
+    pub fn create_table(&self, number: u64, def: TableDef) -> Result<(), DbError> {
+        let mut txn = self.take_numbered(number)?;
+        let created = txn.create_table(def);
+        self.numbered.lock().insert(number, txn);
+        created
+    }
+
+    /// [`Durable::commit_txn`] of the numbered transaction.
+    pub fn commit(&self, number: u64) -> Result<(), DbError> {
+        self.commit_txn(self.take_numbered(number)?)
+    }
+
+    fn take_numbered(&self, number: u64) -> Result<Txn, DbError> {
+        let missing = || io::Error::new(io::ErrorKind::InvalidInput, "no such transaction");
+        self.numbered
+            .lock()
+            .remove(&number)
+            .ok_or_else(|| missing().into())
+    }
+}
+
+/// A record's frame payload with its transaction id filled in: every
+/// record encodes its tag in byte 0 and its transaction in bytes 1..9.
+fn stamped(gsn: u64, txn: TxnId, record: &[u8]) -> Vec<u8> {
+    let mut payload = frame_payload(gsn, record);
+    payload[9..17].copy_from_slice(&txn.to_le_bytes());
+    payload
+}
+
+/// A row's image in `store`, if the table and the row are there.
+fn row_image<'s>(store: &'s Store, table: &str, row_id: RowId) -> Option<&'s [Value]> {
+    store.table(table).ok()?.rows.get(&row_id).map(|row| &**row)
+}
+
+/// Re-apply a transaction's `records` to `committed`, which other commits
+/// have moved on from `base`, the store the transaction began from. Rows it
+/// inserted take fresh ids, and its later writes to them follow. It
+/// conflicts where it updates or deletes a row another commit changed,
+/// drops a table another commit wrote, or writes what no longer applies.
+/// Returns the new committed store and the records as they now read.
+fn rebase(
+    base: &Store,
+    committed: &Store,
+    records: Vec<Bytes>,
+) -> Result<(Store, Vec<Bytes>), DbError> {
+    let conflict = |what: String| DbError::Conflict(what);
+    let mut store = committed.clone();
+    // (table, id in the transaction's copy) → id in `store`.
+    let mut moved: HashMap<(String, RowId), RowId> = HashMap::new();
+    let mut out = Vec::with_capacity(records.len());
+    for bytes in records {
+        let mut rec = LogRecord::decode(&bytes)?;
+        let mut renumbered = false;
+        match &mut rec {
+            LogRecord::Insert { table, row_id, .. } => {
+                let fresh = store.table(table)?.next_row_id;
+                moved.insert((normalize_name(table), *row_id), fresh);
+                (*row_id, renumbered) = (fresh, true);
+            }
+            LogRecord::InsertMany {
+                table,
+                first_row_id,
+                rows,
+                ..
+            } => {
+                let fresh = store.table(table)?.next_row_id;
+                for k in 0..rows.len() as RowId {
+                    moved.insert((normalize_name(table), *first_row_id + k), fresh + k);
+                }
+                (*first_row_id, renumbered) = (fresh, true);
+            }
+            LogRecord::Update { table, row_id, .. } | LogRecord::Delete { table, row_id, .. } => {
+                match moved.get(&(normalize_name(table), *row_id)) {
+                    Some(&fresh) => (*row_id, renumbered) = (fresh, true),
+                    None if row_image(base, table, *row_id)
+                        != row_image(committed, table, *row_id) =>
+                    {
+                        return Err(conflict(format!("row {row_id} of '{table}' changed")));
+                    }
+                    None => {}
+                }
+            }
+            LogRecord::DropTable { name, .. } => {
+                let unchanged = match (base.slot(name), committed.slot(name)) {
+                    (Ok(was), Ok(is)) => was.same(is),
+                    (was, is) => was.is_err() && is.is_err(),
+                };
+                if !unchanged {
+                    return Err(conflict(format!("table '{name}' was written")));
+                }
+                let key = normalize_name(name);
+                moved.retain(|(table, _), _| *table != key);
+            }
+            _ => {}
+        }
+        out.push(if renumbered { rec.encode() } else { bytes });
+        store.apply([rec]).map_err(|e| match e {
+            StoreError::Segment { .. } => DbError::Store(e),
+            e => conflict(e.to_string()),
+        })?;
+    }
+    Ok((store, out))
+}
+
+/// A transaction: the published store it began from, its own copy of that
+/// store with its writes applied, and the records of those writes. It logs
+/// nothing until [`Durable::commit_txn`]; dropping it rolls it back.
+pub struct Txn {
+    /// The store it began from: commit compares it with the committed
+    /// store, and a conflict check reads the rows it had.
+    base: Arc<Store>,
+    /// `base` plus this transaction's writes: what its statements read.
+    store: Store,
+    /// Its records, encoded with transaction id 0; commit stamps the id.
+    records: Vec<Bytes>,
+}
+
+impl Txn {
+    /// The store as this transaction sees it: the image it began from plus
+    /// its own writes.
+    pub fn store(&self) -> &Store {
+        &self.store
+    }
+
+    /// The one write path: every mutation, row or catalog, goes through it.
+    ///
+    /// `build` turns the transaction's store into the statement's log
+    /// records. They are then *validated by applying them* through
+    /// [`Store::apply`] *to a scratch copy* of the store — an O(1) clone
+    /// that shares every tree node, so the copy costs what the write itself
+    /// would — and only when the whole statement applies (table, procedure
+    /// or index present or absent as the record needs, arity, key uniqueness
+    /// against the table and within the statement, every row id present)
+    /// does the scratch become the transaction's store and the records join
+    /// the ones it logs at commit. A refused statement leaves the
+    /// transaction as it was.
+    fn write(
+        &mut self,
+        build: impl FnOnce(&Store) -> Result<Vec<LogRecord>, StoreError>,
+    ) -> Result<(), DbError> {
+        // Encode once, up front. The 8-byte GSN prefix rides in the same
+        // frame, so the cap accounts for it; an `InsertMany` over the cap
+        // is halved until each piece fits (ids stay consecutive because the
+        // front half is taken first), anything else over it is refused
+        // here.
+        let mut pending: VecDeque<LogRecord> = build(&self.store)?.into();
+        let (mut recs, mut encoded) = (Vec::new(), Vec::new());
+        while let Some(rec) = pending.pop_front() {
+            let bytes = rec.encode();
+            if bytes.len() <= MAX_FRAME as usize - 8 {
+                recs.push(rec);
+                encoded.push(bytes);
+                continue;
+            }
+            match rec {
+                LogRecord::InsertMany {
+                    txn,
+                    table,
+                    first_row_id,
+                    mut rows,
+                } if rows.len() > 1 => {
+                    let tail = rows.split_off(rows.len() / 2);
+                    pending.push_front(LogRecord::InsertMany {
+                        txn,
+                        table: table.clone(),
+                        first_row_id: first_row_id.saturating_add(rows.len() as RowId),
+                        rows: tail,
+                    });
+                    pending.push_front(LogRecord::InsertMany {
+                        txn,
+                        table,
+                        first_row_id,
+                        rows,
+                    });
+                }
+                _ => {
+                    return Err(DbError::Io(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!(
+                            "log record of {} bytes exceeds the {MAX_FRAME}-byte WAL frame cap",
+                            bytes.len()
+                        ),
+                    )))
+                }
+            }
+        }
+        if recs.is_empty() {
+            return Ok(());
+        }
+        let mut scratch = self.store.clone();
+        scratch.apply(recs)?;
+        self.store = scratch;
+        self.records.extend(encoded);
+        Ok(())
+    }
+
+    /// Insert a row, returning its id in this transaction's store (a commit
+    /// that re-applies the transaction may give it another).
+    pub fn insert(&mut self, table: &str, row: Row) -> Result<RowId, DbError> {
+        let mut row_id = 0;
+        self.write(|s| {
+            row_id = s.table(table)?.next_row_id;
+            Ok(vec![LogRecord::Insert {
+                txn: 0,
+                table: table.to_string(),
+                row_id,
+                row,
+            }])
+        })?;
+        Ok(row_id)
+    }
+
+    /// Insert a batch of rows with consecutive ids in **one** record — the
+    /// `INSERT … SELECT` materialization hot path. A batch whose encoding
+    /// would exceed the WAL frame cap is split into the minimum number of
+    /// conforming chunk records; a single row too big for a frame is
+    /// refused with an `InvalidInput` error.
+    pub fn insert_many(&mut self, table: &str, rows: Vec<Row>) -> Result<Vec<RowId>, DbError> {
+        let mut ids = 0..0;
+        self.write(|s| {
+            let first_row_id = s.table(table)?.next_row_id;
+            ids = first_row_id..first_row_id.saturating_add(rows.len() as RowId);
+            if rows.is_empty() {
+                return Ok(Vec::new());
+            }
+            Ok(vec![LogRecord::InsertMany {
+                txn: 0,
+                table: table.to_string(),
+                first_row_id,
+                rows,
+            }])
+        })?;
+        Ok(ids.collect())
+    }
+
+    /// Delete a row by id.
+    pub fn delete(&mut self, table: &str, row_id: RowId) -> Result<(), DbError> {
+        self.delete_many(table, &[row_id])
+    }
+
+    /// Delete a statement's rows by id: one `Delete` record per row.
+    pub fn delete_many(&mut self, table: &str, row_ids: &[RowId]) -> Result<(), DbError> {
+        self.write(|s| {
+            s.table(table)?;
+            Ok(row_ids
+                .iter()
+                .map(|&row_id| LogRecord::Delete {
+                    txn: 0,
+                    table: table.to_string(),
+                    row_id,
+                })
+                .collect())
+        })
+    }
+
+    /// Replace a row in place.
+    pub fn update(&mut self, table: &str, row_id: RowId, row: Row) -> Result<(), DbError> {
+        self.update_many(table, vec![(row_id, row)])
+    }
+
+    /// Replace a statement's rows in place: one `Update` record per row,
+    /// applied in order.
+    pub fn update_many(&mut self, table: &str, changes: Vec<(RowId, Row)>) -> Result<(), DbError> {
+        self.write(|s| {
+            s.table(table)?;
+            Ok(changes
+                .into_iter()
+                .map(|(row_id, row)| LogRecord::Update {
+                    txn: 0,
+                    table: table.to_string(),
+                    row_id,
+                    row,
+                })
+                .collect())
+        })
+    }
+
+    /// Create a table.
+    pub fn create_table(&mut self, def: TableDef) -> Result<(), DbError> {
+        self.write(|_| Ok(vec![LogRecord::CreateTable { txn: 0, def }]))
+    }
+
+    /// Drop a table. Like every statement on a table whose snapshot segment
+    /// does not read back, the drop of one is refused.
+    pub fn drop_table(&mut self, name: &str) -> Result<(), DbError> {
+        self.write(|s| {
+            s.table(name)?;
+            let name = name.to_string();
+            Ok(vec![LogRecord::DropTable { txn: 0, name }])
+        })
+    }
+
+    /// Register a stored procedure.
+    pub fn create_proc(&mut self, name: &str, sql: &str) -> Result<(), DbError> {
+        let (name, sql) = (name.to_string(), sql.to_string());
+        self.write(|_| Ok(vec![LogRecord::CreateProc { txn: 0, name, sql }]))
+    }
+
+    /// Drop a stored procedure.
+    pub fn drop_proc(&mut self, name: &str) -> Result<(), DbError> {
+        let name = name.to_string();
+        self.write(|_| Ok(vec![LogRecord::DropProc { txn: 0, name }]))
+    }
+
+    /// Create a secondary index on `table`, backfilled from the table's
+    /// current rows; no index pages are logged.
+    pub fn create_index(&mut self, table: &str, name: &str, column: usize) -> Result<(), DbError> {
+        let (table, name) = (table.to_string(), name.to_string());
+        self.write(|_| {
+            Ok(vec![LogRecord::CreateIndex {
+                txn: 0,
+                table,
+                name,
+                column,
+            }])
+        })
+    }
+
+    /// Drop a secondary index from `table`.
+    pub fn drop_index(&mut self, table: &str, name: &str) -> Result<(), DbError> {
+        let (table, name) = (table.to_string(), name.to_string());
+        self.write(|_| {
+            Ok(vec![LogRecord::DropIndex {
+                txn: 0,
+                table,
+                name,
+            }])
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1080,11 +1079,11 @@ mod tests {
         let dir = temp_dir();
         {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t = db.begin().unwrap();
-            db.create_table(t, def()).unwrap();
-            db.insert(t, "dbo.t", row(1, "a")).unwrap();
-            db.insert(t, "dbo.t", row(2, "b")).unwrap();
-            db.commit(t).unwrap();
+            let mut t = db.begin_txn();
+            t.create_table(def()).unwrap();
+            t.insert("dbo.t", row(1, "a")).unwrap();
+            t.insert("dbo.t", row(2, "b")).unwrap();
+            db.commit_txn(t).unwrap();
             // Simulate crash: drop without checkpoint.
         }
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
@@ -1100,11 +1099,11 @@ mod tests {
         let dir = temp_dir();
         {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t = db.begin().unwrap();
-            db.create_table(t, def()).unwrap();
-            db.commit(t).unwrap();
-            let t2 = db.begin().unwrap();
-            db.insert(t2, "dbo.t", row(1, "ghost")).unwrap();
+            let mut t = db.begin_txn();
+            t.create_table(def()).unwrap();
+            db.commit_txn(t).unwrap();
+            let mut t2 = db.begin_txn();
+            t2.insert("dbo.t", row(1, "ghost")).unwrap();
             // No commit; crash.
         }
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
@@ -1116,17 +1115,21 @@ mod tests {
     fn abort_rolls_back_in_memory() {
         let dir = temp_dir();
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def()).unwrap();
-        db.insert(t, "dbo.t", row(1, "a")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def()).unwrap();
+        t.insert("dbo.t", row(1, "a")).unwrap();
+        db.commit_txn(t).unwrap();
 
-        let t2 = db.begin().unwrap();
-        let rid = db.insert(t2, "dbo.t", row(2, "b")).unwrap();
-        db.update(t2, "dbo.t", 1, row(1, "changed")).unwrap();
-        db.delete(t2, "dbo.t", 1).unwrap();
-        db.create_proc(t2, "p", "SELECT 1").unwrap();
-        db.abort(t2).unwrap();
+        let mut t2 = db.begin_txn();
+        let rid = t2.insert("dbo.t", row(2, "b")).unwrap();
+        t2.update("dbo.t", 1, row(1, "changed")).unwrap();
+        t2.delete("dbo.t", 1).unwrap();
+        t2.create_proc("p", "SELECT 1").unwrap();
+        // The transaction reads its own writes; nobody else does.
+        assert_eq!(t2.store().table("dbo.t").unwrap().len(), 1);
+        assert!(t2.store().has_proc("p"));
+        assert!(!db.snapshot().has_proc("p"));
+        drop(t2);
 
         let store = db.snapshot();
         let tbl = store.table("dbo.t").unwrap();
@@ -1142,15 +1145,19 @@ mod tests {
     fn abort_restores_dropped_table() {
         let dir = temp_dir();
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def()).unwrap();
-        db.insert(t, "dbo.t", row(1, "keep")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def()).unwrap();
+        t.insert("dbo.t", row(1, "keep")).unwrap();
+        db.commit_txn(t).unwrap();
 
-        let t2 = db.begin().unwrap();
-        db.drop_table(t2, "dbo.t").unwrap();
-        assert!(!db.snapshot().has_table("dbo.t"));
-        db.abort(t2).unwrap();
+        let mut t2 = db.begin_txn();
+        t2.drop_table("dbo.t").unwrap();
+        assert!(!t2.store().has_table("dbo.t"));
+        assert!(
+            db.snapshot().has_table("dbo.t"),
+            "the drop is not published"
+        );
+        drop(t2);
         assert_eq!(db.snapshot().table("dbo.t").unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1162,14 +1169,14 @@ mod tests {
         let dir = temp_dir();
         {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t = db.begin().unwrap();
-            db.create_table(t, def()).unwrap();
-            db.insert(t, "dbo.t", row(1, "a")).unwrap();
-            db.commit(t).unwrap();
-            let t2 = db.begin().unwrap();
-            db.create_index(t2, "dbo.t", "t_name", 1).unwrap();
-            db.insert(t2, "dbo.t", row(2, "b")).unwrap();
-            db.commit(t2).unwrap();
+            let mut t = db.begin_txn();
+            t.create_table(def()).unwrap();
+            t.insert("dbo.t", row(1, "a")).unwrap();
+            db.commit_txn(t).unwrap();
+            let mut t2 = db.begin_txn();
+            t2.create_index("dbo.t", "t_name", 1).unwrap();
+            t2.insert("dbo.t", row(2, "b")).unwrap();
+            db.commit_txn(t2).unwrap();
             // Crash (drop without checkpoint): replay rebuilds the index.
         }
         {
@@ -1183,9 +1190,9 @@ mod tests {
             // Checkpoint, then more DML, then crash again: the index def now
             // rides the snapshot segment and replayed DML maintains it.
             db.checkpoint().unwrap();
-            let t3 = db.begin().unwrap();
-            db.insert(t3, "dbo.t", row(3, "c")).unwrap();
-            db.commit(t3).unwrap();
+            let mut t3 = db.begin_txn();
+            t3.insert("dbo.t", row(3, "c")).unwrap();
+            db.commit_txn(t3).unwrap();
         }
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
         let snap = db.snapshot();
@@ -1200,16 +1207,16 @@ mod tests {
     fn abort_rolls_back_index_ddl() {
         let dir = temp_dir();
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def()).unwrap();
-        db.insert(t, "dbo.t", row(1, "a")).unwrap();
-        db.create_index(t, "dbo.t", "t_keep", 1).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def()).unwrap();
+        t.insert("dbo.t", row(1, "a")).unwrap();
+        t.create_index("dbo.t", "t_keep", 1).unwrap();
+        db.commit_txn(t).unwrap();
 
-        let t2 = db.begin().unwrap();
-        db.create_index(t2, "dbo.t", "t_scratch", 0).unwrap();
-        db.drop_index(t2, "dbo.t", "t_keep").unwrap();
-        db.abort(t2).unwrap();
+        let mut t2 = db.begin_txn();
+        t2.create_index("dbo.t", "t_scratch", 0).unwrap();
+        t2.drop_index("dbo.t", "t_keep").unwrap();
+        drop(t2);
 
         let snap = db.snapshot();
         let tbl = snap.table("dbo.t").unwrap();
@@ -1228,18 +1235,18 @@ mod tests {
     fn snapshot_is_immutable_under_later_mutations() {
         let dir = temp_dir();
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def()).unwrap();
-        db.insert(t, "dbo.t", row(1, "a")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def()).unwrap();
+        t.insert("dbo.t", row(1, "a")).unwrap();
+        db.commit_txn(t).unwrap();
 
         let before = db.snapshot();
-        let t2 = db.begin().unwrap();
-        db.update(t2, "dbo.t", 1, row(1, "mutated")).unwrap();
-        db.insert_many(t2, "dbo.t", vec![row(2, "b"), row(3, "c")])
+        let mut t2 = db.begin_txn();
+        t2.update("dbo.t", 1, row(1, "mutated")).unwrap();
+        t2.insert_many("dbo.t", vec![row(2, "b"), row(3, "c")])
             .unwrap();
-        db.delete(t2, "dbo.t", 1).unwrap();
-        db.commit(t2).unwrap();
+        t2.delete("dbo.t", 1).unwrap();
+        db.commit_txn(t2).unwrap();
 
         // The old snapshot still shows exactly the pre-mutation image …
         let tbl = before.table("dbo.t").unwrap();
@@ -1261,14 +1268,20 @@ mod tests {
         let ids;
         {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t = db.begin().unwrap();
-            db.create_table(t, def()).unwrap();
+            let mut t = db.begin_txn();
+            t.create_table(def()).unwrap();
+            db.commit_txn(t).unwrap();
             let before = db.log_records_since_checkpoint();
-            ids = db
-                .insert_many(t, "dbo.t", (0..50).map(|i| row(i, "v")).collect())
+            let mut t = db.begin_txn();
+            ids = t
+                .insert_many("dbo.t", (0..50).map(|i| row(i, "v")).collect())
                 .unwrap();
-            assert_eq!(db.log_records_since_checkpoint(), before + 1);
-            db.commit(t).unwrap();
+            db.commit_txn(t).unwrap();
+            assert_eq!(
+                db.log_records_since_checkpoint(),
+                before + 2,
+                "one batch record and the commit"
+            );
         }
         assert_eq!(ids, (1..=50).collect::<Vec<RowId>>());
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
@@ -1288,17 +1301,17 @@ mod tests {
         let ids;
         {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t = db.begin().unwrap();
-            db.create_table(t, def()).unwrap();
+            let mut t = db.begin_txn();
+            t.create_table(def()).unwrap();
             // 5 rows × ~20 MiB ≈ 100 MiB encoded — over the 64 MiB cap,
             // but each half fits.
             let big = "y".repeat(20 * 1024 * 1024);
             let before = db.log_records_since_checkpoint();
-            ids = db
-                .insert_many(t, "dbo.t", (0..5).map(|i| row(i, &big)).collect())
+            ids = t
+                .insert_many("dbo.t", (0..5).map(|i| row(i, &big)).collect())
                 .unwrap();
-            assert!(db.log_records_since_checkpoint() > before + 1);
-            db.commit(t).unwrap();
+            db.commit_txn(t).unwrap();
+            assert!(db.log_records_since_checkpoint() > before + 3);
         }
         assert_eq!(ids, (1..=5).collect::<Vec<RowId>>());
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
@@ -1311,15 +1324,15 @@ mod tests {
     fn insert_many_aborts_cleanly() {
         let dir = temp_dir();
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def()).unwrap();
-        db.insert(t, "dbo.t", row(1, "keep")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def()).unwrap();
+        t.insert("dbo.t", row(1, "keep")).unwrap();
+        db.commit_txn(t).unwrap();
 
-        let t2 = db.begin().unwrap();
-        db.insert_many(t2, "dbo.t", vec![row(2, "b"), row(3, "c"), row(4, "d")])
+        let mut t2 = db.begin_txn();
+        t2.insert_many("dbo.t", vec![row(2, "b"), row(3, "c"), row(4, "d")])
             .unwrap();
-        db.abort(t2).unwrap();
+        drop(t2);
         let snap = db.snapshot();
         assert_eq!(snap.table("dbo.t").unwrap().len(), 1);
         drop(snap);
@@ -1331,48 +1344,84 @@ mod tests {
         let dir = temp_dir();
         {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t = db.begin().unwrap();
-            db.create_table(t, def()).unwrap();
+            let mut t = db.begin_txn();
+            t.create_table(def()).unwrap();
             for i in 0..10 {
-                db.insert(t, "dbo.t", row(i, "x")).unwrap();
+                t.insert("dbo.t", row(i, "x")).unwrap();
             }
-            db.commit(t).unwrap();
+            db.commit_txn(t).unwrap();
             db.checkpoint().unwrap();
             assert_eq!(db.log_records_since_checkpoint(), 0);
             // More work after the checkpoint.
-            let t2 = db.begin().unwrap();
-            db.insert(t2, "dbo.t", row(100, "post")).unwrap();
-            db.commit(t2).unwrap();
+            let mut t2 = db.begin_txn();
+            t2.insert("dbo.t", row(100, "post")).unwrap();
+            db.commit_txn(t2).unwrap();
         }
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
         assert_eq!(db.snapshot().table("dbo.t").unwrap().len(), 11);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// An open transaction has logged nothing, so a checkpoint runs
+    /// beside it; the transaction commits after it, into the fresh log,
+    /// and both survive a reopen.
     #[test]
-    fn checkpoint_refused_with_active_txn() {
+    fn checkpoint_runs_beside_an_open_txn() {
         let dir = temp_dir();
+        {
+            let db = Durable::open(&dir, Durability::Fsync).unwrap();
+            let mut t = db.begin_txn();
+            t.create_table(def()).unwrap();
+            t.insert("dbo.t", row(1, "before")).unwrap();
+            db.commit_txn(t).unwrap();
+            let mut open = db.begin_txn();
+            open.insert("dbo.t", row(2, "open")).unwrap();
+            db.checkpoint().unwrap();
+            assert_eq!(db.log_records_since_checkpoint(), 0);
+            db.commit_txn(open).unwrap();
+        }
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        assert!(matches!(db.checkpoint(), Err(DbError::TxnActive(x)) if x == t));
-        db.abort(t).unwrap();
-        db.checkpoint().unwrap();
+        assert_eq!(db.snapshot().table("dbo.t").unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The ids of the `Commit` records in the live log, in log order.
+    fn commit_ids(dir: &Path) -> Vec<TxnId> {
+        Wal::read_all(Durable::wal_path(dir))
+            .unwrap()
+            .iter()
+            .filter_map(|frame| match LogRecord::decode(&frame[8..]).unwrap() {
+                LogRecord::Commit { txn } => Some(txn),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Ids are allocated at commit, in commit order, and stay monotone
+    /// across a restart: a transaction that began first but commits last
+    /// takes the larger id.
     #[test]
     fn txn_ids_monotone_across_restarts() {
         let dir = temp_dir();
-        let last = {
+        {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t = db.begin().unwrap();
-            db.commit(t).unwrap();
-            t
-        };
+            let mut t = db.begin_txn();
+            t.create_table(def()).unwrap();
+            db.commit_txn(t).unwrap();
+            let mut early = db.begin_txn();
+            early.insert("dbo.t", row(1, "early")).unwrap();
+            let mut late = db.begin_txn();
+            late.insert("dbo.t", row(2, "late")).unwrap();
+            db.commit_txn(late).unwrap();
+            db.commit_txn(early).unwrap();
+        }
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        assert!(t > last);
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.insert("dbo.t", row(3, "after")).unwrap();
+        db.commit_txn(t).unwrap();
+        let ids = commit_ids(&dir);
+        assert_eq!(ids.len(), 4);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1381,32 +1430,38 @@ mod tests {
         let dir = temp_dir();
         {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t = db.begin().unwrap();
-            db.create_table(t, def()).unwrap();
-            db.insert(t, "dbo.t", row(1, "a")).unwrap();
-            let rid2 = db.insert(t, "dbo.t", row(2, "b")).unwrap();
-            db.delete(t, "dbo.t", rid2).unwrap();
-            db.commit(t).unwrap();
+            let mut t = db.begin_txn();
+            t.create_table(def()).unwrap();
+            t.insert("dbo.t", row(1, "a")).unwrap();
+            let rid2 = t.insert("dbo.t", row(2, "b")).unwrap();
+            t.delete("dbo.t", rid2).unwrap();
+            db.commit_txn(t).unwrap();
         }
         let dir2 = dir.clone();
         let db = Durable::open(&dir2, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
+        let mut t = db.begin_txn();
         // A new insert must not reuse the deleted id 2.
-        let rid = db.insert(t, "dbo.t", row(3, "c")).unwrap();
+        let rid = t.insert("dbo.t", row(3, "c")).unwrap();
         assert_eq!(rid, 3);
-        db.commit(t).unwrap();
+        db.commit_txn(t).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A number `begin` never handed out, or one already committed, names
+    /// no transaction.
     #[test]
     fn mutating_unknown_txn_is_an_error() {
         let dir = temp_dir();
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        assert!(matches!(
-            db.insert(999, "dbo.t", row(1, "x")),
-            Err(DbError::NoSuchTxn(999))
-        ));
-        assert!(matches!(db.commit(999), Err(DbError::NoSuchTxn(999))));
+        let unknown = |r: Result<(), DbError>| matches!(r, Err(DbError::Io(e)) if e.kind() == io::ErrorKind::InvalidInput);
+        assert!(unknown(db.insert(999, "dbo.t", row(1, "x")).map(drop)));
+        assert!(unknown(db.commit(999)));
+        let t = db.begin().unwrap();
+        db.create_table(t, def()).unwrap();
+        db.insert(t, "dbo.t", row(1, "x")).unwrap();
+        db.commit(t).unwrap();
+        assert!(unknown(db.commit(t)));
+        assert_eq!(db.snapshot().table("dbo.t").unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1417,62 +1472,60 @@ mod tests {
     fn oversized_row_is_refused_not_silently_dropped() {
         let dir = temp_dir();
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def()).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def()).unwrap();
         // A text value bigger than the frame cap; the encoded record is
         // necessarily bigger still.
         let huge = "x".repeat(MAX_FRAME as usize + 1);
-        let err = db
-            .insert(t, "dbo.t", vec![Value::Int(1), Value::Text(huge)])
+        let err = t
+            .insert("dbo.t", vec![Value::Int(1), Value::Text(huge)])
             .unwrap_err();
         match err {
             DbError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
             other => panic!("expected Io(InvalidInput), got {other}"),
         }
-        // The store was not touched (log-before-apply: the append failed
-        // before any apply) and the database remains usable.
-        assert!(db.snapshot().table("dbo.t").unwrap().is_empty());
-        db.insert(t, "dbo.t", row(1, "small")).unwrap();
-        db.commit(t).unwrap();
+        // The transaction was not touched (the record was refused before
+        // any apply) and stays usable.
+        assert!(t.store().table("dbo.t").unwrap().is_empty());
+        t.insert("dbo.t", row(1, "small")).unwrap();
+        db.commit_txn(t).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A catalog statement the store refuses, inside a transaction that then
-    /// commits, logs nothing: the log holds only the commit record, and the
-    /// directory reopens with the catalog it had.
+    /// commits, logs nothing: a transaction that wrote nothing else logs
+    /// nothing at all, and the directory reopens with the catalog it had.
     #[test]
     fn refused_catalog_statement_in_committed_txn_logs_nothing() {
-        type Refused = fn(&Durable, TxnId) -> Result<(), DbError>;
+        type Refused = fn(&mut Txn) -> Result<(), DbError>;
         let cases: [(&str, Refused); 6] = [
-            ("duplicate create_table", |db, t| db.create_table(t, def())),
-            ("missing drop_table", |db, t| db.drop_table(t, "dbo.nope")),
-            ("duplicate create_proc", |db, t| db.create_proc(t, "p", "x")),
-            ("missing drop_proc", |db, t| db.drop_proc(t, "dbo.nope")),
-            ("duplicate create_index", |db, t| {
-                db.create_index(t, "dbo.t", "t_v", 0)
+            ("duplicate create_table", |t| t.create_table(def())),
+            ("missing drop_table", |t| t.drop_table("dbo.nope")),
+            ("duplicate create_proc", |t| t.create_proc("p", "x")),
+            ("missing drop_proc", |t| t.drop_proc("dbo.nope")),
+            ("duplicate create_index", |t| {
+                t.create_index("dbo.t", "t_v", 0)
             }),
-            ("missing drop_index", |db, t| {
-                db.drop_index(t, "dbo.t", "nope")
-            }),
+            ("missing drop_index", |t| t.drop_index("dbo.t", "nope")),
         ];
         for (what, refused) in cases {
             let dir = temp_dir();
             {
                 let db = Durable::open(&dir, Durability::Fsync).unwrap();
-                let t = db.begin().unwrap();
-                db.create_table(t, def()).unwrap();
-                db.insert(t, "dbo.t", row(1, "a")).unwrap();
-                db.create_index(t, "dbo.t", "t_v", 1).unwrap();
-                db.create_proc(t, "p", "SELECT 1").unwrap();
-                db.commit(t).unwrap();
+                let mut t = db.begin_txn();
+                t.create_table(def()).unwrap();
+                t.insert("dbo.t", row(1, "a")).unwrap();
+                t.create_index("dbo.t", "t_v", 1).unwrap();
+                t.create_proc("p", "SELECT 1").unwrap();
+                db.commit_txn(t).unwrap();
                 let before = db.log_records_since_checkpoint();
-                let t = db.begin().unwrap();
-                assert!(refused(&db, t).is_err(), "{what}");
-                db.commit(t).unwrap();
+                let mut t = db.begin_txn();
+                assert!(refused(&mut t).is_err(), "{what}");
+                db.commit_txn(t).unwrap();
                 assert_eq!(
                     db.log_records_since_checkpoint(),
-                    before + 1,
-                    "{what}: only the commit record"
+                    before,
+                    "{what}: nothing logged"
                 );
                 // Crash: drop without checkpoint.
             }
@@ -1504,9 +1557,9 @@ mod tests {
         use std::sync::Arc;
         let dir = temp_dir();
         let db = Arc::new(Durable::open(&dir, Durability::Fsync).unwrap());
-        let t = db.begin().unwrap();
-        db.create_table(t, def()).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def()).unwrap();
+        db.commit_txn(t).unwrap();
 
         let before = db.wal_sync_count();
         const THREADS: usize = 8;
@@ -1526,10 +1579,10 @@ mod tests {
                     let _plan = phoenix_chaos::enter(Some(plan));
                     barrier.wait();
                     for i in 0..COMMITS {
-                        let t = db.begin().unwrap();
-                        db.insert(t, "dbo.t", row((k * COMMITS + i) as i64 + 10, "w"))
+                        let mut t = db.begin_txn();
+                        t.insert("dbo.t", row((k * COMMITS + i) as i64 + 10, "w"))
                             .unwrap();
-                        db.commit(t).unwrap();
+                        db.commit_txn(t).unwrap();
                     }
                 })
             })
@@ -1558,26 +1611,25 @@ mod tests {
         let dir = temp_dir();
         {
             let db = Arc::new(Durable::open(&dir, Durability::Fsync).unwrap());
-            let t = db.begin().unwrap();
-            db.create_table(t, def()).unwrap();
-            db.commit(t).unwrap();
+            let mut t = db.begin_txn();
+            t.create_table(def()).unwrap();
+            db.commit_txn(t).unwrap();
             let handles: Vec<_> = (0..4)
                 .map(|k| {
                     let db = Arc::clone(&db);
                     std::thread::spawn(move || {
                         for i in 0..20 {
-                            let t = db.begin().unwrap();
-                            db.insert(t, "dbo.t", row((k * 20 + i) as i64, "v"))
-                                .unwrap();
+                            let mut t = db.begin_txn();
+                            t.insert("dbo.t", row((k * 20 + i) as i64, "v")).unwrap();
                             if i % 5 == 4 {
                                 // Sprinkle empty aborts between the commits,
                                 // plus an extra insert under the live txn.
-                                let a = db.begin().unwrap();
-                                db.insert(t, "dbo.t", row(1000 + (k * 20 + i) as i64, "tmp"))
+                                let a = db.begin_txn();
+                                t.insert("dbo.t", row(1000 + (k * 20 + i) as i64, "tmp"))
                                     .unwrap();
-                                db.abort(a).unwrap();
+                                drop(a);
                             }
-                            db.commit(t).unwrap();
+                            db.commit_txn(t).unwrap();
                         }
                     })
                 })
@@ -1616,24 +1668,24 @@ mod tests {
         let dir = temp_dir();
         {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t = db.begin().unwrap();
-            db.create_table(t, named_def("acct")).unwrap();
-            db.create_table(t, named_def("dbo.acct")).unwrap();
-            db.commit(t).unwrap();
+            let mut t = db.begin_txn();
+            t.create_table(named_def("acct")).unwrap();
+            t.create_table(named_def("dbo.acct")).unwrap();
+            db.commit_txn(t).unwrap();
             let (records, syncs) = (db.log_records_since_checkpoint(), db.wal_sync_count());
-            let t = db.begin().unwrap();
-            db.insert(t, "acct", row(1, "debit")).unwrap();
-            db.insert(t, "dbo.acct", row(1, "credit")).unwrap();
-            db.commit(t).unwrap();
+            let mut t = db.begin_txn();
+            t.insert("acct", row(1, "debit")).unwrap();
+            t.insert("dbo.acct", row(1, "credit")).unwrap();
+            db.commit_txn(t).unwrap();
             assert_eq!(
                 db.log_records_since_checkpoint(),
                 records + 3,
                 "two inserts, one commit"
             );
             assert_eq!(db.wal_sync_count(), syncs + 1, "one flush");
-            let t = db.begin().unwrap();
-            db.insert(t, "acct", row(2, "ghost")).unwrap();
-            db.insert(t, "dbo.acct", row(2, "ghost")).unwrap();
+            let mut t = db.begin_txn();
+            t.insert("acct", row(2, "ghost")).unwrap();
+            t.insert("dbo.acct", row(2, "ghost")).unwrap();
             // Crash without commit.
         }
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
@@ -1653,17 +1705,17 @@ mod tests {
         let dir = temp_dir();
         {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t = db.begin().unwrap();
-            db.create_table(t, named_def("acct")).unwrap();
-            db.create_table(t, named_def("dbo.acct")).unwrap();
-            db.insert(t, "acct", row(1, "a")).unwrap();
-            db.commit(t).unwrap();
-            let t = db.begin().unwrap();
-            db.insert(t, "acct", row(2, "x")).unwrap();
-            db.update(t, "acct", 1, row(1, "mutated")).unwrap();
-            db.insert(t, "dbo.acct", row(1, "y")).unwrap();
-            db.create_proc(t, "p", "SELECT 1").unwrap();
-            db.abort(t).unwrap();
+            let mut t = db.begin_txn();
+            t.create_table(named_def("acct")).unwrap();
+            t.create_table(named_def("dbo.acct")).unwrap();
+            t.insert("acct", row(1, "a")).unwrap();
+            db.commit_txn(t).unwrap();
+            let mut t = db.begin_txn();
+            t.insert("acct", row(2, "x")).unwrap();
+            t.update("acct", 1, row(1, "mutated")).unwrap();
+            t.insert("dbo.acct", row(1, "y")).unwrap();
+            t.create_proc("p", "SELECT 1").unwrap();
+            drop(t);
             let snap = db.snapshot();
             let acct = snap.table("acct").unwrap();
             assert_eq!(acct.len(), 1);
@@ -1688,16 +1740,15 @@ mod tests {
     fn publish_shares_the_catalog() {
         let dir = temp_dir();
         let db = Durable::open(&dir, Durability::Buffered).unwrap();
-        let t = db.begin().unwrap();
+        let mut t = db.begin_txn();
         for i in 0..400 {
-            db.create_table(t, named_def(&format!("dbo.t{i:03}")))
-                .unwrap();
+            t.create_table(named_def(&format!("dbo.t{i:03}"))).unwrap();
         }
-        db.commit(t).unwrap();
+        db.commit_txn(t).unwrap();
         let before = db.snapshot();
-        let t = db.begin().unwrap();
-        db.insert(t, "dbo.t123", row(1, "x")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.insert("dbo.t123", row(1, "x")).unwrap();
+        db.commit_txn(t).unwrap();
         let after = db.snapshot();
         let (nodes, shared, height) = after.catalog_sharing(&before);
         assert!(height >= 2, "400 entries fill more than one node");
@@ -1719,9 +1770,9 @@ mod tests {
         let dir = temp_dir();
         {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t = db.begin().unwrap();
-            db.create_table(t, named_def("dbo.acct")).unwrap();
-            db.commit(t).unwrap();
+            let mut t = db.begin_txn();
+            t.create_table(named_def("dbo.acct")).unwrap();
+            db.commit_txn(t).unwrap();
         }
         // What a partitioned server left in its partition-1 stream: a
         // committed insert.
@@ -1755,9 +1806,9 @@ mod tests {
         let dir = temp_dir();
         {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t = db.begin().unwrap();
-            db.create_table(t, named_def("dbo.acct")).unwrap();
-            db.commit(t).unwrap();
+            let mut t = db.begin_txn();
+            t.create_table(named_def("dbo.acct")).unwrap();
+            db.commit_txn(t).unwrap();
         }
         let marker = dir.join(crate::applier::FENCE_FILE);
         std::fs::write(&marker, b"fenced by epoch 2\n").unwrap();
@@ -1792,16 +1843,16 @@ mod tests {
         {
             let db = Durable::open(&dir, Durability::Buffered).unwrap();
             for name in ["dbo.a", "dbo.b", "dbo.c"] {
-                let t = db.begin().unwrap();
-                db.create_table(t, named_def(name)).unwrap();
-                db.insert(t, name, row(1, "snapshot")).unwrap();
-                db.commit(t).unwrap();
+                let mut t = db.begin_txn();
+                t.create_table(named_def(name)).unwrap();
+                t.insert(name, row(1, "snapshot")).unwrap();
+                db.commit_txn(t).unwrap();
             }
             db.checkpoint().unwrap();
             for name in ["dbo.a", "dbo.b"] {
-                let t = db.begin().unwrap();
-                db.insert(t, name, row(2, "tail")).unwrap();
-                db.commit(t).unwrap();
+                let mut t = db.begin_txn();
+                t.insert(name, row(2, "tail")).unwrap();
+                db.commit_txn(t).unwrap();
             }
         }
         let db = Durable::open(&dir, Durability::Buffered).unwrap();
@@ -1843,16 +1894,16 @@ mod reopen_tests {
         let dir = temp_dir();
         {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t = db.begin().unwrap();
-            db.create_table(
-                t,
-                TableDef::new("dbo.t", Schema::new(vec![Column::new("v", DataType::Int)])),
-            )
+            let mut t = db.begin_txn();
+            t.create_table(TableDef::new(
+                "dbo.t",
+                Schema::new(vec![Column::new("v", DataType::Int)]),
+            ))
             .unwrap();
             for i in 0..5 {
-                db.insert(t, "dbo.t", vec![Value::Int(i)]).unwrap();
+                t.insert("dbo.t", vec![Value::Int(i)]).unwrap();
             }
-            db.commit(t).unwrap();
+            db.commit_txn(t).unwrap();
         }
         let snapshot_of = |db: &Durable| -> Vec<(u64, i64)> {
             db.snapshot()
@@ -1882,17 +1933,17 @@ mod reopen_tests {
         for round in 0..4 {
             let db = Durable::open(&dir, Durability::Fsync).unwrap();
             if round == 0 {
-                let t = db.begin().unwrap();
-                db.create_table(
-                    t,
-                    TableDef::new("dbo.t", Schema::new(vec![Column::new("v", DataType::Int)])),
-                )
+                let mut t = db.begin_txn();
+                t.create_table(TableDef::new(
+                    "dbo.t",
+                    Schema::new(vec![Column::new("v", DataType::Int)]),
+                ))
                 .unwrap();
-                db.commit(t).unwrap();
+                db.commit_txn(t).unwrap();
             }
-            let t = db.begin().unwrap();
-            db.insert(t, "dbo.t", vec![Value::Int(round)]).unwrap();
-            db.commit(t).unwrap();
+            let mut t = db.begin_txn();
+            t.insert("dbo.t", vec![Value::Int(round)]).unwrap();
+            db.commit_txn(t).unwrap();
             if round % 2 == 0 {
                 db.checkpoint().unwrap();
             }

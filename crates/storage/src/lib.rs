@@ -30,9 +30,10 @@
 //!   `Store::apply` and leaves each untouched snapshot table's records,
 //!   still encoded, as a log tail, redone when the table is first loaded.
 //! * [`db`] — [`db::Durable`], the transactional binding of a [`store::Store`]
-//!   to a WAL: every mutation is logged before it is applied, commits force
-//!   the log, aborts roll back in memory, and [`db::Durable::open`] performs
-//!   crash recovery (snapshot load + replay of committed transactions).
+//!   to a WAL: a [`db::Txn`] writes its own copy of the store, a commit logs
+//!   its records in one write, forces the log and publishes, a rollback
+//!   drops the copy, and [`db::Durable::open`] performs crash recovery
+//!   (snapshot load + replay of committed transactions).
 //! * [`metrics`] — the crate's phoenix-obs handles: WAL append/fsync
 //!   latency, group-commit batch sizes, checkpoint duration, snapshot
 //!   publish counts.

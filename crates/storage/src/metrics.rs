@@ -46,6 +46,13 @@ pub struct StorageMetrics {
     /// Copy-on-write store snapshots published for readers
     /// (`phoenix_snapshot_publishes_total`).
     pub snapshot_publishes: Arc<Counter>,
+    /// Commits that found the committed store moved on since their
+    /// transaction began and re-applied its records to it
+    /// (`phoenix_commit_rebases_total`).
+    pub commit_rebases: Arc<Counter>,
+    /// Of those, the commits refused with a write conflict
+    /// (`phoenix_commit_conflicts_total`).
+    pub commit_conflicts: Arc<Counter>,
     /// Map entries cloned by path copying: each time a writer touches a
     /// tree node a published snapshot still shares — of a table, an index
     /// or the catalog — the node's entries are copied once
@@ -95,6 +102,14 @@ pub fn storage_metrics() -> &'static StorageMetrics {
             snapshot_publishes: r.counter(
                 "phoenix_snapshot_publishes_total",
                 "copy-on-write store snapshots published",
+            ),
+            commit_rebases: r.counter(
+                "phoenix_commit_rebases_total",
+                "commits re-applied to a committed store that moved on since they began",
+            ),
+            commit_conflicts: r.counter(
+                "phoenix_commit_conflicts_total",
+                "commits refused with a write conflict (first committer wins)",
             ),
             cow_entries_copied: r.counter(
                 "phoenix_cow_entries_copied_total",

@@ -26,8 +26,10 @@ pub enum LogRecord {
         /// The transaction.
         txn: TxnId,
     },
-    /// Explicit rollback. Recovery treats missing-`Commit` and `Abort`
-    /// identically; the record exists so the log is self-explanatory.
+    /// Explicit rollback, written by builds that logged a transaction's
+    /// records before it committed. Nothing writes it now — an open
+    /// transaction logs nothing — but recovery still reads it in an older
+    /// log, and treats it as a missing `Commit`.
     Abort {
         /// The transaction.
         txn: TxnId,

@@ -492,71 +492,23 @@ impl TableData {
 
     /// Apply one row record (`Insert`, `InsertMany`, `Delete`, `Update`) that
     /// names this table: the row arm of [`Store::apply`], and what redoes a
-    /// table's deferred log tail when its [`Segment`] loads. With `inverses`,
-    /// push what undoes it: a `Delete` per inserted row, an `Insert` of a
-    /// deleted row's image, an `Update` back to an updated row's image.
-    pub(crate) fn apply_row(
-        &mut self,
-        rec: LogRecord,
-        mut inverses: Option<&mut Vec<Change>>,
-    ) -> Result<(), StoreError> {
-        let inverse = match rec {
-            LogRecord::Insert {
-                txn,
-                table,
-                row_id,
-                row,
-            } => {
-                self.insert_with_id(row_id, row)?;
-                LogRecord::Delete { txn, table, row_id }
-            }
+    /// table's deferred log tail when its [`Segment`] loads.
+    pub(crate) fn apply_row(&mut self, rec: LogRecord) -> Result<(), StoreError> {
+        match rec {
+            LogRecord::Insert { row_id, row, .. } => self.insert_with_id(row_id, row),
             LogRecord::InsertMany {
-                txn,
-                table,
-                first_row_id,
-                rows,
+                first_row_id, rows, ..
             } => {
                 // A run past the last id saturates there, which is refused.
                 for (k, row) in (0..).zip(rows) {
-                    let row_id = first_row_id.saturating_add(k);
-                    self.insert_with_id(row_id, row)?;
-                    if let Some(inverses) = inverses.as_deref_mut() {
-                        let table = table.clone();
-                        let delete = LogRecord::Delete { txn, table, row_id };
-                        inverses.push(delete.into());
-                    }
+                    self.insert_with_id(first_row_id.saturating_add(k), row)?;
                 }
-                return Ok(());
+                Ok(())
             }
-            LogRecord::Delete { txn, table, row_id } => {
-                let row = self.delete(row_id)?;
-                LogRecord::Insert {
-                    txn,
-                    table,
-                    row_id,
-                    row,
-                }
-            }
-            LogRecord::Update {
-                txn,
-                table,
-                row_id,
-                row,
-            } => {
-                let row = self.update(row_id, row)?;
-                LogRecord::Update {
-                    txn,
-                    table,
-                    row_id,
-                    row,
-                }
-            }
+            LogRecord::Delete { row_id, .. } => self.delete(row_id).map(drop),
+            LogRecord::Update { row_id, row, .. } => self.update(row_id, row).map(drop),
             other => unreachable!("{other:?} is not a row record"),
-        };
-        if let Some(inverses) = inverses {
-            inverses.push(inverse.into());
         }
-        Ok(())
     }
 
     /// Create a secondary index over one column, backfilling it from the
@@ -573,8 +525,7 @@ impl TableData {
         Ok(())
     }
 
-    /// Drop a secondary index by name, returning its definition (so the
-    /// drop's inverse can recreate it).
+    /// Drop a secondary index by name, returning its definition.
     pub fn drop_index(&mut self, name: &str) -> Result<IndexDef, StoreError> {
         let pos = self
             .def
@@ -707,7 +658,7 @@ impl Segment {
                 let redo = |e: &dyn fmt::Display| format!("redoing its log tail: {e}");
                 for rec in tail.records() {
                     let rec = LogRecord::decode(rec).map_err(|e| redo(&e))?;
-                    data.apply_row(rec, None).map_err(|e| redo(&e))?;
+                    data.apply_row(rec).map_err(|e| redo(&e))?;
                 }
                 Ok(Arc::new(data))
             });
@@ -770,22 +721,6 @@ impl Slot {
             (Slot::OnDisk(a), Slot::OnDisk(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
-    }
-}
-
-/// What [`Store::apply`] applies: a log record or, as the inverse of a
-/// `DropTable` only, the dropped table's slot put back as it was.
-#[derive(Debug)]
-pub(crate) enum Change {
-    /// A log record.
-    Record(LogRecord),
-    /// A dropped table's slot, loaded or still on disk.
-    Restore(Slot),
-}
-
-impl From<LogRecord> for Change {
-    fn from(rec: LogRecord) -> Change {
-        Change::Record(rec)
     }
 }
 
@@ -930,11 +865,11 @@ impl Store {
         Ok(())
     }
 
-    /// Remove a stored procedure, returning its SQL text.
-    pub fn drop_proc(&mut self, name: &str) -> Result<String, StoreError> {
+    /// Remove a stored procedure.
+    pub fn drop_proc(&mut self, name: &str) -> Result<(), StoreError> {
         self.procs
             .remove(normalize_name(name).as_str())
-            .map(|sql| sql.to_string())
+            .map(drop)
             .ok_or_else(|| StoreError::NoSuchProc(name.to_string()))
     }
 
@@ -970,96 +905,53 @@ impl Store {
     }
 
     /// The one routine that turns log records into table state. Recovery
-    /// replays committed records through it; [`crate::db::Durable`] applies
-    /// every statement's records through it to a scratch copy before logging
-    /// them, and rolls a transaction back by applying the inverses that
-    /// collected, newest first.
+    /// replays committed records through it, and a [`crate::db::Txn`]
+    /// applies each of its statements' records through it to its own copy
+    /// of the store before buffering them for commit.
     ///
-    /// Changes apply in order; the first that does not is the error, and the
+    /// Records apply in order; the first that does not is the error, and the
     /// store then holds those before it. In recovery that means the log and
-    /// the snapshot disagree: a corruption bug, surfaced loudly. With `inverses`, every applied
-    /// record pushes what undoes it: a `Delete` per inserted row, an `Insert`
-    /// of a deleted row's image, an `Update` back to an updated row's image,
-    /// the drop of a created table, procedure or index, the create of a
-    /// dropped procedure or index, and a dropped table's slot. Without,
-    /// nothing is cloned or pushed, and a dropped table still on disk goes
-    /// without its segment being read. A run of row records on one table
-    /// looks the catalog up once, however many rows it writes.
-    pub(crate) fn apply<C: Into<Change>>(
+    /// the snapshot disagree: a corruption bug, surfaced loudly. A dropped
+    /// table still on disk goes without its segment being read. A run of
+    /// row records on one table looks the catalog up once, however many
+    /// rows it writes.
+    pub(crate) fn apply(
         &mut self,
-        changes: impl IntoIterator<Item = C>,
-        mut inverses: Option<&mut Vec<Change>>,
+        records: impl IntoIterator<Item = LogRecord>,
     ) -> Result<(), StoreError> {
-        // Inverses are built by moves; the two that would clone are built
-        // only when asked for.
-        let want = inverses.is_some();
-        let mut changes = changes.into_iter().map(Into::into).peekable();
-        while let Some(change) = changes.next() {
-            let rec = match change {
-                Change::Record(rec) => rec,
-                Change::Restore(slot) => {
-                    self.tables.insert(normalize_name(slot.name()).into(), slot);
-                    continue;
-                }
-            };
-            let inverse = match rec {
-                LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => {
-                    None
-                }
-                LogRecord::CreateTable { txn, def } => {
-                    let name = want.then(|| def.name.clone());
-                    self.create_table(def)?;
-                    name.map(|name| LogRecord::DropTable { txn, name }.into())
-                }
+        let mut records = records.into_iter().peekable();
+        while let Some(rec) = records.next() {
+            match rec {
+                LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => {}
+                LogRecord::CreateTable { def, .. } => self.create_table(def)?,
                 LogRecord::DropTable { name, .. } => {
-                    let slot = self.tables.remove(normalize_name(&name).as_str());
-                    Some(Change::Restore(slot.ok_or(StoreError::NoSuchTable(name))?))
+                    if self.tables.remove(normalize_name(&name).as_str()).is_none() {
+                        return Err(StoreError::NoSuchTable(name));
+                    }
                 }
-                LogRecord::CreateProc { txn, name, sql } => {
-                    self.create_proc(&name, &sql)?;
-                    Some(LogRecord::DropProc { txn, name }.into())
-                }
-                LogRecord::DropProc { txn, name } => {
-                    let sql = self.drop_proc(&name)?;
-                    Some(LogRecord::CreateProc { txn, name, sql }.into())
-                }
+                LogRecord::CreateProc { name, sql, .. } => self.create_proc(&name, &sql)?,
+                LogRecord::DropProc { name, .. } => self.drop_proc(&name)?,
                 LogRecord::CreateIndex {
-                    txn,
                     table,
                     name,
                     column,
-                } => {
-                    self.table_mut(&table)?.create_index(&name, column)?;
-                    Some(LogRecord::DropIndex { txn, table, name }.into())
-                }
-                LogRecord::DropIndex { txn, table, name } => {
-                    let IndexDef { name, column } = self.table_mut(&table)?.drop_index(&name)?;
-                    Some(Change::Record(LogRecord::CreateIndex {
-                        txn,
-                        table,
-                        name,
-                        column,
-                    }))
+                    ..
+                } => self.table_mut(&table)?.create_index(&name, column)?,
+                LogRecord::DropIndex { table, name, .. } => {
+                    self.table_mut(&table)?.drop_index(&name).map(drop)?
                 }
                 rows => {
                     // A run of row records on one table looks it up once.
                     let t = self.table_mut(rows.row_table().expect("only rows are left"))?;
                     let mut next = Some(rows);
                     while let Some(rec) = next {
-                        t.apply_row(rec, inverses.as_deref_mut())?;
-                        next = match changes.next_if(|c| {
-                            matches!(c, Change::Record(r)
-                                if r.row_table().is_some_and(|n| n.eq_ignore_ascii_case(&t.def.name)))
-                        }) {
-                            Some(Change::Record(rec)) => Some(rec),
-                            _ => None,
-                        };
+                        t.apply_row(rec)?;
+                        next = records.next_if(|r| {
+                            r.row_table()
+                                .is_some_and(|n| n.eq_ignore_ascii_case(&t.def.name))
+                        });
                     }
-                    None
                 }
-            };
-            if let (Some(inverses), Some(inverse)) = (inverses.as_deref_mut(), inverse) {
-                inverses.push(inverse);
             }
         }
         Ok(())
@@ -1178,46 +1070,34 @@ mod tests {
     #[test]
     fn apply_replays_records() {
         let mut s = Store::new();
-        s.apply(
-            [LogRecord::CreateTable {
-                txn: 1,
-                def: keyed_def("dbo.t"),
-            }],
-            None,
-        )
+        s.apply([LogRecord::CreateTable {
+            txn: 1,
+            def: keyed_def("dbo.t"),
+        }])
         .unwrap();
-        s.apply(
-            [LogRecord::Insert {
-                txn: 1,
-                table: "dbo.t".into(),
-                row_id: 1,
-                row: vec![Value::Int(1), Value::Text("a".into())],
-            }],
-            None,
-        )
+        s.apply([LogRecord::Insert {
+            txn: 1,
+            table: "dbo.t".into(),
+            row_id: 1,
+            row: vec![Value::Int(1), Value::Text("a".into())],
+        }])
         .unwrap();
-        s.apply(
-            [LogRecord::Update {
-                txn: 1,
-                table: "dbo.t".into(),
-                row_id: 1,
-                row: vec![Value::Int(1), Value::Text("b".into())],
-            }],
-            None,
-        )
+        s.apply([LogRecord::Update {
+            txn: 1,
+            table: "dbo.t".into(),
+            row_id: 1,
+            row: vec![Value::Int(1), Value::Text("b".into())],
+        }])
         .unwrap();
         assert_eq!(
             *s.table("dbo.t").unwrap().rows[&1],
             vec![Value::Int(1), Value::Text("b".into())]
         );
-        s.apply(
-            [LogRecord::Delete {
-                txn: 1,
-                table: "dbo.t".into(),
-                row_id: 1,
-            }],
-            None,
-        )
+        s.apply([LogRecord::Delete {
+            txn: 1,
+            table: "dbo.t".into(),
+            row_id: 1,
+        }])
         .unwrap();
         assert!(s.table("dbo.t").unwrap().is_empty());
     }
@@ -1226,18 +1106,15 @@ mod tests {
     fn apply_insert_many_assigns_consecutive_ids() {
         let mut s = Store::new();
         s.create_table(keyed_def("dbo.t")).unwrap();
-        s.apply(
-            [LogRecord::InsertMany {
-                txn: 1,
-                table: "dbo.t".into(),
-                first_row_id: 5,
-                rows: vec![
-                    vec![Value::Int(1), Value::Null],
-                    vec![Value::Int(2), Value::Null],
-                ],
-            }],
-            None,
-        )
+        s.apply([LogRecord::InsertMany {
+            txn: 1,
+            table: "dbo.t".into(),
+            first_row_id: 5,
+            rows: vec![
+                vec![Value::Int(1), Value::Null],
+                vec![Value::Int(2), Value::Null],
+            ],
+        }])
         .unwrap();
         let t = s.table("dbo.t").unwrap();
         assert_eq!(*t.rows[&5], vec![Value::Int(1), Value::Null]);
@@ -1346,49 +1223,37 @@ mod tests {
     fn apply_replays_index_ddl() {
         let mut s = Store::new();
         s.create_table(keyed_def("dbo.t")).unwrap();
-        s.apply(
-            [LogRecord::Insert {
-                txn: 1,
-                table: "dbo.t".into(),
-                row_id: 1,
-                row: vec![Value::Int(1), Value::Text("a".into())],
-            }],
-            None,
-        )
+        s.apply([LogRecord::Insert {
+            txn: 1,
+            table: "dbo.t".into(),
+            row_id: 1,
+            row: vec![Value::Int(1), Value::Text("a".into())],
+        }])
         .unwrap();
-        s.apply(
-            [LogRecord::CreateIndex {
-                txn: 2,
-                table: "dbo.t".into(),
-                name: "t_name".into(),
-                column: 1,
-            }],
-            None,
-        )
+        s.apply([LogRecord::CreateIndex {
+            txn: 2,
+            table: "dbo.t".into(),
+            name: "t_name".into(),
+            column: 1,
+        }])
         .unwrap();
         // DML after the barrier maintains the recovered index.
-        s.apply(
-            [LogRecord::Insert {
-                txn: 3,
-                table: "dbo.t".into(),
-                row_id: 2,
-                row: vec![Value::Int(2), Value::Text("b".into())],
-            }],
-            None,
-        )
+        s.apply([LogRecord::Insert {
+            txn: 3,
+            table: "dbo.t".into(),
+            row_id: 2,
+            row: vec![Value::Int(2), Value::Text("b".into())],
+        }])
         .unwrap();
         let t = s.table("dbo.t").unwrap();
         assert_eq!(t.sec[0].len(), 2);
         s.verify_indexes().unwrap();
         assert!(s.find_index_owner("T_NAME").is_some());
-        s.apply(
-            [LogRecord::DropIndex {
-                txn: 4,
-                table: "dbo.t".into(),
-                name: "t_name".into(),
-            }],
-            None,
-        )
+        s.apply([LogRecord::DropIndex {
+            txn: 4,
+            table: "dbo.t".into(),
+            name: "t_name".into(),
+        }])
         .unwrap();
         assert!(s.find_index_owner("t_name").is_none());
     }

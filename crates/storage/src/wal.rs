@@ -40,6 +40,11 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     flusher: Flusher,
+    /// Length of the valid prefix: where the next frame goes.
+    end: u64,
+    /// An append that failed may have left part of its frames past `end`;
+    /// they are cut off before anything else is written.
+    torn: bool,
 }
 
 /// Forces the log's frames to stable storage through a second handle on the
@@ -94,40 +99,69 @@ impl Wal {
             flusher: Flusher(Arc::new(file.try_clone()?)),
             file,
             path,
+            end: valid,
+            torn: false,
         })
     }
 
-    /// Append one framed record. The bytes are written to the OS but not
-    /// necessarily forced to stable storage; call [`Flusher::sync`] (commit)
-    /// for that.
+    /// Append one framed record (see [`Wal::append_all`]).
+    pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
+        self.append_all([payload])
+    }
+
+    /// Append one frame per payload with a single `write(2)`: a
+    /// transaction's records and its commit record reach the file together.
+    /// The bytes are written to the OS but not necessarily forced to stable
+    /// storage; call [`Flusher::sync`] (commit) for that.
     ///
     /// A payload larger than [`MAX_FRAME`] is refused: the reader treats such
     /// a length as a corrupt tail, so writing it would silently drop the
     /// record (and everything after it) at the next recovery.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        if payload.len() > MAX_FRAME as usize {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "WAL frame of {} bytes exceeds the {MAX_FRAME}-byte cap",
-                    payload.len()
-                ),
-            ));
+    ///
+    /// A write that fails may still have put a prefix of the frames on disk,
+    /// where recovery would stop at it and every later frame would sit
+    /// behind it. The log is cut back to where the append began: at once
+    /// for an I/O error, and before the next append when the process is
+    /// meant to have died mid-write (the torn-write fault). While that cut
+    /// cannot be made, every append fails.
+    pub fn append_all(
+        &mut self,
+        payloads: impl IntoIterator<Item = impl AsRef<[u8]>>,
+    ) -> io::Result<()> {
+        let mut frames = Vec::new();
+        for payload in payloads {
+            let payload = payload.as_ref();
+            if payload.len() > MAX_FRAME as usize {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "WAL frame of {} bytes exceeds the {MAX_FRAME}-byte cap",
+                        payload.len()
+                    ),
+                ));
+            }
+            frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frames.extend_from_slice(&crc32(payload).to_le_bytes());
+            frames.extend_from_slice(payload);
+        }
+        if frames.is_empty() {
+            return Ok(());
         }
         let m = storage_metrics();
         let _t = phoenix_obs::Timer::new(&m.wal_append_us);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        if self.torn {
+            self.file.set_len(self.end)?;
+            self.torn = false;
+        }
         match phoenix_chaos::durable_fault(APPEND_POINT) {
             phoenix_chaos::FaultAction::Continue => {}
             phoenix_chaos::FaultAction::Delay(d) => std::thread::sleep(d),
             phoenix_chaos::FaultAction::Torn(n) => {
-                // Persist a strict prefix of the frame — the on-disk image a
-                // power cut mid-write(2) leaves behind — then die.
-                let n = n.min(frame.len() - 1);
-                self.file.write_all(&frame[..n])?;
+                // Persist a strict prefix of the frames — the on-disk image
+                // a power cut mid-write(2) leaves behind — then die.
+                let n = n.min(frames.len() - 1);
+                self.torn = true;
+                self.file.write_all(&frames[..n])?;
                 let _ = self.file.sync_data();
                 return Err(phoenix_chaos::injected_error(APPEND_POINT));
             }
@@ -135,7 +169,11 @@ impl Wal {
                 return Err(phoenix_chaos::injected_error(APPEND_POINT));
             }
         }
-        self.file.write_all(&frame)?;
+        if let Err(e) = self.file.write_all(&frames) {
+            self.torn = self.file.set_len(self.end).is_err();
+            return Err(e);
+        }
+        self.end += frames.len() as u64;
         m.wal_appends.inc();
         Ok(())
     }
@@ -151,6 +189,7 @@ impl Wal {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::End(0))?;
         self.file.sync_data()?;
+        (self.end, self.torn) = (0, false);
         Ok(())
     }
 
@@ -202,6 +241,7 @@ impl Wal {
             self.flusher = Flusher(Arc::new(file.try_clone()?));
             self.file = file;
         }
+        (self.end, self.torn) = (0, false);
         Ok(())
     }
 

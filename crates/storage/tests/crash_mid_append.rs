@@ -63,20 +63,21 @@ fn crash_mid_append_then_append_keeps_both_sides() {
     // A committed transaction the crash must not touch.
     {
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def()).unwrap();
-        db.insert(t, "dbo.t", row(1, "before")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def()).unwrap();
+        t.insert("dbo.t", row(1, "before")).unwrap();
+        db.commit_txn(t).unwrap();
     }
 
     // Die mid-append: the next WAL append persists 11 bytes of its frame
     // and fails, leaving a torn tail on disk.
     {
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        // Arm after `begin` — the torn frame is the *insert's* log record.
-        let t = db.begin().unwrap();
+        // Nothing is logged before commit: the torn write is the commit's.
+        let mut t = db.begin_txn();
+        t.insert("dbo.t", row(2, "torn")).unwrap();
         let guard = chaos::arm(chaos::Schedule::new().torn_at("wal.append", 1, 11));
-        let err = db.insert(t, "dbo.t", row(2, "torn")).unwrap_err();
+        let err = db.commit_txn(t).unwrap_err();
         assert!(err.to_string().contains("phoenix-chaos"));
         assert!(guard.crash_requested());
         assert_eq!(guard.fired().len(), 1);
@@ -89,9 +90,9 @@ fn crash_mid_append_then_append_keeps_both_sides() {
     {
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
         assert_eq!(ids(&db), vec![1], "torn uncommitted insert is gone");
-        let t = db.begin().unwrap();
-        db.insert(t, "dbo.t", row(3, "after")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.insert("dbo.t", row(3, "after")).unwrap();
+        db.commit_txn(t).unwrap();
     }
 
     // Crash again (drop without checkpoint) and recover: both the original
@@ -111,15 +112,16 @@ fn torn_frame_bytes_are_really_on_disk_and_trimmed() {
 
     {
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def()).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def()).unwrap();
+        db.commit_txn(t).unwrap();
         wal_path = dir.join("phoenix.wal");
 
-        let t = db.begin().unwrap();
+        let mut t = db.begin_txn();
+        t.insert("dbo.t", row(9, "x")).unwrap();
         let clean_len = std::fs::metadata(&wal_path).unwrap().len();
         let _guard = chaos::arm(chaos::Schedule::new().torn_at("wal.append", 1, 5));
-        db.insert(t, "dbo.t", row(9, "x")).unwrap_err();
+        db.commit_txn(t).unwrap_err();
         // The torn prefix reached the file: exactly 5 bytes past the clean end.
         assert_eq!(
             std::fs::metadata(&wal_path).unwrap().len(),
@@ -138,5 +140,40 @@ fn torn_frame_bytes_are_really_on_disk_and_trimmed() {
     assert_eq!(frames_after.len(), frames_before.len() + 1);
     assert_eq!(frames_after.last().unwrap(), b"fresh");
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A commit whose append fails after a prefix of its frames reached the file
+/// leaves the log as it found it for the next commit on the same handle:
+/// the prefix is cut off before anything else is written, so the second
+/// commit does not sit behind a torn frame, and a reopen finds it and only
+/// it.
+#[test]
+fn failed_commit_append_leaves_the_log_as_it_found_it() {
+    let dir = temp_dir("cut-back");
+    {
+        let db = Durable::open(&dir, Durability::Fsync).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def()).unwrap();
+        db.commit_txn(t).unwrap();
+
+        let mut t = db.begin_txn();
+        t.insert("dbo.t", row(1, "torn")).unwrap();
+        let guard = chaos::arm(chaos::Schedule::new().torn_at("wal.append", 1, 23));
+        db.commit_txn(t).unwrap_err();
+        assert_eq!(guard.fired().len(), 1);
+        drop(guard);
+        assert!(ids(&db).is_empty(), "a failed commit is not published");
+
+        let mut t = db.begin_txn();
+        t.insert("dbo.t", row(2, "second")).unwrap();
+        db.commit_txn(t).unwrap();
+        assert_eq!(ids(&db), vec![2]);
+        // Crash: drop without checkpoint.
+    }
+    let db = Durable::open(&dir, Durability::Fsync).unwrap();
+    assert_eq!(ids(&db), vec![2], "only the second commit is in the log");
+    let frames = Wal::read_all(dir.join("phoenix.wal")).unwrap();
+    assert_eq!(frames.len(), 4, "create + commit, insert + commit");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -30,12 +30,10 @@ use proptest::prelude::*;
 use phoenix_storage::applier::{frame_payload, recover};
 #[cfg(feature = "slow-proptests")]
 use phoenix_storage::codec;
-use phoenix_storage::db::{Durability, Durable};
+use phoenix_storage::db::{DbError, Durability, Durable, Txn};
 use phoenix_storage::record::LogRecord;
 use phoenix_storage::store::Store;
-use phoenix_storage::types::{
-    Column, DataType, IndexDef, Row, RowId, Schema, TableDef, TxnId, Value,
-};
+use phoenix_storage::types::{Column, DataType, IndexDef, Row, RowId, Schema, TableDef, Value};
 use phoenix_storage::wal::Wal;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -155,31 +153,31 @@ proptest! {
         let mut model: Vec<(u64, i64)> = Vec::new(); // (row_id, value)
         {
             let mut db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t0 = db.begin().unwrap();
-            db.create_table(t0, table_def()).unwrap();
-            db.commit(t0).unwrap();
+            let mut t0 = db.begin_txn();
+            t0.create_table(table_def()).unwrap();
+            db.commit_txn(t0).unwrap();
 
             for (si, script) in scripts.iter().enumerate() {
-                let txn = db.begin().unwrap();
+                let mut txn = db.begin_txn();
                 let mut scratch = model.clone();
                 let mut ok = true;
                 for op in &script.ops {
                     match op {
                         Op::Insert(v) => {
-                            let rid = db.insert(txn, "dbo.t", vec![Value::Int(*v)]).unwrap();
+                            let rid = txn.insert("dbo.t", vec![Value::Int(*v)]).unwrap();
                             scratch.push((rid, *v));
                         }
                         Op::Delete(k) => {
                             if scratch.is_empty() { continue; }
                             let idx = k % scratch.len();
                             let (rid, _) = scratch.remove(idx);
-                            db.delete(txn, "dbo.t", rid).unwrap();
+                            txn.delete("dbo.t", rid).unwrap();
                         }
                         Op::Update(k, v) => {
                             if scratch.is_empty() { continue; }
                             let idx = k % scratch.len();
                             let rid = scratch[idx].0;
-                            db.update(txn, "dbo.t", rid, vec![Value::Int(*v)]).unwrap();
+                            txn.update("dbo.t", rid, vec![Value::Int(*v)]).unwrap();
                             scratch[idx].1 = *v;
                         }
                     }
@@ -190,9 +188,9 @@ proptest! {
                     // must not survive.
                     ok = false;
                 } else if script.commit {
-                    db.commit(txn).unwrap();
+                    db.commit_txn(txn).unwrap();
                 } else {
-                    db.abort(txn).unwrap();
+                    drop(txn);
                     ok = false;
                 }
                 if ok && script.commit {
@@ -229,13 +227,13 @@ proptest! {
         let dir = temp_dir();
         {
             let mut db = Durable::open(&dir, Durability::Fsync).unwrap();
-            let t0 = db.begin().unwrap();
-            db.create_table(t0, table_def()).unwrap();
-            db.commit(t0).unwrap();
+            let mut t0 = db.begin_txn();
+            t0.create_table(table_def()).unwrap();
+            db.commit_txn(t0).unwrap();
             for v in &values {
-                let t = db.begin().unwrap();
-                db.insert(t, "dbo.t", vec![Value::Int(*v)]).unwrap();
-                db.commit(t).unwrap();
+                let mut t = db.begin_txn();
+                t.insert("dbo.t", vec![Value::Int(*v)]).unwrap();
+                db.commit_txn(t).unwrap();
             }
         }
         // Tear the tail.
@@ -269,44 +267,44 @@ proptest! {
     ) {
         let dir = temp_dir();
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t0 = db.begin().unwrap();
-        db.create_table(t0, table_def()).unwrap();
+        let mut t0 = db.begin_txn();
+        t0.create_table(table_def()).unwrap();
         let mut model: Vec<(u64, i64)> = Vec::new();
         for v in &seed_values {
-            let rid = db.insert(t0, "dbo.t", vec![Value::Int(*v)]).unwrap();
+            let rid = t0.insert("dbo.t", vec![Value::Int(*v)]).unwrap();
             model.push((rid, *v));
         }
-        db.commit(t0).unwrap();
+        db.commit_txn(t0).unwrap();
 
         // Capture the image, then mutate at will.
         let snap = db.snapshot();
         for script in &scripts {
-            let txn = db.begin().unwrap();
+            let mut txn = db.begin_txn();
             let mut scratch = model.clone();
             for op in &script.ops {
                 match op {
                     Op::Insert(v) => {
-                        let rid = db.insert(txn, "dbo.t", vec![Value::Int(*v)]).unwrap();
+                        let rid = txn.insert("dbo.t", vec![Value::Int(*v)]).unwrap();
                         scratch.push((rid, *v));
                     }
                     Op::Delete(k) => {
                         if scratch.is_empty() { continue; }
                         let (rid, _) = scratch.remove(k % scratch.len());
-                        db.delete(txn, "dbo.t", rid).unwrap();
+                        txn.delete("dbo.t", rid).unwrap();
                     }
                     Op::Update(k, v) => {
                         if scratch.is_empty() { continue; }
                         let idx = k % scratch.len();
-                        db.update(txn, "dbo.t", scratch[idx].0, vec![Value::Int(*v)]).unwrap();
+                        txn.update("dbo.t", scratch[idx].0, vec![Value::Int(*v)]).unwrap();
                         scratch[idx].1 = *v;
                     }
                 }
             }
             if script.commit {
-                db.commit(txn).unwrap();
+                db.commit_txn(txn).unwrap();
                 model = scratch;
             } else {
-                db.abort(txn).unwrap();
+                drop(txn);
             }
         }
 
@@ -776,10 +774,10 @@ fn run_history(seed: u64) {
     if seed.is_multiple_of(2) {
         let db = Durable::open(&base, Durability::Buffered).unwrap();
         for round in 0..2 {
-            let t = db.begin().unwrap();
+            let mut t = db.begin_txn();
             for name in ["ta", "tb", "tc"] {
                 if round == 0 {
-                    db.create_table(t, history_def(name)).unwrap();
+                    t.create_table(history_def(name)).unwrap();
                     h.tables.insert(
                         name.into(),
                         TableModel {
@@ -793,12 +791,12 @@ fn run_history(seed: u64) {
                 let model = h.tables.get_mut(name).unwrap();
                 for _ in 0..3 {
                     let id = model.next_row_id;
-                    assert_eq!(db.insert(t, name, history_row(id, 1)).unwrap(), id);
+                    assert_eq!(t.insert(name, history_row(id, 1)).unwrap(), id);
                     model.rows.insert(id);
                     model.next_row_id += 1;
                 }
             }
-            db.commit(t).unwrap();
+            db.commit_txn(t).unwrap();
             if round == 0 {
                 // Every fourth seed crashes its checkpoint between the
                 // manifest and the discard of the rotated log: records at
@@ -810,8 +808,8 @@ fn run_history(seed: u64) {
                 }
             }
         }
-        h.next_txn = db.begin().unwrap();
-        h.gsn = recover(&base).unwrap().max_gsn;
+        let recovered = recover(&base).unwrap();
+        (h.next_txn, h.gsn) = (recovered.last_txn + 1, recovered.max_gsn);
     }
     let steps = 20 + h.rng.below(60);
     h.generate(steps, true);
@@ -896,8 +894,8 @@ fn run_lazy_history(seed: u64, behind_total: &mut usize) {
     {
         let db = open(&base);
         db.checkpoint().unwrap();
-        h.next_txn = db.begin().unwrap();
-        h.gsn = recover(&base).unwrap().max_gsn;
+        let recovered = recover(&base).unwrap();
+        (h.next_txn, h.gsn) = (recovered.last_txn + 1, recovered.max_gsn);
     }
     // A short tail. On odd seeds it writes rows only, so every checkpointed
     // table it writes to is left behind its log tail; on even ones catalog
@@ -974,12 +972,12 @@ fn run_lazy_history(seed: u64, behind_total: &mut usize) {
                 let v = h.rng.below(5);
                 for db in [&lazy, &loaded] {
                     let id = db.snapshot().table(target).unwrap().next_row_id;
-                    let t = db.begin().unwrap();
-                    assert_eq!(db.insert(t, target, history_row(id, v)).unwrap(), id);
+                    let mut t = db.begin_txn();
+                    assert_eq!(t.insert(target, history_row(id, v)).unwrap(), id);
                     if id % 3 == 0 {
-                        db.delete(t, target, id).unwrap();
+                        t.delete(target, id).unwrap();
                     }
-                    db.commit(t).unwrap();
+                    db.commit_txn(t).unwrap();
                 }
             }
         }
@@ -1217,18 +1215,18 @@ fn model_apply(m: &Model, stmt: &Stmt, ids: &[RowId]) -> Option<Model> {
 }
 
 /// Run `stmt` on the store; for an insert, the ids it handed out.
-fn run_stmt(db: &Durable, txn: TxnId, stmt: &Stmt) -> Result<Vec<RowId>, String> {
+fn run_stmt(txn: &mut Txn, stmt: &Stmt) -> Result<Vec<RowId>, String> {
     let done = |r: Result<(), _>| r.map(|()| Vec::new());
     match stmt {
-        Stmt::Insert(table, rows) => db.insert_many(txn, table, rows.clone()),
-        Stmt::Delete(table, ids) => done(db.delete_many(txn, table, ids)),
-        Stmt::Update(table, changes) => done(db.update_many(txn, table, changes.clone())),
-        Stmt::CreateTable(table) => done(db.create_table(txn, history_def(table))),
-        Stmt::DropTable(table) => done(db.drop_table(txn, table)),
-        Stmt::CreateIndex(table, name) => done(db.create_index(txn, table, name, 1)),
-        Stmt::DropIndex(table, name) => done(db.drop_index(txn, table, name)),
-        Stmt::CreateProc(name, sql) => done(db.create_proc(txn, name, sql)),
-        Stmt::DropProc(name) => done(db.drop_proc(txn, name)),
+        Stmt::Insert(table, rows) => txn.insert_many(table, rows.clone()),
+        Stmt::Delete(table, ids) => done(txn.delete_many(table, ids)),
+        Stmt::Update(table, changes) => done(txn.update_many(table, changes.clone())),
+        Stmt::CreateTable(table) => done(txn.create_table(history_def(table))),
+        Stmt::DropTable(table) => done(txn.drop_table(table)),
+        Stmt::CreateIndex(table, name) => done(txn.create_index(table, name, 1)),
+        Stmt::DropIndex(table, name) => done(txn.drop_index(table, name)),
+        Stmt::CreateProc(name, sql) => done(txn.create_proc(name, sql)),
+        Stmt::DropProc(name) => done(txn.drop_proc(name)),
     }
     .map_err(|e| e.to_string())
 }
@@ -1244,14 +1242,14 @@ fn run_model_history(seed: u64) {
     let mut committed = Model::default();
     for step in 0..40 {
         let what = format!("seed {seed}, transaction {step}");
-        let txn = db.begin().unwrap();
+        let mut txn = db.begin_txn();
         let mut live = committed.clone();
         let mut crashed = false;
         for _ in 0..1 + rng.below(6) {
             let stmt = random_stmt(&mut rng, &live);
             let what = format!("{what}, {stmt:?}");
             let logged = db.log_records_since_checkpoint();
-            let result = run_stmt(&db, txn, &stmt);
+            let result = run_stmt(&mut txn, &stmt);
             let ids = result.clone().unwrap_or_default();
             if let Stmt::Insert(table, rows) = &stmt {
                 if let Ok(ids) = &result {
@@ -1275,7 +1273,12 @@ fn run_model_history(seed: u64) {
                     );
                 }
             }
-            assert_eq!(view(&db.snapshot(), &what), live.view(), "{what}");
+            assert_eq!(view(txn.store(), &what), live.view(), "{what}");
+            assert_eq!(
+                view(&db.snapshot(), &what),
+                committed.view(),
+                "{what}: visible before commit"
+            );
             if rng.chance(1, 30) {
                 crashed = true;
                 break;
@@ -1283,10 +1286,10 @@ fn run_model_history(seed: u64) {
         }
         if !crashed {
             if rng.chance(2, 3) {
-                db.commit(txn).unwrap();
+                db.commit_txn(txn).unwrap();
                 committed = live;
             } else {
-                db.abort(txn).unwrap();
+                drop(txn);
             }
             assert_eq!(
                 view(&db.snapshot(), &what),
@@ -1320,5 +1323,241 @@ fn run_model_history(seed: u64) {
 fn write_path_rollback_and_recovery_match_a_model() {
     for seed in 0..24 {
         run_model_history(seed);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Many sessions: snapshot isolation against a model.
+// ---------------------------------------------------------------------------
+
+/// A table's rows by primary key: key → value.
+type Rows = BTreeMap<i64, i64>;
+/// Every table's rows, by table name.
+type State = BTreeMap<&'static str, Rows>;
+
+const SI_TABLES: [&str; 2] = ["dbo.sa", "dbo.sb"];
+
+/// What a store holds of the model's tables.
+fn si_view(store: &Store) -> State {
+    SI_TABLES
+        .iter()
+        .map(|&name| {
+            let t = store.table(name).unwrap();
+            let rows = t
+                .rows
+                .values()
+                .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
+                .collect();
+            (name, rows)
+        })
+        .collect()
+}
+
+/// One open transaction of the model: the committed state it began from,
+/// its own view (that plus its writes), and the keys commit must check —
+/// those it updated or deleted that its snapshot held, and those it
+/// inserted that its snapshot did not.
+struct ModelTxn {
+    txn: Txn,
+    snapshot: State,
+    view: State,
+    changed: BTreeSet<(&'static str, i64)>,
+    inserted: BTreeSet<(&'static str, i64)>,
+}
+
+impl ModelTxn {
+    /// Does a commit now, on top of `committed`, lose to a commit made
+    /// since this transaction began? First committer wins: a row it
+    /// updated or deleted holds another value, or a key it inserted was
+    /// inserted by someone else. Values are never written twice, so a
+    /// value equal to the snapshot's is the snapshot's row.
+    fn conflicts(&self, committed: &State) -> bool {
+        let at = |s: &State, (t, k): &(&str, i64)| s[t].get(k).copied();
+        self.changed
+            .iter()
+            .any(|key| at(&self.snapshot, key) != at(committed, key))
+            || self.inserted.iter().any(|key| at(committed, key).is_some())
+    }
+}
+
+fn si_def(name: &str) -> TableDef {
+    TableDef::new(
+        name,
+        Schema::new(vec![
+            Column::new("k", DataType::Int).not_null(),
+            Column::new("v", DataType::Int),
+        ]),
+    )
+    .with_primary_key(vec![0])
+}
+
+/// One case: a seeded scheduler interleaves up to three transactions'
+/// writes, reads, commits and drops, with checkpoints and crashes (a drop
+/// of the handle and every open transaction, then a reopen) at random
+/// points. After every step the live store, every transaction's own view
+/// and, after a crash, the recovered store agree with a model that applies
+/// committed transactions in commit order; every commit's fate (applied or
+/// refused with `Conflict`) is the model's.
+fn run_si_history(seed: u64) {
+    let dir = temp_dir();
+    let open = || Durable::open(&dir, Durability::Buffered).unwrap();
+    let mut rng = Rng(seed ^ 0x51);
+    let mut db = open();
+    let mut setup = db.begin_txn();
+    for name in SI_TABLES {
+        setup.create_table(si_def(name)).unwrap();
+    }
+    setup.create_index("dbo.sb", "sb_v", 1).unwrap();
+    db.commit_txn(setup).unwrap();
+    let mut committed: State = SI_TABLES.iter().map(|&t| (t, Rows::new())).collect();
+    let mut sessions: Vec<Option<ModelTxn>> = (0..3).map(|_| None).collect();
+    let (mut next_key, mut next_value) = (1i64, 1i64);
+    let (mut commits, mut conflicts) = (0, 0);
+    for step in 0..300 {
+        let what = format!("seed {seed}, step {step}");
+        let s = rng.below(sessions.len());
+        let Some(mut m) = sessions[s].take() else {
+            let snapshot = committed.clone();
+            sessions[s] = Some(ModelTxn {
+                txn: db.begin_txn(),
+                view: snapshot.clone(),
+                snapshot,
+                changed: BTreeSet::new(),
+                inserted: BTreeSet::new(),
+            });
+            continue;
+        };
+        let table = SI_TABLES[rng.below(SI_TABLES.len())];
+        let visible: Vec<i64> = m.view[table].keys().copied().collect();
+        next_value += 1;
+        let value = next_value;
+        match rng.below(10) {
+            // Insert a fresh key, or one another open transaction inserted.
+            0..=2 => {
+                let theirs: Vec<i64> = sessions
+                    .iter()
+                    .flatten()
+                    .flat_map(|o| o.inserted.iter())
+                    .filter(|(t, _)| *t == table)
+                    .map(|&(_, k)| k)
+                    .collect();
+                let key = if !theirs.is_empty() && rng.chance(1, 3) {
+                    theirs[rng.below(theirs.len())]
+                } else {
+                    next_key += 1;
+                    next_key
+                };
+                let row = vec![Value::Int(key), Value::Int(value)];
+                let result = m.txn.insert(table, row);
+                if m.view[table].contains_key(&key) {
+                    assert!(result.is_err(), "{what}: duplicate {key} accepted");
+                } else {
+                    result.unwrap_or_else(|e| panic!("{what}: insert {key}: {e}"));
+                    if !m.snapshot[table].contains_key(&key) {
+                        m.inserted.insert((table, key));
+                    }
+                    m.view.get_mut(table).unwrap().insert(key, value);
+                }
+            }
+            // Update or delete a row this transaction sees.
+            3..=5 if !visible.is_empty() => {
+                let key = visible[rng.below(visible.len())];
+                let row_id = m
+                    .txn
+                    .store()
+                    .table(table)
+                    .unwrap()
+                    .row_id_by_key(&[Value::Int(key)]);
+                let row_id = row_id.unwrap_or_else(|| panic!("{what}: {key} not in the copy"));
+                if rng.chance(1, 2) {
+                    let row = vec![Value::Int(key), Value::Int(value)];
+                    m.txn.update(table, row_id, row).unwrap();
+                    m.view.get_mut(table).unwrap().insert(key, value);
+                } else {
+                    m.txn.delete(table, row_id).unwrap();
+                    m.view.get_mut(table).unwrap().remove(&key);
+                }
+                if m.snapshot[table].contains_key(&key) {
+                    m.changed.insert((table, key));
+                }
+            }
+            // Commit: applied, or refused because it lost.
+            6 => {
+                let lose = m.conflicts(&committed);
+                match db.commit_txn(m.txn) {
+                    Ok(()) => {
+                        assert!(!lose, "{what}: a losing commit was applied");
+                        for &t in &SI_TABLES {
+                            let (was, is) = (&m.snapshot[t], &m.view[t]);
+                            let rows = committed.get_mut(t).unwrap();
+                            for k in was.keys().filter(|k| !is.contains_key(k)) {
+                                rows.remove(k);
+                            }
+                            for (k, v) in is.iter().filter(|(k, v)| was.get(k) != Some(v)) {
+                                rows.insert(*k, *v);
+                            }
+                        }
+                        commits += 1;
+                    }
+                    Err(DbError::Conflict(_)) => {
+                        assert!(lose, "{what}: a winning commit was refused");
+                        conflicts += 1;
+                    }
+                    Err(e) => panic!("{what}: commit: {e}"),
+                }
+                assert_eq!(si_view(&db.snapshot()), committed, "{what}: after commit");
+                continue;
+            }
+            // Roll back.
+            7 => {
+                drop(m);
+                assert_eq!(si_view(&db.snapshot()), committed, "{what}: after drop");
+                continue;
+            }
+            8 if rng.chance(1, 4) => db.checkpoint().unwrap(),
+            9 if rng.chance(1, 8) => {
+                // Crash: every open transaction dies with the handle.
+                drop(m);
+                sessions.iter_mut().for_each(|s| *s = None);
+                drop(db);
+                db = open();
+                let store = db.snapshot();
+                assert_eq!(si_view(&store), committed, "{what}: recovered");
+                store.verify_indexes().unwrap();
+                continue;
+            }
+            _ => {}
+        }
+        // Every read inside a transaction is its snapshot plus its writes.
+        assert_eq!(
+            si_view(m.txn.store()),
+            m.view,
+            "{what}: in-transaction read"
+        );
+        sessions[s] = Some(m);
+    }
+    drop(sessions);
+    drop(db);
+    let db = open();
+    assert_eq!(
+        si_view(&db.snapshot()),
+        committed,
+        "seed {seed}: final reopen"
+    );
+    db.snapshot().verify_indexes().unwrap();
+    assert!(
+        commits > 0 && conflicts > 0,
+        "seed {seed}: {commits} commits, {conflicts} conflicts"
+    );
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Interleaved transactions are snapshot-isolated and first-committer-wins,
+/// live and across crashes, by a model that shares no code with the store.
+#[test]
+fn interleaved_transactions_match_a_snapshot_isolation_model() {
+    for seed in 0..16 {
+        run_si_history(seed);
     }
 }

@@ -59,11 +59,11 @@ fn ids(db: &Durable, table: &str) -> Vec<i64> {
 }
 
 fn commit_rows(db: &Durable, table: &str, rows: &[(i64, &str)]) {
-    let t = db.begin().unwrap();
+    let mut t = db.begin_txn();
     for (id, v) in rows {
-        db.insert(t, table, row(*id, v)).unwrap();
+        t.insert(table, row(*id, v)).unwrap();
     }
-    db.commit(t).unwrap();
+    db.commit_txn(t).unwrap();
 }
 
 /// Headline regression: crash after the new manifest is durable but before
@@ -77,9 +77,9 @@ fn checkpoint_crash_before_truncate_does_not_double_apply() {
 
     {
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def("dbo.t")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def("dbo.t")).unwrap();
+        db.commit_txn(t).unwrap();
         commit_rows(&db, "dbo.t", &[(1, "a"), (2, "b"), (3, "c")]);
 
         let guard = chaos::arm(chaos::Schedule::new().crash_at("checkpoint.truncate", 1));
@@ -127,9 +127,9 @@ fn checkpoint_crash_at_write_keeps_old_image() {
 
     {
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def("dbo.t")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def("dbo.t")).unwrap();
+        db.commit_txn(t).unwrap();
         commit_rows(&db, "dbo.t", &[(1, "a"), (2, "b")]);
 
         let guard = chaos::arm(chaos::Schedule::new().crash_at("checkpoint.write", 1));
@@ -156,9 +156,9 @@ fn torn_live_tail_with_rotated_log_recovers() {
 
     {
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def("dbo.t")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def("dbo.t")).unwrap();
+        db.commit_txn(t).unwrap();
         commit_rows(&db, "dbo.t", &[(1, "a"), (2, "b")]);
 
         // Leave a rotated log behind: checkpoint dies after its manifest.
@@ -171,9 +171,10 @@ fn torn_live_tail_with_rotated_log_recovers() {
         // New incarnation: commit into the live log, then tear its tail.
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
         commit_rows(&db, "dbo.t", &[(3, "c")]);
-        let t = db.begin().unwrap();
+        let mut t = db.begin_txn();
+        t.insert("dbo.t", row(4, "torn")).unwrap();
         let guard = chaos::arm(chaos::Schedule::new().torn_at("wal.append", 1, 7));
-        db.insert(t, "dbo.t", row(4, "torn")).unwrap_err();
+        db.commit_txn(t).unwrap_err();
         assert_eq!(guard.fired().len(), 1);
         drop(guard);
     }
@@ -203,11 +204,11 @@ fn incremental_checkpoint_rewrites_only_touched_tables() {
     let dir = temp_dir("incremental");
     let db = Durable::open(&dir, Durability::Fsync).unwrap();
 
-    let t = db.begin().unwrap();
+    let mut t = db.begin_txn();
     for name in ["dbo.a", "dbo.b", "dbo.c", "dbo.d"] {
-        db.create_table(t, def(name)).unwrap();
+        t.create_table(def(name)).unwrap();
     }
-    db.commit(t).unwrap();
+    db.commit_txn(t).unwrap();
     for name in ["dbo.a", "dbo.b", "dbo.c", "dbo.d"] {
         commit_rows(&db, name, &[(1, "x"), (2, "y")]);
     }
@@ -244,9 +245,9 @@ fn failed_checkpoint_then_retry_merges_rotated_log() {
     let dir = temp_dir("retry-merge");
     let db = Durable::open(&dir, Durability::Fsync).unwrap();
 
-    let t = db.begin().unwrap();
-    db.create_table(t, def("dbo.t")).unwrap();
-    db.commit(t).unwrap();
+    let mut t = db.begin_txn();
+    t.create_table(def("dbo.t")).unwrap();
+    db.commit_txn(t).unwrap();
     commit_rows(&db, "dbo.t", &[(1, "a"), (2, "b")]);
 
     // First checkpoint dies after rotation, before writing anything.
@@ -278,19 +279,19 @@ fn torn_commit_of_a_two_table_txn_rolls_back_both() {
     let dir = temp_dir("torn-commit");
     {
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def("acct")).unwrap();
-        db.create_table(t, def("dbo.acct")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def("acct")).unwrap();
+        t.create_table(def("dbo.acct")).unwrap();
+        db.commit_txn(t).unwrap();
         commit_rows(&db, "acct", &[(1, "base")]);
 
-        let t = db.begin().unwrap();
-        db.insert(t, "acct", row(2, "debit")).unwrap();
-        db.insert(t, "dbo.acct", row(2, "credit")).unwrap();
+        let mut t = db.begin_txn();
+        t.insert("acct", row(2, "debit")).unwrap();
+        t.insert("dbo.acct", row(2, "credit")).unwrap();
         // Visits count from arming, so the first armed append *is* the
         // commit record.
         let guard = chaos::arm(chaos::Schedule::new().torn_at("wal.append", 1, 5));
-        db.commit(t).unwrap_err();
+        db.commit_txn(t).unwrap_err();
         assert_eq!(guard.fired().len(), 1);
         drop(guard);
         // Process crash.
@@ -300,10 +301,10 @@ fn torn_commit_of_a_two_table_txn_rolls_back_both() {
         assert_eq!(ids(&db, "acct"), vec![1], "torn commit must roll back");
         assert_eq!(ids(&db, "dbo.acct"), Vec::<i64>::new());
         // And the database keeps working, two-table transactions included.
-        let t = db.begin().unwrap();
-        db.insert(t, "acct", row(3, "x")).unwrap();
-        db.insert(t, "dbo.acct", row(3, "y")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.insert("acct", row(3, "x")).unwrap();
+        t.insert("dbo.acct", row(3, "y")).unwrap();
+        db.commit_txn(t).unwrap();
     }
     {
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
@@ -313,24 +314,24 @@ fn torn_commit_of_a_two_table_txn_rolls_back_both() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// An aborted transaction with the highest txn id must still advance the
-/// checkpoint mark: after checkpoint + crash, recovered transaction ids
-/// may not collide with the aborted one, and its effects stay invisible.
+/// A transaction rolled back just before a checkpoint takes no id and
+/// leaves nothing behind: after checkpoint + crash its effects stay
+/// invisible, and the ids of later commits stay above the mark.
 #[test]
 fn abort_advances_checkpoint_mark() {
     let dir = temp_dir("abort-mark");
 
     {
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def("dbo.t")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def("dbo.t")).unwrap();
+        db.commit_txn(t).unwrap();
         commit_rows(&db, "dbo.t", &[(1, "a")]);
 
-        // Aborted txn holds the largest id when the checkpoint runs.
-        let t = db.begin().unwrap();
-        db.insert(t, "dbo.t", row(99, "rolled back")).unwrap();
-        db.abort(t).unwrap();
+        // Rolled back last, just before the checkpoint.
+        let mut t = db.begin_txn();
+        t.insert("dbo.t", row(99, "rolled back")).unwrap();
+        drop(t);
         db.checkpoint().unwrap();
     }
 
@@ -360,23 +361,23 @@ fn refused_statement_logs_nothing_and_recovery_survives_its_commit() {
     let wal = dir.join("phoenix.wal");
     {
         let db = Durable::open(&dir, Durability::Buffered).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def("dbo.t")).unwrap();
-        db.insert(t, "dbo.t", row(1, "one")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def("dbo.t")).unwrap();
+        t.insert("dbo.t", row(1, "one")).unwrap();
+        db.commit_txn(t).unwrap();
 
-        let t = db.begin().unwrap();
+        let mut t = db.begin_txn();
         let before = std::fs::metadata(&wal).unwrap().len();
         // Key already in the table; key repeated within one batch; a row
         // id nobody holds (deleted by another session since the statement
         // computed its target set); the wrong number of columns.
-        db.insert(t, "dbo.t", row(1, "dup")).unwrap_err();
-        db.insert_many(t, "dbo.t", vec![row(5, "a"), row(5, "b")])
+        t.insert("dbo.t", row(1, "dup")).unwrap_err();
+        t.insert_many("dbo.t", vec![row(5, "a"), row(5, "b")])
             .unwrap_err();
-        db.delete_many(t, "dbo.t", &[1, 9]).unwrap_err();
-        db.update_many(t, "dbo.t", vec![(1, row(1, "x")), (9, row(9, "y"))])
+        t.delete_many("dbo.t", &[1, 9]).unwrap_err();
+        t.update_many("dbo.t", vec![(1, row(1, "x")), (9, row(9, "y"))])
             .unwrap_err();
-        db.update(t, "dbo.t", 1, vec![Value::Int(1)]).unwrap_err();
+        t.update("dbo.t", 1, vec![Value::Int(1)]).unwrap_err();
         assert_eq!(
             std::fs::metadata(&wal).unwrap().len(),
             before,
@@ -385,8 +386,8 @@ fn refused_statement_logs_nothing_and_recovery_survives_its_commit() {
         // Nothing of a refused batch was applied either — not even the
         // rows ahead of the one that failed.
         assert_eq!(ids(&db, "dbo.t"), vec![1]);
-        db.insert(t, "dbo.t", row(2, "two")).unwrap();
-        db.commit(t).unwrap();
+        t.insert("dbo.t", row(2, "two")).unwrap();
+        db.commit_txn(t).unwrap();
     }
     let db = Durable::open(&dir, Durability::Buffered).unwrap();
     assert_eq!(ids(&db, "dbo.t"), vec![1, 2]);
@@ -397,11 +398,11 @@ fn refused_statement_logs_nothing_and_recovery_survives_its_commit() {
 fn checkpointed_with_tail(tag: &str) -> PathBuf {
     let dir = temp_dir(tag);
     let db = Durable::open(&dir, Durability::Fsync).unwrap();
-    let t = db.begin().unwrap();
+    let mut t = db.begin_txn();
     for name in ["dbo.a", "dbo.b", "dbo.c", "dbo.d"] {
-        db.create_table(t, def(name)).unwrap();
+        t.create_table(def(name)).unwrap();
     }
-    db.commit(t).unwrap();
+    db.commit_txn(t).unwrap();
     for name in ["dbo.a", "dbo.b", "dbo.c", "dbo.d"] {
         commit_rows(&db, name, &[(1, "x"), (2, "y")]);
     }
@@ -497,12 +498,12 @@ fn unreadable_segment_fails_its_table_only_and_a_missing_one_fails_open() {
     assert_eq!(ids(&db, "dbo.b"), vec![1, 2]);
 
     let appended = db.log_records_since_checkpoint();
-    let t = db.begin().unwrap();
-    assert!(db.insert(t, "dbo.a", row(9, "n")).is_err());
-    assert!(db.drop_table(t, "dbo.a").is_err());
-    assert!(db.create_index(t, "dbo.a", "a_v", 1).is_err());
-    db.insert(t, "dbo.b", row(3, "z")).unwrap();
-    db.commit(t).unwrap();
+    let mut t = db.begin_txn();
+    assert!(t.insert("dbo.a", row(9, "n")).is_err());
+    assert!(t.drop_table("dbo.a").is_err());
+    assert!(t.create_index("dbo.a", "a_v", 1).is_err());
+    t.insert("dbo.b", row(3, "z")).unwrap();
+    db.commit_txn(t).unwrap();
     assert_eq!(
         db.log_records_since_checkpoint(),
         appended + 2,
@@ -547,14 +548,15 @@ fn append_records(dir: &std::path::Path, records: Vec<Option<LogRecord>>) {
 fn checkpointed_t(tag: &str) -> (PathBuf, u64, u64) {
     let dir = temp_dir(tag);
     let db = Durable::open(&dir, Durability::Fsync).unwrap();
-    let t = db.begin().unwrap();
-    db.create_table(t, def("dbo.t")).unwrap();
-    db.create_table(t, def("dbo.u")).unwrap();
-    db.commit(t).unwrap();
+    let mut t = db.begin_txn();
+    t.create_table(def("dbo.t")).unwrap();
+    t.create_table(def("dbo.u")).unwrap();
+    db.commit_txn(t).unwrap();
     commit_rows(&db, "dbo.t", &[(1, "x"), (2, "y")]);
     commit_rows(&db, "dbo.u", &[(1, "x")]);
     db.checkpoint().unwrap();
-    let txn = db.begin().unwrap();
+    drop(db);
+    let txn = recover(&dir).unwrap().last_txn + 1;
     (dir, txn, 3)
 }
 
@@ -575,17 +577,17 @@ fn a_catalog_record_makes_its_table_redo_at_open() {
     let dir = temp_dir("barrier");
     {
         let db = Durable::open(&dir, Durability::Fsync).unwrap();
-        let t = db.begin().unwrap();
-        db.create_table(t, def("dbo.t")).unwrap();
-        db.create_table(t, def("dbo.u")).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_table(def("dbo.t")).unwrap();
+        t.create_table(def("dbo.u")).unwrap();
+        db.commit_txn(t).unwrap();
         commit_rows(&db, "dbo.t", &[(1, "x")]);
         commit_rows(&db, "dbo.u", &[(1, "x")]);
         db.checkpoint().unwrap();
         commit_rows(&db, "dbo.t", &[(2, "y"), (3, "x")]);
-        let t = db.begin().unwrap();
-        db.create_index(t, "dbo.t", "t_v", 1).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.create_index("dbo.t", "t_v", 1).unwrap();
+        db.commit_txn(t).unwrap();
         commit_rows(&db, "dbo.t", &[(4, "y")]);
         commit_rows(&db, "dbo.u", &[(2, "y")]);
     }
@@ -674,10 +676,10 @@ fn a_failed_redo_fails_its_table_only() {
         .to_string();
     assert!(e.contains("dbo.t") && e.contains("no row 99"), "{e}");
     assert_eq!(ids(&db, "dbo.u"), vec![1, 2]);
-    let t = db.begin().unwrap();
-    assert!(db.insert(t, "dbo.t", row(9, "n")).is_err());
-    db.insert(t, "dbo.u", row(3, "z")).unwrap();
-    db.commit(t).unwrap();
+    let mut t = db.begin_txn();
+    assert!(t.insert("dbo.t", row(9, "n")).is_err());
+    t.insert("dbo.u", row(3, "z")).unwrap();
+    db.commit_txn(t).unwrap();
     let e = db.checkpoint().unwrap_err().to_string();
     assert!(e.contains("dbo.t"), "{e}");
     drop(db);

@@ -35,7 +35,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 fn measure(rows: u64) -> (f64, f64) {
     let dir = std::env::temp_dir().join(format!("phoenix-scaling-{}-{rows}", std::process::id()));
     let db = Durable::open(&dir, Durability::Buffered).unwrap();
-    let t = db.begin().unwrap();
+    let mut t = db.begin_txn();
     let def = TableDef::new(
         "dbo.t",
         Schema::new(vec![
@@ -46,23 +46,22 @@ fn measure(rows: u64) -> (f64, f64) {
         ]),
     )
     .with_primary_key(vec![0]);
-    db.create_table(t, def).unwrap();
-    db.create_index(t, "dbo.t", "t_grp", 1).unwrap();
+    t.create_table(def).unwrap();
+    t.create_index("dbo.t", "t_grp", 1).unwrap();
     for base in (0..rows).step_by(10_000) {
         let batch = (base..(base + 10_000).min(rows)).map(|id| row(id, 0));
-        db.insert_many(t, "dbo.t", batch.collect()).unwrap();
+        t.insert_many("dbo.t", batch.collect()).unwrap();
     }
-    db.commit(t).unwrap();
+    db.commit_txn(t).unwrap();
 
     // Row ids are 1-based and dense; spread the updates over the table.
     let mut update_us = Vec::new();
     for i in 0..2_000u64 {
         let id = i.wrapping_mul(2_654_435_761) % rows;
         let t0 = Instant::now();
-        let t = db.begin().unwrap();
-        db.update(t, "dbo.t", id + 1, row(id, i as i64 + 1))
-            .unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.update("dbo.t", id + 1, row(id, i as i64 + 1)).unwrap();
+        db.commit_txn(t).unwrap();
         update_us.push(t0.elapsed().as_secs_f64() * 1e6);
     }
     let mut delete_ms = Vec::new();
@@ -70,9 +69,9 @@ fn measure(rows: u64) -> (f64, f64) {
         let first = i * (rows / 10) + 1;
         let ids: Vec<RowId> = (first..first + 100).collect();
         let t0 = Instant::now();
-        let t = db.begin().unwrap();
-        db.delete_many(t, "dbo.t", &ids).unwrap();
-        db.commit(t).unwrap();
+        let mut t = db.begin_txn();
+        t.delete_many("dbo.t", &ids).unwrap();
+        db.commit_txn(t).unwrap();
         delete_ms.push(t0.elapsed().as_secs_f64() * 1e3);
     }
     db.snapshot().verify_indexes().unwrap();
