@@ -11,7 +11,8 @@
 //!   (session-recovery time vs result size) plus the §4 recovery-vs-
 //!   recompute claim.
 //! * `cargo bench` — Criterion benches: `power_test`, `session_recovery`,
-//!   `materialize` (ablation A2), `reposition` (ablation A1).
+//!   `reposition` (the resume fetch after a crash deep into a result),
+//!   `multi_client`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -8,8 +8,8 @@
 //!   application requests — "the mapped connection activity mimics the
 //!   application's use of a normal ODBC connection";
 //! * the **private** connection, on which Phoenix performs the activity it
-//!   must mask from the application: creating persistent tables and capture
-//!   procedures, pinging for server recovery, probing the status table, and
+//!   must mask from the application: capturing result sets into persistent
+//!   tables, pinging for server recovery, probing the status table, and
 //!   re-creating session state.
 //!
 //! Should a crash occur, the virtual handles stay valid: Phoenix re-maps
@@ -165,10 +165,7 @@ impl PhoenixConnection {
                 Statement::Select(_) if self.ctx.txn_open => {
                     self.run_mapped_retry(&render_statement(&stmt))
                 }
-                Statement::Select(s) => {
-                    let select = s.clone();
-                    self.execute_query_complete(&select)
-                }
+                Statement::Select(s) => self.execute_query_complete(s),
                 // EXPLAIN is read-only and idempotent: forward it directly
                 // (with resubmission on comm failure). Materializing a plan
                 // listing into a persistent table would be pure overhead.
@@ -235,25 +232,16 @@ impl PhoenixConnection {
     // Query path
     // -----------------------------------------------------------------------
 
-    /// Materialize and read back a complete result set.
+    /// Materialize a result set and return it whole: the read-back in the
+    /// capture's own request is the application's result.
     fn execute_query_complete(&mut self, select: &SelectStmt) -> Result<QueryResult> {
-        let m = self.materialize_with_retry(select)?;
-        let sql = format!("SELECT * FROM {}", m.table);
-        let mut r = self.run_mapped_retry(&sql)?;
-        // Present the probed schema (it carries the query's own column
-        // names and types).
-        if let Outcome::ResultSet { schema, .. } = &mut r.outcome {
-            *schema = m.schema.clone();
-        }
+        let m = self.materialize_with_retry(select, Some(""))?;
         if self.config.eager_cleanup {
             // The application holds the complete result; the persistent
             // copy has served its purpose.
             self.drop_phoenix_table(&m.table);
-            if let Some(p) = &m.capture_proc {
-                self.drop_phoenix_proc(p);
-            }
         }
-        Ok(r)
+        Ok(m.reply)
     }
 
     /// Best-effort eager drop of a Phoenix table: demoted from verified
@@ -267,39 +255,23 @@ impl PhoenixConnection {
             .execute(&format!("DROP TABLE IF EXISTS {name}"));
     }
 
-    /// Best-effort eager drop of a Phoenix procedure (see
-    /// [`Self::drop_phoenix_table`]).
-    pub(crate) fn drop_phoenix_proc(&mut self, name: &phoenix_sql::ast::ObjectName) {
-        self.ctx.demote(name);
-        let _ = self
-            .private
-            .execute(&format!("DROP PROCEDURE IF EXISTS {name}"));
-    }
-
-    /// Materialize a result set, retrying with fresh object names if a crash
-    /// interrupts the pipeline (partially-created objects are swept at
-    /// session cleanup).
-    pub(crate) fn materialize_with_retry(&mut self, select: &SelectStmt) -> Result<Materialized> {
+    /// Materialize a result set in one request (reading back with `read`,
+    /// see [`materialize::materialize`]), re-running it under a fresh name
+    /// if a crash interrupts it (a table whose commit beat the crash is
+    /// swept at session cleanup).
+    pub(crate) fn materialize_with_retry(
+        &mut self,
+        select: &SelectStmt,
+        read: Option<&str>,
+    ) -> Result<Materialized> {
         loop {
             let table = self.namer.result_table();
-            let proc = self.namer.capture_proc();
-            // Reserve the names so cleanup sweeps partial runs; successful
-            // materialization promotes them to verified session state.
+            // Reserve the name so cleanup sweeps an interrupted run; a
+            // successful one promotes it to verified session state.
             self.ctx.reserve(PhoenixObject::Table, table.clone());
-            self.ctx.reserve(PhoenixObject::Procedure, proc.clone());
-            match materialize::materialize(
-                &mut self.mapped,
-                &mut self.private,
-                table,
-                proc,
-                select,
-                self.config.capture,
-            ) {
+            match materialize::materialize(&mut self.private, table, select, read) {
                 Ok(m) => {
                     self.ctx.register(PhoenixObject::Table, m.table.clone());
-                    if let Some(p) = &m.capture_proc {
-                        self.ctx.register(PhoenixObject::Procedure, p.clone());
-                    }
                     self.stats.materialized_result_sets += 1;
                     return Ok(m);
                 }

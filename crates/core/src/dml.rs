@@ -88,11 +88,12 @@ pub(crate) fn commit(session: &str, tag: u64) -> Vec<String> {
 /// Send every batch whose reply is still `None` as one pipelined `ExecBatch`
 /// on `conn`, and fill its reply with item `at` of the answer.
 ///
-/// Each batch is a transaction ending in `COMMIT`, and the server stops a
-/// batch at its first failing statement, so an `Err` item means that
-/// transaction is still open: the window drains (batches behind it fail
-/// their own `BEGIN` against it), it is rolled back, and the first error
-/// surfaces. A communication failure surfaces as is, leaving the
+/// A wrapper's batch is a transaction ending in `COMMIT`, and the server
+/// stops a batch at its first failing statement, so an `Err` item means
+/// that transaction is still open: the window drains (batches behind it
+/// fail their own `BEGIN` against it), it is rolled back, and the first
+/// error surfaces. (A result capture is autocommit statements; its
+/// `ROLLBACK` finds no transaction and is ignored.) A communication failure surfaces as is, leaving the
 /// transaction to die with the session; replies already read stay filled in.
 pub(crate) fn run_batches(
     conn: &mut Connection,

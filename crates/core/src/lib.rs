@@ -15,12 +15,13 @@
 //! volatile server state — rewritten so that state lands in **persistent
 //! tables** in the `phoenix` namespace on the server:
 //!
-//! * **Result sets** — the query's metadata is probed with the `WHERE 0=1`
-//!   trick, a persistent table is created from it, and the result is
-//!   captured server-side via a generated stored procedure
-//!   (`CREATE PROCEDURE … AS INSERT INTO t <select>`), so no row crosses the
-//!   network during capture. Delivery then reads from the persistent table,
-//!   and Phoenix remembers the delivery position client-side.
+//! * **Result sets** — the query is captured server-side by one statement,
+//!   `CREATE TABLE phoenix.rs_… AS <select>`, which takes the table's
+//!   columns from the result's own schema, so no row crosses the network
+//!   during capture. The read-back rides in the same request, and its reply
+//!   is the application's result (or a cursor's first block); later blocks
+//!   read from the persistent table, and Phoenix remembers the delivery
+//!   position client-side. One request, and one commit, per query.
 //! * **Keyset / dynamic cursors** — only the qualifying *keys* are
 //!   materialized; fetches re-read current rows by key (keyset) or by
 //!   key-range (dynamic), so updates/inserts remain visible with the
@@ -55,13 +56,13 @@
 //!
 //! ## Module map
 //!
-//! * [`config`] — strategies and recovery tuning ([`PhoenixConfig`]).
+//! * [`config`] — recovery tuning, block size, cleanup ([`PhoenixConfig`]).
 //! * [`naming`] — generation of Phoenix object names (`phoenix.rs_*`, …).
 //! * [`context`] — the client-side session context and request log.
 //! * [`connection`] — [`PhoenixConnection`]: the virtual session.
 //! * [`statement`] — [`PhoenixStatement`]: persistent result-set delivery
 //!   and persistent keyset/dynamic cursors.
-//! * [`materialize`] — the result-set capture pipeline.
+//! * [`materialize`] — the one-request result-set capture.
 //! * [`dml`] — the exactly-once wrapper and the status table.
 //! * [`recovery`] — failure detection, ping loop, two-phase reinstall.
 //! * [`metrics`] — process-wide recovery counters and the recovery-latency
@@ -78,7 +79,7 @@ pub mod naming;
 pub mod recovery;
 pub mod statement;
 
-pub use config::{CaptureStrategy, PhoenixConfig, RepositionStrategy};
+pub use config::PhoenixConfig;
 pub use connection::{PhoenixConnection, PhoenixStats};
 pub use statement::{PhoenixCursorKind, PhoenixFetch, PhoenixStatement};
 

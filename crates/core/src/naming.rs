@@ -62,12 +62,6 @@ impl Namer {
         ObjectName::qualified(PHOENIX_NS, format!("ks_{}_{n}", self.tag))
     }
 
-    /// Capture procedure: `phoenix.cap_…`.
-    pub fn capture_proc(&mut self) -> ObjectName {
-        let n = self.next_id();
-        ObjectName::qualified(PHOENIX_NS, format!("cap_{}_{n}", self.tag))
-    }
-
     /// Persistent stand-in for a session temp object `#name`.
     pub fn temp_stand_in(&mut self, temp: &ObjectName) -> ObjectName {
         let n = self.next_id();
@@ -106,10 +100,9 @@ mod tests {
         let mut n = Namer::new("7_1".into());
         let rs = n.result_table();
         let ks = n.key_table();
-        let cap = n.capture_proc();
         assert_eq!(rs.namespace.as_deref(), Some(PHOENIX_NS));
         assert_ne!(rs.name, ks.name);
-        assert!(cap.name.starts_with("cap_"));
+        assert!(rs.name.starts_with("rs_") && ks.name.starts_with("ks_"));
         let t = n.temp_stand_in(&ObjectName::bare("#work"));
         assert!(t.name.contains("work"));
         assert!(!t.is_temp());

@@ -25,8 +25,25 @@ use crate::config::RecoverySettings;
 use crate::metrics::core_metrics;
 use crate::Result;
 
+/// The first sleep between reconnect attempts; each later one doubles, up
+/// to `ping_interval`.
+const FIRST_RETRY: Duration = Duration::from_millis(1);
+
+/// The sleep after failed attempt `attempt` (1-based): 1 ms, doubled each
+/// retry, capped at `ping_interval`. A server that is back within a few
+/// milliseconds is found within a few milliseconds, not after a whole
+/// ping interval; one that stays down is polled every `ping_interval`.
+fn retry_sleep(attempt: u64, ping_interval: Duration) -> Duration {
+    let doublings = attempt.saturating_sub(1).min(31) as u32;
+    FIRST_RETRY
+        .saturating_mul(1 << doublings)
+        .min(ping_interval)
+}
+
 /// Attempt to (re)connect and log in until it succeeds or `settings.max_wait`
-/// elapses. Returns the new connection and the number of attempts made.
+/// elapses, sleeping between attempts from 1 ms, doubled each retry, up to
+/// `settings.ping_interval`. Returns the new connection and the number of
+/// attempts made.
 pub fn reconnect_loop(
     env: &Environment,
     addr: &str,
@@ -74,7 +91,9 @@ pub fn reconnect_loop(
                 // overshoots max_wait by (almost) a whole ping interval —
                 // the app asked to wait max_wait, not max_wait rounded up.
                 m.backoff_sleeps.inc();
-                std::thread::sleep(settings.ping_interval.min(deadline - now));
+                std::thread::sleep(
+                    retry_sleep(attempts, settings.ping_interval).min(deadline - now),
+                );
             }
         }
     }
@@ -206,6 +225,38 @@ mod tests {
         // Every attempt but the last (which hits the deadline and returns)
         // is followed by exactly one clamped sleep.
         assert_eq!(sleeps, attempts - 1);
+    }
+
+    #[test]
+    fn retry_sleeps_double_from_one_millisecond_up_to_the_ping_interval() {
+        let ms = Duration::from_millis;
+        let sleeps: Vec<Duration> = (1..=9).map(|a| retry_sleep(a, ms(50))).collect();
+        assert_eq!(
+            sleeps,
+            [
+                ms(1),
+                ms(2),
+                ms(4),
+                ms(8),
+                ms(16),
+                ms(32),
+                ms(50),
+                ms(50),
+                ms(50)
+            ]
+        );
+        // A server ready after 9 ms is found by the attempt after the
+        // fourth sleep: 1 + 2 + 4 + 8 = 15 ms, not 50.
+        let waited: Duration = sleeps[..4].iter().sum();
+        assert_eq!(waited, ms(15));
+        // A 1 ms interval never sleeps longer; a huge attempt count does
+        // not overflow.
+        assert!((1..=40).all(|a| retry_sleep(a, ms(1)) == ms(1)));
+        assert_eq!(
+            retry_sleep(u64::MAX, Duration::from_secs(30)),
+            Duration::from_secs(30)
+        );
+        assert_eq!(retry_sleep(0, ms(50)), ms(1));
     }
 
     #[test]

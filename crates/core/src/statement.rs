@@ -2,10 +2,12 @@
 //! the persistent keyset/dynamic cursors of paper §3 ("Cursors").
 //!
 //! * **Forward-only** (default result set): the query is materialized into a
-//!   persistent table; Phoenix delivers from that table through a server
-//!   cursor, remembering the delivery position client-side. After a crash
-//!   it re-opens delivery and re-positions — server-side (`OFFSET`, no
-//!   tuples shipped) or by client scan-and-discard, per configuration.
+//!   persistent table, and the request that captures it also reads back the
+//!   first block, so a result shorter than one block needs nothing more.
+//!   Later blocks come through a server cursor opened at `OFFSET
+//!   <delivered>`; Phoenix remembers the delivery position client-side, and
+//!   after a crash re-opens the cursor the same way — a server-side skip,
+//!   no tuples shipped.
 //! * **Keyset**: only the result's *primary keys* are materialized in a
 //!   persistent key table; each fetch reads the next key(s) and SELECTs the
 //!   current row by key. Deleted rows are skipped, updated rows show fresh
@@ -24,9 +26,8 @@ use phoenix_sql::display::{render_expr, render_statement};
 use phoenix_sql::parser::parse_statement;
 use phoenix_sql::rewrite::with_projections;
 use phoenix_storage::types::{Row, Schema, Value};
-use phoenix_wire::message::{CursorKind as WireCursor, FetchDir};
+use phoenix_wire::message::{CursorKind as WireCursor, FetchDir, Outcome};
 
-use crate::config::RepositionStrategy;
 use crate::connection::PhoenixConnection;
 use crate::materialize::value_literal;
 use crate::naming::STATUS_TABLE;
@@ -61,9 +62,13 @@ enum Delivery {
         schema: Schema,
         /// Rows already handed to the application.
         delivered: u64,
-        /// Open driver cursor on the mapped connection (`None` right after
-        /// a recovery — re-opened lazily with repositioning).
+        /// Open driver cursor on the mapped connection: `None` until the
+        /// first block (read back with the capture) runs out, and again
+        /// after a recovery or a scroll — re-opened lazily at `delivered`.
         cursor: Option<u64>,
+        /// The cursor was lost to a failure, so its re-open is a recovery's
+        /// reposition (timed in the stats and journaled).
+        lost: bool,
         buf: Vec<Row>,
         buf_pos: usize,
         at_end: bool,
@@ -115,10 +120,10 @@ pub struct PhoenixStatement<'c> {
     fetch_block: usize,
     granted: Option<PhoenixCursorKind>,
     state: Option<Delivery>,
-    /// Server objects this statement's execution created (result/key table,
-    /// capture procedure) — dropped eagerly on re-execute/close when
-    /// `eager_cleanup` is configured.
-    owned: Vec<phoenix_sql::ast::ObjectName>,
+    /// The result or key table this statement's execution created —
+    /// dropped eagerly on re-execute/close when `eager_cleanup` is
+    /// configured.
+    owned: Vec<ObjectName>,
 }
 
 impl<'c> PhoenixStatement<'c> {
@@ -142,9 +147,7 @@ impl<'c> PhoenixStatement<'c> {
         self.granted = None;
         if self.pc.config.eager_cleanup {
             for name in std::mem::take(&mut self.owned) {
-                // Tables and procedures are disjoint name sets; try both.
                 self.pc.drop_phoenix_table(&name);
-                self.pc.drop_phoenix_proc(&name);
             }
         } else {
             self.owned.clear();
@@ -420,21 +423,33 @@ impl<'c> PhoenixStatement<'c> {
     // Forward-only persistent delivery
     // -----------------------------------------------------------------------
 
+    /// Capture the result and read back its first block in one request;
+    /// the reply supplies the schema and the rows of that block.
     fn open_persistent(&mut self, select: &SelectStmt) -> Result<()> {
-        let m = self.pc.materialize_with_retry(select)?;
+        let block = self.fetch_block;
+        let m = self
+            .pc
+            .materialize_with_retry(select, Some(&format!(" LIMIT {block}")))?;
         self.owned.push(m.table.clone());
-        if let Some(p) = &m.capture_proc {
-            self.owned.push(p.clone());
-        }
+        let (schema, buf) = match m.reply.outcome {
+            Outcome::ResultSet { schema, rows } => (schema, rows),
+            other => {
+                return Err(DriverError::Protocol(format!(
+                    "capture read-back answered {other:?}, not a result set"
+                )))
+            }
+        };
         self.granted = Some(PhoenixCursorKind::ForwardOnly);
         self.state = Some(Delivery::Persistent {
             table: m.table,
-            schema: m.schema,
+            schema,
             delivered: 0,
             cursor: None,
-            buf: Vec::new(),
+            lost: false,
+            // A short first block is the whole result.
+            at_end: buf.len() < block,
+            buf,
             buf_pos: 0,
-            at_end: false,
         });
         Ok(())
     }
@@ -496,12 +511,14 @@ impl<'c> PhoenixStatement<'c> {
                     self.pc.recover()?;
                     if let Some(Delivery::Persistent {
                         cursor,
+                        lost,
                         buf,
                         buf_pos,
                         ..
                     }) = self.state.as_mut()
                     {
                         *cursor = None;
+                        *lost = true;
                         buf.clear();
                         *buf_pos = 0;
                     }
@@ -512,59 +529,36 @@ impl<'c> PhoenixStatement<'c> {
     }
 
     /// (Re-)open the delivery cursor over the persistent result table,
-    /// positioned after the rows already delivered.
+    /// positioned after the rows already delivered: a server-side skip
+    /// (`OFFSET <delivered>`), so no tuples cross the wire. A re-open after
+    /// a failure is timed as the reposition of a recovery.
     fn reopen_persistent_cursor(&mut self) -> Result<()> {
-        let (table, delivered) = match self.state.as_ref() {
+        let (table, delivered, mut lost) = match self.state.as_ref() {
             Some(Delivery::Persistent {
-                table, delivered, ..
-            }) => (table.clone(), *delivered),
+                table,
+                delivered,
+                lost,
+                ..
+            }) => (table.clone(), *delivered, *lost),
             _ => unreachable!(),
         };
-        let strategy = self.pc.config.reposition;
+        let sql = format!("SELECT * FROM {table} OFFSET {delivered}");
         let t0 = std::time::Instant::now();
         loop {
-            let attempt = (|| -> Result<u64> {
-                match strategy {
-                    RepositionStrategy::ServerSide => {
-                        // Server-side skip: no tuples cross the wire.
-                        let sql = if delivered > 0 {
-                            format!("SELECT * FROM {table} OFFSET {delivered}")
-                        } else {
-                            format!("SELECT * FROM {table}")
-                        };
-                        let (cid, _, _) = self
-                            .pc
-                            .mapped
-                            .open_cursor_raw(&sql, WireCursor::ForwardOnly)?;
-                        Ok(cid)
-                    }
-                    RepositionStrategy::ClientScan => {
-                        // Baseline: re-open from the start and discard.
-                        let sql = format!("SELECT * FROM {table}");
-                        let (cid, _, _) = self
-                            .pc
-                            .mapped
-                            .open_cursor_raw(&sql, WireCursor::ForwardOnly)?;
-                        let mut to_skip = delivered;
-                        while to_skip > 0 {
-                            let n = to_skip.min(256) as usize;
-                            let (rows, end) =
-                                self.pc.mapped.fetch_cursor_raw(cid, FetchDir::Next, n)?;
-                            to_skip -= rows.len() as u64;
-                            if end {
-                                break;
-                            }
-                        }
-                        Ok(cid)
-                    }
-                }
-            })();
-            match attempt {
-                Ok(cid) => {
-                    if let Some(Delivery::Persistent { cursor, .. }) = self.state.as_mut() {
+            match self
+                .pc
+                .mapped
+                .open_cursor_raw(&sql, WireCursor::ForwardOnly)
+            {
+                Ok((cid, _, _)) => {
+                    if let Some(Delivery::Persistent {
+                        cursor, lost: l, ..
+                    }) = self.state.as_mut()
+                    {
                         *cursor = Some(cid);
+                        *l = false;
                     }
-                    if delivered > 0 {
+                    if lost {
                         let us = t0.elapsed().as_micros() as u64;
                         self.pc.stats.last_reposition_us = us;
                         self.pc.stats.reposition_us += us;
@@ -578,7 +572,10 @@ impl<'c> PhoenixStatement<'c> {
                     }
                     return Ok(());
                 }
-                Err(e) if e.is_comm() => self.pc.recover()?,
+                Err(e) if e.is_comm() => {
+                    self.pc.recover()?;
+                    lost = true;
+                }
                 Err(e) => return Err(e),
             }
         }
@@ -646,11 +643,8 @@ impl<'c> PhoenixStatement<'c> {
     /// Materialize the key table for a keyed cursor.
     fn materialize_keys(&mut self, select: &SelectStmt, plan: &CursorPlan) -> Result<ObjectName> {
         let key_select = with_projections(select.clone(), &plan.key_cols);
-        let m = self.pc.materialize_with_retry(&key_select)?;
+        let m = self.pc.materialize_with_retry(&key_select, None)?;
         self.owned.push(m.table.clone());
-        if let Some(p) = &m.capture_proc {
-            self.owned.push(p.clone());
-        }
         Ok(m.table)
     }
 

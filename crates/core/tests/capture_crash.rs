@@ -57,74 +57,83 @@ fn supervise(
     })
 }
 
-/// A crash inside the capture batch — `[BEGIN; CREATE TABLE; CREATE
-/// PROCEDURE; EXEC; COMMIT]`, one request — aborts the whole attempt: the
-/// query is resubmitted under fresh names, its rows arrive once, the
-/// aborted attempt's result table does not survive recovery, and `close`
-/// sweeps what the successful attempt created.
+/// A crash inside the capture request — `[CREATE TABLE t AS <select>;
+/// SELECT * FROM t]`, one request — aborts the whole attempt: the query is
+/// resubmitted under a fresh name and its rows arrive exactly once.
+///
+/// * At `wal.append` (the capture's one append, at its commit) nothing is
+///   committed, so the aborted attempt leaves no table.
+/// * At `store.publish` (after the commit record is durable) and at
+///   `server.reply_send` (after the read-back ran) the aborted attempt's
+///   table is committed but unregistered; it survives recovery, and `close`
+///   sweeps it with the successful attempt's.
 #[test]
 fn query_resubmitted_after_crash_inside_capture_batch() {
-    let guard = chaos::arm(chaos::Schedule::new());
-    let (harness, mut pc, dir) = start("capture-crash");
-    pc.execute("CREATE TABLE customer (id INT PRIMARY KEY, name TEXT)")
+    for (point, committed) in [
+        ("wal.append", false),
+        ("store.publish", true),
+        ("server.reply_send", true),
+    ] {
+        let guard = chaos::arm(chaos::Schedule::new());
+        let (harness, mut pc, dir) = start(&format!("capture-crash-{}", point.replace('.', "-")));
+        pc.execute("CREATE TABLE customer (id INT PRIMARY KEY, name TEXT)")
+            .unwrap();
+        pc.execute(
+            "INSERT INTO customer VALUES (1, 'Smith'), (2, 'Jones'), (3, 'Smith'), (4, 'Brown')",
+        )
         .unwrap();
-    pc.execute(
-        "INSERT INTO customer VALUES (1, 'Smith'), (2, 'Jones'), (3, 'Smith'), (4, 'Brown')",
-    )
-    .unwrap();
-    let captures = |h: &ServerHarness| -> Vec<String> {
-        h.with_engine(|e| {
-            let snap = e.snapshot();
-            let mut names = snap.table_names();
-            names.extend(snap.proc_names());
-            names.retain(|n| n.starts_with("phoenix.rs_") || n.starts_with("phoenix.cap_"));
-            names
-        })
-        .unwrap()
-    };
-    assert!(captures(&harness.lock().unwrap()).is_empty());
+        let captures = |h: &ServerHarness| -> Vec<String> {
+            h.with_engine(|e| {
+                let mut names = e.snapshot().table_names();
+                names.retain(|n| n.starts_with("phoenix.rs_"));
+                names
+            })
+            .unwrap()
+        };
+        assert!(captures(&harness.lock().unwrap()).is_empty());
 
-    // The batch reaches the log in one append, at its COMMIT: the CREATE
-    // TABLE, the CREATE PROCEDURE, the rows the procedure inserts and the
-    // commit record together. Die there, with nothing committed.
-    guard.reset(chaos::Schedule::new().crash_at("wal.append", 1));
-    let stop = Arc::new(AtomicBool::new(false));
-    let supervisor = supervise(guard.plan(), &harness, &stop);
-    let r = pc.execute("SELECT id, name FROM customer ORDER BY id");
-    stop.store(true, Ordering::Relaxed);
-    let crashed = supervisor.join().unwrap();
-    assert!(guard.fired().iter().any(|f| f.point == "wal.append"));
-    drop(guard);
-    assert!(crashed, "the injected fault must have crashed the server");
+        // The capture request is the next to append, publish and reply.
+        guard.reset(chaos::Schedule::new().crash_at(point, 1));
+        let stop = Arc::new(AtomicBool::new(false));
+        let supervisor = supervise(guard.plan(), &harness, &stop);
+        let r = pc.execute("SELECT id, name FROM customer ORDER BY id");
+        stop.store(true, Ordering::Relaxed);
+        let crashed = supervisor.join().unwrap();
+        assert!(guard.fired().iter().any(|f| f.point == point), "{point}");
+        drop(guard);
+        assert!(
+            crashed,
+            "{point}: the injected fault must have crashed the server"
+        );
 
-    let r = r.expect("the query survives the crash");
-    let name = |s: &str| Value::Text(s.into());
-    assert_eq!(
-        r.rows(),
-        &[
-            vec![Value::Int(1), name("Smith")],
-            vec![Value::Int(2), name("Jones")],
-            vec![Value::Int(3), name("Smith")],
-            vec![Value::Int(4), name("Brown")],
-        ]
-    );
-    let stats = pc.stats().clone();
-    assert!(stats.recoveries >= 1, "{stats:?}");
-    assert!(stats.resubmissions >= 1, "{stats:?}");
+        let r = r.unwrap_or_else(|e| panic!("{point}: the query must survive the crash: {e}"));
+        let name = |s: &str| Value::Text(s.into());
+        assert_eq!(
+            r.rows(),
+            &[
+                vec![Value::Int(1), name("Smith")],
+                vec![Value::Int(2), name("Jones")],
+                vec![Value::Int(3), name("Smith")],
+                vec![Value::Int(4), name("Brown")],
+            ],
+            "{point}"
+        );
+        let stats = pc.stats().clone();
+        assert!(stats.recoveries >= 1, "{point}: {stats:?}");
+        assert!(stats.resubmissions >= 1, "{point}: {stats:?}");
+        assert_eq!(stats.materialized_result_sets, 1, "{point}: {stats:?}");
 
-    // Only the resubmitted attempt's table and procedure exist.
-    let left = captures(&harness.lock().unwrap());
-    assert_eq!(left.len(), 2, "{left:?}");
-    assert_eq!(
-        left.iter().filter(|n| n.starts_with("phoenix.rs_")).count(),
-        1,
-        "{left:?}"
-    );
+        // The resubmitted attempt's table, and the aborted one's if its
+        // commit beat the crash.
+        let left = captures(&harness.lock().unwrap());
+        assert_eq!(left.len(), 1 + committed as usize, "{point}: {left:?}");
 
-    pc.close();
-    assert!(captures(&harness.lock().unwrap()).is_empty());
-    harness.lock().unwrap().shutdown();
-    std::fs::remove_dir_all(dir).unwrap();
+        pc.close();
+        let left = captures(&harness.lock().unwrap());
+        assert!(left.is_empty(), "{point}: close left {left:?}");
+        harness.lock().unwrap().shutdown();
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 /// The server dies after committing a wrapped `EXEC` of a procedure that

@@ -6,9 +6,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use phoenix_core::{
-    CaptureStrategy, PhoenixConfig, PhoenixConnection, PhoenixCursorKind, RepositionStrategy,
-};
+use phoenix_core::{PhoenixConfig, PhoenixConnection, PhoenixCursorKind};
 use phoenix_driver::Environment;
 use phoenix_engine::EngineConfig;
 use phoenix_server::ServerHarness;
@@ -565,49 +563,50 @@ fn chaos_exactly_once_under_repeated_crashes() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
+/// The two ways one capture is read agree with the native reply: whole, in
+/// the capture's own request (`PhoenixConnection::execute`), and through a
+/// forward-only statement, whose first block comes with the capture and
+/// the rest through a server cursor.
 #[test]
 fn capture_strategies_agree() {
-    for strategy in [
-        CaptureStrategy::ServerProc,
-        CaptureStrategy::ServerInsert,
-        CaptureStrategy::ClientRoundTrip,
-    ] {
-        let (h, dir) = start();
-        let mut pc = PhoenixConnection::connect(
-            &Environment::new(),
-            &h.addr(),
-            "app",
-            "t",
-            config().with_capture(strategy),
-        )
-        .unwrap();
-        seed(&mut pc);
-        let r = pc
-            .execute("SELECT id, name FROM customer WHERE nation = 10 ORDER BY id")
+    let (h, dir) = start();
+    let mut pc = connect(&h);
+    seed(&mut pc);
+    let sql = "SELECT id, name FROM customer WHERE nation = 10 ORDER BY id";
+    let native = {
+        let mut conn = Environment::new()
+            .connect(&h.addr(), "native", "t")
             .unwrap();
-        assert_eq!(r.rows().len(), 2, "{strategy:?}");
-        assert_eq!(r.rows()[0][1], Value::Text("Smith".into()));
-        pc.close();
-        drop(h);
-        std::fs::remove_dir_all(dir).unwrap();
+        let r = conn.execute(sql).unwrap();
+        conn.close();
+        r
+    };
+    let r = pc.execute(sql).unwrap();
+    assert_eq!(r.rows().len(), 2);
+    assert_eq!(r.rows()[0][1], Value::Text("Smith".into()));
+    assert_eq!(r.schema(), native.schema());
+    assert_eq!(r.rows(), native.rows());
+    for block in [1, 2, 3] {
+        let mut stmt = pc.statement();
+        stmt.set_fetch_block(block);
+        stmt.execute(sql).unwrap();
+        assert_eq!(stmt.schema(), native.schema(), "block {block}");
+        assert_eq!(stmt.fetch_all().unwrap(), native.rows(), "block {block}");
     }
+    pc.close();
+    drop(h);
+    std::fs::remove_dir_all(dir).unwrap();
 }
 
+/// Delivery resumes in place after a crash wherever it stood: inside the
+/// first block, which came with the capture and needs no server cursor,
+/// and deep into the result, through a server cursor. Either way the
+/// re-open is a server-side `OFFSET`.
 #[test]
 fn reposition_strategies_agree_across_crash() {
-    for strategy in [
-        RepositionStrategy::ServerSide,
-        RepositionStrategy::ClientScan,
-    ] {
+    for crash_after in [5, 60] {
         let (mut h, dir) = start();
-        let mut pc = PhoenixConnection::connect(
-            &Environment::new(),
-            &h.addr(),
-            "app",
-            "t",
-            config().with_reposition(strategy),
-        )
-        .unwrap();
+        let mut pc = connect(&h);
         pc.execute("CREATE TABLE s (id INT PRIMARY KEY)").unwrap();
         let vals: Vec<String> = (0..100).map(|i| format!("({i})")).collect();
         pc.execute(&format!("INSERT INTO s VALUES {}", vals.join(", ")))
@@ -616,7 +615,7 @@ fn reposition_strategies_agree_across_crash() {
         let mut stmt = pc.statement();
         stmt.set_fetch_block(8);
         stmt.execute("SELECT id FROM s").unwrap();
-        for _ in 0..60 {
+        for _ in 0..crash_after {
             stmt.fetch().unwrap().unwrap();
         }
         h.crash().unwrap();
@@ -629,7 +628,14 @@ fn reposition_strategies_agree_across_crash() {
         while let Some(r) = stmt.fetch().unwrap() {
             rest.push(r[0].as_i64().unwrap());
         }
-        assert_eq!(rest, (60..100).collect::<Vec<i64>>(), "{strategy:?}");
+        assert_eq!(
+            rest,
+            (crash_after..100).collect::<Vec<i64>>(),
+            "crash after {crash_after}"
+        );
+        drop(stmt);
+        assert!(pc.stats().recoveries >= 1, "{:?}", pc.stats());
+        assert!(pc.stats().last_reposition_us > 0, "{:?}", pc.stats());
         let h = hh.join().unwrap();
         pc.close();
         drop(h);

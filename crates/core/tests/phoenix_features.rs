@@ -188,8 +188,8 @@ fn schema_presented_to_app_keeps_original_names() {
     let mut pc = connect(&h);
     pc.execute("CREATE TABLE t (v INT)").unwrap();
     pc.execute("INSERT INTO t VALUES (1), (2)").unwrap();
-    // The materialized table sanitizes `COUNT(*)` to a storable name, but
-    // the application must see the original result-set metadata.
+    // The capture's table takes the query's column names verbatim,
+    // `COUNT(*)` included, and the application sees them in its reply.
     let r = pc
         .execute("SELECT COUNT(*), SUM(v) AS total FROM t")
         .unwrap();
@@ -201,6 +201,51 @@ fn schema_presented_to_app_keeps_original_names() {
         }
         other => panic!("{other:?}"),
     }
+    pc.close();
+    drop(h);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A forward-only statement knows its schema before the first fetch — the
+/// first block rides in the capture's reply — whether the result is shorter
+/// than one block, exactly one block or longer. A shorter result is whole
+/// in that reply: it is delivered with the server down.
+#[test]
+fn statement_schema_before_first_fetch_for_every_block_fit() {
+    let (mut h, dir) = start();
+    let mut pc = connect(&h);
+    pc.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    pc.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, 40)")
+        .unwrap();
+    let sql = "SELECT a.id, b.id, a.v * 2 FROM t a, t b WHERE a.id = b.id ORDER BY a.id";
+    let native = {
+        let mut conn = Environment::new()
+            .connect(&h.addr(), "native", "t")
+            .unwrap();
+        let r = conn.execute(sql).unwrap();
+        conn.close();
+        r
+    };
+    let names: Vec<&str> = native.schema().unwrap().names().collect();
+    assert_eq!(names, ["id", "id", "(a.v * 2)"]);
+    for block in [8, 4, 3] {
+        let mut stmt = pc.statement();
+        stmt.set_fetch_block(block);
+        stmt.execute(sql).unwrap();
+        assert_eq!(stmt.schema(), native.schema(), "block {block}");
+        assert_eq!(stmt.fetch_all().unwrap(), native.rows(), "block {block}");
+    }
+
+    let mut stmt = pc.statement();
+    stmt.set_fetch_block(8);
+    stmt.execute(sql).unwrap();
+    h.crash().unwrap();
+    assert_eq!(stmt.schema(), native.schema());
+    assert_eq!(stmt.fetch_all().unwrap(), native.rows());
+    drop(stmt);
+    assert_eq!(pc.stats().recoveries, 0, "{:?}", pc.stats());
+    h.restart().unwrap();
     pc.close();
     drop(h);
     std::fs::remove_dir_all(dir).unwrap();

@@ -42,7 +42,7 @@ use phoenix_sql::display::render_statement;
 use phoenix_sql::parser::{parse_statement, parse_statements};
 use phoenix_storage::db::{CheckpointStats, DbError, Durability, Durable, RecoveryReport, Txn};
 use phoenix_storage::store::Store;
-use phoenix_storage::types::{Row, Schema, Value};
+use phoenix_storage::types::{Row, Schema, TableDef, Value};
 
 use crate::cursor::{Cursor, CursorId, CursorKind, FetchDir, Fetched};
 use crate::error::{EngineError, ErrorCode, Result};
@@ -490,6 +490,29 @@ impl Engine {
                 }
                 Ok(ExecResult::done())
             }
+            Statement::CreateTableAs { name, query } => {
+                if name.is_temp() {
+                    return Err(EngineError::unsupported(
+                        "CREATE TABLE … AS SELECT makes a permanent table, not a temporary one",
+                    ));
+                }
+                // One statement: the query runs on the transaction's own
+                // image, its result schema is the table's definition, and its
+                // rows go in as one record — committed together or not at all.
+                let key = name.canonical();
+                let n = self.with_txn(session, |txn, temp| {
+                    let view = CatalogView {
+                        durable: txn.store(),
+                        temp,
+                    };
+                    let rs = execute_select(query, &view, params)?;
+                    let n = rs.rows.len() as u64;
+                    txn.create_table(TableDef::new(key.clone(), rs.schema))?;
+                    txn.insert_many(&key, rs.rows)?;
+                    Ok(n)
+                })?;
+                Ok(ExecResult::rows_affected(n))
+            }
             Statement::DropTable { name, if_exists } => {
                 let key = name.canonical();
                 let dropped = if name.is_temp() {
@@ -854,10 +877,7 @@ fn no_session(sid: SessionId) -> EngineError {
 
 /// Look up a table definition through the view (shared out so the view's
 /// borrow can end before mutation starts).
-fn view_def(
-    view: &CatalogView<'_>,
-    name: &ObjectName,
-) -> Result<Arc<phoenix_storage::types::TableDef>> {
+fn view_def(view: &CatalogView<'_>, name: &ObjectName) -> Result<Arc<TableDef>> {
     use crate::plan::Catalog as _;
     Ok(view.table(name)?.def.clone())
 }
@@ -1246,7 +1266,7 @@ mod tests {
 
     #[test]
     fn capture_proc_shape_runs_atomically() {
-        // The exact pattern Phoenix generates for result-set capture.
+        // The paper's capture: a procedure whose body is INSERT … SELECT.
         let (e, dir) = engine();
         let sid = e.create_session("app");
         setup(&e, sid);
@@ -1261,6 +1281,144 @@ mod tests {
         assert_eq!(r.affected(), 2);
         let r = e.execute(sid, "SELECT * FROM phoenix.rs_1").unwrap();
         assert_eq!(r.rows().len(), 2);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The schema and rows a statement's result set carries.
+    fn result_set(r: ExecResult) -> (Schema, Vec<Row>) {
+        match r.outcome {
+            ExecOutcome::ResultSet { schema, rows } => (schema, rows),
+            other => panic!("expected a result set, got {other:?}"),
+        }
+    }
+
+    /// The kinds of the records in the live log, in log order.
+    fn logged_kinds(dir: &std::path::Path) -> Vec<&'static str> {
+        use phoenix_storage::record::LogRecord;
+        phoenix_storage::wal::Wal::read_all(Durable::wal_path(dir))
+            .unwrap()
+            .iter()
+            .map(|frame| match LogRecord::decode(&frame[8..]).unwrap() {
+                LogRecord::CreateTable { .. } => "CreateTable",
+                LogRecord::InsertMany { .. } => "InsertMany",
+                LogRecord::Commit { .. } => "Commit",
+                _ => "other",
+            })
+            .collect()
+    }
+
+    /// `CREATE TABLE … AS SELECT` is one statement: it logs the table and
+    /// its rows in one commit, takes its definition from the query's
+    /// result (expression and duplicate names included, read back by
+    /// position), and survives a restart.
+    #[test]
+    fn create_table_as_select_logs_one_commit_and_survives_reopen() {
+        let dir = temp_dir();
+        let queries = [
+            "SELECT id, name FROM customer WHERE name = 'Smith' ORDER BY id",
+            "SELECT COUNT(*), SUM(nation) FROM customer",
+            "SELECT a.id, b.id FROM customer a, customer b WHERE a.id = b.id",
+            "SELECT id, name FROM customer WHERE id < 0",
+        ];
+        let mut expected = Vec::new();
+        {
+            let e = Engine::open(&dir, EngineConfig::default()).unwrap();
+            let sid = e.create_session("app");
+            setup(&e, sid);
+            for (i, q) in queries.iter().enumerate() {
+                let (schema, rows) = result_set(e.execute(sid, q).unwrap());
+                let before = logged_kinds(&dir).len();
+                let r = e
+                    .execute(sid, &format!("CREATE TABLE phoenix.rs_{i} AS {q}"))
+                    .unwrap();
+                assert_eq!(r.affected(), rows.len() as u64, "{q}");
+                let logged = logged_kinds(&dir)[before..].to_vec();
+                let want: &[&str] = if rows.is_empty() {
+                    &["CreateTable", "Commit"]
+                } else {
+                    &["CreateTable", "InsertMany", "Commit"]
+                };
+                assert_eq!(logged, want, "{q}");
+                let read = e.execute(sid, &format!("SELECT * FROM phoenix.rs_{i}"));
+                assert_eq!(
+                    result_set(read.unwrap()),
+                    (schema.clone(), rows.clone()),
+                    "{q}"
+                );
+                expected.push((schema, rows));
+            }
+            // Dropped without a checkpoint: the log replays.
+        }
+        let e = Engine::open(&dir, EngineConfig::default()).unwrap();
+        let sid = e.create_session("app");
+        for (i, want) in expected.into_iter().enumerate() {
+            let read = e.execute(sid, &format!("SELECT * FROM phoenix.rs_{i}"));
+            assert_eq!(result_set(read.unwrap()), want, "{}", queries[i]);
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A `CREATE TABLE … AS SELECT` that fails, or whose transaction rolls
+    /// back, leaves no table and logs nothing.
+    #[test]
+    fn create_table_as_select_is_all_or_nothing() {
+        let dir = temp_dir();
+        let e = Engine::open(&dir, EngineConfig::default()).unwrap();
+        let sid = e.create_session("app");
+        setup(&e, sid);
+        let logged = logged_kinds(&dir).len();
+        let missing = |name: &str| {
+            e.execute(sid, &format!("SELECT * FROM {name}"))
+                .unwrap_err()
+                .code
+                == ErrorCode::NotFound
+        };
+
+        // Rolled back: visible inside its transaction, gone after it.
+        e.execute(sid, "BEGIN").unwrap();
+        e.execute(sid, "CREATE TABLE phoenix.rs_1 AS SELECT id FROM customer")
+            .unwrap();
+        assert_eq!(
+            e.execute(sid, "SELECT * FROM phoenix.rs_1")
+                .unwrap()
+                .rows()
+                .len(),
+            3
+        );
+        e.execute(sid, "ROLLBACK").unwrap();
+        assert!(missing("phoenix.rs_1"));
+
+        // A bind error creates nothing.
+        let err = e
+            .execute(
+                sid,
+                "CREATE TABLE phoenix.rs_2 AS SELECT nope FROM customer",
+            )
+            .unwrap_err();
+        assert_eq!(err.code, ErrorCode::Column, "{err}");
+        assert!(missing("phoenix.rs_2"));
+
+        // An existing target is refused, and keeps its rows.
+        let err = e
+            .execute(sid, "CREATE TABLE customer AS SELECT id FROM customer")
+            .unwrap_err();
+        assert_eq!(err.code, ErrorCode::AlreadyExists, "{err}");
+        assert_eq!(
+            e.execute(sid, "SELECT * FROM customer")
+                .unwrap()
+                .rows()
+                .len(),
+            3
+        );
+
+        // A temporary target is refused.
+        let err = e
+            .execute(sid, "CREATE TABLE #copy AS SELECT id FROM customer")
+            .unwrap_err();
+        assert_eq!(err.code, ErrorCode::Unsupported, "{err}");
+        assert!(missing("#copy"));
+
+        assert_eq!(logged_kinds(&dir).len(), logged, "nothing was logged");
         std::fs::remove_dir_all(dir).unwrap();
     }
 

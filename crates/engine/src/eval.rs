@@ -16,10 +16,8 @@
 //! value errors (division by zero, type mismatches) when a row does.
 //!
 //! Type inference ([`infer_type`]) computes a result-set schema without
-//! executing anything — it is what lets the engine answer Phoenix's
-//! `WHERE 0=1` metadata probe with column names, types and nullability and
-//! zero rows, exactly as the paper requires ("only query compilation is
-//! performed on the server").
+//! executing anything: column names, types and nullability, which is also
+//! the definition `CREATE TABLE … AS SELECT` gives the table it creates.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -93,11 +91,6 @@ impl Scope {
                 nullable: col.nullable,
             });
         }
-    }
-
-    /// Every column, in FROM order.
-    pub fn columns(&self) -> &[BoundColumn] {
-        &self.columns
     }
 
     /// The columns of table `t`.

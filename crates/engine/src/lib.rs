@@ -13,8 +13,8 @@
 //!   expressions once to column slots, constants and compiled `LIKE`
 //!   patterns, then evaluates them over tuples of rows borrowed from the
 //!   snapshot, with SQL three-valued logic; streaming aggregates; static
-//!   type inference (which is what answers Phoenix's `WHERE 0=1` metadata
-//!   probe with zero rows).
+//!   type inference (the result schema a `CREATE TABLE … AS SELECT` gives
+//!   its table).
 //! * [`plan`] — SELECT planning and execution: conjunct-driven access paths
 //!   and join order over multi-table FROM lists, grouped aggregation,
 //!   HAVING, ORDER BY, LIMIT/OFFSET, EXPLAIN.

@@ -50,6 +50,7 @@ impl EngineMetrics {
             Statement::Update(_) => &self.update,
             Statement::Delete(_) => &self.delete,
             Statement::CreateTable(_)
+            | Statement::CreateTableAs { .. }
             | Statement::DropTable { .. }
             | Statement::CreateProc(_)
             | Statement::DropProc { .. }

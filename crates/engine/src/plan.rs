@@ -20,15 +20,15 @@
 //! borrowed key values and folds every aggregate as the tuples stream past.
 //! Values are copied only into output rows.
 //!
-//! Constant conjuncts are evaluated once before any scan — so Phoenix's
-//! `WHERE 0=1` metadata probe touches no data at all, matching the paper's
-//! "only query compilation is performed on the server".
+//! Constant conjuncts are evaluated once before any scan — so a query with a
+//! constant-false predicate (`WHERE 0=1`) touches no data at all.
 //!
 //! Scan order is row-id (insertion) order, joins emit rows in probe-side
 //! order, and groups come out in order of first occurrence; a `SELECT *
 //! FROM t` with no ORDER BY therefore returns rows in the order they were
-//! inserted. Phoenix's result-set materialization relies on this documented
-//! property.
+//! inserted. Phoenix's result-set capture relies on this documented
+//! property: `SELECT *` over a `CREATE TABLE … AS SELECT` table returns the
+//! query's rows in the query's order.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -101,8 +101,7 @@ pub fn execute_select(
     Ok(ResultSet { schema, rows })
 }
 
-/// Compute the output schema of a SELECT without executing it — the engine's
-/// answer to the metadata probe.
+/// Compute the output schema of a SELECT without executing it.
 pub fn select_schema(select: &SelectStmt, catalog: &dyn Catalog) -> Result<Schema> {
     let bound = bind_from(select, catalog)?;
     output_schema(&expand_projections(select, &bound)?, &bound)
@@ -724,11 +723,11 @@ fn apply_order(
         Err(_) => return false,
     };
     let okey = render_expr(&item.expr);
-    for (pexpr, pname) in &projections {
+    for p in &projections {
         let alias_match = matches!(&item.expr,
-            Expr::Column { table: None, name } if name.eq_ignore_ascii_case(pname));
-        if alias_match || render_expr(pexpr) == okey {
-            if bare_column_of(pexpr, bound, 0) != Some(oc) {
+            Expr::Column { table: None, name } if name.eq_ignore_ascii_case(&p.name));
+        if alias_match || render_expr(&p.expr) == okey {
+            if bare_column_of(&p.expr, bound, 0) != Some(oc) {
                 return false;
             }
             break;
@@ -1341,55 +1340,72 @@ fn bind_from<'a>(select: &SelectStmt, catalog: &'a dyn Catalog) -> Result<BoundF
     Ok(BoundFrom { tables, scope })
 }
 
+/// One output column of a SELECT: its expression and name, and, for a
+/// column a `*` expanded, the `(table, column)` slot it reads. A slot binds
+/// by position, so a table whose columns share a name (the capture of
+/// `SELECT a.id, b.id …`) reads back whole.
+struct Projection {
+    expr: Expr,
+    name: String,
+    slot: Option<(usize, usize)>,
+}
+
 /// Expand the projection list into concrete expressions with output names.
-fn expand_projections(select: &SelectStmt, bound: &BoundFrom) -> Result<Vec<(Expr, String)>> {
-    let column = |c: &BoundColumn| {
-        (
-            Expr::Column {
-                table: Some(c.qualifier.clone()),
-                name: c.name.clone(),
-            },
-            c.name.clone(),
-        )
-    };
+fn expand_projections(select: &SelectStmt, bound: &BoundFrom) -> Result<Vec<Projection>> {
     let mut out = Vec::new();
+    let wildcard = |out: &mut Vec<Projection>, qualifier: Option<&str>| {
+        let before = out.len();
+        for t in 0..bound.tables.len() {
+            for (c, col) in bound.scope.table_columns(t).iter().enumerate() {
+                if qualifier.is_some_and(|q| !col.qualifier.eq_ignore_ascii_case(q)) {
+                    continue;
+                }
+                out.push(Projection {
+                    expr: Expr::Column {
+                        table: Some(col.qualifier.clone()),
+                        name: col.name.clone(),
+                    },
+                    name: col.name.clone(),
+                    slot: Some((t, c)),
+                });
+            }
+        }
+        out.len() > before
+    };
     for item in &select.projections {
         match item {
             SelectItem::Wildcard => {
-                if bound.tables.is_empty() {
+                if !wildcard(&mut out, None) {
                     return Err(EngineError::column("SELECT * with no FROM clause"));
                 }
-                out.extend(bound.scope.columns().iter().map(column));
             }
             SelectItem::QualifiedWildcard(q) => {
-                let before = out.len();
-                out.extend(
-                    bound
-                        .scope
-                        .columns()
-                        .iter()
-                        .filter(|c| c.qualifier.eq_ignore_ascii_case(q))
-                        .map(column),
-                );
-                if out.len() == before {
+                if !wildcard(&mut out, Some(q)) {
                     return Err(EngineError::column(format!("unknown table alias '{q}'")));
                 }
             }
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| output_name(expr));
-                out.push((expr.clone(), name));
-            }
+            SelectItem::Expr { expr, alias } => out.push(Projection {
+                name: alias.clone().unwrap_or_else(|| output_name(expr)),
+                expr: expr.clone(),
+                slot: None,
+            }),
         }
     }
     Ok(out)
 }
 
-fn output_schema(projections: &[(Expr, String)], bound: &BoundFrom) -> Result<Schema> {
+fn output_schema(projections: &[Projection], bound: &BoundFrom) -> Result<Schema> {
     let mut cols = Vec::with_capacity(projections.len());
-    for (expr, name) in projections {
-        let (dtype, nullable) = infer_type(expr, &bound.scope)?;
+    for p in projections {
+        let (dtype, nullable) = match p.slot {
+            Some((t, c)) => {
+                let col = &bound.scope.table_columns(t)[c];
+                (col.dtype, col.nullable)
+            }
+            None => infer_type(&p.expr, &bound.scope)?,
+        };
         cols.push(Column {
-            name: name.clone(),
+            name: p.name.clone(),
             dtype,
             nullable,
         });
@@ -1623,7 +1639,7 @@ impl Output {
     fn bind(
         select: &SelectStmt,
         from: &BoundFrom,
-        projections: &[(Expr, String)],
+        projections: &[Projection],
         params: Params<'_>,
     ) -> Result<Output> {
         let aggregates = collect_aggregates(select);
@@ -1660,7 +1676,10 @@ impl Output {
         Ok(Output {
             projections: projections
                 .iter()
-                .map(|(e, _)| bind(e))
+                .map(|p| match p.slot {
+                    Some((t, c)) => Ok(Scalar::Col(if grouped { GROUP_ROWS } else { 0 } + t, c)),
+                    None => bind(&p.expr),
+                })
                 .collect::<Result<_>>()?,
             grouping,
             order,
@@ -1854,7 +1873,7 @@ fn group_tuple<'g>(
 /// match names an output column; anything else is evaluated.
 fn sort_key(
     expr: &Expr,
-    projections: &[(Expr, String)],
+    projections: &[Projection],
     bind: impl Fn(&Expr) -> Result<Scalar>,
 ) -> Result<SortKey> {
     // Ordinal reference: ORDER BY 2.
@@ -1868,10 +1887,9 @@ fn sort_key(
         )));
     }
     let key = render_expr(expr);
-    for (i, (pexpr, pname)) in projections.iter().enumerate() {
-        let alias_match =
-            matches!(expr, Expr::Column { table: None, name } if name.eq_ignore_ascii_case(pname));
-        if alias_match || render_expr(pexpr) == key {
+    for (i, p) in projections.iter().enumerate() {
+        let alias_match = matches!(expr, Expr::Column { table: None, name } if name.eq_ignore_ascii_case(&p.name));
+        if alias_match || render_expr(&p.expr) == key {
             return Ok(SortKey::Output(i));
         }
     }

@@ -507,6 +507,15 @@ pub enum Statement {
     Delete(DeleteStmt),
     /// `CREATE TABLE …`.
     CreateTable(CreateTableStmt),
+    /// `CREATE TABLE name AS <select>` — a table whose columns are the
+    /// query's result columns and whose rows are its result, made by one
+    /// statement.
+    CreateTableAs {
+        /// The table to create.
+        name: ObjectName,
+        /// The query that defines and fills it.
+        query: Box<SelectStmt>,
+    },
     /// `DROP TABLE [IF EXISTS] …`.
     DropTable {
         /// The table to drop.
@@ -569,6 +578,7 @@ impl Statement {
     pub fn created_object(&self) -> Option<&ObjectName> {
         match self {
             Statement::CreateTable(c) => Some(&c.name),
+            Statement::CreateTableAs { name, .. } => Some(name),
             Statement::CreateProc(c) => Some(&c.name),
             _ => None,
         }

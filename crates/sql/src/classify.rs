@@ -40,6 +40,7 @@ pub fn classify(stmt: &Statement) -> RequestKind {
             RequestKind::DataModification
         }
         Statement::CreateTable(_)
+        | Statement::CreateTableAs { .. }
         | Statement::DropTable { .. }
         | Statement::CreateProc(_)
         | Statement::DropProc { .. }
@@ -113,6 +114,7 @@ mod tests {
         assert_eq!(kind("UPDATE t SET a = 1"), RequestKind::DataModification);
         assert_eq!(kind("DELETE FROM t"), RequestKind::DataModification);
         assert_eq!(kind("CREATE TABLE t (a INT)"), RequestKind::Ddl);
+        assert_eq!(kind("CREATE TABLE t AS SELECT a FROM u"), RequestKind::Ddl);
         assert_eq!(kind("DROP PROCEDURE p"), RequestKind::Ddl);
         assert_eq!(kind("EXEC p"), RequestKind::Exec);
         assert_eq!(kind("BEGIN TRAN"), RequestKind::TxnBegin);
@@ -133,6 +135,8 @@ mod tests {
         assert_eq!(creates_temp_object(&s).unwrap().name, "#work");
         let s = parse_statement("CREATE TABLE real_table (v INT)").unwrap();
         assert!(creates_temp_object(&s).is_none());
+        let s = parse_statement("CREATE TABLE #copy AS SELECT * FROM t").unwrap();
+        assert_eq!(creates_temp_object(&s).unwrap().name, "#copy");
         let s = parse_statement("CREATE PROC #p AS SELECT 1").unwrap();
         assert_eq!(creates_temp_object(&s).unwrap().name, "#p");
     }

@@ -1,6 +1,6 @@
 //! Rendering AST nodes back to parseable SQL.
 //!
-//! Phoenix's rewrites (metadata probe, capture-into-table, temp-object
+//! Phoenix's rewrites (result capture, key projection, temp-object
 //! redirection) are implemented as AST surgery followed by re-rendering, so
 //! the renderer must produce text the parser accepts and that means the same
 //! thing. The property tests in this module's test suite (and proptest in
@@ -95,6 +95,10 @@ fn write_statement(out: &mut String, stmt: &Statement) {
                 let _ = write!(out, ", PRIMARY KEY ({})", c.primary_key.join(", "));
             }
             out.push(')');
+        }
+        Statement::CreateTableAs { name, query } => {
+            let _ = write!(out, "CREATE TABLE {name} AS ");
+            write_select(out, query);
         }
         Statement::DropTable { name, if_exists } => {
             let _ = write!(
@@ -541,6 +545,10 @@ pub fn normalize_statement(stmt: &Statement) -> Statement {
             table: d.table.clone(),
             where_clause: d.where_clause.as_ref().map(normalize_expr),
         }),
+        Statement::CreateTableAs { name, query } => Statement::CreateTableAs {
+            name: name.clone(),
+            query: Box::new(norm_select(query)),
+        },
         Statement::CreateProc(p) => Statement::CreateProc(CreateProcStmt {
             name: p.name.clone(),
             params: p.params.clone(),
@@ -596,6 +604,7 @@ mod tests {
         roundtrip("UPDATE t SET a = a + 1 WHERE b = TRUE");
         roundtrip("DELETE FROM t WHERE a % 2 = 0");
         roundtrip("CREATE TABLE t (id INT NOT NULL, v TEXT, PRIMARY KEY (id))");
+        roundtrip("CREATE TABLE phoenix.rs_1 AS SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY a");
         roundtrip("DROP TABLE IF EXISTS phoenix.rs_1");
         roundtrip("CREATE PROCEDURE p (@a INT, @b TEXT) AS SELECT * FROM t WHERE x = @a");
         roundtrip("CREATE PROC p AS BEGIN INSERT INTO t VALUES (1); SELECT * FROM t END");

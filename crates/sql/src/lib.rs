@@ -6,8 +6,8 @@
 //!
 //! Phoenix/ODBC (Barga, Lomet, Baby, Agrawal; EDBT 2000) works by
 //! *intercepting* SQL on its way to the server, classifying it with a
-//! one-pass parse, and *rewriting* selected statements — appending the
-//! `WHERE 0=1` metadata probe, wrapping results in `INSERT INTO … SELECT`,
+//! one-pass parse, and *rewriting* selected statements — wrapping a query
+//! as `CREATE TABLE … AS <select>` to capture its result at the server,
 //! renaming temporary objects to persistent ones. That makes the SQL layer a
 //! first-class citizen of the reproduction, not just an engine detail:
 //!
@@ -17,8 +17,8 @@
 //! * [`parser`] — recursive-descent parser with precedence climbing.
 //! * [`display`] — renders any AST node back to parseable SQL; Phoenix's
 //!   rewrites are AST surgery followed by re-rendering.
-//! * [`rewrite`] — the rewrite toolkit (metadata probe, capture-into-table,
-//!   object renaming, predicate conjunction).
+//! * [`rewrite`] — the rewrite toolkit (key projections, object
+//!   renaming).
 //! * [`classify`](mod@classify) — the "one-pass parse to determine request type" from
 //!   §3 of the paper.
 //!

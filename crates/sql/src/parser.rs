@@ -555,6 +555,10 @@ impl Parser {
 
     fn parse_create_table(&mut self) -> Result<Statement, ParseError> {
         let name = self.parse_object_name()?;
+        if self.eat_kw("AS") {
+            let query = Box::new(self.parse_select()?);
+            return Ok(Statement::CreateTableAs { name, query });
+        }
         self.expect_symbol(Symbol::LParen)?;
         let mut columns = Vec::new();
         let mut primary_key = Vec::new();
@@ -1373,6 +1377,21 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn create_table_as_select() {
+        let st =
+            parse_statement("CREATE TABLE phoenix.rs_1 AS SELECT a, b FROM t WHERE a > 1").unwrap();
+        match st {
+            Statement::CreateTableAs { name, query } => {
+                assert_eq!(name, ObjectName::qualified("phoenix", "rs_1"));
+                assert_eq!(query.projections.len(), 2);
+                assert!(query.where_clause.is_some());
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(parse_statement("CREATE TABLE t AS VALUES (1)").is_err());
     }
 
     #[test]

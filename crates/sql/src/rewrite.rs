@@ -2,68 +2,18 @@
 //!
 //! Each rewrite is a pure AST → AST function; Phoenix renders the result back
 //! to SQL with [`crate::display::render_statement`] and forwards it to the
-//! native driver. The rewrites implemented here are exactly those §3 of the
-//! paper describes:
+//! native driver. The rewrites implemented here are those §3 of the paper
+//! describes:
 //!
-//! * [`metadata_probe`] — append `WHERE 0=1` so the server compiles the query
-//!   and returns only result-set metadata (one round trip, no data).
-//! * [`capture_into`] — wrap a SELECT as `INSERT INTO <phoenix table> SELECT …`
-//!   so the result set is materialized *server-side*, without the rows ever
-//!   crossing the network.
-//! * [`capture_proc`] — the stored-procedure flavor the paper uses
-//!   (`CREATE PROCEDURE P AS INSERT INTO T <select>`), kept as a separate
-//!   strategy so the two can be ablated against each other.
 //! * [`with_projections`] — replace the projection list (Phoenix materializes
 //!   *only the keys* for keyset/dynamic cursors).
 //! * [`rename_table_refs`] — redirect references from a temporary object to
 //!   the persistent object Phoenix created in its place.
-//! * [`and_where`] — conjoin a predicate (used for key-range fetches of
-//!   dynamic cursors and for server-side repositioning).
+//!
+//! Result-set capture needs no rewrite: it is one `CREATE TABLE … AS
+//! <select>` ([`Statement::CreateTableAs`]) around the application's query.
 
 use crate::ast::*;
-
-/// Conjoin `pred` onto the SELECT's WHERE clause.
-pub fn and_where(mut select: SelectStmt, pred: Expr) -> SelectStmt {
-    select.where_clause = Some(match select.where_clause.take() {
-        Some(w) => Expr::and(Expr::Nested(Box::new(w)), pred),
-        None => pred,
-    });
-    select
-}
-
-/// The paper's `WHERE 0=1` trick: the returned statement compiles on the
-/// server and yields the result-set metadata with zero data rows.
-pub fn metadata_probe(select: &SelectStmt) -> SelectStmt {
-    let mut probe = and_where(select.clone(), Expr::eq(Expr::lit_int(0), Expr::lit_int(1)));
-    // The probe never returns rows, so ordering/limit work is pointless;
-    // stripping them also sidesteps ORDER BY on columns the projection drops.
-    probe.order_by.clear();
-    probe.limit = None;
-    probe.offset = None;
-    probe
-}
-
-/// `INSERT INTO <table> <select>` — materialize the result set server-side.
-pub fn capture_into(table: ObjectName, select: SelectStmt) -> InsertStmt {
-    InsertStmt {
-        table,
-        columns: None,
-        source: InsertSource::Select(Box::new(select)),
-    }
-}
-
-/// The stored-procedure capture strategy from the paper:
-/// `CREATE PROCEDURE <proc> AS INSERT INTO <table> <select>`.
-///
-/// Executing the procedure moves all data locally at the server in a single
-/// client round trip, and the action is an atomic statement.
-pub fn capture_proc(proc: ObjectName, table: ObjectName, select: SelectStmt) -> CreateProcStmt {
-    CreateProcStmt {
-        name: proc,
-        params: Vec::new(),
-        body: vec![Statement::Insert(capture_into(table, select))],
-    }
-}
 
 /// Replace the projection list with bare column references to `columns`
 /// (used to materialize only the key columns of a cursor's result).
@@ -149,6 +99,10 @@ impl Renamer<'_> {
                 columns: c.columns.clone(),
                 primary_key: c.primary_key.clone(),
             }),
+            Statement::CreateTableAs { name, query } => Statement::CreateTableAs {
+                name: self.name(name),
+                query: Box::new(self.select(query)),
+            },
             Statement::DropTable { name, if_exists } => Statement::DropTable {
                 name: self.name(name),
                 if_exists: *if_exists,
@@ -325,6 +279,10 @@ fn collect_stmt(stmt: &Statement, out: &mut Vec<ObjectName>) {
         Statement::Update(u) => out.push(u.table.clone()),
         Statement::Delete(d) => out.push(d.table.clone()),
         Statement::CreateTable(c) => out.push(c.name.clone()),
+        Statement::CreateTableAs { name, query } => {
+            out.push(name.clone());
+            collect_select(query, out);
+        }
         Statement::DropTable { name, .. } => out.push(name.clone()),
         Statement::CreateProc(p) => {
             for s in &p.body {
@@ -352,54 +310,6 @@ mod tests {
             Statement::Select(s) => s,
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn metadata_probe_appends_false_predicate() {
-        let s = sel("SELECT name, total FROM customer WHERE name = 'Smith' ORDER BY total LIMIT 5");
-        let probe = metadata_probe(&s);
-        let sql = render_statement(&Statement::Select(probe));
-        assert!(sql.contains("0 = 1"), "{sql}");
-        assert!(!sql.contains("ORDER BY"), "{sql}");
-        assert!(!sql.contains("LIMIT"), "{sql}");
-        // The original predicate is preserved (the server must still compile
-        // the same column references).
-        assert!(sql.contains("'Smith'"), "{sql}");
-        // Probe must re-parse.
-        parse_statement(&sql).unwrap();
-    }
-
-    #[test]
-    fn metadata_probe_on_bare_select() {
-        let probe = metadata_probe(&sel("SELECT a FROM t"));
-        let sql = render_statement(&Statement::Select(probe));
-        assert!(sql.contains("WHERE"), "{sql}");
-        parse_statement(&sql).unwrap();
-    }
-
-    #[test]
-    fn capture_into_wraps_select() {
-        let s = sel("SELECT * FROM customer WHERE name = 'Smith'");
-        let ins = capture_into(ObjectName::qualified("phoenix", "rs_1"), s);
-        let sql = render_statement(&Statement::Insert(ins));
-        assert!(sql.starts_with("INSERT INTO phoenix.rs_1 SELECT"), "{sql}");
-        parse_statement(&sql).unwrap();
-    }
-
-    #[test]
-    fn capture_proc_matches_paper_shape() {
-        let s = sel("SELECT * FROM customer");
-        let p = capture_proc(
-            ObjectName::qualified("phoenix", "cap_1"),
-            ObjectName::qualified("phoenix", "rs_1"),
-            s,
-        );
-        let sql = render_statement(&Statement::CreateProc(p));
-        assert!(
-            sql.contains("CREATE PROCEDURE phoenix.cap_1 AS INSERT INTO phoenix.rs_1 SELECT"),
-            "{sql}"
-        );
-        parse_statement(&sql).unwrap();
     }
 
     #[test]
@@ -442,6 +352,8 @@ mod tests {
             "UPDATE #stage SET v = 1",
             "DELETE FROM #stage WHERE v = 2",
             "DROP TABLE #stage",
+            "CREATE TABLE #stage AS SELECT * FROM other",
+            "CREATE TABLE other AS SELECT * FROM #stage",
         ] {
             let renamed = rename_table_refs(&parse_statement(sql).unwrap(), &old, &new);
             let out = render_statement(&renamed);
@@ -476,14 +388,5 @@ mod tests {
         let refs = table_refs(&stmt);
         let names: Vec<String> = refs.iter().map(|r| r.name.clone()).collect();
         assert_eq!(names, vec!["a", "b", "#c"]);
-    }
-
-    #[test]
-    fn and_where_preserves_original_as_nested() {
-        let s = sel("SELECT * FROM t WHERE a = 1 OR b = 2");
-        let s2 = and_where(s, Expr::eq(Expr::col("c"), Expr::lit_int(3)));
-        let sql = render_statement(&Statement::Select(s2));
-        // The OR must stay grouped under the new AND.
-        assert!(sql.contains("((a = 1) OR (b = 2))"), "{sql}");
     }
 }

@@ -324,9 +324,8 @@ pub fn format_date(days: i32) -> String {
 
 /// One column of a table or result-set schema.
 ///
-/// This is exactly the metadata Phoenix extracts with its `WHERE 0=1` probe:
-/// name, type and nullability are all it needs to synthesize the persistent
-/// result table.
+/// Name, type and nullability are all a result set's columns carry, and all
+/// `CREATE TABLE … AS SELECT` needs to define the persistent result table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name.

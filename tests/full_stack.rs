@@ -47,6 +47,37 @@ fn phoenix_config() -> PhoenixConfig {
     c
 }
 
+/// Through Phoenix every suite query answers exactly as natively: the same
+/// schema (names, types, nullability) and rows, read whole through
+/// `PhoenixConnection::execute` or block by block through a statement,
+/// whose schema is known before its first fetch.
+#[test]
+fn phoenix_replies_carry_the_native_schema_and_rows() {
+    let dir = temp_dir();
+    load_tpch(&dir, 0.2);
+    let harness = ServerHarness::start(&dir, EngineConfig::default()).unwrap();
+    let addr = harness.addr();
+    let mut native = Environment::new().connect(&addr, "ref", "tpch").unwrap();
+    let mut pc =
+        PhoenixConnection::connect(&Environment::new(), &addr, "app", "tpch", phoenix_config())
+            .unwrap();
+    for q in QUERIES {
+        let want = native.execute(q.sql).unwrap();
+        let got = pc.execute(q.sql).unwrap();
+        assert_eq!(got.schema(), want.schema(), "{}", q.name);
+        assert_eq!(got.rows(), want.rows(), "{}", q.name);
+        let mut stmt = pc.statement();
+        stmt.set_fetch_block(4);
+        stmt.execute(q.sql).unwrap();
+        assert_eq!(stmt.schema(), want.schema(), "{}", q.name);
+        assert_eq!(stmt.fetch_all().unwrap(), want.rows(), "{}", q.name);
+    }
+    native.close();
+    pc.close();
+    drop(harness);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 #[test]
 fn query_suite_equivalent_under_crash_storm() {
     let dir = temp_dir();
