@@ -3,10 +3,10 @@
 //! The paper re-positions the interrupted result set *on the server* —
 //! "advancing through the result set on the server without passing tuples
 //! to the client" — and shows recovery in a fraction of recompute time.
-//! Phoenix re-opens delivery with `OFFSET <delivered>`; this bench times
-//! just the first fetch after a real crash + restart at a deep position:
-//! failure detection, virtual-session recovery, the re-open and the first
-//! row. (The client-side scan-and-discard baseline it was once compared
+//! Phoenix resends the block's window, `LIMIT <block> OFFSET <delivered>`;
+//! this bench times just the first fetch after a real crash + restart at a
+//! deep position: failure detection, virtual-session recovery, the window
+//! and the first row. (The client-side scan-and-discard baseline it was once compared
 //! against is recorded in EXPERIMENTS.md, ablation A1.)
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,9 +1,10 @@
 //! Regenerates **Figure 2** of the paper: elapsed time for session recovery
 //! over varying result-set sizes, decomposed into the *Virtual Session*
 //! component (re-establishing connections and session context — constant;
-//! the paper measured 0.37 s) and the *SQL State* component (re-opening and
-//! re-positioning the interrupted result delivery — grows mildly with
-//! position when done server-side).
+//! the paper measured 0.37 s) and the *SQL State* component (the first
+//! window of the interrupted delivery after the recovery: the server skips
+//! to the position in one descent of the result table's row map, so it costs
+//! one block whatever the position).
 //!
 //! Also prints the §4 claim check: total recovery time vs. the cost of
 //! simply re-computing the query and re-delivering its rows (the paper:
@@ -51,7 +52,7 @@ fn main() {
         "paper shape check: virtual-session time constant across sizes (paper: 0.37 s on 1999"
     );
     println!(
-        "hardware); SQL-state time small and growing mildly; recovery ≪ recompute (paper: <0.1x)."
+        "hardware); SQL-state time small (flat: one block); recovery ≪ recompute (paper: <0.1x)."
     );
 }
 

@@ -23,22 +23,18 @@ fn main() {
     eprintln!("# loading TPC-H-style database (scale {scale}) …");
     let env = BenchEnv::tpch(scale);
     eprintln!(
-        "# orders={} lineitem≈{} — running power test ×{iterations} (native, then Phoenix)",
+        "# orders={} lineitem≈{} — running power test ×{iterations} (native and Phoenix, alternating)",
         env.workload.orders, env.workload.lineitems_approx
     );
 
-    let native = {
-        let mut conn = env.native();
-        let r = run_power_test(&mut conn, &env.workload, iterations).expect("native power test");
-        conn.close();
-        r
-    };
-    let phoenix = {
-        let mut pc = env.phoenix(BenchEnv::bench_phoenix_config());
-        let r = run_power_test(&mut pc, &env.workload, iterations).expect("phoenix power test");
-        pc.close();
-        r
-    };
+    let mut conn = env.native();
+    let mut pc = env.phoenix(BenchEnv::bench_phoenix_config());
+    let mut reports =
+        run_power_test(&mut [&mut conn, &mut pc], &env.workload, iterations).expect("power test");
+    conn.close();
+    pc.close();
+    let phoenix = reports.pop().expect("phoenix report");
+    let native = reports.pop().expect("native report");
 
     print_table1(&native, &phoenix, scale, iterations);
 }

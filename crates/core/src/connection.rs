@@ -50,8 +50,9 @@ pub struct PhoenixStats {
     pub last_recovery_virtual_us: u64,
     /// Accumulated virtual-session recovery time, microseconds.
     pub recovery_virtual_us: u64,
-    /// Microseconds spent reinstalling SQL state (re-opening and
-    /// re-positioning result delivery) after the most recent recovery — the
+    /// Microseconds spent reinstalling SQL state after the most recent
+    /// recovery that interrupted result delivery — from the recovery's end
+    /// to the reply of the first window read at the delivery position; the
     /// "SQL State" component of Figure 2.
     pub last_reposition_us: u64,
     /// Accumulated repositioning time, microseconds.
@@ -92,6 +93,8 @@ pub struct PhoenixConnection {
     pub(crate) namer: Namer,
     pub(crate) ctx: SessionContext,
     pub(crate) stats: PhoenixStats,
+    /// When the most recent recovery finished (the connect, before any).
+    pub(crate) recovered_at: std::time::Instant,
 }
 
 impl PhoenixConnection {
@@ -121,6 +124,7 @@ impl PhoenixConnection {
             namer,
             ctx: SessionContext::new(),
             stats: PhoenixStats::default(),
+            recovered_at: std::time::Instant::now(),
         })
     }
 
@@ -671,7 +675,8 @@ impl PhoenixConnection {
         loop {
             match self.try_recover_once() {
                 Ok(()) => {
-                    let us = t0.elapsed().as_micros() as u64;
+                    self.recovered_at = std::time::Instant::now();
+                    let us = self.recovered_at.duration_since(t0).as_micros() as u64;
                     self.stats.last_recovery_virtual_us = us;
                     self.stats.recovery_virtual_us += us;
                     let m = core_metrics();

@@ -79,8 +79,12 @@ impl SessionContext {
         }
     }
 
-    /// Register a Phoenix-created object for cleanup.
+    /// Register a Phoenix-created object for cleanup, promoting its
+    /// reservation if it had one, so the sweep names it once.
     pub fn register(&mut self, kind: PhoenixObject, name: ObjectName) {
+        if let Some(idx) = self.debris.iter().position(|o| o.name.same_as(&name)) {
+            self.debris.remove(idx);
+        }
         self.created.push(RegisteredObject { kind, name });
     }
 
@@ -181,6 +185,32 @@ mod tests {
         let removed = c.unmap_temp(&temp).unwrap();
         assert!(removed.name.same_as(&stand_in));
         assert!(c.temp_stand_in(&temp).is_none());
+    }
+
+    #[test]
+    fn a_registered_reservation_is_swept_once() {
+        let mut c = SessionContext::new();
+        let names: Vec<ObjectName> = (0..3)
+            .map(|i| ObjectName::qualified("phoenix", format!("rs_1_{i}")))
+            .collect();
+        for name in &names {
+            c.reserve(PhoenixObject::Table, name.clone());
+            c.register(PhoenixObject::Table, name.clone());
+        }
+        // An interrupted creation stays reserved only.
+        let lost = ObjectName::qualified("phoenix", "rs_1_9");
+        c.reserve(PhoenixObject::Table, lost.clone());
+        let sweep: Vec<&ObjectName> = c.debris.iter().chain(&c.created).map(|o| &o.name).collect();
+        for name in names.iter().chain([&lost]) {
+            let times = sweep.iter().filter(|n| n.same_as(name)).count();
+            assert_eq!(times, 1, "{name} swept {times} times");
+        }
+        assert_eq!(sweep.len(), 4);
+        assert_eq!(
+            c.created.len(),
+            3,
+            "every completed creation is verified state"
+        );
     }
 
     #[test]

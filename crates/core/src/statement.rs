@@ -4,10 +4,11 @@
 //! * **Forward-only** (default result set): the query is materialized into a
 //!   persistent table, and the request that captures it also reads back the
 //!   first block, so a result shorter than one block needs nothing more.
-//!   Later blocks come through a server cursor opened at `OFFSET
-//!   <delivered>`; Phoenix remembers the delivery position client-side, and
-//!   after a crash re-opens the cursor the same way — a server-side skip,
-//!   no tuples shipped.
+//!   Every later block is one window, `SELECT * FROM <table> LIMIT <block>
+//!   OFFSET <delivered>`: Phoenix remembers the delivery position
+//!   client-side, so the server holds no cursor, and a crash mid-delivery
+//!   is recovered and the window resent like any idempotent read — the
+//!   server skips to the position in one descent, no tuples shipped.
 //! * **Keyset**: only the result's *primary keys* are materialized in a
 //!   persistent key table; each fetch reads the next key(s) and SELECTs the
 //!   current row by key. Deleted rows are skipped, updated rows show fresh
@@ -19,6 +20,10 @@
 //! A cursor request the query shape can't support (no primary key, computed
 //! projection, aggregation, multi-table) is downgraded, exactly as native
 //! ODBC drivers downgrade cursor types.
+//!
+//! One windowed read serves forward-only, scroll and keyset delivery (and
+//! paces the dynamic cursor). A window that waits out a recovery is that
+//! recovery's reposition, timed in the stats and journaled.
 
 use phoenix_driver::DriverError;
 use phoenix_sql::ast::{Expr, ObjectName, SelectItem, SelectStmt, Statement};
@@ -26,7 +31,7 @@ use phoenix_sql::display::{render_expr, render_statement};
 use phoenix_sql::parser::parse_statement;
 use phoenix_sql::rewrite::with_projections;
 use phoenix_storage::types::{Row, Schema, Value};
-use phoenix_wire::message::{CursorKind as WireCursor, FetchDir, Outcome};
+use phoenix_wire::message::Outcome;
 
 use crate::connection::PhoenixConnection;
 use crate::materialize::value_literal;
@@ -62,15 +67,9 @@ enum Delivery {
         schema: Schema,
         /// Rows already handed to the application.
         delivered: u64,
-        /// Open driver cursor on the mapped connection: `None` until the
-        /// first block (read back with the capture) runs out, and again
-        /// after a recovery or a scroll — re-opened lazily at `delivered`.
-        cursor: Option<u64>,
-        /// The cursor was lost to a failure, so its re-open is a recovery's
-        /// reposition (timed in the stats and journaled).
-        lost: bool,
-        buf: Vec<Row>,
-        buf_pos: usize,
+        /// The current block's rows not yet delivered.
+        buf: std::vec::IntoIter<Row>,
+        /// The current block is the last one.
         at_end: bool,
     },
     /// Keyset cursor over a persistent key table.
@@ -289,17 +288,11 @@ impl<'c> PhoenixStatement<'c> {
             PhoenixFetch::Prior => delivered.saturating_sub(n as u64),
             PhoenixFetch::Absolute(k) => k,
         };
-        let r = self
-            .pc
-            .run_mapped_retry(&format!("SELECT * FROM {table} LIMIT {n} OFFSET {start}"))?;
-        let rows = r.rows().to_vec();
-        // Scrolling repositions the statement and invalidates the streaming
-        // cursor/read-ahead buffer.
+        let rows = self.read_window(&table, start, n)?;
+        // Scrolling repositions the statement and drops the block buffer.
         if let Some(Delivery::Persistent {
             delivered,
-            cursor,
             buf,
-            buf_pos,
             at_end,
             ..
         }) = self.state.as_mut()
@@ -308,11 +301,7 @@ impl<'c> PhoenixStatement<'c> {
                 PhoenixFetch::Prior => start,
                 _ => start + rows.len() as u64,
             };
-            if let Some(cid) = cursor.take() {
-                let _ = self.pc.mapped.close_cursor_raw(cid);
-            }
-            buf.clear();
-            *buf_pos = 0;
+            *buf = Vec::new().into_iter();
             *at_end = false;
         }
         Ok(rows)
@@ -444,140 +433,66 @@ impl<'c> PhoenixStatement<'c> {
             table: m.table,
             schema,
             delivered: 0,
-            cursor: None,
-            lost: false,
             // A short first block is the whole result.
             at_end: buf.len() < block,
-            buf,
-            buf_pos: 0,
+            buf: buf.into_iter(),
         });
         Ok(())
     }
 
     fn fetch_persistent(&mut self) -> Result<Option<Row>> {
         loop {
-            // Serve from the block buffer.
-            if let Some(Delivery::Persistent {
-                buf,
-                buf_pos,
+            let Some(Delivery::Persistent {
+                table,
                 delivered,
+                buf,
+                at_end,
                 ..
             }) = self.state.as_mut()
-            {
-                if *buf_pos < buf.len() {
-                    let row = buf[*buf_pos].clone();
-                    *buf_pos += 1;
-                    *delivered += 1;
-                    return Ok(Some(row));
-                }
-            }
-            let (at_end, cursor) = match self.state.as_ref() {
-                Some(Delivery::Persistent { at_end, cursor, .. }) => (*at_end, *cursor),
-                _ => unreachable!(),
+            else {
+                unreachable!()
             };
-            if at_end {
+            if let Some(row) = buf.next() {
+                *delivered += 1;
+                return Ok(Some(row));
+            }
+            if *at_end {
                 return Ok(None);
             }
-
-            // Ensure a delivery cursor is open (re-positioning if this is a
-            // post-recovery re-open).
-            if cursor.is_none() {
-                self.reopen_persistent_cursor()?;
-                continue;
-            }
-
-            // Fetch the next block; a comm failure triggers recovery and a
-            // repositioned re-open.
-            let block = self.fetch_block;
-            let cid = cursor.expect("checked above");
-            match self.pc.mapped.fetch_cursor_raw(cid, FetchDir::Next, block) {
-                Ok((rows, end)) => {
-                    // Buffered rows are always served before `at_end` is
-                    // consulted (the buffer check heads the loop), so the
-                    // final block is delivered in full.
-                    if let Some(Delivery::Persistent {
-                        buf,
-                        buf_pos,
-                        at_end,
-                        ..
-                    }) = self.state.as_mut()
-                    {
-                        *buf = rows;
-                        *buf_pos = 0;
-                        *at_end = end;
-                    }
-                }
-                Err(e) if e.is_comm() => {
-                    self.pc.recover()?;
-                    if let Some(Delivery::Persistent {
-                        cursor,
-                        lost,
-                        buf,
-                        buf_pos,
-                        ..
-                    }) = self.state.as_mut()
-                    {
-                        *cursor = None;
-                        *lost = true;
-                        buf.clear();
-                        *buf_pos = 0;
-                    }
-                }
-                Err(e) => return Err(e),
+            // The next block: one window at the delivery position.
+            let (table, start, block) = (table.clone(), *delivered, self.fetch_block);
+            let rows = self.read_window(&table, start, block)?;
+            if let Some(Delivery::Persistent { buf, at_end, .. }) = self.state.as_mut() {
+                *at_end = rows.len() < block;
+                *buf = rows.into_iter();
             }
         }
     }
 
-    /// (Re-)open the delivery cursor over the persistent result table,
-    /// positioned after the rows already delivered: a server-side skip
-    /// (`OFFSET <delivered>`), so no tuples cross the wire. A re-open after
-    /// a failure is timed as the reposition of a recovery.
-    fn reopen_persistent_cursor(&mut self) -> Result<()> {
-        let (table, delivered, mut lost) = match self.state.as_ref() {
-            Some(Delivery::Persistent {
-                table,
-                delivered,
-                lost,
-                ..
-            }) => (table.clone(), *delivered, *lost),
-            _ => unreachable!(),
-        };
-        let sql = format!("SELECT * FROM {table} OFFSET {delivered}");
-        let t0 = std::time::Instant::now();
-        loop {
-            match self
-                .pc
-                .mapped
-                .open_cursor_raw(&sql, WireCursor::ForwardOnly)
-            {
-                Ok((cid, _, _)) => {
-                    if let Some(Delivery::Persistent {
-                        cursor, lost: l, ..
-                    }) = self.state.as_mut()
-                    {
-                        *cursor = Some(cid);
-                        *l = false;
-                    }
-                    if lost {
-                        let us = t0.elapsed().as_micros() as u64;
-                        self.pc.stats.last_reposition_us = us;
-                        self.pc.stats.reposition_us += us;
-                        phoenix_obs::journal().record(
-                            "core",
-                            phoenix_obs::EventKind::CursorRestored,
-                            format!(
-                                "cursor over {table} repositioned past {delivered} row(s) in {us} us"
-                            ),
-                        );
-                    }
-                    return Ok(());
-                }
-                Err(e) if e.is_comm() => {
-                    self.pc.recover()?;
-                    lost = true;
-                }
-                Err(e) => return Err(e),
-            }
+    /// Rows `start..start + n` of a Phoenix table: one idempotent request,
+    /// resent after a recovery. A window that waited out a recovery is that
+    /// recovery's reposition: timed from the recovery's end to the reply,
+    /// counted in the stats and journaled.
+    fn read_window(&mut self, table: &ObjectName, start: u64, n: usize) -> Result<Vec<Row>> {
+        let recoveries = self.pc.stats.recoveries;
+        let r = self
+            .pc
+            .run_mapped_retry(&format!("SELECT * FROM {table} LIMIT {n} OFFSET {start}"))?;
+        if self.pc.stats.recoveries > recoveries {
+            let us = self.pc.recovered_at.elapsed().as_micros() as u64;
+            self.pc.stats.last_reposition_us = us;
+            self.pc.stats.reposition_us += us;
+            phoenix_obs::journal().record(
+                "core",
+                phoenix_obs::EventKind::CursorRestored,
+                format!("delivery from {table} repositioned past {start} row(s) in {us} us"),
+            );
+        }
+        match r.outcome {
+            Outcome::ResultSet { rows, .. } => Ok(rows),
+            other => Err(DriverError::Protocol(format!(
+                "window read answered {other:?}, not a result set"
+            ))),
         }
     }
 
@@ -740,9 +655,7 @@ impl<'c> PhoenixStatement<'c> {
             _ => unreachable!(),
         };
         let block = self.fetch_block;
-        let sql = format!("SELECT * FROM {key_table} LIMIT {block} OFFSET {pos}");
-        let r = self.pc.run_mapped_retry(&sql)?;
-        let rows = r.rows().to_vec();
+        let rows = self.read_window(&key_table, pos, block)?;
         if let Some(Delivery::Keyset {
             key_buf,
             key_buf_pos,
@@ -846,11 +759,10 @@ impl<'c> PhoenixStatement<'c> {
             };
 
         // Next pacing key from the persistent key table.
-        let next_key = {
-            let sql = format!("SELECT * FROM {key_table} LIMIT 1 OFFSET {pos}");
-            let r = self.pc.run_mapped_retry(&sql)?;
-            r.rows().first().map(|row| row[0].clone())
-        };
+        let next_key = self
+            .read_window(&key_table, pos, 1)?
+            .pop()
+            .map(|mut row| row.swap_remove(0));
 
         let mut preds = Vec::new();
         if let Some(p) = &pred_sql {

@@ -642,3 +642,53 @@ fn reposition_strategies_agree_across_crash() {
         std::fs::remove_dir_all(dir).unwrap();
     }
 }
+
+/// Forward-only delivery is one window per block, so a crash anywhere in
+/// it costs one resent window at the delivery position: before the first
+/// window (inside the block read back with the capture, and right at its
+/// end), before a middle window, before the last one, and — on a result
+/// that ends exactly on a block boundary — before the empty window that
+/// finds the end. Delivery resumes at the right row each time.
+#[test]
+fn delivery_resumes_at_every_window_after_a_crash() {
+    const BLOCK: usize = 8;
+    for (rows, crash_after) in [(40, 3), (40, 8), (40, 20), (40, 32), (40, 40), (43, 40)] {
+        let what = format!("{rows} rows, crash after {crash_after}");
+        let (mut h, dir) = start();
+        let mut pc = connect(&h);
+        pc.execute("CREATE TABLE w (id INT PRIMARY KEY, v TEXT)")
+            .unwrap();
+        let vals: Vec<String> = (0..rows).map(|i| format!("({i}, 'v{i}')")).collect();
+        pc.execute(&format!("INSERT INTO w VALUES {}", vals.join(", ")))
+            .unwrap();
+
+        let mut stmt = pc.statement();
+        stmt.set_fetch_block(BLOCK);
+        stmt.execute("SELECT id, v FROM w").unwrap();
+        for i in 0..crash_after {
+            let row = stmt.fetch().unwrap().unwrap();
+            assert_eq!(row[0], Value::Int(i), "{what}");
+        }
+        assert_eq!(stmt.delivered(), crash_after as u64, "{what}");
+        h.crash().unwrap();
+        h.restart().unwrap();
+        let rest: Vec<i64> = stmt
+            .fetch_all()
+            .unwrap()
+            .iter()
+            .map(|r| r[0].as_i64().unwrap())
+            .collect();
+        assert_eq!(rest, (crash_after..rows).collect::<Vec<i64>>(), "{what}");
+        assert_eq!(stmt.delivered(), rows as u64, "{what}");
+        assert_eq!(stmt.fetch().unwrap(), None, "{what}: stays at the end");
+        drop(stmt);
+        let stats = pc.stats().clone();
+        assert_eq!(stats.recoveries, 1, "{what}: {stats:?}");
+        assert_eq!(stats.resubmissions, 1, "{what}: one window resent");
+        assert!(stats.last_reposition_us > 0, "{what}: {stats:?}");
+        assert_eq!(stats.reposition_us, stats.last_reposition_us, "{what}");
+        pc.close();
+        drop(h);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}

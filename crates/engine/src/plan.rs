@@ -23,6 +23,15 @@
 //! Constant conjuncts are evaluated once before any scan — so a query with a
 //! constant-false predicate (`WHERE 0=1`) touches no data at all.
 //!
+//! OFFSET/LIMIT fuse into the tuple stream when nothing needs the whole
+//! input — no GROUP BY, aggregate or DISTINCT, and no ORDER BY the access
+//! path does not already deliver. A single-table access then stops after
+//! `offset + limit` rows that pass its filters and keeps only the last
+//! `limit` of them; a row-id scan with no filter starts at row `offset` in
+//! one descent of the row map. A join builds its tuples and projects only
+//! the window's. Behind a whole-input operator the window cuts the finished
+//! rows.
+//!
 //! Scan order is row-id (insertion) order, joins emit rows in probe-side
 //! order, and groups come out in order of first occurrence; a `SELECT *
 //! FROM t` with no ORDER BY therefore returns rows in the order they were
@@ -74,31 +83,58 @@ pub fn execute_select(
     let from = bind_from(select, catalog)?;
     let projections = expand_projections(select, &from)?;
     let schema = output_schema(&projections, &from)?;
+    let (output, tuples, shape) = select_tuples(select, &from, &projections, params)?;
+    let rows = output.rows(&tuples, &from, shape)?;
+    Ok(ResultSet { schema, rows })
+}
 
+/// How the joined tuples came, as far as the output side must know.
+#[derive(Debug, Clone, Copy, Default)]
+struct Shape {
+    /// Rows already emerge in ORDER BY order; the output skips its sort.
+    presorted: bool,
+    /// The access already cut the tuples to the OFFSET/LIMIT window.
+    cut: bool,
+}
+
+/// Bind a SELECT's filters and output side, plan it and join its tuples.
+fn select_tuples<'a>(
+    select: &SelectStmt,
+    from: &BoundFrom<'a>,
+    projections: &[Projection],
+    params: Params<'_>,
+) -> Result<(Output, Tuples<'a>, Shape)> {
     // Split WHERE into conjuncts, classify each by the tables it references
     // and bind it.
     let conjuncts = split_conjuncts(select.where_clause.as_ref());
     let mut classified = Vec::with_capacity(conjuncts.len());
     let mut filters = Vec::with_capacity(conjuncts.len());
     for c in &conjuncts {
-        classified.push(tables_of_expr(c, &from)?);
+        classified.push(tables_of_expr(c, from)?);
         filters.push(from.scope.bind(c, params)?);
     }
-    let output = Output::bind(select, &from, &projections, params)?;
+    let output = Output::bind(select, from, projections, params)?;
 
     // Constant conjuncts: evaluate once; a false/NULL constant conjunct
     // empties the result without scanning.
     for (f, tables) in filters.iter().zip(&classified) {
         if tables.is_empty() && !f.holds(&[])? {
-            let rows = output.rows(&Tuples::new(from.width()), &from, false)?;
-            return Ok(ResultSet { schema, rows });
+            return Ok((output, Tuples::new(from.width()), Shape::default()));
         }
     }
 
-    let plan = build_plan(select, &from, &conjuncts, &classified, params)?;
-    let tuples = join(&plan, &from, &filters, &classified, params)?;
-    let rows = output.rows(&tuples, &from, plan.presorted)?;
-    Ok(ResultSet { schema, rows })
+    let plan = build_plan(select, from, &conjuncts, &classified, params)?;
+    let shape = Shape {
+        presorted: plan.presorted,
+        cut: plan.steps.len() == 1 && output.streams(plan.presorted),
+    };
+    let window = if shape.cut {
+        output.window
+    } else {
+        Window::ALL
+    };
+    let tuples = join(&plan, from, &filters, &classified, params, window)?;
+    Ok((output, tuples, shape))
 }
 
 /// Compute the output schema of a SELECT without executing it.
@@ -815,24 +851,29 @@ impl<'a> Tuples<'a> {
     }
 
     /// Append `base` with slot `t` set to `row`, kept only if every filter
-    /// holds on the result.
+    /// holds on the result; `true` when it was kept.
     fn push(
         &mut self,
         base: &[&'a [Value]],
         t: usize,
         row: &'a [Value],
         filters: &[&Scalar],
-    ) -> Result<()> {
+    ) -> Result<bool> {
         let start = self.refs.len();
         self.refs.extend_from_slice(base);
         self.refs[start + t] = row;
         for f in filters {
             if !f.holds(&self.refs[start..])? {
                 self.refs.truncate(start);
-                break;
+                return Ok(false);
             }
         }
-        Ok(())
+        Ok(true)
+    }
+
+    /// Drop the last tuple.
+    fn pop(&mut self) {
+        self.refs.truncate(self.refs.len() - self.width);
     }
 
     /// Keep the tuples `keep` accepts, in order.
@@ -851,13 +892,16 @@ impl<'a> Tuples<'a> {
 }
 
 /// Execute the plan's steps, returning the joined tuples in the order the
-/// last step produced them.
+/// last step produced them. The first step's access keeps only `window` of
+/// its rows; a caller passes anything but [`Window::ALL`] only for a
+/// single-table plan.
 fn join<'a>(
     plan: &Plan,
     from: &BoundFrom<'a>,
     filters: &[Scalar],
     classified: &[Vec<usize>],
     params: Params<'_>,
+    window: Window,
 ) -> Result<Tuples<'a>> {
     let width = from.width();
     if from.tables.is_empty() {
@@ -884,7 +928,11 @@ fn join<'a>(
                 index_join(&tuples, &key, table, t, *target, &own)?
             }
             kind => {
-                let rows = access(table, t, width, &step.access, &own, params)?;
+                let cut = match kind {
+                    JoinKind::First => window,
+                    _ => Window::ALL,
+                };
+                let rows = access(table, t, width, &step.access, &own, params, cut)?;
                 match kind {
                     JoinKind::First => rows,
                     JoinKind::Cross => cross_join(&tuples, &rows, t)?,
@@ -933,8 +981,9 @@ fn join<'a>(
 }
 
 /// One table's rows through the planned access path, as single-table
-/// tuples, each tested against the table's own filters. Scans emit row-id
-/// order; index paths emit index-key order.
+/// tuples, each tested against the table's own filters; of the rows that
+/// pass, only `window`'s are kept, and the walk stops at its end. Scans
+/// emit row-id order; index paths emit index-key order.
 fn access<'a>(
     table: &'a TableData,
     t: usize,
@@ -942,15 +991,34 @@ fn access<'a>(
     access: &Access,
     filters: &[&Scalar],
     params: Params<'_>,
+    window: Window,
 ) -> Result<Tuples<'a>> {
     let base = vec![NO_ROW; width];
     let mut out = Tuples::new(width);
+    if window.take == 0 {
+        return Ok(out);
+    }
+    // With no filter, a row-id scan's first `skip` rows are the ones to
+    // pass over, and the row map skips them in one descent.
+    let (start, mut skip) = match access {
+        Access::Scan if filters.is_empty() => (window.skip, 0),
+        _ => (0, window.skip),
+    };
     {
-        let mut visit = |row: &'a [Value]| out.push(&base, t, row, filters);
+        // `false` once the window is full.
+        let mut visit = |row: &'a [Value]| -> Result<bool> {
+            if out.push(&base, t, row, filters)? && skip > 0 {
+                skip -= 1;
+                out.pop();
+            }
+            Ok(out.len() < window.take)
+        };
         match access {
             Access::Scan => {
-                for row in table.rows.values() {
-                    visit(row)?;
+                for (_, row) in table.rows.iter_from(start) {
+                    if !visit(row)? {
+                        break;
+                    }
                 }
             }
             Access::PkPoint { key } => {
@@ -970,7 +1038,7 @@ fn access<'a>(
                 let dtype = table.def.schema.columns[table.def.indexes[*pos].column].dtype;
                 let map = &table.sec[*pos];
                 let mut seen: Vec<Value> = Vec::new();
-                for vexpr in values {
+                'values: for vexpr in values {
                     let v = match probe_const(vexpr, dtype, params)? {
                         Some(v) => v,
                         None => continue, // `col = NULL` matches nothing
@@ -979,7 +1047,9 @@ fn access<'a>(
                         continue;
                     }
                     for id in map.get(&v) {
-                        visit(&table.rows[&id])?;
+                        if !visit(&table.rows[&id])? {
+                            break 'values;
+                        }
                     }
                     seen.push(v);
                 }
@@ -1004,7 +1074,9 @@ fn access<'a>(
                     Box::new(range)
                 };
                 for id in ids {
-                    visit(&table.rows[&id])?;
+                    if !visit(&table.rows[&id])? {
+                        break;
+                    }
                 }
             }
             Access::SecOrder { pos, desc } => {
@@ -1015,7 +1087,9 @@ fn access<'a>(
                     Box::new(all)
                 };
                 for id in ids {
-                    visit(&table.rows[&id])?;
+                    if !visit(&table.rows[&id])? {
+                        break;
+                    }
                 }
             }
             Access::PkOrder { desc } => {
@@ -1025,7 +1099,9 @@ fn access<'a>(
                     Box::new(table.pk_index.iter())
                 };
                 for (_, id) in entries {
-                    visit(&table.rows[id])?;
+                    if !visit(&table.rows[id])? {
+                        break;
+                    }
                 }
             }
         }
@@ -1605,8 +1681,22 @@ struct Output {
     /// ORDER BY keys, each with its "descending" flag.
     order: Vec<(SortKey, bool)>,
     distinct: bool,
-    offset: Option<u64>,
-    limit: Option<u64>,
+    window: Window,
+}
+
+/// OFFSET/LIMIT as counts: the rows to pass over, then the most to keep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Window {
+    skip: usize,
+    take: usize,
+}
+
+impl Window {
+    /// Every row.
+    const ALL: Window = Window {
+        skip: 0,
+        take: usize::MAX,
+    };
 }
 
 /// GROUP BY keys and aggregates, bound against the FROM scope. The
@@ -1684,13 +1774,23 @@ impl Output {
             grouping,
             order,
             distinct: select.distinct,
-            offset: select.offset,
-            limit: select.limit,
+            window: Window {
+                skip: select.offset.map_or(0, |o| o as usize),
+                take: select.limit.map_or(usize::MAX, |l| l as usize),
+            },
         })
     }
 
+    /// Does the window apply to the tuples as they stream, i.e. does no
+    /// output step (grouping, DISTINCT, a sort) need the whole input?
+    fn streams(&self, presorted: bool) -> bool {
+        self.grouping.is_none() && !self.distinct && (self.order.is_empty() || presorted)
+    }
+
     /// The output rows for the joined `tuples`, in delivery order.
-    fn rows(&self, tuples: &Tuples<'_>, from: &BoundFrom, presorted: bool) -> Result<Vec<Row>> {
+    fn rows(&self, tuples: &Tuples<'_>, from: &BoundFrom, shape: Shape) -> Result<Vec<Row>> {
+        let presorted = shape.presorted;
+        let streams = self.streams(presorted);
         let project = |tuple: &[&[Value]]| -> Result<Row> {
             self.projections
                 .iter()
@@ -1704,8 +1804,20 @@ impl Output {
         let mut nulls = Vec::new();
         match &self.grouping {
             None => {
-                out.reserve(tuples.len());
-                for (i, tuple) in tuples.iter().enumerate() {
+                // Streaming, only the window's tuples are projected (all of
+                // them when the access cut them already).
+                let window = if streams && !shape.cut {
+                    self.window
+                } else {
+                    Window::ALL
+                };
+                out.reserve(tuples.len().saturating_sub(window.skip).min(window.take));
+                for (i, tuple) in tuples
+                    .iter()
+                    .enumerate()
+                    .skip(window.skip)
+                    .take(window.take)
+                {
                     out.push((project(tuple)?, i));
                 }
             }
@@ -1776,11 +1888,9 @@ impl Output {
             out.into_iter().map(|(r, _)| r).collect()
         };
 
-        if let Some(off) = self.offset {
-            rows.drain(..rows.len().min(off as usize));
-        }
-        if let Some(lim) = self.limit {
-            rows.truncate(lim as usize);
+        if !streams {
+            rows.drain(..rows.len().min(self.window.skip));
+            rows.truncate(self.window.take);
         }
         Ok(rows)
     }
@@ -2315,6 +2425,45 @@ mod point_lookup_tests {
         // and return everything.
         let rows = run(&c, "SELECT k FROM kv WHERE k = k");
         assert_eq!(rows.len(), 1000);
+    }
+
+    /// OFFSET/LIMIT fused into a single-table access builds the window's
+    /// `limit` tuples, not `offset + limit`; behind a sort it cannot, and
+    /// every tuple is built. The rows are the window either way.
+    #[test]
+    fn fused_window_builds_only_its_tuples() {
+        let c = cat();
+        let built = |sql: &str| -> (usize, Vec<Row>) {
+            let Statement::Select(s) = parse_statement(sql).unwrap() else {
+                panic!("{sql}")
+            };
+            let from = bind_from(&s, &c).unwrap();
+            let projections = expand_projections(&s, &from).unwrap();
+            let (output, tuples, shape) =
+                select_tuples(&s, &from, &projections, Params::NONE).unwrap();
+            let rows = output.rows(&tuples, &from, shape).unwrap();
+            (tuples.len(), rows)
+        };
+        let ks =
+            |rows: &[Row]| -> Vec<i64> { rows.iter().map(|r| r[0].as_i64().unwrap()).collect() };
+        // A scan with no filter starts at row 900 by the row map's counts.
+        let (n, rows) = built("SELECT k FROM kv LIMIT 5 OFFSET 900");
+        assert_eq!((n, ks(&rows)), (5, vec![900, 901, 902, 903, 904]));
+        // With a filter the scan passes over 300 matches, builds 5.
+        let (n, rows) = built("SELECT k FROM kv WHERE k % 2 = 1 LIMIT 5 OFFSET 300");
+        assert_eq!((n, ks(&rows)), (5, vec![601, 603, 605, 607, 609]));
+        // The pk walk delivers ORDER BY k: still fused.
+        let (n, rows) = built("SELECT k FROM kv ORDER BY k DESC LIMIT 3 OFFSET 10");
+        assert_eq!((n, ks(&rows)), (3, vec![989, 988, 987]));
+        // Past the end, and LIMIT 0: nothing built.
+        assert_eq!(built("SELECT k FROM kv OFFSET 1000").0, 0);
+        assert_eq!(built("SELECT k FROM kv LIMIT 0 OFFSET 3").0, 0);
+        // A sort on a computed key needs the whole input.
+        let (n, rows) = built("SELECT k FROM kv ORDER BY 0 - k LIMIT 2 OFFSET 1");
+        assert_eq!((n, ks(&rows)), (1000, vec![998, 997]));
+        // A join builds its tuples and projects only the window.
+        let (n, rows) = built("SELECT a.k FROM kv a, kv b WHERE a.k = b.k LIMIT 2 OFFSET 7");
+        assert_eq!((n, ks(&rows)), (1000, vec![7, 8]));
     }
 }
 

@@ -14,6 +14,11 @@
 //! of them over `(value, row id)` pairs, so a write to a column that holds
 //! only seven values still costs one path.
 //!
+//! Every internal node keeps, beside each child pointer, the count of
+//! entries under that child, so [`PMap::iter_from`] reaches the `k`-th entry
+//! in one descent. The writes keep the counts on the nodes they already copy
+//! or own.
+//!
 //! Shape: at most 32 (`FANOUT`) entries per leaf and children per internal
 //! node, all leaves at one depth, no empty node below the root. A removal
 //! that leaves a node under half full merges it with a sibling (or evens
@@ -36,7 +41,12 @@ const FANOUT: usize = 32;
 /// A node a removal leaves with fewer entries is merged with a sibling.
 const MIN_FILL: usize = FANOUT / 2;
 
-type Kid<K, V> = Arc<Node<K, V>>;
+/// A child of an internal node and the number of entries under it.
+#[derive(Clone)]
+struct Kid<K, V> {
+    node: Arc<Node<K, V>>,
+    entries: usize,
+}
 
 #[derive(Clone)]
 enum Node<K, V> {
@@ -44,10 +54,7 @@ enum Node<K, V> {
     Leaf { keys: Vec<K>, vals: Vec<V> },
     /// `seps[i]` separates `kids[i]` (every key below it) from `kids[i + 1]`
     /// (every key at or above it); one separator fewer than children.
-    Internal {
-        seps: Vec<K>,
-        kids: Vec<Arc<Node<K, V>>>,
-    },
+    Internal { seps: Vec<K>, kids: Vec<Kid<K, V>> },
 }
 
 impl<K, V> Node<K, V> {
@@ -57,6 +64,21 @@ impl<K, V> Node<K, V> {
             Node::Leaf { keys, .. } => keys.len(),
             Node::Internal { kids, .. } => kids.len(),
         }
+    }
+
+    /// Entries under this node.
+    fn entries(&self) -> usize {
+        match self {
+            Node::Leaf { keys, .. } => keys.len(),
+            Node::Internal { kids, .. } => kids.iter().map(|k| k.entries).sum(),
+        }
+    }
+}
+
+impl<K, V> Kid<K, V> {
+    fn new(node: Arc<Node<K, V>>) -> Self {
+        let entries = node.entries();
+        Kid { node, entries }
     }
 }
 
@@ -134,8 +156,14 @@ fn insert_into<K: Ord + Clone, V: Clone>(
         }
         Node::Internal { seps, kids } => {
             let at = child_of(seps, &key);
-            match insert_into(&mut kids[at], key, val) {
+            match insert_into(&mut kids[at].node, key, val) {
+                Inserted::Added => {
+                    kids[at].entries += 1;
+                    Inserted::Added
+                }
                 Inserted::Split(sep, right) => {
+                    let right = Kid::new(right);
+                    kids[at].entries = kids[at].entries + 1 - right.entries;
                     seps.insert(at, sep);
                     kids.insert(at + 1, right);
                     if kids.len() <= FANOUT {
@@ -149,7 +177,7 @@ fn insert_into<K: Ord + Clone, V: Clone>(
                     let (up, right) = split_internal(seps, kids, cut);
                     Inserted::Split(up, right)
                 }
-                other => other,
+                replaced => replaced,
             }
         }
     }
@@ -159,7 +187,7 @@ fn insert_into<K: Ord + Clone, V: Clone>(
 /// the new right sibling holding the rest.
 fn split_internal<K, V>(
     seps: &mut Vec<K>,
-    kids: &mut Vec<Arc<Node<K, V>>>,
+    kids: &mut Vec<Kid<K, V>>,
     cut: usize,
 ) -> (K, Arc<Node<K, V>>) {
     let rkids = kids.split_off(cut);
@@ -190,8 +218,9 @@ where
         }
         Node::Internal { seps, kids } => {
             let at = child_of(seps, q);
-            let out = remove_from(&mut kids[at], q)?;
-            if kids[at].len() < MIN_FILL {
+            let out = remove_from(&mut kids[at].node, q)?;
+            kids[at].entries -= 1;
+            if kids[at].node.len() < MIN_FILL {
                 rebalance(seps, kids, at);
             }
             Some(out)
@@ -201,8 +230,8 @@ where
 
 /// `kids[at]` fell under `MIN_FILL`: drop it if empty, else pour it and a
 /// sibling into one node, and split that evenly if it overflows.
-fn rebalance<K: Clone, V: Clone>(seps: &mut Vec<K>, kids: &mut Vec<Arc<Node<K, V>>>, at: usize) {
-    if kids[at].len() == 0 {
+fn rebalance<K: Clone, V: Clone>(seps: &mut Vec<K>, kids: &mut Vec<Kid<K, V>>, at: usize) {
+    if kids[at].node.len() == 0 {
         kids.remove(at);
         if !seps.is_empty() {
             seps.remove(at.saturating_sub(1));
@@ -214,11 +243,13 @@ fn rebalance<K: Clone, V: Clone>(seps: &mut Vec<K>, kids: &mut Vec<Arc<Node<K, V
     }
     let left = at.saturating_sub(1);
     let sep = seps.remove(left);
-    let right = Arc::try_unwrap(kids.remove(left + 1)).unwrap_or_else(|shared| {
+    let right = kids.remove(left + 1);
+    kids[left].entries += right.entries;
+    let right = Arc::try_unwrap(right.node).unwrap_or_else(|shared| {
         count_copy(shared.len());
         (*shared).clone()
     });
-    let overflow = match (unshare(&mut kids[left]), right) {
+    let overflow = match (unshare(&mut kids[left].node), right) {
         (Node::Leaf { keys, vals }, Node::Leaf { keys: rk, vals: rv }) => {
             keys.extend(rk);
             vals.extend(rv);
@@ -240,6 +271,8 @@ fn rebalance<K: Clone, V: Clone>(seps: &mut Vec<K>, kids: &mut Vec<Arc<Node<K, V
         _ => unreachable!("siblings sit at the same depth"),
     };
     if let Some((sep, right)) = overflow {
+        let right = Kid::new(right);
+        kids[left].entries -= right.entries;
         seps.insert(left, sep);
         kids.insert(left + 1, right);
     }
@@ -294,7 +327,7 @@ impl<K: Ord, V> PMap<K, V> {
         let mut node = self.root.as_deref()?;
         loop {
             match node {
-                Node::Internal { seps, kids } => node = &kids[child_of(seps, q)],
+                Node::Internal { seps, kids } => node = &kids[child_of(seps, q)].node,
                 Node::Leaf { keys, vals } => return find(keys, q).ok().map(|i| &vals[i]),
             }
         }
@@ -322,9 +355,9 @@ impl<K: Ord, V> PMap<K, V> {
             // range and the last one inside it.
             let mut front = Cursor::new();
             match range.start_bound() {
-                Bound::Unbounded => front.descend(root, |_| 0),
+                Bound::Unbounded => front.descend(root, |_, _| 0),
                 Bound::Included(q) | Bound::Excluded(q) => {
-                    front.descend(root, |seps| child_of(seps, q));
+                    front.descend(root, |seps, _| child_of(seps, q));
                     let open = matches!(range.start_bound(), Bound::Excluded(_));
                     front.at =
                         prefix_len(front.keys, |k| k.borrow() < q || (open && k.borrow() == q));
@@ -335,12 +368,9 @@ impl<K: Ord, V> PMap<K, V> {
             }
             let mut back = Cursor::new();
             match range.end_bound() {
-                Bound::Unbounded => {
-                    back.descend(root, |seps| seps.len());
-                    back.at = back.keys.len() - 1;
-                }
+                Bound::Unbounded => back = Cursor::last(root),
                 Bound::Included(q) | Bound::Excluded(q) => {
-                    back.descend(root, |seps| child_of(seps, q));
+                    back.descend(root, |seps, _| child_of(seps, q));
                     let open = matches!(range.end_bound(), Bound::Excluded(_));
                     let within =
                         prefix_len(back.keys, |k| k.borrow() < q || (!open && k.borrow() == q));
@@ -359,6 +389,28 @@ impl<K: Ord, V> PMap<K, V> {
     /// Every entry in key order, from either end.
     pub fn iter(&self) -> Range<'_, K, V> {
         self.range::<K, _>(..)
+    }
+
+    /// The entries from the `k`-th (counting from 0) to the last, in key
+    /// order, from either end; empty when `k` is at or past the end. One
+    /// descent by the per-child counts: skipping `k` entries costs O(log n),
+    /// not O(k).
+    pub fn iter_from(&self, k: usize) -> Range<'_, K, V> {
+        let ends = self.root.as_deref().filter(|_| k < self.len).map(|root| {
+            let mut front = Cursor::new();
+            let mut skip = k;
+            front.descend(root, |_, kids| {
+                let mut i = 0;
+                while skip >= kids[i].entries {
+                    skip -= kids[i].entries;
+                    i += 1;
+                }
+                i
+            });
+            front.at = skip;
+            (front, Cursor::last(root))
+        });
+        Range { ends }
     }
 
     /// Every key in order, from either end.
@@ -387,7 +439,11 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
             Inserted::Replaced(old) => return Some(old),
             Inserted::Added => {}
             Inserted::Split(sep, right) => {
-                let left = self.root.take().expect("root checked above");
+                let right = Kid::new(right);
+                let left = Kid {
+                    node: self.root.take().expect("root checked above"),
+                    entries: self.len + 1 - right.entries,
+                };
                 self.root = Some(Arc::new(Node::Internal {
                     seps: vec![sep],
                     kids: vec![left, right],
@@ -414,7 +470,7 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         loop {
             match self.root.as_deref() {
                 Some(Node::Internal { kids, .. }) if kids.len() == 1 => {
-                    self.root = Some(kids[0].clone());
+                    self.root = Some(kids[0].node.clone());
                 }
                 Some(node) if node.len() == 0 => self.root = None,
                 _ => break,
@@ -435,7 +491,7 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         let mut node = unshare(self.root.as_mut()?);
         loop {
             match node {
-                Node::Internal { seps, kids } => node = unshare(&mut kids[child_of(seps, q)]),
+                Node::Internal { seps, kids } => node = unshare(&mut kids[child_of(seps, q)].node),
                 Node::Leaf { keys, vals } => return find(keys, q).ok().map(|i| &mut vals[i]),
             }
         }
@@ -452,7 +508,7 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         let mut len = 0;
         // One level at a time, each node beside the smallest key under it
         // (its parent's separator).
-        let mut level: Vec<(K, Arc<Node<K, V>>)> = Vec::new();
+        let mut level: Vec<(K, Kid<K, V>)> = Vec::new();
         while entries.peek().is_some() {
             let (mut keys, mut vals) = (Vec::with_capacity(FANOUT), Vec::with_capacity(FANOUT));
             for (k, v) in entries.by_ref().take(FANOUT) {
@@ -466,7 +522,10 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
                 "PMap::from_sorted needs strictly ascending keys"
             );
             len += keys.len();
-            level.push((keys[0].clone(), Arc::new(Node::Leaf { keys, vals })));
+            level.push((
+                keys[0].clone(),
+                Kid::new(Arc::new(Node::Leaf { keys, vals })),
+            ));
         }
         while level.len() > 1 {
             let mut nodes = level.into_iter();
@@ -474,11 +533,11 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
             while nodes.len() > 0 {
                 let (mut mins, kids): (Vec<K>, Vec<_>) = nodes.by_ref().take(FANOUT).unzip();
                 let min = mins.remove(0);
-                level.push((min, Arc::new(Node::Internal { seps: mins, kids })));
+                level.push((min, Kid::new(Arc::new(Node::Internal { seps: mins, kids }))));
             }
         }
         PMap {
-            root: level.pop().map(|(_, root)| root),
+            root: level.pop().map(|(_, root)| root.node),
             len,
         }
     }
@@ -492,7 +551,7 @@ impl<K, V> PMap<K, V> {
         fn walk<K, V>(node: &Arc<Node<K, V>>, visit: &mut impl FnMut(*const Node<K, V>)) {
             visit(Arc::as_ptr(node));
             if let Node::Internal { kids, .. } = &**node {
-                kids.iter().for_each(|kid| walk(kid, visit));
+                kids.iter().for_each(|kid| walk(&kid.node, visit));
             }
         }
         let mut theirs = HashSet::new();
@@ -514,7 +573,8 @@ impl<K, V> PMap<K, V> {
 
 impl<K: Ord, V> PMap<K, V> {
     /// Check the tree's shape: key order, separator bounds, node sizes,
-    /// uniform depth, the entry count. Returns the height.
+    /// uniform depth, every per-child count, the entry count. Returns the
+    /// height.
     #[doc(hidden)]
     pub fn check_shape(&self) -> Result<usize, String> {
         /// Returns `(depth, entries)` of the subtree whose keys must lie in
@@ -545,9 +605,12 @@ impl<K: Ord, V> PMap<K, V> {
                     for (i, kid) in kids.iter().enumerate() {
                         let lo = if i == 0 { lo } else { Some(&seps[i - 1]) };
                         let hi = if i == seps.len() { hi } else { Some(&seps[i]) };
-                        let (d, n) = check(kid, lo, hi)?;
+                        let (d, n) = check(&kid.node, lo, hi)?;
                         if *depth.get_or_insert(d) != d {
                             return Err("leaves at different depths".into());
+                        }
+                        if kid.entries != n {
+                            return Err(format!("count says {}, child holds {n}", kid.entries));
                         }
                         entries += n;
                     }
@@ -621,15 +684,28 @@ impl<'a, K, V> Cursor<'a, K, V> {
         }
     }
 
+    /// The last entry under `root`.
+    fn last(root: &'a Node<K, V>) -> Self {
+        let mut c = Cursor::new();
+        c.descend(root, |seps, _| seps.len());
+        c.at = c.keys.len() - 1;
+        c
+    }
+
     /// Walk from `node` down to a leaf, `pick` choosing the child at each
-    /// internal node from its separators; rests on the leaf's first entry.
-    fn descend(&mut self, mut node: &'a Node<K, V>, pick: impl Fn(&'a [K]) -> usize) {
+    /// internal node from its separators and children; rests on the leaf's
+    /// first entry.
+    fn descend(
+        &mut self,
+        mut node: &'a Node<K, V>,
+        mut pick: impl FnMut(&'a [K], &'a [Kid<K, V>]) -> usize,
+    ) {
         loop {
             match node {
                 Node::Internal { seps, kids } => {
-                    let i = pick(seps);
+                    let i = pick(seps, kids);
                     self.path.push((kids, i));
-                    node = &kids[i];
+                    node = &kids[i].node;
                 }
                 Node::Leaf { keys, vals } => {
                     (self.keys, self.vals, self.at) = (keys, vals, 0);
@@ -644,7 +720,7 @@ impl<'a, K, V> Cursor<'a, K, V> {
         while let Some((kids, i)) = self.path.pop() {
             if i + 1 < kids.len() {
                 self.path.push((kids, i + 1));
-                self.descend(&kids[i + 1], |_| 0);
+                self.descend(&kids[i + 1].node, |_, _| 0);
                 return true;
             }
         }
@@ -656,7 +732,7 @@ impl<'a, K, V> Cursor<'a, K, V> {
         while let Some((kids, i)) = self.path.pop() {
             if i > 0 {
                 self.path.push((kids, i - 1));
-                self.descend(&kids[i - 1], |seps| seps.len());
+                self.descend(&kids[i - 1].node, |seps, _| seps.len());
                 self.at = self.keys.len() - 1;
                 return true;
             }

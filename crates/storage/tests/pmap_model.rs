@@ -3,6 +3,8 @@
 //! as the reference, with `clone()`s interleaved whose older copies must
 //! stay exactly as they were taken whatever happens to the map afterwards —
 //! the snapshot-isolation property every published table image rests on.
+//! `iter_from(k)`, the positional start the per-child counts give, is held
+//! to `BTreeMap::iter().skip(k)` on the live map and on every frozen clone.
 //!
 //! No `proptest` crate is available offline, so the cases come from a seeded
 //! generator: a failure prints its seed, and the seed reproduces it.
@@ -53,6 +55,22 @@ fn same(map: &PMap<u64, u64>, model: &BTreeMap<u64, u64>, what: &str) {
     assert!(map.iter().eq(model.iter()), "{what}: forward iteration");
     assert!(map.iter().rev().eq(model.iter().rev()), "{what}: reverse");
     assert!(map.keys().eq(model.keys()) && map.values().eq(model.values()));
+    let n = model.len();
+    for k in [1, n / 2, n.saturating_sub(1), n, n + 1] {
+        same_from(map, model, k, what);
+    }
+}
+
+/// `iter_from(k)` against `BTreeMap::iter().skip(k)`, from both ends.
+fn same_from(map: &PMap<u64, u64>, model: &BTreeMap<u64, u64>, k: usize, what: &str) {
+    assert!(
+        map.iter_from(k).eq(model.iter().skip(k)),
+        "{what}: iter_from({k})"
+    );
+    assert!(
+        map.iter_from(k).rev().eq(model.iter().skip(k).rev()),
+        "{what}: iter_from({k}) reversed"
+    );
 }
 
 /// One case: `ops` random operations over a key space of `keys`, small
@@ -81,6 +99,15 @@ fn run_case(seed: u64, ops: usize, keys: u64) {
                 }
             }
             85..=94 => {
+                // A positional start beside the key range, at a position
+                // drawn from the step's key so the generator's sequence
+                // stays as it was; its first entries only (`same` walks
+                // whole tails from both ends).
+                let at = k as usize % (model.len() + 2);
+                assert!(
+                    map.iter_from(at).take(4).eq(model.iter().skip(at).take(4)),
+                    "{what}: iter_from({at})"
+                );
                 let (lo, hi) = (bound(&mut rng, keys), bound(&mut rng, keys));
                 if std_range_would_panic(lo, hi) {
                     assert!(map.range((lo, hi)).next().is_none(), "{what}: inverted");
@@ -162,6 +189,43 @@ fn from_sorted_equals_inserting_one_by_one() {
         assert!(built == grown, "n = {n}");
         assert_eq!(built.len() as u64, n);
         assert!(built.keys().copied().eq((0..n).map(|k| k * 3)));
+    }
+}
+
+/// Removals that empty, merge and even out nodes at every level keep every
+/// per-child count: `iter_from` agrees with the model at every position,
+/// on the shrunk map and on the clone taken before the removals.
+#[test]
+fn iter_from_after_merges_and_redistributions() {
+    let n = 40_000u64;
+    let mut map = PMap::from_sorted((0..n).map(|k| (k, k)));
+    let mut model: BTreeMap<u64, u64> = (0..n).map(|k| (k, k)).collect();
+    let before = (map.clone(), model.clone());
+    // Thin a run of leaves below half full (merges), then clear most of a
+    // second run so the merged nodes overflow and split evenly, then empty
+    // a wide stretch (whole internal nodes go).
+    let thin = (1_000..9_000).filter(|k| k % 3 != 0);
+    let clear = (12_000..20_000).filter(|k| k % 17 != 0);
+    let wipe = 22_000..37_000;
+    for k in thin.chain(clear).chain(wipe) {
+        assert_eq!(map.remove(&k), model.remove(&k), "remove {k}");
+    }
+    map.check_shape().unwrap();
+    for k in (0..=model.len() + 1).step_by(97).chain([model.len() - 1]) {
+        same_from(&map, &model, k, "after removals");
+    }
+    let (old, old_model) = &before;
+    for k in (0..=n as usize).step_by(997) {
+        same_from(old, old_model, k, "frozen before removals");
+    }
+    // Grow it back through splits and check again.
+    for k in (1_000..37_000).step_by(2) {
+        map.insert(k, k);
+        model.insert(k, k);
+    }
+    map.check_shape().unwrap();
+    for k in (0..=model.len()).step_by(89) {
+        same_from(&map, &model, k, "after regrowth");
     }
 }
 

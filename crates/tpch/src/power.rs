@@ -86,16 +86,20 @@ fn mean_std(samples: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-/// Run the power test `iterations` times and report per-item mean/stddev.
+/// Run the power test `iterations` times on every executor and report each
+/// one's per-item mean/stddev, in `execs` order.
 ///
 /// Each iteration runs every query in order, then RF1, then RF2 — RF2
 /// removes exactly the rows RF1 added, so the database is in the same state
-/// at the start of every iteration (and for every executor).
+/// at the start of every iteration (and for every executor). The executors
+/// take turns inside each iteration, and the turn order rotates from one
+/// iteration to the next (for two: whichever went second goes first next),
+/// so drift of the host over a run lands on every executor alike.
 pub fn run_power_test(
-    exec: &mut dyn SqlExecutor,
+    execs: &mut [&mut dyn SqlExecutor],
     workload: &Tpch,
     iterations: usize,
-) -> Result<PowerReport, String> {
+) -> Result<Vec<PowerReport>, String> {
     let (lo, hi) = workload.refresh_key_range();
     let items: Vec<(String, Vec<String>, bool)> = QUERIES
         .iter()
@@ -106,21 +110,36 @@ pub fn run_power_test(
         ])
         .collect();
 
-    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(iterations); items.len()];
-    let mut rows: Vec<u64> = vec![0; items.len()];
-
-    for _ in 0..iterations {
-        for (i, (name, stmts, _)) in items.iter().enumerate() {
-            let start = Instant::now();
-            let mut item_rows = 0;
-            for sql in stmts {
-                item_rows += exec.exec_sql(sql).map_err(|e| format!("{name}: {e}"))?;
+    let n = execs.len();
+    let mut samples = vec![vec![Vec::with_capacity(iterations); items.len()]; n];
+    let mut rows = vec![vec![0; items.len()]; n];
+    for it in 0..iterations {
+        for turn in 0..n {
+            let e = (it + turn) % n;
+            for (i, (name, stmts, _)) in items.iter().enumerate() {
+                let start = Instant::now();
+                let mut item_rows = 0;
+                for sql in stmts {
+                    item_rows += execs[e]
+                        .exec_sql(sql)
+                        .map_err(|err| format!("{name}: {err}"))?;
+                }
+                samples[e][i].push(start.elapsed().as_secs_f64());
+                rows[e][i] = item_rows;
             }
-            samples[i].push(start.elapsed().as_secs_f64());
-            rows[i] = item_rows;
         }
     }
+    Ok((0..n)
+        .map(|e| report(&items, &samples[e], &rows[e]))
+        .collect())
+}
 
+/// One executor's report from its samples and last row counts per item.
+fn report(
+    items: &[(String, Vec<String>, bool)],
+    samples: &[Vec<f64>],
+    rows: &[u64],
+) -> PowerReport {
     let mut report_rows = Vec::with_capacity(items.len());
     let mut total_query = 0.0;
     let mut total_update = 0.0;
@@ -139,12 +158,11 @@ pub fn run_power_test(
             is_update: *is_update,
         });
     }
-
-    Ok(PowerReport {
+    PowerReport {
         rows: report_rows,
         total_query_seconds: total_query,
         total_update_seconds: total_update,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -158,5 +176,32 @@ mod tests {
         assert!((s - 2.138089935299395).abs() < 1e-9);
         let (m, s) = mean_std(&[3.0]);
         assert_eq!((m, s), (3.0, 0.0));
+    }
+
+    /// Records which executor ran each statement, into a shared log.
+    struct Logged<'a>(char, &'a std::cell::RefCell<String>);
+
+    impl SqlExecutor for Logged<'_> {
+        fn exec_sql(&mut self, sql: &str) -> Result<u64, String> {
+            let mut log = self.1.borrow_mut();
+            if !log.ends_with(self.0) {
+                log.push(self.0);
+            }
+            Ok(sql.len() as u64)
+        }
+    }
+
+    #[test]
+    fn executors_alternate_which_goes_first() {
+        let log = std::cell::RefCell::new(String::new());
+        let workload = Tpch::new(crate::TpchConfig::default().with_scale(0.01));
+        let (mut a, mut b) = (Logged('a', &log), Logged('b', &log));
+        let reports = run_power_test(&mut [&mut a, &mut b], &workload, 4).unwrap();
+        // Turns a|b, b|a, a|b, b|a: each a whole pass, the log keeping one
+        // letter per run of turns by the same executor (a fixed order would
+        // log "abababab").
+        assert_eq!(log.into_inner(), "ababa");
+        assert_eq!(reports.len(), 2);
+        assert_eq!(reports[0].rows.len(), QUERIES.len() + 2);
     }
 }

@@ -24,6 +24,10 @@
 //!   in another order). Under LIMIT only the count and the ORDER BY key
 //!   sequence are determined, so only those are compared.
 //!
+//! A third oracle, apart from the golden stream, holds OFFSET/LIMIT to its
+//! definition: `LIMIT l OFFSET o` returns rows `o..o + l` of the same query
+//! without them, over every access path and output shape.
+//!
 //! The default run checks the fixture's statements; the ignored test runs
 //! the plan differential over many more seeds (CI runs it in release).
 
@@ -1024,5 +1028,56 @@ fn plan_differential_many_statements() {
     for i in 0..4_000 {
         let stmt = statement(0xD1FF_0000 + i);
         check_plans(i, &stmt, &run(&plain, &stmt), &run(&indexed, &stmt));
+    }
+}
+
+/// `LIMIT l OFFSET o` is rows `o..o + l` of the unlimited result, for
+/// offsets at the start, in the middle, at the end and past it, on every
+/// shape the window may or may not fuse into: scans with and without WHERE,
+/// index equality and range probes, ORDER BY the access path delivers and
+/// ORDER BY that sorts, GROUP BY, DISTINCT, a global aggregate and a join;
+/// each against the database without and with secondary indexes.
+#[test]
+fn offset_limit_is_a_window_of_the_unlimited_result() {
+    const SHAPES: &[&str] = &[
+        "SELECT * FROM lineitem",
+        "SELECT l_orderkey, l_linenumber, l_quantity FROM lineitem WHERE l_quantity > 20",
+        "SELECT * FROM lineitem WHERE l_returnflag = 'R'",
+        "SELECT o_orderkey, o_custkey FROM orders WHERE o_custkey < 5",
+        "SELECT o_orderkey, o_orderdate FROM orders ORDER BY o_orderdate",
+        "SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_orderkey DESC",
+        "SELECT l_orderkey, l_extendedprice FROM lineitem ORDER BY l_extendedprice DESC, l_orderkey",
+        "SELECT l_suppkey, COUNT(*), SUM(l_quantity) FROM lineitem GROUP BY l_suppkey",
+        "SELECT DISTINCT l_shipmode, l_returnflag FROM lineitem",
+        "SELECT COUNT(*) FROM lineitem WHERE l_quantity > 20",
+        "SELECT o_orderkey, c_custkey, c_mktsegment FROM orders, customer WHERE o_custkey = c_custkey",
+    ];
+    let rows = |db: &Db, sql: &str| -> Vec<Row> {
+        match db.engine.execute(db.sid, sql) {
+            Ok(r) => match r.outcome {
+                ExecOutcome::ResultSet { rows, .. } => rows,
+                other => panic!("{sql}: {other:?}"),
+            },
+            Err(e) => panic!("{sql}: {e}"),
+        }
+    };
+    for indexed in [false, true] {
+        let db = open_db(indexed);
+        for shape in SHAPES {
+            let all = rows(&db, shape);
+            let n = all.len();
+            assert!(n > 0, "{shape}: empty");
+            for offset in [0, n / 2, n, n + 5] {
+                for limit in [None, Some(0), Some(1), Some(7)] {
+                    let sql = match limit {
+                        Some(l) => format!("{shape} LIMIT {l} OFFSET {offset}"),
+                        None => format!("{shape} OFFSET {offset}"),
+                    };
+                    let from = offset.min(n);
+                    let to = limit.map_or(n, |l| (offset + l).min(n));
+                    assert_eq!(rows(&db, &sql), &all[from..to], "indexed {indexed}: {sql}");
+                }
+            }
+        }
     }
 }
