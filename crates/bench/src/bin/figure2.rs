@@ -8,7 +8,10 @@
 //!
 //! Also prints the §4 claim check: total recovery time vs. the cost of
 //! simply re-computing the query and re-delivering its rows (the paper:
-//! "less than a tenth of the time required to simply recompute Q11").
+//! "less than a tenth of the time required to simply recompute Q11"), and
+//! the tables loaded from their snapshot segments between the restarted
+//! server's open and the end of that first window (the storage journal's
+//! `segment_load` events): a load there is part of the SQL-state time.
 //!
 //! ```text
 //! cargo run --release -p phoenix-bench --bin figure2 [sizes,comma,separated]
@@ -29,25 +32,30 @@ fn main() {
     println!("(fetch to 200 rows before the end, crash the server, restart, measure)");
     println!();
     println!(
-        "{:>9} {:>17} {:>13} {:>13} {:>14} {:>8}",
+        "{:>9} {:>17} {:>13} {:>13} {:>14} {:>8}  loads in the window",
         "rows", "virtual sess. ms", "SQL state ms", "recovery ms", "recompute ms", "ratio"
     );
-    println!("{}", "-".repeat(76));
+    println!("{}", "-".repeat(96));
 
     for &n in &sizes {
-        let (virtual_s, sql_state_s, recompute_s) = measure(n);
+        let (virtual_s, sql_state_s, recompute_s, loads) = measure(n);
         let total = virtual_s + sql_state_s;
         println!(
-            "{:>9} {:>17.3} {:>13.3} {:>13.3} {:>14.3} {:>8.3}",
+            "{:>9} {:>17.3} {:>13.3} {:>13.3} {:>14.3} {:>8.3}  {}",
             n,
             virtual_s * 1e3,
             sql_state_s * 1e3,
             total * 1e3,
             recompute_s * 1e3,
-            total / recompute_s
+            total / recompute_s,
+            if loads.is_empty() {
+                "-".into()
+            } else {
+                loads.join("; ")
+            }
         );
     }
-    println!("{}", "-".repeat(76));
+    println!("{}", "-".repeat(96));
     println!(
         "paper shape check: virtual-session time constant across sizes (paper: 0.37 s on 1999"
     );
@@ -57,8 +65,10 @@ fn main() {
 }
 
 /// Run one recovery experiment at result size `n`. Returns
-/// `(virtual_session_seconds, sql_state_seconds, recompute_seconds)`.
-fn measure(n: u64) -> (f64, f64, f64) {
+/// `(virtual_session_seconds, sql_state_seconds, recompute_seconds, loads)`,
+/// `loads` being the `segment_load` events journaled between the restarted
+/// server's open and the end of the first fetch.
+fn measure(n: u64) -> (f64, f64, f64, Vec<String>) {
     let mut env = BenchEnv::empty();
     {
         let mut loader = env.native();
@@ -95,10 +105,17 @@ fn measure(n: u64) -> (f64, f64, f64) {
 
     env.harness.crash().unwrap();
     env.harness.restart().unwrap();
+    let opened = phoenix_obs::journal().events().last().map_or(0, |e| e.seq);
 
     // The next fetch detects the failure, recovers the virtual session and
     // re-positions delivery; the instrumented stats decompose the cost.
     let row = stmt.fetch().unwrap().expect("rows remain");
+    let loads = phoenix_obs::journal()
+        .events_of(phoenix_obs::EventKind::Other)
+        .into_iter()
+        .filter(|e| e.seq > opened && e.component == "storage")
+        .filter_map(|e| e.detail.strip_prefix("segment_load ").map(str::to_owned))
+        .collect();
     assert_eq!(
         row[0],
         phoenix_storage::types::Value::Int(to_fetch as i64),
@@ -115,5 +132,6 @@ fn measure(n: u64) -> (f64, f64, f64) {
         stats.last_recovery_virtual_us as f64 / 1e6,
         stats.last_reposition_us as f64 / 1e6,
         recompute_s,
+        loads,
     )
 }

@@ -11,11 +11,16 @@
 //! mark are already inside the image and are dropped on arrival; the rest
 //! are routed as they are checked — a `Commit` into the committed list, a
 //! catalog or procedure record, decoded, into the *eager* list, a row record
-//! into its table's bucket, *still encoded*: its bytes go into one arena per
-//! table, so the check builds no value and keeping a record allocates
-//! nothing. When the log ends, every record of a transaction with no
-//! `Commit` is dropped: one whose commit write tore, or, in a log an older
-//! build wrote, one that aborted or was left undecided.
+//! into its table's bucket, *still encoded*. The bucket is looked up by the
+//! name the record carries, borrowed from the frame, and the record's bytes
+//! are appended to the one arena every table that may stay behind shares
+//! (or, for a table the open applies whatever the log holds, to an arena of
+//! the bucket's own, freed as soon as it is decoded); the bucket keeps the
+//! record's span and GSN. So the check builds no value, and keeping a
+//! record copies its bytes once. When the log ends, every record of a
+//! transaction with no `Commit` is dropped: one whose commit write tore,
+//! or, in a log an older build wrote, one that aborted or was left
+//! undecided.
 //!
 //! # The barrier rule
 //!
@@ -24,24 +29,34 @@
 //! (`CreateTable`, `DropTable`, `CreateIndex`, `DropIndex`) or the table is
 //! not an unread snapshot table. Every other bucket — row records only, on a
 //! table the snapshot holds and nothing has read — becomes that table's log
-//! tail: a new `Segment` over the same file, holding the arena, which
-//! decodes and redoes the tail through the same row routine when a statement
-//! first touches the table or a checkpoint has to write it. Nothing loads a
-//! table in the background. Row records on different tables commute (row ids
-//! are explicit and per table), so redoing one table's records later, on
-//! their own, builds the same state.
+//! tail: a new `Segment` over the same file, holding its spans in the shared
+//! arena, which decodes and redoes the tail through the same row routine
+//! when a statement first touches the table or a checkpoint has to write
+//! it. Nothing loads a table in the background. Row records on different
+//! tables commute (row ids are explicit and per table), so redoing one
+//! table's records later, on their own, builds the same state.
+//!
+//! # What the shared arena pins
+//!
+//! The arena holds exactly the tails' bytes: it is reserved once at the
+//! logs' size, trimmed when the scan ends, and rebuilt from the tails'
+//! records alone when a loser's or a catalog-named table's records lie among
+//! them. A table's load drops its spans and its reference, not the bytes:
+//! they are freed when the last table sharing the arena has loaded, been
+//! dropped unread, or been rewritten by a checkpoint (which loads it).
 
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::codec::DecodeError;
 use crate::db::{DbError, Durable};
-use crate::record::{LogRecord, Parsed};
+use crate::record::{txn_of, LogRecord, Parsed};
 use crate::snapshot::{self, SegmentBase};
-use crate::store::{normalize_name, Slot, Store, Tail};
+use crate::store::{normalize_name, Segment, Slot, Store, Tail};
 use crate::types::TxnId;
 use crate::wal::Wal;
 
@@ -180,34 +195,113 @@ fn catalog_table(rec: &LogRecord) -> Option<&str> {
     }
 }
 
-/// One table's row records past the mark, still encoded: the records in
-/// one arena, each one's GSN and transaction beside it.
+/// The hash a table's bucket is looked up by, from the name a record
+/// carries: eight bytes a step (the multiply-rotate of rustc's FxHash),
+/// where std's SipHash costs a few dozen cycles a name. The names come from
+/// the log being recovered, which no adversary writes.
 #[derive(Default)]
+struct NameHash(u64);
+
+impl NameHash {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for NameHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if let Some(last) = bytes.last_chunk::<8>().filter(|_| !rest.is_empty()) {
+            // The last eight bytes, overlapping the word before.
+            self.add(u64::from_le_bytes(*last));
+        } else if !rest.is_empty() {
+            self.add(rest.iter().rev().fold(0, |w, &b| w << 8 | b as u64));
+        }
+    }
+
+    fn write_u8(&mut self, b: u8) {
+        self.add(b as u64);
+    }
+}
+
+/// One table's row records past the mark, still encoded, in GSN order.
 struct Bucket {
-    tail: Tail,
-    at: Vec<(u64, TxnId)>,
+    /// Normalized name.
+    table: String,
+    /// The table's segment when it is an unread snapshot table, whose
+    /// records may become its log tail and go into [`Routed::tails`];
+    /// `None` for a table the open applies whatever the log holds, whose
+    /// records go into `own`.
+    segment: Option<Arc<Segment>>,
+    /// The records of a table the open applies whatever the log holds, in
+    /// an arena of the bucket's own, freed as soon as they are decoded: the
+    /// memory the next bucket's decoded rows reuse.
+    own: Vec<u8>,
+    /// Where each record lies in its arena: a log tail's spans as they are.
+    spans: Vec<Range<usize>>,
+    /// Each record's GSN, beside its span.
+    gsns: Vec<u64>,
 }
 
 /// The log past the snapshot's mark, routed as it is scanned.
-#[derive(Default)]
-struct Routed {
+struct Routed<'s> {
+    /// The snapshot, which says which tables may stay behind.
+    store: &'s Store,
     /// Transactions with a `Commit`, in log order until the scan ends.
     committed: Vec<TxnId>,
+    /// Transactions with a row record and no `Commit` right after their
+    /// records: losers, or, in a log of interleaved transactions, winners
+    /// whose `Commit` came later. Each is in once a run of its records.
+    writers: Vec<TxnId>,
     /// Catalog and procedure records, with their GSNs.
     eager: Vec<(u64, LogRecord)>,
-    /// Row records by table, in `buckets`, indexed by normalized name.
-    index: HashMap<String, usize>,
+    /// Each table's bucket by the name its records carry, one entry for
+    /// each spelling met, so a record's own bytes are the key.
+    by_name: HashMap<Box<str>, usize, BuildHasherDefault<NameHash>>,
+    /// Each table's bucket by normalized name.
+    by_table: HashMap<String, usize>,
     buckets: Vec<Bucket>,
+    /// The row records of every table that may stay behind: the one arena
+    /// every log tail is a list of spans in.
+    tails: Vec<u8>,
     /// Normalized names of the tables a catalog record names.
     named: HashSet<String>,
 }
 
-impl Routed {
+impl<'s> Routed<'s> {
+    fn new(store: &'s Store) -> Routed<'s> {
+        Routed {
+            store,
+            committed: Vec::new(),
+            writers: Vec::new(),
+            eager: Vec::new(),
+            by_name: HashMap::default(),
+            by_table: HashMap::new(),
+            buckets: Vec::new(),
+            tails: Vec::new(),
+            named: HashSet::new(),
+        }
+    }
+
     /// Route one checked record; `bytes` is its encoding.
     fn route(&mut self, gsn: u64, bytes: &[u8], rec: Parsed<'_, ()>) {
-        let txn = rec.txn();
         let table = match rec {
-            Parsed::Built(LogRecord::Commit { txn }) => return self.committed.push(txn),
+            Parsed::Built(LogRecord::Commit { txn }) => {
+                // A transaction's records and its `Commit` go out in one
+                // write, so it has won by the time the next one writes.
+                if self.writers.last() == Some(&txn) {
+                    self.writers.pop();
+                }
+                return self.committed.push(txn);
+            }
             Parsed::Built(LogRecord::Begin { .. } | LogRecord::Abort { .. }) => return,
             Parsed::Built(rec) => {
                 if let Some(table) = catalog_table(&rec) {
@@ -215,28 +309,56 @@ impl Routed {
                 }
                 return self.eager.push((gsn, rec));
             }
-            Parsed::Insert { table, .. }
-            | Parsed::InsertMany { table, .. }
-            | Parsed::Delete { table, .. }
-            | Parsed::Update { table, .. } => table,
+            Parsed::Insert { txn, table, .. }
+            | Parsed::InsertMany { txn, table, .. }
+            | Parsed::Delete { txn, table, .. }
+            | Parsed::Update { txn, table, .. } => {
+                if self.writers.last() != Some(&txn) {
+                    self.writers.push(txn);
+                }
+                table
+            }
         };
-        // Names are logged canonical, and mostly lowercase already: look the
-        // bucket up by the borrowed name then.
-        let key = match table.bytes().any(|b| b.is_ascii_uppercase()) {
-            true => Cow::Owned(normalize_name(table)),
-            false => Cow::Borrowed(table),
+        let i = match self.by_name.get(table) {
+            Some(&i) => i,
+            None => self.bucket(table),
         };
-        let i = match self.index.get(&*key) {
+        let bucket = &mut self.buckets[i];
+        let arena = match bucket.segment {
+            Some(_) => &mut self.tails,
+            None => &mut bucket.own,
+        };
+        let start = arena.len();
+        arena.extend_from_slice(bytes);
+        bucket.spans.push(start..arena.len());
+        bucket.gsns.push(gsn);
+    }
+
+    /// The bucket of a table met under a spelling not seen before.
+    fn bucket(&mut self, spelling: &str) -> usize {
+        let table = normalize_name(spelling);
+        let i = match self.by_table.get(&table) {
             Some(&i) => i,
             None => {
-                self.index.insert(key.into_owned(), self.buckets.len());
-                self.buckets.push(Bucket::default());
+                // Nothing has been applied yet, so every snapshot table is
+                // still unread in its segment.
+                let segment = match self.store.slot(&table) {
+                    Ok(Slot::OnDisk(seg)) => Some(Arc::clone(seg)),
+                    _ => None,
+                };
+                self.by_table.insert(table.clone(), self.buckets.len());
+                self.buckets.push(Bucket {
+                    table,
+                    segment,
+                    own: Vec::new(),
+                    spans: Vec::new(),
+                    gsns: Vec::new(),
+                });
                 self.buckets.len() - 1
             }
         };
-        let bucket = &mut self.buckets[i];
-        bucket.tail.push(bytes);
-        bucket.at.push((gsn, txn));
+        self.by_name.insert(spelling.into(), i);
+        i
     }
 }
 
@@ -262,7 +384,12 @@ pub fn recover(dir: &Path) -> Result<Recovered, DbError> {
     // One pass: check every frame, route the records past the mark. A frame
     // at or below the highest GSN already read is not taken twice.
     let scan = Instant::now();
-    let mut log = Routed::default();
+    let mut log = Routed::new(&store);
+    // No record is longer than its frame, so the logs' sizes bound the
+    // tails: reserved once, the arena is never copied as it grows.
+    let logs = [Durable::wal_old_path(dir), Durable::wal_path(dir)];
+    let sizes = logs.iter().filter_map(|path| std::fs::metadata(path).ok());
+    log.tails.reserve(sizes.map(|m| m.len() as usize).sum());
     let (mut max_gsn, mut frames, mut last_txn) = (0, 0u64, mark);
     let live_valid = for_each_frame(dir, |gsn, bytes| {
         if gsn > max_gsn {
@@ -281,45 +408,77 @@ pub fn recover(dir: &Path) -> Result<Recovered, DbError> {
     let apply = Instant::now();
     let Routed {
         mut committed,
+        mut writers,
         mut eager,
-        index,
-        mut buckets,
+        buckets,
+        tails: mut arena,
         named,
+        ..
     } = log;
     committed.sort_unstable();
     let won = |txn: TxnId| committed.binary_search(&txn).is_ok();
     eager.retain(|(_, rec)| won(rec.txn()));
+    // Row records are dropped one by one only when some writer lost: not
+    // in a log this build wrote, unless its last write tore between frames.
+    writers.sort_unstable();
+    writers.dedup();
+    writers.retain(|&txn| !won(txn));
+    let losers = writers;
     let mut tails = Vec::new();
-    for (table, i) in index {
-        let Bucket { mut tail, mut at } = std::mem::take(&mut buckets[i]);
-        if at.iter().any(|&(_, txn)| !won(txn)) {
-            let all = std::mem::take(&mut tail);
-            for (rec, _) in all.records().zip(&at).filter(|(_, &(_, txn))| won(txn)) {
-                tail.push(rec);
-            }
-            at.retain(|&(_, txn)| won(txn));
+    for Bucket {
+        table,
+        segment,
+        own,
+        mut spans,
+        mut gsns,
+    } in buckets
+    {
+        let from = if segment.is_some() { &arena } else { &own };
+        if !losers.is_empty() {
+            let won =
+                |span: &Range<usize>| losers.binary_search(&txn_of(&from[span.clone()])).is_err();
+            (gsns, spans) = gsns
+                .into_iter()
+                .zip(spans)
+                .filter(|(_, span)| won(span))
+                .unzip();
         }
-        match store.slot(&table) {
-            _ if at.is_empty() => {}
-            // Nothing has been applied yet, so every snapshot table is
-            // still unread in its segment.
-            Ok(Slot::OnDisk(seg)) if !named.contains(&table) => {
-                tails.push((Arc::clone(seg), tail));
+        match segment {
+            Some(seg) if !named.contains(&table) => {
+                if !spans.is_empty() {
+                    tails.push((seg, spans));
+                }
             }
             _ => {
-                for ((gsn, _), rec) in at.into_iter().zip(tail.records()) {
-                    eager.push((gsn, LogRecord::decode(rec)?));
+                for (gsn, span) in gsns.into_iter().zip(spans) {
+                    eager.push((gsn, LogRecord::decode(&from[span])?));
                 }
             }
         }
     }
+    let (behind, mut deferred, mut tail_bytes) = (tails.len(), 0, 0);
+    for (_, spans) in &tails {
+        deferred += spans.len() as u64;
+        tail_bytes += spans.iter().map(|s| s.len() as u64).sum::<u64>();
+    }
+    if tail_bytes < arena.len() as u64 {
+        // A loser's records, or those of a table a catalog record names,
+        // lie between the tails': keep only the tails' bytes.
+        let mut kept = Vec::with_capacity(tail_bytes as usize);
+        for span in tails.iter_mut().flat_map(|(_, spans)| spans) {
+            let start = kept.len();
+            kept.extend_from_slice(&arena[span.clone()]);
+            *span = start..kept.len();
+        }
+        arena = kept;
+    }
+    arena.shrink_to_fit();
+    let arena = Arc::new(arena);
     eager.sort_unstable_by_key(|(gsn, _)| *gsn);
     let applied = committed.len() as u64 + eager.len() as u64;
     store.apply(eager.into_iter().map(|(_, rec)| rec))?;
-    let (behind, mut deferred, mut tail_bytes) = (tails.len(), 0, 0);
-    for (seg, tail) in tails {
-        deferred += tail.len() as u64;
-        tail_bytes += tail.bytes() as u64;
+    for (seg, spans) in tails {
+        let tail = Tail::new(Arc::clone(&arena), spans);
         store.install_segment(Arc::new(seg.behind(tail)));
     }
 
@@ -354,7 +513,7 @@ mod tests {
     use super::*;
     use crate::db::Durability;
     use crate::pmap::PMap;
-    use crate::store::{Segment, TableData};
+    use crate::store::TableData;
     use crate::types::{Column, DataType, IndexDef, RowId, Schema, TableDef, Value};
 
     fn t_def() -> TableDef {
@@ -512,8 +671,7 @@ mod tests {
                     continue;
                 }
                 redone += 1;
-                let mut tail = Tail::default();
-                tail.push(&b);
+                let tail = Tail::new(Arc::new(b.clone()), std::iter::once(0..b.len()).collect());
                 let lazy = on_disk().behind(tail);
                 let lazy = lazy.load().map(|t| state(t));
                 let mut store = Store::new();

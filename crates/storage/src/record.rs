@@ -474,6 +474,12 @@ impl<'a, R: ReadRow> Parsed<'a, R> {
     }
 }
 
+/// The transaction of an encoded record [`Parsed::read`] accepted: every
+/// record begins with its tag and then its transaction.
+pub(crate) fn txn_of(bytes: &[u8]) -> TxnId {
+    u64::from_le_bytes(bytes[1..9].try_into().expect("a checked record"))
+}
+
 impl<R> Parsed<'_, R> {
     /// The transaction the record belongs to.
     pub(crate) fn txn(&self) -> TxnId {

@@ -33,12 +33,13 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::{Bound, Deref};
+use std::ops::{Bound, Deref, Range};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use phoenix_obs::EventKind;
 
 use crate::pmap::{PMap, PSet};
 use crate::record::LogRecord;
@@ -335,14 +336,26 @@ impl TableData {
         rows: PMap<RowId, Box<[Value]>>,
     ) -> Result<TableData, StoreError> {
         let mut data = TableData::new(def);
+        data.check_row_id(next_row_id)?;
+        data.next_row_id = next_row_id;
+        data.fill(rows)?;
+        Ok(data)
+    }
+
+    /// Make this empty table hold `rows`, building every index from the
+    /// finished map (see [`TableData::from_rows`]). On an error the table is
+    /// as it was.
+    fn fill(&mut self, rows: PMap<RowId, Box<[Value]>>) -> Result<(), StoreError> {
+        debug_assert!(self.rows.is_empty());
         let last = rows.keys().next_back().copied();
-        for row_id in [Some(next_row_id), last].into_iter().flatten() {
-            data.check_row_id(row_id)?;
+        if let Some(last) = last {
+            self.check_row_id(last)?;
         }
         for row in rows.values() {
-            data.check_arity(row)?;
+            self.check_arity(row)?;
         }
-        let def = Arc::clone(&data.def);
+        let def = Arc::clone(&self.def);
+        let mut pk_index = PMap::new();
         if def.has_primary_key() {
             let pk = &def.primary_key;
             let cmp =
@@ -356,18 +369,19 @@ impl TableData {
                     return Err(StoreError::DuplicateKey(def.name.clone()));
                 }
             }
-            data.pk_index = PMap::from_sorted(
+            pk_index = PMap::from_sorted(
                 by_key
                     .into_iter()
                     .map(|(r, id)| (Key::from(&*def.key_of(r)), id)),
             );
         }
-        for (k, ix) in def.indexes.iter().enumerate() {
-            data.sec[k] = SecIndex::build(rows.iter(), ix.column);
-        }
-        data.next_row_id = next_row_id.max(last.map_or(1, |id| id + 1));
-        data.rows = rows;
-        Ok(data)
+        self.pk_index = pk_index;
+        self.sec = (def.indexes.iter())
+            .map(|ix| SecIndex::build(rows.iter(), ix.column))
+            .collect();
+        self.next_row_id = self.next_row_id.max(last.map_or(1, |id| id + 1));
+        self.rows = rows;
+        Ok(())
     }
 
     /// Number of rows.
@@ -499,6 +513,14 @@ impl TableData {
             LogRecord::InsertMany {
                 first_row_id, rows, ..
             } => {
+                if self.rows.is_empty() && self.fits(first_row_id, &rows) {
+                    // Into an empty table: one pass, every index built
+                    // from the finished map. Only a duplicate key fails it,
+                    // which the rows one at a time report the same way.
+                    let ids = first_row_id..;
+                    let rows = PMap::from_sorted(ids.zip(rows.into_iter().map(Row::into)));
+                    return self.fill(rows);
+                }
                 // A run past the last id saturates there, which is refused.
                 for (k, row) in (0..).zip(rows) {
                     self.insert_with_id(first_row_id.saturating_add(k), row)?;
@@ -509,6 +531,17 @@ impl TableData {
             LogRecord::Update { row_id, row, .. } => self.update(row_id, row).map(drop),
             other => unreachable!("{other:?} is not a row record"),
         }
+    }
+
+    /// Do `rows`, given ids from `first_row_id` on, pass every check of
+    /// [`TableData::insert_with_id`] but the key's? An empty run does not.
+    fn fits(&self, first_row_id: RowId, rows: &[Row]) -> bool {
+        let width = self.def.schema.len();
+        !rows.is_empty()
+            && first_row_id
+                .checked_add(rows.len() as u64 - 1)
+                .is_some_and(|last| last != RowId::MAX)
+            && rows.iter().all(|row| row.len() == width)
     }
 
     /// Create a secondary index over one column, backfilling it from the
@@ -566,40 +599,31 @@ impl TableData {
 }
 
 /// A table's *log tail*: the committed row records past the snapshot's
-/// mark that recovery deferred, encoded as in the log, in GSN order. One
-/// growing arena per table holds them all, so keeping a record allocates
-/// nothing; they are decoded when the table loads.
+/// mark that recovery deferred, encoded as in the log, in GSN order. Every
+/// table's tail lies in the one arena its recovery filled, shared behind an
+/// [`Arc`]; a tail is the list of its records' spans in it. The records are
+/// decoded when the table loads, and the arena is freed when the last table
+/// sharing it has loaded (or been dropped unread).
 #[derive(Debug, Default)]
 pub(crate) struct Tail {
-    bytes: Vec<u8>,
-    /// Where each record ends in `bytes`; it starts where the one before
-    /// ends.
-    ends: Vec<usize>,
+    arena: Arc<Vec<u8>>,
+    spans: Vec<Range<usize>>,
 }
 
 impl Tail {
-    /// Append one encoded record.
-    pub(crate) fn push(&mut self, rec: &[u8]) {
-        self.bytes.extend_from_slice(rec);
-        self.ends.push(self.bytes.len());
+    /// The records at `spans` in `arena`, in that order.
+    pub(crate) fn new(arena: Arc<Vec<u8>>, spans: Vec<Range<usize>>) -> Tail {
+        Tail { arena, spans }
     }
 
     /// Records held.
     pub(crate) fn len(&self) -> usize {
-        self.ends.len()
+        self.spans.len()
     }
 
-    /// Encoded bytes held.
-    pub(crate) fn bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// The records, in the order they were pushed.
+    /// The records, in GSN order.
     pub(crate) fn records(&self) -> impl Iterator<Item = &[u8]> {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        starts
-            .zip(&self.ends)
-            .map(|(start, &end)| &self.bytes[start..end])
+        self.spans.iter().map(|span| &self.arena[span.clone()])
     }
 }
 
@@ -649,6 +673,10 @@ impl Segment {
     /// Read, checksum and decode the file, then decode each tail record and
     /// redo it through [`TableData::apply_row`]. A tail that does not apply
     /// fails the table exactly as a file that does not read back.
+    ///
+    /// Each load is put on the event journal (component `storage`, kind
+    /// `Other`): `segment_load table=… rows=… tail_records=… us=…`, with
+    /// `rows=-` for a load that failed.
     fn read(&self) -> Loaded {
         let start = Instant::now();
         let tail = std::mem::take(&mut *self.tail.lock());
@@ -662,7 +690,22 @@ impl Segment {
                 }
                 Ok(Arc::new(data))
             });
-        (loaded, start.elapsed())
+        let took = start.elapsed();
+        let rows = match &loaded {
+            Ok(data) => data.rows.len().to_string(),
+            Err(_) => "-".into(),
+        };
+        phoenix_obs::journal().record(
+            "storage",
+            EventKind::Other,
+            format!(
+                "segment_load table={} rows={rows} tail_records={} us={}",
+                self.name,
+                tail.len(),
+                took.as_micros()
+            ),
+        );
+        (loaded, took)
     }
 
     /// The table, loading it if nobody has yet; the outcome stays in the
@@ -1263,6 +1306,105 @@ mod tests {
     fn a_key_is_the_size_of_a_value() {
         assert_eq!(std::mem::size_of::<Key>(), std::mem::size_of::<Value>());
         assert_eq!(std::mem::size_of::<Value>(), 24);
+    }
+
+    /// An `InsertMany` into an empty table builds it in one pass; the same
+    /// rows inserted one at a time, as into a table that holds rows, give
+    /// the same rows, key index, secondary indexes and next id, and a
+    /// duplicate key, a row of the wrong width or an id past the last is
+    /// refused by both with the same error.
+    #[test]
+    fn a_bulk_insert_into_an_empty_table_equals_one_row_at_a_time() {
+        let wide = || {
+            let mut def = TableDef::new(
+                "dbo.w",
+                Schema::new(vec![
+                    Column::new("a", DataType::Int).not_null(),
+                    Column::new("b", DataType::Text),
+                    Column::new("c", DataType::Int),
+                ]),
+            )
+            .with_primary_key(vec![1, 0]);
+            def.indexes.push(IndexDef {
+                name: "w_c".into(),
+                column: 2,
+            });
+            def
+        };
+        let keyless = || TableDef::new("dbo.k", Schema::new(vec![Column::new("v", DataType::Int)]));
+        let row = |i: i64| {
+            vec![
+                Value::Int(i % 7),
+                Value::Text(format!("t{}", i % 5)),
+                if i % 4 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 3)
+                },
+            ]
+        };
+        let state = |t: &TableData| {
+            let sec: Vec<_> = t
+                .sec
+                .iter()
+                .map(|ix| (ix.entries.iter().cloned().collect::<Vec<_>>(), ix.distinct))
+                .collect();
+            let rows: Vec<_> = t.rows.iter().map(|(id, r)| (*id, r.clone())).collect();
+            let pk: Vec<_> = t.pk_index.iter().map(|(k, id)| (k.to_vec(), *id)).collect();
+            format!("{rows:?} {pk:?} {sec:?} {}", t.next_row_id)
+        };
+        let cases: Vec<(TableDef, RowId, RowId, Vec<Row>)> = vec![
+            (wide(), 1, 1, (0..35).map(row).collect()),
+            (wide(), 9, 3, (0..35).rev().map(row).collect()),
+            (wide(), 40, 7, vec![row(1)]),
+            (
+                keyless(),
+                1,
+                5,
+                (0..50).map(|i| vec![Value::Int(i % 3)]).collect(),
+            ),
+            // A duplicate key, a row one column short, ids past the last.
+            (wide(), 1, 1, vec![row(0), row(1), row(35)]),
+            (wide(), 1, 1, vec![row(0), vec![Value::Int(9)], row(1)]),
+            (wide(), 1, RowId::MAX - 2, (0..3).map(row).collect()),
+            (wide(), 1, 1, Vec::new()),
+        ];
+        let mut refused = Vec::new();
+        for (def, next_row_id, first_row_id, rows) in cases {
+            let what = format!("{} rows from {first_row_id} into {}", rows.len(), def.name);
+            let mut one_by_one = TableData::new(def.clone());
+            one_by_one.next_row_id = next_row_id;
+            let by_row = (0..).zip(rows.clone()).try_for_each(|(k, row)| {
+                one_by_one.insert_with_id(first_row_id.saturating_add(k), row)
+            });
+            let mut bulk = TableData::new(def);
+            bulk.next_row_id = next_row_id;
+            let at_once = bulk.apply_row(LogRecord::InsertMany {
+                txn: 1,
+                table: bulk.def.name.clone(),
+                first_row_id,
+                rows,
+            });
+            assert_eq!(at_once, by_row, "{what}");
+            match at_once {
+                Ok(()) => {
+                    assert_eq!(state(&bulk), state(&one_by_one), "{what}");
+                    bulk.verify_indexes().unwrap();
+                }
+                Err(e) => refused.push(e),
+            }
+        }
+        assert!(
+            matches!(
+                &refused[..],
+                [
+                    StoreError::DuplicateKey(_),
+                    StoreError::ArityMismatch { .. },
+                    StoreError::RowIdOutOfRange { .. }
+                ]
+            ),
+            "{refused:?}"
+        );
     }
 
     #[test]
