@@ -3,7 +3,9 @@
 //! through a full server restart, and the checkpoint writer-lock pause
 //! (full vs incremental).
 //!
-//! Emits `BENCH_recovery.json`:
+//! Prints its JSON record to stdout, and writes it to a file only when
+//! `--out` names one (so a quick run never overwrites the checked-in
+//! `BENCH_recovery.json`). To re-record that file:
 //!
 //! ```text
 //! cargo run --release -p phoenix-bench --bin recovery_storm -- --quick
@@ -337,13 +339,13 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut check = false;
-    let mut out = String::from("BENCH_recovery.json");
+    let mut out = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--check" => check = true,
-            "--out" => out = it.next().expect("--out needs a path").clone(),
+            "--out" => out = Some(it.next().expect("--out needs a path").clone()),
             other => panic!("unknown flag {other} (expected --quick/--check/--out)"),
         }
     }
@@ -382,7 +384,9 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"recovery_storm\",\n  \"mode\": \"{mode}\",\n  \"host_parallelism\": {host},\n  \"sizes\": [\n{body}\n  ]\n}}\n"
     );
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-    eprintln!("recovery_storm: wrote {out}");
+    if let Some(out) = out {
+        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+        eprintln!("recovery_storm: wrote {out}");
+    }
     print!("{json}");
 }

@@ -11,8 +11,12 @@
 //! must flip to index-backed plans and get faster.
 //!
 //! ```text
-//! cargo run --release -p phoenix-bench --bin tpch -- --quick --check --out BENCH_tpch.json
+//! cargo run --release -p phoenix-bench --bin tpch -- --quick --check
+//! cargo run --release -p phoenix-bench --bin tpch -- --out BENCH_tpch.json
 //! ```
+//!
+//! The JSON record goes to stdout, and to a file only when `--out` names
+//! one, so a quick run never overwrites the checked-in `BENCH_tpch.json`.
 //!
 //! `--check` exits non-zero unless the indexed plans for Q6/Q11/Q16 are
 //! index-backed, Q1 stays on a scan, row counts agree between runs, and
@@ -110,13 +114,13 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut check = false;
-    let mut out = String::from("BENCH_tpch.json");
+    let mut out = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--check" => check = true,
-            "--out" => out = it.next().expect("--out needs a path").clone(),
+            "--out" => out = Some(it.next().expect("--out needs a path").clone()),
             other => panic!("unknown flag {other} (expected --quick/--check/--out)"),
         }
     }
@@ -179,7 +183,9 @@ fn main() {
     body.push_str(&entries.join(",\n"));
     body.push_str("\n  }\n}\n");
 
-    std::fs::write(&out, &body).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    if let Some(out) = out {
+        std::fs::write(&out, &body).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    }
     println!("{body}");
 
     if check {

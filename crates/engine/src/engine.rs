@@ -47,11 +47,9 @@ use phoenix_storage::types::{Row, Schema, TableDef, Value};
 use crate::cursor::{Cursor, CursorId, CursorKind, FetchDir, Fetched};
 use crate::error::{EngineError, ErrorCode, Result};
 use crate::eval::{eval_const, Params};
-use crate::exec::{
-    build_table_def, compute_delete, compute_insert_rows, compute_update, CatalogView,
-};
+use crate::exec::{build_table_def, compute_insert_rows, compute_update, CatalogView};
 use crate::metrics::engine_metrics;
-use crate::plan::execute_select;
+use crate::plan::{dml_rows, execute_select};
 use crate::session::{SessionId, SessionState, SysVars};
 
 /// Engine configuration.
@@ -443,39 +441,35 @@ impl Engine {
                 Ok(ExecResult::rows_affected(n))
             }
             Statement::Update(upd) if upd.table.is_temp() => {
-                let name = upd.table.canonical();
-                let changes = compute_update(upd, session.temp.table(&name)?, params)?;
+                let changes = compute_update(upd, &session.temp, params)?;
                 let n = changes.len() as u64;
-                let t = session.temp.table_mut(&name)?;
+                let t = session.temp.table_mut(&upd.table.canonical())?;
                 for (rid, row) in changes {
                     t.update(rid, row)?;
                 }
                 Ok(ExecResult::rows_affected(n))
             }
             Statement::Update(upd) => {
-                let name = upd.table.canonical();
                 let n = self.with_txn(session, |txn, _| {
-                    let changes = compute_update(upd, txn.store().table(&name)?, params)?;
+                    let changes = compute_update(upd, txn.store(), params)?;
                     let n = changes.len() as u64;
-                    txn.update_many(&name, changes)?;
+                    txn.update_many(&upd.table.canonical(), changes)?;
                     Ok(n)
                 })?;
                 Ok(ExecResult::rows_affected(n))
             }
             Statement::Delete(del) if del.table.is_temp() => {
-                let name = del.table.canonical();
-                let ids = compute_delete(del, session.temp.table(&name)?, params)?;
-                let t = session.temp.table_mut(&name)?;
+                let ids = dml_rows(&del.table, del.where_clause.as_ref(), &session.temp, params)?;
+                let t = session.temp.table_mut(&del.table.canonical())?;
                 for &rid in &ids {
                     t.delete(rid)?;
                 }
                 Ok(ExecResult::rows_affected(ids.len() as u64))
             }
             Statement::Delete(del) => {
-                let name = del.table.canonical();
                 let n = self.with_txn(session, |txn, _| {
-                    let ids = compute_delete(del, txn.store().table(&name)?, params)?;
-                    txn.delete_many(&name, &ids)?;
+                    let ids = dml_rows(&del.table, del.where_clause.as_ref(), txn.store(), params)?;
+                    txn.delete_many(&del.table.canonical(), &ids)?;
                     Ok(ids.len() as u64)
                 })?;
                 Ok(ExecResult::rows_affected(n))

@@ -1,21 +1,23 @@
 //! DML/DDL execution helpers.
 //!
 //! These functions *compute* the effect of a statement (rows to insert, row
-//! updates, row ids to delete) against an immutable catalog view; the engine
-//! facade then applies the effect through the durability layer (logged,
-//! transactional) or the session temp store (volatile). Computing before
-//! applying keeps borrows simple and makes `INSERT INTO t SELECT … FROM t`
-//! self-joins well-defined (they see the pre-statement state).
+//! updates) against an immutable catalog view; the engine facade then
+//! applies the effect through the durability layer (logged, transactional)
+//! or the session temp store (volatile). Computing before applying keeps
+//! borrows simple and makes `INSERT INTO t SELECT … FROM t` self-joins
+//! well-defined (they see the pre-statement state).
+//!
+//! The rows an UPDATE or DELETE touches come from the planner
+//! ([`dml_rows`]), by the access path of its `SELECT * FROM t WHERE …`, in
+//! row-id order; this module only binds and applies an UPDATE's assignments.
 
-use phoenix_sql::ast::{
-    CreateTableStmt, DeleteStmt, InsertSource, InsertStmt, ObjectName, UpdateStmt,
-};
+use phoenix_sql::ast::{CreateTableStmt, InsertSource, InsertStmt, ObjectName, UpdateStmt};
 use phoenix_storage::store::{Store, TableData};
 use phoenix_storage::types::{Column, DataType, Row, RowId, Schema, TableDef, Value};
 
 use crate::error::{EngineError, ErrorCode, Result};
 use crate::eval::{eval_const, Params, Scope};
-use crate::plan::{execute_select, Catalog};
+use crate::plan::{dml_rows, execute_select, Catalog};
 
 /// Immutable view over a durable-store snapshot plus one session's temp
 /// store. Temp names (`#x`) resolve only in the temp store; everything else
@@ -29,12 +31,18 @@ pub struct CatalogView<'a> {
 
 impl Catalog for CatalogView<'_> {
     fn table(&self, name: &ObjectName) -> Result<&TableData> {
-        let key = name.canonical();
-        if name.is_temp() {
-            self.temp.table(&key).map_err(EngineError::from)
-        } else {
-            self.durable.table(&key).map_err(EngineError::from)
+        match name.is_temp() {
+            true => Catalog::table(self.temp, name),
+            false => Catalog::table(self.durable, name),
         }
+    }
+}
+
+/// One store on its own: a DML statement names one table, in the store its
+/// name routes to (a transaction's image, or the session's temp store).
+impl Catalog for Store {
+    fn table(&self, name: &ObjectName) -> Result<&TableData> {
+        Store::table(self, &name.canonical()).map_err(EngineError::from)
     }
 }
 
@@ -162,12 +170,15 @@ pub fn compute_insert_rows(
     Ok(rows)
 }
 
-/// Compute `(row_id, new_row)` pairs for an UPDATE.
+/// Compute `(row_id, new_row)` pairs for an UPDATE, in row-id order. The
+/// rows are the ones [`dml_rows`] finds; this binds and applies the
+/// assignments.
 pub fn compute_update(
     update: &UpdateStmt,
-    data: &TableData,
+    catalog: &dyn Catalog,
     params: Params<'_>,
 ) -> Result<Vec<(RowId, Row)>> {
+    let data = catalog.table(&update.table)?;
     let scope = Scope::single(&update.table.name, &data.def.schema);
     // Resolve assignment targets once.
     let mut targets = Vec::with_capacity(update.assignments.len());
@@ -180,20 +191,11 @@ pub fn compute_update(
         })?;
         targets.push((idx, scope.bind(expr, params)?));
     }
-    let pred = update
-        .where_clause
-        .as_ref()
-        .map(|p| scope.bind(p, params))
-        .transpose()?;
-
-    let mut out = Vec::new();
-    for (&rid, row) in &data.rows {
+    let ids = dml_rows(&update.table, update.where_clause.as_ref(), catalog, params)?;
+    let mut out = Vec::with_capacity(ids.len());
+    for rid in ids {
+        let row = &data.rows[&rid];
         let tuple = [&**row];
-        if let Some(p) = &pred {
-            if !p.holds(&tuple)? {
-                continue;
-            }
-        }
         let mut new_row = row.to_vec();
         for (idx, expr) in &targets {
             let v = expr.eval(&tuple)?;
@@ -213,31 +215,6 @@ pub fn compute_update(
             new_row[*idx] = coerced;
         }
         out.push((rid, new_row));
-    }
-    Ok(out)
-}
-
-/// Compute the row ids a DELETE will remove.
-pub fn compute_delete(
-    delete: &DeleteStmt,
-    data: &TableData,
-    params: Params<'_>,
-) -> Result<Vec<RowId>> {
-    let scope = Scope::single(&delete.table.name, &data.def.schema);
-    let pred = delete
-        .where_clause
-        .as_ref()
-        .map(|p| scope.bind(p, params))
-        .transpose()?;
-    let mut out = Vec::new();
-    for (&rid, row) in &data.rows {
-        let hit = match &pred {
-            None => true,
-            Some(p) => p.holds(&[&**row])?,
-        };
-        if hit {
-            out.push(rid);
-        }
     }
     Ok(out)
 }
@@ -376,41 +353,41 @@ mod tests {
 
     #[test]
     fn update_computes_new_rows() {
-        let data = table();
+        let (store, _) = view_with(table());
         let stmt = parse_statement("UPDATE t SET v = v * 2.0 WHERE id >= 2").unwrap();
         let upd = match stmt {
             Statement::Update(u) => u,
             other => panic!("{other:?}"),
         };
-        let changes = compute_update(&upd, &data, Params::NONE).unwrap();
+        let changes = compute_update(&upd, &store, Params::NONE).unwrap();
         assert_eq!(changes.len(), 2);
         assert_eq!(changes[0].1[1], Value::Float(4.0));
     }
 
     #[test]
     fn update_unknown_column_rejected() {
-        let data = table();
+        let (store, _) = view_with(table());
         let stmt = parse_statement("UPDATE t SET nope = 1").unwrap();
         let upd = match stmt {
             Statement::Update(u) => u,
             other => panic!("{other:?}"),
         };
         assert_eq!(
-            compute_update(&upd, &data, Params::NONE).unwrap_err().code,
+            compute_update(&upd, &store, Params::NONE).unwrap_err().code,
             ErrorCode::Column
         );
     }
 
     #[test]
     fn delete_selects_rows() {
-        let data = table();
+        let (store, _) = view_with(table());
         let stmt = parse_statement("DELETE FROM t WHERE s LIKE 'row%' AND id <> 2").unwrap();
         let del = match stmt {
             Statement::Delete(d) => d,
             other => panic!("{other:?}"),
         };
-        let ids = compute_delete(&del, &data, Params::NONE).unwrap();
-        assert_eq!(ids.len(), 2);
+        let ids = dml_rows(&del.table, del.where_clause.as_ref(), &store, Params::NONE).unwrap();
+        assert_eq!(ids, vec![1, 3]);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   its table).
 //! * [`plan`] — SELECT planning and execution: conjunct-driven access paths
 //!   and join order over multi-table FROM lists, grouped aggregation,
-//!   HAVING, ORDER BY, LIMIT/OFFSET, EXPLAIN.
+//!   HAVING, ORDER BY, LIMIT/OFFSET, EXPLAIN; and the rows an UPDATE or
+//!   DELETE touches, found by the same access paths.
 //! * [`exec`] — DML and DDL execution against durable and session-temporary
 //!   state.
 //! * [`cursor`] — server cursors: materialized forward-only, *keyset* (key

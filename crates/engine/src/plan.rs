@@ -23,6 +23,10 @@
 //! Constant conjuncts are evaluated once before any scan — so a query with a
 //! constant-false predicate (`WHERE 0=1`) touches no data at all.
 //!
+//! UPDATE and DELETE find their rows here too ([`dml_rows`]): the plan of
+//! `SELECT * FROM t WHERE …`, walked by the same access walker, with ids in
+//! row-id order. `EXPLAIN UPDATE|DELETE` renders that plan.
+//!
 //! OFFSET/LIMIT fuse into the tuple stream when nothing needs the whole
 //! input — no GROUP BY, aggregate or DISTINCT, and no ORDER BY the access
 //! path does not already deliver. A single-table access then stops after
@@ -44,10 +48,11 @@ use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 
 use phoenix_sql::ast::{
-    BinaryOp, Expr, InsertSource, Literal, ObjectName, SelectItem, SelectStmt, Statement,
+    BinaryOp, DeleteStmt, Expr, FromItem, InsertSource, Literal, ObjectName, SelectItem,
+    SelectStmt, Statement, UpdateStmt,
 };
 use phoenix_sql::display::render_expr;
-use phoenix_storage::store::{Key, SecIndex, TableData};
+use phoenix_storage::store::{SecIndex, TableData};
 use phoenix_storage::types::{Column, DataType, Row, RowId, Schema, Value};
 
 #[cfg(test)]
@@ -104,26 +109,11 @@ fn select_tuples<'a>(
     projections: &[Projection],
     params: Params<'_>,
 ) -> Result<(Output, Tuples<'a>, Shape)> {
-    // Split WHERE into conjuncts, classify each by the tables it references
-    // and bind it.
-    let conjuncts = split_conjuncts(select.where_clause.as_ref());
-    let mut classified = Vec::with_capacity(conjuncts.len());
-    let mut filters = Vec::with_capacity(conjuncts.len());
-    for c in &conjuncts {
-        classified.push(tables_of_expr(c, from)?);
-        filters.push(from.scope.bind(c, params)?);
-    }
+    let (classified, filters, plan) = plan_where(select, from, params)?;
     let output = Output::bind(select, from, projections, params)?;
-
-    // Constant conjuncts: evaluate once; a false/NULL constant conjunct
-    // empties the result without scanning.
-    for (f, tables) in filters.iter().zip(&classified) {
-        if tables.is_empty() && !f.holds(&[])? {
-            return Ok((output, Tuples::new(from.width()), Shape::default()));
-        }
-    }
-
-    let plan = build_plan(select, from, &conjuncts, &classified, params)?;
+    let Some(plan) = plan else {
+        return Ok((output, Tuples::new(from.width()), Shape::default()));
+    };
     let shape = Shape {
         presorted: plan.presorted,
         cut: plan.steps.len() == 1 && output.streams(plan.presorted),
@@ -135,6 +125,77 @@ fn select_tuples<'a>(
     };
     let tuples = join(&plan, from, &filters, &classified, params, window)?;
     Ok((output, tuples, shape))
+}
+
+/// Split WHERE into conjuncts, classify each by the FROM tables it reads,
+/// bind it, and plan. The plan is `None` when a false or NULL constant
+/// conjunct lets no row pass, so nothing is read; constant conjuncts are
+/// evaluated here, once, and never again.
+#[allow(clippy::type_complexity)]
+fn plan_where(
+    select: &SelectStmt,
+    from: &BoundFrom,
+    params: Params<'_>,
+) -> Result<(Vec<Vec<usize>>, Vec<Scalar>, Option<Plan>)> {
+    let conjuncts = split_conjuncts(select.where_clause.as_ref());
+    let mut classified = Vec::with_capacity(conjuncts.len());
+    let mut filters = Vec::with_capacity(conjuncts.len());
+    for c in &conjuncts {
+        classified.push(tables_of_expr(c, from)?);
+        filters.push(from.scope.bind(c, params)?);
+    }
+    for (f, tables) in filters.iter().zip(&classified) {
+        if tables.is_empty() && !f.holds(&[])? {
+            return Ok((classified, filters, None));
+        }
+    }
+    let plan = build_plan(select, from, &conjuncts, &classified, params)?;
+    Ok((classified, filters, Some(plan)))
+}
+
+/// The one-table `SELECT * FROM table WHERE …` whose plan finds the rows an
+/// UPDATE or DELETE touches.
+fn dml_select(table: &ObjectName, where_clause: Option<&Expr>) -> SelectStmt {
+    let (table, alias) = (table.clone(), None);
+    SelectStmt {
+        from: vec![FromItem { table, alias }],
+        where_clause: where_clause.cloned(),
+        ..SelectStmt::bare(vec![SelectItem::Wildcard])
+    }
+}
+
+/// The ids of the rows an UPDATE or DELETE of `table` touches, in row-id
+/// order. They are the rows `SELECT * FROM table WHERE …` returns: the same
+/// plan, walked by the same access path, with every non-constant conjunct
+/// tested on every visited row. Row-id order makes a statement's change
+/// list, and so its log record and the order its key checks run in,
+/// independent of the access path that found the rows.
+pub fn dml_rows(
+    table: &ObjectName,
+    where_clause: Option<&Expr>,
+    catalog: &dyn Catalog,
+    params: Params<'_>,
+) -> Result<Vec<RowId>> {
+    let select = dml_select(table, where_clause);
+    let from = bind_from(&select, catalog)?;
+    let (classified, filters, plan) = plan_where(&select, &from, params)?;
+    let mut ids = Vec::new();
+    if let Some(plan) = plan {
+        let filters: Vec<&Scalar> = (filters.iter().zip(&classified))
+            .filter_map(|(f, tables)| (!tables.is_empty()).then_some(f))
+            .collect();
+        // A one-slot tuple buffer tests the filters as a SELECT's scan does.
+        let (mut tested, step) = (Tuples::new(1), &plan.steps[0]);
+        walk(from.tables[0], &step.access, 0, params, |id, row| {
+            if tested.push(&[NO_ROW], 0, row, &filters)? {
+                tested.pop();
+                ids.push(id);
+            }
+            Ok(true)
+        })?;
+    }
+    ids.sort_unstable();
+    Ok(ids)
 }
 
 /// Compute the output schema of a SELECT without executing it.
@@ -982,8 +1043,7 @@ fn join<'a>(
 
 /// One table's rows through the planned access path, as single-table
 /// tuples, each tested against the table's own filters; of the rows that
-/// pass, only `window`'s are kept, and the walk stops at its end. Scans
-/// emit row-id order; index paths emit index-key order.
+/// pass, only `window`'s are kept, and the walk stops at its end.
 fn access<'a>(
     table: &'a TableData,
     t: usize,
@@ -1004,109 +1064,90 @@ fn access<'a>(
         Access::Scan if filters.is_empty() => (window.skip, 0),
         _ => (0, window.skip),
     };
-    {
-        // `false` once the window is full.
-        let mut visit = |row: &'a [Value]| -> Result<bool> {
-            if out.push(&base, t, row, filters)? && skip > 0 {
-                skip -= 1;
-                out.pop();
-            }
-            Ok(out.len() < window.take)
-        };
-        match access {
-            Access::Scan => {
-                for (_, row) in table.rows.iter_from(start) {
-                    if !visit(row)? {
-                        break;
-                    }
+    walk(table, access, start, params, |_, row| {
+        if out.push(&base, t, row, filters)? && skip > 0 {
+            skip -= 1;
+            out.pop();
+        }
+        Ok(out.len() < window.take)
+    })?;
+    Ok(out)
+}
+
+/// The one access walker: hand each row the access path reaches, with its
+/// id, to `visit`, until `visit` returns `false`. A row-id scan starts at
+/// row `start` and visits row-id order; index paths visit index-key order.
+fn walk<'a>(
+    table: &'a TableData,
+    access: &Access,
+    start: usize,
+    params: Params<'_>,
+    mut visit: impl FnMut(RowId, &'a [Value]) -> Result<bool>,
+) -> Result<()> {
+    let index_dtype = |pos: usize| table.def.schema.columns[table.def.indexes[pos].column].dtype;
+    // The ids the access path reaches, and whether it walks them backwards.
+    let (mut ids, desc): (Box<dyn DoubleEndedIterator<Item = RowId> + '_>, bool) = match access {
+        Access::Scan => {
+            for (&id, row) in table.rows.iter_from(start) {
+                if !visit(id, row)? {
+                    break;
                 }
             }
-            Access::PkPoint { key } => {
-                let mut k = Vec::with_capacity(key.len());
-                for (e, &col) in key.iter().zip(&table.def.primary_key) {
-                    // Coerced to the key column's type so the index
-                    // comparison is exact (e.g. `k = 5` against a FLOAT key).
-                    let v = eval_const(e, params)?;
-                    let dtype = table.def.schema.columns[col].dtype;
-                    k.push(v.coerce_to(dtype).unwrap_or(v));
-                }
-                if let Some(id) = table.row_id_by_key(&k) {
-                    visit(&table.rows[&id])?;
+            return Ok(());
+        }
+        Access::PkPoint { key } => {
+            let mut k = Vec::with_capacity(key.len());
+            for (e, &col) in key.iter().zip(&table.def.primary_key) {
+                // Coerced to the key column's type so the index
+                // comparison is exact (e.g. `k = 5` against a FLOAT key).
+                let v = eval_const(e, params)?;
+                let dtype = table.def.schema.columns[col].dtype;
+                k.push(v.coerce_to(dtype).unwrap_or(v));
+            }
+            (Box::new(table.row_id_by_key(&k).into_iter()), false)
+        }
+        Access::SecEq { pos, values } => {
+            let mut distinct: Vec<Value> = Vec::new();
+            for vexpr in values {
+                // `col = NULL` matches nothing.
+                match probe_const(vexpr, index_dtype(*pos), params)? {
+                    Some(v) if !distinct.contains(&v) => distinct.push(v),
+                    _ => {}
                 }
             }
-            Access::SecEq { pos, values } => {
-                let dtype = table.def.schema.columns[table.def.indexes[*pos].column].dtype;
-                let map = &table.sec[*pos];
-                let mut seen: Vec<Value> = Vec::new();
-                'values: for vexpr in values {
-                    let v = match probe_const(vexpr, dtype, params)? {
-                        Some(v) => v,
-                        None => continue, // `col = NULL` matches nothing
-                    };
-                    if seen.contains(&v) {
-                        continue;
-                    }
-                    for id in map.get(&v) {
-                        if !visit(&table.rows[&id])? {
-                            break 'values;
-                        }
-                    }
-                    seen.push(v);
-                }
-            }
-            Access::SecRange { pos, lo, hi, desc } => {
-                let dtype = table.def.schema.columns[table.def.indexes[*pos].column].dtype;
-                let bound = |b: &Option<(Expr, bool)>| -> Result<Option<Option<(Value, bool)>>> {
-                    Ok(match b {
-                        // A NULL bound empties the range.
-                        Some((e, inc)) => probe_const(e, dtype, params)?.map(|v| Some((v, *inc))),
-                        None => Some(None),
-                    })
-                };
-                let (Some(lo_v), Some(hi_v)) = (bound(lo)?, bound(hi)?) else {
-                    return Ok(Tuples::new(width));
-                };
-                let (lo_b, hi_b) = key_bounds(lo_v.as_ref(), hi_v.as_ref());
-                let range = table.sec[*pos].range(lo_b, hi_b);
-                let ids: Box<dyn Iterator<Item = RowId>> = if *desc {
-                    Box::new(range.rev())
-                } else {
-                    Box::new(range)
-                };
-                for id in ids {
-                    if !visit(&table.rows[&id])? {
-                        break;
-                    }
-                }
-            }
-            Access::SecOrder { pos, desc } => {
-                let all = table.sec[*pos].range(Bound::Unbounded, Bound::Unbounded);
-                let ids: Box<dyn Iterator<Item = RowId>> = if *desc {
-                    Box::new(all.rev())
-                } else {
-                    Box::new(all)
-                };
-                for id in ids {
-                    if !visit(&table.rows[&id])? {
-                        break;
-                    }
-                }
-            }
-            Access::PkOrder { desc } => {
-                let entries: Box<dyn Iterator<Item = (&Key, &RowId)>> = if *desc {
-                    Box::new(table.pk_index.iter().rev())
-                } else {
-                    Box::new(table.pk_index.iter())
-                };
-                for (_, id) in entries {
-                    if !visit(&table.rows[id])? {
-                        break;
-                    }
-                }
-            }
+            let map = &table.sec[*pos];
+            (
+                Box::new(distinct.into_iter().flat_map(move |v| map.get(&v))),
+                false,
+            )
+        }
+        Access::SecRange { pos, lo, hi, desc } => {
+            let dtype = index_dtype(*pos);
+            let bound = |b: &Option<(Expr, bool)>| -> Result<Option<Option<(Value, bool)>>> {
+                Ok(match b {
+                    // A NULL bound empties the range.
+                    Some((e, inc)) => probe_const(e, dtype, params)?.map(|v| Some((v, *inc))),
+                    None => Some(None),
+                })
+            };
+            let (Some(lo_v), Some(hi_v)) = (bound(lo)?, bound(hi)?) else {
+                return Ok(());
+            };
+            let (lo_b, hi_b) = key_bounds(lo_v.as_ref(), hi_v.as_ref());
+            (Box::new(table.sec[*pos].range(lo_b, hi_b)), *desc)
+        }
+        Access::SecOrder { pos, desc } => {
+            let all = table.sec[*pos].range(Bound::Unbounded, Bound::Unbounded);
+            (Box::new(all), *desc)
+        }
+        Access::PkOrder { desc } => (Box::new(table.pk_index.values().copied()), *desc),
+    };
+    while let Some(id) = if desc { ids.next_back() } else { ids.next() } {
+        if !visit(id, &table.rows[&id])? {
+            break;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Index nested-loop join: for each outer tuple, evaluate the outer key and
@@ -1253,40 +1294,25 @@ pub fn explain_statement(
                 InsertSource::Values(v) => v.len() as i64,
                 InsertSource::Select(_) => 0,
             };
+            let row = explain_row(1, &i.table.canonical(), "-", "insert", None, est);
             Ok(ResultSet {
                 schema: explain_schema(),
-                rows: vec![explain_row(
-                    1,
-                    &i.table.canonical(),
-                    "-",
-                    "insert",
-                    None,
-                    est,
-                )],
+                rows: vec![row],
             })
         }
-        Statement::Update(u) => explain_dml(catalog, &u.table, u.where_clause.as_ref()),
-        Statement::Delete(d) => explain_dml(catalog, &d.table, d.where_clause.as_ref()),
+        Statement::Update(UpdateStmt {
+            table,
+            where_clause: w,
+            ..
+        })
+        | Statement::Delete(DeleteStmt {
+            table,
+            where_clause: w,
+        }) => explain_select(&dml_select(table, w.as_ref()), catalog, params),
         _ => Err(EngineError::unsupported(
             "EXPLAIN supports SELECT, INSERT, UPDATE and DELETE",
         )),
     }
-}
-
-/// UPDATE/DELETE run a full scan of the target table today; report that
-/// honestly rather than inventing an index path execution won't take.
-fn explain_dml(
-    catalog: &dyn Catalog,
-    table: &ObjectName,
-    where_clause: Option<&Expr>,
-) -> Result<ResultSet> {
-    let data = catalog.table(table)?;
-    let n = split_conjuncts(where_clause).len();
-    let est = (data.len() as f64 * FILTER_SEL.powi(n as i32)).ceil() as i64;
-    Ok(ResultSet {
-        schema: explain_schema(),
-        rows: vec![explain_row(1, &data.def.name, "-", "scan", None, est)],
-    })
 }
 
 fn explain_select(
@@ -2848,9 +2874,11 @@ mod index_plan_tests {
     #[test]
     fn explain_dml_and_insert() {
         let c = cat();
+        // An UPDATE or DELETE explains to the plan of its `SELECT *`.
         let ex = explain(&c, "EXPLAIN UPDATE item SET price = 0.0 WHERE cat = 1");
         assert_eq!(txt(&ex[0][1]), "dbo.item");
-        assert_eq!(shape(&ex[0]).1, "scan");
+        assert_eq!(ex, explain(&c, "EXPLAIN SELECT * FROM item WHERE cat = 1"));
+        assert_eq!(shape(&ex[0]).1, "index-eq");
         let ex = explain(
             &c,
             "EXPLAIN INSERT INTO item VALUES (500, 1, 1.0), (501, 2, 2.0)",
@@ -2858,7 +2886,30 @@ mod index_plan_tests {
         assert_eq!(shape(&ex[0]).1, "insert");
         assert_eq!(ex[0][5], Value::Int(2));
         let ex = explain(&c, "EXPLAIN DELETE FROM category WHERE cid = 1");
+        assert_eq!(shape(&ex[0]), ("-".into(), "pk-point".into(), "pk".into()));
+        let ex = explain(&c, "EXPLAIN DELETE FROM category WHERE label = 'one'");
         assert_eq!(shape(&ex[0]).1, "scan");
+    }
+
+    #[test]
+    fn dml_rows_come_in_row_id_order_from_an_index_path() {
+        let c = cat();
+        // The probe walks the list's values in list order, cat 3 first.
+        let sql = "DELETE FROM item WHERE cat IN (3, 1) AND id < 50";
+        assert_eq!(
+            shape(&explain(&c, &format!("EXPLAIN {sql}"))[0]).1,
+            "index-eq"
+        );
+        let Statement::Delete(d) = parse_statement(sql).unwrap() else {
+            unreachable!()
+        };
+        let ids = dml_rows(&d.table, d.where_clause.as_ref(), &c, Params::NONE).unwrap();
+        // Item i is row i + 1.
+        let want: Vec<RowId> = (0..50)
+            .filter(|i| i % 5 == 1 || i % 5 == 3)
+            .map(|i| i + 1)
+            .collect();
+        assert_eq!(ids, want);
     }
 
     #[test]

@@ -12,9 +12,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use phoenix_engine::engine::{Engine, EngineConfig};
+use phoenix_engine::ErrorCode;
 use phoenix_storage::db::Durability;
 use phoenix_storage::metrics::storage_metrics;
-use phoenix_storage::types::Value;
+use phoenix_storage::types::{Row, Value};
 
 static COUNTERS: Mutex<()> = Mutex::new(());
 
@@ -243,6 +244,188 @@ fn readers_never_see_a_partially_applied_statement() {
         assert!(r.join().unwrap() > 0);
     }
     assert_eq!(int(&e, sid, "SELECT MIN(v) FROM acct"), 300);
+    drop(e);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An UPDATE's or DELETE's outcome: the affected count, or the error code.
+fn outcome(e: &Engine, sid: u64, sql: &str) -> Result<u64, ErrorCode> {
+    e.execute(sid, sql)
+        .map(|r| r.affected())
+        .map_err(|err| err.code)
+}
+
+fn rows_of(e: &Engine, sid: u64, table: &str) -> Vec<Row> {
+    e.execute(sid, &format!("SELECT * FROM {table}"))
+        .unwrap()
+        .rows()
+        .to_vec()
+}
+
+/// The access path EXPLAIN reports for a statement.
+fn access_of(e: &Engine, sid: u64, sql: &str) -> String {
+    match &e.execute(sid, &format!("EXPLAIN {sql}")).unwrap().rows()[0][3] {
+        Value::Text(s) => s.clone(),
+        other => panic!("{sql}: {other:?}"),
+    }
+}
+
+/// An UPDATE or DELETE finds its rows by the access path its `SELECT *`
+/// would take. Each statement runs against copies of one table: `heap`
+/// (neither primary key nor index: a scan, the reference), `plain` (the
+/// primary key only) and `ix` (the primary key and secondary indexes, on
+/// the key column too). Every copy must report the same affected count or
+/// error code and end with the same rows, in row-id order. Rows go in with
+/// descending keys, so row-id order is the reverse of key order: a change
+/// list applied in index order instead of row-id order shows up as another
+/// outcome of a key-shifting UPDATE. Durable and `#temp` tables alike.
+#[test]
+fn dml_edge_cases_indexed_equals_unindexed() {
+    let _serial = COUNTERS.lock().unwrap();
+    let dir = temp_dir("dml-edges");
+    let e = open(&dir);
+    let sid = e.create_session("app");
+
+    // (statement, the access path the `ix` copy must take, its outcome).
+    // `{t}` is the one-column-key table, `{c}` the composite-key one.
+    type Case = (&'static str, &'static str, Result<u64, ErrorCode>);
+    const CASES: &[Case] = &[
+        ("UPDATE {t} SET v = v + 1 WHERE id = 5", "pk-point", Ok(1)),
+        ("UPDATE {t} SET v = v + 2 WHERE id = 5.0", "pk-point", Ok(1)),
+        ("DELETE FROM {t} WHERE id = 5.5", "pk-point", Ok(0)),
+        ("UPDATE {t} SET v = 0 WHERE id = NULL", "pk-point", Ok(0)),
+        ("DELETE FROM {t} WHERE id = 31", "pk-point", Ok(0)),
+        (
+            "UPDATE {c} SET v = v + 1 WHERE a = 2 AND b = 3",
+            "pk-point",
+            Ok(1),
+        ),
+        ("DELETE FROM {c} WHERE b = 4 AND a = 1.0", "pk-point", Ok(1)),
+        ("UPDATE {c} SET v = -v WHERE a = 3", "index-eq", Ok(6)),
+        ("DELETE FROM {c} WHERE a = 4 AND v > 42", "index-eq", Ok(4)),
+        ("UPDATE {t} SET v = -v WHERE g = 2", "index-eq", Ok(6)),
+        ("DELETE FROM {t} WHERE g IN (3, 1, 3)", "index-eq", Ok(12)),
+        (
+            "UPDATE {t} SET v = v * 2 WHERE id BETWEEN 7 AND 12",
+            "index-range",
+            Ok(4),
+        ),
+        // No low bound, and no NULL key matches.
+        ("UPDATE {t} SET v = 7 WHERE g < 3", "index-range", Ok(6)),
+        // Changes the indexed column the rows were selected through.
+        ("UPDATE {t} SET g = g + 10 WHERE g = 2", "index-eq", Ok(6)),
+        ("UPDATE {t} SET g = 0 WHERE g >= 10", "index-range", Ok(6)),
+        ("DELETE FROM {t} WHERE v > 1000", "scan", Ok(0)),
+    ];
+    // Key-shifting UPDATEs, which the key check judges row by row in
+    // row-id order, so only the copies with a key run them. The cases
+    // above leave the keys 2, 4, 5, 7, 9, 10, 12, … 29, 30. The first
+    // succeeds only in descending key order, which row-id order is here;
+    // the second collides at its first row in any order.
+    const KEYED: &[Case] = &[
+        (
+            "UPDATE {t} SET id = id + 1 WHERE id BETWEEN 29 AND 30",
+            "index-range",
+            Ok(2),
+        ),
+        (
+            "UPDATE {t} SET id = id + 2 WHERE id BETWEEN 12 AND 13",
+            "index-range",
+            Err(ErrorCode::Constraint),
+        ),
+        (
+            "UPDATE {t} SET id = id + 100 WHERE id BETWEEN 3 AND 8",
+            "index-range",
+            Ok(3),
+        ),
+    ];
+
+    for prefix in ["d", "#t"] {
+        let name = |table: &str, copy: &str| format!("{prefix}{table}_{copy}");
+        let tag = &prefix[prefix.len() - 1..];
+        for copy in ["heap", "plain", "ix"] {
+            let (t, c) = (name("t", copy), name("c", copy));
+            let (tk, ck) = match copy {
+                "heap" => ("", ""),
+                _ => (", PRIMARY KEY (id)", ", PRIMARY KEY (a, b)"),
+            };
+            e.execute(
+                sid,
+                &format!("CREATE TABLE {t} (id INT NOT NULL, g INT, v INT{tk})"),
+            )
+            .unwrap();
+            e.execute(
+                sid,
+                &format!("CREATE TABLE {c} (a INT NOT NULL, b INT NOT NULL, v INT{ck})"),
+            )
+            .unwrap();
+            // Descending keys; `g` is NULL on every fifth row.
+            let values: Vec<String> = (1..=30)
+                .rev()
+                .map(|id| match id % 5 {
+                    0 => format!("({id}, NULL, {id})"),
+                    g => format!("({id}, {g}, {id})"),
+                })
+                .collect();
+            e.execute(
+                sid,
+                &format!("INSERT INTO {t} VALUES {}", values.join(", ")),
+            )
+            .unwrap();
+            let values: Vec<String> = (1..=5)
+                .rev()
+                .flat_map(|a| (1..=6).map(move |b| format!("({a}, {b}, {})", a * 10 + b)))
+                .collect();
+            e.execute(
+                sid,
+                &format!("INSERT INTO {c} VALUES {}", values.join(", ")),
+            )
+            .unwrap();
+            if copy == "ix" {
+                for (table, col) in [(&t, "g"), (&t, "id"), (&c, "a")] {
+                    let sql = format!("CREATE INDEX ix_{tag}_{col} ON {table}({col})");
+                    e.execute(sid, &sql).unwrap();
+                }
+            }
+        }
+
+        let check = |&(sql, access, want): &Case, copies: &[&str]| {
+            let on = |copy: &str| {
+                sql.replace("{t}", &name("t", copy))
+                    .replace("{c}", &name("c", copy))
+            };
+            assert_eq!(access_of(&e, sid, &on("ix")), access, "{}", on("ix"));
+            for copy in copies {
+                assert_eq!(outcome(&e, sid, &on(copy)), want, "{}", on(copy));
+            }
+            for table in ["t", "c"] {
+                let reference = rows_of(&e, sid, &name(table, copies[0]));
+                for copy in &copies[1..] {
+                    let rows = rows_of(&e, sid, &name(table, copy));
+                    assert_eq!(rows, reference, "{}", on(copy));
+                }
+            }
+        };
+        let all = &["heap", "plain", "ix"];
+        for case in CASES {
+            check(case, all);
+        }
+        // Inside a transaction that rolls back: the same rows, then none
+        // of the change (a temp table is outside the transaction).
+        let before = rows_of(&e, sid, &name("t", "ix"));
+        e.execute(sid, "BEGIN").unwrap();
+        check(
+            &("UPDATE {t} SET v = 0 WHERE g = 4", "index-eq", Ok(6)),
+            all,
+        );
+        e.execute(sid, "ROLLBACK").unwrap();
+        if prefix == "d" {
+            assert_eq!(rows_of(&e, sid, &name("t", "ix")), before);
+        }
+        for case in KEYED {
+            check(case, &["plain", "ix"]);
+        }
+    }
     drop(e);
     std::fs::remove_dir_all(&dir).unwrap();
 }
