@@ -49,7 +49,7 @@ use crate::error::{EngineError, ErrorCode, Result};
 use crate::eval::{eval_const, Params};
 use crate::exec::{build_table_def, compute_insert_rows, compute_update, CatalogView};
 use crate::metrics::engine_metrics;
-use crate::plan::{dml_rows, execute_select};
+use crate::plan::{dml_rows, execute_select, Catalog};
 use crate::session::{SessionId, SessionState, SysVars};
 
 /// Engine configuration.
@@ -261,7 +261,7 @@ impl Engine {
             .remove(&sid)
             .ok_or_else(|| no_session(sid))?;
         // The open transaction, if any, rolls back as the session drops.
-        let temp_tables = session.lock().temp.tables().count() as i64;
+        let temp_tables = session.lock().temp.store().tables().count() as i64;
         let m = engine_metrics();
         m.sessions_active.dec();
         m.temp_tables.add(-temp_tables);
@@ -395,7 +395,7 @@ impl Engine {
                 let durable = self.durable_image(&session.txn);
                 let view = CatalogView {
                     durable: &durable,
-                    temp: &session.temp,
+                    temp: session.temp.store(),
                 };
                 let rs = execute_select(sel, &view, params)?;
                 Ok(ExecResult {
@@ -406,51 +406,22 @@ impl Engine {
                     messages: Vec::new(),
                 })
             }
-            Statement::Insert(ins) if ins.table.is_temp() => {
-                let rows = {
-                    let durable = self.durable_image(&session.txn);
-                    let view = CatalogView {
-                        durable: &durable,
-                        temp: &session.temp,
-                    };
-                    let def = view_def(&view, &ins.table)?;
-                    compute_insert_rows(ins, &def, &view, params)?
-                };
-                let n = rows.len() as u64;
-                let t = session.temp.table_mut(&ins.table.canonical())?;
-                for row in rows {
-                    t.insert(row)?;
-                }
-                Ok(ExecResult::rows_affected(n))
-            }
             Statement::Insert(ins) => {
-                let name = ins.table.canonical();
-                let n = self.with_txn(session, |txn, temp| {
-                    let view = CatalogView {
-                        durable: txn.store(),
-                        temp,
-                    };
+                let temp = ins.table.is_temp();
+                let n = self.with_txn(session, temp, |txn, other| {
+                    let view = CatalogView::around(temp, txn.store(), other);
                     let def = view_def(&view, &ins.table)?;
                     let rows = compute_insert_rows(ins, &def, &view, params)?;
                     let n = rows.len() as u64;
                     // One record for the whole statement, however many rows
                     // it carries.
-                    txn.insert_many(&name, rows)?;
+                    txn.insert_many(&ins.table.canonical(), rows)?;
                     Ok(n)
                 })?;
                 Ok(ExecResult::rows_affected(n))
             }
-            Statement::Update(upd) if upd.table.is_temp() => {
-                let changes = compute_update(upd, &session.temp, params)?;
-                let n = changes.len() as u64;
-                let t = session.temp.table_mut(&upd.table.canonical())?;
-                for (rid, row) in changes {
-                    t.update(rid, row)?;
-                }
-                Ok(ExecResult::rows_affected(n))
-            }
             Statement::Update(upd) => {
-                let n = self.with_txn(session, |txn, _| {
+                let n = self.with_txn(session, upd.table.is_temp(), |txn, _| {
                     let changes = compute_update(upd, txn.store(), params)?;
                     let n = changes.len() as u64;
                     txn.update_many(&upd.table.canonical(), changes)?;
@@ -458,16 +429,8 @@ impl Engine {
                 })?;
                 Ok(ExecResult::rows_affected(n))
             }
-            Statement::Delete(del) if del.table.is_temp() => {
-                let ids = dml_rows(&del.table, del.where_clause.as_ref(), &session.temp, params)?;
-                let t = session.temp.table_mut(&del.table.canonical())?;
-                for &rid in &ids {
-                    t.delete(rid)?;
-                }
-                Ok(ExecResult::rows_affected(ids.len() as u64))
-            }
             Statement::Delete(del) => {
-                let n = self.with_txn(session, |txn, _| {
+                let n = self.with_txn(session, del.table.is_temp(), |txn, _| {
                     let ids = dml_rows(&del.table, del.where_clause.as_ref(), txn.store(), params)?;
                     txn.delete_many(&del.table.canonical(), &ids)?;
                     Ok(ids.len() as u64)
@@ -476,11 +439,11 @@ impl Engine {
             }
             Statement::CreateTable(c) => {
                 let def = build_table_def(c)?;
+                self.with_txn(session, c.name.is_temp(), |txn, _| {
+                    Ok(txn.create_table(def.clone())?)
+                })?;
                 if c.name.is_temp() {
-                    session.temp.create_table(def)?;
                     engine_metrics().temp_tables.inc();
-                } else {
-                    self.with_txn(session, |txn, _| Ok(txn.create_table(def.clone())?))?;
                 }
                 Ok(ExecResult::done())
             }
@@ -494,11 +457,8 @@ impl Engine {
                 // image, its result schema is the table's definition, and its
                 // rows go in as one record — committed together or not at all.
                 let key = name.canonical();
-                let n = self.with_txn(session, |txn, temp| {
-                    let view = CatalogView {
-                        durable: txn.store(),
-                        temp,
-                    };
+                let n = self.with_txn(session, false, |txn, temp| {
+                    let view = CatalogView::around(false, txn.store(), temp);
                     let rs = execute_select(query, &view, params)?;
                     let n = rs.rows.len() as u64;
                     txn.create_table(TableDef::new(key.clone(), rs.schema))?;
@@ -509,23 +469,18 @@ impl Engine {
             }
             Statement::DropTable { name, if_exists } => {
                 let key = name.canonical();
-                let dropped = if name.is_temp() {
-                    let dropped = session.temp.drop_table(&key).is_ok();
-                    if dropped {
-                        engine_metrics().temp_tables.dec();
+                let dropped = self.with_txn(session, name.is_temp(), |txn, _| {
+                    let exists = txn.store().has_table(&key);
+                    if exists {
+                        txn.drop_table(&key)?;
                     }
-                    dropped
-                } else {
-                    self.with_txn(session, |txn, _| {
-                        let exists = txn.store().has_table(&key);
-                        if exists {
-                            txn.drop_table(&key)?;
-                        }
-                        Ok(exists)
-                    })?
-                };
+                    Ok(exists)
+                })?;
                 if !dropped && !*if_exists {
                     return Err(EngineError::not_found(format!("no such table '{name}'")));
+                }
+                if dropped && name.is_temp() {
+                    engine_metrics().temp_tables.dec();
                 }
                 Ok(ExecResult::done())
             }
@@ -533,35 +488,20 @@ impl Engine {
                 // Procedures are stored as their rendered CREATE text and
                 // re-parsed at EXEC time.
                 let sql = render_statement(stmt);
-                let key = p.name.canonical();
-                if p.name.is_temp() {
-                    session.temp.create_proc(&key, &sql)?;
-                } else {
-                    self.with_txn(session, |txn, _| {
-                        if txn.store().has_proc(&key) {
-                            return Err(EngineError::new(
-                                ErrorCode::AlreadyExists,
-                                format!("procedure '{}' already exists", p.name),
-                            ));
-                        }
-                        Ok(txn.create_proc(&key, &sql)?)
-                    })?;
-                }
+                self.with_txn(session, p.name.is_temp(), |txn, _| {
+                    Ok(txn.create_proc(&p.name.canonical(), &sql)?)
+                })?;
                 Ok(ExecResult::done())
             }
             Statement::DropProc { name, if_exists } => {
                 let key = name.canonical();
-                let dropped = if name.is_temp() {
-                    session.temp.drop_proc(&key).is_ok()
-                } else {
-                    self.with_txn(session, |txn, _| {
-                        let exists = txn.store().has_proc(&key);
-                        if exists {
-                            txn.drop_proc(&key)?;
-                        }
-                        Ok(exists)
-                    })?
-                };
+                let dropped = self.with_txn(session, name.is_temp(), |txn, _| {
+                    let exists = txn.store().has_proc(&key);
+                    if exists {
+                        txn.drop_proc(&key)?;
+                    }
+                    Ok(exists)
+                })?;
                 if !dropped && !*if_exists {
                     return Err(EngineError::not_found(format!(
                         "no such procedure '{name}'"
@@ -574,60 +514,36 @@ impl Engine {
                 table,
                 column,
             } => {
-                let key = table.canonical();
-                if table.is_temp() {
-                    let col = temp_column_index(&session.temp, &key, column)?;
-                    if session.temp.find_index_owner(name).is_some() {
+                self.with_txn(session, table.is_temp(), |txn, _| {
+                    let data = Catalog::table(txn.store(), table)?;
+                    let col = data.def.schema.index_of(column).ok_or_else(|| {
+                        EngineError::column(format!("no column '{column}' in '{table}'"))
+                    })?;
+                    // Index names resolve globally at DROP time; enforce
+                    // global uniqueness here so that stays unambiguous.
+                    if txn.store().find_index_owner(name).is_some() {
                         return Err(EngineError::new(
                             ErrorCode::AlreadyExists,
                             format!("index '{name}' already exists"),
                         ));
                     }
-                    session.temp.table_mut(&key)?.create_index(name, col)?;
-                } else {
-                    self.with_txn(session, |txn, _| {
-                        let store = txn.store();
-                        let data = store.table(&key).map_err(|_| {
-                            EngineError::not_found(format!("no such table '{table}'"))
-                        })?;
-                        let col = data.def.schema.index_of(column).ok_or_else(|| {
-                            EngineError::column(format!("no column '{column}' in '{table}'"))
-                        })?;
-                        // Index names resolve globally at DROP time; enforce
-                        // global uniqueness here so that stays unambiguous.
-                        if store.find_index_owner(name).is_some() {
-                            return Err(EngineError::new(
-                                ErrorCode::AlreadyExists,
-                                format!("index '{name}' already exists"),
-                            ));
-                        }
-                        Ok(txn.create_index(&key, name, col)?)
-                    })?;
-                }
+                    Ok(txn.create_index(&table.canonical(), name, col)?)
+                })?;
                 engine_metrics().index_ddl.inc();
                 Ok(ExecResult::done())
             }
             Statement::DropIndex { name, if_exists } => {
                 // Index names are not table-qualified: resolve the owning
                 // table, session temp store first.
-                let dropped = match session
-                    .temp
-                    .find_index_owner(name)
-                    .map(|t| t.def.name.clone())
-                {
-                    Some(owner) => {
-                        session.temp.table_mut(&owner)?.drop_index(name)?;
-                        true
-                    }
-                    None => self.with_txn(session, |txn, _| {
-                        let owner = txn.store().find_index_owner(name);
-                        let Some(owner) = owner.map(|t| t.def.name.clone()) else {
-                            return Ok(false);
-                        };
-                        txn.drop_index(&owner, name)?;
-                        Ok(true)
-                    })?,
-                };
+                let temp = session.temp.store().find_index_owner(name).is_some();
+                let dropped = self.with_txn(session, temp, |txn, _| {
+                    let owner = txn.store().find_index_owner(name);
+                    let Some(owner) = owner.map(|t| t.def.name.clone()) else {
+                        return Ok(false);
+                    };
+                    txn.drop_index(&owner, name)?;
+                    Ok(true)
+                })?;
                 if !dropped {
                     if *if_exists {
                         return Ok(ExecResult::done());
@@ -641,7 +557,7 @@ impl Engine {
                 let durable = self.durable_image(&session.txn);
                 let view = CatalogView {
                     durable: &durable,
-                    temp: &session.temp,
+                    temp: session.temp.store(),
                 };
                 let rs = crate::plan::explain_statement(inner, &view, params)?;
                 Ok(ExecResult {
@@ -665,23 +581,32 @@ impl Engine {
         }
     }
 
-    /// Run `body` in the session's open transaction, or else in an
-    /// autocommit transaction of its own: committed when `body` succeeds,
-    /// dropped when it fails, and run again from the start, on the store as
-    /// it then stands, when the commit loses a write conflict. So an
-    /// autocommit statement never surfaces [`ErrorCode::Conflict`]; a
-    /// `COMMIT` of an explicit transaction does.
+    /// Run `body` in the transaction a statement writes through. For a
+    /// `#temp` object that is the session's volatile one, once: outside any
+    /// explicit transaction, so a `ROLLBACK` keeps what it wrote. Otherwise
+    /// it is the session's open transaction, or else an autocommit one of
+    /// its own: committed when `body` succeeds, dropped when it fails, and
+    /// run again from the start, on the store as it then stands, when the
+    /// commit loses a write conflict. So an autocommit statement never
+    /// surfaces [`ErrorCode::Conflict`]; a `COMMIT` of an explicit
+    /// transaction does. `body` also gets the other store to read: the
+    /// durable image for a temp write, the temp store for a durable one.
     fn with_txn<R>(
         &self,
         session: &mut SessionState,
+        temp: bool,
         mut body: impl FnMut(&mut Txn, &Store) -> Result<R>,
     ) -> Result<R> {
+        if temp {
+            let durable = self.durable_image(&session.txn);
+            return body(&mut session.temp, &durable);
+        }
         if let Some(txn) = &mut session.txn {
-            return body(txn, &session.temp);
+            return body(txn, session.temp.store());
         }
         loop {
             let mut txn = self.durable.begin_txn();
-            let result = body(&mut txn, &session.temp)?;
+            let result = body(&mut txn, session.temp.store())?;
             match self.durable.commit_txn(txn) {
                 Ok(()) => return Ok(result),
                 Err(DbError::Conflict(_)) => engine_metrics().autocommit_reruns.inc(),
@@ -699,7 +624,7 @@ impl Engine {
     ) -> Result<ExecResult> {
         let key = call.name.canonical();
         let sql = if call.name.is_temp() {
-            session.temp.proc(&key).map(str::to_string)
+            session.temp.store().proc(&key).map(str::to_string)
         } else {
             self.durable_image(&session.txn)
                 .proc(&key)
@@ -762,7 +687,7 @@ impl Engine {
                 let durable = self.durable_image(&session.txn);
                 let view = CatalogView {
                     durable: &durable,
-                    temp: &session.temp,
+                    temp: session.temp.store(),
                 };
                 Cursor::open(id, select, kind, &view)
             };
@@ -795,7 +720,7 @@ impl Engine {
                     let durable = self.durable_image(&session.txn);
                     let view = CatalogView {
                         durable: &durable,
-                        temp: &session.temp,
+                        temp: session.temp.store(),
                     };
                     cursor.fetch(dir, n, &view)
                 };
@@ -831,9 +756,8 @@ impl Engine {
             let durable = self.durable_image(&session.txn);
             let view = CatalogView {
                 durable: &durable,
-                temp: &session.temp,
+                temp: session.temp.store(),
             };
-            use crate::plan::Catalog as _;
             let data = view.table(table)?;
             let pk = data
                 .def
@@ -872,21 +796,7 @@ fn no_session(sid: SessionId) -> EngineError {
 /// Look up a table definition through the view (shared out so the view's
 /// borrow can end before mutation starts).
 fn view_def(view: &CatalogView<'_>, name: &ObjectName) -> Result<Arc<TableDef>> {
-    use crate::plan::Catalog as _;
     Ok(view.table(name)?.def.clone())
-}
-
-/// Resolve a column name within a session-temp table.
-fn temp_column_index(
-    temp: &phoenix_storage::store::Store,
-    key: &str,
-    column: &str,
-) -> Result<usize> {
-    let data = temp.table(key)?;
-    data.def
-        .schema
-        .index_of(column)
-        .ok_or_else(|| EngineError::column(format!("no column '{column}' in '{key}'")))
 }
 
 #[cfg(test)]

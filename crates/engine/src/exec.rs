@@ -2,10 +2,11 @@
 //!
 //! These functions *compute* the effect of a statement (rows to insert, row
 //! updates) against an immutable catalog view; the engine facade then
-//! applies the effect through the durability layer (logged, transactional)
-//! or the session temp store (volatile). Computing before applying keeps
-//! borrows simple and makes `INSERT INTO t SELECT … FROM t` self-joins
-//! well-defined (they see the pre-statement state).
+//! applies the effect through a transaction's one write path — a logged
+//! transaction for a durable table, the session's volatile one for a
+//! `#temp` table — which installs it whole or not at all. Computing before
+//! applying keeps borrows simple and makes `INSERT INTO t SELECT … FROM t`
+//! self-joins well-defined (they see the pre-statement state).
 //!
 //! The rows an UPDATE or DELETE touches come from the planner
 //! ([`dml_rows`]), by the access path of its `SELECT * FROM t WHERE …`, in
@@ -27,6 +28,23 @@ pub struct CatalogView<'a> {
     pub durable: &'a Store,
     /// The session's volatile temp store.
     pub temp: &'a Store,
+}
+
+impl<'a> CatalogView<'a> {
+    /// The view of a statement that writes through `written`: the temp
+    /// store when `temp`, else the durable image, with `other` the rest.
+    pub fn around(temp: bool, written: &'a Store, other: &'a Store) -> CatalogView<'a> {
+        match temp {
+            true => CatalogView {
+                durable: other,
+                temp: written,
+            },
+            false => CatalogView {
+                durable: written,
+                temp: other,
+            },
+        }
+    }
 }
 
 impl Catalog for CatalogView<'_> {

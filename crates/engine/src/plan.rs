@@ -1104,7 +1104,11 @@ fn walk<'a>(
                 let dtype = table.def.schema.columns[col].dtype;
                 k.push(v.coerce_to(dtype).unwrap_or(v));
             }
-            (Box::new(table.row_id_by_key(&k).into_iter()), false)
+            // One row at most: visited here, with no iterator to box.
+            if let Some(id) = table.row_id_by_key(&k) {
+                visit(id, &table.rows[&id])?;
+            }
+            return Ok(());
         }
         Access::SecEq { pos, values } => {
             let mut distinct: Vec<Value> = Vec::new();

@@ -1,18 +1,18 @@
 //! Per-session volatile state.
 //!
 //! Everything in a [`SessionState`] lives only in server memory: the temp
-//! store (tables and procedures spelled `#name`), connection options set by
-//! the client, the open explicit transaction, and open server cursors. A
-//! server crash destroys all of it — which is precisely the loss the paper's
-//! Phoenix layer exists to mask. The engine makes no attempt to persist any
-//! of this; persistence of *session state* is Phoenix's job, performed by
+//! objects (tables and procedures spelled `#name`, in a volatile
+//! transaction that logs nothing), connection options set by the client,
+//! the open explicit transaction, and open server cursors. A server crash
+//! destroys all of it — which is precisely the loss the paper's Phoenix
+//! layer exists to mask. The engine makes no attempt to persist any of
+//! this; persistence of *session state* is Phoenix's job, performed by
 //! materializing it as ordinary durable tables.
 
 use std::collections::HashMap;
 
 use phoenix_sql::ast::MESSAGE_SEPARATOR;
 use phoenix_storage::db::Txn;
-use phoenix_storage::store::Store;
 use phoenix_storage::types::Value;
 
 use crate::cursor::{Cursor, CursorId};
@@ -33,9 +33,12 @@ pub struct SessionState {
     /// Connection options set via `SET name value`, in application order.
     /// Order is kept because Phoenix replays them in order at recovery.
     pub options: Vec<(String, Value)>,
-    /// Session-scoped temporary tables and procedures (`#name`). A bare
-    /// volatile [`Store`]: no WAL, no snapshot — dies with the process.
-    pub temp: Store,
+    /// Session-scoped temporary tables and procedures (`#name`), in a
+    /// volatile [`Txn`]: each statement is checked on a copy and installed
+    /// whole, as a durable one is, but nothing is logged or committed, and
+    /// it stands outside the explicit transaction — it dies with the
+    /// session or the process.
+    pub temp: Txn,
     /// The open explicit transaction, if any: its own copy of the durable
     /// store, which the session's statements read and write. Dropping it is
     /// the rollback.
@@ -53,7 +56,7 @@ impl SessionState {
             id,
             user: user.into(),
             options: Vec::new(),
-            temp: Store::new(),
+            temp: Txn::volatile(),
             txn: None,
             cursors: HashMap::new(),
             sys: SysVars::default(),

@@ -2,7 +2,8 @@
 //! a statement copies a number of map entries proportional to the rows it
 //! touches (not to the table), a transaction publishes once, at commit, is
 //! never seen half-applied, and a statement the store refuses leaves
-//! nothing in the log.
+//! nothing in the log, nor in a `#temp` table, which never reaches the
+//! log.
 //!
 //! The counters are process-wide, so the tests of this file run one at a
 //! time.
@@ -426,6 +427,195 @@ fn dml_edge_cases_indexed_equals_unindexed() {
             check(case, &["plain", "ix"]);
         }
     }
+    drop(e);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A statement's outcome with whatever it returns set aside: success, or
+/// the error code.
+fn code(e: &Engine, sid: u64, sql: &str) -> Result<(), ErrorCode> {
+    e.execute(sid, sql).map(drop).map_err(|err| err.code)
+}
+
+/// A statement the store refuses leaves nothing behind, on a durable and on
+/// a `#temp` table alike, and both refuse it with the same error code. Each
+/// case starts from a fresh keyed table `{t}` holding its rows, runs its
+/// statements, each with its expected outcome, and must leave `{t}` as it
+/// was — outside a transaction and inside one that then rolls back. `{u}`
+/// is a table no case leaves behind, `{i}`/`{j}` index names and `{p}` a
+/// procedure name, each spelled for the durable or the temp store. The
+/// key-shifting UPDATEs apply their rows in row-id order, so the first
+/// rows move before a later one collides.
+#[test]
+fn refused_statement_leaves_nothing_and_temp_matches_durable() {
+    // Every case writes, and the counter tests above measure exact deltas
+    // of process-wide counters: run one at a time with them.
+    let _serial = COUNTERS.lock().unwrap();
+    let dir = temp_dir("refused");
+    let e = open(&dir);
+    let sid = e.create_session("app");
+
+    type Case = (
+        &'static str,
+        &'static [(&'static str, Result<(), ErrorCode>)],
+    );
+    use ErrorCode::{AlreadyExists, Column, Constraint, NotFound};
+    const CASES: &[Case] = &[
+        // A key repeated inside the statement, at its third row.
+        (
+            "",
+            &[(
+                "INSERT INTO {t} VALUES (1, 1), (2, 2), (1, 3)",
+                Err(Constraint),
+            )],
+        ),
+        // 1 → 3 goes in, then 2 → 4 collides.
+        (
+            "(1, 1), (2, 2), (4, 4)",
+            &[("UPDATE {t} SET id = id + 2 WHERE id <= 2", Err(Constraint))],
+        ),
+        // 1 → 11 and 2 → 12 go in, then 3 → 13 collides with the last row.
+        (
+            "(1, 1), (2, 2), (3, 3), (13, 13)",
+            &[("UPDATE {t} SET id = id + 10", Err(Constraint))],
+        ),
+        (
+            "(1, 1)",
+            &[
+                ("CREATE TABLE {t} (id INT)", Err(AlreadyExists)),
+                ("CREATE TABLE {u} (a INT)", Ok(())),
+                ("CREATE TABLE {u} (a INT)", Err(AlreadyExists)),
+                ("DROP TABLE {u}", Ok(())),
+                ("DROP TABLE {u}", Err(NotFound)),
+                ("DROP TABLE IF EXISTS {u}", Ok(())),
+            ],
+        ),
+        ("(1, 1)", &[("INSERT INTO {t} VALUES (2)", Err(Constraint))]),
+        (
+            "(1, 1)",
+            &[("INSERT INTO {t} VALUES (2, 2), (NULL, 3)", Err(Constraint))],
+        ),
+        (
+            "(1, 1), (2, 2)",
+            &[
+                ("CREATE INDEX {i} ON {t} (v)", Ok(())),
+                ("CREATE INDEX {i} ON {t} (id)", Err(AlreadyExists)),
+                ("CREATE INDEX {j} ON {t} (nope)", Err(Column)),
+                ("DROP INDEX {i}", Ok(())),
+                ("DROP INDEX {i}", Err(NotFound)),
+                ("DROP INDEX {j}", Err(NotFound)),
+            ],
+        ),
+        (
+            "",
+            &[
+                ("CREATE PROCEDURE {p} AS SELECT 1", Ok(())),
+                ("CREATE PROCEDURE {p} AS SELECT 2", Err(AlreadyExists)),
+                ("DROP PROCEDURE {p}", Ok(())),
+                ("DROP PROCEDURE {p}", Err(NotFound)),
+            ],
+        ),
+        ("(1, 1)", &[("UPDATE {u} SET a = 1", Err(NotFound))]),
+    ];
+
+    for (rows, stmts) in CASES {
+        let mut outcomes = Vec::new();
+        for in_txn in [false, true] {
+            for (t, u, i, j, p) in [
+                ("dref", "dgone", "ix_dref", "jx_dref", "dproc"),
+                ("#ref", "#gone", "ix_tref", "jx_tref", "#proc"),
+            ] {
+                let on = |sql: &str| {
+                    sql.replace("{t}", t)
+                        .replace("{u}", u)
+                        .replace("{i}", i)
+                        .replace("{j}", j)
+                        .replace("{p}", p)
+                };
+                code(&e, sid, &on("DROP TABLE IF EXISTS {t}")).unwrap();
+                code(
+                    &e,
+                    sid,
+                    &on("CREATE TABLE {t} (id INT NOT NULL, v INT, PRIMARY KEY (id))"),
+                )
+                .unwrap();
+                if !rows.is_empty() {
+                    code(&e, sid, &on(&format!("INSERT INTO {{t}} VALUES {rows}"))).unwrap();
+                }
+                let before = rows_of(&e, sid, t);
+                if in_txn {
+                    e.execute(sid, "BEGIN").unwrap();
+                }
+                let got: Vec<_> = stmts
+                    .iter()
+                    .map(|(sql, _)| code(&e, sid, &on(sql)))
+                    .collect();
+                let want: Vec<_> = stmts.iter().map(|&(_, want)| want).collect();
+                assert_eq!(got, want, "{t}, in a transaction: {in_txn}");
+                assert_eq!(rows_of(&e, sid, t), before, "{t}: {}", on(stmts[0].0));
+                if in_txn {
+                    e.execute(sid, "ROLLBACK").unwrap();
+                    assert_eq!(rows_of(&e, sid, t), before, "{t} after ROLLBACK");
+                }
+                outcomes.push(got);
+            }
+        }
+        assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{outcomes:?}");
+    }
+    drop(e);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Temp objects stay outside transactions and out of the log: temp DML and
+/// a `CREATE TABLE #x` inside a transaction that rolls back survive it, and
+/// a thousand temp statements add no byte to the WAL.
+#[test]
+fn temp_writes_survive_rollback_and_log_nothing() {
+    let _serial = COUNTERS.lock().unwrap();
+    let dir = temp_dir("temp-volatile");
+    let e = open(&dir);
+    let sid = e.create_session("app");
+    e.execute(sid, "CREATE TABLE #keep (k INT PRIMARY KEY, v INT)")
+        .unwrap();
+    e.execute(sid, "INSERT INTO #keep VALUES (1, 1), (2, 2)")
+        .unwrap();
+
+    e.execute(sid, "BEGIN").unwrap();
+    e.execute(sid, "CREATE TABLE #made (a INT)").unwrap();
+    e.execute(sid, "INSERT INTO #made VALUES (7)").unwrap();
+    e.execute(sid, "UPDATE #keep SET v = 10 WHERE k = 1")
+        .unwrap();
+    e.execute(sid, "DELETE FROM #keep WHERE k = 2").unwrap();
+    e.execute(sid, "INSERT INTO #keep VALUES (3, 3)").unwrap();
+    e.execute(sid, "ROLLBACK").unwrap();
+    assert_eq!(int(&e, sid, "SELECT a FROM #made"), 7);
+    assert_eq!(
+        rows_of(&e, sid, "#keep"),
+        vec![
+            vec![Value::Int(1), Value::Int(10)],
+            vec![Value::Int(3), Value::Int(3)],
+        ]
+    );
+
+    let wal = dir.join("phoenix.wal");
+    let size = || std::fs::metadata(&wal).unwrap().len();
+    let before = size();
+    for k in 0..250 {
+        e.execute(sid, &format!("INSERT INTO #keep VALUES ({}, 0)", 100 + k))
+            .unwrap();
+        e.execute(
+            sid,
+            &format!("UPDATE #keep SET v = {k} WHERE k = {}", 100 + k),
+        )
+        .unwrap();
+        e.execute(sid, &format!("CREATE INDEX ix_{k} ON #keep (v)"))
+            .unwrap();
+        e.execute(sid, &format!("DROP INDEX ix_{k}")).unwrap();
+    }
+    assert_eq!(size(), before, "1 000 temp statements wrote to the log");
+    assert_eq!(int(&e, sid, "SELECT COUNT(*) FROM #keep"), 252);
+    e.execute(sid, "CREATE TABLE logged (a INT)").unwrap();
+    assert!(size() > before, "a durable statement reaches the log");
     drop(e);
     std::fs::remove_dir_all(&dir).unwrap();
 }

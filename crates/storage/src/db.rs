@@ -6,7 +6,9 @@
 //! through `Store::apply` to the copy, and every read inside the transaction
 //! reads the copy. Nothing is logged or published before commit, so the log
 //! holds only committed transactions: recovery is REDO only, and a rollback
-//! is dropping the `Txn`.
+//! is dropping the `Txn`. A *volatile* transaction ([`Txn::volatile`]) writes
+//! the same way but keeps no records and cannot commit: it is how a
+//! session's temporary tables change.
 //!
 //! [`Durable::open`] is crash recovery, and all of it is
 //! [`crate::applier::recover`]: load the latest snapshot's manifest (each
@@ -481,7 +483,7 @@ impl Durable {
         let base = self.snapshot();
         Txn {
             store: Store::clone(&base),
-            base,
+            base: Some(base),
             records: Vec::new(),
         }
     }
@@ -489,7 +491,8 @@ impl Durable {
     /// Commit: check the transaction against the committed store (see the
     /// module docs), append its records and a `Commit` record in one write,
     /// force the log (under `Fsync`), and publish. A transaction that wrote
-    /// nothing logs nothing.
+    /// nothing logs nothing. A volatile transaction is refused with an
+    /// `InvalidInput` error.
     ///
     /// Concurrent committers coalesce: each appends and takes a group
     /// sequence number; one of them (the leader) syncs the file once for
@@ -501,6 +504,10 @@ impl Durable {
             store,
             records,
         } = txn;
+        let Some(base) = base else {
+            let volatile = "a volatile transaction logs nothing and cannot commit";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, volatile).into());
+        };
         if records.is_empty() {
             return Ok(());
         }
@@ -823,8 +830,9 @@ fn rebase(
 /// nothing until [`Durable::commit_txn`]; dropping it rolls it back.
 pub struct Txn {
     /// The store it began from: commit compares it with the committed
-    /// store, and a conflict check reads the rows it had.
-    base: Arc<Store>,
+    /// store, and a conflict check reads the rows it had. `None` for a
+    /// volatile transaction.
+    base: Option<Arc<Store>>,
     /// `base` plus this transaction's writes: what its statements read.
     store: Store,
     /// Its records, encoded with transaction id 0; commit stamps the id.
@@ -832,13 +840,26 @@ pub struct Txn {
 }
 
 impl Txn {
+    /// A transaction over an empty store that logs nothing: each write is
+    /// checked and installed exactly as in a logged one, but no record is
+    /// encoded or kept (so the WAL frame cap does not bind it), and
+    /// [`Durable::commit_txn`] refuses it.
+    pub fn volatile() -> Txn {
+        Txn {
+            base: None,
+            store: Store::new(),
+            records: Vec::new(),
+        }
+    }
+
     /// The store as this transaction sees it: the image it began from plus
     /// its own writes.
     pub fn store(&self) -> &Store {
         &self.store
     }
 
-    /// The one write path: every mutation, row or catalog, goes through it.
+    /// The one write path: every mutation, row or catalog, of a logged or a
+    /// volatile transaction, goes through it.
     ///
     /// `build` turns the transaction's store into the statement's log
     /// records. They are then *validated by applying them* through
@@ -847,21 +868,25 @@ impl Txn {
     /// would — and only when the whole statement applies (table, procedure
     /// or index present or absent as the record needs, arity, key uniqueness
     /// against the table and within the statement, every row id present)
-    /// does the scratch become the transaction's store and the records join
-    /// the ones it logs at commit. A refused statement leaves the
-    /// transaction as it was.
+    /// does the scratch become the transaction's store and the records (of
+    /// a logged transaction) join the ones it logs at commit. A refused
+    /// statement leaves the transaction as it was.
     fn write(
         &mut self,
         build: impl FnOnce(&Store) -> Result<Vec<LogRecord>, StoreError>,
     ) -> Result<(), DbError> {
-        // Encode once, up front. The 8-byte GSN prefix rides in the same
-        // frame, so the cap accounts for it; an `InsertMany` over the cap
-        // is halved until each piece fits (ids stay consecutive because the
-        // front half is taken first), anything else over it is refused
-        // here.
+        // Encode once, up front (a volatile transaction encodes nothing).
+        // The 8-byte GSN prefix rides in the same frame, so the cap
+        // accounts for it; an `InsertMany` over the cap is halved until
+        // each piece fits (ids stay consecutive because the front half is
+        // taken first), anything else over it is refused here.
         let mut pending: VecDeque<LogRecord> = build(&self.store)?.into();
         let (mut recs, mut encoded) = (Vec::new(), Vec::new());
         while let Some(rec) = pending.pop_front() {
+            if self.base.is_none() {
+                recs.push(rec);
+                continue;
+            }
             let bytes = rec.encode();
             if bytes.len() <= MAX_FRAME as usize - 8 {
                 recs.push(rec);
@@ -1489,6 +1514,39 @@ mod tests {
         assert!(t.store().table("dbo.t").unwrap().is_empty());
         t.insert("dbo.t", row(1, "small")).unwrap();
         db.commit_txn(t).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A volatile transaction writes as a logged one does — a statement
+    /// applies whole or not at all — but no frame cap binds it, it keeps
+    /// no record, and a commit of it is refused without logging anything.
+    #[test]
+    fn volatile_txn_validates_like_a_logged_one_and_cannot_commit() {
+        let dir = temp_dir();
+        let db = Durable::open(&dir, Durability::Fsync).unwrap();
+        let mut t = Txn::volatile();
+        t.create_table(def()).unwrap();
+        assert!(matches!(
+            t.create_table(def()),
+            Err(DbError::Store(StoreError::TableExists(_)))
+        ));
+        // The third row repeats the first's key: none of the three goes in.
+        let dup = vec![row(1, "a"), row(2, "b"), row(1, "c")];
+        assert!(matches!(
+            t.insert_many("dbo.t", dup),
+            Err(DbError::Store(StoreError::DuplicateKey(_)))
+        ));
+        assert!(t.store().table("dbo.t").unwrap().is_empty());
+        let huge = "x".repeat(MAX_FRAME as usize + 1);
+        t.insert("dbo.t", vec![Value::Int(1), Value::Text(huge)])
+            .unwrap();
+        assert!(t.records.is_empty());
+        match db.commit_txn(t) {
+            Err(DbError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+            other => panic!("expected Io(InvalidInput), got {other:?}"),
+        }
+        assert_eq!(db.log_records_since_checkpoint(), 0);
+        assert!(!db.snapshot().has_table("dbo.t"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
