@@ -1,5 +1,4 @@
-//! Phoenix configuration: recovery tuning, the delivery block size and
-//! eager cleanup.
+//! Phoenix configuration: recovery tuning and the delivery block size.
 
 use std::time::Duration;
 
@@ -35,12 +34,6 @@ pub struct PhoenixConfig {
     /// Rows per block when Phoenix delivers result sets from its persistent
     /// tables.
     pub fetch_block: usize,
-    /// Drop a statement's persistent result/key tables as soon as the
-    /// result is consumed (or the statement is re-executed/closed), instead
-    /// of only at session termination as the paper does. Bounds server-side
-    /// growth for long sessions; an extension beyond the paper, off by
-    /// default for fidelity.
-    pub eager_cleanup: bool,
 }
 
 impl Default for PhoenixConfig {
@@ -48,7 +41,6 @@ impl Default for PhoenixConfig {
         PhoenixConfig {
             recovery: RecoverySettings::default(),
             fetch_block: 64,
-            eager_cleanup: false,
         }
     }
 }
@@ -57,12 +49,6 @@ impl PhoenixConfig {
     /// Builder: delivery block size (min 1).
     pub fn with_fetch_block(mut self, n: usize) -> Self {
         self.fetch_block = n.max(1);
-        self
-    }
-
-    /// Builder: eager cleanup of consumed result-set objects.
-    pub fn with_eager_cleanup(mut self, on: bool) -> Self {
-        self.eager_cleanup = on;
         self
     }
 }

@@ -169,7 +169,9 @@ impl PhoenixConnection {
                 Statement::Select(_) if self.ctx.txn_open => {
                     self.run_mapped_retry(&render_statement(&stmt))
                 }
-                Statement::Select(s) => self.execute_query_complete(s),
+                // Anywhere else it is materialized, and the read-back in
+                // the capture's own request is the application's result.
+                Statement::Select(s) => Ok(self.materialize(s, Some(""))?.reply),
                 // EXPLAIN is read-only and idempotent: forward it directly
                 // (with resubmission on comm failure). Materializing a plan
                 // listing into a persistent table would be pure overhead.
@@ -236,58 +238,25 @@ impl PhoenixConnection {
     // Query path
     // -----------------------------------------------------------------------
 
-    /// Materialize a result set and return it whole: the read-back in the
-    /// capture's own request is the application's result.
-    fn execute_query_complete(&mut self, select: &SelectStmt) -> Result<QueryResult> {
-        let m = self.materialize_with_retry(select, Some(""))?;
-        if self.config.eager_cleanup {
-            // The application holds the complete result; the persistent
-            // copy has served its purpose.
-            self.drop_phoenix_table(&m.table);
-        }
-        Ok(m.reply)
-    }
-
-    /// Best-effort eager drop of a Phoenix table: demoted from verified
-    /// session state first, so a failure (or crash) here can never make
-    /// recovery think durable state was lost — the termination sweep will
-    /// finish the job.
-    pub(crate) fn drop_phoenix_table(&mut self, name: &phoenix_sql::ast::ObjectName) {
-        self.ctx.demote(name);
-        let _ = self
-            .private
-            .execute(&format!("DROP TABLE IF EXISTS {name}"));
-    }
-
     /// Materialize a result set in one request (reading back with `read`,
     /// see [`materialize::materialize`]), re-running it under a fresh name
     /// if a crash interrupts it (a table whose commit beat the crash is
     /// swept at session cleanup).
-    pub(crate) fn materialize_with_retry(
+    pub(crate) fn materialize(
         &mut self,
         select: &SelectStmt,
         read: Option<&str>,
     ) -> Result<Materialized> {
-        loop {
-            let table = self.namer.result_table();
+        let m = self.with_recovery(true, |pc, _| {
+            let table = pc.namer.result_table();
             // Reserve the name so cleanup sweeps an interrupted run; a
             // successful one promotes it to verified session state.
-            self.ctx.reserve(PhoenixObject::Table, table.clone());
-            match materialize::materialize(&mut self.private, table, select, read) {
-                Ok(m) => {
-                    self.ctx.register(PhoenixObject::Table, m.table.clone());
-                    self.stats.materialized_result_sets += 1;
-                    return Ok(m);
-                }
-                Err(e) if e.is_comm() => {
-                    self.recover()?;
-                    self.replay_open_txn()?;
-                    self.stats.resubmissions += 1;
-                    // Loop: fresh names, full re-run.
-                }
-                Err(e) => return Err(e),
-            }
-        }
+            pc.ctx.reserve(PhoenixObject::Table, table.clone());
+            materialize::materialize(&mut pc.private, table, select, read)
+        })?;
+        self.ctx.register(PhoenixObject::Table, m.table.clone());
+        self.stats.materialized_result_sets += 1;
+        Ok(m)
     }
 
     // -----------------------------------------------------------------------
@@ -428,13 +397,16 @@ impl PhoenixConnection {
         tags: &[u64],
         replies: &mut [Option<QueryResult>],
     ) -> Result<u64> {
+        let session = self.namer.tag().to_string();
         let mut unanswered = 0;
         for (tag, reply) in tags.iter().zip(replies) {
             if reply.is_some() {
                 continue;
             }
             self.stats.status_probes += 1;
-            match self.probe_status_retry(*tag)? {
+            match self.with_recovery(false, |pc, _| {
+                dml::probe_status(&mut pc.private, &session, *tag)
+            })? {
                 Some(out) => {
                     // Committed: the logged outcome is the preserved reply
                     // buffer.
@@ -460,17 +432,6 @@ impl PhoenixConnection {
                 self.namer.tag()
             ),
         );
-    }
-
-    fn probe_status_retry(&mut self, tag: u64) -> Result<Option<QueryResult>> {
-        let session = self.namer.tag().to_string();
-        loop {
-            match dml::probe_status(&mut self.private, &session, tag) {
-                Ok(r) => return Ok(r),
-                Err(e) if e.is_comm() => self.recover()?,
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     // -----------------------------------------------------------------------
@@ -536,22 +497,12 @@ impl PhoenixConnection {
         let mut batch = Vec::with_capacity(self.ctx.txn_log.len() + 1);
         batch.push("BEGIN".to_string());
         batch.extend(self.ctx.txn_log.iter().cloned());
-        loop {
-            let mut reply = [None];
-            match dml::run_batches(
-                &mut self.mapped,
-                std::slice::from_ref(&batch),
-                0,
-                &mut reply,
-            ) {
-                Ok(()) => {
-                    self.stats.replayed_txn_statements += batch.len() as u64 - 1;
-                    return Ok(());
-                }
-                Err(e) if e.is_comm() => self.recover()?,
-                Err(e) => return Err(e),
-            }
-        }
+        self.with_recovery(false, |pc, _| {
+            let batches = std::slice::from_ref(&batch);
+            dml::run_batches(&mut pc.mapped, batches, 0, &mut [None])
+        })?;
+        self.stats.replayed_txn_statements += batch.len() as u64 - 1;
+        Ok(())
     }
 
     // -----------------------------------------------------------------------
@@ -597,45 +548,50 @@ impl PhoenixConnection {
     /// or `NotFound` (DROP) on a *resubmitted* statement means the original
     /// execution succeeded and only its reply was lost.
     fn run_ddl_reconciled(&mut self, sql: &str) -> Result<QueryResult> {
-        let mut resubmitted = false;
-        loop {
-            match self.mapped.execute(sql) {
-                Ok(r) => return Ok(r),
-                Err(e) if e.is_comm() => {
-                    self.recover()?;
-                    self.replay_open_txn()?;
-                    self.stats.resubmissions += 1;
-                    resubmitted = true;
-                }
-                Err(DriverError::Sql { code, .. })
-                    if resubmitted
-                        && (code == codes::ALREADY_EXISTS || code == codes::NOT_FOUND) =>
-                {
-                    return Ok(done());
-                }
-                Err(e) => return Err(e),
+        self.with_recovery(true, |pc, resubmitted| match pc.mapped.execute(sql) {
+            Err(DriverError::Sql { code, .. })
+                if resubmitted && (code == codes::ALREADY_EXISTS || code == codes::NOT_FOUND) =>
+            {
+                Ok(done())
             }
-        }
+            r => r,
+        })
     }
 
     // -----------------------------------------------------------------------
     // Forwarding with recovery
     // -----------------------------------------------------------------------
 
+    /// Run `attempt` until it answers other than with a communication
+    /// failure; after each such failure the session is recovered first. A
+    /// `resubmit`ting caller sends the request again: the open application
+    /// transaction is re-established before the attempt and the attempt
+    /// counts as a resubmission. `attempt` is told whether it is a rerun.
+    pub(crate) fn with_recovery<T>(
+        &mut self,
+        resubmit: bool,
+        mut attempt: impl FnMut(&mut Self, bool) -> Result<T>,
+    ) -> Result<T> {
+        let mut rerun = false;
+        loop {
+            match attempt(self, rerun) {
+                Err(e) if e.is_comm() => {
+                    self.recover()?;
+                    if resubmit {
+                        self.replay_open_txn()?;
+                        self.stats.resubmissions += 1;
+                    }
+                    rerun = true;
+                }
+                r => return r,
+            }
+        }
+    }
+
     /// Forward an idempotent statement on the mapped connection, recovering
     /// and resubmitting on communication failure.
     pub(crate) fn run_mapped_retry(&mut self, sql: &str) -> Result<QueryResult> {
-        loop {
-            match self.mapped.execute(sql) {
-                Ok(r) => return Ok(r),
-                Err(e) if e.is_comm() => {
-                    self.recover()?;
-                    self.replay_open_txn()?;
-                    self.stats.resubmissions += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.with_recovery(true, |pc, _| pc.mapped.execute(sql))
     }
 
     /// Forward a statement, logging it in the open application transaction

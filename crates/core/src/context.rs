@@ -94,8 +94,8 @@ impl SessionContext {
         self.debris.push(RegisteredObject { kind, name });
     }
 
-    /// Demote an object from verified session state back to debris — used by
-    /// eager cleanup: the object is (being) dropped, so recovery must no
+    /// Demote an object from verified session state back to debris — used
+    /// when the application drops a temp object's stand-in: recovery must no
     /// longer require it to exist, but the termination sweep still covers it
     /// in case the drop itself was interrupted.
     pub fn demote(&mut self, name: &ObjectName) {

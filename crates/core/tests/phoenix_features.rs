@@ -370,6 +370,11 @@ fn hung_server_detected_by_timeout_and_masked() {
     // timeout like any other communication failure: ping, decide, recover.
     // Here the server never crashes — it just stops responding for a while —
     // and the application still gets its answer.
+    //
+    // The server starts inside a fault plan; once setup is done the plan
+    // holds the next request the server dequeues — the UPDATE's batch —
+    // well past the client's read timeout.
+    let guard = phoenix_chaos::arm(phoenix_chaos::Schedule::new());
     let (h, dir) = start();
     let mut pc = PhoenixConnection::connect(&Environment::new(), &h.addr(), "app", "test", {
         let mut c = config();
@@ -386,12 +391,11 @@ fn hung_server_detected_by_timeout_and_masked() {
         .unwrap();
     pc.execute("INSERT INTO t VALUES (1, 10)").unwrap();
 
-    // Stall the engine well past the client's read timeout.
-    h.stall(Duration::from_millis(1200));
+    guard.reset(phoenix_chaos::Schedule::new().delay_at("server.pipeline_dequeue", 1, 1200));
 
-    // This update times out mid-flight, triggers recovery (which itself
-    // stalls until the server wakes), probes the status table, and applies
-    // the update exactly once.
+    // This update times out mid-flight, triggers recovery, probes the status
+    // table, and applies the update exactly once: the held original, once
+    // it runs, finds its status row taken and rolls back.
     let r = pc.execute("UPDATE t SET v = v + 5 WHERE id = 1").unwrap();
     assert_eq!(r.affected(), 1);
     let r = pc.execute("SELECT v FROM t").unwrap();
@@ -580,82 +584,6 @@ fn dynamic_cursor_rejects_scroll() {
 }
 
 #[test]
-fn eager_cleanup_bounds_server_growth() {
-    let (h, dir) = start();
-    let mut pc = PhoenixConnection::connect(
-        &Environment::new(),
-        &h.addr(),
-        "app",
-        "test",
-        config().with_eager_cleanup(true),
-    )
-    .unwrap();
-    pc.execute("CREATE TABLE t (id INT PRIMARY KEY)").unwrap();
-    pc.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
-
-    // Many queries on a long-lived session…
-    for _ in 0..20 {
-        let r = pc.execute("SELECT id FROM t ORDER BY id").unwrap();
-        assert_eq!(r.rows().len(), 3);
-    }
-    for _ in 0..5 {
-        let mut stmt = pc.statement();
-        stmt.execute("SELECT id FROM t").unwrap();
-        stmt.fetch_all().unwrap();
-        stmt.close();
-    }
-
-    // …leave no lingering result tables: inspect the server directly.
-    let engine_tables: Vec<String> = h.with_engine(|e| e.snapshot().table_names()).unwrap();
-    let rs_tables: Vec<&String> = engine_tables
-        .iter()
-        .filter(|n| n.starts_with("phoenix.rs_"))
-        .collect();
-    assert!(
-        rs_tables.is_empty(),
-        "eager cleanup left result tables behind: {rs_tables:?}"
-    );
-
-    pc.close();
-    drop(h);
-    std::fs::remove_dir_all(dir).unwrap();
-}
-
-#[test]
-fn eager_cleanup_does_not_break_recovery() {
-    // Dropping consumed tables must not make phase-2 verification think
-    // session state was lost after a crash.
-    let (mut h, dir) = start();
-    let mut pc = PhoenixConnection::connect(
-        &Environment::new(),
-        &h.addr(),
-        "app",
-        "test",
-        config().with_eager_cleanup(true),
-    )
-    .unwrap();
-    pc.execute("CREATE TABLE t (id INT PRIMARY KEY)").unwrap();
-    pc.execute("INSERT INTO t VALUES (1)").unwrap();
-    pc.execute("SELECT * FROM t").unwrap(); // materialized + eagerly dropped
-
-    h.crash().unwrap();
-    let hh = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(150));
-        h.restart().unwrap();
-        h
-    });
-
-    let r = pc.execute("SELECT COUNT(*) FROM t").unwrap();
-    assert_eq!(r.rows()[0][0], Value::Int(1));
-    assert!(pc.stats().recoveries >= 1);
-
-    let h = hh.join().unwrap();
-    pc.close();
-    drop(h);
-    std::fs::remove_dir_all(dir).unwrap();
-}
-
-#[test]
 fn dropped_temp_object_does_not_fail_recovery_verification() {
     // Regression: an application-issued `DROP TABLE #x` removes the
     // persistent stand-in; a later crash must not make phase-2 verification
@@ -820,6 +748,84 @@ fn cursor_inside_transaction_reads_its_own_writes() {
     pc.execute("COMMIT").unwrap();
     let r = pc.execute("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(r.rows()[0][0], Value::Int(4));
+    pc.close();
+    drop(h);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Forward-only delivery, keyset delivery and delivery inside a
+/// transaction (the client's copy) run one scroll script over one
+/// unchanging primary-keyed result — `Next`, `Prior`, `Absolute` inside, at
+/// and past the end, plain `fetch()` — and return the same rows and the
+/// same `delivered()` after every step, whether a step fits in one block or
+/// spans several.
+#[test]
+fn every_delivery_kind_scrolls_alike() {
+    use phoenix_core::PhoenixFetch::{Absolute, Next, Prior};
+    let (h, dir) = start();
+    let mut pc = connect(&h);
+    pc.execute("CREATE TABLE s (id INT PRIMARY KEY, v TEXT)")
+        .unwrap();
+    let vals: Vec<String> = (0..12).map(|i| format!("({i}, 'r{i}')")).collect();
+    pc.execute(&format!("INSERT INTO s VALUES {}", vals.join(", ")))
+        .unwrap();
+
+    type Step = (Vec<Vec<Value>>, u64);
+    let script = |pc: &mut PhoenixConnection, kind, block| -> Vec<Step> {
+        let mut stmt = pc.statement();
+        stmt.set_cursor_type(kind).set_fetch_block(block);
+        stmt.execute("SELECT id, v FROM s").unwrap();
+        let mut steps = Vec::new();
+        for (dir, n) in [
+            (Next, 5),
+            (Prior, 3),
+            (Absolute(7), 3),
+            (Absolute(10), 4),
+            (Absolute(12), 2),
+            (Absolute(20), 2),
+        ] {
+            let rows = stmt.fetch_scroll(dir, n).unwrap();
+            steps.push((rows, stmt.delivered()));
+            if dir == Absolute(7) {
+                let row = stmt.fetch().unwrap();
+                steps.push((row.into_iter().collect(), stmt.delivered()));
+            }
+        }
+        let row = stmt.fetch().unwrap();
+        steps.push((row.into_iter().collect(), stmt.delivered()));
+        steps
+    };
+
+    let ids = |steps: &[Step]| -> Vec<(Vec<i64>, u64)> {
+        steps
+            .iter()
+            .map(|(rows, at)| (rows.iter().map(|r| r[0].as_i64().unwrap()).collect(), *at))
+            .collect()
+    };
+    for block in [3, 64] {
+        let forward = script(&mut pc, PhoenixCursorKind::ForwardOnly, block);
+        assert_eq!(
+            ids(&forward),
+            vec![
+                (vec![0, 1, 2, 3, 4], 5),
+                (vec![2, 3, 4], 2),
+                (vec![7, 8, 9], 10),
+                (vec![10], 11),
+                (vec![10, 11], 12),
+                (vec![], 12),
+                (vec![], 20),
+                (vec![], 20),
+            ],
+            "block {block}"
+        );
+        let keyset = script(&mut pc, PhoenixCursorKind::Keyset, block);
+        pc.execute("BEGIN").unwrap();
+        let client = script(&mut pc, PhoenixCursorKind::ForwardOnly, block);
+        pc.execute("ROLLBACK").unwrap();
+        assert_eq!(keyset, forward, "keyset, block {block}");
+        assert_eq!(client, forward, "in transaction, block {block}");
+    }
+    assert_eq!(pc.stats().cursor_downgrades, 0);
     pc.close();
     drop(h);
     std::fs::remove_dir_all(dir).unwrap();

@@ -40,10 +40,6 @@ enum Source {
 pub struct Statement<'c> {
     conn: &'c mut Connection,
     cursor_kind: CursorKind,
-    /// Force a server cursor even for forward-only statements, so rows cross
-    /// the wire in blocks instead of all at once. Phoenix uses this for
-    /// result-set delivery from its persistent tables.
-    server_cursor: bool,
     fetch_block: usize,
     schema: Option<Schema>,
     granted: Option<CursorKind>,
@@ -58,7 +54,6 @@ impl<'c> Statement<'c> {
         Statement {
             conn,
             cursor_kind: CursorKind::ForwardOnly,
-            server_cursor: false,
             fetch_block,
             schema: None,
             granted: None,
@@ -71,13 +66,6 @@ impl<'c> Statement<'c> {
     /// Set the cursor type before `execute` (the ODBC statement attribute).
     pub fn set_cursor_type(&mut self, kind: CursorKind) -> &mut Self {
         self.cursor_kind = kind;
-        self
-    }
-
-    /// Force block-wise delivery through a server cursor even for
-    /// forward-only statements.
-    pub fn set_server_cursor(&mut self, on: bool) -> &mut Self {
-        self.server_cursor = on;
         self
     }
 
@@ -96,7 +84,7 @@ impl<'c> Statement<'c> {
         self.rows_affected = None;
 
         let is_select = sql.trim_start().to_ascii_uppercase().starts_with("SELECT");
-        if is_select && (self.cursor_kind != CursorKind::ForwardOnly || self.server_cursor) {
+        if is_select && self.cursor_kind != CursorKind::ForwardOnly {
             // Server cursor path.
             match self.conn.call(Request::OpenCursor {
                 sql: sql.to_string(),

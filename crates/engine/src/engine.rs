@@ -26,10 +26,7 @@
 //!   never blocks writers and a queued writer never blocks new readers;
 //!   each statement (and each cursor fetch) takes a fresh snapshot. Inside
 //!   a transaction, reads and writes go to the transaction's own copy of the
-//!   store instead, and only its commit serializes with other sessions';
-//! * the *stall gate* is a reader-writer lock every entry point acquires in
-//!   shared mode; the test harness takes it exclusively to simulate a server
-//!   that has stopped responding without dying.
+//!   store instead, and only its commit serializes with other sessions'.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -143,10 +140,6 @@ pub struct Engine {
     next_session: AtomicU64,
     next_cursor: AtomicU64,
     config: EngineConfig,
-    /// Every entry point holds this in shared mode for the duration of the
-    /// call; [`Engine::stall`] takes it exclusively so the test harness can
-    /// freeze the server without killing it.
-    stall_gate: RwLock<()>,
 }
 
 impl Engine {
@@ -159,7 +152,6 @@ impl Engine {
             next_session: AtomicU64::new(1),
             next_cursor: AtomicU64::new(1),
             config,
-            stall_gate: RwLock::new(()),
         })
     }
 
@@ -190,28 +182,12 @@ impl Engine {
         self.sessions.read().len()
     }
 
-    /// Block every engine entry point for `d`, simulating a server that has
-    /// stopped responding without dying (test harness hook).
-    pub fn stall(&self, d: std::time::Duration) {
-        self.stall_with(d, || {});
-    }
-
-    /// Like [`Engine::stall`], but invokes `engaged` once the gate is
-    /// actually held — a handshake for harnesses that must not return to
-    /// the caller before the stall has taken effect.
-    pub fn stall_with(&self, d: std::time::Duration, engaged: impl FnOnce()) {
-        let _gate = self.stall_gate.write();
-        engaged();
-        std::thread::sleep(d);
-    }
-
     // -- session lifecycle ---------------------------------------------------
 
     /// Open a new session for `user`, unconditionally (no session cap).
     /// Servers that honor `max_sessions` go through
     /// [`Engine::try_create_session`] instead.
     pub fn create_session(&self, user: &str) -> SessionId {
-        let _gate = self.stall_gate.read();
         self.install_session(&mut self.sessions.write(), user)
     }
 
@@ -220,7 +196,6 @@ impl Engine {
     /// check and the insert happen under one catalog write lock, so
     /// concurrent logins cannot all pass a stale check.
     pub fn try_create_session(&self, user: &str) -> Result<SessionId> {
-        let _gate = self.stall_gate.read();
         let mut sessions = self.sessions.write();
         match self.config.max_sessions {
             Some(cap) if sessions.len() >= cap => {
@@ -254,7 +229,6 @@ impl Engine {
     /// If a statement is in flight on the session, this waits for it to
     /// finish before tearing the session down.
     pub fn close_session(&self, sid: SessionId) -> Result<()> {
-        let _gate = self.stall_gate.read();
         let session = self
             .sessions
             .write()
@@ -289,7 +263,6 @@ impl Engine {
     /// Current value of a session's SET option (observability/test hook; the
     /// engine has no `@@name` surface for arbitrary options).
     pub fn session_option(&self, sid: SessionId, name: &str) -> Result<Option<Value>> {
-        let _gate = self.stall_gate.read();
         self.with_session_state(sid, |s| Ok(s.option(name).cloned()))
     }
 
@@ -314,7 +287,6 @@ impl Engine {
 
     /// Execute an already-parsed statement.
     pub fn execute_stmt(&self, sid: SessionId, stmt: &Statement) -> Result<ExecResult> {
-        let _gate = self.stall_gate.read();
         let result = self.with_session_state(sid, |session| {
             let _t = phoenix_obs::Timer::new(engine_metrics().stmt_latency(stmt));
             self.exec_in(session, stmt, None, 0)
@@ -514,14 +486,17 @@ impl Engine {
                 table,
                 column,
             } => {
-                self.with_txn(session, table.is_temp(), |txn, _| {
+                self.with_txn(session, table.is_temp(), |txn, other| {
                     let data = Catalog::table(txn.store(), table)?;
                     let col = data.def.schema.index_of(column).ok_or_else(|| {
                         EngineError::column(format!("no column '{column}' in '{table}'"))
                     })?;
-                    // Index names resolve globally at DROP time; enforce
-                    // global uniqueness here so that stays unambiguous.
-                    if txn.store().find_index_owner(name).is_some() {
+                    // Index names resolve across both stores at DROP time;
+                    // enforce uniqueness across both here so that stays
+                    // unambiguous.
+                    if txn.store().find_index_owner(name).is_some()
+                        || other.find_index_owner(name).is_some()
+                    {
                         return Err(EngineError::new(
                             ErrorCode::AlreadyExists,
                             format!("index '{name}' already exists"),
@@ -680,7 +655,6 @@ impl Engine {
         select: &SelectStmt,
         kind: CursorKind,
     ) -> Result<(CursorId, Schema, CursorKind)> {
-        let _gate = self.stall_gate.read();
         self.with_session_state(sid, |session| {
             let id = self.next_cursor.fetch_add(1, Ordering::Relaxed);
             let result = {
@@ -706,7 +680,6 @@ impl Engine {
 
     /// Fetch from an open cursor.
     pub fn fetch(&self, sid: SessionId, cid: CursorId, dir: FetchDir, n: usize) -> Result<Fetched> {
-        let _gate = self.stall_gate.read();
         self.with_session_state(sid, |session| match session.cursors.remove(&cid) {
             None => Err(EngineError::new(
                 ErrorCode::Cursor,
@@ -732,7 +705,6 @@ impl Engine {
 
     /// Close an open cursor.
     pub fn close_cursor(&self, sid: SessionId, cid: CursorId) -> Result<()> {
-        let _gate = self.stall_gate.read();
         self.with_session_state(sid, |session| {
             session
                 .cursors
@@ -751,7 +723,6 @@ impl Engine {
     /// Describe a table visible to the session: schema plus primary-key
     /// column names (the catalog call behind the wire `Describe` request).
     pub fn describe(&self, sid: SessionId, table: &ObjectName) -> Result<(Schema, Vec<String>)> {
-        let _gate = self.stall_gate.read();
         self.with_session_state(sid, |session| {
             let durable = self.durable_image(&session.txn);
             let view = CatalogView {
@@ -1577,24 +1548,6 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
-    /// A stalled engine blocks new statements until the stall ends.
-    #[test]
-    fn stall_blocks_execution() {
-        use std::time::{Duration, Instant};
-        let (e, dir) = engine();
-        let e = std::sync::Arc::new(e);
-        let sid = e.create_session("app");
-        let e2 = std::sync::Arc::clone(&e);
-        let t = std::thread::spawn(move || e2.stall(Duration::from_millis(300)));
-        // Give the stall thread time to take the gate.
-        std::thread::sleep(Duration::from_millis(50));
-        let t0 = Instant::now();
-        e.execute(sid, "SELECT 1").unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(150));
-        t.join().unwrap();
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
     #[test]
     fn index_ddl_lifecycle_and_explain() {
         let (e, dir) = engine();
@@ -1682,6 +1635,22 @@ mod tests {
         let sid2 = e.create_session("app");
         e.execute(sid2, "DROP INDEX ix_tk").unwrap_err();
         e.execute(sid, "DROP INDEX ix_tk").unwrap();
+        // Index names are unique across the durable and the temp store, in
+        // both directions, so one DROP INDEX finds exactly one index.
+        e.execute(sid, "CREATE TABLE d (k INT, v INT)").unwrap();
+        e.execute(sid, "CREATE INDEX ix ON d(k)").unwrap();
+        let code = |r: Result<ExecResult>| r.unwrap_err().code;
+        assert_eq!(
+            code(e.execute(sid, "CREATE INDEX ix ON #t(k)")),
+            ErrorCode::AlreadyExists
+        );
+        e.execute(sid, "CREATE INDEX ix_tv ON #t(v)").unwrap();
+        assert_eq!(
+            code(e.execute(sid, "CREATE INDEX ix_tv ON d(v)")),
+            ErrorCode::AlreadyExists
+        );
+        e.execute(sid, "DROP INDEX ix").unwrap();
+        assert_eq!(code(e.execute(sid, "DROP INDEX ix")), ErrorCode::NotFound);
         std::fs::remove_dir_all(dir).unwrap();
     }
 

@@ -85,15 +85,6 @@ impl ServerHarness {
         self.server.as_ref().map(|s| s.connection_count())
     }
 
-    /// Reap registry entries whose peer has vanished (non-destructive
-    /// `MSG_PEEK` probe — see [`RunningServer::prune_dead_conns`]), so a
-    /// *quiet* listener still notices dead clients whose threads are parked
-    /// inside long dispatches. Returns how many were reaped; `None` while
-    /// crashed.
-    pub fn prune_dead_conns(&self) -> Option<usize> {
-        self.server.as_ref().map(|s| s.prune_dead_conns())
-    }
-
     /// Crash the server abruptly. See the module docs for the fault model.
     ///
     /// Errors with [`io::ErrorKind::NotConnected`] if the server is already
@@ -147,30 +138,6 @@ impl ServerHarness {
         if let Some(server) = self.server.take() {
             if let Some(engine) = server.stop() {
                 let _ = engine.checkpoint();
-            }
-        }
-    }
-
-    /// Stall the server for `d`: a background thread holds the engine's
-    /// stall gate exclusively, so every in-flight and new request blocks
-    /// without any socket closing — the "server busy, connection slow, or
-    /// crashed?" ambiguity of paper §2. Clients with read timeouts see
-    /// `Comm` timeouts; the server itself never dies.
-    pub fn stall(&self, d: std::time::Duration) {
-        if let Some(server) = &self.server {
-            let engine = server.engine.read().clone();
-            if let Some(engine) = engine {
-                let started = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-                let flag = std::sync::Arc::clone(&started);
-                std::thread::spawn(move || {
-                    engine.stall_with(d, move || {
-                        flag.store(true, std::sync::atomic::Ordering::SeqCst)
-                    });
-                });
-                // Don't return until the stall is actually in effect.
-                while !started.load(std::sync::atomic::Ordering::SeqCst) {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
             }
         }
     }
@@ -431,52 +398,6 @@ mod tests {
         }
         drop(s2);
         h.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn prune_reaps_dead_connection_while_its_thread_is_parked() {
-        let dir = temp_dir();
-        let h = ServerHarness::start(&dir, EngineConfig::default()).unwrap();
-        {
-            let mut s = connect(&h);
-            login(&mut s);
-            // Park the connection thread inside dispatch, then vanish: the
-            // FIN arrives while the thread is *executing*, not reading, so
-            // the registry entry lingers until something probes it.
-            h.stall(Duration::from_millis(600));
-            write_tagged_frame(
-                &mut s,
-                1,
-                &Request::Exec {
-                    sql: "SELECT 1".into(),
-                }
-                .encode(),
-            )
-            .unwrap();
-            // Client drops without logout.
-        }
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(
-            h.connection_count(),
-            Some(1),
-            "dead connection still registered while its thread is parked"
-        );
-        // No accept traffic, no reads — only the prober notices.
-        assert_eq!(h.prune_dead_conns(), Some(1));
-        assert_eq!(h.connection_count(), Some(0));
-        // A live connection is never reaped by the probe.
-        let mut live = connect(&h);
-        std::thread::sleep(Duration::from_millis(700)); // wait out the stall
-        login(&mut live);
-        assert_eq!(h.prune_dead_conns(), Some(0));
-        assert_eq!(h.connection_count(), Some(1));
-        match call(&mut live, Request::Ping) {
-            Response::Pong => {}
-            other => panic!("{other:?}"),
-        }
-        drop(live);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,10 +16,6 @@ pub struct ServerMetrics {
     /// (`phoenix_accept_errors_total`). Each one cost a bounded backoff
     /// sleep; the listener never stops on them.
     pub accept_errors: Arc<Counter>,
-    /// Registry entries reaped by the dead-connection prober
-    /// (`phoenix_connections_reaped_total`): the peer vanished while its
-    /// connection thread was busy or parked.
-    pub connections_reaped: Arc<Counter>,
     /// Live client connections (`phoenix_connections_active`).
     pub connections_active: Arc<Gauge>,
     /// Requests currently being dispatched (`phoenix_requests_inflight`).
@@ -89,10 +85,6 @@ pub fn server_metrics() -> &'static ServerMetrics {
             accept_errors: r.counter(
                 "phoenix_accept_errors_total",
                 "accept-loop failures answered with bounded backoff",
-            ),
-            connections_reaped: r.counter(
-                "phoenix_connections_reaped_total",
-                "dead client connections reaped by the liveness prober",
             ),
             connections_active: r.gauge("phoenix_connections_active", "live client connections"),
             requests_inflight: r.gauge(

@@ -16,6 +16,10 @@
 //! handle, but their replies are lost — the harness severs every socket
 //! before throwing the switch, which is precisely the lost-reply window the
 //! paper's reply-buffer mechanism exists for.
+//!
+//! The connection registry holds a clone of every live client stream so the
+//! crash switch can sever them. A connection thread removes its own entry
+//! when it exits; nothing else probes or reaps the sockets.
 
 use std::collections::HashMap;
 use std::io;
@@ -44,71 +48,6 @@ pub type SharedEngine = Arc<RwLock<Option<Arc<Engine>>>>;
 /// Registry of live client streams, keyed by connection id so each
 /// connection can prune its own entry when it exits.
 type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
-
-/// Liveness-probe a registered stream without consuming data: a one-byte
-/// `recv(MSG_PEEK | MSG_DONTWAIT)` returning 0 means the peer performed an
-/// orderly shutdown; an error other than `WouldBlock`/`Interrupted` means the
-/// socket is broken. Crucially this never toggles `set_nonblocking` on the
-/// shared fd — that would poison the owning connection thread's blocking
-/// read — and `MSG_PEEK` leaves any pending request bytes in place.
-#[cfg(target_os = "linux")]
-fn stream_is_dead(stream: &TcpStream) -> bool {
-    use std::os::fd::AsRawFd;
-    const MSG_PEEK: i32 = 2;
-    const MSG_DONTWAIT: i32 = 0x40;
-    extern "C" {
-        fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
-    }
-    let mut byte = 0u8;
-    let n = unsafe {
-        recv(
-            stream.as_raw_fd(),
-            &mut byte as *mut u8,
-            1,
-            MSG_PEEK | MSG_DONTWAIT,
-        )
-    };
-    match n {
-        0 => true, // EOF: peer closed while we weren't reading
-        n if n > 0 => false,
-        _ => !matches!(
-            io::Error::last_os_error().kind(),
-            io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-        ),
-    }
-}
-
-/// Portable fallback: without a non-destructive peek we cannot tell a quiet
-/// peer from a dead one, so never reap (the connection thread still prunes
-/// itself the moment its blocking read returns).
-#[cfg(not(target_os = "linux"))]
-fn stream_is_dead(_stream: &TcpStream) -> bool {
-    false
-}
-
-/// Reap registry entries whose peer has vanished. Returns how many were
-/// reaped. This is what lets a *quiet* listener notice dead clients: a
-/// connection whose thread is parked inside a long dispatch (or whose
-/// client died without a FIN reaching the blocking read) stays registered
-/// until something probes it. The reaped stream is also shut down so the
-/// owning thread's next read/write fails fast and it exits normally.
-fn prune_dead(conns: &ConnRegistry) -> usize {
-    let mut conns = conns.lock();
-    let dead: Vec<u64> = conns
-        .iter()
-        .filter(|(_, s)| stream_is_dead(s))
-        .map(|(id, _)| *id)
-        .collect();
-    for id in &dead {
-        if let Some(s) = conns.remove(id) {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-    }
-    if !dead.is_empty() {
-        server_metrics().connections_reaped.add(dead.len() as u64);
-    }
-    dead.len()
-}
 
 /// A running server: listener thread + connection registry.
 pub struct RunningServer {
@@ -183,14 +122,6 @@ impl RunningServer {
     /// Number of live client connections currently registered.
     pub fn connection_count(&self) -> usize {
         self.conns.lock().len()
-    }
-
-    /// Reap registry entries whose peer has vanished: a 1-byte
-    /// `MSG_PEEK | MSG_DONTWAIT` probe per connection notices a peer that
-    /// left while its thread was parked inside a long dispatch. Returns how
-    /// many were reaped.
-    pub fn prune_dead_conns(&self) -> usize {
-        prune_dead(&self.conns)
     }
 
     /// Sever every client connection immediately.

@@ -27,8 +27,7 @@ fn main() {
         &server.addr(),
         "report-runner",
         "sales",
-        // Long sessions benefit from eager cleanup of consumed results.
-        PhoenixConfig::default().with_eager_cleanup(true),
+        PhoenixConfig::default(),
     )
     .unwrap();
 
