@@ -105,12 +105,14 @@ fn measure(n: u64) -> (f64, f64, f64, Vec<String>) {
 
     env.harness.crash().unwrap();
     env.harness.restart().unwrap();
-    let opened = phoenix_obs::journal().events().last().map_or(0, |e| e.seq);
+    // The server's instance journals the restarted store's segment loads.
+    let journal = env.harness.obs().journal();
+    let opened = journal.events().last().map_or(0, |e| e.seq);
 
     // The next fetch detects the failure, recovers the virtual session and
     // re-positions delivery; the instrumented stats decompose the cost.
     let row = stmt.fetch().unwrap().expect("rows remain");
-    let loads = phoenix_obs::journal()
+    let loads = journal
         .events_of(phoenix_obs::EventKind::Other)
         .into_iter()
         .filter(|e| e.seq > opened && e.component == "storage")

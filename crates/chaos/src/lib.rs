@@ -20,9 +20,12 @@
 //!
 //! [`arm`] creates a plan and enters it on the calling thread until the
 //! returned [`ChaosGuard`] drops (on unwind too). A thread hands its plan to
-//! the threads it spawns with [`current`] and [`enter`]: a server started
-//! inside a plan serves inside it. Two tests never see each other's
-//! schedule, counters or halt, so armed tests run in parallel.
+//! the threads it spawns in one [`Scope`] — [`Scope::current`], then
+//! [`Scope::enter`] on the new thread — together with its observability
+//! instance ([`phoenix_obs::Obs`]): a server started inside a plan serves
+//! inside it, and counts into the instance it was started in. Two tests
+//! never see each other's schedule, counters, halt or metrics, so armed
+//! tests run in parallel.
 //!
 //! ## Determinism contract
 //!
@@ -75,7 +78,7 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use phoenix_obs::{journal, registry, EventKind};
+use phoenix_obs::{EventKind, Obs};
 
 thread_local! {
     /// The plan this thread's visits count toward, if any.
@@ -84,7 +87,7 @@ thread_local! {
 
 /// One test's fault schedule and everything its visits record: visit
 /// counters, the optional trace, the faults fired, and the halt. Created by
-/// [`arm`]; shared by every thread that [`enter`]s it.
+/// [`arm`]; shared by every thread that enters it (see [`Scope`]).
 #[derive(Default)]
 pub struct FaultPlan {
     state: Mutex<PlanState>,
@@ -180,9 +183,11 @@ impl FaultPlan {
             }
         };
         // Emission happens outside the plan's lock: the journal and registry
-        // take their own locks and firings are rare.
-        faults_injected(point).inc();
-        journal().record(
+        // take their own locks and firings are rare. They go to the
+        // visiting thread's instance.
+        let obs = phoenix_obs::current();
+        faults_injected(&obs, point).inc();
+        obs.journal().record(
             "chaos",
             EventKind::FaultInjected,
             format!("{} at {point}", spec.as_str()),
@@ -194,10 +199,10 @@ impl FaultPlan {
     }
 }
 
-/// The calling thread's membership in a plan, from [`enter`] until drop,
+/// The calling thread's membership in a plan, from entering until drop,
 /// which restores the thread's previous plan — on unwind too.
 #[must_use = "the thread leaves the plan when this is dropped"]
-pub struct Entered {
+struct Entered {
     previous: Option<Arc<FaultPlan>>,
     /// Membership is per thread: the guard must drop where it was made.
     _thread: PhantomData<*const ()>,
@@ -210,9 +215,8 @@ impl Drop for Entered {
 }
 
 /// Make `plan` (or no plan) the one the calling thread's visits count
-/// toward until the returned guard drops. With [`current`], this is how a
-/// thread hands its plan to the threads it spawns.
-pub fn enter(plan: Option<Arc<FaultPlan>>) -> Entered {
+/// toward until the returned guard drops.
+fn enter(plan: Option<Arc<FaultPlan>>) -> Entered {
     Entered {
         previous: CURRENT.with(|c| c.replace(plan)),
         _thread: PhantomData,
@@ -220,8 +224,49 @@ pub fn enter(plan: Option<Arc<FaultPlan>>) -> Entered {
 }
 
 /// The plan the calling thread is in, if any.
-pub fn current() -> Option<Arc<FaultPlan>> {
+fn current() -> Option<Arc<FaultPlan>> {
     CURRENT.with(|c| c.borrow().clone())
+}
+
+/// What a thread hands to the threads it spawns: its fault plan, if any,
+/// and its observability instance. A server, its connection threads and
+/// every incarnation a harness restarts live in the scope the server was
+/// started in.
+#[derive(Clone)]
+pub struct Scope {
+    plan: Option<Arc<FaultPlan>>,
+    obs: Arc<Obs>,
+}
+
+impl Scope {
+    /// The calling thread's plan and instance.
+    pub fn current() -> Scope {
+        Scope {
+            plan: current(),
+            obs: phoenix_obs::current(),
+        }
+    }
+
+    /// The scope's observability instance.
+    pub fn obs(&self) -> &Arc<Obs> {
+        &self.obs
+    }
+
+    /// Enter the plan and the instance on the calling thread until the
+    /// returned guard drops.
+    pub fn enter(self) -> InScope {
+        InScope {
+            _obs: phoenix_obs::enter(self.obs),
+            _plan: enter(self.plan),
+        }
+    }
+}
+
+/// The calling thread's membership in a [`Scope`], until drop.
+#[must_use = "the thread leaves the scope when this is dropped"]
+pub struct InScope {
+    _obs: phoenix_obs::Entered,
+    _plan: Entered,
 }
 
 /// An armed plan, entered on the thread that armed it; derefs to the
@@ -334,8 +379,8 @@ pub fn check_durable(point: &'static str) -> io::Result<()> {
 }
 
 /// The `phoenix_faults_injected_total{point=...}` counter for one point.
-fn faults_injected(point: &'static str) -> Arc<phoenix_obs::Counter> {
-    registry().counter_with(
+fn faults_injected(obs: &Obs, point: &'static str) -> Arc<phoenix_obs::Counter> {
+    obs.registry().counter_with(
         "phoenix_faults_injected_total",
         "Faults fired by phoenix-chaos, by fault point",
         &[("point", point)],
@@ -467,23 +512,16 @@ mod tests {
 
     #[test]
     fn fired_faults_emit_journal_and_metrics() {
-        let last_seq = journal().events().last().map(|e| e.seq);
-        let counter = faults_injected("emit.test");
-        let count_before = counter.get();
+        let obs = Arc::new(Obs::new());
+        let _in = phoenix_obs::enter(Arc::clone(&obs));
         {
             let _g = arm(Schedule::new().io_error_at("emit.test", 1));
             assert_eq!(fault("emit.test"), FaultAction::IoError);
         }
-        assert_eq!(counter.get(), count_before + 1);
-        // Sibling tests fire faults of their own meanwhile: count only the
-        // events that are new and name this test's point.
-        let ours = journal()
-            .events_of(EventKind::FaultInjected)
-            .into_iter()
-            .filter(|e| Some(e.seq) > last_seq)
-            .filter(|e| e.detail.contains("emit.test"))
-            .count();
-        assert_eq!(ours, 1);
+        assert_eq!(faults_injected(&obs, "emit.test").get(), 1);
+        let events = obs.journal().events_of(EventKind::FaultInjected);
+        assert_eq!(events.len(), 1);
+        assert!(events[0].detail.contains("emit.test"));
     }
 
     #[test]
@@ -499,13 +537,18 @@ mod tests {
     fn an_entered_plan_counts_the_spawned_thread() {
         let guard = arm(Schedule::new().crash_at("q", 2));
         fault("q");
-        let plan = current();
+        let scope = Scope::current();
         let inside = std::thread::spawn(move || {
-            let _in = enter(plan);
+            let _in = scope.enter();
             fault("q")
         });
         assert_eq!(inside.join().unwrap(), FaultAction::Crash);
         assert!(guard.crash_requested());
+        // The spawned thread reported the firing to this thread's instance.
+        let fired = phoenix_obs::current()
+            .journal()
+            .events_of(EventKind::FaultInjected);
+        assert_eq!(fired.len(), 1);
     }
 
     #[test]

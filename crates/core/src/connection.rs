@@ -28,13 +28,13 @@ use phoenix_sql::rewrite::rename_table_refs;
 use phoenix_storage::types::Value;
 use phoenix_wire::message::Outcome;
 
-use phoenix_obs::{journal, EventKind};
+use phoenix_obs::{EventKind, Journal};
 
 use crate::config::PhoenixConfig;
 use crate::context::{PhoenixObject, SessionContext};
 use crate::dml;
 use crate::materialize::{self, Materialized};
-use crate::metrics::core_metrics;
+use crate::metrics::CoreMetrics;
 use crate::naming::{fresh_session_tag, Namer};
 use crate::recovery;
 use crate::statement::PhoenixStatement;
@@ -95,6 +95,8 @@ pub struct PhoenixConnection {
     pub(crate) stats: PhoenixStats,
     /// When the most recent recovery finished (the connect, before any).
     pub(crate) recovered_at: std::time::Instant,
+    /// The recovery metrics of the environment's instance.
+    metrics: CoreMetrics,
 }
 
 impl PhoenixConnection {
@@ -114,7 +116,6 @@ impl PhoenixConnection {
         dml::ensure_status_table(&mut private)?;
         recovery::create_marker(&mut private, &namer.alive_marker())?;
         Ok(PhoenixConnection {
-            env,
             addr: addr.to_string(),
             user: user.to_string(),
             database: database.to_string(),
@@ -125,7 +126,15 @@ impl PhoenixConnection {
             ctx: SessionContext::new(),
             stats: PhoenixStats::default(),
             recovered_at: std::time::Instant::now(),
+            metrics: CoreMetrics::new(env.obs()),
+            env,
         })
+    }
+
+    /// The journal of the environment's instance: where the recovery
+    /// timeline goes.
+    pub(crate) fn journal(&self) -> &Journal {
+        self.env.obs().journal()
     }
 
     /// Behaviour counters (recoveries, materializations, probes, …).
@@ -423,8 +432,8 @@ impl PhoenixConnection {
     /// status record instead of being re-executed.
     fn note_replayed_reply(&mut self, tag: u64) {
         self.stats.replied_from_status += 1;
-        core_metrics().replayed_replies.inc();
-        journal().record(
+        self.metrics.replayed_replies.inc();
+        self.journal().record(
             "core",
             EventKind::ReplyReplayed,
             format!(
@@ -616,7 +625,7 @@ impl PhoenixConnection {
     /// by the call sites that know what was in flight.)
     pub(crate) fn recover(&mut self) -> Result<()> {
         self.stats.recoveries += 1;
-        journal().record(
+        self.journal().record(
             "core",
             EventKind::CrashDetected,
             "communication failure intercepted; recovering virtual session",
@@ -635,10 +644,9 @@ impl PhoenixConnection {
                     let us = self.recovered_at.duration_since(t0).as_micros() as u64;
                     self.stats.last_recovery_virtual_us = us;
                     self.stats.recovery_virtual_us += us;
-                    let m = core_metrics();
-                    m.recoveries.inc();
-                    m.recovery_us.record(us);
-                    journal().record(
+                    self.metrics.recoveries.inc();
+                    self.metrics.recovery_us.record(us);
+                    self.journal().record(
                         "core",
                         EventKind::RecoveryComplete,
                         format!("virtual session re-established in {us} us"),
@@ -666,6 +674,7 @@ impl PhoenixConnection {
             // private connection and re-create the proxy marker.
             let (private, attempts) = recovery::reconnect_loop(
                 &self.env,
+                &self.metrics,
                 &self.addr,
                 &self.user,
                 &self.database,
@@ -682,6 +691,7 @@ impl PhoenixConnection {
         // session context (login info + SET options).
         let (mapped, attempts) = recovery::reconnect_loop(
             &self.env,
+            &self.metrics,
             &self.addr,
             &self.user,
             &self.database,
@@ -690,7 +700,7 @@ impl PhoenixConnection {
         )?;
         self.stats.reconnect_attempts += attempts;
         self.mapped = mapped;
-        journal().record(
+        self.journal().record(
             "core",
             EventKind::ContextReinstalled,
             format!(
@@ -714,7 +724,7 @@ impl PhoenixConnection {
                     verified += 1;
                 }
             }
-            journal().record(
+            self.journal().record(
                 "core",
                 EventKind::StateVerified,
                 format!("{verified} materialized table(s) verified present"),

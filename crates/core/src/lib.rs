@@ -65,9 +65,10 @@
 //! * [`materialize`] — the one-request result-set capture.
 //! * [`dml`] — the exactly-once wrapper and the status table.
 //! * [`recovery`] — failure detection, ping loop, two-phase reinstall.
-//! * [`metrics`] — process-wide recovery counters and the recovery-latency
-//!   histogram, registered in the [`phoenix_obs`] registry; recovery steps
-//!   also leave an ordered timeline in the [`phoenix_obs::journal()`].
+//! * [`metrics`] — recovery counters and the recovery-latency histogram,
+//!   registered in the [`phoenix_obs::Obs`] instance of the connection's
+//!   driver environment; recovery steps also leave an ordered timeline in
+//!   that instance's journal.
 
 pub mod config;
 pub mod connection;

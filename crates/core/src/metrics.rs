@@ -1,15 +1,18 @@
-//! Recovery-layer metric handles, registered once and cached in a static.
+//! Recovery-layer metric handles, registered when a
+//! [`crate::PhoenixConnection`] connects.
 //!
-//! These are process-wide aggregates over every [`crate::PhoenixConnection`];
-//! the per-connection [`crate::PhoenixStats`] remains the fine-grained view.
+//! These aggregate over every Phoenix connection of one observability
+//! instance (that of the connection's driver environment); the
+//! per-connection [`crate::PhoenixStats`] remains the fine-grained view.
 //! The counters pair with the event journal: the counters say *how much*
 //! recovery happened, the journal says *in what order*.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use phoenix_obs::{registry, Counter, Histogram};
+use phoenix_obs::{Counter, Histogram, Obs};
 
-/// Cached handles for every recovery metric.
+/// The handles of every recovery metric, held by the connection that counts
+/// them.
 pub struct CoreMetrics {
     /// Reconnect attempts inside ping loops
     /// (`phoenix_reconnect_attempts_total`).
@@ -29,11 +32,10 @@ pub struct CoreMetrics {
     pub replayed_replies: Arc<Counter>,
 }
 
-/// The recovery metric set, registered on first use.
-pub fn core_metrics() -> &'static CoreMetrics {
-    static M: OnceLock<CoreMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = registry();
+impl CoreMetrics {
+    /// Register (or find) the recovery metrics in `obs`.
+    pub fn new(obs: &Obs) -> CoreMetrics {
+        let r = obs.registry();
         CoreMetrics {
             reconnect_attempts: r.counter(
                 "phoenix_reconnect_attempts_total",
@@ -56,5 +58,5 @@ pub fn core_metrics() -> &'static CoreMetrics {
                 "requests answered from the status table (reply-buffer hits)",
             ),
         }
-    })
+    }
 }

@@ -17,12 +17,12 @@
 use std::time::{Duration, Instant};
 
 use phoenix_driver::{error::codes, Connection, DriverError, Environment};
-use phoenix_obs::{journal, EventKind};
+use phoenix_obs::EventKind;
 use phoenix_sql::ast::ObjectName;
 use phoenix_storage::types::Value;
 
 use crate::config::RecoverySettings;
-use crate::metrics::core_metrics;
+use crate::metrics::CoreMetrics;
 use crate::Result;
 
 /// The first sleep between reconnect attempts; each later one doubles, up
@@ -43,9 +43,11 @@ fn retry_sleep(attempt: u64, ping_interval: Duration) -> Duration {
 /// Attempt to (re)connect and log in until it succeeds or `settings.max_wait`
 /// elapses, sleeping between attempts from 1 ms, doubled each retry, up to
 /// `settings.ping_interval`. Returns the new connection and the number of
-/// attempts made.
+/// attempts made. Attempts and sleeps are counted in `m`, and journaled in
+/// `env`'s instance.
 pub fn reconnect_loop(
     env: &Environment,
+    m: &CoreMetrics,
     addr: &str,
     user: &str,
     database: &str,
@@ -53,19 +55,19 @@ pub fn reconnect_loop(
     settings: &RecoverySettings,
 ) -> Result<(Connection, u64)> {
     let deadline = Instant::now() + settings.max_wait;
-    let m = core_metrics();
+    let journal = env.obs().journal();
     let mut attempts = 0u64;
     loop {
         attempts += 1;
         m.reconnect_attempts.inc();
-        journal().record(
+        journal.record(
             "core",
             EventKind::ReconnectAttempt,
             format!("attempt {attempts} to {addr}"),
         );
         match env.connect_with_options(addr, user, database, options.clone()) {
             Ok(conn) => {
-                journal().record(
+                journal.record(
                     "core",
                     EventKind::Reconnected,
                     format!("connected to {addr} after {attempts} attempt(s)"),
@@ -147,13 +149,19 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    /// The reconnect counters are process-global; serialize the tests that
-    /// exercise `reconnect_loop` so their deltas stay exact.
-    static RECONNECT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// A reconnect loop against a port nothing listens on, counted in the
+    /// environment's instance.
+    fn refused(
+        env: &Environment,
+        settings: &RecoverySettings,
+    ) -> (Result<(Connection, u64)>, CoreMetrics) {
+        let m = CoreMetrics::new(env.obs());
+        let r = reconnect_loop(env, &m, "127.0.0.1:1", "u", "d", Vec::new(), settings);
+        (r, m)
+    }
 
     #[test]
     fn reconnect_gives_up_after_max_wait() {
-        let _g = RECONNECT_LOCK.lock().unwrap();
         let env = Environment::new().with_connect_timeout(Duration::from_millis(50));
         let settings = RecoverySettings {
             ping_interval: Duration::from_millis(10),
@@ -162,14 +170,12 @@ mod tests {
         };
         // Nothing listens on this port.
         let started = Instant::now();
-        let r = reconnect_loop(&env, "127.0.0.1:1", "u", "d", Vec::new(), &settings);
-        assert!(r.is_err());
+        assert!(refused(&env, &settings).0.is_err());
         assert!(started.elapsed() >= Duration::from_millis(100));
     }
 
     #[test]
     fn reconnect_does_not_overshoot_max_wait() {
-        let _g = RECONNECT_LOCK.lock().unwrap();
         let env = Environment::new().with_connect_timeout(Duration::from_millis(50));
         let settings = RecoverySettings {
             // A ping interval much larger than the window: without the
@@ -179,8 +185,7 @@ mod tests {
             read_timeout: None,
         };
         let started = Instant::now();
-        let r = reconnect_loop(&env, "127.0.0.1:1", "u", "d", Vec::new(), &settings);
-        assert!(r.is_err());
+        assert!(refused(&env, &settings).0.is_err());
         assert!(
             started.elapsed() < Duration::from_secs(2),
             "reconnect_loop overshot max_wait: {:?}",
@@ -190,8 +195,6 @@ mod tests {
 
     #[test]
     fn reconnect_attempts_match_counter_and_sleeps_stay_clamped() {
-        let _g = RECONNECT_LOCK.lock().unwrap();
-        let m = core_metrics();
         let env = Environment::new().with_connect_timeout(Duration::from_millis(50));
         let settings = RecoverySettings {
             // A ping interval far beyond the window: every sleep must be
@@ -201,11 +204,9 @@ mod tests {
             max_wait: Duration::from_millis(120),
             read_timeout: None,
         };
-        let attempts_before = m.reconnect_attempts.get();
-        let sleeps_before = m.backoff_sleeps.get();
         let started = Instant::now();
         // Nothing listens on this port: every attempt fails fast.
-        let r = reconnect_loop(&env, "127.0.0.1:1", "u", "d", Vec::new(), &settings);
+        let (r, m) = refused(&env, &settings);
         assert!(r.is_err());
         let elapsed = started.elapsed();
         assert!(
@@ -217,14 +218,19 @@ mod tests {
             "a sleep escaped the clamp: {elapsed:?}"
         );
 
-        let attempts = m.reconnect_attempts.get() - attempts_before;
-        let sleeps = m.backoff_sleeps.get() - sleeps_before;
+        // The environment's instance is this test's own: its counters are
+        // exact, whatever else runs in the process.
+        let attempts = m.reconnect_attempts.get();
+        let sleeps = m.backoff_sleeps.get();
         // Fast connection-refused + clamped sleeps: the window fits at
         // least an initial attempt and a post-sleep final attempt.
         assert!(attempts >= 2, "expected ≥ 2 attempts, got {attempts}");
         // Every attempt but the last (which hits the deadline and returns)
         // is followed by exactly one clamped sleep.
         assert_eq!(sleeps, attempts - 1);
+        // And each attempt is on the instance's journal.
+        let journaled = env.obs().journal().events_of(EventKind::ReconnectAttempt);
+        assert_eq!(journaled.len() as u64, attempts);
     }
 
     #[test]

@@ -260,11 +260,14 @@ impl<'c> PhoenixStatement<'c> {
             }
         }
         // A Prior scroll leaves the position where it started reading; a
-        // row window is not kept as the next block.
+        // row window is not kept as the next block, but a short one leaves
+        // the end flag set, so the next fetch at the end reads nothing.
         if dir == PhoenixFetch::Prior {
             d.seek(start);
         } else if !keyed {
+            let at_end = d.at_end;
             d.seek(d.pos);
+            d.at_end = at_end;
         }
         Ok(out)
     }
@@ -580,7 +583,7 @@ fn read_window(
         let us = pc.recovered_at.elapsed().as_micros() as u64;
         pc.stats.last_reposition_us = us;
         pc.stats.reposition_us += us;
-        phoenix_obs::journal().record(
+        pc.journal().record(
             "core",
             phoenix_obs::EventKind::CursorRestored,
             format!("delivery from {table} repositioned past {start} row(s) in {us} us"),

@@ -770,8 +770,22 @@ fn every_delivery_kind_scrolls_alike() {
     pc.execute(&format!("INSERT INTO s VALUES {}", vals.join(", ")))
         .unwrap();
 
+    // Statements reach the server as `Exec` or `ExecBatch` requests, counted
+    // in the harness's instance, which is this test's own.
+    let obs = std::sync::Arc::clone(h.obs());
+    let statements = || {
+        let s = obs.snapshot();
+        ["exec", "exec_batch"]
+            .iter()
+            .map(|t| {
+                s.counter(&format!("phoenix_requests_total{{type=\"{t}\"}}"))
+                    .unwrap_or(0)
+            })
+            .sum::<u64>()
+    };
     type Step = (Vec<Vec<Value>>, u64);
-    let script = |pc: &mut PhoenixConnection, kind, block| -> Vec<Step> {
+    let script = |pc: &mut PhoenixConnection, kind, block| -> (Vec<Step>, u64) {
+        let sent = statements();
         let mut stmt = pc.statement();
         stmt.set_cursor_type(kind).set_fetch_block(block);
         stmt.execute("SELECT id, v FROM s").unwrap();
@@ -793,7 +807,8 @@ fn every_delivery_kind_scrolls_alike() {
         }
         let row = stmt.fetch().unwrap();
         steps.push((row.into_iter().collect(), stmt.delivered()));
-        steps
+        drop(stmt);
+        (steps, statements() - sent)
     };
 
     let ids = |steps: &[Step]| -> Vec<(Vec<i64>, u64)> {
@@ -802,8 +817,9 @@ fn every_delivery_kind_scrolls_alike() {
             .map(|(rows, at)| (rows.iter().map(|r| r[0].as_i64().unwrap()).collect(), *at))
             .collect()
     };
+    let mut requests = Vec::new();
     for block in [3, 64] {
-        let forward = script(&mut pc, PhoenixCursorKind::ForwardOnly, block);
+        let (forward, forward_sent) = script(&mut pc, PhoenixCursorKind::ForwardOnly, block);
         assert_eq!(
             ids(&forward),
             vec![
@@ -818,13 +834,26 @@ fn every_delivery_kind_scrolls_alike() {
             ],
             "block {block}"
         );
-        let keyset = script(&mut pc, PhoenixCursorKind::Keyset, block);
+        let (keyset, keyset_sent) = script(&mut pc, PhoenixCursorKind::Keyset, block);
         pc.execute("BEGIN").unwrap();
-        let client = script(&mut pc, PhoenixCursorKind::ForwardOnly, block);
+        let (client, client_sent) = script(&mut pc, PhoenixCursorKind::ForwardOnly, block);
         pc.execute("ROLLBACK").unwrap();
         assert_eq!(keyset, forward, "keyset, block {block}");
         assert_eq!(client, forward, "in transaction, block {block}");
+        requests.push((forward_sent, keyset_sent, client_sent));
     }
+    // Forward-only: the capture, then one window per scroll (Next, Prior,
+    // Absolute 7, 10, 12 and 20) and one for the fetch() after
+    // Absolute(7): 8. The short windows at the end leave the
+    // end flag set, so the last fetch() sends nothing. Keyset: the key
+    // capture, the key windows and one SELECT per row resolved, fewer with
+    // bigger blocks. Inside a transaction: the one read of the whole
+    // result; every scroll is served from that copy.
+    assert_eq!(
+        requests,
+        [(8, 23, 1), (8, 21, 1)],
+        "(forward, keyset, in transaction) per block size"
+    );
     assert_eq!(pc.stats().cursor_downgrades, 0);
     pc.close();
     drop(h);

@@ -17,7 +17,6 @@ use phoenix_wire::FrameError;
 use crate::cursor::Cursor;
 use crate::environment::Environment;
 use crate::error::{DriverError, Result};
-use crate::metrics::driver_metrics;
 use crate::pipeline::Pipeline;
 use crate::statement::Statement;
 
@@ -118,7 +117,7 @@ impl Connection {
                 )))
             }
         };
-        driver_metrics().connects.inc();
+        env.metrics.connects.inc();
         Ok(Connection {
             stream,
             session,
@@ -297,9 +296,8 @@ impl Connection {
     }
 
     /// Low-level: open a server cursor, returning `(cursor id, schema,
-    /// granted kind)`. Phoenix holds cursor ids across recoveries (a raw id
-    /// survives reconnects in its bookkeeping where a borrowing [`Cursor`]
-    /// could not), which is why the raw API stays public.
+    /// granted kind)`. The one `OpenCursor` round trip: [`Cursor`] and
+    /// [`Statement`] open theirs through it.
     pub fn open_cursor_raw(
         &mut self,
         sql: &str,
@@ -321,7 +319,9 @@ impl Connection {
         }
     }
 
-    /// Low-level: fetch a block from an open server cursor.
+    /// Low-level: fetch a block of up to `n` rows from an open server
+    /// cursor (a count past `u32::MAX` asks for `u32::MAX`), returning the
+    /// rows and whether the cursor is at the end.
     pub fn fetch_cursor_raw(
         &mut self,
         cursor: u64,
@@ -331,7 +331,7 @@ impl Connection {
         match self.call(Request::Fetch {
             cursor,
             dir,
-            n: n as u32,
+            n: u32::try_from(n).unwrap_or(u32::MAX),
         })? {
             Response::Rows { rows, at_end } => Ok((rows, at_end)),
             Response::Err { code, message } => Err(DriverError::Sql { code, message }),
@@ -411,20 +411,19 @@ impl Connection {
     /// closes shows up in the stats. Closing a poisoned connection is a
     /// no-op, never a panic.
     pub fn close(mut self) {
-        let m = driver_metrics();
         let outcome = if self.poisoned {
             "skipped (poisoned)"
         } else {
             match self.call(Request::Logout) {
                 Ok(_) => "clean",
                 Err(_) => {
-                    m.failed_closes.inc();
+                    self.env.metrics.failed_closes.inc();
                     "logout failed"
                 }
             }
         };
-        m.closes.inc();
-        phoenix_obs::journal().record(
+        self.env.metrics.closes.inc();
+        self.env.obs().journal().record(
             "driver",
             phoenix_obs::EventKind::ConnectionClose,
             format!("session {} close: {outcome}", self.session),

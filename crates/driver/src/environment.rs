@@ -1,14 +1,20 @@
 //! Driver environment: defaults and connection allocation (the ODBC
 //! environment-handle analogue).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::connection::Connection;
 use crate::error::Result;
+use crate::metrics::DriverMetrics;
+use phoenix_obs::Obs;
 use phoenix_storage::types::Value;
 
 /// Driver-wide defaults. Cloneable so Phoenix can allocate its private
 /// connection from the same environment the application configured.
+///
+/// An environment belongs to the observability instance of the thread that
+/// built it: its connections count into that instance and journal there.
 #[derive(Debug, Clone)]
 pub struct Environment {
     /// TCP connect timeout.
@@ -19,14 +25,19 @@ pub struct Environment {
     pub read_timeout: Option<Duration>,
     /// Rows fetched per block on cursor statements.
     pub fetch_block: usize,
+    obs: Arc<Obs>,
+    pub(crate) metrics: Arc<DriverMetrics>,
 }
 
 impl Default for Environment {
     fn default() -> Self {
+        let obs = phoenix_obs::current();
         Environment {
             connect_timeout: Duration::from_secs(5),
             read_timeout: Some(Duration::from_secs(10)),
             fetch_block: 64,
+            metrics: Arc::new(DriverMetrics::new(&obs)),
+            obs,
         }
     }
 }
@@ -35,6 +46,11 @@ impl Environment {
     /// Defaults: 5 s connect timeout, 10 s read timeout, 64-row blocks.
     pub fn new() -> Environment {
         Environment::default()
+    }
+
+    /// The observability instance the environment's connections report to.
+    pub fn obs(&self) -> &Arc<Obs> {
+        &self.obs
     }
 
     /// Builder: per-request read timeout (`None` = block forever).

@@ -1,14 +1,16 @@
-//! Driver-side metric handles, registered once and cached in a static.
+//! Driver-side metric handles, registered when an
+//! [`crate::Environment`] is built and shared by its connections.
 //!
 //! The driver itself stays recovery-unaware; these count only what the
 //! driver layer can see directly (connection lifecycle). Recovery metrics
 //! live in `phoenix-core`, which owns the crash/reconnect machinery.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use phoenix_obs::{registry, Counter};
+use phoenix_obs::{Counter, Obs};
 
-/// Cached handles for every driver metric.
+/// The handles of every driver metric.
+#[derive(Debug)]
 pub struct DriverMetrics {
     /// Connections opened successfully (`phoenix_driver_connects_total`).
     pub connects: Arc<Counter>,
@@ -22,11 +24,10 @@ pub struct DriverMetrics {
     pub failed_closes: Arc<Counter>,
 }
 
-/// The driver metric set, registered on first use.
-pub fn driver_metrics() -> &'static DriverMetrics {
-    static M: OnceLock<DriverMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = registry();
+impl DriverMetrics {
+    /// Register (or find) the driver metrics in `obs`.
+    pub fn new(obs: &Obs) -> DriverMetrics {
+        let r = obs.registry();
         DriverMetrics {
             connects: r.counter(
                 "phoenix_driver_connects_total",
@@ -41,5 +42,5 @@ pub fn driver_metrics() -> &'static DriverMetrics {
                 "closes whose Logout round trip failed",
             ),
         }
-    })
+    }
 }

@@ -7,9 +7,9 @@
 //! and each block fetch is a round trip.
 
 use phoenix_storage::types::{Row, Schema};
-use phoenix_wire::message::{CursorKind, FetchDir, Outcome, Request, Response};
+use phoenix_wire::message::{CursorKind, FetchDir, Outcome};
 
-use crate::connection::Connection;
+use crate::connection::{Connection, QueryResult};
 use crate::error::{DriverError, Result};
 
 /// What `Statement::execute` produced.
@@ -86,56 +86,32 @@ impl<'c> Statement<'c> {
         let is_select = sql.trim_start().to_ascii_uppercase().starts_with("SELECT");
         if is_select && self.cursor_kind != CursorKind::ForwardOnly {
             // Server cursor path.
-            match self.conn.call(Request::OpenCursor {
-                sql: sql.to_string(),
-                kind: self.cursor_kind,
-            })? {
-                Response::CursorOpened {
-                    cursor,
-                    schema,
-                    granted,
-                } => {
-                    self.schema = Some(schema);
-                    self.granted = Some(granted);
-                    self.source = Some(Source::Cursor {
-                        id: cursor,
-                        buf: Vec::new(),
-                        buf_pos: 0,
-                        at_end: false,
-                    });
-                    Ok(StatementResult::ResultSet)
-                }
-                Response::Err { code, message } => Err(DriverError::Sql { code, message }),
-                other => Err(DriverError::Protocol(format!(
-                    "unexpected response {other:?}"
-                ))),
+            let (id, schema, granted) = self.conn.open_cursor_raw(sql, self.cursor_kind)?;
+            self.schema = Some(schema);
+            self.granted = Some(granted);
+            self.source = Some(Source::Cursor {
+                id,
+                buf: Vec::new(),
+                buf_pos: 0,
+                at_end: false,
+            });
+            return Ok(StatementResult::ResultSet);
+        }
+        // Default result set / non-query statement.
+        let QueryResult { outcome, messages } = self.conn.execute(sql)?;
+        self.messages = messages;
+        match outcome {
+            Outcome::ResultSet { schema, rows } => {
+                self.schema = Some(schema);
+                self.granted = Some(CursorKind::ForwardOnly);
+                self.source = Some(Source::Buffered { rows, pos: 0 });
+                Ok(StatementResult::ResultSet)
             }
-        } else {
-            // Default result set / non-query statement.
-            match self.conn.call(Request::Exec {
-                sql: sql.to_string(),
-            })? {
-                Response::Result { outcome, messages } => {
-                    self.messages = messages;
-                    match outcome {
-                        Outcome::ResultSet { schema, rows } => {
-                            self.schema = Some(schema);
-                            self.granted = Some(CursorKind::ForwardOnly);
-                            self.source = Some(Source::Buffered { rows, pos: 0 });
-                            Ok(StatementResult::ResultSet)
-                        }
-                        Outcome::RowsAffected(n) => {
-                            self.rows_affected = Some(n);
-                            Ok(StatementResult::RowsAffected(n))
-                        }
-                        Outcome::Done => Ok(StatementResult::Done),
-                    }
-                }
-                Response::Err { code, message } => Err(DriverError::Sql { code, message }),
-                other => Err(DriverError::Protocol(format!(
-                    "unexpected response {other:?}"
-                ))),
+            Outcome::RowsAffected(n) => {
+                self.rows_affected = Some(n);
+                Ok(StatementResult::RowsAffected(n))
             }
+            Outcome::Done => Ok(StatementResult::Done),
         }
     }
 
@@ -173,35 +149,26 @@ impl<'c> Statement<'c> {
                     Ok(None)
                 }
             }
-            Some(Source::Cursor { .. }) => {
+            Some(Source::Cursor { .. }) => loop {
                 // Refill from the server when the block buffer is drained.
-                loop {
-                    let (need_fill, done) = match self.source.as_ref() {
-                        Some(Source::Cursor {
-                            buf,
-                            buf_pos,
-                            at_end,
-                            ..
-                        }) => (*buf_pos >= buf.len(), *at_end),
-                        _ => unreachable!(),
-                    };
-                    if !need_fill {
-                        break;
-                    }
-                    if done {
-                        return Ok(None);
-                    }
-                    self.fill_block(FetchDir::Next, block)?;
+                let Some(Source::Cursor {
+                    buf,
+                    buf_pos,
+                    at_end,
+                    ..
+                }) = self.source.as_mut()
+                else {
+                    unreachable!("matched a cursor source above");
+                };
+                if let Some(row) = buf.get(*buf_pos) {
+                    *buf_pos += 1;
+                    return Ok(Some(row.clone()));
                 }
-                match self.source.as_mut() {
-                    Some(Source::Cursor { buf, buf_pos, .. }) => {
-                        let row = buf[*buf_pos].clone();
-                        *buf_pos += 1;
-                        Ok(Some(row))
-                    }
-                    _ => unreachable!(),
+                if *at_end {
+                    return Ok(None);
                 }
-            }
+                self.fill_block(block)?;
+            },
         }
     }
 
@@ -235,76 +202,39 @@ impl<'c> Statement<'c> {
                 id,
                 buf,
                 buf_pos,
-                at_end: _,
+                at_end,
             }) => {
                 // Explicit scrolling invalidates the read-ahead buffer.
                 buf.clear();
                 *buf_pos = 0;
-                let id = *id;
-                let response = self.conn.call(Request::Fetch {
-                    cursor: id,
-                    dir,
-                    n: n as u32,
-                })?;
-                match response {
-                    Response::Rows { rows, at_end: end } => {
-                        if let Some(Source::Cursor { at_end: ae, .. }) = self.source.as_mut() {
-                            *ae = end && matches!(dir, FetchDir::Next);
-                        }
-                        Ok(rows)
-                    }
-                    Response::Err { code, message } => Err(DriverError::Sql { code, message }),
-                    other => Err(DriverError::Protocol(format!(
-                        "unexpected response {other:?}"
-                    ))),
-                }
+                let (rows, end) = self.conn.fetch_cursor_raw(*id, dir, n)?;
+                *at_end = end && matches!(dir, FetchDir::Next);
+                Ok(rows)
             }
         }
     }
 
-    fn fill_block(&mut self, dir: FetchDir, n: usize) -> Result<()> {
-        let id = match self.source.as_ref() {
-            Some(Source::Cursor { id, .. }) => *id,
-            _ => return Err(DriverError::Protocol("not a cursor statement".into())),
+    /// Read the next block of `n` rows into the read-ahead buffer.
+    fn fill_block(&mut self, n: usize) -> Result<()> {
+        let Some(Source::Cursor {
+            id,
+            buf,
+            buf_pos,
+            at_end,
+        }) = self.source.as_mut()
+        else {
+            return Err(DriverError::Protocol("not a cursor statement".into()));
         };
-        match self.conn.call(Request::Fetch {
-            cursor: id,
-            dir,
-            n: n as u32,
-        })? {
-            Response::Rows { rows, at_end } => {
-                if let Some(Source::Cursor {
-                    buf,
-                    buf_pos,
-                    at_end: ae,
-                    ..
-                }) = self.source.as_mut()
-                {
-                    *buf = rows;
-                    *buf_pos = 0;
-                    *ae = at_end;
-                }
-                Ok(())
-            }
-            Response::Err { code, message } => Err(DriverError::Sql { code, message }),
-            other => Err(DriverError::Protocol(format!(
-                "unexpected response {other:?}"
-            ))),
-        }
+        (*buf, *at_end) = self.conn.fetch_cursor_raw(*id, FetchDir::Next, n)?;
+        *buf_pos = 0;
+        Ok(())
     }
 
     /// Close the statement's server cursor, if any.
     pub fn close(&mut self) -> Result<()> {
-        if let Some(Source::Cursor { id, .. }) = self.source.take() {
-            match self.conn.call(Request::CloseCursor { cursor: id })? {
-                Response::Result { .. } => Ok(()),
-                Response::Err { code, message } => Err(DriverError::Sql { code, message }),
-                other => Err(DriverError::Protocol(format!(
-                    "unexpected response {other:?}"
-                ))),
-            }
-        } else {
-            Ok(())
+        match self.source.take() {
+            Some(Source::Cursor { id, .. }) => self.conn.close_cursor_raw(id),
+            _ => Ok(()),
         }
     }
 }

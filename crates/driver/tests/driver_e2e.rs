@@ -237,3 +237,99 @@ fn buffered_result_scrolls_client_side() {
     drop(h);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The close accounting: a clean close and a poisoned one are both counted,
+/// neither as a failed close, and the poisoned one leaves a breadcrumb in
+/// the journal. The environment counts into the test thread's instance,
+/// which no other test writes to, so the counts are exact.
+#[test]
+fn close_is_best_effort_and_counted() {
+    use phoenix_driver::metrics::DriverMetrics;
+    use phoenix_obs::EventKind;
+
+    let (mut h, dir) = start();
+    let env = Environment::new().with_read_timeout(Some(Duration::from_millis(300)));
+    let m = DriverMetrics::new(env.obs());
+
+    // Clean close: counted, not a failed close.
+    let conn = env.connect(&h.addr(), "app", "test").unwrap();
+    conn.close();
+    assert_eq!((m.closes.get(), m.failed_closes.get()), (1, 0));
+
+    // Poisoned close: the crash severs the socket mid-session; the next call
+    // poisons the connection; close() must neither panic nor try Logout.
+    let mut conn = env.connect(&h.addr(), "app", "test").unwrap();
+    let session = conn.session_id();
+    h.crash().unwrap();
+    assert!(matches!(
+        conn.execute("SELECT 1"),
+        Err(DriverError::Comm(_))
+    ));
+    assert!(conn.is_poisoned());
+    conn.close(); // must not panic
+    assert_eq!((m.closes.get(), m.failed_closes.get()), (2, 0));
+    assert_eq!(m.connects.get(), 2);
+
+    // The poisoned close left a debug breadcrumb in the journal.
+    let detail = format!("session {session} close: skipped (poisoned)");
+    let closes = env.obs().journal().events_of(EventKind::ConnectionClose);
+    assert_eq!(closes.len(), 2);
+    assert!(
+        closes
+            .iter()
+            .any(|e| e.component == "driver" && e.detail == detail),
+        "expected journal event '{detail}'"
+    );
+
+    h.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A fetch count is the client's to choose, up to `u32::MAX`: the server
+/// reserves room for the rows that can come back, not for the count, so a
+/// keyset cursor (both directions) and a dynamic cursor asked for
+/// `u32::MAX` rows return their rows, and the server keeps serving.
+#[test]
+fn a_fetch_of_u32_max_rows_returns_what_there_is() {
+    let (h, dir) = start();
+    let env = Environment::new();
+    let mut conn = env.connect(&h.addr(), "app", "test").unwrap();
+    conn.execute("CREATE TABLE t (id INT PRIMARY KEY)").unwrap();
+    conn.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+    let all = u32::MAX as usize;
+    let ids = |rows: Vec<Vec<Value>>| -> Vec<i64> {
+        rows.iter().map(|r| r[0].as_i64().unwrap()).collect()
+    };
+    {
+        let mut keyset = conn.cursor("SELECT id FROM t", CursorKind::Keyset).unwrap();
+        assert_eq!(keyset.granted(), CursorKind::Keyset);
+        let (rows, at_end) = keyset.fetch(FetchDir::Next, all).unwrap();
+        assert_eq!((ids(rows), at_end), (vec![1, 2, 3], true));
+        let (rows, at_end) = keyset.fetch(FetchDir::Prior, all).unwrap();
+        assert_eq!((ids(rows), at_end), (vec![1, 2, 3], true));
+        keyset.close().unwrap();
+    }
+    {
+        let mut dynamic = conn
+            .cursor("SELECT id FROM t", CursorKind::Dynamic)
+            .unwrap();
+        assert_eq!(dynamic.granted(), CursorKind::Dynamic);
+        let (rows, at_end) = dynamic.fetch(FetchDir::Next, all).unwrap();
+        assert_eq!((ids(rows), at_end), (vec![1, 2, 3], true));
+        dynamic.close().unwrap();
+    }
+    // A count past u32::MAX saturates instead of wrapping to a small one.
+    {
+        let mut keyset = conn.cursor("SELECT id FROM t", CursorKind::Keyset).unwrap();
+        let (rows, _) = keyset.fetch(FetchDir::Next, all + 2).unwrap();
+        assert_eq!(ids(rows), vec![1, 2, 3]);
+    }
+    let n = conn.execute("SELECT COUNT(*) FROM t").unwrap().rows()[0][0].clone();
+    assert_eq!(n, Value::Int(3));
+    let mut other = env.connect(&h.addr(), "app", "test").unwrap();
+    other.ping().unwrap();
+    other.close();
+    conn.close();
+    drop(h);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -256,12 +256,14 @@ impl Cursor {
                 projection,
             } => {
                 let data = catalog.table(table)?;
-                let mut out = Vec::with_capacity(n);
+                // `n` is the client's to choose: reserve no more than the
+                // keys left in the direction of the fetch.
                 match dir {
                     FetchDir::Next | FetchDir::Absolute(_) => {
                         if let FetchDir::Absolute(k) = dir {
                             *pos = (k as usize).min(keys.len());
                         }
+                        let mut out = Vec::with_capacity(n.min(keys.len() - *pos));
                         while out.len() < n && *pos < keys.len() {
                             let key = &keys[*pos];
                             *pos += 1;
@@ -278,6 +280,7 @@ impl Cursor {
                         })
                     }
                     FetchDir::Prior => {
+                        let mut out = Vec::with_capacity(n.min(*pos));
                         while out.len() < n && *pos > 0 {
                             *pos -= 1;
                             let key = &keys[*pos];
@@ -301,7 +304,8 @@ impl Cursor {
                 last_key,
             } => {
                 let data = catalog.table(table)?;
-                let mut out = Vec::with_capacity(n);
+                // Grown as rows pass: `n` is the client's to choose.
+                let mut out = Vec::new();
                 match dir {
                     FetchDir::Next => {
                         let lower = match last_key.clone() {

@@ -45,7 +45,7 @@ use crate::cursor::{Cursor, CursorId, CursorKind, FetchDir, Fetched};
 use crate::error::{EngineError, ErrorCode, Result};
 use crate::eval::{eval_const, Params};
 use crate::exec::{build_table_def, compute_insert_rows, compute_update, CatalogView};
-use crate::metrics::engine_metrics;
+use crate::metrics::EngineMetrics;
 use crate::plan::{dml_rows, execute_select, Catalog};
 use crate::session::{SessionId, SessionState, SysVars};
 
@@ -140,6 +140,8 @@ pub struct Engine {
     next_session: AtomicU64,
     next_cursor: AtomicU64,
     config: EngineConfig,
+    /// The metrics of the instance the engine was opened in.
+    metrics: EngineMetrics,
 }
 
 impl Engine {
@@ -152,6 +154,7 @@ impl Engine {
             next_session: AtomicU64::new(1),
             next_cursor: AtomicU64::new(1),
             config,
+            metrics: EngineMetrics::new(&phoenix_obs::current()),
         })
     }
 
@@ -199,7 +202,7 @@ impl Engine {
         let mut sessions = self.sessions.write();
         match self.config.max_sessions {
             Some(cap) if sessions.len() >= cap => {
-                engine_metrics().sessions_refused.inc();
+                self.metrics.sessions_refused.inc();
                 Err(EngineError::new(
                     ErrorCode::Busy,
                     format!("session limit {cap} reached; retry"),
@@ -216,7 +219,7 @@ impl Engine {
     ) -> SessionId {
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
         sessions.insert(id, Arc::new(Mutex::new(SessionState::new(id, user))));
-        let m = engine_metrics();
+        let m = &self.metrics;
         m.sessions_opened.inc();
         m.sessions_active.inc();
         id
@@ -236,7 +239,7 @@ impl Engine {
             .ok_or_else(|| no_session(sid))?;
         // The open transaction, if any, rolls back as the session drops.
         let temp_tables = session.lock().temp.store().tables().count() as i64;
-        let m = engine_metrics();
+        let m = &self.metrics;
         m.sessions_active.dec();
         m.temp_tables.add(-temp_tables);
         Ok(())
@@ -288,7 +291,7 @@ impl Engine {
     /// Execute an already-parsed statement.
     pub fn execute_stmt(&self, sid: SessionId, stmt: &Statement) -> Result<ExecResult> {
         let result = self.with_session_state(sid, |session| {
-            let _t = phoenix_obs::Timer::new(engine_metrics().stmt_latency(stmt));
+            let _t = phoenix_obs::Timer::new(self.metrics.stmt_latency(stmt));
             self.exec_in(session, stmt, None, 0)
         });
         // Auto-checkpoint runs with no session lock held, so this session's
@@ -415,7 +418,7 @@ impl Engine {
                     Ok(txn.create_table(def.clone())?)
                 })?;
                 if c.name.is_temp() {
-                    engine_metrics().temp_tables.inc();
+                    self.metrics.temp_tables.inc();
                 }
                 Ok(ExecResult::done())
             }
@@ -452,7 +455,7 @@ impl Engine {
                     return Err(EngineError::not_found(format!("no such table '{name}'")));
                 }
                 if dropped && name.is_temp() {
-                    engine_metrics().temp_tables.dec();
+                    self.metrics.temp_tables.dec();
                 }
                 Ok(ExecResult::done())
             }
@@ -504,7 +507,7 @@ impl Engine {
                     }
                     Ok(txn.create_index(&table.canonical(), name, col)?)
                 })?;
-                engine_metrics().index_ddl.inc();
+                self.metrics.index_ddl.inc();
                 Ok(ExecResult::done())
             }
             Statement::DropIndex { name, if_exists } => {
@@ -525,7 +528,7 @@ impl Engine {
                     }
                     return Err(EngineError::not_found(format!("no such index '{name}'")));
                 }
-                engine_metrics().index_ddl.inc();
+                self.metrics.index_ddl.inc();
                 Ok(ExecResult::done())
             }
             Statement::Explain(inner) => {
@@ -584,7 +587,7 @@ impl Engine {
             let result = body(&mut txn, session.temp.store())?;
             match self.durable.commit_txn(txn) {
                 Ok(()) => return Ok(result),
-                Err(DbError::Conflict(_)) => engine_metrics().autocommit_reruns.inc(),
+                Err(DbError::Conflict(_)) => self.metrics.autocommit_reruns.inc(),
                 Err(e) => return Err(e.into()),
             }
         }
@@ -670,7 +673,7 @@ impl Engine {
                     let schema = cursor.schema.clone();
                     let granted = cursor.kind;
                     session.cursors.insert(id, cursor);
-                    engine_metrics().cursor_opens.inc();
+                    self.metrics.cursor_opens.inc();
                     Ok((id, schema, granted))
                 }
                 Err(e) => Err(e),
@@ -686,7 +689,7 @@ impl Engine {
                 format!("no such cursor {cid}"),
             )),
             Some(mut cursor) => {
-                engine_metrics().cursor_fetches.inc();
+                self.metrics.cursor_fetches.inc();
                 let r = {
                     // A fresh image per fetch: keyset/dynamic cursors see
                     // data as of this fetch, and the scan holds no lock.

@@ -1,16 +1,16 @@
-//! Engine-layer metric handles, registered once and cached in a static.
+//! Engine-layer metric handles, registered when an [`crate::Engine`] opens.
 //!
 //! Statement latency is a labeled histogram family, one series per
 //! statement class; the per-class `Arc`s are resolved at registration time
 //! so classifying + recording on the execute path costs one match and one
 //! atomic `fetch_add`.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use phoenix_obs::{registry, Counter, Gauge, Histogram};
+use phoenix_obs::{Counter, Gauge, Histogram, Obs};
 use phoenix_sql::ast::Statement;
 
-/// Cached handles for every engine metric.
+/// The handles of every engine metric, held by the engine that counts them.
 pub struct EngineMetrics {
     /// Live sessions (`phoenix_sessions_active`).
     pub sessions_active: Arc<Gauge>,
@@ -63,13 +63,10 @@ impl EngineMetrics {
             Statement::Set { .. } | Statement::Print(_) => &self.other,
         }
     }
-}
 
-/// The engine metric set, registered on first use.
-pub fn engine_metrics() -> &'static EngineMetrics {
-    static M: OnceLock<EngineMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = registry();
+    /// Register (or find) the engine metrics in `obs`.
+    pub fn new(obs: &Obs) -> EngineMetrics {
+        let r = obs.registry();
         let lat = |class: &str| {
             r.histogram_with(
                 "phoenix_stmt_latency_us",
@@ -104,5 +101,5 @@ pub fn engine_metrics() -> &'static EngineMetrics {
             proc: lat("proc"),
             other: lat("other"),
         }
-    })
+    }
 }

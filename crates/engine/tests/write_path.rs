@@ -5,20 +5,19 @@
 //! nothing in the log, nor in a `#temp` table, which never reaches the
 //! log.
 //!
-//! The counters are process-wide, so the tests of this file run one at a
-//! time.
+//! Each test opens its engine on its own thread, so the engine counts into
+//! that thread's observability instance, which no other test writes to:
+//! the tests run in parallel and their counts are exact.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 
 use phoenix_engine::engine::{Engine, EngineConfig};
 use phoenix_engine::ErrorCode;
 use phoenix_storage::db::Durability;
-use phoenix_storage::metrics::storage_metrics;
+use phoenix_storage::metrics::StorageMetrics;
 use phoenix_storage::types::{Row, Value};
-
-static COUNTERS: Mutex<()> = Mutex::new(());
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -51,7 +50,6 @@ fn int(e: &Engine, sid: u64, sql: &str) -> i64 {
 /// a transaction that then commits, and the server never starts again.
 #[test]
 fn failed_statement_in_committed_txn_does_not_brick_the_database() {
-    let _serial = COUNTERS.lock().unwrap();
     let dir = temp_dir("brick");
     {
         let e = open(&dir);
@@ -87,7 +85,6 @@ fn failed_statement_in_committed_txn_does_not_brick_the_database() {
 /// ~600 000 entry copies for the first and 100 × that for the second.
 #[test]
 fn dml_copies_paths_not_tables_and_publishes_once() {
-    let _serial = COUNTERS.lock().unwrap();
     const ROWS: i64 = 200_000;
     let dir = temp_dir("scaling");
     let e = open(&dir);
@@ -105,7 +102,7 @@ fn dml_copies_paths_not_tables_and_publishes_once() {
         )
         .unwrap();
     }
-    let m = storage_metrics();
+    let m = StorageMetrics::new(&phoenix_obs::current());
     let copied = || m.cow_entries_copied.get();
     let publishes = || m.snapshot_publishes.get();
 
@@ -184,7 +181,6 @@ fn dml_copies_paths_not_tables_and_publishes_once() {
 /// applied sees all of it or none of it.
 #[test]
 fn readers_never_see_a_partially_applied_statement() {
-    let _serial = COUNTERS.lock().unwrap();
     let dir = temp_dir("atomic");
     let e = Arc::new(open(&dir));
     let sid = e.create_session("writer");
@@ -230,13 +226,14 @@ fn readers_never_see_a_partially_applied_statement() {
         .collect();
 
     start.wait();
-    let publishes = storage_metrics().snapshot_publishes.get();
+    let m = StorageMetrics::new(&phoenix_obs::current());
+    let publishes = m.snapshot_publishes.get();
     for _ in 0..300 {
         e.execute(sid, "UPDATE acct SET v = v + 1").unwrap();
     }
     e.execute(sid, "DELETE FROM acct WHERE k >= 100").unwrap();
     assert_eq!(
-        storage_metrics().snapshot_publishes.get() - publishes,
+        m.snapshot_publishes.get() - publishes,
         301,
         "301 autocommit statements: 301 commits, 301 publishes"
     );
@@ -282,7 +279,6 @@ fn access_of(e: &Engine, sid: u64, sql: &str) -> String {
 /// outcome of a key-shifting UPDATE. Durable and `#temp` tables alike.
 #[test]
 fn dml_edge_cases_indexed_equals_unindexed() {
-    let _serial = COUNTERS.lock().unwrap();
     let dir = temp_dir("dml-edges");
     let e = open(&dir);
     let sid = e.create_session("app");
@@ -448,9 +444,6 @@ fn code(e: &Engine, sid: u64, sql: &str) -> Result<(), ErrorCode> {
 /// rows move before a later one collides.
 #[test]
 fn refused_statement_leaves_nothing_and_temp_matches_durable() {
-    // Every case writes, and the counter tests above measure exact deltas
-    // of process-wide counters: run one at a time with them.
-    let _serial = COUNTERS.lock().unwrap();
     let dir = temp_dir("refused");
     let e = open(&dir);
     let sid = e.create_session("app");
@@ -571,7 +564,6 @@ fn refused_statement_leaves_nothing_and_temp_matches_durable() {
 /// a thousand temp statements add no byte to the WAL.
 #[test]
 fn temp_writes_survive_rollback_and_log_nothing() {
-    let _serial = COUNTERS.lock().unwrap();
     let dir = temp_dir("temp-volatile");
     let e = open(&dir);
     let sid = e.create_session("app");

@@ -13,7 +13,7 @@
 //! `a.seq < b.seq` then `a.ts_us <= b.ts_us`, always.
 
 use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use crate::now_us;
 
@@ -137,10 +137,8 @@ struct JournalInner {
     capacity: usize,
 }
 
-/// A bounded, mutex-guarded ring buffer of [`Event`]s.
-///
-/// Most code uses the process-wide [`journal()`]; separate instances exist
-/// for tests.
+/// A bounded, mutex-guarded ring buffer of [`Event`]s: one per
+/// [`crate::Obs`] instance.
 pub struct Journal {
     inner: Mutex<JournalInner>,
 }
@@ -163,7 +161,7 @@ impl Journal {
             inner: Mutex::new(JournalInner {
                 next_seq: 0,
                 dropped: 0,
-                buf: VecDeque::with_capacity(capacity.min(JOURNAL_CAPACITY)),
+                buf: VecDeque::new(),
                 capacity: capacity.max(1),
             }),
         }
@@ -225,13 +223,6 @@ impl Journal {
     pub fn clear(&self) {
         self.inner.lock().unwrap().buf.clear();
     }
-}
-
-/// The process-wide journal, shared by driver, core, and server code living
-/// in one process (the harness pattern used by the integration tests).
-pub fn journal() -> &'static Journal {
-    static JOURNAL: OnceLock<Journal> = OnceLock::new();
-    JOURNAL.get_or_init(Journal::new)
 }
 
 #[cfg(test)]

@@ -1,32 +1,35 @@
-//! A process-wide registry of named metric families.
+//! A registry of named metric families: one per [`crate::Obs`] instance.
 //!
 //! The registry's mutex guards *registration and collection only*. The
 //! intended pattern — used by every instrumented crate in this workspace —
-//! is to register once into a `OnceLock`-cached struct of `Arc` handles:
+//! is that an owner registers its struct of `Arc` handles once, when it is
+//! built, and keeps it:
 //!
 //! ```
-//! use std::sync::{Arc, OnceLock};
-//! use phoenix_obs::{registry, Counter};
+//! use std::sync::Arc;
+//! use phoenix_obs::{Counter, Obs};
 //!
 //! struct WalMetrics {
 //!     appends: Arc<Counter>,
 //! }
 //!
-//! fn wal_metrics() -> &'static WalMetrics {
-//!     static M: OnceLock<WalMetrics> = OnceLock::new();
-//!     M.get_or_init(|| WalMetrics {
-//!         appends: registry().counter("phoenix_wal_appends_total", "WAL records appended"),
-//!     })
+//! impl WalMetrics {
+//!     fn new(obs: &Obs) -> WalMetrics {
+//!         WalMetrics {
+//!             appends: obs.registry().counter("phoenix_wal_appends_total", "WAL records appended"),
+//!         }
+//!     }
 //! }
 //!
-//! wal_metrics().appends.inc(); // steady state: one atomic op, no registry lock
+//! let m = WalMetrics::new(&phoenix_obs::current());
+//! m.appends.inc(); // steady state: one atomic op, no registry lock
 //! ```
 //!
-//! After the first call the hot path touches only the atomics inside the
+//! After registration the hot path touches only the atomics inside the
 //! `Arc`s — the registry lock is never taken again.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
@@ -106,16 +109,13 @@ struct Inner {
 }
 
 /// A collection of named metrics with idempotent get-or-register semantics.
-///
-/// Most code uses the process-wide [`registry()`]; separate instances exist
-/// only so unit tests can assert against a clean slate.
 #[derive(Default)]
 pub struct Registry {
     inner: Mutex<Inner>,
 }
 
 impl Registry {
-    /// An empty registry (tests; production code uses [`registry()`]).
+    /// An empty registry.
     pub fn new() -> Registry {
         Registry::default()
     }
@@ -282,14 +282,6 @@ fn render_histogram(
         label_prefix_trim = label_prefix.trim_end_matches(','),
         count = s.count()
     ));
-}
-
-/// The process-wide registry. Both halves of an in-process client/server
-/// pair (the harness pattern used across the test suite) share this, which
-/// is exactly what the crash/recover integration tests want.
-pub fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::new)
 }
 
 #[cfg(test)]

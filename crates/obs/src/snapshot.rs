@@ -1,13 +1,13 @@
-//! [`StatsSnapshot`]: an owned, wire-encodable picture of the process's
-//! metrics and recovery journal.
+//! [`StatsSnapshot`]: an owned, wire-encodable picture of one instance's
+//! metrics and recovery journal ([`crate::Obs::snapshot`]).
 //!
 //! The codec is hand-rolled little-endian (same discipline as
 //! `phoenix-wire`'s frame codec) so this crate stays dependency-free and the
 //! wire crate can carry snapshots as opaque bytes without depending on us.
 
-use crate::journal::{journal, Event, EventKind, Journal};
+use crate::journal::{Event, EventKind, Journal};
 use crate::metrics::{HistogramSnapshot, BUCKETS};
-use crate::registry::{registry, MetricValue, Registry};
+use crate::registry::{MetricValue, Registry};
 
 /// Format tag so stale peers fail loudly instead of misparsing.
 const MAGIC: u32 = 0x50_48_58_53; // "PHXS"
@@ -49,13 +49,8 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Capture the process-wide [`registry()`] and [`journal()`].
-    pub fn capture() -> StatsSnapshot {
-        StatsSnapshot::capture_from(registry(), journal())
-    }
-
-    /// Capture specific instances (tests).
-    pub fn capture_from(reg: &Registry, jnl: &Journal) -> StatsSnapshot {
+    /// Capture one registry and one journal.
+    pub(crate) fn capture_from(reg: &Registry, jnl: &Journal) -> StatsSnapshot {
         let mut snap = StatsSnapshot::default();
         for (key, _help, value) in reg.collect() {
             match value {

@@ -23,8 +23,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use phoenix_chaos::FaultPlan;
+use phoenix_chaos::Scope;
 use phoenix_engine::{Engine, EngineConfig};
+use phoenix_obs::Obs;
 
 use crate::server::RunningServer;
 
@@ -34,9 +35,10 @@ pub struct ServerHarness {
     engine_config: EngineConfig,
     port: u16,
     server: Option<RunningServer>,
-    /// The fault plan the harness was started inside: every incarnation
-    /// serves inside it, whichever thread restarts it.
-    plan: Option<Arc<FaultPlan>>,
+    /// The scope the harness was started in — its fault plan and its
+    /// observability instance: every incarnation serves and counts inside
+    /// it, whichever thread restarts it.
+    scope: Scope,
 }
 
 impl ServerHarness {
@@ -55,8 +57,14 @@ impl ServerHarness {
             engine_config,
             port,
             server: Some(server),
-            plan: phoenix_chaos::current(),
+            scope: Scope::current(),
         })
+    }
+
+    /// The observability instance every incarnation counts into: what its
+    /// `Stats` reply reports.
+    pub fn obs(&self) -> &Arc<Obs> {
+        self.scope.obs()
     }
 
     /// `host:port` the server listens on (stable across crash/restart).
@@ -122,7 +130,7 @@ impl ServerHarness {
     /// the same port.
     pub fn restart(&mut self) -> io::Result<()> {
         assert!(self.server.is_none(), "restart() while still running");
-        let _plan = phoenix_chaos::enter(self.plan.clone());
+        let _in = self.scope.clone().enter();
         let engine = Engine::open(&self.data_dir, self.engine_config.clone())
             .map_err(|e| io::Error::other(e.to_string()))?;
         // The old listener is fully closed (accept thread joined in stop()),

@@ -17,10 +17,10 @@
 //!   the paper's lost-message failure mode. Nothing survives a crash except
 //!   the data directory; `restart()` runs real WAL recovery.
 //! * [`metrics`] — server-layer counters and gauges (connections, requests
-//!   by type, malformed frames), registered in the process-wide
-//!   [`phoenix_obs`] registry.
+//!   by type, malformed frames), registered in the [`phoenix_obs::Obs`]
+//!   instance the server was started in — the one its `Stats` reply reports.
 //! * [`stats_http`] — [`stats_http::StatsListener`]: a minimal HTTP/1.0
-//!   endpoint serving the registry's Prometheus-style text exposition,
+//!   endpoint serving that instance's Prometheus-style text exposition,
 //!   independent of the database protocol.
 
 pub mod harness;

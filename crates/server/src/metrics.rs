@@ -1,11 +1,11 @@
-//! Server-layer metric handles, registered once and cached in a static.
+//! Server-layer metric handles, registered when a server starts serving.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use phoenix_obs::{registry, Counter, Gauge};
+use phoenix_obs::{Counter, Gauge, Obs};
 use phoenix_wire::message::Request;
 
-/// Cached handles for every server metric.
+/// The handles of every server metric, shared by the server's threads.
 pub struct ServerMetrics {
     /// Client connections accepted (`phoenix_connections_accepted_total`).
     pub connections_accepted: Arc<Counter>,
@@ -59,13 +59,10 @@ impl ServerMetrics {
             Request::ExecBatch { .. } => &self.exec_batch,
         }
     }
-}
 
-/// The server metric set, registered on first use.
-pub fn server_metrics() -> &'static ServerMetrics {
-    static M: OnceLock<ServerMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = registry();
+    /// Register (or find) the server metrics in `obs`.
+    pub fn new(obs: &Obs) -> ServerMetrics {
+        let r = obs.registry();
         let req = |t: &str| {
             r.counter_with(
                 "phoenix_requests_total",
@@ -114,5 +111,5 @@ pub fn server_metrics() -> &'static ServerMetrics {
             login_v2: req("login_v2"),
             exec_batch: req("exec_batch"),
         }
-    })
+    }
 }

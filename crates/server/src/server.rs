@@ -20,6 +20,11 @@
 //! The connection registry holds a clone of every live client stream so the
 //! crash switch can sever them. A connection thread removes its own entry
 //! when it exits; nothing else probes or reaps the sockets.
+//!
+//! A server serves in the scope of the thread that started it: its fault
+//! plan, and the observability instance its counters go to and its `Stats`
+//! reply reports (`phoenix_chaos::Scope`). Every thread it spawns enters
+//! that scope.
 
 use std::collections::HashMap;
 use std::io;
@@ -31,14 +36,14 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
+use phoenix_chaos::Scope;
 use phoenix_engine::{cursor, Engine, EngineError, ErrorCode, ExecOutcome, SessionId};
-use phoenix_obs::StatsSnapshot;
 use phoenix_wire::frame::{read_frame, read_tagged_frame, write_frame, FrameError};
 use phoenix_wire::message::{
     BatchItem, CursorKind, FetchDir, Outcome, Request, Response, DEFAULT_WINDOW, PROTOCOL_V2,
 };
 
-use crate::metrics::server_metrics;
+use crate::metrics::ServerMetrics;
 
 /// Shared handle to the (possibly crashed) engine. The outer lock is held
 /// only long enough to clone the inner `Arc` (dispatch) or to `take()` it
@@ -48,6 +53,13 @@ pub type SharedEngine = Arc<RwLock<Option<Arc<Engine>>>>;
 /// Registry of live client streams, keyed by connection id so each
 /// connection can prune its own entry when it exits.
 type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
+/// What every thread of one server shares besides the engine: the scope it
+/// was started in and the server metrics of that scope's instance.
+struct Instance {
+    scope: Scope,
+    metrics: ServerMetrics,
+}
 
 /// A running server: listener thread + connection registry.
 pub struct RunningServer {
@@ -85,14 +97,24 @@ impl BoundServer {
         let accept_engine = Arc::clone(&engine);
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_conns = Arc::clone(&conns);
-        // A server started inside a fault plan serves inside it: the accept
-        // thread enters the plan and hands it to every connection thread.
-        let plan = phoenix_chaos::current();
+        // A server serves in the scope it was started in: the accept thread
+        // enters it and hands it to every connection thread.
+        let scope = Scope::current();
+        let instance = Arc::new(Instance {
+            metrics: ServerMetrics::new(scope.obs()),
+            scope,
+        });
         let accept_thread = std::thread::Builder::new()
             .name(format!("phx-accept-{port}"))
             .spawn(move || {
-                let _plan = phoenix_chaos::enter(plan);
-                accept_loop(listener, accept_engine, accept_shutdown, accept_conns);
+                let _in = instance.scope.clone().enter();
+                accept_loop(
+                    listener,
+                    accept_engine,
+                    accept_shutdown,
+                    accept_conns,
+                    instance,
+                );
             })?;
 
         Ok(RunningServer {
@@ -168,7 +190,9 @@ fn accept_loop(
     engine: SharedEngine,
     shutdown: Arc<AtomicBool>,
     conns: ConnRegistry,
+    instance: Arc<Instance>,
 ) {
+    let m = &instance.metrics;
     let mut next_conn: u64 = 1;
     // Backoff for accept failures (EMFILE/ENFILE/ENOBUFS, aborted
     // handshakes). These are transient resource conditions, not
@@ -194,27 +218,26 @@ fn accept_loop(
                 if let Ok(clone) = stream.try_clone() {
                     conns.lock().insert(conn_id, clone);
                 }
-                let m = server_metrics();
                 m.connections_accepted.inc();
                 m.connections_active.inc();
                 let engine = Arc::clone(&engine);
                 let conns = Arc::clone(&conns);
-                let plan = phoenix_chaos::current();
+                let instance = Arc::clone(&instance);
                 let _ = std::thread::Builder::new()
                     .name("phx-conn".into())
                     .spawn(move || {
-                        let _plan = phoenix_chaos::enter(plan);
-                        serve_connection(stream, engine);
+                        let _in = instance.scope.clone().enter();
+                        serve_connection(stream, engine, &instance);
                         // Prune this connection's registry entry; after a
                         // sever the entry is already gone, which is fine.
                         conns.lock().remove(&conn_id);
-                        let m = server_metrics();
+                        let m = &instance.metrics;
                         m.connections_pruned.inc();
                         m.connections_active.dec();
                     });
             }
             Err(_) => {
-                server_metrics().accept_errors.inc();
+                m.accept_errors.inc();
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(BACKOFF_CEIL);
             }
@@ -228,13 +251,13 @@ fn accept_loop(
 /// and is served only what needs none — `Ping` and `Stats`; a
 /// session-bound request gets the `NoSession` error. A successful login switches the connection to tagged frames for
 /// the rest of its life.
-fn serve_connection(mut stream: TcpStream, engine: SharedEngine) {
+fn serve_connection(mut stream: TcpStream, engine: SharedEngine, instance: &Instance) {
     let mut session: Option<SessionId> = None;
+    let m = &instance.metrics;
 
     // The read error that ends the loop is the client hanging up or the
     // socket being severed.
     while let Ok(payload) = read_frame(&mut stream) {
-        let m = server_metrics();
         let request = match Request::decode(&payload) {
             Ok(r) => r,
             Err(e) => {
@@ -265,7 +288,7 @@ fn serve_connection(mut stream: TcpStream, engine: SharedEngine) {
                 Ok((sid, ack)) => {
                     session = Some(sid);
                     if send(&mut stream, &ack).is_ok() {
-                        serve_pipelined(&mut stream, &engine, &mut session);
+                        serve_pipelined(&mut stream, &engine, &mut session, instance);
                     }
                     break;
                 }
@@ -280,7 +303,7 @@ fn serve_connection(mut stream: TcpStream, engine: SharedEngine) {
 
         let logout = matches!(request, Request::Logout);
         m.requests_inflight.inc();
-        let response = dispatch(&engine, &mut session, request);
+        let response = dispatch(&engine, &mut session, request, instance);
         m.requests_inflight.dec();
         if send(&mut stream, &response).is_err() || logout {
             break;
@@ -340,8 +363,13 @@ fn login_v2(
 /// negotiated window bounds how many small tagged frames a client puts in
 /// flight, comfortably inside the receive buffer) and each loop iteration
 /// drains one request from it with the same zero-handoff read.
-fn serve_pipelined(stream: &mut TcpStream, engine: &SharedEngine, session: &mut Option<SessionId>) {
-    let m = server_metrics();
+fn serve_pipelined(
+    stream: &mut TcpStream,
+    engine: &SharedEngine,
+    session: &mut Option<SessionId>,
+    instance: &Instance,
+) {
+    let m = &instance.metrics;
     // The read error that ends the loop is the client hanging up or the
     // socket being severed.
     while let Ok((tag, payload)) = read_tagged_frame(stream) {
@@ -363,7 +391,7 @@ fn serve_pipelined(stream: &mut TcpStream, engine: &SharedEngine, session: &mut 
                 let logout = matches!(request, Request::Logout);
                 m.requests(&request).inc();
                 m.requests_inflight.inc();
-                let r = dispatch(engine, session, request);
+                let r = dispatch(engine, session, request, instance);
                 m.requests_inflight.dec();
                 (r, logout)
             }
@@ -437,7 +465,12 @@ fn send_bytes(stream: &mut TcpStream, bytes: &[u8]) -> Result<(), FrameError> {
 }
 
 /// Execute one request against the engine and produce its response.
-fn dispatch(engine: &SharedEngine, session: &mut Option<SessionId>, request: Request) -> Response {
+fn dispatch(
+    engine: &SharedEngine,
+    session: &mut Option<SessionId>,
+    request: Request,
+    instance: &Instance,
+) -> Response {
     // Take a short shared lock to clone the engine handle, then execute with
     // no global lock held — other connections proceed concurrently.
     // Crashed: every request fails. The socket will be severed by the
@@ -451,8 +484,9 @@ fn dispatch(engine: &SharedEngine, session: &mut Option<SessionId>, request: Req
         // Ping is answered even without a session — it is the recovery probe.
         Request::Ping => Response::Pong,
         // Stats is likewise session-less: monitoring must not need a login.
+        // It reports this server's instance, not the process.
         Request::Stats => Response::Stats {
-            snapshot: StatsSnapshot::capture().encode(),
+            snapshot: instance.scope.obs().snapshot().encode(),
         },
         // The login is handled at the connection layer (it changes the
         // framing); reaching dispatch means the connection has a session.
@@ -486,10 +520,9 @@ fn dispatch(engine: &SharedEngine, session: &mut Option<SessionId>, request: Req
             // first failing statement — its error is the last item, and the
             // item count tells the client exactly how far the batch got
             // (statements after it were never attempted).
-            let m = server_metrics();
             let mut items = Vec::with_capacity(stmts.len());
             for sql in &stmts {
-                m.batch_statements.inc();
+                instance.metrics.batch_statements.inc();
                 match eng.execute(sid, sql) {
                     Ok(result) => items.push(BatchItem::Ok {
                         outcome: outcome_of(result.outcome),

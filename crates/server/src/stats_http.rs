@@ -1,12 +1,13 @@
 //! A minimal HTTP/1.0 exposition endpoint for the metrics registry.
 //!
 //! This is not a web server: it answers **every** request on its port with
-//! `200 OK` and the Prometheus-style text rendering of the process-wide
-//! registry, which is exactly what `curl` and a Prometheus scraper need and
-//! nothing more. It lives on its own port (`--stats-port` on the server
-//! binary) so observability traffic never competes with, or depends on, the
-//! database protocol itself — stats stay reachable even if the engine is
-//! wedged, precisely when they matter most.
+//! `200 OK` and the Prometheus-style text rendering of the registry of the
+//! instance it was started in (the shipped binary's one instance), which is
+//! exactly what `curl` and a Prometheus scraper need and nothing more. It
+//! lives on its own port (`--stats-port` on the server binary) so
+//! observability traffic never competes with, or depends on, the database
+//! protocol itself — stats stay reachable even if the engine is wedged,
+//! precisely when they matter most.
 
 use std::io::{self, Read, Write};
 use std::net::TcpListener;
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use phoenix_obs::registry;
+use phoenix_obs::Obs;
 
 /// A running stats listener. Dropping it stops the accept thread.
 pub struct StatsListener {
@@ -26,17 +27,18 @@ pub struct StatsListener {
 }
 
 impl StatsListener {
-    /// Start serving the registry's text exposition on 127.0.0.1:`port`
-    /// (0 = ephemeral).
+    /// Start serving the text exposition of the calling thread's instance
+    /// on 127.0.0.1:`port` (0 = ephemeral).
     pub fn start(port: u16) -> io::Result<StatsListener> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         listener.set_nonblocking(true)?;
         let port = listener.local_addr()?.port();
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
+        let obs = phoenix_obs::current();
         let thread = std::thread::Builder::new()
             .name(format!("phx-stats-{port}"))
-            .spawn(move || serve(listener, flag))?;
+            .spawn(move || serve(listener, flag, &obs))?;
         Ok(StatsListener {
             port,
             shutdown,
@@ -54,7 +56,7 @@ impl Drop for StatsListener {
     }
 }
 
-fn serve(listener: TcpListener, shutdown: Arc<AtomicBool>) {
+fn serve(listener: TcpListener, shutdown: Arc<AtomicBool>, obs: &Obs) {
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((mut stream, _)) => {
@@ -63,7 +65,7 @@ fn serve(listener: TcpListener, shutdown: Arc<AtomicBool>) {
                 let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
                 let mut scratch = [0u8; 4096];
                 let _ = stream.read(&mut scratch);
-                let body = registry().render_text();
+                let body = obs.registry().render_text();
                 let response = format!(
                     "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\n\r\n{body}",
                     body.len()
@@ -86,7 +88,8 @@ mod tests {
     #[test]
     fn serves_registry_text_over_http() {
         // Touch a metric so the body is non-empty.
-        registry()
+        phoenix_obs::current()
+            .registry()
             .counter("phoenix_stats_http_test_total", "test probe")
             .inc();
         let listener = StatsListener::start(0).unwrap();

@@ -7,7 +7,7 @@ mod common;
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use common::{call, login, login_request, try_call};
@@ -207,16 +207,21 @@ fn crash_under_concurrent_load_recovers_consistently() {
     let acked = Arc::new(AtomicU64::new(0));
     let attempted = Arc::new(AtomicU64::new(0));
     let addr = h.addr();
+    // Every writer is logged in before the crash can come: a writer still
+    // logging in is not a live connection.
+    let logged_in = Arc::new(Barrier::new(WRITERS + 1));
 
     let handles: Vec<_> = (0..WRITERS)
         .map(|t| {
             let addr = addr.clone();
             let acked = Arc::clone(&acked);
             let attempted = Arc::clone(&attempted);
+            let logged_in = Arc::clone(&logged_in);
             std::thread::spawn(move || {
                 let mut s = TcpStream::connect(addr).unwrap();
                 s.set_nodelay(true).unwrap();
                 login(&mut s);
+                logged_in.wait();
                 // Insert distinct keys until the crash kills the connection.
                 for i in 0u64.. {
                     let k = (t as u64) * 1_000_000 + i;
@@ -242,6 +247,7 @@ fn crash_under_concurrent_load_recovers_consistently() {
         .collect();
 
     // Let the writers build up some load, then pull the plug.
+    logged_in.wait();
     while acked.load(Ordering::SeqCst) < 40 {
         std::thread::sleep(Duration::from_millis(1));
     }

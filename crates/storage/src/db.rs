@@ -90,7 +90,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::applier::{self, frame_payload, Recovered};
 use crate::codec::DecodeError;
-use crate::metrics::storage_metrics;
+use crate::metrics::StorageMetrics;
 use crate::record::LogRecord;
 use crate::snapshot::{self, SegmentBase};
 use crate::store::{normalize_name, Store, StoreError};
@@ -332,6 +332,8 @@ pub struct Durable {
     /// The transactions [`Durable::begin`] handed out by number.
     numbered: Mutex<HashMap<u64, Txn>>,
     next_number: AtomicU64,
+    /// The metrics of the instance the store was opened in.
+    metrics: StorageMetrics,
 }
 
 impl Durable {
@@ -391,9 +393,8 @@ impl Durable {
             apply_us: us(stages.apply),
             open_us: us(start.elapsed()),
         };
-        storage_metrics()
-            .recovery_replay_us
-            .record(report.replay_us);
+        let metrics = StorageMetrics::new(&phoenix_obs::current());
+        metrics.recovery_replay_us.record(report.replay_us);
 
         let store = Arc::new(store);
         Ok(Durable {
@@ -426,6 +427,7 @@ impl Durable {
             recovery: report,
             numbered: Mutex::new(HashMap::new()),
             next_number: AtomicU64::new(1),
+            metrics,
         })
     }
 
@@ -462,7 +464,7 @@ impl Durable {
         let mut published = self.published.write();
         if seq > published.0 {
             *published = (seq, store);
-            storage_metrics().snapshot_publishes.inc();
+            self.metrics.snapshot_publishes.inc();
         }
     }
 
@@ -516,9 +518,9 @@ impl Durable {
             let (store, records) = if Arc::ptr_eq(&committed, &base) {
                 (store, records)
             } else {
-                storage_metrics().commit_rebases.inc();
+                self.metrics.commit_rebases.inc();
                 rebase(&base, &committed, records).inspect_err(|_| {
-                    storage_metrics().commit_conflicts.inc();
+                    self.metrics.commit_conflicts.inc();
                 })?
             };
             let seq = {
@@ -529,7 +531,11 @@ impl Durable {
                 let payloads = (log.next_gsn..)
                     .zip(records.iter().chain([&commit]))
                     .map(|(gsn, rec)| stamped(gsn, txn, rec));
-                log.wal.append_all(payloads)?;
+                {
+                    let _t = phoenix_obs::Timer::new(&self.metrics.wal_append_us);
+                    log.wal.append_all(payloads)?;
+                }
+                self.metrics.wal_appends.inc();
                 log.next_gsn += frames;
                 log.last_txn = txn;
                 self.records_since_checkpoint
@@ -545,6 +551,9 @@ impl Durable {
         if self.durability == Durability::Fsync {
             self.group_sync(seq)?;
         }
+        self.metrics
+            .cow_entries_copied
+            .add(crate::pmap::take_copied());
         self.publish(seq, store);
         Ok(())
     }
@@ -574,14 +583,18 @@ impl Durable {
                 let log = self.log.lock();
                 (self.group.state.lock().appended, log.wal.flusher())
             };
-            let flush = flusher.sync().map(|()| upto);
+            let flush = {
+                let _t = phoenix_obs::Timer::new(&self.metrics.wal_fsync_us);
+                flusher.sync().map(|()| upto)
+            };
             st = self.group.state.lock();
             st.leader = false;
             match flush {
                 Ok(upto) => {
                     st.syncs += 1;
+                    let m = &self.metrics;
+                    m.wal_fsyncs.inc();
                     if upto > st.flushed {
-                        let m = storage_metrics();
                         m.group_commit_records.add(upto - st.flushed);
                         m.group_commit_syncs.inc();
                         m.group_commit_batch.record(upto - st.flushed);
@@ -613,7 +626,7 @@ impl Durable {
     pub fn checkpoint(&self) -> Result<(), DbError> {
         let mut cp = self.checkpoint_state.lock();
         let start = Instant::now();
-        let m = storage_metrics();
+        let m = &self.metrics;
         let _t = phoenix_obs::Timer::new(&m.checkpoint_us);
 
         // ---- pause phase (commits wait) ------------------------------------
@@ -1626,15 +1639,15 @@ mod tests {
             .fold(phoenix_chaos::Schedule::new(), |schedule, nth| {
                 schedule.delay_at("wal.fsync", nth, 2)
             });
-        let guard = phoenix_chaos::arm(hold_every_flush);
+        let _guard = phoenix_chaos::arm(hold_every_flush);
         let barrier = Arc::new(std::sync::Barrier::new(THREADS));
         let handles: Vec<_> = (0..THREADS)
             .map(|k| {
                 let db = Arc::clone(&db);
                 let barrier = Arc::clone(&barrier);
-                let plan = guard.plan();
+                let scope = phoenix_chaos::Scope::current();
                 std::thread::spawn(move || {
-                    let _plan = phoenix_chaos::enter(Some(plan));
+                    let _in = scope.enter();
                     barrier.wait();
                     for i in 0..COMMITS {
                         let mut t = db.begin_txn();

@@ -1,15 +1,16 @@
-//! Storage-layer metric handles, registered once and cached in a static.
+//! Storage-layer metric handles, registered when a [`crate::db::Durable`]
+//! opens.
 //!
-//! Everything here follows the phoenix-obs pattern: the global registry is
-//! consulted exactly once (first use), after which the hot paths — WAL
+//! Everything here follows the phoenix-obs pattern: the instance's registry
+//! is consulted once, when the store opens, after which the hot paths — WAL
 //! append, fsync, snapshot publish — touch only the atomics inside the
-//! cached `Arc`s.
+//! store's `Arc`s.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use phoenix_obs::{registry, Counter, Histogram};
+use phoenix_obs::{Counter, Histogram, Obs};
 
-/// Cached handles for every storage metric.
+/// The handles of every storage metric, held by the store that counts them.
 pub struct StorageMetrics {
     /// WAL records appended (`phoenix_wal_appends_total`).
     pub wal_appends: Arc<Counter>,
@@ -58,14 +59,15 @@ pub struct StorageMetrics {
     /// or the catalog — the node's entries are copied once
     /// (`phoenix_cow_entries_copied_total`). Proportional to the rows and
     /// tables a statement touches, never to the table or the catalog.
+    /// Counted per thread as the copies are made and added here at each
+    /// commit.
     pub cow_entries_copied: Arc<Counter>,
 }
 
-/// The storage metric set, registered on first use.
-pub fn storage_metrics() -> &'static StorageMetrics {
-    static M: OnceLock<StorageMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = registry();
+impl StorageMetrics {
+    /// Register (or find) the storage metrics in `obs`.
+    pub fn new(obs: &Obs) -> StorageMetrics {
+        let r = obs.registry();
         StorageMetrics {
             wal_appends: r.counter("phoenix_wal_appends_total", "WAL records appended"),
             wal_append_us: r.histogram(
@@ -116,5 +118,5 @@ pub fn storage_metrics() -> &'static StorageMetrics {
                 "table-image and catalog map entries cloned by path copying",
             ),
         }
-    })
+    }
 }

@@ -29,12 +29,19 @@
 //! table half empty; a bulk build fills its nodes the same way.
 
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::fmt;
 use std::ops::{Bound, Index, RangeBounds};
 use std::sync::Arc;
 
-use crate::metrics::storage_metrics;
+thread_local! {
+    /// Entries this thread's path copies cloned since [`take_copied`] last
+    /// read them. A map knows neither its store nor the store's instance;
+    /// the store whose commit ends the write adds the tally to its own
+    /// `phoenix_cow_entries_copied_total`.
+    static COPIED: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Most entries in a leaf and most children under an internal node.
 const FANOUT: usize = 32;
@@ -112,7 +119,12 @@ fn find<K: Borrow<Q>, Q: Ord + ?Sized>(keys: &[K], q: &Q) -> Result<usize, usize
 
 /// Count a node copy that path copying is about to make (or just made).
 fn count_copy(entries: usize) {
-    storage_metrics().cow_entries_copied.add(entries as u64);
+    COPIED.with(|c| c.set(c.get() + entries as u64));
+}
+
+/// The entries the calling thread's path copies cloned since the last call.
+pub(crate) fn take_copied() -> u64 {
+    COPIED.with(|c| c.replace(0))
 }
 
 /// Write access to a node: in place when this tree is its only owner, a

@@ -39,7 +39,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use phoenix_obs::EventKind;
+use phoenix_obs::{EventKind, Obs};
 
 use crate::pmap::{PMap, PSet};
 use crate::record::LogRecord;
@@ -644,18 +644,24 @@ pub(crate) struct Segment {
     /// The log tail; the load takes it.
     tail: Mutex<Tail>,
     cell: OnceLock<Loaded>,
+    /// The instance of the store that opened the segment, whose journal
+    /// the load is put on.
+    obs: Arc<Obs>,
 }
 
 /// What a segment's load left in its cell, and how long the load took.
 type Loaded = (Result<Arc<TableData>, String>, Duration);
 
 impl Segment {
+    /// The table `name` in the file `path`, its load journaled in the
+    /// calling thread's instance.
     pub(crate) fn new(name: String, path: PathBuf) -> Segment {
         Segment {
             name,
             path,
             tail: Mutex::new(Tail::default()),
             cell: OnceLock::new(),
+            obs: phoenix_obs::current(),
         }
     }
 
@@ -667,6 +673,7 @@ impl Segment {
             path: self.path.clone(),
             tail: Mutex::new(tail),
             cell: OnceLock::new(),
+            obs: Arc::clone(&self.obs),
         }
     }
 
@@ -695,7 +702,7 @@ impl Segment {
             Ok(data) => data.rows.len().to_string(),
             Err(_) => "-".into(),
         };
-        phoenix_obs::journal().record(
+        self.obs.journal().record(
             "storage",
             EventKind::Other,
             format!(

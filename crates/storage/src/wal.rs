@@ -18,7 +18,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::crc::crc32;
-use crate::metrics::storage_metrics;
 
 /// Maximum accepted payload size (64 MiB). A length field larger than this is
 /// treated as tail corruption rather than an attempt to allocate wildly, and
@@ -58,11 +57,7 @@ impl Flusher {
     /// Force every frame appended before this call to stable storage.
     pub fn sync(&self) -> io::Result<()> {
         phoenix_chaos::check_durable(FSYNC_POINT)?;
-        let m = storage_metrics();
-        let _t = phoenix_obs::Timer::new(&m.wal_fsync_us);
-        self.0.sync_data()?;
-        m.wal_fsyncs.inc();
-        Ok(())
+        self.0.sync_data()
     }
 }
 
@@ -147,8 +142,6 @@ impl Wal {
         if frames.is_empty() {
             return Ok(());
         }
-        let m = storage_metrics();
-        let _t = phoenix_obs::Timer::new(&m.wal_append_us);
         if self.torn {
             self.file.set_len(self.end)?;
             self.torn = false;
@@ -174,7 +167,6 @@ impl Wal {
             return Err(e);
         }
         self.end += frames.len() as u64;
-        m.wal_appends.inc();
         Ok(())
     }
 

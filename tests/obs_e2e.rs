@@ -1,15 +1,16 @@
 //! End-to-end observability test: a crash/recover cycle must leave a
 //! complete, ordered recovery timeline in the event journal, drive the
 //! recovery counters, and be visible through the `Request::Stats` wire
-//! round trip — server and client run in one process here, so both sides'
-//! metrics land in the same global registry.
+//! round trip. The server and the client are started on the test's thread,
+//! so both count into that thread's observability instance — one registry
+//! and one journal that no other test writes to, so the counts are exact.
 
 use std::time::Duration;
 
 use phoenix_core::{PhoenixConfig, PhoenixConnection};
 use phoenix_driver::Environment;
 use phoenix_engine::EngineConfig;
-use phoenix_obs::{journal, EventKind};
+use phoenix_obs::EventKind;
 use phoenix_server::ServerHarness;
 
 #[test]
@@ -51,22 +52,27 @@ fn crash_recovery_timeline_and_wire_stats() {
         db.stats().reconnect_attempts >= 1,
         "recovery must have reconnected at least once"
     );
-    let snapshot = phoenix_obs::StatsSnapshot::capture();
+    let obs = server.obs();
     assert!(
-        snapshot
-            .counter("phoenix_reconnect_attempts_total")
-            .is_some_and(|v| v >= db.stats().reconnect_attempts),
-        "global reconnect counter must cover this connection's attempts"
+        std::sync::Arc::ptr_eq(obs, env.obs()),
+        "client and server were started in one instance"
     );
-    assert!(snapshot
-        .counter("phoenix_recoveries_total")
-        .is_some_and(|v| v >= 1));
+    let snapshot = obs.snapshot();
+    assert_eq!(
+        snapshot.counter("phoenix_reconnect_attempts_total"),
+        Some(db.stats().reconnect_attempts),
+        "the instance counts exactly this connection's attempts"
+    );
+    assert_eq!(
+        snapshot.counter("phoenix_recoveries_total"),
+        Some(db.stats().recoveries)
+    );
 
     // --- Recovery timeline ---------------------------------------------
     // The journal timestamps are taken inside the journal lock, so sequence
     // order and timestamp order must agree — globally, not just per
     // component.
-    let events = journal().events();
+    let events = obs.journal().events();
     for pair in events.windows(2) {
         assert!(pair[0].seq < pair[1].seq, "journal out of order");
         assert!(
@@ -130,4 +136,51 @@ fn crash_recovery_timeline_and_wire_stats() {
     db.close();
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two servers in one process, each started on its own thread and driven by
+/// its own client: each `Stats` reply reports its own server's requests and
+/// its own journal, never the sum of both.
+#[test]
+fn two_servers_in_one_process_report_apart() {
+    let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let run = |name: &'static str, pings: u64, closes: usize| {
+        let start = std::sync::Arc::clone(&start);
+        std::thread::spawn(move || {
+            let dir = std::env::temp_dir()
+                .join(format!("phoenix-obs-apart-{name}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let server = ServerHarness::start(&dir, EngineConfig::default()).unwrap();
+            let env = Environment::new();
+            // Both servers are up and both clients connect before either
+            // does its work, so their requests interleave.
+            start.wait();
+            let mut conn = env.connect(&server.addr(), name, "db").unwrap();
+            for _ in 0..closes {
+                env.connect(&server.addr(), name, "db").unwrap().close();
+            }
+            for _ in 0..pings {
+                conn.ping().unwrap();
+            }
+            conn.execute("CREATE TABLE t (k INT)").unwrap();
+            let stats = conn.server_stats().unwrap();
+            conn.close();
+            drop(server);
+            let _ = std::fs::remove_dir_all(&dir);
+            stats
+        })
+    };
+    let (a, b) = (run("a", 3, 1), run("b", 5, 2));
+    for (stats, pings, closes) in [(a.join().unwrap(), 3, 1), (b.join().unwrap(), 5, 2)] {
+        let requests = |t: &str| stats.counter(&format!("phoenix_requests_total{{type=\"{t}\"}}"));
+        assert_eq!(requests("ping"), Some(pings));
+        assert_eq!(requests("exec"), Some(1));
+        assert_eq!(requests("login_v2"), Some(closes as u64 + 1));
+        let closed = stats
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::ConnectionClose)
+            .count();
+        assert_eq!(closed, closes, "the journal is the server's own");
+    }
 }
