@@ -10,9 +10,9 @@
 //! * `cargo run --release -p phoenix-bench --bin figure2` — Figure 2
 //!   (session-recovery time vs result size) plus the §4 recovery-vs-
 //!   recompute claim.
-//! * `cargo bench` — Criterion benches: `power_test`, `session_recovery`,
-//!   `reposition` (the resume fetch after a crash deep into a result),
-//!   `multi_client`.
+//!
+//! The scoreboard under `benchmark/` times the same paths end to end
+//! (`tpch_phoenix` is Table 1, `crash_resume` is Figure 2).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1347,6 +1347,55 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// INT `+ - * %`, unary minus and ABS are exact (they used to go
+    /// through f64, so 2^53 + 1 came back as 2^53), and a result outside
+    /// INT's range is a type error: it used to panic a debug build and wrap
+    /// in a release one. The same holds for a date moved by a day count.
+    #[test]
+    fn int_arithmetic_is_exact_and_overflow_is_an_error() {
+        let (e, dir) = engine();
+        let sid = e.create_session("app");
+        e.execute(sid, "CREATE TABLE s (k INT PRIMARY KEY, v INT, d DATE)")
+            .unwrap();
+        e.execute(
+            sid,
+            "INSERT INTO s VALUES (1, 9223372036854775807, '2000-01-01'), (2, 9007199254740993, NULL)",
+        )
+        .unwrap();
+        e.execute(sid, "UPDATE s SET v = -v - 1 WHERE k = 1")
+            .unwrap();
+        let one = |sql: &str| e.execute(sid, sql).map(|r| r.rows()[0][0].clone());
+        assert_eq!(
+            one("SELECT v + 0 FROM s WHERE k = 2").unwrap(),
+            Value::Int(9_007_199_254_740_993)
+        );
+        assert_eq!(
+            one("SELECT v % 10 FROM s WHERE k = 2").unwrap(),
+            Value::Int(3)
+        );
+        assert_eq!(
+            one("SELECT v FROM s WHERE k = 1").unwrap(),
+            Value::Int(i64::MIN)
+        );
+        assert_eq!(
+            one("SELECT v % -1 FROM s WHERE k = 1").unwrap(),
+            Value::Int(0)
+        );
+        for sql in [
+            "SELECT v - 1 FROM s WHERE k = 1",
+            "SELECT v * 2 FROM s WHERE k = 1",
+            "SELECT -v FROM s WHERE k = 1",
+            "SELECT ABS(v) FROM s WHERE k = 1",
+            "SELECT v * v FROM s WHERE k = 2",
+            "SELECT d + 9223372036854775807 FROM s WHERE k = 1",
+            "SELECT d - 4294967296 FROM s WHERE k = 1",
+        ] {
+            let err = one(sql).unwrap_err();
+            assert_eq!(err.code, ErrorCode::Type, "{sql}: {err}");
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
     #[test]
     fn print_produces_message() {
         let (e, dir) = engine();

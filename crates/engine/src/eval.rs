@@ -527,7 +527,10 @@ fn unary(op: UnaryOp, v: &Value) -> Result<Value> {
         },
         UnaryOp::Neg => match v {
             Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => i
+                .checked_neg()
+                .map(Value::Int)
+                .ok_or_else(|| EngineError::type_err(format!("-({i}) overflows INT"))),
             Value::Float(f) => Ok(Value::Float(-f)),
             other => Err(EngineError::type_err(format!("cannot negate {other}"))),
         },
@@ -583,17 +586,15 @@ fn eval_binary<'a>(
 /// Arithmetic on two non-null values.
 #[inline]
 fn arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
-    let (a, b, both_int) = match (l, r) {
-        (Value::Float(a), Value::Float(b)) => (*a, *b, false),
-        (Value::Int(a), Value::Float(b)) => (*a as f64, *b, false),
-        (Value::Float(a), Value::Int(b)) => (*a, *b as f64, false),
-        (Value::Int(a), Value::Int(b)) => (*a as f64, *b as f64, true),
+    let (a, b) = match (l, r) {
+        (Value::Int(a), Value::Int(b)) if op != BinaryOp::Div => return int_arithmetic(op, *a, *b),
+        (Value::Float(a), Value::Float(b)) => (*a, *b),
+        (Value::Int(a), Value::Float(b)) => (*a as f64, *b),
+        (Value::Float(a), Value::Int(b)) => (*a, *b as f64),
+        (Value::Int(a), Value::Int(b)) => (*a as f64, *b as f64),
         _ => return text_or_date_arithmetic(op, l, r),
     };
     Ok(match op {
-        BinaryOp::Add if both_int => Value::Int(a as i64 + b as i64),
-        BinaryOp::Sub if both_int => Value::Int(a as i64 - b as i64),
-        BinaryOp::Mul if both_int => Value::Int((a as i64).wrapping_mul(b as i64)),
         BinaryOp::Add => Value::Float(a + b),
         BinaryOp::Sub => Value::Float(a - b),
         BinaryOp::Mul => Value::Float(a * b),
@@ -609,14 +610,26 @@ fn arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
             if b == 0.0 {
                 return Err(EngineError::type_err("modulo by zero"));
             }
-            if both_int {
-                Value::Int(a as i64 % b as i64)
-            } else {
-                Value::Float(a % b)
-            }
+            Value::Float(a % b)
         }
         _ => unreachable!("non-arithmetic op in arithmetic path"),
     })
+}
+
+/// `+`, `-`, `*` and `%` on two INTs are exact: a result outside INT's
+/// range is a type error, never a wrapped or rounded value (as for SUM).
+fn int_arithmetic(op: BinaryOp, a: i64, b: i64) -> Result<Value> {
+    let v = match op {
+        BinaryOp::Add => a.checked_add(b),
+        BinaryOp::Sub => a.checked_sub(b),
+        BinaryOp::Mul => a.checked_mul(b),
+        BinaryOp::Mod if b == 0 => return Err(EngineError::type_err("modulo by zero")),
+        // The one overflowing case, MIN % -1, is 0.
+        BinaryOp::Mod => Some(a.wrapping_rem(b)),
+        _ => unreachable!("non-arithmetic op in arithmetic path"),
+    };
+    v.map(Value::Int)
+        .ok_or_else(|| EngineError::type_err(format!("{a} {} {b} overflows INT", op.sql())))
 }
 
 /// String concatenation via `+` and date arithmetic; any other pair is a
@@ -624,8 +637,18 @@ fn arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
 fn text_or_date_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
     match (op, l, r) {
         (BinaryOp::Add, Value::Text(a), Value::Text(b)) => Ok(Value::Text(format!("{a}{b}"))),
-        (BinaryOp::Add, Value::Date(d), Value::Int(n)) => Ok(Value::Date(d + *n as i32)),
-        (BinaryOp::Sub, Value::Date(d), Value::Int(n)) => Ok(Value::Date(d - *n as i32)),
+        (BinaryOp::Add | BinaryOp::Sub, Value::Date(d), Value::Int(n)) => {
+            let day = if op == BinaryOp::Add {
+                i64::from(*d).checked_add(*n)
+            } else {
+                i64::from(*d).checked_sub(*n)
+            };
+            day.and_then(|day| i32::try_from(day).ok())
+                .map(Value::Date)
+                .ok_or_else(|| {
+                    EngineError::type_err(format!("date {l} {} {n} is out of range", op.sql()))
+                })
+        }
         (BinaryOp::Sub, Value::Date(a), Value::Date(b)) => {
             Ok(Value::Int((*a as i64) - (*b as i64)))
         }
@@ -944,7 +967,10 @@ impl Func {
             return Ok(Cow::Borrowed(&NULL));
         }
         let v = match (self, &*a) {
-            (Func::Abs, Value::Int(i)) => Value::Int(i.abs()),
+            (Func::Abs, Value::Int(i)) => match i.checked_abs() {
+                Some(v) => Value::Int(v),
+                None => return Err(EngineError::type_err(format!("ABS({i}) overflows INT"))),
+            },
             (Func::Abs, Value::Float(f)) => Value::Float(f.abs()),
             (Func::Upper, Value::Text(s)) => Value::Text(s.to_uppercase()),
             (Func::Lower, Value::Text(s)) => Value::Text(s.to_lowercase()),

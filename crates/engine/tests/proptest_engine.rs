@@ -1,8 +1,3 @@
-// The offline build environment has no `proptest` crate available, so these
-// property tests are compiled only when the `slow-proptests` feature is
-// enabled (which requires supplying a real proptest dependency).
-#![cfg(feature = "slow-proptests")]
-
 //! Property tests of engine query-processing invariants.
 
 use proptest::prelude::*;
@@ -25,7 +20,7 @@ fn temp_dir() -> PathBuf {
 /// containing the given rows (keys deduplicated by construction).
 fn engine_with(rows: &[(i64, i64)]) -> (Engine, u64, PathBuf) {
     let dir = temp_dir();
-    let mut e = Engine::open(&dir, EngineConfig::default()).unwrap();
+    let e = Engine::open(&dir, EngineConfig::default()).unwrap();
     let sid = e.create_session("prop");
     e.execute(sid, "CREATE TABLE t (k INT PRIMARY KEY, grp INT, v INT)")
         .unwrap();
@@ -51,7 +46,7 @@ proptest! {
     /// ORDER BY really sorts, and is stable under re-execution.
     #[test]
     fn order_by_sorts(rows in rows_strategy()) {
-        let (mut e, sid, dir) = engine_with(&rows);
+        let (e, sid, dir) = engine_with(&rows);
         let r = e.execute(sid, "SELECT v FROM t ORDER BY v").unwrap();
         let vs: Vec<i64> = r.rows().iter().map(|r| r[0].as_i64().unwrap()).collect();
         let mut sorted = vs.clone();
@@ -65,7 +60,7 @@ proptest! {
     /// LIMIT/OFFSET slices the ordered result exactly.
     #[test]
     fn limit_offset_windows(rows in rows_strategy(), off in 0u64..50, lim in 0u64..50) {
-        let (mut e, sid, dir) = engine_with(&rows);
+        let (e, sid, dir) = engine_with(&rows);
         let full = e.execute(sid, "SELECT k FROM t ORDER BY k").unwrap().rows().to_vec();
         let windowed = e
             .execute(sid, &format!("SELECT k FROM t ORDER BY k LIMIT {lim} OFFSET {off}"))
@@ -81,7 +76,7 @@ proptest! {
     /// Grouped aggregates are consistent with global aggregates.
     #[test]
     fn group_aggregates_sum_to_global(rows in rows_strategy()) {
-        let (mut e, sid, dir) = engine_with(&rows);
+        let (e, sid, dir) = engine_with(&rows);
         let grouped = e
             .execute(sid, "SELECT grp, COUNT(*), SUM(v) FROM t GROUP BY grp")
             .unwrap()
@@ -104,7 +99,7 @@ proptest! {
     /// same rows as a direct SELECT.
     #[test]
     fn keyset_cursor_equals_select(rows in rows_strategy(), block in 1usize..7) {
-        let (mut e, sid, dir) = engine_with(&rows);
+        let (e, sid, dir) = engine_with(&rows);
         let direct = e
             .execute(sid, "SELECT k, v FROM t WHERE v >= 0")
             .unwrap()
@@ -136,7 +131,7 @@ proptest! {
     fn committed_state_survives_reopen(rows in rows_strategy(), delete_below in -500i64..500) {
         let dir = temp_dir();
         let expected = {
-            let mut e = Engine::open(&dir, EngineConfig::default()).unwrap();
+            let e = Engine::open(&dir, EngineConfig::default()).unwrap();
             let sid = e.create_session("prop");
             e.execute(sid, "CREATE TABLE t (k INT PRIMARY KEY, grp INT, v INT)").unwrap();
             if !rows.is_empty() {
@@ -153,15 +148,13 @@ proptest! {
             e.execute(sid, "DELETE FROM t").unwrap();
             e.execute(sid, "SELECT COUNT(*) FROM t").unwrap(); // dirty read inside txn
             // (no commit — drop = crash)
-            let mut check = Engine::open(&temp_dir(), EngineConfig::default()).unwrap();
-            let _ = check.create_session("x");
             rows.iter()
                 .enumerate()
                 .filter(|(_, (_, v))| *v >= delete_below)
                 .map(|(i, (g, v))| (i as i64, g.rem_euclid(5), *v))
                 .collect::<Vec<_>>()
         };
-        let mut e = Engine::open(&dir, EngineConfig::default()).unwrap();
+        let e = Engine::open(&dir, EngineConfig::default()).unwrap();
         let sid = e.create_session("prop");
         let r = e.execute(sid, "SELECT k, grp, v FROM t ORDER BY k").unwrap();
         let got: Vec<(i64, i64, i64)> = r
@@ -183,7 +176,7 @@ proptest! {
     /// from generated constants: no panics, only values or typed errors.
     #[test]
     fn where_never_panics(a in any::<i64>(), b in any::<i64>(), c in "[ -~]{0,8}") {
-        let (mut e, sid, dir) = engine_with(&[(a.rem_euclid(7), b.rem_euclid(100))]);
+        let (e, sid, dir) = engine_with(&[(a.rem_euclid(7), b.rem_euclid(100))]);
         let escaped = c.replace('\'', "''");
         let _ = e.execute(
             sid,
@@ -207,9 +200,10 @@ mod auto_checkpoint {
             let config = EngineConfig {
                 durability: Durability::Fsync,
                 checkpoint_every: Some(every),
+                ..EngineConfig::default()
             };
             {
-                let mut e = Engine::open(&dir, config.clone()).unwrap();
+                let e = Engine::open(&dir, config.clone()).unwrap();
                 let sid = e.create_session("ckpt");
                 e.execute(sid, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
                     .unwrap();
@@ -227,7 +221,7 @@ mod auto_checkpoint {
                 }
                 // Crash (drop without graceful shutdown).
             }
-            let mut e = Engine::open(&dir, config).unwrap();
+            let e = Engine::open(&dir, config).unwrap();
             let sid = e.create_session("ckpt");
             let r = e.execute(sid, "SELECT COUNT(*), SUM(v) FROM t").unwrap();
             // 40 inserts, deletes at k ∈ {10, 21, 32} → 37 rows.
@@ -236,17 +230,20 @@ mod auto_checkpoint {
         }
     }
 
-    /// The auto-checkpoint must not fire while a transaction is open (it
-    /// would capture uncommitted effects); committed work still survives.
+    /// An open transaction's rows never reach a checkpoint, however often
+    /// the auto-checkpoint fires: the transaction writes its own copy of
+    /// the store and logs nothing before it commits, so a crash before the
+    /// commit loses every row it wrote.
     #[test]
     fn auto_checkpoint_defers_around_open_transactions() {
         let dir = temp_dir();
         let config = EngineConfig {
             durability: Durability::Fsync,
             checkpoint_every: Some(2),
+            ..EngineConfig::default()
         };
         {
-            let mut e = Engine::open(&dir, config.clone()).unwrap();
+            let e = Engine::open(&dir, config.clone()).unwrap();
             let sid = e.create_session("x");
             e.execute(sid, "CREATE TABLE t (v INT)").unwrap();
             e.execute(sid, "BEGIN").unwrap();
@@ -257,7 +254,7 @@ mod auto_checkpoint {
             // Threshold exceeded many times over, but the txn is open the
             // whole time. Crash without commit:
         }
-        let mut e = Engine::open(&dir, config).unwrap();
+        let e = Engine::open(&dir, config).unwrap();
         let sid = e.create_session("x");
         let r = e.execute(sid, "SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(
@@ -278,7 +275,7 @@ mod null_ordering {
     #[test]
     fn nulls_order_first_and_are_skipped_by_aggregates() {
         let dir = temp_dir();
-        let mut e = Engine::open(&dir, EngineConfig::default()).unwrap();
+        let e = Engine::open(&dir, EngineConfig::default()).unwrap();
         let sid = e.create_session("nulls");
         e.execute(sid, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
             .unwrap();

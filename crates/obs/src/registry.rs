@@ -343,9 +343,9 @@ mod tests {
         assert!(text.contains("lat_us_count{op=\"fsync\"} 2"));
     }
 
-    /// Acceptance-criterion test: 8 threads hammer the registry
-    /// concurrently — mixing first-registration races with steady-state
-    /// recording — and every single increment must be accounted for.
+    /// Eight threads hammer the registry concurrently — mixing
+    /// first-registration races with steady-state recording — and every
+    /// single increment must be accounted for.
     #[test]
     fn eight_thread_registry_hammer() {
         let r = Arc::new(Registry::new());

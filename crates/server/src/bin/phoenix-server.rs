@@ -58,8 +58,8 @@ fn main() {
 
     let config = EngineConfig {
         durability,
-        checkpoint_every: Some(100_000),
         max_sessions,
+        ..EngineConfig::default()
     };
     // The port first: a client reconnecting after a crash then queues in the
     // listen backlog while the log is read, and is served the moment

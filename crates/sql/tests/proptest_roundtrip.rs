@@ -1,8 +1,3 @@
-// The offline build environment has no `proptest` crate available, so these
-// property tests are compiled only when the `slow-proptests` feature is
-// enabled (which requires supplying a real proptest dependency).
-#![cfg(feature = "slow-proptests")]
-
 //! Property test: `parse(render(ast))` is the identity (after `Nested`
 //! normalization) over a generated expression/statement space.
 //!

@@ -18,17 +18,13 @@
 //!    every step with a model kept in `std` maps that shares no code with
 //!    the store.
 //!
-//! The offline build environment has no `proptest` crate, so 1 and 2 are
-//! compiled only when the `slow-proptests` feature is enabled (which
-//! requires supplying a real proptest dependency); 3 and 4 draw their cases
-//! from a seeded generator and always run — a failure prints its seed, and
-//! the seed reproduces it.
+//! 1 and 2 draw their cases through the `proptest` shim (a failure names
+//! the test's seed and case); 3 and 4 draw theirs from a seeded generator of
+//! their own — a failure prints its seed, and the seed reproduces it.
 
-#[cfg(feature = "slow-proptests")]
 use proptest::prelude::*;
 
 use phoenix_storage::applier::{frame_payload, recover};
-#[cfg(feature = "slow-proptests")]
 use phoenix_storage::codec;
 use phoenix_storage::db::{DbError, Durability, Durable, Txn};
 use phoenix_storage::record::LogRecord;
@@ -48,7 +44,6 @@ fn temp_dir() -> PathBuf {
     d
 }
 
-#[cfg(feature = "slow-proptests")]
 fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Null),
@@ -62,12 +57,10 @@ fn value() -> impl Strategy<Value = Value> {
     ]
 }
 
-#[cfg(feature = "slow-proptests")]
 fn row() -> impl Strategy<Value = Row> {
     prop::collection::vec(value(), 0..6)
 }
 
-#[cfg(feature = "slow-proptests")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -97,8 +90,146 @@ proptest! {
     }
 }
 
+fn name() -> impl Strategy<Value = String> {
+    "\\PC{0,12}"
+}
+
+fn table_def_strategy() -> impl Strategy<Value = TableDef> {
+    let dtype = prop::sample::select(vec![
+        DataType::Int,
+        DataType::Float,
+        DataType::Text,
+        DataType::Bool,
+        DataType::Date,
+    ]);
+    (
+        name(),
+        prop::collection::vec((name(), dtype, any::<bool>()), 1..5),
+        prop::collection::vec(0usize..4, 0..3),
+        prop::collection::vec((name(), 0usize..4), 0..3),
+    )
+        .prop_map(|(name, columns, key, indexes)| {
+            let arity = columns.len();
+            TableDef {
+                name,
+                schema: Schema::new(
+                    columns
+                        .into_iter()
+                        .map(|(name, dtype, nullable)| Column {
+                            name,
+                            dtype,
+                            nullable,
+                        })
+                        .collect(),
+                ),
+                primary_key: key.into_iter().map(|i| i % arity).collect(),
+                indexes: indexes
+                    .into_iter()
+                    .map(|(name, column)| IndexDef {
+                        name,
+                        column: column % arity,
+                    })
+                    .collect(),
+            }
+        })
+}
+
+/// Every kind of log record, with generated contents.
+fn log_record() -> impl Strategy<Value = LogRecord> {
+    let txn = any::<u64>;
+    prop_oneof![
+        txn().prop_map(|txn| LogRecord::Begin { txn }),
+        txn().prop_map(|txn| LogRecord::Commit { txn }),
+        txn().prop_map(|txn| LogRecord::Abort { txn }),
+        (txn(), name(), any::<u64>(), row()).prop_map(|(txn, table, row_id, row)| {
+            LogRecord::Insert {
+                txn,
+                table,
+                row_id,
+                row,
+            }
+        }),
+        (
+            txn(),
+            name(),
+            any::<u64>(),
+            prop::collection::vec(row(), 0..4)
+        )
+            .prop_map(|(txn, table, first_row_id, rows)| LogRecord::InsertMany {
+                txn,
+                table,
+                first_row_id,
+                rows,
+            }),
+        (txn(), name(), any::<u64>()).prop_map(|(txn, table, row_id)| LogRecord::Delete {
+            txn,
+            table,
+            row_id
+        }),
+        (txn(), name(), any::<u64>(), row()).prop_map(|(txn, table, row_id, row)| {
+            LogRecord::Update {
+                txn,
+                table,
+                row_id,
+                row,
+            }
+        }),
+        (txn(), table_def_strategy()).prop_map(|(txn, def)| LogRecord::CreateTable { txn, def }),
+        (txn(), name()).prop_map(|(txn, name)| LogRecord::DropTable { txn, name }),
+        (txn(), name(), "[ -~\\n\\t]{0,120}").prop_map(|(txn, name, sql)| LogRecord::CreateProc {
+            txn,
+            name,
+            sql
+        }),
+        (txn(), name()).prop_map(|(txn, name)| LogRecord::DropProc { txn, name }),
+        (txn(), name(), name(), 0usize..64).prop_map(|(txn, table, name, column)| {
+            LogRecord::CreateIndex {
+                txn,
+                table,
+                name,
+                column,
+            }
+        }),
+        (txn(), name(), name()).prop_map(|(txn, table, name)| LogRecord::DropIndex {
+            txn,
+            table,
+            name
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every kind of record round-trips, and every strict prefix of its
+    /// encoding is an error: a log torn inside a record never decodes to a
+    /// record.
+    #[test]
+    fn log_record_truncation_is_an_error(rec in log_record()) {
+        let full = rec.encode();
+        prop_assert_eq!(&LogRecord::decode(&full).unwrap(), &rec);
+        for cut in 0..full.len() {
+            prop_assert!(
+                LogRecord::decode(&full[..cut]).is_err(),
+                "a {cut}-byte prefix of {full:?} decoded"
+            );
+        }
+    }
+
+    /// Bytes off the disk decode to a record or an error, never a panic —
+    /// arbitrary bytes, and arbitrary bytes behind each record tag, so that
+    /// every kind's body parser reads them.
+    #[test]
+    fn log_record_decode_is_total(
+        tag in prop::option::of(0u8..16),
+        body in prop::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let bytes: Vec<u8> = tag.into_iter().chain(body).collect();
+        let _ = LogRecord::decode(&bytes);
+    }
+}
+
 /// Abstract op in a transaction script.
-#[cfg(feature = "slow-proptests")]
 #[derive(Debug, Clone)]
 enum Op {
     Insert(i64),
@@ -108,7 +239,6 @@ enum Op {
     Update(usize, i64),
 }
 
-#[cfg(feature = "slow-proptests")]
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         any::<i64>().prop_map(Op::Insert),
@@ -117,25 +247,21 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-#[cfg(feature = "slow-proptests")]
 #[derive(Debug, Clone)]
 struct TxnScript {
     ops: Vec<Op>,
     commit: bool,
 }
 
-#[cfg(feature = "slow-proptests")]
 fn txn_script() -> impl Strategy<Value = TxnScript> {
     (prop::collection::vec(op(), 0..8), any::<bool>())
         .prop_map(|(ops, commit)| TxnScript { ops, commit })
 }
 
-#[cfg(feature = "slow-proptests")]
 fn table_def() -> TableDef {
     TableDef::new("dbo.t", Schema::new(vec![Column::new("v", DataType::Int)]))
 }
 
-#[cfg(feature = "slow-proptests")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -152,7 +278,7 @@ proptest! {
         let dir = temp_dir();
         let mut model: Vec<(u64, i64)> = Vec::new(); // (row_id, value)
         {
-            let mut db = Durable::open(&dir, Durability::Fsync).unwrap();
+            let db = Durable::open(&dir, Durability::Fsync).unwrap();
             let mut t0 = db.begin_txn();
             t0.create_table(table_def()).unwrap();
             db.commit_txn(t0).unwrap();
@@ -226,7 +352,7 @@ proptest! {
     fn torn_tail_is_survivable(values in prop::collection::vec(any::<i64>(), 1..20), cut in 1usize..64) {
         let dir = temp_dir();
         {
-            let mut db = Durable::open(&dir, Durability::Fsync).unwrap();
+            let db = Durable::open(&dir, Durability::Fsync).unwrap();
             let mut t0 = db.begin_txn();
             t0.create_table(table_def()).unwrap();
             db.commit_txn(t0).unwrap();
@@ -340,7 +466,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "slow-proptests")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 

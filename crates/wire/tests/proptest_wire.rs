@@ -1,8 +1,3 @@
-// The offline build environment has no `proptest` crate available, so these
-// property tests are compiled only when the `slow-proptests` feature is
-// enabled (which requires supplying a real proptest dependency).
-#![cfg(feature = "slow-proptests")]
-
 //! Property tests of the wire protocol: round-trip over generated messages
 //! and total decoding over arbitrary bytes (a malicious or corrupt peer must
 //! never panic the process).
